@@ -241,7 +241,7 @@ impl FbEngine {
     fn step(&mut self, rank: &mut Rank) -> bool {
         self.drain_pending(rank);
         self.comm.tick(rank);
-        let Some((key, ready_at)) = self.rt.pick() else {
+        let Some((id, key, ready_at)) = self.rt.pick() else {
             self.comm.flush_all(rank);
             return false;
         };
@@ -251,7 +251,7 @@ impl FbEngine {
             TaskKey::Panel { i, j } => self.exec_panel(rank, i, j),
             TaskKey::Update { j, a, b } => self.exec_update(rank, j, a, b),
         }
-        self.rt.complete(key);
+        self.rt.complete(id);
         true
     }
 

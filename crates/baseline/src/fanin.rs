@@ -273,13 +273,13 @@ impl FiEngine {
     fn step(&mut self, rank: &mut Rank) -> bool {
         self.drain_pending(rank);
         self.comm.tick(rank);
-        let Some((key, ready_at)) = self.rt.pick() else {
+        let Some((id, key, ready_at)) = self.rt.pick() else {
             self.comm.flush_all(rank);
             return false;
         };
         self.rt.begin(rank, ready_at);
         self.exec_factor(rank, key);
-        self.rt.complete(key);
+        self.rt.complete(id);
         true
     }
 

@@ -409,7 +409,7 @@ impl RlEngine {
     fn step(&mut self, rank: &mut Rank) -> bool {
         self.drain_pending(rank);
         self.comm.tick(rank);
-        let Some((key, ready_at)) = self.rt.pick() else {
+        let Some((id, key, ready_at)) = self.rt.pick() else {
             self.comm.flush_all(rank);
             return false;
         };
@@ -418,7 +418,7 @@ impl RlEngine {
             RlKey::Factor { j } => self.exec_factor(rank, j),
             RlKey::Apply { j } => self.exec_apply(rank, j),
         }
-        self.rt.complete(key);
+        self.rt.complete(id);
         true
     }
 

@@ -369,6 +369,7 @@ impl SymPack {
                 Arc::clone(&abort),
                 opts2.bcast,
                 opts2.coalesce,
+                Arc::clone(&plan.symbolic.tasks[rank.id()]),
             );
             if opts2.trace {
                 engine.rt.tracer = Some(sympack_trace::Tracer::new());
@@ -675,6 +676,7 @@ impl SymPack {
                 Arc::clone(&abort),
                 opts2.bcast,
                 opts2.coalesce,
+                Arc::clone(&plan.symbolic.tasks[rank.id()]),
             );
             let (engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
             if let Some(err) = engine.rt.error {

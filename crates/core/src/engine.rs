@@ -6,7 +6,7 @@
 use crate::map2d::ProcGrid;
 use crate::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskKind};
 use crate::storage::{Block, BlockStore};
-use crate::taskgraph::{fanout_dests, LocalTasks, RtqPolicy, TaskKey};
+use crate::taskgraph::{BlockId, LocalTasks, RtqPolicy, TaskKey, TaskOps};
 use crate::SolverError;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
@@ -21,15 +21,6 @@ use sympack_symbolic::SymbolicFactor;
 
 /// Sentinel rank meaning "dense payload" on the signal wire.
 const DENSE_WIRE: usize = usize::MAX;
-
-/// A factored block available to this rank (produced locally or fetched).
-/// Availability *time* is tracked on the consuming tasks (via their
-/// dependency decrements), not on the block itself. Compressed panels stay
-/// compressed here: the update kernels consume them in factored form.
-#[derive(Debug)]
-struct InputBlock {
-    data: Block,
-}
 
 /// A `signal(ptr, meta)` notification queued by an incoming RPC
 /// (paper Fig. 4, steps 3–4). `lr_rank == usize::MAX` means the pointed-to
@@ -111,17 +102,25 @@ impl PublishStats {
 /// RPC `signal` closures can reach it.
 pub struct FactoEngine {
     sf: Arc<SymbolicFactor>,
-    grid: ProcGrid,
-    /// This rank's blocks of `A` (progressively overwritten with `L`).
+    /// This rank's compiled task-graph slice, shared with the plan: task
+    /// and block ids, consumer lists, operands, fan-out destinations.
+    graph: Arc<LocalTasks>,
+    /// This rank's blocks of `A` (progressively overwritten with `L`);
+    /// slot ids are the graph's owned block ids. A factored block lives
+    /// here and nowhere else — local consumers read it in place.
     pub store: BlockStore,
-    /// For each factored input block `(i,j)`, the owned update tasks
-    /// consuming it.
-    consumers: HashMap<(usize, usize), Vec<TaskKey>>,
-    /// Owned panel tasks consuming each diagonal factor `(j,j)`.
-    diag_consumers: HashMap<usize, Vec<TaskKey>>,
     /// The shared scheduling core: LTQ, RTQ, inbox, abort, tracer.
     pub rt: TaskEngine<TaskKey, Signal>,
-    inputs: HashMap<(usize, usize), InputBlock>,
+    /// Fetched remote factored blocks, indexed by `block id − n_owned`.
+    /// Availability *time* is tracked on the consuming tasks (via their
+    /// dependency decrements), not on the block itself. Compressed panels
+    /// stay compressed: the update kernels consume them in factored form.
+    inputs: Vec<Option<Block>>,
+    /// Storage of the update kernels' product temporary, reused by every
+    /// update task.
+    work: Vec<f64>,
+    /// Scratch row map of the update scatter, reused likewise.
+    row_map: Vec<usize>,
     /// Dense-kernel executor with offload heuristic and op counters.
     pub kernels: KernelEngine,
     /// Signal-resolution data path: host `rget`s, or direct device copies
@@ -140,10 +139,24 @@ pub struct FactoEngine {
     pub publish: PublishStats,
 }
 
+/// The block behind id `b`, if present: an owned block lives in the store,
+/// a fetched one in the input table. (A free function over the two fields
+/// so callers can keep borrowing the rest of the engine.)
+fn block<'a>(store: &'a BlockStore, inputs: &'a [Option<Block>], b: BlockId) -> Option<&'a Block> {
+    let (b, n_owned) = (b as usize, store.len());
+    if b < n_owned {
+        store.slot(b)
+    } else {
+        inputs[b - n_owned].as_ref()
+    }
+}
+
 impl FactoEngine {
-    /// Build the engine for `rank`: enumerate owned tasks, allocate owned
-    /// blocks and scatter the permuted matrix into them.
-    #[allow(clippy::too_many_arguments)] // one-shot constructor called by the driver only
+    /// Build the engine for `rank` over its compiled task-graph slice
+    /// `graph` (built once per plan, see [`crate::plan::SymbolicPlan`]):
+    /// allocate the owned blocks, scatter the permuted matrix into them and
+    /// copy the initial dependency counters.
+    #[allow(clippy::too_many_arguments)] // one-shot constructor called by the plan/driver only
     pub fn new(
         sf: Arc<SymbolicFactor>,
         ap: &sympack_sparse::SparseSym,
@@ -155,30 +168,7 @@ impl FactoEngine {
         abort: Arc<AtomicBool>,
         topology: BcastTopology,
         coalesce: Option<CoalesceConfig>,
-    ) -> Self {
-        let local = LocalTasks::build(&sf, &grid, rank);
-        Self::with_tasks(
-            sf, ap, grid, rank, kernels, policy, oom_policy, abort, topology, coalesce, local,
-        )
-    }
-
-    /// Like [`FactoEngine::new`], but reuses a prebuilt task graph slice —
-    /// the re-factorization path of a solver session, which keeps the
-    /// symbolic factor, 2D mapping and per-rank [`LocalTasks`] across
-    /// numeric factorizations and only re-scatters block storage.
-    #[allow(clippy::too_many_arguments)] // one-shot constructor called by the driver only
-    pub fn with_tasks(
-        sf: Arc<SymbolicFactor>,
-        ap: &sympack_sparse::SparseSym,
-        grid: ProcGrid,
-        rank: usize,
-        kernels: KernelEngine,
-        policy: RtqPolicy,
-        oom_policy: OomPolicy,
-        abort: Arc<AtomicBool>,
-        topology: BcastTopology,
-        coalesce: Option<CoalesceConfig>,
-        local: LocalTasks,
+        graph: Arc<LocalTasks>,
     ) -> Self {
         let mut kernels = kernels;
         if kernels.blr.enabled() {
@@ -188,47 +178,40 @@ impl FactoEngine {
             kernels.blr_scale = ap.frobenius_norm();
         }
         let store = BlockStore::init(&sf, ap, &grid, rank);
-        let LocalTasks {
-            tasks,
-            consumers,
-            diag_consumers,
-            total: _,
-        } = local;
-        let mut rt = TaskEngine::with_tasks(tasks, policy, abort);
-        rt.seed_ready();
-        // Advisory roofline estimates for progress/makespan prediction —
-        // installed on every rank, never consulted by the RTQ policy.
-        rt.set_estimates(|k| k.estimate_secs(&sf, &kernels.cost, &kernels.config));
+        assert_eq!(
+            store.keys(),
+            &graph.blocks[..graph.n_owned],
+            "task graph was compiled for another rank or grid"
+        );
+        let mut rt = TaskEngine::from_compiled(Arc::clone(&graph.keys), &graph.deps, policy, abort);
         if policy == RtqPolicy::CommAware {
             // Overlap-driven urgency: a factor task's output unblocks this
             // many *remote* ranks, so producing it early feeds the network
-            // while local update work hides behind the transfers.
-            let keys: Vec<TaskKey> = rt.task_keys();
-            for k in keys {
-                let urg = match k {
-                    TaskKey::Diag { j } => fanout_dests(&sf, &grid, rank, j, j).len(),
-                    TaskKey::Panel { i, j } => fanout_dests(&sf, &grid, rank, i, j).len(),
-                    TaskKey::Update { .. } => 0,
-                };
+            // while local update work hides behind the transfers. (Factor
+            // task `l` factors owned block `l`.)
+            for l in 0..graph.n_owned as BlockId {
+                let urg = graph.dests_of(l).len();
                 if urg > 0 {
-                    rt.set_urgency(k, urg as u64);
+                    rt.set_urgency(l, urg as u64);
                 }
             }
         }
+        rt.seed_ready();
         let fetch = FetchConfig {
             device_enabled: kernels.gpu_enabled,
             device_threshold: 64 * 64,
             oom_policy,
             mode: FetchMode::NonBlocking,
         };
+        let n_inputs = graph.blocks.len() - graph.n_owned;
         FactoEngine {
             sf,
-            grid,
             store,
-            consumers,
-            diag_consumers,
             rt,
-            inputs: HashMap::new(),
+            inputs: (0..n_inputs).map(|_| None).collect(),
+            graph,
+            work: Vec::new(),
+            row_map: Vec::new(),
             kernels,
             fetch,
             topology,
@@ -243,61 +226,40 @@ impl FactoEngine {
         self.rt.finished()
     }
 
-    /// Global pattern rows of block `(i, j)`.
-    fn block_rows(&self, i: usize, j: usize) -> &[usize] {
-        let b = self.sf.layout.find(i, j).expect("block exists");
-        &self.sf.patterns[j][b.row_offset..b.row_offset + b.n_rows]
+    /// Estimated seconds of kernel work this rank has not yet completed:
+    /// the roofline estimate of every unexecuted task, summed on demand in
+    /// task-id order. Update tasks whose operands have already arrived
+    /// compressed are estimated from the *stored* ranks, so the figure
+    /// sharpens as BLR panels land. Advisory only — the RTQ never sees it.
+    pub fn estimated_remaining(&self) -> f64 {
+        let (sf, k) = (&self.sf, &self.kernels);
+        let stored_rank = |b| block(&self.store, &self.inputs, b).and_then(Block::lr_rank);
+        self.rt.estimated_remaining(|id, key| {
+            let ops = self.graph.ops[id as usize];
+            key.estimate_secs_stored(
+                sf,
+                &k.cost,
+                &k.config,
+                stored_rank(ops.a),
+                stored_rank(ops.b),
+            )
+        })
     }
 
-    /// Record an available factored block and decrement its consumers,
-    /// naming the producing task as the dependency edge for the profiler.
-    /// A compressed arrival also corrects the advisory roofline estimates
-    /// of the update tasks that will consume it: their flop and byte costs
-    /// shrink with the operand's stored rank.
-    fn add_input(&mut self, i: usize, j: usize, data: Block, ready_at: f64) {
+    /// Factored block `blk` became available at `ready_at` (factored here,
+    /// or fetched): decrement its consumers, naming the producing task as
+    /// the dependency edge for the profiler.
+    fn release_consumers(&mut self, blk: BlockId, bytes: u64, ready_at: f64) {
+        let (i, j) = self.graph.blocks[blk as usize];
         let producer = if i == j {
             TaskKey::Diag { j }
         } else {
             TaskKey::Panel { i, j }
         };
-        if i == j {
-            if let Some(keys) = self.diag_consumers.get(&j).cloned() {
-                for k in keys {
-                    self.rt.dec_from(k, ready_at, || producer.trace_label());
-                }
-            }
-        } else if let Some(keys) = self.consumers.get(&(i, j)).cloned() {
-            for k in keys {
-                self.rt.dec_from(k, ready_at, || producer.trace_label());
-            }
+        for &t in self.graph.consumers_of(blk) {
+            self.rt.dec_from_id(t, ready_at, || producer.trace_label());
         }
-        self.rt.add_mem(data.bytes());
-        let compressed = data.is_lowrank();
-        self.inputs.insert((i, j), InputBlock { data });
-        if compressed {
-            self.reestimate_consumers(i, j);
-        }
-    }
-
-    /// Re-derive the advisory duration estimates of the update tasks
-    /// consuming input `(i, j)` from the *actual stored form* of their
-    /// operands. Estimates are never consulted by the RTQ policy, so this
-    /// only sharpens progress/makespan prediction — it cannot perturb the
-    /// schedule.
-    fn reestimate_consumers(&mut self, i: usize, j: usize) {
-        let Some(keys) = self.consumers.get(&(i, j)).cloned() else {
-            return;
-        };
-        for k in keys {
-            let TaskKey::Update { j: uj, a, b } = k else {
-                continue;
-            };
-            let ra = self.inputs.get(&(a, uj)).and_then(|ib| ib.data.lr_rank());
-            let rb = self.inputs.get(&(b, uj)).and_then(|ib| ib.data.lr_rank());
-            let secs =
-                k.estimate_secs_stored(&self.sf, &self.kernels.cost, &self.kernels.config, ra, rb);
-            self.rt.update_estimate(k, secs);
-        }
+        self.rt.add_mem(bytes);
     }
 
     /// Resolve pending signals into data movement (Fig. 4 step 5) through
@@ -318,7 +280,13 @@ impl FactoEngine {
             } else {
                 Block::LowRank(LowRankMat::from_payload(s.rows, s.cols, s.lr_rank, &data))
             };
-            self.add_input(s.i, s.j, blk, ready_at);
+            let id = self
+                .graph
+                .input_id((s.i, s.j))
+                .expect("a fanned-out block has a consumer on its destination");
+            let bytes = blk.bytes();
+            self.inputs[id as usize - self.graph.n_owned] = Some(blk);
+            self.release_consumers(id, bytes, ready_at);
         });
         if let Err(err) = res {
             self.rt.fail(rank, err);
@@ -331,11 +299,12 @@ impl FactoEngine {
     /// consumers plus the first `arity` remote-node leaders; the leaders
     /// re-host and relay onward ([`FactoEngine::forward_relay`]), so the
     /// owner's NIC serves O(arity) remote pulls instead of O(targets).
-    fn fanout(&mut self, rank: &mut Rank, i: usize, j: usize, data: &Block) {
-        let dests = fanout_dests(&self.sf, &self.grid, rank.id(), i, j);
-        if dests.is_empty() {
+    fn fanout(&mut self, rank: &mut Rank, blk: BlockId, data: &Block) {
+        let n_dests = self.graph.dests_of(blk).len();
+        if n_dests == 0 {
             return;
         }
+        let (i, j) = self.graph.blocks[blk as usize];
         // Compressed panels ship their `[U | V]` factors — (rows+cols)·rank
         // values instead of rows·cols — so every rget/relay hop downstream
         // moves (and is charged for) the reduced byte count.
@@ -371,12 +340,17 @@ impl FactoEngine {
         };
         match self.topology {
             BcastTopology::Flat => {
-                for d in dests {
-                    self.send_signal(rank, d, sig);
+                for k in 0..n_dests {
+                    self.send_signal(rank, self.graph.dests_of(blk)[k], sig);
                 }
             }
             BcastTopology::Tree { arity } => {
-                let plan = Arc::new(plan_tree(rank.id(), &dests, arity, rank.ranks_per_node()));
+                let plan = Arc::new(plan_tree(
+                    rank.id(),
+                    self.graph.dests_of(blk),
+                    arity,
+                    rank.ranks_per_node(),
+                ));
                 for idx in 0..plan.direct.len() {
                     self.send_signal(rank, plan.direct[idx], sig);
                 }
@@ -456,55 +430,59 @@ impl FactoEngine {
         // rank has no ready work at all, everything buffered must go out so
         // a held-back signal can never starve the job into a false stall.
         self.comm.tick(rank);
-        let Some((key, ready_at)) = self.rt.pick() else {
+        let Some((id, key, ready_at)) = self.rt.pick() else {
             self.comm.flush_all(rank);
             return false;
         };
         self.rt.begin(rank, ready_at);
+        let ops = self.graph.ops[id as usize];
         match key {
-            TaskKey::Diag { j } => self.exec_diag(rank, j),
-            TaskKey::Panel { i, j } => self.exec_panel(rank, i, j),
-            TaskKey::Update { j, a, b } => self.exec_update(rank, j, a, b),
+            TaskKey::Diag { j } => self.exec_diag(rank, key, j, ops),
+            TaskKey::Panel { .. } => self.exec_panel(rank, key, ops),
+            TaskKey::Update { .. } => self.exec_update(rank, key, ops),
         }
-        self.rt.complete(key);
+        self.rt.complete(id);
         true
     }
 
-    fn exec_diag(&mut self, rank: &mut Rank, j: usize) {
+    /// Publish a freshly factored owned block: fan it out, store it (its
+    /// one resident copy) and release its local consumers.
+    fn publish_factored(&mut self, rank: &mut Rank, blk: BlockId, data: Block) {
+        self.fanout(rank, blk, &data);
+        let now = rank.now();
+        let bytes = data.bytes();
+        self.store.put_slot(blk as usize, data);
+        self.release_consumers(blk, bytes, now);
+    }
+
+    fn exec_diag(&mut self, rank: &mut Rank, key: TaskKey, j: usize, ops: TaskOps) {
         let mut m = self
             .store
-            .take((j, j))
+            .take_slot(ops.target as usize)
             .expect("diag block owned")
             .into_dense();
         match self.kernels.potrf(&mut m) {
-            Ok((_loc, secs)) => self.rt.charge(rank, TaskKey::Diag { j }, secs),
+            Ok((_loc, secs)) => self.rt.charge(rank, key, secs),
             Err(sympack_dense::DenseError::NotPositiveDefinite { column }) => {
                 let col = self.sf.partition.first_col(j) + column;
                 self.rt
                     .fail(rank, SolverError::NotPositiveDefinite { column: col });
-                self.store.put((j, j), m);
+                self.store.put_slot(ops.target as usize, m);
                 return;
             }
             Err(other) => panic!("unexpected dense error: {other}"),
         }
-        let blk = Block::Dense(m);
-        self.fanout(rank, j, j, &blk);
-        let now = rank.now();
-        self.store.put((j, j), blk.clone());
-        self.add_input(j, j, blk, now);
+        self.publish_factored(rank, ops.target, Block::Dense(m));
     }
 
-    fn exec_panel(&mut self, rank: &mut Rank, i: usize, j: usize) {
+    fn exec_panel(&mut self, rank: &mut Rank, key: TaskKey, ops: TaskOps) {
         let mut b = self
             .store
-            .take((i, j))
+            .take_slot(ops.target as usize)
             .expect("panel block owned")
             .into_dense();
-        let ldiag = self
-            .inputs
-            .get(&(j, j))
+        let ldiag = block(&self.store, &self.inputs, ops.a)
             .expect("diagonal factor present")
-            .data
             .dense();
         let (_loc, mut secs) = self.kernels.trsm(&mut b, ldiag);
         // BLR: try to truncate the factored panel right after the solve —
@@ -521,77 +499,73 @@ impl FactoEngine {
         } else {
             Block::Dense(b)
         };
-        self.rt.charge(rank, TaskKey::Panel { i, j }, secs);
-        self.fanout(rank, i, j, &stored);
-        let now = rank.now();
-        self.store.put((i, j), stored.clone());
-        self.add_input(i, j, stored, now);
+        self.rt.charge(rank, key, secs);
+        self.publish_factored(rank, ops.target, stored);
     }
 
-    fn exec_update(&mut self, rank: &mut Rank, j: usize, a: usize, b: usize) {
-        if a == b {
-            // SYRK into the diagonal block of b.
-            let lb = &self.inputs.get(&(b, j)).expect("input L(b,j) present").data;
-            let nb = lb.rows();
-            let mut temp = Mat::zeros(nb, nb);
-            let (_loc, secs) = self.kernels.syrk_any(&mut temp, lb.as_ref());
-            self.rt.charge(rank, TaskKey::Update { j, a, b }, secs);
-            let rows_b: Vec<usize> = self.block_rows(b, j).to_vec();
-            let first = self.sf.partition.first_col(b);
-            let target = self
-                .store
-                .get_mut((b, b))
-                .expect("diag target owned")
-                .dense_mut();
-            for (ci, &gc) in rows_b.iter().enumerate() {
-                let tc = gc - first;
-                for (ri, &gr) in rows_b.iter().enumerate().skip(ci) {
-                    let tr = gr - first;
-                    target[(tr, tc)] += temp[(ri, ci)];
-                }
-            }
+    /// `U(a,j,b)`: form `−L(a,j)·L(b,j)ᵀ` in the reusable workspace, then
+    /// scatter-add it into the target block, which is taken out of the
+    /// store for the duration (the operands are borrowed from it).
+    fn exec_update(&mut self, rank: &mut Rank, key: TaskKey, ops: TaskOps) {
+        // SYRK into a diagonal block when both operands are the same panel.
+        let syrk = ops.a == ops.b;
+        let la = block(&self.store, &self.inputs, ops.a).expect("input L(a,j) present");
+        let lb = block(&self.store, &self.inputs, ops.b).expect("input L(b,j) present");
+        let (ma, nb) = (la.rows(), lb.rows());
+        let mut buf = std::mem::take(&mut self.work);
+        buf.clear();
+        buf.resize(ma * nb, 0.0);
+        let mut temp = Mat::from_col_major(ma, nb, buf);
+        let (_loc, secs) = if syrk {
+            self.kernels.syrk_any(&mut temp, lb.as_ref())
         } else {
-            // GEMM into block (a, b).
-            let (la, lb) = (
-                &self.inputs.get(&(a, j)).expect("input L(a,j) present").data,
-                &self.inputs.get(&(b, j)).expect("input L(b,j) present").data,
-            );
-            let (ma, nb) = (la.rows(), lb.rows());
-            let mut temp = Mat::zeros(ma, nb);
-            let (_loc, secs) = self.kernels.gemm_any(&mut temp, la.as_ref(), lb.as_ref());
-            self.rt.charge(rank, TaskKey::Update { j, a, b }, secs);
-            let rows_a: Vec<usize> = self.block_rows(a, j).to_vec();
-            let rows_b: Vec<usize> = self.block_rows(b, j).to_vec();
-            let target_rows: Vec<usize> = self.block_rows(a, b).to_vec();
-            let first_b = self.sf.partition.first_col(b);
-            let target = self
-                .store
-                .get_mut((a, b))
-                .expect("target block owned")
-                .dense_mut();
-            // Row map: rows of L(a,j) within supernode a are a subset of the
-            // target block's rows (symbolic containment).
-            let row_map: Vec<usize> = rows_a
-                .iter()
-                .map(|r| target_rows.binary_search(r).expect("row containment"))
-                .collect();
-            for (ci, &gc) in rows_b.iter().enumerate() {
-                let tc = gc - first_b;
-                for (ri, &tr) in row_map.iter().enumerate() {
-                    target[(tr, tc)] += temp[(ri, ci)];
+            self.kernels.gemm_any(&mut temp, la.as_ref(), lb.as_ref())
+        };
+        self.rt.charge(rank, key, secs);
+        let (b, _) = self.graph.blocks[ops.b as usize];
+        let first_b = self.sf.partition.first_col(b);
+        let rows_a = self.graph.block_rows(&self.sf, ops.a);
+        let rows_b = self.graph.block_rows(&self.sf, ops.b);
+        // Row map: where each row of L(a,j) lands in the target block.
+        self.row_map.clear();
+        if syrk {
+            self.row_map.extend(rows_b.iter().map(|&r| r - first_b));
+        } else {
+            // Rows of L(a,j) within supernode a are a subset of the target
+            // block's rows (symbolic containment); both lists ascend, so
+            // one forward walk finds them all.
+            let target_rows = self.graph.block_rows(&self.sf, ops.target);
+            let mut t = 0;
+            for &r in rows_a {
+                while target_rows[t] != r {
+                    t += 1;
                 }
+                self.row_map.push(t);
+                t += 1;
             }
         }
-        let now_ready = rank.now();
-        // Local successor: the panel (or diagonal) task of the target block.
-        let succ = if a == b {
-            TaskKey::Diag { j: b }
-        } else {
-            TaskKey::Panel { i: a, j: b }
-        };
-        self.rt.dec_from(succ, now_ready, || {
-            TaskKey::Update { j, a, b }.trace_label()
-        });
+        let mut target = self
+            .store
+            .take_slot(ops.target as usize)
+            .expect("target block owned");
+        let tm = target.dense_mut();
+        let ld = tm.ld();
+        let (dst, src) = (tm.as_mut_slice(), temp.as_slice());
+        for (ci, &gc) in rows_b.iter().enumerate() {
+            // SYRK fills the lower triangle only: rows from the diagonal.
+            let r0 = if syrk { ci } else { 0 };
+            let tcol = &mut dst[(gc - first_b) * ld..][..ld];
+            let scol = &src[ci * ma..][..ma];
+            for (&tr, &v) in self.row_map[r0..].iter().zip(&scol[r0..]) {
+                tcol[tr] += v;
+            }
+        }
+        self.store.put_slot(ops.target as usize, target);
+        self.work = temp.into_vec();
+        // Local successor: the panel (or diagonal) task of the target block,
+        // which carries the block's id.
+        self.rt
+            .dec_from_id(ops.target, rank.now(), || key.trace_label());
     }
 
     /// Drive the factorization to completion. Returns the error if any rank

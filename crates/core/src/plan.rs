@@ -146,9 +146,9 @@ pub struct SymbolicPlan {
     /// Plan-cache key: `pattern` folded with the analysis/layout options
     /// (see [`plan_cache_key`]).
     pub key: u64,
-    /// Every rank's slice of the factorization task graph; cloned per
-    /// numeric factorization.
-    pub tasks: Vec<LocalTasks>,
+    /// Every rank's compiled slice of the factorization task graph, shared
+    /// (not copied) by every numeric factorization under this plan.
+    pub tasks: Vec<Arc<LocalTasks>>,
     /// Matrix order of the analyzed pattern.
     pub n: usize,
     /// Column pointers of the analyzed (unpermuted) pattern.
@@ -176,8 +176,8 @@ impl SymbolicPlan {
         let sf = Arc::new(analyze(a, &ordering, &opts.analyze));
         let grid = effective_grid(opts);
         let n_ranks = grid.n_procs();
-        let tasks: Vec<LocalTasks> = (0..n_ranks)
-            .map(|r| LocalTasks::build(&sf, &grid, r))
+        let tasks: Vec<Arc<LocalTasks>> = (0..n_ranks)
+            .map(|r| Arc::new(LocalTasks::build(&sf, &grid, r)))
             .collect();
         let mut row_idx = Vec::with_capacity(a.nnz());
         for c in 0..a.n() {
@@ -372,7 +372,7 @@ pub fn factor_numeric(plan: &SolvePlan, ap: &Arc<SparseSym>) -> Result<NumericFa
     let opts = plan.opts.clone();
     let report = Runtime::run(plan.pgas_config(), |rank| {
         let kernels = make_kernels(&opts);
-        let engine = FactoEngine::with_tasks(
+        let engine = FactoEngine::new(
             Arc::clone(&sf),
             &ap,
             grid,
@@ -383,7 +383,7 @@ pub fn factor_numeric(plan: &SolvePlan, ap: &Arc<SparseSym>) -> Result<NumericFa
             Arc::clone(&abort),
             opts.bcast,
             opts.coalesce,
-            symbolic.tasks[rank.id()].clone(),
+            Arc::clone(&symbolic.tasks[rank.id()]),
         );
         let (mut engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
         let error = engine.rt.error.take();

@@ -4,20 +4,14 @@
 use super::queue::{ReadyQueue, RtqPolicy};
 use super::{Signal, TaskKind};
 use crate::SolverError;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use sympack_pgas::{GlobalPtr, Rank};
 use sympack_trace::{SpanKind, TraceEvent, Tracer};
 
-/// Mutable scheduling state of one task.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskState {
-    /// Outstanding dependencies (input arrivals + local completions).
-    pub deps: usize,
-    /// Virtual time at which the latest input became available.
-    pub ready_at: f64,
-}
+/// Dense, rank-local index of a task in its engine's LTQ arrays.
+pub type TaskId = u32;
 
 /// The scheduling core shared by every engine: the LTQ (per-task dependency
 /// counters), the RTQ, the signal inbox and the bookkeeping around them.
@@ -25,16 +19,37 @@ pub struct TaskState {
 /// `K` is the engine's task species, `S` its signal (notification) type.
 /// Engines embed one `TaskEngine` and route *all* scheduling through it;
 /// this is the only definition of `dec`/`pick`/inbox draining in the tree.
+///
+/// Scheduling state lives in flat arrays indexed by [`TaskId`]. An engine
+/// built [`from_compiled`](Self::from_compiled) is id-addressed throughout;
+/// one built by [`insert_task`](Self::insert_task) also carries a
+/// `K → TaskId` index, and its key-addressed calls ([`dec`](Self::dec),
+/// [`dec_from`](Self::dec_from)) pay one lookup there before running the
+/// same code.
 pub struct TaskEngine<K: TaskKind, S = ()> {
-    /// Scheduling state per owned task (the LTQ of §3.4).
-    tasks: HashMap<K, TaskState>,
-    rtq: ReadyQueue<K>,
+    /// `id → key`; shared with the compiled graph the engine came from.
+    keys: Arc<Vec<K>>,
+    /// Outstanding dependencies (input arrivals + local completions) per
+    /// task — the LTQ of §3.4.
+    deps: Vec<u32>,
+    /// Virtual time at which each task's latest input became available.
+    ready_at: Vec<f64>,
+    /// Per-task exactly-once flags: the invariant checker of debug builds,
+    /// and the "not yet completed" set of
+    /// [`estimated_remaining`](Self::estimated_remaining).
+    executed: Vec<bool>,
+    /// `K → TaskId` for key-addressed callers; empty when compiled.
+    index: HashMap<K, TaskId>,
+    rtq: ReadyQueue<TaskId>,
+    /// Per-task urgency consulted by [`RtqPolicy::CommAware`]; empty until
+    /// [`set_urgency`](Self::set_urgency) records one (absent ⇒ 0).
+    urgency: Vec<u64>,
     /// Notifications delivered by RPC but not yet turned into gets.
     inbox: Vec<S>,
-    total: usize,
     done: usize,
-    /// Executed tasks per kind (schedule-invariant; checked by tests).
-    counts: BTreeMap<&'static str, u64>,
+    /// Executed tasks per kind (schedule-invariant; checked by tests). An
+    /// engine has a handful of kinds, so a scanned array beats a map.
+    counts: Vec<(&'static str, u64)>,
     /// Fixed overhead charged to the virtual clock per executed task — the
     /// classical-runtime tax the right-looking baseline models (zero for
     /// the fan-out engine).
@@ -54,8 +69,6 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     /// duplicated `signal(ptr, meta)` delivery (network retry, fault
     /// injection) is absorbed instead of double-decrementing dependants.
     seen_signals: HashSet<GlobalPtr>,
-    /// Tasks that have executed — the exactly-once invariant checker.
-    executed: HashSet<K>,
     /// Ready time of the task most recently returned by `pick`, stamped
     /// onto the span `charge` records (profiler dep-wait attribution).
     picked_ready: f64,
@@ -65,93 +78,62 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     pred: HashMap<K, String>,
     /// Resident input-buffer gauge (bytes), sampled onto exec spans.
     mem_bytes: u64,
-    /// Per-task cost estimates installed by [`set_estimates`]
-    /// (Self::set_estimates); purely advisory — progress prediction only,
-    /// never consulted by `pick`, so the schedule is estimate-independent.
-    estimates: HashMap<K, f64>,
-    /// Sum of estimates of not-yet-completed tasks.
-    est_remaining: f64,
 }
 
 impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// An empty engine; add tasks with [`insert_task`](Self::insert_task)
     /// and seed the RTQ with [`seed_ready`](Self::seed_ready).
     pub fn new(policy: RtqPolicy, abort: Arc<AtomicBool>) -> Self {
-        Self::with_tasks(HashMap::new(), policy, abort)
+        Self::from_compiled(Arc::default(), &[], policy, abort)
     }
 
-    /// An engine over a pre-built task table (the fan-out path, where
-    /// `LocalTasks::build` computes the counters).
-    pub fn with_tasks(
-        tasks: HashMap<K, TaskState>,
+    /// An engine over a compiled task table (the fan-out path, where
+    /// `LocalTasks::build` computed ids and counters once per plan): the
+    /// key table is shared, the initial counters are copied.
+    pub fn from_compiled(
+        keys: Arc<Vec<K>>,
+        deps: &[u32],
         policy: RtqPolicy,
         abort: Arc<AtomicBool>,
     ) -> Self {
-        let total = tasks.len();
+        assert_eq!(keys.len(), deps.len(), "one counter per task");
+        let total = keys.len();
         TaskEngine {
-            tasks,
+            keys,
+            deps: deps.to_vec(),
+            ready_at: vec![0.0; total],
+            executed: vec![false; total],
+            index: HashMap::new(),
             rtq: ReadyQueue::new(policy),
+            urgency: Vec::new(),
             inbox: Vec::new(),
-            total,
             done: 0,
-            counts: BTreeMap::new(),
+            counts: Vec::new(),
             task_overhead: 0.0,
             error: None,
             abort,
             tracer: None,
             telemetry: None,
             seen_signals: HashSet::new(),
-            executed: HashSet::new(),
             picked_ready: 0.0,
             pred: HashMap::new(),
             mem_bytes: 0,
-            estimates: HashMap::new(),
-            est_remaining: 0.0,
         }
     }
 
-    /// Install a per-task cost estimate (seconds) for every registered
-    /// task. The estimates feed [`estimated_remaining`]
-    /// (Self::estimated_remaining) and [`predicted_makespan`]
-    /// (Self::predicted_makespan) and are retired as tasks complete; they
-    /// are never consulted when picking from the RTQ, so installing (or
-    /// skipping) them cannot change the schedule.
-    pub fn set_estimates(&mut self, mut est: impl FnMut(&K) -> f64) {
-        self.estimates.clear();
-        self.est_remaining = 0.0;
-        for k in self.tasks.keys() {
-            let s = est(k).max(0.0);
-            self.estimates.insert(*k, s);
-            self.est_remaining += s;
+    /// Estimated seconds of kernel work not yet completed: `est` summed
+    /// over the tasks that have not executed, in `TaskId` order — so two
+    /// engines over the same graph in the same state agree bit for bit.
+    /// Purely advisory (progress prediction): nothing here is consulted by
+    /// `pick`, and nothing is paid for it unless it is called.
+    pub fn estimated_remaining(&self, mut est: impl FnMut(TaskId, &K) -> f64) -> f64 {
+        let mut sum = 0.0;
+        for (id, key) in self.keys.iter().enumerate() {
+            if !self.executed[id] {
+                sum += est(id as TaskId, key).max(0.0);
+            }
         }
-    }
-
-    /// Replace the advisory estimate of one not-yet-completed task,
-    /// adjusting the remaining-work sum by the delta. A no-op when no
-    /// estimate was installed for `key` (e.g. [`set_estimates`]
-    /// (Self::set_estimates) was never called, or the task already
-    /// completed) — like installation, correction can never change the
-    /// schedule, only sharpen progress prediction.
-    pub fn update_estimate(&mut self, key: K, secs: f64) {
-        let Some(slot) = self.estimates.get_mut(&key) else {
-            return;
-        };
-        let s = secs.max(0.0);
-        self.est_remaining = (self.est_remaining - *slot + s).max(0.0);
-        *slot = s;
-    }
-
-    /// Estimated seconds of kernel work not yet completed (0.0 when no
-    /// estimates are installed).
-    pub fn estimated_remaining(&self) -> f64 {
-        self.est_remaining
-    }
-
-    /// Predicted completion time of this rank, assuming it executes its
-    /// remaining estimated work serially from virtual time `now` — the
-    /// lower bound a perfectly communication-hidden schedule approaches.
-    pub fn predicted_makespan(&self, now: f64) -> f64 {
-        now + self.est_remaining
+        sum
     }
 
     /// Set the per-task virtual-clock overhead (baseline runtime tax).
@@ -159,87 +141,98 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         self.task_overhead = secs;
     }
 
-    /// Keys of every registered task, in hash-map order. Callers that feed
-    /// the result back into deterministic state (e.g. urgency maps) are
-    /// safe: the urgency map is keyed, not ordered.
-    pub fn task_keys(&self) -> Vec<K> {
-        self.tasks.keys().copied().collect()
-    }
-
     /// Record a task's urgency for [`RtqPolicy::CommAware`] scheduling
     /// (how many remote ranks its output unblocks). Advisory under every
     /// other policy; may be installed before or after the task is ready.
-    pub fn set_urgency(&mut self, key: K, urgency: u64) {
-        self.rtq.set_urgency(key, urgency);
+    pub fn set_urgency(&mut self, id: TaskId, urgency: u64) {
+        if self.urgency.len() < self.keys.len() {
+            self.urgency.resize(self.keys.len(), 0);
+        }
+        self.urgency[id as usize] = urgency;
     }
 
-    /// Register an owned task with `deps` outstanding dependencies.
-    pub fn insert_task(&mut self, key: K, deps: usize) {
-        if self
-            .tasks
-            .insert(
-                key,
-                TaskState {
-                    deps,
-                    ready_at: 0.0,
-                },
-            )
-            .is_none()
-        {
-            self.total += 1;
-        }
+    /// Register an owned task with `deps` outstanding dependencies; its id
+    /// is the number of tasks registered before it.
+    ///
+    /// # Panics
+    /// Panics if `key` is already registered.
+    pub fn insert_task(&mut self, key: K, deps: usize) -> TaskId {
+        let id = TaskId::try_from(self.keys.len()).expect("task count fits u32");
+        let previous = self.index.insert(key, id);
+        assert!(previous.is_none(), "task {key:?} inserted twice");
+        Arc::make_mut(&mut self.keys).push(key);
+        self.deps
+            .push(u32::try_from(deps).expect("dependency count fits u32"));
+        self.ready_at.push(0.0);
+        self.executed.push(false);
+        id
+    }
+
+    /// Resolve a key through the `K → TaskId` index.
+    ///
+    /// # Panics
+    /// Panics if `key` was never [`insert_task`](Self::insert_task)ed —
+    /// engines built from a compiled graph are id-addressed only.
+    pub fn id_of(&self, key: K) -> TaskId {
+        *self
+            .index
+            .get(&key)
+            .unwrap_or_else(|| panic!("task {key:?} is not in the key index"))
     }
 
     /// Move every zero-dependency task onto the RTQ, in the deterministic
-    /// [`TaskKind::seed_key`] order (hash iteration must not leak into the
-    /// schedule).
+    /// [`TaskKind::seed_key`] order (neither id assignment nor hash
+    /// iteration may leak into the schedule).
     pub fn seed_ready(&mut self) {
-        let mut v: Vec<K> = self
-            .tasks
-            .iter()
-            .filter(|(_, s)| s.deps == 0)
-            .map(|(k, _)| *k)
+        let mut v: Vec<TaskId> = (0..self.keys.len())
+            .filter(|&i| self.deps[i] == 0)
+            .map(|i| i as TaskId)
             .collect();
-        v.sort_by_key(|k| k.seed_key());
-        for k in v {
-            self.rtq.push(k);
+        v.sort_by_key(|&id| self.keys[id as usize].seed_key());
+        for id in v {
+            self.rtq.push(id);
         }
     }
 
-    /// Decrement one dependency of `key`; move it to the RTQ at zero.
-    pub fn dec(&mut self, key: K, ready_at: f64) {
+    /// Decrement one dependency of task `id`; move it to the RTQ at zero.
+    pub fn dec_id(&mut self, id: TaskId, ready_at: f64) {
+        let i = id as usize;
         debug_assert!(
-            !self.executed.contains(&key),
-            "dependency decrement of already-executed task {key:?}"
+            !self.executed[i],
+            "dependency decrement of already-executed task {:?}",
+            self.keys[i]
         );
-        let st = self.tasks.get_mut(&key).expect("task exists");
-        debug_assert!(st.deps > 0, "over-decrement of {key:?}");
-        st.deps -= 1;
-        if ready_at > st.ready_at {
-            st.ready_at = ready_at;
+        debug_assert!(self.deps[i] > 0, "over-decrement of {:?}", self.keys[i]);
+        self.deps[i] -= 1;
+        if ready_at > self.ready_at[i] {
+            self.ready_at[i] = ready_at;
         }
-        if st.deps == 0 {
-            self.rtq.push(key);
+        if self.deps[i] == 0 {
+            self.rtq.push(id);
         }
     }
 
-    /// [`dec`](Self::dec) that also names the producer whose arrival this
-    /// decrement represents. While tracing, the label of the *latest*
+    /// Key-addressed [`dec_id`](Self::dec_id).
+    pub fn dec(&mut self, key: K, ready_at: f64) {
+        self.dec_id(self.id_of(key), ready_at);
+    }
+
+    /// [`dec_id`](Self::dec_id) that also names the producer whose arrival
+    /// this decrement represents. While tracing, the label of the *latest*
     /// arrival is kept per task and stamped onto the execution span as the
     /// dependency edge for the critical-path walk. The label closure is
     /// only invoked when a tracer is installed, so the disabled path costs
-    /// nothing beyond the plain `dec`.
-    pub fn dec_from(&mut self, key: K, ready_at: f64, producer: impl FnOnce() -> String) {
-        if self.tracer.is_some() {
-            let latest = self
-                .tasks
-                .get(&key)
-                .is_some_and(|st| ready_at >= st.ready_at);
-            if latest {
-                self.pred.insert(key, producer());
-            }
+    /// nothing beyond the plain decrement.
+    pub fn dec_from_id(&mut self, id: TaskId, ready_at: f64, producer: impl FnOnce() -> String) {
+        if self.tracer.is_some() && ready_at >= self.ready_at[id as usize] {
+            self.pred.insert(self.keys[id as usize], producer());
         }
-        self.dec(key, ready_at);
+        self.dec_id(id, ready_at);
+    }
+
+    /// Key-addressed [`dec_from_id`](Self::dec_from_id).
+    pub fn dec_from(&mut self, key: K, ready_at: f64, producer: impl FnOnce() -> String) {
+        self.dec_from_id(self.id_of(key), ready_at, producer);
     }
 
     /// Adjust the resident input-buffer gauge (bytes of fetched panels
@@ -248,18 +241,18 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         self.mem_bytes = self.mem_bytes.saturating_add(bytes);
     }
 
-    /// Scheduling state of a task (tests and engine assertions).
-    pub fn state(&self, key: &K) -> Option<TaskState> {
-        self.tasks.get(key).copied()
-    }
-
-    /// Pick the next ready task under the RTQ policy, with the virtual time
-    /// its last input became available.
-    pub fn pick(&mut self) -> Option<(K, f64)> {
-        let key = self.rtq.pop()?;
-        let ready_at = self.tasks[&key].ready_at;
+    /// Pick the next ready task under the RTQ policy: its id (for
+    /// [`complete`](Self::complete)), its key, and the virtual time its
+    /// last input became available.
+    pub fn pick(&mut self) -> Option<(TaskId, K, f64)> {
+        let (keys, urgency) = (&self.keys, &self.urgency);
+        let id = self.rtq.pop_by(
+            |&id| keys[id as usize].priority_key(),
+            |&id| urgency.get(id as usize).copied().unwrap_or(0),
+        )?;
+        let ready_at = self.ready_at[id as usize];
         self.picked_ready = ready_at;
-        Some((key, ready_at))
+        Some((id, self.keys[id as usize], ready_at))
     }
 
     /// Advance the rank's clock to a picked task's ready time (dependencies
@@ -310,23 +303,19 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     }
 
     /// Mark a task executed (progress + per-kind accounting).
-    pub fn complete(&mut self, key: K) {
-        if cfg!(debug_assertions) {
-            debug_assert!(
-                self.executed.insert(key),
-                "task {key:?} executed more than once"
-            );
-            debug_assert!(
-                self.tasks.contains_key(&key),
-                "completed task {key:?} was never inserted"
-            );
-        }
+    pub fn complete(&mut self, id: TaskId) {
+        let i = id as usize;
+        debug_assert!(
+            !self.executed[i],
+            "task {:?} executed more than once",
+            self.keys[i]
+        );
+        self.executed[i] = true;
         self.done += 1;
-        *self.counts.entry(key.kind_name()).or_insert(0) += 1;
-        if let Some(s) = self.estimates.remove(&key) {
-            // Clamp at zero: float subtraction drift must never leave a
-            // finished engine reporting negative remaining work.
-            self.est_remaining = (self.est_remaining - s).max(0.0);
+        let kind = self.keys[i].kind_name();
+        match self.counts.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, n)) => *n += 1,
+            None => self.counts.push((kind, 1)),
         }
     }
 
@@ -338,38 +327,40 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
             return;
         }
         debug_assert_eq!(
-            self.done, self.total,
+            self.done,
+            self.total(),
             "engine finished with {}/{} tasks executed",
-            self.done, self.total
+            self.done,
+            self.total()
         );
-        debug_assert_eq!(
-            self.executed.len(),
-            self.total,
-            "execution multiset does not match the task table"
-        );
-        for (k, st) in &self.tasks {
+        for (i, k) in self.keys.iter().enumerate() {
             debug_assert!(
-                st.deps == 0,
+                self.deps[i] == 0,
                 "task {k:?} still has {} outstanding dependencies",
-                st.deps
+                self.deps[i]
             );
-            debug_assert!(self.executed.contains(k), "task {k:?} never executed");
+            debug_assert!(self.executed[i], "task {k:?} never executed");
         }
     }
 
     /// Executed-task totals per kind, in stable (sorted) order.
     pub fn task_counts(&self) -> Vec<(&'static str, u64)> {
-        self.counts.iter().map(|(&k, &v)| (k, v)).collect()
+        let mut v = self.counts.clone();
+        v.sort_unstable();
+        v
     }
 
     /// Executed tasks of one kind (phase-completion checks).
     pub fn count_of(&self, kind: &str) -> u64 {
-        self.counts.get(kind).copied().unwrap_or(0)
+        self.counts
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |&(_, n)| n)
     }
 
     /// Total owned tasks.
     pub fn total(&self) -> usize {
-        self.total
+        self.keys.len()
     }
 
     /// Executed owned tasks.
@@ -379,7 +370,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
 
     /// True when every owned task has executed (or the job aborted).
     pub fn finished(&self) -> bool {
-        self.done == self.total || self.abort.load(Ordering::Relaxed)
+        self.done == self.total() || self.abort.load(Ordering::Relaxed)
     }
 
     /// True once any rank failed.
@@ -474,7 +465,7 @@ mod tests {
         e.dec(T(0), 3.0);
         assert!(e.pick().is_none(), "one dependency still outstanding");
         e.dec(T(0), 1.5);
-        let (k, ready_at) = e.pick().expect("released");
+        let (_, k, ready_at) = e.pick().expect("released");
         assert_eq!(k, T(0));
         assert_eq!(ready_at, 3.0, "ready time is the max over inputs");
     }
@@ -488,9 +479,9 @@ mod tests {
         e.insert_task(T(2), 1);
         e.seed_ready();
         // LIFO pops the highest seed key first.
-        assert_eq!(e.pick().map(|(k, _)| k), Some(T(5)));
-        assert_eq!(e.pick().map(|(k, _)| k), Some(T(3)));
-        assert_eq!(e.pick().map(|(k, _)| k), Some(T(1)));
+        assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(5)));
+        assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(3)));
+        assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(1)));
         assert!(e.pick().is_none());
     }
 
@@ -498,9 +489,9 @@ mod tests {
     fn finished_tracks_done_and_abort() {
         let abort = Arc::new(AtomicBool::new(false));
         let mut e: TaskEngine<T> = TaskEngine::new(RtqPolicy::Lifo, Arc::clone(&abort));
-        e.insert_task(T(0), 0);
+        let t0 = e.insert_task(T(0), 0);
         assert!(!e.finished());
-        e.complete(T(0));
+        e.complete(t0);
         assert!(e.finished());
         assert_eq!(e.task_counts(), vec![("t", 1)]);
 
@@ -558,9 +549,9 @@ mod tests {
     #[should_panic(expected = "executed more than once")]
     fn invariant_checker_catches_double_execution() {
         let mut e = engine();
-        e.insert_task(T(0), 0);
-        e.complete(T(0));
-        e.complete(T(0));
+        let t0 = e.insert_task(T(0), 0);
+        e.complete(t0);
+        e.complete(t0);
     }
 
     #[test]
@@ -568,21 +559,21 @@ mod tests {
     #[should_panic(expected = "decrement of already-executed")]
     fn invariant_checker_catches_dec_after_execute() {
         let mut e = engine();
-        e.insert_task(T(0), 1);
+        let t0 = e.insert_task(T(0), 1);
         e.dec(T(0), 0.0);
-        e.complete(T(0));
+        e.complete(t0);
         e.dec(T(0), 0.0);
     }
 
     #[test]
     fn debug_assert_completed_passes_on_clean_finish() {
         let mut e = engine();
-        e.insert_task(T(0), 0);
-        e.insert_task(T(1), 1);
+        let t0 = e.insert_task(T(0), 0);
+        let t1 = e.insert_task(T(1), 1);
         e.seed_ready();
-        e.complete(T(0));
+        e.complete(t0);
         e.dec(T(1), 1.0);
-        e.complete(T(1));
+        e.complete(t1);
         e.debug_assert_completed();
     }
 }

@@ -11,7 +11,7 @@
 //!    (one-sided `rget`, or a direct device copy for GPU-bound blocks —
 //!    [`fetch`]/[`drain_signals`]),
 //! 3. decrement dependency counters and move tasks whose counter reaches
-//!    zero onto the ready-task queue ([`TaskEngine::dec`]),
+//!    zero onto the ready-task queue ([`TaskEngine::dec_id`]),
 //! 4. pick a ready task under the configured [`RtqPolicy`]
 //!    ([`TaskEngine::pick`]) and execute it, charging its cost to the
 //!    rank's virtual clock ([`TaskEngine::charge`]).
@@ -32,7 +32,7 @@ mod fetch;
 mod queue;
 
 pub use comm::CommLayer;
-pub use engine::{TaskEngine, TaskState};
+pub use engine::{TaskEngine, TaskId};
 pub use fetch::{drain_signals, fetch, FetchConfig, FetchMode};
 pub use queue::{ReadyQueue, RtqPolicy};
 

@@ -1,8 +1,7 @@
 //! The ready-task queue (RTQ) and its pop policies.
 
-use super::TaskKind;
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Order in which ready tasks are picked from the RTQ.
 ///
@@ -21,14 +20,20 @@ pub enum RtqPolicy {
     CriticalPath,
     /// Overlap-driven: prefer tasks whose outputs unblock the most remote
     /// ranks (the per-task *urgency* installed via
-    /// [`ReadyQueue::set_urgency`] — the fan-out engine uses the remote
-    /// consumer count of each factor task), breaking ties by
+    /// [`TaskEngine::set_urgency`](super::TaskEngine::set_urgency) — the
+    /// fan-out engine uses the remote consumer count of each factor task),
+    /// breaking ties by
     /// [`TaskKind::priority_key`]. Tasks with no urgency recorded rank
     /// lowest, so pure-local work yields to communication-critical work.
     CommAware,
 }
 
 /// The RTQ: a deque of ready tasks popped under an [`RtqPolicy`].
+///
+/// Elements are whatever handle the caller schedules by — the
+/// [`TaskEngine`](super::TaskEngine) queues dense task ids — so the two
+/// scanning policies take the ordering functions at [`pop_by`]
+/// (Self::pop_by) instead of the queue owning a per-key side table.
 ///
 /// Backed by a `VecDeque` so that *every* policy pops in O(1) amortized
 /// (`CriticalPath` still scans for the minimum, but removes with
@@ -38,29 +43,18 @@ pub enum RtqPolicy {
 /// FIFO `remove(0)` ≡ `pop_front`, `swap_remove` ≡ `swap_remove_back`), so
 /// schedules — and therefore modeled makespans — are unchanged.
 #[derive(Debug)]
-pub struct ReadyQueue<K> {
-    q: VecDeque<K>,
+pub struct ReadyQueue<T> {
+    q: VecDeque<T>,
     policy: RtqPolicy,
-    /// Per-task urgency consulted by [`RtqPolicy::CommAware`] (absent ⇒ 0).
-    /// Kept outside the deque so it can be installed before tasks become
-    /// ready and survives their residence in the queue.
-    urgency: HashMap<K, u64>,
 }
 
-impl<K: TaskKind> ReadyQueue<K> {
+impl<T> ReadyQueue<T> {
     /// An empty queue popping under `policy`.
     pub fn new(policy: RtqPolicy) -> Self {
         ReadyQueue {
             q: VecDeque::new(),
             policy,
-            urgency: HashMap::new(),
         }
-    }
-
-    /// Record `key`'s urgency for [`RtqPolicy::CommAware`] pops. May be
-    /// called before the task is pushed; ignored by the other policies.
-    pub fn set_urgency(&mut self, key: K, urgency: u64) {
-        self.urgency.insert(key, urgency);
     }
 
     /// The queue's pop policy.
@@ -79,30 +73,34 @@ impl<K: TaskKind> ReadyQueue<K> {
     }
 
     /// Enqueue a task that became ready.
-    pub fn push(&mut self, key: K) {
-        self.q.push_back(key);
+    pub fn push(&mut self, task: T) {
+        self.q.push_back(task);
     }
 
-    /// Pop the next task according to the policy.
-    pub fn pop(&mut self) -> Option<K> {
+    /// Pop the next task according to the policy. `priority` is the
+    /// element's [`TaskKind::priority_key`](super::TaskKind::priority_key)
+    /// (consulted by `CriticalPath` and `CommAware`), `urgency` its
+    /// remote-consumer count (`CommAware` only; 0 = none recorded).
+    pub fn pop_by(
+        &mut self,
+        priority: impl Fn(&T) -> (usize, usize),
+        urgency: impl Fn(&T) -> u64,
+    ) -> Option<T> {
         match self.policy {
             RtqPolicy::Lifo => self.q.pop_back(),
             RtqPolicy::Fifo => self.q.pop_front(),
             RtqPolicy::CriticalPath => {
-                let (idx, _) = self
-                    .q
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, k)| k.priority_key())?;
+                let (idx, _) = self.q.iter().enumerate().min_by_key(|(_, t)| priority(t))?;
                 self.q.swap_remove_back(idx)
             }
             RtqPolicy::CommAware => {
                 // min_by_key returns the *first* minimal element, so ties
                 // resolve deterministically toward the oldest entry.
-                let (idx, _) = self.q.iter().enumerate().min_by_key(|(_, k)| {
-                    let u = self.urgency.get(k).copied().unwrap_or(0);
-                    (Reverse(u), k.priority_key())
-                })?;
+                let (idx, _) = self
+                    .q
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, t)| (Reverse(urgency(t)), priority(t)))?;
                 self.q.swap_remove_back(idx)
             }
         }
@@ -111,6 +109,7 @@ impl<K: TaskKind> ReadyQueue<K> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::TaskKind;
     use super::*;
     use sympack_trace::TraceCat;
 
@@ -135,9 +134,18 @@ mod tests {
         }
     }
 
+    fn pop(q: &mut ReadyQueue<T>, urgency: &[(usize, u64)]) -> Option<T> {
+        q.pop_by(TaskKind::priority_key, |t| {
+            urgency
+                .iter()
+                .find(|(v, _)| *v == t.0)
+                .map_or(0, |&(_, u)| u)
+        })
+    }
+
     fn drain(mut q: ReadyQueue<T>) -> Vec<usize> {
         let mut out = Vec::new();
-        while let Some(T(v)) = q.pop() {
+        while let Some(T(v)) = pop(&mut q, &[]) {
             out.push(v);
         }
         out
@@ -177,9 +185,9 @@ mod tests {
             q.push(T(v));
         }
         // Task 4 unblocks 3 remote ranks, task 2 unblocks 1; the rest none.
-        q.set_urgency(T(4), 3);
-        q.set_urgency(T(2), 1);
-        assert_eq!(drain(q), vec![4, 2, 1, 3, 5]);
+        let urgency = [(4, 3), (2, 1)];
+        let order: Vec<usize> = std::iter::from_fn(|| pop(&mut q, &urgency).map(|t| t.0)).collect();
+        assert_eq!(order, vec![4, 2, 1, 3, 5]);
     }
 
     #[test]
@@ -208,8 +216,8 @@ mod tests {
                 .min_by_key(|(_, k)| k.priority_key())
                 .unwrap();
             let want = v.swap_remove(idx);
-            assert_eq!(q.pop(), Some(want));
+            assert_eq!(pop(&mut q, &[]), Some(want));
         }
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&mut q, &[]), None);
     }
 }

@@ -6,7 +6,6 @@
 //! matrix whose rows are the block's slice of the supernode's row pattern.
 
 use crate::map2d::ProcGrid;
-use std::collections::HashMap;
 use sympack_dense::{BlockRef, LowRankMat, Mat};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
@@ -123,10 +122,22 @@ impl From<LowRankMat> for Block {
     }
 }
 
-/// This rank's slice of the factor.
+/// This rank's slice of the factor: one slot per owned block, in
+/// column-major order (ascending owner supernode `j`, the diagonal block
+/// first, then ascending target `i`). A block's position is its *slot id* —
+/// the same numbering the compiled task graph
+/// ([`crate::taskgraph::LocalTasks`]) gives this rank's owned blocks, so the
+/// factorization addresses slots directly. Key-addressed access
+/// ([`get`](Self::get) and friends) binary-searches the sorted key table.
 #[derive(Debug, Default)]
 pub struct BlockStore {
-    blocks: HashMap<BlockKey, Block>,
+    keys: Vec<BlockKey>,
+    blocks: Vec<Option<Block>>,
+}
+
+/// Column-major sort key of a block: owner supernode, then target.
+pub(crate) fn col_major(k: &BlockKey) -> (usize, usize) {
+    (k.1, k.0)
 }
 
 impl BlockStore {
@@ -135,88 +146,132 @@ impl BlockStore {
     ///
     /// `ap` must already carry the symbolic factor's composite permutation.
     pub fn init(sf: &SymbolicFactor, ap: &SparseSym, grid: &ProcGrid, rank: usize) -> Self {
-        let ns = sf.n_supernodes();
-        let mut blocks = HashMap::new();
-        // Allocate.
-        for j in 0..ns {
+        const NOT_OWNED: usize = usize::MAX;
+        let mut keys = Vec::new();
+        let mut mats: Vec<Mat> = Vec::new();
+        // Slot of each block of the column being filled: the diagonal at 0,
+        // the k-th off-diagonal block at k + 1.
+        let mut slots: Vec<usize> = Vec::new();
+        for j in 0..sf.n_supernodes() {
             let w = sf.partition.width(j);
-            if grid.map(j, j) == rank {
-                blocks.insert((j, j), Mat::zeros(w, w));
+            let col_blocks = sf.layout.blocks_of(j);
+            slots.clear();
+            let shapes =
+                std::iter::once((j, w)).chain(col_blocks.iter().map(|b| (b.target, b.n_rows)));
+            for (i, n_rows) in shapes {
+                slots.push(if grid.map(i, j) == rank {
+                    keys.push((i, j));
+                    mats.push(Mat::zeros(n_rows, w));
+                    mats.len() - 1
+                } else {
+                    NOT_OWNED
+                });
             }
-            for b in sf.layout.blocks_of(j) {
-                if grid.map(b.target, j) == rank {
-                    blocks.insert((b.target, j), Mat::zeros(b.n_rows, w));
-                }
-            }
-        }
-        // Scatter values of A's lower triangle.
-        for j in 0..ns {
+            // Scatter the values of A's lower triangle in these columns.
             let first = sf.partition.first_col(j);
             let last = sf.partition.last_col(j);
             let pat = &sf.patterns[j];
             for c in sf.partition.cols(j) {
-                let jc = c - first;
                 for (&r, &v) in ap.col_rows(c).iter().zip(ap.col_values(c)) {
-                    if r <= last {
-                        // Diagonal block entry.
-                        if let Some(m) = blocks.get_mut(&(j, j)) {
-                            m[(r - first, jc)] = v;
-                        }
+                    let k = if r <= last {
+                        0
                     } else {
                         let t = sf.partition.supno(r);
-                        if grid.map(t, j) != rank {
-                            continue;
-                        }
-                        let b = sf.layout.find(t, j).expect("pattern row must have a block");
-                        let rows = &pat[b.row_offset..b.row_offset + b.n_rows];
-                        let ri = rows.binary_search(&r).expect("row in block");
-                        let m = blocks.get_mut(&(t, j)).expect("owned block allocated");
-                        m[(ri, jc)] = v;
+                        1 + col_blocks
+                            .binary_search_by_key(&t, |b| b.target)
+                            .expect("pattern row must have a block")
+                    };
+                    if slots[k] == NOT_OWNED {
+                        continue;
                     }
+                    let ri = if k == 0 {
+                        r - first
+                    } else {
+                        let b = &col_blocks[k - 1];
+                        let rows = &pat[b.row_offset..b.row_offset + b.n_rows];
+                        rows.binary_search(&r).expect("row in block")
+                    };
+                    mats[slots[k]][(ri, c - first)] = v;
                 }
             }
         }
         BlockStore {
-            blocks: blocks
-                .into_iter()
-                .map(|(k, m)| (k, Block::Dense(m)))
-                .collect(),
+            keys,
+            blocks: mats.into_iter().map(|m| Some(Block::Dense(m))).collect(),
         }
+    }
+
+    /// Keys of the owned blocks; position = slot id.
+    pub fn keys(&self) -> &[BlockKey] {
+        &self.keys
+    }
+
+    /// Slot id of an owned block.
+    pub fn slot_of(&self, key: BlockKey) -> Option<usize> {
+        self.keys
+            .binary_search_by_key(&col_major(&key), col_major)
+            .ok()
+    }
+
+    /// Borrow the block in slot `id` (`None` while it is taken out).
+    pub fn slot(&self, id: usize) -> Option<&Block> {
+        self.blocks[id].as_ref()
+    }
+
+    /// Take the block in slot `id` out (e.g. to run a kernel without
+    /// aliasing).
+    pub fn take_slot(&mut self, id: usize) -> Option<Block> {
+        self.blocks[id].take()
+    }
+
+    /// Put a block (back) into slot `id`; accepts dense and low-rank forms.
+    pub fn put_slot(&mut self, id: usize, m: impl Into<Block>) {
+        self.blocks[id] = Some(m.into());
     }
 
     /// Borrow an owned block.
     pub fn get(&self, key: BlockKey) -> Option<&Block> {
-        self.blocks.get(&key)
+        self.slot(self.slot_of(key)?)
     }
 
     /// Mutably borrow an owned block.
     pub fn get_mut(&mut self, key: BlockKey) -> Option<&mut Block> {
-        self.blocks.get_mut(&key)
+        let id = self.slot_of(key)?;
+        self.blocks[id].as_mut()
     }
 
-    /// Take a block out (e.g. to run a kernel without aliasing).
+    /// Key-addressed [`take_slot`](Self::take_slot).
     pub fn take(&mut self, key: BlockKey) -> Option<Block> {
-        self.blocks.remove(&key)
+        self.take_slot(self.slot_of(key)?)
     }
 
-    /// Put a block (back); accepts dense and low-rank forms.
+    /// Key-addressed [`put_slot`](Self::put_slot).
+    ///
+    /// # Panics
+    /// Panics if this rank does not own block `key`.
     pub fn put(&mut self, key: BlockKey, m: impl Into<Block>) {
-        self.blocks.insert(key, m.into());
+        let id = self
+            .slot_of(key)
+            .unwrap_or_else(|| panic!("block {key:?} is not owned by this store"));
+        self.put_slot(id, m);
     }
 
-    /// Number of blocks held.
+    /// Number of block slots this rank owns.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.keys.len()
     }
 
     /// True when this rank owns nothing (tiny matrices on big grids).
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Iterate over held blocks.
+    /// Iterate over held blocks, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (&BlockKey, &Block)> {
-        self.blocks.iter()
+        self.keys
+            .iter()
+            .zip(&self.blocks)
+            .filter_map(|(k, b)| b.as_ref().map(|b| (k, b)))
     }
 }
 

@@ -6,16 +6,17 @@
 //! travel between ranks (the fan-out).
 
 use crate::map2d::ProcGrid;
-use crate::sched::TaskKind;
-use std::collections::HashMap;
+use crate::sched::{TaskId, TaskKind};
+use crate::storage::{col_major, BlockKey};
+use std::sync::Arc;
 use sympack_dense::{flops, KernelConfig};
 use sympack_gpu::{CostModel, Op};
 use sympack_symbolic::SymbolicFactor;
 use sympack_trace::TraceCat;
 
-// Scheduling-state types live in the shared runtime layer; re-exported here
-// because the fan-out task graph is their historical home.
-pub use crate::sched::{RtqPolicy, TaskState};
+// The RTQ policy lives in the shared runtime layer; re-exported here because
+// the fan-out task graph is its historical home.
+pub use crate::sched::RtqPolicy;
 
 /// A task in the factorization DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -211,117 +212,278 @@ impl TaskKey {
     }
 }
 
-/// The slice of the task graph owned by one rank. `Clone` lets a solver
-/// session build the graph once per rank and reuse it across numeric
-/// re-factorizations (the dependency counters are rebuilt-by-copy).
-#[derive(Debug, Default, Clone)]
+/// Dense, rank-local index of a block in a [`LocalTasks`] block table.
+pub type BlockId = u32;
+
+/// What a task reads and writes, as rank-local block ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskOps {
+    /// The block the task overwrites (always owned): `B(j,j)` for `D(j)`,
+    /// `B(i,j)` for `F(i,j)`, `B(a,b)` for `U(a,j,b)` — whose local
+    /// successor is therefore task `target` (see [`LocalTasks`]).
+    pub target: BlockId,
+    /// First factored operand: `L(j,j)` for a panel task, `L(a,j)` for an
+    /// update; the target itself for a diagonal task.
+    pub a: BlockId,
+    /// Second factored operand of an update, `L(b,j)` (equal to `a` for a
+    /// SYRK); the target itself otherwise.
+    pub b: BlockId,
+}
+
+/// The slice of the task graph owned by one rank, *compiled*: every task
+/// and every block the rank touches gets a dense rank-local id, and all
+/// scheduling structure is flat arrays over those ids. It is a pure
+/// function of the sparsity pattern and the grid, so a plan builds it once
+/// and every factorization shares it behind an `Arc`; the only per-
+/// factorization state is a copy of `deps`.
+///
+/// **Blocks** `0..n_owned` are the rank's owned blocks in
+/// [`BlockStore`](crate::storage::BlockStore) slot order (column-major);
+/// ids from `n_owned` up are the remote factored blocks some owned task
+/// consumes, also column-major. **Tasks** `0..n_owned` are the factor tasks
+/// (`D`/`F`) of the owned blocks — task `l` factors block `l` — followed by
+/// the owned updates in enumeration order (`j`, then `b`, then `a ≥ b`).
+/// Memory is proportional to what the rank owns and consumes, never to the
+/// global graph.
+#[derive(Debug, Default)]
 pub struct LocalTasks {
-    /// Scheduling state per owned task (the LTQ of §3.4).
-    pub tasks: HashMap<TaskKey, TaskState>,
-    /// For each factored input block `(i,j)`, the owned update tasks
-    /// consuming it.
-    pub consumers: HashMap<(usize, usize), Vec<TaskKey>>,
-    /// Owned panel tasks consuming each diagonal factor `(j,j)`.
-    pub diag_consumers: HashMap<usize, Vec<TaskKey>>,
+    /// `task id → key`; shared with every engine over this slice.
+    pub keys: Arc<Vec<TaskKey>>,
+    /// Initial dependency counter of every task.
+    pub deps: Vec<u32>,
+    /// Operand/target blocks of every task.
+    pub ops: Vec<TaskOps>,
+    /// `block id → (target, owner)`.
+    pub blocks: Vec<BlockKey>,
+    /// Number of owned blocks; block ids below it are store slots.
+    pub n_owned: usize,
     /// Total owned tasks.
     pub total: usize,
+    /// `(row_offset, n_rows)` of each block inside its owner supernode's
+    /// below-diagonal row pattern; `(0, 0)` for diagonal blocks.
+    block_rows: Vec<(u32, u32)>,
+    /// CSR over block ids: see [`consumers_of`](Self::consumers_of).
+    consumer_ptr: Vec<u32>,
+    consumers: Vec<TaskId>,
+    /// CSR over owned block ids: see [`dests_of`](Self::dests_of).
+    dest_ptr: Vec<u32>,
+    dests: Vec<usize>,
 }
 
 impl LocalTasks {
-    /// Enumerate the tasks owned by `rank` and compute their dependency
+    /// Enumerate the tasks owned by `rank`, compute their dependency
     /// counters (paper: "an incoming dependency counter, initially set to
-    /// the number of incoming edges in the task graph").
+    /// the number of incoming edges in the task graph") and compile the
+    /// slice into id-addressed form.
     pub fn build(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Self {
+        const NONE: u32 = u32::MAX;
         let ns = sf.n_supernodes();
-        let mut tasks: HashMap<TaskKey, TaskState> = HashMap::new();
-        let mut consumers: HashMap<(usize, usize), Vec<TaskKey>> = HashMap::new();
-        let mut diag_consumers: HashMap<usize, Vec<TaskKey>> = HashMap::new();
-        // Update counts per owned target block (i, j) and diagonal j.
-        let mut upd_into: HashMap<(usize, usize), usize> = HashMap::new();
+        // Global block numbering, build-time only: the diagonal of `j` at
+        // `gptr[j]`, its k-th off-diagonal block at `gptr[j] + k` (k ≥ 1).
+        let mut gptr = Vec::with_capacity(ns + 1);
+        gptr.push(0);
         for j in 0..ns {
-            let blocks = sf.layout.blocks_of(j);
-            // Update tasks: every ordered pair (a ≥ b) of targets of j.
-            for (bi, bb) in blocks.iter().enumerate() {
-                for ba in &blocks[bi..] {
+            gptr.push(gptr[j] + 1 + sf.layout.blocks_of(j).len());
+        }
+        let n_global = gptr[ns];
+        assert!(n_global < NONE as usize, "block count fits u32");
+        // (i, row slice) of global block `gptr[j] + k`.
+        let block_at = |j: usize, k: usize| match k.checked_sub(1) {
+            None => (j, (0, 0)),
+            Some(k) => {
+                let b = &sf.layout.blocks_of(j)[k];
+                (b.target, (b.row_offset as u32, b.n_rows as u32))
+            }
+        };
+
+        // The update pairs in the canonical enumeration (`j`, then `b`,
+        // then `a ≥ b`): keep the owned ones with their target block, count
+        // consumers per operand block and updates per target block.
+        let mut n_consumers = vec![0u32; n_global];
+        let mut upd_into = vec![0u32; n_global];
+        let mut owned_upd: Vec<(usize, usize, usize, usize)> = Vec::new();
+        for j in 0..ns {
+            let col = sf.layout.blocks_of(j);
+            for (bi, bb) in col.iter().enumerate() {
+                for (ai, ba) in col.iter().enumerate().skip(bi) {
                     let (a, b) = (ba.target, bb.target);
                     if grid.map(a, b) != rank {
                         continue;
                     }
-                    let key = TaskKey::Update { j, a, b };
-                    // Inputs: L(a,j) and L(b,j) — one dependency when equal.
-                    let deps = if a == b { 1 } else { 2 };
-                    tasks.insert(
-                        key,
-                        TaskState {
-                            deps,
-                            ready_at: 0.0,
-                        },
-                    );
-                    consumers.entry((a, j)).or_default().push(key);
-                    if a != b {
-                        consumers.entry((b, j)).or_default().push(key);
+                    let in_col_b = if a == b {
+                        0
+                    } else {
+                        let col_b = sf.layout.blocks_of(b);
+                        1 + col_b
+                            .binary_search_by_key(&a, |x| x.target)
+                            .expect("update target block exists")
+                    };
+                    owned_upd.push((j, bi, ai, gptr[b] + in_col_b));
+                    upd_into[gptr[b] + in_col_b] += 1;
+                    n_consumers[gptr[j] + 1 + ai] += 1;
+                    if ai != bi {
+                        n_consumers[gptr[j] + 1 + bi] += 1;
                     }
-                    *upd_into.entry((a, b)).or_default() += 1;
                 }
             }
         }
-        for j in 0..ns {
-            if grid.map(j, j) == rank {
-                let deps = upd_into.get(&(j, j)).copied().unwrap_or(0);
-                tasks.insert(
-                    TaskKey::Diag { j },
-                    TaskState {
-                        deps,
-                        ready_at: 0.0,
-                    },
-                );
-            }
-            for b in sf.layout.blocks_of(j) {
-                let i = b.target;
-                if grid.map(i, j) == rank {
-                    let deps = 1 + upd_into.get(&(i, j)).copied().unwrap_or(0);
-                    let key = TaskKey::Panel { i, j };
-                    tasks.insert(
-                        key,
-                        TaskState {
-                            deps,
-                            ready_at: 0.0,
-                        },
-                    );
-                    diag_consumers.entry(j).or_default().push(key);
+
+        // Local block ids, column-major: the owned blocks (store slot
+        // order), then the remote blocks something here consumes.
+        let mut local = vec![NONE; n_global];
+        let mut blocks: Vec<BlockKey> = Vec::new();
+        let mut block_rows: Vec<(u32, u32)> = Vec::new();
+        let mut assign = |want_owned: bool| {
+            for j in 0..ns {
+                for k in 0..gptr[j + 1] - gptr[j] {
+                    let (i, rows) = block_at(j, k);
+                    let owned = grid.map(i, j) == rank;
+                    if owned != want_owned || (!owned && n_consumers[gptr[j] + k] == 0) {
+                        continue;
+                    }
+                    local[gptr[j] + k] = blocks.len() as u32;
+                    blocks.push((i, j));
+                    block_rows.push(rows);
+                    if owned && k > 0 {
+                        // The owned panel task F(i,j) consumes L(j,j).
+                        n_consumers[gptr[j]] += 1;
+                    }
                 }
             }
+            blocks.len()
+        };
+        let n_owned = assign(true);
+        assign(false);
+        let total = n_owned + owned_upd.len();
+        assert!(total < NONE as usize, "task count fits u32");
+
+        // Consumer CSR, filled in the historical push order: panel tasks
+        // into their diagonal by ascending target, update tasks into their
+        // operands in enumeration order.
+        let mut consumer_ptr = vec![0u32; blocks.len() + 1];
+        for (g, &l) in local.iter().enumerate().filter(|(_, &l)| l != NONE) {
+            consumer_ptr[l as usize + 1] = n_consumers[g];
         }
-        let total = tasks.len();
+        for l in 0..blocks.len() {
+            consumer_ptr[l + 1] += consumer_ptr[l];
+        }
+        let mut fill = consumer_ptr.clone();
+        let mut consumers = vec![0 as TaskId; consumer_ptr[blocks.len()] as usize];
+        let mut consume = |blk: BlockId, task: usize| {
+            consumers[fill[blk as usize] as usize] = task as TaskId;
+            fill[blk as usize] += 1;
+        };
+        let mut keys = Vec::with_capacity(total);
+        let mut deps = Vec::with_capacity(total);
+        let mut ops = Vec::with_capacity(total);
+        // Factor tasks: global order is local order for the owned blocks.
+        for (g, &target) in local.iter().enumerate() {
+            if target as usize >= n_owned {
+                continue;
+            }
+            let (i, j) = blocks[target as usize];
+            let a = if i == j {
+                keys.push(TaskKey::Diag { j });
+                target
+            } else {
+                keys.push(TaskKey::Panel { i, j });
+                consume(local[gptr[j]], target as usize);
+                local[gptr[j]]
+            };
+            deps.push(upd_into[g] + u32::from(i != j));
+            ops.push(TaskOps {
+                target,
+                a,
+                b: target,
+            });
+        }
+        for &(j, bi, ai, target) in &owned_upd {
+            let col = sf.layout.blocks_of(j);
+            let (a, b) = (local[gptr[j] + 1 + ai], local[gptr[j] + 1 + bi]);
+            consume(a, keys.len());
+            if a != b {
+                consume(b, keys.len());
+            }
+            keys.push(TaskKey::Update {
+                j,
+                a: col[ai].target,
+                b: col[bi].target,
+            });
+            // Inputs: L(a,j) and L(b,j) — one dependency when equal.
+            deps.push(if a == b { 1 } else { 2 });
+            ops.push(TaskOps {
+                target: local[target],
+                a,
+                b,
+            });
+        }
+
+        // Fan-out destinations of every owned block.
+        let mut dest_ptr = vec![0u32; n_owned + 1];
+        let mut dests = Vec::new();
+        if grid.n_procs() > 1 {
+            for (l, &(i, j)) in blocks[..n_owned].iter().enumerate() {
+                dests.extend(fanout_dests(sf, grid, rank, i, j));
+                dest_ptr[l + 1] = dests.len() as u32;
+            }
+        }
         LocalTasks {
-            tasks,
-            consumers,
-            diag_consumers,
+            keys: Arc::new(keys),
+            deps,
+            ops,
+            blocks,
+            n_owned,
             total,
+            block_rows,
+            consumer_ptr,
+            consumers,
+            dest_ptr,
+            dests,
         }
+    }
+
+    /// Global pattern rows of off-diagonal block `id` (empty for a
+    /// diagonal block, whose rows are its supernode's own columns).
+    pub fn block_rows<'a>(&self, sf: &'a SymbolicFactor, id: BlockId) -> &'a [usize] {
+        let (_, j) = self.blocks[id as usize];
+        let (off, n) = self.block_rows[id as usize];
+        &sf.patterns[j][off as usize..(off + n) as usize]
+    }
+
+    /// Id of a consumed *remote* block (what a signal's `(i, j)` resolves
+    /// to on arrival): a binary search of the column-major input range.
+    pub fn input_id(&self, key: BlockKey) -> Option<BlockId> {
+        self.blocks[self.n_owned..]
+            .binary_search_by_key(&col_major(&key), col_major)
+            .ok()
+            .map(|k| (self.n_owned + k) as BlockId)
+    }
+
+    /// The owned tasks consuming factored block `id`, in the order the
+    /// hashed runtime pushed them: for a diagonal `L(j,j)`, the panel tasks
+    /// `F(i,j)` by ascending `i`; for a panel `L(x,j)`, `U(x,j,b)` by
+    /// ascending `b < x`, then `U(x,j,x)`, then `U(a,j,x)` by ascending
+    /// `a > x`. Decrement order is schedule-visible (it is RTQ push order).
+    pub fn consumers_of(&self, id: BlockId) -> &[TaskId] {
+        let i = id as usize;
+        &self.consumers[self.consumer_ptr[i] as usize..self.consumer_ptr[i + 1] as usize]
+    }
+
+    /// Fan-out destination ranks of owned block `id` — [`fanout_dests`],
+    /// computed once.
+    pub fn dests_of(&self, id: BlockId) -> &[usize] {
+        let i = id as usize;
+        &self.dests[self.dest_ptr[i] as usize..self.dest_ptr[i + 1] as usize]
     }
 
     /// Estimated total kernel seconds of this rank's slice — the sum of
-    /// per-task roofline estimates (see [`TaskKey::estimate_secs`]); the
-    /// rank-balance numerator for mapping diagnostics.
+    /// per-task roofline estimates (see [`TaskKey::estimate_secs`]) in task
+    /// id order; the rank-balance numerator for mapping diagnostics.
     pub fn estimated_secs(&self, sf: &SymbolicFactor, cost: &CostModel, cfg: &KernelConfig) -> f64 {
-        self.tasks
-            .keys()
+        self.keys
+            .iter()
             .map(|k| k.estimate_secs(sf, cost, cfg))
             .sum()
-    }
-
-    /// Tasks with zero dependencies (initial RTQ contents).
-    pub fn initially_ready(&self) -> Vec<TaskKey> {
-        let mut v: Vec<TaskKey> = self
-            .tasks
-            .iter()
-            .filter(|(_, s)| s.deps == 0)
-            .map(|(k, _)| *k)
-            .collect();
-        // Deterministic order regardless of hash iteration.
-        v.sort_by_key(|k| k.seed_key());
-        v
     }
 }
 
@@ -373,23 +535,15 @@ mod tests {
     }
 
     #[test]
-    fn task_counts_partition_across_ranks() {
-        let sf = sf();
-        for p in [1usize, 2, 4, 6] {
-            let grid = ProcGrid::squarest(p);
-            let total: usize = (0..p).map(|r| LocalTasks::build(&sf, &grid, r).total).sum();
-            let single = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0).total;
-            assert_eq!(total, single, "p={p}");
-        }
-    }
-
-    #[test]
     fn single_rank_initial_ready_tasks_are_leaf_diagonals() {
         let sf = sf();
         let lt = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
-        let ready = lt.initially_ready();
+        let ready: Vec<&TaskKey> = (lt.keys.iter().zip(&lt.deps))
+            .filter(|(_, &d)| d == 0)
+            .map(|(k, _)| k)
+            .collect();
         assert!(!ready.is_empty());
-        for k in &ready {
+        for k in ready {
             match k {
                 TaskKey::Diag { j } => {
                     // Leaf supernodes: nothing updates into them.
@@ -415,7 +569,7 @@ mod tests {
             let m = sf.layout.blocks_of(j).len();
             expect += m * m + m + m * (m + 1) / 2;
         }
-        let total: usize = lt.tasks.values().map(|s| s.deps).sum();
+        let total: usize = lt.deps.iter().map(|&d| d as usize).sum();
         assert_eq!(total, expect);
     }
 
@@ -427,7 +581,7 @@ mod tests {
         let single = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
         let total1 = single.estimated_secs(&sf, &cost, &cfg);
         assert!(total1 > 0.0);
-        for k in single.tasks.keys() {
+        for k in single.keys.iter() {
             assert!(k.estimate_secs(&sf, &cost, &cfg) > 0.0, "{k:?}");
             assert!(k.flops(&sf) > 0, "{k:?}");
         }
@@ -461,8 +615,8 @@ mod tests {
         };
         let lt = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
         let gemm = lt
-            .tasks
-            .keys()
+            .keys
+            .iter()
             .find(|k| k.op() == sympack_gpu::Op::Gemm)
             .expect("graph has a gemm task");
         let t_no = gemm.estimate_secs(&sf, &cost, &no_pack);
@@ -486,7 +640,7 @@ mod tests {
                         continue;
                     }
                     let lt = LocalTasks::build(&sf, &grid, r);
-                    if lt.consumers.contains_key(&(i, j)) {
+                    if lt.input_id((i, j)).is_some() {
                         assert!(dests.contains(&r), "rank {r} missing for L({i},{j})");
                     }
                 }

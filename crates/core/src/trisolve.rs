@@ -627,10 +627,10 @@ impl SolveEngine {
 
     /// Run every ready task to exhaustion.
     fn pump(&mut self, rank: &mut Rank, store: &BlockStore) {
-        while let Some((key, ready_at)) = self.rt.pick() {
+        while let Some((id, key, ready_at)) = self.rt.pick() {
             self.rt.begin(rank, ready_at);
             self.exec(rank, store, key);
-            self.rt.complete(key);
+            self.rt.complete(id);
         }
     }
 

@@ -1,13 +1,17 @@
-//! Property tests for [`sympack::sched::ReadyQueue`].
+//! Property tests for [`sympack::sched::ReadyQueue`] and the
+//! [`sympack::sched::TaskEngine`] that schedules through it.
 //!
 //! Randomized over a house xorshift64* generator (the workspace carries no
 //! external crates, so no proptest): for arbitrary push sequences, every
 //! policy must pop a permutation of what was pushed, `CriticalPath` must
 //! pop in non-decreasing `priority_key` order, and the popped *multiset*
 //! must be identical across policies — the policy chooses an order, never
-//! the set of work that runs.
+//! the set of work that runs. And an engine over a compiled task table must
+//! schedule exactly like one built by key insertion.
 
-use sympack::sched::{ReadyQueue, RtqPolicy, TaskKind};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use sympack::sched::{ReadyQueue, RtqPolicy, TaskEngine, TaskId, TaskKind};
 use sympack_trace::TraceCat;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +64,7 @@ fn random_pushes(rng: &mut Rng) -> Vec<T> {
 
 fn drain(mut q: ReadyQueue<T>) -> Vec<T> {
     let mut out = Vec::new();
-    while let Some(t) = q.pop() {
+    while let Some(t) = q.pop_by(TaskKind::priority_key, |_| 0) {
         out.push(t);
     }
     out
@@ -135,7 +139,7 @@ fn interleaved_push_pop_never_changes_the_popped_set() {
                 match step {
                     Some(t) => q.push(*t),
                     None => {
-                        if let Some(t) = q.pop() {
+                        if let Some(t) = q.pop_by(TaskKind::priority_key, |_| 0) {
                             seen.push(t);
                         } else {
                             assert!(q.is_empty());
@@ -154,6 +158,63 @@ fn interleaved_push_pop_never_changes_the_popped_set() {
                 seen, &pushed,
                 "case {case} {policy:?}: tasks lost or invented by the queue"
             );
+        }
+    }
+}
+
+#[test]
+fn compiled_and_inserted_engines_schedule_alike() {
+    // The same random DAG slice (distinct keys, random counters, a random
+    // decrement script) through both constructors: identical pick sequence
+    // under every policy, and the on-demand estimate — summed in id order
+    // over the unexecuted tasks — agrees bit for bit along the way.
+    let est = |_: TaskId, k: &T| 0.1 * k.0 as f64;
+    for case in 0..40u64 {
+        let mut rng = Rng::new(0x5EED ^ case);
+        let n = 1 + rng.below(24);
+        let keys: Vec<T> = (0..n).map(|i| T(100 * rng.below(5) + i)).collect();
+        let deps: Vec<u32> = (0..n).map(|_| rng.below(3) as u32).collect();
+        for policy in POLICIES {
+            let abort = Arc::new(AtomicBool::new(false));
+            let mut c: TaskEngine<T> = TaskEngine::from_compiled(
+                Arc::new(keys.clone()),
+                &deps,
+                policy,
+                Arc::clone(&abort),
+            );
+            let mut i: TaskEngine<T> = TaskEngine::new(policy, abort);
+            for (k, &d) in keys.iter().zip(&deps) {
+                i.insert_task(*k, d as usize);
+            }
+            c.seed_ready();
+            i.seed_ready();
+            let mut left = deps.clone();
+            let mut executed = 0;
+            while executed < n {
+                // Release one pending dependency (id- vs key-addressed),
+                // then run whatever is ready.
+                if let Some(t) = (0..n).find(|&t| left[t] > 0) {
+                    left[t] -= 1;
+                    c.dec_id(t as TaskId, executed as f64);
+                    i.dec(keys[t], executed as f64);
+                }
+                loop {
+                    let (pc, pi) = (c.pick(), i.pick());
+                    assert_eq!(pc, pi, "case {case} {policy:?}");
+                    let Some((id, ..)) = pc else { break };
+                    c.complete(id);
+                    i.complete(id);
+                    executed += 1;
+                    assert_eq!(
+                        c.estimated_remaining(est).to_bits(),
+                        i.estimated_remaining(est).to_bits()
+                    );
+                }
+            }
+            assert!(c.finished() && i.finished());
+            assert_eq!(c.estimated_remaining(est), 0.0);
+            c.debug_assert_completed();
+            i.debug_assert_completed();
         }
     }
 }

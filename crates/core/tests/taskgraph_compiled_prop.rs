@@ -1,0 +1,380 @@
+//! The compiled task graph ([`sympack::taskgraph::LocalTasks`]) against a
+//! naive reference, and the schedule it drives against the hashed runtime
+//! it replaced.
+//!
+//! * `compiled_graph_matches_the_naive_enumeration`: for random and
+//!   adversarial sparsity patterns × grids P ∈ {1, 2, 3, 4, 6}, every rank's
+//!   compiled slice equals a hash-map enumeration of the §3.2 dependency
+//!   rules written here — task multiset, initial counters, consumer lists
+//!   *including order*, update → successor, operand/target blocks, fan-out
+//!   destinations, block-id layout.
+//! * `schedule_is_identical_to_the_hashed_runtime`: an FNV-1a fingerprint
+//!   of the executed task sequence (with ready times, producer edges and the
+//!   gauges sampled at every task boundary), the virtual makespan and the
+//!   factor bits equals constants captured from the commit before the
+//!   compiled graph existed.
+
+use std::collections::{HashMap, HashSet};
+use sympack::storage::{BlockKey, BlockStore};
+use sympack::taskgraph::{fanout_dests, LocalTasks, TaskKey};
+use sympack::{ProcGrid, RtqPolicy, SolverOptions, SymPack};
+use sympack_ordering::OrderingKind;
+use sympack_sparse::gen::{random_spd, thermal_like};
+use sympack_sparse::vecops::test_rhs;
+use sympack_sparse::SparseSym;
+use sympack_symbolic::SymbolicFactor;
+use sympack_trace::SpanKind;
+
+/// A diagonally dominant matrix with the given strictly-lower edges.
+fn from_edges(n: usize, edges: &[(usize, usize)]) -> SparseSym {
+    let mut cols: Vec<Vec<usize>> = (0..n).map(|c| vec![c]).collect();
+    let mut degree = vec![0usize; n];
+    for &(r, c) in edges {
+        let (r, c) = (r.max(c), r.min(c));
+        if r != c && !cols[c].contains(&r) {
+            cols[c].push(r);
+            degree[r] += 1;
+            degree[c] += 1;
+        }
+    }
+    let (mut col_ptr, mut row_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for (c, rows) in cols.iter_mut().enumerate() {
+        rows.sort_unstable();
+        for &r in rows.iter() {
+            row_idx.push(r);
+            values.push(if r == c { degree[c] as f64 + 1.0 } else { -1.0 });
+        }
+        col_ptr.push(row_idx.len());
+    }
+    SparseSym::from_parts(n, col_ptr, row_idx, values)
+}
+
+/// The pattern zoo: random matrices plus the shapes that break indexing
+/// schemes — empty supernode columns, one consumer of everything, several
+/// elimination-tree roots, no off-diagonal block at all.
+fn patterns() -> Vec<(&'static str, SparseSym)> {
+    let n = 24;
+    let mut v = vec![
+        ("random_spd(40,3,1)", random_spd(40, 3, 1)),
+        ("random_spd(60,5,2)", random_spd(60, 5, 2)),
+        ("random_spd(35,8,3)", random_spd(35, 8, 3)),
+        (
+            "arrow",
+            from_edges(n, &(0..n - 1).map(|c| (n - 1, c)).collect::<Vec<_>>()),
+        ),
+        (
+            "one dense row",
+            from_edges(n, &(0..n).map(|c| (n / 2, c)).collect::<Vec<_>>()),
+        ),
+        ("pure diagonal", from_edges(n, &[])),
+        (
+            "long chain",
+            from_edges(64, &(1..64).map(|r| (r, r - 1)).collect::<Vec<_>>()),
+        ),
+        ("n = 1", from_edges(1, &[])),
+    ];
+    // Three components: a clique, a chain and an isolated vertex.
+    let mut edges = Vec::new();
+    for r in 0..6 {
+        for c in 0..r {
+            edges.push((r, c));
+        }
+    }
+    edges.extend((7..15).map(|r| (r, r - 1)));
+    v.push(("disconnected components", from_edges(16, &edges)));
+    v
+}
+
+/// One rank's slice by the §3.2 rules, in hash maps.
+#[derive(Default)]
+struct Reference {
+    deps: HashMap<TaskKey, u32>,
+    /// Consumers of factored block `(i, j)`, in decrement order.
+    consumers: HashMap<BlockKey, Vec<TaskKey>>,
+}
+
+fn reference(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Reference {
+    let mut r = Reference::default();
+    let mut updates_into: HashMap<BlockKey, u32> = HashMap::new();
+    for j in 0..sf.n_supernodes() {
+        let targets: Vec<usize> = sf.layout.blocks_of(j).iter().map(|b| b.target).collect();
+        // U(a,j,b) for every pair a ≥ b of j's targets, run by the owner of
+        // B(a,b); it waits for L(a,j) and L(b,j) and feeds B(a,b)'s task.
+        for (bi, &b) in targets.iter().enumerate() {
+            for &a in &targets[bi..] {
+                *updates_into.entry((a, b)).or_default() += 1;
+                if grid.map(a, b) != rank {
+                    continue;
+                }
+                let key = TaskKey::Update { j, a, b };
+                r.deps.insert(key, if a == b { 1 } else { 2 });
+                r.consumers.entry((a, j)).or_default().push(key);
+                if a != b {
+                    r.consumers.entry((b, j)).or_default().push(key);
+                }
+            }
+        }
+    }
+    for j in 0..sf.n_supernodes() {
+        let into = |k: BlockKey| updates_into.get(&k).copied().unwrap_or(0);
+        // D(j) waits for every update into B(j,j); F(i,j) for L(j,j) and
+        // every update into B(i,j).
+        if grid.map(j, j) == rank {
+            r.deps.insert(TaskKey::Diag { j }, into((j, j)));
+        }
+        for b in sf.layout.blocks_of(j) {
+            if grid.map(b.target, j) == rank {
+                let key = TaskKey::Panel { i: b.target, j };
+                r.deps.insert(key, 1 + into((b.target, j)));
+                r.consumers.entry((j, j)).or_default().push(key);
+            }
+        }
+    }
+    r
+}
+
+fn check_rank(name: &str, sf: &SymbolicFactor, ap: &SparseSym, grid: &ProcGrid, rank: usize) {
+    let ctx = format!("{name}, P={}, rank {rank}", grid.n_procs());
+    let lt = LocalTasks::build(sf, grid, rank);
+    let want = reference(sf, grid, rank);
+    let keys = &lt.keys;
+
+    // Task ids are dense, rank-local and name each owned task exactly once;
+    // the factor task of owned block `l` is task `l`.
+    assert_eq!(lt.total, want.deps.len(), "{ctx}: task count");
+    assert_eq!(keys.len(), lt.total, "{ctx}");
+    assert_eq!(lt.deps.len(), lt.total, "{ctx}");
+    let id_of: HashMap<TaskKey, u32> = keys
+        .iter()
+        .enumerate()
+        .map(|(id, k)| (*k, id as u32))
+        .collect();
+    assert_eq!(id_of.len(), lt.total, "{ctx}: duplicate task key");
+    for (id, key) in keys.iter().enumerate() {
+        assert_eq!(
+            Some(&lt.deps[id]),
+            want.deps.get(key),
+            "{ctx}: counter of {key:?}"
+        );
+    }
+
+    // Block ids: the store's slots first, then the consumed remote blocks,
+    // column-major, each exactly once and each actually consumed.
+    let blocks = &lt.blocks;
+    let n_owned = lt.n_owned;
+    assert_eq!(
+        BlockStore::init(sf, ap, grid, rank).keys(),
+        &blocks[..n_owned],
+        "{ctx}: owned ids are store slots"
+    );
+    let inputs = &blocks[n_owned..];
+    assert!(
+        inputs
+            .windows(2)
+            .all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
+        "{ctx}: inputs column-major"
+    );
+    let distinct: HashSet<&BlockKey> = blocks.iter().collect();
+    assert_eq!(distinct.len(), blocks.len(), "{ctx}: duplicate block");
+    let remote_consumed: HashSet<BlockKey> = want
+        .consumers
+        .keys()
+        .filter(|&&(i, j)| grid.map(i, j) != rank)
+        .copied()
+        .collect();
+    assert_eq!(
+        inputs.iter().copied().collect::<HashSet<_>>(),
+        remote_consumed,
+        "{ctx}: input set"
+    );
+    for (id, &(i, j)) in blocks.iter().enumerate() {
+        let id = id as u32;
+        // Consumer lists, order included.
+        let got: Vec<TaskKey> = lt
+            .consumers_of(id)
+            .iter()
+            .map(|&t| keys[t as usize])
+            .collect();
+        let expect = want.consumers.get(&(i, j)).cloned().unwrap_or_default();
+        assert_eq!(got, expect, "{ctx}: consumers of L({i},{j})");
+        if (id as usize) < n_owned {
+            assert_eq!(
+                lt.dests_of(id),
+                fanout_dests(sf, grid, rank, i, j),
+                "{ctx}: fan-out of L({i},{j})"
+            );
+            assert_eq!(lt.input_id((i, j)), None, "{ctx}");
+        } else {
+            assert_eq!(lt.input_id((i, j)), Some(id), "{ctx}");
+        }
+        if i != j {
+            let b = sf.layout.find(i, j).expect("block in layout");
+            assert_eq!(
+                lt.block_rows(sf, id),
+                &sf.patterns[j][b.row_offset..b.row_offset + b.n_rows],
+                "{ctx}: rows of B({i},{j})"
+            );
+        }
+    }
+
+    // Operands, targets and successors.
+    for (id, key) in keys.iter().enumerate() {
+        let ops = lt.ops[id];
+        let blk = |b: u32| blocks[b as usize];
+        assert!(
+            (ops.target as usize) < n_owned,
+            "{ctx}: {key:?} target owned"
+        );
+        match *key {
+            TaskKey::Diag { j } => assert_eq!(blk(ops.target), (j, j), "{ctx}: {key:?}"),
+            TaskKey::Panel { i, j } => {
+                assert_eq!(blk(ops.target), (i, j), "{ctx}: {key:?}");
+                assert_eq!(blk(ops.a), (j, j), "{ctx}: {key:?} diagonal operand");
+            }
+            TaskKey::Update { j, a, b } => {
+                assert_eq!(blk(ops.target), (a, b), "{ctx}: {key:?}");
+                assert_eq!(blk(ops.a), (a, j), "{ctx}: {key:?}");
+                assert_eq!(blk(ops.b), (b, j), "{ctx}: {key:?}");
+                let succ = if a == b {
+                    TaskKey::Diag { j: b }
+                } else {
+                    TaskKey::Panel { i: a, j: b }
+                };
+                // The successor is the factor task of the target block, which
+                // carries the block's id.
+                assert_eq!(keys[ops.target as usize], succ, "{ctx}: {key:?} successor");
+            }
+        }
+    }
+}
+
+#[test]
+fn compiled_graph_matches_the_naive_enumeration() {
+    for (name, a) in patterns() {
+        for ordering in [OrderingKind::NestedDissection, OrderingKind::Natural] {
+            let opts = SolverOptions {
+                ordering,
+                ..Default::default()
+            };
+            let sf = SymPack::analyze_only(&a, &opts);
+            let ap = a.permute(sf.perm.as_slice());
+            for p in [1usize, 2, 3, 4, 6] {
+                let grid = ProcGrid::squarest(p);
+                let mut total = 0;
+                for rank in 0..p {
+                    check_rank(name, &sf, &ap, &grid, rank);
+                    total += LocalTasks::build(&sf, &grid, rank).total;
+                }
+                // Every task of the global graph is owned exactly once
+                // (keys are rank-disjoint because owners are).
+                let global = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0).total;
+                assert_eq!(total, global, "{name}, P={p}: tasks partition");
+            }
+        }
+    }
+}
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// FNV-1a over one factorization's schedule and result: per rank, every
+/// executed factorization task in execution order (label, ready time,
+/// producer edge, memory gauge, RTQ depth), then the virtual makespan, then
+/// the bits of the gathered factor.
+fn schedule_fingerprint(a: &SparseSym, policy: RtqPolicy, p: usize) -> u64 {
+    let opts = SolverOptions {
+        n_nodes: 1,
+        ranks_per_node: p,
+        rtq_policy: policy,
+        deterministic: p > 1,
+        trace: true,
+        ..Default::default()
+    };
+    let b = test_rhs(a.n());
+    let r = SymPack::try_factor_and_solve_multi(a, &[b], &opts).expect("factorization");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for rank in 0..p {
+        for ev in r.trace.iter().filter(|ev| {
+            ev.rank == rank
+                && ev.kind == SpanKind::Exec
+                && ["D(", "F(", "U("].iter().any(|s| ev.name.starts_with(s))
+        }) {
+            fnv(&mut h, &(rank as u64).to_le_bytes());
+            fnv(&mut h, ev.name.as_bytes());
+            fnv(&mut h, &ev.ready_at.to_bits().to_le_bytes());
+            fnv(&mut h, ev.pred.as_deref().unwrap_or("-").as_bytes());
+            fnv(&mut h, &ev.bytes.to_le_bytes());
+            fnv(&mut h, &(ev.rtq_depth as u64).to_le_bytes());
+        }
+    }
+    fnv(&mut h, &r.factor_time.to_bits().to_le_bytes());
+    let untraced = SolverOptions {
+        trace: false,
+        ..opts
+    };
+    let g = SymPack::factor_gather(a, &untraced).expect("gather");
+    for c in 0..g.l_permuted.n() {
+        for v in g.l_permuted.col_values(c) {
+            fnv(&mut h, &v.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// `schedule_fingerprint` of {`random_spd(120,5,3)`, `thermal_like(12,12,
+/// 0.3,5)`} × {Lifo, Fifo, CriticalPath, CommAware} × P ∈ {1, 2, 4}, in
+/// that nesting order, as printed by this test at commit c6b1ede (the last
+/// one with the hashed `LocalTasks`/`TaskEngine`/`BlockStore`).
+const PARENT_FINGERPRINTS: [u64; 24] = [
+    0xb32fd9659fb92d61,
+    0xae3b445fd38eaa46,
+    0xa54827aa49f0ee38,
+    0xc0758ec5c67326d5,
+    0xfb33a722c2974531,
+    0x06e39cc08430341f,
+    0xfabdab852ae91ce3,
+    0x6491fa1ea463ae7d,
+    0x8c91ede2ff6e3261,
+    0xfabdab852ae91ce3,
+    0x1b0ee812359c6c07,
+    0xe3d91ff770215acb,
+    0xaf9b6a7c31982b21,
+    0x72567fc1817b64ac,
+    0x1d6aa16f786e5180,
+    0xba8a9a593e58a903,
+    0x6dba7df4693f4093,
+    0x88d1746c7e69233f,
+    0x881d3e67c45be0a3,
+    0x1a76c42e014bc70d,
+    0x3134ce9f2a631ae4,
+    0x881d3e67c45be0a3,
+    0x010a20b87e6fd62a,
+    0x7df6677b741b405a,
+];
+
+#[test]
+fn schedule_is_identical_to_the_hashed_runtime() {
+    let mats = [random_spd(120, 5, 3), thermal_like(12, 12, 0.3, 5)];
+    let policies = [
+        RtqPolicy::Lifo,
+        RtqPolicy::Fifo,
+        RtqPolicy::CriticalPath,
+        RtqPolicy::CommAware,
+    ];
+    let mut got = Vec::new();
+    for a in &mats {
+        for policy in policies {
+            for p in [1usize, 2, 4] {
+                got.push(schedule_fingerprint(a, policy, p));
+            }
+        }
+    }
+    assert_eq!(
+        got, PARENT_FINGERPRINTS,
+        "schedule or factor bits changed; got {got:#018x?}"
+    );
+}
