@@ -17,7 +17,7 @@
 //! Exit status is non-zero when the run is unhealthy: any residual above
 //! `1e-8`, or zero coalesced jobs (batching never combined two requests —
 //! the serving layer's reason to exist). `--metrics-json` writes the
-//! session's [`ServiceMetrics`] JSON for CI artifact upload.
+//! session's [`sympack_trace::metrics::ServiceMetrics`] JSON for CI artifact upload.
 
 use std::process::ExitCode;
 use sympack::SolverOptions;

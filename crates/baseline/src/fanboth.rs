@@ -1,6 +1,6 @@
 //! Fan-both supernodal factorization — the third family of Ashcraft's
 //! taxonomy (§2.3) and the algorithm of the original symPACK paper the
-//! authors cite as [15] (Jacquelin et al., "An Asynchronous Task-based
+//! authors cite as \[15\] (Jacquelin et al., "An Asynchronous Task-based
 //! Fan-Both Sparse Cholesky Solver").
 //!
 //! Fan-both generalizes fan-out and fan-in through a **computation map**:
@@ -26,20 +26,16 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
-use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine};
+use sympack::sched::{self, CommLayer, Engine, FetchConfig, FetchMode, TaskEngine};
 use sympack::storage::BlockStore;
-use sympack::trisolve::{self, SolveParams};
 use sympack::{SolverError, TaskKey};
 use sympack_dense::Mat;
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{GlobalPtr, MemKind, PgasConfig, Rank, Runtime};
+use sympack_pgas::{GlobalPtr, MemKind, Rank};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
-use sympack_trace::Tracer;
 
-use crate::rightlooking::{
-    build_report, comm_events, BaselineOptions, BaselineReport, RankOut, SIGNAL_WIRE_BYTES,
-};
+use crate::rightlooking::{run, BaselineOptions, BaselineReport, SIGNAL_WIRE_BYTES};
 
 /// Incoming notifications.
 #[derive(Debug, Clone, Copy)]
@@ -102,20 +98,18 @@ struct FbEngine {
 
 impl FbEngine {
     fn new(
-        sf: Arc<SymbolicFactor>,
+        sf: &Arc<SymbolicFactor>,
         ap: &SparseSym,
         grid: ProcGrid,
         rank: usize,
         kernels: KernelEngine,
         opts: &BaselineOptions,
-        abort: Arc<AtomicBool>,
+        abort: &Arc<AtomicBool>,
     ) -> Self {
+        let (sf, abort) = (Arc::clone(sf), Arc::clone(abort));
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
         let mut rt: TaskEngine<TaskKey, Msg> = TaskEngine::new(opts.rtq_policy, abort);
-        if opts.trace {
-            rt.tracer = Some(Tracer::new());
-        }
         // Static task analysis. For each pair (a >= b) of targets of
         // supernode j, the update computes on cmap = map(a, j) and lands on
         // map(a, b). contrib_ranks[(a,b)] collects the distinct compute
@@ -168,12 +162,8 @@ impl FbEngine {
             }
         }
         rt.seed_ready();
-        let fetch = FetchConfig {
-            device_enabled: kernels.gpu_enabled,
-            device_threshold: 64 * 64,
-            oom_policy: opts.oom_policy,
-            mode: FetchMode::NonBlocking,
-        };
+        let fetch =
+            FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, FetchMode::NonBlocking);
         FbEngine {
             sf,
             grid,
@@ -238,29 +228,15 @@ impl FbEngine {
         self.rt.dec(key, now);
     }
 
-    fn step(&mut self, rank: &mut Rank) -> bool {
-        self.drain_pending(rank);
-        self.comm.tick(rank);
-        let Some((id, key, ready_at)) = self.rt.pick() else {
-            self.comm.flush_all(rank);
-            return false;
-        };
-        self.rt.begin(rank, ready_at);
-        match key {
-            TaskKey::Diag { j } => self.exec_diag(rank, j),
-            TaskKey::Panel { i, j } => self.exec_panel(rank, i, j),
-            TaskKey::Update { j, a, b } => self.exec_update(rank, j, a, b),
-        }
-        self.rt.complete(id);
-        true
-    }
-
     fn exec_diag(&mut self, rank: &mut Rank, j: usize) {
         let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
-        let (_, secs) = self
-            .kernels
-            .potrf(&mut diag)
-            .expect("fan-both requires SPD input");
+        let first = self.sf.partition.first_col(j);
+        let Some(secs) =
+            sched::potrf_or_fail(&mut self.rt, &mut self.kernels, rank, &mut diag, first)
+        else {
+            self.store.put((j, j), diag);
+            return;
+        };
         self.rt.charge(rank, TaskKey::Diag { j }, secs);
         // Fan L(j,j) to the panel owners down the grid column.
         let mut dests: Vec<usize> = self
@@ -446,6 +422,39 @@ fn absorb(store: &mut BlockStore, a: usize, b: usize, buf: &Mat) {
     }
 }
 
+impl Engine for FbEngine {
+    type Key = TaskKey;
+    type Sig = Msg;
+
+    const STALL_DETAIL: &'static str = "fan-both factorization quiesced with unfinished tasks \
+                                        (dropped factor or aggregate suspected)";
+
+    fn step(&mut self, rank: &mut Rank) -> bool {
+        self.drain_pending(rank);
+        self.comm.tick(rank);
+        let Some((id, key, ready_at)) = self.rt.pick() else {
+            self.comm.flush_all(rank);
+            return false;
+        };
+        self.rt.begin(rank, ready_at);
+        match key {
+            TaskKey::Diag { j } => self.exec_diag(rank, j),
+            TaskKey::Panel { i, j } => self.exec_panel(rank, i, j),
+            TaskKey::Update { j, a, b } => self.exec_update(rank, j, a, b),
+        }
+        self.rt.complete(id);
+        true
+    }
+
+    fn rt(&mut self) -> &mut TaskEngine<TaskKey, Msg> {
+        &mut self.rt
+    }
+
+    fn into_factor(self) -> (BlockStore, KernelEngine) {
+        (self.store, self.kernels)
+    }
+}
+
 /// Factor and solve with the fan-both algorithm on a 2D grid; panics on
 /// failure (see [`try_fanboth_factor_and_solve`] for the fallible form).
 pub fn fanboth_factor_and_solve(
@@ -459,6 +468,7 @@ pub fn fanboth_factor_and_solve(
 /// Factor and solve with the fan-both algorithm on a 2D grid.
 ///
 /// # Errors
+/// [`SolverError::NotPositiveDefinite`] when a pivot fails;
 /// [`SolverError::DeviceOom`] under the Abort OOM policy;
 /// [`SolverError::FetchTimeout`] / [`SolverError::Stalled`] under fault
 /// injection when the retry budget or the quiescence detector gives up.
@@ -467,141 +477,9 @@ pub fn try_fanboth_factor_and_solve(
     b: &[f64],
     opts: &BaselineOptions,
 ) -> Result<BaselineReport, SolverError> {
-    assert_eq!(b.len(), a.n());
-    let sf = crate::rightlooking::baseline_symbolic(a, opts);
-    let ap = Arc::new(a.permute(sf.perm.as_slice()));
-    let bp = Arc::new(sf.perm.apply_vec(b));
-    let p = opts.n_nodes * opts.ranks_per_node;
-    let grid = ProcGrid::squarest(p);
-    let mut config = PgasConfig::multi_node(opts.n_nodes, opts.ranks_per_node);
-    config.net = opts.net.clone();
-    config.device_quota = opts.device_quota;
-    config.faults = opts.faults;
-    config.deterministic = opts.deterministic;
-    let abort = Arc::new(AtomicBool::new(false));
-    let opts2 = opts.clone();
-    let report = Runtime::run(config, |rank| {
-        run_rank(rank, &sf, &ap, &bp, grid, &opts2, &abort)
-    });
-    build_report("fanboth", a, b, &sf, report, opts.trace)
-}
-
-fn run_rank(
-    rank: &mut Rank,
-    sf: &Arc<SymbolicFactor>,
-    ap: &SparseSym,
-    bp: &[f64],
-    grid: ProcGrid,
-    opts: &BaselineOptions,
-    abort: &Arc<AtomicBool>,
-) -> RankOut {
-    let me = rank.id();
-    if opts.trace {
-        // Comm-layer spans (rget/rput/rpc/drain) for the profile.
-        rank.set_tracer(Tracer::new());
-    }
-    let mut kernels = if opts.gpu {
-        KernelEngine::new_gpu()
-    } else {
-        KernelEngine::new_cpu()
-    };
-    if let Some(t) = &opts.thresholds {
-        kernels.thresholds = t.clone();
-    }
-    let engine = FbEngine::new(
-        Arc::clone(sf),
-        ap,
-        grid,
-        me,
-        kernels,
-        opts,
-        Arc::clone(abort),
-    );
-    let start = rank.now();
-    let mut engine = sched::run_event_loop(
-        rank,
-        engine,
-        |rank, st: &mut FbEngine| {
-            while st.step(rank) {}
-            st.rt.finished() || rank.job_aborted()
-        },
-        |rank, st| {
-            let (done, total) = (st.rt.done_count(), st.rt.total());
-            st.rt.fail(
-                rank,
-                SolverError::Stalled {
-                    rank: rank.id(),
-                    done,
-                    total,
-                    detail: "fan-both factorization quiesced with unfinished tasks \
-                             (dropped factor or aggregate suspected)"
-                        .into(),
-                },
-            );
-        },
-    );
-    let factor_time = rank.now() - start;
-    let aborted = engine.rt.aborted() || rank.job_aborted();
-    if !aborted {
-        engine.rt.debug_assert_completed();
-    }
-    let mut trace = engine
-        .rt
-        .tracer
-        .take()
-        .map(Tracer::into_events)
-        .unwrap_or_default();
-    let mut tasks: Vec<(String, u64)> = engine
-        .rt
-        .task_counts()
-        .iter()
-        .map(|&(k, v)| (k.to_string(), v))
-        .collect();
-    if aborted {
-        // Skip the solve collectively (sticky job-abort keeps every rank's
-        // barrier sequence aligned).
-        trace.extend(comm_events(rank));
-        return RankOut {
-            error: engine.rt.error.take(),
-            factor_time,
-            solve_time: 0.0,
-            counts: engine.kernels.counts,
-            x_pieces: Vec::new(),
-            trace,
-            tasks,
-        };
-    }
-    let solve_kernels = if opts.gpu {
-        KernelEngine::new_gpu()
-    } else {
-        KernelEngine::new_cpu()
-    };
-    let params = SolveParams {
-        policy: opts.rtq_policy,
-        msg_overhead: 0.0,
-        trace: opts.trace,
-    };
-    let mut out = trisolve::solve(
-        rank,
-        Arc::clone(sf),
-        grid,
-        &engine.store,
-        bp,
-        solve_kernels,
-        &params,
-    );
-    trace.extend(std::mem::take(&mut out.trace));
-    trace.extend(comm_events(rank));
-    tasks.extend(out.task_counts.iter().map(|&(k, v)| (k.to_string(), v)));
-    RankOut {
-        error: out.error.take(),
-        factor_time,
-        solve_time: out.elapsed,
-        counts: engine.kernels.counts,
-        x_pieces: out.x.into_iter().collect(),
-        trace,
-        tasks,
-    }
+    let grid = ProcGrid::squarest(opts.n_nodes * opts.ranks_per_node);
+    // One-sided transport, like the fan-out: no rendezvous in the solve.
+    run("fanboth", grid, 0.0, a, b, opts, FbEngine::new)
 }
 
 #[cfg(test)]

@@ -20,28 +20,19 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
-use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use sympack::sched::{self, CommLayer, Engine, FetchConfig, FetchMode, TaskEngine, TaskKind};
 use sympack::storage::BlockStore;
-use sympack::trisolve::{self, SolveParams};
 use sympack::SolverError;
 use sympack_dense::Mat;
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{GlobalPtr, MemKind, PgasConfig, Rank, Runtime};
+use sympack_pgas::{GlobalPtr, MemKind, Rank};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
-use sympack_trace::{TraceCat, Tracer};
+use sympack_trace::TraceCat;
 
 use crate::rightlooking::{
-    build_report, comm_events, BaselineOptions, BaselineReport, RankOut, SIGNAL_WIRE_BYTES,
+    owner_of, run, BaselineOptions, BaselineReport, RENDEZVOUS_OVERHEAD, SIGNAL_WIRE_BYTES,
 };
-
-/// Per-receive synchronization cost (same two-sided flavor as the
-/// right-looking baseline).
-const RENDEZVOUS_OVERHEAD: f64 = 5.0e-6;
-
-fn owner_of(j: usize, p: usize) -> usize {
-    j % p
-}
 
 /// The single task species of the fan-in algorithm: factor owned supernode
 /// `j` (POTRF + TRSMs) and immediately compute every update it sources,
@@ -177,23 +168,20 @@ struct FiEngine {
 }
 
 impl FiEngine {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        sf: Arc<SymbolicFactor>,
+        sf: &Arc<SymbolicFactor>,
         ap: &SparseSym,
-        grid: &ProcGrid,
+        grid: ProcGrid,
         rank: usize,
-        p: usize,
         kernels: KernelEngine,
         opts: &BaselineOptions,
-        abort: Arc<AtomicBool>,
+        abort: &Arc<AtomicBool>,
     ) -> Self {
-        let store = BlockStore::init(&sf, ap, grid, rank);
+        let (sf, abort) = (Arc::clone(sf), Arc::clone(abort));
+        let p = grid.n_procs();
+        let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
         let mut rt: TaskEngine<FiKey, AggSignal> = TaskEngine::new(opts.rtq_policy, abort);
-        if opts.trace {
-            rt.tracer = Some(Tracer::new());
-        }
         // Dependency accounting.
         // deps[j] (owned j) = #own earlier supernodes contributing to j
         //                   + #remote ranks contributing to j (one aggregate
@@ -229,14 +217,10 @@ impl FiEngine {
             rt.insert_task(FiKey { j }, deps);
         }
         rt.seed_ready();
-        let fetch = FetchConfig {
-            device_enabled: kernels.gpu_enabled,
-            device_threshold: 64 * 64,
-            oom_policy: opts.oom_policy,
-            mode: FetchMode::Blocking {
-                overhead: RENDEZVOUS_OVERHEAD,
-            },
+        let mode = FetchMode::Blocking {
+            overhead: RENDEZVOUS_OVERHEAD,
         };
+        let fetch = FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, mode);
         FiEngine {
             sf,
             store,
@@ -270,29 +254,19 @@ impl FiEngine {
         }
     }
 
-    fn step(&mut self, rank: &mut Rank) -> bool {
-        self.drain_pending(rank);
-        self.comm.tick(rank);
-        let Some((id, key, ready_at)) = self.rt.pick() else {
-            self.comm.flush_all(rank);
-            return false;
-        };
-        self.rt.begin(rank, ready_at);
-        self.exec_factor(rank, key);
-        self.rt.complete(id);
-        true
-    }
-
     /// Factor supernode `j` and fan its updates in: owned targets are
     /// updated in place, remote targets accumulate into aggregation buffers
     /// shipped once the last local contribution lands.
     fn exec_factor(&mut self, rank: &mut Rank, key: FiKey) {
         let j = key.j;
         let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
-        let (_, secs) = self
-            .kernels
-            .potrf(&mut diag)
-            .expect("fan-in requires SPD input");
+        let first = self.sf.partition.first_col(j);
+        let Some(secs) =
+            sched::potrf_or_fail(&mut self.rt, &mut self.kernels, rank, &mut diag, first)
+        else {
+            self.store.put((j, j), diag);
+            return;
+        };
         self.rt.charge(rank, key, secs);
         for bb in self.sf.layout.blocks_of(j).to_vec() {
             let mut blk = self
@@ -432,6 +406,35 @@ impl FiEngine {
     }
 }
 
+impl Engine for FiEngine {
+    type Key = FiKey;
+    type Sig = AggSignal;
+
+    const STALL_DETAIL: &'static str =
+        "fan-in factorization quiesced with unfinished tasks (dropped aggregate suspected)";
+
+    fn step(&mut self, rank: &mut Rank) -> bool {
+        self.drain_pending(rank);
+        self.comm.tick(rank);
+        let Some((id, key, ready_at)) = self.rt.pick() else {
+            self.comm.flush_all(rank);
+            return false;
+        };
+        self.rt.begin(rank, ready_at);
+        self.exec_factor(rank, key);
+        self.rt.complete(id);
+        true
+    }
+
+    fn rt(&mut self) -> &mut TaskEngine<FiKey, AggSignal> {
+        &mut self.rt
+    }
+
+    fn into_factor(self) -> (BlockStore, KernelEngine) {
+        (self.store, self.kernels)
+    }
+}
+
 /// Factor and solve with the fan-in algorithm; panics on failure (see
 /// [`try_fanin_factor_and_solve`] for the fallible form).
 pub fn fanin_factor_and_solve(a: &SparseSym, b: &[f64], opts: &BaselineOptions) -> BaselineReport {
@@ -441,6 +444,7 @@ pub fn fanin_factor_and_solve(a: &SparseSym, b: &[f64], opts: &BaselineOptions) 
 /// Factor and solve with the fan-in algorithm.
 ///
 /// # Errors
+/// [`SolverError::NotPositiveDefinite`] when a pivot fails;
 /// [`SolverError::DeviceOom`] under the Abort OOM policy;
 /// [`SolverError::FetchTimeout`] / [`SolverError::Stalled`] under fault
 /// injection when the retry budget or the quiescence detector gives up.
@@ -449,144 +453,16 @@ pub fn try_fanin_factor_and_solve(
     b: &[f64],
     opts: &BaselineOptions,
 ) -> Result<BaselineReport, SolverError> {
-    assert_eq!(b.len(), a.n());
-    let sf = crate::rightlooking::baseline_symbolic(a, opts);
-    let ap = Arc::new(a.permute(sf.perm.as_slice()));
-    let bp = Arc::new(sf.perm.apply_vec(b));
-    let p = opts.n_nodes * opts.ranks_per_node;
-    let grid = ProcGrid::one_dimensional(p);
-    let mut config = PgasConfig::multi_node(opts.n_nodes, opts.ranks_per_node);
-    config.net = opts.net.clone();
-    config.device_quota = opts.device_quota;
-    config.faults = opts.faults;
-    config.deterministic = opts.deterministic;
-    let abort = Arc::new(AtomicBool::new(false));
-    let opts2 = opts.clone();
-    let report = Runtime::run(config, |rank| {
-        run_rank(rank, &sf, &ap, &bp, grid, p, &opts2, &abort)
-    });
-    build_report("fanin", a, b, &sf, report, opts.trace)
-}
-
-#[allow(clippy::too_many_arguments)] // one-shot per-rank closure body
-fn run_rank(
-    rank: &mut Rank,
-    sf: &Arc<SymbolicFactor>,
-    ap: &SparseSym,
-    bp: &[f64],
-    grid: ProcGrid,
-    p: usize,
-    opts: &BaselineOptions,
-    abort: &Arc<AtomicBool>,
-) -> RankOut {
-    let me = rank.id();
-    if opts.trace {
-        // Comm-layer spans (rget/rput/rpc/drain) for the profile.
-        rank.set_tracer(Tracer::new());
-    }
-    let mut kernels = if opts.gpu {
-        KernelEngine::new_gpu()
-    } else {
-        KernelEngine::new_cpu()
-    };
-    if let Some(t) = &opts.thresholds {
-        kernels.thresholds = t.clone();
-    }
-    let engine = FiEngine::new(
-        Arc::clone(sf),
-        ap,
-        &grid,
-        me,
-        p,
-        kernels,
-        opts,
-        Arc::clone(abort),
-    );
-    let start = rank.now();
-    let mut engine = sched::run_event_loop(
-        rank,
-        engine,
-        |rank, st: &mut FiEngine| {
-            while st.step(rank) {}
-            st.rt.finished() || rank.job_aborted()
-        },
-        |rank, st| {
-            let (done, total) = (st.rt.done_count(), st.rt.total());
-            st.rt.fail(
-                rank,
-                SolverError::Stalled {
-                    rank: rank.id(),
-                    done,
-                    total,
-                    detail: "fan-in factorization quiesced with unfinished tasks \
-                             (dropped aggregate suspected)"
-                        .into(),
-                },
-            );
-        },
-    );
-    let factor_time = rank.now() - start;
-    let aborted = engine.rt.aborted() || rank.job_aborted();
-    if !aborted {
-        engine.rt.debug_assert_completed();
-    }
-    let mut trace = engine
-        .rt
-        .tracer
-        .take()
-        .map(Tracer::into_events)
-        .unwrap_or_default();
-    let mut tasks: Vec<(String, u64)> = engine
-        .rt
-        .task_counts()
-        .iter()
-        .map(|&(k, v)| (k.to_string(), v))
-        .collect();
-    if aborted {
-        // Skip the solve collectively (sticky job-abort keeps every rank's
-        // barrier sequence aligned).
-        trace.extend(comm_events(rank));
-        return RankOut {
-            error: engine.rt.error.take(),
-            factor_time,
-            solve_time: 0.0,
-            counts: engine.kernels.counts,
-            x_pieces: Vec::new(),
-            trace,
-            tasks,
-        };
-    }
-    let solve_kernels = if opts.gpu {
-        KernelEngine::new_gpu()
-    } else {
-        KernelEngine::new_cpu()
-    };
-    let params = SolveParams {
-        policy: opts.rtq_policy,
-        msg_overhead: RENDEZVOUS_OVERHEAD,
-        trace: opts.trace,
-    };
-    let mut out = trisolve::solve(
-        rank,
-        Arc::clone(sf),
+    let grid = ProcGrid::one_dimensional(opts.n_nodes * opts.ranks_per_node);
+    run(
+        "fanin",
         grid,
-        &engine.store,
-        bp,
-        solve_kernels,
-        &params,
-    );
-    trace.extend(std::mem::take(&mut out.trace));
-    trace.extend(comm_events(rank));
-    tasks.extend(out.task_counts.iter().map(|&(k, v)| (k.to_string(), v)));
-    RankOut {
-        error: out.error.take(),
-        factor_time,
-        solve_time: out.elapsed,
-        counts: engine.kernels.counts,
-        x_pieces: out.x.into_iter().collect(),
-        trace,
-        tasks,
-    }
+        RENDEZVOUS_OVERHEAD,
+        a,
+        b,
+        opts,
+        FiEngine::new,
+    )
 }
 
 #[cfg(test)]

@@ -2,15 +2,16 @@
 //!
 //! Scheduling runs through the shared [`sympack::sched::TaskEngine`]; the
 //! baseline's character survives as *parameters* of that runtime: a
-//! per-kernel submission overhead ([`RUNTIME_TASK_OVERHEAD`]) and a
+//! per-kernel submission overhead (`RUNTIME_TASK_OVERHEAD`) and a
 //! two-sided blocking fetch with a rendezvous charge per receive
-//! ([`FetchConfig::host_two_sided`]).
+//! ([`FetchMode::Blocking`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
-use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use sympack::plan::{self, RankOut};
+use sympack::sched::{self, CommLayer, Engine, FetchConfig, FetchMode, TaskEngine, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::trisolve::{self, SolveParams};
 use sympack::{RtqPolicy, SolverError};
@@ -19,15 +20,16 @@ use sympack_gpu::{KernelEngine, OffloadThresholds, OomPolicy, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
 use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
 use sympack_pgas::{
-    FaultPlan, GlobalPtr, MemKind, NetModel, PgasConfig, Rank, RunReport, Runtime, StatsSnapshot,
+    FaultPlan, GlobalPtr, MemKind, NetModel, PgasConfig, Rank, Runtime, StatsSnapshot,
 };
 use sympack_sparse::SparseSym;
 use sympack_symbolic::{analyze, AnalyzeOptions, SymbolicFactor};
 use sympack_trace::profile::Profile;
-use sympack_trace::{TraceCat, TraceEvent, Tracer};
+use sympack_trace::{TraceCat, TraceEvent};
 
-/// Per-receive rendezvous overhead of the two-sided protocol (seconds).
-const RENDEZVOUS_OVERHEAD: f64 = 5.0e-6;
+/// Per-receive rendezvous overhead of the two-sided protocol (seconds),
+/// shared by the two 1D-mapped families.
+pub(crate) const RENDEZVOUS_OVERHEAD: f64 = 5.0e-6;
 
 /// Per-kernel submission overhead of the baseline's dynamic runtime
 /// scheduler (StarPU in the paper's PaStiX build): every task goes through
@@ -135,81 +137,89 @@ pub struct BaselineReport {
     pub profile: Option<Profile>,
 }
 
-/// What one rank reports back from a baseline run. Shared by the three
-/// baseline families (same report shape).
-pub(crate) struct RankOut {
-    pub(crate) error: Option<SolverError>,
-    pub(crate) factor_time: f64,
-    pub(crate) solve_time: f64,
-    pub(crate) counts: OpCounts,
-    pub(crate) x_pieces: Vec<(usize, Vec<f64>)>,
-    pub(crate) trace: Vec<TraceEvent>,
-    pub(crate) tasks: Vec<(String, u64)>,
-}
+/// A family's engine constructor: `(sf, ap, grid, rank, kernels, opts, abort)`.
+type EngineCtor<E> = fn(
+    &Arc<SymbolicFactor>,
+    &SparseSym,
+    ProcGrid,
+    usize,
+    KernelEngine,
+    &BaselineOptions,
+    &Arc<AtomicBool>,
+) -> E;
 
-/// Assemble the cross-rank [`BaselineReport`] from per-rank outputs,
-/// propagating the first per-rank error (rank order) if any. All three
-/// baseline families route through here, so the flight-recorder profile
-/// (critical path, wait attribution, comm matrix) is assembled in one place.
-pub(crate) fn build_report(
-    engine: &'static str,
+/// Factor and solve with one baseline family — the runner all three share.
+/// A family is its engine (`build`, called once per rank), the process
+/// `grid` it maps blocks with, the per-message rendezvous overhead
+/// (`msg_overhead`) its triangular solve pays, and the `label` of its
+/// profile. Everything after the engine's construction is the solver's one
+/// run path: [`RankOut::factor`] over the shared factor loop, the shared
+/// distributed solve, [`plan::assemble`].
+pub(crate) fn run<E: Engine>(
+    label: &'static str,
+    grid: ProcGrid,
+    msg_overhead: f64,
     a: &SparseSym,
     b: &[f64],
-    sf: &SymbolicFactor,
-    run: RunReport<RankOut>,
-    traced: bool,
+    opts: &BaselineOptions,
+    build: EngineCtor<E>,
 ) -> Result<BaselineReport, SolverError> {
-    let RunReport {
-        results: mut outs,
-        makespan,
-        final_clocks,
-        stats,
-        comm,
-        ..
-    } = run;
-    if let Some(pos) = outs.iter().position(|o| o.error.is_some()) {
-        return Err(outs.swap_remove(pos).error.expect("checked"));
+    SolverError::check_shape("rhs length", a.n(), b.len())?;
+    let sf = match &opts.symbolic {
+        Some(sf) => Arc::clone(sf),
+        None => Arc::new(analyze(
+            a,
+            &compute_ordering(a, opts.ordering),
+            &opts.analyze,
+        )),
+    };
+    let ap = a.permute(sf.perm.as_slice());
+    let bp = sf.perm.apply_vec(b);
+    let mut config = PgasConfig::multi_node(opts.n_nodes, opts.ranks_per_node);
+    config.net = opts.net.clone();
+    config.device_quota = opts.device_quota;
+    config.faults = opts.faults;
+    config.deterministic = opts.deterministic;
+    let mut kernels = if opts.gpu {
+        KernelEngine::new_gpu()
+    } else {
+        KernelEngine::new_cpu()
+    };
+    if let Some(t) = &opts.thresholds {
+        kernels.thresholds = t.clone();
     }
-    let n = a.n();
-    let mut xp = vec![0.0; n];
-    for out in &outs {
-        for (sn, piece) in &out.x_pieces {
-            let first = sf.partition.first_col(*sn);
-            xp[first..first + piece.len()].copy_from_slice(piece);
+    let abort = Arc::new(AtomicBool::new(false));
+    let report = Runtime::run(config, |rank| {
+        plan::observe(rank, opts.trace, false);
+        let engine = build(&sf, &ap, grid, rank.id(), kernels.clone(), opts, &abort);
+        let mut out = RankOut::factor(rank, engine, opts.trace, false);
+        if !out.aborted(rank) {
+            let params = SolveParams {
+                policy: opts.rtq_policy,
+                msg_overhead,
+                trace: opts.trace,
+            };
+            let sf = Arc::clone(&sf);
+            let solve = trisolve::solve(rank, sf, grid, &out.store, &bp, kernels.clone(), &params);
+            out.push_solve(solve);
         }
-    }
+        out.finish(rank, opts.trace)
+    });
+    let mut asm = plan::assemble(&sf, report, 1, false).0?;
+    let profile = opts.trace.then(|| asm.profile(label));
+    let (xp, solve_time) = asm.solves.pop().expect("the region ran one solve");
     let x = sf.perm.unapply_vec(&xp);
-    let relative_residual = a.relative_residual(&x, b);
-    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-    for out in &outs {
-        for (k, v) in &out.tasks {
-            *totals.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-    let factor_time = outs.iter().map(|o| o.factor_time).fold(0.0, f64::max);
-    let solve_time = outs.iter().map(|o| o.solve_time).fold(0.0, f64::max);
-    let op_counts: Vec<OpCounts> = outs.iter().map(|o| o.counts).collect();
-    let trace: Vec<TraceEvent> = outs.into_iter().flat_map(|o| o.trace).collect();
-    let profile =
-        traced.then(|| Profile::build(engine, &trace, makespan, final_clocks.len(), comm));
     Ok(BaselineReport {
+        relative_residual: a.relative_residual(&x, b),
         x,
-        relative_residual,
-        factor_time,
+        factor_time: asm.factor.factor_time,
         solve_time,
-        op_counts,
-        stats,
-        trace,
-        task_counts: totals.into_iter().collect(),
+        op_counts: asm.factor.op_counts,
+        stats: asm.factor.stats,
+        trace: asm.factor.trace,
+        task_counts: asm.task_counts,
         profile,
     })
-}
-
-/// Drain the rank-level comm tracer (empty when tracing is off).
-pub(crate) fn comm_events(rank: &mut Rank) -> Vec<TraceEvent> {
-    rank.take_tracer()
-        .map(Tracer::into_events)
-        .unwrap_or_default()
 }
 
 /// The two task species of the panel-granular right-looking algorithm.
@@ -278,7 +288,8 @@ struct Panel {
     blocks: Vec<Mat>,
 }
 
-fn owner_of(j: usize, p: usize) -> usize {
+/// 1D supernode-cyclic owner of supernode `j` (both 1D-mapped families).
+pub(crate) fn owner_of(j: usize, p: usize) -> usize {
     j % p
 }
 
@@ -328,24 +339,21 @@ struct RlEngine {
 }
 
 impl RlEngine {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        sf: Arc<SymbolicFactor>,
+        sf: &Arc<SymbolicFactor>,
         ap: &SparseSym,
-        grid: &ProcGrid,
+        grid: ProcGrid,
         rank: usize,
-        p: usize,
         kernels: KernelEngine,
         opts: &BaselineOptions,
-        abort: Arc<AtomicBool>,
+        abort: &Arc<AtomicBool>,
     ) -> Self {
-        let store = BlockStore::init(&sf, ap, grid, rank);
+        let (sf, abort) = (Arc::clone(sf), Arc::clone(abort));
+        let p = grid.n_procs();
+        let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
         let mut rt: TaskEngine<RlKey, PanelSignal> = TaskEngine::new(opts.rtq_policy, abort);
         rt.set_task_overhead(RUNTIME_TASK_OVERHEAD);
-        if opts.trace {
-            rt.tracer = Some(Tracer::new());
-        }
         // Incoming panel counts per owned supernode, and one apply task per
         // panel this rank must process.
         let mut incoming: HashMap<usize, usize> = HashMap::new();
@@ -368,14 +376,10 @@ impl RlEngine {
             rt.insert_task(RlKey::Factor { j }, deps);
         }
         rt.seed_ready();
-        let fetch = FetchConfig {
-            device_enabled: kernels.gpu_enabled,
-            device_threshold: 64 * 64,
-            oom_policy: opts.oom_policy,
-            mode: FetchMode::Blocking {
-                overhead: RENDEZVOUS_OVERHEAD,
-            },
+        let mode = FetchMode::Blocking {
+            overhead: RENDEZVOUS_OVERHEAD,
         };
+        let fetch = FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, mode);
         RlEngine {
             sf,
             store,
@@ -406,31 +410,18 @@ impl RlEngine {
         }
     }
 
-    fn step(&mut self, rank: &mut Rank) -> bool {
-        self.drain_pending(rank);
-        self.comm.tick(rank);
-        let Some((id, key, ready_at)) = self.rt.pick() else {
-            self.comm.flush_all(rank);
-            return false;
-        };
-        self.rt.begin(rank, ready_at);
-        match key {
-            RlKey::Factor { j } => self.exec_factor(rank, j),
-            RlKey::Apply { j } => self.exec_apply(rank, j),
-        }
-        self.rt.complete(id);
-        true
-    }
-
     /// POTRF + TRSMs of supernode `j`, then broadcast the whole panel to
     /// every rank owning a target (self included, without communication).
     fn exec_factor(&mut self, rank: &mut Rank, j: usize) {
         let key = RlKey::Factor { j };
         let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
-        let (_, secs) = self
-            .kernels
-            .potrf(&mut diag)
-            .expect("baseline requires SPD input");
+        let first = self.sf.partition.first_col(j);
+        let Some(secs) =
+            sched::potrf_or_fail(&mut self.rt, &mut self.kernels, rank, &mut diag, first)
+        else {
+            self.store.put((j, j), diag);
+            return;
+        };
         self.rt.charge(rank, key, secs);
         for bb in self.sf.layout.blocks_of(j).to_vec() {
             let mut blk = self
@@ -548,6 +539,38 @@ impl RlEngine {
     }
 }
 
+impl Engine for RlEngine {
+    type Key = RlKey;
+    type Sig = PanelSignal;
+
+    const STALL_DETAIL: &'static str = "right-looking factorization quiesced with unfinished \
+                                        tasks (dropped panel broadcast suspected)";
+
+    fn step(&mut self, rank: &mut Rank) -> bool {
+        self.drain_pending(rank);
+        self.comm.tick(rank);
+        let Some((id, key, ready_at)) = self.rt.pick() else {
+            self.comm.flush_all(rank);
+            return false;
+        };
+        self.rt.begin(rank, ready_at);
+        match key {
+            RlKey::Factor { j } => self.exec_factor(rank, j),
+            RlKey::Apply { j } => self.exec_apply(rank, j),
+        }
+        self.rt.complete(id);
+        true
+    }
+
+    fn rt(&mut self) -> &mut TaskEngine<RlKey, PanelSignal> {
+        &mut self.rt
+    }
+
+    fn into_factor(self) -> (BlockStore, KernelEngine) {
+        (self.store, self.kernels)
+    }
+}
+
 /// Factor and solve with the right-looking baseline; panics on failure
 /// (see [`try_baseline_factor_and_solve`] for the fallible form).
 pub fn baseline_factor_and_solve(
@@ -558,22 +581,10 @@ pub fn baseline_factor_and_solve(
     try_baseline_factor_and_solve(a, b, opts).expect("baseline factorization failed")
 }
 
-/// The symbolic factor a baseline run works from: the caller-provided
-/// shared one ([`BaselineOptions::symbolic`], the plan-cache hit path) or a
-/// fresh ordering + analysis.
-pub(crate) fn baseline_symbolic(a: &SparseSym, opts: &BaselineOptions) -> Arc<SymbolicFactor> {
-    match &opts.symbolic {
-        Some(sf) => Arc::clone(sf),
-        None => {
-            let ordering = compute_ordering(a, opts.ordering);
-            Arc::new(analyze(a, &ordering, &opts.analyze))
-        }
-    }
-}
-
 /// Factor and solve with the right-looking baseline.
 ///
 /// # Errors
+/// [`SolverError::NotPositiveDefinite`] when a pivot fails;
 /// [`SolverError::DeviceOom`] under the Abort OOM policy;
 /// [`SolverError::FetchTimeout`] / [`SolverError::Stalled`] under fault
 /// injection when the retry budget or the quiescence detector gives up.
@@ -582,146 +593,17 @@ pub fn try_baseline_factor_and_solve(
     b: &[f64],
     opts: &BaselineOptions,
 ) -> Result<BaselineReport, SolverError> {
-    assert_eq!(b.len(), a.n());
-    let sf = baseline_symbolic(a, opts);
-    let ap = Arc::new(a.permute(sf.perm.as_slice()));
-    let bp = Arc::new(sf.perm.apply_vec(b));
-    let p = opts.n_nodes * opts.ranks_per_node;
-    let grid = ProcGrid::one_dimensional(p);
-    let mut config = PgasConfig::multi_node(opts.n_nodes, opts.ranks_per_node);
-    config.net = opts.net.clone();
-    config.device_quota = opts.device_quota;
-    config.faults = opts.faults;
-    config.deterministic = opts.deterministic;
-    let abort = Arc::new(AtomicBool::new(false));
-    let opts2 = opts.clone();
-    let report = Runtime::run(config, |rank| {
-        run_rank(rank, &sf, &ap, &bp, grid, p, &opts2, &abort)
-    });
-    build_report("rightlooking", a, b, &sf, report, opts.trace)
-}
-
-#[allow(clippy::too_many_arguments)] // one-shot per-rank closure body
-fn run_rank(
-    rank: &mut Rank,
-    sf: &Arc<SymbolicFactor>,
-    ap: &SparseSym,
-    bp: &[f64],
-    grid: ProcGrid,
-    p: usize,
-    opts: &BaselineOptions,
-    abort: &Arc<AtomicBool>,
-) -> RankOut {
-    let me = rank.id();
-    if opts.trace {
-        // Comm-layer spans (rget/rput/rpc/drain) for the profile.
-        rank.set_tracer(Tracer::new());
-    }
-    let mut kernels = if opts.gpu {
-        KernelEngine::new_gpu()
-    } else {
-        KernelEngine::new_cpu()
-    };
-    if let Some(t) = &opts.thresholds {
-        kernels.thresholds = t.clone();
-    }
-    let engine = RlEngine::new(
-        Arc::clone(sf),
-        ap,
-        &grid,
-        me,
-        p,
-        kernels,
-        opts,
-        Arc::clone(abort),
-    );
-    let start = rank.now();
-    let mut engine = sched::run_event_loop(
-        rank,
-        engine,
-        |rank, st: &mut RlEngine| {
-            while st.step(rank) {}
-            st.rt.finished() || rank.job_aborted()
-        },
-        |rank, st| {
-            let (done, total) = (st.rt.done_count(), st.rt.total());
-            st.rt.fail(
-                rank,
-                SolverError::Stalled {
-                    rank: rank.id(),
-                    done,
-                    total,
-                    detail: "right-looking factorization quiesced with unfinished tasks \
-                             (dropped panel broadcast suspected)"
-                        .into(),
-                },
-            );
-        },
-    );
-    let factor_time = rank.now() - start;
-    let aborted = engine.rt.aborted() || rank.job_aborted();
-    if !aborted {
-        engine.rt.debug_assert_completed();
-    }
-    let mut trace = engine
-        .rt
-        .tracer
-        .take()
-        .map(Tracer::into_events)
-        .unwrap_or_default();
-    let mut tasks: Vec<(String, u64)> = engine
-        .rt
-        .task_counts()
-        .iter()
-        .map(|&(k, v)| (k.to_string(), v))
-        .collect();
-    if aborted {
-        // Skip the solve collectively: the sticky job-abort flag makes every
-        // rank take this early return, keeping the barriers aligned.
-        trace.extend(comm_events(rank));
-        return RankOut {
-            error: engine.rt.error.take(),
-            factor_time,
-            solve_time: 0.0,
-            counts: engine.kernels.counts,
-            x_pieces: Vec::new(),
-            trace,
-            tasks,
-        };
-    }
-    // Solve with the shared distributed algorithm, 1D grid + rendezvous
-    // overhead per message.
-    let solve_kernels = if opts.gpu {
-        KernelEngine::new_gpu()
-    } else {
-        KernelEngine::new_cpu()
-    };
-    let params = SolveParams {
-        policy: opts.rtq_policy,
-        msg_overhead: RENDEZVOUS_OVERHEAD,
-        trace: opts.trace,
-    };
-    let mut out = trisolve::solve(
-        rank,
-        Arc::clone(sf),
+    // 1D grid + a rendezvous per solve message.
+    let grid = ProcGrid::one_dimensional(opts.n_nodes * opts.ranks_per_node);
+    run(
+        "rightlooking",
         grid,
-        &engine.store,
-        bp,
-        solve_kernels,
-        &params,
-    );
-    trace.extend(std::mem::take(&mut out.trace));
-    trace.extend(comm_events(rank));
-    tasks.extend(out.task_counts.iter().map(|&(k, v)| (k.to_string(), v)));
-    RankOut {
-        error: out.error.take(),
-        factor_time,
-        solve_time: out.elapsed,
-        counts: engine.kernels.counts,
-        x_pieces: out.x.into_iter().collect(),
-        trace,
-        tasks,
-    }
+        RENDEZVOUS_OVERHEAD,
+        a,
+        b,
+        opts,
+        RlEngine::new,
+    )
 }
 
 #[cfg(test)]

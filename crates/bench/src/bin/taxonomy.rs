@@ -1,6 +1,6 @@
 //! Communication-family comparison (paper §2.3, Ashcraft's taxonomy):
 //! fan-out (symPACK, 2D block-cyclic), fan-both (computation maps, 2D —
-//! the original symPACK algorithm of the paper's ref. [15]), fan-in
+//! the original symPACK algorithm of the paper's ref. \[15\]), fan-in
 //! aggregates (1D) and the right-looking panel broadcast (PaStiX-like,
 //! 1D), on the same problem.
 //!

@@ -1,17 +1,15 @@
 //! High-level driver: analysis → distributed factorization → solve.
 
-use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
-use crate::plan::{make_kernels, SolvePlan};
+use crate::plan::{factor_numeric, launch, SolvePlan};
 use crate::taskgraph::RtqPolicy;
 use crate::trisolve;
 use crate::SolverError;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack_gpu::{OffloadThresholds, OomPolicy, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
 use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
-use sympack_pgas::{NetModel, Runtime, StatsSnapshot};
+use sympack_pgas::{NetModel, StatsSnapshot};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::{analyze, AnalyzeOptions, SymbolicFactor};
 
@@ -74,8 +72,9 @@ pub struct SolverOptions {
     /// scheduler's per-task cost estimates). The default reproduces the
     /// historical compile-time constants bit-for-bit; load a calibrated
     /// config from `sympack-tune` to adapt blocking to the host machine.
-    /// Validated when the kernel engine is built — an invalid config
-    /// panics at plan/driver construction, before any numeric work.
+    /// Checked by [`SolverOptions::validate`]: an invalid config is a
+    /// [`SolverError::InvalidOptions`] from every solver entry point,
+    /// before any rank thread or numeric work exists.
     pub kernel_config: sympack_dense::KernelConfig,
     /// Block-publication wire pattern for the fan-out factorization:
     /// [`BcastTopology::Flat`] (owner signals every consumer, the
@@ -94,7 +93,7 @@ pub struct SolverOptions {
     /// factored form is smaller — stored, published, and consumed as
     /// `U·Vᵀ`. The default (`tol = 0`) disables compression entirely;
     /// dense-mode schedules and factors are bit-identical to pre-BLR
-    /// builds. Validated when the kernel engine is built.
+    /// builds. Checked by [`SolverOptions::validate`].
     pub blr: sympack_dense::BlrConfig,
 }
 
@@ -123,6 +122,36 @@ impl Default for SolverOptions {
             coalesce: None,
             blr: sympack_dense::BlrConfig::default(),
         }
+    }
+}
+
+impl SolverOptions {
+    /// Check the options every distributed phase would otherwise trip over
+    /// inside a rank thread (where a panic strands the other ranks): at
+    /// least one rank, an explicit grid that covers exactly
+    /// `n_nodes × ranks_per_node` ranks, a valid dense-kernel config and a
+    /// valid BLR config. Called by every solver entry point before a plan
+    /// is built or a rank is spawned.
+    ///
+    /// # Errors
+    /// [`SolverError::InvalidOptions`] naming the offending field.
+    pub fn validate(&self) -> Result<(), SolverError> {
+        let invalid = |field, detail| Err(SolverError::InvalidOptions { field, detail });
+        let p = self.n_nodes * self.ranks_per_node;
+        if p == 0 {
+            return invalid("n_nodes × ranks_per_node", "no ranks".to_string());
+        }
+        if let Some(g) = self.grid.filter(|g| g.n_procs() != p) {
+            let detail = format!("a {}×{} grid cannot hold {p} ranks", g.pr(), g.pc());
+            return invalid("grid", detail);
+        }
+        if let Err(e) = self.kernel_config.validate() {
+            return invalid("kernel_config", e.to_string());
+        }
+        if let Err(e) = self.blr.validate() {
+            return invalid("blr", e.to_string());
+        }
+        Ok(())
     }
 }
 
@@ -161,48 +190,6 @@ pub struct SolveReport {
     pub task_counts: Vec<(String, u64)>,
     /// Assembled flight-recorder profile (None unless `SolverOptions::trace`).
     pub profile: Option<sympack_trace::profile::Profile>,
-}
-
-/// The pieces of `x` a rank owns after one triangular solve.
-type XPieces = Vec<(usize, Vec<f64>)>;
-
-/// Drain the rank-level comm tracer (empty when tracing is off).
-fn comm_events(rank: &mut sympack_pgas::Rank) -> Vec<sympack_trace::TraceEvent> {
-    rank.take_tracer()
-        .map(sympack_trace::Tracer::into_events)
-        .unwrap_or_default()
-}
-
-/// What one rank hands back to the driver.
-struct RankOut {
-    error: Option<SolverError>,
-    factor_time: f64,
-    /// One entry per right-hand side: (solve makespan, owned x pieces).
-    solves: Vec<(f64, XPieces)>,
-    counts: OpCounts,
-    publish: crate::engine::PublishStats,
-    blr: sympack_gpu::BlrCounters,
-    /// Bytes of this rank's retained factor blocks (stored size).
-    factor_bytes: u64,
-    trace: Vec<sympack_trace::TraceEvent>,
-    /// Executed scheduler tasks per kind (factorization + first solve).
-    tasks: Vec<(String, u64)>,
-    /// This rank's telemetry snapshot (None unless `SolverOptions::telemetry`).
-    telemetry: Option<sympack_trace::telemetry::TelemetrySnapshot>,
-    /// Health events this rank's watchdog raised.
-    health: Vec<sympack_trace::health::HealthEvent>,
-}
-
-/// Outcome of factorization without a solve (used by benches that time the
-/// phases separately).
-#[derive(Debug)]
-pub struct FactorizeOutcome {
-    /// Virtual factorization makespan.
-    pub factor_time: f64,
-    /// Per-rank op counts.
-    pub op_counts: Vec<OpCounts>,
-    /// Communication counters.
-    pub stats: StatsSnapshot,
 }
 
 /// Result of a factor-once / solve-many run.
@@ -271,6 +258,8 @@ impl SymPack {
     /// Analyze, factor and solve `A·x = b`.
     ///
     /// # Errors
+    /// [`SolverError::InvalidOptions`] / [`SolverError::ShapeMismatch`] for
+    /// options or a right-hand side the solver cannot run with;
     /// [`SolverError::NotPositiveDefinite`] when a pivot fails;
     /// [`SolverError::DeviceOom`] under the Abort OOM policy.
     pub fn try_factor_and_solve(
@@ -278,40 +267,23 @@ impl SymPack {
         b: &[f64],
         opts: &SolverOptions,
     ) -> Result<SolveReport, SolverError> {
-        let multi = Self::try_factor_and_solve_multi(a, std::slice::from_ref(&b.to_vec()), opts)?;
-        let MultiSolveReport {
-            mut xs,
-            mut relative_residuals,
-            factor_time,
-            mut solve_times,
-            op_counts,
-            publish,
-            blr_counts,
-            factor_bytes,
-            stats,
-            l_nnz,
-            flops,
-            n_supernodes,
-            trace,
-            task_counts,
-            profile,
-        } = multi;
+        let mut m = Self::try_factor_and_solve_multi(a, std::slice::from_ref(&b.to_vec()), opts)?;
         Ok(SolveReport {
-            x: xs.pop().expect("one rhs"),
-            relative_residual: relative_residuals.pop().expect("one rhs"),
-            factor_time,
-            solve_time: solve_times.pop().expect("one rhs"),
-            op_counts,
-            publish,
-            blr_counts,
-            factor_bytes,
-            stats,
-            l_nnz,
-            flops,
-            n_supernodes,
-            trace,
-            task_counts,
-            profile,
+            x: m.xs.pop().expect("one rhs"),
+            relative_residual: m.relative_residuals.pop().expect("one rhs"),
+            factor_time: m.factor_time,
+            solve_time: m.solve_times.pop().expect("one rhs"),
+            op_counts: m.op_counts,
+            publish: m.publish,
+            blr_counts: m.blr_counts,
+            factor_bytes: m.factor_bytes,
+            stats: m.stats,
+            l_nnz: m.l_nnz,
+            flops: m.flops,
+            n_supernodes: m.n_supernodes,
+            trace: m.trace,
+            task_counts: m.task_counts,
+            profile: m.profile,
         })
     }
 
@@ -333,9 +305,15 @@ impl SymPack {
     /// returns the merged [`sympack_trace::telemetry::TelemetryReport`]
     /// (per-rank instrument snapshots + watchdog health events) alongside
     /// the solve result. The report is `Some` whenever
-    /// [`SolverOptions::telemetry`] is set — *including* when the run
-    /// itself failed, which is exactly when a stalled rank's health events
-    /// matter most.
+    /// [`SolverOptions::telemetry`] is set and the run started —
+    /// *including* when the run itself failed, which is exactly when a
+    /// stalled rank's health events matter most.
+    ///
+    /// Factorization and every solve run in **one** SPMD region (one
+    /// launch, the ranks' virtual clocks running on from factor to solve);
+    /// the per-rank bodies are the plan layer's, shared with
+    /// [`crate::plan::factor_numeric`] and
+    /// [`crate::plan::solve_panel_distributed`].
     pub fn try_factor_and_solve_observed(
         a: &SparseSym,
         bs: &[Vec<f64>],
@@ -344,307 +322,107 @@ impl SymPack {
         Result<MultiSolveReport, SolverError>,
         Option<sympack_trace::telemetry::TelemetryReport>,
     ) {
-        assert!(!bs.is_empty(), "need at least one right-hand side");
-        for b in bs {
-            assert_eq!(b.len(), a.n(), "rhs length must match the matrix order");
+        fn check(a: &SparseSym, bs: &[Vec<f64>], opts: &SolverOptions) -> Result<(), SolverError> {
+            opts.validate()?;
+            SolverError::check_shape("right-hand sides (at least)", 1, bs.len().min(1))?;
+            bs.iter()
+                .try_for_each(|b| SolverError::check_shape("rhs length", a.n(), b.len()))
+        }
+        if let Err(e) = check(a, bs, opts) {
+            return (Err(e), None);
         }
         let plan = SolvePlan::new(a, opts);
-        let sf = Arc::clone(plan.sf());
-        let ap = Arc::new(plan.permute(a));
-        let bps: Arc<Vec<Vec<f64>>> = Arc::new(bs.iter().map(|b| sf.perm.apply_vec(b)).collect());
-        let grid = plan.grid();
-        let config = plan.pgas_config();
-        let abort = Arc::new(AtomicBool::new(false));
-        let opts2 = opts.clone();
-        let report = Runtime::run(config, |rank| {
-            let kernels = make_kernels(&opts2);
-            let mut engine = FactoEngine::new(
-                Arc::clone(&sf),
-                &ap,
-                grid,
-                rank.id(),
-                kernels,
-                opts2.rtq_policy,
-                opts2.oom_policy,
-                Arc::clone(&abort),
-                opts2.bcast,
-                opts2.coalesce,
-                Arc::clone(&plan.symbolic.tasks[rank.id()]),
-            );
-            if opts2.trace {
-                engine.rt.tracer = Some(sympack_trace::Tracer::new());
-                // Comm-layer spans (rget/rput/rpc/drain) for the profile.
-                rank.set_tracer(sympack_trace::Tracer::new());
-            }
-            if opts2.telemetry {
-                // Scheduler instruments sample on the virtual clock after
-                // every charged task; the watchdog rides the rank so it
-                // also sees the solve phase's idle polls.
-                engine.rt.telemetry = Some(Box::new(
-                    sympack_trace::telemetry::SchedTelemetry::new(rank.id()),
-                ));
-                rank.set_watchdog(sympack_trace::health::Watchdog::new(
-                    sympack_trace::health::WatchRules::default(),
-                ));
-            }
-            let (mut engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
-            let tel_snapshot = engine.rt.telemetry.take().map(|t| t.snapshot());
-            let trace_events = engine
-                .rt
-                .tracer
-                .take()
-                .map(sympack_trace::Tracer::into_events)
-                .unwrap_or_default();
-            let facto_tasks: Vec<(String, u64)> = engine
-                .rt
-                .task_counts()
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v))
-                .collect();
-            if let Some(err) = engine.rt.error.take() {
-                let mut trace = trace_events;
-                trace.extend(comm_events(rank));
-                let health = rank
-                    .take_watchdog()
-                    .map(sympack_trace::health::Watchdog::into_events)
-                    .unwrap_or_default();
-                if opts2.trace {
-                    trace.extend(health.iter().map(|h| h.to_trace_event(rank.id())));
-                }
-                return RankOut {
-                    error: Some(err),
-                    factor_time,
-                    solves: Vec::new(),
-                    counts: engine.kernels.counts,
-                    publish: engine.publish,
-                    blr: engine.kernels.blr_counts,
-                    factor_bytes: engine.store.iter().map(|(_, b)| b.bytes()).sum(),
-                    trace,
-                    tasks: facto_tasks,
-                    telemetry: tel_snapshot,
-                    health,
-                };
-            }
-            if abort.load(std::sync::atomic::Ordering::SeqCst) {
-                // Another rank failed; it carries the error.
-                let mut trace = trace_events;
-                trace.extend(comm_events(rank));
-                let health = rank
-                    .take_watchdog()
-                    .map(sympack_trace::health::Watchdog::into_events)
-                    .unwrap_or_default();
-                if opts2.trace {
-                    trace.extend(health.iter().map(|h| h.to_trace_event(rank.id())));
-                }
-                return RankOut {
-                    error: None,
-                    factor_time,
-                    solves: Vec::new(),
-                    counts: engine.kernels.counts,
-                    publish: engine.publish,
-                    blr: engine.kernels.blr_counts,
-                    factor_bytes: engine.store.iter().map(|(_, b)| b.bytes()).sum(),
-                    trace,
-                    tasks: facto_tasks,
-                    telemetry: tel_snapshot,
-                    health,
-                };
-            }
-            let mut solves = Vec::with_capacity(bps.len());
-            let mut solve_trace: Vec<sympack_trace::TraceEvent> = Vec::new();
-            let mut solve_tasks: Vec<(String, u64)> = Vec::new();
-            let mut solve_error: Option<SolverError> = None;
-            for bp in bps.iter() {
-                let solve_kernels = make_kernels(&opts2);
-                let params = trisolve::SolveParams {
-                    policy: opts2.rtq_policy,
-                    msg_overhead: 0.0,
-                    trace: opts2.trace && solve_trace.is_empty(),
-                };
-                let mut out = trisolve::solve(
-                    rank,
-                    Arc::clone(&sf),
-                    grid,
-                    &engine.store,
-                    bp,
-                    solve_kernels,
-                    &params,
-                );
-                solve_trace.extend(std::mem::take(&mut out.trace));
-                if solve_tasks.is_empty() {
-                    solve_tasks = out
-                        .task_counts
-                        .iter()
-                        .map(|&(k, v)| (k.to_string(), v))
-                        .collect();
-                }
-                solve_error = out.error.take();
-                let (mut x_map, mut solve_time) = (out.x, out.elapsed);
-                // A diagnosed solve stall aborts the job; every rank breaks
-                // out of the per-rhs loop together (the solve itself is
-                // collective, so the break points stay aligned).
-                if solve_error.is_some() || rank.job_aborted() {
-                    solves.push((solve_time, x_map.into_iter().collect()));
+        let sf = plan.sf();
+        let ap = plan.permute(a);
+        let bps: Vec<Vec<f64>> = bs.iter().map(|b| sf.perm.apply_vec(b)).collect();
+        let (run, telemetry) = launch(&plan, 1, |rank, ctx| {
+            let mut out = ctx.factor_rank(rank, &ap);
+            for bp in &bps {
+                // A failure anywhere (factorization, an earlier solve) ends
+                // the region on every rank together: the solves are
+                // collective, so the exits stay aligned.
+                if out.aborted(rank) {
                     break;
                 }
-                for _ in 0..opts2.refine_steps {
+                // Only the first solve's tasks are traced.
+                let trace = opts.trace && out.solves.is_empty();
+                let mut s = ctx.solve_rank(rank, &out.store, bp, 1, trace);
+                for _ in 0..opts.refine_steps {
+                    if s.error.is_some() || rank.job_aborted() {
+                        break;
+                    }
                     // Gather the permuted iterate, form r = b - A·x, solve
                     // the correction and add it in — classical iterative
                     // refinement using the same distributed solve.
                     let t0 = rank.now();
-                    let xp = trisolve::allgather_solution(rank, &sf, &x_map);
+                    let xp = trisolve::allgather_solution(rank, sf, &s.x);
                     let ax = ap.spmv(&xp);
                     let rp: Vec<f64> = bp.iter().zip(&ax).map(|(b, a)| b - a).collect();
                     // Charge the residual SpMV (2 flops per stored entry,
                     // both triangles) to the local clock.
                     rank.advance(2.0 * ap.nnz_full() as f64 / 4.0e9);
-                    let refine_kernels = make_kernels(&opts2);
-                    let refine_params = trisolve::SolveParams {
-                        policy: opts2.rtq_policy,
-                        ..Default::default()
-                    };
-                    let dout = trisolve::solve(
-                        rank,
-                        Arc::clone(&sf),
-                        grid,
-                        &engine.store,
-                        &rp,
-                        refine_kernels,
-                        &refine_params,
-                    );
-                    let (d_map, dt) = (dout.x, dout.elapsed);
-                    for (sn, dx) in d_map {
-                        let x = x_map.get_mut(&sn).expect("same ownership");
+                    let d = ctx.solve_rank(rank, &out.store, &rp, 1, false);
+                    for (sn, dx) in d.x {
+                        let x = s.x.get_mut(&sn).expect("same ownership");
                         for (xi, di) in x.iter_mut().zip(dx) {
                             *xi += di;
                         }
                     }
-                    solve_time += dt + (rank.now() - t0 - dt).max(0.0);
+                    s.elapsed += d.elapsed + (rank.now() - t0 - d.elapsed).max(0.0);
+                    s.error = d.error;
                 }
-                solves.push((solve_time, x_map.into_iter().collect()));
+                out.push_solve(s);
             }
-            let mut trace = trace_events;
-            trace.extend(solve_trace);
-            trace.extend(comm_events(rank));
-            let health = rank
-                .take_watchdog()
-                .map(sympack_trace::health::Watchdog::into_events)
-                .unwrap_or_default();
-            if opts2.trace {
-                trace.extend(health.iter().map(|h| h.to_trace_event(rank.id())));
-            }
-            let mut tasks = facto_tasks;
-            tasks.extend(solve_tasks);
-            RankOut {
-                error: solve_error,
-                factor_time,
-                solves,
-                counts: engine.kernels.counts,
-                publish: engine.publish,
-                blr: engine.kernels.blr_counts,
-                factor_bytes: engine.store.iter().map(|(_, b)| b.bytes()).sum(),
-                trace,
-                tasks,
-                telemetry: tel_snapshot,
-                health,
-            }
+            out
         });
-        // Assemble the telemetry report before the error check so a stalled
-        // or aborted run still surfaces its snapshots and health events.
-        let mut outs = report.results;
-        let telemetry_report = opts.telemetry.then(|| {
-            let snaps: Vec<_> = outs.iter_mut().filter_map(|o| o.telemetry.take()).collect();
-            let health = outs
-                .iter_mut()
-                .flat_map(|o| std::mem::take(&mut o.health))
-                .collect::<Vec<_>>();
-            sympack_trace::telemetry::TelemetryReport::from_ranks(snaps, health)
-        });
-        // Propagate the first error (rank order) if any.
-        if let Some(pos) = outs.iter().position(|o| o.error.is_some()) {
-            return (
-                Err(outs.swap_remove(pos).error.expect("checked")),
-                telemetry_report,
-            );
-        }
-        // Assemble each permuted solution from the per-rank pieces.
-        let n = a.n();
-        let mut xs = Vec::with_capacity(bs.len());
-        let mut relative_residuals = Vec::with_capacity(bs.len());
-        let mut solve_times = Vec::with_capacity(bs.len());
-        for (k, b) in bs.iter().enumerate() {
-            let mut xp = vec![0.0; n];
-            for out in &outs {
-                for (sn, piece) in &out.solves[k].1 {
-                    let first = sf.partition.first_col(*sn);
-                    xp[first..first + piece.len()].copy_from_slice(piece);
-                }
-            }
-            let x = sf.perm.unapply_vec(&xp);
-            relative_residuals.push(a.relative_residual(&x, b));
-            xs.push(x);
-            solve_times.push(outs.iter().map(|o| o.solves[k].0).fold(0.0, f64::max));
-        }
-        let trace = sympack_trace::merge(
-            outs.iter_mut()
-                .map(|o| std::mem::take(&mut o.trace))
-                .collect(),
-        );
-        // Sum per-kind task counts over ranks.
-        let mut by_kind: std::collections::BTreeMap<String, u64> =
-            std::collections::BTreeMap::new();
-        for out in &outs {
-            for (k, v) in &out.tasks {
-                *by_kind.entry(k.clone()).or_insert(0) += v;
-            }
-        }
-        let mut profile = opts.trace.then(|| {
-            sympack_trace::profile::Profile::build(
-                "fanout",
-                &trace,
-                report.makespan,
-                report.final_clocks.len(),
-                report.comm,
-            )
-        });
-        // Attach per-rank publication accounting only for compressed runs,
-        // so dense-mode profile documents keep their pre-BLR byte layout.
-        if let Some(p) = profile.as_mut() {
-            if opts.blr.enabled() {
-                p.blr = outs
+        let report = run.map(|asm| {
+            let mut profile = opts.trace.then(|| asm.profile("fanout"));
+            let (f, solves, task_counts) = (asm.factor, asm.solves, asm.task_counts);
+            // Attach per-rank publication accounting only for compressed
+            // runs, so dense-mode profile documents keep their pre-BLR byte
+            // layout.
+            if let Some(p) = profile.as_mut().filter(|_| opts.blr.enabled()) {
+                p.blr = f
+                    .publish
                     .iter()
                     .enumerate()
                     .map(|(rank, o)| sympack_trace::profile::BlrRank {
                         rank,
-                        dense_bytes: o.publish.dense_bytes,
-                        lr_bytes: o.publish.lr_bytes,
-                        lr_dense_equiv_bytes: o.publish.lr_dense_equiv_bytes,
-                        dense_blocks: o.publish.dense_blocks,
-                        lr_blocks: o.publish.lr_blocks,
+                        dense_bytes: o.dense_bytes,
+                        lr_bytes: o.lr_bytes,
+                        lr_dense_equiv_bytes: o.lr_dense_equiv_bytes,
+                        dense_blocks: o.dense_blocks,
+                        lr_blocks: o.lr_blocks,
                     })
                     .collect();
             }
-        }
-        (
-            Ok(MultiSolveReport {
+            let xs: Vec<Vec<f64>> = solves
+                .iter()
+                .map(|(xp, _)| sf.perm.unapply_vec(xp))
+                .collect();
+            MultiSolveReport {
+                relative_residuals: xs
+                    .iter()
+                    .zip(bs)
+                    .map(|(x, b)| a.relative_residual(x, b))
+                    .collect(),
                 xs,
-                relative_residuals,
-                factor_time: outs.iter().map(|o| o.factor_time).fold(0.0, f64::max),
-                solve_times,
-                op_counts: outs.iter().map(|o| o.counts).collect(),
-                publish: outs.iter().map(|o| o.publish).collect(),
-                blr_counts: outs.iter().map(|o| o.blr).collect(),
-                factor_bytes: outs.iter().map(|o| o.factor_bytes).sum(),
-                stats: report.stats,
+                factor_bytes: f.factor_bytes(),
+                factor_time: f.factor_time,
+                solve_times: solves.iter().map(|&(_, t)| t).collect(),
+                op_counts: f.op_counts,
+                publish: f.publish,
+                blr_counts: f.blr_counts,
+                stats: f.stats,
                 l_nnz: sf.l_nnz,
                 flops: sf.flops,
                 n_supernodes: sf.n_supernodes(),
-                trace,
-                task_counts: by_kind.into_iter().collect(),
+                trace: f.trace,
+                task_counts,
                 profile,
-            }),
-            telemetry_report,
-        )
+            }
+        });
+        (report, telemetry)
     }
 
     /// Factor `A` and gather the distributed factor into one sparse matrix.
@@ -655,76 +433,41 @@ impl SymPack {
         a: &SparseSym,
         opts: &SolverOptions,
     ) -> Result<GatheredFactor, SolverError> {
+        opts.validate()?;
         let plan = SolvePlan::new(a, opts);
-        let sf = Arc::clone(plan.sf());
-        let ap = Arc::new(plan.permute(a));
-        let grid = plan.grid();
-        let config = plan.pgas_config();
-        let abort = Arc::new(AtomicBool::new(false));
-        let opts2 = opts.clone();
-        type BlockDump = Vec<((usize, usize), usize, usize, Vec<f64>)>;
-        let report = Runtime::run(config, |rank| -> (Option<SolverError>, f64, BlockDump) {
-            let kernels = make_kernels(&opts2);
-            let engine = FactoEngine::new(
-                Arc::clone(&sf),
-                &ap,
-                grid,
-                rank.id(),
-                kernels,
-                opts2.rtq_policy,
-                opts2.oom_policy,
-                Arc::clone(&abort),
-                opts2.bcast,
-                opts2.coalesce,
-                Arc::clone(&plan.symbolic.tasks[rank.id()]),
-            );
-            let (engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
-            if let Some(err) = engine.rt.error {
-                return (Some(err), factor_time, Vec::new());
-            }
-            let blocks = engine
-                .store
-                .iter()
-                .map(|(k, m)| (*k, m.rows(), m.cols(), m.to_dense().as_slice().to_vec()))
-                .collect();
-            (None, factor_time, blocks)
-        });
-        let mut blocks: std::collections::HashMap<(usize, usize), (usize, usize, Vec<f64>)> =
-            std::collections::HashMap::new();
-        let mut factor_time = 0.0f64;
-        for (err, ft, dump) in report.results {
-            if let Some(e) = err {
-                return Err(e);
-            }
-            factor_time = factor_time.max(ft);
-            for (k, r, c, data) in dump {
-                blocks.insert(k, (r, c, data));
-            }
-        }
+        let nf = factor_numeric(&plan, &Arc::new(plan.permute(a)))?;
+        let (sf, grid) = (plan.sf(), plan.grid());
+        let block = |i: usize, j: usize| {
+            let owned = nf.stores[grid.map(i, j)].get((i, j));
+            owned.expect("every block has an owner").to_dense()
+        };
         // Assemble the permuted L column by column.
         let n = sf.n();
-        let ns = sf.n_supernodes();
         let mut col_ptr = Vec::with_capacity(n + 1);
         let mut row_idx = Vec::new();
         let mut values = Vec::new();
         col_ptr.push(0);
-        for j in 0..ns {
+        for j in 0..sf.n_supernodes() {
             let first = sf.partition.first_col(j);
-            let w = sf.partition.width(j);
-            let (dr, _dc, ddata) = blocks.get(&(j, j)).expect("diag block gathered");
-            for jc in 0..w {
-                // Diagonal block: rows jc..w of column jc (lower triangle).
-                for r in jc..w {
+            let diag = block(j, j);
+            let below: Vec<_> = sf
+                .layout
+                .blocks_of(j)
+                .iter()
+                .map(|b| block(b.target, j))
+                .collect();
+            for jc in 0..sf.partition.width(j) {
+                // Diagonal block: rows jc.. of column jc (lower triangle).
+                for r in jc..diag.rows() {
                     row_idx.push(first + r);
-                    values.push(ddata[jc * dr + r]);
+                    values.push(diag[(r, jc)]);
                 }
                 // Off-diagonal blocks, ascending targets → ascending rows.
-                for b in sf.layout.blocks_of(j) {
-                    let (br, _bc, bdata) = blocks.get(&(b.target, j)).expect("block gathered");
+                for (b, m) in sf.layout.blocks_of(j).iter().zip(&below) {
                     let rows = &sf.patterns[j][b.row_offset..b.row_offset + b.n_rows];
                     for (ri, &gr) in rows.iter().enumerate() {
                         row_idx.push(gr);
-                        values.push(bdata[jc * br + ri]);
+                        values.push(m[(ri, jc)]);
                     }
                 }
                 col_ptr.push(row_idx.len());
@@ -735,7 +478,7 @@ impl SymPack {
         Ok(GatheredFactor {
             perm,
             l_permuted,
-            factor_time,
+            factor_time: nf.factor_time,
         })
     }
 

@@ -3,19 +3,16 @@
 //! RTQ, signal inbox, dependency counters, abort) runs through the shared
 //! [`crate::sched::TaskEngine`].
 
-use crate::map2d::ProcGrid;
+use crate::plan::SolvePlan;
 use crate::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskKind};
 use crate::storage::{Block, BlockStore};
 use crate::taskgraph::{BlockId, LocalTasks, RtqPolicy, TaskKey, TaskOps};
-use crate::SolverError;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack_dense::{LowRankMat, Mat};
-use sympack_gpu::{KernelEngine, OomPolicy};
-use sympack_pgas::coalesce::{
-    plan_tree, BcastPlan, BcastTopology, CoalesceConfig, SIGNAL_WIRE_BYTES,
-};
+use sympack_gpu::KernelEngine;
+use sympack_pgas::coalesce::{plan_tree, BcastPlan, BcastTopology, SIGNAL_WIRE_BYTES};
 use sympack_pgas::{GlobalPtr, MemKind, Rank};
 use sympack_symbolic::SymbolicFactor;
 
@@ -152,24 +149,20 @@ fn block<'a>(store: &'a BlockStore, inputs: &'a [Option<Block>], b: BlockId) -> 
 }
 
 impl FactoEngine {
-    /// Build the engine for `rank` over its compiled task-graph slice
-    /// `graph` (built once per plan, see [`crate::plan::SymbolicPlan`]):
-    /// allocate the owned blocks, scatter the permuted matrix into them and
-    /// copy the initial dependency counters.
-    #[allow(clippy::too_many_arguments)] // one-shot constructor called by the plan/driver only
+    /// Build the engine for `rank` under `plan`, over the rank's compiled
+    /// task-graph slice (built once per [`crate::plan::SymbolicPlan`]):
+    /// allocate the owned blocks, scatter the permuted matrix `ap` into
+    /// them and copy the initial dependency counters.
     pub fn new(
-        sf: Arc<SymbolicFactor>,
+        plan: &SolvePlan,
         ap: &sympack_sparse::SparseSym,
-        grid: ProcGrid,
         rank: usize,
         kernels: KernelEngine,
-        policy: RtqPolicy,
-        oom_policy: OomPolicy,
         abort: Arc<AtomicBool>,
-        topology: BcastTopology,
-        coalesce: Option<CoalesceConfig>,
-        graph: Arc<LocalTasks>,
     ) -> Self {
+        let (sf, grid) = (Arc::clone(plan.sf()), plan.grid());
+        let graph = Arc::clone(&plan.symbolic.tasks[rank]);
+        let (policy, oom_policy) = (plan.opts.rtq_policy, plan.opts.oom_policy);
         let mut kernels = kernels;
         if kernels.blr.enabled() {
             // Global truncation scale: ‖A‖_F is permutation-invariant, so
@@ -197,12 +190,8 @@ impl FactoEngine {
             }
         }
         rt.seed_ready();
-        let fetch = FetchConfig {
-            device_enabled: kernels.gpu_enabled,
-            device_threshold: 64 * 64,
-            oom_policy,
-            mode: FetchMode::NonBlocking,
-        };
+        let fetch =
+            FetchConfig::for_engine(kernels.gpu_enabled, oom_policy, FetchMode::NonBlocking);
         let n_inputs = graph.blocks.len() - graph.n_owned;
         FactoEngine {
             sf,
@@ -214,16 +203,11 @@ impl FactoEngine {
             row_map: Vec::new(),
             kernels,
             fetch,
-            topology,
-            comm: CommLayer::new(coalesce),
+            topology: plan.opts.bcast,
+            comm: CommLayer::new(plan.opts.coalesce),
             relays: HashMap::new(),
             publish: PublishStats::default(),
         }
-    }
-
-    /// True when every owned task has executed (or the job aborted).
-    pub fn finished(&self) -> bool {
-        self.rt.finished()
     }
 
     /// Estimated seconds of kernel work this rank has not yet completed:
@@ -422,29 +406,6 @@ impl FactoEngine {
         }
     }
 
-    /// Execute one scheduler step: resolve notifications, then run one ready
-    /// task. Returns `true` if a task executed.
-    pub fn step(&mut self, rank: &mut Rank) -> bool {
-        self.drain_pending(rank);
-        // Quantum-expired frames flush as virtual time advances; when the
-        // rank has no ready work at all, everything buffered must go out so
-        // a held-back signal can never starve the job into a false stall.
-        self.comm.tick(rank);
-        let Some((id, key, ready_at)) = self.rt.pick() else {
-            self.comm.flush_all(rank);
-            return false;
-        };
-        self.rt.begin(rank, ready_at);
-        let ops = self.graph.ops[id as usize];
-        match key {
-            TaskKey::Diag { j } => self.exec_diag(rank, key, j, ops),
-            TaskKey::Panel { .. } => self.exec_panel(rank, key, ops),
-            TaskKey::Update { .. } => self.exec_update(rank, key, ops),
-        }
-        self.rt.complete(id);
-        true
-    }
-
     /// Publish a freshly factored owned block: fan it out, store it (its
     /// one resident copy) and release its local consumers.
     fn publish_factored(&mut self, rank: &mut Rank, blk: BlockId, data: Block) {
@@ -461,17 +422,13 @@ impl FactoEngine {
             .take_slot(ops.target as usize)
             .expect("diag block owned")
             .into_dense();
-        match self.kernels.potrf(&mut m) {
-            Ok((_loc, secs)) => self.rt.charge(rank, key, secs),
-            Err(sympack_dense::DenseError::NotPositiveDefinite { column }) => {
-                let col = self.sf.partition.first_col(j) + column;
-                self.rt
-                    .fail(rank, SolverError::NotPositiveDefinite { column: col });
-                self.store.put_slot(ops.target as usize, m);
-                return;
-            }
-            Err(other) => panic!("unexpected dense error: {other}"),
-        }
+        let first = self.sf.partition.first_col(j);
+        let Some(secs) = sched::potrf_or_fail(&mut self.rt, &mut self.kernels, rank, &mut m, first)
+        else {
+            self.store.put_slot(ops.target as usize, m);
+            return;
+        };
+        self.rt.charge(rank, key, secs);
         self.publish_factored(rank, ops.target, Block::Dense(m));
     }
 
@@ -567,38 +524,45 @@ impl FactoEngine {
         self.rt
             .dec_from_id(ops.target, rank.now(), || key.trace_label());
     }
+}
 
-    /// Drive the factorization to completion. Returns the error if any rank
-    /// failed.
-    pub fn run_to_completion(rank: &mut Rank, engine: FactoEngine) -> (FactoEngine, f64) {
-        let start = rank.now();
-        let engine = sched::run_event_loop(
-            rank,
-            engine,
-            |rank, st: &mut FactoEngine| {
-                // Run until we go idle, then re-poll.
-                while st.step(rank) {}
-                st.finished() || rank.job_aborted()
-            },
-            |rank, st| {
-                let (done, total) = (st.rt.done_count(), st.rt.total());
-                st.rt.fail(
-                    rank,
-                    SolverError::Stalled {
-                        rank: rank.id(),
-                        done,
-                        total,
-                        detail: "factorization quiesced with unfinished tasks \
-                                 (dropped signal suspected)"
-                            .into(),
-                    },
-                );
-            },
-        );
-        if !engine.rt.aborted() && !rank.job_aborted() {
-            engine.rt.debug_assert_completed();
+impl sched::Engine for FactoEngine {
+    type Key = TaskKey;
+    type Sig = Signal;
+
+    const STALL_DETAIL: &'static str =
+        "factorization quiesced with unfinished tasks (dropped signal suspected)";
+
+    fn step(&mut self, rank: &mut Rank) -> bool {
+        self.drain_pending(rank);
+        // Quantum-expired frames flush as virtual time advances; when the
+        // rank has no ready work at all, everything buffered must go out so
+        // a held-back signal can never starve the job into a false stall.
+        self.comm.tick(rank);
+        let Some((id, key, ready_at)) = self.rt.pick() else {
+            self.comm.flush_all(rank);
+            return false;
+        };
+        self.rt.begin(rank, ready_at);
+        let ops = self.graph.ops[id as usize];
+        match key {
+            TaskKey::Diag { j } => self.exec_diag(rank, key, j, ops),
+            TaskKey::Panel { .. } => self.exec_panel(rank, key, ops),
+            TaskKey::Update { .. } => self.exec_update(rank, key, ops),
         }
-        let elapsed = rank.now() - start;
-        (engine, elapsed)
+        self.rt.complete(id);
+        true
+    }
+
+    fn rt(&mut self) -> &mut TaskEngine<TaskKey, Signal> {
+        &mut self.rt
+    }
+
+    fn publish_stats(&self) -> PublishStats {
+        self.publish
+    }
+
+    fn into_factor(self) -> (BlockStore, KernelEngine) {
+        (self.store, self.kernels)
     }
 }

@@ -41,13 +41,10 @@ pub mod taskgraph;
 pub mod trisolve;
 
 pub use condest::condest;
-pub use driver::{
-    FactorizeOutcome, GatheredFactor, MultiSolveReport, SolveReport, SolverOptions, SymPack,
-};
+pub use driver::{GatheredFactor, MultiSolveReport, SolveReport, SolverOptions, SymPack};
 pub use map2d::ProcGrid;
 pub use plan::{
-    factor_store_bytes, make_kernels, pattern_hash, plan_cache_key, NumericFactor, PanelSolve,
-    SolvePlan, SymbolicPlan,
+    make_kernels, pattern_hash, plan_cache_key, NumericFactor, PanelSolve, SolvePlan, SymbolicPlan,
 };
 pub use selinv::{selected_inverse, SelectedInverse};
 // Re-exported so solver users can name `SolverOptions::kernel_config`'s
@@ -122,6 +119,40 @@ pub enum SolverError {
         /// Engine-specific diagnosis.
         detail: String,
     },
+    /// [`SolverOptions::validate`] rejected the options. Every distributed
+    /// phase checks them before the first rank thread exists, so a bad
+    /// configuration is an error value, never a panic inside a rank.
+    InvalidOptions {
+        /// The offending `SolverOptions` field.
+        field: &'static str,
+        /// What is wrong with it.
+        detail: String,
+    },
+    /// An input's shape disagrees with the matrix or plan it is used with
+    /// (right-hand-side length, panel size, number of factor stores).
+    ShapeMismatch {
+        /// Which input.
+        what: &'static str,
+        /// The size the matrix/plan requires.
+        expected: usize,
+        /// The size supplied.
+        actual: usize,
+    },
+}
+
+impl SolverError {
+    /// `Ok` when `actual == expected`, else [`SolverError::ShapeMismatch`].
+    pub fn check_shape(what: &'static str, expected: usize, actual: usize) -> Result<(), Self> {
+        if actual == expected {
+            Ok(())
+        } else {
+            Err(SolverError::ShapeMismatch {
+                what,
+                expected,
+                actual,
+            })
+        }
+    }
 }
 
 impl std::fmt::Display for SolverError {
@@ -150,6 +181,12 @@ impl std::fmt::Display for SolverError {
                 f,
                 "stall diagnosed on rank {rank} after {done}/{total} tasks: {detail}"
             ),
+            SolverError::InvalidOptions { field, detail } => {
+                write!(f, "invalid SolverOptions::{field}: {detail}")
+            }
+            SolverError::ShapeMismatch { what, expected, actual } => {
+                write!(f, "{what}: expected {expected}, got {actual}")
+            }
         }
     }
 }

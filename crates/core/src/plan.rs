@@ -1,15 +1,8 @@
-//! The reusable half of the driver: analysis/mapping state that outlives a
-//! single factorization, plus the distributed numeric phases that run
-//! against it.
+//! The plan layer: analysis/mapping state that outlives a single
+//! factorization, and the **one run path** from matrix to solution that
+//! every entry point is a composition of.
 //!
-//! [`crate::driver::SymPack`] is the one-shot façade: every call re-runs
-//! ordering, symbolic analysis and mapping. The plan layer splits those
-//! phases out so they can be paid once and reused — the shape needed by
-//! `sympack-service` sessions, which factor once, solve many right-hand
-//! sides and re-factor repeatedly on an unchanged sparsity pattern (the
-//! paper's §5.3 applications).
-//!
-//! Two types share the work:
+//! Two types carry the state:
 //!
 //! * [`SymbolicPlan`] — everything derived from the sparsity *pattern*
 //!   alone: composite ordering, symbolic factor, 2D process grid, per-rank
@@ -18,30 +11,62 @@
 //!   concurrent tenants whose matrices share a [`pattern_hash`] — the
 //!   analyze-once/solve-many design a fleet-wide plan cache keys on.
 //! * [`SolvePlan`] — an `Arc<SymbolicPlan>` plus the per-job
-//!   [`SolverOptions`]; the handle the numeric phases
-//!   ([`factor_numeric`], [`solve_panel_distributed`]) run against.
+//!   [`SolverOptions`]; the handle the numeric phases run against.
+//!
+//! The run path has one implementation of each per-rank phase:
+//!
+//! * `launch` — the only place an SPMD region under a plan is started.
+//!   Validates the plan *before* any rank thread exists
+//!   ([`SolverOptions::validate`]), attaches the rank-level observers
+//!   ([`observe`]), builds the rank's kernel executor ([`make_kernels`]),
+//!   runs the region's body and assembles the ranks' results.
+//! * `RankCtx::factor_rank` — the fan-out factorization of one rank:
+//!   builds the [`FactoEngine`] and hands it to [`RankOut::factor`], which
+//!   attaches the engine-level observers and drives the one factor loop
+//!   ([`sched::run_to_completion`]) — the same call the baselines make with
+//!   their engines.
+//! * `RankCtx::solve_rank` — the distributed triangular solve of one rank
+//!   ([`trisolve::solve_panel`]).
+//! * [`RankOut`] / [`assemble`] — the one per-rank result and the one
+//!   cross-rank assembler (pieces → permuted panels, first error in rank
+//!   order, task-count sums, timeline merge, telemetry report).
+//!
+//! [`factor_numeric`] is `launch(factor_rank)`; [`solve_panel_distributed`]
+//! is `launch(solve_rank)`; the one-shot [`crate::driver::SymPack`] is one
+//! `launch` whose body is `factor_rank` followed by a `solve_rank` per
+//! right-hand side (plus refinement) — it keeps a *single* region so the
+//! ranks' virtual clocks run on from factorization into the solves — and
+//! `sympack-service` sessions sit on the first two.
 
-use crate::engine::FactoEngine;
+use crate::engine::{FactoEngine, PublishStats};
 use crate::map2d::ProcGrid;
+use crate::sched::{self, Engine};
 use crate::storage::BlockStore;
 use crate::taskgraph::LocalTasks;
 use crate::trisolve;
 use crate::{SolverError, SolverOptions};
+use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use sympack_gpu::{KernelEngine, OpCounts};
+use sympack_gpu::{BlrCounters, KernelEngine, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
-use sympack_pgas::{PgasConfig, Runtime, StatsSnapshot};
+use sympack_pgas::{PgasConfig, Rank, RunReport, Runtime, StatsSnapshot};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::{analyze, SymbolicFactor};
+use sympack_trace::health::{HealthEvent, WatchRules, Watchdog};
+use sympack_trace::profile::{CommMatrix, Profile};
+use sympack_trace::telemetry::{SchedTelemetry, TelemetryReport, TelemetrySnapshot};
+use sympack_trace::{TraceEvent, Tracer};
 
 /// Build the kernel executor a rank uses under `opts` (GPU mode, offload
 /// thresholds, intra-rank parallelism, dense-kernel config).
 ///
 /// # Panics
 /// Panics if [`SolverOptions::kernel_config`] or [`SolverOptions::blr`] is
-/// invalid — this runs at plan/driver construction, so a bad config fails
-/// fast before any numeric work or communication starts.
+/// invalid. The solver never gets here with such options: every
+/// distributed phase runs [`SolverOptions::validate`] first and returns
+/// [`SolverError::InvalidOptions`] instead. Validate before calling this
+/// directly.
 pub fn make_kernels(opts: &SolverOptions) -> KernelEngine {
     let mut k = if opts.gpu {
         KernelEngine::new_gpu()
@@ -258,15 +283,10 @@ impl SolvePlan {
     /// Reuse a cached symbolic plan — the cache-hit path: no ordering, no
     /// analysis, no task-graph construction, numeric-only factorization.
     ///
-    /// # Panics
-    /// Panics if `opts`' rank layout disagrees with the layout `symbolic`
-    /// was sliced for (the plan cache keys on it, see [`plan_cache_key`]).
+    /// `opts`' rank layout must be the one `symbolic` was sliced for (the
+    /// plan cache keys on it, see [`plan_cache_key`]); the numeric phases
+    /// reject a disagreeing pair with [`SolverError::InvalidOptions`].
     pub fn from_symbolic(symbolic: Arc<SymbolicPlan>, opts: &SolverOptions) -> SolvePlan {
-        assert_eq!(
-            opts.n_nodes * opts.ranks_per_node,
-            symbolic.n_ranks(),
-            "rank layout must match the cached symbolic plan"
-        );
         SolvePlan {
             symbolic,
             opts: opts.clone(),
@@ -293,6 +313,23 @@ impl SolvePlan {
         self.opts.n_nodes * self.opts.ranks_per_node
     }
 
+    /// [`SolverOptions::validate`], plus: the options' rank count is the one
+    /// the symbolic plan sliced its task graphs for.
+    fn validate(&self) -> Result<(), SolverError> {
+        self.opts.validate()?;
+        if self.n_ranks() != self.symbolic.n_ranks() {
+            return Err(SolverError::InvalidOptions {
+                field: "ranks_per_node",
+                detail: format!(
+                    "{} ranks requested, but the symbolic plan was built for {}",
+                    self.n_ranks(),
+                    self.symbolic.n_ranks()
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// PGAS runtime configuration for one distributed phase under this plan
     /// (fresh per phase: `Runtime::run` consumes it).
     pub fn pgas_config(&self) -> PgasConfig {
@@ -310,6 +347,300 @@ impl SolvePlan {
     }
 }
 
+/// The `(supernode, w × nrhs column-major panel)` pieces of a solution one
+/// rank owns after a triangular solve.
+pub type XPieces = Vec<(usize, Vec<f64>)>;
+
+/// What one rank hands back from a distributed phase — the single per-rank
+/// result of every entry point (one-shot driver, plan layer, baselines). A
+/// phase fills in the half it ran: a factorization the factor fields, a
+/// solve one `solves` entry per panel.
+#[derive(Debug, Default)]
+pub struct RankOut {
+    /// The error this rank diagnosed. Ranks that merely observed the
+    /// job-wide abort carry none; [`assemble`] reports the first in rank
+    /// order.
+    pub error: Option<SolverError>,
+    /// Virtual time this rank spent in the factorization.
+    pub factor_time: f64,
+    /// This rank's factor blocks.
+    pub store: BlockStore,
+    /// Kernel call counts of the factorization.
+    pub counts: OpCounts,
+    /// Block-publication byte accounting (dense vs compressed).
+    pub publish: PublishStats,
+    /// BLR kernel counters of the factorization.
+    pub blr: BlrCounters,
+    /// One `(virtual solve time, owned pieces)` entry per solved panel.
+    pub solves: Vec<(f64, XPieces)>,
+    /// Task timeline: engine spans, then solve spans, then — appended by
+    /// [`RankOut::finish`] — comm spans and health markers.
+    pub trace: Vec<TraceEvent>,
+    /// Executed scheduler tasks per kind (factorization + first solve).
+    pub tasks: Vec<(&'static str, u64)>,
+    /// Scheduler instruments of the factorization.
+    pub telemetry: Option<TelemetrySnapshot>,
+    /// Health events this rank's watchdog raised.
+    pub health: Vec<HealthEvent>,
+}
+
+/// Attach the rank-level observers: the comm-span tracer (rget/rput/rpc/
+/// drain spans for the profile) under `trace`, the health watchdog under
+/// `telemetry` — it rides the rank, so it sees the idle polls of every
+/// phase of the region. [`RankOut::finish`] collects both.
+pub fn observe(rank: &mut Rank, trace: bool, telemetry: bool) {
+    if trace {
+        rank.set_tracer(Tracer::new());
+    }
+    if telemetry {
+        rank.set_watchdog(Watchdog::new(WatchRules::default()));
+    }
+}
+
+impl RankOut {
+    /// Attach the engine-level observers (task tracer; scheduler
+    /// instruments, sampled on the virtual clock after every charged
+    /// task), drive `engine` through the one factor loop and collect the
+    /// factorization half of the result.
+    pub fn factor<E: Engine>(rank: &mut Rank, mut engine: E, trace: bool, telemetry: bool) -> Self {
+        if trace {
+            engine.rt().tracer = Some(Tracer::new());
+        }
+        if telemetry {
+            engine.rt().telemetry = Some(Box::new(SchedTelemetry::new(rank.id())));
+        }
+        let (mut engine, factor_time) = sched::run_to_completion(rank, engine);
+        let publish = engine.publish_stats();
+        let rt = engine.rt();
+        let (error, tasks) = (rt.error.take(), rt.task_counts());
+        let trace = rt.tracer.take().map_or_else(Vec::new, Tracer::into_events);
+        let telemetry = rt.telemetry.take().map(|t| t.snapshot());
+        let (store, kernels) = engine.into_factor();
+        RankOut {
+            error,
+            factor_time,
+            store,
+            counts: kernels.counts,
+            publish,
+            blr: kernels.blr_counts,
+            trace,
+            tasks,
+            telemetry,
+            ..Default::default()
+        }
+    }
+
+    /// True when the region must skip its remaining collective phases: this
+    /// rank failed, or another did. The abort is sticky and job-wide, so
+    /// every rank takes the same exit and the barriers stay aligned.
+    pub fn aborted(&self, rank: &Rank) -> bool {
+        self.error.is_some() || rank.job_aborted()
+    }
+
+    /// Fold one triangular solve into the result.
+    pub fn push_solve(&mut self, mut solve: trisolve::SolveOutcome) {
+        self.trace.append(&mut solve.trace);
+        if self.solves.is_empty() {
+            self.tasks.extend(solve.task_counts);
+        }
+        self.error = solve.error;
+        self.solves
+            .push((solve.elapsed, solve.x.into_iter().collect()));
+    }
+
+    /// Collect what [`observe`] attached: the comm spans, and the
+    /// watchdog's health events (mirrored into the timeline under `trace`).
+    pub fn finish(mut self, rank: &mut Rank, trace: bool) -> Self {
+        if let Some(tracer) = rank.take_tracer() {
+            self.trace.extend(tracer.into_events());
+        }
+        if let Some(watchdog) = rank.take_watchdog() {
+            self.health = watchdog.into_events();
+        }
+        if trace {
+            let me = rank.id();
+            self.trace
+                .extend(self.health.iter().map(|h| h.to_trace_event(me)));
+        }
+        self
+    }
+}
+
+/// A distributed phase assembled across ranks.
+#[derive(Debug)]
+pub struct Assembled {
+    /// The factorization half: per-rank stores and counters, the region's
+    /// communication counters and merged timeline.
+    pub factor: NumericFactor,
+    /// One `(permuted n × nrhs solution panel, virtual makespan)` per solve.
+    pub solves: Vec<(Vec<f64>, f64)>,
+    /// Executed scheduler tasks per kind, summed over ranks.
+    pub task_counts: Vec<(String, u64)>,
+    makespan: f64,
+    comm: CommMatrix,
+}
+
+impl Assembled {
+    /// The flight-recorder profile of the region (critical path, per-rank
+    /// wait attribution, comm matrix) over its merged timeline.
+    pub fn profile(&self, engine: &str) -> Profile {
+        let n_ranks = self.factor.stores.len();
+        let comm = self.comm.clone();
+        Profile::build(engine, &self.factor.trace, self.makespan, n_ranks, comm)
+    }
+}
+
+/// Assemble the per-rank results of one SPMD region whose solves carried
+/// `nrhs` right-hand sides each — the one place pieces become permuted
+/// solution panels, the first error (rank order) is picked, task counts are
+/// summed and timelines merged. The telemetry report (under `telemetry`) is
+/// built before the error check, so a stalled or aborted run still surfaces
+/// its snapshots and health events.
+pub fn assemble(
+    sf: &SymbolicFactor,
+    run: RunReport<RankOut>,
+    nrhs: usize,
+    telemetry: bool,
+) -> (Result<Assembled, SolverError>, Option<TelemetryReport>) {
+    let mut outs = run.results;
+    let report = telemetry.then(|| {
+        let snaps: Vec<_> = outs.iter_mut().filter_map(|o| o.telemetry.take()).collect();
+        let health = outs.iter_mut().flat_map(|o| std::mem::take(&mut o.health));
+        TelemetryReport::from_ranks(snaps, health.collect::<Vec<_>>())
+    });
+    if let Some(err) = outs.iter_mut().find_map(|o| o.error.take()) {
+        return (Err(err), report);
+    }
+    let n = sf.n();
+    let solves = (0..outs[0].solves.len())
+        .map(|k| {
+            let mut xp = vec![0.0; n * nrhs];
+            let mut solve_time = 0.0f64;
+            for (elapsed, pieces) in outs.iter().map(|o| &o.solves[k]) {
+                solve_time = solve_time.max(*elapsed);
+                for (sn, panel) in pieces {
+                    let first = sf.partition.first_col(*sn);
+                    let w = panel.len() / nrhs;
+                    for c in 0..nrhs {
+                        xp[c * n + first..][..w].copy_from_slice(&panel[c * w..][..w]);
+                    }
+                }
+            }
+            (xp, solve_time)
+        })
+        .collect();
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    for (kind, count) in outs.iter().flat_map(|o| &o.tasks) {
+        *by_kind.entry(*kind).or_insert(0) += count;
+    }
+    let factor = NumericFactor {
+        factor_time: outs.iter().map(|o| o.factor_time).fold(0.0, f64::max),
+        op_counts: outs.iter().map(|o| o.counts).collect(),
+        publish: outs.iter().map(|o| o.publish).collect(),
+        blr_counts: outs.iter().map(|o| o.blr).collect(),
+        stats: run.stats,
+        trace: sympack_trace::merge(
+            outs.iter_mut()
+                .map(|o| std::mem::take(&mut o.trace))
+                .collect(),
+        ),
+        stores: outs.into_iter().map(|o| o.store).collect(),
+    };
+    let assembled = Assembled {
+        factor,
+        solves,
+        task_counts: by_kind
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+        makespan: run.makespan,
+        comm: run.comm,
+    };
+    (Ok(assembled), report)
+}
+
+/// One rank's handle on a distributed phase under a plan: what [`launch`]
+/// gives the per-rank body.
+pub(crate) struct RankCtx<'a> {
+    plan: &'a SolvePlan,
+    /// Pristine kernel executor; every factorization and solve runs on its
+    /// own copy (fresh call counters).
+    kernels: KernelEngine,
+    abort: &'a Arc<AtomicBool>,
+}
+
+impl RankCtx<'_> {
+    /// Factor this rank's slice of the permuted matrix `ap` — the one
+    /// fan-out factorization body, observed as the plan's options ask.
+    pub(crate) fn factor_rank(&self, rank: &mut Rank, ap: &SparseSym) -> RankOut {
+        let (plan, opts) = (self.plan, &self.plan.opts);
+        let engine = FactoEngine::new(
+            plan,
+            ap,
+            rank.id(),
+            self.kernels.clone(),
+            Arc::clone(self.abort),
+        );
+        RankOut::factor(rank, engine, opts.trace, opts.telemetry)
+    }
+
+    /// Solve one permuted `n × nrhs` panel `bp` against this rank's factor
+    /// blocks — the one fan-out solve body.
+    pub(crate) fn solve_rank(
+        &self,
+        rank: &mut Rank,
+        store: &BlockStore,
+        bp: &[f64],
+        nrhs: usize,
+        trace: bool,
+    ) -> trisolve::SolveOutcome {
+        let params = trisolve::SolveParams {
+            policy: self.plan.opts.rtq_policy,
+            msg_overhead: 0.0,
+            trace,
+        };
+        let symbolic = &self.plan.symbolic;
+        trisolve::solve_panel(
+            rank,
+            Arc::clone(&symbolic.sf),
+            symbolic.grid,
+            store,
+            bp,
+            nrhs,
+            self.kernels.clone(),
+            &params,
+        )
+    }
+}
+
+/// Run one SPMD region under `plan` and assemble it — the launch every
+/// fan-out entry point goes through. The plan is validated *before* any
+/// rank thread exists (a rank that panics strands its peers: under
+/// lockstep it never hands the turn on). Each rank is observed as the
+/// plan's options ask, runs `body`, and hands its [`RankOut`] to
+/// [`assemble`]; `nrhs` is the panel width of the region's solves.
+pub(crate) fn launch(
+    plan: &SolvePlan,
+    nrhs: usize,
+    body: impl Fn(&mut Rank, &RankCtx<'_>) -> RankOut + Sync,
+) -> (Result<Assembled, SolverError>, Option<TelemetryReport>) {
+    if let Err(e) = plan.validate() {
+        return (Err(e), None);
+    }
+    let opts = &plan.opts;
+    let abort = Arc::new(AtomicBool::new(false));
+    let run = Runtime::run(plan.pgas_config(), |rank| {
+        observe(rank, opts.trace, opts.telemetry);
+        let ctx = RankCtx {
+            plan,
+            kernels: make_kernels(opts),
+            abort: &abort,
+        };
+        body(rank, &ctx).finish(rank, opts.trace)
+    });
+    assemble(plan.sf(), run, nrhs, opts.telemetry)
+}
+
 /// A completed distributed numeric factorization whose per-rank block
 /// stores were handed back to the caller — the retained factor of a solver
 /// session, indexed by rank id.
@@ -322,30 +653,25 @@ pub struct NumericFactor {
     /// Per-rank kernel call counts.
     pub op_counts: Vec<OpCounts>,
     /// Per-rank block-publication byte accounting (dense vs compressed).
-    pub publish: Vec<crate::engine::PublishStats>,
+    pub publish: Vec<PublishStats>,
     /// Per-rank BLR kernel counters (all zero in dense mode).
-    pub blr_counts: Vec<sympack_gpu::BlrCounters>,
+    pub blr_counts: Vec<BlrCounters>,
     /// Communication counters of the factorization run.
     pub stats: StatsSnapshot,
+    /// Merged timeline of the region that produced the factor (empty
+    /// unless [`SolverOptions::trace`]).
+    pub trace: Vec<TraceEvent>,
 }
 
 impl NumericFactor {
-    /// Total bytes of retained factor blocks across all ranks (f64 entries
-    /// at 8 bytes each) — what the fleet's LRU factor cache budgets.
+    /// Total bytes of retained factor blocks across all ranks — what the
+    /// fleet's LRU factor cache budgets. *Actual stored* bytes: a factor
+    /// with compressed panels charges its `(rows+cols)·rank` factored
+    /// extents, not the symbolic dense extents.
     pub fn factor_bytes(&self) -> u64 {
-        factor_store_bytes(&self.stores)
+        let blocks = self.stores.iter().flat_map(|s| s.iter());
+        blocks.map(|(_, m)| m.bytes()).sum()
     }
-}
-
-/// Bytes of numeric factor payload held in a set of per-rank block stores —
-/// *actual stored* bytes, so a factor with compressed panels charges its
-/// `(rows+cols)·rank` factored extents, not the symbolic dense extents.
-pub fn factor_store_bytes(stores: &[BlockStore]) -> u64 {
-    stores
-        .iter()
-        .flat_map(|s| s.iter())
-        .map(|(_, m)| m.bytes())
-        .sum()
 }
 
 /// Run the numeric factorization under `plan`, reusing the plan's prebuilt
@@ -354,75 +680,26 @@ pub fn factor_store_bytes(stores: &[BlockStore]) -> u64 {
 /// `ap` must be the permuted matrix ([`SolvePlan::permute`]).
 ///
 /// # Errors
-/// [`SolverError::NotPositiveDefinite`] on a pivot failure,
+/// [`SolverError::InvalidOptions`] for options [`SolverOptions::validate`]
+/// rejects; [`SolverError::NotPositiveDefinite`] on a pivot failure,
 /// [`SolverError::DeviceOom`] under the Abort OOM policy, plus the
 /// fault-injection failure modes ([`SolverError::Stalled`],
 /// [`SolverError::FetchTimeout`]).
 pub fn factor_numeric(plan: &SolvePlan, ap: &Arc<SparseSym>) -> Result<NumericFactor, SolverError> {
-    let symbolic = Arc::clone(&plan.symbolic);
-    assert_eq!(
-        symbolic.n_ranks(),
-        plan.n_ranks(),
-        "one task slice per rank"
-    );
-    let abort = Arc::new(AtomicBool::new(false));
-    let sf = Arc::clone(&symbolic.sf);
-    let ap = Arc::clone(ap);
-    let grid = symbolic.grid;
-    let opts = plan.opts.clone();
-    let report = Runtime::run(plan.pgas_config(), |rank| {
-        let kernels = make_kernels(&opts);
-        let engine = FactoEngine::new(
-            Arc::clone(&sf),
-            &ap,
-            grid,
-            rank.id(),
-            kernels,
-            opts.rtq_policy,
-            opts.oom_policy,
-            Arc::clone(&abort),
-            opts.bcast,
-            opts.coalesce,
-            Arc::clone(&symbolic.tasks[rank.id()]),
-        );
-        let (mut engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
-        let error = engine.rt.error.take();
-        (
-            error,
-            factor_time,
-            engine.store,
-            engine.kernels.counts,
-            engine.publish,
-            engine.kernels.blr_counts,
-        )
-    });
-    let mut stores = Vec::with_capacity(report.results.len());
-    let mut op_counts = Vec::with_capacity(report.results.len());
-    let mut publish = Vec::with_capacity(report.results.len());
-    let mut blr_counts = Vec::with_capacity(report.results.len());
-    let mut factor_time = 0.0f64;
-    let mut first_error = None;
-    for (error, ft, store, counts, pub_stats, blr) in report.results {
-        if first_error.is_none() {
-            first_error = error;
-        }
-        factor_time = factor_time.max(ft);
-        stores.push(store);
-        op_counts.push(counts);
-        publish.push(pub_stats);
-        blr_counts.push(blr);
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    Ok(NumericFactor {
-        stores,
-        factor_time,
-        op_counts,
-        publish,
-        blr_counts,
-        stats: report.stats,
-    })
+    factor_numeric_observed(plan, ap).0
+}
+
+/// [`factor_numeric`] plus the telemetry plane: the merged per-rank
+/// scheduler instruments and watchdog health events, `Some` whenever
+/// [`SolverOptions::telemetry`] is set — also when the factorization
+/// failed, exactly as [`crate::SymPack::try_factor_and_solve_observed`]
+/// guarantees for the one-shot.
+pub fn factor_numeric_observed(
+    plan: &SolvePlan,
+    ap: &Arc<SparseSym>,
+) -> (Result<NumericFactor, SolverError>, Option<TelemetryReport>) {
+    let (run, telemetry) = launch(plan, 0, |rank, ctx| ctx.factor_rank(rank, ap));
+    (run.map(|a| a.factor), telemetry)
 }
 
 /// Result of one distributed panel solve.
@@ -433,6 +710,8 @@ pub struct PanelSolve {
     pub xp: Vec<f64>,
     /// Virtual makespan of the panel solve (max over ranks).
     pub solve_time: f64,
+    /// Solve timeline (empty unless [`SolverOptions::trace`]).
+    pub trace: Vec<TraceEvent>,
 }
 
 /// Run one distributed triangular panel solve against retained factor
@@ -441,60 +720,50 @@ pub struct PanelSolve {
 /// [`factor_numeric`]).
 ///
 /// # Errors
-/// The solve's diagnosed failure modes under fault injection:
-/// [`SolverError::Stalled`] and [`SolverError::FetchTimeout`].
+/// [`SolverError::ShapeMismatch`] when `nrhs` is zero, `bp` is not
+/// `n × nrhs` or `stores` does not hold one store per rank;
+/// [`SolverError::InvalidOptions`] as for [`factor_numeric`]; the solve's
+/// diagnosed failure modes under fault injection ([`SolverError::Stalled`],
+/// [`SolverError::FetchTimeout`]).
 pub fn solve_panel_distributed(
     plan: &SolvePlan,
     stores: &[BlockStore],
     bp: &[f64],
     nrhs: usize,
 ) -> Result<PanelSolve, SolverError> {
-    assert_eq!(stores.len(), plan.n_ranks(), "one block store per rank");
-    let sf = Arc::clone(&plan.symbolic.sf);
-    assert_eq!(bp.len(), sf.n() * nrhs, "rhs panel must be n × nrhs");
-    let grid = plan.symbolic.grid;
-    let opts = plan.opts.clone();
-    let report = Runtime::run(plan.pgas_config(), |rank| {
-        let kernels = make_kernels(&opts);
-        let params = trisolve::SolveParams {
-            policy: opts.rtq_policy,
-            msg_overhead: 0.0,
-            trace: false,
-        };
-        let mut out = trisolve::solve_panel(
-            rank,
-            Arc::clone(&sf),
-            grid,
-            &stores[rank.id()],
-            bp,
-            nrhs,
-            kernels,
-            &params,
-        );
-        let pieces: Vec<(usize, Vec<f64>)> = out.x.drain().collect();
-        (out.error, out.elapsed, pieces)
+    solve_panel_observed(plan, stores, bp, nrhs).0
+}
+
+/// [`solve_panel_distributed`] plus the telemetry plane (the watchdog's
+/// health events of the solve; see [`factor_numeric_observed`]).
+pub fn solve_panel_observed(
+    plan: &SolvePlan,
+    stores: &[BlockStore],
+    bp: &[f64],
+    nrhs: usize,
+) -> (Result<PanelSolve, SolverError>, Option<TelemetryReport>) {
+    let (n, p) = (plan.sf().n(), plan.n_ranks());
+    let shapes = SolverError::check_shape("right-hand sides (at least)", 1, nrhs.min(1))
+        .and_then(|()| SolverError::check_shape("factor stores", p, stores.len()))
+        .and_then(|()| SolverError::check_shape("rhs panel entries", n * nrhs, bp.len()));
+    if let Err(e) = shapes {
+        return (Err(e), None);
+    }
+    let (run, telemetry) = launch(plan, nrhs, |rank, ctx| {
+        let mut out = RankOut::default();
+        out.push_solve(ctx.solve_rank(rank, &stores[rank.id()], bp, nrhs, plan.opts.trace));
+        out
     });
-    let n = plan.symbolic.sf.n();
-    let mut xp = vec![0.0; n * nrhs];
-    let mut solve_time = 0.0f64;
-    let mut first_error = None;
-    for (error, elapsed, pieces) in report.results {
-        if first_error.is_none() {
-            first_error = error;
+    let solve = run.map(|mut a| {
+        let (xp, solve_time) = a.solves.pop().expect("the region ran one solve");
+        let trace = a.factor.trace;
+        PanelSolve {
+            xp,
+            solve_time,
+            trace,
         }
-        solve_time = solve_time.max(elapsed);
-        for (sn, panel) in pieces {
-            let first = plan.symbolic.sf.partition.first_col(sn);
-            let w = panel.len() / nrhs;
-            for k in 0..nrhs {
-                xp[k * n + first..k * n + first + w].copy_from_slice(&panel[k * w..(k + 1) * w]);
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    Ok(PanelSolve { xp, solve_time })
+    });
+    (solve, telemetry)
 }
 
 #[cfg(test)]
@@ -558,6 +827,7 @@ mod tests {
         let opts = SolverOptions {
             n_nodes: 1,
             ranks_per_node: 4,
+            trace: true,
             ..Default::default()
         };
         let plan = SolvePlan::new(&a, &opts);
@@ -570,6 +840,9 @@ mod tests {
         let ps = solve_panel_distributed(&plan, &nf.stores, &bp, 1).unwrap();
         let x = plan.sf().perm.unapply_vec(&ps.xp);
         assert!(a.relative_residual(&x, &b) < 1e-10);
+        // The plan path honours `opts.trace` like the one-shot does.
+        assert!(nf.trace.iter().any(|e| e.name.starts_with("D(")));
+        assert!(ps.trace.iter().any(|e| e.name.starts_with("Ly(")));
     }
 
     #[test]

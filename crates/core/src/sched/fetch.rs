@@ -39,21 +39,15 @@ pub struct FetchConfig {
 }
 
 impl FetchConfig {
-    /// Host-only, one-sided fetches (no device path, no rendezvous).
-    pub fn host_one_sided() -> Self {
+    /// The fetch path of a factorization engine: when its kernels run with
+    /// the GPU enabled, blocks of at least 64×64 elements go straight to
+    /// device memory (§4.2); everything else is a host `rget`.
+    pub fn for_engine(gpu_enabled: bool, oom_policy: OomPolicy, mode: FetchMode) -> Self {
         FetchConfig {
-            device_enabled: false,
-            device_threshold: usize::MAX,
-            oom_policy: OomPolicy::CpuFallback,
-            mode: FetchMode::NonBlocking,
-        }
-    }
-
-    /// Host-only blocking fetches charging `overhead` per receive.
-    pub fn host_two_sided(overhead: f64) -> Self {
-        FetchConfig {
-            mode: FetchMode::Blocking { overhead },
-            ..Self::host_one_sided()
+            device_enabled: gpu_enabled,
+            device_threshold: 64 * 64,
+            oom_policy,
+            mode,
         }
     }
 }

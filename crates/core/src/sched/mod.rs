@@ -36,6 +36,11 @@ pub use engine::{TaskEngine, TaskId};
 pub use fetch::{drain_signals, fetch, FetchConfig, FetchMode};
 pub use queue::{ReadyQueue, RtqPolicy};
 
+use crate::engine::PublishStats;
+use crate::storage::BlockStore;
+use crate::SolverError;
+use sympack_dense::{DenseError, Mat};
+use sympack_gpu::KernelEngine;
 use sympack_pgas::{GlobalPtr, Rank};
 use sympack_trace::TraceCat;
 
@@ -195,4 +200,95 @@ where
     }
     rank.barrier();
     rank.take_state::<E>()
+}
+
+/// What a factorization engine exposes to the one factor loop
+/// ([`run_to_completion`]) and to the per-rank result collection
+/// ([`crate::plan::RankOut::factor`]). Task kinds, message formats and
+/// the `exec_*` bodies — the algorithm — stay inside the engine.
+pub trait Engine: Send + 'static {
+    /// The engine's task species.
+    type Key: TaskKind;
+    /// The engine's notification type.
+    type Sig: Send + 'static;
+
+    /// Diagnosis recorded in [`SolverError::Stalled`] when the quiescence
+    /// detector fires on this engine (names what was most likely dropped).
+    const STALL_DETAIL: &'static str;
+
+    /// Resolve pending notifications, then run one ready task. Returns
+    /// `true` if a task executed. A numerical failure goes through
+    /// [`TaskEngine::fail`], never a panic: the job-wide abort is what ends
+    /// the loop on every other rank.
+    fn step(&mut self, rank: &mut Rank) -> bool;
+
+    /// The engine's scheduling core.
+    fn rt(&mut self) -> &mut TaskEngine<Self::Key, Self::Sig>;
+
+    /// Block-publication byte accounting, for engines that keep one.
+    fn publish_stats(&self) -> PublishStats {
+        PublishStats::default()
+    }
+
+    /// Hand back the factor blocks and the kernel executor (call counters).
+    fn into_factor(self) -> (BlockStore, KernelEngine);
+}
+
+/// POTRF of a diagonal block whose first column is `first_col` (permuted
+/// ordering), for every factorization engine: the kernel's modeled seconds,
+/// or — on a failed pivot — `None` after recording
+/// [`SolverError::NotPositiveDefinite`] and raising the job-wide abort
+/// through [`TaskEngine::fail`]. The block is left as POTRF left it; the
+/// caller puts it back so the store stays whole.
+pub fn potrf_or_fail<K: TaskKind, S: Send + 'static>(
+    rt: &mut TaskEngine<K, S>,
+    kernels: &mut KernelEngine,
+    rank: &mut Rank,
+    diag: &mut Mat,
+    first_col: usize,
+) -> Option<f64> {
+    match kernels.potrf(diag) {
+        Ok((_, secs)) => Some(secs),
+        Err(DenseError::NotPositiveDefinite { column }) => {
+            let column = first_col + column;
+            rt.fail(rank, SolverError::NotPositiveDefinite { column });
+            None
+        }
+        Err(other) => panic!("unexpected dense error: {other}"),
+    }
+}
+
+/// Drive a factorization engine to completion — the only factor loop in
+/// the solver. Returns the engine and the virtual time the phase took; an
+/// error, if any, is left in the engine's [`TaskEngine::error`] (on the
+/// rank that hit it) and every rank observes [`Rank::job_aborted`].
+pub fn run_to_completion<E: Engine>(rank: &mut Rank, engine: E) -> (E, f64) {
+    let start = rank.now();
+    let mut engine = run_event_loop(
+        rank,
+        engine,
+        |rank, st: &mut E| {
+            // Run until we go idle, then re-poll.
+            while st.step(rank) {}
+            st.rt().finished() || rank.job_aborted()
+        },
+        |rank, st| {
+            let rt = st.rt();
+            let (done, total) = (rt.done_count(), rt.total());
+            rt.fail(
+                rank,
+                SolverError::Stalled {
+                    rank: rank.id(),
+                    done,
+                    total,
+                    detail: E::STALL_DETAIL.into(),
+                },
+            );
+        },
+    );
+    if !engine.rt().aborted() && !rank.job_aborted() {
+        engine.rt().debug_assert_completed();
+    }
+    let elapsed = rank.now() - start;
+    (engine, elapsed)
 }

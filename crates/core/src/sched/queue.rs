@@ -23,7 +23,7 @@ pub enum RtqPolicy {
     /// [`TaskEngine::set_urgency`](super::TaskEngine::set_urgency) — the
     /// fan-out engine uses the remote consumer count of each factor task),
     /// breaking ties by
-    /// [`TaskKind::priority_key`]. Tasks with no urgency recorded rank
+    /// [`TaskKind::priority_key`](super::TaskKind::priority_key). Tasks with no urgency recorded rank
     /// lowest, so pure-local work yields to communication-critical work.
     CommAware,
 }
@@ -32,8 +32,8 @@ pub enum RtqPolicy {
 ///
 /// Elements are whatever handle the caller schedules by — the
 /// [`TaskEngine`](super::TaskEngine) queues dense task ids — so the two
-/// scanning policies take the ordering functions at [`pop_by`]
-/// (Self::pop_by) instead of the queue owning a per-key side table.
+/// scanning policies take the ordering functions at
+/// [`pop_by`](Self::pop_by) instead of the queue owning a per-key side table.
 ///
 /// Backed by a `VecDeque` so that *every* policy pops in O(1) amortized
 /// (`CriticalPath` still scans for the minimum, but removes with

@@ -7,24 +7,14 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::engine::FactoEngine;
 use sympack::plan::{make_kernels, SolvePlan};
+use sympack::sched::Engine;
 use sympack::{Block, SolverOptions};
 use sympack_sparse::gen::{bone_like, random_spd};
 use sympack_sparse::SparseSym;
 
 fn engine_for(plan: &SolvePlan, ap: &SparseSym, rank: usize) -> FactoEngine {
-    FactoEngine::new(
-        Arc::clone(plan.sf()),
-        ap,
-        plan.grid(),
-        rank,
-        make_kernels(&plan.opts),
-        plan.opts.rtq_policy,
-        plan.opts.oom_policy,
-        Arc::new(AtomicBool::new(false)),
-        plan.opts.bcast,
-        plan.opts.coalesce,
-        Arc::clone(&plan.symbolic.tasks[rank]),
-    )
+    let abort = Arc::new(AtomicBool::new(false));
+    FactoEngine::new(plan, ap, rank, make_kernels(&plan.opts), abort)
 }
 
 #[test]
@@ -108,7 +98,7 @@ fn estimated_remaining_follows_stored_ranks_after_a_compressed_arrival() {
                 _ => {}
             }
         }
-        assert!(e.finished() && e.rt.error.is_none());
+        assert!(e.rt.finished() && e.rt.error.is_none());
         assert_eq!(e.estimated_remaining(), 0.0);
         checked_first_arrival
     });

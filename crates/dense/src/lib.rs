@@ -3,7 +3,7 @@
 //! The paper's numeric factorization performs all of its arithmetic through
 //! four dense routines applied to supernode blocks:
 //!
-//! * [`potrf`] — Cholesky factorization of a dense diagonal block
+//! * [`potrf()`] — Cholesky factorization of a dense diagonal block
 //!   (LAPACK `POTRF`), used by *Diagonal Factorization* tasks `D(i)`.
 //! * [`trsm_right_lower_trans`] — triangular solve `X · Lᵀ = B`
 //!   (BLAS `TRSM`), used by *Factorization* tasks `F(i,j)`.

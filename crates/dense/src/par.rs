@@ -99,7 +99,7 @@ where
 /// are updated concurrently.
 ///
 /// The `A` operand is packed **once** into MR-strip format
-/// ([`pack::ApackFull`], built with the same `cfg.kc` the consumers run
+/// (`pack::ApackFull`, built with the same `cfg.kc` the consumers run
 /// under) and shared read-only by every column-panel worker, instead of each
 /// worker re-packing the same `A` block inside its own sequential GEMM.
 /// Per-element accumulation order (ascending `k`, one `cfg.kc`-block at a

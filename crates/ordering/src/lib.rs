@@ -11,7 +11,7 @@
 //!   pseudo-peripheral vertices,
 //! * [`min_degree`] — a quotient-graph minimum-degree ordering (used for the
 //!   small sub-blocks at the dissection leaves, and standalone),
-//! * [`rcm`] — reverse Cuthill-McKee (bandwidth-reducing; used as a
+//! * [`mod@rcm`] — reverse Cuthill-McKee (bandwidth-reducing; used as a
 //!   comparison point),
 //! * [`metrics`] — fill-in and factor-flop estimates for comparing orderings,
 //!   matching the paper's motivation for using nested dissection at all.

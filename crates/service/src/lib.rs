@@ -137,9 +137,12 @@ impl Session {
     /// factorization — the fresh-analysis (plan-cache miss) path.
     ///
     /// # Errors
-    /// Any factorization failure ([`SolverError::NotPositiveDefinite`],
-    /// device OOM under the Abort policy, fault-injection diagnoses).
+    /// [`SolverError::InvalidOptions`] for options
+    /// [`SolverOptions::validate`] rejects; any factorization failure
+    /// ([`SolverError::NotPositiveDefinite`], device OOM under the Abort
+    /// policy, fault-injection diagnoses).
     pub fn new(a: &SparseSym, opts: &SolverOptions) -> Result<Session, SolverError> {
+        opts.validate()?;
         let t0 = Instant::now();
         let plan = SolvePlan::new(a, opts);
         let analyze_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -154,8 +157,10 @@ impl Session {
     ///
     /// # Errors
     /// [`SolverError::PatternMismatch`] when `a`'s structure differs from
-    /// the pattern `symbolic` was analyzed for; otherwise the factorization
-    /// failure modes.
+    /// the pattern `symbolic` was analyzed for;
+    /// [`SolverError::InvalidOptions`] for invalid options or a rank layout
+    /// other than the one `symbolic` was built for; otherwise the
+    /// factorization failure modes.
     pub fn with_plan(
         a: &SparseSym,
         symbolic: Arc<SymbolicPlan>,
@@ -177,20 +182,31 @@ impl Session {
         plan: SolvePlan,
         analyze_wall_ms: f64,
     ) -> Result<Session, SolverError> {
-        let ap = Arc::new(plan.permute(a));
-        let nf = factor_numeric(&plan, &ap)?;
-        let factor_bytes = nf.factor_bytes();
-        Ok(Session {
+        let mut session = Session {
             plan,
-            stores: Some(nf.stores),
+            stores: None,
             values: collect_values(a),
-            factor_bytes,
-            factor_time: nf.factor_time,
-            first_factor_time: nf.factor_time,
+            factor_bytes: 0,
+            factor_time: 0.0,
+            first_factor_time: 0.0,
             analyze_wall_ms,
             refactorizations: 0,
             rematerializations: 0,
-        })
+        };
+        session.first_factor_time = session.factor(a)?;
+        Ok(session)
+    }
+
+    /// Factor `a` (which has the session's pattern) and install the result
+    /// as the resident factor — the one numeric-factorization step behind
+    /// creation, re-factorization and re-materialization. On error the
+    /// previous factor stays installed.
+    fn factor(&mut self, a: &SparseSym) -> Result<f64, SolverError> {
+        let nf = factor_numeric(&self.plan, &Arc::new(self.plan.permute(a)))?;
+        self.factor_bytes = nf.factor_bytes();
+        self.factor_time = nf.factor_time;
+        self.stores = Some(nf.stores);
+        Ok(nf.factor_time)
     }
 
     /// Matrix order.
@@ -251,13 +267,9 @@ impl Session {
             return Ok(None);
         }
         let a = self.plan.symbolic.matrix_from_values(&self.values);
-        let ap = Arc::new(self.plan.permute(&a));
-        let nf = factor_numeric(&self.plan, &ap)?;
-        self.factor_bytes = nf.factor_bytes();
-        self.factor_time = nf.factor_time;
-        self.stores = Some(nf.stores);
+        let factor_time = self.factor(&a)?;
         self.rematerializations += 1;
-        Ok(Some(nf.factor_time))
+        Ok(Some(factor_time))
     }
 
     /// Factor re-materializations performed after evictions.
@@ -321,13 +333,12 @@ impl Session {
     /// Returns the coalesced solve's virtual makespan; an empty batch is a
     /// no-op with zero cost.
     ///
-    /// # Panics
-    /// Panics when a panel's row count differs from the session matrix.
-    ///
     /// # Errors
-    /// [`SolverError::FactorEvicted`] when the factor was evicted and not
-    /// re-materialized, plus the solve's fault-injection diagnoses
-    /// ([`SolverError::Stalled`], [`SolverError::FetchTimeout`]).
+    /// [`SolverError::ShapeMismatch`] when a panel's row count differs from
+    /// the session matrix; [`SolverError::FactorEvicted`] when the factor
+    /// was evicted and not re-materialized, plus the solve's
+    /// fault-injection diagnoses ([`SolverError::Stalled`],
+    /// [`SolverError::FetchTimeout`]).
     pub fn solve_batch(&self, panels: &[RhsPanel]) -> Result<BatchSolve, SolverError> {
         let total: usize = panels.iter().map(|p| p.nrhs()).sum();
         if total == 0 {
@@ -344,7 +355,7 @@ impl Session {
         let mut bp = vec![0.0; n * total];
         let mut k = 0;
         for p in panels {
-            assert_eq!(p.n(), n, "rhs panel rows must match the session matrix");
+            SolverError::check_shape("rhs panel rows", n, p.n())?;
             for c in 0..p.nrhs() {
                 let col = self.plan.sf().perm.apply_vec(p.column(c));
                 bp[k * n..(k + 1) * n].copy_from_slice(&col);
@@ -420,14 +431,10 @@ impl Session {
     }
 
     fn refactor_with(&mut self, a: &SparseSym) -> Result<f64, SolverError> {
-        let ap = Arc::new(self.plan.permute(a));
-        let nf = factor_numeric(&self.plan, &ap)?;
-        self.factor_bytes = nf.factor_bytes();
-        self.stores = Some(nf.stores);
+        let factor_time = self.factor(a)?;
         self.values = collect_values(a);
-        self.factor_time = nf.factor_time;
         self.refactorizations += 1;
-        Ok(nf.factor_time)
+        Ok(factor_time)
     }
 }
 

@@ -225,5 +225,84 @@ fn all_engines_agree_across_ranks_and_rtq_policies() {
     }
 }
 
-#[allow(non_snake_case)]
-fn _naming_note() {}
+/// FNV-1a over everything a baseline run reports that a schedule change
+/// would move: solution bits, both virtual makespans, the per-kind task
+/// totals and the message counts.
+fn baseline_fingerprint(r: &sympack_baseline::BaselineReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for v in &r.x {
+        eat(&v.to_bits().to_le_bytes());
+    }
+    eat(&r.factor_time.to_bits().to_le_bytes());
+    eat(&r.solve_time.to_bits().to_le_bytes());
+    for (kind, n) in &r.task_counts {
+        eat(kind.as_bytes());
+        eat(&n.to_le_bytes());
+    }
+    eat(&r.stats.rgets.to_le_bytes());
+    eat(&r.stats.rpcs.to_le_bytes());
+    h
+}
+
+/// `baseline_fingerprint` of {right-looking, fan-in, fan-both} × P ∈ {1, 2,
+/// 4} × trace {off, on} on `thermal_like(12,12,0.3,5)` under lockstep, in
+/// that nesting order, as printed by this test at commit 6bf6ee9 — the last
+/// one where each baseline owned its own `run_rank` and report assembly.
+const BASELINE_PARENT_FINGERPRINTS: [u64; 18] = [
+    0xbd063f66097e5da2,
+    0xbd063f66097e5da2,
+    0x83ce5fcf2e958a97,
+    0x83ce5fcf2e958a97,
+    0x87a4bedd9a14358a,
+    0x87a4bedd9a14358a,
+    0xbcab8dd54c6d543d,
+    0xbcab8dd54c6d543d,
+    0x5ef31d2cbae15e92,
+    0x5ef31d2cbae15e92,
+    0x1c45119010fedcd7,
+    0x1c45119010fedcd7,
+    0x815a8c96f197f844,
+    0x815a8c96f197f844,
+    0x47a8bfac1956b1ce,
+    0x47a8bfac1956b1ce,
+    0x3019ef487bf00cef,
+    0x3019ef487bf00cef,
+];
+
+#[test]
+fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
+    let a = gen::thermal_like(12, 12, 0.3, 5);
+    let b = test_rhs(a.n());
+    let engines: [fn(&SparseSym, &[f64], &BaselineOptions) -> _; 3] = [
+        sympack_baseline::try_baseline_factor_and_solve,
+        sympack_baseline::try_fanin_factor_and_solve,
+        sympack_baseline::try_fanboth_factor_and_solve,
+    ];
+    let mut got = Vec::new();
+    for run in engines {
+        for p in [1usize, 2, 4] {
+            for trace in [false, true] {
+                let opts = BaselineOptions {
+                    n_nodes: 1,
+                    ranks_per_node: p,
+                    deterministic: true,
+                    trace,
+                    ..Default::default()
+                };
+                let r = run(&a, &b, &opts).expect("SPD input");
+                assert_eq!(r.trace.is_empty(), !trace);
+                got.push(baseline_fingerprint(&r));
+            }
+        }
+    }
+    assert_eq!(
+        got, BASELINE_PARENT_FINGERPRINTS,
+        "baseline schedule or solution bits changed; got {got:#018x?}"
+    );
+}

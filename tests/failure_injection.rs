@@ -1,15 +1,20 @@
-//! Failure-injection integration tests: non-SPD inputs, device memory
-//! exhaustion under both fallback policies (§4.2) — for the fan-out solver
-//! and for every baseline engine — and malformed files.
+//! Failure-injection integration tests: non-SPD inputs, invalid options
+//! and mis-shaped inputs, device memory exhaustion under both fallback
+//! policies (§4.2) — for the fan-out solver and for every baseline engine
+//! — and malformed files. Every failure is a typed error on the calling
+//! thread: nothing panics inside a rank, nothing hangs.
 
 #![allow(non_snake_case)]
 
-use sympack::{SolverError, SolverOptions, SymPack};
+use std::sync::Arc;
+use sympack::plan::{factor_numeric, solve_panel_distributed};
+use sympack::{ProcGrid, SolvePlan, SolverError, SolverOptions, SymPack};
 use sympack_baseline::{
     try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
     BaselineOptions, BaselineReport,
 };
 use sympack_gpu::OomPolicy;
+use sympack_service::{RhsPanel, Session};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::{Coo, SparseSym};
@@ -52,6 +57,157 @@ fn indefinite_matrix_fails_cleanly_on_every_rank_count() {
             other => panic!("nodes={nodes} ppn={ppn}: expected failure, got {other:?}"),
         }
     }
+    // The baselines fail the same way — through the shared factor loop's
+    // job-wide abort, on every rank count, free-running and in lockstep
+    // (where a rank that panicked instead would strand the others).
+    for (name, run) in BASELINES {
+        for p in [1, 2, 4] {
+            for deterministic in [false, true] {
+                let opts = BaselineOptions {
+                    n_nodes: 1,
+                    ranks_per_node: p,
+                    deterministic,
+                    ..Default::default()
+                };
+                match run(&bad, &b, &opts) {
+                    Err(SolverError::NotPositiveDefinite { column }) => assert!(column < bad.n()),
+                    other => panic!(
+                        "{name} P={p} deterministic={deterministic}: \
+                         expected NotPositiveDefinite, got {other:?}"
+                    ),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn invalid_options_are_typed_errors_before_any_rank_runs() {
+    // P = 2 under lockstep is the configuration where a rank panicking on
+    // a bad option used to hang the job: every entry point must reject the
+    // options up front instead.
+    let a = gen::laplacian_2d(6, 6);
+    let b = test_rhs(a.n());
+    let base = SolverOptions {
+        n_nodes: 1,
+        ranks_per_node: 2,
+        deterministic: true,
+        ..Default::default()
+    };
+    let mut bad_kernels = base.clone();
+    bad_kernels.kernel_config.mc = 0;
+    let mut bad_blr = base.clone();
+    bad_blr.blr.tol = -1.0;
+    let bad_grid = SolverOptions {
+        grid: Some(ProcGrid::one_dimensional(3)),
+        ..base.clone()
+    };
+    let no_ranks = SolverOptions {
+        ranks_per_node: 0,
+        ..base.clone()
+    };
+    let good_plan = SolvePlan::new(&a, &base);
+    let ap = Arc::new(good_plan.permute(&a));
+    for (field, opts) in [
+        ("kernel_config", bad_kernels),
+        ("blr", bad_blr),
+        ("grid", bad_grid),
+        ("n_nodes × ranks_per_node", no_ranks),
+    ] {
+        let rejected = |what: &str, r: Result<(), SolverError>| match r {
+            Err(SolverError::InvalidOptions { field: f, .. }) => assert_eq!(f, field, "{what}"),
+            other => panic!("{what}, bad {field}: expected InvalidOptions, got {other:?}"),
+        };
+        assert!(opts.validate().is_err(), "{field}");
+        rejected(
+            "one-shot",
+            SymPack::try_factor_and_solve(&a, &b, &opts).map(drop),
+        );
+        rejected("factor_gather", SymPack::factor_gather(&a, &opts).map(drop));
+        rejected("Session::new", Session::new(&a, &opts).map(drop));
+        rejected(
+            "Session::with_plan",
+            Session::with_plan(&a, Arc::clone(&good_plan.symbolic), &opts).map(drop),
+        );
+        // A plan whose options went bad after it was built: the launch of
+        // every distributed phase checks again.
+        let stale = SolvePlan {
+            symbolic: Arc::clone(&good_plan.symbolic),
+            opts,
+        };
+        rejected("factor_numeric", factor_numeric(&stale, &ap).map(drop));
+    }
+    // A rank layout other than the one the cached plan was sliced for.
+    let four = SolverOptions {
+        ranks_per_node: 4,
+        ..base.clone()
+    };
+    match Session::with_plan(&a, Arc::clone(&good_plan.symbolic), &four) {
+        Err(SolverError::InvalidOptions { .. }) => {}
+        other => panic!("layout mismatch: expected InvalidOptions, got {other:?}"),
+    }
+}
+
+#[test]
+fn mis_shaped_inputs_are_typed_errors() {
+    let a = gen::laplacian_2d(6, 6);
+    let n = a.n();
+    let opts = SolverOptions {
+        n_nodes: 1,
+        ranks_per_node: 2,
+        deterministic: true,
+        ..Default::default()
+    };
+    let shape = |what: &str, r: Result<(), SolverError>, want: (usize, usize)| match r {
+        Err(SolverError::ShapeMismatch {
+            expected, actual, ..
+        }) => assert_eq!((expected, actual), want, "{what}"),
+        other => panic!("{what}: expected ShapeMismatch, got {other:?}"),
+    };
+    // One-shot: a short right-hand side, and no right-hand side at all.
+    let short = vec![1.0; n - 1];
+    shape(
+        "short rhs",
+        SymPack::try_factor_and_solve(&a, &short, &opts).map(drop),
+        (n, n - 1),
+    );
+    shape(
+        "no rhs",
+        SymPack::try_factor_and_solve_multi(&a, &[], &opts).map(drop),
+        (1, 0),
+    );
+    for (name, run) in BASELINES {
+        let bopts = BaselineOptions::default();
+        shape(name, run(&a, &short, &bopts).map(drop), (n, n - 1));
+    }
+    // Plan layer: panel size, panel width, store count.
+    let plan = SolvePlan::new(&a, &opts);
+    let nf = factor_numeric(&plan, &Arc::new(plan.permute(&a))).expect("SPD");
+    let bp = vec![1.0; n];
+    shape(
+        "panel entries",
+        solve_panel_distributed(&plan, &nf.stores, &bp, 2).map(drop),
+        (2 * n, n),
+    );
+    shape(
+        "zero-width panel",
+        solve_panel_distributed(&plan, &nf.stores, &[], 0).map(drop),
+        (1, 0),
+    );
+    shape(
+        "store count",
+        solve_panel_distributed(&plan, &nf.stores[..1], &bp, 1).map(drop),
+        (2, 1),
+    );
+    // Session: a panel with the wrong row count.
+    let session = Session::new(&a, &opts).expect("SPD");
+    shape(
+        "session panel rows",
+        session
+            .solve_batch(&[RhsPanel::from_vector(&short)])
+            .map(drop),
+        (n, n - 1),
+    );
 }
 
 #[test]

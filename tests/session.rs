@@ -16,8 +16,15 @@
 //!   `SolverError::PatternMismatch` contract: wrong-length values and
 //!   structure-mismatched matrices are rejected with expected/actual nnz,
 //!   and the session keeps serving from its previous factor.
+//! * [`one_shot_plan_path_and_session_agree_bit_for_bit`] pins the three
+//!   entry points to one another: the one-shot driver, the plan layer
+//!   (`factor_numeric` + `solve_panel_distributed`) and `Session` produce
+//!   the same factor bits and the same virtual factor makespan.
 
-use sympack::{SolverError, SolverOptions, SymPack};
+use std::sync::Arc;
+use sympack::plan::{factor_numeric, solve_panel_distributed};
+use sympack::storage::BlockStore;
+use sympack::{SolvePlan, SolverError, SolverOptions, SymPack};
 use sympack_baseline::{
     try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
     BaselineOptions,
@@ -27,6 +34,7 @@ use sympack_service::{RhsPanel, Session};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::max_abs_diff;
 use sympack_sparse::SparseSym;
+use sympack_symbolic::SymbolicFactor;
 
 const RESIDUAL_TOL: f64 = 1e-8;
 
@@ -234,4 +242,85 @@ fn refactorize_rejections_are_typed_errors() {
     let b = rhs_columns(a.n(), 1).remove(0);
     let x = session.solve(&b).expect("previous factor intact");
     assert!(a.relative_residual(&x, &b) < RESIDUAL_TOL);
+}
+
+/// Every stored entry of the lower-triangular factor held in per-rank block
+/// stores, as sorted `(col, row, bits)` triples in the permuted ordering.
+fn store_entries(sf: &SymbolicFactor, stores: &[BlockStore]) -> Vec<(usize, usize, u64)> {
+    let mut v = Vec::new();
+    for (&(i, j), blk) in stores.iter().flat_map(|s| s.iter()) {
+        let m = blk.to_dense();
+        let first = sf.partition.first_col(j);
+        let rows: Vec<usize> = if i == j {
+            (first..first + m.rows()).collect()
+        } else {
+            let info = sf.layout.find(i, j).expect("stored block is in the layout");
+            sf.patterns[j][info.row_offset..info.row_offset + info.n_rows].to_vec()
+        };
+        for c in 0..m.cols() {
+            for (ri, &r) in rows.iter().enumerate() {
+                if r >= first + c {
+                    v.push((first + c, r, m[(ri, c)].to_bits()));
+                }
+            }
+        }
+    }
+    v.sort_unstable();
+    v
+}
+
+#[test]
+fn one_shot_plan_path_and_session_agree_bit_for_bit() {
+    let a = gen::thermal_like(9, 9, 0.3, 5);
+    let b = rhs_columns(a.n(), 1).remove(0);
+    for p in [1usize, 2, 4] {
+        let opts = SolverOptions {
+            n_nodes: 1,
+            ranks_per_node: p,
+            deterministic: true,
+            ..Default::default()
+        };
+        let one = SymPack::try_factor_and_solve(&a, &b, &opts).expect("one-shot");
+        let gathered = SymPack::factor_gather(&a, &opts).expect("gather");
+        let plan = SolvePlan::new(&a, &opts);
+        let sf = Arc::clone(plan.sf());
+        let nf = factor_numeric(&plan, &Arc::new(plan.permute(&a))).expect("factor_numeric");
+        let ps = solve_panel_distributed(&plan, &nf.stores, &sf.perm.apply_vec(&b), 1)
+            .expect("solve_panel_distributed");
+        let x_plan = sf.perm.unapply_vec(&ps.xp);
+        let session = Session::new(&a, &opts).expect("session");
+        let x_session = session.solve(&b).expect("session solve");
+
+        for (name, t) in [
+            ("factor_gather", gathered.factor_time),
+            ("factor_numeric", nf.factor_time),
+            ("Session", session.factor_time()),
+        ] {
+            assert_eq!(
+                t.to_bits(),
+                one.factor_time.to_bits(),
+                "P={p}: factor makespan of {name} differs from the one-shot"
+            );
+        }
+        let l = &gathered.l_permuted;
+        let mut want = Vec::with_capacity(l.nnz());
+        for c in 0..l.n() {
+            for (&r, v) in l.col_rows(c).iter().zip(l.col_values(c)) {
+                want.push((c, r, v.to_bits()));
+            }
+        }
+        assert_eq!(store_entries(&sf, &nf.stores), want, "P={p}: plan path");
+        let resident = session.factor_stores().expect("resident");
+        assert_eq!(store_entries(&sf, resident), want, "P={p}: Session");
+
+        // Session is the plan path; the one-shot solves inside the fused
+        // factor→solve region, where message arrival order (and with it the
+        // accumulation order at P > 1) may differ.
+        assert_eq!(x_plan, x_session, "P={p}: plan path vs Session");
+        if p == 1 {
+            assert_eq!(x_plan, one.x, "P=1: plan path vs one-shot");
+        } else {
+            assert!(max_abs_diff(&x_plan, &one.x) < 1e-12, "P={p}");
+        }
+    }
 }

@@ -3,8 +3,13 @@
 //! clock), and the health watchdog — an injected network stall must raise
 //! a typed `Stalled` health event *before* the engine's own quiescence
 //! abort fires, and an impossible latency objective must raise `SloBurn`.
+//! The plan layer (`factor_numeric_observed`, the path sessions and the
+//! fleet serve from) is observed by the same per-rank body as the one-shot
+//! driver, so its instruments and health events must equal the one-shot's.
 
-use sympack::{SolverError, SolverOptions, SymPack};
+use std::sync::Arc;
+use sympack::plan::factor_numeric_observed;
+use sympack::{SolvePlan, SolverError, SolverOptions, SymPack};
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_pgas::FaultPlan;
 use sympack_service::{Server, ServerConfig, Session};
@@ -83,6 +88,18 @@ fn solver_snapshots_are_byte_identical_across_reruns() {
         assert!(doc1.contains("\"kind\":\"solver\""), "P={p}");
         assert!(doc1.contains("sympack_sched_tasks_total"), "P={p}");
         assert!(doc1.contains("sympack_pgas_bytes_sent_total"), "P={p}");
+        // The plan path attaches the same observers in the same body: the
+        // scheduler instruments cover the factorization only, so a plan-path
+        // factorization reports exactly the one-shot's document.
+        let plan = SolvePlan::new(&a, &opts(p, true));
+        let (nf, tel) = factor_numeric_observed(&plan, &Arc::new(plan.permute(&a)));
+        let nf = nf.unwrap_or_else(|e| panic!("P={p}: factor_numeric failed: {e}"));
+        assert_eq!(nf.factor_time.to_bits(), r1.factor_time.to_bits(), "P={p}");
+        assert_eq!(
+            tel.expect("telemetry requested").to_json(),
+            doc1,
+            "P={p}: plan-path telemetry differs from the one-shot's"
+        );
     }
 }
 
@@ -108,7 +125,7 @@ fn watchdog_raises_stalled_before_quiescence_abort() {
     // strictly before the abort time.
     let a = gen::laplacian_2d(6, 6);
     let b = vec![test_rhs(a.n())];
-    let mut stalls = 0;
+    let (mut stalls, mut plan_stalls) = (0, 0);
     for seed in 0..400u64 {
         let o = SolverOptions {
             faults: Some(FaultPlan::drops(seed)),
@@ -116,6 +133,25 @@ fn watchdog_raises_stalled_before_quiescence_abort() {
             ..opts(2, true)
         };
         let (result, tel) = SymPack::try_factor_and_solve_observed(&a, &b, &o);
+        // The same seed on the plan path: a stall in the factorization is
+        // the same stall, diagnosed by the same watchdog.
+        let plan = SolvePlan::new(&a, &o);
+        let (factored, plan_tel) = factor_numeric_observed(&plan, &Arc::new(plan.permute(&a)));
+        if let Err(SolverError::Stalled { .. }) = factored {
+            assert!(
+                matches!(result, Err(SolverError::Stalled { .. })),
+                "seed {seed}: plan path stalled, one-shot returned {result:?}"
+            );
+            let events = |t: &Option<sympack_trace::telemetry::TelemetryReport>| {
+                let t = t
+                    .as_ref()
+                    .expect("telemetry report present even on failure");
+                sympack_trace::health::health_events_json(&t.health)
+            };
+            assert!(events(&plan_tel).contains("stalled"), "seed {seed}");
+            assert_eq!(events(&plan_tel), events(&tel), "seed {seed}");
+            plan_stalls += 1;
+        }
         match result {
             Ok(_) | Err(SolverError::FetchTimeout { .. }) => continue,
             Err(SolverError::Stalled { .. }) => {
@@ -125,7 +161,7 @@ fn watchdog_raises_stalled_before_quiescence_abort() {
                     "seed {seed}: stalled run carries no Stalled health event"
                 );
                 stalls += 1;
-                if stalls >= 3 {
+                if stalls >= 3 && plan_stalls > 0 {
                     return;
                 }
             }
@@ -133,6 +169,7 @@ fn watchdog_raises_stalled_before_quiescence_abort() {
         }
     }
     assert!(stalls > 0, "no drop seed in 0..400 produced a stall");
+    assert!(plan_stalls > 0, "no drop seed stalled the plan path");
 }
 
 #[test]
