@@ -22,35 +22,35 @@
 //! [`sympack::sched::TaskEngine`], so the comparison in the `taxonomy`
 //! bench isolates the communication family.
 
+use crate::column::add_block;
+use crate::rightlooking::{core_for, run, BaselineOptions, BaselineReport};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use sympack::map2d::ProcGrid;
-use sympack::sched::{self, CommLayer, Engine, FetchConfig, FetchMode, TaskEngine};
+use sympack::map2d::{distinct_owners, ProcGrid};
+use sympack::sched::{self, Core, Engine, FetchMode, TaskEngine};
 use sympack::storage::BlockStore;
+use sympack::update::{apply_update, UpdateScratch};
 use sympack::{SolverError, TaskKey};
-use sympack_dense::Mat;
+use sympack_dense::{BlockRef, Mat};
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{GlobalPtr, MemKind, Rank};
+use sympack_pgas::Rank;
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 
-use crate::rightlooking::{run, BaselineOptions, BaselineReport, SIGNAL_WIRE_BYTES};
-
-/// Incoming notifications.
+/// The `meta` of a fan-both message: which block the payload is, and
+/// whether it is a factor or an aggregate of updates to it.
 #[derive(Debug, Clone, Copy)]
 enum Msg {
-    /// A factored block `L(i,j)` is available at `ptr`.
+    /// The factored block `L(i,j)` (`rows × cols`, dense).
     Factor {
-        ptr: GlobalPtr,
         i: usize,
         j: usize,
         rows: usize,
         cols: usize,
     },
-    /// An aggregate for target block `(a,b)` is available at `ptr`.
+    /// One rank's aggregate for target block `(a,b)`.
     Aggregate {
-        ptr: GlobalPtr,
         a: usize,
         b: usize,
         rows: usize,
@@ -58,13 +58,7 @@ enum Msg {
     },
 }
 
-impl sched::Signal for Msg {
-    fn ptr(&self) -> GlobalPtr {
-        match self {
-            Msg::Factor { ptr, .. } | Msg::Aggregate { ptr, .. } => *ptr,
-        }
-    }
-
+impl sched::Meta for Msg {
     fn describe(&self) -> String {
         match self {
             Msg::Factor { i, j, .. } => format!("factored block L({i},{j})"),
@@ -77,11 +71,11 @@ impl sched::Signal for Msg {
 struct FbEngine {
     sf: Arc<SymbolicFactor>,
     grid: ProcGrid,
+    /// Owned blocks; a factored one lives here and nowhere else.
     store: BlockStore,
     kernels: KernelEngine,
-    /// The shared scheduling core: dep counters, RTQ, inbox, tracer.
-    rt: TaskEngine<TaskKey, Msg>,
-    /// Factored blocks available locally (own or fetched).
+    core: Core<TaskKey, Msg>,
+    /// Fetched factored blocks of other ranks.
     inputs: HashMap<(usize, usize), Mat>,
     /// Aggregation buffers per target block.
     aggs: HashMap<(usize, usize), Mat>,
@@ -90,10 +84,21 @@ struct FbEngine {
     consumers: HashMap<(usize, usize), Vec<TaskKey>>,
     /// Outstanding local update contributions per target block.
     my_contribs: HashMap<(usize, usize), usize>,
-    fetch: FetchConfig,
-    /// Per-destination signal coalescing (pass-through when off).
-    comm: CommLayer,
+    scratch: UpdateScratch,
     me: usize,
+}
+
+/// Factored block `L(i,j)` as this rank holds it: in its store when it owns
+/// the block, among the fetched inputs otherwise.
+fn factored<'a>(
+    store: &'a BlockStore,
+    inputs: &'a HashMap<(usize, usize), Mat>,
+    key: (usize, usize),
+) -> &'a Mat {
+    match store.get(key) {
+        Some(block) => block.dense(),
+        None => inputs.get(&key).expect("factor block present"),
+    }
 }
 
 impl FbEngine {
@@ -109,7 +114,7 @@ impl FbEngine {
         let (sf, abort) = (Arc::clone(sf), Arc::clone(abort));
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
-        let mut rt: TaskEngine<TaskKey, Msg> = TaskEngine::new(opts.rtq_policy, abort);
+        let mut rt = TaskEngine::new(opts.rtq_policy, abort);
         // Static task analysis. For each pair (a >= b) of targets of
         // supernode j, the update computes on cmap = map(a, j) and lands on
         // map(a, b). contrib_ranks[(a,b)] collects the distinct compute
@@ -162,292 +167,154 @@ impl FbEngine {
             }
         }
         rt.seed_ready();
-        let fetch =
-            FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, FetchMode::NonBlocking);
         FbEngine {
+            core: core_for(rt, &kernels, opts, FetchMode::NonBlocking),
             sf,
             grid,
             store,
             kernels,
-            rt,
             inputs: HashMap::new(),
             aggs: HashMap::new(),
             consumers,
             my_contribs,
-            fetch,
-            comm: CommLayer::new(opts.coalesce),
+            scratch: UpdateScratch::default(),
             me: rank,
         }
     }
 
-    /// Resolve queued notifications through the runtime's shared one-sided
-    /// fetch path. Fan-both does not track transfer completion times (its
-    /// tasks start whenever picked), so the fetch `ready_at` is ignored.
-    fn drain_pending(&mut self, rank: &mut Rank) {
-        let signals = self.rt.take_signals();
-        if signals.is_empty() {
-            return;
-        }
-        let cfg = self.fetch;
-        let res = sched::drain_signals(rank, signals, &cfg, |rank, msg, data, _ready_at| {
-            let now = rank.now();
-            match msg {
-                Msg::Factor {
-                    i, j, rows, cols, ..
-                } => {
-                    self.inputs
-                        .insert((i, j), Mat::from_col_major(rows, cols, data));
-                    if let Some(keys) = self.consumers.get(&(i, j)).cloned() {
-                        for k in keys {
-                            self.rt.dec(k, now);
-                        }
-                    }
-                }
-                Msg::Aggregate {
-                    a, b, rows, cols, ..
-                } => {
-                    let buf = Mat::from_col_major(rows, cols, data);
-                    absorb(&mut self.store, a, b, &buf);
-                    self.dec_target(a, b, now);
-                }
-            }
-        });
-        if let Err(err) = res {
-            self.rt.fail(rank, err);
+    /// Factored block `(i,j)` became available here at `now`: release the
+    /// owned tasks consuming it.
+    fn release_consumers(&mut self, i: usize, j: usize, now: f64) {
+        for &k in self.consumers.get(&(i, j)).into_iter().flatten() {
+            self.core.rt.dec(k, now);
         }
     }
 
-    /// Release the target-side dependency of `(a,b)` after an aggregate
-    /// lands.
-    fn dec_target(&mut self, a: usize, b: usize, now: f64) {
+    /// An aggregate for `(a,b)` (received, or this rank's own) is complete:
+    /// fold it into the owned target and release the target's task.
+    fn absorb(&mut self, a: usize, b: usize, buf: &Mat, now: f64) {
+        let target = self.store.get_mut((a, b)).expect("target owned");
+        add_block(target.dense_mut(), buf, a == b);
         let key = if a == b {
             TaskKey::Diag { j: b }
         } else {
             TaskKey::Panel { i: a, j: b }
         };
-        self.rt.dec(key, now);
+        self.core.rt.dec(key, now);
+    }
+
+    /// Store freshly factored `L(i,j)`, send it to the owners of the blocks
+    /// `(t,j)`, `t ≥ i`, down its grid column — the compute ranks of the
+    /// updates (or, for a diagonal factor, the panel solves) that use it —
+    /// and release this rank's own consumers.
+    fn publish_factor(&mut self, rank: &mut Rank, blk: Mat, i: usize, j: usize) {
+        let below = self.sf.layout.blocks_of(j).iter();
+        let below = below.filter(|bb| bb.target >= i);
+        let dests = distinct_owners(below.map(|bb| self.grid.map(bb.target, j)));
+        let (rows, cols) = (blk.rows(), blk.cols());
+        let meta = Msg::Factor { i, j, rows, cols };
+        self.core
+            .comm
+            .publish::<Self>(rank, blk.as_slice(), None, &dests, meta);
+        self.store.put((i, j), blk);
+        self.release_consumers(i, j, rank.now());
     }
 
     fn exec_diag(&mut self, rank: &mut Rank, j: usize) {
         let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
         let first = self.sf.partition.first_col(j);
-        let Some(secs) =
-            sched::potrf_or_fail(&mut self.rt, &mut self.kernels, rank, &mut diag, first)
-        else {
+        let rt = &mut self.core.rt;
+        let Some(secs) = sched::potrf_or_fail(rt, &mut self.kernels, rank, &mut diag, first) else {
             self.store.put((j, j), diag);
             return;
         };
-        self.rt.charge(rank, TaskKey::Diag { j }, secs);
-        // Fan L(j,j) to the panel owners down the grid column.
-        let mut dests: Vec<usize> = self
-            .sf
-            .layout
-            .blocks_of(j)
-            .iter()
-            .map(|bb| self.grid.map(bb.target, j))
-            .collect();
-        dests.sort_unstable();
-        dests.dedup();
-        self.publish_factor(rank, &diag, j, j, &dests);
-        // L(j,j) is also an input to this rank's own panel tasks.
-        self.consume_local(rank, j, j);
-        self.inputs.insert((j, j), diag.clone());
-        self.store.put((j, j), diag);
+        rt.charge(rank, TaskKey::Diag { j }, secs);
+        self.publish_factor(rank, diag, j, j);
     }
 
     fn exec_panel(&mut self, rank: &mut Rank, i: usize, j: usize) {
         let mut blk = self.store.take((i, j)).expect("panel owned").into_dense();
-        let ldiag = self.inputs.get(&(j, j)).expect("diagonal factor present");
+        let ldiag = factored(&self.store, &self.inputs, (j, j));
         let (_, secs) = self.kernels.trsm(&mut blk, ldiag);
-        self.rt.charge(rank, TaskKey::Panel { i, j }, secs);
-        // Fan L(i,j) to the compute ranks of updates that use it:
-        // U(a,j,i) at map(a,j) for a >= i, and U(i,j,b) at map(i,j) = me.
-        let mut dests: Vec<usize> = self
-            .sf
-            .layout
-            .blocks_of(j)
-            .iter()
-            .filter(|bb| bb.target >= i)
-            .map(|bb| self.grid.map(bb.target, j))
-            .collect();
-        dests.sort_unstable();
-        dests.dedup();
-        self.publish_factor(rank, &blk, i, j, &dests);
-        self.consume_local(rank, i, j);
-        self.inputs.insert((i, j), blk.clone());
-        self.store.put((i, j), blk);
-    }
-
-    /// Release this rank's own consumers of a locally produced factor block.
-    fn consume_local(&mut self, rank: &mut Rank, i: usize, j: usize) {
-        let now = rank.now();
-        if let Some(keys) = self.consumers.get(&(i, j)).cloned() {
-            for k in keys {
-                self.rt.dec(k, now);
-            }
-        }
-    }
-
-    /// Publish a factored block: place it in the shared heap and signal the
-    /// remote destinations.
-    fn publish_factor(&mut self, rank: &mut Rank, data: &Mat, i: usize, j: usize, dests: &[usize]) {
-        let remote: Vec<usize> = dests.iter().copied().filter(|&d| d != self.me).collect();
-        if remote.is_empty() {
-            return;
-        }
-        let ptr = rank
-            .alloc(MemKind::Host, data.rows() * data.cols())
-            .expect("host alloc");
-        rank.write_local(&ptr, data.as_slice());
-        let (rows, cols) = (data.rows(), data.cols());
-        for d in remote {
-            let msg = Msg::Factor {
-                ptr,
-                i,
-                j,
-                rows,
-                cols,
-            };
-            // Factor notifications ride the droppable/duplicable signal
-            // path; the inbox deduplicates and the stall detector diagnoses
-            // drops. try_with_state: a straggling duplicate may land after
-            // the state is torn down.
-            self.comm.send(rank, d, SIGNAL_WIRE_BYTES, move |r| {
-                r.try_with_state::<FbEngine, _>(|_, st| {
-                    st.rt.post_unique(msg);
-                });
-            });
-        }
+        self.core.rt.charge(rank, TaskKey::Panel { i, j }, secs);
+        self.publish_factor(rank, blk, i, j);
     }
 
     /// Run one update product into the aggregation buffer for `(a, b)`; ship
     /// or absorb the buffer once this rank's last contribution lands.
     fn exec_update(&mut self, rank: &mut Rank, j: usize, a: usize, b: usize) {
-        let key = TaskKey::Update { j, a, b };
-        let binfo_j = self.sf.layout.find(b, j).expect("source block");
-        let rows_b =
-            self.sf.patterns[j][binfo_j.row_offset..binfo_j.row_offset + binfo_j.n_rows].to_vec();
-        let first_b = self.sf.partition.first_col(b);
-        let lb = self.inputs.get(&(b, j)).expect("L(b,j) present");
-        if a == b {
-            let nb = lb.rows();
-            let mut temp = Mat::zeros(nb, nb);
-            let (_, secs) = self.kernels.syrk(&mut temp, lb);
-            self.rt.charge(rank, key, secs);
-            let w = self.sf.partition.width(b);
-            let agg = self.aggs.entry((b, b)).or_insert_with(|| Mat::zeros(w, w));
-            for (ci, &gc) in rows_b.iter().enumerate() {
-                let tc = gc - first_b;
-                for (ri, &gr) in rows_b.iter().enumerate().skip(ci) {
-                    agg[(gr - first_b, tc)] += temp[(ri, ci)];
-                }
-            }
-        } else {
-            let la = self.inputs.get(&(a, j)).expect("L(a,j) present");
-            let ainfo_j = self.sf.layout.find(a, j).expect("source block");
-            let rows_a =
-                &self.sf.patterns[j][ainfo_j.row_offset..ainfo_j.row_offset + ainfo_j.n_rows];
-            let tinfo = self.sf.layout.find(a, b).expect("target block exists");
-            let target_rows =
-                &self.sf.patterns[b][tinfo.row_offset..tinfo.row_offset + tinfo.n_rows];
-            let row_map: Vec<usize> = rows_a
-                .iter()
-                .map(|r| target_rows.binary_search(r).expect("row containment"))
-                .collect();
-            let mut temp = Mat::zeros(la.rows(), lb.rows());
-            let lb = self.inputs.get(&(b, j)).expect("L(b,j) present");
-            let la = self.inputs.get(&(a, j)).expect("L(a,j) present");
-            let (_, secs) = self.kernels.gemm(&mut temp, la, lb);
-            self.rt.charge(rank, key, secs);
-            let w = self.sf.partition.width(b);
-            let agg = self
-                .aggs
-                .entry((a, b))
-                .or_insert_with(|| Mat::zeros(tinfo.n_rows, w));
-            for (ci, &gc) in rows_b.iter().enumerate() {
-                let tc = gc - first_b;
-                for (ri, &tr) in row_map.iter().enumerate() {
-                    agg[(tr, tc)] += temp[(ri, ci)];
-                }
-            }
-        }
+        let sf = &self.sf;
+        let find = |i, j| sf.layout.find(i, j).expect("block exists");
+        let w = sf.partition.width(b);
+        // The target's rows: SYRK into the diagonal block when a == b.
+        let tinfo = (a != b).then(|| find(a, b));
+        let agg = self.aggs.entry((a, b));
+        let agg = agg.or_insert_with(|| Mat::zeros(tinfo.map_or(w, |t| t.n_rows), w));
+        let secs = apply_update(
+            &mut self.kernels,
+            &mut self.scratch,
+            BlockRef::Dense(factored(&self.store, &self.inputs, (a, j))),
+            BlockRef::Dense(factored(&self.store, &self.inputs, (b, j))),
+            sf.block_rows(j, find(a, j)),
+            sf.block_rows(j, find(b, j)),
+            tinfo.map(|t| sf.block_rows(b, t)),
+            sf.partition.first_col(b),
+            agg,
+        );
+        self.core.rt.charge(rank, TaskKey::Update { j, a, b }, secs);
         // Last contribution to (a,b) from this rank? Ship or absorb.
         let c = self.my_contribs.get_mut(&(a, b)).expect("contrib counted");
         *c -= 1;
-        if *c == 0 {
-            let buf = self.aggs.remove(&(a, b)).expect("aggregate exists");
-            let owner = self.grid.map(a, b);
-            if owner == self.me {
-                absorb(&mut self.store, a, b, &buf);
-                let now = rank.now();
-                self.dec_target(a, b, now);
-            } else {
-                let ptr = rank
-                    .alloc(MemKind::Host, buf.rows() * buf.cols())
-                    .expect("host alloc");
-                rank.write_local(&ptr, buf.as_slice());
-                let (rows, cols) = (buf.rows(), buf.cols());
-                let msg = Msg::Aggregate {
-                    ptr,
-                    a,
-                    b,
-                    rows,
-                    cols,
-                };
-                self.comm.send(rank, owner, SIGNAL_WIRE_BYTES, move |r| {
-                    r.try_with_state::<FbEngine, _>(|_, st| {
-                        st.rt.post_unique(msg);
-                    });
-                });
-            }
+        if *c > 0 {
+            return;
         }
-    }
-}
-
-/// Fold an aggregate into the owned target block.
-fn absorb(store: &mut BlockStore, a: usize, b: usize, buf: &Mat) {
-    let m = store.get_mut((a, b)).expect("target owned").dense_mut();
-    if a == b {
-        for c in 0..buf.cols() {
-            for r in c..buf.rows() {
-                m[(r, c)] += buf[(r, c)];
-            }
-        }
-    } else {
-        for c in 0..buf.cols() {
-            for r in 0..buf.rows() {
-                m[(r, c)] += buf[(r, c)];
-            }
+        let buf = self.aggs.remove(&(a, b)).expect("aggregate exists");
+        let owner = self.grid.map(a, b);
+        if owner == self.me {
+            self.absorb(a, b, &buf, rank.now());
+        } else {
+            let (rows, cols) = (buf.rows(), buf.cols());
+            let meta = Msg::Aggregate { a, b, rows, cols };
+            self.core
+                .comm
+                .publish::<Self>(rank, buf.as_slice(), None, &[owner], meta);
         }
     }
 }
 
 impl Engine for FbEngine {
     type Key = TaskKey;
-    type Sig = Msg;
+    type Meta = Msg;
 
     const STALL_DETAIL: &'static str = "fan-both factorization quiesced with unfinished tasks \
                                         (dropped factor or aggregate suspected)";
 
-    fn step(&mut self, rank: &mut Rank) -> bool {
-        self.drain_pending(rank);
-        self.comm.tick(rank);
-        let Some((id, key, ready_at)) = self.rt.pick() else {
-            self.comm.flush_all(rank);
-            return false;
-        };
-        self.rt.begin(rank, ready_at);
+    fn core(&mut self) -> &mut Core<TaskKey, Msg> {
+        &mut self.core
+    }
+
+    fn exec(&mut self, rank: &mut Rank, _id: sched::TaskId, key: TaskKey) {
         match key {
             TaskKey::Diag { j } => self.exec_diag(rank, j),
             TaskKey::Panel { i, j } => self.exec_panel(rank, i, j),
             TaskKey::Update { j, a, b } => self.exec_update(rank, j, a, b),
         }
-        self.rt.complete(id);
-        true
     }
 
-    fn rt(&mut self) -> &mut TaskEngine<TaskKey, Msg> {
-        &mut self.rt
+    /// Fan-both does not track transfer completion times (its tasks start
+    /// whenever picked), so the fetch `ready_at` is ignored.
+    fn on_data(&mut self, rank: &mut Rank, meta: Msg, data: Vec<f64>, _ready_at: f64) {
+        let now = rank.now();
+        match meta {
+            Msg::Factor { i, j, rows, cols } => {
+                self.inputs
+                    .insert((i, j), Mat::from_col_major(rows, cols, data));
+                self.release_consumers(i, j, now);
+            }
+            Msg::Aggregate { a, b, rows, cols } => {
+                self.absorb(a, b, &Mat::from_col_major(rows, cols, data), now);
+            }
+        }
     }
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {
@@ -477,9 +344,16 @@ pub fn try_fanboth_factor_and_solve(
     b: &[f64],
     opts: &BaselineOptions,
 ) -> Result<BaselineReport, SolverError> {
-    let grid = ProcGrid::squarest(opts.n_nodes * opts.ranks_per_node);
     // One-sided transport, like the fan-out: no rendezvous in the solve.
-    run("fanboth", grid, 0.0, a, b, opts, FbEngine::new)
+    run(
+        "fanboth",
+        ProcGrid::squarest,
+        0.0,
+        a,
+        b,
+        opts,
+        FbEngine::new,
+    )
 }
 
 #[cfg(test)]

@@ -16,23 +16,23 @@
 //! two-sided flavor survives as the runtime's blocking-fetch rendezvous
 //! charge.
 
+use crate::column::{factor_column, ColumnBuf};
+use crate::rightlooking::{
+    core_for, owner_of, run, BaselineOptions, BaselineReport, RENDEZVOUS_OVERHEAD,
+};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
-use sympack::sched::{self, CommLayer, Engine, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use sympack::sched::{self, Core, Engine, FetchMode, TaskEngine, TaskKind};
 use sympack::storage::BlockStore;
+use sympack::update::{apply_update, UpdateScratch};
 use sympack::SolverError;
-use sympack_dense::Mat;
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{GlobalPtr, MemKind, Rank};
+use sympack_pgas::Rank;
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 use sympack_trace::TraceCat;
-
-use crate::rightlooking::{
-    owner_of, run, BaselineOptions, BaselineReport, RENDEZVOUS_OVERHEAD, SIGNAL_WIRE_BYTES,
-};
 
 /// The single task species of the fan-in algorithm: factor owned supernode
 /// `j` (POTRF + TRSMs) and immediately compute every update it sources,
@@ -60,92 +60,16 @@ impl TaskKind for FiKey {
     }
 }
 
-/// An aggregation buffer for one remote target supernode: the diagonal
-/// update plus one dense block per off-diagonal block of the target.
-struct AggBuffer {
-    diag: Mat,
-    blocks: Vec<Mat>,
-}
-
-impl AggBuffer {
-    fn new(sf: &SymbolicFactor, b: usize) -> Self {
-        let w = sf.partition.width(b);
-        let blocks = sf
-            .layout
-            .blocks_of(b)
-            .iter()
-            .map(|info| Mat::zeros(info.n_rows, w))
-            .collect();
-        AggBuffer {
-            diag: Mat::zeros(w, w),
-            blocks,
-        }
-    }
-
-    fn pack(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        out.extend_from_slice(self.diag.as_slice());
-        for b in &self.blocks {
-            out.extend_from_slice(b.as_slice());
-        }
-        out
-    }
-
-    fn unpack(sf: &SymbolicFactor, b: usize, data: &[f64]) -> Self {
-        let w = sf.partition.width(b);
-        let diag = Mat::from_col_major(w, w, data[..w * w].to_vec());
-        let mut off = w * w;
-        let mut blocks = Vec::new();
-        for info in sf.layout.blocks_of(b) {
-            let len = info.n_rows * w;
-            blocks.push(Mat::from_col_major(
-                info.n_rows,
-                w,
-                data[off..off + len].to_vec(),
-            ));
-            off += len;
-        }
-        AggBuffer { diag, blocks }
-    }
-}
-
-/// A received aggregate: pointer to the packed buffer of target `b`.
+/// The `meta` of an aggregate: the packed updates of one rank to target
+/// supernode `target` (a [`ColumnBuf`] of it).
 #[derive(Debug, Clone, Copy)]
-struct AggSignal {
-    ptr: GlobalPtr,
+struct AggMeta {
     target: usize,
 }
 
-impl sched::Signal for AggSignal {
-    fn ptr(&self) -> GlobalPtr {
-        self.ptr
-    }
-
+impl sched::Meta for AggMeta {
     fn describe(&self) -> String {
         format!("aggregate update for supernode {}", self.target)
-    }
-}
-
-/// Add a received (or locally finished) aggregate into the owned blocks.
-fn absorb_aggregate(sf: &SymbolicFactor, store: &mut BlockStore, b: usize, agg: &AggBuffer) {
-    {
-        let diag = store.get_mut((b, b)).expect("diag owned").dense_mut();
-        for c in 0..agg.diag.cols() {
-            for r in c..agg.diag.rows() {
-                diag[(r, c)] += agg.diag[(r, c)];
-            }
-        }
-    }
-    for (info, buf) in sf.layout.blocks_of(b).iter().zip(&agg.blocks) {
-        let m = store
-            .get_mut((info.target, b))
-            .expect("block owned")
-            .dense_mut();
-        for c in 0..buf.cols() {
-            for r in 0..buf.rows() {
-                m[(r, c)] += buf[(r, c)];
-            }
-        }
     }
 }
 
@@ -154,15 +78,12 @@ struct FiEngine {
     sf: Arc<SymbolicFactor>,
     store: BlockStore,
     kernels: KernelEngine,
-    /// The shared scheduling core: dep counters, RTQ, inbox, tracer.
-    rt: TaskEngine<FiKey, AggSignal>,
+    core: Core<FiKey, AggMeta>,
     /// Aggregation buffers for remote targets, keyed by target supernode.
-    aggs: HashMap<usize, AggBuffer>,
+    aggs: HashMap<usize, ColumnBuf>,
     /// Outstanding local contributions per remote target.
     my_contribs: HashMap<usize, usize>,
-    fetch: FetchConfig,
-    /// Per-destination signal coalescing (pass-through when off).
-    comm: CommLayer,
+    scratch: UpdateScratch,
     p: usize,
     me: usize,
 }
@@ -181,7 +102,7 @@ impl FiEngine {
         let p = grid.n_procs();
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
-        let mut rt: TaskEngine<FiKey, AggSignal> = TaskEngine::new(opts.rtq_policy, abort);
+        let mut rt = TaskEngine::new(opts.rtq_policy, abort);
         // Dependency accounting.
         // deps[j] (owned j) = #own earlier supernodes contributing to j
         //                   + #remote ranks contributing to j (one aggregate
@@ -220,214 +141,117 @@ impl FiEngine {
         let mode = FetchMode::Blocking {
             overhead: RENDEZVOUS_OVERHEAD,
         };
-        let fetch = FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, mode);
         FiEngine {
+            core: core_for(rt, &kernels, opts, mode),
             sf,
             store,
             kernels,
-            rt,
             aggs: HashMap::new(),
             my_contribs,
-            fetch,
-            comm: CommLayer::new(opts.coalesce),
+            scratch: UpdateScratch::default(),
             p,
             me: rank,
         }
     }
 
-    /// Resolve queued aggregate signals: blocking two-sided receives, then
-    /// fold each aggregate into the owned target and release its factor
-    /// task.
-    fn drain_pending(&mut self, rank: &mut Rank) {
-        let signals = self.rt.take_signals();
-        if signals.is_empty() {
-            return;
-        }
-        let cfg = self.fetch;
-        let res = sched::drain_signals(rank, signals, &cfg, |_rank, s, data, ready_at| {
-            let agg = AggBuffer::unpack(&self.sf, s.target, &data);
-            absorb_aggregate(&self.sf, &mut self.store, s.target, &agg);
-            self.rt.dec(FiKey { j: s.target }, ready_at);
-        });
-        if let Err(err) = res {
-            self.rt.fail(rank, err);
-        }
-    }
-
-    /// Factor supernode `j` and fan its updates in: owned targets are
-    /// updated in place, remote targets accumulate into aggregation buffers
-    /// shipped once the last local contribution lands.
-    fn exec_factor(&mut self, rank: &mut Rank, key: FiKey) {
-        let j = key.j;
-        let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
-        let first = self.sf.partition.first_col(j);
-        let Some(secs) =
-            sched::potrf_or_fail(&mut self.rt, &mut self.kernels, rank, &mut diag, first)
-        else {
-            self.store.put((j, j), diag);
-            return;
-        };
-        self.rt.charge(rank, key, secs);
-        for bb in self.sf.layout.blocks_of(j).to_vec() {
-            let mut blk = self
-                .store
-                .take((bb.target, j))
-                .expect("block owned")
-                .into_dense();
-            let (_, secs) = self.kernels.trsm(&mut blk, &diag);
-            self.rt.charge(rank, key, secs);
-            self.store.put((bb.target, j), blk);
-        }
-        self.store.put((j, j), diag);
-        // Compute this supernode's updates at the source (fan-in).
-        let touched = self.scatter_updates(rank, key);
-        let now = rank.now();
-        for b in touched {
-            if owner_of(b, self.p) == self.me {
-                self.rt.dec(FiKey { j: b }, now);
-            } else {
-                let c = self.my_contribs.get_mut(&b).expect("contrib counted");
-                *c -= 1;
-                if *c == 0 {
-                    // Last local contribution folded in: ship the aggregate
-                    // once.
-                    let agg = self.aggs.remove(&b).expect("aggregate exists");
-                    let packed = agg.pack();
-                    let ptr = rank.alloc(MemKind::Host, packed.len()).expect("host alloc");
-                    rank.write_local(&ptr, &packed);
-                    let sig = AggSignal { ptr, target: b };
-                    let dest = owner_of(b, self.p);
-                    // Aggregates ride the droppable/duplicable signal path;
-                    // the inbox deduplicates and the stall detector
-                    // diagnoses drops. try_with_state: a straggling
-                    // duplicate may land after the state is torn down.
-                    self.comm.send(rank, dest, SIGNAL_WIRE_BYTES, move |r| {
-                        r.try_with_state::<FiEngine, _>(|_, st| {
-                            st.rt.post_unique(sig);
-                        });
-                    });
-                }
-            }
-        }
-    }
-
     /// Apply the update pairs of factored supernode `j` into either the
     /// local store (owned targets) or the aggregation buffers (remote
-    /// targets). Returns the distinct targets touched.
-    fn scatter_updates(&mut self, rank: &mut Rank, key: FiKey) -> Vec<usize> {
-        let j = key.j;
-        let blocks_meta = self.sf.layout.blocks_of(j).to_vec();
-        let mut touched = Vec::new();
-        for (bi, bb) in blocks_meta.iter().enumerate() {
+    /// targets).
+    fn scatter_updates(&mut self, rank: &mut Rank, key: FiKey) {
+        let (j, sf) = (key.j, &self.sf);
+        let col = sf.layout.blocks_of(j);
+        for (bi, bb) in col.iter().enumerate() {
             let b = bb.target;
             let local = owner_of(b, self.p) == self.me;
-            touched.push(b);
-            let first_b = self.sf.partition.first_col(b);
-            let rows_b = self.sf.patterns[j][bb.row_offset..bb.row_offset + bb.n_rows].to_vec();
-            let lb = self
-                .store
-                .get((b, j))
-                .expect("factored block local")
-                .to_dense();
-            for ba in blocks_meta.iter().skip(bi) {
+            let of_b = sf.layout.blocks_of(b);
+            for ba in &col[bi..] {
                 let a = ba.target;
-                let la = self
-                    .store
-                    .get((a, j))
-                    .expect("factored block local")
-                    .to_dense();
-                if a == b {
-                    let nb = lb.rows();
-                    let mut temp = Mat::zeros(nb, nb);
-                    let (_, secs) = self.kernels.syrk(&mut temp, &lb);
-                    self.rt.charge(rank, key, secs);
-                    let sf = &self.sf;
-                    let target: &mut Mat = if local {
-                        self.store.get_mut((b, b)).expect("diag owned").dense_mut()
-                    } else {
-                        &mut self
-                            .aggs
-                            .entry(b)
-                            .or_insert_with(|| AggBuffer::new(sf, b))
-                            .diag
-                    };
-                    for (ci, &gc) in rows_b.iter().enumerate() {
-                        let tc = gc - first_b;
-                        for (ri, &gr) in rows_b.iter().enumerate().skip(ci) {
-                            target[(gr - first_b, tc)] += temp[(ri, ci)];
-                        }
+                // Which block of supernode b is the target (a,b)?
+                let tidx = (a != b).then(|| {
+                    let found = of_b.binary_search_by_key(&a, |t| t.target);
+                    found.expect("target block exists")
+                });
+                // An owned target leaves the store while the operands are
+                // borrowed from it; a remote one is its aggregate's block.
+                let mut owned = local.then(|| self.store.take((a, b)).expect("target owned"));
+                let target = match &mut owned {
+                    Some(block) => block.dense_mut(),
+                    None => {
+                        let agg = self.aggs.entry(b);
+                        let agg = agg.or_insert_with(|| ColumnBuf::zeros(sf, b));
+                        &mut agg.mats[tidx.map_or(0, |t| t + 1)]
                     }
-                } else {
-                    let rows_a =
-                        self.sf.patterns[j][ba.row_offset..ba.row_offset + ba.n_rows].to_vec();
-                    let tinfo = self.sf.layout.find(a, b).expect("target block exists");
-                    let target_rows =
-                        &self.sf.patterns[b][tinfo.row_offset..tinfo.row_offset + tinfo.n_rows];
-                    let row_map: Vec<usize> = rows_a
-                        .iter()
-                        .map(|r| target_rows.binary_search(r).expect("row containment"))
-                        .collect();
-                    let mut temp = Mat::zeros(la.rows(), lb.rows());
-                    let (_, secs) = self.kernels.gemm(&mut temp, &la, &lb);
-                    self.rt.charge(rank, key, secs);
-                    // Which block of the target supernode does (a,b) map to?
-                    let bidx = self
-                        .sf
-                        .layout
-                        .blocks_of(b)
-                        .iter()
-                        .position(|i2| i2.target == a)
-                        .expect("block index");
-                    let sf = &self.sf;
-                    let target: &mut Mat = if local {
-                        self.store
-                            .get_mut((a, b))
-                            .expect("target block owned")
-                            .dense_mut()
-                    } else {
-                        &mut self
-                            .aggs
-                            .entry(b)
-                            .or_insert_with(|| AggBuffer::new(sf, b))
-                            .blocks[bidx]
-                    };
-                    for (ci, &gc) in rows_b.iter().enumerate() {
-                        let tc = gc - first_b;
-                        for (ri, &tr) in row_map.iter().enumerate() {
-                            target[(tr, tc)] += temp[(ri, ci)];
-                        }
-                    }
+                };
+                let operand = |i| self.store.get((i, j)).expect("factored block local");
+                let secs = apply_update(
+                    &mut self.kernels,
+                    &mut self.scratch,
+                    operand(a).as_ref(),
+                    operand(b).as_ref(),
+                    sf.block_rows(j, ba),
+                    sf.block_rows(j, bb),
+                    tidx.map(|t| sf.block_rows(b, &of_b[t])),
+                    sf.partition.first_col(b),
+                    target,
+                );
+                if let Some(block) = owned {
+                    self.store.put((a, b), block);
                 }
+                self.core.rt.charge(rank, key, secs);
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
-        touched
     }
 }
 
 impl Engine for FiEngine {
     type Key = FiKey;
-    type Sig = AggSignal;
+    type Meta = AggMeta;
 
     const STALL_DETAIL: &'static str =
         "fan-in factorization quiesced with unfinished tasks (dropped aggregate suspected)";
 
-    fn step(&mut self, rank: &mut Rank) -> bool {
-        self.drain_pending(rank);
-        self.comm.tick(rank);
-        let Some((id, key, ready_at)) = self.rt.pick() else {
-            self.comm.flush_all(rank);
-            return false;
-        };
-        self.rt.begin(rank, ready_at);
-        self.exec_factor(rank, key);
-        self.rt.complete(id);
-        true
+    fn core(&mut self) -> &mut Core<FiKey, AggMeta> {
+        &mut self.core
     }
 
-    fn rt(&mut self) -> &mut TaskEngine<FiKey, AggSignal> {
-        &mut self.rt
+    /// Factor supernode `j` and fan its updates in: owned targets are
+    /// updated in place, remote targets accumulate into aggregation buffers
+    /// shipped once the last local contribution lands.
+    fn exec(&mut self, rank: &mut Rank, _id: sched::TaskId, key: FiKey) {
+        let (j, sf) = (key.j, &self.sf);
+        let rt = &mut self.core.rt;
+        if !factor_column(rt, &mut self.kernels, &mut self.store, sf, rank, key, j) {
+            return;
+        }
+        // Compute this supernode's updates at the source (fan-in).
+        self.scatter_updates(rank, key);
+        let now = rank.now();
+        for b in self.sf.layout.blocks_of(j).iter().map(|bb| bb.target) {
+            let owner = owner_of(b, self.p);
+            if owner == self.me {
+                self.core.rt.dec(FiKey { j: b }, now);
+                continue;
+            }
+            let c = self.my_contribs.get_mut(&b).expect("contrib counted");
+            *c -= 1;
+            if *c == 0 {
+                // Last local contribution folded in: ship the aggregate
+                // once.
+                let packed = self.aggs.remove(&b).expect("aggregate exists").pack();
+                let meta = AggMeta { target: b };
+                self.core
+                    .comm
+                    .publish::<Self>(rank, &packed, None, &[owner], meta);
+            }
+        }
+    }
+
+    /// An aggregate arrived (a blocking two-sided receive): fold it into the
+    /// owned target and release its factor task.
+    fn on_data(&mut self, _rank: &mut Rank, meta: AggMeta, data: Vec<f64>, ready_at: f64) {
+        let b = meta.target;
+        ColumnBuf::unpack(&self.sf, b, &data).add_into(&self.sf, &mut self.store, b);
+        self.core.rt.dec(FiKey { j: b }, ready_at);
     }
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {
@@ -453,10 +277,9 @@ pub fn try_fanin_factor_and_solve(
     b: &[f64],
     opts: &BaselineOptions,
 ) -> Result<BaselineReport, SolverError> {
-    let grid = ProcGrid::one_dimensional(opts.n_nodes * opts.ranks_per_node);
     run(
         "fanin",
-        grid,
+        ProcGrid::one_dimensional,
         RENDEZVOUS_OVERHEAD,
         a,
         b,

@@ -24,6 +24,7 @@
 //! [`fanin`] adds the third family of §2.3's taxonomy: a fan-in solver that
 //! computes updates at the source owner and ships aggregate buffers.
 
+mod column;
 pub mod fanboth;
 pub mod fanin;
 pub mod rightlooking;

@@ -6,22 +6,22 @@
 //! two-sided blocking fetch with a rendezvous charge per receive
 //! ([`FetchMode::Blocking`]).
 
+use crate::column::{factor_column, ColumnBuf};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use sympack::map2d::ProcGrid;
+use sympack::map2d::{distinct_owners, ProcGrid};
 use sympack::plan::{self, RankOut};
-use sympack::sched::{self, CommLayer, Engine, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use sympack::sched::{self, CommLayer, Core, Engine, FetchConfig, FetchMode, TaskEngine, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::trisolve::{self, SolveParams};
+use sympack::update::{apply_update, UpdateScratch};
 use sympack::{RtqPolicy, SolverError};
-use sympack_dense::Mat;
+use sympack_dense::BlockRef;
 use sympack_gpu::{KernelEngine, OffloadThresholds, OomPolicy, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
 use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
-use sympack_pgas::{
-    FaultPlan, GlobalPtr, MemKind, NetModel, PgasConfig, Rank, Runtime, StatsSnapshot,
-};
+use sympack_pgas::{FaultPlan, NetModel, PgasConfig, Rank, Runtime, StatsSnapshot};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::{analyze, AnalyzeOptions, SymbolicFactor};
 use sympack_trace::profile::Profile;
@@ -36,10 +36,6 @@ pub(crate) const RENDEZVOUS_OVERHEAD: f64 = 5.0e-6;
 /// dependency tracking, worker selection and queue hand-off. Published
 /// StarPU measurements put this at several microseconds per task.
 const RUNTIME_TASK_OVERHEAD: f64 = 6.0e-6;
-
-/// Modeled wire size of one panel/aggregate notification (global pointer
-/// plus message metadata), charged per sub-frame when signals coalesce.
-pub(crate) use sympack_pgas::coalesce::SIGNAL_WIRE_BYTES;
 
 /// Baseline run configuration (mirrors [`sympack::SolverOptions`] minus the
 /// choices the baseline doesn't have: mapping is 1D).
@@ -73,11 +69,6 @@ pub struct BaselineOptions {
     pub faults: Option<FaultPlan>,
     /// Run ranks in deterministic lockstep (reproducible schedules).
     pub deterministic: bool,
-    /// Broadcast topology knob, accepted for option-surface parity with
-    /// [`sympack::SolverOptions`]. The 1D-mapped baselines broadcast
-    /// panel-granular messages to a handful of destinations, so `Tree`
-    /// degrades to `Flat` here — only the fan-out engine relays.
-    pub bcast: BcastTopology,
     /// Per-destination signal coalescing (shared comm layer); `None`
     /// keeps the historical one-RPC-per-signal wire pattern.
     pub coalesce: Option<CoalesceConfig>,
@@ -105,7 +96,6 @@ impl Default for BaselineOptions {
             device_quota: usize::MAX,
             faults: None,
             deterministic: false,
-            bcast: BcastTopology::Flat,
             coalesce: None,
             symbolic: None,
         }
@@ -150,14 +140,15 @@ type EngineCtor<E> = fn(
 
 /// Factor and solve with one baseline family — the runner all three share.
 /// A family is its engine (`build`, called once per rank), the process
-/// `grid` it maps blocks with, the per-message rendezvous overhead
+/// `grid` it maps blocks with (built over the run's rank count once the
+/// options are known to be valid), the per-message rendezvous overhead
 /// (`msg_overhead`) its triangular solve pays, and the `label` of its
 /// profile. Everything after the engine's construction is the solver's one
 /// run path: [`RankOut::factor`] over the shared factor loop, the shared
 /// distributed solve, [`plan::assemble`].
 pub(crate) fn run<E: Engine>(
     label: &'static str,
-    grid: ProcGrid,
+    grid: fn(usize) -> ProcGrid,
     msg_overhead: f64,
     a: &SparseSym,
     b: &[f64],
@@ -165,8 +156,19 @@ pub(crate) fn run<E: Engine>(
     build: EngineCtor<E>,
 ) -> Result<BaselineReport, SolverError> {
     SolverError::check_shape("rhs length", a.n(), b.len())?;
+    let p = opts.n_nodes * opts.ranks_per_node;
+    if p == 0 {
+        return Err(SolverError::InvalidOptions {
+            field: "n_nodes × ranks_per_node",
+            detail: "no ranks".into(),
+        });
+    }
+    let grid = grid(p);
     let sf = match &opts.symbolic {
-        Some(sf) => Arc::clone(sf),
+        Some(sf) => {
+            SolverError::check_shape("symbolic factor dimension", a.n(), sf.n())?;
+            Arc::clone(sf)
+        }
         None => Arc::new(analyze(
             a,
             &compute_ordering(a, opts.ordering),
@@ -264,28 +266,17 @@ impl TaskKind for RlKey {
     }
 }
 
-/// A broadcast panel notification: global pointer to the packed panel of
-/// supernode `j` (diagonal block followed by the off-diagonal blocks in
-/// layout order).
+/// The `meta` of a panel broadcast: the packed panel of supernode `j`
+/// (diagonal block, then the off-diagonal blocks in layout order).
 #[derive(Debug, Clone, Copy)]
-struct PanelSignal {
-    ptr: GlobalPtr,
+struct PanelMeta {
     j: usize,
 }
 
-impl sched::Signal for PanelSignal {
-    fn ptr(&self) -> GlobalPtr {
-        self.ptr
-    }
-
+impl sched::Meta for PanelMeta {
     fn describe(&self) -> String {
         format!("broadcast panel of supernode {}", self.j)
     }
-}
-
-/// A received (or locally produced) panel, unpacked.
-struct Panel {
-    blocks: Vec<Mat>,
 }
 
 /// 1D supernode-cyclic owner of supernode `j` (both 1D-mapped families).
@@ -293,33 +284,20 @@ pub(crate) fn owner_of(j: usize, p: usize) -> usize {
     j % p
 }
 
-/// Pack the factored panel of supernode `j` into one buffer.
-fn pack_panel(sf: &SymbolicFactor, store: &BlockStore, j: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    out.extend_from_slice(store.get((j, j)).expect("diag owned").dense().as_slice());
-    for b in sf.layout.blocks_of(j) {
-        let blk = store.get((b.target, j)).expect("block owned").dense();
-        out.extend_from_slice(blk.as_slice());
+/// The shared core of a baseline engine over `rt`: flat publication (the
+/// families message a handful of ranks per payload), coalescing and the
+/// fetch path as the options ask.
+pub(crate) fn core_for<K: TaskKind, M: sched::Meta>(
+    rt: TaskEngine<K, sched::Signal<M>>,
+    kernels: &KernelEngine,
+    opts: &BaselineOptions,
+    mode: FetchMode,
+) -> Core<K, M> {
+    Core {
+        rt,
+        comm: CommLayer::new(opts.coalesce, BcastTopology::Flat),
+        fetch: FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, mode),
     }
-    out
-}
-
-/// Unpack a packed panel into its off-diagonal blocks (the diagonal factor
-/// is not needed by the update application).
-fn unpack_panel(sf: &SymbolicFactor, j: usize, data: &[f64]) -> Panel {
-    let w = sf.partition.width(j);
-    let mut off = w * w;
-    let mut blocks = Vec::new();
-    for b in sf.layout.blocks_of(j) {
-        let len = b.n_rows * w;
-        blocks.push(Mat::from_col_major(
-            b.n_rows,
-            w,
-            data[off..off + len].to_vec(),
-        ));
-        off += len;
-    }
-    Panel { blocks }
 }
 
 /// Per-rank right-looking engine, installed as the rank's user state.
@@ -327,13 +305,10 @@ struct RlEngine {
     sf: Arc<SymbolicFactor>,
     store: BlockStore,
     kernels: KernelEngine,
-    /// The shared scheduling core: dep counters, RTQ, inbox, tracer.
-    rt: TaskEngine<RlKey, PanelSignal>,
+    core: Core<RlKey, PanelMeta>,
     /// Received (or self-broadcast) panels awaiting application.
-    inputs: HashMap<usize, Panel>,
-    fetch: FetchConfig,
-    /// Per-destination signal coalescing (pass-through when off).
-    comm: CommLayer,
+    inputs: HashMap<usize, ColumnBuf>,
+    scratch: UpdateScratch,
     p: usize,
     me: usize,
 }
@@ -352,7 +327,7 @@ impl RlEngine {
         let p = grid.n_procs();
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
-        let mut rt: TaskEngine<RlKey, PanelSignal> = TaskEngine::new(opts.rtq_policy, abort);
+        let mut rt = TaskEngine::new(opts.rtq_policy, abort);
         rt.set_task_overhead(RUNTIME_TASK_OVERHEAD);
         // Incoming panel counts per owned supernode, and one apply task per
         // panel this rank must process.
@@ -379,191 +354,106 @@ impl RlEngine {
         let mode = FetchMode::Blocking {
             overhead: RENDEZVOUS_OVERHEAD,
         };
-        let fetch = FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, mode);
         RlEngine {
+            core: core_for(rt, &kernels, opts, mode),
             sf,
             store,
             kernels,
-            rt,
             inputs: HashMap::new(),
-            fetch,
-            comm: CommLayer::new(opts.coalesce),
+            scratch: UpdateScratch::default(),
             p,
             me: rank,
-        }
-    }
-
-    /// Resolve queued panel signals: blocking two-sided receives through the
-    /// runtime's shared fetch path.
-    fn drain_pending(&mut self, rank: &mut Rank) {
-        let signals = self.rt.take_signals();
-        if signals.is_empty() {
-            return;
-        }
-        let cfg = self.fetch;
-        let res = sched::drain_signals(rank, signals, &cfg, |_rank, s, data, ready_at| {
-            self.inputs.insert(s.j, unpack_panel(&self.sf, s.j, &data));
-            self.rt.dec(RlKey::Apply { j: s.j }, ready_at);
-        });
-        if let Err(err) = res {
-            self.rt.fail(rank, err);
         }
     }
 
     /// POTRF + TRSMs of supernode `j`, then broadcast the whole panel to
     /// every rank owning a target (self included, without communication).
     fn exec_factor(&mut self, rank: &mut Rank, j: usize) {
-        let key = RlKey::Factor { j };
-        let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
-        let first = self.sf.partition.first_col(j);
-        let Some(secs) =
-            sched::potrf_or_fail(&mut self.rt, &mut self.kernels, rank, &mut diag, first)
-        else {
-            self.store.put((j, j), diag);
+        let (key, sf) = (RlKey::Factor { j }, &self.sf);
+        let rt = &mut self.core.rt;
+        if !factor_column(rt, &mut self.kernels, &mut self.store, sf, rank, key, j) {
             return;
-        };
-        self.rt.charge(rank, key, secs);
-        for bb in self.sf.layout.blocks_of(j).to_vec() {
-            let mut blk = self
-                .store
-                .take((bb.target, j))
-                .expect("block owned")
-                .into_dense();
-            let (_, secs) = self.kernels.trsm(&mut blk, &diag);
-            self.rt.charge(rank, key, secs);
-            self.store.put((bb.target, j), blk);
         }
-        self.store.put((j, j), diag);
-        let mut dests: Vec<usize> = self
-            .sf
-            .layout
-            .blocks_of(j)
-            .iter()
-            .map(|bb| owner_of(bb.target, self.p))
-            .collect();
-        dests.sort_unstable();
-        dests.dedup();
+        let targets = sf.layout.blocks_of(j).iter().map(|bb| bb.target);
+        let dests = distinct_owners(targets.map(|t| owner_of(t, self.p)));
         if dests.is_empty() {
             return;
         }
-        let packed = pack_panel(&self.sf, &self.store, j);
-        let remote: Vec<usize> = dests.iter().copied().filter(|&d| d != self.me).collect();
-        if !remote.is_empty() {
-            let ptr = rank.alloc(MemKind::Host, packed.len()).expect("host alloc");
-            rank.write_local(&ptr, &packed);
-            for d in remote {
-                let sig = PanelSignal { ptr, j };
-                // Signals ride the droppable/duplicable path; the receiving
-                // inbox deduplicates and the stall detector diagnoses drops.
-                // try_with_state: a straggling duplicate may land after the
-                // factorization state is torn down.
-                self.comm.send(rank, d, SIGNAL_WIRE_BYTES, move |r| {
-                    r.try_with_state::<RlEngine, _>(|_, st| {
-                        st.rt.post_unique(sig);
-                    });
-                });
-            }
-        }
+        let packed = ColumnBuf::pack_store(sf, &self.store, j);
+        let meta = PanelMeta { j };
+        self.core
+            .comm
+            .publish::<Self>(rank, &packed, None, &dests, meta);
         if dests.contains(&self.me) {
             // Self-application without communication.
-            self.inputs.insert(j, unpack_panel(&self.sf, j, &packed));
             let now = rank.now();
-            self.rt.dec(RlKey::Apply { j }, now);
+            self.on_data(rank, meta, packed, now);
         }
     }
 
     /// Apply every update from panel `j` into this rank's supernodes and
     /// release the owned factor tasks whose last input this was.
     fn exec_apply(&mut self, rank: &mut Rank, j: usize) {
-        let key = RlKey::Apply { j };
+        let (key, sf) = (RlKey::Apply { j }, &self.sf);
         let panel = self.inputs.remove(&j).expect("panel present");
-        let blocks_meta = self.sf.layout.blocks_of(j).to_vec();
-        let mut completed_targets = Vec::new();
-        for (bi, bb) in blocks_meta.iter().enumerate() {
+        let col = sf.layout.blocks_of(j);
+        let mine = |b: usize| owner_of(b, self.p) == self.me;
+        for (bi, bb) in col.iter().enumerate().filter(|(_, bb)| mine(bb.target)) {
             let b = bb.target;
-            if owner_of(b, self.p) != self.me {
-                continue;
-            }
-            completed_targets.push(b);
-            let first_b = self.sf.partition.first_col(b);
-            let rows_b = self.sf.patterns[j][bb.row_offset..bb.row_offset + bb.n_rows].to_vec();
-            let lb = &panel.blocks[bi];
-            for (ai, ba) in blocks_meta.iter().enumerate().skip(bi) {
+            let lb = BlockRef::Dense(&panel.mats[bi + 1]);
+            for (ai, ba) in col.iter().enumerate().skip(bi) {
                 let a = ba.target;
-                let la = &panel.blocks[ai];
-                if a == b {
-                    // SYRK into the diagonal block of b.
-                    let nb = lb.rows();
-                    let mut temp = Mat::zeros(nb, nb);
-                    let (_, secs) = self.kernels.syrk(&mut temp, lb);
-                    self.rt.charge(rank, key, secs);
-                    let target = self.store.get_mut((b, b)).expect("diag owned").dense_mut();
-                    for (ci, &gc) in rows_b.iter().enumerate() {
-                        let tc = gc - first_b;
-                        for (ri, &gr) in rows_b.iter().enumerate().skip(ci) {
-                            target[(gr - first_b, tc)] += temp[(ri, ci)];
-                        }
-                    }
-                } else {
-                    let rows_a = &self.sf.patterns[j][ba.row_offset..ba.row_offset + ba.n_rows];
-                    let tinfo = self.sf.layout.find(a, b).expect("target block exists");
-                    let target_rows =
-                        &self.sf.patterns[b][tinfo.row_offset..tinfo.row_offset + tinfo.n_rows];
-                    let row_map: Vec<usize> = rows_a
-                        .iter()
-                        .map(|r| target_rows.binary_search(r).expect("row containment"))
-                        .collect();
-                    let mut temp = Mat::zeros(la.rows(), lb.rows());
-                    let (_, secs) = self.kernels.gemm(&mut temp, la, lb);
-                    self.rt.charge(rank, key, secs);
-                    let target = self
-                        .store
-                        .get_mut((a, b))
-                        .expect("target block owned")
-                        .dense_mut();
-                    for (ci, &gc) in rows_b.iter().enumerate() {
-                        let tc = gc - first_b;
-                        for (ri, &tr) in row_map.iter().enumerate() {
-                            target[(tr, tc)] += temp[(ri, ci)];
-                        }
-                    }
-                }
+                // SYRK into the diagonal block of b when a == b.
+                let target_rows = (a != b).then(|| {
+                    let tinfo = sf.layout.find(a, b).expect("target block exists");
+                    sf.block_rows(b, tinfo)
+                });
+                let target = self.store.get_mut((a, b)).expect("target block owned");
+                let secs = apply_update(
+                    &mut self.kernels,
+                    &mut self.scratch,
+                    BlockRef::Dense(&panel.mats[ai + 1]),
+                    lb,
+                    sf.block_rows(j, ba),
+                    sf.block_rows(j, bb),
+                    target_rows,
+                    sf.partition.first_col(b),
+                    target.dense_mut(),
+                );
+                self.core.rt.charge(rank, key, secs);
             }
         }
-        completed_targets.sort_unstable();
-        completed_targets.dedup();
         let now = rank.now();
-        for t in completed_targets {
-            self.rt.dec(RlKey::Factor { j: t }, now);
+        for bb in col.iter().filter(|bb| mine(bb.target)) {
+            self.core.rt.dec(RlKey::Factor { j: bb.target }, now);
         }
     }
 }
 
 impl Engine for RlEngine {
     type Key = RlKey;
-    type Sig = PanelSignal;
+    type Meta = PanelMeta;
 
     const STALL_DETAIL: &'static str = "right-looking factorization quiesced with unfinished \
                                         tasks (dropped panel broadcast suspected)";
 
-    fn step(&mut self, rank: &mut Rank) -> bool {
-        self.drain_pending(rank);
-        self.comm.tick(rank);
-        let Some((id, key, ready_at)) = self.rt.pick() else {
-            self.comm.flush_all(rank);
-            return false;
-        };
-        self.rt.begin(rank, ready_at);
+    fn core(&mut self) -> &mut Core<RlKey, PanelMeta> {
+        &mut self.core
+    }
+
+    fn exec(&mut self, rank: &mut Rank, _id: sched::TaskId, key: RlKey) {
         match key {
             RlKey::Factor { j } => self.exec_factor(rank, j),
             RlKey::Apply { j } => self.exec_apply(rank, j),
         }
-        self.rt.complete(id);
-        true
     }
 
-    fn rt(&mut self) -> &mut TaskEngine<RlKey, PanelSignal> {
-        &mut self.rt
+    /// A panel arrived (a blocking two-sided receive): keep it for its
+    /// apply task.
+    fn on_data(&mut self, _rank: &mut Rank, meta: PanelMeta, data: Vec<f64>, ready_at: f64) {
+        let j = meta.j;
+        self.inputs.insert(j, ColumnBuf::unpack(&self.sf, j, &data));
+        self.core.rt.dec(RlKey::Apply { j }, ready_at);
     }
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {
@@ -594,10 +484,9 @@ pub fn try_baseline_factor_and_solve(
     opts: &BaselineOptions,
 ) -> Result<BaselineReport, SolverError> {
     // 1D grid + a rendezvous per solve message.
-    let grid = ProcGrid::one_dimensional(opts.n_nodes * opts.ranks_per_node);
     run(
         "rightlooking",
-        grid,
+        ProcGrid::one_dimensional,
         RENDEZVOUS_OVERHEAD,
         a,
         b,

@@ -169,7 +169,7 @@ pub struct SolveReport {
     /// Per-rank CPU/GPU kernel call counts (Fig. 6 data).
     pub op_counts: Vec<OpCounts>,
     /// Per-rank block-publication byte accounting (dense vs compressed).
-    pub publish: Vec<crate::engine::PublishStats>,
+    pub publish: Vec<crate::PublishStats>,
     /// Per-rank BLR kernel counters (all zero in dense mode).
     pub blr_counts: Vec<sympack_gpu::BlrCounters>,
     /// Total bytes of retained factor blocks across all ranks.
@@ -206,7 +206,7 @@ pub struct MultiSolveReport {
     /// Per-rank kernel call counts (factorization phase).
     pub op_counts: Vec<OpCounts>,
     /// Per-rank block-publication byte accounting (dense vs compressed).
-    pub publish: Vec<crate::engine::PublishStats>,
+    pub publish: Vec<crate::PublishStats>,
     /// Per-rank BLR kernel counters (all zero in dense mode).
     pub blr_counts: Vec<sympack_gpu::BlrCounters>,
     /// Total bytes of retained factor blocks across all ranks (compressed
@@ -464,7 +464,7 @@ impl SymPack {
                 }
                 // Off-diagonal blocks, ascending targets → ascending rows.
                 for (b, m) in sf.layout.blocks_of(j).iter().zip(&below) {
-                    let rows = &sf.patterns[j][b.row_offset..b.row_offset + b.n_rows];
+                    let rows = sf.block_rows(j, b);
                     for (ri, &gr) in rows.iter().enumerate() {
                         row_idx.push(gr);
                         values.push(m[(ri, jc)]);

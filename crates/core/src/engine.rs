@@ -4,28 +4,27 @@
 //! [`crate::sched::TaskEngine`].
 
 use crate::plan::SolvePlan;
-use crate::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use crate::sched::{self, CommLayer, Core, FetchConfig, FetchMode, TaskEngine, TaskId, TaskKind};
 use crate::storage::{Block, BlockStore};
 use crate::taskgraph::{BlockId, LocalTasks, RtqPolicy, TaskKey, TaskOps};
-use std::collections::HashMap;
+use crate::update::{apply_update, UpdateScratch};
+use std::borrow::Cow;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack_dense::{LowRankMat, Mat};
 use sympack_gpu::KernelEngine;
-use sympack_pgas::coalesce::{plan_tree, BcastPlan, BcastTopology, SIGNAL_WIRE_BYTES};
-use sympack_pgas::{GlobalPtr, MemKind, Rank};
+use sympack_pgas::Rank;
 use sympack_symbolic::SymbolicFactor;
 
 /// Sentinel rank meaning "dense payload" on the signal wire.
 const DENSE_WIRE: usize = usize::MAX;
 
-/// A `signal(ptr, meta)` notification queued by an incoming RPC
-/// (paper Fig. 4, steps 3–4). `lr_rank == usize::MAX` means the pointed-to
-/// payload is the dense column-major block; any other value means the
-/// payload is the concatenated `[U | V]` factors of that rank.
+/// The `meta` of the fan-out's `signal(ptr, meta)`: which factored block
+/// the payload is and in what form. `lr_rank == usize::MAX` means the dense
+/// column-major block; any other value means the concatenated `[U | V]`
+/// factors of that rank.
 #[derive(Debug, Clone, Copy)]
-pub struct Signal {
-    ptr: GlobalPtr,
+pub struct BlockMeta {
     i: usize,
     j: usize,
     rows: usize,
@@ -33,11 +32,7 @@ pub struct Signal {
     lr_rank: usize,
 }
 
-impl sched::Signal for Signal {
-    fn ptr(&self) -> GlobalPtr {
-        self.ptr
-    }
-
+impl sched::Meta for BlockMeta {
     fn describe(&self) -> String {
         if self.i == self.j {
             format!("factored diagonal block L({},{})", self.i, self.j)
@@ -52,49 +47,6 @@ impl sched::Signal for Signal {
     }
 }
 
-/// A pending relay obligation: this rank is a leader position in a
-/// hierarchical broadcast and must forward the block (re-hosted locally)
-/// to its node members and child leaders once the data arrives.
-struct RelayDuty {
-    plan: Arc<BcastPlan>,
-    pos: usize,
-}
-
-/// Per-rank block-publication accounting: payload bytes this rank placed in
-/// its shared heap for consumers to fetch, split by stored form. For a
-/// compressed publication, `lr_dense_equiv_bytes` records what the same
-/// block would have cost dense — the basis of the compression ratio the
-/// profiler reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PublishStats {
-    /// Payload bytes of dense block publications.
-    pub dense_bytes: u64,
-    /// Payload bytes of compressed (`[U|V]`) block publications.
-    pub lr_bytes: u64,
-    /// Dense-equivalent bytes of the compressed publications.
-    pub lr_dense_equiv_bytes: u64,
-    /// Blocks published dense.
-    pub dense_blocks: u64,
-    /// Blocks published compressed.
-    pub lr_blocks: u64,
-}
-
-impl PublishStats {
-    /// Merge another rank's stats into this one.
-    pub fn merge(&mut self, other: &PublishStats) {
-        self.dense_bytes += other.dense_bytes;
-        self.lr_bytes += other.lr_bytes;
-        self.lr_dense_equiv_bytes += other.lr_dense_equiv_bytes;
-        self.dense_blocks += other.dense_blocks;
-        self.lr_blocks += other.lr_blocks;
-    }
-
-    /// Total payload bytes published (any form).
-    pub fn published_bytes(&self) -> u64 {
-        self.dense_bytes + self.lr_bytes
-    }
-}
-
 /// Per-rank factorization engine. Installed as the rank's user state so the
 /// RPC `signal` closures can reach it.
 pub struct FactoEngine {
@@ -106,34 +58,19 @@ pub struct FactoEngine {
     /// slot ids are the graph's owned block ids. A factored block lives
     /// here and nowhere else — local consumers read it in place.
     pub store: BlockStore,
-    /// The shared scheduling core: LTQ, RTQ, inbox, abort, tracer.
-    pub rt: TaskEngine<TaskKey, Signal>,
+    /// The shared core: scheduling, publication (topology, coalescing,
+    /// byte accounting) and the fetch path.
+    pub core: Core<TaskKey, BlockMeta>,
     /// Fetched remote factored blocks, indexed by `block id − n_owned`.
     /// Availability *time* is tracked on the consuming tasks (via their
     /// dependency decrements), not on the block itself. Compressed panels
     /// stay compressed: the update kernels consume them in factored form.
     inputs: Vec<Option<Block>>,
-    /// Storage of the update kernels' product temporary, reused by every
+    /// Product temporary and row map of the update kernel, reused by every
     /// update task.
-    work: Vec<f64>,
-    /// Scratch row map of the update scatter, reused likewise.
-    row_map: Vec<usize>,
+    scratch: UpdateScratch,
     /// Dense-kernel executor with offload heuristic and op counters.
     pub kernels: KernelEngine,
-    /// Signal-resolution data path: host `rget`s, or direct device copies
-    /// for blocks of at least `device_threshold` elements (§4.2).
-    pub fetch: FetchConfig,
-    /// Block-publication wire pattern: flat owner→targets or k-ary tree
-    /// over node groups with leader relays.
-    topology: BcastTopology,
-    /// Per-destination signal coalescing front-end (pass-through when the
-    /// solver options leave coalescing off).
-    comm: CommLayer,
-    /// Relay obligations keyed by the incoming signal's pointer, installed
-    /// at signal acceptance and discharged when the data arrives.
-    relays: HashMap<GlobalPtr, RelayDuty>,
-    /// Block-publication byte accounting (dense vs compressed).
-    pub publish: PublishStats,
 }
 
 /// The block behind id `b`, if present: an owned block lives in the store,
@@ -196,17 +133,15 @@ impl FactoEngine {
         FactoEngine {
             sf,
             store,
-            rt,
+            core: Core {
+                rt,
+                comm: CommLayer::new(plan.opts.coalesce, plan.opts.bcast),
+                fetch,
+            },
             inputs: (0..n_inputs).map(|_| None).collect(),
             graph,
-            work: Vec::new(),
-            row_map: Vec::new(),
+            scratch: UpdateScratch::default(),
             kernels,
-            fetch,
-            topology: plan.opts.bcast,
-            comm: CommLayer::new(plan.opts.coalesce),
-            relays: HashMap::new(),
-            publish: PublishStats::default(),
         }
     }
 
@@ -218,7 +153,7 @@ impl FactoEngine {
     pub fn estimated_remaining(&self) -> f64 {
         let (sf, k) = (&self.sf, &self.kernels);
         let stored_rank = |b| block(&self.store, &self.inputs, b).and_then(Block::lr_rank);
-        self.rt.estimated_remaining(|id, key| {
+        self.core.rt.estimated_remaining(|id, key| {
             let ops = self.graph.ops[id as usize];
             key.estimate_secs_stored(
                 sf,
@@ -241,175 +176,38 @@ impl FactoEngine {
             TaskKey::Panel { i, j }
         };
         for &t in self.graph.consumers_of(blk) {
-            self.rt.dec_from_id(t, ready_at, || producer.trace_label());
+            self.core
+                .rt
+                .dec_from_id(t, ready_at, || producer.trace_label());
         }
-        self.rt.add_mem(bytes);
+        self.core.rt.add_mem(bytes);
     }
 
-    /// Resolve pending signals into data movement (Fig. 4 step 5) through
-    /// the runtime's shared fetch path. A signal that carried a relay duty
-    /// discharges it here, once the data has actually arrived.
-    fn drain_pending(&mut self, rank: &mut Rank) {
-        let signals = self.rt.take_signals();
-        if signals.is_empty() {
-            return;
-        }
-        let cfg = self.fetch;
-        let res = sched::drain_signals(rank, signals, &cfg, |rank, s, data, ready_at| {
-            if let Some(duty) = self.relays.remove(&s.ptr) {
-                self.forward_relay(rank, &s, &data, ready_at, duty);
-            }
-            let blk = if s.lr_rank == DENSE_WIRE {
-                Block::Dense(Mat::from_col_major(s.rows, s.cols, data))
-            } else {
-                Block::LowRank(LowRankMat::from_payload(s.rows, s.cols, s.lr_rank, &data))
-            };
-            let id = self
-                .graph
-                .input_id((s.i, s.j))
-                .expect("a fanned-out block has a consumer on its destination");
-            let bytes = blk.bytes();
-            self.inputs[id as usize - self.graph.n_owned] = Some(blk);
-            self.release_consumers(id, bytes, ready_at);
-        });
-        if let Err(err) = res {
-            self.rt.fail(rank, err);
-        }
-    }
-
-    /// Fan a completed factor block out to the ranks owning dependent tasks
-    /// (Fig. 4 steps 1–2: allocate in the shared heap, then `signal` RPCs).
-    /// Under [`BcastTopology::Tree`] the owner only signals its own node's
-    /// consumers plus the first `arity` remote-node leaders; the leaders
-    /// re-host and relay onward ([`FactoEngine::forward_relay`]), so the
-    /// owner's NIC serves O(arity) remote pulls instead of O(targets).
-    fn fanout(&mut self, rank: &mut Rank, blk: BlockId, data: &Block) {
-        let n_dests = self.graph.dests_of(blk).len();
-        if n_dests == 0 {
-            return;
-        }
-        let (i, j) = self.graph.blocks[blk as usize];
-        // Compressed panels ship their `[U | V]` factors — (rows+cols)·rank
-        // values instead of rows·cols — so every rget/relay hop downstream
-        // moves (and is charged for) the reduced byte count.
-        let (payload_len, lr_rank) = match data {
-            Block::Dense(m) => (m.rows() * m.cols(), DENSE_WIRE),
-            Block::LowRank(lr) => (lr.payload_len(), lr.rank()),
-        };
-        match data {
-            Block::Dense(_) => {
-                self.publish.dense_blocks += 1;
-                self.publish.dense_bytes += (payload_len * 8) as u64;
-            }
-            Block::LowRank(_) => {
-                self.publish.lr_blocks += 1;
-                self.publish.lr_bytes += (payload_len * 8) as u64;
-                self.publish.lr_dense_equiv_bytes += (data.rows() * data.cols() * 8) as u64;
-            }
-        }
-        let ptr = rank
-            .alloc(MemKind::Host, payload_len)
-            .expect("host allocation cannot fail");
-        match data {
-            Block::Dense(m) => rank.write_local(&ptr, m.as_slice()),
-            Block::LowRank(lr) => rank.write_local(&ptr, &lr.to_payload()),
-        }
-        let sig = Signal {
-            ptr,
-            i,
-            j,
-            rows: data.rows(),
-            cols: data.cols(),
-            lr_rank,
-        };
-        match self.topology {
-            BcastTopology::Flat => {
-                for k in 0..n_dests {
-                    self.send_signal(rank, self.graph.dests_of(blk)[k], sig);
-                }
-            }
-            BcastTopology::Tree { arity } => {
-                let plan = Arc::new(plan_tree(
-                    rank.id(),
-                    self.graph.dests_of(blk),
-                    arity,
-                    rank.ranks_per_node(),
-                ));
-                for idx in 0..plan.direct.len() {
-                    self.send_signal(rank, plan.direct[idx], sig);
-                }
-                for pos in plan.root_children() {
-                    self.send_relay(rank, sig, &plan, pos);
-                }
-            }
-        }
-    }
-
-    /// Ship one plain dependency signal toward `dest`, through the
-    /// coalescing layer (pass-through when coalescing is off).
-    fn send_signal(&mut self, rank: &mut Rank, dest: usize, sig: Signal) {
-        // Signals ride the droppable/duplicable path; the receiving
-        // inbox deduplicates (post_unique) and the stall detector
-        // diagnoses drops. try_with_state: a straggling duplicate may
-        // land after the factorization state is torn down.
-        self.comm
-            .send(rank, dest, SIGNAL_WIRE_BYTES, move |target| {
-                target.try_with_state::<FactoEngine, _>(|_, st| {
-                    st.rt.post_unique(sig);
-                });
-            });
-    }
-
-    /// Ship a signal that also assigns a relay duty: the receiver — the
-    /// leader at tree position `pos` of `plan` — must forward the block
-    /// onward once its data arrives. The duty is installed only on first
-    /// acceptance, so fault-injected duplicates never relay twice.
-    fn send_relay(&mut self, rank: &mut Rank, sig: Signal, plan: &Arc<BcastPlan>, pos: usize) {
-        let dest = plan.leaders[pos];
-        let plan = Arc::clone(plan);
-        self.comm
-            .send(rank, dest, SIGNAL_WIRE_BYTES, move |target| {
-                let plan = Arc::clone(&plan);
-                target.try_with_state::<FactoEngine, _>(|_, st| {
-                    if st.rt.post_unique(sig) {
-                        st.relays.insert(sig.ptr, RelayDuty { plan, pos });
-                    }
-                });
-            });
-    }
-
-    /// Discharge a relay duty: re-host the arrived block in this rank's
-    /// shared heap and signal the leader's node members (flat) plus its
-    /// child leaders (who inherit relay duties of their own). Virtual-time
-    /// honesty: the block cannot leave this rank before it arrived, so the
-    /// leader's clock first advances to the fetch completion time.
-    fn forward_relay(
-        &mut self,
-        rank: &mut Rank,
-        s: &Signal,
-        data: &[f64],
-        ready_at: f64,
-        duty: RelayDuty,
-    ) {
-        rank.advance_to(ready_at);
-        let ptr = rank
-            .alloc(MemKind::Host, data.len())
-            .expect("host allocation cannot fail");
-        rank.write_local(&ptr, data);
-        let fwd = Signal { ptr, ..*s };
-        let RelayDuty { plan, pos } = duty;
-        for idx in 0..plan.members[pos].len() {
-            self.send_signal(rank, plan.members[pos][idx], fwd);
-        }
-        for child in plan.children_of(pos) {
-            self.send_relay(rank, fwd, &plan, child);
-        }
-    }
-
-    /// Publish a freshly factored owned block: fan it out, store it (its
-    /// one resident copy) and release its local consumers.
+    /// Publish a freshly factored owned block: fan it out to the ranks
+    /// owning dependent tasks (Fig. 4 steps 1–2; a compressed panel ships
+    /// its `[U | V]` factors — (rows+cols)·rank values instead of
+    /// rows·cols), store it (its one resident copy) and release its local
+    /// consumers.
     fn publish_factored(&mut self, rank: &mut Rank, blk: BlockId, data: Block) {
-        self.fanout(rank, blk, &data);
+        let dests = self.graph.dests_of(blk);
+        if !dests.is_empty() {
+            let (i, j) = self.graph.blocks[blk as usize];
+            let (rows, cols) = (data.rows(), data.cols());
+            let (payload, lr_dense_equiv, lr_rank) = match &data {
+                Block::Dense(m) => (Cow::Borrowed(m.as_slice()), None, DENSE_WIRE),
+                Block::LowRank(lr) => (Cow::Owned(lr.to_payload()), Some(rows * cols), lr.rank()),
+            };
+            let meta = BlockMeta {
+                i,
+                j,
+                rows,
+                cols,
+                lr_rank,
+            };
+            self.core
+                .comm
+                .publish::<Self>(rank, &payload, lr_dense_equiv, dests, meta);
+        }
         let now = rank.now();
         let bytes = data.bytes();
         self.store.put_slot(blk as usize, data);
@@ -423,12 +221,13 @@ impl FactoEngine {
             .expect("diag block owned")
             .into_dense();
         let first = self.sf.partition.first_col(j);
-        let Some(secs) = sched::potrf_or_fail(&mut self.rt, &mut self.kernels, rank, &mut m, first)
+        let Some(secs) =
+            sched::potrf_or_fail(&mut self.core.rt, &mut self.kernels, rank, &mut m, first)
         else {
             self.store.put_slot(ops.target as usize, m);
             return;
         };
-        self.rt.charge(rank, key, secs);
+        self.core.rt.charge(rank, key, secs);
         self.publish_factored(rank, ops.target, Block::Dense(m));
     }
 
@@ -456,110 +255,79 @@ impl FactoEngine {
         } else {
             Block::Dense(b)
         };
-        self.rt.charge(rank, key, secs);
+        self.core.rt.charge(rank, key, secs);
         self.publish_factored(rank, ops.target, stored);
     }
 
-    /// `U(a,j,b)`: form `−L(a,j)·L(b,j)ᵀ` in the reusable workspace, then
-    /// scatter-add it into the target block, which is taken out of the
+    /// `U(a,j,b)` into the owned target block, which is taken out of the
     /// store for the duration (the operands are borrowed from it).
     fn exec_update(&mut self, rank: &mut Rank, key: TaskKey, ops: TaskOps) {
-        // SYRK into a diagonal block when both operands are the same panel.
-        let syrk = ops.a == ops.b;
-        let la = block(&self.store, &self.inputs, ops.a).expect("input L(a,j) present");
-        let lb = block(&self.store, &self.inputs, ops.b).expect("input L(b,j) present");
-        let (ma, nb) = (la.rows(), lb.rows());
-        let mut buf = std::mem::take(&mut self.work);
-        buf.clear();
-        buf.resize(ma * nb, 0.0);
-        let mut temp = Mat::from_col_major(ma, nb, buf);
-        let (_loc, secs) = if syrk {
-            self.kernels.syrk_any(&mut temp, lb.as_ref())
-        } else {
-            self.kernels.gemm_any(&mut temp, la.as_ref(), lb.as_ref())
-        };
-        self.rt.charge(rank, key, secs);
-        let (b, _) = self.graph.blocks[ops.b as usize];
-        let first_b = self.sf.partition.first_col(b);
-        let rows_a = self.graph.block_rows(&self.sf, ops.a);
-        let rows_b = self.graph.block_rows(&self.sf, ops.b);
-        // Row map: where each row of L(a,j) lands in the target block.
-        self.row_map.clear();
-        if syrk {
-            self.row_map.extend(rows_b.iter().map(|&r| r - first_b));
-        } else {
-            // Rows of L(a,j) within supernode a are a subset of the target
-            // block's rows (symbolic containment); both lists ascend, so
-            // one forward walk finds them all.
-            let target_rows = self.graph.block_rows(&self.sf, ops.target);
-            let mut t = 0;
-            for &r in rows_a {
-                while target_rows[t] != r {
-                    t += 1;
-                }
-                self.row_map.push(t);
-                t += 1;
-            }
-        }
+        let (graph, sf) = (&self.graph, &self.sf);
         let mut target = self
             .store
             .take_slot(ops.target as usize)
             .expect("target block owned");
-        let tm = target.dense_mut();
-        let ld = tm.ld();
-        let (dst, src) = (tm.as_mut_slice(), temp.as_slice());
-        for (ci, &gc) in rows_b.iter().enumerate() {
-            // SYRK fills the lower triangle only: rows from the diagonal.
-            let r0 = if syrk { ci } else { 0 };
-            let tcol = &mut dst[(gc - first_b) * ld..][..ld];
-            let scol = &src[ci * ma..][..ma];
-            for (&tr, &v) in self.row_map[r0..].iter().zip(&scol[r0..]) {
-                tcol[tr] += v;
-            }
-        }
+        let la = block(&self.store, &self.inputs, ops.a).expect("input L(a,j) present");
+        let lb = block(&self.store, &self.inputs, ops.b).expect("input L(b,j) present");
+        let (b, _) = graph.blocks[ops.b as usize];
+        // SYRK into a diagonal block when both operands are the same panel.
+        let target_rows = (ops.a != ops.b).then(|| graph.block_rows(sf, ops.target));
+        let secs = apply_update(
+            &mut self.kernels,
+            &mut self.scratch,
+            la.as_ref(),
+            lb.as_ref(),
+            graph.block_rows(sf, ops.a),
+            graph.block_rows(sf, ops.b),
+            target_rows,
+            sf.partition.first_col(b),
+            target.dense_mut(),
+        );
         self.store.put_slot(ops.target as usize, target);
-        self.work = temp.into_vec();
+        self.core.rt.charge(rank, key, secs);
         // Local successor: the panel (or diagonal) task of the target block,
         // which carries the block's id.
-        self.rt
+        self.core
+            .rt
             .dec_from_id(ops.target, rank.now(), || key.trace_label());
     }
 }
 
 impl sched::Engine for FactoEngine {
     type Key = TaskKey;
-    type Sig = Signal;
+    type Meta = BlockMeta;
 
     const STALL_DETAIL: &'static str =
         "factorization quiesced with unfinished tasks (dropped signal suspected)";
 
-    fn step(&mut self, rank: &mut Rank) -> bool {
-        self.drain_pending(rank);
-        // Quantum-expired frames flush as virtual time advances; when the
-        // rank has no ready work at all, everything buffered must go out so
-        // a held-back signal can never starve the job into a false stall.
-        self.comm.tick(rank);
-        let Some((id, key, ready_at)) = self.rt.pick() else {
-            self.comm.flush_all(rank);
-            return false;
-        };
-        self.rt.begin(rank, ready_at);
+    fn core(&mut self) -> &mut Core<TaskKey, BlockMeta> {
+        &mut self.core
+    }
+
+    fn exec(&mut self, rank: &mut Rank, id: TaskId, key: TaskKey) {
         let ops = self.graph.ops[id as usize];
         match key {
             TaskKey::Diag { j } => self.exec_diag(rank, key, j, ops),
             TaskKey::Panel { .. } => self.exec_panel(rank, key, ops),
             TaskKey::Update { .. } => self.exec_update(rank, key, ops),
         }
-        self.rt.complete(id);
-        true
     }
 
-    fn rt(&mut self) -> &mut TaskEngine<TaskKey, Signal> {
-        &mut self.rt
-    }
-
-    fn publish_stats(&self) -> PublishStats {
-        self.publish
+    /// A fanned-out block arrived (compressed panels stay compressed: the
+    /// update kernels consume them in factored form).
+    fn on_data(&mut self, _rank: &mut Rank, s: BlockMeta, data: Vec<f64>, ready_at: f64) {
+        let blk = if s.lr_rank == DENSE_WIRE {
+            Block::Dense(Mat::from_col_major(s.rows, s.cols, data))
+        } else {
+            Block::LowRank(LowRankMat::from_payload(s.rows, s.cols, s.lr_rank, &data))
+        };
+        let id = self
+            .graph
+            .input_id((s.i, s.j))
+            .expect("a fanned-out block has a consumer on its destination");
+        let bytes = blk.bytes();
+        self.inputs[id as usize - self.graph.n_owned] = Some(blk);
+        self.release_consumers(id, bytes, ready_at);
     }
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {

@@ -39,6 +39,7 @@ pub mod selinv;
 pub mod storage;
 pub mod taskgraph;
 pub mod trisolve;
+pub mod update;
 
 pub use condest::condest;
 pub use driver::{GatheredFactor, MultiSolveReport, SolveReport, SolverOptions, SymPack};
@@ -50,7 +51,7 @@ pub use selinv::{selected_inverse, SelectedInverse};
 // Re-exported so solver users can name `SolverOptions::kernel_config`'s
 // and `SolverOptions::blr`'s types without depending on the dense crate
 // directly.
-pub use engine::PublishStats;
+pub use sched::PublishStats;
 pub use storage::Block;
 pub use sympack_dense::{BlrConfig, ConfigError, IsaSelect, KernelConfig};
 // Re-exported so solver users can name the scaling knobs

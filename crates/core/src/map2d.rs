@@ -132,6 +132,15 @@ impl ProcGrid {
     }
 }
 
+/// The distinct ranks among `owners`, ascending — a destination list
+/// (a rank that owns several interested blocks hears about a payload once).
+pub fn distinct_owners(owners: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut dests: Vec<usize> = owners.into_iter().collect();
+    dests.sort_unstable();
+    dests.dedup();
+    dests
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,9 +38,9 @@
 //! ranks' virtual clocks run on from factorization into the solves — and
 //! `sympack-service` sessions sit on the first two.
 
-use crate::engine::{FactoEngine, PublishStats};
+use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
-use crate::sched::{self, Engine};
+use crate::sched::{self, Engine, PublishStats};
 use crate::storage::BlockStore;
 use crate::taskgraph::LocalTasks;
 use crate::trisolve;
@@ -403,15 +403,16 @@ impl RankOut {
     /// task), drive `engine` through the one factor loop and collect the
     /// factorization half of the result.
     pub fn factor<E: Engine>(rank: &mut Rank, mut engine: E, trace: bool, telemetry: bool) -> Self {
+        let rt = &mut engine.core().rt;
         if trace {
-            engine.rt().tracer = Some(Tracer::new());
+            rt.tracer = Some(Tracer::new());
         }
         if telemetry {
-            engine.rt().telemetry = Some(Box::new(SchedTelemetry::new(rank.id())));
+            rt.telemetry = Some(Box::new(SchedTelemetry::new(rank.id())));
         }
         let (mut engine, factor_time) = sched::run_to_completion(rank, engine);
-        let publish = engine.publish_stats();
-        let rt = engine.rt();
+        let core = engine.core();
+        let (publish, rt) = (core.comm.stats(), &mut core.rt);
         let (error, tasks) = (rt.error.take(), rt.task_counts());
         let trace = rt.tracer.take().map_or_else(Vec::new, Tracer::into_events);
         let telemetry = rt.telemetry.take().map(|t| t.snapshot());

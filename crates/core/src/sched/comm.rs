@@ -1,68 +1,249 @@
-//! The engine-side communication layer: per-destination signal coalescing.
+//! The publication layer: the paper's `signal(ptr, meta)` for every
+//! factorization engine (Fig. 4 steps 1–2), and everything between an
+//! engine saying "this payload, to these ranks" and the receiving engine's
+//! inbox.
 //!
-//! Engines publish dependency signals through [`CommLayer::send`] instead
-//! of calling [`Rank::rpc_signal`] directly. Disabled (the default), the
-//! layer is a transparent pass-through — bit-identical schedules to the
-//! pre-aggregation engine. Enabled, signals bound for the same rank within
-//! a scheduling quantum are buffered and shipped as one framed message
-//! ([`Rank::rpc_frame`]) whose delivery dispatches every sub-signal into
-//! the receiving engine's inbox — `TaskEngine` semantics are unchanged,
-//! only the wire pattern differs (one latency + one header per batch
-//! instead of per signal).
+//! [`CommLayer::publish`] places the payload in the publisher's shared heap
+//! (the runtime owns `ptr`; the engine only names its `meta`), counts the
+//! bytes ([`PublishStats`]), and signals the remote destinations — flat, or
+//! through a k-ary tree over node groups whose leaders re-host the block and
+//! relay it onward ([`BcastTopology::Tree`]). The delivery closure, the
+//! relay duty it may install and the re-host-and-forward that discharges
+//! the duty exist once, generic over the receiving [`Engine`]; no engine
+//! contains wire, relay or accounting code.
 //!
-//! Flush triggers, in order of authority:
+//! With coalescing on, signals bound for the same rank within a scheduling
+//! quantum are buffered and shipped as one framed message
+//! ([`Rank::rpc_frame`]) whose delivery runs every sub-signal's closure —
+//! inbox semantics are unchanged, only the wire pattern differs (one
+//! latency and one header per batch instead of per signal). Off (the
+//! default), every signal is its own [`Rank::rpc_signal`]. Flush triggers,
+//! in order of authority:
+//!
 //! * **size threshold** — pushing a sub that would overflow
-//!   [`CoalesceConfig::max_bytes`] (or reach `max_subs`) flushes
-//!   immediately ([`CommLayer::send`]);
-//! * **quantum expiry** — [`CommLayer::tick`], called once per engine
-//!   step, flushes destinations whose frame has been open longer than
+//!   [`CoalesceConfig::max_bytes`] (or reach `max_subs`) flushes immediately;
+//! * **quantum expiry** — [`CommLayer::tick`], called once per engine step,
+//!   flushes destinations whose frame has been open longer than
 //!   [`CoalesceConfig::quantum_secs`] of virtual time;
 //! * **engine idle** — [`CommLayer::flush_all`], called when the engine
 //!   runs out of ready work, drains everything so a buffered signal can
 //!   never cause a false stall while the job waits on it.
 
+use super::{Engine, Signal};
+use std::collections::HashMap;
 use std::sync::Arc;
-use sympack_pgas::coalesce::{Batch, CoalesceConfig, Coalescer};
-use sympack_pgas::Rank;
+use sympack_pgas::coalesce::{
+    plan_tree, Batch, BcastPlan, BcastTopology, CoalesceConfig, Coalescer, SIGNAL_WIRE_BYTES,
+};
+use sympack_pgas::{GlobalPtr, MemKind, Rank};
 
 /// A buffered sub-signal: the delivery closure that would have been the
 /// body of a flat `rpc_signal`.
 type SubSend = Box<dyn Fn(&mut Rank) + Send + Sync>;
 
-/// Per-rank coalescing front-end owned by an engine. `None` inside means
-/// coalescing is off and every send passes straight through.
+/// A relay obligation: the rank holding it is the leader at tree position
+/// `pos` of `plan` and must forward the block (re-hosted locally) to its
+/// node members and child leaders once the data arrives.
+#[derive(Clone)]
+struct RelayDuty {
+    plan: Arc<BcastPlan>,
+    pos: usize,
+}
+
+/// Per-rank publication accounting: payload bytes this rank placed in its
+/// shared heap for consumers to fetch, split by stored form. For a
+/// compressed publication, `lr_dense_equiv_bytes` records what the same
+/// block would have cost dense — the basis of the compression ratio the
+/// profiler reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PublishStats {
+    /// Payload bytes of dense publications.
+    pub dense_bytes: u64,
+    /// Payload bytes of compressed (`[U|V]`) block publications.
+    pub lr_bytes: u64,
+    /// Dense-equivalent bytes of the compressed publications.
+    pub lr_dense_equiv_bytes: u64,
+    /// Payloads published dense.
+    pub dense_blocks: u64,
+    /// Blocks published compressed.
+    pub lr_blocks: u64,
+}
+
+impl PublishStats {
+    /// Merge another rank's stats into this one.
+    pub fn merge(&mut self, other: &PublishStats) {
+        self.dense_bytes += other.dense_bytes;
+        self.lr_bytes += other.lr_bytes;
+        self.lr_dense_equiv_bytes += other.lr_dense_equiv_bytes;
+        self.dense_blocks += other.dense_blocks;
+        self.lr_blocks += other.lr_blocks;
+    }
+
+    /// Total payload bytes published (any form).
+    pub fn published_bytes(&self) -> u64 {
+        self.dense_bytes + self.lr_bytes
+    }
+}
+
+/// The per-rank publication front-end an engine's [`super::Core`] carries.
 pub struct CommLayer {
+    /// Per-destination signal coalescing; `None` = one RPC per signal.
     co: Option<Coalescer<SubSend>>,
+    /// Wire pattern of a publication: flat owner→targets, or a k-ary tree
+    /// over node groups with leader relays.
+    topology: BcastTopology,
+    /// Relay obligations keyed by the incoming signal's pointer, installed
+    /// at signal acceptance and discharged when the data arrives.
+    relays: HashMap<GlobalPtr, RelayDuty>,
+    stats: PublishStats,
 }
 
 impl CommLayer {
-    /// A layer with coalescing on (`Some(config)`) or pass-through (`None`).
-    pub fn new(cfg: Option<CoalesceConfig>) -> Self {
+    /// A layer publishing over `topology`, with coalescing on
+    /// (`Some(config)`) or pass-through (`None`).
+    pub fn new(coalesce: Option<CoalesceConfig>, topology: BcastTopology) -> Self {
         CommLayer {
-            co: cfg.map(Coalescer::new),
+            co: coalesce.map(Coalescer::new),
+            topology,
+            relays: HashMap::new(),
+            stats: PublishStats::default(),
         }
     }
 
-    /// True when coalescing is active.
-    pub fn enabled(&self) -> bool {
-        self.co.is_some()
+    /// What this rank has published so far.
+    pub fn stats(&self) -> PublishStats {
+        self.stats
     }
 
-    /// Send (or buffer) one signal of `payload_bytes` toward `dest`.
-    /// `payload_bytes` is the modeled wire size of the signal's metadata;
-    /// it feeds the frame's byte accounting.
-    pub fn send(
+    /// Publish `payload` to the ranks in `dests` (the local rank, if
+    /// listed, is skipped — its consumers read the data in place): allocate
+    /// in the shared heap, write, and `signal(ptr, meta)` every remote
+    /// destination's engine `E`. `lr_dense_equiv` is `None` for a dense
+    /// payload; for a compressed one it is the element count the same block
+    /// would have had dense (every hop downstream moves, and is charged
+    /// for, the payload's reduced size).
+    ///
+    /// Under [`BcastTopology::Tree`] the publisher only signals its own
+    /// node's consumers plus the first `arity` remote-node leaders; the
+    /// leaders re-host and relay onward, so the publisher's NIC serves
+    /// O(arity) remote pulls instead of O(targets).
+    pub fn publish<E: Engine>(
+        &mut self,
+        rank: &mut Rank,
+        payload: &[f64],
+        lr_dense_equiv: Option<usize>,
+        dests: &[usize],
+        meta: E::Meta,
+    ) {
+        let me = rank.id();
+        let remote: Vec<usize>;
+        let dests = if dests.contains(&me) {
+            remote = dests.iter().copied().filter(|&d| d != me).collect();
+            &remote[..]
+        } else {
+            dests
+        };
+        if dests.is_empty() {
+            return;
+        }
+        let bytes = (payload.len() * 8) as u64;
+        match lr_dense_equiv {
+            None => {
+                self.stats.dense_blocks += 1;
+                self.stats.dense_bytes += bytes;
+            }
+            Some(elements) => {
+                self.stats.lr_blocks += 1;
+                self.stats.lr_bytes += bytes;
+                self.stats.lr_dense_equiv_bytes += (elements * 8) as u64;
+            }
+        }
+        let sig = Signal {
+            ptr: host(rank, payload),
+            meta,
+        };
+        match self.topology {
+            BcastTopology::Flat => {
+                for &dest in dests {
+                    self.signal::<E>(rank, dest, sig, None);
+                }
+            }
+            BcastTopology::Tree { arity } => {
+                let plan = Arc::new(plan_tree(me, dests, arity, rank.ranks_per_node()));
+                for &dest in &plan.direct {
+                    self.signal::<E>(rank, dest, sig, None);
+                }
+                for pos in plan.root_children() {
+                    self.signal::<E>(rank, plan.leaders[pos], sig, Some((&plan, pos)));
+                }
+            }
+        }
+    }
+
+    /// The payload behind `arrived` is here, valid from `ready_at`: if its
+    /// signal carried a relay duty, discharge it — re-host the payload in
+    /// this rank's shared heap and signal the leader's node members (flat)
+    /// plus its child leaders (who inherit relay duties of their own).
+    /// Virtual-time honesty: the payload cannot leave this rank before it
+    /// arrived, so the leader's clock first advances to `ready_at`.
+    pub(super) fn relay<E: Engine>(
+        &mut self,
+        rank: &mut Rank,
+        arrived: &Signal<E::Meta>,
+        data: &[f64],
+        ready_at: f64,
+    ) {
+        let Some(RelayDuty { plan, pos }) = self.relays.remove(&arrived.ptr) else {
+            return;
+        };
+        rank.advance_to(ready_at);
+        let sig = Signal {
+            ptr: host(rank, data),
+            meta: arrived.meta,
+        };
+        for &dest in &plan.members[pos] {
+            self.signal::<E>(rank, dest, sig, None);
+        }
+        for child in plan.children_of(pos) {
+            self.signal::<E>(rank, plan.leaders[child], sig, Some((&plan, child)));
+        }
+    }
+
+    /// Ship one `signal(ptr, meta)` toward `dest`'s engine, through the
+    /// coalescer when it is on. Signals ride the droppable/duplicable RPC
+    /// path: the receiving inbox deduplicates by pointer, the stall detector
+    /// diagnoses drops, and delivery uses `try_with_state` because a
+    /// straggling duplicate may land after the engine is torn down. With
+    /// `leader_of = Some((plan, pos))`, `dest` is the leader at tree position
+    /// `pos` and is also assigned the duty to relay onward — installed only
+    /// on first acceptance, so fault-injected duplicates never relay twice.
+    fn signal<E: Engine>(
         &mut self,
         rank: &mut Rank,
         dest: usize,
-        payload_bytes: usize,
-        f: impl Fn(&mut Rank) + Send + Sync + Clone + 'static,
+        sig: Signal<E::Meta>,
+        leader_of: Option<(&Arc<BcastPlan>, usize)>,
     ) {
+        let duty = leader_of.map(|(plan, pos)| RelayDuty {
+            plan: Arc::clone(plan),
+            pos,
+        });
+        let deliver = move |target: &mut Rank| {
+            target.try_with_state::<E, _>(|_, engine| {
+                let core = engine.core();
+                if core.rt.post_unique(sig) {
+                    if let Some(duty) = &duty {
+                        core.comm.relays.insert(sig.ptr, duty.clone());
+                    }
+                }
+            });
+        };
         match &mut self.co {
-            None => rank.rpc_signal(dest, f),
+            None => rank.rpc_signal(dest, deliver),
             Some(co) => {
                 let now = rank.now();
-                if let Some(batch) = co.push(dest, payload_bytes, Box::new(f) as SubSend, now) {
+                let sub = Box::new(deliver) as SubSend;
+                if let Some(batch) = co.push(dest, SIGNAL_WIRE_BYTES, sub, now) {
                     dispatch(rank, batch);
                 }
             }
@@ -70,8 +251,8 @@ impl CommLayer {
     }
 
     /// Flush destinations whose quantum has expired at the rank's current
-    /// virtual time. Call once per engine step.
-    pub fn tick(&mut self, rank: &mut Rank) {
+    /// virtual time. Called once per engine step.
+    pub(super) fn tick(&mut self, rank: &mut Rank) {
         if let Some(co) = &mut self.co {
             let now = rank.now();
             for batch in co.take_expired(now) {
@@ -81,13 +262,22 @@ impl CommLayer {
     }
 
     /// Flush everything (engine idle / out of ready work).
-    pub fn flush_all(&mut self, rank: &mut Rank) {
+    pub(super) fn flush_all(&mut self, rank: &mut Rank) {
         if let Some(co) = &mut self.co {
             for batch in co.take_all() {
                 dispatch(rank, batch);
             }
         }
     }
+}
+
+/// Place `payload` in this rank's shared heap for consumers to fetch.
+fn host(rank: &mut Rank, payload: &[f64]) -> GlobalPtr {
+    let ptr = rank
+        .alloc(MemKind::Host, payload.len())
+        .expect("host allocation cannot fail");
+    rank.write_local(&ptr, payload);
+    ptr
 }
 
 /// Ship one flushed batch as a single framed message. The frame closure

@@ -363,11 +363,6 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         self.keys.len()
     }
 
-    /// Executed owned tasks.
-    pub fn done_count(&self) -> usize {
-        self.done
-    }
-
     /// True when every owned task has executed (or the job aborted).
     pub fn finished(&self) -> bool {
         self.done == self.total() || self.abort.load(Ordering::Relaxed)
@@ -398,32 +393,44 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         }
     }
 
+    /// The quiescence detector fired on this rank: record
+    /// [`SolverError::Stalled`] with the progress so far and `detail` (what
+    /// was most likely dropped), and abort the job — the one stall failure
+    /// of every event loop.
+    pub fn fail_stalled(&mut self, rank: &mut Rank, detail: &str) {
+        let stalled = SolverError::Stalled {
+            rank: rank.id(),
+            done: self.done,
+            total: self.total(),
+            detail: detail.into(),
+        };
+        self.fail(rank, stalled);
+    }
+
     /// Queue an incoming signal (called from RPC closures).
     pub fn post(&mut self, signal: S) {
         self.inbox.push(signal);
     }
 
-    /// Take every queued signal for resolution (see
-    /// [`drain_signals`](super::drain_signals)).
+    /// Take every queued signal for resolution (see [`super::step`]).
     pub fn take_signals(&mut self) -> Vec<S> {
         std::mem::take(&mut self.inbox)
     }
 }
 
-impl<K: TaskKind, S: Signal> TaskEngine<K, S> {
+impl<K: TaskKind, M: Send + 'static> TaskEngine<K, Signal<M>> {
     /// Idempotent [`post`](Self::post): accept the signal only on first
-    /// delivery, keyed by its global pointer (each advertised block gets a
+    /// delivery, keyed by its global pointer (each published payload gets a
     /// fresh shared-heap allocation, so the pointer identifies the
     /// notification). Returns whether the signal was accepted. Duplicate
     /// deliveries — fault-injected or from a retrying network — are
     /// dropped here, keeping dependency decrements exactly-once.
-    pub fn post_unique(&mut self, signal: S) -> bool {
-        if self.seen_signals.insert(signal.ptr()) {
+    pub fn post_unique(&mut self, signal: Signal<M>) -> bool {
+        let fresh = self.seen_signals.insert(signal.ptr);
+        if fresh {
             self.inbox.push(signal);
-            true
-        } else {
-            false
         }
+        fresh
     }
 }
 
@@ -512,36 +519,28 @@ mod tests {
         assert!(e.take_signals().is_empty());
     }
 
-    #[derive(Debug, Clone, Copy)]
-    struct Sig(GlobalPtr);
-
-    impl Signal for Sig {
-        fn ptr(&self) -> GlobalPtr {
-            self.0
-        }
-    }
-
-    fn ptr_at(offset: usize) -> GlobalPtr {
-        GlobalPtr {
+    fn sig_at(offset: usize) -> Signal<()> {
+        let ptr = GlobalPtr {
             rank: 0,
             seg: 1,
             offset,
             len: 4,
             kind: sympack_pgas::MemKind::Host,
-        }
+        };
+        Signal { ptr, meta: () }
     }
 
     #[test]
     fn post_unique_absorbs_duplicate_deliveries() {
-        let mut e: TaskEngine<T, Sig> =
+        let mut e: TaskEngine<T, Signal<()>> =
             TaskEngine::new(RtqPolicy::Lifo, Arc::new(AtomicBool::new(false)));
-        assert!(e.post_unique(Sig(ptr_at(0))));
-        assert!(!e.post_unique(Sig(ptr_at(0))), "duplicate must be dropped");
-        assert!(e.post_unique(Sig(ptr_at(8))), "distinct pointer accepted");
+        assert!(e.post_unique(sig_at(0)));
+        assert!(!e.post_unique(sig_at(0)), "duplicate must be dropped");
+        assert!(e.post_unique(sig_at(8)), "distinct pointer accepted");
         assert_eq!(e.take_signals().len(), 2);
         // Draining does not forget: a straggler duplicate arriving after
         // the original was resolved is still absorbed.
-        assert!(!e.post_unique(Sig(ptr_at(0))));
+        assert!(!e.post_unique(sig_at(0)));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! host memory, or, for GPU-bound blocks, a direct `copy()` into device
 //! memory (the memory-kinds path of §4.2).
 
-use super::Signal;
 use crate::SolverError;
 use sympack_gpu::OomPolicy;
 use sympack_pgas::{GlobalPtr, MemKind, Rank};
@@ -131,47 +130,13 @@ pub fn fetch(
     }
 }
 
-/// Resolve a batch of queued signals into data movement: the shared drain
-/// loop behind every engine's inbox. `handle` receives the signal, its
-/// payload and the payload's validity time. Stops at the first fetch
-/// failure (remaining signals are dropped — the job is aborting); the
-/// failing signal's [`Signal::describe`] labels the error so the report
-/// names the task/column that died.
-pub fn drain_signals<S, F>(
-    rank: &mut Rank,
-    signals: Vec<S>,
-    cfg: &FetchConfig,
-    mut handle: F,
-) -> Result<(), SolverError>
-where
-    S: Signal,
-    F: FnMut(&mut Rank, S, Vec<f64>, f64),
-{
-    for s in signals {
-        match fetch(rank, &s.ptr(), cfg) {
-            Ok((data, ready_at)) => handle(rank, s, data, ready_at),
-            Err(err) => return Err(with_context(err, s.describe())),
-        }
+/// Attach a signal's description to a fetch error's context slot, so the
+/// report names the task/column that died.
+pub(super) fn with_context(mut err: SolverError, ctx: String) -> SolverError {
+    if let SolverError::DeviceOom { context, .. } | SolverError::FetchTimeout { context, .. } =
+        &mut err
+    {
+        *context = ctx;
     }
-    Ok(())
-}
-
-/// Attach a signal's description to a fetch error's context slot.
-fn with_context(err: SolverError, ctx: String) -> SolverError {
-    match err {
-        SolverError::DeviceOom {
-            requested,
-            available,
-            ..
-        } => SolverError::DeviceOom {
-            requested,
-            available,
-            context: ctx,
-        },
-        SolverError::FetchTimeout { attempts, .. } => SolverError::FetchTimeout {
-            attempts,
-            context: ctx,
-        },
-        other => other,
-    }
+    err
 }

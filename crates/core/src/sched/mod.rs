@@ -6,37 +6,68 @@
 //! (right-looking, fan-in, fan-both) — are event-driven loops with the same
 //! skeleton (paper Figs. 3–4):
 //!
-//! 1. poll the runtime for incoming RPCs ([`poll_until`]),
+//! 1. poll the runtime for incoming RPCs,
 //! 2. resolve queued `signal(ptr, meta)` notifications into data movement
-//!    (one-sided `rget`, or a direct device copy for GPU-bound blocks —
-//!    [`fetch`]/[`drain_signals`]),
+//!    (one-sided `rget`, or a direct device copy for GPU-bound blocks),
 //! 3. decrement dependency counters and move tasks whose counter reaches
 //!    zero onto the ready-task queue ([`TaskEngine::dec_id`]),
 //! 4. pick a ready task under the configured [`RtqPolicy`]
 //!    ([`TaskEngine::pick`]) and execute it, charging its cost to the
-//!    rank's virtual clock ([`TaskEngine::charge`]).
+//!    rank's virtual clock ([`TaskEngine::charge`]),
+//! 5. publish what it produced ([`CommLayer::publish`]).
 //!
-//! This module owns that skeleton *once*: the RTQ, the signal inbox, the
-//! dependency counters, the abort/error broadcast, the virtual-clock
-//! accounting and the tracer hooks. Engines keep only their domain state
-//! (block stores, kernel executors, message formats) and describe their
-//! tasks to the runtime through the [`TaskKind`] trait. Baseline-specific
-//! costs (the per-task runtime overhead a classical solver pays, the
-//! rendezvous charge of two-sided receives) are runtime *parameters*
+//! This module owns everything in that skeleton that is not the algorithm,
+//! once:
+//!
+//! * **the loop** — [`run_event_loop`] polls, detects quiescence and calls
+//!   the one stall failure ([`TaskEngine::fail_stalled`]); the factorization
+//!   ([`run_to_completion`]) and both solve sweeps run on it;
+//! * **the step** — [`step`]: take the queued signals, fetch each (a failure
+//!   aborts the job with the signal's [`Meta::describe`]), discharge a relay
+//!   duty, hand the payload to the engine, flush expired frames, pick, run,
+//!   complete;
+//! * **the scheduling core** — [`TaskEngine`]: LTQ counters, RTQ, the
+//!   deduplicating inbox, abort broadcast, virtual-clock accounting, tracer
+//!   and telemetry hooks;
+//! * **the publication layer** — [`CommLayer`]: shared-heap allocation,
+//!   byte accounting ([`PublishStats`]), flat or tree topology with leader
+//!   relays, per-destination coalescing, the delivery closure.
+//!
+//! # The engine contract
+//!
+//! A factorization engine *writes* ([`Engine`]): its task species
+//! ([`TaskKind`]), its message metadata ([`Meta`]), [`Engine::exec`] (its
+//! `match key`), [`Engine::on_data`] (what an arrived payload means), one
+//! accessor to its [`Core`], a stall diagnosis and `into_factor`. It
+//! *inherits* signal dedup, fetch retry and device-memory fetches, stall
+//! detection, abort broadcast, coalescing, the broadcast tree, publication
+//! byte accounting, tracing and telemetry — a feature added to this module
+//! reaches every engine without touching one (`crates/core/tests/engine_contract.rs`
+//! shows it from the consumer side with a 30-line toy engine).
+//!
+//! The runtime owns `ptr`, the engine owns `meta`: an engine never sees a
+//! global pointer, a relay or a wire closure. Baseline-specific costs (the
+//! per-task runtime overhead a classical solver pays, the rendezvous charge
+//! of two-sided receives) are runtime *parameters*
 //! ([`TaskEngine::set_task_overhead`], [`FetchMode::Blocking`]), not
 //! per-engine code.
+//!
+//! The solve engine shares the loop, the scheduling core and the stall
+//! failure, but not the fetch/publish contract: its messages are RPCs that
+//! carry their payloads eagerly, so there is nothing to fetch and nothing
+//! to host — bending [`Engine`] to cover them would make the shared step
+//! branch on its caller.
 
 mod comm;
 mod engine;
 mod fetch;
 mod queue;
 
-pub use comm::CommLayer;
+pub use comm::{CommLayer, PublishStats};
 pub use engine::{TaskEngine, TaskId};
-pub use fetch::{drain_signals, fetch, FetchConfig, FetchMode};
+pub use fetch::{FetchConfig, FetchMode};
 pub use queue::{ReadyQueue, RtqPolicy};
 
-use crate::engine::PublishStats;
 use crate::storage::BlockStore;
 use crate::SolverError;
 use sympack_dense::{DenseError, Mat};
@@ -67,24 +98,29 @@ pub trait TaskKind: Copy + Eq + std::hash::Hash + std::fmt::Debug + Send + 'stat
     fn trace_cat(&self) -> TraceCat;
 }
 
-/// A `signal(ptr, meta)` notification: an incoming RPC advertising a remote
-/// block. The runtime turns these into data movement via [`drain_signals`];
-/// the engine-specific `meta` rides along untouched.
-pub trait Signal: Copy + Send + 'static {
-    /// Shared-heap location of the advertised payload.
-    fn ptr(&self) -> GlobalPtr;
-
+/// The engine-specific half of a `signal(ptr, meta)` notification: what
+/// the advertised payload is. It rides the wire untouched and comes back to
+/// the receiving engine's [`Engine::on_data`] with the fetched data.
+pub trait Meta: Copy + Send + Sync + 'static {
     /// Human-readable name of the advertised block/task, used to label
     /// fetch failures ("which column died?").
-    fn describe(&self) -> String {
-        let p = self.ptr();
-        format!("block at rank {} seg {} offset {}", p.rank, p.seg, p.offset)
-    }
+    fn describe(&self) -> String;
+}
+
+/// A `signal(ptr, meta)` notification queued by an incoming RPC (paper
+/// Fig. 4, steps 3–4): the runtime's pointer to the published payload plus
+/// the engine's metadata.
+#[derive(Debug, Clone, Copy)]
+pub struct Signal<M> {
+    /// Shared-heap location of the advertised payload.
+    pub ptr: GlobalPtr,
+    /// What the payload is, in the publishing engine's terms.
+    pub meta: M,
 }
 
 /// Why a polling loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopExit {
+enum LoopExit {
     /// The body reported completion.
     Finished,
     /// The quiescence detector fired: nothing executed, no clock moved and
@@ -116,8 +152,7 @@ fn stall_threshold(rank: &Rank) -> Option<u64> {
 /// is finished (all owned tasks done, or the job aborted).
 ///
 /// The engine must already be installed as the rank's user state (so RPC
-/// closures can reach it); this is the *only* progress/poll loop definition
-/// in the solver.
+/// closures can reach it).
 pub fn poll_until<E, F>(rank: &mut Rank, body: F)
 where
     E: Send + 'static,
@@ -129,7 +164,7 @@ where
 
 /// Stall-aware [`poll_until`]: returns [`LoopExit::Stalled`] instead of
 /// spinning forever when the whole job has quiesced with unfinished work.
-pub fn poll_until_or_stall<E, F>(rank: &mut Rank, mut body: F) -> LoopExit
+fn poll_until_or_stall<E, F>(rank: &mut Rank, mut body: F) -> LoopExit
 where
     E: Send + 'static,
     F: FnMut(&mut Rank, &mut E) -> bool,
@@ -171,12 +206,15 @@ where
 }
 
 /// Install `engine` as the rank's user state, poll with `body` until it
-/// reports completion, synchronize on a barrier, and hand the engine back.
+/// reports completion, synchronize on a barrier, and hand the engine back —
+/// the one stall-aware event loop of the solver (the factorization and each
+/// solve sweep are one call).
 ///
 /// When the quiescence detector diagnoses a stall, `on_stall` runs once per
 /// detection with the rank and engine; it is expected to record a
-/// [`crate::SolverError::Stalled`] and abort the job (which makes `body`
-/// report completion). The loop never hangs and never silently succeeds.
+/// [`crate::SolverError::Stalled`] and abort the job
+/// ([`TaskEngine::fail_stalled`]), which makes `body` report completion.
+/// The loop never hangs and never silently succeeds.
 pub fn run_event_loop<E, F, G>(rank: &mut Rank, engine: E, mut body: F, mut on_stall: G) -> E
 where
     E: Send + 'static,
@@ -202,36 +240,88 @@ where
     rank.take_state::<E>()
 }
 
-/// What a factorization engine exposes to the one factor loop
-/// ([`run_to_completion`]) and to the per-rank result collection
-/// ([`crate::plan::RankOut::factor`]). Task kinds, message formats and
-/// the `exec_*` bodies — the algorithm — stay inside the engine.
-pub trait Engine: Send + 'static {
+/// The shared half of a factorization engine: its scheduling core, its
+/// publication layer and its fetch path. An engine embeds one and hands it
+/// out through [`Engine::core`]; [`step`] and the delivery closures of
+/// [`CommLayer`] work on nothing else.
+pub struct Core<K: TaskKind, M: Meta> {
+    /// LTQ, RTQ, signal inbox, abort, clock accounting, tracer, telemetry.
+    pub rt: TaskEngine<K, Signal<M>>,
+    /// Publication: shared-heap hosting, topology, coalescing, accounting.
+    pub comm: CommLayer,
+    /// Signal-resolution data path: host `rget`s, or direct device copies
+    /// for blocks of at least `device_threshold` elements (§4.2).
+    pub fetch: FetchConfig,
+}
+
+/// What a factorization engine is, to the runtime: task kinds, message
+/// metas and the two bodies below — the algorithm. Everything else ([`step`],
+/// [`run_to_completion`], publication, the per-rank result collection of
+/// [`crate::plan::RankOut::factor`]) is written once over this contract.
+pub trait Engine: Sized + Send + 'static {
     /// The engine's task species.
     type Key: TaskKind;
-    /// The engine's notification type.
-    type Sig: Send + 'static;
+    /// The engine's message metadata.
+    type Meta: Meta;
 
     /// Diagnosis recorded in [`SolverError::Stalled`] when the quiescence
     /// detector fires on this engine (names what was most likely dropped).
     const STALL_DETAIL: &'static str;
 
-    /// Resolve pending notifications, then run one ready task. Returns
-    /// `true` if a task executed. A numerical failure goes through
-    /// [`TaskEngine::fail`], never a panic: the job-wide abort is what ends
-    /// the loop on every other rank.
-    fn step(&mut self, rank: &mut Rank) -> bool;
+    /// The engine's shared core.
+    fn core(&mut self) -> &mut Core<Self::Key, Self::Meta>;
 
-    /// The engine's scheduling core.
-    fn rt(&mut self) -> &mut TaskEngine<Self::Key, Self::Sig>;
+    /// Run picked task `key` (rank-local id `id`): kernels, charging
+    /// ([`TaskEngine::charge`]), dependency decrements, publication. A
+    /// numerical failure goes through [`TaskEngine::fail`], never a panic:
+    /// the job-wide abort is what ends the loop on every other rank.
+    fn exec(&mut self, rank: &mut Rank, id: TaskId, key: Self::Key);
 
-    /// Block-publication byte accounting, for engines that keep one.
-    fn publish_stats(&self) -> PublishStats {
-        PublishStats::default()
-    }
+    /// A payload this rank was signalled about has arrived: `data` is valid
+    /// from virtual time `ready_at`. Keep it and release its consumers.
+    fn on_data(&mut self, rank: &mut Rank, meta: Self::Meta, data: Vec<f64>, ready_at: f64);
 
     /// Hand back the factor blocks and the kernel executor (call counters).
     fn into_factor(self) -> (BlockStore, KernelEngine);
+}
+
+/// One turn of an engine (paper Fig. 4): resolve the queued notifications
+/// into data movement through the shared fetch path — a signal that carried
+/// a relay duty discharges it once its data has actually arrived — then run
+/// one ready task. Returns `true` if a task executed.
+///
+/// A failed fetch aborts the job (the remaining signals are dropped) with
+/// the failing signal's [`Meta::describe`] as context. Quantum-expired
+/// frames flush as virtual time advances; when the rank has no ready work
+/// at all, everything buffered goes out, so a held-back signal can never
+/// starve the job into a false stall.
+pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
+    let core = engine.core();
+    let cfg = core.fetch;
+    for sig in core.rt.take_signals() {
+        match fetch::fetch(rank, &sig.ptr, &cfg) {
+            Ok((data, ready_at)) => {
+                let comm = &mut engine.core().comm;
+                comm.relay::<E>(rank, &sig, &data, ready_at);
+                engine.on_data(rank, sig.meta, data, ready_at);
+            }
+            Err(err) => {
+                let err = fetch::with_context(err, sig.meta.describe());
+                engine.core().rt.fail(rank, err);
+                break;
+            }
+        }
+    }
+    let core = engine.core();
+    core.comm.tick(rank);
+    let Some((id, key, ready_at)) = core.rt.pick() else {
+        core.comm.flush_all(rank);
+        return false;
+    };
+    core.rt.begin(rank, ready_at);
+    engine.exec(rank, id, key);
+    engine.core().rt.complete(id);
+    true
 }
 
 /// POTRF of a diagonal block whose first column is `first_col` (permuted
@@ -269,25 +359,14 @@ pub fn run_to_completion<E: Engine>(rank: &mut Rank, engine: E) -> (E, f64) {
         engine,
         |rank, st: &mut E| {
             // Run until we go idle, then re-poll.
-            while st.step(rank) {}
-            st.rt().finished() || rank.job_aborted()
+            while step(st, rank) {}
+            st.core().rt.finished() || rank.job_aborted()
         },
-        |rank, st| {
-            let rt = st.rt();
-            let (done, total) = (rt.done_count(), rt.total());
-            rt.fail(
-                rank,
-                SolverError::Stalled {
-                    rank: rank.id(),
-                    done,
-                    total,
-                    detail: E::STALL_DETAIL.into(),
-                },
-            );
-        },
+        |rank, st| st.core().rt.fail_stalled(rank, E::STALL_DETAIL),
     );
-    if !engine.rt().aborted() && !rank.job_aborted() {
-        engine.rt().debug_assert_completed();
+    let rt = &engine.core().rt;
+    if !rt.aborted() && !rank.job_aborted() {
+        rt.debug_assert_completed();
     }
     let elapsed = rank.now() - start;
     (engine, elapsed)

@@ -170,7 +170,6 @@ impl BlockStore {
             // Scatter the values of A's lower triangle in these columns.
             let first = sf.partition.first_col(j);
             let last = sf.partition.last_col(j);
-            let pat = &sf.patterns[j];
             for c in sf.partition.cols(j) {
                 for (&r, &v) in ap.col_rows(c).iter().zip(ap.col_values(c)) {
                     let k = if r <= last {
@@ -188,8 +187,7 @@ impl BlockStore {
                         r - first
                     } else {
                         let b = &col_blocks[k - 1];
-                        let rows = &pat[b.row_offset..b.row_offset + b.n_rows];
-                        rows.binary_search(&r).expect("row in block")
+                        sf.block_rows(j, b).binary_search(&r).expect("row in block")
                     };
                     mats[slots[k]][(ri, c - first)] = v;
                 }
@@ -310,7 +308,7 @@ mod tests {
                     } else {
                         let t = sf.partition.supno(r);
                         let b = sf.layout.find(t, j).unwrap();
-                        let rows = &sf.patterns[j][b.row_offset..b.row_offset + b.n_rows];
+                        let rows = sf.block_rows(j, b);
                         let ri = rows.binary_search(&r).unwrap();
                         let m = store.get((t, j)).unwrap().dense();
                         assert_eq!(m[(ri, c - first)], v);

@@ -5,7 +5,7 @@
 //! decrements its panel/diagonal successor *locally*, while factored panels
 //! travel between ranks (the fan-out).
 
-use crate::map2d::ProcGrid;
+use crate::map2d::{distinct_owners, ProcGrid};
 use crate::sched::{TaskId, TaskKind};
 use crate::storage::{col_major, BlockKey};
 use std::sync::Arc;
@@ -515,8 +515,7 @@ pub fn fanout_dests(
             }
         }
     }
-    dests.sort_unstable();
-    dests.dedup();
+    let mut dests = distinct_owners(dests);
     dests.retain(|&d| d != rank);
     dests
 }

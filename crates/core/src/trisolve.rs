@@ -30,8 +30,8 @@
 //! picked under the session's [`RtqPolicy`] — the same queue the
 //! factorization uses.
 
-use crate::map2d::ProcGrid;
-use crate::sched::{self, LoopExit, RtqPolicy, TaskEngine, TaskKind};
+use crate::map2d::{distinct_owners, ProcGrid};
+use crate::sched::{self, RtqPolicy, TaskEngine, TaskKind};
 use crate::storage::{Block, BlockStore};
 use crate::SolverError;
 use std::collections::HashMap;
@@ -236,10 +236,7 @@ impl SolveEngine {
                 }
             }
         }
-        for v in &mut rev_owners {
-            v.sort_unstable();
-            v.dedup();
-        }
+        let rev_owners = rev_owners.into_iter().map(distinct_owners).collect();
         let my_diags: Vec<usize> = (0..ns).filter(|&j| grid.map(j, j) == rank).collect();
         let mut rt = TaskEngine::new(params.policy, Arc::new(AtomicBool::new(false)));
         if params.trace {
@@ -339,7 +336,7 @@ impl SolveEngine {
     /// guard dependency on every owned backward diagonal solve.
     fn bwd_init(&mut self, rank: &mut Rank) {
         let now = rank.now();
-        for &j in &self.my_diags.clone() {
+        for &j in &self.my_diags {
             let y = self.y.get(&j).expect("forward solved").clone();
             self.acc.insert(j, y);
             self.rt.dec(SolveKey::BwdDiag { j }, now);
@@ -352,11 +349,9 @@ impl SolveEngine {
         match msg {
             SolveMsg::YReady { j, y } => {
                 self.yin.insert(j, y);
-                if let Some(targets) = self.my_blocks_by_j.get(&j).cloned() {
-                    for i in targets {
-                        self.rt
-                            .dec_from(SolveKey::FwdGemv { i, j }, now, || format!("Ly({j})"));
-                    }
+                for &i in self.my_blocks_by_j.get(&j).into_iter().flatten() {
+                    self.rt
+                        .dec_from(SolveKey::FwdGemv { i, j }, now, || format!("Ly({j})"));
                 }
             }
             SolveMsg::FwdContrib {
@@ -383,11 +378,9 @@ impl SolveEngine {
             }
             SolveMsg::XReady { i, x } => {
                 self.xin.insert(i, x);
-                if let Some(js) = self.my_blocks_by_i.get(&i).cloned() {
-                    for j in js {
-                        self.rt
-                            .dec_from(SolveKey::BwdGemv { i, j }, now, || format!("Ltx({i})"));
-                    }
+                for &j in self.my_blocks_by_i.get(&i).into_iter().flatten() {
+                    self.rt
+                        .dec_from(SolveKey::BwdGemv { i, j }, now, || format!("Ltx({i})"));
                 }
             }
             SolveMsg::BwdContrib { target, i, vals } => {
@@ -405,222 +398,134 @@ impl SolveEngine {
         }
     }
 
+    /// `op(B)·X` for a stored block `B` and an `nrhs`-column panel `X`
+    /// (`op` = transpose when `trans`), in factored form when the block is
+    /// stored compressed: `op(U·Vᵀ)·X = left·(rightᵀ·X)`. Returns the
+    /// product panel and the kernel's modeled seconds.
+    fn block_times(&mut self, b: &Block, trans: bool, x: &[f64]) -> (Vec<f64>, f64) {
+        let (m, w, nrhs) = (b.rows(), b.cols(), self.nrhs);
+        let (out, inner) = if trans { (w, m) } else { (m, w) };
+        let cfg = &self.kernels.config;
+        let mut v = vec![0.0; out * nrhs];
+        let (elements, flops) = match b {
+            Block::Dense(d) => {
+                let gemm = if trans {
+                    gemm_tn_acc_raw
+                } else {
+                    gemm_nn_acc_raw
+                };
+                let (d, ld) = (d.as_slice(), d.ld());
+                gemm(cfg, &mut v, out, out, nrhs, d, ld, x, inner, inner);
+                (m * w, 2 * m * w * nrhs)
+            }
+            Block::LowRank(lr) => {
+                let r = lr.rank();
+                let (left, right) = if trans {
+                    (lr.v(), lr.u())
+                } else {
+                    (lr.u(), lr.v())
+                };
+                if r > 0 {
+                    let mut t = vec![0.0; r * nrhs];
+                    let (rs, rld) = (right.as_slice(), right.ld());
+                    gemm_tn_acc_raw(cfg, &mut t, r, r, nrhs, rs, rld, x, inner, inner);
+                    let (ls, lld) = (left.as_slice(), left.ld());
+                    gemm_nn_acc_raw(cfg, &mut v, out, out, nrhs, ls, lld, &t, r, r);
+                }
+                ((m + w) * r, 2 * r * (m + w) * nrhs)
+            }
+        };
+        (v, self.kernel_secs(Op::Gemm, elements, flops as u64))
+    }
+
     /// Execute one picked task.
     fn exec(&mut self, rank: &mut Rank, store: &BlockStore, key: SolveKey) {
         match key {
-            SolveKey::FwdDiag { j } => {
+            // Substitute supernode j (forward with L, backward with Lᵀ) and
+            // fan the solved panel out to the owners of the blocks that
+            // multiply it: B(i,j) forward, B(j,k) — every block whose rows
+            // live in supernode j — backward.
+            SolveKey::FwdDiag { j } | SolveKey::BwdDiag { j } => {
+                let fwd = matches!(key, SolveKey::FwdDiag { .. });
                 let l = store.get((j, j)).expect("diag factor owned").dense();
-                let w = l.rows();
+                let (w, nrhs) = (l.rows(), self.nrhs);
                 let mut rhs = self.acc.remove(&j).expect("accumulator present");
-                trsm_left_lower_notrans_raw(
+                let trsm = if fwd {
+                    trsm_left_lower_notrans_raw
+                } else {
+                    trsm_left_lower_trans_raw
+                };
+                trsm(
                     &self.kernels.config,
                     &mut rhs,
                     w,
                     w,
-                    self.nrhs,
+                    nrhs,
                     l.as_slice(),
                     l.ld(),
                 );
-                let secs = self.kernel_secs(Op::Trsm, w * w, (w * w * self.nrhs) as u64);
+                let secs = self.kernel_secs(Op::Trsm, w * w, (w * w * nrhs) as u64);
                 self.rt.charge(rank, key, secs);
-                self.y.insert(j, rhs.clone());
-                // Fan y_j out to the owners of blocks B(i,j).
-                let mut dests: Vec<usize> = self
-                    .sf
-                    .layout
-                    .blocks_of(j)
-                    .iter()
-                    .map(|b| self.grid.map(b.target, j))
-                    .collect();
-                dests.sort_unstable();
-                dests.dedup();
+                let dests = if fwd {
+                    let col = self.sf.layout.blocks_of(j);
+                    distinct_owners(col.iter().map(|b| self.grid.map(b.target, j)))
+                } else {
+                    self.rev_owners[j].clone()
+                };
                 for d in dests {
-                    let msg = SolveMsg::YReady { j, y: rhs.clone() };
+                    let msg = if fwd {
+                        SolveMsg::YReady { j, y: rhs.clone() }
+                    } else {
+                        SolveMsg::XReady {
+                            i: j,
+                            x: rhs.clone(),
+                        }
+                    };
                     self.send(rank, d, msg);
                 }
+                // Y_j is kept for the backward sweep, X_j is the answer.
+                if fwd { &mut self.y } else { &mut self.x }.insert(j, rhs);
             }
             SolveKey::FwdGemv { i, j } => {
                 let yj = self.yin.get(&j).expect("y_j arrived").clone();
                 let b = store.get((i, j)).expect("block owned");
-                let (m, w) = (b.rows(), b.cols());
-                // V = B(i,j) · Y_j — in factored form `U·(Vᵀ·Y_j)` when the
-                // panel is stored compressed.
-                let mut v = vec![0.0; m * self.nrhs];
-                let secs = match b {
-                    Block::Dense(b) => {
-                        gemm_nn_acc_raw(
-                            &self.kernels.config,
-                            &mut v,
-                            m,
-                            m,
-                            self.nrhs,
-                            b.as_slice(),
-                            b.ld(),
-                            &yj,
-                            w,
-                            w,
-                        );
-                        self.kernel_secs(Op::Gemm, m * w, (2 * m * w * self.nrhs) as u64)
-                    }
-                    Block::LowRank(lr) => {
-                        let r = lr.rank();
-                        if r > 0 {
-                            let mut t = vec![0.0; r * self.nrhs];
-                            gemm_tn_acc_raw(
-                                &self.kernels.config,
-                                &mut t,
-                                r,
-                                r,
-                                self.nrhs,
-                                lr.v().as_slice(),
-                                lr.v().ld(),
-                                &yj,
-                                w,
-                                w,
-                            );
-                            gemm_nn_acc_raw(
-                                &self.kernels.config,
-                                &mut v,
-                                m,
-                                m,
-                                self.nrhs,
-                                lr.u().as_slice(),
-                                lr.u().ld(),
-                                &t,
-                                r,
-                                r,
-                            );
-                        }
-                        self.kernel_secs(
-                            Op::Gemm,
-                            (m + w) * r,
-                            (2 * r * (m + w) * self.nrhs) as u64,
-                        )
-                    }
-                };
+                let (vals, secs) = self.block_times(b, false, &yj);
                 self.rt.charge(rank, key, secs);
                 let binfo = self.sf.layout.find(i, j).expect("block exists");
-                let rows =
-                    self.sf.patterns[j][binfo.row_offset..binfo.row_offset + binfo.n_rows].to_vec();
+                let rows = self.sf.block_rows(j, binfo).to_vec();
                 let dest = self.grid.map(i, i);
+                let target = i;
                 self.send(
                     rank,
                     dest,
                     SolveMsg::FwdContrib {
-                        target: i,
+                        target,
                         j,
                         rows,
-                        vals: v,
+                        vals,
                     },
                 );
             }
-            SolveKey::BwdDiag { j } => {
-                let l = store.get((j, j)).expect("diag factor owned").dense();
-                let w = l.rows();
-                let mut rhs = self.acc.remove(&j).expect("accumulator present");
-                trsm_left_lower_trans_raw(
-                    &self.kernels.config,
-                    &mut rhs,
-                    w,
-                    w,
-                    self.nrhs,
-                    l.as_slice(),
-                    l.ld(),
-                );
-                let secs = self.kernel_secs(Op::Trsm, w * w, (w * w * self.nrhs) as u64);
-                self.rt.charge(rank, key, secs);
-                self.x.insert(j, rhs.clone());
-                // Fan x_j out to owners of blocks B(j, k) — every rank
-                // holding a block whose rows live in supernode j.
-                for d in self.rev_owners[j].clone() {
-                    let msg = SolveMsg::XReady {
-                        i: j,
-                        x: rhs.clone(),
-                    };
-                    self.send(rank, d, msg);
-                }
-            }
             SolveKey::BwdGemv { i, j } => {
-                let xi = self.xin.get(&i).expect("x_i arrived").clone();
+                let xi = self.xin.get(&i).expect("x_i arrived");
                 let first_i = self.sf.partition.first_col(i);
                 let wi = self.sf.partition.width(i);
                 let b = store.get((i, j)).expect("block owned");
-                let (m, w) = (b.rows(), b.cols());
+                let m = b.rows();
                 let binfo = self.sf.layout.find(i, j).expect("block exists");
-                let rows = &self.sf.patterns[j][binfo.row_offset..binfo.row_offset + binfo.n_rows];
                 // Gather the block's rows of X_i into a dense m × nrhs
                 // sub-panel, then V = B(i,j)ᵀ · X_i[rows].
                 let mut xsub = vec![0.0; m * self.nrhs];
                 for k in 0..self.nrhs {
-                    for (ri, &gr) in rows.iter().enumerate() {
+                    for (ri, &gr) in self.sf.block_rows(j, binfo).iter().enumerate() {
                         xsub[k * m + ri] = xi[k * wi + (gr - first_i)];
                     }
                 }
-                // V = B(i,j)ᵀ · X_i[rows] — `V·(Uᵀ·X)` when compressed.
-                let mut v = vec![0.0; w * self.nrhs];
-                let secs = match b {
-                    Block::Dense(b) => {
-                        gemm_tn_acc_raw(
-                            &self.kernels.config,
-                            &mut v,
-                            w,
-                            w,
-                            self.nrhs,
-                            b.as_slice(),
-                            b.ld(),
-                            &xsub,
-                            m,
-                            m,
-                        );
-                        self.kernel_secs(Op::Gemm, m * w, (2 * m * w * self.nrhs) as u64)
-                    }
-                    Block::LowRank(lr) => {
-                        let r = lr.rank();
-                        if r > 0 {
-                            let mut t = vec![0.0; r * self.nrhs];
-                            gemm_tn_acc_raw(
-                                &self.kernels.config,
-                                &mut t,
-                                r,
-                                r,
-                                self.nrhs,
-                                lr.u().as_slice(),
-                                lr.u().ld(),
-                                &xsub,
-                                m,
-                                m,
-                            );
-                            gemm_nn_acc_raw(
-                                &self.kernels.config,
-                                &mut v,
-                                w,
-                                w,
-                                self.nrhs,
-                                lr.v().as_slice(),
-                                lr.v().ld(),
-                                &t,
-                                r,
-                                r,
-                            );
-                        }
-                        self.kernel_secs(
-                            Op::Gemm,
-                            (m + w) * r,
-                            (2 * r * (m + w) * self.nrhs) as u64,
-                        )
-                    }
-                };
+                let (vals, secs) = self.block_times(b, true, &xsub);
                 self.rt.charge(rank, key, secs);
                 let dest = self.grid.map(j, j);
-                self.send(
-                    rank,
-                    dest,
-                    SolveMsg::BwdContrib {
-                        target: j,
-                        i,
-                        vals: v,
-                    },
-                );
+                let target = j;
+                self.send(rank, dest, SolveMsg::BwdContrib { target, i, vals });
             }
         }
     }
@@ -635,18 +540,9 @@ impl SolveEngine {
     }
 
     /// True when the given sweep's tasks have all executed on this rank.
-    fn phase_done(&self, phase: Phase) -> bool {
-        let diags = self.my_diags.len() as u64;
-        match phase {
-            Phase::Forward => {
-                self.rt.count_of("fwd_diag") == diags
-                    && self.rt.count_of("fwd_gemv") == self.gemvs_total
-            }
-            Phase::Backward => {
-                self.rt.count_of("bwd_diag") == diags
-                    && self.rt.count_of("bwd_gemv") == self.gemvs_total
-            }
-        }
+    fn sweep_done(&self, sweep: Sweep) -> bool {
+        self.rt.count_of(sweep.diag_kind) == self.my_diags.len() as u64
+            && self.rt.count_of(sweep.gemv_kind) == self.gemvs_total
     }
 }
 
@@ -705,21 +601,14 @@ pub fn solve_panel(
     let start = rank.now();
     let mut st = SolveEngine::new(sf, grid, rank.id(), nrhs, kernels, params);
     st.fwd_init(bp);
-    rank.set_state(st);
-    // Forward sweep.
-    run_phase(rank, store, Phase::Forward);
-    rank.barrier();
+    let mut st = run_sweep(rank, st, store, FORWARD);
     // Backward sweep. When the forward sweep aborted (anywhere in the job),
-    // this rank may be missing y pieces — skip the seed; the phase loop
+    // this rank may be missing y pieces — skip the seed; the sweep's loop
     // exits immediately on the sticky abort.
-    rank.with_state::<SolveEngine, _>(|rank, st| {
-        if !st.rt.aborted() && !rank.job_aborted() {
-            st.bwd_init(rank);
-        }
-    });
-    run_phase(rank, store, Phase::Backward);
-    rank.barrier();
-    let mut st = rank.take_state::<SolveEngine>();
+    if !st.rt.aborted() && !rank.job_aborted() {
+        st.bwd_init(rank);
+    }
+    let mut st = run_sweep(rank, st, store, BACKWARD);
     let trace = st
         .rt
         .tracer
@@ -781,48 +670,45 @@ pub fn allgather_solution(
     xp
 }
 
-#[derive(PartialEq, Clone, Copy)]
-enum Phase {
-    Forward,
-    Backward,
+/// One of the two sweeps: its name and the kinds of its task species.
+#[derive(Clone, Copy)]
+struct Sweep {
+    name: &'static str,
+    diag_kind: &'static str,
+    gemv_kind: &'static str,
 }
 
-fn run_phase(rank: &mut Rank, store: &BlockStore, phase: Phase) {
-    let mut stall_rounds = 0;
-    loop {
-        let exit = sched::poll_until_or_stall::<SolveEngine, _>(rank, |rank, st| {
+const FORWARD: Sweep = Sweep {
+    name: "forward",
+    diag_kind: "fwd_diag",
+    gemv_kind: "fwd_gemv",
+};
+
+const BACKWARD: Sweep = Sweep {
+    name: "backward",
+    diag_kind: "bwd_diag",
+    gemv_kind: "bwd_gemv",
+};
+
+/// One sweep on the solver's one event loop: run ready tasks, fold the
+/// messages that arrived, run what they released; then the sweep barrier.
+fn run_sweep(rank: &mut Rank, st: SolveEngine, store: &BlockStore, sweep: Sweep) -> SolveEngine {
+    sched::run_event_loop(
+        rank,
+        st,
+        |rank, st: &mut SolveEngine| {
             st.pump(rank, store);
-            let msgs = st.rt.take_signals();
-            for msg in msgs {
+            for msg in st.rt.take_signals() {
                 st.handle(rank, msg);
             }
             st.pump(rank, store);
-            st.phase_done(phase) || st.rt.aborted() || rank.job_aborted()
-        });
-        match exit {
-            LoopExit::Finished => break,
-            LoopExit::Stalled => {
-                stall_rounds += 1;
-                assert!(stall_rounds < 16, "solve stall handler failed to abort");
-                rank.with_state::<SolveEngine, _>(|rank, st| {
-                    let (done, total) = (st.rt.done_count(), st.rt.total());
-                    let which = match phase {
-                        Phase::Forward => "forward",
-                        Phase::Backward => "backward",
-                    };
-                    st.rt.fail(
-                        rank,
-                        SolverError::Stalled {
-                            rank: rank.id(),
-                            done,
-                            total,
-                            detail: format!("{which} solve sweep quiesced with unfinished tasks"),
-                        },
-                    );
-                });
-            }
-        }
-    }
+            st.sweep_done(sweep) || st.rt.aborted() || rank.job_aborted()
+        },
+        |rank, st| {
+            let detail = format!("{} solve sweep quiesced with unfinished tasks", sweep.name);
+            st.rt.fail_stalled(rank, &detail);
+        },
+    )
 }
 
 #[cfg(test)]

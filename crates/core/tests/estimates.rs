@@ -7,7 +7,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::engine::FactoEngine;
 use sympack::plan::{make_kernels, SolvePlan};
-use sympack::sched::Engine;
+use sympack::sched;
 use sympack::{Block, SolverOptions};
 use sympack_sparse::gen::{bone_like, random_spd};
 use sympack_sparse::SparseSym;
@@ -65,10 +65,12 @@ fn estimated_remaining_follows_stored_ranks_after_a_compressed_arrival() {
         let (cost, cfg) = (e.kernels.cost.clone(), e.kernels.config.clone());
         // The same unexecuted tasks, every operand assumed dense.
         let symbolic = |e: &FactoEngine| {
-            e.rt.estimated_remaining(|_, k| k.estimate_secs(sf, &cost, &cfg))
+            e.core
+                .rt
+                .estimated_remaining(|_, k| k.estimate_secs(sf, &cost, &cfg))
         };
         let mut checked_first_arrival = false;
-        while e.step(rank) {
+        while sched::step(&mut e, rank) {
             let (stored, dense) = (e.estimated_remaining(), symbolic(&e));
             match e.kernels.blr_counts.compressed {
                 0 => assert_eq!(stored.to_bits(), dense.to_bits()),
@@ -98,7 +100,7 @@ fn estimated_remaining_follows_stored_ranks_after_a_compressed_arrival() {
                 _ => {}
             }
         }
-        assert!(e.rt.finished() && e.rt.error.is_none());
+        assert!(e.core.rt.finished() && e.core.rt.error.is_none());
         assert_eq!(e.estimated_remaining(), 0.0);
         checked_first_arrival
     });

@@ -1,0 +1,89 @@
+//! Guard against the engine skeleton re-growing per-engine copies.
+//!
+//! `sympack::sched` owns the step, the signal drain, the publication layer
+//! (shared-heap hosting, delivery closures, relays) and the stall-aware
+//! loop; `sympack::update` owns the update product + scatter. The engine
+//! files — the fan-out, the solve and the three baselines — must not define
+//! or reach around any of them. This test scans their sources.
+
+use std::path::{Path, PathBuf};
+
+fn rust_sources(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            out.extend(rust_sources(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).expect("readable source")
+}
+
+#[test]
+fn engines_contain_no_copy_of_the_shared_skeleton() {
+    // crates/core -> workspace root is two levels up.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let core = root.join("crates/core/src");
+    let mut engines = vec![core.join("engine.rs"), core.join("trisolve.rs")];
+    engines.extend(rust_sources(&root.join("crates/baseline/src")));
+    assert!(engines.len() >= 6, "scan looks wrong: {engines:?}");
+
+    let forbidden = [
+        "fn drain_pending",
+        "fn step(",
+        "try_with_state::<",
+        "alloc(MemKind::Host",
+        "poll_until_or_stall",
+        "fn run_phase",
+        "BcastPlan",
+        "plan_tree",
+        "relay",
+        "Relay",
+        "gemm_any(",
+        "syrk_any(",
+        "fn publish_stats",
+    ];
+    let mut offenders = Vec::new();
+    for file in &engines {
+        let text = read(file);
+        for needle in forbidden {
+            if text.contains(needle) {
+                offenders.push(format!("{}: {needle}", file.display()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "engine files re-grew code that belongs to sympack::sched / sympack::update:\n{}",
+        offenders.join("\n")
+    );
+
+    // Defined exactly once, in the shared modules.
+    let shared: Vec<PathBuf> = rust_sources(&core)
+        .into_iter()
+        .chain(rust_sources(&root.join("crates/baseline/src")))
+        .collect();
+    let definitions = |needle: &str| -> Vec<String> {
+        let hits = shared.iter().filter(|f| read(f).contains(needle));
+        hits.map(|f| f.display().to_string()).collect()
+    };
+    for (needle, home) in [
+        ("fn step<", "sched/mod.rs"),
+        ("try_with_state::<", "sched/comm.rs"),
+        ("alloc(MemKind::Host", "sched/comm.rs"),
+        ("poll_until_or_stall::<", "sched/mod.rs"),
+        ("gemm_any(", "update.rs"),
+    ] {
+        let found = definitions(needle);
+        assert!(
+            found.len() == 1 && found[0].ends_with(home),
+            "`{needle}` must appear in {home} only, found in {found:?}"
+        );
+    }
+}

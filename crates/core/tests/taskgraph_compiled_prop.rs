@@ -211,7 +211,7 @@ fn check_rank(name: &str, sf: &SymbolicFactor, ap: &SparseSym, grid: &ProcGrid, 
             let b = sf.layout.find(i, j).expect("block in layout");
             assert_eq!(
                 lt.block_rows(sf, id),
-                &sf.patterns[j][b.row_offset..b.row_offset + b.n_rows],
+                sf.block_rows(j, b),
                 "{ctx}: rows of B({i},{j})"
             );
         }

@@ -81,6 +81,12 @@ impl SymbolicFactor {
     pub fn n(&self) -> usize {
         self.partition.n()
     }
+
+    /// Global rows (sorted) of off-diagonal block `b` of supernode `j`: the
+    /// block's contiguous slice of the supernode's row pattern.
+    pub fn block_rows(&self, j: usize, b: &BlockInfo) -> &[usize] {
+        &self.patterns[j][b.row_offset..b.row_offset + b.n_rows]
+    }
 }
 
 /// Run the full analysis: permute by `ordering`, postorder the elimination

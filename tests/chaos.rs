@@ -136,7 +136,6 @@ fn run_one(
         ranks_per_node,
         faults,
         deterministic: true,
-        bcast,
         coalesce,
         ..Default::default()
     };

@@ -306,3 +306,125 @@ fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
         "baseline schedule or solution bits changed; got {got:#018x?}"
     );
 }
+
+/// FNV-1a over a traced fan-out run on the wire paths no other fingerprint
+/// reaches: per rank, every factorization task in execution order (label,
+/// ready time, producer edge, memory gauge, RTQ depth), then both
+/// makespans, the solution bits, the per-rank publication accounting and
+/// the message / byte counters.
+fn fanout_wire_fingerprint(r: &sympack::SolveReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for rank in 0..r.publish.len() {
+        for ev in r.trace.iter().filter(|ev| {
+            ev.rank == rank
+                && ev.kind == sympack_trace::SpanKind::Exec
+                && ["D(", "F(", "U("].iter().any(|s| ev.name.starts_with(s))
+        }) {
+            eat(&(rank as u64).to_le_bytes());
+            eat(ev.name.as_bytes());
+            eat(&ev.ready_at.to_bits().to_le_bytes());
+            eat(ev.pred.as_deref().unwrap_or("-").as_bytes());
+            eat(&ev.bytes.to_le_bytes());
+            eat(&(ev.rtq_depth as u64).to_le_bytes());
+        }
+    }
+    eat(&r.factor_time.to_bits().to_le_bytes());
+    eat(&r.solve_time.to_bits().to_le_bytes());
+    for v in &r.x {
+        eat(&v.to_bits().to_le_bytes());
+    }
+    for p in &r.publish {
+        for n in [
+            p.dense_bytes,
+            p.lr_bytes,
+            p.lr_dense_equiv_bytes,
+            p.dense_blocks,
+            p.lr_blocks,
+        ] {
+            eat(&n.to_le_bytes());
+        }
+    }
+    let s = &r.stats;
+    for n in [s.rgets, s.rpcs, s.net_bytes, s.intra_bytes, s.device_bytes] {
+        eat(&n.to_le_bytes());
+    }
+    eat(&s.frames.to_le_bytes());
+    eat(&s.frame_subs.to_le_bytes());
+    h
+}
+
+/// Fingerprints of the paths the 24 fan-out and 18 baseline rows do not run
+/// (they are `Flat`, uncoalesced, dense), on `bone_like(6,6,5)` at 2 nodes ×
+/// 2 ranks under lockstep, as printed by this test at commit c825d9d — the
+/// last one where every engine owned its own `step`, publication and update
+/// code: fan-out under `Tree { arity: 2 }` + default coalescing, fan-out
+/// under BLR at `tol = 1e-8`, then right-looking / fan-in / fan-both under
+/// default coalescing.
+const WIRE_PATH_PARENT_FINGERPRINTS: [u64; 5] = [
+    0x90a258c2ecf10ac9,
+    0x62d9a237d69de0fe,
+    0xda7d164896ec9cd8,
+    0x1a4be9b90efa99be,
+    0xa949c902d9b5eb0d,
+];
+
+#[test]
+fn tree_coalesced_and_blr_schedules_are_identical_to_the_per_engine_copies() {
+    use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
+    let a = gen::bone_like(6, 6, 5);
+    let b = test_rhs(a.n());
+    let base = SolverOptions {
+        n_nodes: 2,
+        ranks_per_node: 2,
+        deterministic: true,
+        trace: true,
+        ..Default::default()
+    };
+    let tree = SolverOptions {
+        bcast: BcastTopology::Tree { arity: 2 },
+        coalesce: Some(CoalesceConfig::default()),
+        ..base.clone()
+    };
+    let blr = SolverOptions {
+        blr: sympack::BlrConfig {
+            tol: 1e-8,
+            min_block: 8,
+            max_rank: usize::MAX,
+        },
+        ..base
+    };
+    let mut got = Vec::new();
+    let r = SymPack::try_factor_and_solve(&a, &b, &tree).expect("tree + coalesce");
+    assert!(r.stats.frames > 0, "coalescing never framed a signal");
+    got.push(fanout_wire_fingerprint(&r));
+    let r = SymPack::try_factor_and_solve(&a, &b, &blr).expect("blr");
+    let lr_blocks: u64 = r.publish.iter().map(|p| p.lr_blocks).sum();
+    assert!(lr_blocks > 0, "BLR row published nothing compressed");
+    got.push(fanout_wire_fingerprint(&r));
+    let bopts = BaselineOptions {
+        n_nodes: 2,
+        ranks_per_node: 2,
+        deterministic: true,
+        coalesce: Some(CoalesceConfig::default()),
+        ..Default::default()
+    };
+    for run in [
+        sympack_baseline::try_baseline_factor_and_solve,
+        sympack_baseline::try_fanin_factor_and_solve,
+        sympack_baseline::try_fanboth_factor_and_solve,
+    ] {
+        let r = run(&a, &b, &bopts).expect("SPD input");
+        assert!(r.stats.frames > 0, "coalescing never framed a signal");
+        got.push(baseline_fingerprint(&r));
+    }
+    assert_eq!(
+        got, WIRE_PATH_PARENT_FINGERPRINTS,
+        "schedule, solution bits or wire accounting changed; got {got:#018x?}"
+    );
+}

@@ -137,6 +137,24 @@ fn invalid_options_are_typed_errors_before_any_rank_runs() {
         };
         rejected("factor_numeric", factor_numeric(&stale, &ap).map(drop));
     }
+    // The baselines reject a rank-less layout the same way (their runner
+    // used to panic in `Runtime::run` or while sizing the grid).
+    for (name, run) in BASELINES {
+        for (n_nodes, ranks_per_node) in [(1, 0), (0, 2)] {
+            let bopts = BaselineOptions {
+                n_nodes,
+                ranks_per_node,
+                deterministic: true,
+                ..Default::default()
+            };
+            match run(&a, &b, &bopts) {
+                Err(SolverError::InvalidOptions { field, .. }) => {
+                    assert_eq!(field, "n_nodes × ranks_per_node", "{name}");
+                }
+                other => panic!("{name}: expected InvalidOptions, got {other:?}"),
+            }
+        }
+    }
     // A rank layout other than the one the cached plan was sliced for.
     let four = SolverOptions {
         ranks_per_node: 4,
@@ -176,9 +194,18 @@ fn mis_shaped_inputs_are_typed_errors() {
         SymPack::try_factor_and_solve_multi(&a, &[], &opts).map(drop),
         (1, 0),
     );
+    // Baselines: a short right-hand side, and a reused symbolic factor that
+    // was analyzed for a matrix of another dimension.
+    let other = gen::laplacian_2d(5, 5);
+    let stale = BaselineOptions {
+        symbolic: Some(Arc::clone(SolvePlan::new(&other, &opts).sf())),
+        ..Default::default()
+    };
     for (name, run) in BASELINES {
         let bopts = BaselineOptions::default();
         shape(name, run(&a, &short, &bopts).map(drop), (n, n - 1));
+        let b = vec![1.0; n];
+        shape(name, run(&a, &b, &stale).map(drop), (n, other.n()));
     }
     // Plan layer: panel size, panel width, store count.
     let plan = SolvePlan::new(&a, &opts);

@@ -255,7 +255,7 @@ fn store_entries(sf: &SymbolicFactor, stores: &[BlockStore]) -> Vec<(usize, usiz
             (first..first + m.rows()).collect()
         } else {
             let info = sf.layout.find(i, j).expect("stored block is in the layout");
-            sf.patterns[j][info.row_offset..info.row_offset + info.n_rows].to_vec()
+            sf.block_rows(j, info).to_vec()
         };
         for c in 0..m.cols() {
             for (ri, &r) in rows.iter().enumerate() {
