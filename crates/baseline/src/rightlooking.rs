@@ -13,6 +13,7 @@ use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
 use sympack::plan::{self, RankOut};
 use sympack::sched::{self, CommLayer, Core, Engine, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use sympack::solve_tasks::SolveTasks;
 use sympack::storage::BlockStore;
 use sympack::trisolve::{self, SolveParams};
 use sympack::update::{apply_update, UpdateScratch};
@@ -191,6 +192,9 @@ pub(crate) fn run<E: Engine>(
         kernels.thresholds = t.clone();
     }
     let abort = Arc::new(AtomicBool::new(false));
+    // The shared solve runs over its compiled task slices, built here for
+    // this family's own grid.
+    let solve_tasks = SolveTasks::build_all(&sf, &grid);
     let report = Runtime::run(config, |rank| {
         plan::observe(rank, opts.trace, false);
         let engine = build(&sf, &ap, grid, rank.id(), kernels.clone(), opts, &abort);
@@ -201,8 +205,9 @@ pub(crate) fn run<E: Engine>(
                 msg_overhead,
                 trace: opts.trace,
             };
-            let sf = Arc::clone(&sf);
-            let solve = trisolve::solve(rank, sf, grid, &out.store, &bp, kernels.clone(), &params);
+            let (sf, tasks) = (Arc::clone(&sf), Arc::clone(&solve_tasks[rank.id()]));
+            let k = kernels.clone();
+            let solve = trisolve::solve_panel(rank, sf, tasks, &out.store, &bp, 1, k, &params);
             out.push_solve(solve);
         }
         out.finish(rank, opts.trace)

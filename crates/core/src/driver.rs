@@ -362,8 +362,8 @@ impl SymPack {
                     // both triangles) to the local clock.
                     rank.advance(2.0 * ap.nnz_full() as f64 / 4.0e9);
                     let d = ctx.solve_rank(rank, &out.store, &rp, 1, false);
-                    for (sn, dx) in d.x {
-                        let x = s.x.get_mut(&sn).expect("same ownership");
+                    // Same rank, same plan: the pieces line up one to one.
+                    for ((_, x), (_, dx)) in s.x.iter_mut().zip(d.x) {
                         for (xi, di) in x.iter_mut().zip(dx) {
                             *xi += di;
                         }

@@ -126,7 +126,7 @@ impl FactoEngine {
                 }
             }
         }
-        rt.seed_ready();
+        rt.seed_from(&graph.seeds);
         let fetch =
             FetchConfig::for_engine(kernels.gpu_enabled, oom_policy, FetchMode::NonBlocking);
         let n_inputs = graph.blocks.len() - graph.n_owned;

@@ -36,6 +36,7 @@ pub mod map2d;
 pub mod plan;
 pub mod sched;
 pub mod selinv;
+pub mod solve_tasks;
 pub mod storage;
 pub mod taskgraph;
 pub mod trisolve;

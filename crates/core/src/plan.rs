@@ -6,10 +6,11 @@
 //!
 //! * [`SymbolicPlan`] — everything derived from the sparsity *pattern*
 //!   alone: composite ordering, symbolic factor, 2D process grid, per-rank
-//!   task-graph slices, and the retained pattern arrays. It carries no
-//!   numeric state, so one `Arc<SymbolicPlan>` can back any number of
-//!   concurrent tenants whose matrices share a [`pattern_hash`] — the
-//!   analyze-once/solve-many design a fleet-wide plan cache keys on.
+//!   task-graph slices (factorization and solve), and the retained pattern
+//!   arrays. It carries no numeric state, so one `Arc<SymbolicPlan>` can
+//!   back any number of concurrent tenants whose matrices share a
+//!   [`pattern_hash`] — the analyze-once/solve-many design a fleet-wide
+//!   plan cache keys on.
 //! * [`SolvePlan`] — an `Arc<SymbolicPlan>` plus the per-job
 //!   [`SolverOptions`]; the handle the numeric phases run against.
 //!
@@ -41,6 +42,7 @@
 use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
 use crate::sched::{self, Engine, PublishStats};
+use crate::solve_tasks::SolveTasks;
 use crate::storage::BlockStore;
 use crate::taskgraph::LocalTasks;
 use crate::trisolve;
@@ -174,6 +176,9 @@ pub struct SymbolicPlan {
     /// Every rank's compiled slice of the factorization task graph, shared
     /// (not copied) by every numeric factorization under this plan.
     pub tasks: Vec<Arc<LocalTasks>>,
+    /// Every rank's compiled slice of the triangular solve (both sweeps),
+    /// shared by every solve under this plan.
+    pub solve_tasks: Vec<Arc<SolveTasks>>,
     /// Matrix order of the analyzed pattern.
     pub n: usize,
     /// Column pointers of the analyzed (unpermuted) pattern.
@@ -204,6 +209,7 @@ impl SymbolicPlan {
         let tasks: Vec<Arc<LocalTasks>> = (0..n_ranks)
             .map(|r| Arc::new(LocalTasks::build(&sf, &grid, r)))
             .collect();
+        let solve_tasks = SolveTasks::build_all(&sf, &grid);
         let mut row_idx = Vec::with_capacity(a.nnz());
         for c in 0..a.n() {
             row_idx.extend_from_slice(a.col_rows(c));
@@ -214,6 +220,7 @@ impl SymbolicPlan {
             pattern,
             key: plan_cache_key(pattern, opts),
             tasks,
+            solve_tasks,
             n: a.n(),
             col_ptr: a.col_ptr().to_vec(),
             row_idx,
@@ -348,7 +355,7 @@ impl SolvePlan {
 }
 
 /// The `(supernode, w × nrhs column-major panel)` pieces of a solution one
-/// rank owns after a triangular solve.
+/// rank owns after a triangular solve, ascending supernode.
 pub type XPieces = Vec<(usize, Vec<f64>)>;
 
 /// What one rank hands back from a distributed phase — the single per-rank
@@ -444,9 +451,10 @@ impl RankOut {
         if self.solves.is_empty() {
             self.tasks.extend(solve.task_counts);
         }
-        self.error = solve.error;
-        self.solves
-            .push((solve.elapsed, solve.x.into_iter().collect()));
+        // The first error stands: a clean solve pushed after a failed phase
+        // must not clear it.
+        self.error = self.error.take().or(solve.error);
+        self.solves.push((solve.elapsed, solve.x));
     }
 
     /// Collect what [`observe`] attached: the comm spans, and the
@@ -604,7 +612,7 @@ impl RankCtx<'_> {
         trisolve::solve_panel(
             rank,
             Arc::clone(&symbolic.sf),
-            symbolic.grid,
+            Arc::clone(&symbolic.solve_tasks[rank.id()]),
             store,
             bp,
             nrhs,
@@ -820,6 +828,64 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(k0, plan_cache_key(h, &nd));
+    }
+
+    #[test]
+    fn a_clean_solve_pushed_after_a_failed_phase_keeps_the_error() {
+        let a = laplacian_2d(4, 4);
+        let plan = SolvePlan::new(&a, &SolverOptions::default());
+        let run = Runtime::run(plan.pgas_config(), |_| {
+            let mut out = RankOut {
+                error: Some(SolverError::NotPositiveDefinite { column: 3 }),
+                ..Default::default()
+            };
+            out.push_solve(trisolve::SolveOutcome::default());
+            out
+        });
+        match assemble(plan.sf(), run, 1, false).0 {
+            Err(SolverError::NotPositiveDefinite { column: 3 }) => {}
+            other => panic!("the factor error was lost: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn mis_shaped_solve_inputs_are_errors_on_every_rank() {
+        // `trisolve::solve_panel` is public (the baselines call it inside
+        // their own regions): a bad panel must come back as an error from
+        // every rank, under lockstep too, never as a panic that strands
+        // the peers.
+        let a = laplacian_2d(6, 6);
+        let opts = SolverOptions {
+            n_nodes: 1,
+            ranks_per_node: 2,
+            deterministic: true,
+            ..Default::default()
+        };
+        let plan = SolvePlan::new(&a, &opts);
+        let nf = factor_numeric(&plan, &Arc::new(plan.permute(&a))).unwrap();
+        let no_blocks = [BlockStore::default(), BlockStore::default()];
+        let n = a.n();
+        for (stores, bp, nrhs, what) in [
+            (&nf.stores[..], vec![], 0, "right-hand sides (at least)"),
+            (&nf.stores[..], vec![1.0; n + 1], 1, "rhs panel entries"),
+            (&no_blocks[..], vec![1.0; n], 1, "factor store blocks"),
+        ] {
+            let run = Runtime::run(plan.pgas_config(), |rank| {
+                let ctx = RankCtx {
+                    plan: &plan,
+                    kernels: make_kernels(&opts),
+                    abort: &Arc::new(AtomicBool::new(false)),
+                };
+                let solve = ctx.solve_rank(rank, &stores[rank.id()], &bp, nrhs, false);
+                (solve.error, solve.x.len())
+            });
+            for (rank, result) in run.results.into_iter().enumerate() {
+                match result {
+                    (Some(SolverError::ShapeMismatch { what: w, .. }), 0) if w == what => {}
+                    other => panic!("rank {rank}, {what}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -194,6 +194,16 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         }
     }
 
+    /// Push `ids` onto the RTQ in the given order: a compiled graph's
+    /// precomputed [`seed_ready`](Self::seed_ready) result, so an engine
+    /// over it neither scans nor sorts its tasks per run.
+    pub fn seed_from(&mut self, ids: &[TaskId]) {
+        for &id in ids {
+            debug_assert_eq!(self.deps[id as usize], 0, "seed has dependencies");
+            self.rtq.push(id);
+        }
+    }
+
     /// Decrement one dependency of task `id`; move it to the RTQ at zero.
     pub fn dec_id(&mut self, id: TaskId, ready_at: f64) {
         let i = id as usize;
@@ -350,14 +360,6 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         v
     }
 
-    /// Executed tasks of one kind (phase-completion checks).
-    pub fn count_of(&self, kind: &str) -> u64 {
-        self.counts
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map_or(0, |&(_, n)| n)
-    }
-
     /// Total owned tasks.
     pub fn total(&self) -> usize {
         self.keys.len()
@@ -490,6 +492,17 @@ mod tests {
         assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(3)));
         assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(1)));
         assert!(e.pick().is_none());
+    }
+
+    #[test]
+    fn seed_from_pushes_the_given_order() {
+        let keys = Arc::new(vec![T(0), T(1), T(2), T(3)]);
+        let abort = Arc::new(AtomicBool::new(false));
+        let mut e: TaskEngine<T> =
+            TaskEngine::from_compiled(keys, &[0, 1, 0, 0], RtqPolicy::Fifo, abort);
+        e.seed_from(&[3, 0, 2]);
+        let popped: Vec<T> = std::iter::from_fn(|| e.pick().map(|(_, k, _)| k)).collect();
+        assert_eq!(popped, [T(3), T(0), T(2)], "neither sorted nor rescanned");
     }
 
     #[test]

@@ -251,6 +251,9 @@ pub struct LocalTasks {
     pub keys: Arc<Vec<TaskKey>>,
     /// Initial dependency counter of every task.
     pub deps: Vec<u32>,
+    /// The initially ready tasks (`deps == 0`) in [`TaskKind::seed_key`]
+    /// order — what an engine over this slice seeds its RTQ with.
+    pub seeds: Vec<TaskId>,
     /// Operand/target blocks of every task.
     pub ops: Vec<TaskOps>,
     /// `block id → (target, owner)`.
@@ -418,6 +421,11 @@ impl LocalTasks {
             });
         }
 
+        let mut seeds: Vec<TaskId> = (0..total as TaskId)
+            .filter(|&t| deps[t as usize] == 0)
+            .collect();
+        seeds.sort_by_key(|&t| keys[t as usize].seed_key());
+
         // Fan-out destinations of every owned block.
         let mut dest_ptr = vec![0u32; n_owned + 1];
         let mut dests = Vec::new();
@@ -430,6 +438,7 @@ impl LocalTasks {
         LocalTasks {
             keys: Arc::new(keys),
             deps,
+            seeds,
             ops,
             blocks,
             n_owned,

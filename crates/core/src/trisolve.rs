@@ -13,12 +13,11 @@
 //! The engine is *panel-native*: a solve carries `nrhs` right-hand sides as
 //! one dense `n × nrhs` column panel, every message payload is a block-row
 //! panel, and the task bodies run the panel kernels from `sympack-dense`
-//! ([`sympack_dense::panel`]). [`solve`] is the single-vector special case
-//! (`nrhs = 1`), which charges exactly the costs and bytes of the original
-//! vector path; [`solve_panel`] is the batched entry point used by
-//! `sympack-service` sessions. Batching amortizes per-message latency and
-//! per-task overhead across the panel width — the messages per sweep stay
-//! constant while their payloads grow.
+//! ([`sympack_dense::panel`]). [`solve_panel`] is the one entry point; the
+//! single-vector solve is its `nrhs = 1` case, which charges exactly the
+//! costs and bytes of the original vector path. Batching amortizes
+//! per-message latency and per-task overhead across the panel width — the
+//! messages per sweep stay constant while their payloads grow.
 //!
 //! Messages are RPCs carrying their panel payloads, charged full
 //! latency+bandwidth cost. Like the factorization, all arithmetic is real
@@ -28,13 +27,14 @@
 //! through the shared [`crate::sched::TaskEngine`]: each sweep's supernode
 //! solves and block GEMVs are tasks, released by incoming messages and
 //! picked under the session's [`RtqPolicy`] — the same queue the
-//! factorization uses.
+//! factorization uses — over a task graph compiled once per plan
+//! ([`SolveTasks`]).
 
-use crate::map2d::{distinct_owners, ProcGrid};
-use crate::sched::{self, RtqPolicy, TaskEngine, TaskKind};
+use crate::plan::XPieces;
+use crate::sched::{self, RtqPolicy, TaskEngine, TaskId, TaskKind};
+use crate::solve_tasks::SolveTasks;
 use crate::storage::{Block, BlockStore};
 use crate::SolverError;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack_dense::panel::{
@@ -84,16 +84,6 @@ pub struct SolveParams {
     pub trace: bool,
 }
 
-impl Default for SolveParams {
-    fn default() -> Self {
-        SolveParams {
-            policy: RtqPolicy::Lifo,
-            msg_overhead: 0.0,
-            trace: false,
-        }
-    }
-}
-
 /// Tasks of the triangular solve, per sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolveKey {
@@ -105,6 +95,13 @@ pub enum SolveKey {
     BwdDiag { j: usize },
     /// `B(i,j)ᵀ·x_i`, released by the arrival of `x_i`.
     BwdGemv { i: usize, j: usize },
+}
+
+impl SolveKey {
+    /// The sweep the task belongs to: `0` forward, `1` backward.
+    fn sweep(&self) -> usize {
+        matches!(self, SolveKey::BwdDiag { .. } | SolveKey::BwdGemv { .. }) as usize
+    }
 }
 
 impl TaskKind for SolveKey {
@@ -152,25 +149,27 @@ impl TaskKind for SolveKey {
 }
 
 /// Messages exchanged during the solve. All payloads are column-major
-/// panels of `nrhs` columns (`nrhs = 1` for the vector solve).
+/// panels of `nrhs` columns. `by` is the producing task (its sweep is the
+/// message's, its label the profiler's dependency edge); `panel`/`diag` are
+/// the receiver's own indices ([`Dest::idx`](crate::solve_tasks::Dest)).
 pub enum SolveMsg {
-    /// `Y_j` (`w × nrhs`) fanned out to block owners (forward sweep).
-    YReady { j: usize, y: Vec<f64> },
-    /// `B(i,j)·Y_j` (`m × nrhs`) folded into supernode `i`'s accumulator.
-    /// `j` names the producing GEMV's column for profiling.
-    FwdContrib {
-        target: usize,
-        j: usize,
-        rows: Vec<usize>,
-        vals: Vec<f64>,
+    /// `Y_j` / `X_j` (`w × nrhs`) is solved and fans out to the owners of
+    /// the blocks that multiply it. `data` carries it from a remote owner —
+    /// one allocation shared by every destination; `None` from this rank,
+    /// whose arena holds it.
+    Ready {
+        by: SolveKey,
+        panel: u32,
+        data: Option<Arc<[f64]>>,
     },
-    /// `X_i` (`w × nrhs`) fanned out to block owners (backward sweep).
-    XReady { i: usize, x: Vec<f64> },
-    /// `B(i,j)ᵀ·X_i` (`w × nrhs`) folded into supernode `j`'s accumulator.
-    /// `i` names the producing GEMV's row for profiling.
-    BwdContrib {
-        target: usize,
-        i: usize,
+    /// A GEMV's product for the owned diagonal block in slot `diag`:
+    /// `B(i,j)ᵀ·X_i` (`w × nrhs`) backward; `B(i,j)·Y_j` (`m × nrhs`)
+    /// forward, scattered through the block's `rows` slice of `patterns[j]`
+    /// — read from the receiver's symbolic factor, charged to the message.
+    Contrib {
+        by: SolveKey,
+        diag: u32,
+        rows: (u32, u32),
         vals: Vec<f64>,
     },
 }
@@ -178,354 +177,253 @@ pub enum SolveMsg {
 /// Per-rank solve engine; installed as rank user state during the solve.
 pub struct SolveEngine {
     sf: Arc<SymbolicFactor>,
-    grid: ProcGrid,
+    tasks: Arc<SolveTasks>,
     /// Right-hand sides carried through this solve (panel width).
     nrhs: usize,
     /// The shared scheduling core: dependency counters, RTQ, inbox, tracer.
     pub rt: TaskEngine<SolveKey, SolveMsg>,
-    /// Accumulator panels (`w × nrhs`) at diagonal owners (forward: b rows,
-    /// backward: y rows).
-    acc: HashMap<usize, Vec<f64>>,
-    /// Solved `Y_j` panels (forward) kept for the backward sweep.
-    y: HashMap<usize, Vec<f64>>,
-    /// Solved `X_j` panels at diagonal owners.
-    pub x: HashMap<usize, Vec<f64>>,
-    /// Received `Y_j` panels awaiting their GEMM tasks.
-    yin: HashMap<usize, Vec<f64>>,
-    /// Received `X_i` panels awaiting their GEMM tasks.
-    xin: HashMap<usize, Vec<f64>>,
-    /// Owned off-diagonal blocks keyed by owner supernode `j` → targets `i`.
-    my_blocks_by_j: HashMap<usize, Vec<usize>>,
-    /// Owned blocks keyed by target `i` (backward sweep lookup).
-    my_blocks_by_i: HashMap<usize, Vec<usize>>,
-    /// For each supernode `i`: the owners of blocks `B(i,j)` over all `j`
-    /// (deduplicated) — the backward fan-out destination sets.
-    rev_owners: Vec<Vec<usize>>,
-    /// Diagonal supernodes owned by this rank.
-    my_diags: Vec<usize>,
-    gemvs_total: u64,
+    /// The forward and the backward arena, one `w × nrhs` panel per
+    /// [`Panel`](crate::solve_tasks::Panel) each: an owned supernode's accumulator (`b` rows forward,
+    /// `Y_j` backward, minus the contributions so far) until its diagonal
+    /// task turns it into `Y_j` / `X_j` in place; a received one otherwise.
+    arena: [Vec<f64>; 2],
+    /// The gathered `X_i` rows of the running backward GEMV.
+    xsub: Vec<f64>,
+    /// Executed tasks per sweep; a sweep is done at one per owned block.
+    done: [usize; 2],
     kernels: KernelEngine,
     /// Extra per-message receive overhead (seconds).
     msg_overhead: f64,
 }
 
+/// Cost-model seconds for a solve kernel (placement included).
+fn kernel_secs(kernels: &KernelEngine, op: Op, elements: usize, flops: usize) -> f64 {
+    match kernels.place(op, elements) {
+        sympack_gpu::Loc::Cpu => kernels.cost.cpu_time(op, flops as u64),
+        sympack_gpu::Loc::Gpu => kernels.cost.gpu_time(op, flops as u64),
+    }
+}
+
+/// `op(B)·X` for a stored block `B` and an `nrhs`-column panel `X`
+/// (`op` = transpose when `trans`), in factored form when the block is
+/// stored compressed: `op(U·Vᵀ)·X = left·(rightᵀ·X)`. Returns the
+/// product panel and the kernel's modeled seconds.
+fn block_times(
+    k: &KernelEngine,
+    nrhs: usize,
+    b: &Block,
+    trans: bool,
+    x: &[f64],
+) -> (Vec<f64>, f64) {
+    let (m, w, cfg) = (b.rows(), b.cols(), &k.config);
+    let (out, inner) = if trans { (w, m) } else { (m, w) };
+    let mut v = vec![0.0; out * nrhs];
+    let (elements, flops) = match b {
+        Block::Dense(d) => {
+            let gemm = [gemm_nn_acc_raw, gemm_tn_acc_raw][trans as usize];
+            let (d, ld) = (d.as_slice(), d.ld());
+            gemm(cfg, &mut v, out, out, nrhs, d, ld, x, inner, inner);
+            (m * w, 2 * m * w * nrhs)
+        }
+        Block::LowRank(lr) => {
+            let r = lr.rank();
+            let (left, right) = if trans {
+                (lr.v(), lr.u())
+            } else {
+                (lr.u(), lr.v())
+            };
+            if r > 0 {
+                let mut t = vec![0.0; r * nrhs];
+                let (rs, rld) = (right.as_slice(), right.ld());
+                gemm_tn_acc_raw(cfg, &mut t, r, r, nrhs, rs, rld, x, inner, inner);
+                let (ls, lld) = (left.as_slice(), left.ld());
+                gemm_nn_acc_raw(cfg, &mut v, out, out, nrhs, ls, lld, &t, r, r);
+            }
+            ((m + w) * r, 2 * r * (m + w) * nrhs)
+        }
+    };
+    (v, kernel_secs(k, Op::Gemm, elements, flops))
+}
+
+/// Route a message: local push or RPC with payload cost.
+fn send(
+    rt: &mut TaskEngine<SolveKey, SolveMsg>,
+    msg_overhead: f64,
+    rank: &mut Rank,
+    dest: usize,
+    msg: SolveMsg,
+) {
+    if dest == rank.id() {
+        rt.post(msg);
+        return;
+    }
+    let bytes = match &msg {
+        SolveMsg::Ready { data, .. } => data.as_ref().map_or(0, |d| d.len() * 8),
+        SolveMsg::Contrib { rows, vals, .. } => (rows.1 as usize + vals.len()) * 8,
+    };
+    // Synchronization cost of the two-sided baseline's rendezvous
+    // protocol: both sides block until the match completes, so the full
+    // cost lands on sender *and* receiver for cross-node messages and a
+    // fraction of it within a node. Zero for symPACK's one-sided path.
+    let overhead = if rank.same_node(dest) {
+        msg_overhead * 0.2
+    } else {
+        msg_overhead
+    };
+    rank.advance(overhead);
+    rank.rpc_payload(dest, bytes, move |r| {
+        r.advance(overhead);
+        r.with_state::<SolveEngine, _>(|_, st| st.rt.post(msg));
+    });
+}
+
 impl SolveEngine {
+    /// Per-solve set-up, nothing enumerated: a copy of the compiled
+    /// counters, two zeroed arenas, and the forward seed — accumulator
+    /// panels = this supernode's rows of every column of `bp` (the full
+    /// permuted `n × nrhs` panel); the ready queue starts with the leaf
+    /// supernode solves.
     fn new(
         sf: Arc<SymbolicFactor>,
-        grid: ProcGrid,
-        rank: usize,
+        tasks: Arc<SolveTasks>,
+        bp: &[f64],
         nrhs: usize,
         kernels: KernelEngine,
         params: &SolveParams,
     ) -> Self {
-        let ns = sf.n_supernodes();
-        let mut my_blocks_by_j: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut my_blocks_by_i: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut rev_owners: Vec<Vec<usize>> = vec![Vec::new(); ns];
-        let mut incoming = vec![0usize; ns];
-        let mut gemvs_total = 0u64;
-        for j in 0..ns {
-            for b in sf.layout.blocks_of(j) {
-                let owner = grid.map(b.target, j);
-                rev_owners[b.target].push(owner);
-                incoming[b.target] += 1;
-                if owner == rank {
-                    my_blocks_by_j.entry(j).or_default().push(b.target);
-                    my_blocks_by_i.entry(b.target).or_default().push(j);
-                    gemvs_total += 1;
-                }
-            }
-        }
-        let rev_owners = rev_owners.into_iter().map(distinct_owners).collect();
-        let my_diags: Vec<usize> = (0..ns).filter(|&j| grid.map(j, j) == rank).collect();
-        let mut rt = TaskEngine::new(params.policy, Arc::new(AtomicBool::new(false)));
-        if params.trace {
-            rt.tracer = Some(Tracer::new());
-        }
-        // Register both sweeps' tasks up front. Backward diagonal solves
-        // carry one extra guard dependency, released at the phase switch, so
-        // a root supernode (no off-diagonal blocks) cannot start early.
-        for &j in &my_diags {
-            rt.insert_task(SolveKey::FwdDiag { j }, incoming[j]);
-            rt.insert_task(SolveKey::BwdDiag { j }, sf.layout.blocks_of(j).len() + 1);
-        }
-        for (&j, targets) in &my_blocks_by_j {
-            for &i in targets {
-                rt.insert_task(SolveKey::FwdGemv { i, j }, 1);
-                rt.insert_task(SolveKey::BwdGemv { i, j }, 1);
+        let abort = Arc::new(AtomicBool::new(false));
+        let mut rt =
+            TaskEngine::from_compiled(Arc::clone(&tasks.keys), &tasks.deps, params.policy, abort);
+        rt.tracer = params.trace.then(Tracer::new);
+        rt.seed_from(&tasks.seeds);
+        let mut y = vec![0.0; tasks.arena_rows() * nrhs];
+        for &slot in &tasks.diags {
+            let p = tasks.diag_panel(slot);
+            let first = sf.partition.first_col(p.sn);
+            for (k, col) in y[p.elems(nrhs)].chunks_exact_mut(p.w).enumerate() {
+                col.copy_from_slice(&bp[k * sf.n() + first..][..p.w]);
             }
         }
         SolveEngine {
+            arena: [y, vec![0.0; tasks.arena_rows() * nrhs]],
             sf,
-            grid,
+            tasks,
             nrhs,
             rt,
-            acc: HashMap::new(),
-            y: HashMap::new(),
-            x: HashMap::new(),
-            yin: HashMap::new(),
-            xin: HashMap::new(),
-            my_blocks_by_j,
-            my_blocks_by_i,
-            rev_owners,
-            my_diags,
-            gemvs_total,
+            xsub: Vec::new(),
+            done: [0; 2],
             kernels,
             msg_overhead: params.msg_overhead,
         }
-    }
-
-    /// Cost-model seconds for a solve kernel (placement included).
-    fn kernel_secs(&mut self, op: Op, elements: usize, flops: u64) -> f64 {
-        let loc = self.kernels.place(op, elements);
-        match loc {
-            sympack_gpu::Loc::Cpu => self.kernels.cost.cpu_time(op, flops),
-            sympack_gpu::Loc::Gpu => self.kernels.cost.gpu_time(op, flops),
-        }
-    }
-
-    /// Route a message: local push or RPC with payload cost.
-    fn send(&mut self, rank: &mut Rank, dest: usize, msg: SolveMsg) {
-        if dest == rank.id() {
-            self.rt.post(msg);
-            return;
-        }
-        let bytes = match &msg {
-            SolveMsg::YReady { y, .. } => y.len() * 8,
-            SolveMsg::FwdContrib { rows, vals, .. } => (rows.len() + vals.len()) * 8,
-            SolveMsg::XReady { x, .. } => x.len() * 8,
-            SolveMsg::BwdContrib { vals, .. } => vals.len() * 8,
-        };
-        // Synchronization cost of the two-sided baseline's rendezvous
-        // protocol: both sides block until the match completes, so the full
-        // cost lands on sender *and* receiver for cross-node messages and a
-        // fraction of it within a node. Zero for symPACK's one-sided path.
-        let overhead = if rank.same_node(dest) {
-            self.msg_overhead * 0.2
-        } else {
-            self.msg_overhead
-        };
-        rank.advance(overhead);
-        // Wrap so the closure is Send: vectors move into it.
-        let cell = std::sync::Mutex::new(Some(msg));
-        rank.rpc_payload(dest, bytes, move |r| {
-            r.advance(overhead);
-            let msg = cell.lock().unwrap().take().expect("message delivered once");
-            r.with_state::<SolveEngine, _>(|_, st| st.rt.post(msg));
-        });
-    }
-
-    /// Seed the forward sweep: accumulator panels = this supernode's rows of
-    /// every permuted RHS column; the ready queue starts with the leaf
-    /// supernode solves. `bp` is the full `n × nrhs` panel, column-major.
-    fn fwd_init(&mut self, bp: &[f64]) {
-        let n = self.sf.n();
-        for &j in &self.my_diags {
-            let first = self.sf.partition.first_col(j);
-            let w = self.sf.partition.width(j);
-            let mut panel = vec![0.0; w * self.nrhs];
-            for k in 0..self.nrhs {
-                panel[k * w..(k + 1) * w].copy_from_slice(&bp[k * n + first..k * n + first + w]);
-            }
-            self.acc.insert(j, panel);
-        }
-        self.rt.seed_ready();
     }
 
     /// Switch to the backward sweep: accumulators = y rows; release the
     /// guard dependency on every owned backward diagonal solve.
     fn bwd_init(&mut self, rank: &mut Rank) {
         let now = rank.now();
-        for &j in &self.my_diags {
-            let y = self.y.get(&j).expect("forward solved").clone();
-            self.acc.insert(j, y);
-            self.rt.dec(SolveKey::BwdDiag { j }, now);
+        let [y, x] = &mut self.arena;
+        x.copy_from_slice(y);
+        for &slot in &self.tasks.diags {
+            self.rt.dec_id(2 * slot + 1, now);
         }
     }
 
     /// Fold an incoming message into state and release dependent tasks.
     fn handle(&mut self, rank: &mut Rank, msg: SolveMsg) {
         let now = rank.now();
+        let (t, rt, nrhs) = (&*self.tasks, &mut self.rt, self.nrhs);
         match msg {
-            SolveMsg::YReady { j, y } => {
-                self.yin.insert(j, y);
-                for &i in self.my_blocks_by_j.get(&j).into_iter().flatten() {
-                    self.rt
-                        .dec_from(SolveKey::FwdGemv { i, j }, now, || format!("Ly({j})"));
+            SolveMsg::Ready { by, panel, data } => {
+                let (s, p) = (by.sweep(), t.panels[panel as usize]);
+                if let Some(data) = data {
+                    self.arena[s][p.elems(nrhs)].copy_from_slice(&data);
+                }
+                for &slot in t.released_by(s, panel as usize) {
+                    rt.dec_from_id(2 * slot + s as TaskId, now, || by.trace_label());
                 }
             }
-            SolveMsg::FwdContrib {
-                target,
-                j,
+            SolveMsg::Contrib {
+                by,
+                diag,
                 rows,
                 vals,
             } => {
-                let first = self.sf.partition.first_col(target);
-                let w = self.sf.partition.width(target);
-                let m = rows.len();
-                let acc = self
-                    .acc
-                    .get_mut(&target)
-                    .expect("diag owner has accumulator");
-                for k in 0..self.nrhs {
-                    for (ri, &r) in rows.iter().enumerate() {
-                        acc[k * w + (r - first)] -= vals[k * m + ri];
+                let (s, p) = (by.sweep(), t.diag_panel(diag));
+                let acc = &mut self.arena[s][p.elems(nrhs)];
+                if let SolveKey::FwdGemv { j, .. } = by {
+                    let (first, m) = (self.sf.partition.first_col(p.sn), rows.1 as usize);
+                    let rows = &self.sf.patterns[j][rows.0 as usize..][..m];
+                    for (acc, vals) in acc.chunks_exact_mut(p.w).zip(vals.chunks_exact(m)) {
+                        for (&r, v) in rows.iter().zip(vals) {
+                            acc[r - first] -= v;
+                        }
+                    }
+                } else {
+                    for (a, v) in acc.iter_mut().zip(&vals) {
+                        *a -= v;
                     }
                 }
-                self.rt.dec_from(SolveKey::FwdDiag { j: target }, now, || {
-                    format!("Gv({target},{j})")
-                });
-            }
-            SolveMsg::XReady { i, x } => {
-                self.xin.insert(i, x);
-                for &j in self.my_blocks_by_i.get(&i).into_iter().flatten() {
-                    self.rt
-                        .dec_from(SolveKey::BwdGemv { i, j }, now, || format!("Ltx({i})"));
-                }
-            }
-            SolveMsg::BwdContrib { target, i, vals } => {
-                let acc = self
-                    .acc
-                    .get_mut(&target)
-                    .expect("diag owner has accumulator");
-                for (a, &v) in acc.iter_mut().zip(&vals) {
-                    *a -= v;
-                }
-                self.rt.dec_from(SolveKey::BwdDiag { j: target }, now, || {
-                    format!("Gv'({i},{target})")
-                });
+                rt.dec_from_id(2 * diag + s as TaskId, now, || by.trace_label());
             }
         }
     }
 
-    /// `op(B)·X` for a stored block `B` and an `nrhs`-column panel `X`
-    /// (`op` = transpose when `trans`), in factored form when the block is
-    /// stored compressed: `op(U·Vᵀ)·X = left·(rightᵀ·X)`. Returns the
-    /// product panel and the kernel's modeled seconds.
-    fn block_times(&mut self, b: &Block, trans: bool, x: &[f64]) -> (Vec<f64>, f64) {
-        let (m, w, nrhs) = (b.rows(), b.cols(), self.nrhs);
-        let (out, inner) = if trans { (w, m) } else { (m, w) };
-        let cfg = &self.kernels.config;
-        let mut v = vec![0.0; out * nrhs];
-        let (elements, flops) = match b {
-            Block::Dense(d) => {
-                let gemm = if trans {
-                    gemm_tn_acc_raw
-                } else {
-                    gemm_nn_acc_raw
-                };
-                let (d, ld) = (d.as_slice(), d.ld());
-                gemm(cfg, &mut v, out, out, nrhs, d, ld, x, inner, inner);
-                (m * w, 2 * m * w * nrhs)
-            }
-            Block::LowRank(lr) => {
-                let r = lr.rank();
-                let (left, right) = if trans {
-                    (lr.v(), lr.u())
-                } else {
-                    (lr.u(), lr.v())
-                };
-                if r > 0 {
-                    let mut t = vec![0.0; r * nrhs];
-                    let (rs, rld) = (right.as_slice(), right.ld());
-                    gemm_tn_acc_raw(cfg, &mut t, r, r, nrhs, rs, rld, x, inner, inner);
-                    let (ls, lld) = (left.as_slice(), left.ld());
-                    gemm_nn_acc_raw(cfg, &mut v, out, out, nrhs, ls, lld, &t, r, r);
-                }
-                ((m + w) * r, 2 * r * (m + w) * nrhs)
-            }
-        };
-        (v, self.kernel_secs(Op::Gemm, elements, flops as u64))
-    }
-
-    /// Execute one picked task.
-    fn exec(&mut self, rank: &mut Rank, store: &BlockStore, key: SolveKey) {
+    /// Execute one picked task: the forward (even id) or backward (odd id)
+    /// task of the owned block in slot `id / 2`.
+    fn exec(&mut self, rank: &mut Rank, store: &BlockStore, id: TaskId, key: SolveKey) {
+        let (t, rt, nrhs) = (&*self.tasks, &mut self.rt, self.nrhs);
+        let (slot, s) = (id as usize / 2, id as usize % 2);
+        let (op, b) = (t.ops[slot], store.slot(slot).expect("owned block stored"));
+        // The panel the task reads: Y_j forward, X_i backward — its own
+        // supernode's for a diagonal block.
+        let source = t.panels[op.panel[s] as usize];
         match key {
-            // Substitute supernode j (forward with L, backward with Lᵀ) and
-            // fan the solved panel out to the owners of the blocks that
-            // multiply it: B(i,j) forward, B(j,k) — every block whose rows
-            // live in supernode j — backward.
-            SolveKey::FwdDiag { j } | SolveKey::BwdDiag { j } => {
-                let fwd = matches!(key, SolveKey::FwdDiag { .. });
-                let l = store.get((j, j)).expect("diag factor owned").dense();
-                let (w, nrhs) = (l.rows(), self.nrhs);
-                let mut rhs = self.acc.remove(&j).expect("accumulator present");
-                let trsm = if fwd {
-                    trsm_left_lower_notrans_raw
-                } else {
-                    trsm_left_lower_trans_raw
-                };
-                trsm(
-                    &self.kernels.config,
-                    &mut rhs,
-                    w,
-                    w,
-                    nrhs,
-                    l.as_slice(),
-                    l.ld(),
-                );
-                let secs = self.kernel_secs(Op::Trsm, w * w, (w * w * nrhs) as u64);
-                self.rt.charge(rank, key, secs);
-                let dests = if fwd {
-                    let col = self.sf.layout.blocks_of(j);
-                    distinct_owners(col.iter().map(|b| self.grid.map(b.target, j)))
-                } else {
-                    self.rev_owners[j].clone()
-                };
-                for d in dests {
-                    let msg = if fwd {
-                        SolveMsg::YReady { j, y: rhs.clone() }
-                    } else {
-                        SolveMsg::XReady {
-                            i: j,
-                            x: rhs.clone(),
-                        }
-                    };
-                    self.send(rank, d, msg);
+            // Substitute supernode j in place (forward with L, backward with
+            // Lᵀ) and fan the solved panel out to the owners of the blocks
+            // that multiply it: B(i,j) forward, B(j,k) — every block whose
+            // rows live in supernode j — backward.
+            SolveKey::FwdDiag { .. } | SolveKey::BwdDiag { .. } => {
+                let (l, w, cfg) = (b.dense(), source.w, &self.kernels.config);
+                let solved = &mut self.arena[s][source.elems(nrhs)];
+                let trsm = [trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw][s];
+                trsm(cfg, solved, w, w, nrhs, l.as_slice(), l.ld());
+                let secs = kernel_secs(&self.kernels, Op::Trsm, w * w, w * w * nrhs);
+                rt.charge(rank, key, secs);
+                let mut payload: Option<Arc<[f64]>> = None;
+                for dest in t.dests(s, slot) {
+                    let remote = dest.rank as usize != rank.id();
+                    let data = remote
+                        .then(|| Arc::clone(payload.get_or_insert_with(|| Arc::from(&*solved))));
+                    let (by, panel) = (key, dest.idx);
+                    let msg = SolveMsg::Ready { by, panel, data };
+                    send(rt, self.msg_overhead, rank, dest.rank as usize, msg);
                 }
-                // Y_j is kept for the backward sweep, X_j is the answer.
-                if fwd { &mut self.y } else { &mut self.x }.insert(j, rhs);
             }
-            SolveKey::FwdGemv { i, j } => {
-                let yj = self.yin.get(&j).expect("y_j arrived").clone();
-                let b = store.get((i, j)).expect("block owned");
-                let (vals, secs) = self.block_times(b, false, &yj);
-                self.rt.charge(rank, key, secs);
-                let binfo = self.sf.layout.find(i, j).expect("block exists");
-                let rows = self.sf.block_rows(j, binfo).to_vec();
-                let dest = self.grid.map(i, i);
-                let target = i;
-                self.send(
-                    rank,
-                    dest,
-                    SolveMsg::FwdContrib {
-                        target,
-                        j,
-                        rows,
-                        vals,
-                    },
-                );
-            }
-            SolveKey::BwdGemv { i, j } => {
-                let xi = self.xin.get(&i).expect("x_i arrived");
-                let first_i = self.sf.partition.first_col(i);
-                let wi = self.sf.partition.width(i);
-                let b = store.get((i, j)).expect("block owned");
-                let m = b.rows();
-                let binfo = self.sf.layout.find(i, j).expect("block exists");
-                // Gather the block's rows of X_i into a dense m × nrhs
-                // sub-panel, then V = B(i,j)ᵀ · X_i[rows].
-                let mut xsub = vec![0.0; m * self.nrhs];
-                for k in 0..self.nrhs {
-                    for (ri, &gr) in self.sf.block_rows(j, binfo).iter().enumerate() {
-                        xsub[k * m + ri] = xi[k * wi + (gr - first_i)];
+            SolveKey::FwdGemv { j, .. } | SolveKey::BwdGemv { j, .. } => {
+                let operand = &self.arena[s][source.elems(nrhs)];
+                let (operand, rows) = if s == 0 {
+                    (operand, op.rows)
+                } else {
+                    // Gather the block's rows of X_i into a dense m × nrhs
+                    // sub-panel, then V = B(i,j)ᵀ · X_i[rows].
+                    let first = self.sf.partition.first_col(source.sn);
+                    let rows = &self.sf.patterns[j][op.rows.0 as usize..][..op.rows.1 as usize];
+                    self.xsub.clear();
+                    for xi in operand.chunks_exact(source.w) {
+                        self.xsub.extend(rows.iter().map(|&r| xi[r - first]));
                     }
-                }
-                let (vals, secs) = self.block_times(b, true, &xsub);
-                self.rt.charge(rank, key, secs);
-                let dest = self.grid.map(j, j);
-                let target = j;
-                self.send(rank, dest, SolveMsg::BwdContrib { target, i, vals });
+                    (&self.xsub[..], (0, 0))
+                };
+                let (vals, secs) = block_times(&self.kernels, nrhs, b, s == 1, operand);
+                rt.charge(rank, key, secs);
+                let (by, diag) = (key, op.to[s].idx);
+                let msg = SolveMsg::Contrib {
+                    by,
+                    diag,
+                    rows,
+                    vals,
+                };
+                send(rt, self.msg_overhead, rank, op.to[s].rank as usize, msg);
             }
         }
     }
@@ -534,165 +432,131 @@ impl SolveEngine {
     fn pump(&mut self, rank: &mut Rank, store: &BlockStore) {
         while let Some((id, key, ready_at)) = self.rt.pick() {
             self.rt.begin(rank, ready_at);
-            self.exec(rank, store, key);
+            self.exec(rank, store, id, key);
             self.rt.complete(id);
+            self.done[key.sweep()] += 1;
         }
-    }
-
-    /// True when the given sweep's tasks have all executed on this rank.
-    fn sweep_done(&self, sweep: Sweep) -> bool {
-        self.rt.count_of(sweep.diag_kind) == self.my_diags.len() as u64
-            && self.rt.count_of(sweep.gemv_kind) == self.gemvs_total
     }
 }
 
 /// What one rank gets back from a distributed solve.
+#[derive(Default)]
 pub struct SolveOutcome {
-    /// Per-supernode solution pieces owned by this rank: a `w × nrhs`
-    /// column-major panel per diagonal supernode (`w`-vectors for the
-    /// single-RHS [`solve`]).
-    pub x: HashMap<usize, Vec<f64>>,
+    /// The solution pieces owned by this rank, straight from the arena: a
+    /// `w × nrhs` column-major panel per diagonal supernode.
+    pub x: XPieces,
     /// Virtual time spent in the solve.
     pub elapsed: f64,
     /// Solve-task timeline (empty unless [`SolveParams::trace`]).
     pub trace: Vec<TraceEvent>,
     /// Executed solve tasks per kind on this rank.
     pub task_counts: Vec<(&'static str, u64)>,
-    /// Error observed during the solve (diagnosed stall, abort).
+    /// Error observed during the solve (mis-shaped input, diagnosed stall,
+    /// abort).
     pub error: Option<SolverError>,
-}
-
-/// Run the distributed solve for one right-hand side. `store` holds this
-/// rank's factor blocks; `bp` is the full permuted right-hand side
-/// (replicated, as in the paper's driver). Equivalent to [`solve_panel`]
-/// with `nrhs = 1` — identical arithmetic, costs and message bytes.
-pub fn solve(
-    rank: &mut Rank,
-    sf: Arc<SymbolicFactor>,
-    grid: ProcGrid,
-    store: &BlockStore,
-    bp: &[f64],
-    kernels: KernelEngine,
-    params: &SolveParams,
-) -> SolveOutcome {
-    solve_panel(rank, sf, grid, store, bp, 1, kernels, params)
 }
 
 /// Run the distributed solve for a dense panel of `nrhs` right-hand sides.
 ///
-/// `bp` is the full permuted `n × nrhs` panel, column-major and replicated
-/// on every rank. The returned [`SolveOutcome::x`] pieces are `w × nrhs`
-/// panels per owned diagonal supernode. One panel solve issues the same
-/// number of messages and tasks as a single-vector solve — the panel width
-/// rides along in the payloads, which is where the batching win comes from.
-#[allow(clippy::too_many_arguments)] // mirrors `solve` plus the panel width
+/// `tasks` is this rank's compiled slice ([`SolveTasks::build_all`] over the
+/// grid the factor was mapped with), `store` its factor blocks, `bp` the
+/// full permuted `n × nrhs` panel, column-major and replicated on every rank
+/// (as in the paper's driver). One panel solve issues the same number of
+/// messages and tasks as a single-vector solve — the panel width rides along
+/// in the payloads, which is where the batching win comes from.
+///
+/// An empty or mis-sized panel, or a store `tasks` was not compiled for,
+/// comes back as [`SolverError::ShapeMismatch`] in [`SolveOutcome::error`]
+/// before anything is sent: every rank runs the same check on the same
+/// replicated input, so the collective exits stay aligned.
+#[allow(clippy::too_many_arguments)] // one rank's view of the whole solve
 pub fn solve_panel(
     rank: &mut Rank,
     sf: Arc<SymbolicFactor>,
-    grid: ProcGrid,
+    tasks: Arc<SolveTasks>,
     store: &BlockStore,
     bp: &[f64],
     nrhs: usize,
     kernels: KernelEngine,
     params: &SolveParams,
 ) -> SolveOutcome {
-    assert!(nrhs > 0, "panel solve needs at least one right-hand side");
-    assert_eq!(bp.len(), sf.n() * nrhs, "rhs panel must be n × nrhs");
     let start = rank.now();
-    let mut st = SolveEngine::new(sf, grid, rank.id(), nrhs, kernels, params);
-    st.fwd_init(bp);
-    let mut st = run_sweep(rank, st, store, FORWARD);
+    let shapes = SolverError::check_shape("right-hand sides (at least)", 1, nrhs.min(1))
+        .and_then(|()| SolverError::check_shape("rhs panel entries", sf.n() * nrhs, bp.len()))
+        .and_then(|()| {
+            SolverError::check_shape("factor store blocks", tasks.ops.len(), store.len())
+        });
+    if let Err(e) = shapes {
+        return SolveOutcome {
+            error: Some(e),
+            ..Default::default()
+        };
+    }
+    let st = SolveEngine::new(sf, tasks, bp, nrhs, kernels, params);
+    let mut st = run_sweep(rank, st, store, 0);
     // Backward sweep. When the forward sweep aborted (anywhere in the job),
     // this rank may be missing y pieces — skip the seed; the sweep's loop
     // exits immediately on the sticky abort.
     if !st.rt.aborted() && !rank.job_aborted() {
         st.bwd_init(rank);
     }
-    let mut st = run_sweep(rank, st, store, BACKWARD);
-    let trace = st
-        .rt
-        .tracer
-        .take()
-        .map(sympack_trace::Tracer::into_events)
-        .unwrap_or_default();
+    let mut st = run_sweep(rank, st, store, 1);
+    let trace = st.rt.tracer.take().map(Tracer::into_events);
     if st.rt.error.is_none() && !st.rt.aborted() && !rank.job_aborted() {
         st.rt.debug_assert_completed();
     }
+    let piece = |&slot: &u32| {
+        let p = st.tasks.diag_panel(slot);
+        (p.sn, st.arena[1][p.elems(nrhs)].to_vec())
+    };
     SolveOutcome {
-        x: st.x,
+        x: st.tasks.diags.iter().map(piece).collect(),
         elapsed: rank.now() - start,
-        trace,
+        trace: trace.unwrap_or_default(),
         task_counts: st.rt.task_counts(),
         error: st.rt.error.take(),
     }
 }
 
-/// All-gather the distributed per-supernode solution pieces so every rank
-/// holds the full permuted vector (used by iterative refinement to form the
-/// residual). Messages are RPCs with payload cost; the result is identical
-/// on every rank.
-pub fn allgather_solution(
-    rank: &mut Rank,
-    sf: &SymbolicFactor,
-    x_map: &HashMap<usize, Vec<f64>>,
-) -> Vec<f64> {
+/// All-gather the distributed per-supernode solution pieces (single
+/// right-hand side) so every rank holds the full permuted vector (used by
+/// iterative refinement to form the residual). Messages are RPCs with
+/// payload cost, sent in supernode × destination order, one shared payload
+/// per piece; the result is identical on every rank.
+pub fn allgather_solution(rank: &mut Rank, sf: &SymbolicFactor, pieces: &XPieces) -> Vec<f64> {
     struct Gather {
-        pieces: Vec<(usize, Vec<f64>)>,
+        xp: Vec<f64>,
+        got: usize,
     }
-    let ns = sf.n_supernodes();
-    let me = rank.id();
-    let n_ranks = rank.n_ranks();
-    rank.set_state(Gather {
-        pieces: x_map.iter().map(|(k, v)| (*k, v.clone())).collect(),
-    });
-    // Send in supernode order: hash-map iteration order must not leak into
-    // the receivers' virtual clocks (bit-determinism of the makespan).
-    let mut owned: Vec<(&usize, &Vec<f64>)> = x_map.iter().collect();
-    owned.sort_by_key(|(sn, _)| **sn);
-    for (&sn, piece) in owned {
+    fn put(g: &mut Gather, first: usize, piece: &[f64]) {
+        g.xp[first..first + piece.len()].copy_from_slice(piece);
+        g.got += 1;
+    }
+    let (me, n_ranks, ns) = (rank.id(), rank.n_ranks(), sf.n_supernodes());
+    let (xp, got) = (vec![0.0; sf.n()], 0);
+    let mut g = Gather { xp, got };
+    for (sn, piece) in pieces {
+        put(&mut g, sf.partition.first_col(*sn), piece);
+    }
+    rank.set_state(g);
+    for (sn, piece) in pieces {
+        let (first, payload) = (sf.partition.first_col(*sn), Arc::<[f64]>::from(&piece[..]));
         for dest in (0..n_ranks).filter(|&d| d != me) {
-            let payload = piece.clone();
-            let cell = std::sync::Mutex::new(Some((sn, payload)));
+            let payload = Arc::clone(&payload);
             rank.rpc_payload(dest, piece.len() * 8, move |r| {
-                let item = cell.lock().unwrap().take().expect("delivered once");
-                r.with_state::<Gather, _>(|_, g| g.pieces.push(item));
+                r.with_state::<Gather, _>(|_, g| put(g, first, &payload));
             });
         }
     }
-    sched::poll_until::<Gather, _>(rank, |_, g| g.pieces.len() == ns);
+    sched::poll_until::<Gather, _>(rank, |_, g| g.got == ns);
     let g = rank.take_state::<Gather>();
-    let mut xp = vec![0.0; sf.n()];
-    for (sn, piece) in g.pieces {
-        let first = sf.partition.first_col(sn);
-        xp[first..first + piece.len()].copy_from_slice(&piece);
-    }
     rank.barrier();
-    xp
+    g.xp
 }
 
-/// One of the two sweeps: its name and the kinds of its task species.
-#[derive(Clone, Copy)]
-struct Sweep {
-    name: &'static str,
-    diag_kind: &'static str,
-    gemv_kind: &'static str,
-}
-
-const FORWARD: Sweep = Sweep {
-    name: "forward",
-    diag_kind: "fwd_diag",
-    gemv_kind: "fwd_gemv",
-};
-
-const BACKWARD: Sweep = Sweep {
-    name: "backward",
-    diag_kind: "bwd_diag",
-    gemv_kind: "bwd_gemv",
-};
-
-/// One sweep on the solver's one event loop: run ready tasks, fold the
+/// Sweep `s` on the solver's one event loop: run ready tasks, fold the
 /// messages that arrived, run what they released; then the sweep barrier.
-fn run_sweep(rank: &mut Rank, st: SolveEngine, store: &BlockStore, sweep: Sweep) -> SolveEngine {
+fn run_sweep(rank: &mut Rank, st: SolveEngine, store: &BlockStore, s: usize) -> SolveEngine {
     sched::run_event_loop(
         rank,
         st,
@@ -702,10 +566,11 @@ fn run_sweep(rank: &mut Rank, st: SolveEngine, store: &BlockStore, sweep: Sweep)
                 st.handle(rank, msg);
             }
             st.pump(rank, store);
-            st.sweep_done(sweep) || st.rt.aborted() || rank.job_aborted()
+            st.done[s] == st.tasks.ops.len() || st.rt.aborted() || rank.job_aborted()
         },
         |rank, st| {
-            let detail = format!("{} solve sweep quiesced with unfinished tasks", sweep.name);
+            let sweep = ["forward", "backward"][s];
+            let detail = format!("{sweep} solve sweep quiesced with unfinished tasks");
             st.rt.fail_stalled(rank, &detail);
         },
     )

@@ -87,3 +87,22 @@ fn engines_contain_no_copy_of_the_shared_skeleton() {
         );
     }
 }
+
+/// The solve runs over the plan's compiled `SolveTasks` and nothing else:
+/// no hash map, no per-call task registration, no key-addressed decrement.
+#[test]
+fn the_solve_engine_is_id_addressed_only() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/trisolve.rs");
+    let text = read(&root);
+    let engine = text.split("#[cfg(test)]").next().expect("non-test part");
+    for needle in [
+        "HashMap",
+        "insert_task",
+        ".dec(",
+        ".dec_from(",
+        "seed_ready",
+        "layout.find",
+    ] {
+        assert!(!engine.contains(needle), "trisolve.rs re-grew `{needle}`");
+    }
+}

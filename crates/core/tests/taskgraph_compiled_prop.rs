@@ -14,6 +14,9 @@
 //!   factor bits equals constants captured from the commit before the
 //!   compiled graph existed.
 
+mod common;
+
+use common::{fnv, patterns, FNV_OFFSET};
 use std::collections::{HashMap, HashSet};
 use sympack::storage::{BlockKey, BlockStore};
 use sympack::taskgraph::{fanout_dests, LocalTasks, TaskKey};
@@ -24,66 +27,6 @@ use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 use sympack_trace::SpanKind;
-
-/// A diagonally dominant matrix with the given strictly-lower edges.
-fn from_edges(n: usize, edges: &[(usize, usize)]) -> SparseSym {
-    let mut cols: Vec<Vec<usize>> = (0..n).map(|c| vec![c]).collect();
-    let mut degree = vec![0usize; n];
-    for &(r, c) in edges {
-        let (r, c) = (r.max(c), r.min(c));
-        if r != c && !cols[c].contains(&r) {
-            cols[c].push(r);
-            degree[r] += 1;
-            degree[c] += 1;
-        }
-    }
-    let (mut col_ptr, mut row_idx, mut values) = (vec![0], Vec::new(), Vec::new());
-    for (c, rows) in cols.iter_mut().enumerate() {
-        rows.sort_unstable();
-        for &r in rows.iter() {
-            row_idx.push(r);
-            values.push(if r == c { degree[c] as f64 + 1.0 } else { -1.0 });
-        }
-        col_ptr.push(row_idx.len());
-    }
-    SparseSym::from_parts(n, col_ptr, row_idx, values)
-}
-
-/// The pattern zoo: random matrices plus the shapes that break indexing
-/// schemes — empty supernode columns, one consumer of everything, several
-/// elimination-tree roots, no off-diagonal block at all.
-fn patterns() -> Vec<(&'static str, SparseSym)> {
-    let n = 24;
-    let mut v = vec![
-        ("random_spd(40,3,1)", random_spd(40, 3, 1)),
-        ("random_spd(60,5,2)", random_spd(60, 5, 2)),
-        ("random_spd(35,8,3)", random_spd(35, 8, 3)),
-        (
-            "arrow",
-            from_edges(n, &(0..n - 1).map(|c| (n - 1, c)).collect::<Vec<_>>()),
-        ),
-        (
-            "one dense row",
-            from_edges(n, &(0..n).map(|c| (n / 2, c)).collect::<Vec<_>>()),
-        ),
-        ("pure diagonal", from_edges(n, &[])),
-        (
-            "long chain",
-            from_edges(64, &(1..64).map(|r| (r, r - 1)).collect::<Vec<_>>()),
-        ),
-        ("n = 1", from_edges(1, &[])),
-    ];
-    // Three components: a clique, a chain and an isolated vertex.
-    let mut edges = Vec::new();
-    for r in 0..6 {
-        for c in 0..r {
-            edges.push((r, c));
-        }
-    }
-    edges.extend((7..15).map(|r| (r, r - 1)));
-    v.push(("disconnected components", from_edges(16, &edges)));
-    v
-}
 
 /// One rank's slice by the §3.2 rules, in hash maps.
 #[derive(Default)]
@@ -262,7 +205,7 @@ fn compiled_graph_matches_the_naive_enumeration() {
                 let grid = ProcGrid::squarest(p);
                 let mut total = 0;
                 for rank in 0..p {
-                    check_rank(name, &sf, &ap, &grid, rank);
+                    check_rank(&name, &sf, &ap, &grid, rank);
                     total += LocalTasks::build(&sf, &grid, rank).total;
                 }
                 // Every task of the global graph is owned exactly once
@@ -271,13 +214,6 @@ fn compiled_graph_matches_the_naive_enumeration() {
                 assert_eq!(total, global, "{name}, P={p}: tasks partition");
             }
         }
-    }
-}
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
 }
 
@@ -296,7 +232,7 @@ fn schedule_fingerprint(a: &SparseSym, policy: RtqPolicy, p: usize) -> u64 {
     };
     let b = test_rhs(a.n());
     let r = SymPack::try_factor_and_solve_multi(a, &[b], &opts).expect("factorization");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for rank in 0..p {
         for ev in r.trace.iter().filter(|ev| {
             ev.rank == rank
