@@ -5,28 +5,31 @@
 //! kernels (`jb/sj/rs/pb/ib/sb/db`, `nb/kb` for the unpacked loop nests) and
 //! the two dispatch thresholds (`pack_min_flops`, `par_flop_threshold`) live
 //! in one [`KernelConfig`] value that callers construct once, validate, and
-//! thread explicitly through every dense entry point. Only the register tile
-//! [`MR`]×[`NR`] stays a compile-time constant — the microkernel is
-//! register-allocated around it.
+//! thread explicitly through every dense entry point. The register tile is
+//! not in it: it is a property of the ISA the config resolves to
+//! ([`Isa::tile`]), and [`KernelConfig::validate`] checks the cache blocks
+//! against that tile.
 //!
 //! [`KernelConfig::default`] reproduces the previously hardcoded constants
 //! exactly, so default-config results are bit-identical to the historical
 //! kernels; the deterministic test suites pin the default config. Calibrated
 //! configs come from the `sympack-tune` sweep (see `crates/tune`).
 
-use crate::microkernel::{Isa, MR, NR};
+use crate::microkernel::Isa;
 use std::fmt;
 
 /// Instruction-set selection policy for the microkernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IsaSelect {
-    /// Detect the best available ISA once per process (the default; a pure
-    /// function of the hardware, so results stay reproducible per machine).
+    /// The widest ISA the machine has (the default; every ISA computes the
+    /// same bits, so this only chooses speed).
     Auto,
     /// Force the baseline scalar/SSE2 code path.
     Portable,
     /// Require AVX2+FMA; validation fails where the features are missing.
     Avx2Fma,
+    /// Require AVX-512F; validation fails where the feature is missing.
+    Avx512,
 }
 
 /// Typed rejection of an invalid [`KernelConfig`].
@@ -37,14 +40,17 @@ pub enum ConfigError {
         /// Name of the offending field.
         field: &'static str,
     },
-    /// A cache block is not a whole number of register tiles.
+    /// A cache block is not a whole number of register tiles of the ISA the
+    /// config resolves to on this machine.
     NotMultiple {
         /// Name of the offending field.
         field: &'static str,
         /// The rejected value.
         value: usize,
-        /// The required divisor (`MR` or `NR`).
+        /// The required divisor (`mr` or `nr` of the tile).
         of: usize,
+        /// Name of the resolved ISA whose tile imposes the divisor.
+        isa: &'static str,
     },
     /// The requested ISA is not available on this machine.
     IsaUnavailable {
@@ -67,9 +73,15 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroBlock { field } => {
                 write!(f, "kernel config: `{field}` must be nonzero")
             }
-            ConfigError::NotMultiple { field, value, of } => write!(
+            ConfigError::NotMultiple {
+                field,
+                value,
+                of,
+                isa,
+            } => write!(
                 f,
-                "kernel config: `{field}` = {value} must be a multiple of {of}"
+                "kernel config: `{field}` = {value} must be a multiple of {of} \
+                 (register tile of the `{isa}` microkernel)"
             ),
             ConfigError::IsaUnavailable { requested } => write!(
                 f,
@@ -93,20 +105,21 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelConfig {
     /// Row cache block of the packed GEMM core: the packed `mc × kc` A panel
-    /// stays L2-resident. Must be a multiple of [`MR`].
+    /// stays L2-resident. Must be a multiple of the resolved tile's `mr`.
     pub mc: usize,
-    /// Inner-product cache block: one packed A strip (`MR × kc`) plus one
-    /// packed B strip (`kc × NR`) should fit in L1 together.
+    /// Inner-product cache block: one packed A strip (`mr × kc`) plus one
+    /// packed B strip (`kc × nr`) should fit in L1 together.
     pub kc: usize,
     /// Column cache block bounding the packed B panel (`kc × nc`). Must be a
-    /// multiple of [`NR`].
+    /// multiple of the resolved tile's `nr`.
     pub nc: usize,
     /// Column tile of the *unpacked* small-GEMM loop nest.
     pub nb: usize,
     /// Inner-product tile of the unpacked loop nest.
     pub kb: usize,
-    /// SYRK diagonal-tile edge; must be a multiple of [`MR`] (the packed
-    /// SYRK runs diagonal tiles as whole-strip ranges of the shared A pack).
+    /// SYRK diagonal-tile edge; must be a multiple of the resolved tile's
+    /// `mr` (the packed SYRK runs diagonal tiles as whole-strip ranges of the
+    /// shared A pack).
     pub db: usize,
     /// TRSM outer panel width (right-looking blocked solve).
     pub jb: usize,
@@ -160,9 +173,11 @@ impl KernelConfig {
     ///
     /// # Errors
     /// [`ConfigError::ZeroBlock`] for any zero parameter,
-    /// [`ConfigError::NotMultiple`] when `mc`/`db` is not a multiple of
-    /// [`MR`] or `nc` of [`NR`], and [`ConfigError::IsaUnavailable`] when a
-    /// forced ISA is missing on this machine.
+    /// [`ConfigError::IsaUnavailable`] when a forced ISA is missing on this
+    /// machine, and [`ConfigError::NotMultiple`] when `mc`/`db` is not a
+    /// multiple of `mr`, or `nc` of `nr`, of the resolved ISA's
+    /// [`Isa::tile`] — so a blocking tuned under one ISA can be invalid
+    /// under another.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (field, v) in [
             ("mc", self.mc),
@@ -182,28 +197,23 @@ impl KernelConfig {
                 return Err(ConfigError::ZeroBlock { field });
             }
         }
-        if !self.mc.is_multiple_of(MR) {
-            return Err(ConfigError::NotMultiple {
-                field: "mc",
-                value: self.mc,
-                of: MR,
-            });
+        let isa = self.resolve_isa()?;
+        let (mr, nr) = isa.tile();
+        for (field, value, of) in [
+            ("mc", self.mc, mr),
+            ("nc", self.nc, nr),
+            ("db", self.db, mr),
+        ] {
+            if !value.is_multiple_of(of) {
+                return Err(ConfigError::NotMultiple {
+                    field,
+                    value,
+                    of,
+                    isa: isa.name(),
+                });
+            }
         }
-        if !self.nc.is_multiple_of(NR) {
-            return Err(ConfigError::NotMultiple {
-                field: "nc",
-                value: self.nc,
-                of: NR,
-            });
-        }
-        if !self.db.is_multiple_of(MR) {
-            return Err(ConfigError::NotMultiple {
-                field: "db",
-                value: self.db,
-                of: MR,
-            });
-        }
-        self.resolve_isa().map(|_| ())
+        Ok(())
     }
 
     /// Resolve the ISA selection policy to a concrete microkernel ISA.
@@ -211,21 +221,18 @@ impl KernelConfig {
     /// # Errors
     /// [`ConfigError::IsaUnavailable`] when a forced ISA is missing.
     pub fn resolve_isa(&self) -> Result<Isa, ConfigError> {
-        match self.isa {
-            IsaSelect::Auto => Ok(crate::microkernel::isa()),
-            IsaSelect::Portable => Ok(Isa::Portable),
-            IsaSelect::Avx2Fma => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if crate::microkernel::isa() == Isa::Avx2Fma {
-                        return Ok(Isa::Avx2Fma);
-                    }
-                }
-                Err(ConfigError::IsaUnavailable {
-                    requested: "avx2+fma",
-                })
-            }
-        }
+        let requested = match self.isa {
+            IsaSelect::Auto => return Ok(crate::microkernel::isa()),
+            IsaSelect::Portable => Isa::Portable.name(),
+            IsaSelect::Avx2Fma => "avx2+fma",
+            IsaSelect::Avx512 => "avx512",
+        };
+        // By name: the wide variants of `Isa` only exist on x86-64.
+        Isa::ALL
+            .iter()
+            .copied()
+            .find(|i| i.name() == requested && i.available())
+            .ok_or(ConfigError::IsaUnavailable { requested })
     }
 
     /// The resolved ISA of a *validated* config.
@@ -319,34 +326,79 @@ mod tests {
         }
     }
 
+    /// Every forceable ISA this machine has, with its resolution; the rest
+    /// are reported, never skipped silently.
+    fn forced_isas() -> Vec<(IsaSelect, Isa)> {
+        let mut out = Vec::new();
+        for isa in [IsaSelect::Portable, IsaSelect::Avx2Fma, IsaSelect::Avx512] {
+            let cfg = KernelConfig {
+                isa,
+                ..Default::default()
+            };
+            match cfg.resolve_isa() {
+                Ok(resolved) => out.push((isa, resolved)),
+                Err(e) => println!("skipped {isa:?}: {e}"),
+            }
+        }
+        out
+    }
+
     #[test]
     fn misaligned_cache_blocks_are_rejected() {
-        let c = KernelConfig {
-            mc: MR + 1,
-            ..Default::default()
-        };
-        match c.validate() {
-            Err(ConfigError::NotMultiple {
-                field: "mc", of, ..
-            }) => assert_eq!(of, MR),
-            other => panic!("expected NotMultiple(mc), got {other:?}"),
+        for (isa, resolved) in forced_isas() {
+            let (mr, nr) = resolved.tile();
+            for (field, bad) in [("mc", mr + 1), ("nc", nr + 1), ("db", mr + 2)] {
+                let mut c = KernelConfig {
+                    isa,
+                    ..Default::default()
+                };
+                c.set_field(field, bad as u64).unwrap();
+                match c.validate() {
+                    Err(ConfigError::NotMultiple {
+                        field: f,
+                        of,
+                        isa: name,
+                        ..
+                    }) => {
+                        assert_eq!(f, field);
+                        assert_eq!(of, if field == "nc" { nr } else { mr });
+                        assert_eq!(name, resolved.name());
+                    }
+                    other => panic!("{isa:?} {field}: expected NotMultiple, got {other:?}"),
+                }
+            }
         }
-        let c = KernelConfig {
-            nc: NR + 1,
-            ..Default::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::NotMultiple { field: "nc", .. })
-        ));
-        let c = KernelConfig {
-            db: MR + 2,
-            ..Default::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::NotMultiple { field: "db", .. })
-        ));
+    }
+
+    #[test]
+    fn default_blocking_is_valid_under_every_isa_and_tiles_are_per_isa() {
+        for (isa, resolved) in forced_isas() {
+            let c = KernelConfig {
+                isa,
+                ..Default::default()
+            };
+            c.validate().unwrap();
+            // A blocking tuned under the 8×4 tiles (mc = 72, db = 24) is a
+            // typed error under a wider tile, never a panic in a kernel.
+            let c = KernelConfig {
+                mc: 72,
+                db: 24,
+                isa,
+                ..Default::default()
+            };
+            match (resolved.tile().0, c.validate()) {
+                (8, Ok(())) => {}
+                (16, Err(ConfigError::NotMultiple { field, of, .. })) => {
+                    assert_eq!((field, of), ("mc", 16));
+                }
+                (mr, other) => panic!("{isa:?} (mr = {mr}): {other:?}"),
+            }
+        }
+        // Auto resolves to the widest available ISA.
+        let auto = KernelConfig::default().resolve_isa().unwrap();
+        assert!(forced_isas()
+            .iter()
+            .all(|(_, r)| r.tile().0 <= auto.tile().0));
     }
 
     #[test]
@@ -363,10 +415,10 @@ mod tests {
     fn field_roundtrip_covers_every_field() {
         let mut c = KernelConfig::default();
         for (name, v) in KernelConfig::default().fields() {
-            c.set_field(name, v + MR as u64).unwrap();
+            c.set_field(name, v + 8).unwrap();
         }
         for ((_, got), (_, orig)) in c.fields().iter().zip(KernelConfig::default().fields()) {
-            assert_eq!(*got, orig + MR as u64);
+            assert_eq!(*got, orig + 8);
         }
         assert!(c.set_field("bogus", 1).is_err());
     }
@@ -379,7 +431,9 @@ mod tests {
             field: "mc",
             value: 9,
             of: 8,
+            isa: "portable",
         };
         assert!(e.to_string().contains("multiple of 8"));
+        assert!(e.to_string().contains("`portable`"));
     }
 }

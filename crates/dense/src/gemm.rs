@@ -15,8 +15,8 @@
 
 use crate::config::KernelConfig;
 use crate::mat::Mat;
-use crate::microkernel;
-use crate::pack;
+use crate::microkernel::{gemm_packed, Dest};
+use crate::pack::Operand;
 
 /// Compute `C ← C − A · Bᵀ` on raw column-major buffers under `cfg`.
 ///
@@ -78,17 +78,13 @@ pub fn gemm_nt_packed_raw(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    microkernel::gemm_packed(
-        cfg,
+    let d = Dest {
         c,
         ldc,
-        m,
-        n,
-        k,
-        |dst, i0, mb, p0, kb| pack::pack_a_nt(dst, a, lda, i0, mb, p0, kb),
-        |dst, j0, nb, p0, kb| pack::pack_b_t(dst, b, ldb, j0, nb, p0, kb),
-        true,
-    );
+        sub: true,
+        lower: false,
+    };
+    gemm_packed(cfg, d, (m, n, k), Operand::Xk(a, lda), Operand::Xk(b, ldb));
 }
 
 /// The pre-packing two-column loop nest: `C ← C − A · Bᵀ` reading operands

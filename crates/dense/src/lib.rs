@@ -20,11 +20,14 @@
 //! supernode panels — tall dense column blocks — are contiguous per column.
 //!
 //! Large problems run on a BLIS-style packed engine: [`pack`] copies
-//! operands into MR/NR-strip tile-major buffers and [`microkernel`] drives
-//! an 8×4 register-tile FMA kernel under runtime mc/kc/nc cache blocking,
-//! with the AVX2+FMA instantiation selected once at runtime. Problems too
-//! small to amortize packing keep direct loop nests ([`naive`] remains the
-//! correctness oracle). [`par`] adds scoped-thread parallel variants whose
+//! operands into `mr`/`nr`-strip tile-major buffers and [`microkernel`]
+//! drives one register-tile kernel per ISA under runtime mc/kc/nc cache
+//! blocking — explicit intrinsics on a 16×8 tile for AVX-512 and an 8×4 tile
+//! for AVX2, scalar Rust on 8×4 elsewhere, the widest available chosen at
+//! runtime. All three run the same arithmetic per element of `C`, so the
+//! choice never changes a bit of a result. Problems too small to amortize
+//! packing keep direct loop nests ([`naive`] remains the correctness
+//! oracle). [`par`] adds scoped-thread parallel variants whose
 //! worker count is bounded by the hardware budget divided across registered
 //! PGAS ranks ([`par::num_threads`]), bit-identical to the sequential path.
 //!
@@ -33,9 +36,9 @@
 //! a `*_cfg` entry point taking `&KernelConfig` explicitly, and the
 //! historical name which runs under [`KernelConfig::default()`] — whose
 //! field values equal the constants the kernels previously compiled in, so
-//! default-config results are bit-identical to earlier releases. Only the
-//! register-tile shape ([`microkernel::MR`] × [`microkernel::NR`]) remains
-//! compile-time.
+//! default-config results are bit-identical to earlier releases. The
+//! register-tile shape is not configuration: it belongs to the ISA the
+//! config resolves to ([`microkernel::Isa::tile`]).
 
 pub mod config;
 pub mod error;

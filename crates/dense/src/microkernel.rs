@@ -1,324 +1,416 @@
-//! Register-blocked GEMM core: MR×NR microkernel plus cache-level blocking.
+//! Register-blocked GEMM core: one microkernel per ISA plus cache-level
+//! blocking.
 //!
 //! This is the single flop engine behind every level-3 kernel in the crate
 //! (GEMM, SYRK, TRSM updates, the blocked POTRF trailing update and the
 //! panel-solve accumulations). The structure is the classical BLIS
 //! decomposition, with the cache blocks `mc/kc/nc` supplied at runtime by a
-//! [`crate::config::KernelConfig`]:
+//! [`crate::config::KernelConfig`] and the register tile `mr × nr` by the
+//! [`Isa`] that config resolves to ([`Isa::tile`]):
 //!
 //! ```text
 //! for jc in 0..n step nc            // B panel       (stays in L3)
 //!   for pc in 0..k step kc          // pack B(pc,jc) (stays in L2)
 //!     for ic in 0..m step mc        // pack A(ic,pc) (stays in L2/L1)
-//!       for jr in 0..nb step NR     //   macro-kernel over register tiles
-//!         for ir in 0..mb step MR
-//!           C[ir:ir+MR, jr:jr+NR] ∓= Apack · Bpack   // microkernel
+//!       for jr in 0..nb step nr     //   macro-kernel over register tiles
+//!         for ir in 0..mb step mr
+//!           C[ir:ir+mr, jr:jr+nr] ∓= Apack · Bpack   // microkernel
 //! ```
 //!
-//! The microkernel holds an MR×NR tile of `C` in registers across the entire
-//! `kb`-long inner product — the inner loop performs `MR·NR` fused
-//! multiply-adds per iteration with **no loads or stores of `C`** — and reads
-//! its operands from the contiguous zero-padded strips produced by
-//! [`crate::pack`], so edge tiles take the same code path as interior tiles.
-//! Only the register tile stays compile-time: the microkernel is
-//! register-allocated around `MR`/`NR`.
+//! The microkernel holds an `mr × nr` tile of `C` in registers across the
+//! entire `kb`-long inner product — **no loads or stores of `C`** inside the
+//! k-loop — and reads its operands from the contiguous zero-padded strips
+//! produced by [`crate::pack`], so edge tiles take the same code path as
+//! interior tiles.
 //!
-//! Accumulation order per element of `C` is fixed (k ascending, one k-block
-//! at a time) and independent of the surrounding blocking, so results are
-//! bit-deterministic run to run and identical between the sequential path
-//! and the column-partitioned parallel path.
+//! **Arithmetic contract.** Every ISA computes, per element of `C` and per
+//! `kc` block, the same chain: an accumulator starting at `+0.0` takes
+//! `acc = acc + a·b` (product rounded, then sum rounded) for `p` ascending
+//! over the block, then one `C ∓= acc`. Lanes never mix, so the tile shape,
+//! the vector width, the cache blocking, shared-vs-local packing and the
+//! worker count cannot change a bit of the result.
 
 use crate::config::KernelConfig;
-use crate::pack;
+use crate::pack::{self, ApackFull, Operand};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
-/// Register-tile rows. An 8×4 tile holds eight 4-lane AVX2 accumulators
-/// (two `ymm` per C column) plus the two A vectors and one broadcast B value
-/// in the sixteen x86-64 vector registers without spilling; measured best of
-/// 4×4 / 8×4 / 12×4 / 8×6 in `results/kernel_roofline.txt`.
-pub const MR: usize = 8;
-/// Register-tile columns.
-pub const NR: usize = 4;
-
-/// Instruction set the microkernel was compiled for. Detected once per
-/// process; the choice is a pure function of the hardware, so kernel results
-/// stay bit-reproducible run to run on a given machine.
+/// Instruction set of the microkernel, resolved once per kernel call from
+/// the config's [`crate::config::IsaSelect`]. The choice is a pure function
+/// of the hardware and never changes results (see the arithmetic contract).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Isa {
-    /// Baseline codegen (SSE2 on x86-64).
-    Portable,
-    /// AVX2 + FMA via runtime feature detection.
+    /// 512-bit `zmm` vectors, 32 registers (`avx512f`).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// 256-bit `ymm` vectors, 16 registers (`avx2` + `fma`).
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
+    /// Scalar Rust at the target's baseline (SSE2 on x86-64).
+    Portable,
 }
 
-/// Detect the best microkernel ISA available on this machine.
-pub fn isa() -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static DETECTED: OnceLock<Isa> = OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                Isa::Avx2Fma
-            } else {
-                Isa::Portable
-            }
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Isa::Portable
-    }
-}
-
-/// Human-readable ISA name (for the roofline benchmark report).
-pub fn isa_name() -> &'static str {
-    match isa() {
-        Isa::Portable => "portable",
+impl Isa {
+    /// Every ISA compiled into this build, widest first.
+    pub(crate) const ALL: &'static [Isa] = &[
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => "avx2+fma",
-    }
-}
+        Isa::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma,
+        Isa::Portable,
+    ];
 
-/// The MR×NR register microkernel body: `acc[j][i] += Σ_p a[p][i] · b[p][j]`
-/// over `kc` packed positions. `acc` is column-major (`acc[j]` is a C column
-/// fragment) so the write-back and the i-direction vectorize together. The
-/// explicit leading sub-slices let LLVM hoist the bounds checks and keep the
-/// tile in registers for the whole loop.
-#[inline(always)]
-fn microkernel_body(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR]; NR]) {
-    let ap = &ap[..kc * MR];
-    let bp = &bp[..kc * NR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for j in 0..NR {
-            let bj = b[j];
-            for i in 0..MR {
-                acc[j][i] += a[i] * bj;
+    /// Human-readable name (tuning profiles and benchmark reports key on it).
+    pub fn name(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => "avx2+fma",
+            Isa::Portable => "portable",
+        }
+    }
+
+    /// Register tile `(mr, nr)`: `mr` is two vectors of `C` rows, `nr` as
+    /// many columns as leave registers for the two `A` vectors and the `B`
+    /// broadcast — 16 accumulators of the 32 `zmm`, 8 of the 16 `ymm`.
+    /// AVX-512's 16×8 is the fastest tile in the `kernel_roofline` tile scan
+    /// (against 8×8, 24×8, 32×4) among those that divide the default
+    /// `mc`/`nc`/`db` = 128/512/48 on every ISA; 24×8 does not divide 128.
+    pub fn tile(self) -> (usize, usize) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => (16, 8),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => (8, 4),
+            Isa::Portable => (8, 4),
+        }
+    }
+
+    /// Whether this machine can run the ISA's microkernel.
+    pub fn available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
             }
+            Isa::Portable => true,
         }
     }
 }
 
-/// AVX2+FMA instantiation of the microkernel: identical Rust body, compiled
-/// with 4-lane `ymm` vectors and fused multiply-add.
-///
-/// # Safety
-/// Requires the `avx2` and `fma` CPU features (guaranteed by the
-/// [`Isa::Avx2Fma`] dispatch, which only selects this after runtime
-/// detection).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR]; NR]) {
-    microkernel_body(kc, ap, bp, acc);
+/// The widest microkernel ISA this machine has.
+pub fn isa() -> Isa {
+    *Isa::ALL
+        .iter()
+        .find(|i| i.available())
+        .expect("Portable is always available")
 }
 
-/// Dispatch one register-tile accumulation to the selected ISA.
+/// Name of [`isa()`].
+pub fn isa_name() -> &'static str {
+    isa().name()
+}
+
+/// Destination of a packed product `C ∓= A·B`.
+pub(crate) struct Dest<'a> {
+    /// `C`, column-major from its `(0, 0)` element.
+    pub c: &'a mut [f64],
+    /// Leading dimension of `c`.
+    pub ldc: usize,
+    /// `C -= A·B` instead of `C += A·B`.
+    pub sub: bool,
+    /// Skip register tiles that lie strictly above `C`'s diagonal (SYRK
+    /// keeps only the lower half of its diagonal blocks).
+    pub lower: bool,
+}
+
+/// `C[i0.., j0..] ∓= acc` on the `mv × nv` valid part of one register tile
+/// (`acc` column-major with `mr` rows; edge tiles mask the zero padding).
+/// `inline(always)` so each ISA's tile function compiles it at its own
+/// vector width.
 #[inline(always)]
-fn microkernel(isa: Isa, kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR]; NR]) {
-    match isa {
-        Isa::Portable => microkernel_body(kc, ap, bp, acc),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Isa::Avx2Fma is only produced after
-        // is_x86_feature_detected!("avx2") && ("fma") both passed (either by
-        // isa() or by KernelConfig::resolve_isa validation).
-        Isa::Avx2Fma => unsafe { microkernel_avx2(kc, ap, bp, acc) },
-    }
-}
-
-/// Apply an accumulated register tile to `C`: `C[i0.., j0..] ∓= acc`,
-/// masked to the `mv × nv` valid region (edge tiles).
-#[inline]
-#[allow(clippy::too_many_arguments)] // BLAS-style raw interface: (buffer, ld) per operand
 fn writeback(
-    c: &mut [f64],
-    ldc: usize,
-    i0: usize,
-    j0: usize,
-    mv: usize,
-    nv: usize,
-    acc: &[[f64; MR]; NR],
-    sub: bool,
+    acc: &[f64],
+    mr: usize,
+    d: &mut Dest<'_>,
+    (i0, j0): (usize, usize),
+    (mv, nv): (usize, usize),
 ) {
     for j in 0..nv {
-        let col = &mut c[(j0 + j) * ldc + i0..(j0 + j) * ldc + i0 + mv];
-        if sub {
-            for (ci, &av) in col.iter_mut().zip(&acc[j][..mv]) {
-                *ci -= av;
+        let at = (j0 + j) * d.ldc + i0;
+        let (col, t) = (&mut d.c[at..at + mv], &acc[j * mr..j * mr + mv]);
+        if d.sub {
+            for (c, &v) in col.iter_mut().zip(t) {
+                *c -= v;
             }
         } else {
-            for (ci, &av) in col.iter_mut().zip(&acc[j][..mv]) {
-                *ci += av;
+            for (c, &v) in col.iter_mut().zip(t) {
+                *c += v;
             }
         }
     }
 }
+
+/// One register tile on [`Isa::Portable`]: `acc = Σ_p a[p]·b[p]ᵀ` over the
+/// packed strips `a` (`kb × 8`) and `b` (`kb × 4`), then the write-back at
+/// `at` masked to `valid`.
+fn tile_portable(
+    a: &[f64],
+    b: &[f64],
+    d: &mut Dest<'_>,
+    at: (usize, usize),
+    valid: (usize, usize),
+) {
+    let mut acc = [0.0; 8 * 4];
+    for (a, b) in a.chunks_exact(8).zip(b.chunks_exact(4)) {
+        for (j, &bj) in b.iter().enumerate() {
+            for (i, &ai) in a.iter().enumerate() {
+                acc[j * 8 + i] += ai * bj;
+            }
+        }
+    }
+    writeback(&acc, 8, d, at, valid);
+}
+
+/// Stamp out one SIMD instantiation of [`tile_portable`]'s contract from its
+/// intrinsics: `2·lanes` rows as two vectors per `C` column, `nr` columns,
+/// all `2·nr` accumulators in registers for the whole k-loop. One macro, so
+/// the ISAs cannot drift apart in arithmetic. The autovectorizer cannot be
+/// trusted with this loop: it never fuses, and at 16×8 it emits
+/// `vgatherqpd`/`vscatterqpd` and runs at 4 Gflop/s.
+#[cfg(target_arch = "x86_64")]
+macro_rules! simd_tile {
+    ($name:ident, $features:literal, $lanes:literal, $nr:literal, $zero:ident,
+     $load:ident, $splat:ident, $mul:ident, $add:ident, $store:ident) => {
+        #[target_feature(enable = $features)]
+        fn $name(
+            a: &[f64],
+            b: &[f64],
+            d: &mut Dest<'_>,
+            at: (usize, usize),
+            valid: (usize, usize),
+        ) {
+            const MR: usize = 2 * $lanes;
+            let mut v = [[$zero(); 2]; $nr];
+            for (a, b) in a.chunks_exact(MR).zip(b.chunks_exact($nr)) {
+                // SAFETY: `chunks_exact(MR)` hands out exactly 2·lanes elements.
+                let (a0, a1) = unsafe { ($load(a.as_ptr()), $load(a.as_ptr().add($lanes))) };
+                for j in 0..$nr {
+                    let bj = $splat(b[j]);
+                    v[j][0] = $add(v[j][0], $mul(a0, bj));
+                    v[j][1] = $add(v[j][1], $mul(a1, bj));
+                }
+            }
+            let mut acc = [0.0; MR * $nr];
+            for (col, vj) in acc.chunks_exact_mut(MR).zip(&v) {
+                // SAFETY: `chunks_exact_mut(MR)` hands out exactly 2·lanes elements.
+                unsafe {
+                    $store(col.as_mut_ptr(), vj[0]);
+                    $store(col.as_mut_ptr().add($lanes), vj[1]);
+                }
+            }
+            writeback(&acc, MR, d, at, valid);
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+simd_tile!(
+    tile_avx2,
+    "avx2,fma",
+    4,
+    4,
+    _mm256_setzero_pd,
+    _mm256_loadu_pd,
+    _mm256_set1_pd,
+    _mm256_mul_pd,
+    _mm256_add_pd,
+    _mm256_storeu_pd
+);
+#[cfg(target_arch = "x86_64")]
+simd_tile!(
+    tile_avx512,
+    "avx512f",
+    8,
+    8,
+    _mm512_setzero_pd,
+    _mm512_loadu_pd,
+    _mm512_set1_pd,
+    _mm512_mul_pd,
+    _mm512_add_pd,
+    _mm512_storeu_pd
+);
 
 /// Macro-kernel: sweep register tiles over one packed `(mb × kb)` A block ×
 /// `(kb × nb)` B block, updating `C` at offset `(i0, j0)`.
-#[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     isa: Isa,
-    c: &mut [f64],
-    ldc: usize,
-    i0: usize,
-    j0: usize,
-    mb: usize,
-    nb: usize,
-    kb: usize,
+    d: &mut Dest<'_>,
+    (i0, j0): (usize, usize),
+    (mb, nb, kb): (usize, usize, usize),
     pa: &[f64],
     pb: &[f64],
-    sub: bool,
 ) {
-    let a_strips = mb.div_ceil(MR);
-    let b_strips = nb.div_ceil(NR);
-    for js in 0..b_strips {
-        let bstrip = &pb[js * kb * NR..(js + 1) * kb * NR];
-        let nv = NR.min(nb - js * NR);
-        for is in 0..a_strips {
-            let astrip = &pa[is * kb * MR..(is + 1) * kb * MR];
-            let mv = MR.min(mb - is * MR);
-            let mut acc = [[0.0; MR]; NR];
-            microkernel(isa, kb, astrip, bstrip, &mut acc);
-            writeback(c, ldc, i0 + is * MR, j0 + js * NR, mv, nv, &acc, sub);
+    let (mr, nr) = isa.tile();
+    for (js, b) in pb.chunks_exact(kb * nr).enumerate() {
+        let (j, nv) = (j0 + js * nr, nr.min(nb - js * nr));
+        for (is, a) in pa.chunks_exact(kb * mr).enumerate() {
+            let (i, mv) = (i0 + is * mr, mr.min(mb - is * mr));
+            if d.lower && i + mr <= j {
+                continue;
+            }
+            match isa {
+                Isa::Portable => tile_portable(a, b, d, (i, j), (mv, nv)),
+                // SAFETY (both arms): `isa` comes out of `KernelConfig::isa`,
+                // which only resolves to an ISA whose `available()` held.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2Fma => unsafe { tile_avx2(a, b, d, (i, j), (mv, nv)) },
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => unsafe { tile_avx512(a, b, d, (i, j), (mv, nv)) },
+            }
         }
     }
 }
 
-/// Blocked packed GEMM: `C ∓= op(A)·op(B)` on an `m × n × k` problem under
-/// the cache blocking of `cfg`.
+/// Blocked packed GEMM: `C ∓= A·B` on an `m × n × k` problem under the cache
+/// blocking and ISA of `cfg`.
 ///
-/// The operand orientations are abstracted behind the two block packers
-/// (`pack_a(dst, i0, mb, p0, kb)` / `pack_b(dst, j0, nb, p0, kb)`), so the
-/// same core serves `A·Bᵀ` (factorization updates), `A·B` (forward panel
-/// solve) and `Aᵀ·B` (backward panel solve). `sub` selects `-=` vs `+=`.
-#[allow(clippy::too_many_arguments)] // BLAS-style raw interface: (buffer, ld) per operand
-pub(crate) fn gemm_packed<PA, PB>(
+/// The operand orientations live in the two [`Operand`]s, so the same core
+/// serves `A·Bᵀ` (factorization updates), `A·B` (forward panel solve) and
+/// `Aᵀ·B` (backward panel solve).
+pub(crate) fn gemm_packed(
     cfg: &KernelConfig,
-    c: &mut [f64],
-    ldc: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    pack_a: PA,
-    pack_b: PB,
-    sub: bool,
-) where
-    PA: Fn(&mut Vec<f64>, usize, usize, usize, usize),
-    PB: Fn(&mut Vec<f64>, usize, usize, usize, usize),
-{
+    mut d: Dest<'_>,
+    (m, n, k): (usize, usize, usize),
+    a: Operand<'_>,
+    b: Operand<'_>,
+) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     let isa = cfg.isa();
+    let (mr, nr) = isa.tile();
     let (mc, kc, nc) = (cfg.mc, cfg.kc, cfg.nc);
-    pack::with_buffers(|pa, pb| {
+    pack::with_buffers(|pa, pb, _| {
         for jc in (0..n).step_by(nc) {
             let nb = nc.min(n - jc);
             for pc in (0..k).step_by(kc) {
                 let kb = kc.min(k - pc);
-                pack_b(pb, jc, nb, pc, kb);
+                b.pack_vec(pb, nr, jc, nb, pc, kb);
                 for ic in (0..m).step_by(mc) {
                     let mb = mc.min(m - ic);
-                    pack_a(pa, ic, mb, pc, kb);
-                    macro_kernel(isa, c, ldc, ic, jc, mb, nb, kb, pa, pb, sub);
+                    a.pack_vec(pa, mr, ic, mb, pc, kb);
+                    macro_kernel(isa, &mut d, (ic, jc), (mb, nb, kb), pa, pb);
                 }
             }
         }
     });
 }
 
-/// Blocked packed GEMM against a pre-packed shared `A` operand
-/// ([`pack::ApackFull`]): used by the parallel path, where `A` is packed
+/// Blocked packed GEMM of an `m × n` panel against a pre-packed shared `A`
+/// operand ([`ApackFull`]): used by the parallel path, where `A` is packed
 /// once and read concurrently by every column-panel worker while each worker
-/// packs only its own `B` strips into thread-local scratch.
-///
-/// `c` is an `m × n` panel (leading dimension `ldc`) and `pack_b` receives
-/// panel-relative column offsets. The pack must have been built with the
-/// same `cfg.kc` (its k-block layout is keyed on it).
-#[allow(clippy::too_many_arguments)] // BLAS-style raw interface: (buffer, ld) per operand
-pub(crate) fn gemm_packed_shared_a<PB>(
+/// packs only its own `B` strips into thread-local scratch. `cfg` must be
+/// the config the pack was built under.
+pub(crate) fn gemm_packed_shared_a(
     cfg: &KernelConfig,
-    c: &mut [f64],
-    ldc: usize,
-    m: usize,
-    n: usize,
-    apack: &pack::ApackFull,
-    pack_b: PB,
-    sub: bool,
-) where
-    PB: Fn(&mut Vec<f64>, usize, usize, usize, usize),
-{
-    gemm_packed_shared_a_rows(cfg, c, ldc, 0, m, n, apack, pack_b, sub);
+    d: Dest<'_>,
+    (m, n): (usize, usize),
+    apack: &ApackFull<'_>,
+    b: Operand<'_>,
+) {
+    pack::with_buffers(|_, pb, _| gemm_packed_shared_a_rows(cfg, d, 0, (m, n), apack, b, pb));
 }
 
-/// Row-ranged form of [`gemm_packed_shared_a`]: use rows `row0..row0+m` of
-/// the pre-packed `A` operand. `row0` must be MR-aligned (the packed strips
-/// cannot be split mid-strip); row 0 of `c` corresponds to packed row
-/// `row0`. This lets one [`pack::ApackFull`] serve several sub-problems —
-/// SYRK packs its panel once and runs every diagonal tile and sub-diagonal
-/// block against strip subranges instead of re-packing per tile.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed_shared_a_rows<PB>(
+/// Row-ranged form of [`gemm_packed_shared_a`] with the `B` scratch passed
+/// in: use rows `row0..row0+m` of the pre-packed `A` operand. `row0` must be
+/// `mr`-aligned (the packed strips cannot be split mid-strip); row 0 of `C`
+/// corresponds to packed row `row0`. This lets one [`ApackFull`] serve
+/// several sub-problems — SYRK packs its panel once and runs every diagonal
+/// tile and sub-diagonal block against strip subranges instead of
+/// re-packing per tile.
+pub(crate) fn gemm_packed_shared_a_rows(
     cfg: &KernelConfig,
-    c: &mut [f64],
-    ldc: usize,
+    mut d: Dest<'_>,
     row0: usize,
-    m: usize,
-    n: usize,
-    apack: &pack::ApackFull,
-    pack_b: PB,
-    sub: bool,
-) where
-    PB: Fn(&mut Vec<f64>, usize, usize, usize, usize),
-{
+    (m, n): (usize, usize),
+    apack: &ApackFull<'_>,
+    b: Operand<'_>,
+    pb: &mut Vec<f64>,
+) {
     if m == 0 || n == 0 {
         return;
     }
-    assert!(row0.is_multiple_of(MR), "row0 must be a whole packed strip");
-    let s_begin = row0 / MR;
-    let s_end = (row0 + m).div_ceil(MR);
-    debug_assert!(s_end <= apack.strips());
     let isa = cfg.isa();
-    let (mc, nc) = (cfg.mc, cfg.nc);
-    pack::with_buffers(|_pa, pb| {
-        for jc in (0..n).step_by(nc) {
-            let nb = nc.min(n - jc);
-            for (q, (p0, kb)) in apack.blocks().enumerate() {
-                pack_b(pb, jc, nb, p0, kb);
-                // mc blocking over the shared strips keeps the L2 footprint
-                // identical to the thread-local path. mc % MR == 0 is a
-                // validated config invariant.
-                let strips_per_mc = mc / MR;
-                let mut s0 = s_begin;
-                while s0 < s_end {
-                    let s1 = (s0 + strips_per_mc).min(s_end);
-                    let ic = (s0 - s_begin) * MR;
-                    let mb = ((s1 - s_begin) * MR).min(m) - ic;
-                    macro_kernel(
-                        isa,
-                        c,
-                        ldc,
-                        ic,
-                        jc,
-                        mb,
-                        nb,
-                        kb,
-                        apack.block_strips(q, s0, s1),
-                        pb,
-                        sub,
-                    );
-                    s0 = s1;
-                }
+    let (mr, nr) = isa.tile();
+    assert!(
+        mr == apack.mr() && row0.is_multiple_of(mr),
+        "row0 must be a whole strip of a pack built for this ISA"
+    );
+    let (s_begin, s_end) = (row0 / mr, (row0 + m).div_ceil(mr));
+    debug_assert!(s_end <= apack.strips());
+    // mc blocking over the shared strips keeps the L2 footprint identical to
+    // the thread-local path. mc % mr == 0 is a validated config invariant.
+    let strips_per_mc = cfg.mc / mr;
+    for jc in (0..n).step_by(cfg.nc) {
+        let nb = cfg.nc.min(n - jc);
+        for (q, (p0, kb)) in apack.blocks().enumerate() {
+            b.pack_vec(pb, nr, jc, nb, p0, kb);
+            for s0 in (s_begin..s_end).step_by(strips_per_mc) {
+                let s1 = (s0 + strips_per_mc).min(s_end);
+                let ic = (s0 - s_begin) * mr;
+                let mb = ((s1 - s_begin) * mr).min(m) - ic;
+                let pa = apack.block_strips(q, s0, s1);
+                macro_kernel(isa, &mut d, (ic, jc), (mb, nb, kb), pa, pb);
             }
         }
-    });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IsaSelect;
+
+    /// Default blocking forced to each ISA this machine has (the rest are
+    /// reported, never skipped silently).
+    fn forced_configs() -> Vec<KernelConfig> {
+        let mut out = Vec::new();
+        for isa in [IsaSelect::Portable, IsaSelect::Avx2Fma, IsaSelect::Avx512] {
+            let cfg = KernelConfig {
+                isa,
+                ..Default::default()
+            };
+            match cfg.validate() {
+                Ok(()) => out.push(cfg),
+                Err(e) => println!("skipped {isa:?}: {e}"),
+            }
+        }
+        out
+    }
+
+    /// `C -= A·Bᵀ` through the thread-local packed path (`ldc = m`).
+    fn run_packed(
+        cfg: &KernelConfig,
+        c: &mut [f64],
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f64],
+        b: &[f64],
+    ) {
+        let d = Dest {
+            c,
+            ldc: m.max(1),
+            sub: true,
+            lower: false,
+        };
+        gemm_packed(cfg, d, (m, n, k), Operand::Xk(a, m), Operand::Xk(b, n));
+    }
 
     /// Dense reference for `C -= A·Bᵀ` on raw buffers.
     fn gemm_nt_ref(c: &mut [f64], ldc: usize, m: usize, n: usize, a: &[f64], b: &[f64], k: usize) {
@@ -333,126 +425,126 @@ mod tests {
         }
     }
 
-    fn check(m: usize, n: usize, k: usize) {
-        let cfg = KernelConfig::default();
+    fn check(cfg: &KernelConfig, m: usize, n: usize, k: usize) {
         let a: Vec<f64> = (0..m * k).map(|v| ((v * 13) % 9) as f64 - 4.0).collect();
         let b: Vec<f64> = (0..n * k)
             .map(|v| ((v * 7) % 11) as f64 * 0.5 - 2.0)
             .collect();
         let mut c1: Vec<f64> = (0..m * n).map(|v| (v % 5) as f64).collect();
         let mut c2 = c1.clone();
-        gemm_packed(
-            &cfg,
-            &mut c1,
-            m.max(1),
-            m,
-            n,
-            k,
-            |dst, i0, mb, p0, kb| pack::pack_a_nt(dst, &a, m, i0, mb, p0, kb),
-            |dst, j0, nb, p0, kb| pack::pack_b_t(dst, &b, n, j0, nb, p0, kb),
-            true,
-        );
+        run_packed(cfg, &mut c1, m, n, k, &a, &b);
         gemm_nt_ref(&mut c2, m.max(1), m, n, &a, &b, k);
         for (i, (x, y)) in c1.iter().zip(&c2).enumerate() {
             assert!(
                 (x - y).abs() < 1e-10,
-                "m={m} n={n} k={k} idx={i}: {x} vs {y}"
+                "{:?} m={m} n={n} k={k} idx={i}: {x} vs {y}",
+                cfg.isa
             );
         }
     }
 
     #[test]
     fn packed_core_matches_reference_across_tile_edges() {
-        let cfg = KernelConfig::default();
-        for &(m, n, k) in &[
-            (1, 1, 1),
-            (MR - 1, NR - 1, 3),
-            (MR + 1, NR + 1, cfg.kc + 1),
-            (2 * MR + 3, 2 * NR + 1, 17),
-            (cfg.mc + 5, cfg.nc.min(70) + 3, cfg.kc + 9),
-            (130, 70, 130),
-        ] {
-            check(m, n, k);
+        for cfg in forced_configs() {
+            let (mr, nr) = cfg.isa().tile();
+            for &(m, n, k) in &[
+                (1, 1, 1),
+                (mr - 1, nr - 1, 3),
+                (mr + 1, nr + 1, cfg.kc + 1),
+                (2 * mr + 3, 2 * nr + 1, 17),
+                (cfg.mc + 5, cfg.nc.min(70) + 3, cfg.kc + 9),
+                (130, 70, 130),
+            ] {
+                check(&cfg, m, n, k);
+            }
         }
     }
 
     #[test]
     fn shared_a_path_is_bit_identical_to_thread_local_path() {
-        let cfg = KernelConfig::default();
-        let (m, n, k) = (67, 41, cfg.kc + 19);
-        let a: Vec<f64> = (0..m * k).map(|v| ((v * 3) % 13) as f64 - 6.0).collect();
-        let b: Vec<f64> = (0..n * k).map(|v| ((v * 5) % 7) as f64 - 3.0).collect();
-        let c0: Vec<f64> = (0..m * n).map(|v| (v % 11) as f64 * 0.25).collect();
-        let mut c1 = c0.clone();
-        gemm_packed(
-            &cfg,
-            &mut c1,
-            m,
-            m,
-            n,
-            k,
-            |dst, i0, mb, p0, kb| pack::pack_a_nt(dst, &a, m, i0, mb, p0, kb),
-            |dst, j0, nb, p0, kb| pack::pack_b_t(dst, &b, n, j0, nb, p0, kb),
-            true,
-        );
-        let apack = pack::ApackFull::pack_nt(&a, m, m, k, cfg.kc);
-        let mut c2 = c0.clone();
-        gemm_packed_shared_a(
-            &cfg,
-            &mut c2,
-            m,
-            m,
-            n,
-            &apack,
-            |dst, j0, nb, p0, kb| pack::pack_b_t(dst, &b, n, j0, nb, p0, kb),
-            true,
-        );
-        assert!(
-            c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "shared-A packing must not change the accumulation order"
-        );
+        for cfg in forced_configs() {
+            let (m, n, k) = (67, 41, cfg.kc + 19);
+            let a: Vec<f64> = (0..m * k).map(|v| ((v * 3) % 13) as f64 - 6.0).collect();
+            let b: Vec<f64> = (0..n * k).map(|v| ((v * 5) % 7) as f64 - 3.0).collect();
+            let c0: Vec<f64> = (0..m * n).map(|v| (v % 11) as f64 * 0.25).collect();
+            let mut c1 = c0.clone();
+            run_packed(&cfg, &mut c1, m, n, k, &a, &b);
+            let mut abuf = Vec::new();
+            let apack = ApackFull::pack(&cfg, &mut abuf, Operand::Xk(&a, m), m, k);
+            let mut c2 = c0.clone();
+            let d = Dest {
+                c: &mut c2,
+                ldc: m,
+                sub: true,
+                lower: false,
+            };
+            gemm_packed_shared_a(&cfg, d, (m, n), &apack, Operand::Xk(&b, n));
+            assert!(
+                c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{:?}: shared-A packing must not change the accumulation order",
+                cfg.isa
+            );
+        }
     }
 
     #[test]
     fn row_ranged_shared_a_matches_full_product_rows() {
-        let cfg = KernelConfig::default();
-        let (m, n, k) = (61, 23, cfg.kc + 7);
-        let a: Vec<f64> = (0..m * k).map(|v| ((v * 3) % 13) as f64 - 6.0).collect();
-        let b: Vec<f64> = (0..n * k).map(|v| ((v * 5) % 7) as f64 - 3.0).collect();
-        let mut cfull = vec![0.0; m * n];
-        gemm_packed(
-            &cfg,
-            &mut cfull,
-            m,
-            m,
-            n,
-            k,
-            |dst, i0, mb, p0, kb| pack::pack_a_nt(dst, &a, m, i0, mb, p0, kb),
-            |dst, j0, nb, p0, kb| pack::pack_b_t(dst, &b, n, j0, nb, p0, kb),
-            true,
-        );
-        let apack = pack::ApackFull::pack_nt(&a, m, m, k, cfg.kc);
-        // Sub-ranges: an interior MR-aligned window and the padded tail.
-        for (row0, mm) in [(16usize, 24usize), (40, m - 40), (0, m)] {
-            let mut csub = vec![0.0; mm * n];
-            gemm_packed_shared_a_rows(
-                &cfg,
-                &mut csub,
-                mm,
-                row0,
-                mm,
-                n,
-                &apack,
-                |dst, j0, nb, p0, kb| pack::pack_b_t(dst, &b, n, j0, nb, p0, kb),
-                true,
-            );
-            for j in 0..n {
-                for i in 0..mm {
-                    assert_eq!(
-                        csub[j * mm + i].to_bits(),
-                        cfull[j * m + row0 + i].to_bits(),
-                        "row0={row0} mm={mm} ({i},{j})"
-                    );
+        for cfg in forced_configs() {
+            let mr = cfg.isa().tile().0;
+            let (m, n, k) = (5 * mr + 5, 23, cfg.kc + 7);
+            let a: Vec<f64> = (0..m * k).map(|v| ((v * 3) % 13) as f64 - 6.0).collect();
+            let b: Vec<f64> = (0..n * k).map(|v| ((v * 5) % 7) as f64 - 3.0).collect();
+            let mut cfull = vec![0.0; m * n];
+            run_packed(&cfg, &mut cfull, m, n, k, &a, &b);
+            let mut abuf = Vec::new();
+            let apack = ApackFull::pack(&cfg, &mut abuf, Operand::Xk(&a, m), m, k);
+            // Sub-ranges: an interior mr-aligned window, the padded tail and
+            // everything. `lower` on the last one must leave exactly the
+            // register tiles strictly above the diagonal untouched.
+            let windows = [
+                (2 * mr, 3 * mr, false),
+                (5 * mr, 5, false),
+                (0, m, false),
+                (0, m, true),
+            ];
+            for (row0, mm, lower) in windows {
+                let mut csub = vec![0.0; mm * n];
+                let d = Dest {
+                    c: &mut csub,
+                    ldc: mm,
+                    sub: true,
+                    lower,
+                };
+                let mut pb = Vec::new();
+                gemm_packed_shared_a_rows(
+                    &cfg,
+                    d,
+                    row0,
+                    (mm, n),
+                    &apack,
+                    Operand::Xk(&b, n),
+                    &mut pb,
+                );
+                let (mr, nr) = cfg.isa().tile();
+                for j in 0..n {
+                    for i in 0..mm {
+                        let skipped = lower && (i / mr + 1) * mr <= j / nr * nr;
+                        let want = if skipped {
+                            0.0
+                        } else {
+                            cfull[j * m + row0 + i]
+                        };
+                        assert_eq!(
+                            csub[j * mm + i].to_bits(),
+                            want.to_bits(),
+                            "{:?} row0={row0} mm={mm} lower={lower} ({i},{j})",
+                            cfg.isa
+                        );
+                        assert!(
+                            !skipped || i < j,
+                            "only strictly-upper elements are skipped"
+                        );
+                    }
                 }
             }
         }
@@ -468,43 +560,36 @@ mod tests {
         let b: Vec<f64> = (0..n * k).map(|v| ((v * 7) % 11) as f64 - 5.0).collect();
         let run = |cfg: &KernelConfig| {
             let mut c = vec![0.0; m * n];
-            gemm_packed(
-                cfg,
-                &mut c,
-                m,
-                m,
-                n,
-                k,
-                |dst, i0, mb, p0, kb| pack::pack_a_nt(dst, &a, m, i0, mb, p0, kb),
-                |dst, j0, nb, p0, kb| pack::pack_b_t(dst, &b, n, j0, nb, p0, kb),
-                true,
-            );
+            run_packed(cfg, &mut c, m, n, k, &a, &b);
             c
         };
-        let base = run(&KernelConfig::default());
-        let small = KernelConfig {
-            mc: 2 * MR,
-            kc: 96,
-            nc: 3 * NR,
-            ..Default::default()
-        };
-        small.validate().unwrap();
-        let alt = run(&small);
-        // Different kc splits the k loop differently, so allow rounding: the
-        // two must agree to GEMM accuracy, and bit-exactly when kc matches.
-        for (x, y) in base.iter().zip(&alt) {
-            assert!((x - y).abs() < 1e-10);
+        for cfg in forced_configs() {
+            let (mr, nr) = cfg.isa().tile();
+            let base = run(&cfg);
+            let small = KernelConfig {
+                mc: 2 * mr,
+                kc: 96,
+                nc: 3 * nr,
+                ..cfg.clone()
+            };
+            small.validate().unwrap();
+            let alt = run(&small);
+            // Different kc splits the k loop differently, so allow rounding: the
+            // two must agree to GEMM accuracy, and bit-exactly when kc matches.
+            for (x, y) in base.iter().zip(&alt) {
+                assert!((x - y).abs() < 1e-10);
+            }
+            let same_kc = KernelConfig {
+                mc: 2 * mr,
+                nc: 3 * nr,
+                ..cfg.clone()
+            };
+            same_kc.validate().unwrap();
+            let alt2 = run(&same_kc);
+            assert!(base
+                .iter()
+                .zip(&alt2)
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
-        let same_kc = KernelConfig {
-            mc: 2 * MR,
-            nc: 3 * NR,
-            ..Default::default()
-        };
-        same_kc.validate().unwrap();
-        let alt2 = run(&same_kc);
-        assert!(base
-            .iter()
-            .zip(&alt2)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }

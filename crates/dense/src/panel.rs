@@ -25,8 +25,8 @@
 
 use crate::config::KernelConfig;
 use crate::mat::Mat;
-use crate::microkernel;
-use crate::pack;
+use crate::microkernel::{gemm_packed, Dest};
+use crate::pack::Operand;
 
 /// Unblocked forward substitution sweep over rows `0..n` (the pre-blocking
 /// kernel, kept verbatim as the within-panel solve).
@@ -266,17 +266,13 @@ fn gemm_nn_raw_impl(
         return;
     }
     if crate::flops::gemm(m, n, k) >= cfg.pack_min_flops {
-        microkernel::gemm_packed(
-            cfg,
+        let d = Dest {
             c,
             ldc,
-            m,
-            n,
-            k,
-            |dst, i0, mb, p0, kb| pack::pack_a_nt(dst, a, lda, i0, mb, p0, kb),
-            |dst, j0, nb, p0, kb| pack::pack_b_nn(dst, b, ldb, j0, nb, p0, kb),
             sub,
-        );
+            lower: false,
+        };
+        gemm_packed(cfg, d, (m, n, k), Operand::Xk(a, lda), Operand::Kx(b, ldb));
         return;
     }
     // Small path. Negating `b` instead of branching on `sub` in the inner
@@ -318,17 +314,13 @@ fn gemm_tn_raw_impl(
         return;
     }
     if crate::flops::gemm(m, n, k) >= cfg.pack_min_flops {
-        microkernel::gemm_packed(
-            cfg,
+        let d = Dest {
             c,
             ldc,
-            m,
-            n,
-            k,
-            |dst, i0, mb, p0, kb| pack::pack_a_tn(dst, a, lda, i0, mb, p0, kb),
-            |dst, j0, nb, p0, kb| pack::pack_b_nn(dst, b, ldb, j0, nb, p0, kb),
             sub,
-        );
+            lower: false,
+        };
+        gemm_packed(cfg, d, (m, n, k), Operand::Kx(a, lda), Operand::Kx(b, ldb));
         return;
     }
     for j in 0..n {

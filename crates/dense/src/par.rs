@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::config::KernelConfig;
 use crate::gemm::gemm_nt_raw;
 use crate::mat::Mat;
-use crate::microkernel;
-use crate::pack;
+use crate::microkernel::{gemm_packed_shared_a, Dest};
+use crate::pack::{ApackFull, Operand};
 
 /// Count of PGAS rank threads currently live (see [`rank_scope`]).
 static ACTIVE_RANKS: AtomicUsize = AtomicUsize::new(0);
@@ -98,8 +98,8 @@ where
 /// Parallel `C ← C − A·Bᵀ` under an explicit config: column panels of `C`
 /// are updated concurrently.
 ///
-/// The `A` operand is packed **once** into MR-strip format
-/// (`pack::ApackFull`, built with the same `cfg.kc` the consumers run
+/// The `A` operand is packed **once** into `mr`-strip format
+/// (`pack::ApackFull`, built under the same `cfg` the consumers run
 /// under) and shared read-only by every column-panel worker, instead of each
 /// worker re-packing the same `A` block inside its own sequential GEMM.
 /// Per-element accumulation order (ascending `k`, one `cfg.kc`-block at a
@@ -125,7 +125,8 @@ fn gemm_nt_par_impl(cfg: &KernelConfig, c: &mut Mat, a: &Mat, b: &Mat, nworkers:
     }
     let ldc = c.ld();
     let (lda, ldb) = (a.ld(), b.ld());
-    let apack = pack::ApackFull::pack_nt(a.as_slice(), lda, m, k, cfg.kc);
+    let mut abuf = Vec::new();
+    let apack = ApackFull::pack(cfg, &mut abuf, Operand::Xk(a.as_slice(), lda), m, k);
     let nchunks = nworkers.min(n);
     let cols_per = n.div_ceil(nchunks);
     par_chunks_mut(
@@ -137,16 +138,14 @@ fn gemm_nt_par_impl(cfg: &KernelConfig, c: &mut Mat, a: &Mat, b: &Mat, nworkers:
             let jn = cols_per.min(n - j0);
             // Panel of C covers columns j0..j0+jn; the matching operand is
             // rows j0..j0+jn of B.
-            microkernel::gemm_packed_shared_a(
-                cfg,
-                cpanel,
+            let d = Dest {
+                c: cpanel,
                 ldc,
-                m,
-                jn,
-                &apack,
-                |dst, jj, nb, p0, kb| pack::pack_b_t(dst, b.as_slice(), ldb, j0 + jj, nb, p0, kb),
-                true,
-            );
+                sub: true,
+                lower: false,
+            };
+            let rows_of_b = Operand::Xk(&b.as_slice()[j0..], ldb);
+            gemm_packed_shared_a(cfg, d, (m, jn), &apack, rows_of_b);
         },
     );
 }
@@ -322,9 +321,10 @@ mod tests {
         // A non-default (but same-kc) blocking must stay bit-identical
         // between the parallel shared-A path and the sequential packed
         // kernel under the same config.
+        let (mr, nr) = KernelConfig::default().resolve_isa().unwrap().tile();
         let cfg = KernelConfig {
-            mc: 5 * microkernel::MR,
-            nc: 9 * microkernel::NR,
+            mc: 5 * mr,
+            nc: 9 * nr,
             par_flop_threshold: 1,
             ..Default::default()
         };

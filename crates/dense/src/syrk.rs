@@ -5,14 +5,15 @@
 //! symmetric, so only the lower triangle is computed — this halves the work
 //! relative to GEMM, exactly as BLAS `SYRK` does. The diagonal-tile width
 //! `db` and the packed-dispatch threshold come from the caller's
-//! [`KernelConfig`]; `db` must be a multiple of [`microkernel::MR`] so tile
-//! boundaries land on packed-strip boundaries (a validated config invariant).
+//! [`KernelConfig`]; `db` must be a multiple of the resolved ISA's strip
+//! height `mr` so tile boundaries land on packed-strip boundaries (a
+//! validated config invariant).
 
 use crate::config::KernelConfig;
 use crate::gemm::gemm_nt_raw;
 use crate::mat::Mat;
-use crate::microkernel;
-use crate::pack;
+use crate::microkernel::{gemm_packed_shared_a_rows, Dest};
+use crate::pack::{self, ApackFull, Operand};
 
 /// Compute `C ← C − A·Aᵀ` updating only the lower triangle, on raw
 /// column-major buffers under `cfg`. `c` is `n × n` (leading dimension
@@ -73,18 +74,19 @@ pub fn syrk_lower_raw(
     }
 }
 
-/// Packed-core SYRK: the `n × k` panel is packed into MR-strip format
-/// **once** ([`pack::ApackFull`], built with the same `cfg.kc` the consumers
-/// run under), then every diagonal tile and every sub-diagonal block runs
-/// against strip subranges of that shared pack — the per-tile GEMM calls of
-/// the naive tiling would otherwise re-pack the same `A` rows `n/db` times
-/// over.
+/// Packed-core SYRK: the `n × k` panel is packed into `mr`-strip format
+/// **once** ([`ApackFull`]), then every diagonal tile and every sub-diagonal
+/// block runs against strip subranges of that shared pack — the per-tile
+/// GEMM calls of the naive tiling would otherwise re-pack the same `A` rows
+/// `n/db` times over. The pack, the `B` strips and the diagonal-tile
+/// accumulator all live in the thread-local scratch, so a factorization's
+/// thousands of SYRK calls stop allocating after warm-up.
 ///
-/// Diagonal tiles compute the *full* db×db product on the packed core into
-/// a zeroed scratch and fold in only its lower half: the redundant upper
-/// half costs jb²k extra flops, but at the packed rate that beats running
-/// the needed half on a scalar triangular loop — and the doubling is
-/// confined to a db/n fraction of the whole update.
+/// Diagonal tiles run on the packed core into a zeroed scratch tile whose
+/// lower half is then folded into `C`. Register tiles strictly above the
+/// diagonal are skipped; the ones straddling it still compute a few unused
+/// elements, but at the packed rate that beats running the exact half on a
+/// scalar triangular loop.
 fn syrk_lower_packed(
     cfg: &KernelConfig,
     c: &mut [f64],
@@ -94,50 +96,41 @@ fn syrk_lower_packed(
     lda: usize,
     k: usize,
 ) {
-    let apack = pack::ApackFull::pack_nt(a, lda, n, k, cfg.kc);
     let db = cfg.db;
-    let mut tile: Vec<f64> = Vec::new();
-    for jj in (0..n).step_by(db) {
-        let jend = (jj + db).min(n);
-        let jb = jend - jj;
-        // Full jb×jb diagonal-tile product, lower half folded into C.
-        tile.clear();
-        tile.resize(jb * jb, 0.0);
-        microkernel::gemm_packed_shared_a_rows(
-            cfg,
-            &mut tile,
-            jb,
-            jj,
-            jb,
-            jb,
-            &apack,
-            |dst, j0, nb, p0, kb| pack::pack_b_t(dst, a, lda, jj + j0, nb, p0, kb),
-            true,
-        );
-        for j in 0..jb {
-            let col = &mut c[(jj + j) * ldc + jj..(jj + j) * ldc + jend];
-            let tcol = &tile[j * jb..j * jb + jb];
-            for i in j..jb {
-                col[i] += tcol[i];
+    pack::with_buffers(|pa, pb, tile| {
+        let apack = ApackFull::pack(cfg, pa, Operand::Xk(a, lda), n, k);
+        for jj in (0..n).step_by(db) {
+            let jend = (jj + db).min(n);
+            let jb = jend - jj;
+            // The B operand of both products: rows jj..jend of A, transposed.
+            let b = Operand::Xk(&a[jj..], lda);
+            tile.clear();
+            tile.resize(jb * jb, 0.0);
+            let diag = Dest {
+                c: tile,
+                ldc: jb,
+                sub: true,
+                lower: true,
+            };
+            gemm_packed_shared_a_rows(cfg, diag, jj, (jb, jb), &apack, b, pb);
+            for j in 0..jb {
+                let col = &mut c[(jj + j) * ldc + jj..(jj + j) * ldc + jend];
+                let tcol = &tile[j * jb..j * jb + jb];
+                for i in j..jb {
+                    col[i] += tcol[i];
+                }
             }
-        }
-        // Rectangular panel below the diagonal tile: rows jend..n, cols jj..jend.
-        let m = n - jend;
-        if m > 0 {
+            // Rectangular panel below the diagonal tile:
             // C[jend.., jj..jend] -= A[jend.., :] * A[jj..jend, :]^T
-            microkernel::gemm_packed_shared_a_rows(
-                cfg,
-                &mut c[jj * ldc + jend..],
+            let below = Dest {
+                c: &mut c[jj * ldc + jend..],
                 ldc,
-                jend,
-                m,
-                jb,
-                &apack,
-                |dst, j0, nb, p0, kb| pack::pack_b_t(dst, a, lda, jj + j0, nb, p0, kb),
-                true,
-            );
+                sub: true,
+                lower: false,
+            };
+            gemm_packed_shared_a_rows(cfg, below, jend, (n - jend, jb), &apack, b, pb);
         }
-    }
+    });
 }
 
 /// Matrix-level wrapper with an explicit config: `C ← C − A·Aᵀ`, lower
@@ -222,7 +215,7 @@ mod tests {
     #[test]
     fn non_default_tile_matches_reference() {
         let cfg = KernelConfig {
-            db: 2 * microkernel::MR,
+            db: 2 * KernelConfig::default().resolve_isa().unwrap().tile().0,
             kc: 64,
             ..Default::default()
         };

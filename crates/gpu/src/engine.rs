@@ -450,12 +450,16 @@ mod tests {
 
     #[test]
     fn with_config_rejects_invalid_and_keeps_numerics_for_valid() {
-        // Invalid: mc not a multiple of MR.
+        // Invalid: mc not a multiple of the resolved ISA's strip height.
+        let (mr, _) = KernelConfig::default().resolve_isa().unwrap().tile();
         let bad = KernelConfig {
-            mc: sympack_dense::microkernel::MR + 1,
+            mc: mr + 1,
             ..Default::default()
         };
-        assert!(KernelEngine::new_cpu().with_config(bad).is_err());
+        assert!(matches!(
+            KernelEngine::new_cpu().with_config(bad),
+            Err(sympack_dense::ConfigError::NotMultiple { field: "mc", .. })
+        ));
         // Valid non-default config: factor must still be exact.
         let cfg = KernelConfig {
             pb: 16,

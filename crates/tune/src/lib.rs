@@ -20,7 +20,7 @@
 //! ```json
 //! {
 //!   "schema": "sympack-kernel-profile-v1",
-//!   "isa": "avx2+fma",
+//!   "isa": "avx512",
 //!   "threads": 8,
 //!   "mem_bandwidth": 21474836480,
 //!   "rates": {"gemm": 9.1e9, "syrk": 8.2e9, "trsm": 5.5e9, "potrf": 3.9e9},
@@ -31,9 +31,12 @@
 //! `schema` is the versioned magic; `isa` is the resolved microkernel ISA
 //! the measurements were taken with; `threads` the worker budget;
 //! `mem_bandwidth` in bytes/second; `rates` in flops/second per operation;
-//! `config` holds every [`KernelConfig::fields`] entry by name (the ISA
-//! *selection* is pinned to `Auto` on load — a profile is per-machine, and
-//! auto-detection resolves to the same ISA it was measured with).
+//! `config` holds every [`KernelConfig::fields`] entry by name. The ISA
+//! *selection* is pinned to `Auto` on load, and the blocking is validated
+//! against the register tile `Auto` resolves to here — so a profile only
+//! describes the machine it was measured on:
+//! [`KernelProfile::load_or_calibrate`] re-measures one whose `isa` is not
+//! this machine's.
 //!
 //! Writing uses Rust's shortest-round-trip `{}` float formatting and the
 //! loader parses with `str::parse::<f64>`, so a save → load → save cycle is
@@ -220,14 +223,18 @@ impl KernelProfile {
 
     /// Load the cached profile at `path`, or calibrate under `budget` and
     /// cache the result there. A stale/corrupt cache (wrong schema, old
-    /// version, bad JSON) is silently re-calibrated, not an error — the
-    /// cache is an optimization.
+    /// version, bad JSON, or measured under another microkernel ISA — its
+    /// rates are another kernel's and its blocking was fitted to another
+    /// register tile) is silently re-calibrated and overwritten, not an
+    /// error — the cache is an optimization.
     ///
     /// # Errors
     /// Only write failures surface; calibration itself cannot fail.
     pub fn load_or_calibrate(path: &Path, budget: &TuneBudget) -> Result<KernelProfile, TuneError> {
         if let Ok(p) = KernelProfile::load(path) {
-            return Ok(p);
+            if p.isa == microkernel::isa_name() {
+                return Ok(p);
+            }
         }
         let p = calibrate(budget);
         p.save(path)?;
@@ -544,7 +551,7 @@ mod tests {
 
     #[test]
     fn invalid_config_in_profile_is_rejected() {
-        // mc = 65 violates the MR-multiple invariant (MR = 8).
+        // mc = 65 is a multiple of no register tile's strip height.
         let j = sample_profile()
             .to_json()
             .replace("\"mc\": 64", "\"mc\": 65");
@@ -591,6 +598,41 @@ mod tests {
         let p2 = KernelProfile::load_or_calibrate(&path, &TuneBudget::quick()).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(p2.to_json(), bytes1);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn profile_from_another_isa_is_remeasured_and_overwritten() {
+        let dir = std::env::temp_dir().join(format!("sympack-tune-isa-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("profile.json");
+        // A cache written on a machine with another microkernel: blocking
+        // fitted to an 8×4 tile (valid there, not under 16×8) and rates no
+        // kernel of this machine produced.
+        let here = microkernel::isa_name();
+        let elsewhere = if here == "portable" {
+            "avx512"
+        } else {
+            "portable"
+        };
+        let stale = KernelProfile {
+            isa: elsewhere.into(),
+            gemm_rate: 1.0,
+            config: KernelConfig {
+                mc: 72,
+                db: 24,
+                ..Default::default()
+            },
+            ..sample_profile()
+        };
+        std::fs::write(&path, stale.to_json()).unwrap();
+        let p = KernelProfile::load_or_calibrate(&path, &TuneBudget::quick()).unwrap();
+        assert_eq!(p.isa, here);
+        assert!(p.gemm_rate > 1.0, "rates must be re-measured");
+        p.config.validate().unwrap();
+        let cached = KernelProfile::load(&path).unwrap();
+        assert_eq!(cached, p, "the stale cache must be overwritten");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
