@@ -25,10 +25,17 @@
 //!
 //! **Arithmetic contract.** Every ISA computes, per element of `C` and per
 //! `kc` block, the same chain: an accumulator starting at `+0.0` takes
-//! `acc = acc + a·b` (product rounded, then sum rounded) for `p` ascending
-//! over the block, then one `C ∓= acc`. Lanes never mix, so the tile shape,
-//! the vector width, the cache blocking, shared-vs-local packing and the
-//! worker count cannot change a bit of the result.
+//! `acc = fma(a, b, acc)` — one rounding per step — for `p` ascending over
+//! the block, then one `C ∓= acc`. Lanes never mix, so the tile shape, the
+//! vector width, the cache blocking, shared-vs-local packing and the worker
+//! count cannot change a bit of the result, and a fingerprint pinned on one
+//! machine holds on every other. The instruction is spelled out on every
+//! ISA because Rust never contracts `a * b + c` on its own: `vfmadd…pd` on
+//! `zmm`/`ymm` through `std::arch`, [`f64::mul_add`] on [`Isa::Portable`]
+//! (the hardware instruction where the target has one at baseline, libm's
+//! correctly rounded `fma` where it does not — slow there, never different).
+//! Check what a build issues with
+//! `objdump -d --no-show-raw-insn <binary> | grep -A80 '<.*tile_avx512.*>:' | grep -E 'vfmadd|vmulpd|vaddpd'`.
 
 use crate::config::KernelConfig;
 use crate::pack::{self, ApackFull, Operand};
@@ -169,7 +176,7 @@ fn tile_portable(
     for (a, b) in a.chunks_exact(8).zip(b.chunks_exact(4)) {
         for (j, &bj) in b.iter().enumerate() {
             for (i, &ai) in a.iter().enumerate() {
-                acc[j * 8 + i] += ai * bj;
+                acc[j * 8 + i] = ai.mul_add(bj, acc[j * 8 + i]);
             }
         }
     }
@@ -179,13 +186,13 @@ fn tile_portable(
 /// Stamp out one SIMD instantiation of [`tile_portable`]'s contract from its
 /// intrinsics: `2·lanes` rows as two vectors per `C` column, `nr` columns,
 /// all `2·nr` accumulators in registers for the whole k-loop. One macro, so
-/// the ISAs cannot drift apart in arithmetic. The autovectorizer cannot be
-/// trusted with this loop: it never fuses, and at 16×8 it emits
-/// `vgatherqpd`/`vscatterqpd` and runs at 4 Gflop/s.
+/// the ISAs cannot drift apart in arithmetic. Intrinsics, because the
+/// autovectorizer cannot be trusted with this loop: given the scalar body at
+/// 16×8 it emits `vgatherqpd`/`vscatterqpd` and runs at 4 Gflop/s.
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_tile {
     ($name:ident, $features:literal, $lanes:literal, $nr:literal, $zero:ident,
-     $load:ident, $splat:ident, $mul:ident, $add:ident, $store:ident) => {
+     $load:ident, $splat:ident, $fma:ident, $store:ident) => {
         #[target_feature(enable = $features)]
         fn $name(
             a: &[f64],
@@ -201,8 +208,8 @@ macro_rules! simd_tile {
                 let (a0, a1) = unsafe { ($load(a.as_ptr()), $load(a.as_ptr().add($lanes))) };
                 for j in 0..$nr {
                     let bj = $splat(b[j]);
-                    v[j][0] = $add(v[j][0], $mul(a0, bj));
-                    v[j][1] = $add(v[j][1], $mul(a1, bj));
+                    v[j][0] = $fma(a0, bj, v[j][0]);
+                    v[j][1] = $fma(a1, bj, v[j][1]);
                 }
             }
             let mut acc = [0.0; MR * $nr];
@@ -227,8 +234,7 @@ simd_tile!(
     _mm256_setzero_pd,
     _mm256_loadu_pd,
     _mm256_set1_pd,
-    _mm256_mul_pd,
-    _mm256_add_pd,
+    _mm256_fmadd_pd,
     _mm256_storeu_pd
 );
 #[cfg(target_arch = "x86_64")]
@@ -240,8 +246,7 @@ simd_tile!(
     _mm512_setzero_pd,
     _mm512_loadu_pd,
     _mm512_set1_pd,
-    _mm512_mul_pd,
-    _mm512_add_pd,
+    _mm512_fmadd_pd,
     _mm512_storeu_pd
 );
 

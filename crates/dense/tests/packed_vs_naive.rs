@@ -737,3 +737,36 @@ fn every_isa_is_bit_identical_to_portable() {
         isas.len()
     );
 }
+
+#[test]
+fn packed_path_fuses_on_every_isa() {
+    // Operands on which fused and un-fused arithmetic differ: with
+    // a = b = 1 + 2⁻³⁰ the exact product is 1 + 2⁻²⁹ + 2⁻⁶⁰, which rounds to
+    // 1 + 2⁻²⁹. So a·b − (1 + 2⁻²⁹) is 2⁻⁶⁰ under one rounding (fma) and 0
+    // under two (mul, then add) — a silent fall-back to `vmulpd` + `vaddpd`
+    // on any ISA fails here, not in a fingerprint three layers up.
+    let x = 1.0 + 2f64.powi(-30);
+    let y = -(1.0 + 2f64.powi(-29));
+    for (cfg, (mr, nr)) in forced_isas() {
+        // Every element of the two-term product C += A·B is 1·y + x·x, in
+        // that order: the accumulator holds y when x·x arrives. The shape
+        // covers full register tiles and ragged edges both ways.
+        let (m, n, k) = (2 * mr + 3, 2 * nr + 1, 2);
+        let a: Vec<f64> = (0..m * k).map(|i| if i < m { 1.0 } else { x }).collect();
+        let b: Vec<f64> = (0..k * n).map(|i| if i % k == 0 { y } else { x }).collect();
+        let mut c = vec![0.0; m * n];
+        let forced = KernelConfig {
+            pack_min_flops: 0,
+            ..cfg.clone()
+        };
+        gemm_nn_acc_raw(&forced, &mut c, m, m, n, &a, m, &b, k, k);
+        for (i, &v) in c.iter().enumerate() {
+            assert_eq!(
+                v,
+                2f64.powi(-60),
+                "{:?}: element {i} of the packed product was not fused",
+                cfg.isa
+            );
+        }
+    }
+}
