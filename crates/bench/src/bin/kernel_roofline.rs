@@ -8,11 +8,21 @@
 //! (`gemm_nt_unpacked_raw`, the pre-PR baseline), the packed
 //! register-blocked engine, and the shared-A thread-parallel form.
 //!
-//! Two appendix sweeps justify the default dispatch thresholds in
-//! `sympack_dense::KernelConfig`:
+//! Everything that runs on the packed core (packed GEMM, SYRK, TRSM) is
+//! measured **once per microkernel ISA the machine has**, forced through
+//! `IsaSelect` (variant `packed@avx512`, `blocked@avx2+fma`, …; an ISA the
+//! machine lacks is reported and skipped). The run exits non-zero when a
+//! wider ISA is slower than a narrower one on packed GEMM at n = 256: the
+//! dispatch order `avx512 → avx2+fma → portable` is a claim about speed,
+//! and this is where it is checked.
 //!
-//! * `--crossover`-style small-size scan: unpacked vs forced-packed GEMM
-//!   around `pack_min_flops`,
+//! Three appendix sweeps justify the constants of `sympack_dense`:
+//!
+//! * AVX-512 register-tile scan: the microkernel loop alone on packed
+//!   strips for 8×8, 16×8, 24×8 and 32×4 tiles — the measurement behind
+//!   `Isa::tile`'s 16×8,
+//! * small-size scan: unpacked vs forced-packed GEMM around
+//!   `pack_min_flops`,
 //! * fork-join cost of a scoped worker set, the measurement behind
 //!   `par_flop_threshold`.
 //!
@@ -32,7 +42,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use sympack_dense::config::KernelConfig;
+use sympack_dense::config::{IsaSelect, KernelConfig};
 use sympack_dense::gemm::{gemm_nt_packed_raw, gemm_nt_unpacked_raw};
 use sympack_dense::microkernel;
 use sympack_dense::par;
@@ -108,6 +118,91 @@ fn parse_config(spec: &str) -> KernelConfig {
     cfg
 }
 
+/// `cfg` forced to each microkernel ISA this machine has, narrowest first,
+/// with the ISA's name. ISAs the machine lacks (or whose register tile does
+/// not divide a `--config` blocking) are reported, never skipped silently.
+fn forced_isas(cfg: &KernelConfig, txt: &mut String) -> Vec<(&'static str, KernelConfig)> {
+    let mut out = Vec::new();
+    for isa in [IsaSelect::Portable, IsaSelect::Avx2Fma, IsaSelect::Avx512] {
+        let forced = KernelConfig { isa, ..cfg.clone() };
+        match forced.validate().and_then(|()| forced.resolve_isa()) {
+            Ok(resolved) => out.push((resolved.name(), forced)),
+            Err(e) => {
+                let _ = writeln!(txt, "skipped {isa:?}: {e}");
+            }
+        }
+    }
+    out
+}
+
+/// AVX-512 register-tile scan: Gflop/s of the microkernel loop alone — one
+/// macro-kernel sweep of a packed 96 × 256 `A` block against a packed
+/// 256 × 64 `B` block (L2-resident, like an `mc × kc` block of the real
+/// core), `C -= acc` per tile — for each candidate `mr × nr`. Same fused
+/// arithmetic as `sympack_dense::microkernel`; only the tile differs.
+#[cfg(target_arch = "x86_64")]
+mod tile_scan {
+    use std::arch::x86_64::*;
+
+    pub const M: usize = 96;
+    pub const N: usize = 64;
+    pub const KB: usize = 256;
+
+    macro_rules! sweep {
+        ($name:ident, $vecs:literal, $nr:literal) => {
+            /// # Safety
+            /// Requires `avx512f`; `pa`/`pb`/`c` hold `M·KB`, `KB·N`, `M·N`.
+            #[target_feature(enable = "avx512f")]
+            pub unsafe fn $name(pa: &[f64], pb: &[f64], c: &mut [f64]) {
+                const MR: usize = 8 * $vecs;
+                assert!(pa.len() == M * KB && pb.len() == KB * N && c.len() == M * N);
+                for (js, b) in pb.chunks_exact(KB * $nr).enumerate() {
+                    for (is, a) in pa.chunks_exact(KB * MR).enumerate() {
+                        let mut v = [[_mm512_setzero_pd(); $vecs]; $nr];
+                        for (a, b) in a.chunks_exact(MR).zip(b.chunks_exact($nr)) {
+                            let mut av = [_mm512_setzero_pd(); $vecs];
+                            for (i, x) in av.iter_mut().enumerate() {
+                                // SAFETY: `a` holds MR = 8·vecs elements.
+                                *x = unsafe { _mm512_loadu_pd(a.as_ptr().add(8 * i)) };
+                            }
+                            for j in 0..$nr {
+                                let bj = _mm512_set1_pd(b[j]);
+                                for i in 0..$vecs {
+                                    v[j][i] = _mm512_fmadd_pd(av[i], bj, v[j][i]);
+                                }
+                            }
+                        }
+                        for j in 0..$nr {
+                            for i in 0..$vecs {
+                                let at = (js * $nr + j) * M + is * MR + 8 * i;
+                                let col = &mut c[at..at + 8];
+                                // SAFETY: `col` holds 8 elements.
+                                unsafe {
+                                    let old = _mm512_loadu_pd(col.as_ptr());
+                                    _mm512_storeu_pd(col.as_mut_ptr(), _mm512_sub_pd(old, v[j][i]));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        };
+    }
+    sweep!(tile_8x8, 1, 8);
+    sweep!(tile_16x8, 2, 8);
+    sweep!(tile_24x8, 3, 8);
+    sweep!(tile_32x4, 4, 4);
+
+    /// One tile sweep; see the macro for the contract.
+    pub type Sweep = unsafe fn(&[f64], &[f64], &mut [f64]);
+    pub const TILES: [(&str, Sweep); 4] = [
+        ("8x8", tile_8x8),
+        ("16x8", tile_16x8),
+        ("24x8", tile_24x8),
+        ("32x4", tile_32x4),
+    ];
+}
+
 struct Ctx {
     report: RooflineReport,
     txt: String,
@@ -141,7 +236,7 @@ impl Ctx {
         let gf = s.gflops();
         let _ = writeln!(
             self.txt,
-            "{kernel:8} {variant:9} m={m:5} n={n:5} k={k:5}  {gf:7.2} GF/s  ai={ai:6.1}",
+            "{kernel:8} {variant:16} m={m:5} n={n:5} k={k:5}  {gf:7.2} GF/s  ai={ai:6.1}",
             ai = s.arithmetic_intensity()
         );
         self.report.push(s);
@@ -267,6 +362,9 @@ fn main() {
     let mut shapes: Vec<(usize, usize, usize)> = square.iter().map(|&s| (s, s, s)).collect();
     shapes.extend_from_slice(skinny);
 
+    let isas = forced_isas(&cfg, &mut ctx.txt);
+    let auto = microkernel::isa_name();
+    let packed_auto = format!("packed@{auto}");
     let mut gemm_512_packed = 0.0_f64;
     let mut best_packed = 0.0_f64;
     for &(m, n, k) in &shapes {
@@ -278,13 +376,18 @@ fn main() {
         ctx.record("gemm_nt", "unpacked", m, n, k, flop, bytes, || {
             gemm_nt_unpacked_raw(&cfg, &mut c, m, m, n, &a, m, &b, n, k)
         });
-        let gf = ctx.record("gemm_nt", "packed", m, n, k, flop, bytes, || {
-            gemm_nt_packed_raw(&cfg, &mut c, m, m, n, &a, m, &b, n, k)
-        });
-        if (m, n, k) == (512, 512, 512) {
-            gemm_512_packed = gf;
+        for (name, forced) in &isas {
+            let variant = format!("packed@{name}");
+            let gf = ctx.record("gemm_nt", &variant, m, n, k, flop, bytes, || {
+                gemm_nt_packed_raw(forced, &mut c, m, m, n, &a, m, &b, n, k)
+            });
+            if *name == auto {
+                if (m, n, k) == (512, 512, 512) {
+                    gemm_512_packed = gf;
+                }
+                best_packed = best_packed.max(gf);
+            }
         }
-        best_packed = best_packed.max(gf);
         let (am, bm) = (Mat::from_fn(m, k, |r, c| a[c * m + r]), {
             Mat::from_fn(n, k, |r, c| b[c * n + r])
         });
@@ -295,11 +398,11 @@ fn main() {
     }
 
     // Headline speedups: packed engine vs the pre-PR unpacked loop nest.
-    let _ = writeln!(ctx.txt, "\npacked speedup over unpacked baseline:");
+    let _ = writeln!(ctx.txt, "\n{packed_auto} speedup over unpacked baseline:");
     for &(m, n, k) in &shapes {
         let (Some(u), Some(p)) = (
             ctx.report.find("gemm_nt", "unpacked", m, n, k),
-            ctx.report.find("gemm_nt", "packed", m, n, k),
+            ctx.report.find("gemm_nt", &packed_auto, m, n, k),
         ) else {
             continue;
         };
@@ -307,6 +410,29 @@ fn main() {
             ctx.txt,
             "  m={m:5} n={n:5} k={k:5}  {:4.2}x",
             p.gflops() / u.gflops()
+        );
+    }
+
+    // The dispatch order is a claim about speed: check it where both sides
+    // of a comparison exist (n = 256 is in the quick and the full sweep).
+    let at_256: Vec<(&str, f64)> = isas
+        .iter()
+        .filter_map(|(name, _)| {
+            let s = ctx
+                .report
+                .find("gemm_nt", &format!("packed@{name}"), 256, 256, 256)?;
+            Some((*name, s.gflops()))
+        })
+        .collect();
+    let mut isa_order_holds = true;
+    for pair in at_256.windows(2) {
+        let ((narrow, gn), (wide, gw)) = (pair[0], pair[1]);
+        let ok = gw >= gn;
+        isa_order_holds &= ok;
+        let _ = writeln!(
+            ctx.txt,
+            "isa order at n=256: {wide} {gw:.2} GF/s vs {narrow} {gn:.2} GF/s  {}",
+            if ok { "ok" } else { "VIOLATED" }
         );
     }
 
@@ -336,33 +462,36 @@ fn main() {
         let m = 4 * n;
         let b0 = fill(m * n, 5);
         let mut b = b0.clone();
-        ctx.record(
-            "trsm",
-            "blocked",
-            m,
-            n,
-            0,
-            flops::trsm(m, n),
-            8 * (2 * m * n + n * n / 2) as u64,
-            || {
-                b.copy_from_slice(&b0);
-                trsm_right_lower_trans_raw(&cfg, &mut b, m, m, n, &lf, n);
-            },
-        );
         // SYRK: n×n lower update by an n×k panel, k = n.
         let k = n;
         let ap = fill(n * k, 6);
         let mut cs = vec![0.0; n * n];
-        ctx.record(
-            "syrk",
-            "blocked",
-            0,
-            n,
-            k,
-            flops::syrk(n, k),
-            8 * (n * k + n * n) as u64,
-            || syrk_lower_raw(&cfg, &mut cs, n, n, &ap, n, k),
-        );
+        for (name, forced) in &isas {
+            let variant = format!("blocked@{name}");
+            ctx.record(
+                "trsm",
+                &variant,
+                m,
+                n,
+                0,
+                flops::trsm(m, n),
+                8 * (2 * m * n + n * n / 2) as u64,
+                || {
+                    b.copy_from_slice(&b0);
+                    trsm_right_lower_trans_raw(forced, &mut b, m, m, n, &lf, n);
+                },
+            );
+            ctx.record(
+                "syrk",
+                &variant,
+                0,
+                n,
+                k,
+                flops::syrk(n, k),
+                8 * (n * k + n * n) as u64,
+                || syrk_lower_raw(forced, &mut cs, n, n, &ap, n, k),
+            );
+        }
     }
 
     // Factored-kernel efficiency against the packed GEMM rate at n = 512.
@@ -371,12 +500,13 @@ fn main() {
             ctx.txt,
             "\nfactor-kernel rate vs packed gemm at n=512 ({gemm_512_packed:.2} GF/s):"
         );
-        for (kernel, m, n, k) in [
-            ("potrf", 0usize, 512usize, 0usize),
-            ("trsm", 2048, 512, 0),
-            ("syrk", 0, 512, 512),
+        let blocked_auto = format!("blocked@{auto}");
+        for (kernel, variant, m, n, k) in [
+            ("potrf", "blocked", 0usize, 512usize, 0usize),
+            ("trsm", blocked_auto.as_str(), 2048, 512, 0),
+            ("syrk", blocked_auto.as_str(), 0, 512, 512),
         ] {
-            if let Some(s) = ctx.report.find(kernel, "blocked", m, n, k) {
+            if let Some(s) = ctx.report.find(kernel, variant, m, n, k) {
                 let _ = writeln!(
                     ctx.txt,
                     "  {kernel:6} {:6.2} GF/s  ({:5.1}% of gemm)",
@@ -387,7 +517,28 @@ fn main() {
         }
     }
 
-    // ---- Appendix 1: pack/no-pack crossover scan (pack_min_flops). ----
+    // ---- Appendix 1: AVX-512 register-tile scan (Isa::tile). ----
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        use tile_scan::{KB, M, N, TILES};
+        let _ = writeln!(
+            ctx.txt,
+            "\navx512 register-tile scan (microkernel loop only, packed {M}x{KB} A block x \
+             {KB}x{N} B block; the core uses 16x8 — 24x8 does not divide mc = 128):"
+        );
+        let (pa, pb) = (fill(M * KB, 1), fill(KB * N, 2));
+        let mut c = vec![0.0; M * N];
+        let flop = flops::gemm(M, N, KB);
+        for (name, sweep) in TILES {
+            // SAFETY: avx512f was detected above; the buffers have the
+            // lengths the sweep asserts.
+            ctx.record("tile", name, M, N, KB, flop, 0, || unsafe {
+                sweep(&pa, &pb, &mut c)
+            });
+        }
+    }
+
+    // ---- Appendix 2: pack/no-pack crossover scan (pack_min_flops). ----
     let _ = writeln!(
         ctx.txt,
         "\npack crossover scan (unpacked vs forced-packed; dispatch threshold \
@@ -418,7 +569,7 @@ fn main() {
         );
     }
 
-    // ---- Appendix 2: fork-join cost (par_flop_threshold). ----
+    // ---- Appendix 3: fork-join cost (par_flop_threshold). ----
     let workers = par::num_threads().max(2);
     let fork_join = median_secs(
         || {
@@ -449,4 +600,8 @@ fn main() {
     std::fs::write(&txt_path, &ctx.txt).expect("write text report");
     std::fs::write(&json_path, ctx.report.to_json()).expect("write json report");
     println!("\nwrote {txt_path} and {json_path}");
+    if !isa_order_holds {
+        eprintln!("a wider ISA is slower than a narrower one on packed gemm at n=256");
+        std::process::exit(1);
+    }
 }

@@ -297,7 +297,7 @@ impl KernelConfig {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -326,9 +326,10 @@ mod tests {
         }
     }
 
-    /// Every forceable ISA this machine has, with its resolution; the rest
-    /// are reported, never skipped silently.
-    fn forced_isas() -> Vec<(IsaSelect, Isa)> {
+    /// The default config forced to each ISA this machine has, with the
+    /// resolution; the rest are reported, never skipped silently. Shared by
+    /// the unit tests of `microkernel` and `pack`.
+    pub(crate) fn forced_isas() -> Vec<(KernelConfig, Isa)> {
         let mut out = Vec::new();
         for isa in [IsaSelect::Portable, IsaSelect::Avx2Fma, IsaSelect::Avx512] {
             let cfg = KernelConfig {
@@ -336,7 +337,7 @@ mod tests {
                 ..Default::default()
             };
             match cfg.resolve_isa() {
-                Ok(resolved) => out.push((isa, resolved)),
+                Ok(resolved) => out.push((cfg, resolved)),
                 Err(e) => println!("skipped {isa:?}: {e}"),
             }
         }
@@ -345,13 +346,11 @@ mod tests {
 
     #[test]
     fn misaligned_cache_blocks_are_rejected() {
-        for (isa, resolved) in forced_isas() {
+        for (base, resolved) in forced_isas() {
+            let isa = base.isa;
             let (mr, nr) = resolved.tile();
             for (field, bad) in [("mc", mr + 1), ("nc", nr + 1), ("db", mr + 2)] {
-                let mut c = KernelConfig {
-                    isa,
-                    ..Default::default()
-                };
+                let mut c = base.clone();
                 c.set_field(field, bad as u64).unwrap();
                 match c.validate() {
                     Err(ConfigError::NotMultiple {
@@ -372,11 +371,8 @@ mod tests {
 
     #[test]
     fn default_blocking_is_valid_under_every_isa_and_tiles_are_per_isa() {
-        for (isa, resolved) in forced_isas() {
-            let c = KernelConfig {
-                isa,
-                ..Default::default()
-            };
+        for (c, resolved) in forced_isas() {
+            let isa = c.isa;
             c.validate().unwrap();
             // A blocking tuned under the 8×4 tiles (mc = 72, db = 24) is a
             // typed error under a wider tile, never a panic in a kernel.

@@ -81,9 +81,11 @@ impl Isa {
     /// Register tile `(mr, nr)`: `mr` is two vectors of `C` rows, `nr` as
     /// many columns as leave registers for the two `A` vectors and the `B`
     /// broadcast — 16 accumulators of the 32 `zmm`, 8 of the 16 `ymm`.
-    /// AVX-512's 16×8 is the fastest tile in the `kernel_roofline` tile scan
-    /// (against 8×8, 24×8, 32×4) among those that divide the default
-    /// `mc`/`nc`/`db` = 128/512/48 on every ISA; 24×8 does not divide 128.
+    /// AVX-512's 16×8 is the fastest tile of the `kernel_roofline` tile scan
+    /// (8×8 41, 16×8 69, 24×8 74, 32×4 53 Gflop/s for the k-loop alone; see
+    /// `results/kernel_roofline.txt`) that keeps the default `mc`/`nc`/`db`
+    /// = 128/512/48 whole tiles: 24 does not divide 128, 32 does not divide
+    /// 48.
     pub fn tile(self) -> (usize, usize) {
         match self {
             #[cfg(target_arch = "x86_64")]
@@ -379,23 +381,11 @@ pub(crate) fn gemm_packed_shared_a_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IsaSelect;
 
-    /// Default blocking forced to each ISA this machine has (the rest are
-    /// reported, never skipped silently).
+    /// Default blocking forced to each ISA this machine has.
     fn forced_configs() -> Vec<KernelConfig> {
-        let mut out = Vec::new();
-        for isa in [IsaSelect::Portable, IsaSelect::Avx2Fma, IsaSelect::Avx512] {
-            let cfg = KernelConfig {
-                isa,
-                ..Default::default()
-            };
-            match cfg.validate() {
-                Ok(()) => out.push(cfg),
-                Err(e) => println!("skipped {isa:?}: {e}"),
-            }
-        }
-        out
+        let isas = crate::config::tests::forced_isas();
+        isas.into_iter().map(|(cfg, _)| cfg).collect()
     }
 
     /// `C -= A·Bᵀ` through the thread-local packed path (`ldc = m`).
@@ -495,7 +485,7 @@ mod tests {
     #[test]
     fn row_ranged_shared_a_matches_full_product_rows() {
         for cfg in forced_configs() {
-            let mr = cfg.isa().tile().0;
+            let (mr, nr) = cfg.isa().tile();
             let (m, n, k) = (5 * mr + 5, 23, cfg.kc + 7);
             let a: Vec<f64> = (0..m * k).map(|v| ((v * 3) % 13) as f64 - 6.0).collect();
             let b: Vec<f64> = (0..n * k).map(|v| ((v * 5) % 7) as f64 - 3.0).collect();
@@ -530,7 +520,6 @@ mod tests {
                     Operand::Xk(&b, n),
                     &mut pb,
                 );
-                let (mr, nr) = cfg.isa().tile();
                 for j in 0..n {
                     for i in 0..mm {
                         let skipped = lower && (i / mr + 1) * mr <= j / nr * nr;

@@ -276,16 +276,8 @@ mod tests {
 
     #[test]
     fn apack_full_blocks_match_block_packer() {
-        use crate::config::IsaSelect;
-        for isa in [IsaSelect::Portable, IsaSelect::Avx2Fma, IsaSelect::Avx512] {
-            let cfg = KernelConfig {
-                isa,
-                ..Default::default()
-            };
-            let Ok(resolved) = cfg.resolve_isa() else {
-                println!("skipped {isa:?}: not available on this machine");
-                continue;
-            };
+        for (cfg, resolved) in crate::config::tests::forced_isas() {
+            let isa = cfg.isa;
             let (m, k) = (37, cfg.kc + 7); // forces two k-blocks
             let lda = m + 3;
             let a: Vec<f64> = (0..lda * k).map(|v| (v % 29) as f64 - 14.0).collect();

@@ -629,14 +629,12 @@ fn all_kernels(cfg: &KernelConfig, m: usize, n: usize, k: usize) -> Vec<(&'stati
     let ldx = x.ld;
     trsm_right_lower_trans_raw(cfg, x.slice_mut(), ldx, m, n, l.slice(), l.ld);
     out.push(("trsm_right", x.buf));
-    for (name, solve) in [
-        (
-            "trsm_left_notrans",
-            trsm_left_lower_notrans_raw
-                as fn(&KernelConfig, &mut [f64], usize, usize, usize, &[f64], usize),
-        ),
+    type LeftSolve = fn(&KernelConfig, &mut [f64], usize, usize, usize, &[f64], usize);
+    let left_solves: [(&str, LeftSolve); 2] = [
+        ("trsm_left_notrans", trsm_left_lower_notrans_raw),
         ("trsm_left_trans", trsm_left_lower_trans_raw),
-    ] {
+    ];
+    for (name, solve) in left_solves {
         let mut y = Panel::new(n, m, 59);
         let ldy = y.ld;
         solve(cfg, y.slice_mut(), ldy, n, m, l.slice(), l.ld);
