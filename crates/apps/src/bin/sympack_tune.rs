@@ -52,7 +52,6 @@ fn take_flag(argv: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
 fn print_profile(p: &KernelProfile) {
     println!("machine:");
     println!("  isa             {}", p.isa);
-    println!("  worker budget   {}", p.threads);
     println!("  mem bandwidth   {:.2} GB/s", p.mem_bandwidth / 1e9);
     println!("rates (sustained, sequential):");
     for (name, rate) in [

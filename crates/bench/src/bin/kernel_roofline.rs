@@ -4,9 +4,9 @@
 //! square and skinny supernode-shaped problems, reporting achieved Gflop/s
 //! and arithmetic intensity (flops per byte of operand/result footprint —
 //! the x-axis of a roofline plot) per shape and code path. For GEMM the
-//! sweep covers three variants: the pre-packing loop nest
-//! (`gemm_nt_unpacked_raw`, the pre-PR baseline), the packed
-//! register-blocked engine, and the shared-A thread-parallel form.
+//! sweep covers two variants: the pre-packing loop nest
+//! (`gemm_nt_unpacked_raw`, the pre-PR baseline) and the packed
+//! register-blocked engine.
 //!
 //! Everything that runs on the packed core (packed GEMM, SYRK, TRSM) is
 //! measured **once per microkernel ISA the machine has**, forced through
@@ -16,15 +16,13 @@
 //! dispatch order `avx512 → avx2+fma → portable` is a claim about speed,
 //! and this is where it is checked.
 //!
-//! Three appendix sweeps justify the constants of `sympack_dense`:
+//! Two appendix sweeps justify the constants of `sympack_dense`:
 //!
 //! * AVX-512 register-tile scan: the microkernel loop alone on packed
 //!   strips for 8×8, 16×8, 24×8 and 32×4 tiles — the measurement behind
 //!   `Isa::tile`'s 16×8,
 //! * small-size scan: unpacked vs forced-packed GEMM around
-//!   `pack_min_flops`,
-//! * fork-join cost of a scoped worker set, the measurement behind
-//!   `par_flop_threshold`.
+//!   `pack_min_flops`.
 //!
 //! Config modes:
 //!
@@ -43,13 +41,12 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use sympack_dense::config::{IsaSelect, KernelConfig};
+use sympack_dense::flops;
 use sympack_dense::gemm::{gemm_nt_packed_raw, gemm_nt_unpacked_raw};
 use sympack_dense::microkernel;
-use sympack_dense::par;
 use sympack_dense::potrf::potrf_raw;
 use sympack_dense::syrk::syrk_lower_raw;
 use sympack_dense::trsm::trsm_right_lower_trans_raw;
-use sympack_dense::{flops, Mat};
 use sympack_trace::metrics::{KernelSample, RooflineReport};
 
 /// Median wall-clock seconds per call: each sample loops `f` often enough to
@@ -332,22 +329,21 @@ fn main() {
     let samples = if quick { 3 } else { 7 };
 
     let mut ctx = Ctx {
-        report: RooflineReport::new(par::num_threads(), microkernel::isa_name()),
+        report: RooflineReport::new(microkernel::isa_name()),
         txt: String::new(),
         samples,
     };
     let _ = writeln!(
         ctx.txt,
-        "kernel roofline ({} mode): isa={} worker_budget={}\n\
+        "kernel roofline ({} mode): isa={}\n\
          rates are median wall-clock over {samples} windows; ai = flops per\n\
          byte of operand/result footprint (8 bytes per f64, each matrix\n\
          counted once, destinations twice for read+write).\n",
         if quick { "quick" } else { "full" },
         microkernel::isa_name(),
-        par::num_threads(),
     );
 
-    // ---- GEMM: square and skinny supernode shapes, three variants. ----
+    // ---- GEMM: square and skinny supernode shapes, two variants. ----
     let square: &[usize] = if quick {
         &[64, 128, 256]
     } else {
@@ -366,7 +362,6 @@ fn main() {
     let auto = microkernel::isa_name();
     let packed_auto = format!("packed@{auto}");
     let mut gemm_512_packed = 0.0_f64;
-    let mut best_packed = 0.0_f64;
     for &(m, n, k) in &shapes {
         let a = fill(m * k, 1);
         let b = fill(n * k, 2);
@@ -381,20 +376,10 @@ fn main() {
             let gf = ctx.record("gemm_nt", &variant, m, n, k, flop, bytes, || {
                 gemm_nt_packed_raw(forced, &mut c, m, m, n, &a, m, &b, n, k)
             });
-            if *name == auto {
-                if (m, n, k) == (512, 512, 512) {
-                    gemm_512_packed = gf;
-                }
-                best_packed = best_packed.max(gf);
+            if *name == auto && (m, n, k) == (512, 512, 512) {
+                gemm_512_packed = gf;
             }
         }
-        let (am, bm) = (Mat::from_fn(m, k, |r, c| a[c * m + r]), {
-            Mat::from_fn(n, k, |r, c| b[c * n + r])
-        });
-        let mut cm = Mat::zeros(m, n);
-        ctx.record("gemm_nt", "par", m, n, k, flop, bytes, || {
-            par::gemm_nt_par_cfg(&cfg, &mut cm, &am, &bm)
-        });
     }
 
     // Headline speedups: packed engine vs the pre-PR unpacked loop nest.
@@ -568,30 +553,6 @@ fn main() {
             gp / gu
         );
     }
-
-    // ---- Appendix 3: fork-join cost (par_flop_threshold). ----
-    let workers = par::num_threads().max(2);
-    let fork_join = median_secs(
-        || {
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| std::hint::black_box(0u64));
-                }
-            });
-        },
-        1,
-        samples,
-    );
-    let _ = writeln!(
-        ctx.txt,
-        "\nfork-join of {workers} scoped workers: {:.1} us \
-         (par_flop_threshold = {} flop ~ {:.0} us of packed sequential work)",
-        fork_join * 1e6,
-        cfg.par_flop_threshold,
-        // Quick mode never measures n=512, so fall back to the best packed
-        // rate seen this run for the microseconds-of-work conversion.
-        cfg.par_flop_threshold as f64 / (gemm_512_packed.max(best_packed).max(1.0) * 1e3),
-    );
 
     print!("{}", ctx.txt);
     if let Some(dir) = std::path::Path::new(&txt_path).parent() {

@@ -24,7 +24,9 @@ pub struct SolverOptions {
     pub analyze: AnalyzeOptions,
     /// Virtual nodes in the job.
     pub n_nodes: usize,
-    /// Ranks per node (the paper tunes this per problem; "flat MPI").
+    /// Ranks per node (the paper tunes this per problem; "flat MPI"). A rank
+    /// is the only unit of parallelism: every dense kernel runs on its
+    /// rank's thread, so a second core is used by asking for a second rank.
     pub ranks_per_node: usize,
     /// Communication cost model (Perlmutter-calibrated default).
     pub net: NetModel,
@@ -41,11 +43,6 @@ pub struct SolverOptions {
     /// Override the process grid (e.g. [`ProcGrid::one_dimensional`] for the
     /// mapping ablation); default: most-square grid.
     pub grid: Option<ProcGrid>,
-    /// Use thread-parallel CPU kernels inside each rank (shared-memory mode;
-    /// affects wall-clock execution, not the modeled times). The worker
-    /// budget is rank-aware: hardware threads are divided by the number of
-    /// live PGAS ranks, so enabling this under flat-MPI cannot oversubscribe.
-    pub intra_parallel: bool,
     /// Iterative-refinement steps after each solve (0 = off, as in the
     /// paper's runs — its PaStiX driver had refinement explicitly disabled).
     /// Each step gathers the iterate, forms the residual against the
@@ -111,7 +108,6 @@ impl Default for SolverOptions {
             rtq_policy: RtqPolicy::Lifo,
             device_quota: usize::MAX,
             grid: None,
-            intra_parallel: false,
             refine_steps: 0,
             trace: false,
             telemetry: false,

@@ -78,7 +78,6 @@ pub fn make_kernels(opts: &SolverOptions) -> KernelEngine {
     if let Some(t) = &opts.thresholds {
         k.thresholds = t.clone();
     }
-    k.intra_parallel = opts.intra_parallel;
     opts.blr.validate().expect("invalid SolverOptions::blr");
     k.blr = opts.blr;
     k.with_config(opts.kernel_config.clone())

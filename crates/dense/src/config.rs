@@ -3,7 +3,7 @@
 //! Every blocking parameter above the register microkernel is data: the
 //! BLIS cache blocking (`mc/kc/nc`), the panel blocking of the factorization
 //! kernels (`jb/sj/rs/pb/ib/sb/db`, `nb/kb` for the unpacked loop nests) and
-//! the two dispatch thresholds (`pack_min_flops`, `par_flop_threshold`) live
+//! the packed-dispatch threshold (`pack_min_flops`) live
 //! in one [`KernelConfig`] value that callers construct once, validate, and
 //! thread explicitly through every dense entry point. The register tile is
 //! not in it: it is a property of the ISA the config resolves to
@@ -136,9 +136,6 @@ pub struct KernelConfig {
     /// Below this flop count a GEMM-shaped call runs the unpacked loop nest
     /// (packing would not amortize).
     pub pack_min_flops: u64,
-    /// Below this flop count the `par` entry points stay sequential (fork
-    /// and pack-sharing would not amortize).
-    pub par_flop_threshold: u64,
     /// Microkernel instruction-set selection.
     pub isa: IsaSelect,
 }
@@ -162,7 +159,6 @@ impl Default for KernelConfig {
             ib: 8,
             sb: 64,
             pack_min_flops: 28 * 1024,
-            par_flop_threshold: 2 * 1024 * 1024,
             isa: IsaSelect::Auto,
         }
     }
@@ -248,7 +244,7 @@ impl KernelConfig {
     /// `(name, value)` pairs of every blocking/threshold field, in a fixed
     /// order — the serialization and table-printing order of the tuning
     /// profile.
-    pub fn fields(&self) -> [(&'static str, u64); 14] {
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
         [
             ("mc", self.mc as u64),
             ("kc", self.kc as u64),
@@ -263,7 +259,6 @@ impl KernelConfig {
             ("ib", self.ib as u64),
             ("sb", self.sb as u64),
             ("pack_min_flops", self.pack_min_flops),
-            ("par_flop_threshold", self.par_flop_threshold),
         ]
     }
 
@@ -289,7 +284,6 @@ impl KernelConfig {
             "ib" => self.ib = v,
             "sb" => self.sb = v,
             "pack_min_flops" => self.pack_min_flops = value,
-            "par_flop_threshold" => self.par_flop_threshold = value,
             other => return Err(format!("unknown kernel config field `{other}`")),
         }
         Ok(())
@@ -309,7 +303,6 @@ pub(crate) mod tests {
         assert_eq!((c.jb, c.sj, c.rs), (64, 16, 128));
         assert_eq!((c.pb, c.ib, c.sb), (48, 8, 64));
         assert_eq!(c.pack_min_flops, 28 * 1024);
-        assert_eq!(c.par_flop_threshold, 2 * 1024 * 1024);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! runtime. All three run the same arithmetic per element of `C`, so the
 //! choice never changes a bit of a result. Problems too small to amortize
 //! packing keep direct loop nests ([`naive`] remains the correctness
-//! oracle). [`par`] adds scoped-thread parallel variants whose
-//! worker count is bounded by the hardware budget divided across registered
-//! PGAS ranks ([`par::num_threads`]), bit-identical to the sequential path.
+//! oracle). Every kernel runs on the calling thread: the solver's one unit
+//! of parallelism is the PGAS rank, and a second core is used by running a
+//! second rank.
 //!
 //! Every blocking parameter, dispatch threshold, and the ISA selection live
 //! in one validated [`KernelConfig`] value. Each kernel exists in two forms:
@@ -49,7 +49,6 @@ pub mod microkernel;
 pub mod naive;
 pub mod pack;
 pub mod panel;
-pub mod par;
 pub mod potrf;
 pub mod syrk;
 pub mod trsm;

@@ -27,9 +27,9 @@
 //! `kc` block, the same chain: an accumulator starting at `+0.0` takes
 //! `acc = fma(a, b, acc)` — one rounding per step — for `p` ascending over
 //! the block, then one `C ∓= acc`. Lanes never mix, so the tile shape, the
-//! vector width, the cache blocking, shared-vs-local packing and the worker
-//! count cannot change a bit of the result, and a fingerprint pinned on one
-//! machine holds on every other. The instruction is spelled out on every
+//! vector width, the cache blocking and shared-vs-local packing cannot
+//! change a bit of the result, and a fingerprint pinned on one machine holds
+//! on every other. The instruction is spelled out on every
 //! ISA because Rust never contracts `a * b + c` on its own: `vfmadd…pd` on
 //! `zmm`/`ymm` through `std::arch`, [`f64::mul_add`] on [`Isa::Portable`]
 //! (the hardware instruction where the target has one at baseline, libm's
@@ -318,23 +318,9 @@ pub(crate) fn gemm_packed(
     });
 }
 
-/// Blocked packed GEMM of an `m × n` panel against a pre-packed shared `A`
-/// operand ([`ApackFull`]): used by the parallel path, where `A` is packed
-/// once and read concurrently by every column-panel worker while each worker
-/// packs only its own `B` strips into thread-local scratch. `cfg` must be
-/// the config the pack was built under.
-pub(crate) fn gemm_packed_shared_a(
-    cfg: &KernelConfig,
-    d: Dest<'_>,
-    (m, n): (usize, usize),
-    apack: &ApackFull<'_>,
-    b: Operand<'_>,
-) {
-    pack::with_buffers(|_, pb, _| gemm_packed_shared_a_rows(cfg, d, 0, (m, n), apack, b, pb));
-}
-
-/// Row-ranged form of [`gemm_packed_shared_a`] with the `B` scratch passed
-/// in: use rows `row0..row0+m` of the pre-packed `A` operand. `row0` must be
+/// Blocked packed GEMM of an `m × n` panel against rows `row0..row0+m` of a
+/// pre-packed shared `A` operand ([`ApackFull`]), with the `B` scratch passed
+/// in. `cfg` must be the config the pack was built under and `row0` must be
 /// `mr`-aligned (the packed strips cannot be split mid-strip); row 0 of `C`
 /// corresponds to packed row `row0`. This lets one [`ApackFull`] serve
 /// several sub-problems — SYRK packs its panel once and runs every diagonal
@@ -473,7 +459,8 @@ mod tests {
                 sub: true,
                 lower: false,
             };
-            gemm_packed_shared_a(&cfg, d, (m, n), &apack, Operand::Xk(&b, n));
+            let mut pb = Vec::new();
+            gemm_packed_shared_a_rows(&cfg, d, 0, (m, n), &apack, Operand::Xk(&b, n), &mut pb);
             assert!(
                 c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "{:?}: shared-A packing must not change the accumulation order",

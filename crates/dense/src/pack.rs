@@ -118,8 +118,8 @@ impl Operand<'_> {
 }
 
 /// A fully packed `A` operand (`m × k`), packed **once** and read by many
-/// macro-kernel sweeps: the column-panel workers of the parallel GEMM, or the
-/// diagonal tiles and sub-diagonal blocks of one SYRK.
+/// macro-kernel sweeps: the diagonal tiles and sub-diagonal blocks of one
+/// SYRK.
 ///
 /// Layout: k-blocks of at most `cfg.kc` columns, outer to inner: block →
 /// `mr`-strip → column → row, for the `mr` and `kc` of the config the pack

@@ -1,11 +1,14 @@
-//! Guard against the dispatch thresholds re-growing compile-time homes.
+//! Guard against deleted names growing back.
 //!
-//! The packed-dispatch and parallel-dispatch thresholds used to be the pub
-//! consts `GEMM_PACK_MIN_FLOPS` and `PAR_FLOP_THRESHOLD`; both now live in
-//! `KernelConfig` (`pack_min_flops`, `par_flop_threshold`) and are threaded
-//! through every call. This test scans the whole workspace source tree and
-//! fails if either identifier reappears anywhere — no caller can reach a
-//! constant that does not exist, and this keeps it that way.
+//! The packed-dispatch threshold used to be the pub const
+//! `GEMM_PACK_MIN_FLOPS`; it now lives in `KernelConfig::pack_min_flops` and
+//! is threaded through every call. The thread-parallel kernel fork (its
+//! module, its dispatch threshold in both spellings, the solver option that
+//! selected it and the rank-count guard the PGAS runtime held for it) is
+//! gone: a rank is the only unit of parallelism. This test scans every Rust
+//! source of the repository and fails if one of those identifiers reappears
+//! anywhere — no caller can reach a name that does not exist, and this keeps
+//! it that way.
 
 use std::path::{Path, PathBuf};
 
@@ -31,7 +34,9 @@ fn legacy_threshold_constants_do_not_exist_anywhere() {
         .canonicalize()
         .expect("workspace root");
     let mut files = Vec::new();
-    rust_sources(&root.join("crates"), &mut files);
+    for dir in ["crates", "tests", "examples", "perf"] {
+        rust_sources(&root.join(dir), &mut files);
+    }
     assert!(
         files.len() > 20,
         "scan looks wrong: only {} source files under {}",
@@ -48,7 +53,14 @@ fn legacy_threshold_constants_do_not_exist_anywhere() {
             continue; // the identifiers above are the only allowed mentions
         }
         let text = std::fs::read_to_string(&f).expect("readable source");
-        for needle in ["GEMM_PACK_MIN_FLOPS", "PAR_FLOP_THRESHOLD"] {
+        for needle in [
+            "GEMM_PACK_MIN_FLOPS",
+            "PAR_FLOP_THRESHOLD",
+            "par_flop_threshold",
+            "intra_parallel",
+            "rank_scope",
+            "mod par;",
+        ] {
             if text.contains(needle) {
                 offenders.push(format!("{}: {needle}", f.display()));
             }
@@ -56,7 +68,7 @@ fn legacy_threshold_constants_do_not_exist_anywhere() {
     }
     assert!(
         offenders.is_empty(),
-        "legacy threshold constants resurfaced:\n{}",
+        "deleted names resurfaced:\n{}",
         offenders.join("\n")
     );
 }

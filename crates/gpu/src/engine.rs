@@ -108,13 +108,6 @@ pub struct KernelEngine {
     /// When false, everything runs on the CPU regardless of thresholds
     /// (the paper's non-GPU build).
     pub gpu_enabled: bool,
-    /// Use the thread-parallel kernel variants for CPU work (the
-    /// shared-memory single-rank execution path). Safe to leave on under
-    /// flat-MPI too: the `sympack_dense::par` worker budget divides the
-    /// hardware threads by the live rank count registered via
-    /// `sympack_dense::par::rank_scope`, falling back to the sequential
-    /// packed kernels when the per-rank budget is one thread.
-    pub intra_parallel: bool,
     /// Blocking, dispatch-threshold, and ISA configuration threaded into
     /// every dense kernel call this engine makes. Always validated: the
     /// constructors start from [`KernelConfig::default`] and
@@ -143,7 +136,6 @@ impl KernelEngine {
             thresholds: OffloadThresholds::default(),
             counts: OpCounts::default(),
             gpu_enabled: true,
-            intra_parallel: false,
             config: KernelConfig::default(),
             blr: BlrConfig::default(),
             blr_scale: 0.0,
@@ -202,11 +194,7 @@ impl KernelEngine {
     pub fn trsm(&mut self, b: &mut Mat, l: &Mat) -> (Loc, f64) {
         let (m, n) = (b.rows(), b.cols());
         let loc = self.place(Op::Trsm, m * n + n * n);
-        if self.intra_parallel {
-            sympack_dense::par::trsm_right_lower_trans_par_cfg(&self.config, b, l);
-        } else {
-            sympack_dense::trsm_right_lower_trans_cfg(&self.config, b, l);
-        }
+        sympack_dense::trsm_right_lower_trans_cfg(&self.config, b, l);
         (loc, self.time_for(Op::Trsm, loc, flops::trsm(m, n)))
     }
 
@@ -214,11 +202,7 @@ impl KernelEngine {
     pub fn syrk(&mut self, c: &mut Mat, a: &Mat) -> (Loc, f64) {
         let (n, k) = (c.rows(), a.cols());
         let loc = self.place(Op::Syrk, n * k + n * n);
-        if self.intra_parallel {
-            sympack_dense::par::syrk_lower_par_cfg(&self.config, c, a);
-        } else {
-            sympack_dense::syrk_lower_cfg(&self.config, c, a);
-        }
+        sympack_dense::syrk_lower_cfg(&self.config, c, a);
         (loc, self.time_for(Op::Syrk, loc, flops::syrk(n, k)))
     }
 
@@ -226,11 +210,7 @@ impl KernelEngine {
     pub fn gemm(&mut self, c: &mut Mat, a: &Mat, b: &Mat) -> (Loc, f64) {
         let (m, n, k) = (c.rows(), c.cols(), a.cols());
         let loc = self.place(Op::Gemm, m * k + n * k + m * n);
-        if self.intra_parallel {
-            sympack_dense::par::gemm_nt_par_cfg(&self.config, c, a, b);
-        } else {
-            sympack_dense::gemm_nt_cfg(&self.config, c, a, b);
-        }
+        sympack_dense::gemm_nt_cfg(&self.config, c, a, b);
         (loc, self.time_for(Op::Gemm, loc, flops::gemm(m, n, k)))
     }
 

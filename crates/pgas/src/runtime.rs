@@ -237,11 +237,6 @@ impl Runtime {
             config,
         });
         let mut slots: Vec<Option<(R, f64)>> = (0..n).map(|_| None).collect();
-        // Register the rank threads with the dense kernel layer for the
-        // duration of the run: intra-task kernel parallelism divides the
-        // hardware thread budget by the live rank count, so flat-MPI style
-        // runs never oversubscribe the machine.
-        let _kernel_cap = sympack_dense::par::rank_scope(n);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|id| {

@@ -289,8 +289,6 @@ impl KernelSample {
 /// Serialized to `BENCH_kernels.json` by the `kernel_roofline` binary.
 #[derive(Debug, Clone, Default)]
 pub struct RooflineReport {
-    /// Worker budget of the parallel kernel variants during the run.
-    pub threads: usize,
     /// Instruction set the microkernel dispatched to (`avx2+fma`, ...).
     pub isa: String,
     /// All recorded samples, in measurement order.
@@ -299,9 +297,8 @@ pub struct RooflineReport {
 
 impl RooflineReport {
     /// New empty report.
-    pub fn new(threads: usize, isa: &str) -> Self {
+    pub fn new(isa: &str) -> Self {
         RooflineReport {
-            threads,
             isa: isa.to_string(),
             samples: Vec::new(),
         }
@@ -333,7 +330,6 @@ impl RooflineReport {
             samples.push(s.to_json());
         }
         crate::json::Obj::new()
-            .u64("threads", self.threads as u64)
             .str("isa", &self.isa)
             .raw("samples", &samples.finish())
             .finish()
@@ -416,7 +412,7 @@ mod tests {
 
     #[test]
     fn roofline_report_find_and_json_balance() {
-        let mut r = RooflineReport::new(4, "avx2+fma");
+        let mut r = RooflineReport::new("avx2+fma");
         r.push(KernelSample {
             kernel: "potrf".into(),
             variant: "blocked".into(),
@@ -440,7 +436,6 @@ mod tests {
         assert!(r.find("potrf", "blocked", 0, 256, 0).is_some());
         assert!(r.find("potrf", "naive", 0, 256, 0).is_none());
         let json = r.to_json();
-        assert!(json.contains("\"threads\":4"));
         assert!(json.contains("\"isa\":\"avx2+fma\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

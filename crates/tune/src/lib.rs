@@ -7,10 +7,8 @@
 //! supernode-shaped problems under a set of candidate cache blockings and
 //! keeps the fastest; it then measures the sustained per-operation rates
 //! (GEMM/SYRK/TRSM/POTRF) and the streaming memory bandwidth under the
-//! chosen blocking, and re-derives the two dispatch thresholds
-//! (`pack_min_flops` from the pack/no-pack crossover scan,
-//! `par_flop_threshold` from the measured fork-join cost). [`TuneBudget`]
-//! scales the sweep: [`TuneBudget::quick`] is the CI smoke budget (a few
+//! chosen blocking, and re-derives the dispatch threshold `pack_min_flops`
+//! from the pack/no-pack crossover scan. [`TuneBudget`] scales the sweep: [`TuneBudget::quick`] is the CI smoke budget (a few
 //! hundred milliseconds), [`TuneBudget::full`] the real one.
 //!
 //! # Profile file format
@@ -19,17 +17,17 @@
 //!
 //! ```json
 //! {
-//!   "schema": "sympack-kernel-profile-v1",
+//!   "schema": "sympack-kernel-profile-v2",
 //!   "isa": "avx512",
-//!   "threads": 8,
 //!   "mem_bandwidth": 21474836480,
 //!   "rates": {"gemm": 9.1e9, "syrk": 8.2e9, "trsm": 5.5e9, "potrf": 3.9e9},
-//!   "config": {"mc": 128, "kc": 256, ..., "par_flop_threshold": 2097152}
+//!   "config": {"mc": 128, "kc": 256, ..., "pack_min_flops": 28672}
 //! }
 //! ```
 //!
-//! `schema` is the versioned magic; `isa` is the resolved microkernel ISA
-//! the measurements were taken with; `threads` the worker budget;
+//! `schema` is the versioned magic (a v1 file, which also carried a worker
+//! count and a parallel-dispatch threshold, does not load); `isa` is the
+//! resolved microkernel ISA the measurements were taken with;
 //! `mem_bandwidth` in bytes/second; `rates` in flops/second per operation;
 //! `config` holds every [`KernelConfig::fields`] entry by name. The ISA
 //! *selection* is pinned to `Auto` on load, and the blocking is validated
@@ -51,12 +49,12 @@ use sympack_dense::gemm::{gemm_nt_packed_raw, gemm_nt_unpacked_raw};
 use sympack_dense::potrf::potrf_raw;
 use sympack_dense::syrk::syrk_lower_raw;
 use sympack_dense::trsm::trsm_right_lower_trans_raw;
-use sympack_dense::{flops, microkernel, par};
+use sympack_dense::{flops, microkernel};
 use sympack_gpu::CostModel;
 use sympack_trace::json::{parse, JsonValue};
 
 /// Versioned magic of the profile file format.
-pub const SCHEMA: &str = "sympack-kernel-profile-v1";
+pub const SCHEMA: &str = "sympack-kernel-profile-v2";
 
 /// What went wrong loading a profile.
 #[derive(Debug)]
@@ -94,8 +92,6 @@ impl From<std::io::Error> for TuneError {
 pub struct KernelProfile {
     /// Resolved microkernel ISA the measurements were taken with.
     pub isa: String,
-    /// Worker-thread budget at calibration time.
-    pub threads: usize,
     /// Measured streaming memory bandwidth (bytes/second).
     pub mem_bandwidth: f64,
     /// Sustained GEMM rate (flops/second) under the chosen config.
@@ -132,7 +128,6 @@ impl KernelProfile {
         let mut s = String::from("{\n");
         let _ = writeln_kv(&mut s, "schema", &JsonValue::Str(SCHEMA.into()), true);
         let _ = writeln_kv(&mut s, "isa", &JsonValue::Str(self.isa.clone()), true);
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
         s.push_str(&format!("  \"mem_bandwidth\": {},\n", self.mem_bandwidth));
         s.push_str(&format!(
             "  \"rates\": {{\"gemm\": {}, \"syrk\": {}, \"trsm\": {}, \"potrf\": {}}},\n",
@@ -194,7 +189,6 @@ impl KernelProfile {
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| TuneError::Schema("missing `isa`".into()))?
                 .to_string(),
-            threads: f64_at(&doc, "threads")? as usize,
             mem_bandwidth: f64_at(&doc, "mem_bandwidth")?,
             gemm_rate: f64_at(rates, "gemm")?,
             syrk_rate: f64_at(rates, "syrk")?,
@@ -386,21 +380,6 @@ fn measure_pack_crossover(cfg: &KernelConfig, samples: usize) -> u64 {
     KernelConfig::default().pack_min_flops
 }
 
-/// Fork-join cost of one scoped worker set (seconds).
-fn measure_fork_join(samples: usize) -> f64 {
-    let workers = par::num_threads().max(2);
-    median_secs(
-        || {
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| std::hint::black_box(0u64));
-                }
-            });
-        },
-        samples,
-    )
-}
-
 /// Run the calibration sweep and fit a [`KernelProfile`].
 ///
 /// Deterministic in *structure* (always returns a valid profile with the
@@ -479,18 +458,11 @@ pub fn calibrate(budget: &TuneBudget) -> KernelProfile {
             budget.samples,
         );
 
-    // 3. Dispatch thresholds from the measured machine.
+    // 3. Dispatch threshold from the measured machine.
     config.pack_min_flops = measure_pack_crossover(&config, budget.samples);
-    // Parallel dispatch pays off once the sequential work dwarfs the
-    // fork-join cost; 16× is the amortization margin the default (2 Mflop
-    // at ~8 Gflop/s vs ~15 µs fork-join) encodes.
-    let fork_join = measure_fork_join(budget.samples);
-    config.par_flop_threshold =
-        ((16.0 * fork_join * gemm_rate) as u64).clamp(64 * 1024, 64 * 1024 * 1024);
 
     KernelProfile {
         isa: microkernel::isa_name().to_string(),
-        threads: par::num_threads(),
         mem_bandwidth,
         gemm_rate,
         syrk_rate,
@@ -507,7 +479,6 @@ mod tests {
     fn sample_profile() -> KernelProfile {
         KernelProfile {
             isa: "avx2+fma".into(),
-            threads: 8,
             mem_bandwidth: 21474836480.5,
             gemm_rate: 9.123456789012e9,
             syrk_rate: 0.1 + 8.0e9,
@@ -579,7 +550,6 @@ mod tests {
         assert!(p.gemm_rate > 0.0 && p.syrk_rate > 0.0);
         assert!(p.trsm_rate > 0.0 && p.potrf_rate > 0.0);
         assert!(p.mem_bandwidth > 0.0);
-        assert!(p.threads >= 1);
         assert!(!p.isa.is_empty());
         // And the fitted profile round-trips bit-stably.
         let j = p.to_json();
@@ -616,7 +586,7 @@ mod tests {
         } else {
             "portable"
         };
-        let stale = KernelProfile {
+        let other_isa = KernelProfile {
             isa: elsewhere.into(),
             gemm_rate: 1.0,
             config: KernelConfig {
@@ -626,13 +596,25 @@ mod tests {
             },
             ..sample_profile()
         };
-        std::fs::write(&path, stale.to_json()).unwrap();
-        let p = KernelProfile::load_or_calibrate(&path, &TuneBudget::quick()).unwrap();
-        assert_eq!(p.isa, here);
-        assert!(p.gemm_rate > 1.0, "rates must be re-measured");
-        p.config.validate().unwrap();
-        let cached = KernelProfile::load(&path).unwrap();
-        assert_eq!(cached, p, "the stale cache must be overwritten");
+        // A cache of this machine under the previous schema magic (v1 files
+        // carry keys this version no longer has): re-measured whole, never
+        // read key by key with the unknown ones dropped.
+        let v1 = KernelProfile {
+            isa: here.into(),
+            gemm_rate: 1.0,
+            ..sample_profile()
+        }
+        .to_json()
+        .replace(SCHEMA, "sympack-kernel-profile-v1");
+        for stale in [other_isa.to_json(), v1] {
+            std::fs::write(&path, stale).unwrap();
+            let p = KernelProfile::load_or_calibrate(&path, &TuneBudget::quick()).unwrap();
+            assert_eq!(p.isa, here);
+            assert!(p.gemm_rate > 1.0, "rates must be re-measured");
+            p.config.validate().unwrap();
+            let cached = KernelProfile::load(&path).unwrap();
+            assert_eq!(cached, p, "the stale cache must be overwritten");
+        }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
