@@ -369,7 +369,7 @@ fn main() {
         let flop = flops::gemm(m, n, k);
         let bytes = 8 * (m * k + n * k + 2 * m * n) as u64;
         ctx.record("gemm_nt", "unpacked", m, n, k, flop, bytes, || {
-            gemm_nt_unpacked_raw(&cfg, &mut c, m, m, n, &a, m, &b, n, k)
+            gemm_nt_unpacked_raw(&mut c, m, m, n, &a, m, &b, n, k)
         });
         for (name, forced) in &isas {
             let variant = format!("packed@{name}");
@@ -542,7 +542,7 @@ fn main() {
         let flop = flops::gemm(n, n, n);
         let bytes = 8 * 4 * (n * n) as u64;
         let gu = ctx.record("gemm_nt", "xover-unpacked", n, n, n, flop, bytes, || {
-            gemm_nt_unpacked_raw(&cfg, &mut c, n, n, n, &a, n, &b, n, n)
+            gemm_nt_unpacked_raw(&mut c, n, n, n, &a, n, &b, n, n)
         });
         let gp = ctx.record("gemm_nt", "xover-packed", n, n, n, flop, bytes, || {
             gemm_nt_packed_raw(&cfg, &mut c, n, n, n, &a, n, &b, n, n)

@@ -64,10 +64,11 @@ pub struct SolverOptions {
     /// Run ranks in deterministic lockstep (round-robin turnstile) so a
     /// given seed reproduces the exact same schedule and virtual clocks.
     pub deterministic: bool,
-    /// Dense-kernel blocking, dispatch-threshold and ISA configuration,
-    /// threaded into every kernel call made by every rank (and into the
-    /// scheduler's per-task cost estimates). The default reproduces the
-    /// historical compile-time constants bit-for-bit; load a calibrated
+    /// Dense-kernel configuration — the packed core's cache blocking
+    /// (`mc`/`kc`/`nc`), its dispatch threshold (`pack_min_flops`) and the
+    /// ISA selection — threaded into every kernel call made by every rank
+    /// (and into the scheduler's per-task cost estimates). The default is
+    /// what every pinned fingerprint was captured under; load a calibrated
     /// config from `sympack-tune` to adapt blocking to the host machine.
     /// Checked by [`SolverOptions::validate`]: an invalid config is a
     /// [`SolverError::InvalidOptions`] from every solver entry point,

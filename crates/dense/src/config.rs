@@ -1,19 +1,21 @@
 //! Runtime kernel configuration.
 //!
-//! Every blocking parameter above the register microkernel is data: the
-//! BLIS cache blocking (`mc/kc/nc`), the panel blocking of the factorization
-//! kernels (`jb/sj/rs/pb/ib/sb/db`, `nb/kb` for the unpacked loop nests) and
-//! the packed-dispatch threshold (`pack_min_flops`) live
-//! in one [`KernelConfig`] value that callers construct once, validate, and
-//! thread explicitly through every dense entry point. The register tile is
-//! not in it: it is a property of the ISA the config resolves to
+//! What is data is what the tuner fits: the BLIS cache blocking of the
+//! packed core (`mc/kc/nc`) and the flop count at which packing starts to
+//! pay (`pack_min_flops`), plus the ISA selection. They live in one
+//! [`KernelConfig`] value that callers construct once, validate, and thread
+//! explicitly through every dense entry point. Everything else that blocks a
+//! loop is a constant beside the loop that reads it — [`crate::gemm::NB`] /
+//! [`KB`](crate::gemm::KB), [`crate::syrk::DB`], [`crate::trsm::JB`] /
+//! [`SJ`](crate::trsm::SJ) / [`RS`](crate::trsm::RS), [`crate::potrf::PB`] /
+//! [`IB`](crate::potrf::IB), [`crate::panel::SB`] — because nothing outside
+//! a test ever computed a second value for one. The register tile is not
+//! configuration either: it is a property of the ISA the config resolves to
 //! ([`Isa::tile`]), and [`KernelConfig::validate`] checks the cache blocks
 //! against that tile.
 //!
-//! [`KernelConfig::default`] reproduces the previously hardcoded constants
-//! exactly, so default-config results are bit-identical to the historical
-//! kernels; the deterministic test suites pin the default config. Calibrated
-//! configs come from the `sympack-tune` sweep (see `crates/tune`).
+//! [`KernelConfig::default`] is what the deterministic test suites pin.
+//! Calibrated configs come from the `sympack-tune` sweep (see `crates/tune`).
 
 use crate::microkernel::Isa;
 use std::fmt;
@@ -96,7 +98,8 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Runtime blocking and dispatch configuration for the dense kernels.
+/// Runtime cache blocking and packed-dispatch configuration for the dense
+/// kernels: the four numbers `sympack-tune` fits, and the ISA selection.
 ///
 /// Construct (or start from [`KernelConfig::default`]), adjust fields, then
 /// [`validate`](KernelConfig::validate) before handing the value to a kernel
@@ -113,26 +116,6 @@ pub struct KernelConfig {
     /// Column cache block bounding the packed B panel (`kc × nc`). Must be a
     /// multiple of the resolved tile's `nr`.
     pub nc: usize,
-    /// Column tile of the *unpacked* small-GEMM loop nest.
-    pub nb: usize,
-    /// Inner-product tile of the unpacked loop nest.
-    pub kb: usize,
-    /// SYRK diagonal-tile edge; must be a multiple of the resolved tile's
-    /// `mr` (the packed SYRK runs diagonal tiles as whole-strip ranges of the
-    /// shared A pack).
-    pub db: usize,
-    /// TRSM outer panel width (right-looking blocked solve).
-    pub jb: usize,
-    /// TRSM in-panel sub-block width.
-    pub sj: usize,
-    /// TRSM row-strip length of the scalar substitution sweep.
-    pub rs: usize,
-    /// POTRF outer panel width.
-    pub pb: usize,
-    /// POTRF inner (unblocked) tile width.
-    pub ib: usize,
-    /// Panel-solve (left TRSM) diagonal sub-block width.
-    pub sb: usize,
     /// Below this flop count a GEMM-shaped call runs the unpacked loop nest
     /// (packing would not amortize).
     pub pack_min_flops: u64,
@@ -142,22 +125,11 @@ pub struct KernelConfig {
 
 impl Default for KernelConfig {
     fn default() -> Self {
-        // These are the historical compile-time constants; the deterministic
-        // test suites pin them (default-config results are bit-identical to
-        // the pre-config kernels).
+        // The deterministic test suites pin these values.
         KernelConfig {
             mc: 128,
             kc: 256,
             nc: 512,
-            nb: 64,
-            kb: 128,
-            db: 48,
-            jb: 64,
-            sj: 16,
-            rs: 128,
-            pb: 48,
-            ib: 8,
-            sb: 64,
             pack_min_flops: 28 * 1024,
             isa: IsaSelect::Auto,
         }
@@ -168,38 +140,21 @@ impl KernelConfig {
     /// Check the blocking invariants the kernels rely on.
     ///
     /// # Errors
-    /// [`ConfigError::ZeroBlock`] for any zero parameter,
+    /// [`ConfigError::ZeroBlock`] for a zero cache block,
     /// [`ConfigError::IsaUnavailable`] when a forced ISA is missing on this
-    /// machine, and [`ConfigError::NotMultiple`] when `mc`/`db` is not a
+    /// machine, and [`ConfigError::NotMultiple`] when `mc` is not a
     /// multiple of `mr`, or `nc` of `nr`, of the resolved ISA's
     /// [`Isa::tile`] — so a blocking tuned under one ISA can be invalid
     /// under another.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for (field, v) in [
-            ("mc", self.mc),
-            ("kc", self.kc),
-            ("nc", self.nc),
-            ("nb", self.nb),
-            ("kb", self.kb),
-            ("db", self.db),
-            ("jb", self.jb),
-            ("sj", self.sj),
-            ("rs", self.rs),
-            ("pb", self.pb),
-            ("ib", self.ib),
-            ("sb", self.sb),
-        ] {
+        for (field, v) in [("mc", self.mc), ("kc", self.kc), ("nc", self.nc)] {
             if v == 0 {
                 return Err(ConfigError::ZeroBlock { field });
             }
         }
         let isa = self.resolve_isa()?;
         let (mr, nr) = isa.tile();
-        for (field, value, of) in [
-            ("mc", self.mc, mr),
-            ("nc", self.nc, nr),
-            ("db", self.db, mr),
-        ] {
+        for (field, value, of) in [("mc", self.mc, mr), ("nc", self.nc, nr)] {
             if !value.is_multiple_of(of) {
                 return Err(ConfigError::NotMultiple {
                     field,
@@ -241,23 +196,14 @@ impl KernelConfig {
         self.resolve_isa().expect("validated config")
     }
 
-    /// `(name, value)` pairs of every blocking/threshold field, in a fixed
-    /// order — the serialization and table-printing order of the tuning
-    /// profile.
-    pub fn fields(&self) -> [(&'static str, u64); 13] {
+    /// `(name, value)` pairs of the cache blocks and the dispatch threshold,
+    /// in a fixed order — the serialization and table-printing order of the
+    /// tuning profile.
+    pub fn fields(&self) -> [(&'static str, u64); 4] {
         [
             ("mc", self.mc as u64),
             ("kc", self.kc as u64),
             ("nc", self.nc as u64),
-            ("nb", self.nb as u64),
-            ("kb", self.kb as u64),
-            ("db", self.db as u64),
-            ("jb", self.jb as u64),
-            ("sj", self.sj as u64),
-            ("rs", self.rs as u64),
-            ("pb", self.pb as u64),
-            ("ib", self.ib as u64),
-            ("sb", self.sb as u64),
             ("pack_min_flops", self.pack_min_flops),
         ]
     }
@@ -274,15 +220,6 @@ impl KernelConfig {
             "mc" => self.mc = v,
             "kc" => self.kc = v,
             "nc" => self.nc = v,
-            "nb" => self.nb = v,
-            "kb" => self.kb = v,
-            "db" => self.db = v,
-            "jb" => self.jb = v,
-            "sj" => self.sj = v,
-            "rs" => self.rs = v,
-            "pb" => self.pb = v,
-            "ib" => self.ib = v,
-            "sb" => self.sb = v,
             "pack_min_flops" => self.pack_min_flops = value,
             other => return Err(format!("unknown kernel config field `{other}`")),
         }
@@ -296,20 +233,21 @@ pub(crate) mod tests {
 
     #[test]
     fn default_is_valid_and_matches_historical_constants() {
+        use crate::{gemm, panel, potrf, syrk, trsm};
         let c = KernelConfig::default();
         c.validate().unwrap();
         assert_eq!((c.mc, c.kc, c.nc), (128, 256, 512));
-        assert_eq!((c.nb, c.kb, c.db), (64, 128, 48));
-        assert_eq!((c.jb, c.sj, c.rs), (64, 16, 128));
-        assert_eq!((c.pb, c.ib, c.sb), (48, 8, 64));
         assert_eq!(c.pack_min_flops, 28 * 1024);
+        // The blocking constants carry the defaults of the fields they
+        // replaced, which the pinned fingerprints were captured under.
+        assert_eq!((gemm::NB, gemm::KB, syrk::DB), (64, 128, 48));
+        assert_eq!((trsm::JB, trsm::SJ, trsm::RS), (64, 16, 128));
+        assert_eq!((potrf::PB, potrf::IB, panel::SB), (48, 8, 64));
     }
 
     #[test]
     fn zero_blocks_are_rejected_with_typed_error() {
-        for field in [
-            "mc", "kc", "nc", "nb", "kb", "db", "jb", "sj", "rs", "pb", "ib", "sb",
-        ] {
+        for field in ["mc", "kc", "nc"] {
             let mut c = KernelConfig::default();
             c.set_field(field, 0).unwrap();
             match c.validate() {
@@ -337,12 +275,35 @@ pub(crate) mod tests {
         out
     }
 
+    /// Sizes on both sides of a blocking constant and past its second block:
+    /// what the kernels' unit tests cross each constant with.
+    pub(crate) fn edges(c: usize) -> [usize; 4] {
+        [c - 1, c, c + 1, 2 * c + 3]
+    }
+
+    /// A valid non-default config for this machine's widest ISA: cache blocks
+    /// a few register tiles wide and the packed core forced on, so modest
+    /// shapes cross every `mc`/`kc`/`nc` edge. Shared by the kernels' unit
+    /// tests.
+    pub(crate) fn tiny_blocks() -> KernelConfig {
+        let (mr, nr) = crate::microkernel::isa().tile();
+        let cfg = KernelConfig {
+            mc: 2 * mr,
+            kc: 16,
+            nc: 3 * nr,
+            pack_min_flops: 0,
+            ..Default::default()
+        };
+        cfg.validate().unwrap();
+        cfg
+    }
+
     #[test]
     fn misaligned_cache_blocks_are_rejected() {
         for (base, resolved) in forced_isas() {
             let isa = base.isa;
             let (mr, nr) = resolved.tile();
-            for (field, bad) in [("mc", mr + 1), ("nc", nr + 1), ("db", mr + 2)] {
+            for (field, bad) in [("mc", mr + 1), ("nc", nr + 1)] {
                 let mut c = base.clone();
                 c.set_field(field, bad as u64).unwrap();
                 match c.validate() {
@@ -367,11 +328,11 @@ pub(crate) mod tests {
         for (c, resolved) in forced_isas() {
             let isa = c.isa;
             c.validate().unwrap();
-            // A blocking tuned under the 8×4 tiles (mc = 72, db = 24) is a
+            // A blocking tuned under the 8×4 tiles (mc = 72, nc = 36) is a
             // typed error under a wider tile, never a panic in a kernel.
             let c = KernelConfig {
                 mc: 72,
-                db: 24,
+                nc: 36,
                 isa,
                 ..Default::default()
             };

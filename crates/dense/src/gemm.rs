@@ -10,13 +10,22 @@
 //! ([`crate::microkernel`]); tiny problems — where packing cannot amortize —
 //! keep the direct two-column loop nest, preserved in
 //! [`gemm_nt_unpacked_raw`] (also the measured "pre-PR" baseline of the
-//! `kernel_roofline` benchmark). The dispatch point and every tile size come
-//! from the caller's [`KernelConfig`] (`pack_min_flops`, `nb`, `kb`).
+//! `kernel_roofline` benchmark). The dispatch point comes from the caller's
+//! [`KernelConfig`] (`pack_min_flops`); the unpacked nest's tiles are the
+//! constants [`NB`] and [`KB`].
 
 use crate::config::KernelConfig;
 use crate::mat::Mat;
 use crate::microkernel::{gemm_packed, Dest};
 use crate::pack::Operand;
+
+/// Column tile of the unpacked loop nest: with [`KB`], sized so a tile's
+/// `B` entries (`NB × KB` doubles, 64 KiB) stay cache-resident while the `A`
+/// columns stream past. The nest only runs below `pack_min_flops`, where
+/// every dimension is far under one tile, so the value is not worth tuning.
+pub const NB: usize = 64;
+/// Inner-product tile of the unpacked loop nest; see [`NB`].
+pub const KB: usize = 128;
 
 /// Compute `C ← C − A · Bᵀ` on raw column-major buffers under `cfg`.
 ///
@@ -49,7 +58,7 @@ pub fn gemm_nt_raw(
         return;
     }
     if crate::flops::gemm(m, n, k) < cfg.pack_min_flops {
-        gemm_nt_unpacked_raw(cfg, c, ldc, m, n, a, lda, b, ldb, k);
+        gemm_nt_unpacked_raw(c, ldc, m, n, a, lda, b, ldb, k);
         return;
     }
     gemm_nt_packed_raw(cfg, c, ldc, m, n, a, lda, b, ldb, k);
@@ -88,14 +97,13 @@ pub fn gemm_nt_packed_raw(
 }
 
 /// The pre-packing two-column loop nest: `C ← C − A · Bᵀ` reading operands
-/// in place through their leading dimensions, tiled by `cfg.nb`/`cfg.kb`.
+/// in place through their leading dimensions, tiled by [`NB`]/[`KB`].
 ///
 /// Kept (a) as the small-problem fast path — no packing traffic, which wins
-/// below `cfg.pack_min_flops` — and (b) as the measured baseline the
+/// below `pack_min_flops` — and (b) as the measured baseline the
 /// `kernel_roofline` benchmark compares the packed engine against.
 #[allow(clippy::too_many_arguments)] // BLAS-style raw interface: (buffer, ld) per operand
 pub fn gemm_nt_unpacked_raw(
-    cfg: &KernelConfig,
     c: &mut [f64],
     ldc: usize,
     m: usize,
@@ -110,7 +118,6 @@ pub fn gemm_nt_unpacked_raw(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let (nb, kb) = (cfg.nb, cfg.kb);
     // Loop order: jj (n tiles) -> kk (k strips) -> 2-column register
     // microkernel over j -> p -> i. Updating two C columns per k-strip pass
     // reuses every loaded A column twice, which roughly doubles arithmetic
@@ -124,10 +131,10 @@ pub fn gemm_nt_unpacked_raw(
     // guarded variant no faster on dense operands (within noise at n = 256),
     // so both paths now uniformly skip the test — which also keeps the
     // remainder column's rounding behavior identical to the main path's.
-    for jj in (0..n).step_by(nb) {
-        let jend = (jj + nb).min(n);
-        for kk in (0..k).step_by(kb) {
-            let kend = (kk + kb).min(k);
+    for jj in (0..n).step_by(NB) {
+        let jend = (jj + NB).min(n);
+        for kk in (0..k).step_by(KB) {
+            let kend = (kk + KB).min(k);
             let mut j = jj;
             while j + 1 < jend {
                 // Two destination columns, split without overlap.
@@ -223,6 +230,7 @@ pub fn gemm_nt(c: &mut Mat, a: &Mat, b: &Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::edges;
     use crate::naive::gemm_ref;
 
     fn check(m: usize, n: usize, k: usize) {
@@ -259,14 +267,15 @@ mod tests {
 
     #[test]
     fn unpacked_baseline_matches_reference() {
-        let cfg = KernelConfig::default();
-        for &(m, n, k) in &[(5, 3, 4), (65, 64, 129), (100, 70, 130)] {
+        // n straddles NB and k straddles KB: every tile edge of the nest.
+        let mut shapes = vec![(5, 3, 4), (65, 64, 129), (100, 70, 130)];
+        shapes.extend(edges(NB).iter().zip(edges(KB)).map(|(&n, k)| (9, n, k)));
+        for (m, n, k) in shapes {
             let a = Mat::from_fn(m, k, |r, c| ((r * 13 + c * 7) % 9) as f64 - 4.0);
             let b = Mat::from_fn(n, k, |r, c| ((r * 5 + c * 11) % 13) as f64 * 0.5 - 3.0);
             let mut c1 = Mat::from_fn(m, n, |r, c| (r + c) as f64);
             let mut c2 = c1.clone();
             gemm_nt_unpacked_raw(
-                &cfg,
                 c1.as_mut_slice(),
                 m,
                 m,

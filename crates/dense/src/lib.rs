@@ -31,14 +31,17 @@
 //! of parallelism is the PGAS rank, and a second core is used by running a
 //! second rank.
 //!
-//! Every blocking parameter, dispatch threshold, and the ISA selection live
-//! in one validated [`KernelConfig`] value. Each kernel exists in two forms:
-//! a `*_cfg` entry point taking `&KernelConfig` explicitly, and the
-//! historical name which runs under [`KernelConfig::default()`] — whose
-//! field values equal the constants the kernels previously compiled in, so
-//! default-config results are bit-identical to earlier releases. The
-//! register-tile shape is not configuration: it belongs to the ISA the
-//! config resolves to ([`microkernel::Isa::tile`]).
+//! What a caller can set is one validated [`KernelConfig`] value: the cache
+//! blocking of the packed core (`mc`, `kc`, `nc`), the flop count at which
+//! packing starts (`pack_min_flops`) — the four numbers `sympack-tune` fits —
+//! and the ISA selection. Each kernel exists in two forms: a `*_cfg` entry
+//! point taking `&KernelConfig` explicitly, and the plain name, which runs
+//! under [`KernelConfig::default()`], the config every pinned fingerprint was
+//! captured under. Everything else that blocks a loop is a constant beside
+//! that loop ([`gemm::NB`], [`gemm::KB`], [`syrk::DB`], [`trsm::JB`],
+//! [`trsm::SJ`], [`trsm::RS`], [`potrf::PB`], [`potrf::IB`], [`panel::SB`]),
+//! and the register-tile shape belongs to the ISA the config resolves to
+//! ([`microkernel::Isa::tile`]).
 
 pub mod config;
 pub mod error;

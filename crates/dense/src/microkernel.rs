@@ -83,10 +83,10 @@ impl Isa {
     /// broadcast — 16 accumulators of the 32 `zmm`, 8 of the 16 `ymm`.
     /// AVX-512's 16×8 is the fastest tile of the `kernel_roofline` tile scan
     /// (8×8 41, 16×8 69, 24×8 74, 32×4 53 Gflop/s for the k-loop alone; see
-    /// `results/kernel_roofline.txt`) that keeps the default `mc`/`nc`/`db`
-    /// = 128/512/48 whole tiles: 24 does not divide 128, 32 does not divide
-    /// 48.
-    pub fn tile(self) -> (usize, usize) {
+    /// `results/kernel_roofline.txt`) that keeps the default `mc`/`nc` =
+    /// 128/512 and SYRK's tile edge [`crate::syrk::DB`] = 48 whole tiles: 24
+    /// does not divide 128, 32 does not divide 48.
+    pub const fn tile(self) -> (usize, usize) {
         match self {
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => (16, 8),

@@ -17,16 +17,21 @@
 //! arithmetic of the scalar `forward_subst`/`backward_subst` routines, column
 //! sweep for column sweep, so the single-vector solve path is unchanged.
 //!
-//! The solve-block width for the blocked left TRSMs comes from the caller's
-//! [`KernelConfig::sb`]: problems with `n <= cfg.sb` run the original
-//! unblocked substitution sweep unchanged — the `nrhs = 1` case must stay
-//! arithmetically identical to the scalar `forward_subst`/`backward_subst`
-//! routines, and small panels gain nothing from blocking.
+//! The blocked left TRSMs solve [`SB`]-column diagonal blocks; their
+//! off-diagonal updates run under the caller's [`KernelConfig`].
 
 use crate::config::KernelConfig;
 use crate::mat::Mat;
 use crate::microkernel::{gemm_packed, Dest};
 use crate::pack::Operand;
+
+/// Solve-block width of the blocked left TRSMs. Problems with `n <= SB` run
+/// the original unblocked substitution sweep unchanged — the `nrhs = 1` case
+/// must stay arithmetically identical to the scalar
+/// `forward_subst`/`backward_subst` routines, and small panels gain nothing
+/// from blocking. Above it, 64 gives the rank-`SB` updates an inner dimension
+/// the packed core runs well at (the same width as [`crate::trsm::JB`]).
+pub const SB: usize = 64;
 
 /// Unblocked forward substitution sweep over rows `0..n` (the pre-blocking
 /// kernel, kept verbatim as the within-panel solve).
@@ -80,9 +85,9 @@ fn trsm_left_trans_unblocked(
 /// * `l`: `n × n` lower-triangular, leading dimension `ldl`
 /// * `b`: `n × nrhs`, leading dimension `ldb`; overwritten with `Y`
 ///
-/// The strict upper triangle of `l` is never read. For `n > cfg.sb` the
-/// solve is blocked: an unblocked sweep on each `sb`-column diagonal block
-/// followed by a rank-`sb` GEMM update of the rows below, so the bulk of the
+/// The strict upper triangle of `l` is never read. For `n > SB` the
+/// solve is blocked: an unblocked sweep on each [`SB`]-column diagonal block
+/// followed by a rank-`SB` GEMM update of the rows below, so the bulk of the
 /// flops run through the packed register-blocked core.
 pub fn trsm_left_lower_notrans_raw(
     cfg: &KernelConfig,
@@ -96,19 +101,18 @@ pub fn trsm_left_lower_notrans_raw(
     if n == 0 || nrhs == 0 {
         return;
     }
-    let sb = cfg.sb;
-    if n <= sb {
+    if n <= SB {
         trsm_left_notrans_unblocked(b, ldb, n, nrhs, l, ldl);
         return;
     }
     // Scratch copy of the solved diagonal-block rows: each column of `b`
     // interleaves solved (read) and trailing (written) rows, so the GEMM
     // operands cannot be split borrows of `b` itself. The copy is
-    // O(sb · nrhs) per block — sb× below the update's flop count.
+    // O(SB · nrhs) per block — SB× below the update's flop count.
     let mut ysolved: Vec<f64> = Vec::new();
     let mut c0 = 0;
     while c0 < n {
-        let cb = sb.min(n - c0);
+        let cb = SB.min(n - c0);
         // Solve the cb × cb diagonal block in place on rows c0..c0+cb.
         {
             let lblock = &l[c0 * ldl + c0..];
@@ -143,7 +147,7 @@ pub fn trsm_left_lower_notrans_raw(
 /// Solve `Lᵀ · X = B` in place on raw column-major buffers under `cfg`.
 ///
 /// Same shapes as [`trsm_left_lower_notrans_raw`]; `b` is overwritten with
-/// `X`. The strict upper triangle of `l` is never read. For `n > cfg.sb` the
+/// `X`. The strict upper triangle of `l` is never read. For `n > SB` the
 /// solve is blocked bottom-up: each diagonal block first absorbs the
 /// contribution of the already-solved rows below it through a packed
 /// `Aᵀ·B` GEMM, then runs the unblocked sweep.
@@ -159,18 +163,17 @@ pub fn trsm_left_lower_trans_raw(
     if n == 0 || nrhs == 0 {
         return;
     }
-    let sb = cfg.sb;
-    if n <= sb {
+    if n <= SB {
         trsm_left_trans_unblocked(b, ldb, n, nrhs, l, ldl);
         return;
     }
     // Scratch copy of the already-solved rows below the current block (same
     // borrow-splitting constraint as the notrans case).
     let mut xsolved: Vec<f64> = Vec::new();
-    let nblocks = n.div_ceil(sb);
+    let nblocks = n.div_ceil(SB);
     for blk in (0..nblocks).rev() {
-        let c0 = blk * sb;
-        let cb = sb.min(n - c0);
+        let c0 = blk * SB;
+        let cb = SB.min(n - c0);
         let rows_below = n - c0 - cb;
         if rows_below > 0 {
             xsolved.resize(rows_below * nrhs, 0.0);
@@ -450,6 +453,7 @@ pub fn gemm_tn_acc(c: &mut Mat, a: &Mat, b: &Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::{edges, tiny_blocks};
     use crate::naive::potrf_ref;
 
     fn spd_factor(n: usize) -> Mat {
@@ -558,66 +562,46 @@ mod tests {
         }
     }
 
+    /// Both blocked left solves under `cfg` against the unblocked sweeps.
+    fn blocked_matches_unblocked(cfg: &KernelConfig, n: usize, nrhs: usize) {
+        let l = spd_factor(n);
+        let b0 = panel(n, nrhs);
+        let (ldb, ldl) = (b0.ld(), l.ld());
+        let mut blocked = b0.clone();
+        trsm_left_lower_notrans_cfg(cfg, &mut blocked, &l);
+        let mut sweep = b0.clone();
+        trsm_left_notrans_unblocked(sweep.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
+        assert!(
+            blocked.max_abs_diff(&sweep) < 1e-8,
+            "notrans n={n} nrhs={nrhs}"
+        );
+        let mut blocked = b0.clone();
+        trsm_left_lower_trans_cfg(cfg, &mut blocked, &l);
+        let mut sweep = b0.clone();
+        trsm_left_trans_unblocked(sweep.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
+        assert!(
+            blocked.max_abs_diff(&sweep) < 1e-8,
+            "trans n={n} nrhs={nrhs}"
+        );
+    }
+
     #[test]
     fn blocked_solves_match_unblocked_across_sb_boundary() {
-        // n spans the default sb = 64 solve-block boundary; the blocked path
-        // must agree with the unblocked sweep to rounding.
-        for &(n, nrhs) in &[(63, 5), (64, 5), (65, 5), (130, 3), (200, 8), (200, 1)] {
-            let l = spd_factor(n);
-            let b0 = panel(n, nrhs);
-            let mut blocked = b0.clone();
-            trsm_left_lower_notrans(&mut blocked, &l);
-            let mut sweep = b0.clone();
-            {
-                let (ldb, ldl) = (sweep.ld(), l.ld());
-                trsm_left_notrans_unblocked(sweep.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
-            }
-            assert!(
-                blocked.max_abs_diff(&sweep) < 1e-8,
-                "notrans n={n} nrhs={nrhs}"
-            );
-            let mut blocked = b0.clone();
-            trsm_left_lower_trans(&mut blocked, &l);
-            let mut sweep = b0.clone();
-            {
-                let (ldb, ldl) = (sweep.ld(), l.ld());
-                trsm_left_trans_unblocked(sweep.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
-            }
-            assert!(
-                blocked.max_abs_diff(&sweep) < 1e-8,
-                "trans n={n} nrhs={nrhs}"
-            );
+        // n straddles the solve-block width; the blocked path must agree
+        // with the unblocked sweep to rounding.
+        let shapes = edges(SB).map(|n| (n, 5)).into_iter();
+        for (n, nrhs) in shapes.chain([(200, 8), (200, 1)]) {
+            blocked_matches_unblocked(&KernelConfig::default(), n, nrhs);
         }
     }
 
     #[test]
     fn non_default_solve_block_matches_unblocked() {
-        // A small sb forces the blocked path onto many more block steps; it
-        // must still agree with the plain sweep to rounding.
-        let cfg = KernelConfig {
-            sb: 24,
-            ..Default::default()
-        };
-        cfg.validate().unwrap();
-        for &(n, nrhs) in &[(65, 5), (130, 3)] {
-            let l = spd_factor(n);
-            let b0 = panel(n, nrhs);
-            let mut blocked = b0.clone();
-            trsm_left_lower_notrans_cfg(&cfg, &mut blocked, &l);
-            let mut sweep = b0.clone();
-            {
-                let (ldb, ldl) = (sweep.ld(), l.ld());
-                trsm_left_notrans_unblocked(sweep.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
-            }
-            assert!(blocked.max_abs_diff(&sweep) < 1e-8, "notrans n={n}");
-            let mut blocked = b0.clone();
-            trsm_left_lower_trans_cfg(&cfg, &mut blocked, &l);
-            let mut sweep = b0.clone();
-            {
-                let (ldb, ldl) = (sweep.ld(), l.ld());
-                trsm_left_trans_unblocked(sweep.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
-            }
-            assert!(blocked.max_abs_diff(&sweep) < 1e-8, "trans n={n}");
+        // The same edges with every off-diagonal update on the packed core
+        // under cache blocks a few register tiles wide.
+        let cfg = tiny_blocks();
+        for (n, nrhs) in [(SB + 1, 5), (2 * SB + 3, 3)] {
+            blocked_matches_unblocked(&cfg, n, nrhs);
         }
     }
 

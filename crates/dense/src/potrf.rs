@@ -4,15 +4,23 @@
 //! supernode `i` is factored in place into its lower Cholesky factor. The
 //! blocked algorithm is the classical right-looking panel scheme — factor a
 //! diagonal panel, TRSM the sub-panel, SYRK the trailing submatrix — so that
-//! almost all flops run through the level-3 kernels in this crate. The outer
-//! panel width `pb` and the inner diagonal-tile width `ib` come from the
-//! caller's [`KernelConfig`].
+//! almost all flops run through the level-3 kernels in this crate, under
+//! the caller's [`KernelConfig`]. The outer panel width and the inner
+//! diagonal-tile step are the constants [`PB`] and [`IB`].
 
 use crate::config::KernelConfig;
 use crate::error::DenseError;
 use crate::mat::Mat;
 use crate::syrk::syrk_lower_raw;
 use crate::trsm::trsm_right_lower_trans_raw;
+
+/// Outer panel width: the strip TRSM and the trailing SYRK run with inner
+/// dimension `PB` — wide enough for the packed core — while the diagonal
+/// tile, which cannot use it, stays `PB²/n²` of the flops.
+pub const PB: usize = 48;
+/// Column step inside a diagonal tile: only an `IB × IB` corner is factored
+/// by the scalar loop, everything else in the tile goes through TRSM/SYRK.
+pub const IB: usize = 8;
 
 /// Unblocked in-place lower Cholesky of the leading `n × n` of `a`
 /// (leading dimension `lda`). Only the lower triangle is read and written.
@@ -42,13 +50,13 @@ fn potrf_unblocked(a: &mut [f64], lda: usize, n: usize, col0: usize) -> Result<(
     Ok(())
 }
 
-/// Right-looking factorization of one `n × n` diagonal tile (`n ≤ cfg.pb`)
-/// in `cfg.ib`-column steps: scalar-factor the ib×ib corner, TRSM the rows
+/// Right-looking factorization of one `n × n` diagonal tile (`n ≤ PB`)
+/// in [`IB`]-column steps: scalar-factor the ib×ib corner, TRSM the rows
 /// below it, SYRK the trailing part of the tile. `a` points at the tile's
 /// diagonal element; `tile` is caller-owned scratch (the corner interleaves
 /// with the strip it solves in the same columns, so it is copied out to keep
 /// the borrows disjoint). Without this second level the scalar tile factor
-/// is ~pb²/n² of the flops but runs an order of magnitude below the packed
+/// is ~PB²/n² of the flops but runs an order of magnitude below the packed
 /// rate, which made it ~a quarter of the total wall time.
 fn potrf_tile(
     cfg: &KernelConfig,
@@ -60,7 +68,7 @@ fn potrf_tile(
 ) -> Result<(), DenseError> {
     let mut j = 0;
     while j < n {
-        let ib = cfg.ib.min(n - j);
+        let ib = IB.min(n - j);
         potrf_unblocked(&mut a[j * lda + j..], lda, ib, col0 + j)?;
         let m = n - j - ib;
         if m > 0 {
@@ -108,7 +116,7 @@ pub fn potrf_raw(
     let mut tile: Vec<f64> = Vec::new();
     let mut j = 0;
     while j < n {
-        let jb = cfg.pb.min(n - j);
+        let jb = PB.min(n - j);
         // Factor panel A[j.., j..j+jb]: first the jb x jb diagonal tile
         // (itself ib-blocked; the scratch vec is free for reuse below).
         {
@@ -178,12 +186,13 @@ pub fn potrf(a: &mut Mat) -> Result<(), DenseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::{edges, tiny_blocks};
     use crate::naive::potrf_ref;
 
-    fn check(n: usize) {
+    fn check_cfg(cfg: &KernelConfig, n: usize) {
         let a0 = Mat::spd_from(n, |r, c| ((r * 17 + c * 9) % 23) as f64 * 0.25 - 2.5);
         let mut a = a0.clone();
-        potrf(&mut a).unwrap();
+        potrf_cfg(cfg, &mut a).unwrap();
         a.zero_upper();
         let expect = potrf_ref(&a0).unwrap();
         assert!(
@@ -195,6 +204,10 @@ mod tests {
         assert!(recon.max_abs_diff(&a0) < 1e-7, "n={n} reconstruction");
     }
 
+    fn check(n: usize) {
+        check_cfg(&KernelConfig::default(), n);
+    }
+
     #[test]
     fn matches_reference_small() {
         for n in [1, 2, 3, 5, 8, 13] {
@@ -204,7 +217,8 @@ mod tests {
 
     #[test]
     fn matches_reference_across_panel_boundaries() {
-        for n in [47, 48, 49, 96, 97, 150] {
+        // n straddles the in-tile step and the panel width.
+        for n in edges(IB).into_iter().chain(edges(PB)).chain([96, 150]) {
             check(n);
         }
     }
@@ -249,19 +263,11 @@ mod tests {
 
     #[test]
     fn non_default_panels_match_reference() {
-        let cfg = KernelConfig {
-            pb: 16,
-            ib: 4,
-            ..Default::default()
-        };
-        cfg.validate().unwrap();
-        for n in [49, 97] {
-            let a0 = Mat::spd_from(n, |r, c| ((r * 17 + c * 9) % 23) as f64 * 0.25 - 2.5);
-            let mut a = a0.clone();
-            potrf_cfg(&cfg, &mut a).unwrap();
-            a.zero_upper();
-            let expect = potrf_ref(&a0).unwrap();
-            assert!(a.max_abs_diff(&expect) < 1e-8, "n={n}");
+        // The same edges with every TRSM/SYRK update on the packed core
+        // under cache blocks a few register tiles wide.
+        let cfg = tiny_blocks();
+        for n in [IB + 1, PB - 1, PB + 1, 2 * PB + 3] {
+            check_cfg(&cfg, n);
         }
     }
 }

@@ -3,17 +3,32 @@
 //! Used by *Update* tasks `U(i,j,i)` whose target block sits on the diagonal
 //! of the matrix: the update of a diagonal block by a factored panel is
 //! symmetric, so only the lower triangle is computed — this halves the work
-//! relative to GEMM, exactly as BLAS `SYRK` does. The diagonal-tile width
-//! `db` and the packed-dispatch threshold come from the caller's
-//! [`KernelConfig`]; `db` must be a multiple of the resolved ISA's strip
-//! height `mr` so tile boundaries land on packed-strip boundaries (a
-//! validated config invariant).
+//! relative to GEMM, exactly as BLAS `SYRK` does. The packed-dispatch
+//! threshold comes from the caller's [`KernelConfig`]; the diagonal-tile
+//! edge is the constant [`DB`].
 
 use crate::config::KernelConfig;
 use crate::gemm::gemm_nt_raw;
 use crate::mat::Mat;
-use crate::microkernel::{gemm_packed_shared_a_rows, Dest};
+use crate::microkernel::{gemm_packed_shared_a_rows, Dest, Isa};
 use crate::pack::{self, ApackFull, Operand};
+
+/// Diagonal-tile edge. A diagonal tile runs on the packed core into a
+/// `DB × DB` scratch (18 KiB, L1-resident) whose lower half is folded into
+/// `C`: the work discarded above the diagonal grows with `DB`, the number of
+/// passes over the packed `B` strips with `n / DB`. 48 is three strips of the
+/// widest register tile.
+pub const DB: usize = 48;
+
+// Tiles run as whole-strip ranges of the shared `A` pack, so tile boundaries
+// must land on packed-strip boundaries under every ISA.
+const _: () = {
+    let mut i = 0;
+    while i < Isa::ALL.len() {
+        assert!(DB.is_multiple_of(Isa::ALL[i].tile().0));
+        i += 1;
+    }
+};
 
 /// Compute `C ← C − A·Aᵀ` updating only the lower triangle, on raw
 /// column-major buffers under `cfg`. `c` is `n × n` (leading dimension
@@ -34,11 +49,10 @@ pub fn syrk_lower_raw(
         syrk_lower_packed(cfg, c, ldc, n, a, lda, k);
         return;
     }
-    let db = cfg.db;
-    // Small problem: tile the diagonal; each diagonal db×db tile gets a
+    // Small problem: tile the diagonal; each diagonal DB×DB tile gets a
     // triangular update and the panel below it a plain GEMM.
-    for jj in (0..n).step_by(db) {
-        let jend = (jj + db).min(n);
+    for jj in (0..n).step_by(DB) {
+        let jend = (jj + DB).min(n);
         let jb = jend - jj;
         for j in jj..jend {
             for p in 0..k {
@@ -78,7 +92,7 @@ pub fn syrk_lower_raw(
 /// **once** ([`ApackFull`]), then every diagonal tile and every sub-diagonal
 /// block runs against strip subranges of that shared pack — the per-tile
 /// GEMM calls of the naive tiling would otherwise re-pack the same `A` rows
-/// `n/db` times over. The pack, the `B` strips and the diagonal-tile
+/// `n/DB` times over. The pack, the `B` strips and the diagonal-tile
 /// accumulator all live in the thread-local scratch, so a factorization's
 /// thousands of SYRK calls stop allocating after warm-up.
 ///
@@ -96,11 +110,10 @@ fn syrk_lower_packed(
     lda: usize,
     k: usize,
 ) {
-    let db = cfg.db;
     pack::with_buffers(|pa, pb, tile| {
         let apack = ApackFull::pack(cfg, pa, Operand::Xk(a, lda), n, k);
-        for jj in (0..n).step_by(db) {
-            let jend = (jj + db).min(n);
+        for jj in (0..n).step_by(DB) {
+            let jend = (jj + DB).min(n);
             let jb = jend - jj;
             // The B operand of both products: rows jj..jend of A, transposed.
             let b = Operand::Xk(&a[jj..], lda);
@@ -160,13 +173,14 @@ pub fn syrk_lower(c: &mut Mat, a: &Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::{edges, tiny_blocks};
     use crate::naive::syrk_ref;
 
-    fn check(n: usize, k: usize) {
+    fn check_cfg(cfg: &KernelConfig, n: usize, k: usize) {
         let a = Mat::from_fn(n, k, |r, c| ((r * 11 + c * 3) % 7) as f64 - 3.0);
         let mut c1 = Mat::from_fn(n, n, |r, c| (r * n + c) as f64 * 0.125);
         let mut c2 = c1.clone();
-        syrk_lower(&mut c1, &a);
+        syrk_lower_cfg(cfg, &mut c1, &a);
         syrk_ref(&mut c2, &a);
         for j in 0..n {
             for i in j..n {
@@ -178,6 +192,10 @@ mod tests {
         }
     }
 
+    fn check(n: usize, k: usize) {
+        check_cfg(&KernelConfig::default(), n, k);
+    }
+
     #[test]
     fn matches_reference_small() {
         for &(n, k) in &[(1, 1), (2, 3), (5, 4), (8, 8)] {
@@ -187,9 +205,14 @@ mod tests {
 
     #[test]
     fn matches_reference_across_tile_boundaries() {
-        for &(n, k) in &[(47, 10), (48, 10), (49, 10), (97, 33), (130, 5)] {
-            check(n, k);
+        // n straddles DB on the unpacked (k = 3) and the packed (k = 40)
+        // side of the dispatch threshold.
+        for n in edges(DB) {
+            for k in [3, 40] {
+                check(n, k);
+            }
         }
+        check(130, 5);
     }
 
     #[test]
@@ -214,23 +237,11 @@ mod tests {
 
     #[test]
     fn non_default_tile_matches_reference() {
-        let cfg = KernelConfig {
-            db: 2 * KernelConfig::default().resolve_isa().unwrap().tile().0,
-            kc: 64,
-            ..Default::default()
-        };
-        cfg.validate().unwrap();
-        for &(n, k) in &[(49, 20), (97, 33)] {
-            let a = Mat::from_fn(n, k, |r, c| ((r * 11 + c * 3) % 7) as f64 - 3.0);
-            let mut c1 = Mat::from_fn(n, n, |r, c| (r * n + c) as f64 * 0.125);
-            let mut c2 = c1.clone();
-            syrk_lower_cfg(&cfg, &mut c1, &a);
-            syrk_ref(&mut c2, &a);
-            for j in 0..n {
-                for i in j..n {
-                    assert!((c1[(i, j)] - c2[(i, j)]).abs() < 1e-10);
-                }
-            }
+        // The same DB edges with every call on the packed core under cache
+        // blocks a few register tiles wide.
+        let cfg = tiny_blocks();
+        for n in edges(DB) {
+            check_cfg(&cfg, n, 20);
         }
     }
 }

@@ -6,28 +6,32 @@
 //! block `B(i,j)` of the supernode is turned into a factor block by solving
 //! `L(i,j) · L(j,j)ᵀ = B(i,j)` in place.
 //!
-//! Panel blocking comes from the caller's [`KernelConfig`]:
-//!
-//! * `jb` — outer column-panel width. Wide, so the trailing update — the
-//!   GEMM that dominates the flops — runs with inner dimension `jb` and
-//!   streams the trailing columns of `B` only `n/jb` times. Narrowing it
-//!   makes the scalar in-panel share smaller but multiplies those
-//!   memory-bound passes over `C`; 64 measured best on the `kernel_roofline`
-//!   sweep (see `results/kernel_roofline.txt`).
-//! * `sj` — inner sub-block width within a panel. The scalar triangular
-//!   sweep is confined to `sj` columns at a time; the rest of the in-panel
-//!   work runs on the GEMM path, so the truly-scalar flop share is O(sj/n).
-//! * `rs` — row-strip height for the scalar triangular sweep. Row strips of
-//!   the solve are independent (row `i` of column `j` depends only on row
-//!   `i` of earlier columns), so the sweep runs strip-by-strip: an rs×sj
-//!   strip of `B` stays L1-resident across the whole k-loop instead of
-//!   streaming every full column from L2 per AXPY. Each element still sees
-//!   the identical k-ascending update sequence, so results are bit-identical
-//!   to the unstripped sweep.
+//! The solve is two-level blocked by the constants [`JB`], [`SJ`] and [`RS`];
+//! its GEMM updates run under the caller's [`KernelConfig`].
 
 use crate::config::KernelConfig;
 use crate::gemm::gemm_nt_raw;
 use crate::mat::Mat;
+
+/// Outer column-panel width. Wide, so the trailing update — the GEMM that
+/// dominates the flops — runs with inner dimension `JB` and streams the
+/// trailing columns of `B` only `n/JB` times. Narrowing it makes the scalar
+/// in-panel share smaller but multiplies those memory-bound passes over `C`;
+/// 64 measured best on the `kernel_roofline` sweep (see
+/// `results/kernel_roofline.txt`).
+pub const JB: usize = 64;
+/// Inner sub-block width within a panel. The scalar triangular sweep is
+/// confined to `SJ` columns at a time; the rest of the in-panel work runs on
+/// the GEMM path, so the truly-scalar flop share is O(SJ/n).
+pub const SJ: usize = 16;
+/// Row-strip height for the scalar triangular sweep. Row strips of the solve
+/// are independent (row `i` of column `j` depends only on row `i` of earlier
+/// columns), so the sweep runs strip-by-strip: an `RS × SJ` strip of `B`
+/// (16 KiB) stays L1-resident across the whole k-loop instead of streaming
+/// every full column from L2 per AXPY. Each element still sees the identical
+/// k-ascending update sequence, so results are bit-identical to the
+/// unstripped sweep.
+pub const RS: usize = 128;
 
 /// Solve `X · Lᵀ = B` in place on raw column-major buffers under `cfg`.
 ///
@@ -47,28 +51,27 @@ pub fn trsm_right_lower_trans_raw(
     if m == 0 || n == 0 {
         return;
     }
-    let (jbw, sjw, rs) = (cfg.jb, cfg.sj, cfg.rs);
     // Right-looking blocked sweep over column panels of B. For panel
     // J = [jj, jend):
     //   1. solve the small triangular system against L[J, J] (all updates
     //      from earlier panels have already been applied),
     //   2. update the trailing columns:
     //      B[:, jend..] -= B[:, J] * (L[jend.., J])^T   (GEMM).
-    // Right-looking keeps the GEMM's A operand at a fixed jb columns — the
+    // Right-looking keeps the GEMM's A operand at a fixed JB columns — the
     // just-solved panel, packed once — instead of the left-looking form
     // whose A operand is *all* solved columns, re-packed on every panel
-    // (O(m·n²/jb) packing traffic against O(m·n²) flops).
-    for jj in (0..n).step_by(jbw) {
-        let jend = (jj + jbw).min(n);
+    // (O(m·n²/JB) packing traffic against O(m·n²) flops).
+    for jj in (0..n).step_by(JB) {
+        let jend = (jj + JB).min(n);
         let jb = jend - jj;
-        // In-panel solve, itself blocked: scalar-solve sj columns, then push
+        // In-panel solve, itself blocked: scalar-solve SJ columns, then push
         // their contribution into the remaining panel columns as a GEMM.
-        for sj in (jj..jend).step_by(sjw) {
-            let send = (sj + sjw).min(jend);
+        for sj in (jj..jend).step_by(SJ) {
+            let send = (sj + SJ).min(jend);
             // Unblocked solve of columns sj..send against L[sj..send, sj..send],
-            // strip-mined over rows (`cfg.rs`).
-            for i0 in (0..m).step_by(rs) {
-                let rows = rs.min(m - i0);
+            // strip-mined over rows.
+            for i0 in (0..m).step_by(RS) {
+                let rows = RS.min(m - i0);
                 for j in sj..send {
                     for k in sj..j {
                         let ljk = l[k * ldl + j];
@@ -153,19 +156,24 @@ pub fn trsm_right_lower_trans(b: &mut Mat, l: &Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::{edges, tiny_blocks};
     use crate::naive::{potrf_ref, trsm_ref};
 
-    fn check(m: usize, n: usize) {
+    fn check_cfg(cfg: &KernelConfig, m: usize, n: usize) {
         let a = Mat::spd_from(n, |r, c| ((r * 7 + c * 5) % 11) as f64 - 5.0);
         let l = potrf_ref(&a).unwrap();
         let b0 = Mat::from_fn(m, n, |r, c| ((r * 3 + c) % 13) as f64 - 6.0);
         let mut b = b0.clone();
-        trsm_right_lower_trans(&mut b, &l);
+        trsm_right_lower_trans_cfg(cfg, &mut b, &l);
         let expect = trsm_ref(&l, &b0);
         assert!(b.max_abs_diff(&expect) < 1e-9, "m={m} n={n}");
         // X * L^T must reproduce B0.
         let recon = b.matmul(&l.transpose());
         assert!(recon.max_abs_diff(&b0) < 1e-8, "m={m} n={n} reconstruction");
+    }
+
+    fn check(m: usize, n: usize) {
+        check_cfg(&KernelConfig::default(), m, n);
     }
 
     #[test]
@@ -177,9 +185,14 @@ mod tests {
 
     #[test]
     fn matches_reference_across_panel_boundaries() {
-        for &(m, n) in &[(10, 47), (10, 48), (10, 49), (5, 97), (33, 96)] {
-            check(m, n);
+        // n straddles the sub-block and the panel width, m the row strip.
+        for n in edges(SJ).into_iter().chain(edges(JB)) {
+            check(10, n);
         }
+        for m in edges(RS) {
+            check(m, 2 * SJ + 3);
+        }
+        check(33, 96);
     }
 
     #[test]
@@ -211,21 +224,11 @@ mod tests {
 
     #[test]
     fn non_default_panels_match_reference() {
-        let cfg = KernelConfig {
-            jb: 24,
-            sj: 5,
-            rs: 32,
-            ..Default::default()
-        };
-        cfg.validate().unwrap();
-        for &(m, n) in &[(10, 49), (33, 96)] {
-            let a = Mat::spd_from(n, |r, c| ((r * 7 + c * 5) % 11) as f64 - 5.0);
-            let l = potrf_ref(&a).unwrap();
-            let b0 = Mat::from_fn(m, n, |r, c| ((r * 3 + c) % 13) as f64 - 6.0);
-            let mut b = b0.clone();
-            trsm_right_lower_trans_cfg(&cfg, &mut b, &l);
-            let expect = trsm_ref(&l, &b0);
-            assert!(b.max_abs_diff(&expect) < 1e-9, "m={m} n={n}");
+        // Panel, sub-block and row-strip edges with every trailing update on
+        // the packed core under cache blocks a few register tiles wide.
+        let cfg = tiny_blocks();
+        for (m, n) in [(10, SJ + 1), (RS + 1, JB + 1), (33, 2 * JB + 3)] {
+            check_cfg(&cfg, m, n);
         }
     }
 }

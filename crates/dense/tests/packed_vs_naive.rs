@@ -8,7 +8,9 @@
 //! so each test hits empty problems, single-element tiles, full register
 //! tiles, one-past boundaries, and ragged edge strips in both the `m` (`mr`)
 //! and `n` (`nr`) directions, as well as shapes that cross the mc/kc/nc
-//! cache blocks.
+//! cache blocks. Every loop-blocking constant of the crate (`NB`, `KB`, `DB`,
+//! `JB`, `SJ`, `RS`, `PB`, `IB`, `SB`) is crossed the same way — `c − 1`, `c`,
+//! `c + 1`, `2c + 3` in the dimension it blocks ([`edges`]).
 //!
 //! Every call runs on a sub-panel of a larger buffer: leading dimensions are
 //! strictly greater than the logical dimension and the operand starts at a
@@ -16,20 +18,19 @@
 //! writes outside its panel trips the sentinel checks here.
 //!
 //! The sweeps run both under [`KernelConfig::default()`] and under a set of
-//! deliberately skewed configs (tiny cache blocks, odd panel widths, forced
-//! packed dispatch): every validated config must stay within 1e-13 of the
+//! deliberately skewed configs (tiny cache blocks, forced packed dispatch): every validated config must stay within 1e-13 of the
 //! oracle and be bitwise deterministic run-to-run. On top of the oracle
 //! sweeps, [`every_isa_is_bit_identical_to_portable`] pins the arithmetic
 //! contract: forcing any ISA changes speed, never a bit.
 
 use sympack_dense::config::{IsaSelect, KernelConfig};
-use sympack_dense::gemm::{gemm_nt_packed_raw, gemm_nt_raw};
+use sympack_dense::gemm::{gemm_nt_packed_raw, gemm_nt_raw, KB, NB};
 use sympack_dense::panel::{
-    gemm_nn_acc_raw, gemm_tn_acc_raw, trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw,
+    gemm_nn_acc_raw, gemm_tn_acc_raw, trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw, SB,
 };
-use sympack_dense::potrf::potrf_raw;
-use sympack_dense::syrk::syrk_lower_raw;
-use sympack_dense::trsm::trsm_right_lower_trans_raw;
+use sympack_dense::potrf::{potrf_raw, IB, PB};
+use sympack_dense::syrk::{syrk_lower_raw, DB};
+use sympack_dense::trsm::{trsm_right_lower_trans_raw, JB, RS, SJ};
 
 /// The default config forced to each microkernel ISA this machine has, with
 /// that ISA's register tile `(mr, nr)`. ISAs the machine lacks are reported,
@@ -58,6 +59,11 @@ fn dims((mr, nr): (usize, usize)) -> Vec<usize> {
     d
 }
 
+/// Sizes on both sides of a loop-blocking constant and past its second block.
+fn edges(c: usize) -> [usize; 4] {
+    [c - 1, c, c + 1, 2 * c + 3]
+}
+
 /// Larger sizes that cross the default cache-blocking boundaries
 /// (mc = 128, kc = 256); kept to a few so the full sweep stays fast.
 fn big_dims() -> [usize; 2] {
@@ -66,8 +72,8 @@ fn big_dims() -> [usize; 2] {
 }
 
 /// Non-default configs every kernel sweep must also pass under: tiny cache
-/// blocks (many mc/kc/nc iterations even on small shapes), odd panel widths,
-/// and a forced-packed dispatch (`pack_min_flops = 0`), each built on
+/// blocks (many mc/kc/nc iterations even on small shapes) and skewed ones,
+/// both with a forced-packed dispatch (`pack_min_flops = 0`), each built on
 /// `base`'s ISA and tile. All must validate.
 fn skewed_configs(base: &KernelConfig, (mr, nr): (usize, usize)) -> Vec<KernelConfig> {
     let cfgs = vec![
@@ -76,19 +82,7 @@ fn skewed_configs(base: &KernelConfig, (mr, nr): (usize, usize)) -> Vec<KernelCo
             mc: 2 * mr,
             kc: 16,
             nc: 3 * nr,
-            db: mr,
             pack_min_flops: 0,
-            ..base.clone()
-        },
-        // Odd panel widths everywhere; default cache blocks.
-        KernelConfig {
-            jb: 24,
-            sj: 5,
-            rs: 32,
-            pb: 16,
-            ib: 4,
-            sb: 24,
-            db: 2 * mr,
             ..base.clone()
         },
         // Packed core forced on for every shape, skewed blocks.
@@ -96,8 +90,6 @@ fn skewed_configs(base: &KernelConfig, (mr, nr): (usize, usize)) -> Vec<KernelCo
             mc: 3 * mr,
             kc: 48,
             nc: 7 * nr,
-            nb: 16,
-            kb: 32,
             pack_min_flops: 0,
             ..base.clone()
         },
@@ -239,6 +231,14 @@ fn shape_sweep(tile: (usize, usize), mut body: impl FnMut(usize, usize, usize)) 
     }
     body(mr + 1, big_m, big_k);
     body(2 * mr + 3, big_k, big_m);
+    // The unpacked nest's tile edges, on shapes the default dispatch still
+    // sends to it (under `pack_min_flops`).
+    for n in edges(NB) {
+        body(1, n, 100);
+    }
+    for k in edges(KB) {
+        body(1, 50, k);
+    }
 }
 
 #[test]
@@ -394,7 +394,7 @@ fn syrk_matches_gemm_oracle_lower_triangle_on_subpanels() {
         let mut configs: Vec<&KernelConfig> = vec![&default_cfg];
         configs.extend(skewed.iter());
         for (ci, cfg) in configs.iter().enumerate() {
-            for &n in &dims(tile) {
+            for &n in dims(tile).iter().chain(&edges(DB)) {
                 for &k in dims(tile).iter().chain(&big_dims()) {
                     let a = Panel::new(n, k, 13);
                     // Oracle: full C ← C − A·Aᵀ, then compare lower halves.
@@ -435,46 +435,41 @@ fn trsm_reconstructs_rhs_on_subpanels() {
         let skewed = skewed_configs(&default_cfg, tile);
         let mut configs: Vec<&KernelConfig> = vec![&default_cfg];
         configs.extend(skewed.iter());
+        // m × n over the tile edges, then n across the sub-block and panel
+        // widths and m across the row strip.
+        let mut shapes: Vec<(usize, usize)> = Vec::new();
+        for &m in &dims(tile) {
+            shapes.extend(dims(tile).iter().chain(&big_dims()).map(|&n| (m, n)));
+        }
+        shapes.extend(edges(SJ).iter().chain(&edges(JB)).map(|&n| (10, n)));
+        shapes.extend(edges(RS).map(|m| (m, 2 * SJ + 3)));
         for (ci, cfg) in configs.iter().enumerate() {
-            for &m in &dims(tile) {
-                for &n in dims(tile).iter().chain(&big_dims()) {
-                    // Well-conditioned lower-triangular L with unit-ish diagonal.
-                    let mut l = Panel::new(n, n, 29);
-                    for j in 0..n {
-                        for i in 0..j {
-                            l.buf[l.off + j * l.ld + i] = f64::NAN; // never read
+            for &(m, n) in &shapes {
+                let l = lower_factor(n, 29);
+                let b0 = Panel::new(m, n, 31);
+                let mut b = Panel::new(m, n, 31);
+                let (ldb, ldl) = (b.ld, l.ld);
+                trsm_right_lower_trans_raw(cfg, b.slice_mut(), ldb, m, n, l.slice(), ldl);
+                // Check X·Lᵀ = B0:   B0[i,j] = Σ_{p≤j} X[i,p]·L[j,p].
+                let x = b.dense();
+                let want = b0.dense();
+                let ld = l.dense();
+                let mut maxrel: f64 = 0.0;
+                for j in 0..n {
+                    for i in 0..m {
+                        let mut acc = 0.0;
+                        for p in 0..=j {
+                            acc += x[p * m + i] * ld[p * n + j];
                         }
-                        l.buf[l.off + j * l.ld + j] = 2.0 + (j % 3) as f64 * 0.25;
-                        for i in j + 1..n {
-                            l.buf[l.off + j * l.ld + i] *= 0.5;
-                        }
+                        maxrel = maxrel
+                            .max((acc - want[j * m + i]).abs() / want[j * m + i].abs().max(1.0));
                     }
-                    let b0 = Panel::new(m, n, 31);
-                    let mut b = Panel::new(m, n, 31);
-                    let (ldb, ldl) = (b.ld, l.ld);
-                    trsm_right_lower_trans_raw(cfg, b.slice_mut(), ldb, m, n, l.slice(), ldl);
-                    // Check X·Lᵀ = B0:   B0[i,j] = Σ_{p≤j} X[i,p]·L[j,p].
-                    let x = b.dense();
-                    let want = b0.dense();
-                    let ld = l.dense();
-                    let mut maxrel: f64 = 0.0;
-                    for j in 0..n {
-                        for i in 0..m {
-                            let mut acc = 0.0;
-                            for p in 0..=j {
-                                acc += x[p * m + i] * ld[p * n + j];
-                            }
-                            maxrel = maxrel.max(
-                                (acc - want[j * m + i]).abs() / want[j * m + i].abs().max(1.0),
-                            );
-                        }
-                    }
-                    assert!(
-                        maxrel <= 1e-12,
-                        "trsm cfg#{ci} m={m} n={n}: reconstruction {maxrel:e}"
-                    );
-                    b.assert_padding_intact("trsm B");
                 }
+                assert!(
+                    maxrel <= 1e-12,
+                    "trsm cfg#{ci} m={m} n={n}: reconstruction {maxrel:e}"
+                );
+                b.assert_padding_intact("trsm B");
             }
         }
     }
@@ -671,18 +666,25 @@ fn every_isa_is_bit_identical_to_portable() {
     edge.dedup();
     edge.retain(|&d| d > 0);
     let blockings = [
-        // Valid under every tile: mc and db multiples of 16, nc of 8.
+        // Valid under every tile: mc a multiple of 16, nc of 8.
         KernelConfig {
             mc: 32,
             kc: 16,
             nc: 24,
-            db: 16,
-            sb: 8,
             pack_min_flops: 0,
             ..Default::default()
         },
         KernelConfig::default(),
     ];
+    // Every loop-blocking constant crossed in the dimension it blocks: the
+    // SYRK tile and the TRSM row strip in `m`, every other panel width in
+    // `n` (`all_kernels` factors and solves against an n × n block).
+    let mut const_edges: Vec<usize> = [NB, KB, DB, JB, SJ, RS, PB, IB, SB]
+        .into_iter()
+        .flat_map(edges)
+        .collect();
+    const_edges.sort_unstable();
+    const_edges.dedup();
     let mut compared = 0usize;
     for blocking in &blockings {
         let tiny = blocking.pack_min_flops == 0;
@@ -699,6 +701,9 @@ fn every_isa_is_bit_identical_to_portable() {
         if !tiny {
             let [big_m, big_k] = big_dims();
             shapes.extend([(big_m, 35, big_k), (35, big_m, 70), (97, 97, big_k)]);
+        }
+        for (i, &e) in const_edges.iter().enumerate() {
+            shapes.push((e, e.min(2 * JB + 3), [5, 17, 40][i % 3]));
         }
         for &(m, n, k) in &shapes {
             let with = |cfg: &KernelConfig| {

@@ -442,9 +442,10 @@ mod tests {
         ));
         // Valid non-default config: factor must still be exact.
         let cfg = KernelConfig {
-            pb: 16,
-            ib: 4,
+            mc: 32,
             kc: 64,
+            nc: 16,
+            pack_min_flops: 0,
             ..Default::default()
         };
         let mut eng = KernelEngine::new_cpu().with_config(cfg.clone()).unwrap();

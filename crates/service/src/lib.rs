@@ -729,11 +729,10 @@ mod tests {
         let a = laplacian_2d(9, 8);
         let b = test_rhs(a.n());
         let cfg = sympack::KernelConfig {
+            mc: 48,
             kc: 64,
-            pb: 16,
-            ib: 4,
-            sb: 24,
-            jb: 32,
+            nc: 40,
+            pack_min_flops: 0,
             ..Default::default()
         };
         cfg.validate().unwrap();

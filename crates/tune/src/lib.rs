@@ -21,12 +21,13 @@
 //!   "isa": "avx512",
 //!   "mem_bandwidth": 21474836480,
 //!   "rates": {"gemm": 9.1e9, "syrk": 8.2e9, "trsm": 5.5e9, "potrf": 3.9e9},
-//!   "config": {"mc": 128, "kc": 256, ..., "pack_min_flops": 28672}
+//!   "config": {"mc": 128, "kc": 256, "nc": 512, "pack_min_flops": 28672}
 //! }
 //! ```
 //!
 //! `schema` is the versioned magic (a v1 file, which also carried a worker
-//! count and a parallel-dispatch threshold, does not load); `isa` is the
+//! count, a parallel-dispatch threshold and nine blocking fields that are
+//! now constants of `sympack-dense`, does not load); `isa` is the
 //! resolved microkernel ISA the measurements were taken with;
 //! `mem_bandwidth` in bytes/second; `rates` in flops/second per operation;
 //! `config` holds every [`KernelConfig::fields`] entry by name. The ISA
@@ -366,7 +367,7 @@ fn measure_pack_crossover(cfg: &KernelConfig, samples: usize) -> u64 {
         let b = fill(n * n, 2);
         let mut c = vec![0.0; n * n];
         let tu = median_secs(
-            || gemm_nt_unpacked_raw(cfg, &mut c, n, n, n, &a, n, &b, n, n),
+            || gemm_nt_unpacked_raw(&mut c, n, n, n, &a, n, &b, n, n),
             samples,
         );
         let tp = median_secs(
@@ -591,7 +592,7 @@ mod tests {
             gemm_rate: 1.0,
             config: KernelConfig {
                 mc: 72,
-                db: 24,
+                nc: 36,
                 ..Default::default()
             },
             ..sample_profile()
