@@ -18,9 +18,19 @@ pub struct Segment {
     pub data: RwLock<Vec<f64>>,
 }
 
+/// Segment slots and the indices of the empty ones, under one lock.
+#[derive(Default)]
+struct Slots {
+    segs: Vec<Option<Arc<Segment>>>,
+    /// Every `None` index of `segs`, most recently freed last: allocation
+    /// pops one instead of scanning the table (publications are only freed
+    /// when their region ends, so the scan grew with every live segment).
+    free: Vec<usize>,
+}
+
 /// A rank's table of shared segments plus its device-memory quota.
 pub struct SegmentTable {
-    slots: Mutex<Vec<Option<Arc<Segment>>>>,
+    slots: Mutex<Slots>,
     /// Bytes of device memory currently allocated by this rank.
     device_used: AtomicUsize,
     /// Per-rank device memory quota in bytes (the paper's per-process share
@@ -42,7 +52,7 @@ impl SegmentTable {
     /// Create an empty table with the given device quota (bytes).
     pub fn new(device_quota: usize) -> Self {
         SegmentTable {
-            slots: Mutex::new(Vec::new()),
+            slots: Mutex::new(Slots::default()),
             device_used: AtomicUsize::new(0),
             device_quota,
         }
@@ -80,11 +90,11 @@ impl SegmentTable {
         });
         let mut slots = self.slots.lock();
         // Reuse a free slot if any.
-        let idx = slots.iter().position(Option::is_none).unwrap_or_else(|| {
-            slots.push(None);
-            slots.len() - 1
+        let idx = slots.free.pop().unwrap_or_else(|| {
+            slots.segs.push(None);
+            slots.segs.len() - 1
         });
-        slots[idx] = Some(seg);
+        slots.segs[idx] = Some(seg);
         Ok(GlobalPtr {
             rank,
             seg: idx,
@@ -97,7 +107,10 @@ impl SegmentTable {
     /// Free a segment (whole allocations only).
     pub fn free(&self, ptr: &GlobalPtr) {
         let mut slots = self.slots.lock();
-        if let Some(seg) = slots[ptr.seg].take() {
+        if let Some(seg) = slots.segs[ptr.seg].take() {
+            // Only a slot that held a segment joins the free list, so a
+            // repeated free cannot make one index available twice.
+            slots.free.push(ptr.seg);
             if seg.kind == MemKind::Device {
                 let bytes = seg.data.read().len() * std::mem::size_of::<f64>();
                 self.device_used.fetch_sub(bytes, Ordering::Relaxed);
@@ -111,7 +124,7 @@ impl SegmentTable {
     /// Panics when the segment was freed (a use-after-free at the protocol
     /// level — always a solver bug worth failing loudly on).
     pub fn get(&self, seg: usize) -> Arc<Segment> {
-        self.slots.lock()[seg]
+        self.slots.lock().segs[seg]
             .as_ref()
             .expect("segment was freed")
             .clone()
@@ -172,6 +185,18 @@ mod tests {
         t.free(&a);
         let b = t.alloc(0, MemKind::Host, 4).unwrap();
         assert_eq!(b.seg, slot);
+    }
+
+    #[test]
+    fn repeated_free_does_not_issue_a_slot_twice() {
+        let t = SegmentTable::new(0);
+        let a = t.alloc(0, MemKind::Host, 4).unwrap();
+        t.free(&a);
+        t.free(&a);
+        let b = t.alloc(0, MemKind::Host, 4).unwrap();
+        let c = t.alloc(0, MemKind::Host, 4).unwrap();
+        assert_eq!(b.seg, a.seg);
+        assert_ne!(c.seg, b.seg, "two live segments share a slot");
     }
 
     #[test]
