@@ -21,8 +21,9 @@ use crate::pack::Operand;
 
 /// Column tile of the unpacked loop nest: with [`KB`], sized so a tile's
 /// `B` entries (`NB × KB` doubles, 64 KiB) stay cache-resident while the `A`
-/// columns stream past. The nest only runs below `pack_min_flops`, where
-/// every dimension is far under one tile, so the value is not worth tuning.
+/// columns stream past. The solver only runs the nest below
+/// `pack_min_flops`, where a call rarely spans more than one tile; the tiles
+/// matter to the `kernel_roofline` baseline rows, which run it at any size.
 pub const NB: usize = 64;
 /// Inner-product tile of the unpacked loop nest; see [`NB`].
 pub const KB: usize = 128;

@@ -18,10 +18,11 @@
 //! writes outside its panel trips the sentinel checks here.
 //!
 //! The sweeps run both under [`KernelConfig::default()`] and under a set of
-//! deliberately skewed configs (tiny cache blocks, forced packed dispatch): every validated config must stay within 1e-13 of the
-//! oracle and be bitwise deterministic run-to-run. On top of the oracle
-//! sweeps, [`every_isa_is_bit_identical_to_portable`] pins the arithmetic
-//! contract: forcing any ISA changes speed, never a bit.
+//! deliberately skewed configs (tiny cache blocks, forced packed dispatch):
+//! every validated config must stay within 1e-13 of the oracle and be bitwise
+//! deterministic run-to-run. On top of the oracle sweeps,
+//! [`every_isa_is_bit_identical_to_portable`] pins the arithmetic contract:
+//! forcing any ISA changes speed, never a bit.
 
 use sympack_dense::config::{IsaSelect, KernelConfig};
 use sympack_dense::gemm::{gemm_nt_packed_raw, gemm_nt_raw, KB, NB};

@@ -8,8 +8,9 @@
 //! keeps the fastest; it then measures the sustained per-operation rates
 //! (GEMM/SYRK/TRSM/POTRF) and the streaming memory bandwidth under the
 //! chosen blocking, and re-derives the dispatch threshold `pack_min_flops`
-//! from the pack/no-pack crossover scan. [`TuneBudget`] scales the sweep: [`TuneBudget::quick`] is the CI smoke budget (a few
-//! hundred milliseconds), [`TuneBudget::full`] the real one.
+//! from the pack/no-pack crossover scan. [`TuneBudget`] scales the sweep:
+//! [`TuneBudget::quick`] is the CI smoke budget (a few hundred
+//! milliseconds), [`TuneBudget::full`] the real one.
 //!
 //! # Profile file format
 //!
