@@ -118,6 +118,13 @@ fn main() -> ExitCode {
         session.analyze_wall_ms(),
         session.first_factor_time()
     );
+    let phases: Vec<String> = session
+        .analyze_phases()
+        .rows()
+        .iter()
+        .map(|(name, ms)| format!("{name} {ms:.2}"))
+        .collect();
+    println!("analyze phases (wall ms): {}", phases.join(" · "));
     let mut server = Server::new(
         session,
         ServerConfig {

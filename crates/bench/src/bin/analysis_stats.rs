@@ -3,7 +3,7 @@
 //! parallelism) and critical-path flops (the strong-scaling ceiling) — the
 //! quantities that explain the scaling differences in Figs. 7-12.
 
-use sympack::{SolverOptions, SymPack};
+use sympack::{SolverOptions, SymbolicPlan};
 use sympack_bench::{render_table, Problem};
 use sympack_sparse::stats::matrix_stats;
 use sympack_symbolic::analysis_stats;
@@ -53,10 +53,21 @@ fn main() {
         "max level width".to_string(),
         "critical/total flops".to_string(),
     ]];
+    let mut trows = vec![vec!["matrix".to_string(), "analyze".to_string()]];
     for p in Problem::ALL {
         let a = if quick { p.matrix_quick() } else { p.matrix() };
-        let sf = SymPack::analyze_only(&a, &SolverOptions::default());
-        let st = analysis_stats(&sf);
+        let plan = SymbolicPlan::build(&a, &SolverOptions::default());
+        let phases = plan.phases.rows();
+        if trows.len() == 1 {
+            trows[0].extend(phases.iter().map(|(name, _)| name.to_string()));
+        }
+        let mut trow = vec![
+            p.name().to_string(),
+            format!("{:.2}", plan.analyze_wall_ms),
+        ];
+        trow.extend(phases.iter().map(|(_, ms)| format!("{ms:.2}")));
+        trows.push(trow);
+        let st = analysis_stats(&plan.sf);
         rows.push(vec![
             p.name().to_string(),
             st.n.to_string(),
@@ -82,4 +93,6 @@ fn main() {
     println!("{}", render_table(&rows));
     println!("thermal's tiny supernodes and tall tree explain why it is the most");
     println!("communication-bound problem — and why the fan-out design gains most there.");
+    println!("\nWhere the analysis time goes (SymbolicPlan::build at P = 1, wall ms)\n");
+    println!("{}", render_table(&trows));
 }

@@ -46,7 +46,8 @@ pub use condest::condest;
 pub use driver::{GatheredFactor, MultiSolveReport, SolveReport, SolverOptions, SymPack};
 pub use map2d::ProcGrid;
 pub use plan::{
-    make_kernels, pattern_hash, plan_cache_key, NumericFactor, PanelSolve, SolvePlan, SymbolicPlan,
+    make_kernels, pattern_hash, plan_cache_key, NumericFactor, PanelSolve, PlanPhases, SolvePlan,
+    SymbolicPlan,
 };
 pub use selinv::{selected_inverse, SelectedInverse};
 // Re-exported so solver users can name `SolverOptions::kernel_config`'s

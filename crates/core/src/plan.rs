@@ -53,8 +53,8 @@ use std::sync::Arc;
 use sympack_gpu::{BlrCounters, KernelEngine, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
 use sympack_pgas::{PgasConfig, Rank, RunReport, Runtime, StatsSnapshot};
-use sympack_sparse::SparseSym;
-use sympack_symbolic::{analyze, SymbolicFactor};
+use sympack_sparse::{SparseSym, SymPattern};
+use sympack_symbolic::{analyze_timed, AnalyzePhases, SymbolicFactor};
 use sympack_trace::health::{HealthEvent, WatchRules, Watchdog};
 use sympack_trace::profile::{CommMatrix, Profile};
 use sympack_trace::telemetry::{SchedTelemetry, TelemetryReport, TelemetrySnapshot};
@@ -111,10 +111,8 @@ pub fn pattern_hash(a: &SparseSym) -> u64 {
     for &p in a.col_ptr() {
         fnv_eat(&mut h, p as u64);
     }
-    for c in 0..a.n() {
-        for &r in a.col_rows(c) {
-            fnv_eat(&mut h, r as u64);
-        }
+    for &r in a.pattern().row_idx() {
+        fnv_eat(&mut h, r as u64);
     }
     h
 }
@@ -178,16 +176,58 @@ pub struct SymbolicPlan {
     /// Every rank's compiled slice of the triangular solve (both sweeps),
     /// shared by every solve under this plan.
     pub solve_tasks: Vec<Arc<SolveTasks>>,
-    /// Matrix order of the analyzed pattern.
-    pub n: usize,
-    /// Column pointers of the analyzed (unpermuted) pattern.
-    pub col_ptr: Vec<usize>,
-    /// Concatenated row indices of the analyzed (unpermuted) pattern.
-    pub row_idx: Vec<usize>,
+    /// The analyzed (unpermuted) pattern, kept to rebuild a matrix from
+    /// fresh values.
+    pub a_pattern: SymPattern,
     /// Wall-clock milliseconds spent on ordering + analysis + task-graph
     /// construction when this plan was built. A tenant served from a cached
     /// plan pays none of it (its own analyze wall time is ≈ 0).
     pub analyze_wall_ms: f64,
+    /// Where `analyze_wall_ms` went. Wall-clock, so — like it — never part
+    /// of a deterministic telemetry or fleet document.
+    pub phases: PlanPhases,
+}
+
+/// Wall-clock milliseconds of every phase of [`SymbolicPlan::build`], in the
+/// order they run. They partition the build, so they sum to
+/// [`SymbolicPlan::analyze_wall_ms`] up to timer reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PlanPhases {
+    /// [`pattern_hash`], [`plan_cache_key`] and the retained pattern copy.
+    pub pattern_hash_ms: f64,
+    /// The fill-reducing ordering.
+    pub ordering_ms: f64,
+    /// The symbolic analysis, phase by phase.
+    pub symbolic: AnalyzePhases,
+    /// Every rank's factorization task graph.
+    pub task_graphs_ms: f64,
+    /// Every rank's compiled triangular solve.
+    pub solve_tasks_ms: f64,
+}
+
+impl PlanPhases {
+    /// `(name, milliseconds)` of every phase in the order they run — what
+    /// the tools print.
+    pub fn rows(&self) -> [(&'static str, f64); 10] {
+        let s = &self.symbolic;
+        [
+            ("pattern hash", self.pattern_hash_ms),
+            ("ordering", self.ordering_ms),
+            ("etree + postorder", s.etree_ms),
+            ("pattern permute", s.permute_ms),
+            ("column counts", s.col_counts_ms),
+            ("supernodes + amalgamation", s.supernodes_ms),
+            ("patterns", s.patterns_ms),
+            ("layout", s.layout_ms),
+            ("per-rank task graphs", self.task_graphs_ms),
+            ("solve tasks", self.solve_tasks_ms),
+        ]
+    }
+
+    /// Sum of the phases.
+    pub fn total_ms(&self) -> f64 {
+        self.rows().iter().map(|r| r.1).sum()
+    }
 }
 
 impl SymbolicPlan {
@@ -200,30 +240,46 @@ impl SymbolicPlan {
     /// `n_nodes × ranks_per_node`.
     pub fn build(a: &SparseSym, opts: &SolverOptions) -> SymbolicPlan {
         let t0 = std::time::Instant::now();
+        let mut t = t0;
+        let mut lap = move || {
+            let now = std::time::Instant::now();
+            let ms = (now - t).as_secs_f64() * 1e3;
+            t = now;
+            ms
+        };
         let pattern = pattern_hash(a);
+        let key = plan_cache_key(pattern, opts);
+        let a_pattern = a.pattern().clone();
+        let pattern_hash_ms = lap();
         let ordering = compute_ordering(a, opts.ordering);
-        let sf = Arc::new(analyze(a, &ordering, &opts.analyze));
+        let ordering_ms = lap();
+        let (sf, symbolic) = analyze_timed(a, &ordering, &opts.analyze);
+        let sf = Arc::new(sf);
+        lap();
         let grid = effective_grid(opts);
         let n_ranks = grid.n_procs();
         let tasks: Vec<Arc<LocalTasks>> = (0..n_ranks)
             .map(|r| Arc::new(LocalTasks::build(&sf, &grid, r)))
             .collect();
+        let task_graphs_ms = lap();
         let solve_tasks = SolveTasks::build_all(&sf, &grid);
-        let mut row_idx = Vec::with_capacity(a.nnz());
-        for c in 0..a.n() {
-            row_idx.extend_from_slice(a.col_rows(c));
-        }
+        let solve_tasks_ms = lap();
         SymbolicPlan {
             sf,
             grid,
             pattern,
-            key: plan_cache_key(pattern, opts),
+            key,
             tasks,
             solve_tasks,
-            n: a.n(),
-            col_ptr: a.col_ptr().to_vec(),
-            row_idx,
+            a_pattern,
             analyze_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+            phases: PlanPhases {
+                pattern_hash_ms,
+                ordering_ms,
+                symbolic,
+                task_graphs_ms,
+                solve_tasks_ms,
+            },
         }
     }
 
@@ -244,18 +300,12 @@ impl SymbolicPlan {
     /// Panics if `values.len()` differs from the pattern's entry count —
     /// callers validate first and surface [`SolverError::PatternMismatch`].
     pub fn matrix_from_values(&self, values: &[f64]) -> SparseSym {
-        assert_eq!(values.len(), self.row_idx.len(), "one value per entry");
-        SparseSym::from_parts(
-            self.n,
-            self.col_ptr.clone(),
-            self.row_idx.clone(),
-            values.to_vec(),
-        )
+        SparseSym::from_pattern(self.a_pattern.clone(), values.to_vec())
     }
 
     /// Number of explicitly stored entries in the analyzed pattern.
     pub fn pattern_nnz(&self) -> usize {
-        self.row_idx.len()
+        self.a_pattern.nnz()
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::minimum_degree::min_degree_graph;
 use crate::perm::Permutation;
 use crate::rcm::pseudo_peripheral;
-use sympack_sparse::graph::Graph;
+use sympack_sparse::graph::{BfsScratch, Graph};
 use sympack_sparse::SparseSym;
 
 /// How separators are computed inside the recursion.
@@ -57,53 +57,90 @@ pub fn nested_dissection(a: &SparseSym, opts: &NdOptions) -> Permutation {
     let n = g.n();
     let mut order = Vec::with_capacity(n);
     let vertices: Vec<usize> = (0..n).collect();
-    dissect(&g, vertices, opts, &mut order);
+    dissect(&g, vertices, opts, &mut Scratch::new(n), &mut order);
     debug_assert_eq!(order.len(), n);
     Permutation::from_vec(order)
 }
 
+/// The O(n) work arrays of the recursion, allocated once per ordering. Each
+/// is all-clear between uses: whoever marks a vertex set unmarks the same set
+/// when done, so a recursion node costs its own size, not the graph's.
+struct Scratch {
+    /// Membership in the subgraph currently being split.
+    mask: Vec<bool>,
+    /// Visited flags of [`masked_components`].
+    seen: Vec<bool>,
+    /// Global → leaf-local index of [`order_leaf`] (`usize::MAX` = outside).
+    local: Vec<usize>,
+    bfs: BfsScratch,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            mask: vec![false; n],
+            seen: vec![false; n],
+            local: vec![usize::MAX; n],
+            bfs: BfsScratch::new(n),
+        }
+    }
+
+    fn set_mask(&mut self, vertices: &[usize], on: bool) {
+        for &v in vertices {
+            self.mask[v] = on;
+        }
+    }
+}
+
 /// Recursively order `vertices` (a subset of `g`'s vertex set), appending the
 /// resulting order (old indices) to `out`.
-fn dissect(g: &Graph, vertices: Vec<usize>, opts: &NdOptions, out: &mut Vec<usize>) {
+fn dissect(
+    g: &Graph,
+    vertices: Vec<usize>,
+    opts: &NdOptions,
+    scratch: &mut Scratch,
+    out: &mut Vec<usize>,
+) {
     if vertices.len() <= opts.leaf_size {
-        order_leaf(g, &vertices, out);
+        order_leaf(g, &vertices, &mut scratch.local, out);
         return;
     }
-    let mut mask = vec![false; g.n()];
-    for &v in &vertices {
-        mask[v] = true;
-    }
+    scratch.set_mask(&vertices, true);
     // The subgraph may be disconnected: handle each component separately.
-    let comps = masked_components(g, &vertices, &mask);
+    let comps = masked_components(g, &vertices, &scratch.mask, &mut scratch.seen);
     if comps.len() > 1 {
+        scratch.set_mask(&vertices, false);
         for comp in comps {
-            dissect(g, comp, opts, out);
+            dissect(g, comp, opts, scratch, out);
         }
         return;
     }
     let sep_result = match opts.strategy {
         SeparatorStrategy::Multilevel => crate::multilevel::multilevel_separator(g, &vertices)
-            .or_else(|| level_set_separator(g, &vertices, &mut mask)),
-        SeparatorStrategy::LevelSet => level_set_separator(g, &vertices, &mut mask),
+            .or_else(|| level_set_separator(g, &vertices, &scratch.mask, &mut scratch.bfs)),
+        SeparatorStrategy::LevelSet => {
+            level_set_separator(g, &vertices, &scratch.mask, &mut scratch.bfs)
+        }
     };
+    scratch.set_mask(&vertices, false);
     let Some((sep, left, right)) = sep_result else {
         // No usable separator (e.g. clique-like subgraph): fall back to MD.
-        order_leaf(g, &vertices, out);
+        order_leaf(g, &vertices, &mut scratch.local, out);
         return;
     };
-    dissect(g, left, opts, out);
-    dissect(g, right, opts, out);
+    dissect(g, left, opts, scratch, out);
+    dissect(g, right, opts, scratch, out);
     out.extend_from_slice(&sep);
 }
 
 /// Order a leaf subgraph with minimum degree on the induced subgraph.
-fn order_leaf(g: &Graph, vertices: &[usize], out: &mut Vec<usize>) {
+/// `local` is all `usize::MAX` on entry and on return.
+fn order_leaf(g: &Graph, vertices: &[usize], local: &mut [usize], out: &mut Vec<usize>) {
     if vertices.len() <= 2 {
         out.extend_from_slice(vertices);
         return;
     }
     // Build the induced subgraph with local indices.
-    let mut local = vec![usize::MAX; g.n()];
     for (li, &v) in vertices.iter().enumerate() {
         local[v] = li;
     }
@@ -116,14 +153,22 @@ fn order_leaf(g: &Graph, vertices: &[usize], out: &mut Vec<usize>) {
             }
         }
     }
+    for &v in vertices {
+        local[v] = usize::MAX;
+    }
     let sub = Graph::from_edges(vertices.len(), &edges);
     let p = min_degree_graph(&sub);
     out.extend(p.as_slice().iter().map(|&li| vertices[li]));
 }
 
-/// Connected components of the masked subgraph.
-fn masked_components(g: &Graph, vertices: &[usize], mask: &[bool]) -> Vec<Vec<usize>> {
-    let mut seen = vec![false; g.n()];
+/// Connected components of the masked subgraph. `seen` is all-false on entry
+/// and on return.
+fn masked_components(
+    g: &Graph,
+    vertices: &[usize],
+    mask: &[bool],
+    seen: &mut [bool],
+) -> Vec<Vec<usize>> {
     let mut comps = Vec::new();
     let mut stack = Vec::new();
     for &s in vertices {
@@ -144,6 +189,9 @@ fn masked_components(g: &Graph, vertices: &[usize], mask: &[bool]) -> Vec<Vec<us
         }
         comps.push(comp);
     }
+    for &v in vertices {
+        seen[v] = false;
+    }
     comps
 }
 
@@ -154,10 +202,14 @@ fn masked_components(g: &Graph, vertices: &[usize], mask: &[bool]) -> Vec<Vec<us
 fn level_set_separator(
     g: &Graph,
     vertices: &[usize],
-    mask: &mut [bool],
+    mask: &[bool],
+    bfs: &mut BfsScratch,
 ) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    let root = pseudo_peripheral(g, vertices[0], mask);
-    let (levels, far) = g.bfs_levels(root, mask);
+    // The search from the pseudo-peripheral root is the last one
+    // `pseudo_peripheral` ran: its level structure is still in `bfs`.
+    pseudo_peripheral(g, vertices[0], mask, bfs);
+    let levels = bfs.levels();
+    let far = *bfs.order().last().expect("the root itself was visited");
     let max_level = levels[far];
     if max_level < 2 {
         return None;
@@ -279,8 +331,9 @@ mod tests {
         let a = laplacian_2d(9, 9);
         let g = Graph::from_sym(&a);
         let vertices: Vec<usize> = (0..81).collect();
-        let mut mask = vec![true; 81];
-        let (sep, left, right) = level_set_separator(&g, &vertices, &mut mask).unwrap();
+        let mask = vec![true; 81];
+        let mut bfs = BfsScratch::new(81);
+        let (sep, left, right) = level_set_separator(&g, &vertices, &mask, &mut bfs).unwrap();
         assert_eq!(sep.len() + left.len() + right.len(), 81);
         // A 9x9 grid has a ~9-vertex separator; allow slack but require it
         // to be far smaller than the halves.

@@ -7,17 +7,25 @@
 //! the paper uses Scotch).
 
 use crate::perm::Permutation;
-use sympack_sparse::graph::Graph;
+use sympack_sparse::graph::{BfsScratch, Graph};
 use sympack_sparse::SparseSym;
 
 /// Find a pseudo-peripheral vertex of the component containing `start`:
 /// repeat BFS from the farthest vertex until eccentricity stops growing.
-pub(crate) fn pseudo_peripheral(g: &Graph, start: usize, mask: &[bool]) -> usize {
-    let (levels, mut far) = g.bfs_levels(start, mask);
-    let mut ecc = levels[far];
+///
+/// The last search run is the one rooted at the returned vertex, so on return
+/// `bfs` holds that vertex's level structure.
+pub(crate) fn pseudo_peripheral(
+    g: &Graph,
+    start: usize,
+    mask: &[bool],
+    bfs: &mut BfsScratch,
+) -> usize {
+    let mut far = g.bfs_levels_into(start, mask, bfs);
+    let mut ecc = bfs.levels()[far];
     loop {
-        let (l2, far2) = g.bfs_levels(far, mask);
-        let ecc2 = l2[far2];
+        let far2 = g.bfs_levels_into(far, mask, bfs);
+        let ecc2 = bfs.levels()[far2];
         if ecc2 > ecc {
             ecc = ecc2;
             far = far2;
@@ -34,12 +42,13 @@ pub fn rcm(a: &SparseSym) -> Permutation {
     let mut order = Vec::with_capacity(n);
     let mut visited = vec![false; n];
     let mask = vec![true; n];
+    let mut bfs = BfsScratch::new(n);
     let mut queue = std::collections::VecDeque::new();
     for comp_seed in 0..n {
         if visited[comp_seed] {
             continue;
         }
-        let root = pseudo_peripheral(&g, comp_seed, &mask);
+        let root = pseudo_peripheral(&g, comp_seed, &mask, &mut bfs);
         visited[root] = true;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
@@ -114,7 +123,11 @@ mod tests {
         // Path graph 0-1-2-3-4: peripheral vertices are 0 and 4.
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let mask = vec![true; 5];
-        let v = pseudo_peripheral(&g, 2, &mask);
+        let mut bfs = BfsScratch::new(5);
+        let v = pseudo_peripheral(&g, 2, &mask, &mut bfs);
+        // The scratch is left holding the search rooted at `v`.
+        assert_eq!(bfs.levels()[v], 0);
+        assert_eq!(bfs.order()[0], v);
         assert!(v == 0 || v == 4, "got {v}");
     }
 }

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use sympack::plan::{factor_numeric, solve_panel_distributed};
 use sympack::storage::BlockStore;
-use sympack::{SolvePlan, SolverError, SolverOptions, SymbolicPlan};
+use sympack::{PlanPhases, SolvePlan, SolverError, SolverOptions, SymbolicPlan};
 use sympack_sparse::SparseSym;
 use sympack_trace::metrics::ServiceMetrics;
 
@@ -211,7 +211,7 @@ impl Session {
 
     /// Matrix order.
     pub fn n(&self) -> usize {
-        self.plan.symbolic.n
+        self.plan.symbolic.a_pattern.n()
     }
 
     /// Lower-triangle stored nonzeros of the analyzed pattern — the value
@@ -297,6 +297,14 @@ impl Session {
     /// construction (paid once at session creation).
     pub fn analyze_wall_ms(&self) -> f64 {
         self.analyze_wall_ms
+    }
+
+    /// Where the plan's analysis time went, phase by phase (wall-clock ms):
+    /// the cost of *building* the plan this session runs under. A session
+    /// served from a cached plan reports what the plan's first tenant paid;
+    /// its own [`Session::analyze_wall_ms`] stays 0.
+    pub fn analyze_phases(&self) -> &PlanPhases {
+        &self.plan.symbolic.phases
     }
 
     /// Numeric re-factorizations performed so far.

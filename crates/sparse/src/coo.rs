@@ -74,8 +74,11 @@ impl Coo {
         Ok(())
     }
 
-    /// Compress to CSC, summing duplicate coordinates and dropping explicit
-    /// zeros that result from cancellation.
+    /// Compress to CSC, summing duplicate coordinates from `+0.0` in push
+    /// order. Every pushed coordinate stays a stored entry: an explicit `0.0`
+    /// (pushed, or the result of cancellation) is kept, because the stored
+    /// pattern is what `pattern_hash` and the plan cache key on. A lone
+    /// `-0.0` is stored as `+0.0` (`0.0 + -0.0`).
     pub fn to_csc(&self) -> Csc {
         // Counting sort by column, then sort each column's rows.
         let mut col_counts = vec![0usize; self.n_cols + 1];
@@ -155,6 +158,22 @@ mod tests {
         assert_eq!(m.get(0, 0), 3.5);
         assert_eq!(m.get(1, 0), -1.0);
         assert_eq!(m.get(1, 1), 0.0);
+    }
+
+    #[test]
+    fn explicit_zeros_stay_stored() {
+        // A pushed 0.0, a cancelled pair and a lone -0.0 are all entries of
+        // the pattern; the -0.0 is stored as +0.0 (summed from +0.0).
+        let mut c = Coo::new(3, 3);
+        c.push(0, 0, 0.0).unwrap();
+        c.push(1, 0, 2.0).unwrap();
+        c.push(1, 0, -2.0).unwrap();
+        c.push(2, 0, -0.0).unwrap();
+        let m = c.to_csc();
+        assert_eq!(m.col_rows(0), &[0, 1, 2]);
+        for v in m.col_values(0) {
+            assert_eq!(v.to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -154,13 +154,15 @@ impl Csc {
         SparseSym::from_parts(n, col_ptr, row_idx, values)
     }
 
-    /// Symmetric permutation `P·A·Pᵀ`, where `perm[new] = old`
-    /// (i.e. `perm` lists old indices in their new order).
+    /// Symmetric permutation `P·A·Pᵀ`, where `perm[new] = old`, through a
+    /// [`crate::Coo`] round trip — the way [`SparseSym::permute`] used to
+    /// work, kept as the oracle its counting sort is tested against.
     ///
     /// # Panics
     /// Panics when the matrix is not square or `perm` is not a permutation of
     /// `0..n`.
-    pub fn permute_sym(&self, perm: &[usize]) -> Csc {
+    #[cfg(test)]
+    pub(crate) fn permute_sym(&self, perm: &[usize]) -> Csc {
         assert_eq!(self.n_rows, self.n_cols);
         let n = self.n_cols;
         assert_eq!(perm.len(), n);

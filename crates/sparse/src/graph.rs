@@ -121,23 +121,68 @@ impl Graph {
 
     /// Breadth-first levels from `start`, restricted to vertices where
     /// `mask[v]` is true. Returns `(level_per_vertex, last_visited)` with
-    /// `usize::MAX` for unreached vertices.
+    /// `usize::MAX` for unreached vertices. Allocates O(n) per call: callers
+    /// that search repeatedly use [`Graph::bfs_levels_into`].
     pub fn bfs_levels(&self, start: usize, mask: &[bool]) -> (Vec<usize>, usize) {
-        let mut level = vec![usize::MAX; self.n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut scratch = BfsScratch::new(self.n);
+        let last = self.bfs_levels_into(start, mask, &mut scratch);
+        (scratch.level, last)
+    }
+
+    /// [`Graph::bfs_levels`] into a reused [`BfsScratch`]: costs the size of
+    /// the component searched, not of the graph. Returns the last vertex
+    /// visited; the levels stay readable in `scratch` until its next search.
+    pub fn bfs_levels_into(&self, start: usize, mask: &[bool], scratch: &mut BfsScratch) -> usize {
+        let BfsScratch { level, order } = scratch;
+        for &v in order.iter() {
+            level[v] = usize::MAX;
+        }
+        order.clear();
         level[start] = 0;
-        queue.push_back(start);
-        let mut last = start;
-        while let Some(v) = queue.pop_front() {
-            last = v;
+        order.push(start);
+        // `order` doubles as the FIFO queue: vertices are visited in the
+        // order they were pushed.
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
             for &w in self.neighbors(v) {
                 if mask[w] && level[w] == usize::MAX {
                     level[w] = level[v] + 1;
-                    queue.push_back(w);
+                    order.push(w);
                 }
             }
         }
-        (level, last)
+        order[order.len() - 1]
+    }
+}
+
+/// Reusable state of [`Graph::bfs_levels_into`]: the level array (all
+/// `usize::MAX` outside the last search) and the last search's visit order,
+/// which is also what the next search resets.
+#[derive(Debug, Clone)]
+pub struct BfsScratch {
+    level: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl BfsScratch {
+    /// Scratch for searches of a graph on `n` vertices.
+    pub fn new(n: usize) -> Self {
+        BfsScratch {
+            level: vec![usize::MAX; n],
+            order: Vec::new(),
+        }
+    }
+
+    /// Level of every vertex in the last search (`usize::MAX` if unreached).
+    pub fn levels(&self) -> &[usize] {
+        &self.level
+    }
+
+    /// Vertices of the last search in the order they were visited.
+    pub fn order(&self) -> &[usize] {
+        &self.order
     }
 }
 
@@ -175,6 +220,19 @@ mod tests {
         let (level, last) = g.bfs_levels(0, &mask);
         assert_eq!(level, vec![0, 1, 2, 3]);
         assert_eq!(last, 3);
+    }
+
+    #[test]
+    fn bfs_into_a_reused_scratch_matches_the_allocating_wrapper() {
+        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (4, 5), (1, 3)]);
+        let mask = vec![true, true, true, true, true, true, false];
+        let mut scratch = BfsScratch::new(7);
+        for start in [0, 4, 3, 5, 0] {
+            let (level, last) = g.bfs_levels(start, &mask);
+            assert_eq!(g.bfs_levels_into(start, &mask, &mut scratch), last);
+            assert_eq!(scratch.levels(), &level[..]);
+            assert_eq!(scratch.order().last(), Some(&last));
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`coo::Coo`] — triplet assembly with duplicate summation,
 //! * [`csc::Csc`] — general compressed-sparse-column storage,
 //! * [`sym::SparseSym`] — the symmetric lower-triangular view consumed by the
-//!   solvers,
+//!   solvers, and [`sym::SymPattern`], its value-free half (all the analysis
+//!   phase reads),
 //! * [`io`] — Matrix Market and Rutherford-Boeing readers/writers,
 //! * [`gen`] — synthetic stand-ins for the paper's three test matrices
 //!   (`Flan_1565`, `boneS10`, `thermal2`) plus general grid Laplacians and
@@ -28,7 +29,7 @@ pub mod vecops;
 
 pub use coo::Coo;
 pub use csc::Csc;
-pub use sym::SparseSym;
+pub use sym::{SparseSym, SymPattern};
 
 /// Errors produced while assembling or reading sparse matrices.
 #[derive(Debug)]

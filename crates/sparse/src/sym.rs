@@ -2,32 +2,29 @@
 //!
 //! This is the input format consumed by the symbolic and numeric
 //! factorization phases — exactly what a Rutherford-Boeing `rsa` file or the
-//! lower triangle of a Matrix Market `symmetric` file holds.
+//! lower triangle of a Matrix Market `symmetric` file holds. A [`SparseSym`]
+//! is a [`SymPattern`] plus one value per stored entry; the analysis phase
+//! reads only the pattern.
 
-/// A symmetric matrix stored as its lower triangle (diagonal included).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseSym {
+/// The sparsity pattern of a symmetric matrix: its lower triangle (diagonal
+/// included) in CSC form, no values. Valid by construction — every column
+/// starts with its diagonal and its rows are strictly increasing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SymPattern {
     n: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
-    values: Vec<f64>,
 }
 
-impl SparseSym {
+impl SymPattern {
     /// Assemble from raw CSC parts of the lower triangle.
     ///
     /// # Panics
     /// Panics when the structure is inconsistent, a column is missing its
     /// diagonal entry, rows are unsorted, or an entry lies above the diagonal.
-    pub fn from_parts(
-        n: usize,
-        col_ptr: Vec<usize>,
-        row_idx: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Self {
+    pub fn from_parts(n: usize, col_ptr: Vec<usize>, row_idx: Vec<usize>) -> Self {
         assert_eq!(col_ptr.len(), n + 1);
         assert_eq!(*col_ptr.last().unwrap(), row_idx.len());
-        assert_eq!(row_idx.len(), values.len());
         for c in 0..n {
             let rows = &row_idx[col_ptr[c]..col_ptr[c + 1]];
             assert!(
@@ -45,11 +42,10 @@ impl SparseSym {
                 "row index out of bounds in column {c}"
             );
         }
-        SparseSym {
+        SymPattern {
             n,
             col_ptr,
             row_idx,
-            values,
         }
     }
 
@@ -63,14 +59,14 @@ impl SparseSym {
         self.row_idx.len()
     }
 
-    /// Entries of the full symmetric matrix (`2·nnz − n`).
-    pub fn nnz_full(&self) -> usize {
-        2 * self.nnz() - self.n
-    }
-
     /// Column pointers.
     pub fn col_ptr(&self) -> &[usize] {
         &self.col_ptr
+    }
+
+    /// Row indices of every column, concatenated.
+    pub fn row_idx(&self) -> &[usize] {
+        &self.row_idx
     }
 
     /// Row indices of (lower-triangle) column `c`; `col_rows(c)[0] == c`.
@@ -78,9 +74,152 @@ impl SparseSym {
         &self.row_idx[self.col_ptr[c]..self.col_ptr[c + 1]]
     }
 
+    /// The pattern of `P·A·Pᵀ` (with `perm[new] = old`).
+    ///
+    /// # Panics
+    /// Panics when `perm` is not a permutation of `0..n`.
+    pub fn permute(&self, perm: &[usize]) -> SymPattern {
+        self.permute_with(&vec![(); self.nnz()], perm).0
+    }
+
+    /// The one symmetric permutation: `P·A·Pᵀ` of the lower triangle with
+    /// one payload per entry (`()` for a bare pattern, `f64` for a matrix).
+    ///
+    /// Every stored `(r, c)` maps to `(max, min)` of its new indices. Two
+    /// stable counting passes — bucket by new row, then by new column — leave
+    /// each column's rows ascending without a comparison sort; a symmetric
+    /// permutation never merges entries, so payloads move untouched.
+    fn permute_with<T: Copy + Default>(
+        &self,
+        payload: &[T],
+        perm: &[usize],
+    ) -> (SymPattern, Vec<T>) {
+        let n = self.n;
+        assert_eq!(perm.len(), n);
+        let mut new_of = vec![usize::MAX; n];
+        for (new, &old) in perm.iter().enumerate() {
+            assert!(
+                old < n && new_of[old] == usize::MAX,
+                "perm is not a permutation"
+            );
+            new_of[old] = new;
+        }
+        let nnz = self.nnz();
+        // New (row, col) of every entry, and how many land in each.
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut col_ptr = vec![0usize; n + 1];
+        let moved = |r: usize, c: usize| {
+            let (a, b) = (new_of[r], new_of[c]);
+            (a.max(b), a.min(b))
+        };
+        for c in 0..n {
+            for &r in self.col_rows(c) {
+                let (nr, nc) = moved(r, c);
+                row_ptr[nr + 1] += 1;
+                col_ptr[nc + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+            col_ptr[i + 1] += col_ptr[i];
+        }
+        // Pass 1: bucket by new row.
+        let mut by_row_col = vec![0usize; nnz];
+        let mut by_row_val = vec![T::default(); nnz];
+        let mut next = row_ptr.clone();
+        for c in 0..n {
+            let at = self.col_ptr[c];
+            for (k, &r) in self.col_rows(c).iter().enumerate() {
+                let (nr, nc) = moved(r, c);
+                let slot = next[nr];
+                next[nr] += 1;
+                by_row_col[slot] = nc;
+                by_row_val[slot] = payload[at + k];
+            }
+        }
+        // Pass 2: rows ascending into their columns.
+        let mut row_idx = vec![0usize; nnz];
+        let mut out = vec![T::default(); nnz];
+        next.copy_from_slice(&col_ptr);
+        for nr in 0..n {
+            for k in row_ptr[nr]..row_ptr[nr + 1] {
+                let nc = by_row_col[k];
+                let slot = next[nc];
+                next[nc] += 1;
+                row_idx[slot] = nr;
+                out[slot] = by_row_val[k];
+            }
+        }
+        (SymPattern::from_parts(n, col_ptr, row_idx), out)
+    }
+}
+
+/// A symmetric matrix stored as its lower triangle (diagonal included).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseSym {
+    pattern: SymPattern,
+    values: Vec<f64>,
+}
+
+impl SparseSym {
+    /// Assemble from raw CSC parts of the lower triangle.
+    ///
+    /// # Panics
+    /// Panics when the structure is inconsistent, a column is missing its
+    /// diagonal entry, rows are unsorted, or an entry lies above the diagonal.
+    pub fn from_parts(
+        n: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(row_idx.len(), values.len());
+        SparseSym::from_pattern(SymPattern::from_parts(n, col_ptr, row_idx), values)
+    }
+
+    /// Attach one value per stored entry (column-major pattern order) to an
+    /// already validated pattern.
+    ///
+    /// # Panics
+    /// Panics when `values.len() != pattern.nnz()`.
+    pub fn from_pattern(pattern: SymPattern, values: Vec<f64>) -> Self {
+        assert_eq!(pattern.nnz(), values.len(), "one value per stored entry");
+        SparseSym { pattern, values }
+    }
+
+    /// The sparsity pattern (everything but the values).
+    pub fn pattern(&self) -> &SymPattern {
+        &self.pattern
+    }
+
+    /// Matrix order.
+    pub fn n(&self) -> usize {
+        self.pattern.n
+    }
+
+    /// Stored entries (lower triangle only).
+    pub fn nnz(&self) -> usize {
+        self.pattern.nnz()
+    }
+
+    /// Entries of the full symmetric matrix (`2·nnz − n`).
+    pub fn nnz_full(&self) -> usize {
+        2 * self.nnz() - self.n()
+    }
+
+    /// Column pointers.
+    pub fn col_ptr(&self) -> &[usize] {
+        &self.pattern.col_ptr
+    }
+
+    /// Row indices of (lower-triangle) column `c`; `col_rows(c)[0] == c`.
+    pub fn col_rows(&self, c: usize) -> &[usize] {
+        self.pattern.col_rows(c)
+    }
+
     /// Values of (lower-triangle) column `c`.
     pub fn col_values(&self, c: usize) -> &[f64] {
-        &self.values[self.col_ptr[c]..self.col_ptr[c + 1]]
+        &self.values[self.pattern.col_ptr[c]..self.pattern.col_ptr[c + 1]]
     }
 
     /// Value at `(row, col)` of the full symmetric matrix.
@@ -97,7 +236,7 @@ impl SparseSym {
     /// truncation threshold.
     pub fn frobenius_norm(&self) -> f64 {
         let mut s = 0.0f64;
-        for c in 0..self.n {
+        for c in 0..self.n() {
             for (k, &r) in self.col_rows(c).iter().enumerate() {
                 let v = self.col_values(c)[k];
                 s += if r == c { v * v } else { 2.0 * v * v };
@@ -109,9 +248,9 @@ impl SparseSym {
     /// Symmetric matrix–vector product `y = A·x` using only the stored
     /// lower triangle.
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n);
-        let mut y = vec![0.0; self.n];
-        for c in 0..self.n {
+        assert_eq!(x.len(), self.n());
+        let mut y = vec![0.0; self.n()];
+        for c in 0..self.n() {
             let rows = self.col_rows(c);
             let vals = self.col_values(c);
             // Diagonal entry.
@@ -128,8 +267,8 @@ impl SparseSym {
 
     /// Expand to a full (both triangles) [`crate::Csc`].
     pub fn to_full_csc(&self) -> crate::Csc {
-        let mut coo = crate::Coo::new(self.n, self.n);
-        for c in 0..self.n {
+        let mut coo = crate::Coo::new(self.n(), self.n());
+        for c in 0..self.n() {
             for (&r, &v) in self.col_rows(c).iter().zip(self.col_values(c)) {
                 coo.push_sym(r, c, v).expect("in range");
             }
@@ -138,9 +277,21 @@ impl SparseSym {
     }
 
     /// Apply the symmetric permutation `P·A·Pᵀ` (with `perm[new] = old`) and
-    /// return the permuted lower triangle.
+    /// return the permuted lower triangle. Linear in `nnz`: see
+    /// [`SymPattern::permute`].
+    ///
+    /// Values move bit for bit, except that a stored `-0.0` comes back as
+    /// `+0.0` — what summing triplets from zero did when this went through
+    /// [`crate::Coo`], kept so a permuted matrix is the same bits as ever.
+    ///
+    /// # Panics
+    /// Panics when `perm` is not a permutation of `0..n`.
     pub fn permute(&self, perm: &[usize]) -> SparseSym {
-        self.to_full_csc().permute_sym(perm).to_lower_sym()
+        let (pattern, mut values) = self.pattern.permute_with(&self.values, perm);
+        for v in &mut values {
+            *v += 0.0;
+        }
+        SparseSym { pattern, values }
     }
 
     /// Residual norm `‖A·x − b‖₂`.
@@ -219,6 +370,15 @@ mod tests {
                 assert_eq!(p.get(new_r, new_c), s.get(perm[new_r], perm[new_c]));
             }
         }
+    }
+
+    #[test]
+    fn permute_matches_the_coo_oracle() {
+        let s = crate::gen::random_spd(30, 5, 3);
+        let perm: Vec<usize> = (0..30).map(|i| (i * 7 + 11) % 30).collect();
+        let oracle = s.to_full_csc().permute_sym(&perm).to_lower_sym();
+        assert_eq!(s.permute(&perm), oracle);
+        assert_eq!(&s.pattern().permute(&perm), oracle.pattern());
     }
 
     #[test]

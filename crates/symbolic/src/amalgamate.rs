@@ -10,6 +10,7 @@
 //! columns stay consecutive and the factorization stays correct (the merged
 //! pattern is the union, a superset of every member column's true pattern).
 
+use crate::structure::RowPatterns;
 use crate::supernodes::SupernodePartition;
 
 /// Greedily merge chains of supernodes left-to-right.
@@ -19,19 +20,23 @@ use crate::supernodes::SupernodePartition;
 /// supernode; `max_width` caps merged supernode width.
 pub fn amalgamate(
     partition: &SupernodePartition,
-    patterns: &[Vec<usize>],
+    patterns: &RowPatterns,
     ratio: f64,
     max_width: usize,
-) -> (SupernodePartition, Vec<Vec<usize>>) {
+) -> (SupernodePartition, RowPatterns) {
     let ns = partition.n_supernodes();
     let n = partition.n();
     let mut new_starts: Vec<usize> = vec![0];
-    let mut new_patterns: Vec<Vec<usize>> = Vec::new();
+    let mut new_patterns = RowPatterns::with_capacity(ns, patterns.rows().len());
+    // The group's pattern and the candidate merge, reused across groups.
+    let mut pat: Vec<usize> = Vec::new();
+    let mut merged: Vec<usize> = Vec::new();
     let mut s = 0;
     while s < ns {
         // Current group state: columns [group_first, group_last_col], pattern.
         let mut width = partition.width(s);
-        let mut pat: Vec<usize> = patterns[s].clone();
+        pat.clear();
+        pat.extend_from_slice(&patterns[s]);
         let mut nnz_members = width * (width + 1) / 2 + width * patterns[s].len();
         let mut t = s + 1;
         while t < ns {
@@ -46,15 +51,17 @@ pub fn amalgamate(
             if width + wt > max_width {
                 break;
             }
-            // Merged pattern: (pat \ cols(t)) ∪ patterns[t].
+            // Merged pattern: (pat \ cols(t)) ∪ patterns[t]. `pat` is sorted,
+            // so the rows past t's columns are a suffix.
             let t_last = partition.last_col(t);
-            let mut merged: Vec<usize> = Vec::with_capacity(pat.len() + patterns[t].len());
-            let tail: Vec<usize> = pat.iter().copied().filter(|&r| r > t_last).collect();
+            let tail = &pat[pat.partition_point(|&r| r <= t_last)..];
+            let pt = &patterns[t];
+            merged.clear();
             // Union of two sorted lists.
             let (mut i, mut j) = (0, 0);
-            while i < tail.len() || j < patterns[t].len() {
+            while i < tail.len() || j < pt.len() {
                 let a = tail.get(i).copied().unwrap_or(usize::MAX);
-                let b = patterns[t].get(j).copied().unwrap_or(usize::MAX);
+                let b = pt.get(j).copied().unwrap_or(usize::MAX);
                 match a.cmp(&b) {
                     std::cmp::Ordering::Less => {
                         merged.push(a);
@@ -73,19 +80,19 @@ pub fn amalgamate(
             }
             let new_width = width + wt;
             let new_nnz = new_width * (new_width + 1) / 2 + new_width * merged.len();
-            let old_nnz = nnz_members + wt * (wt + 1) / 2 + wt * patterns[t].len();
+            let old_nnz = nnz_members + wt * (wt + 1) / 2 + wt * pt.len();
             let zeros = new_nnz.saturating_sub(old_nnz);
             if (zeros as f64) > ratio * (new_nnz as f64) {
                 break;
             }
             // Accept the merge.
             width = new_width;
-            pat = merged;
+            std::mem::swap(&mut pat, &mut merged);
             nnz_members = old_nnz; // real entries carried forward
             t += 1;
         }
         new_starts.push(partition.first_col(s) + width);
-        new_patterns.push(pat);
+        new_patterns.push(&pat);
         s = t;
     }
     debug_assert_eq!(*new_starts.last().unwrap(), n);
@@ -116,8 +123,8 @@ mod tests {
         // A tridiagonal matrix has all-singleton fundamental supernodes in a
         // parent chain; generous relaxation merges them into wide supernodes.
         let a = tridiag(12);
-        let post = postorder(&etree(&a));
-        let ap = a.permute(post.as_slice());
+        let post = postorder(&etree(a.pattern()));
+        let ap = a.pattern().permute(post.as_slice());
         let parent = etree(&ap);
         let counts = col_counts(&ap, &parent);
         let part = supernodes(&parent, &counts, 128);
@@ -139,8 +146,8 @@ mod tests {
     #[test]
     fn zero_ratio_changes_nothing_unless_free() {
         let a = tridiag(8);
-        let post = postorder(&etree(&a));
-        let ap = a.permute(post.as_slice());
+        let post = postorder(&etree(a.pattern()));
+        let ap = a.pattern().permute(post.as_slice());
         let parent = etree(&ap);
         let counts = col_counts(&ap, &parent);
         let part = supernodes(&parent, &counts, 128);
@@ -154,8 +161,8 @@ mod tests {
     #[test]
     fn max_width_caps_merging() {
         let a = tridiag(20);
-        let post = postorder(&etree(&a));
-        let ap = a.permute(post.as_slice());
+        let post = postorder(&etree(a.pattern()));
+        let ap = a.pattern().permute(post.as_slice());
         let parent = etree(&ap);
         let counts = col_counts(&ap, &parent);
         let part = supernodes(&parent, &counts, 128);
@@ -169,8 +176,8 @@ mod tests {
     #[test]
     fn merged_pattern_is_superset_of_member_tails() {
         let a = sympack_sparse::gen::random_spd(40, 4, 5);
-        let post = postorder(&etree(&a));
-        let ap = a.permute(post.as_slice());
+        let post = postorder(&etree(a.pattern()));
+        let ap = a.pattern().permute(post.as_slice());
         let parent = etree(&ap);
         let counts = col_counts(&ap, &parent);
         let part = supernodes(&parent, &counts, 128);

@@ -11,6 +11,7 @@
 //! array — a [`BlockInfo`] only stores the target supernode and that slice's
 //! offset/length.
 
+use crate::structure::RowPatterns;
 use crate::supernodes::SupernodePartition;
 
 /// Identity of a block: `B(target, owner)` in the paper's `B(i,j)` notation.
@@ -37,39 +38,43 @@ pub struct BlockInfo {
 /// blocks in ascending target order (the diagonal block is implicit).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockLayout {
-    per_sn: Vec<Vec<BlockInfo>>,
+    /// `blocks[ptr[j]..ptr[j + 1]]` are the blocks of supernode `j`.
+    ptr: Vec<usize>,
+    blocks: Vec<BlockInfo>,
 }
 
 impl BlockLayout {
     /// Off-diagonal blocks of supernode `j`, ascending by target supernode.
     pub fn blocks_of(&self, j: usize) -> &[BlockInfo] {
-        &self.per_sn[j]
+        &self.blocks[self.ptr[j]..self.ptr[j + 1]]
     }
 
     /// Find the block of supernode `j` targeting supernode `i`, if any.
     pub fn find(&self, i: usize, j: usize) -> Option<&BlockInfo> {
-        let v = &self.per_sn[j];
+        let v = self.blocks_of(j);
         v.binary_search_by_key(&i, |b| b.target).ok().map(|k| &v[k])
     }
 
     /// Total number of off-diagonal blocks.
     pub fn n_off_diagonal(&self) -> usize {
-        self.per_sn.iter().map(|v| v.len()).sum()
+        self.blocks.len()
     }
 
     /// Number of supernodes covered.
     pub fn n_supernodes(&self) -> usize {
-        self.per_sn.len()
+        self.ptr.len() - 1
     }
 }
 
 /// Group every supernode's pattern rows into blocks (Algorithm 2).
-pub fn build_layout(partition: &SupernodePartition, patterns: &[Vec<usize>]) -> BlockLayout {
+pub fn build_layout(partition: &SupernodePartition, patterns: &RowPatterns) -> BlockLayout {
     let ns = partition.n_supernodes();
     assert_eq!(patterns.len(), ns);
-    let mut per_sn = Vec::with_capacity(ns);
-    for pat in patterns {
-        let mut blocks = Vec::new();
+    let mut ptr = Vec::with_capacity(ns + 1);
+    ptr.push(0);
+    let mut blocks = Vec::new();
+    for s in 0..ns {
+        let pat = &patterns[s];
         let mut k = 0;
         while k < pat.len() {
             let target = partition.supno(pat[k]);
@@ -84,9 +89,9 @@ pub fn build_layout(partition: &SupernodePartition, patterns: &[Vec<usize>]) -> 
                 n_rows: k - start,
             });
         }
-        per_sn.push(blocks);
+        ptr.push(blocks.len());
     }
-    BlockLayout { per_sn }
+    BlockLayout { ptr, blocks }
 }
 
 #[cfg(test)]
@@ -101,7 +106,7 @@ mod tests {
     fn groups_pattern_rows_by_supernode() {
         // Supernodes: [0,1], [2,3], [4,5,6]. Pattern of sn 0: rows 2,3,5.
         let p = partition(vec![0, 2, 4, 7], 7);
-        let pats = vec![vec![2, 3, 5], vec![4, 6], vec![]];
+        let pats = RowPatterns::from_lists(&[vec![2, 3, 5], vec![4, 6], vec![]]);
         let layout = build_layout(&p, &pats);
         let b0 = layout.blocks_of(0);
         assert_eq!(b0.len(), 2);
@@ -138,7 +143,7 @@ mod tests {
     #[test]
     fn find_locates_blocks() {
         let p = partition(vec![0, 2, 4, 7], 7);
-        let pats = vec![vec![2, 3, 5], vec![4, 6], vec![]];
+        let pats = RowPatterns::from_lists(&[vec![2, 3, 5], vec![4, 6], vec![]]);
         let layout = build_layout(&p, &pats);
         assert!(layout.find(1, 0).is_some());
         assert!(layout.find(2, 0).is_some());
@@ -151,7 +156,7 @@ mod tests {
         // Pattern rows 4 and 6 inside supernode [4..7): one block, 2 rows,
         // row 5 absent — blocks are index lists, not row intervals.
         let p = partition(vec![0, 4, 7], 7);
-        let pats = vec![vec![4, 6], vec![]];
+        let pats = RowPatterns::from_lists(&[vec![4, 6], vec![]]);
         let layout = build_layout(&p, &pats);
         assert_eq!(
             layout.blocks_of(0),

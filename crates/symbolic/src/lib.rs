@@ -2,8 +2,10 @@
 //!
 //! Everything the paper's §3.1 does before any floating-point work:
 //!
-//! 1. [`etree::etree`] — elimination tree of the permuted matrix, plus
-//!    [`etree::postorder`] so that supernodes occupy consecutive columns,
+//! 1. [`etree::etree_permuted`] — elimination tree of the permuted matrix,
+//!    plus [`etree::postorder`] so that supernodes occupy consecutive columns
+//!    (the postordered matrix's tree is [`etree::relabel`], not a second
+//!    pass),
 //! 2. [`structure::col_counts`] — per-column factor nonzero counts,
 //! 3. [`supernodes::supernodes`] — fundamental supernode detection with
 //!    optional relaxed amalgamation,
@@ -12,6 +14,10 @@
 //!    into dense blocks `B(i,j)` indexed by (target supernode `i`, owning
 //!    supernode `j`), the unit on which the solver's tasks operate,
 //! 6. [`analyze`] — the one-call driver producing a [`SymbolicFactor`].
+//!
+//! The analysis is pattern-only: it reads a [`SymPattern`], never a value,
+//! and permutes that pattern once, by the composite permutation. Values are
+//! permuted once too, later, by whoever factors them (`SolvePlan::permute`).
 
 pub mod amalgamate;
 pub mod blocks;
@@ -22,11 +28,12 @@ pub mod supernodes;
 
 pub use blocks::{BlockId, BlockInfo, BlockLayout};
 pub use stats::{analysis_stats, AnalysisStats};
-pub use structure::col_counts;
+pub use structure::{col_counts, RowPatterns};
 pub use supernodes::{supernodes, SupernodePartition};
 
+use std::time::Instant;
 use sympack_ordering::Permutation;
-use sympack_sparse::SparseSym;
+use sympack_sparse::{SparseSym, SymPattern};
 
 /// Options controlling the analysis phase.
 #[derive(Debug, Clone)]
@@ -61,8 +68,9 @@ pub struct SymbolicFactor {
     pub partition: SupernodePartition,
     /// Supernodal elimination tree: `sn_parent[s]` or `usize::MAX` for roots.
     pub sn_parent: Vec<usize>,
-    /// Below-diagonal row pattern of each supernode (global rows, sorted).
-    pub patterns: Vec<Vec<usize>>,
+    /// Below-diagonal row pattern of each supernode (global rows, sorted):
+    /// `patterns[s]` is a slice of one flat array.
+    pub patterns: RowPatterns,
     /// Dense-block layout (Algorithm 2).
     pub layout: BlockLayout,
     /// Total nonzeros of `L` including the diagonal.
@@ -89,36 +97,99 @@ impl SymbolicFactor {
     }
 }
 
-/// Run the full analysis: permute by `ordering`, postorder the elimination
+/// Wall-clock milliseconds of each phase of one [`analyze_timed`] call, in
+/// the order they run. Diagnostic only: never part of a deterministic
+/// document.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AnalyzePhases {
+    /// Elimination tree of the ordered matrix, its postorder, the composite
+    /// permutation and the relabeled tree.
+    pub etree_ms: f64,
+    /// The one permutation of the pattern (by the composite permutation).
+    pub permute_ms: f64,
+    /// Column counts of `L`.
+    pub col_counts_ms: f64,
+    /// Fundamental supernodes plus relaxed amalgamation.
+    pub supernodes_ms: f64,
+    /// Supernodal row patterns.
+    pub patterns_ms: f64,
+    /// Supernodal tree, Algorithm-2 block layout and the cost totals.
+    pub layout_ms: f64,
+}
+
+impl AnalyzePhases {
+    /// Sum of the phases.
+    pub fn total_ms(&self) -> f64 {
+        self.etree_ms
+            + self.permute_ms
+            + self.col_counts_ms
+            + self.supernodes_ms
+            + self.patterns_ms
+            + self.layout_ms
+    }
+}
+
+/// Run the full analysis: order by `ordering`, postorder the elimination
 /// tree, detect (and optionally amalgamate) supernodes, compute row patterns
 /// and the Algorithm-2 block layout.
 ///
 /// Returns the symbolic factor; the composite permutation it contains must be
 /// used to permute the numeric values before factorization.
+///
+/// # Panics
+/// Panics when `ordering` is not a permutation of `a`'s order.
 pub fn analyze(a: &SparseSym, ordering: &Permutation, opts: &AnalyzeOptions) -> SymbolicFactor {
-    // 1. Apply the fill-reducing ordering.
-    let a1 = a.permute(ordering.as_slice());
-    // 2. Postorder the elimination tree and compose the permutations.
-    let parent = etree::etree(&a1);
+    analyze_timed(a, ordering, opts).0
+}
+
+/// [`analyze`], also reporting where the time went.
+pub fn analyze_timed(
+    a: &SparseSym,
+    ordering: &Permutation,
+    opts: &AnalyzeOptions,
+) -> (SymbolicFactor, AnalyzePhases) {
+    let a: &SymPattern = a.pattern();
+    assert_eq!(
+        ordering.len(),
+        a.n(),
+        "ordering length must match the matrix"
+    );
+    let mut t = Instant::now();
+    let mut lap = move || {
+        let now = Instant::now();
+        let ms = (now - t).as_secs_f64() * 1e3;
+        t = now;
+        ms
+    };
+    let mut phases = AnalyzePhases::default();
+    // 1. Elimination tree of the ordered matrix (read through the ordering,
+    // not formed), its postorder, and the composite of the two. The tree of
+    // the postordered matrix is the first tree relabeled.
+    let parent = etree::etree_permuted(a, ordering.inverse().as_slice());
     let post = etree::postorder(&parent);
     let perm = post.compose(ordering);
-    let ap = a1.permute(post.as_slice());
-    // 3. Column counts and supernodes on the postordered matrix.
-    let parent2 = etree::etree(&ap);
-    let counts = structure::col_counts(&ap, &parent2);
-    let mut partition = supernodes::supernodes(&parent2, &counts, opts.max_sn_width);
+    let parent = etree::relabel(&parent, &post);
+    phases.etree_ms = lap();
+    // 2. The one permutation: the pattern, by the composite.
+    let ap = a.permute(perm.as_slice());
+    phases.permute_ms = lap();
+    // 3. Column counts and supernodes on the postordered pattern.
+    let counts = structure::col_counts(&ap, &parent);
+    phases.col_counts_ms = lap();
+    let mut partition = supernodes::supernodes(&parent, &counts, opts.max_sn_width);
+    phases.supernodes_ms = lap();
     // 4. Supernodal patterns (needed before amalgamation decides fill).
     let mut patterns = structure::sn_patterns(&ap, &partition);
+    phases.patterns_ms = lap();
     if opts.amalgamation_ratio > 0.0 {
-        let (new_partition, new_patterns) = amalgamate::amalgamate(
+        (partition, patterns) = amalgamate::amalgamate(
             &partition,
             &patterns,
             opts.amalgamation_ratio,
             opts.max_sn_width,
         );
-        partition = new_partition;
-        patterns = new_patterns;
     }
+    phases.supernodes_ms += lap();
     // 5. Supernodal elimination tree: parent supernode = supernode of the
     // first below-diagonal pattern row.
     let ns = partition.n_supernodes();
@@ -144,7 +215,8 @@ pub fn analyze(a: &SparseSym, ordering: &Permutation, opts: &AnalyzeOptions) -> 
             flops += len * len;
         }
     }
-    SymbolicFactor {
+    phases.layout_ms = lap();
+    let sf = SymbolicFactor {
         perm,
         partition,
         sn_parent,
@@ -152,7 +224,8 @@ pub fn analyze(a: &SparseSym, ordering: &Permutation, opts: &AnalyzeOptions) -> 
         layout,
         l_nnz,
         flops,
-    }
+    };
+    (sf, phases)
 }
 
 #[cfg(test)]
