@@ -61,10 +61,7 @@ fn main() {
         if trows.len() == 1 {
             trows[0].extend(phases.iter().map(|(name, _)| name.to_string()));
         }
-        let mut trow = vec![
-            p.name().to_string(),
-            format!("{:.2}", plan.analyze_wall_ms),
-        ];
+        let mut trow = vec![p.name().to_string(), format!("{:.2}", plan.analyze_wall_ms)];
         trow.extend(phases.iter().map(|(_, ms)| format!("{ms:.2}")));
         trows.push(trow);
         let st = analysis_stats(&plan.sf);

@@ -848,6 +848,26 @@ mod tests {
     }
 
     #[test]
+    fn build_phases_partition_the_analysis_wall_time() {
+        // Big enough that the timer reads between phases are noise.
+        let a = laplacian_2d(60, 60);
+        let opts = SolverOptions {
+            ranks_per_node: 2,
+            ..Default::default()
+        };
+        let plan = SymbolicPlan::build(&a, &opts);
+        let rows = plan.phases.rows();
+        assert!(rows.iter().all(|&(_, ms)| ms >= 0.0));
+        assert!(plan.phases.ordering_ms > 0.0 && plan.phases.symbolic.total_ms() > 0.0);
+        let sum = plan.phases.total_ms();
+        assert!(
+            (sum - plan.analyze_wall_ms).abs() <= 0.05 * plan.analyze_wall_ms,
+            "phases sum to {sum} ms, analyze_wall_ms = {}",
+            plan.analyze_wall_ms
+        );
+    }
+
+    #[test]
     fn cache_key_separates_layouts_and_orderings() {
         let a = laplacian_2d(6, 6);
         let h = pattern_hash(&a);

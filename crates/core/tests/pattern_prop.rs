@@ -125,3 +125,44 @@ fn order_and_count_separate_prefix_sharing_patterns() {
         assert!(seen.insert(h), "diag({n}) collided with a smaller order");
     }
 }
+
+#[test]
+fn explicitly_stored_zeros_are_part_of_the_pattern() {
+    // `Coo::to_csc` keeps a pushed 0.0 (and a lone -0.0, stored as +0.0) as
+    // an entry, and `permute` carries it: the hash — and with it the plan
+    // cache key — sees the same structure as for any other values, and a
+    // different one from the matrix without those entries.
+    use sympack_sparse::Coo;
+    let n = 6;
+    let build = |extra: &[(usize, usize, f64)]| {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0).unwrap();
+        }
+        coo.push_sym(3, 1, -1.0).unwrap();
+        for &(r, c, v) in extra {
+            coo.push_sym(r, c, v).unwrap();
+        }
+        coo.to_csc().to_lower_sym()
+    };
+    let zeros = build(&[(4, 0, 0.0), (5, 2, -0.0)]);
+    let ones = build(&[(4, 0, 1.0), (5, 2, 1.0)]);
+    let without = build(&[]);
+    assert_eq!(zeros.nnz(), without.nnz() + 2, "to_csc kept both zeros");
+    assert_eq!(zeros.get(5, 2).to_bits(), 0.0f64.to_bits());
+    assert_eq!(pattern_hash(&zeros), pattern_hash(&ones));
+    assert_ne!(pattern_hash(&zeros), pattern_hash(&without));
+    // Through a permutation and back: same entries, same hash.
+    let perm = [3usize, 0, 5, 1, 4, 2];
+    let mut inv = [0usize; 6];
+    for (new, &old) in perm.iter().enumerate() {
+        inv[old] = new;
+    }
+    let p = zeros.permute(&perm);
+    assert_eq!(p.nnz(), zeros.nnz(), "permute kept both zeros");
+    assert_eq!(pattern_hash(&p), pattern_hash(&ones.permute(&perm)));
+    assert_eq!(pattern_hash(&p.permute(&inv)), pattern_hash(&zeros));
+    assert_eq!(p.permute(&inv), zeros);
+    let id: Vec<usize> = (0..n).collect();
+    assert_eq!(pattern_hash(&zeros.permute(&id)), pattern_hash(&zeros));
+}

@@ -106,9 +106,13 @@ fn dissect(
         return;
     }
     scratch.set_mask(&vertices, true);
-    // The subgraph may be disconnected: handle each component separately.
-    let comps = masked_components(g, &vertices, &scratch.mask, &mut scratch.seen);
-    if comps.len() > 1 {
+    // The search rooted at a pseudo-peripheral vertex is the separator's
+    // level structure, and settles connectivity on the way: it reached every
+    // vertex, or the subgraph falls apart and each component is handled
+    // separately.
+    pseudo_peripheral(g, vertices[0], &scratch.mask, &mut scratch.bfs);
+    if scratch.bfs.order().len() < vertices.len() {
+        let comps = masked_components(g, &vertices, &scratch.mask, &mut scratch.seen);
         scratch.set_mask(&vertices, false);
         for comp in comps {
             dissect(g, comp, opts, scratch, out);
@@ -117,9 +121,9 @@ fn dissect(
     }
     let sep_result = match opts.strategy {
         SeparatorStrategy::Multilevel => crate::multilevel::multilevel_separator(g, &vertices)
-            .or_else(|| level_set_separator(g, &vertices, &scratch.mask, &mut scratch.bfs)),
+            .or_else(|| level_set_separator(g, &vertices, &scratch.mask, &scratch.bfs)),
         SeparatorStrategy::LevelSet => {
-            level_set_separator(g, &vertices, &scratch.mask, &mut scratch.bfs)
+            level_set_separator(g, &vertices, &scratch.mask, &scratch.bfs)
         }
     };
     scratch.set_mask(&vertices, false);
@@ -195,7 +199,9 @@ fn masked_components(
     comps
 }
 
-/// Find a level-set vertex separator of the connected masked subgraph.
+/// Find a level-set vertex separator of the connected masked subgraph from
+/// its level structure in `bfs` (the search rooted at a pseudo-peripheral
+/// vertex).
 ///
 /// Returns `(separator, left_part, right_part)`; `None` when the BFS has too
 /// few levels to split (diameter ≤ 1).
@@ -203,13 +209,10 @@ fn level_set_separator(
     g: &Graph,
     vertices: &[usize],
     mask: &[bool],
-    bfs: &mut BfsScratch,
+    bfs: &BfsScratch,
 ) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    // The search from the pseudo-peripheral root is the last one
-    // `pseudo_peripheral` ran: its level structure is still in `bfs`.
-    pseudo_peripheral(g, vertices[0], mask, bfs);
     let levels = bfs.levels();
-    let far = *bfs.order().last().expect("the root itself was visited");
+    let far = *bfs.order().last().expect("a search visits its root");
     let max_level = levels[far];
     if max_level < 2 {
         return None;
@@ -333,7 +336,8 @@ mod tests {
         let vertices: Vec<usize> = (0..81).collect();
         let mask = vec![true; 81];
         let mut bfs = BfsScratch::new(81);
-        let (sep, left, right) = level_set_separator(&g, &vertices, &mask, &mut bfs).unwrap();
+        pseudo_peripheral(&g, 0, &mask, &mut bfs);
+        let (sep, left, right) = level_set_separator(&g, &vertices, &mask, &bfs).unwrap();
         assert_eq!(sep.len() + left.len() + right.len(), 81);
         // A 9x9 grid has a ~9-vertex separator; allow slack but require it
         // to be far smaller than the halves.

@@ -798,6 +798,11 @@ mod tests {
         // Cache hit: no analysis wall time, same pattern, bit-equal results.
         assert_eq!(cached.analyze_wall_ms(), 0.0);
         assert!(fresh.analyze_wall_ms() > 0.0);
+        // The phase breakdown belongs to the shared plan: what its builder
+        // paid, inside the builder's analysis wall time.
+        assert_eq!(cached.analyze_phases(), fresh.analyze_phases());
+        let phases = fresh.analyze_phases().total_ms();
+        assert!(phases > 0.0 && phases <= fresh.analyze_wall_ms());
         assert_eq!(cached.pattern(), fresh.pattern());
         assert_eq!(
             cached.factor_time().to_bits(),

@@ -160,7 +160,7 @@ impl Graph {
 /// Reusable state of [`Graph::bfs_levels_into`]: the level array (all
 /// `usize::MAX` outside the last search) and the last search's visit order,
 /// which is also what the next search resets.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BfsScratch {
     level: Vec<usize>,
     order: Vec<usize>,

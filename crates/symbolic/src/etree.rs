@@ -69,8 +69,10 @@ pub fn etree_permuted(a: &SymPattern, new_of: &[usize]) -> Vec<usize> {
 
 /// The tree `parent` in the labels of `post` (`post[new] = old`): the
 /// elimination tree of the matrix permuted by `post`, with no second pass
-/// over the matrix — an elimination tree depends on the labels only through
-/// the order of each vertex and its ancestors, which a postorder keeps.
+/// over the matrix. A postorder is a topological order of the tree, and
+/// reordering a matrix by a topological order of its elimination tree leaves
+/// the filled graph — hence the tree — the same up to that relabeling (Liu,
+/// "The role of elimination trees in sparse factorization", 1990).
 pub fn relabel(parent: &[usize], post: &Permutation) -> Vec<usize> {
     let new_of = post.inverse();
     post.as_slice()

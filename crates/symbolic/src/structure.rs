@@ -122,11 +122,6 @@ impl RowPatterns {
         self.len() == 0
     }
 
-    /// Offsets into [`RowPatterns::rows`], length `len() + 1`.
-    pub fn ptr(&self) -> &[usize] {
-        &self.ptr
-    }
-
     /// Every pattern, concatenated.
     pub fn rows(&self) -> &[usize] {
         &self.rows
