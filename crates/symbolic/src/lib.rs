@@ -117,15 +117,23 @@ pub struct AnalyzePhases {
     pub layout_ms: f64,
 }
 
-impl AnalyzePhases {
-    /// Sum of the phases.
-    pub fn total_ms(&self) -> f64 {
-        self.etree_ms
-            + self.permute_ms
-            + self.col_counts_ms
-            + self.supernodes_ms
-            + self.patterns_ms
-            + self.layout_ms
+/// A lap timer for the phase breakdowns: [`Lap::ms`] returns the wall-clock
+/// milliseconds since the previous call (or the start) and restarts.
+#[derive(Debug)]
+pub struct Lap(Instant);
+
+impl Lap {
+    /// Start timing now.
+    pub fn start() -> Self {
+        Lap(Instant::now())
+    }
+
+    /// Milliseconds since the last lap; starts the next one.
+    pub fn ms(&mut self) -> f64 {
+        let now = Instant::now();
+        let ms = (now - self.0).as_secs_f64() * 1e3;
+        self.0 = now;
+        ms
     }
 }
 
@@ -154,13 +162,7 @@ pub fn analyze_timed(
         a.n(),
         "ordering length must match the matrix"
     );
-    let mut t = Instant::now();
-    let mut lap = move || {
-        let now = Instant::now();
-        let ms = (now - t).as_secs_f64() * 1e3;
-        t = now;
-        ms
-    };
+    let mut lap = Lap::start();
     let mut phases = AnalyzePhases::default();
     // 1. Elimination tree of the ordered matrix (read through the ordering,
     // not formed), its postorder, and the composite of the two. The tree of
@@ -169,18 +171,18 @@ pub fn analyze_timed(
     let post = etree::postorder(&parent);
     let perm = post.compose(ordering);
     let parent = etree::relabel(&parent, &post);
-    phases.etree_ms = lap();
+    phases.etree_ms = lap.ms();
     // 2. The one permutation: the pattern, by the composite.
     let ap = a.permute(perm.as_slice());
-    phases.permute_ms = lap();
+    phases.permute_ms = lap.ms();
     // 3. Column counts and supernodes on the postordered pattern.
     let counts = structure::col_counts(&ap, &parent);
-    phases.col_counts_ms = lap();
+    phases.col_counts_ms = lap.ms();
     let mut partition = supernodes::supernodes(&parent, &counts, opts.max_sn_width);
-    phases.supernodes_ms = lap();
+    phases.supernodes_ms = lap.ms();
     // 4. Supernodal patterns (needed before amalgamation decides fill).
     let mut patterns = structure::sn_patterns(&ap, &partition);
-    phases.patterns_ms = lap();
+    phases.patterns_ms = lap.ms();
     if opts.amalgamation_ratio > 0.0 {
         (partition, patterns) = amalgamate::amalgamate(
             &partition,
@@ -189,7 +191,7 @@ pub fn analyze_timed(
             opts.max_sn_width,
         );
     }
-    phases.supernodes_ms += lap();
+    phases.supernodes_ms += lap.ms();
     // 5. Supernodal elimination tree: parent supernode = supernode of the
     // first below-diagonal pattern row.
     let ns = partition.n_supernodes();
@@ -215,7 +217,7 @@ pub fn analyze_timed(
             flops += len * len;
         }
     }
-    phases.layout_ms = lap();
+    phases.layout_ms = lap.ms();
     let sf = SymbolicFactor {
         perm,
         partition,
