@@ -253,6 +253,7 @@ impl FbEngine {
         let secs = apply_update(
             &mut self.kernels,
             &mut self.scratch,
+            &mut self.core.rt.wall,
             BlockRef::Dense(factored(&self.store, &self.inputs, (a, j))),
             BlockRef::Dense(factored(&self.store, &self.inputs, (b, j))),
             sf.block_rows(j, find(a, j)),

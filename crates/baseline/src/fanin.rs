@@ -186,6 +186,7 @@ impl FiEngine {
                 let secs = apply_update(
                     &mut self.kernels,
                     &mut self.scratch,
+                    &mut self.core.rt.wall,
                     operand(a).as_ref(),
                     operand(b).as_ref(),
                     sf.block_rows(j, ba),

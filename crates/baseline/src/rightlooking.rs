@@ -417,6 +417,7 @@ impl RlEngine {
                 let secs = apply_update(
                     &mut self.kernels,
                     &mut self.scratch,
+                    &mut self.core.rt.wall,
                     BlockRef::Dense(&panel.mats[ai + 1]),
                     lb,
                     sf.block_rows(j, ba),

@@ -10,17 +10,28 @@
 //! ```text
 //! cargo run --release -p sympack-bench --bin timeline -- \
 //!     [--quick] [--deterministic] [--out PATH] [--profile-json PATH]
+//! cargo run --release -p sympack-bench --bin timeline -- --wall [--quick]
 //! ```
 //!
 //! `--profile-json PATH` writes the fan-out run's Profile JSON (schema
 //! `sympack-profile-v1`) for `sympack-prof`; with `--deterministic` the
 //! run uses the lockstep scheduler, so the document is bit-stable across
 //! machines — how the committed `BENCH_profile.json` baseline was made.
+//!
+//! `--wall` instead prints where the *real* time of the factor loop goes:
+//! each rank's wall-clock attribution (`NumericFactor::loop_wall`, read
+//! under `telemetry`) beside its virtual busy / overhead / wait split, for
+//! the two P = 2 matrices of `perf/` at P ∈ {1, 2} under `perf/`'s options.
 
+use std::sync::Arc;
+use sympack::plan::{factor_numeric, SolvePlan};
+use sympack::sched::Wall;
 use sympack::{SolverOptions, SymPack};
 use sympack_baseline::{baseline_factor_and_solve, BaselineOptions};
 use sympack_bench::{render_table, Problem};
 use sympack_sparse::vecops::test_rhs;
+use sympack_sparse::{gen, SparseSym};
+use sympack_trace::profile::{CommMatrix, Profile};
 use sympack_trace::TraceEvent;
 
 /// Print busy fractions and the per-category kernel-time split of a trace.
@@ -56,9 +67,96 @@ fn write_file(out: &str, content: &str, what: &str) {
     println!("{what} written to {out}");
 }
 
+/// Factorizations per (matrix, P) of [`wall_report`]; the one whose loop
+/// wall is the median is printed.
+const WALL_REPS: usize = 5;
+
+/// `--wall`: one table per (matrix, P) — a row per rank, the wall-clock
+/// milliseconds of every [`Wall`] bucket (they sum to `loop`), then the
+/// virtual attribution of a second, traced factorization as shares of the
+/// virtual makespan.
+fn wall_report(quick: bool) {
+    let matrices: [(&str, SparseSym); 2] = if quick {
+        [
+            ("flan_like(7,7,7)", gen::flan_like(7, 7, 7)),
+            ("bone_like(6,6,5)", gen::bone_like(6, 6, 5)),
+        ]
+    } else {
+        [
+            ("flan_like(22,22,22)", gen::flan_like(22, 22, 22)),
+            ("bone_like(16,16,16)", gen::bone_like(16, 16, 16)),
+        ]
+    };
+    for (name, a) in &matrices {
+        for p in [1, 2] {
+            let opts = SolverOptions {
+                n_nodes: 1,
+                ranks_per_node: p,
+                gpu: false,
+                refine_steps: 0,
+                telemetry: true,
+                ..Default::default()
+            };
+            let plan = SolvePlan::new(a, &opts);
+            let ap = Arc::new(plan.permute(a));
+            let loop_ms = |nf: &sympack::plan::NumericFactor| {
+                nf.loop_wall.iter().map(|w| w.loop_ms).fold(0.0, f64::max)
+            };
+            let mut runs: Vec<_> = (0..WALL_REPS)
+                .map(|_| factor_numeric(&plan, &ap).expect("factorization"))
+                .collect();
+            runs.sort_by(|x, y| loop_ms(x).total_cmp(&loop_ms(y)));
+            let nf = &runs[WALL_REPS / 2];
+            let traced = SolvePlan::from_symbolic(
+                Arc::clone(&plan.symbolic),
+                &SolverOptions {
+                    trace: true,
+                    telemetry: false,
+                    ..opts.clone()
+                },
+            );
+            let tf = factor_numeric(&traced, &ap).expect("traced factorization");
+            let prof = Profile::build("fanout", &tf.trace, tf.factor_time, p, CommMatrix::empty(p));
+            let mut header = vec!["rank".to_string(), "loop ms".to_string()];
+            header.extend(Wall::ALL.iter().map(|w| w.name().to_string()));
+            header.extend(
+                [
+                    "v.busy",
+                    "v.overhead",
+                    "v.dep-wait",
+                    "v.fetch-wait",
+                    "v.idle",
+                ]
+                .map(str::to_string),
+            );
+            let mut rows = vec![header];
+            for (r, w) in nf.loop_wall.iter().enumerate() {
+                let mut row = vec![r.to_string(), format!("{:.1}", w.loop_ms)];
+                row.extend(Wall::ALL.iter().map(|&b| format!("{:.1}", w.get(b))));
+                let v = &prof.ranks[r];
+                row.extend(
+                    [v.busy, v.overhead, v.dep_wait, v.fetch_wait, v.idle]
+                        .map(|s| format!("{:.1}%", 100.0 * s / prof.makespan)),
+                );
+                rows.push(row);
+            }
+            println!(
+                "{name}, P = {p}: median of {WALL_REPS} factor loops (wall ms per rank; \
+                 virtual makespan {:.1} ms)\n{}",
+                prof.makespan * 1e3,
+                render_table(&rows)
+            );
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
+    if args.iter().any(|a| a == "--wall") {
+        wall_report(quick);
+        return;
+    }
     let deterministic = args.iter().any(|a| a == "--deterministic");
     let flag = |name: &str| {
         args.iter()

@@ -4,7 +4,9 @@
 //! [`crate::sched::TaskEngine`].
 
 use crate::plan::SolvePlan;
-use crate::sched::{self, CommLayer, Core, FetchConfig, FetchMode, TaskEngine, TaskId, TaskKind};
+use crate::sched::{
+    self, CommLayer, Core, FetchConfig, FetchMode, TaskEngine, TaskId, TaskKind, Wall,
+};
 use crate::storage::{Block, BlockStore};
 use crate::taskgraph::{BlockId, LocalTasks, RtqPolicy, TaskKey, TaskOps};
 use crate::update::{apply_update, UpdateScratch};
@@ -204,9 +206,11 @@ impl FactoEngine {
                 cols,
                 lr_rank,
             };
+            self.core.rt.wall.lap(Wall::Bookkeeping);
             self.core
                 .comm
                 .publish::<Self>(rank, &payload, lr_dense_equiv, dests, meta);
+            self.core.rt.wall.lap(Wall::Publish);
         }
         let now = rank.now();
         let bytes = data.bytes();
@@ -221,12 +225,14 @@ impl FactoEngine {
             .expect("diag block owned")
             .into_dense();
         let first = self.sf.partition.first_col(j);
+        self.core.rt.wall.lap(Wall::Bookkeeping);
         let Some(secs) =
             sched::potrf_or_fail(&mut self.core.rt, &mut self.kernels, rank, &mut m, first)
         else {
             self.store.put_slot(ops.target as usize, m);
             return;
         };
+        self.core.rt.wall.lap(Wall::Kernel);
         self.core.rt.charge(rank, key, secs);
         self.publish_factored(rank, ops.target, Block::Dense(m));
     }
@@ -240,6 +246,7 @@ impl FactoEngine {
         let ldiag = block(&self.store, &self.inputs, ops.a)
             .expect("diagonal factor present")
             .dense();
+        self.core.rt.wall.lap(Wall::Bookkeeping);
         let (_loc, mut secs) = self.kernels.trsm(&mut b, ldiag);
         // BLR: try to truncate the factored panel right after the solve —
         // before publication — so storage, wire bytes, and every downstream
@@ -255,6 +262,7 @@ impl FactoEngine {
         } else {
             Block::Dense(b)
         };
+        self.core.rt.wall.lap(Wall::Kernel);
         self.core.rt.charge(rank, key, secs);
         self.publish_factored(rank, ops.target, stored);
     }
@@ -275,6 +283,7 @@ impl FactoEngine {
         let secs = apply_update(
             &mut self.kernels,
             &mut self.scratch,
+            &mut self.core.rt.wall,
             la.as_ref(),
             lb.as_ref(),
             graph.block_rows(sf, ops.a),

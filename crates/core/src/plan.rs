@@ -41,7 +41,7 @@
 
 use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
-use crate::sched::{self, Engine, PublishStats};
+use crate::sched::{self, Engine, LoopWall, PublishStats};
 use crate::solve_tasks::SolveTasks;
 use crate::storage::BlockStore;
 use crate::taskgraph::LocalTasks;
@@ -432,6 +432,9 @@ pub struct RankOut {
     pub telemetry: Option<TelemetrySnapshot>,
     /// Health events this rank's watchdog raised.
     pub health: Vec<HealthEvent>,
+    /// Wall-clock attribution of the factor loop (zero unless `telemetry`).
+    /// Real time, so it stays out of `telemetry` and every hashed document.
+    pub wall: LoopWall,
 }
 
 /// Attach the rank-level observers: the comm-span tracer (rget/rput/rpc/
@@ -459,10 +462,12 @@ impl RankOut {
         }
         if telemetry {
             rt.telemetry = Some(Box::new(SchedTelemetry::new(rank.id())));
+            rt.wall.start();
         }
         let (mut engine, factor_time) = sched::run_to_completion(rank, engine);
         let core = engine.core();
         let (publish, rt) = (core.comm.stats(), &mut core.rt);
+        let wall = rt.wall.finish();
         let (error, tasks) = (rt.error.take(), rt.task_counts());
         let trace = rt.tracer.take().map_or_else(Vec::new, Tracer::into_events);
         let telemetry = rt.telemetry.take().map(|t| t.snapshot());
@@ -477,6 +482,7 @@ impl RankOut {
             trace,
             tasks,
             telemetry,
+            wall,
             ..Default::default()
         }
     }
@@ -590,6 +596,7 @@ pub fn assemble(
         op_counts: outs.iter().map(|o| o.counts).collect(),
         publish: outs.iter().map(|o| o.publish).collect(),
         blr_counts: outs.iter().map(|o| o.blr).collect(),
+        loop_wall: outs.iter().map(|o| o.wall).collect(),
         stats: run.stats,
         trace: sympack_trace::merge(
             outs.iter_mut()
@@ -708,6 +715,9 @@ pub struct NumericFactor {
     pub publish: Vec<PublishStats>,
     /// Per-rank BLR kernel counters (all zero in dense mode).
     pub blr_counts: Vec<BlrCounters>,
+    /// Per-rank wall-clock attribution of the factor loop (all zero unless
+    /// [`SolverOptions::telemetry`]).
+    pub loop_wall: Vec<LoopWall>,
     /// Communication counters of the factorization run.
     pub stats: StatsSnapshot,
     /// Merged timeline of the region that produced the factor (empty
@@ -859,6 +869,32 @@ mod tests {
             "phases sum to {sum} ms, analyze_wall_ms = {}",
             plan.analyze_wall_ms
         );
+    }
+
+    #[test]
+    fn loop_wall_partitions_the_factor_loop_and_is_off_without_telemetry() {
+        use crate::sched::Wall;
+        // Big enough that two timer reads are noise beside the loop.
+        let a = laplacian_2d(60, 60);
+        let mut opts = SolverOptions {
+            ranks_per_node: 2,
+            gpu: false,
+            ..Default::default()
+        };
+        let plan = SolvePlan::new(&a, &opts);
+        let ap = Arc::new(plan.permute(&a));
+        let nf = factor_numeric(&plan, &ap).unwrap();
+        assert!(nf.loop_wall.iter().all(|w| *w == LoopWall::default()));
+        opts.telemetry = true;
+        let timed = SolvePlan::from_symbolic(Arc::clone(&plan.symbolic), &opts);
+        let nf = factor_numeric(&timed, &ap).unwrap();
+        assert_eq!(nf.loop_wall.len(), 2);
+        for w in &nf.loop_wall {
+            assert!(w.get(Wall::Kernel) > 0.0 && w.get(Wall::Scatter) > 0.0);
+            assert!(w.get(Wall::Signals) > 0.0 && w.get(Wall::Publish) > 0.0);
+            let (sum, wall) = (w.total_ms(), w.loop_ms);
+            assert!((sum - wall).abs() <= 0.03 * wall, "{sum} ms of {wall} ms");
+        }
     }
 
     #[test]

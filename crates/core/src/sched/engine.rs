@@ -78,6 +78,9 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     pred: HashMap<K, String>,
     /// Resident input-buffer gauge (bytes), sampled onto exec spans.
     mem_bytes: u64,
+    /// Wall-clock attribution of the factor loop; off unless started (see
+    /// [`super::WallClock`]). Never touches the virtual clock.
+    pub wall: super::WallClock,
 }
 
 impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
@@ -118,6 +121,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
             picked_ready: 0.0,
             pred: HashMap::new(),
             mem_bytes: 0,
+            wall: super::WallClock::default(),
         }
     }
 
@@ -412,6 +416,11 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// Queue an incoming signal (called from RPC closures).
     pub fn post(&mut self, signal: S) {
         self.inbox.push(signal);
+    }
+
+    /// True when signals are queued for [`take_signals`](Self::take_signals).
+    pub fn has_signals(&self) -> bool {
+        !self.inbox.is_empty()
     }
 
     /// Take every queued signal for resolution (see [`super::step`]).

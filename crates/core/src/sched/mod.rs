@@ -62,11 +62,13 @@ mod comm;
 mod engine;
 mod fetch;
 mod queue;
+mod wall;
 
 pub use comm::{CommLayer, PublishStats};
 pub use engine::{TaskEngine, TaskId};
 pub use fetch::{FetchConfig, FetchMode};
 pub use queue::{ReadyQueue, RtqPolicy};
+pub use wall::{LoopWall, Wall, WallClock};
 
 use crate::storage::BlockStore;
 use crate::SolverError;
@@ -298,19 +300,23 @@ pub trait Engine: Sized + Send + 'static {
 pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
     let core = engine.core();
     let cfg = core.fetch;
-    for sig in core.rt.take_signals() {
-        match fetch::fetch(rank, &sig.ptr, &cfg) {
-            Ok((data, ready_at)) => {
-                let comm = &mut engine.core().comm;
-                comm.relay::<E>(rank, &sig, &data, ready_at);
-                engine.on_data(rank, sig.meta, data, ready_at);
-            }
-            Err(err) => {
-                let err = fetch::with_context(err, sig.meta.describe());
-                engine.core().rt.fail(rank, err);
-                break;
+    let signals = core.rt.take_signals();
+    if !signals.is_empty() {
+        for sig in signals {
+            match fetch::fetch(rank, &sig.ptr, &cfg) {
+                Ok((data, ready_at)) => {
+                    let comm = &mut engine.core().comm;
+                    comm.relay::<E>(rank, &sig, &data, ready_at);
+                    engine.on_data(rank, sig.meta, data, ready_at);
+                }
+                Err(err) => {
+                    let err = fetch::with_context(err, sig.meta.describe());
+                    engine.core().rt.fail(rank, err);
+                    break;
+                }
             }
         }
+        engine.core().rt.wall.lap(Wall::Signals);
     }
     let core = engine.core();
     core.comm.tick(rank);
@@ -318,9 +324,12 @@ pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
         core.comm.flush_all(rank);
         return false;
     };
+    core.rt.wall.lap(Wall::Pick);
     core.rt.begin(rank, ready_at);
     engine.exec(rank, id, key);
-    engine.core().rt.complete(id);
+    let rt = &mut engine.core().rt;
+    rt.complete(id);
+    rt.wall.lap(Wall::Bookkeeping);
     true
 }
 
@@ -358,9 +367,20 @@ pub fn run_to_completion<E: Engine>(rank: &mut Rank, engine: E) -> (E, f64) {
         rank,
         engine,
         |rank, st: &mut E| {
+            // The poll that led here is progress if it brought or found
+            // work, idle otherwise — known only after the steps below.
+            let rt = &mut st.core().rt;
+            let polled = rt.wall.split();
+            let mut worked = rt.has_signals();
             // Run until we go idle, then re-poll.
-            while step(st, rank) {}
-            st.core().rt.finished() || rank.job_aborted()
+            while step(st, rank) {
+                worked = true;
+            }
+            let rt = &mut st.core().rt;
+            rt.wall
+                .add(if worked { Wall::Progress } else { Wall::Idle }, polled);
+            rt.wall.lap(if worked { Wall::Pick } else { Wall::Idle });
+            rt.finished() || rank.job_aborted()
         },
         |rank, st| st.core().rt.fail_stalled(rank, E::STALL_DETAIL),
     );

@@ -3,6 +3,7 @@
 //! a store (fan-out, right-looking, the local targets of fan-in) or an
 //! aggregation buffer of the same shape (fan-in's remote targets, fan-both).
 
+use crate::sched::{Wall, WallClock};
 use sympack_dense::{BlockRef, Mat};
 use sympack_gpu::KernelEngine;
 
@@ -25,11 +26,13 @@ pub struct UpdateScratch {
 /// global rows of the target block — or `None` when the target is the
 /// diagonal block of `b`: then `a = b`, `la` is ignored, the product is a
 /// SYRK of `lb` and only its lower triangle is added. Operands may be
-/// stored compressed; the target never is.
+/// stored compressed; the target never is. `wall` is the calling engine's
+/// loop attribution: the product is its kernel time, the rest its scatter.
 #[allow(clippy::too_many_arguments)] // two operands, three row lists, a target
 pub fn apply_update(
     kernels: &mut KernelEngine,
     scratch: &mut UpdateScratch,
+    wall: &mut WallClock,
     la: BlockRef<'_>,
     lb: BlockRef<'_>,
     rows_a: &[usize],
@@ -38,6 +41,7 @@ pub fn apply_update(
     first_b: usize,
     target: &mut Mat,
 ) -> f64 {
+    wall.lap(Wall::Bookkeeping);
     let syrk = target_rows.is_none();
     let (ma, nb) = (if syrk { lb.rows() } else { la.rows() }, lb.rows());
     let mut buf = std::mem::take(&mut scratch.work);
@@ -49,6 +53,7 @@ pub fn apply_update(
     } else {
         kernels.gemm_any(&mut temp, la, lb)
     };
+    wall.lap(Wall::Kernel);
     // Row map: where each row of the product lands in the target.
     let row_map = &mut scratch.row_map;
     row_map.clear();
@@ -80,5 +85,6 @@ pub fn apply_update(
         }
     }
     scratch.work = temp.into_vec();
+    wall.lap(Wall::Scatter);
     secs
 }
