@@ -34,7 +34,7 @@ use sympack::update::{apply_update, UpdateScratch};
 use sympack::{SolverError, TaskKey};
 use sympack_dense::{BlockRef, Mat};
 use sympack_gpu::KernelEngine;
-use sympack_pgas::Rank;
+use sympack_pgas::{Payload, Rank};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 
@@ -207,7 +207,7 @@ impl FbEngine {
     /// `(t,j)`, `t ≥ i`, down its grid column — the compute ranks of the
     /// updates (or, for a diagonal factor, the panel solves) that use it —
     /// and release this rank's own consumers.
-    fn publish_factor(&mut self, rank: &mut Rank, blk: Mat, i: usize, j: usize) {
+    fn publish_factor(&mut self, rank: &mut Rank, mut blk: Mat, i: usize, j: usize) {
         let below = self.sf.layout.blocks_of(j).iter();
         let below = below.filter(|bb| bb.target >= i);
         let dests = distinct_owners(below.map(|bb| self.grid.map(bb.target, j)));
@@ -215,7 +215,7 @@ impl FbEngine {
         let meta = Msg::Factor { i, j, rows, cols };
         self.core
             .comm
-            .publish::<Self>(rank, blk.as_slice(), None, &dests, meta);
+            .publish::<Self>(rank, blk.share(), None, &dests, meta);
         self.store.put((i, j), blk);
         self.release_consumers(i, j, rank.now());
     }
@@ -278,7 +278,7 @@ impl FbEngine {
             let meta = Msg::Aggregate { a, b, rows, cols };
             self.core
                 .comm
-                .publish::<Self>(rank, buf.as_slice(), None, &[owner], meta);
+                .publish::<Self>(rank, buf.into_vec(), None, &[owner], meta);
         }
     }
 }
@@ -304,16 +304,16 @@ impl Engine for FbEngine {
 
     /// Fan-both does not track transfer completion times (its tasks start
     /// whenever picked), so the fetch `ready_at` is ignored.
-    fn on_data(&mut self, rank: &mut Rank, meta: Msg, data: Vec<f64>, _ready_at: f64) {
+    fn on_data(&mut self, rank: &mut Rank, meta: Msg, data: Payload, _ready_at: f64) {
         let now = rank.now();
         match meta {
             Msg::Factor { i, j, rows, cols } => {
                 self.inputs
-                    .insert((i, j), Mat::from_col_major(rows, cols, data));
+                    .insert((i, j), Mat::from_shared(rows, cols, data));
                 self.release_consumers(i, j, now);
             }
             Msg::Aggregate { a, b, rows, cols } => {
-                self.absorb(a, b, &Mat::from_col_major(rows, cols, data), now);
+                self.absorb(a, b, &Mat::from_shared(rows, cols, data), now);
             }
         }
     }

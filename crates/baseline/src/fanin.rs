@@ -29,7 +29,7 @@ use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::SolverError;
 use sympack_gpu::KernelEngine;
-use sympack_pgas::Rank;
+use sympack_pgas::{Payload, Rank};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 use sympack_trace::TraceCat;
@@ -242,14 +242,14 @@ impl Engine for FiEngine {
                 let meta = AggMeta { target: b };
                 self.core
                     .comm
-                    .publish::<Self>(rank, &packed, None, &[owner], meta);
+                    .publish::<Self>(rank, packed, None, &[owner], meta);
             }
         }
     }
 
     /// An aggregate arrived (a blocking two-sided receive): fold it into the
     /// owned target and release its factor task.
-    fn on_data(&mut self, _rank: &mut Rank, meta: AggMeta, data: Vec<f64>, ready_at: f64) {
+    fn on_data(&mut self, _rank: &mut Rank, meta: AggMeta, data: Payload, ready_at: f64) {
         let b = meta.target;
         ColumnBuf::unpack(&self.sf, b, &data).add_into(&self.sf, &mut self.store, b);
         self.core.rt.dec(FiKey { j: b }, ready_at);

@@ -22,7 +22,7 @@ use sympack_dense::BlockRef;
 use sympack_gpu::{KernelEngine, OffloadThresholds, OomPolicy, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
 use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
-use sympack_pgas::{FaultPlan, NetModel, PgasConfig, Rank, Runtime, StatsSnapshot};
+use sympack_pgas::{FaultPlan, NetModel, Payload, PgasConfig, Rank, Runtime, StatsSnapshot};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::{analyze, AnalyzeOptions, SymbolicFactor};
 use sympack_trace::profile::Profile;
@@ -384,11 +384,11 @@ impl RlEngine {
         if dests.is_empty() {
             return;
         }
-        let packed = ColumnBuf::pack_store(sf, &self.store, j);
+        let packed = Payload::new(ColumnBuf::pack_store(sf, &self.store, j));
         let meta = PanelMeta { j };
         self.core
             .comm
-            .publish::<Self>(rank, &packed, None, &dests, meta);
+            .publish::<Self>(rank, Payload::clone(&packed), None, &dests, meta);
         if dests.contains(&self.me) {
             // Self-application without communication.
             let now = rank.now();
@@ -456,7 +456,7 @@ impl Engine for RlEngine {
 
     /// A panel arrived (a blocking two-sided receive): keep it for its
     /// apply task.
-    fn on_data(&mut self, _rank: &mut Rank, meta: PanelMeta, data: Vec<f64>, ready_at: f64) {
+    fn on_data(&mut self, _rank: &mut Rank, meta: PanelMeta, data: Payload, ready_at: f64) {
         let j = meta.j;
         self.inputs.insert(j, ColumnBuf::unpack(&self.sf, j, &data));
         self.core.rt.dec(RlKey::Apply { j }, ready_at);

@@ -10,12 +10,11 @@ use crate::sched::{
 use crate::storage::{Block, BlockStore};
 use crate::taskgraph::{BlockId, LocalTasks, RtqPolicy, TaskKey, TaskOps};
 use crate::update::{apply_update, UpdateScratch};
-use std::borrow::Cow;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack_dense::{LowRankMat, Mat};
 use sympack_gpu::KernelEngine;
-use sympack_pgas::Rank;
+use sympack_pgas::{Payload, Rank};
 use sympack_symbolic::SymbolicFactor;
 
 /// Sentinel rank meaning "dense payload" on the signal wire.
@@ -188,16 +187,17 @@ impl FactoEngine {
     /// Publish a freshly factored owned block: fan it out to the ranks
     /// owning dependent tasks (Fig. 4 steps 1–2; a compressed panel ships
     /// its `[U | V]` factors — (rows+cols)·rank values instead of
-    /// rows·cols), store it (its one resident copy) and release its local
-    /// consumers.
-    fn publish_factored(&mut self, rank: &mut Rank, blk: BlockId, data: Block) {
+    /// rows·cols), store it and release its local consumers. A dense block
+    /// is frozen, not copied: the store, the shared-heap segment and every
+    /// consumer's input are the one buffer.
+    fn publish_factored(&mut self, rank: &mut Rank, blk: BlockId, mut data: Block) {
         let dests = self.graph.dests_of(blk);
         if !dests.is_empty() {
             let (i, j) = self.graph.blocks[blk as usize];
             let (rows, cols) = (data.rows(), data.cols());
-            let (payload, lr_dense_equiv, lr_rank) = match &data {
-                Block::Dense(m) => (Cow::Borrowed(m.as_slice()), None, DENSE_WIRE),
-                Block::LowRank(lr) => (Cow::Owned(lr.to_payload()), Some(rows * cols), lr.rank()),
+            let (payload, lr_dense_equiv, lr_rank) = match &mut data {
+                Block::Dense(m) => (m.share(), None, DENSE_WIRE),
+                Block::LowRank(lr) => (Payload::new(lr.to_payload()), Some(rows * cols), lr.rank()),
             };
             let meta = BlockMeta {
                 i,
@@ -209,7 +209,7 @@ impl FactoEngine {
             self.core.rt.wall.lap(Wall::Bookkeeping);
             self.core
                 .comm
-                .publish::<Self>(rank, &payload, lr_dense_equiv, dests, meta);
+                .publish::<Self>(rank, payload, lr_dense_equiv, dests, meta);
             self.core.rt.wall.lap(Wall::Publish);
         }
         let now = rank.now();
@@ -322,11 +322,12 @@ impl sched::Engine for FactoEngine {
         }
     }
 
-    /// A fanned-out block arrived (compressed panels stay compressed: the
-    /// update kernels consume them in factored form).
-    fn on_data(&mut self, _rank: &mut Rank, s: BlockMeta, data: Vec<f64>, ready_at: f64) {
+    /// A fanned-out block arrived: a dense one is its owner's buffer, wrapped
+    /// (compressed panels stay compressed: the update kernels consume them
+    /// in factored form).
+    fn on_data(&mut self, _rank: &mut Rank, s: BlockMeta, data: Payload, ready_at: f64) {
         let blk = if s.lr_rank == DENSE_WIRE {
-            Block::Dense(Mat::from_col_major(s.rows, s.cols, data))
+            Block::Dense(Mat::from_shared(s.rows, s.cols, data))
         } else {
             Block::LowRank(LowRankMat::from_payload(s.rows, s.cols, s.lr_rank, &data))
         };
@@ -341,5 +342,95 @@ impl sched::Engine for FactoEngine {
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {
         (self.store, self.kernels)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{factor_numeric, make_kernels};
+    use crate::SolverOptions;
+    use std::collections::HashMap;
+    use sympack_dense::BlrConfig;
+    use sympack_pgas::coalesce::BcastTopology;
+    use sympack_pgas::Runtime;
+    use sympack_sparse::gen::{bone_like, flan_like};
+
+    /// `(block, address of its first element)` of every dense block a rank
+    /// holds after its factor loop: the owned ones, and the fetched inputs.
+    type Held = Vec<((usize, usize), usize)>;
+
+    fn addresses<'a>(blocks: impl Iterator<Item = (&'a (usize, usize), &'a Block)>) -> Held {
+        blocks
+            .filter(|(_, b)| !b.is_lowrank())
+            .map(|(k, b)| (*k, b.dense().as_slice().as_ptr() as usize))
+            .collect()
+    }
+
+    #[test]
+    fn every_dense_remote_input_is_its_owners_stored_buffer() {
+        // The brick's top separators give blocks past the 64 × 64 elements
+        // that take the device path of `fetch` under `gpu`.
+        let (small, big) = (bone_like(5, 5, 4), flan_like(9, 9, 9));
+        let blr_on = BlrConfig {
+            tol: 1e-6,
+            min_block: 4,
+            ..Default::default()
+        };
+        let tree = BcastTopology::Tree { arity: 2 };
+        for (n_nodes, ranks_per_node) in [(1, 2), (3, 1), (2, 2)] {
+            for (bcast, blr, gpu) in [
+                (BcastTopology::Flat, BlrConfig::default(), false),
+                (tree, BlrConfig::default(), false),
+                (BcastTopology::Flat, BlrConfig::default(), true),
+                (BcastTopology::Flat, blr_on, false),
+                (tree, blr_on, false),
+            ] {
+                let opts = SolverOptions {
+                    n_nodes,
+                    ranks_per_node,
+                    gpu,
+                    bcast,
+                    blr,
+                    ..Default::default()
+                };
+                let what = format!(
+                    "{n_nodes}×{ranks_per_node} {bcast:?} blr={} gpu={gpu}",
+                    blr.tol
+                );
+                let a = if gpu { &big } else { &small };
+                let plan = SolvePlan::new(a, &opts);
+                let ap = plan.permute(a);
+                let abort = Arc::new(AtomicBool::new(false));
+                let run = Runtime::run(plan.pgas_config(), |rank| {
+                    let (me, abort) = (rank.id(), Arc::clone(&abort));
+                    let engine = FactoEngine::new(&plan, &ap, me, make_kernels(&opts), abort);
+                    let (engine, _) = sched::run_to_completion(rank, engine);
+                    assert!(engine.core.rt.error.is_none());
+                    let fetched = engine.graph.blocks[engine.graph.n_owned..].iter();
+                    let inputs = fetched.zip(&engine.inputs).map(|(k, b)| {
+                        let b = b.as_ref().expect("every input of a finished rank arrived");
+                        (k, b)
+                    });
+                    (addresses(engine.store.iter()), addresses(inputs))
+                });
+                let owned: HashMap<_, _> = run.results.iter().flat_map(|r| r.0.clone()).collect();
+                let inputs: Held = run.results.iter().flat_map(|r| r.1.clone()).collect();
+                assert!(!inputs.is_empty(), "{what}: nothing crossed ranks");
+                for (key, at) in inputs {
+                    assert_eq!(at, owned[&key], "{what}: input {key:?} is a copy");
+                }
+                assert_eq!(run.stats.copied_bytes, 0, "{what}");
+                assert_eq!(run.stats.copies > 0, gpu, "{what}: device fetches");
+                // The same factorization through the public path copies
+                // nothing either, and hands back whole, unshared stores.
+                let nf = factor_numeric(&plan, &Arc::new(ap)).unwrap();
+                assert_eq!(nf.stats.copied_bytes, 0, "{what}");
+                assert_eq!(
+                    nf.stats.rgets + nf.stats.copies,
+                    run.stats.rgets + run.stats.copies
+                );
+            }
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! engine saying "this payload, to these ranks" and the receiving engine's
 //! inbox.
 //!
-//! [`CommLayer::publish`] places the payload in the publisher's shared heap
-//! (the runtime owns `ptr`; the engine only names its `meta`), counts the
+//! [`CommLayer::publish`] exposes the payload in the publisher's shared heap
+//! — the buffer the engine hands over *becomes* the segment, nothing is
+//! staged (the runtime owns `ptr`; the engine only names its `meta`) — counts the
 //! bytes ([`PublishStats`]), and signals the remote destinations — flat, or
 //! through a k-ary tree over node groups whose leaders re-host the block and
 //! relay it onward ([`BcastTopology::Tree`]). The delivery closure, the
@@ -35,7 +36,7 @@ use std::sync::Arc;
 use sympack_pgas::coalesce::{
     plan_tree, Batch, BcastPlan, BcastTopology, CoalesceConfig, Coalescer, SIGNAL_WIRE_BYTES,
 };
-use sympack_pgas::{GlobalPtr, MemKind, Rank};
+use sympack_pgas::{GlobalPtr, MemKind, Payload, Rank};
 
 /// A buffered sub-signal: the delivery closure that would have been the
 /// body of a flat `rpc_signal`.
@@ -116,9 +117,12 @@ impl CommLayer {
     }
 
     /// Publish `payload` to the ranks in `dests` (the local rank, if
-    /// listed, is skipped — its consumers read the data in place): allocate
-    /// in the shared heap, write, and `signal(ptr, meta)` every remote
-    /// destination's engine `E`. `lr_dense_equiv` is `None` for a dense
+    /// listed, is skipped — its consumers read the data in place): expose
+    /// the buffer in the shared heap as it is — a frozen block
+    /// (`Mat::share`) or a `Vec` moved in, never a copy — and
+    /// `signal(ptr, meta)` every remote destination's engine `E`; what their
+    /// fetch hands to [`Engine::on_data`] is this same buffer.
+    /// `lr_dense_equiv` is `None` for a dense
     /// payload; for a compressed one it is the element count the same block
     /// would have had dense (every hop downstream moves, and is charged
     /// for, the payload's reduced size).
@@ -130,22 +134,16 @@ impl CommLayer {
     pub fn publish<E: Engine>(
         &mut self,
         rank: &mut Rank,
-        payload: &[f64],
+        payload: impl Into<Payload>,
         lr_dense_equiv: Option<usize>,
         dests: &[usize],
         meta: E::Meta,
     ) {
         let me = rank.id();
-        let remote: Vec<usize>;
-        let dests = if dests.contains(&me) {
-            remote = dests.iter().copied().filter(|&d| d != me).collect();
-            &remote[..]
-        } else {
-            dests
-        };
-        if dests.is_empty() {
+        if dests.iter().all(|&d| d == me) {
             return;
         }
+        let payload = payload.into();
         let bytes = (payload.len() * 8) as u64;
         match lr_dense_equiv {
             None => {
@@ -164,7 +162,7 @@ impl CommLayer {
         };
         match self.topology {
             BcastTopology::Flat => {
-                for &dest in dests {
+                for &dest in dests.iter().filter(|&&d| d != me) {
                     self.signal::<E>(rank, dest, sig, None);
                 }
             }
@@ -181,8 +179,9 @@ impl CommLayer {
     }
 
     /// The payload behind `arrived` is here, valid from `ready_at`: if its
-    /// signal carried a relay duty, discharge it — re-host the payload in
-    /// this rank's shared heap and signal the leader's node members (flat)
+    /// signal carried a relay duty, discharge it — re-host the payload (the
+    /// same buffer again) in this rank's shared heap and signal the leader's
+    /// node members (flat)
     /// plus its child leaders (who inherit relay duties of their own).
     /// Virtual-time honesty: the payload cannot leave this rank before it
     /// arrived, so the leader's clock first advances to `ready_at`.
@@ -190,7 +189,7 @@ impl CommLayer {
         &mut self,
         rank: &mut Rank,
         arrived: &Signal<E::Meta>,
-        data: &[f64],
+        data: &Payload,
         ready_at: f64,
     ) {
         let Some(RelayDuty { plan, pos }) = self.relays.remove(&arrived.ptr) else {
@@ -198,7 +197,7 @@ impl CommLayer {
         };
         rank.advance_to(ready_at);
         let sig = Signal {
-            ptr: host(rank, data),
+            ptr: host(rank, Payload::clone(data)),
             meta: arrived.meta,
         };
         for &dest in &plan.members[pos] {
@@ -271,13 +270,10 @@ impl CommLayer {
     }
 }
 
-/// Place `payload` in this rank's shared heap for consumers to fetch.
-fn host(rank: &mut Rank, payload: &[f64]) -> GlobalPtr {
-    let ptr = rank
-        .alloc(MemKind::Host, payload.len())
-        .expect("host allocation cannot fail");
-    rank.write_local(&ptr, payload);
-    ptr
+/// Expose `payload` in this rank's shared heap for consumers to fetch.
+fn host(rank: &mut Rank, payload: Payload) -> GlobalPtr {
+    rank.alloc_from(MemKind::Host, payload)
+        .expect("host allocation cannot fail")
 }
 
 /// Ship one flushed batch as a single framed message. The frame closure

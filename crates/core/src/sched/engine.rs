@@ -46,6 +46,10 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     urgency: Vec<u64>,
     /// Notifications delivered by RPC but not yet turned into gets.
     inbox: Vec<S>,
+    /// The emptied buffer of the previous [`take_signals`](Self::take_signals),
+    /// swapped back in by the next: the inbox ping-pongs between two
+    /// allocations instead of growing and dropping one per step.
+    spare_inbox: Vec<S>,
     done: usize,
     /// Executed tasks per kind (schedule-invariant; checked by tests). An
     /// engine has a handful of kinds, so a scanned array beats a map.
@@ -110,6 +114,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
             rtq: ReadyQueue::new(policy),
             urgency: Vec::new(),
             inbox: Vec::new(),
+            spare_inbox: Vec::new(),
             done: 0,
             counts: Vec::new(),
             task_overhead: 0.0,
@@ -423,9 +428,21 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         !self.inbox.is_empty()
     }
 
-    /// Take every queued signal for resolution (see [`super::step`]).
+    /// Take every queued signal for resolution (see [`super::step`]); hand
+    /// the buffer back with [`recycle_signals`](Self::recycle_signals).
     pub fn take_signals(&mut self) -> Vec<S> {
-        std::mem::take(&mut self.inbox)
+        if self.inbox.is_empty() {
+            return Vec::new();
+        }
+        let spare = std::mem::take(&mut self.spare_inbox);
+        std::mem::replace(&mut self.inbox, spare)
+    }
+
+    /// Keep a buffer [`take_signals`](Self::take_signals) handed out for
+    /// the next call (its contents are dropped, its allocation is not).
+    pub fn recycle_signals(&mut self, mut taken: Vec<S>) {
+        taken.clear();
+        self.spare_inbox = taken;
     }
 }
 

@@ -5,7 +5,7 @@
 
 use crate::SolverError;
 use sympack_gpu::OomPolicy;
-use sympack_pgas::{GlobalPtr, MemKind, Rank};
+use sympack_pgas::{GlobalPtr, MemKind, Payload, Rank};
 
 /// How a fetched payload's arrival is charged to the virtual clock.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +60,10 @@ const FETCH_BACKOFF_BASE: f64 = 10.0e-6;
 
 /// Fetch the payload behind `ptr` according to `cfg`. Returns the data and
 /// the virtual time at which it is valid. This is the only
-/// `rget`/device-copy resolution path in the solver.
+/// `rget`/device-copy resolution path in the solver. Either way the payload
+/// is the publisher's buffer, shared: the device path reserves its quota
+/// with an (unmaterialized) device segment, `copy()`s into it — a hand-over
+/// for a whole segment — and reads the buffer back out before freeing it.
 ///
 /// Under fault injection an rget attempt may time out transiently; the
 /// fetch retries with bounded exponential backoff (charged to the virtual
@@ -70,7 +73,7 @@ pub fn fetch(
     rank: &mut Rank,
     ptr: &GlobalPtr,
     cfg: &FetchConfig,
-) -> Result<(Vec<f64>, f64), SolverError> {
+) -> Result<(Payload, f64), SolverError> {
     if cfg.device_enabled && ptr.len >= cfg.device_threshold {
         match rank.alloc(MemKind::Device, ptr.len) {
             Ok(dev) => {

@@ -74,7 +74,7 @@ use crate::storage::BlockStore;
 use crate::SolverError;
 use sympack_dense::{DenseError, Mat};
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{GlobalPtr, Rank};
+use sympack_pgas::{GlobalPtr, Payload, Rank};
 use sympack_trace::TraceCat;
 
 /// A task species schedulable by the [`TaskEngine`].
@@ -279,9 +279,11 @@ pub trait Engine: Sized + Send + 'static {
     /// the job-wide abort is what ends the loop on every other rank.
     fn exec(&mut self, rank: &mut Rank, id: TaskId, key: Self::Key);
 
-    /// A payload this rank was signalled about has arrived: `data` is valid
-    /// from virtual time `ready_at`. Keep it and release its consumers.
-    fn on_data(&mut self, rank: &mut Rank, meta: Self::Meta, data: Vec<f64>, ready_at: f64);
+    /// A payload this rank was signalled about has arrived: `data` — the
+    /// very buffer the publisher handed to [`CommLayer::publish`], shared,
+    /// not a copy — is valid from virtual time `ready_at`. Keep it (wrapping
+    /// it costs no memory: `Mat::from_shared`) and release its consumers.
+    fn on_data(&mut self, rank: &mut Rank, meta: Self::Meta, data: Payload, ready_at: f64);
 
     /// Hand back the factor blocks and the kernel executor (call counters).
     fn into_factor(self) -> (BlockStore, KernelEngine);
@@ -300,9 +302,9 @@ pub trait Engine: Sized + Send + 'static {
 pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
     let core = engine.core();
     let cfg = core.fetch;
-    let signals = core.rt.take_signals();
+    let mut signals = core.rt.take_signals();
     if !signals.is_empty() {
-        for sig in signals {
+        for sig in signals.drain(..) {
             match fetch::fetch(rank, &sig.ptr, &cfg) {
                 Ok((data, ready_at)) => {
                     let comm = &mut engine.core().comm;
@@ -316,7 +318,9 @@ pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
                 }
             }
         }
-        engine.core().rt.wall.lap(Wall::Signals);
+        let rt = &mut engine.core().rt;
+        rt.recycle_signals(signals);
+        rt.wall.lap(Wall::Signals);
     }
     let core = engine.core();
     core.comm.tick(rank);

@@ -10,7 +10,6 @@
 //! determinism gates hash.
 
 use std::time::Instant;
-use sympack_symbolic::Lap;
 
 /// What a rank's factor loop spends wall time on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +63,7 @@ impl Wall {
 }
 
 /// One rank's accumulated wall-clock milliseconds per [`Wall`] bucket, plus
-/// the loop's wall time from its own pair of clock reads. All zero unless
+/// the loop's wall time from its first and last clock reads. All zero unless
 /// the factorization ran with [`crate::SolverOptions::telemetry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoopWall {
@@ -79,7 +78,7 @@ impl LoopWall {
         self.ms[bucket as usize]
     }
 
-    /// Sum of the buckets; equals `loop_ms` up to two timer reads.
+    /// Sum of the buckets; equals `loop_ms` up to rounding.
     pub fn total_ms(&self) -> f64 {
         self.ms.iter().sum()
     }
@@ -89,29 +88,33 @@ impl LoopWall {
 /// and every call is a branch on `None`.
 #[derive(Debug, Default)]
 pub struct WallClock {
-    timer: Option<(Instant, Lap)>,
+    /// When the loop began, and when the previous lap ended.
+    timer: Option<(Instant, Instant)>,
     acc: LoopWall,
+}
+
+fn ms_between(from: Instant, to: Instant) -> f64 {
+    (to - from).as_secs_f64() * 1e3
 }
 
 impl WallClock {
     /// Start attributing from now.
     pub fn start(&mut self) {
-        self.timer = Some((Instant::now(), Lap::start()));
-    }
-
-    /// Attribute the time since the previous lap to `bucket`.
-    #[inline]
-    pub fn lap(&mut self, bucket: Wall) {
-        if let Some((_, lap)) = &mut self.timer {
-            self.acc.ms[bucket as usize] += lap.ms();
-        }
+        let now = Instant::now();
+        self.timer = Some((now, now));
     }
 
     /// End a lap without attributing it: the caller decides the bucket once
     /// it knows what the interval led to ([`WallClock::add`]).
     #[inline]
     pub fn split(&mut self) -> f64 {
-        self.timer.as_mut().map_or(0.0, |(_, lap)| lap.ms())
+        let Some((_, last)) = &mut self.timer else {
+            return 0.0;
+        };
+        let now = Instant::now();
+        let ms = ms_between(*last, now);
+        *last = now;
+        ms
     }
 
     /// Attribute `ms` taken by an earlier [`WallClock::split`].
@@ -120,12 +123,21 @@ impl WallClock {
         self.acc.ms[bucket as usize] += ms;
     }
 
+    /// Attribute the time since the previous lap to `bucket`.
+    #[inline]
+    pub fn lap(&mut self, bucket: Wall) {
+        if self.timer.is_some() {
+            let ms = self.split();
+            self.add(bucket, ms);
+        }
+    }
+
     /// Close the loop: the time since the last lap (the closing barrier) is
     /// idle. Returns the attribution and stops the clock.
     pub fn finish(&mut self) -> LoopWall {
         self.lap(Wall::Idle);
-        if let Some((began, _)) = self.timer.take() {
-            self.acc.loop_ms = began.elapsed().as_secs_f64() * 1e3;
+        if let Some((began, last)) = self.timer.take() {
+            self.acc.loop_ms = ms_between(began, last);
         }
         std::mem::take(&mut self.acc)
     }

@@ -14,7 +14,7 @@ use sympack::sched::{PublishStats, RtqPolicy, TaskId, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::{BcastTopology, CoalesceConfig, SolverError};
 use sympack_gpu::{KernelEngine, OomPolicy};
-use sympack_pgas::{FaultPlan, PgasConfig, Rank, RunReport, Runtime};
+use sympack_pgas::{FaultPlan, Payload, PgasConfig, Rank, RunReport, Runtime};
 use sympack_trace::{SpanKind, TraceCat, Tracer};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,15 +73,15 @@ impl Engine for ToyEngine {
         let others: Vec<usize> = (1..rank.n_ranks()).collect();
         let comm = &mut self.core.comm;
         match key {
-            Toy::Ping => comm.publish::<Self>(rank, &[1.0, 2.0, 3.0], None, &others, me),
-            Toy::Pong => comm.publish::<Self>(rank, &self.got, None, &[0], me),
+            Toy::Ping => comm.publish::<Self>(rank, vec![1.0, 2.0, 3.0], None, &others, me),
+            Toy::Pong => comm.publish::<Self>(rank, self.got.clone(), None, &[0], me),
             Toy::Done => {}
         }
         self.core.rt.charge(rank, key, 1.0e-6);
     }
 
-    fn on_data(&mut self, rank: &mut Rank, _from: From, data: Vec<f64>, ready_at: f64) {
-        self.got.extend(data);
+    fn on_data(&mut self, rank: &mut Rank, _from: From, data: Payload, ready_at: f64) {
+        self.got.extend(data.iter());
         let next = if rank.id() == 0 { Toy::Done } else { Toy::Pong };
         self.core.rt.dec(next, ready_at);
     }

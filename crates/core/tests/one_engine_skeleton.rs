@@ -38,7 +38,7 @@ fn engines_contain_no_copy_of_the_shared_skeleton() {
         "fn drain_pending",
         "fn step(",
         "try_with_state::<",
-        "alloc(MemKind::Host",
+        "alloc_from(MemKind::Host",
         "poll_until_or_stall",
         "fn run_phase",
         "BcastPlan",
@@ -76,7 +76,7 @@ fn engines_contain_no_copy_of_the_shared_skeleton() {
     for (needle, home) in [
         ("fn step<", "sched/mod.rs"),
         ("try_with_state::<", "sched/comm.rs"),
-        ("alloc(MemKind::Host", "sched/comm.rs"),
+        ("alloc_from(MemKind::Host", "sched/comm.rs"),
         ("poll_until_or_stall::<", "sched/mod.rs"),
         ("gemm_any(", "update.rs"),
     ] {

@@ -312,15 +312,16 @@ impl BcastPlan {
     }
 }
 
-/// Plan a hierarchical broadcast from `owner` to `dests` (deduplicated,
-/// `owner` excluded by the caller) with `ranks_per_node` ranks per node.
+/// Plan a hierarchical broadcast from `owner` to `dests` (deduplicated;
+/// `owner` itself, if listed, is skipped) with `ranks_per_node` ranks per
+/// node.
 pub fn plan_tree(owner: usize, dests: &[usize], arity: usize, ranks_per_node: usize) -> BcastPlan {
     let arity = arity.max(1);
     let rpn = ranks_per_node.max(1);
     let node_of = |r: usize| r / rpn;
     let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut direct = Vec::new();
-    for &d in dests {
+    for &d in dests.iter().filter(|&&d| d != owner) {
         if node_of(d) == node_of(owner) {
             direct.push(d);
         } else {

@@ -15,7 +15,9 @@
 //! * **RPCs are `FnOnce` closures** pushed to the target rank's injection
 //!   queue and executed when that rank calls [`Rank::progress`] — exactly
 //!   UPC++'s semantics,
-//! * **data really moves** (the factorization is numerically real), while
+//! * **data really arrives** (the factorization is numerically real) — by
+//!   reference where the whole of a segment is moved, since all ranks share
+//!   one address space ([`Payload`]), by copy otherwise — while
 //!   *time* is **virtual**: each rank advances a logical clock by a
 //!   calibrated cost model ([`netmodel::NetModel`]) for every transfer and
 //!   by caller-supplied kernel costs for compute. Messages carry their
@@ -45,5 +47,6 @@ pub use netmodel::{MemKindsMode, NetModel};
 pub use ptr::{GlobalPtr, MemKind};
 pub use rank::{PgasError, Rank, RgetHandle};
 pub use runtime::{PgasConfig, RunReport, Runtime};
+pub use segment::Payload;
 pub use stats::StatsSnapshot;
 pub use sympack_trace::profile::CommMatrix;

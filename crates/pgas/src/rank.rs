@@ -3,7 +3,7 @@
 use crate::netmodel::NetModel;
 use crate::ptr::{GlobalPtr, MemKind};
 use crate::runtime::Shared;
-use crate::segment::DeviceOom;
+use crate::segment::{DeviceOom, Payload};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -52,10 +52,11 @@ impl From<DeviceOom> for PgasError {
 }
 
 /// A non-blocking one-sided get in flight: the payload plus the virtual time
-/// at which it is available. Mirrors `upcxx::future<T>`.
+/// at which it is available. Mirrors `upcxx::future<T>`. The payload is a
+/// snapshot: a later write to the segment does not change it.
 #[derive(Debug)]
 pub struct RgetHandle {
-    data: Vec<f64>,
+    data: Payload,
     /// Virtual time at which the transfer completes.
     pub ready_at: f64,
 }
@@ -63,7 +64,7 @@ pub struct RgetHandle {
 impl RgetHandle {
     /// Block (in virtual time) until the transfer completes and take the
     /// payload: advances the rank clock to at least `ready_at`.
-    pub fn wait(self, rank: &mut Rank) -> Vec<f64> {
+    pub fn wait(self, rank: &mut Rank) -> Payload {
         rank.advance_to(self.ready_at);
         self.data
     }
@@ -76,7 +77,7 @@ impl RgetHandle {
     /// Take the payload without advancing any clock. For callers that track
     /// completion times themselves (e.g. the solver records `ready_at` per
     /// dependent task to preserve communication/computation overlap).
-    pub fn into_data(self) -> Vec<f64> {
+    pub fn into_data(self) -> Payload {
         self.data
     }
 }
@@ -359,9 +360,18 @@ impl Rank {
 
     // ----- memory -----
 
-    /// Allocate `len` elements of `kind` in this rank's shared heap.
+    /// Allocate `len` zero elements of `kind` in this rank's shared heap.
     pub fn alloc(&mut self, kind: MemKind, len: usize) -> Result<GlobalPtr, PgasError> {
         Ok(self.shared.tables[self.id].alloc(self.id, kind, len)?)
+    }
+
+    /// Expose `data` in this rank's shared heap as a segment of `kind`
+    /// without copying it — how real symPACK publishes a factor block that
+    /// was allocated in the shared segment to begin with. A whole-segment
+    /// [`Rank::rget`] / [`Rank::copy`] / [`Rank::read_local`] of the result
+    /// shares the buffer again, at exactly the modeled cost of moving it.
+    pub fn alloc_from(&mut self, kind: MemKind, data: Payload) -> Result<GlobalPtr, PgasError> {
+        Ok(self.shared.tables[self.id].alloc_from(self.id, kind, data)?)
     }
 
     /// Free a whole allocation owned by this rank.
@@ -373,28 +383,39 @@ impl Rank {
         self.shared.tables[self.id].free(ptr);
     }
 
+    /// Count bytes a segment operation really copied (see
+    /// [`crate::stats::Stats::copied_bytes`]).
+    fn note_copied(&self, bytes: usize) {
+        if bytes > 0 {
+            let ledger = &self.shared.stats.copied_bytes;
+            ledger.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Write into any segment this process can see *without* charging
     /// communication (used by owners to initialize their own data, and by
     /// tests). For modeled transfers use [`Rank::rput`]/[`Rank::copy`].
     pub fn write_local(&self, ptr: &GlobalPtr, data: &[f64]) {
         assert!(data.len() <= ptr.len, "payload exceeds allocation");
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
-        seg.data.write()[ptr.offset..ptr.offset + data.len()].copy_from_slice(data);
+        self.note_copied(seg.write(ptr.offset, data));
     }
 
     /// Read a segment's contents without charging communication (owner-side
-    /// access and test inspection).
-    pub fn read_local(&self, ptr: &GlobalPtr) -> Vec<f64> {
+    /// access and test inspection). A whole-segment read shares the buffer.
+    pub fn read_local(&self, ptr: &GlobalPtr) -> Payload {
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
-        let out = seg.data.read()[ptr.offset..ptr.offset + ptr.len].to_vec();
-        out
+        let (data, copied) = seg.read(ptr.offset, ptr.len);
+        self.note_copied(copied);
+        data
     }
 
     /// Run `f` over a mutable view of a local segment (no cost model).
     pub fn with_local_mut<T>(&self, ptr: &GlobalPtr, f: impl FnOnce(&mut [f64]) -> T) -> T {
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
-        let mut guard = seg.data.write();
-        f(&mut guard[ptr.offset..ptr.offset + ptr.len])
+        let (out, copied) = seg.with_mut(|all| f(&mut all[ptr.offset..ptr.offset + ptr.len]));
+        self.note_copied(copied);
+        out
     }
 
     /// Device bytes currently used / quota for this rank.
@@ -406,7 +427,9 @@ impl Rank {
     // ----- one-sided RMA -----
 
     /// Non-blocking one-sided get: fetch `ptr`'s payload toward this rank.
-    /// The returned handle carries the virtual completion time.
+    /// The returned handle carries the virtual completion time. Between the
+    /// threads of this process a whole-segment get is a reference-count bump
+    /// on the owner's buffer; the modeled transfer is charged regardless.
     pub fn rget(&mut self, ptr: &GlobalPtr) -> RgetHandle {
         let t0 = self.clock;
         self.clock += ISSUE_OVERHEAD;
@@ -418,7 +441,8 @@ impl Rank {
         // it is injecting (no-op unless injection modeling is on).
         let inj = self.nic_queue_delay(ptr.rank, ptr.bytes(), same_node);
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
-        let data = seg.data.read()[ptr.offset..ptr.offset + ptr.len].to_vec();
+        let (data, copied) = seg.read(ptr.offset, ptr.len);
+        self.note_copied(copied);
         let stats = &self.shared.stats;
         stats.rgets.fetch_add(1, Ordering::Relaxed);
         stats.record_transfer(
@@ -475,7 +499,7 @@ impl Rank {
             .net()
             .transfer_time(ptr.bytes(), same_node, MemKind::Host, ptr.kind);
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
-        seg.data.write()[ptr.offset..ptr.offset + data.len()].copy_from_slice(data);
+        self.note_copied(seg.write(ptr.offset, data));
         let stats = &self.shared.stats;
         stats.rputs.fetch_add(1, Ordering::Relaxed);
         stats.record_transfer(
@@ -501,13 +525,13 @@ impl Rank {
         let t = self
             .net()
             .transfer_time(src.bytes(), same_node, src.kind, dst.kind);
-        let data = {
-            let seg = self.shared.tables[src.rank].get(src.seg);
-            let guard = seg.data.read();
-            guard[src.offset..src.offset + src.len].to_vec()
-        };
-        let seg = self.shared.tables[dst.rank].get(dst.seg);
-        seg.data.write()[dst.offset..dst.offset + dst.len].copy_from_slice(&data);
+        let (data, read) = self.shared.tables[src.rank]
+            .get(src.seg)
+            .read(src.offset, src.len);
+        let stored = self.shared.tables[dst.rank]
+            .get(dst.seg)
+            .store(dst.offset, data);
+        self.note_copied(read + stored);
         let stats = &self.shared.stats;
         stats.copies.fetch_add(1, Ordering::Relaxed);
         stats.record_transfer(

@@ -308,7 +308,7 @@ mod tests {
                 rank.rpc(1, move |r| {
                     let h = r.rget(&ptr);
                     let data = h.wait(r);
-                    assert_eq!(data, vec![1.0, 2.0, 3.0, 4.0]);
+                    assert_eq!(*data, vec![1.0, 2.0, 3.0, 4.0]);
                 });
                 rank.barrier();
                 0.0
@@ -379,7 +379,7 @@ mod tests {
                     let dev = r.alloc(MemKind::Device, 8).unwrap();
                     let done = r.copy(&host, &dev);
                     r.advance_to(done);
-                    assert_eq!(r.read_local(&dev), vec![7.0; 8]);
+                    assert_eq!(*r.read_local(&dev), vec![7.0; 8]);
                 });
                 rank.barrier();
             } else {
@@ -501,7 +501,7 @@ mod tests {
                 });
                 rank.barrier(); // rpc enqueued before rank 0 starts draining
                 rank.barrier(); // rank 0 has executed the rput
-                rank.read_local(&ptr)
+                rank.read_local(&ptr).to_vec()
             } else {
                 rank.barrier();
                 while rank.progress() == 0 {

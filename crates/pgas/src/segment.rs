@@ -4,18 +4,92 @@
 //! Physical safety comes from a `RwLock` per segment; *logical* correctness
 //! (readers only read data that was completely produced) is the protocol's
 //! job, exactly as in a real PGAS system.
+//!
+//! A segment's storage is a [`Payload`] — a reference-counted buffer — so
+//! data crosses ranks of this one address space without being copied: a
+//! segment can be created *around* a buffer its owner already holds
+//! ([`SegmentTable::alloc_from`]), a whole-segment read hands out another
+//! handle on it, and a whole-segment store adopts the incoming one. Writes
+//! are copy-on-write, so a handle read earlier keeps the bytes it was read
+//! with — the snapshot semantics of a real `rget`.
 
 use crate::ptr::{GlobalPtr, MemKind};
 use crate::sync::{Mutex, RwLock};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// One shared allocation.
+/// An immutable, reference-counted `f64` buffer: what a segment stores and
+/// what the one-sided reads return. Cloning it shares the memory.
+pub type Payload = Arc<Vec<f64>>;
+
+/// One shared allocation of `len` elements.
 pub struct Segment {
     /// Memory kind the segment was allocated in.
     pub kind: MemKind,
-    /// Element storage.
-    pub data: RwLock<Vec<f64>>,
+    len: usize,
+    /// Element storage; `None` until first written (reads as zeros), so a
+    /// segment that is only ever the destination of a whole-segment store
+    /// never allocates a buffer of its own.
+    data: RwLock<Option<Payload>>,
+}
+
+impl Segment {
+    /// Element count.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a zero-length allocation.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The elements `[offset, offset + len)` as they are now, and how many
+    /// bytes were copied to produce them: none when the range is the whole
+    /// segment (the buffer is shared), the range's size otherwise.
+    pub fn read(&self, offset: usize, len: usize) -> (Payload, usize) {
+        match &*self.data.read() {
+            Some(buf) if offset == 0 && len == self.len => (Arc::clone(buf), 0),
+            Some(buf) => (Arc::new(buf[offset..offset + len].to_vec()), len * 8),
+            None => {
+                assert!(offset + len <= self.len, "read past the allocation");
+                (Arc::new(vec![0.0; len]), 0)
+            }
+        }
+    }
+
+    /// Run `f` over the segment's elements, mutably. Copy-on-write: when
+    /// another handle on the buffer exists it is copied first and that
+    /// handle keeps the old bytes. Returns `f`'s result and the bytes copied.
+    pub fn with_mut<T>(&self, f: impl FnOnce(&mut [f64]) -> T) -> (T, usize) {
+        let mut guard = self.data.write();
+        let buf = guard.get_or_insert_with(|| Arc::new(vec![0.0; self.len]));
+        let copied = if Arc::get_mut(buf).is_some() {
+            0
+        } else {
+            self.len * 8
+        };
+        (f(Arc::make_mut(buf).as_mut_slice()), copied)
+    }
+
+    /// Overwrite the elements from `offset` with `data` (copy-on-write, see
+    /// [`Segment::with_mut`]). Returns the bytes copied.
+    pub fn write(&self, offset: usize, data: &[f64]) -> usize {
+        let ((), cow) = self.with_mut(|all| all[offset..offset + data.len()].copy_from_slice(data));
+        cow + data.len() * 8
+    }
+
+    /// Store `data` at `offset`. A payload that covers the whole segment is
+    /// adopted as its storage (no copy); anything else is a [`write`](Self::write).
+    /// Returns the bytes copied.
+    pub fn store(&self, offset: usize, data: Payload) -> usize {
+        if offset == 0 && data.len() == self.len {
+            *self.data.write() = Some(data);
+            0
+        } else {
+            self.write(offset, &data)
+        }
+    }
 }
 
 /// Segment slots and the indices of the empty ones, under one lock.
@@ -58,9 +132,31 @@ impl SegmentTable {
         }
     }
 
-    /// Allocate `len` elements of `kind` for rank `rank`, returning the
+    /// Allocate `len` zero elements of `kind` for rank `rank`, returning the
     /// global pointer. Device allocations respect the quota.
     pub fn alloc(&self, rank: usize, kind: MemKind, len: usize) -> Result<GlobalPtr, DeviceOom> {
+        self.insert(rank, kind, len, None)
+    }
+
+    /// Allocate a segment of `kind` whose storage *is* `data`: nothing is
+    /// copied, the caller's other handles on the buffer stay valid, and the
+    /// quota is charged exactly as for [`alloc`](Self::alloc) of its length.
+    pub fn alloc_from(
+        &self,
+        rank: usize,
+        kind: MemKind,
+        data: Payload,
+    ) -> Result<GlobalPtr, DeviceOom> {
+        self.insert(rank, kind, data.len(), Some(data))
+    }
+
+    fn insert(
+        &self,
+        rank: usize,
+        kind: MemKind,
+        len: usize,
+        data: Option<Payload>,
+    ) -> Result<GlobalPtr, DeviceOom> {
         let bytes = len * std::mem::size_of::<f64>();
         if kind == MemKind::Device {
             // Reserve quota with a CAS loop so concurrent allocs can't
@@ -86,7 +182,8 @@ impl SegmentTable {
         }
         let seg = Arc::new(Segment {
             kind,
-            data: RwLock::new(vec![0.0; len]),
+            len,
+            data: RwLock::new(data),
         });
         let mut slots = self.slots.lock();
         // Reuse a free slot if any.
@@ -112,7 +209,7 @@ impl SegmentTable {
             // repeated free cannot make one index available twice.
             slots.free.push(ptr.seg);
             if seg.kind == MemKind::Device {
-                let bytes = seg.data.read().len() * std::mem::size_of::<f64>();
+                let bytes = seg.len * std::mem::size_of::<f64>();
                 self.device_used.fetch_sub(bytes, Ordering::Relaxed);
             }
         }
@@ -152,8 +249,61 @@ mod tests {
         assert_eq!(p.rank, 3);
         assert_eq!(p.len, 16);
         let seg = t.get(p.seg);
-        seg.data.write()[5] = 2.5;
-        assert_eq!(seg.data.read()[5], 2.5);
+        assert_eq!(
+            *seg.read(0, 16).0,
+            vec![0.0; 16],
+            "unwritten reads as zeros"
+        );
+        seg.with_mut(|all| all[5] = 2.5);
+        assert_eq!(seg.read(0, 16).0[5], 2.5);
+        assert_eq!(*seg.read(4, 3).0, vec![0.0, 2.5, 0.0]);
+    }
+
+    #[test]
+    fn whole_segment_reads_share_and_writes_copy_first() {
+        let t = SegmentTable::new(0);
+        let mine: Payload = Arc::new(vec![1.0, 2.0, 3.0, 4.0]);
+        let p = t.alloc_from(0, MemKind::Host, Arc::clone(&mine)).unwrap();
+        let seg = t.get(p.seg);
+        let (got, copied) = seg.read(0, 4);
+        assert!(
+            Arc::ptr_eq(&got, &mine) && copied == 0,
+            "no copy on the way"
+        );
+        let (part, copied) = seg.read(1, 2);
+        assert_eq!((&part[..], copied), (&[2.0, 3.0][..], 16));
+        // A write after the read: the earlier handles keep the old bytes.
+        assert_eq!(seg.write(0, &[9.0]), 32 + 8, "one CoW copy + the write");
+        assert_eq!(*got, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(*seg.read(0, 4).0, vec![9.0, 2.0, 3.0, 4.0]);
+        // Now sole holder of its new buffer: the next write copies nothing.
+        assert_eq!(seg.write(1, &[8.0]), 8);
+        // A whole-segment store adopts the incoming buffer.
+        let other: Payload = Arc::new(vec![5.0; 4]);
+        assert_eq!(seg.store(0, Arc::clone(&other)), 0);
+        assert!(Arc::ptr_eq(&seg.read(0, 4).0, &other));
+        assert_eq!(seg.store(2, Arc::new(vec![6.0])), 32 + 8);
+        assert_eq!(*other, vec![5.0; 4]);
+    }
+
+    #[test]
+    fn a_segment_around_a_buffer_charges_the_device_quota_like_alloc() {
+        let t = SegmentTable::new(100 * 8);
+        let a = t
+            .alloc_from(0, MemKind::Device, Arc::new(vec![1.0; 60]))
+            .unwrap();
+        assert_eq!(t.device_used(), 480);
+        let err = t
+            .alloc_from(0, MemKind::Device, Arc::new(vec![1.0; 60]))
+            .unwrap_err();
+        assert_eq!((err.requested, err.available), (480, 320));
+        // A shared store into a device segment does not change its charge.
+        let d = t.alloc(0, MemKind::Device, 40).unwrap();
+        t.get(d.seg).store(0, Arc::new(vec![2.0; 40]));
+        assert_eq!(t.device_used(), 800);
+        t.free(&a);
+        t.free(&d);
+        assert_eq!(t.device_used(), 0);
     }
 
     #[test]

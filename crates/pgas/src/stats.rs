@@ -38,6 +38,12 @@ pub struct Stats {
     pub frames: AtomicU64,
     /// Sub-messages carried inside coalesced frames.
     pub frame_subs: AtomicU64,
+    /// Bytes the segment operations really `memcpy`'d in this process
+    /// (partial-range reads, writes, copy-on-write) — as opposed to the
+    /// modeled bytes above, which are charged whether or not the buffer was
+    /// handed over by reference. A ledger for tests and tools, not a model
+    /// output: it is in no profile, telemetry or fingerprint document.
+    pub copied_bytes: AtomicU64,
     /// Number of ranks the per-peer matrix is sized for (0 = disabled).
     n_ranks: usize,
     /// Bytes moved src→dst, row-major `src·n + dst`.
@@ -119,6 +125,7 @@ impl Stats {
             rget_timeouts: self.rget_timeouts.load(Ordering::Relaxed),
             frames: self.frames.load(Ordering::Relaxed),
             frame_subs: self.frame_subs.load(Ordering::Relaxed),
+            copied_bytes: self.copied_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -138,6 +145,8 @@ pub struct StatsSnapshot {
     pub rget_timeouts: u64,
     pub frames: u64,
     pub frame_subs: u64,
+    /// Bytes really copied by segment operations (see [`Stats::copied_bytes`]).
+    pub copied_bytes: u64,
 }
 
 #[cfg(test)]

@@ -324,3 +324,64 @@ fn one_shot_plan_path_and_session_agree_bit_for_bit() {
         }
     }
 }
+
+/// At P = 2 every block that crossed ranks is stored *shared* (frozen at
+/// publication, see `Mat::share`). A second factorization must not reach
+/// the first one's blocks through that sharing, and everything that reads
+/// a retained factor — panel solves, refactorization, eviction and
+/// re-materialization — must behave as over owned blocks.
+#[test]
+fn a_retained_factor_is_untouched_while_the_next_one_is_computed() {
+    let a = gen::bone_like(4, 4, 3);
+    let b = rhs_columns(a.n(), 1).remove(0);
+    let opts = SolverOptions {
+        n_nodes: 1,
+        ranks_per_node: 2,
+        deterministic: true,
+        ..Default::default()
+    };
+    let plan = SolvePlan::new(&a, &opts);
+    let sf = Arc::clone(plan.sf());
+    let bp = sf.perm.apply_vec(&b);
+    let solve = |stores: &[BlockStore]| {
+        solve_panel_distributed(&plan, stores, &bp, 1)
+            .expect("panel solve")
+            .xp
+    };
+    let first = factor_numeric(&plan, &Arc::new(plan.permute(&a))).expect("first factor");
+    assert!(first.stats.rgets > 0, "blocks crossed ranks");
+    let (x1, entries1) = (solve(&first.stores), store_entries(&sf, &first.stores));
+    // Twice more, with other values, while `first` is alive.
+    let a3 = scaled_matrix(&a, 3.0);
+    let second = factor_numeric(&plan, &Arc::new(plan.permute(&a3))).expect("second factor");
+    let third = factor_numeric(&plan, &Arc::new(plan.permute(&a))).expect("third factor");
+    assert_eq!(store_entries(&sf, &first.stores), entries1);
+    assert_eq!(solve(&first.stores), x1, "first factor's solution moved");
+    assert_eq!(
+        store_entries(&sf, &third.stores),
+        entries1,
+        "same input, same bits"
+    );
+    let x3 = sf.perm.unapply_vec(&solve(&second.stores));
+    assert!(a3.relative_residual(&x3, &b) < RESIDUAL_TOL);
+    drop(first);
+    assert_eq!(solve(&third.stores), x1);
+
+    // The same through a session: refactorize away and back, evict and
+    // re-materialize — the solution bits return every time.
+    let mut session = Session::new(&a, &opts).expect("session");
+    let xs = session.solve(&b).expect("solve");
+    assert_eq!(xs, sf.perm.unapply_vec(&x1));
+    session
+        .refactorize(&scaled_values(&a, 3.0))
+        .expect("refactorize ×3");
+    assert!(a3.relative_residual(&session.solve(&b).expect("solve ×3"), &b) < RESIDUAL_TOL);
+    session
+        .refactorize(&scaled_values(&a, 1.0))
+        .expect("refactorize back");
+    assert_eq!(session.solve(&b).expect("solve"), xs);
+    assert!(session.evict_factor() > 0);
+    session.ensure_resident().expect("re-materialize");
+    assert_eq!(session.solve(&b).expect("solve"), xs);
+    assert_eq!(session.refactorizations(), 2);
+}
