@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 use sympack::plan::{factor_numeric, SolvePlan};
-use sympack::sched::Wall;
+use sympack::sched::{LoopWall, Wall};
 use sympack::{SolverOptions, SymPack};
 use sympack_baseline::{baseline_factor_and_solve, BaselineOptions};
 use sympack_bench::{render_table, Problem};
@@ -99,14 +99,15 @@ fn wall_report(quick: bool) {
             };
             let plan = SolvePlan::new(a, &opts);
             let ap = Arc::new(plan.permute(a));
-            let loop_ms = |nf: &sympack::plan::NumericFactor| {
-                nf.loop_wall.iter().map(|w| w.loop_ms).fold(0.0, f64::max)
-            };
-            let mut runs: Vec<_> = (0..WALL_REPS)
-                .map(|_| factor_numeric(&plan, &ap).expect("factorization"))
+            // One factor alive at a time, as in a refactorization loop: what
+            // the allocator recycles decides where first-touch page faults
+            // land, so a pile of live factors would be measured instead.
+            let mut runs: Vec<Vec<LoopWall>> = (0..WALL_REPS)
+                .map(|_| factor_numeric(&plan, &ap).expect("factorization").loop_wall)
                 .collect();
+            let loop_ms = |w: &Vec<LoopWall>| w.iter().map(|r| r.loop_ms).fold(0.0, f64::max);
             runs.sort_by(|x, y| loop_ms(x).total_cmp(&loop_ms(y)));
-            let nf = &runs[WALL_REPS / 2];
+            let walls = &runs[WALL_REPS / 2];
             let traced = SolvePlan::from_symbolic(
                 Arc::clone(&plan.symbolic),
                 &SolverOptions {
@@ -130,7 +131,7 @@ fn wall_report(quick: bool) {
                 .map(str::to_string),
             );
             let mut rows = vec![header];
-            for (r, w) in nf.loop_wall.iter().enumerate() {
+            for (r, w) in walls.iter().enumerate() {
                 let mut row = vec![r.to_string(), format!("{:.1}", w.loop_ms)];
                 row.extend(Wall::ALL.iter().map(|&b| format!("{:.1}", w.get(b))));
                 let v = &prof.ranks[r];

@@ -23,11 +23,50 @@
 use std::fmt;
 use std::sync::Arc;
 
+/// A frozen buffer plus where its elements are, so that reading a shared
+/// matrix is one pointer away, like reading an owned one. Through the `Arc`
+/// alone it is two — the `Arc`'s heap cell, then the `Vec`'s buffer — and the
+/// first is a cache miss per block visit. The triangular solve visits every
+/// published block twice: at P = 2 on a 10 k-unknown 3D brick it ran 6 %
+/// slower than over owned blocks through the `Arc`, 3 % with the cached
+/// address (EXPERIMENTS.md "PR 22").
+#[derive(Clone)]
+struct Frozen {
+    buf: Arc<Vec<f64>>,
+    /// `buf.as_ptr()` and `buf.len()`.
+    elems: *const f64,
+    len: usize,
+}
+
+// SAFETY: `elems` points into `buf`'s heap buffer and is only ever read
+// (`Frozen::as_slice`); `buf` is an `Arc<Vec<f64>>`, which is `Send + Sync`,
+// and keeps that buffer alive and unmodified as long as this value exists.
+unsafe impl Send for Frozen {}
+// SAFETY: as above — shared access only ever reads immutable elements.
+unsafe impl Sync for Frozen {}
+
+impl Frozen {
+    fn new(buf: Arc<Vec<f64>>) -> Self {
+        let (elems, len) = (buf.as_ptr(), buf.len());
+        Frozen { buf, elems, len }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[f64] {
+        // SAFETY: `elems` / `len` are `buf`'s pointer and length. A `Vec`
+        // inside an `Arc` cannot be mutated, reallocated or freed while
+        // `self.buf` holds a reference: `Arc::get_mut` / `make_mut` /
+        // `try_unwrap` on any other handle fail or copy as long as this one
+        // exists, and this module unwraps `buf` only by consuming `self`.
+        unsafe { std::slice::from_raw_parts(self.elems, self.len) }
+    }
+}
+
 /// Column-major element storage: this matrix's alone, or frozen and shared.
 #[derive(Clone)]
 enum Storage {
     Owned(Vec<f64>),
-    Shared(Arc<Vec<f64>>),
+    Shared(Frozen),
 }
 
 impl Storage {
@@ -36,7 +75,7 @@ impl Storage {
     fn into_owned(self) -> Vec<f64> {
         match self {
             Storage::Owned(v) => v,
-            Storage::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
+            Storage::Shared(f) => Arc::try_unwrap(f.buf).unwrap_or_else(|a| (*a).clone()),
         }
     }
 }
@@ -101,7 +140,7 @@ impl Mat {
         Mat {
             rows,
             cols,
-            data: Storage::Shared(data),
+            data: Storage::Shared(Frozen::new(data)),
         }
     }
 
@@ -111,10 +150,10 @@ impl Mat {
     /// it first unless every other holder is gone by then.
     pub fn share(&mut self) -> Arc<Vec<f64>> {
         if let Storage::Owned(v) = &mut self.data {
-            self.data = Storage::Shared(Arc::new(std::mem::take(v)));
+            self.data = Storage::Shared(Frozen::new(Arc::new(std::mem::take(v))));
         }
         match &self.data {
-            Storage::Shared(a) => Arc::clone(a),
+            Storage::Shared(f) => Arc::clone(&f.buf),
             Storage::Owned(_) => unreachable!("storage was frozen above"),
         }
     }
@@ -176,7 +215,7 @@ impl Mat {
     pub fn as_slice(&self) -> &[f64] {
         match &self.data {
             Storage::Owned(v) => v,
-            Storage::Shared(a) => a,
+            Storage::Shared(f) => f.as_slice(),
         }
     }
 
