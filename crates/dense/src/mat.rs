@@ -33,9 +33,10 @@ use std::sync::Arc;
 #[derive(Clone)]
 struct Frozen {
     buf: Arc<Vec<f64>>,
-    /// `buf.as_ptr()` and `buf.len()`.
+    /// `buf.as_ptr()`. The length is not kept: a `Mat` knows it, and two
+    /// words here fit beside the niche of the owned arm's `Vec`, so `Mat` is
+    /// no larger than it was when it only ever owned.
     elems: *const f64,
-    len: usize,
 }
 
 // SAFETY: `elems` points into `buf`'s heap buffer and is only ever read
@@ -47,18 +48,23 @@ unsafe impl Sync for Frozen {}
 
 impl Frozen {
     fn new(buf: Arc<Vec<f64>>) -> Self {
-        let (elems, len) = (buf.as_ptr(), buf.len());
-        Frozen { buf, elems, len }
+        let elems = buf.as_ptr();
+        Frozen { buf, elems }
     }
 
+    /// The first `len` elements.
+    ///
+    /// # Safety
+    /// `len` must not exceed the buffer's length.
     #[inline]
-    fn as_slice(&self) -> &[f64] {
-        // SAFETY: `elems` / `len` are `buf`'s pointer and length. A `Vec`
-        // inside an `Arc` cannot be mutated, reallocated or freed while
-        // `self.buf` holds a reference: `Arc::get_mut` / `make_mut` /
-        // `try_unwrap` on any other handle fail or copy as long as this one
-        // exists, and this module unwraps `buf` only by consuming `self`.
-        unsafe { std::slice::from_raw_parts(self.elems, self.len) }
+    unsafe fn as_slice(&self, len: usize) -> &[f64] {
+        // SAFETY: `elems` is `buf`'s pointer and the caller bounds `len` by
+        // its length. A `Vec` inside an `Arc` cannot be mutated,
+        // reallocated or freed while `self.buf` holds a reference:
+        // `Arc::get_mut` / `make_mut` / `try_unwrap` on any other handle
+        // fail or copy as long as this one exists, and this module unwraps
+        // `buf` only by consuming `self`.
+        unsafe { std::slice::from_raw_parts(self.elems, len) }
     }
 }
 
@@ -215,7 +221,11 @@ impl Mat {
     pub fn as_slice(&self) -> &[f64] {
         match &self.data {
             Storage::Owned(v) => v,
-            Storage::Shared(f) => f.as_slice(),
+            // SAFETY: both constructors of shared storage (`from_shared`,
+            // `share` of an owned matrix, itself built by `from_col_major`)
+            // establish `buf.len() == rows * cols`, and no method changes
+            // `rows`, `cols` or the buffer afterwards.
+            Storage::Shared(f) => unsafe { f.as_slice(self.rows * self.cols) },
         }
     }
 
@@ -368,6 +378,14 @@ mod tests {
         assert_ne!(m.as_slice().as_ptr(), at, "the write copied first");
         assert_eq!(other, before);
         assert_eq!(*held, before.as_slice());
+    }
+
+    #[test]
+    fn shared_storage_does_not_grow_the_matrix() {
+        // Every block header is visited by every task that reads the block;
+        // on the workloads with tiny supernodes its size is measurable.
+        let owned_only = std::mem::size_of::<(usize, usize, Vec<f64>)>();
+        assert!(std::mem::size_of::<Mat>() <= owned_only);
     }
 
     #[test]
