@@ -27,9 +27,9 @@ use std::sync::Arc;
 /// matrix is one pointer away, like reading an owned one. Through the `Arc`
 /// alone it is two — the `Arc`'s heap cell, then the `Vec`'s buffer — and the
 /// first is a cache miss per block visit. The triangular solve visits every
-/// published block twice: at P = 2 on a 10 k-unknown 3D brick it ran 6 %
-/// slower than over owned blocks through the `Arc`, 3 % with the cached
-/// address (EXPERIMENTS.md "PR 22").
+/// published block twice: at P = 2 on a 10 k-unknown 3D brick its wall time
+/// read +10.6 % against owned blocks through the `Arc` and +4.9 % with the
+/// cached address (EXPERIMENTS.md "PR 22").
 #[derive(Clone)]
 struct Frozen {
     buf: Arc<Vec<f64>>,
