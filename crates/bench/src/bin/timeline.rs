@@ -105,7 +105,7 @@ fn wall_report(quick: bool) {
             let mut runs: Vec<Vec<LoopWall>> = (0..WALL_REPS)
                 .map(|_| factor_numeric(&plan, &ap).expect("factorization").loop_wall)
                 .collect();
-            let loop_ms = |w: &Vec<LoopWall>| w.iter().map(|r| r.loop_ms).fold(0.0, f64::max);
+            let loop_ms = |w: &Vec<LoopWall>| w.iter().map(|r| r.loop_ms()).fold(0.0, f64::max);
             runs.sort_by(|x, y| loop_ms(x).total_cmp(&loop_ms(y)));
             let walls = &runs[WALL_REPS / 2];
             let traced = SolvePlan::from_symbolic(
@@ -132,7 +132,7 @@ fn wall_report(quick: bool) {
             );
             let mut rows = vec![header];
             for (r, w) in walls.iter().enumerate() {
-                let mut row = vec![r.to_string(), format!("{:.1}", w.loop_ms)];
+                let mut row = vec![r.to_string(), format!("{:.1}", w.loop_ms())];
                 row.extend(Wall::ALL.iter().map(|&b| format!("{:.1}", w.get(b))));
                 let v = &prof.ranks[r];
                 row.extend(

@@ -62,14 +62,12 @@ impl Wall {
     }
 }
 
-/// One rank's accumulated wall-clock milliseconds per [`Wall`] bucket, plus
-/// the loop's wall time from its first and last clock reads. All zero unless
-/// the factorization ran with [`crate::SolverOptions::telemetry`].
+/// One rank's accumulated wall-clock milliseconds per [`Wall`] bucket. All
+/// zero unless the factorization ran with
+/// [`crate::SolverOptions::telemetry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoopWall {
     ms: [f64; Wall::ALL.len()],
-    /// Wall time of the whole loop (first poll to past the closing barrier).
-    pub loop_ms: f64,
 }
 
 impl LoopWall {
@@ -78,8 +76,9 @@ impl LoopWall {
         self.ms[bucket as usize]
     }
 
-    /// Sum of the buckets; equals `loop_ms` up to rounding.
-    pub fn total_ms(&self) -> f64 {
+    /// Wall time of the whole loop, first poll to past the closing barrier:
+    /// the laps partition it, so it is the sum of the buckets.
+    pub fn loop_ms(&self) -> f64 {
         self.ms.iter().sum()
     }
 }
@@ -88,31 +87,26 @@ impl LoopWall {
 /// and every call is a branch on `None`.
 #[derive(Debug, Default)]
 pub struct WallClock {
-    /// When the loop began, and when the previous lap ended.
-    timer: Option<(Instant, Instant)>,
+    /// When the previous lap ended.
+    last: Option<Instant>,
     acc: LoopWall,
-}
-
-fn ms_between(from: Instant, to: Instant) -> f64 {
-    (to - from).as_secs_f64() * 1e3
 }
 
 impl WallClock {
     /// Start attributing from now.
     pub fn start(&mut self) {
-        let now = Instant::now();
-        self.timer = Some((now, now));
+        self.last = Some(Instant::now());
     }
 
     /// End a lap without attributing it: the caller decides the bucket once
     /// it knows what the interval led to ([`WallClock::add`]).
     #[inline]
     pub fn split(&mut self) -> f64 {
-        let Some((_, last)) = &mut self.timer else {
+        let Some(last) = &mut self.last else {
             return 0.0;
         };
         let now = Instant::now();
-        let ms = ms_between(*last, now);
+        let ms = (now - *last).as_secs_f64() * 1e3;
         *last = now;
         ms
     }
@@ -126,7 +120,7 @@ impl WallClock {
     /// Attribute the time since the previous lap to `bucket`.
     #[inline]
     pub fn lap(&mut self, bucket: Wall) {
-        if self.timer.is_some() {
+        if self.last.is_some() {
             let ms = self.split();
             self.add(bucket, ms);
         }
@@ -136,9 +130,7 @@ impl WallClock {
     /// idle. Returns the attribution and stops the clock.
     pub fn finish(&mut self) -> LoopWall {
         self.lap(Wall::Idle);
-        if let Some((began, last)) = self.timer.take() {
-            self.acc.loop_ms = ms_between(began, last);
-        }
+        self.last = None;
         std::mem::take(&mut self.acc)
     }
 }

@@ -155,13 +155,12 @@ impl Mat {
     /// holder). The matrix keeps reading it; a later mutable access copies
     /// it first unless every other holder is gone by then.
     pub fn share(&mut self) -> Arc<Vec<f64>> {
-        if let Storage::Owned(v) = &mut self.data {
-            self.data = Storage::Shared(Frozen::new(Arc::new(std::mem::take(v))));
-        }
-        match &self.data {
-            Storage::Shared(f) => Arc::clone(&f.buf),
-            Storage::Owned(_) => unreachable!("storage was frozen above"),
-        }
+        let buf = match &mut self.data {
+            Storage::Shared(f) => return Arc::clone(&f.buf),
+            Storage::Owned(v) => Arc::new(std::mem::take(v)),
+        };
+        self.data = Storage::Shared(Frozen::new(Arc::clone(&buf)));
+        buf
     }
 
     /// Copy-on-write: make shared storage this matrix's alone — taken back

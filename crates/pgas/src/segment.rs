@@ -34,16 +34,6 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for a zero-length allocation.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The elements `[offset, offset + len)` as they are now, and how many
     /// bytes were copied to produce them: none when the range is the whole
     /// segment (the buffer is shared), the range's size otherwise.
