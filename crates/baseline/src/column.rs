@@ -89,12 +89,12 @@ impl ColumnBuf {
     }
 
     /// The wire form of owned supernode `j` as it stands in `store`.
-    pub fn pack_store(sf: &SymbolicFactor, store: &BlockStore, j: usize) -> Vec<f64> {
+    pub(crate) fn pack_store(sf: &SymbolicFactor, store: &BlockStore, j: usize) -> Vec<f64> {
         concat(shapes(sf, j).map(|(i, _)| store.get((i, j)).expect("block owned").dense()))
     }
 
     /// Rebuild a buffer of supernode `j` from its wire form.
-    pub fn unpack(sf: &SymbolicFactor, j: usize, data: &[f64]) -> Self {
+    pub(crate) fn unpack(sf: &SymbolicFactor, j: usize, data: &[f64]) -> Self {
         let w = sf.partition.width(j);
         let mut rest = data;
         let mats = shapes(sf, j).map(|(_, rows)| {
@@ -108,7 +108,7 @@ impl ColumnBuf {
     }
 
     /// Add this buffer into the owned blocks of supernode `j`.
-    pub fn add_into(&self, sf: &SymbolicFactor, store: &mut BlockStore, j: usize) {
+    pub(crate) fn add_into(&self, sf: &SymbolicFactor, store: &mut BlockStore, j: usize) {
         for ((i, _), m) in shapes(sf, j).zip(&self.mats) {
             let dst = store.get_mut((i, j)).expect("block owned").dense_mut();
             add_block(dst, m, i == j);

@@ -198,5 +198,3 @@ mod tests {
         assert!(fmt_secs(2.0e-6).ends_with(" µs"));
     }
 }
-
-pub mod microbench;

@@ -57,7 +57,7 @@ pub fn solve_with_factor(g: &GatheredFactor, b: &[f64]) -> Vec<f64> {
 
 /// Estimate `‖A⁻¹‖₁` by Hager's method using the factor (≤ `max_iter`
 /// solve pairs; 5 is the classical choice).
-pub fn inv_norm1_estimate(a: &SparseSym, g: &GatheredFactor, max_iter: usize) -> f64 {
+fn inv_norm1_estimate(a: &SparseSym, g: &GatheredFactor, max_iter: usize) -> f64 {
     let n = a.n();
     let mut x = vec![1.0 / n as f64; n];
     let mut best = 0.0f64;

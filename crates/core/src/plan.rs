@@ -437,7 +437,7 @@ pub struct RankOut {
     pub wall: LoopWall,
 }
 
-/// Attach the rank-level observers: the comm-span tracer (rget/rput/rpc/
+/// Attach the rank-level observers: the comm-span tracer (rget/copy/rpc/
 /// drain spans for the profile) under `trace`, the health watchdog under
 /// `telemetry` — it rides the rank, so it sees the idle polls of every
 /// phase of the region. [`RankOut::finish`] collects both.
@@ -793,30 +793,16 @@ pub fn solve_panel_distributed(
     bp: &[f64],
     nrhs: usize,
 ) -> Result<PanelSolve, SolverError> {
-    solve_panel_observed(plan, stores, bp, nrhs).0
-}
-
-/// [`solve_panel_distributed`] plus the telemetry plane (the watchdog's
-/// health events of the solve; see [`factor_numeric_observed`]).
-pub fn solve_panel_observed(
-    plan: &SolvePlan,
-    stores: &[BlockStore],
-    bp: &[f64],
-    nrhs: usize,
-) -> (Result<PanelSolve, SolverError>, Option<TelemetryReport>) {
     let (n, p) = (plan.sf().n(), plan.n_ranks());
-    let shapes = SolverError::check_shape("right-hand sides (at least)", 1, nrhs.min(1))
-        .and_then(|()| SolverError::check_shape("factor stores", p, stores.len()))
-        .and_then(|()| SolverError::check_shape("rhs panel entries", n * nrhs, bp.len()));
-    if let Err(e) = shapes {
-        return (Err(e), None);
-    }
-    let (run, telemetry) = launch(plan, nrhs, |rank, ctx| {
+    SolverError::check_shape("right-hand sides (at least)", 1, nrhs.min(1))?;
+    SolverError::check_shape("factor stores", p, stores.len())?;
+    SolverError::check_shape("rhs panel entries", n * nrhs, bp.len())?;
+    let (run, _telemetry) = launch(plan, nrhs, |rank, ctx| {
         let mut out = RankOut::default();
         out.push_solve(ctx.solve_rank(rank, &stores[rank.id()], bp, nrhs, plan.opts.trace));
         out
     });
-    let solve = run.map(|mut a| {
+    run.map(|mut a| {
         let (xp, solve_time) = a.solves.pop().expect("the region ran one solve");
         let trace = a.factor.trace;
         PanelSolve {
@@ -824,8 +810,7 @@ pub fn solve_panel_observed(
             solve_time,
             trace,
         }
-    });
-    (solve, telemetry)
+    })
 }
 
 #[cfg(test)]

@@ -23,9 +23,8 @@ pub type TaskId = u32;
 /// Scheduling state lives in flat arrays indexed by [`TaskId`]. An engine
 /// built [`from_compiled`](Self::from_compiled) is id-addressed throughout;
 /// one built by [`insert_task`](Self::insert_task) also carries a
-/// `K → TaskId` index, and its key-addressed calls ([`dec`](Self::dec),
-/// [`dec_from`](Self::dec_from)) pay one lookup there before running the
-/// same code.
+/// `K → TaskId` index, and its key-addressed [`dec`](Self::dec) pays one
+/// lookup there before running the same code.
 pub struct TaskEngine<K: TaskKind, S = ()> {
     /// `id → key`; shared with the compiled graph the engine came from.
     keys: Arc<Vec<K>>,
@@ -77,7 +76,7 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     /// onto the span `charge` records (profiler dep-wait attribution).
     picked_ready: f64,
     /// Producer label of each task's latest-arriving dependency, recorded
-    /// by [`dec_from`](Self::dec_from) only while tracing (the profiler's
+    /// by [`dec_from_id`](Self::dec_from_id) only while tracing (the profiler's
     /// dependency edges; empty and untouched otherwise).
     pred: HashMap<K, String>,
     /// Resident input-buffer gauge (bytes), sampled onto exec spans.
@@ -153,7 +152,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// Record a task's urgency for [`RtqPolicy::CommAware`] scheduling
     /// (how many remote ranks its output unblocks). Advisory under every
     /// other policy; may be installed before or after the task is ready.
-    pub fn set_urgency(&mut self, id: TaskId, urgency: u64) {
+    pub(crate) fn set_urgency(&mut self, id: TaskId, urgency: u64) {
         if self.urgency.len() < self.keys.len() {
             self.urgency.resize(self.keys.len(), 0);
         }
@@ -206,7 +205,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// Push `ids` onto the RTQ in the given order: a compiled graph's
     /// precomputed [`seed_ready`](Self::seed_ready) result, so an engine
     /// over it neither scans nor sorts its tasks per run.
-    pub fn seed_from(&mut self, ids: &[TaskId]) {
+    pub(crate) fn seed_from(&mut self, ids: &[TaskId]) {
         for &id in ids {
             debug_assert_eq!(self.deps[id as usize], 0, "seed has dependencies");
             self.rtq.push(id);
@@ -249,14 +248,9 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         self.dec_id(id, ready_at);
     }
 
-    /// Key-addressed [`dec_from_id`](Self::dec_from_id).
-    pub fn dec_from(&mut self, key: K, ready_at: f64, producer: impl FnOnce() -> String) {
-        self.dec_from_id(self.id_of(key), ready_at, producer);
-    }
-
     /// Adjust the resident input-buffer gauge (bytes of fetched panels
     /// held); sampled onto exec spans as the memory high-water series.
-    pub fn add_mem(&mut self, bytes: u64) {
+    pub(crate) fn add_mem(&mut self, bytes: u64) {
         self.mem_bytes = self.mem_bytes.saturating_add(bytes);
     }
 
@@ -408,7 +402,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// [`SolverError::Stalled`] with the progress so far and `detail` (what
     /// was most likely dropped), and abort the job — the one stall failure
     /// of every event loop.
-    pub fn fail_stalled(&mut self, rank: &mut Rank, detail: &str) {
+    pub(crate) fn fail_stalled(&mut self, rank: &mut Rank, detail: &str) {
         let stalled = SolverError::Stalled {
             rank: rank.id(),
             done: self.done,
@@ -424,13 +418,13 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     }
 
     /// True when signals are queued for [`take_signals`](Self::take_signals).
-    pub fn has_signals(&self) -> bool {
+    pub(crate) fn has_signals(&self) -> bool {
         !self.inbox.is_empty()
     }
 
     /// Take every queued signal for resolution (see [`super::step`]); hand
     /// the buffer back with [`recycle_signals`](Self::recycle_signals).
-    pub fn take_signals(&mut self) -> Vec<S> {
+    pub(crate) fn take_signals(&mut self) -> Vec<S> {
         if self.inbox.is_empty() {
             return Vec::new();
         }
@@ -440,7 +434,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
 
     /// Keep a buffer [`take_signals`](Self::take_signals) handed out for
     /// the next call (its contents are dropped, its allocation is not).
-    pub fn recycle_signals(&mut self, mut taken: Vec<S>) {
+    pub(crate) fn recycle_signals(&mut self, mut taken: Vec<S>) {
         taken.clear();
         self.spare_inbox = taken;
     }
@@ -453,7 +447,7 @@ impl<K: TaskKind, M: Send + 'static> TaskEngine<K, Signal<M>> {
     /// notification). Returns whether the signal was accepted. Duplicate
     /// deliveries — fault-injected or from a retrying network — are
     /// dropped here, keeping dependency decrements exactly-once.
-    pub fn post_unique(&mut self, signal: Signal<M>) -> bool {
+    pub(crate) fn post_unique(&mut self, signal: Signal<M>) -> bool {
         let fresh = self.seen_signals.insert(signal.ptr);
         if fresh {
             self.inbox.push(signal);

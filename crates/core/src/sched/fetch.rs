@@ -53,7 +53,7 @@ impl FetchConfig {
 
 /// Bounded retry budget for transiently failing one-sided gets (fault
 /// injection): the first attempt plus this many retries.
-pub const MAX_FETCH_ATTEMPTS: u32 = 5;
+const MAX_FETCH_ATTEMPTS: u32 = 5;
 
 /// Initial retry backoff (virtual seconds), doubling per attempt.
 const FETCH_BACKOFF_BASE: f64 = 10.0e-6;

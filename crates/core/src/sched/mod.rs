@@ -19,8 +19,8 @@
 //! This module owns everything in that skeleton that is not the algorithm,
 //! once:
 //!
-//! * **the loop** — [`run_event_loop`] polls, detects quiescence and calls
-//!   the one stall failure ([`TaskEngine::fail_stalled`]); the factorization
+//! * **the loop** — `run_event_loop` polls, detects quiescence and calls
+//!   the one stall failure (`TaskEngine::fail_stalled`); the factorization
 //!   ([`run_to_completion`]) and both solve sweeps run on it;
 //! * **the step** — [`step`]: take the queued signals, fetch each (a failure
 //!   aborts the job with the signal's [`Meta::describe`]), discharge a relay
@@ -155,7 +155,7 @@ fn stall_threshold(rank: &Rank) -> Option<u64> {
 ///
 /// The engine must already be installed as the rank's user state (so RPC
 /// closures can reach it).
-pub fn poll_until<E, F>(rank: &mut Rank, body: F)
+pub(crate) fn poll_until<E, F>(rank: &mut Rank, body: F)
 where
     E: Send + 'static,
     F: FnMut(&mut Rank, &mut E) -> bool,
@@ -215,9 +215,9 @@ where
 /// When the quiescence detector diagnoses a stall, `on_stall` runs once per
 /// detection with the rank and engine; it is expected to record a
 /// [`crate::SolverError::Stalled`] and abort the job
-/// ([`TaskEngine::fail_stalled`]), which makes `body` report completion.
+/// (`TaskEngine::fail_stalled`), which makes `body` report completion.
 /// The loop never hangs and never silently succeeds.
-pub fn run_event_loop<E, F, G>(rank: &mut Rank, engine: E, mut body: F, mut on_stall: G) -> E
+pub(crate) fn run_event_loop<E, F, G>(rank: &mut Rank, engine: E, mut body: F, mut on_stall: G) -> E
 where
     E: Send + 'static,
     F: FnMut(&mut Rank, &mut E) -> bool,

@@ -20,7 +20,7 @@ pub enum RtqPolicy {
     CriticalPath,
     /// Overlap-driven: prefer tasks whose outputs unblock the most remote
     /// ranks (the per-task *urgency* installed via
-    /// [`TaskEngine::set_urgency`](super::TaskEngine::set_urgency) — the
+    /// `TaskEngine::set_urgency` — the
     /// fan-out engine uses the remote consumer count of each factor task),
     /// breaking ties by
     /// [`TaskKind::priority_key`](super::TaskKind::priority_key). Tasks with no urgency recorded rank

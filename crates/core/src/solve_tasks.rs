@@ -209,7 +209,7 @@ impl SolveTasks {
     }
 
     /// The panel of the owned diagonal block in `slot`.
-    pub fn diag_panel(&self, slot: u32) -> Panel {
+    pub(crate) fn diag_panel(&self, slot: u32) -> Panel {
         self.panels[self.ops[slot as usize].panel[0] as usize]
     }
 

@@ -205,7 +205,7 @@ impl BlockStore {
     }
 
     /// Slot id of an owned block.
-    pub fn slot_of(&self, key: BlockKey) -> Option<usize> {
+    fn slot_of(&self, key: BlockKey) -> Option<usize> {
         self.keys
             .binary_search_by_key(&col_major(&key), col_major)
             .ok()
@@ -218,12 +218,12 @@ impl BlockStore {
 
     /// Take the block in slot `id` out (e.g. to run a kernel without
     /// aliasing).
-    pub fn take_slot(&mut self, id: usize) -> Option<Block> {
+    pub(crate) fn take_slot(&mut self, id: usize) -> Option<Block> {
         self.blocks[id].take()
     }
 
     /// Put a block (back) into slot `id`; accepts dense and low-rank forms.
-    pub fn put_slot(&mut self, id: usize, m: impl Into<Block>) {
+    pub(crate) fn put_slot(&mut self, id: usize, m: impl Into<Block>) {
         self.blocks[id] = Some(m.into());
     }
 
@@ -238,12 +238,12 @@ impl BlockStore {
         self.blocks[id].as_mut()
     }
 
-    /// Key-addressed [`take_slot`](Self::take_slot).
+    /// Key-addressed `take_slot`.
     pub fn take(&mut self, key: BlockKey) -> Option<Block> {
         self.take_slot(self.slot_of(key)?)
     }
 
-    /// Key-addressed [`put_slot`](Self::put_slot).
+    /// Key-addressed `put_slot`.
     ///
     /// # Panics
     /// Panics if this rank does not own block `key`.

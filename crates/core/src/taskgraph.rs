@@ -101,7 +101,7 @@ impl TaskKey {
     /// # Panics
     /// Panics if the task references blocks absent from `sf`'s layout —
     /// a key/layout mismatch that is always a caller bug.
-    pub fn shape(&self, sf: &SymbolicFactor) -> (usize, usize, usize) {
+    fn shape(&self, sf: &SymbolicFactor) -> (usize, usize, usize) {
         let rows = |i: usize, j: usize| sf.layout.find(i, j).expect("block exists").n_rows;
         match *self {
             TaskKey::Diag { j } => (sf.partition.width(j), 0, 0),

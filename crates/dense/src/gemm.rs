@@ -220,14 +220,6 @@ pub fn gemm_nt_cfg(cfg: &KernelConfig, c: &mut Mat, a: &Mat, b: &Mat) {
     );
 }
 
-/// Matrix-level wrapper under the default config: `C ← C − A·Bᵀ`.
-///
-/// # Panics
-/// Same as [`gemm_nt_cfg`].
-pub fn gemm_nt(c: &mut Mat, a: &Mat, b: &Mat) {
-    gemm_nt_cfg(&KernelConfig::default(), c, a, b);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +231,7 @@ mod tests {
         let b = Mat::from_fn(n, k, |r, c| ((r * 5 + c * 11) % 13) as f64 * 0.5 - 3.0);
         let mut c1 = Mat::from_fn(m, n, |r, c| (r + c) as f64);
         let mut c2 = c1.clone();
-        gemm_nt(&mut c1, &a, &b);
+        gemm_nt_cfg(&KernelConfig::default(), &mut c1, &a, &b);
         gemm_ref(&mut c2, &a, &b);
         assert!(c1.max_abs_diff(&c2) < 1e-10, "m={m} n={n} k={k}");
     }
@@ -298,7 +290,7 @@ mod tests {
         let b = Mat::zeros(2, 0);
         let mut c = Mat::from_fn(3, 2, |r, _| r as f64);
         let before = c.clone();
-        gemm_nt(&mut c, &a, &b);
+        gemm_nt_cfg(&KernelConfig::default(), &mut c, &a, &b);
         assert_eq!(c, before);
     }
 

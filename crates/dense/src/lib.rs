@@ -5,11 +5,11 @@
 //!
 //! * [`potrf()`] — Cholesky factorization of a dense diagonal block
 //!   (LAPACK `POTRF`), used by *Diagonal Factorization* tasks `D(i)`.
-//! * [`trsm_right_lower_trans`] — triangular solve `X · Lᵀ = B`
+//! * [`trsm_right_lower_trans_cfg`] — triangular solve `X · Lᵀ = B`
 //!   (BLAS `TRSM`), used by *Factorization* tasks `F(i,j)`.
-//! * [`syrk_lower`] — symmetric rank-k update `C ← C − A·Aᵀ` (BLAS `SYRK`),
+//! * [`syrk_lower_cfg`] — symmetric rank-k update `C ← C − A·Aᵀ` (BLAS `SYRK`),
 //!   used by *Update* tasks `U(i,j,k)` whose target is a diagonal block.
-//! * [`gemm_nt`] — general update `C ← C − A·Bᵀ` (BLAS `GEMM`), used by
+//! * [`gemm_nt_cfg`] — general update `C ← C − A·Bᵀ` (BLAS `GEMM`), used by
 //!   *Update* tasks with off-diagonal targets.
 //!
 //! The blocked multi-NRHS triangular solve adds the [`panel`] kernels:
@@ -58,16 +58,13 @@ pub mod trsm;
 
 pub use config::{ConfigError, IsaSelect, KernelConfig};
 pub use error::DenseError;
-pub use gemm::{gemm_nt, gemm_nt_cfg};
+pub use gemm::gemm_nt_cfg;
 pub use lowrank::{compress, recompress, BlockRef, BlrConfig, LowRankMat};
 pub use mat::Mat;
-pub use panel::{
-    gemm_nn_acc, gemm_nn_acc_cfg, gemm_tn_acc, gemm_tn_acc_cfg, trsm_left_lower_notrans,
-    trsm_left_lower_notrans_cfg, trsm_left_lower_trans, trsm_left_lower_trans_cfg,
-};
+pub use panel::{gemm_nn_acc_cfg, gemm_tn_acc_cfg};
 pub use potrf::{potrf, potrf_cfg};
-pub use syrk::{syrk_lower, syrk_lower_cfg};
-pub use trsm::{trsm_right_lower_trans, trsm_right_lower_trans_cfg};
+pub use syrk::syrk_lower_cfg;
+pub use trsm::trsm_right_lower_trans_cfg;
 
 /// Floating-point operation counts for the four kernels, used by the
 /// simulated-time cost model in `sympack-gpu` and `sympack-pgas`.

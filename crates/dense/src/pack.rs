@@ -180,7 +180,7 @@ impl<'a> ApackFull<'a> {
 
     /// The packed strips `[s0, s1)` of k-block `q`, laid out exactly like an
     /// [`Operand::pack`] buffer of `s1 - s0` strips.
-    pub fn block_strips(&self, q: usize, s0: usize, s1: usize) -> &[f64] {
+    pub(crate) fn block_strips(&self, q: usize, s0: usize, s1: usize) -> &[f64] {
         let p0 = q * self.kc;
         let kb = self.kc.min(self.k - p0);
         let off = self.strips * self.mr * p0;

@@ -4,15 +4,15 @@
 //! panels `B` of shape `n × nrhs` (one column per right-hand side) instead of
 //! single vectors. Its four task bodies map onto four kernels:
 //!
-//! * [`trsm_left_lower_notrans`] — `L · Y = B` (forward substitution on a
+//! * [`trsm_left_lower_notrans_raw`] — `L · Y = B` (forward substitution on a
 //!   panel; BLAS `TRSM` side=left, trans=N),
-//! * [`trsm_left_lower_trans`] — `Lᵀ · X = B` (backward substitution on a
+//! * [`trsm_left_lower_trans_raw`] — `Lᵀ · X = B` (backward substitution on a
 //!   panel; side=left, trans=T),
-//! * [`gemm_nn_acc`] — `C ← C + A·B` (a block's forward contribution),
-//! * [`gemm_tn_acc`] — `C ← C + Aᵀ·B` (a block's backward contribution).
+//! * [`gemm_nn_acc_cfg`] — `C ← C + A·B` (a block's forward contribution),
+//! * [`gemm_tn_acc_cfg`] — `C ← C + Aᵀ·B` (a block's backward contribution).
 //!
 //! Accumulation is *additive* here (the solve subtracts contributions at the
-//! owning accumulator), in contrast to [`crate::gemm::gemm_nt`]'s built-in
+//! owning accumulator), in contrast to [`crate::gemm::gemm_nt_cfg`]'s built-in
 //! subtraction. With `nrhs = 1` the substitution kernels perform exactly the
 //! arithmetic of the scalar `forward_subst`/`backward_subst` routines, column
 //! sweep for column sweep, so the single-vector solve path is unchanged.
@@ -202,50 +202,6 @@ pub fn trsm_left_lower_trans_raw(
     }
 }
 
-/// Matrix-level wrapper with an explicit config: overwrite `B` with the
-/// solution `Y` of `L·Y = B`.
-///
-/// # Panics
-/// Panics if `L` is not square or `B.rows() != L.rows()`.
-pub fn trsm_left_lower_notrans_cfg(cfg: &KernelConfig, b: &mut Mat, l: &Mat) {
-    assert_eq!(l.rows(), l.cols(), "trsm: L must be square");
-    assert_eq!(b.rows(), l.rows(), "trsm: B row count must match L order");
-    let (n, nrhs) = (b.rows(), b.cols());
-    let (ldb, ldl) = (b.ld(), l.ld());
-    trsm_left_lower_notrans_raw(cfg, b.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
-}
-
-/// Matrix-level wrapper under the default config: overwrite `B` with the
-/// solution `Y` of `L·Y = B`.
-///
-/// # Panics
-/// Same as [`trsm_left_lower_notrans_cfg`].
-pub fn trsm_left_lower_notrans(b: &mut Mat, l: &Mat) {
-    trsm_left_lower_notrans_cfg(&KernelConfig::default(), b, l);
-}
-
-/// Matrix-level wrapper with an explicit config: overwrite `B` with the
-/// solution `X` of `Lᵀ·X = B`.
-///
-/// # Panics
-/// Panics if `L` is not square or `B.rows() != L.rows()`.
-pub fn trsm_left_lower_trans_cfg(cfg: &KernelConfig, b: &mut Mat, l: &Mat) {
-    assert_eq!(l.rows(), l.cols(), "trsm: L must be square");
-    assert_eq!(b.rows(), l.rows(), "trsm: B row count must match L order");
-    let (n, nrhs) = (b.rows(), b.cols());
-    let (ldb, ldl) = (b.ld(), l.ld());
-    trsm_left_lower_trans_raw(cfg, b.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
-}
-
-/// Matrix-level wrapper under the default config: overwrite `B` with the
-/// solution `X` of `Lᵀ·X = B`.
-///
-/// # Panics
-/// Same as [`trsm_left_lower_trans_cfg`].
-pub fn trsm_left_lower_trans(b: &mut Mat, l: &Mat) {
-    trsm_left_lower_trans_cfg(&KernelConfig::default(), b, l);
-}
-
 /// Shared `C ← C ± A · B` body: packed register-blocked core when the
 /// problem amortizes packing (per `cfg.pack_min_flops`), the direct loop
 /// nest otherwise. `sub` selects subtraction (used by the blocked forward
@@ -410,14 +366,6 @@ pub fn gemm_nn_acc_cfg(cfg: &KernelConfig, c: &mut Mat, a: &Mat, b: &Mat) {
     );
 }
 
-/// Matrix-level wrapper under the default config: `C ← C + A·B`.
-///
-/// # Panics
-/// Same as [`gemm_nn_acc_cfg`].
-pub fn gemm_nn_acc(c: &mut Mat, a: &Mat, b: &Mat) {
-    gemm_nn_acc_cfg(&KernelConfig::default(), c, a, b);
-}
-
 /// Matrix-level wrapper with an explicit config: `C ← C + Aᵀ·B`.
 ///
 /// # Panics
@@ -442,19 +390,23 @@ pub fn gemm_tn_acc_cfg(cfg: &KernelConfig, c: &mut Mat, a: &Mat, b: &Mat) {
     );
 }
 
-/// Matrix-level wrapper under the default config: `C ← C + Aᵀ·B`.
-///
-/// # Panics
-/// Same as [`gemm_tn_acc_cfg`].
-pub fn gemm_tn_acc(c: &mut Mat, a: &Mat, b: &Mat) {
-    gemm_tn_acc_cfg(&KernelConfig::default(), c, a, b);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::tests::{edges, tiny_blocks};
     use crate::naive::potrf_ref;
+
+    /// `L·Y = B` in place, through the raw kernel the solve phase calls.
+    fn trsm_left_lower_notrans_cfg(cfg: &KernelConfig, b: &mut Mat, l: &Mat) {
+        let (n, nrhs, ldb, ldl) = (b.rows(), b.cols(), b.ld(), l.ld());
+        trsm_left_lower_notrans_raw(cfg, b.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
+    }
+
+    /// `Lᵀ·X = B` in place, through the raw kernel the solve phase calls.
+    fn trsm_left_lower_trans_cfg(cfg: &KernelConfig, b: &mut Mat, l: &Mat) {
+        let (n, nrhs, ldb, ldl) = (b.rows(), b.cols(), b.ld(), l.ld());
+        trsm_left_lower_trans_raw(cfg, b.as_mut_slice(), ldb, n, nrhs, l.as_slice(), ldl);
+    }
 
     fn spd_factor(n: usize) -> Mat {
         let a = Mat::spd_from(n, |r, c| ((r * 7 + c * 5) % 11) as f64 - 5.0);
@@ -471,7 +423,7 @@ mod tests {
             let l = spd_factor(n);
             let b0 = panel(n, nrhs);
             let mut y = b0.clone();
-            trsm_left_lower_notrans(&mut y, &l);
+            trsm_left_lower_notrans_cfg(&KernelConfig::default(), &mut y, &l);
             // L·Y must reproduce B0.
             let recon = l.matmul(&y);
             assert!(recon.max_abs_diff(&b0) < 1e-9, "n={n} nrhs={nrhs}");
@@ -484,7 +436,7 @@ mod tests {
             let l = spd_factor(n);
             let b0 = panel(n, nrhs);
             let mut x = b0.clone();
-            trsm_left_lower_trans(&mut x, &l);
+            trsm_left_lower_trans_cfg(&KernelConfig::default(), &mut x, &l);
             let recon = l.transpose().matmul(&x);
             assert!(recon.max_abs_diff(&b0) < 1e-9, "n={n} nrhs={nrhs}");
         }
@@ -497,7 +449,7 @@ mod tests {
         let l = spd_factor(11);
         let b0 = panel(11, 1);
         let mut fwd_panel = b0.clone();
-        trsm_left_lower_notrans(&mut fwd_panel, &l);
+        trsm_left_lower_notrans_cfg(&KernelConfig::default(), &mut fwd_panel, &l);
         let mut fwd_scalar: Vec<f64> = b0.as_slice().to_vec();
         for c in 0..11 {
             let yc = fwd_scalar[c] / l[(c, c)];
@@ -514,18 +466,18 @@ mod tests {
         let mut l = spd_factor(6);
         let b0 = panel(6, 4);
         let mut y1 = b0.clone();
-        trsm_left_lower_notrans(&mut y1, &l);
+        trsm_left_lower_notrans_cfg(&KernelConfig::default(), &mut y1, &l);
         let mut x1 = b0.clone();
-        trsm_left_lower_trans(&mut x1, &l);
+        trsm_left_lower_trans_cfg(&KernelConfig::default(), &mut x1, &l);
         for j in 1..6 {
             for i in 0..j {
                 l[(i, j)] = f64::NAN;
             }
         }
         let mut y2 = b0.clone();
-        trsm_left_lower_notrans(&mut y2, &l);
+        trsm_left_lower_notrans_cfg(&KernelConfig::default(), &mut y2, &l);
         let mut x2 = b0.clone();
-        trsm_left_lower_trans(&mut x2, &l);
+        trsm_left_lower_trans_cfg(&KernelConfig::default(), &mut x2, &l);
         assert_eq!(y1.max_abs_diff(&y2), 0.0);
         assert_eq!(x1.max_abs_diff(&x2), 0.0);
     }
@@ -537,7 +489,7 @@ mod tests {
             let b = Mat::from_fn(k, n, |r, c| ((r * 5 + c * 11) % 13) as f64 * 0.5 - 3.0);
             let c0 = Mat::from_fn(m, n, |r, c| (r + c) as f64);
             let mut c1 = c0.clone();
-            gemm_nn_acc(&mut c1, &a, &b);
+            gemm_nn_acc_cfg(&KernelConfig::default(), &mut c1, &a, &b);
             let mut expect = a.matmul(&b);
             for (e, base) in expect.as_mut_slice().iter_mut().zip(c0.as_slice()) {
                 *e += base;
@@ -553,7 +505,7 @@ mod tests {
             let b = Mat::from_fn(k, n, |r, c| ((r * 5 + c * 11) % 13) as f64 * 0.5 - 3.0);
             let c0 = Mat::from_fn(m, n, |r, c| (2 * r + c) as f64);
             let mut c1 = c0.clone();
-            gemm_tn_acc(&mut c1, &a, &b);
+            gemm_tn_acc_cfg(&KernelConfig::default(), &mut c1, &a, &b);
             let mut expect = a.transpose().matmul(&b);
             for (e, base) in expect.as_mut_slice().iter_mut().zip(c0.as_slice()) {
                 *e += base;
@@ -613,7 +565,7 @@ mod tests {
             let b = Mat::from_fn(k, n, |r, c| ((r * 5 + c * 11) % 13) as f64 * 0.5 - 3.0);
             let c0 = Mat::from_fn(m, n, |r, c| (r + c) as f64);
             let mut c1 = c0.clone();
-            gemm_nn_acc(&mut c1, &a, &b);
+            gemm_nn_acc_cfg(&KernelConfig::default(), &mut c1, &a, &b);
             let mut expect = a.matmul(&b);
             for (e, base) in expect.as_mut_slice().iter_mut().zip(c0.as_slice()) {
                 *e += base;
@@ -622,7 +574,7 @@ mod tests {
 
             let at = Mat::from_fn(k, m, |r, c| ((r * 13 + c * 7) % 9) as f64 - 4.0);
             let mut c1 = c0.clone();
-            gemm_tn_acc(&mut c1, &at, &b);
+            gemm_tn_acc_cfg(&KernelConfig::default(), &mut c1, &at, &b);
             let mut expect = at.transpose().matmul(&b);
             for (e, base) in expect.as_mut_slice().iter_mut().zip(c0.as_slice()) {
                 *e += base;

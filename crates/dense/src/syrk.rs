@@ -161,15 +161,6 @@ pub fn syrk_lower_cfg(cfg: &KernelConfig, c: &mut Mat, a: &Mat) {
     syrk_lower_raw(cfg, c.as_mut_slice(), ldc, n, a.as_slice(), lda, k);
 }
 
-/// Matrix-level wrapper under the default config: `C ← C − A·Aᵀ`, lower
-/// triangle only.
-///
-/// # Panics
-/// Same as [`syrk_lower_cfg`].
-pub fn syrk_lower(c: &mut Mat, a: &Mat) {
-    syrk_lower_cfg(&KernelConfig::default(), c, a);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +210,7 @@ mod tests {
     fn upper_triangle_untouched() {
         let a = Mat::from_fn(6, 4, |r, c| (r + c) as f64);
         let mut c = Mat::from_fn(6, 6, |_, _| 42.0);
-        syrk_lower(&mut c, &a);
+        syrk_lower_cfg(&KernelConfig::default(), &mut c, &a);
         for j in 1..6 {
             for i in 0..j {
                 assert_eq!(c[(i, j)], 42.0, "upper entry ({i},{j}) modified");
@@ -231,7 +222,7 @@ mod tests {
     fn zero_k_is_noop() {
         let a = Mat::zeros(4, 0);
         let mut c = Mat::eye(4);
-        syrk_lower(&mut c, &a);
+        syrk_lower_cfg(&KernelConfig::default(), &mut c, &a);
         assert_eq!(c, Mat::eye(4));
     }
 

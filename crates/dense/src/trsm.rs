@@ -145,14 +145,6 @@ pub fn trsm_right_lower_trans_cfg(cfg: &KernelConfig, b: &mut Mat, l: &Mat) {
     trsm_right_lower_trans_raw(cfg, b.as_mut_slice(), ldb, m, n, l.as_slice(), ldl);
 }
 
-/// Matrix-level wrapper under the default config.
-///
-/// # Panics
-/// Same as [`trsm_right_lower_trans_cfg`].
-pub fn trsm_right_lower_trans(b: &mut Mat, l: &Mat) {
-    trsm_right_lower_trans_cfg(&KernelConfig::default(), b, l);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,7 +193,7 @@ mod tests {
         let mut l = potrf_ref(&a).unwrap();
         let b0 = Mat::from_fn(3, 5, |r, c| (r + c) as f64);
         let mut b1 = b0.clone();
-        trsm_right_lower_trans(&mut b1, &l);
+        trsm_right_lower_trans_cfg(&KernelConfig::default(), &mut b1, &l);
         // Poison the strict upper triangle; result must not change.
         for j in 1..5 {
             for i in 0..j {
@@ -209,7 +201,7 @@ mod tests {
             }
         }
         let mut b2 = b0.clone();
-        trsm_right_lower_trans(&mut b2, &l);
+        trsm_right_lower_trans_cfg(&KernelConfig::default(), &mut b2, &l);
         assert_eq!(b1.max_abs_diff(&b2), 0.0);
     }
 
@@ -218,7 +210,7 @@ mod tests {
         let l = Mat::eye(6);
         let b0 = Mat::from_fn(4, 6, |r, c| (r * 6 + c) as f64);
         let mut b = b0.clone();
-        trsm_right_lower_trans(&mut b, &l);
+        trsm_right_lower_trans_cfg(&KernelConfig::default(), &mut b, &l);
         assert_eq!(b, b0);
     }
 

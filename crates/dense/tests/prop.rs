@@ -3,7 +3,9 @@
 //! against algebraic identities (reconstruction, inverse-of-multiply).
 
 use sympack_dense::naive::{gemm_ref, potrf_ref, syrk_ref, trsm_ref};
-use sympack_dense::{gemm_nt, potrf, syrk_lower, trsm_right_lower_trans, Mat};
+use sympack_dense::{
+    gemm_nt_cfg, potrf, syrk_lower_cfg, trsm_right_lower_trans_cfg, KernelConfig, Mat,
+};
 
 struct Rng(u64);
 
@@ -80,7 +82,7 @@ fn gemm_agrees_with_reference() {
         let b = rng.mat(n, k);
         let mut c1 = rng.mat(m, n);
         let mut c2 = c1.clone();
-        gemm_nt(&mut c1, &a, &b);
+        gemm_nt_cfg(&KernelConfig::default(), &mut c1, &a, &b);
         gemm_ref(&mut c2, &a, &b);
         assert!(c1.max_abs_diff(&c2) < 1e-9);
     }
@@ -95,7 +97,7 @@ fn syrk_agrees_with_reference() {
         let a = rng.mat(n, k);
         let mut c1 = rng.mat(n, n);
         let mut c2 = c1.clone();
-        syrk_lower(&mut c1, &a);
+        syrk_lower_cfg(&KernelConfig::default(), &mut c1, &a);
         syrk_ref(&mut c2, &a);
         for j in 0..n {
             for i in j..n {
@@ -120,7 +122,7 @@ fn trsm_inverts_multiplication() {
         let x = rng.mat(m, n);
         let b = x.matmul(&l.transpose());
         let mut solved = b.clone();
-        trsm_right_lower_trans(&mut solved, &l);
+        trsm_right_lower_trans_cfg(&KernelConfig::default(), &mut solved, &l);
         let reference = trsm_ref(&l, &b);
         let scale = x.fro_norm().max(1.0);
         assert!(solved.max_abs_diff(&x) / scale < 1e-8);

@@ -7,7 +7,7 @@
 //! shape, where symPACK's front-loaded cost (ordering + symbolic analysis +
 //! mapping dominate the first factorization) is amortized *across* tenants:
 //!
-//! * **Plan cache** ([`PlanCache`]) — symbolic plans keyed by
+//! * **Plan cache** (`PlanCache`) — symbolic plans keyed by
 //!   [`sympack::pattern_hash`] folded with the analysis/layout options
 //!   ([`sympack::plan_cache_key`]). A tenant whose sparsity pattern was
 //!   seen before skips ordering, analysis and task-graph construction
@@ -42,8 +42,7 @@ use sympack_trace::health::{HealthEvent, WatchRules, WatchSample, Watchdog};
 use sympack_trace::json::{Arr, Obj};
 use sympack_trace::metrics::{FleetCacheMetrics, ServiceMetrics};
 use sympack_trace::telemetry::{
-    CounterId, GaugeId, HistId, SloPolicy, SloTracker, Telemetry, TelemetrySnapshot,
-    SNAPSHOT_SCHEMA,
+    CounterId, GaugeId, HistId, SloPolicy, SloTracker, Telemetry, SNAPSHOT_SCHEMA,
 };
 use sympack_trace::{SpanKind, TraceCat, TraceEvent};
 
@@ -104,25 +103,16 @@ impl From<SolverError> for FleetError {
 /// × analysis/layout options). Hits hand out another `Arc` to the shared
 /// plan; misses run the full ordering + analysis + mapping pipeline once.
 #[derive(Debug, Default)]
-pub struct PlanCache {
+struct PlanCache {
     plans: HashMap<u64, Arc<SymbolicPlan>>,
     hits: u64,
     misses: u64,
 }
 
 impl PlanCache {
-    /// New empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache::default()
-    }
-
     /// The cached plan for `a` under `opts`, building (and caching) it on a
     /// miss. Returns the plan and whether it was a hit.
-    pub fn get_or_build(
-        &mut self,
-        a: &SparseSym,
-        opts: &SolverOptions,
-    ) -> (Arc<SymbolicPlan>, bool) {
+    fn get_or_build(&mut self, a: &SparseSym, opts: &SolverOptions) -> (Arc<SymbolicPlan>, bool) {
         let key = plan_cache_key(pattern_hash(a), opts);
         if let Some(plan) = self.plans.get(&key) {
             self.hits += 1;
@@ -132,26 +122,6 @@ impl PlanCache {
         let plan = Arc::new(SymbolicPlan::build(a, opts));
         self.plans.insert(key, Arc::clone(&plan));
         (plan, false)
-    }
-
-    /// Distinct plans cached.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True when nothing was cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Lookups served without analysis.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that ran the full analysis pipeline.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -302,7 +272,7 @@ impl Fleet {
         Fleet {
             opts: opts.clone(),
             config,
-            plans: PlanCache::new(),
+            plans: PlanCache::default(),
             tenants: Vec::new(),
             by_name: HashMap::new(),
             clocks: vec![0.0; config.shards],
@@ -396,16 +366,6 @@ impl Fleet {
         self.enforce_budget(Some(idx));
         self.sample_residency();
         Ok(TenantId(idx))
-    }
-
-    /// Look up an admitted tenant by name.
-    pub fn tenant_id(&self, name: &str) -> Option<TenantId> {
-        self.by_name.get(name).copied().map(TenantId)
-    }
-
-    /// Tenant names in admission order.
-    pub fn tenant_names(&self) -> Vec<&str> {
-        self.tenants.iter().map(|t| t.name.as_str()).collect()
     }
 
     /// Submit one right-hand side for `tenant`, arriving at virtual time
@@ -663,14 +623,6 @@ impl Fleet {
         });
     }
 
-    /// Virtual clock of one shard.
-    ///
-    /// # Panics
-    /// Panics when `shard >= config.shards`.
-    pub fn shard_clock(&self, shard: usize) -> f64 {
-        self.clocks[shard]
-    }
-
     /// Fleet makespan: the furthest shard clock.
     pub fn makespan(&self) -> f64 {
         self.clocks.iter().fold(0.0, |a, &b| a.max(b))
@@ -714,11 +666,6 @@ impl Fleet {
         self.tenants[tenant.0].analyze_wall_ms
     }
 
-    /// Distinct symbolic plans cached.
-    pub fn plans_cached(&self) -> usize {
-        self.plans.len()
-    }
-
     /// Per-request spans (`{tenant}/job-{id}`, arrival → completion, rank =
     /// shard) accumulated over the fleet's lifetime, for the
     /// flight-recorder profile.
@@ -748,16 +695,6 @@ impl Fleet {
     /// Health events the fleet watchdog has raised so far.
     pub fn health_events(&self) -> &[HealthEvent] {
         self.watchdog.events()
-    }
-
-    /// Immutable snapshot of every live instrument (values + ring series).
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.tel.snapshot()
-    }
-
-    /// Prometheus-style text exposition of the live instruments.
-    pub fn render_telemetry_text(&self) -> String {
-        self.tel.render_text()
     }
 
     /// The complete live-telemetry document `sympack-top` renders: schema
@@ -794,7 +731,7 @@ impl Fleet {
             .f64("makespan", self.makespan())
             .raw("cache", &self.cache.to_json())
             .raw("tenants", &tenants.finish())
-            .raw("telemetry", &self.telemetry_snapshot().to_json())
+            .raw("telemetry", &self.tel.snapshot().to_json())
             .raw(
                 "health",
                 &sympack_trace::health::health_events_json(self.watchdog.events()),
@@ -863,7 +800,7 @@ mod tests {
         let c = fleet.cache_metrics();
         assert_eq!(c.plan_hits, 1);
         assert_eq!(c.plan_misses, 2);
-        assert_eq!(fleet.plans_cached(), 2);
+        assert_eq!(fleet.plans.plans.len(), 2);
         // First sight pays analysis; the repeat does not.
         assert!(fleet.tenant_analyze_wall_ms(t0) > 0.0);
         assert_eq!(fleet.tenant_analyze_wall_ms(t1), 0.0);
@@ -888,8 +825,8 @@ mod tests {
             Err(FleetError::UnknownTenant { .. }) => {}
             other => panic!("expected UnknownTenant, got {other:?}"),
         }
-        assert_eq!(fleet.tenant_id("alice"), Some(TenantId(0)));
-        assert_eq!(fleet.tenant_id("bob"), None);
+        assert_eq!(fleet.by_name.get("alice"), Some(&0));
+        assert_eq!(fleet.by_name.get("bob"), None);
     }
 
     #[test]
@@ -970,7 +907,7 @@ mod tests {
         fleet.drain().unwrap();
         // Both shards advanced, and the fleet makespan is the max — less
         // than the serialized sum of both shard clocks.
-        let (c0, c1) = (fleet.shard_clock(0), fleet.shard_clock(1));
+        let (c0, c1) = (fleet.clocks[0], fleet.clocks[1]);
         assert!(c0 > 0.0 && c1 > 0.0);
         assert_eq!(fleet.makespan(), c0.max(c1));
         assert!(fleet.makespan() < c0 + c1);
@@ -1070,7 +1007,7 @@ mod tests {
             assert!(ts.windows(2).all(|w| w[0] <= w[1]), "series went backwards");
         }
         // Text exposition names the per-tenant instruments.
-        let text = fleet.render_telemetry_text();
+        let text = fleet.tel.render_text();
         assert!(text.contains("sympack_fleet_jobs_served_total{tenant=\"alice\"} 4"));
         assert!(text.contains("sympack_fleet_resident_bytes"));
     }

@@ -1,15 +1,12 @@
-//! Analytical and auto-tuned offload thresholds — the paper's §6 future
-//! work: "a hardware-agnostic analytical framework for determining the
-//! optimal GPU threshold sizes for each operation, and … the potential use
-//! and benefits of autotuning in this area."
+//! Analytical offload thresholds — the paper's §6 future work: "a
+//! hardware-agnostic analytical framework for determining the optimal GPU
+//! threshold sizes for each operation".
 //!
 //! The analytical framework inverts the cost model: for each operation it
 //! finds the flop count at which the modeled GPU time undercuts the CPU
-//! time ([`crate::CostModel::crossover_flops`]) and converts it into the
+//! time (`CostModel::crossover_flops`) and converts it into the
 //! element-count threshold the offload heuristic uses, assuming the
-//! square-ish block shapes the supernodal factorization produces. The
-//! autotuner then refines those analytical seeds by measuring (under the
-//! same cost model) a sweep of scale factors on a caller-supplied probe.
+//! square-ish block shapes the supernodal factorization produces.
 
 use crate::cost::CostModel;
 use crate::offload::OffloadThresholds;
@@ -58,55 +55,7 @@ pub fn analytical_thresholds(cost: &CostModel) -> OffloadThresholds {
     }
 }
 
-/// One (op, elements, flops) kernel record from a probe workload.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelSample {
-    pub op: Op,
-    pub elements: usize,
-    pub flops: u64,
-}
-
-/// Total modeled time of a kernel trace under given thresholds.
-pub fn trace_time(cost: &CostModel, thresholds: &OffloadThresholds, trace: &[KernelSample]) -> f64 {
-    trace
-        .iter()
-        .map(|s| match thresholds.place(s.op, s.elements) {
-            crate::Loc::Cpu => cost.cpu_time(s.op, s.flops),
-            crate::Loc::Gpu => cost.gpu_time(s.op, s.flops),
-        })
-        .sum()
-}
-
-/// Autotune: scale the analytical thresholds over a grid of factors and keep
-/// the scale minimizing the modeled time of `trace` (a kernel trace recorded
-/// from a representative factorization). Returns the tuned thresholds and
-/// the winning scale.
-pub fn autotune(cost: &CostModel, trace: &[KernelSample]) -> (OffloadThresholds, f64) {
-    let seed = analytical_thresholds(cost);
-    let mut best = (seed.clone(), 1.0);
-    let mut best_t = trace_time(cost, &seed, trace);
-    for &scale in &[0.25, 0.35, 0.5, 0.7, 1.0, 1.4, 2.0, 2.8, 4.0] {
-        let cand = OffloadThresholds {
-            potrf: (seed.potrf as f64 * scale) as usize,
-            trsm: (seed.trsm as f64 * scale) as usize,
-            syrk: (seed.syrk as f64 * scale) as usize,
-            gemm: (seed.gemm as f64 * scale) as usize,
-        };
-        let t = trace_time(cost, &cand, trace);
-        if t < best_t {
-            best_t = t;
-            best = (cand, scale);
-        }
-    }
-    best
-}
-
 impl CostModel {
-    /// NVIDIA A100-class device (the paper's Perlmutter GPUs) — the default.
-    pub fn nvidia_a100() -> Self {
-        CostModel::default()
-    }
-
     /// AMD MI250X-class device: higher peak fp64, slightly higher launch
     /// latency through HIP — the §6 "support for AMD GPUs" data point.
     pub fn amd_mi250x() -> Self {
@@ -119,43 +68,11 @@ impl CostModel {
             ..CostModel::default()
         }
     }
-
-    /// Intel Max-class device via SYCL/oneMKL.
-    pub fn intel_max1550() -> Self {
-        CostModel {
-            gpu_gemm: 4.0e12,
-            gpu_syrk: 2.8e12,
-            gpu_trsm: 1.0e12,
-            gpu_potrf: 0.5e12,
-            kernel_launch: 12.0e-6,
-            ..CostModel::default()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_trace() -> Vec<KernelSample> {
-        // A mix of small and large kernels like a real factorization.
-        let mut t = Vec::new();
-        for n in [8usize, 16, 32, 64, 128, 256] {
-            for _ in 0..4 {
-                t.push(KernelSample {
-                    op: Op::Gemm,
-                    elements: 3 * n * n,
-                    flops: 2 * (n as u64).pow(3),
-                });
-                t.push(KernelSample {
-                    op: Op::Potrf,
-                    elements: n * n,
-                    flops: (n as u64).pow(3) / 3,
-                });
-            }
-        }
-        t
-    }
 
     #[test]
     fn analytical_thresholds_are_consistent_with_crossovers() {
@@ -183,30 +100,8 @@ mod tests {
     }
 
     #[test]
-    fn autotune_never_loses_to_seed() {
-        let cost = CostModel::default();
-        let trace = sample_trace();
-        let seed_t = trace_time(&cost, &analytical_thresholds(&cost), &trace);
-        let (tuned, _scale) = autotune(&cost, &trace);
-        let tuned_t = trace_time(&cost, &tuned, &trace);
-        assert!(tuned_t <= seed_t);
-    }
-
-    #[test]
-    fn autotune_beats_extreme_policies_on_mixed_trace() {
-        let cost = CostModel::default();
-        let trace = sample_trace();
-        let (tuned, _) = autotune(&cost, &trace);
-        let tuned_t = trace_time(&cost, &tuned, &trace);
-        let cpu_t = trace_time(&cost, &OffloadThresholds::cpu_only(), &trace);
-        let gpu_t = trace_time(&cost, &OffloadThresholds::gpu_always(), &trace);
-        assert!(tuned_t <= cpu_t, "tuned {tuned_t} vs cpu {cpu_t}");
-        assert!(tuned_t <= gpu_t, "tuned {tuned_t} vs gpu {gpu_t}");
-    }
-
-    #[test]
     fn vendor_presets_differ_in_crossovers() {
-        let a100 = CostModel::nvidia_a100();
+        let a100 = CostModel::default();
         let mi = CostModel::amd_mi250x();
         // Higher launch overhead pushes MI250X crossovers later for
         // launch-bound ops despite higher peak rates.

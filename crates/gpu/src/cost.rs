@@ -109,7 +109,7 @@ impl CostModel {
     /// Flop count at which the GPU starts beating the CPU for `op`
     /// (by bisection on the two time models; used to sanity-check and to
     /// derive default offload thresholds).
-    pub fn crossover_flops(&self, op: Op) -> u64 {
+    pub(crate) fn crossover_flops(&self, op: Op) -> u64 {
         let (mut lo, mut hi) = (1u64, 1u64 << 40);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;

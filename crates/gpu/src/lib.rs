@@ -22,7 +22,7 @@ pub mod cost;
 pub mod engine;
 pub mod offload;
 
-pub use analytic::{analytical_thresholds, autotune, KernelSample};
+pub use analytic::analytical_thresholds;
 pub use cost::CostModel;
 pub use engine::{BlrCounters, KernelEngine, OpCounts};
 pub use offload::{Loc, OffloadThresholds, OomPolicy};

@@ -78,7 +78,7 @@ impl OffloadThresholds {
     }
 
     /// The threshold for `op`.
-    pub fn for_op(&self, op: Op) -> usize {
+    pub(crate) fn for_op(&self, op: Op) -> usize {
         match op {
             Op::Potrf => self.potrf,
             Op::Trsm => self.trsm,

@@ -30,7 +30,7 @@ use sympack_dense::Mat;
 use sympack_gpu::KernelEngine;
 use sympack_ordering::{compute_ordering, OrderingKind, Permutation};
 use sympack_sparse::SparseSym;
-use sympack_symbolic::{analyze, AnalyzeOptions, SymbolicFactor};
+use sympack_symbolic::{analyze, AnalyzeOptions};
 
 /// Options for the multifrontal factorization.
 #[derive(Debug, Clone)]
@@ -228,12 +228,6 @@ pub fn multifrontal_solve(
 ) -> Result<Vec<f64>, SolverError> {
     let f = multifrontal_factor(a, opts)?;
     Ok(solve_with_factor(&f.factor, b))
-}
-
-/// Internal access to the symbolic factor used (tests & tools).
-pub fn analyze_for(a: &SparseSym, opts: &MfOptions) -> SymbolicFactor {
-    let ordering = compute_ordering(a, opts.ordering);
-    analyze(a, &ordering, &opts.analyze)
 }
 
 #[cfg(test)]

@@ -130,7 +130,7 @@ pub fn min_degree(a: &SparseSym) -> Permutation {
 
 /// Minimum-degree on an explicit graph (used by nested dissection for its
 /// leaf sub-blocks).
-pub fn min_degree_graph(g: &Graph) -> Permutation {
+pub(crate) fn min_degree_graph(g: &Graph) -> Permutation {
     let n = g.n();
     let mut qg = QuotientGraph::new(g);
     let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::with_capacity(n);

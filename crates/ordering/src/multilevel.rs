@@ -12,7 +12,7 @@
 //!    Fiduccia–Mattheyses-style separator refinement (Ashcraft–Liu vertex
 //!    moves) at every level.
 //!
-//! Entry point: [`multilevel_separator`], a drop-in alternative to the
+//! Entry point: `multilevel_separator`, a drop-in alternative to the
 //! level-set separator inside the nested-dissection recursion.
 
 use sympack_sparse::graph::Graph;
@@ -29,14 +29,14 @@ pub struct WGraph {
 }
 
 /// Partition labels during refinement.
-pub const SIDE_A: u8 = 0;
-pub const SIDE_B: u8 = 1;
-pub const SEP: u8 = 2;
+pub(crate) const SIDE_A: u8 = 0;
+pub(crate) const SIDE_B: u8 = 1;
+pub(crate) const SEP: u8 = 2;
 
 impl WGraph {
     /// Build a unit-weighted graph from an induced subgraph of `g`.
     /// `vertices` gives the global ids; the result uses local ids `0..len`.
-    pub fn induced(g: &Graph, vertices: &[usize]) -> (WGraph, Vec<usize>) {
+    pub(crate) fn induced(g: &Graph, vertices: &[usize]) -> (WGraph, Vec<usize>) {
         let mut local = vec![usize::MAX; g.n()];
         for (li, &v) in vertices.iter().enumerate() {
             local[v] = li;
@@ -80,7 +80,7 @@ impl WGraph {
     }
 
     /// Total vertex weight.
-    pub fn total_vwgt(&self) -> u64 {
+    pub(crate) fn total_vwgt(&self) -> u64 {
         self.vwgt.iter().sum()
     }
 
@@ -93,7 +93,7 @@ impl WGraph {
     /// Heavy-edge matching: greedily match each unmatched vertex with its
     /// heaviest unmatched neighbor. Returns `match_of[v]` (self-matched
     /// vertices map to themselves).
-    pub fn heavy_edge_matching(&self, seed: u64) -> Vec<usize> {
+    pub(crate) fn heavy_edge_matching(&self, seed: u64) -> Vec<usize> {
         let mut match_of = vec![usize::MAX; self.n];
         // Visit vertices in a seeded pseudo-random order to avoid
         // pathological sequential bias.
@@ -130,7 +130,7 @@ impl WGraph {
 
     /// Collapse matched pairs into a coarser graph. Returns the coarse graph
     /// and `coarse_of[fine_v]`.
-    pub fn coarsen(&self, match_of: &[usize]) -> (WGraph, Vec<usize>) {
+    pub(crate) fn coarsen(&self, match_of: &[usize]) -> (WGraph, Vec<usize>) {
         let mut coarse_of = vec![usize::MAX; self.n];
         let mut nc = 0usize;
         for v in 0..self.n {
@@ -195,13 +195,14 @@ impl WGraph {
 
     /// Initial bisection by weighted BFS region growing from a
     /// pseudo-peripheral vertex: grow side A until it holds half the weight.
-    pub fn grow_bisection(&self) -> Vec<u8> {
+    #[cfg(test)]
+    fn grow_bisection(&self) -> Vec<u8> {
         let far0 = self.far_from(0);
         self.grow_bisection_from(self.far_from(far0))
     }
 
     /// Farthest vertex from `start` by BFS.
-    pub fn far_from(&self, start: usize) -> usize {
+    pub(crate) fn far_from(&self, start: usize) -> usize {
         let mut seen = vec![false; self.n];
         let mut q = std::collections::VecDeque::new();
         seen[start] = true;
@@ -220,7 +221,7 @@ impl WGraph {
     }
 
     /// Region-grow side A from `start` until half the weight is absorbed.
-    pub fn grow_bisection_from(&self, start: usize) -> Vec<u8> {
+    pub(crate) fn grow_bisection_from(&self, start: usize) -> Vec<u8> {
         let mut part = vec![SIDE_B; self.n];
         if self.n == 0 {
             return part;
@@ -258,7 +259,7 @@ impl WGraph {
 
     /// Turn a bisection into a vertex separator: take the boundary vertices
     /// of the lighter boundary side.
-    pub fn separator_from_cut(&self, part: &mut [u8]) {
+    pub(crate) fn separator_from_cut(&self, part: &mut [u8]) {
         let mut boundary_a = Vec::new();
         let mut boundary_b = Vec::new();
         let (mut wa, mut wb) = (0u64, 0u64);
@@ -303,7 +304,7 @@ impl WGraph {
     /// separator vertex entirely into one side when the separator shrinks
     /// (its neighbors on the other side join the separator) and balance is
     /// preserved. Repeats until no improving move exists.
-    pub fn fm_refine(&self, part: &mut [u8], max_imbalance: f64) {
+    pub(crate) fn fm_refine(&self, part: &mut [u8], max_imbalance: f64) {
         let total = self.total_vwgt() as f64;
         loop {
             let (wa, wb, _) = self.weights(part);
@@ -351,7 +352,7 @@ impl WGraph {
     }
 
     /// Project a coarse partition to this (finer) graph via `coarse_of`.
-    pub fn project(&self, coarse_part: &[u8], coarse_of: &[usize]) -> Vec<u8> {
+    pub(crate) fn project(&self, coarse_part: &[u8], coarse_of: &[usize]) -> Vec<u8> {
         (0..self.n).map(|v| coarse_part[coarse_of[v]]).collect()
     }
 }
@@ -360,7 +361,7 @@ impl WGraph {
 /// using the multilevel scheme. Returns `(separator, side_a, side_b)` in
 /// global vertex ids, or `None` when the subgraph is too small or the
 /// separator degenerates.
-pub fn multilevel_separator(
+pub(crate) fn multilevel_separator(
     g: &Graph,
     vertices: &[usize],
 ) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {

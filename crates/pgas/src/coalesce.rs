@@ -185,7 +185,8 @@ impl<T> Coalescer<T> {
     }
 
     /// Sub-frames currently pending toward `dest`.
-    pub fn pending_for(&self, dest: usize) -> usize {
+    #[cfg(test)]
+    fn pending_for(&self, dest: usize) -> usize {
         self.pending.get(&dest).map_or(0, |p| p.subs.len())
     }
 
@@ -302,7 +303,8 @@ impl BcastPlan {
     }
 
     /// Every rank the plan delivers to, in no particular order.
-    pub fn all_targets(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn all_targets(&self) -> Vec<usize> {
         let mut v = self.direct.clone();
         v.extend_from_slice(&self.leaders);
         for m in &self.members {

@@ -119,12 +119,12 @@ impl FaultPlan {
     }
 
     /// Should signal-op `counter` issued by `rank` be dropped?
-    pub fn drops_signal(&self, rank: usize, counter: u64) -> bool {
+    pub(crate) fn drops_signal(&self, rank: usize, counter: u64) -> bool {
         self.decide(self.drop_prob, rank, counter, SALT_DROP)
     }
 
     /// Should signal-op `counter` issued by `rank` be duplicated?
-    pub fn duplicates_signal(&self, rank: usize, counter: u64) -> bool {
+    pub(crate) fn duplicates_signal(&self, rank: usize, counter: u64) -> bool {
         self.decide(self.dup_prob, rank, counter, SALT_DUP)
     }
 
@@ -139,7 +139,7 @@ impl FaultPlan {
     }
 
     /// Does rget attempt `counter` by `rank` time out transiently?
-    pub fn rget_times_out(&self, rank: usize, counter: u64) -> bool {
+    pub(crate) fn rget_times_out(&self, rank: usize, counter: u64) -> bool {
         self.decide(self.rget_fail_prob, rank, counter, SALT_RGET)
     }
 
@@ -147,14 +147,14 @@ impl FaultPlan {
     /// whole? Frames reuse the signal drop probability but draw from a
     /// distinct salt so the coalesced and flat schedules fault
     /// independently.
-    pub fn drops_frame(&self, rank: usize, counter: u64) -> bool {
+    pub(crate) fn drops_frame(&self, rank: usize, counter: u64) -> bool {
         self.decide(self.drop_prob, rank, counter, SALT_FRAME_DROP)
     }
 
     /// Should coalesced-frame-op `counter` issued by `rank` be delivered
     /// twice? Every sub-frame in the ghost copy replays, so the receiving
     /// inbox must absorb a whole duplicated batch.
-    pub fn duplicates_frame(&self, rank: usize, counter: u64) -> bool {
+    pub(crate) fn duplicates_frame(&self, rank: usize, counter: u64) -> bool {
         self.decide(self.dup_prob, rank, counter, SALT_FRAME_DUP)
     }
 }

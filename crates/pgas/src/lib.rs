@@ -1,7 +1,7 @@
 //! A PGAS runtime substrate modeled on UPC++ (the library symPACK uses).
 //!
 //! The paper's communication paradigm (§3.4) relies on four UPC++ features:
-//! global pointers to remote memory, one-sided RMA (`rget`/`rput`), remote
+//! global pointers to remote memory, one-sided RMA (`rget`), remote
 //! procedure calls drained by `progress()`, and *memory kinds* — global
 //! pointers into GPU memory with `upcxx::copy()` moving data between any two
 //! memories in the system (§4.1).
@@ -30,7 +30,6 @@
 //!   memory, extra legs + latency), reproducing the paper's Fig. 5 contrast.
 
 pub mod coalesce;
-pub mod collectives;
 pub mod faults;
 pub mod netmodel;
 pub mod ptr;
@@ -38,10 +37,9 @@ pub mod rank;
 pub mod runtime;
 pub mod segment;
 pub mod stats;
-pub mod sync;
+mod sync;
 
 pub use coalesce::{BcastPlan, BcastTopology, CoalesceConfig, Coalescer};
-pub use collectives::{allreduce, broadcast, reduce};
 pub use faults::FaultPlan;
 pub use netmodel::{MemKindsMode, NetModel};
 pub use ptr::{GlobalPtr, MemKind};

@@ -92,7 +92,7 @@ impl NetModel {
     /// Time for one transfer of `bytes` from a `src_kind` memory to a
     /// `dst_kind` memory, between ranks on the same node (`same_node`) or
     /// across the network.
-    pub fn transfer_time(
+    pub(crate) fn transfer_time(
         &self,
         bytes: usize,
         same_node: bool,
@@ -139,7 +139,7 @@ impl NetModel {
     /// another cross-node transfer. `0.0` when injection modeling is off
     /// or the transfer stays on-node (shared-memory copies don't occupy
     /// the NIC).
-    pub fn injection_time(&self, bytes: usize, same_node: bool) -> f64 {
+    pub(crate) fn injection_time(&self, bytes: usize, same_node: bool) -> f64 {
         if !self.model_injection || same_node {
             0.0
         } else {
@@ -148,7 +148,7 @@ impl NetModel {
     }
 
     /// Latency of an RPC (enqueue at the target; execution cost is separate).
-    pub fn rpc_time(&self, same_node: bool) -> f64 {
+    pub(crate) fn rpc_time(&self, same_node: bool) -> f64 {
         if same_node {
             self.intra_latency + 1.0e-6
         } else {

@@ -5,7 +5,6 @@ use crate::ptr::{GlobalPtr, MemKind};
 use crate::runtime::Shared;
 use crate::segment::{DeviceOom, Payload};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use sympack_trace::{SpanKind, TraceCat, TraceEvent, Tracer};
@@ -69,11 +68,6 @@ impl RgetHandle {
         self.data
     }
 
-    /// True when the transfer has completed by the rank's current clock.
-    pub fn is_ready(&self, rank: &Rank) -> bool {
-        self.ready_at <= rank.now()
-    }
-
     /// Take the payload without advancing any clock. For callers that track
     /// completion times themselves (e.g. the solver records `ready_at` per
     /// dependent task to preserve communication/computation overlap).
@@ -115,14 +109,6 @@ pub struct Rank {
     /// observes nothing; like the tracer, observing never touches the
     /// virtual clock.
     watchdog: Option<sympack_trace::health::Watchdog>,
-    /// Monotone collective-epoch counter. Every rank calls the same
-    /// sequence of collectives in program order, so counters agree across
-    /// ranks without any extra communication and tag each collective's
-    /// messages unambiguously (see `collectives.rs`).
-    coll_epoch: u64,
-    /// Collective payloads delivered ahead of their collective's start on
-    /// this rank, parked by epoch until consumed.
-    coll_pending: HashMap<u64, Vec<Vec<f64>>>,
 }
 
 impl Rank {
@@ -137,12 +123,10 @@ impl Rank {
             tracer: None,
             comm: sympack_trace::telemetry::CommSample::default(),
             watchdog: None,
-            coll_epoch: 0,
-            coll_pending: HashMap::new(),
         }
     }
 
-    /// Install a comm-span tracer: every subsequent rget/rput/copy/payload
+    /// Install a comm-span tracer: every subsequent rget/copy/payload
     /// RPC (and non-empty signal drain) records a [`SpanKind`]-typed event
     /// with peer rank and byte count. Retrieve with [`Rank::take_tracer`].
     pub fn set_tracer(&mut self, tracer: Tracer) {
@@ -394,7 +378,7 @@ impl Rank {
 
     /// Write into any segment this process can see *without* charging
     /// communication (used by owners to initialize their own data, and by
-    /// tests). For modeled transfers use [`Rank::rput`]/[`Rank::copy`].
+    /// tests). For a modeled transfer use [`Rank::copy`].
     pub fn write_local(&self, ptr: &GlobalPtr, data: &[f64]) {
         assert!(data.len() <= ptr.len, "payload exceeds allocation");
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
@@ -486,32 +470,6 @@ impl Rank {
         let mut h = self.rget(ptr);
         h.ready_at += spike;
         Some(h)
-    }
-
-    /// Non-blocking one-sided put of `data` into `ptr`. Returns the virtual
-    /// completion time (remote visibility).
-    pub fn rput(&mut self, data: &[f64], ptr: &GlobalPtr) -> f64 {
-        assert!(data.len() <= ptr.len, "payload exceeds allocation");
-        let t0 = self.clock;
-        self.clock += ISSUE_OVERHEAD;
-        let same_node = self.same_node(ptr.rank);
-        let t = self
-            .net()
-            .transfer_time(ptr.bytes(), same_node, MemKind::Host, ptr.kind);
-        let seg = self.shared.tables[ptr.rank].get(ptr.seg);
-        self.note_copied(seg.write(ptr.offset, data));
-        let stats = &self.shared.stats;
-        stats.rputs.fetch_add(1, Ordering::Relaxed);
-        stats.record_transfer(
-            self.id,
-            ptr.rank,
-            ptr.bytes(),
-            same_node,
-            ptr.kind == MemKind::Device,
-        );
-        let done = self.clock + t;
-        self.record_comm(SpanKind::Rput, "rput", ptr.rank, ptr.bytes(), t0, done);
-        done
     }
 
     /// `upcxx::copy()`: move data between any two memories in the system —
@@ -860,18 +818,6 @@ impl Rank {
         Some(r)
     }
 
-    /// Remove whatever user state is installed (any type), for callers that
-    /// need the slot temporarily (collectives). Pair with
-    /// [`Rank::restore_state`].
-    pub fn stash_state(&mut self) -> Option<Box<dyn Any + Send>> {
-        self.user_state.take()
-    }
-
-    /// Restore state previously taken with [`Rank::stash_state`].
-    pub fn restore_state(&mut self, state: Option<Box<dyn Any + Send>>) {
-        self.user_state = state;
-    }
-
     /// Remove and return the application state.
     pub fn take_state<T: Send + 'static>(&mut self) -> T {
         *self
@@ -880,33 +826,6 @@ impl Rank {
             .expect("no user state installed")
             .downcast::<T>()
             .expect("user state has a different type")
-    }
-
-    // ----- collectives -----
-
-    /// Start a new collective on this rank and return its epoch tag.
-    /// Collectives are called in the same program order on every rank, so
-    /// the per-rank counters agree globally without communication; the
-    /// tag travels with every payload of that collective so a message
-    /// from collective *k+1* can never be consumed by collective *k*
-    /// (the chained-collective overtaking bug).
-    pub fn coll_next_epoch(&mut self) -> u64 {
-        self.coll_epoch += 1;
-        self.coll_epoch
-    }
-
-    /// Deliver a collective payload tagged with `epoch` to this rank
-    /// (called from inside RPC handlers). Parked until the matching
-    /// collective consumes it — even if that collective has not started
-    /// here yet.
-    pub fn coll_deliver(&mut self, epoch: u64, payload: Vec<f64>) {
-        self.coll_pending.entry(epoch).or_default().push(payload);
-    }
-
-    /// Take every payload delivered so far for collective `epoch`
-    /// (possibly none).
-    pub fn coll_take(&mut self, epoch: u64) -> Vec<Vec<f64>> {
-        self.coll_pending.remove(&epoch).unwrap_or_default()
     }
 
     /// Barrier across all ranks: physical synchronization plus virtual-clock

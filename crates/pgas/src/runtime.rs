@@ -489,31 +489,6 @@ mod tests {
         });
         assert!(report.results.iter().all(|&a| a));
     }
-
-    #[test]
-    fn rput_writes_remote_memory() {
-        let report = Runtime::run(PgasConfig::multi_node(2, 1), |rank| {
-            if rank.id() == 1 {
-                let ptr = rank.alloc(MemKind::Host, 3).unwrap();
-                rank.rpc(0, move |r| {
-                    let done = r.rput(&[9.0, 8.0, 7.0], &ptr);
-                    r.advance_to(done);
-                });
-                rank.barrier(); // rpc enqueued before rank 0 starts draining
-                rank.barrier(); // rank 0 has executed the rput
-                rank.read_local(&ptr).to_vec()
-            } else {
-                rank.barrier();
-                while rank.progress() == 0 {
-                    std::thread::yield_now();
-                }
-                rank.barrier();
-                vec![]
-            }
-        });
-        assert_eq!(report.results[1], vec![9.0, 8.0, 7.0]);
-        assert_eq!(report.stats.rputs, 1);
-    }
 }
 
 #[cfg(test)]
@@ -620,7 +595,6 @@ mod payload_tests {
                 let peer = 1 - rank.id();
                 let h = rank.rget(&ptr);
                 let _ = h.wait(rank);
-                let _ = rank.rput(&[1.0; 64], &ptr);
                 rank.rpc_payload(peer, 64 * 8, |_r| {});
                 rank.barrier();
                 while rank.progress() == 0 {
@@ -641,7 +615,6 @@ mod payload_tests {
         let (_, events) = &traced.results[0];
         let kind = |k: SpanKind| events.iter().filter(|e| e.kind == k).count();
         assert_eq!(kind(SpanKind::Rget), 1);
-        assert_eq!(kind(SpanKind::Rput), 1);
         assert!(kind(SpanKind::Rpc) >= 1);
         let rget = events.iter().find(|e| e.kind == SpanKind::Rget).unwrap();
         assert_eq!(rget.bytes, 64 * 8);

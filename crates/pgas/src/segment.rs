@@ -8,7 +8,7 @@
 //! A segment's storage is a [`Payload`] — a reference-counted buffer — so
 //! data crosses ranks of this one address space without being copied: a
 //! segment can be created *around* a buffer its owner already holds
-//! ([`SegmentTable::alloc_from`]), a whole-segment read hands out another
+//! (`SegmentTable::alloc_from`), a whole-segment read hands out another
 //! handle on it, and a whole-segment store adopts the incoming one. Writes
 //! are copy-on-write, so a handle read earlier keeps the bytes it was read
 //! with — the snapshot semantics of a real `rget`.
@@ -23,7 +23,7 @@ use std::sync::Arc;
 pub type Payload = Arc<Vec<f64>>;
 
 /// One shared allocation of `len` elements.
-pub struct Segment {
+pub(crate) struct Segment {
     /// Memory kind the segment was allocated in.
     pub kind: MemKind,
     len: usize,
@@ -51,7 +51,7 @@ impl Segment {
     /// Run `f` over the segment's elements, mutably. Copy-on-write: when
     /// another handle on the buffer exists it is copied first and that
     /// handle keeps the old bytes. Returns `f`'s result and the bytes copied.
-    pub fn with_mut<T>(&self, f: impl FnOnce(&mut [f64]) -> T) -> (T, usize) {
+    pub(crate) fn with_mut<T>(&self, f: impl FnOnce(&mut [f64]) -> T) -> (T, usize) {
         let mut guard = self.data.write();
         let buf = guard.get_or_insert_with(|| Arc::new(vec![0.0; self.len]));
         let copied = if Arc::get_mut(buf).is_some() {
@@ -93,7 +93,7 @@ struct Slots {
 }
 
 /// A rank's table of shared segments plus its device-memory quota.
-pub struct SegmentTable {
+pub(crate) struct SegmentTable {
     slots: Mutex<Slots>,
     /// Bytes of device memory currently allocated by this rank.
     device_used: AtomicUsize,
@@ -218,7 +218,7 @@ impl SegmentTable {
     }
 
     /// Device bytes currently in use.
-    pub fn device_used(&self) -> usize {
+    pub(crate) fn device_used(&self) -> usize {
         self.device_used.load(Ordering::Relaxed)
     }
 

@@ -7,17 +7,15 @@ use sympack_trace::profile::CommMatrix;
 /// Shared atomic counters, one set per runtime.
 ///
 /// Beyond the global totals, a runtime-sized instance (see
-/// [`Stats::for_ranks`]) keeps a per-peer (src, dst) byte/message matrix
+/// `Stats::for_ranks`) keeps a per-peer (src, dst) byte/message matrix
 /// fed by the same `record_transfer` path, exported with
-/// [`Stats::snapshot_matrix`] for the profiler's comm-matrix view. The
+/// `Stats::snapshot_matrix` for the profiler's comm-matrix view. The
 /// `Default` instance has an empty matrix (peer recording is skipped), so
 /// existing call sites keep working.
 #[derive(Debug, Default)]
 pub struct Stats {
     /// One-sided gets issued.
     pub rgets: AtomicU64,
-    /// One-sided puts issued.
-    pub rputs: AtomicU64,
     /// `copy()` operations issued.
     pub copies: AtomicU64,
     /// RPCs sent.
@@ -54,7 +52,7 @@ pub struct Stats {
 
 impl Stats {
     /// Counters with a per-peer matrix sized for `n` ranks.
-    pub fn for_ranks(n: usize) -> Stats {
+    pub(crate) fn for_ranks(n: usize) -> Stats {
         Stats {
             n_ranks: n,
             peer_bytes: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
@@ -94,7 +92,7 @@ impl Stats {
     }
 
     /// Point-in-time copy of the per-peer (src, dst) traffic matrix.
-    pub fn snapshot_matrix(&self) -> CommMatrix {
+    pub(crate) fn snapshot_matrix(&self) -> CommMatrix {
         CommMatrix {
             n: self.n_ranks,
             bytes: self
@@ -114,7 +112,6 @@ impl Stats {
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             rgets: self.rgets.load(Ordering::Relaxed),
-            rputs: self.rputs.load(Ordering::Relaxed),
             copies: self.copies.load(Ordering::Relaxed),
             rpcs: self.rpcs.load(Ordering::Relaxed),
             net_bytes: self.net_bytes.load(Ordering::Relaxed),
@@ -134,7 +131,6 @@ impl Stats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub rgets: u64,
-    pub rputs: u64,
     pub copies: u64,
     pub rpcs: u64,
     pub net_bytes: u64,

@@ -11,7 +11,7 @@ use std::sync::{self, LockResult};
 
 /// Mutex whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]
-pub struct Mutex<T>(sync::Mutex<T>);
+pub(crate) struct Mutex<T>(sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
@@ -25,7 +25,7 @@ impl<T> Mutex<T> {
 
 /// RwLock whose `read()`/`write()` return guards directly.
 #[derive(Debug, Default)]
-pub struct RwLock<T>(sync::RwLock<T>);
+pub(crate) struct RwLock<T>(sync::RwLock<T>);
 
 impl<T> RwLock<T> {
     pub fn new(value: T) -> Self {
@@ -51,7 +51,7 @@ fn unpoison<G>(r: LockResult<G>) -> G {
 /// Unbounded MPMC FIFO queue (the RPC injection queue). A locked
 /// `VecDeque` is plenty at the contention levels of a per-rank inbox.
 #[derive(Debug, Default)]
-pub struct SegQueue<T> {
+pub(crate) struct SegQueue<T> {
     inner: Mutex<VecDeque<T>>,
 }
 

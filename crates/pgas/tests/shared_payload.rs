@@ -17,11 +17,8 @@ fn one_rank<T: Send>(quota: usize, body: impl Fn(&mut Rank) -> T + Sync) -> (T, 
 #[test]
 fn an_rget_issued_before_a_write_still_sees_the_old_bytes() {
     type Writer = fn(&mut Rank, &GlobalPtr);
-    let writers: [(&str, Writer); 3] = [
+    let writers: [(&str, Writer); 2] = [
         ("write_local", |r, p| r.write_local(p, &[9.0, 9.0])),
-        ("rput", |r, p| {
-            r.rput(&[9.0, 9.0], p);
-        }),
         ("with_local_mut", |r, p| {
             r.with_local_mut(p, |s| s[..2].fill(9.0))
         }),
@@ -40,8 +37,8 @@ fn an_rget_issued_before_a_write_still_sees_the_old_bytes() {
             // The owner's own handle is a snapshot too.
             assert_eq!(*owners, vec![1.0, 2.0, 3.0, 4.0], "{name}");
         });
-        // One partial read (16 B), one copy-on-write (32 B); write_local and
-        // rput also count the 16 B they wrote.
+        // One partial read (16 B), one copy-on-write (32 B); write_local
+        // also counts the 16 B it wrote.
         let written = if name == "with_local_mut" { 0 } else { 16 };
         assert_eq!(copied, 16 + 32 + written, "{name}");
     }

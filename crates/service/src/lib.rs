@@ -325,17 +325,6 @@ impl Session {
         &self.plan.opts.kernel_config
     }
 
-    /// The block low-rank compression configuration this session factors
-    /// under (fixed at [`Session::new`] from [`SolverOptions::blr`]).
-    /// Per-session, so an exact (`tol = 0`) and an approximate (`tol > 0`)
-    /// tenant can share one fleet — and, since BLR is numeric-only, even
-    /// one cached symbolic plan. [`Session::factor_bytes`] reflects the
-    /// compressed storage automatically: block stores charge actual stored
-    /// bytes, so a compressed factor is cheaper to keep resident.
-    pub fn blr_config(&self) -> &sympack::BlrConfig {
-        &self.plan.opts.blr
-    }
-
     /// Solve every right-hand side in `panels` with one distributed panel
     /// triangular solve and return the solution panels in the same shapes.
     /// Returns the coalesced solve's virtual makespan; an empty batch is a

@@ -31,11 +31,6 @@ impl Coo {
         self.n_rows
     }
 
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
     /// Number of raw (pre-deduplication) triplets.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -202,6 +197,6 @@ mod tests {
     fn empty_assembly_compresses() {
         let m = Coo::new(5, 5).to_csc();
         assert_eq!(m.nnz(), 0);
-        assert_eq!(m.n_cols(), 5);
+        assert_eq!(m.col_ptr().len(), 6);
     }
 }

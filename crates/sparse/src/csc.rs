@@ -64,11 +64,6 @@ impl Csc {
         self.n_rows
     }
 
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.row_idx.len()

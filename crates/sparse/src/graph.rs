@@ -80,11 +80,6 @@ impl Graph {
         self.n
     }
 
-    /// Number of directed adjacency entries (2 × undirected edges).
-    pub fn n_adj(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Neighbors of vertex `v`, sorted.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.adj[self.adj_ptr[v]..self.adj_ptr[v + 1]]
@@ -119,19 +114,20 @@ impl Graph {
         (comp, count)
     }
 
-    /// Breadth-first levels from `start`, restricted to vertices where
-    /// `mask[v]` is true. Returns `(level_per_vertex, last_visited)` with
-    /// `usize::MAX` for unreached vertices. Allocates O(n) per call: callers
-    /// that search repeatedly use [`Graph::bfs_levels_into`].
-    pub fn bfs_levels(&self, start: usize, mask: &[bool]) -> (Vec<usize>, usize) {
+    /// [`Graph::bfs_levels_into`] with a scratch of its own: returns
+    /// `(level_per_vertex, last_visited)`.
+    #[cfg(test)]
+    fn bfs_levels(&self, start: usize, mask: &[bool]) -> (Vec<usize>, usize) {
         let mut scratch = BfsScratch::new(self.n);
         let last = self.bfs_levels_into(start, mask, &mut scratch);
         (scratch.level, last)
     }
 
-    /// [`Graph::bfs_levels`] into a reused [`BfsScratch`]: costs the size of
-    /// the component searched, not of the graph. Returns the last vertex
-    /// visited; the levels stay readable in `scratch` until its next search.
+    /// Breadth-first levels from `start`, restricted to vertices where
+    /// `mask[v]` is true, into a reused [`BfsScratch`]: costs the size of the
+    /// component searched, not of the graph. Returns the last vertex visited;
+    /// the levels (`usize::MAX` for unreached vertices) stay readable in
+    /// `scratch` until its next search.
     pub fn bfs_levels_into(&self, start: usize, mask: &[bool], scratch: &mut BfsScratch) -> usize {
         let BfsScratch { level, order } = scratch;
         for &v in order.iter() {
@@ -200,7 +196,7 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 3]);
         assert_eq!(g.degree(4), 3);
         // Total directed entries = 2 * (#off-diagonal nnz in lower triangle).
-        assert_eq!(g.n_adj(), 2 * (a.nnz() - a.n()));
+        assert_eq!(g.adj.len(), 2 * (a.nnz() - a.n()));
     }
 
     #[test]

@@ -295,7 +295,7 @@ impl SparseSym {
     }
 
     /// Residual norm `‖A·x − b‖₂`.
-    pub fn residual_norm(&self, x: &[f64], b: &[f64]) -> f64 {
+    fn residual_norm(&self, x: &[f64], b: &[f64]) -> f64 {
         let ax = self.spmv(x);
         ax.iter()
             .zip(b)

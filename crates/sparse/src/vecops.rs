@@ -10,14 +10,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, v| m.max(v.abs()))
 }
 
-/// `y ← y + alpha·x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Dot product.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len());
@@ -56,10 +48,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_dot() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
+    fn dot_product() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 

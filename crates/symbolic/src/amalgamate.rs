@@ -18,7 +18,7 @@ use crate::supernodes::SupernodePartition;
 /// Returns the new partition and the matching merged patterns. `ratio` is
 /// the maximum tolerated fraction of explicit-zero entries in a merged
 /// supernode; `max_width` caps merged supernode width.
-pub fn amalgamate(
+pub(crate) fn amalgamate(
     partition: &SupernodePartition,
     patterns: &RowPatterns,
     ratio: f64,

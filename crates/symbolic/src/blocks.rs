@@ -67,7 +67,7 @@ impl BlockLayout {
 }
 
 /// Group every supernode's pattern rows into blocks (Algorithm 2).
-pub fn build_layout(partition: &SupernodePartition, patterns: &RowPatterns) -> BlockLayout {
+pub(crate) fn build_layout(partition: &SupernodePartition, patterns: &RowPatterns) -> BlockLayout {
     let ns = partition.n_supernodes();
     assert_eq!(patterns.len(), ns);
     let mut ptr = Vec::with_capacity(ns + 1);

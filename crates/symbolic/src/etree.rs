@@ -86,7 +86,7 @@ pub fn relabel(parent: &[usize], post: &Permutation) -> Vec<usize> {
 
 /// Children of every vertex as one flat CSR `(ptr, children)`: the children
 /// of `v` are `children[ptr[v]..ptr[v + 1]]`, ascending.
-pub fn children_lists(parent: &[usize]) -> (Vec<usize>, Vec<usize>) {
+fn children_lists(parent: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let n = parent.len();
     let mut ptr = vec![0usize; n + 1];
     for &p in parent {
@@ -133,34 +133,6 @@ pub fn postorder(parent: &[usize]) -> Permutation {
     }
     debug_assert_eq!(order.len(), n);
     Permutation::from_vec(order)
-}
-
-/// Depth of each vertex (roots have depth 0).
-pub fn depths(parent: &[usize]) -> Vec<usize> {
-    let n = parent.len();
-    let mut depth = vec![usize::MAX; n];
-    for v in 0..n {
-        if depth[v] != usize::MAX {
-            continue;
-        }
-        // Walk up to a known depth or a root, then unwind.
-        let mut path = vec![v];
-        let mut u = v;
-        while parent[u] != usize::MAX && depth[parent[u]] == usize::MAX {
-            u = parent[u];
-            path.push(u);
-        }
-        let base = if parent[u] == usize::MAX {
-            0
-        } else {
-            depth[parent[u]] + 1
-        };
-        for (d, &w) in path.iter().rev().enumerate() {
-            depth[w] = base + d;
-        }
-    }
-    // Roots got depth 0 via the unwind (path ends at root).
-    depth
 }
 
 #[cfg(test)]
@@ -227,12 +199,6 @@ mod tests {
             let pos = inv.old_of(v);
             assert!(pos + 1 >= size[v]);
         }
-    }
-
-    #[test]
-    fn depths_of_path() {
-        let parent = vec![1, 2, 3, usize::MAX];
-        assert_eq!(depths(&parent), vec![3, 2, 1, 0]);
     }
 
     #[test]

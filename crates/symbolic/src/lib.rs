@@ -9,7 +9,7 @@
 //! 2. [`structure::col_counts`] — per-column factor nonzero counts,
 //! 3. [`supernodes::supernodes`] — fundamental supernode detection with
 //!    optional relaxed amalgamation,
-//! 4. [`structure::sn_patterns`] — the supernodal row patterns of `L`,
+//! 4. `structure::sn_patterns` — the supernodal row patterns of `L`,
 //! 5. [`blocks`] — the paper's Algorithm 2: partition each supernode's rows
 //!    into dense blocks `B(i,j)` indexed by (target supernode `i`, owning
 //!    supernode `j`), the unit on which the solver's tasks operate,

@@ -98,7 +98,8 @@ impl RowPatterns {
     }
 
     /// One pattern per list, in order.
-    pub fn from_lists(lists: &[Vec<usize>]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_lists(lists: &[Vec<usize>]) -> Self {
         let mut p = RowPatterns::with_capacity(lists.len(), lists.iter().map(Vec::len).sum());
         for l in lists {
             p.push(l);
@@ -146,7 +147,7 @@ impl std::ops::Index<usize> for RowPatterns {
 /// union of (a) the original-matrix rows of its columns and (b) the patterns
 /// of its children in the supernodal elimination tree, both restricted to
 /// rows past the supernode.
-pub fn sn_patterns(a: &SymPattern, partition: &SupernodePartition) -> RowPatterns {
+pub(crate) fn sn_patterns(a: &SymPattern, partition: &SupernodePartition) -> RowPatterns {
     const NONE: usize = usize::MAX;
     let n = a.n();
     let ns = partition.n_supernodes();

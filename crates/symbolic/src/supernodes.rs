@@ -19,7 +19,7 @@ pub struct SupernodePartition {
 impl SupernodePartition {
     /// Build from supernode start columns (must begin at 0, be strictly
     /// increasing and end at `n`).
-    pub fn from_starts(sn_start: Vec<usize>, n: usize) -> Self {
+    pub(crate) fn from_starts(sn_start: Vec<usize>, n: usize) -> Self {
         assert!(!sn_start.is_empty() && sn_start[0] == 0);
         assert_eq!(*sn_start.last().unwrap(), n);
         for w in sn_start.windows(2) {

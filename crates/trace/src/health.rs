@@ -206,11 +206,6 @@ impl Watchdog {
         }
     }
 
-    /// The rules in force.
-    pub fn rules(&self) -> &WatchRules {
-        &self.rules
-    }
-
     /// Evaluate every tick-based rule against one sample.
     pub fn observe(&mut self, s: &WatchSample<'_>) {
         // Stalled progress: backlog exists but the progress counter froze.
@@ -338,7 +333,8 @@ impl Watchdog {
     }
 
     /// True if any emitted event has this kind.
-    pub fn has(&self, kind: HealthKind) -> bool {
+    #[cfg(test)]
+    fn has(&self, kind: HealthKind) -> bool {
         self.events.iter().any(|e| e.kind == kind)
     }
 }

@@ -72,7 +72,7 @@ impl JsonValue {
 /// (shortest roundtrip). Non-finite values have no JSON spelling; callers
 /// are expected to keep them out (empty-distribution quantiles are defined
 /// as 0.0 for exactly this reason).
-pub fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     debug_assert!(v.is_finite(), "non-finite value in a JSON document");
     format!("{v}")
 }
@@ -178,7 +178,7 @@ impl Arr {
 }
 
 /// Render a parsed [`JsonValue`] back to compact JSON (numbers via
-/// [`fmt_f64`], strings escaped). `parse(write(v)) == v` for any finite
+/// `fmt_f64`, strings escaped). `parse(write(v)) == v` for any finite
 /// tree; used by `sympack-top --replay` to normalize snapshots.
 pub fn write(v: &JsonValue) -> String {
     match v {

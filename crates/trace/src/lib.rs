@@ -71,8 +71,6 @@ pub enum SpanKind {
     Exec,
     /// A one-sided get (blocking fetch or retry window).
     Rget,
-    /// A one-sided put.
-    Rput,
     /// A host↔device or host↔host copy.
     Copy,
     /// An active message (signal or payload RPC).
@@ -87,7 +85,6 @@ impl SpanKind {
         match self {
             SpanKind::Exec => "exec",
             SpanKind::Rget => "rget",
-            SpanKind::Rput => "rput",
             SpanKind::Copy => "copy",
             SpanKind::Rpc => "rpc",
             SpanKind::Request => "request",
@@ -99,7 +96,6 @@ impl SpanKind {
         Some(match s {
             "exec" => SpanKind::Exec,
             "rget" => SpanKind::Rget,
-            "rput" => SpanKind::Rput,
             "copy" => SpanKind::Copy,
             "rpc" => SpanKind::Rpc,
             "request" => SpanKind::Request,

@@ -203,7 +203,7 @@ pub struct FleetCacheMetrics {
 
 impl FleetCacheMetrics {
     /// Plan-cache hit rate over all admissions (0 when none).
-    pub fn plan_hit_rate(&self) -> f64 {
+    fn plan_hit_rate(&self) -> f64 {
         let total = self.plan_hits + self.plan_misses;
         if total == 0 {
             0.0

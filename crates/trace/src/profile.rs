@@ -82,7 +82,7 @@ impl CommMatrix {
     }
 
     /// Pairs sorted by descending byte volume, excluding zero entries.
-    pub fn top_pairs(&self, k: usize) -> Vec<(usize, usize, u64, u64)> {
+    fn top_pairs(&self, k: usize) -> Vec<(usize, usize, u64, u64)> {
         let mut pairs: Vec<(usize, usize, u64, u64)> = (0..self.n)
             .flat_map(|s| (0..self.n).map(move |d| (s, d)))
             .filter_map(|(s, d)| {
@@ -266,25 +266,6 @@ impl Profile {
             blr: Vec::new(),
             spans,
         }
-    }
-
-    /// Queue-depth series for one rank: `(task end time, rtq depth)`
-    /// sampled at task boundaries.
-    pub fn queue_series(&self, rank: usize) -> Vec<(f64, u32)> {
-        self.spans
-            .iter()
-            .filter(|e| e.kind == SpanKind::Exec && e.rank == rank)
-            .map(|e| (e.end(), e.rtq_depth))
-            .collect()
-    }
-
-    /// Resident input-buffer series for one rank: `(task end time, bytes)`.
-    pub fn mem_series(&self, rank: usize) -> Vec<(f64, u64)> {
-        self.spans
-            .iter()
-            .filter(|e| e.kind == SpanKind::Exec && e.rank == rank)
-            .map(|e| (e.end(), e.bytes))
-            .collect()
     }
 }
 

@@ -251,7 +251,7 @@ impl SeriesRing {
     }
 
     /// Samples, oldest first.
-    pub fn points(&self) -> Vec<(f64, f64)> {
+    fn points(&self) -> Vec<(f64, f64)> {
         self.data.iter().copied().collect()
     }
 
@@ -370,7 +370,7 @@ impl Telemetry {
     }
 
     /// New registry whose rings keep the newest `cap` samples.
-    pub fn with_ring_capacity(cap: usize) -> Self {
+    fn with_ring_capacity(cap: usize) -> Self {
         Telemetry {
             counters: Vec::new(),
             gauges: Vec::new(),
@@ -433,29 +433,14 @@ impl Telemetry {
         slot.value = slot.value.max(total);
     }
 
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
     /// Set a gauge.
     pub fn set(&mut self, id: GaugeId, v: f64) {
         self.gauges[id.0].value = v;
     }
 
-    /// Current gauge value.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].value
-    }
-
     /// Record a histogram observation.
     pub fn observe(&mut self, id: HistId, v: f64) {
         self.hists[id.0].hist.record(v);
-    }
-
-    /// The histogram behind an id.
-    pub fn hist(&self, id: HistId) -> &LogHistogram {
-        &self.hists[id.0].hist
     }
 
     /// Sampling tick: record every instrument's current value into its
@@ -492,6 +477,13 @@ impl Telemetry {
     }
 
     /// Prometheus-style text exposition of the current state.
+    ///
+    /// ```
+    /// let mut t = sympack_trace::telemetry::Telemetry::new();
+    /// let served = t.counter("jobs_served_total", &[("tenant", "a")]);
+    /// t.inc(served, 2);
+    /// assert!(t.render_text().contains("jobs_served_total{tenant=\"a\"} 2"));
+    /// ```
     pub fn render_text(&self) -> String {
         self.snapshot().render_text()
     }
@@ -748,7 +740,7 @@ impl SloTracker {
     }
 
     /// Fraction of requests within objective (1.0 when no traffic).
-    pub fn compliance(&self) -> f64 {
+    fn compliance(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             1.0
@@ -1005,11 +997,6 @@ impl TelemetryReport {
             .raw("health", &crate::health::health_events_json(&self.health))
             .finish()
     }
-
-    /// Prometheus-style text exposition.
-    pub fn render_text(&self) -> String {
-        self.snapshot.render_text()
-    }
 }
 
 #[cfg(test)]
@@ -1115,15 +1102,15 @@ mod tests {
         assert_ne!(c.0, c_other.0);
         t.inc(c, 3);
         t.set_counter_total(c, 2); // monotone: no decrease
-        assert_eq!(t.counter_value(c), 3);
+        assert_eq!(t.counters[c.0].value, 3);
         t.set_counter_total(c, 7);
-        assert_eq!(t.counter_value(c), 7);
+        assert_eq!(t.counters[c.0].value, 7);
         let g = t.gauge("depth", &[]);
         t.set(g, 4.5);
-        assert_eq!(t.gauge_value(g), 4.5);
+        assert_eq!(t.gauges[g.0].value, 4.5);
         let h = t.histogram("lat", &[]);
         t.observe(h, 0.25);
-        assert_eq!(t.hist(h).count(), 1);
+        assert_eq!(t.hists[h.0].hist.count(), 1);
     }
 
     #[test]

@@ -71,11 +71,10 @@ fn random_event(rng: &mut Rng) -> TraceEvent {
     e.kind = [
         SpanKind::Exec,
         SpanKind::Rget,
-        SpanKind::Rput,
         SpanKind::Copy,
         SpanKind::Rpc,
         SpanKind::Request,
-    ][rng.below(6)];
+    ][rng.below(5)];
     if rng.below(2) == 0 {
         e.bytes = rng.next() % (1 << 20);
     }

@@ -12,6 +12,22 @@
 //! [`TuneBudget::quick`] is the CI smoke budget (a few hundred
 //! milliseconds), [`TuneBudget::full`] the real one.
 //!
+//! A solver that wants this machine's numbers measures once and reuses the
+//! file afterwards:
+//!
+//! ```no_run
+//! use sympack_tune::{KernelProfile, TuneBudget, TuneError};
+//!
+//! fn tuned() -> Result<(), TuneError> {
+//!     let cache = std::path::Path::new("kernel-profile.json");
+//!     let profile = KernelProfile::load_or_calibrate(cache, &TuneBudget::full())?;
+//!     // `SolverOptions::kernel_config` takes the first, the scheduler's
+//!     // planning estimates the second.
+//!     let (_config, _cost) = (profile.config.clone(), profile.cost_model());
+//!     Ok(())
+//! }
+//! ```
+//!
 //! # Profile file format
 //!
 //! [`KernelProfile::to_json`] writes a single JSON object:

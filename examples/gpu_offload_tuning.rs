@@ -12,7 +12,7 @@
 //! ```
 
 use sympack::{SolverError, SolverOptions, SymPack};
-use sympack_gpu::{OffloadThresholds, OomPolicy, Op};
+use sympack_gpu::{analytical_thresholds, CostModel, OffloadThresholds, OomPolicy, Op};
 use sympack_sparse::gen::flan_like;
 use sympack_sparse::vecops::test_rhs;
 
@@ -67,6 +67,16 @@ fn main() {
     println!(
         "\nbest scale: {}x — too-low thresholds drown in kernel-launch overhead,\ntoo-high ones leave the GPU idle (the §4.2 trade-off).",
         best.1
+    );
+
+    // No sweep at all (§6): thresholds derived from a device's cost model,
+    // here for another vendor's GPU than the hand-tuned defaults assume.
+    let derived = analytical_thresholds(&CostModel::amd_mi250x());
+    println!(
+        "
+analytical thresholds for an MI250X-class device (elements): \
+         potrf {} trsm {} syrk {} gemm {}",
+        derived.potrf, derived.trsm, derived.syrk, derived.gemm
     );
 
     // Device-OOM fallbacks (§4.2): tiny quota forces the paths.

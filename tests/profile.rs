@@ -91,7 +91,7 @@ fn every_engine_profile_upholds_invariants_at_p4() {
             assert!(report.contains(section), "{}: missing {section}", p.engine);
         }
         // At least one dependency edge on the critical path; all engines
-        // record pred labels through dec_from.
+        // record pred labels through dec_from_id.
         assert!(
             p.crit
                 .iter()
