@@ -23,12 +23,13 @@
 //! low-rank structure (`boneS10`, `audikw_1`) with two weakly-compressible
 //! controls (`Flan_1565`, `thermal2`) that exercise the decline path.
 
-use std::fmt::Write as _;
 use sympack::{BlrConfig, SolverOptions, SymPack};
+use sympack_bench::gate::{self, sci, Args, Row, Rows, Suite};
 use sympack_bench::Problem;
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::SparseSym;
+use sympack_trace::json::Obj;
 
 /// Rank layout of every run: P = 4 as 2 nodes × 2 ranks, CPU execution.
 /// BLR pays off on CPU ranks, where update flops price at CPU rates; on
@@ -59,59 +60,6 @@ const GATE_SPEEDUP: f64 = 1.3;
 const GATE_BYTES: f64 = 2.0;
 const GATE_RESID_FACTOR: f64 = 10.0;
 
-/// One measured configuration (a row of `BENCH_blr.json`).
-struct Row {
-    matrix: &'static str,
-    tol: f64,
-    p: usize,
-    factor_time: f64,
-    solve_time: f64,
-    residual: f64,
-    /// Bytes actually published (compressed blocks at `[U|V]` size).
-    published_bytes: u64,
-    /// Dense-equivalent bytes of the same publications.
-    published_dense_equiv: u64,
-    /// Retained factor memory across ranks (stored block size).
-    factor_bytes: u64,
-    net_bytes: u64,
-    lr_blocks: u64,
-    dense_blocks: u64,
-    compressed: u64,
-    declined: u64,
-    lr_updates: u64,
-    recompressed: u64,
-}
-
-impl Row {
-    /// Bit-stable JSON line: fixed field order, floats in full-precision
-    /// scientific notation so identical f64 bits give identical text.
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"matrix\":\"{}\",\"tol\":\"{:e}\",\"p\":{},\"factor_time\":\"{:.17e}\",\
-             \"solve_time\":\"{:.17e}\",\"residual\":\"{:.17e}\",\"published_bytes\":{},\
-             \"published_dense_equiv\":{},\"factor_bytes\":{},\"net_bytes\":{},\
-             \"lr_blocks\":{},\"dense_blocks\":{},\"compressed\":{},\"declined\":{},\
-             \"lr_updates\":{},\"recompressed\":{}}}",
-            self.matrix,
-            self.tol,
-            self.p,
-            self.factor_time,
-            self.solve_time,
-            self.residual,
-            self.published_bytes,
-            self.published_dense_equiv,
-            self.factor_bytes,
-            self.net_bytes,
-            self.lr_blocks,
-            self.dense_blocks,
-            self.compressed,
-            self.declined,
-            self.lr_updates,
-            self.recompressed,
-        )
-    }
-}
-
 fn solver_options(tol: f64) -> SolverOptions {
     SolverOptions {
         n_nodes: N_NODES,
@@ -132,7 +80,12 @@ fn solver_options(tol: f64) -> SolverOptions {
     }
 }
 
-/// Run one factor+solve and collect the BLR metrics.
+/// The `tol` field: `{:e}`, so the sweep's tolerances read `0e0`, `1e-8`.
+fn tol_text(tol: f64) -> String {
+    format!("{tol:e}")
+}
+
+/// Run one factor+solve and return its row of `BENCH_blr.json`.
 fn run_config(problem: Problem, a: &SparseSym, tol: f64) -> Row {
     let b = test_rhs(a.n());
     let opts = solver_options(tol);
@@ -146,24 +99,31 @@ fn run_config(problem: Problem, a: &SparseSym, tol: f64) -> Row {
     for c in &r.blr_counts {
         blr.merge(c);
     }
-    Row {
-        matrix: problem.name(),
-        tol,
-        p: N_NODES * RPN,
-        factor_time: r.factor_time,
-        solve_time: r.solve_time,
-        residual: r.relative_residual,
-        published_bytes: publish.published_bytes(),
-        published_dense_equiv: publish.dense_bytes + publish.lr_dense_equiv_bytes,
-        factor_bytes: r.factor_bytes,
-        net_bytes: r.stats.net_bytes,
-        lr_blocks: publish.lr_blocks,
-        dense_blocks: publish.dense_blocks,
-        compressed: blr.compressed,
-        declined: blr.declined,
-        lr_updates: blr.lr_updates,
-        recompressed: blr.recompressed,
-    }
+    Row::from(
+        Obj::new()
+            .str("matrix", problem.name())
+            .str("tol", &tol_text(tol))
+            .u64("p", (N_NODES * RPN) as u64)
+            .str("factor_time", &sci(r.factor_time))
+            .str("solve_time", &sci(r.solve_time))
+            .str("residual", &sci(r.relative_residual))
+            // Bytes actually published (compressed blocks at `[U|V]` size).
+            .u64("published_bytes", publish.published_bytes())
+            // Dense-equivalent bytes of the same publications.
+            .u64(
+                "published_dense_equiv",
+                publish.dense_bytes + publish.lr_dense_equiv_bytes,
+            )
+            // Retained factor memory across ranks (stored block size).
+            .u64("factor_bytes", r.factor_bytes)
+            .u64("net_bytes", r.stats.net_bytes)
+            .u64("lr_blocks", publish.lr_blocks)
+            .u64("dense_blocks", publish.dense_blocks)
+            .u64("compressed", blr.compressed)
+            .u64("declined", blr.declined)
+            .u64("lr_updates", blr.lr_updates)
+            .u64("recompressed", blr.recompressed),
+    )
 }
 
 /// Smaller instances for the CI smoke: same structure, a few seconds total.
@@ -176,193 +136,97 @@ fn quick_matrix(problem: Problem) -> SparseSym {
     }
 }
 
-/// Apply the headline gate to one (dense, blr) pair at `GATE_TOL`. Returns
-/// whether the pair passed (the sweep requires ≥ 2 passing matrices).
-fn gate(dense: &Row, blr: &Row) -> bool {
-    assert_eq!(dense.matrix, blr.matrix);
-    let speedup = dense.factor_time / blr.factor_time;
-    let reduction = dense.published_bytes as f64 / blr.published_bytes.max(1) as f64;
-    let resid_ok = blr.residual <= GATE_RESID_FACTOR * GATE_TOL;
-    println!(
-        "  gate {}: speedup {speedup:.2}x, published bytes {} -> {} ({reduction:.2}x), \
-         residual {:.2e} ({})",
-        dense.matrix,
-        dense.published_bytes,
-        blr.published_bytes,
-        blr.residual,
-        if resid_ok { "ok" } else { "TOO LARGE" },
-    );
-    speedup >= GATE_SPEEDUP && reduction >= GATE_BYTES && resid_ok
+/// The residual bound of approximate mode at `GATE_TOL`.
+fn residual_ok(residual: f64) -> bool {
+    residual <= GATE_RESID_FACTOR * GATE_TOL
 }
 
-fn render(rows: &[Row]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(out, "{}{}", row.to_json(), sep);
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn bench_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_blr.json")
-}
-
-/// Pull a field out of a committed JSON row (fixed field order makes this a
-/// plain scan, no JSON parser needed).
-fn grab<'l>(line: &'l str, key: &str) -> &'l str {
-    let at = line.find(key).expect("field present") + key.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).expect("terminated");
-    rest[..end].trim_matches('"')
-}
-
-/// Find the committed row for (matrix, tol) and return
-/// (factor_time, residual, published_bytes).
-fn committed_row(committed: &str, matrix: &str, tol: f64) -> (f64, f64, u64) {
-    let tag = format!("\"matrix\":\"{matrix}\",\"tol\":\"{tol:e}\"");
-    let line = committed
-        .lines()
-        .find(|l| l.contains(&tag))
-        .unwrap_or_else(|| panic!("{matrix} tol={tol:e}: row missing from BENCH_blr.json"));
-    (
-        grab(line, "\"factor_time\":\"").parse().expect("f64"),
-        grab(line, "\"residual\":\"").parse().expect("f64"),
-        grab(line, "\"published_bytes\":").parse().expect("u64"),
-    )
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-
-    if quick {
-        // CI PR smoke: small instances, dense vs tol=1e-8. Compression must
-        // engage on the two rank-structured problems and every residual must
-        // clear the gate.
-        for problem in Problem::BLR_ZOO {
-            let a = quick_matrix(problem);
-            let dense = run_config(problem, &a, 0.0);
-            let blr = run_config(problem, &a, GATE_TOL);
-            assert_eq!(dense.lr_blocks, 0, "dense mode must not compress");
-            assert!(
-                blr.residual <= GATE_RESID_FACTOR * GATE_TOL,
-                "{}: quick residual {:.2e}",
-                problem.name(),
-                blr.residual
-            );
-            println!(
-                "quick {}: published {} -> {} ({:.2}x), residual {:.2e}, {} lr blocks",
-                problem.name(),
-                dense.published_bytes,
-                blr.published_bytes,
-                dense.published_bytes as f64 / blr.published_bytes.max(1) as f64,
-                blr.residual,
-                blr.lr_blocks,
-            );
-            if matches!(problem, Problem::Bone | Problem::Audikw) {
-                assert!(
-                    blr.published_bytes < dense.published_bytes,
-                    "{}: compression must reduce published bytes",
-                    problem.name()
-                );
-                assert!(
-                    blr.lr_blocks > 0,
-                    "{}: no blocks compressed",
-                    problem.name()
-                );
-            }
-        }
-        println!("quick gate passed");
-        return;
-    }
-
-    if check {
-        // Regression gate: the committed file must exist, the cheap control
-        // rows must reproduce bit-for-bit, and the committed gate rows must
-        // still satisfy the headline thresholds.
-        let committed =
-            std::fs::read_to_string(bench_path()).expect("BENCH_blr.json not committed");
-        for problem in [Problem::Flan, Problem::Thermal] {
-            let a = problem.matrix_blr();
-            for tol in [0.0, GATE_TOL] {
-                let row = run_config(problem, &a, tol);
-                assert!(
-                    committed.contains(&row.to_json()),
-                    "row drifted from committed BENCH_blr.json:\n{}",
-                    row.to_json()
-                );
-            }
-        }
-        let mut passes = 0;
-        for problem in Problem::BLR_ZOO {
-            let (df, _, db) = committed_row(&committed, problem.name(), 0.0);
-            let (bf, br, bb) = committed_row(&committed, problem.name(), GATE_TOL);
-            let speedup = df / bf;
-            let reduction = db as f64 / bb.max(1) as f64;
-            let ok = speedup >= GATE_SPEEDUP
-                && reduction >= GATE_BYTES
-                && br <= GATE_RESID_FACTOR * GATE_TOL;
-            println!(
-                "  check {}: speedup {speedup:.2}x, byte reduction {reduction:.2}x, \
-                 residual {br:.2e}",
-                problem.name()
-            );
-            passes += ok as u32;
-        }
-        assert!(
-            passes >= 2,
-            "BLR gate: need >= 2 matrices passing at tol={GATE_TOL:e}, got {passes}"
-        );
-        println!("check gate passed ({passes}/4 matrices)");
-        return;
-    }
-
-    // Full sweep: rewrite BENCH_blr.json and run the gates.
-    let mut rows: Vec<Row> = Vec::new();
+/// CI PR smoke: small instances, dense vs tol=1e-8. Compression must engage
+/// on the two rank-structured problems and every residual must clear the
+/// gate.
+fn quick(_: &Args, out: &mut Rows) -> Result<(), String> {
     for problem in Problem::BLR_ZOO {
-        let a = problem.matrix_blr();
-        for tol in TOLS {
-            let t0 = std::time::Instant::now();
-            let row = run_config(problem, &a, tol);
-            println!(
-                "{} tol={tol:e}: factor {:.3e}s solve {:.3e}s resid {:.2e} \
-                 published {} B (dense-equiv {} B) factor-mem {} B \
-                 lr/dense blocks {}/{} ({:.1}s wall)",
-                problem.name(),
-                row.factor_time,
-                row.solve_time,
-                row.residual,
-                row.published_bytes,
-                row.published_dense_equiv,
-                row.factor_bytes,
-                row.lr_blocks,
-                row.dense_blocks,
-                t0.elapsed().as_secs_f64()
-            );
-            rows.push(row);
+        let name = problem.name();
+        let a = quick_matrix(problem);
+        let dense = run_config(problem, &a, 0.0);
+        let blr = run_config(problem, &a, GATE_TOL);
+        let (db, bb) = (dense.u64("published_bytes")?, blr.u64("published_bytes")?);
+        let (dense_lr, blr_lr) = (dense.u64("lr_blocks")?, blr.u64("lr_blocks")?);
+        let residual = blr.f64("residual")?;
+        out.push(dense);
+        out.push(blr);
+        if dense_lr != 0 {
+            return Err(format!("{name}: dense mode must not compress"));
+        }
+        if !residual_ok(residual) {
+            return Err(format!("{name}: quick residual {residual:.2e}"));
+        }
+        if matches!(problem, Problem::Bone | Problem::Audikw) {
+            if bb >= db {
+                return Err(format!("{name}: compression must reduce published bytes"));
+            }
+            if blr_lr == 0 {
+                return Err(format!("{name}: no blocks compressed"));
+            }
         }
     }
+    Ok(())
+}
+
+/// `problems` × `tols`, in file order.
+fn sweep(problems: &[Problem], tols: &[f64], out: &mut Rows) -> Result<(), String> {
+    for &problem in problems {
+        let a = problem.matrix_blr();
+        for &tol in tols {
+            out.push(run_config(problem, &a, tol));
+        }
+    }
+    Ok(())
+}
+
+/// The headline gate, on each (dense, blr) pair at `GATE_TOL`: speedup,
+/// published-byte reduction and residual, on at least two zoo matrices.
+fn gate(rows: &[Row]) -> Result<String, String> {
     let mut passes = 0;
     for problem in Problem::BLR_ZOO {
+        let name = problem.name();
         let find = |tol: f64| {
-            rows.iter()
-                .find(|r| r.matrix == problem.name() && r.tol == tol)
-                .expect("row recorded")
+            let tol = tol_text(tol);
+            let hit = rows
+                .iter()
+                .find(|r| r.text("matrix") == Ok(name) && r.text("tol") == Ok(tol.as_str()));
+            hit.ok_or(format!("{name} tol={tol}: row missing"))
         };
-        passes += gate(find(0.0), find(GATE_TOL)) as u32;
+        let (dense, blr) = (find(0.0)?, find(GATE_TOL)?);
+        let speedup = dense.f64("factor_time")? / blr.f64("factor_time")?;
+        let (db, bb) = (dense.u64("published_bytes")?, blr.u64("published_bytes")?);
+        let reduction = db as f64 / bb.max(1) as f64;
+        let residual = blr.f64("residual")?;
+        let resid_ok = residual_ok(residual);
+        println!(
+            "  gate {name}: speedup {speedup:.2}x, published bytes {db} -> {bb} \
+             ({reduction:.2}x), residual {residual:.2e} ({})",
+            if resid_ok { "ok" } else { "TOO LARGE" },
+        );
+        passes += u32::from(speedup >= GATE_SPEEDUP && reduction >= GATE_BYTES && resid_ok);
     }
-    assert!(
-        passes >= 2,
-        "BLR gate: need >= 2 matrices with >= {GATE_SPEEDUP}x speedup and \
-         >= {GATE_BYTES}x byte reduction at tol={GATE_TOL:e}, got {passes}"
-    );
-    let json = render(&rows);
-    std::fs::write(bench_path(), &json).expect("write BENCH_blr.json");
-    println!(
-        "wrote {} rows to BENCH_blr.json; gate passed ({passes}/4 matrices)",
-        rows.len()
-    );
+    if passes < 2 {
+        return Err(format!(
+            "BLR gate: need >= 2 matrices passing at tol={GATE_TOL:e}, got {passes}"
+        ));
+    }
+    Ok(format!("{passes}/4 matrices"))
+}
+
+fn main() -> std::process::ExitCode {
+    gate::run(&Suite {
+        file: "BENCH_blr.json",
+        flags: &[],
+        quick,
+        // The two weakly-compressible controls, dense and at the gate
+        // tolerance.
+        cheap: |_, out| sweep(&[Problem::Flan, Problem::Thermal], &[0.0, GATE_TOL], out),
+        full: |_, out| sweep(&Problem::BLR_ZOO, &TOLS, out),
+        gate,
+    })
 }

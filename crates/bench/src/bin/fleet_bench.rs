@@ -28,13 +28,14 @@
 //! * the LRU keeps the steady-state resident factor bytes under budget
 //!   while evictions and re-materializations both actually happen.
 
-use std::fmt::Write as _;
 use sympack::SolverOptions;
+use sympack_bench::gate::{self, sci, Args, Row, Rows, Suite};
 use sympack_bench::Problem;
 use sympack_fleet::{Fleet, FleetConfig, TenantId};
 use sympack_service::Session;
 use sympack_sparse::gen::XorShift64;
 use sympack_sparse::SparseSym;
+use sympack_trace::json::Obj;
 use sympack_trace::profile::{CommMatrix, Profile};
 
 /// One replayable tenant mix. Heavy-tailed twice over: tenants are
@@ -100,88 +101,10 @@ fn rhs_for(tenant: usize, job: u64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The fleet-wide summary of one mix (a row of `BENCH_fleet.json`).
-struct ScenarioRow {
-    mix: &'static str,
-    tenants: usize,
-    patterns: usize,
-    shards: usize,
-    ranks_per_shard: usize,
-    jobs: u64,
-    plan_hits: u64,
-    plan_misses: u64,
-    evictions: u64,
-    rematerializations: u64,
-    budget_bytes: u64,
-    high_water_bytes: u64,
-    resident_bytes: u64,
-    makespan: f64,
-}
-
-impl ScenarioRow {
-    /// Bit-stable JSON line: fixed field order, floats in full-precision
-    /// scientific notation so identical f64 bits give identical text.
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"mix\":\"{}\",\"tenants\":{},\"patterns\":{},\"shards\":{},\
-             \"ranks_per_shard\":{},\"jobs\":{},\"plan_hits\":{},\"plan_misses\":{},\
-             \"evictions\":{},\"rematerializations\":{},\"budget_bytes\":{},\
-             \"high_water_bytes\":{},\"resident_bytes\":{},\"makespan\":\"{:.17e}\"}}",
-            self.mix,
-            self.tenants,
-            self.patterns,
-            self.shards,
-            self.ranks_per_shard,
-            self.jobs,
-            self.plan_hits,
-            self.plan_misses,
-            self.evictions,
-            self.rematerializations,
-            self.budget_bytes,
-            self.high_water_bytes,
-            self.resident_bytes,
-            self.makespan,
-        )
-    }
-}
-
-/// One tenant's serving outcome (a row of `BENCH_fleet.json`).
-struct TenantRow {
-    mix: &'static str,
-    tenant: String,
-    pattern: &'static str,
-    shard: usize,
-    weight: f64,
-    plan_hit: bool,
-    evictions: u64,
-    jobs: u64,
-    p50: f64,
-    p99: f64,
-}
-
-impl TenantRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"mix\":\"{}\",\"tenant\":\"{}\",\"pattern\":\"{}\",\"shard\":{},\
-             \"weight\":\"{:.17e}\",\"plan_hit\":{},\"evictions\":{},\"jobs\":{},\
-             \"p50\":\"{:.17e}\",\"p99\":\"{:.17e}\"}}",
-            self.mix,
-            self.tenant,
-            self.pattern,
-            self.shard,
-            self.weight,
-            self.plan_hit,
-            self.evictions,
-            self.jobs,
-            self.p50,
-            self.p99,
-        )
-    }
-}
-
-/// Replay one mix and assert the serving invariants. Returns the rows and
-/// the finished fleet (for the metrics/profile artifacts).
-fn run_mix(spec: &MixSpec) -> (ScenarioRow, Vec<TenantRow>, Fleet) {
+/// Replay one mix. Returns its rows of `BENCH_fleet.json` — the fleet-wide
+/// summary, then one row per tenant — and the finished fleet (for the
+/// metrics/profile artifacts).
+fn run_mix(spec: &MixSpec) -> (Row, Vec<Row>, Fleet) {
     let mut rng = XorShift64::new(spec.seed);
     let zoo: Vec<SparseSym> = Problem::ALL.iter().map(|p| p.matrix_quick()).collect();
 
@@ -300,21 +223,7 @@ fn run_mix(spec: &MixSpec) -> (ScenarioRow, Vec<TenantRow>, Fleet) {
         );
     }
 
-    // Serving invariants: the budget forced eviction and transparent
-    // re-materialization, yet steady-state residency never exceeded it.
     let cache = fleet.cache_metrics();
-    assert!(cache.factor_evictions >= 1, "{}: no evictions", spec.name);
-    assert!(
-        cache.rematerializations >= 1,
-        "{}: no rematerializations",
-        spec.name
-    );
-    assert!(
-        cache.resident_high_water_bytes <= budget,
-        "{}: high-water {} over budget {budget}",
-        spec.name,
-        cache.resident_high_water_bytes
-    );
     assert_eq!(
         fleet.request_spans().len() as u64,
         total_jobs,
@@ -322,101 +231,84 @@ fn run_mix(spec: &MixSpec) -> (ScenarioRow, Vec<TenantRow>, Fleet) {
         spec.name
     );
 
-    let scenario = ScenarioRow {
-        mix: spec.name,
-        tenants: spec.tenants,
-        patterns: distinct,
-        shards: spec.shards,
-        ranks_per_shard: spec.ranks_per_shard,
-        jobs: total_jobs,
-        plan_hits: cache.plan_hits,
-        plan_misses: cache.plan_misses,
-        evictions: cache.factor_evictions,
-        rematerializations: cache.rematerializations,
-        budget_bytes: budget,
-        high_water_bytes: cache.resident_high_water_bytes,
-        resident_bytes: cache.resident_bytes,
-        makespan: fleet.makespan(),
-    };
-    let tenant_rows: Vec<TenantRow> = ids
+    let scenario = Row::from(
+        Obj::new()
+            .str("mix", spec.name)
+            .u64("tenants", spec.tenants as u64)
+            .u64("patterns", distinct as u64)
+            .u64("shards", spec.shards as u64)
+            .u64("ranks_per_shard", spec.ranks_per_shard as u64)
+            .u64("jobs", total_jobs)
+            .u64("plan_hits", cache.plan_hits)
+            .u64("plan_misses", cache.plan_misses)
+            .u64("evictions", cache.factor_evictions)
+            .u64("rematerializations", cache.rematerializations)
+            .u64("budget_bytes", budget)
+            .u64("high_water_bytes", cache.resident_high_water_bytes)
+            .u64("resident_bytes", cache.resident_bytes)
+            .str("makespan", &sci(fleet.makespan())),
+    );
+    let tenant_rows: Vec<Row> = ids
         .iter()
         .enumerate()
         .map(|(t, &id)| {
             let m = fleet.tenant_metrics(id);
-            TenantRow {
-                mix: spec.name,
-                tenant: format!("t{t:02}"),
-                pattern: Problem::ALL[assign[t]].name(),
-                // Mirrors the fleet's round-robin shard pinning.
-                shard: t % spec.shards,
-                weight: weights[t],
-                plan_hit: hits[t],
-                evictions: fleet.tenant_evictions(id),
-                jobs: m.jobs_served,
-                p50: m.latency.p50(),
-                p99: m.latency.p99(),
-            }
+            Row::from(
+                Obj::new()
+                    .str("mix", spec.name)
+                    .str("tenant", &format!("t{t:02}"))
+                    .str("pattern", Problem::ALL[assign[t]].name())
+                    // Mirrors the fleet's round-robin shard pinning.
+                    .u64("shard", (t % spec.shards) as u64)
+                    .str("weight", &sci(weights[t]))
+                    .bool("plan_hit", hits[t])
+                    .u64("evictions", fleet.tenant_evictions(id))
+                    .u64("jobs", m.jobs_served)
+                    .str("p50", &sci(m.latency.p50()))
+                    .str("p99", &sci(m.latency.p99())),
+            )
         })
         .collect();
     (scenario, tenant_rows, fleet)
 }
 
-fn print_summary(s: &ScenarioRow) {
-    println!(
-        "{} mix: {} tenants / {} patterns on {}x{} ranks, {} jobs: \
-         plan {}h/{}m, {} evictions, {} remats, high-water {}/{} B, makespan {:.3e}s",
-        s.mix,
-        s.tenants,
-        s.patterns,
-        s.shards,
-        s.ranks_per_shard,
-        s.jobs,
-        s.plan_hits,
-        s.plan_misses,
-        s.evictions,
-        s.rematerializations,
-        s.high_water_bytes,
-        s.budget_bytes,
-        s.makespan,
-    );
-}
-
-fn render(scenarios: &[ScenarioRow], tenants: &[TenantRow]) -> String {
-    let mut out = String::from("[\n");
-    let total = scenarios.len() + tenants.len();
-    let mut i = 0;
-    for row in scenarios
-        .iter()
-        .map(ScenarioRow::to_json)
-        .chain(tenants.iter().map(TenantRow::to_json))
-    {
-        i += 1;
-        let sep = if i == total { "" } else { "," };
-        let _ = writeln!(out, "{row}{sep}");
+/// The serving invariants on one mix's summary row: the plan cache was
+/// exercised, the budget forced eviction and transparent
+/// re-materialization, yet steady-state residency never exceeded it.
+/// Returns the summary of the row.
+fn serving_invariants(scenario: &Row) -> Result<String, String> {
+    let mix = scenario.text("mix")?;
+    let (hits, misses) = (scenario.u64("plan_hits")?, scenario.u64("plan_misses")?);
+    let evictions = scenario.u64("evictions")?;
+    let remat = scenario.u64("rematerializations")?;
+    let budget = scenario.u64("budget_bytes")?;
+    let high = scenario.u64("high_water_bytes")?;
+    if hits < 1 || misses < 1 {
+        return Err(format!("{mix} mix must exercise the plan cache"));
     }
-    out.push_str("]\n");
-    out
+    if evictions < 1 || remat < 1 {
+        return Err(format!("{mix} mix must churn the LRU"));
+    }
+    if high > budget {
+        return Err(format!("{mix} mix high-water {high} over budget {budget}"));
+    }
+    Ok(format!(
+        "{mix} mix: {hits} hits, {evictions} evictions, high-water {high}/{budget} B"
+    ))
 }
 
-fn bench_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json")
-}
-
-/// Dump the optional `--metrics-json` / `--profile-json` artifacts from the
-/// last fleet that ran.
-fn write_artifacts(args: &[String], fleet: &Fleet, spec: &MixSpec) {
-    if let Some(at) = args.iter().position(|a| a == "--metrics-json") {
-        let path = &args[at + 1];
+/// Dump the optional `--metrics-json` / `--telemetry-json` /
+/// `--profile-json` artifacts from a finished fleet.
+fn write_artifacts(args: &Args, fleet: &Fleet, spec: &MixSpec) {
+    if let Some(path) = args.value("--metrics-json") {
         std::fs::write(path, fleet.metrics_json() + "\n").expect("write metrics json");
         println!("wrote fleet metrics to {path}");
     }
-    if let Some(at) = args.iter().position(|a| a == "--telemetry-json") {
-        let path = &args[at + 1];
+    if let Some(path) = args.value("--telemetry-json") {
         std::fs::write(path, fleet.telemetry_json() + "\n").expect("write telemetry json");
         println!("wrote fleet telemetry snapshot to {path}");
     }
-    if let Some(at) = args.iter().position(|a| a == "--profile-json") {
-        let path = &args[at + 1];
+    if let Some(path) = args.value("--profile-json") {
         let profile = Profile::build(
             "fleet",
             fleet.request_spans(),
@@ -429,88 +321,51 @@ fn write_artifacts(args: &[String], fleet: &Fleet, spec: &MixSpec) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
+/// The quick mix with its invariants: the CI PR smoke, and the rows
+/// `--check` re-derives.
+fn quick(args: &Args, out: &mut Rows) -> Result<(), String> {
+    let (scenario, tenant_rows, fleet) = run_mix(&QUICK);
+    let verdict = serving_invariants(&scenario);
+    out.push(scenario);
+    tenant_rows.into_iter().for_each(|row| out.push(row));
+    write_artifacts(args, &fleet, &QUICK);
+    verdict.map(drop)
+}
 
-    if quick {
-        // CI PR smoke: the quick mix with all its gates, no file.
-        let (scenario, _, fleet) = run_mix(&QUICK);
-        print_summary(&scenario);
-        write_artifacts(&args, &fleet, &QUICK);
-        println!("quick gate passed");
-        return;
+/// Both mixes; the file lists the two summaries before the tenants. The
+/// artifacts come from the full mix.
+fn full(args: &Args, out: &mut Rows) -> Result<(), String> {
+    let (quick_scenario, quick_tenants, _) = run_mix(&QUICK);
+    out.push(quick_scenario);
+    let (full_scenario, full_tenants, fleet) = run_mix(&FULL);
+    out.push(full_scenario);
+    for row in quick_tenants.into_iter().chain(full_tenants) {
+        out.push(row);
     }
+    write_artifacts(args, &fleet, &FULL);
+    Ok(())
+}
 
-    if check {
-        // Regression gate: the committed quick-mix rows must reproduce
-        // bit-for-bit, and the committed full-mix row must satisfy the
-        // serving invariants.
-        let committed =
-            std::fs::read_to_string(bench_path()).expect("BENCH_fleet.json not committed");
-        let (scenario, tenant_rows, fleet) = run_mix(&QUICK);
-        print_summary(&scenario);
-        for row in
-            std::iter::once(scenario.to_json()).chain(tenant_rows.iter().map(TenantRow::to_json))
-        {
-            assert!(
-                committed.contains(&row),
-                "quick-mix row drifted from committed BENCH_fleet.json:\n{row}"
-            );
+/// Every summary row satisfies the serving invariants; the final line
+/// quotes the full mix.
+fn gate(rows: &[Row]) -> Result<String, String> {
+    let mut full = None;
+    for scenario in rows.iter().filter(|r| r.u64("tenants").is_ok()) {
+        let summary = serving_invariants(scenario)?;
+        if scenario.text("mix") == Ok(FULL.name) {
+            full = Some(summary);
         }
-        // Scan the committed full-mix scenario row (fixed field order makes
-        // this a plain scan, no JSON parser needed).
-        let tag = "{\"mix\":\"full\",\"tenants\":";
-        let line = committed
-            .lines()
-            .find(|l| l.starts_with(tag))
-            .expect("full-mix row missing from BENCH_fleet.json");
-        let grab = |key: &str| -> u64 {
-            let at = line.find(key).expect("field present") + key.len();
-            let rest = &line[at..];
-            let end = rest.find([',', '}']).expect("terminated");
-            rest[..end].parse().expect("u64")
-        };
-        let (hits, misses) = (grab("\"plan_hits\":"), grab("\"plan_misses\":"));
-        let evictions = grab("\"evictions\":");
-        let remat = grab("\"rematerializations\":");
-        let (budget, high) = (grab("\"budget_bytes\":"), grab("\"high_water_bytes\":"));
-        assert!(
-            hits >= 1 && misses >= 1,
-            "full mix must exercise the plan cache"
-        );
-        assert!(evictions >= 1 && remat >= 1, "full mix must churn the LRU");
-        assert!(
-            high <= budget,
-            "full mix high-water {high} over budget {budget}"
-        );
-        write_artifacts(&args, &fleet, &QUICK);
-        println!(
-            "check gate passed (full mix: {hits} hits, {evictions} evictions, \
-             high-water {high}/{budget} B)"
-        );
-        return;
     }
+    full.ok_or("full-mix row missing".to_string())
+}
 
-    // Full sweep: rewrite BENCH_fleet.json with both mixes.
-    let mut scenarios = Vec::new();
-    let mut tenants = Vec::new();
-    let mut last = None;
-    for spec in [&QUICK, &FULL] {
-        let t0 = std::time::Instant::now();
-        let (scenario, tenant_rows, fleet) = run_mix(spec);
-        print_summary(&scenario);
-        println!("  ({:.1}s wall)", t0.elapsed().as_secs_f64());
-        scenarios.push(scenario);
-        tenants.extend(tenant_rows);
-        last = Some(fleet);
-    }
-    let json = render(&scenarios, &tenants);
-    std::fs::write(bench_path(), &json).expect("write BENCH_fleet.json");
-    write_artifacts(&args, last.as_ref().unwrap(), &FULL);
-    println!(
-        "wrote {} rows to BENCH_fleet.json",
-        scenarios.len() + tenants.len()
-    );
+fn main() -> std::process::ExitCode {
+    gate::run(&Suite {
+        file: "BENCH_fleet.json",
+        flags: &["--metrics-json", "--telemetry-json", "--profile-json"],
+        quick,
+        cheap: quick,
+        full,
+        gate,
+    })
 }

@@ -40,6 +40,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use sympack_bench::gate::Args;
 use sympack_dense::config::{IsaSelect, KernelConfig};
 use sympack_dense::flops;
 use sympack_dense::gemm::{gemm_nt_packed_raw, gemm_nt_unpacked_raw};
@@ -308,24 +309,17 @@ fn run_compare(spec: &str, json_path: &str, quick: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let arg_val = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if let Some(spec) = arg_val("--compare") {
-        let tuning_path = arg_val("--tuning-json").unwrap_or_else(|| "BENCH_tuning.json".into());
-        run_compare(&spec, &tuning_path, quick);
+    let valued = ["--compare", "--tuning-json", "--config", "--json", "--out"];
+    let args = Args::from_env(&["--quick"], &valued);
+    let quick = args.has("--quick");
+    if let Some(spec) = args.value("--compare") {
+        let tuning_path = args.value("--tuning-json").unwrap_or("BENCH_tuning.json");
+        run_compare(spec, tuning_path, quick);
         return;
     }
-    let cfg = arg_val("--config")
-        .map(|s| parse_config(&s))
-        .unwrap_or_default();
-    let json_path = arg_val("--json").unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let txt_path = arg_val("--out").unwrap_or_else(|| "results/kernel_roofline.txt".to_string());
+    let cfg = args.value("--config").map(parse_config).unwrap_or_default();
+    let json_path = args.value("--json").unwrap_or("BENCH_kernels.json");
+    let txt_path = args.value("--out").unwrap_or("results/kernel_roofline.txt");
     let samples = if quick { 3 } else { 7 };
 
     let mut ctx = Ctx {
@@ -555,11 +549,11 @@ fn main() {
     }
 
     print!("{}", ctx.txt);
-    if let Some(dir) = std::path::Path::new(&txt_path).parent() {
+    if let Some(dir) = std::path::Path::new(txt_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    std::fs::write(&txt_path, &ctx.txt).expect("write text report");
-    std::fs::write(&json_path, ctx.report.to_json()).expect("write json report");
+    std::fs::write(txt_path, &ctx.txt).expect("write text report");
+    std::fs::write(json_path, ctx.report.to_json()).expect("write json report");
     println!("\nwrote {txt_path} and {json_path}");
     if !isa_order_holds {
         eprintln!("a wider ISA is slower than a narrower one on packed gemm at n=256");

@@ -1,11 +1,9 @@
 //! Ordering-quality comparison: factor nnz/flops for each ordering strategy
 //! on the three evaluation problems — the study motivating the paper's use
-//! of a (multilevel) nested-dissection ordering.
+//! of a nested-dissection ordering.
 
 use sympack_bench::{render_table, Problem};
-use sympack_ordering::{
-    metrics, min_degree, nested_dissection, rcm, NdOptions, Permutation, SeparatorStrategy,
-};
+use sympack_ordering::{metrics, min_degree, nested_dissection, rcm, NdOptions, Permutation};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -28,23 +26,8 @@ fn main() {
         let md = min_degree(&a);
         rows.push(row("minimum degree", &a, &md, t0));
         let t0 = std::time::Instant::now();
-        let ls = nested_dissection(
-            &a,
-            &NdOptions {
-                strategy: SeparatorStrategy::LevelSet,
-                ..Default::default()
-            },
-        );
-        rows.push(row("ND (level-set)", &a, &ls, t0));
-        let t0 = std::time::Instant::now();
-        let ml = nested_dissection(
-            &a,
-            &NdOptions {
-                strategy: SeparatorStrategy::Multilevel,
-                ..Default::default()
-            },
-        );
-        rows.push(row("ND (multilevel, Scotch-like)", &a, &ml, t0));
+        let nd = nested_dissection(&a, &NdOptions::default());
+        rows.push(row("ND (level-set)", &a, &nd, t0));
         println!("{}", render_table(&rows));
     }
 }

@@ -20,11 +20,12 @@
 //! * comm-matrix byte totals equal `net_bytes + intra_bytes` exactly at
 //!   every P (frame/rget conservation).
 
-use std::fmt::Write as _;
-use sympack::{BcastTopology, CoalesceConfig, ProcGrid, SolverOptions, SymPack};
+use sympack::{BcastTopology, CoalesceConfig, SolverOptions, SymPack};
+use sympack_bench::gate::{self, sci, Args, Row, Rows, Suite};
 use sympack_bench::Problem;
 use sympack_pgas::NetModel;
 use sympack_sparse::vecops::test_rhs;
+use sympack_trace::json::Obj;
 
 /// Target ranks per node for the sweep: a dual-socket 128-core node, the
 /// class of machine the paper's Perlmutter runs use per-node rank counts
@@ -55,50 +56,10 @@ const QUANTUM_SECS: f64 = 20.0e-6;
 /// the pipeline tail, but never more than this factor.
 const MAKESPAN_SLACK: f64 = 1.02;
 
-/// One measured configuration (a row of `BENCH_scaling.json`).
-struct Row {
-    matrix: &'static str,
-    p: usize,
-    topology: &'static str,
-    makespan: f64,
-    net_bytes: u64,
-    intra_bytes: u64,
-    max_rank_net_bytes: u64,
-    crit_len: f64,
-    frames: u64,
-    frame_subs: u64,
-}
-
-impl Row {
-    /// Bit-stable JSON line: fixed field order, floats in full-precision
-    /// scientific notation so identical f64 bits give identical text.
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"matrix\":\"{}\",\"p\":{},\"topology\":\"{}\",\"makespan\":\"{:.17e}\",\
-             \"net_bytes\":{},\"intra_bytes\":{},\"max_rank_net_bytes\":{},\
-             \"crit_len\":\"{:.17e}\",\"frames\":{},\"frame_subs\":{}}}",
-            self.matrix,
-            self.p,
-            self.topology,
-            self.makespan,
-            self.net_bytes,
-            self.intra_bytes,
-            self.max_rank_net_bytes,
-            self.crit_len,
-            self.frames,
-            self.frame_subs,
-        )
-    }
-}
-
-/// Run one factor+solve at `p` ranks under `topology`, collecting the
-/// scaling metrics. Tree runs enable coalescing too — the full
+/// Run one factor+solve at `p` ranks under `topology` and return its row
+/// of `BENCH_scaling.json`. Tree runs enable coalescing too — the full
 /// aggregation layer — while flat is the historical wire pattern.
 fn run_config(problem: Problem, p: usize, tree: bool) -> Row {
-    run_config_grid(problem, p, tree, false)
-}
-
-fn run_config_grid(problem: Problem, p: usize, tree: bool, tiled: bool) -> Row {
     let a = problem.matrix_scaling();
     let b = test_rhs(a.n());
     let (n_nodes, rpn) = nodes_for(p);
@@ -128,10 +89,6 @@ fn run_config_grid(problem: Problem, p: usize, tree: bool, tiled: bool) -> Row {
         } else {
             SolverOptions::default().rtq_policy
         },
-        // `--probe` ablation knob only: the committed sweep keeps the
-        // historical row-major placement on both topologies so the flat →
-        // tree delta is purely the comm layer, not a placement change.
-        grid: tiled.then(|| ProcGrid::node_tiled(p, rpn)),
         ..Default::default()
     };
     let r = SymPack::factor_and_solve(&a, &b, &opts);
@@ -163,206 +120,91 @@ fn run_config_grid(problem: Problem, p: usize, tree: bool, tiled: bool) -> Row {
         })
         .max()
         .unwrap_or(0);
-    Row {
-        matrix: problem.name(),
-        p,
-        topology: if tree { "tree" } else { "flat" },
-        makespan: r.factor_time,
-        net_bytes: r.stats.net_bytes,
-        intra_bytes: r.stats.intra_bytes,
-        max_rank_net_bytes,
-        crit_len: profile.crit_len,
-        frames: r.stats.frames,
-        frame_subs: r.stats.frame_subs,
-    }
+    Row::from(
+        Obj::new()
+            .str("matrix", problem.name())
+            .u64("p", p as u64)
+            .str("topology", if tree { "tree" } else { "flat" })
+            .str("makespan", &sci(r.factor_time))
+            .u64("net_bytes", r.stats.net_bytes)
+            .u64("intra_bytes", r.stats.intra_bytes)
+            .u64("max_rank_net_bytes", max_rank_net_bytes)
+            .str("crit_len", &sci(profile.crit_len))
+            .u64("frames", r.stats.frames)
+            .u64("frame_subs", r.stats.frame_subs),
+    )
 }
 
-/// Assert the headline gate on one (flat, tree) pair at P = 256:
-/// ≥ 2× net-byte reduction with makespan no worse. Returns whether the
-/// pair passed (the sweep requires ≥ 2 passing matrices).
-fn gate_256(flat: &Row, tree: &Row) -> bool {
-    assert_eq!((flat.matrix, flat.p), (tree.matrix, tree.p));
-    let reduction = flat.net_bytes as f64 / tree.net_bytes.max(1) as f64;
-    let makespan_ok = tree.makespan <= flat.makespan * MAKESPAN_SLACK;
-    println!(
-        "  gate {} P={}: net bytes {} -> {} ({reduction:.2}x), makespan {:.3e} -> {:.3e} ({})",
-        flat.matrix,
-        flat.p,
-        flat.net_bytes,
-        tree.net_bytes,
-        flat.makespan,
-        tree.makespan,
-        if makespan_ok { "ok" } else { "WORSE" },
-    );
-    reduction >= 2.0 && makespan_ok
+/// CI PR smoke: one matrix at P = 64, flat vs tree, bytes must drop.
+fn quick(_: &Args, out: &mut Rows) -> Result<(), String> {
+    let flat = run_config(Problem::Thermal, 64, false);
+    let tree = run_config(Problem::Thermal, 64, true);
+    let shrank = tree.u64("net_bytes")? < flat.u64("net_bytes")?;
+    let framed = tree.u64("frames")? > 0;
+    out.push(flat);
+    out.push(tree);
+    if !shrank {
+        return Err("tree broadcast must reduce net bytes at P=64".into());
+    }
+    if !framed {
+        return Err("coalescing must have shipped framed messages".into());
+    }
+    Ok(())
 }
 
-fn render(rows: &[Row]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(out, "{}{}", row.to_json(), sep);
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn bench_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scaling.json")
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-
-    if let Some(at) = args.iter().position(|a| a == "--probe") {
-        // Tuning aid: decompose topology vs placement on one matrix/P.
-        let problem = Problem::from_name(&args[at + 1]).expect("matrix name");
-        let p: usize = args[at + 2].parse().expect("rank count");
-        for (tree, tiled) in [(false, false), (false, true), (true, false), (true, true)] {
-            let r = run_config_grid(problem, p, tree, tiled);
-            println!(
-                "{} {}: makespan {:.3e}s net {} B intra {} B max-rank {} B frames {} subs {}",
-                if tree { "tree" } else { "flat" },
-                if tiled { "tiled" } else { "rowmaj" },
-                r.makespan,
-                r.net_bytes,
-                r.intra_bytes,
-                r.max_rank_net_bytes,
-                r.frames,
-                r.frame_subs,
-            );
-        }
-        return;
-    }
-
-    if quick {
-        // CI PR smoke: one matrix at P = 64, flat vs tree, bytes must drop.
-        let flat = run_config(Problem::Thermal, 64, false);
-        let tree = run_config(Problem::Thermal, 64, true);
-        let reduction = flat.net_bytes as f64 / tree.net_bytes.max(1) as f64;
-        println!(
-            "quick P=64 thermal: net bytes {} -> {} ({reduction:.2}x), \
-             makespan {:.3e} -> {:.3e}",
-            flat.net_bytes, tree.net_bytes, flat.makespan, tree.makespan
-        );
-        assert!(
-            tree.net_bytes < flat.net_bytes,
-            "tree broadcast must reduce net bytes at P=64"
-        );
-        assert!(
-            tree.frames > 0,
-            "coalescing must have shipped framed messages"
-        );
-        println!("quick gate passed");
-        return;
-    }
-
-    if check {
-        // Regression gate: the committed file must exist, its cheap (P=64)
-        // rows must reproduce bit-for-bit, and its P=256 rows must satisfy
-        // the scaling invariants.
-        let committed =
-            std::fs::read_to_string(bench_path()).expect("BENCH_scaling.json not committed");
-        let mut fresh: Vec<Row> = Vec::new();
-        for problem in Problem::ALL {
-            fresh.push(run_config(problem, 64, false));
-            fresh.push(run_config(problem, 64, true));
-        }
-        for row in &fresh {
-            assert!(
-                committed.contains(&row.to_json()),
-                "P=64 row drifted from committed BENCH_scaling.json:\n{}",
-                row.to_json()
-            );
-        }
-        // Parse the committed P=256 net-byte pairs per matrix (fixed field
-        // order makes this a plain scan, no JSON parser needed).
-        let mut passes = 0;
-        for problem in Problem::ALL {
-            let find = |topo: &str| -> Option<(u64, f64)> {
-                let tag = format!(
-                    "\"matrix\":\"{}\",\"p\":256,\"topology\":\"{topo}\"",
-                    problem.name()
-                );
-                let line = committed.lines().find(|l| l.contains(&tag))?;
-                let grab = |key: &str| -> &str {
-                    let at = line.find(key).expect("field present") + key.len();
-                    let rest = &line[at..];
-                    let end = rest.find([',', '}']).expect("terminated");
-                    rest[..end].trim_matches('"')
-                };
-                Some((
-                    grab("\"net_bytes\":").parse().expect("u64"),
-                    grab("\"makespan\":\"").parse().expect("f64"),
-                ))
-            };
-            let (Some((fb, fm)), Some((tb, tm))) = (find("flat"), find("tree")) else {
-                panic!(
-                    "{}: P=256 rows missing from BENCH_scaling.json",
-                    problem.name()
-                );
-            };
-            let reduction = fb as f64 / tb.max(1) as f64;
-            let ok = reduction >= 2.0 && tm <= fm * MAKESPAN_SLACK;
-            println!(
-                "  check {} P=256: {reduction:.2}x net-byte reduction, makespan {:.3e} -> {:.3e}",
-                problem.name(),
-                fm,
-                tm
-            );
-            passes += ok as u32;
-        }
-        assert!(
-            passes >= 2,
-            "scaling gate: need >= 2 matrices with >= 2x reduction at P=256, got {passes}"
-        );
-        println!("check gate passed ({passes}/3 matrices at >= 2x)");
-        return;
-    }
-
-    // Full sweep: rewrite BENCH_scaling.json and run the gates.
-    let ps: [usize; 3] = [64, 256, 1024];
-    let mut rows: Vec<Row> = Vec::new();
+/// The sweep over `ps`, in file order.
+fn sweep(ps: &[usize], out: &mut Rows) -> Result<(), String> {
     for problem in Problem::ALL {
-        for p in ps {
+        for &p in ps {
             for tree in [false, true] {
-                let t0 = std::time::Instant::now();
-                let row = run_config(problem, p, tree);
-                println!(
-                    "{} P={p} {}: makespan {:.3e}s net {} B intra {} B max-rank {} B \
-                     crit {:.3e}s frames {} ({:.1}s wall)",
-                    problem.name(),
-                    row.topology,
-                    row.makespan,
-                    row.net_bytes,
-                    row.intra_bytes,
-                    row.max_rank_net_bytes,
-                    row.crit_len,
-                    row.frames,
-                    t0.elapsed().as_secs_f64()
-                );
-                rows.push(row);
+                out.push(run_config(problem, p, tree));
             }
         }
     }
+    Ok(())
+}
+
+/// The headline gate, on each (flat, tree) pair at P = 256: ≥ 2× net-byte
+/// reduction with makespan no worse, on at least two zoo matrices.
+fn gate(rows: &[Row]) -> Result<String, String> {
     let mut passes = 0;
     for problem in Problem::ALL {
-        let pair: Vec<&Row> = rows
-            .iter()
-            .filter(|r| r.matrix == problem.name() && r.p == 256)
-            .collect();
-        passes += gate_256(pair[0], pair[1]) as u32;
+        let name = problem.name();
+        let find = |topology: &str| {
+            let hit = rows.iter().find(|r| {
+                r.text("matrix") == Ok(name)
+                    && r.u64("p") == Ok(256)
+                    && r.text("topology") == Ok(topology)
+            });
+            hit.ok_or(format!("{name}: P=256 {topology} row missing"))
+        };
+        let (flat, tree) = (find("flat")?, find("tree")?);
+        let (fb, tb) = (flat.u64("net_bytes")?, tree.u64("net_bytes")?);
+        let (fm, tm) = (flat.f64("makespan")?, tree.f64("makespan")?);
+        let reduction = fb as f64 / tb.max(1) as f64;
+        let makespan_ok = tm <= fm * MAKESPAN_SLACK;
+        println!(
+            "  gate {name} P=256: net bytes {fb} -> {tb} ({reduction:.2}x), \
+             makespan {fm:.3e} -> {tm:.3e} ({})",
+            if makespan_ok { "ok" } else { "WORSE" },
+        );
+        passes += u32::from(reduction >= 2.0 && makespan_ok);
     }
-    assert!(
-        passes >= 2,
-        "scaling gate: need >= 2 matrices with >= 2x reduction at P=256, got {passes}"
-    );
-    let json = render(&rows);
-    std::fs::write(bench_path(), &json).expect("write BENCH_scaling.json");
-    println!(
-        "wrote {} rows to BENCH_scaling.json; gate passed ({passes}/3 matrices at >= 2x)",
-        rows.len()
-    );
+    if passes < 2 {
+        return Err(format!(
+            "scaling gate: need >= 2 matrices with >= 2x reduction at P=256, got {passes}"
+        ));
+    }
+    Ok(format!("{passes}/3 matrices at >= 2x"))
+}
+
+fn main() -> std::process::ExitCode {
+    gate::run(&Suite {
+        file: "BENCH_scaling.json",
+        flags: &[],
+        quick,
+        cheap: |_, out| sweep(&[64], out),
+        full: |_, out| sweep(&[64, 256, 1024], out),
+        gate,
+    })
 }

@@ -28,10 +28,11 @@
 //! `--check` re-derives them and compares byte-for-byte against the
 //! committed file.
 
-use std::fmt::Write as _;
 use sympack::{SolverOptions, SymPack};
+use sympack_bench::gate::{self, sci, Args, Row, Rows, Suite};
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_sparse::gen::laplacian_2d;
+use sympack_trace::json::Obj;
 use sympack_trace::telemetry::SloPolicy;
 
 /// Wall-clock overhead budget for the telemetry plane, percent.
@@ -64,8 +65,8 @@ fn rhs(n: usize) -> Vec<f64> {
 }
 
 /// One deterministic factor+solve with telemetry, gated against its
-/// untelemetered twin and its own replay. Returns the JSON row.
-fn fanout_case(p: usize) -> String {
+/// untelemetered twin and its own replay. Returns the row.
+fn fanout_case(p: usize) -> Row {
     let a = laplacian_2d(20, 20);
     let b = vec![rhs(a.n())];
 
@@ -100,14 +101,15 @@ fn fanout_case(p: usize) -> String {
         "fanout p={p}: scheduler instruments missing"
     );
 
-    format!(
-        "{{\"case\":\"fanout\",\"ranks\":{p},\"factor_time\":\"{:.17e}\",\
-         \"solve_time\":\"{:.17e}\",\"clock_invariant\":true,\
-         \"snapshot_bytes\":{},\"snapshot_fnv\":\"{:016x}\"}}",
-        r1.factor_time,
-        r1.solve_times[0],
-        doc1.len(),
-        fnv64(&doc1),
+    Row::from(
+        Obj::new()
+            .str("case", "fanout")
+            .u64("ranks", p as u64)
+            .str("factor_time", &sci(r1.factor_time))
+            .str("solve_time", &sci(r1.solve_times[0]))
+            .bool("clock_invariant", true)
+            .u64("snapshot_bytes", doc1.len() as u64)
+            .str("snapshot_fnv", &format!("{:016x}", fnv64(&doc1))),
     )
 }
 
@@ -150,7 +152,7 @@ fn fleet_mix() -> String {
 }
 
 /// The fleet determinism gate and its row.
-fn fleet_case() -> String {
+fn fleet_case() -> Row {
     let doc1 = fleet_mix();
     let doc2 = fleet_mix();
     assert_eq!(doc1, doc2, "fleet: telemetry document not deterministic");
@@ -163,18 +165,20 @@ fn fleet_case() -> String {
         "fleet: impossible objective must raise an SloBurn health event"
     );
     let health_events = doc1.matches("\"kind\":\"slo_burn\"").count();
-    format!(
-        "{{\"case\":\"fleet\",\"tenants\":4,\"slo_burn_events\":{health_events},\
-         \"snapshot_bytes\":{},\"snapshot_fnv\":\"{:016x}\"}}",
-        doc1.len(),
-        fnv64(&doc1),
+    Row::from(
+        Obj::new()
+            .str("case", "fleet")
+            .u64("tenants", 4)
+            .u64("slo_burn_events", health_events as u64)
+            .u64("snapshot_bytes", doc1.len() as u64)
+            .str("snapshot_fnv", &format!("{:016x}", fnv64(&doc1))),
     )
 }
 
 /// Wall-clock overhead of the telemetry plane (full mode only; the value
 /// is machine-dependent, so `--check` validates the committed number
 /// against the budget instead of re-measuring).
-fn overhead_case() -> String {
+fn overhead_case() -> Row {
     let a = laplacian_2d(48, 48);
     let b = vec![rhs(a.n())];
     let runs = 9;
@@ -198,85 +202,51 @@ fn overhead_case() -> String {
     let tel = wall(true);
     let overhead_pct = ((tel / base - 1.0) * 100.0).max(0.0);
     println!("overhead: baseline {base:.4}s, telemetry {tel:.4}s ({overhead_pct:.2}%)");
-    assert!(
-        overhead_pct <= OVERHEAD_BUDGET_PCT,
-        "telemetry overhead {overhead_pct:.2}% over the {OVERHEAD_BUDGET_PCT}% budget"
-    );
-    format!(
-        "{{\"case\":\"overhead\",\"runs\":{runs},\"overhead_pct\":\"{overhead_pct:.2}\",\
-         \"budget_pct\":\"{OVERHEAD_BUDGET_PCT:.2}\"}}"
+    Row::from(
+        Obj::new()
+            .str("case", "overhead")
+            .u64("runs", runs)
+            .str("overhead_pct", &format!("{overhead_pct:.2}"))
+            .str("budget_pct", &format!("{OVERHEAD_BUDGET_PCT:.2}")),
     )
 }
 
-fn deterministic_rows() -> Vec<String> {
-    let mut rows = Vec::new();
+/// Every determinism and clock-invariance gate, no wall-clock measurement
+/// (debug builds and shared runners are too noisy): the CI PR smoke, and
+/// the rows `--check` re-derives.
+fn deterministic(_: &Args, out: &mut Rows) -> Result<(), String> {
     for p in [1, 2, 4] {
-        rows.push(fanout_case(p));
-        println!("fanout p={p}: deterministic, clock-invariant");
+        out.push(fanout_case(p));
     }
-    rows.push(fleet_case());
-    println!("fleet mix: deterministic, slo burn visible");
-    rows
+    out.push(fleet_case());
+    Ok(())
 }
 
-fn bench_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_telemetry.json")
+/// The recorded overhead figure must be inside the budget. `--check`
+/// reads the committed one: it was measured by the full sweep, and
+/// re-measuring there would flake.
+fn gate(rows: &[Row]) -> Result<String, String> {
+    let row = rows.iter().find(|r| r.text("case") == Ok("overhead"));
+    let pct = row.ok_or("overhead row missing")?.f64("overhead_pct")?;
+    if pct > OVERHEAD_BUDGET_PCT {
+        return Err(format!(
+            "telemetry overhead {pct}% over the {OVERHEAD_BUDGET_PCT}% budget"
+        ));
+    }
+    Ok(format!("committed overhead {pct}%"))
 }
 
-fn render(rows: &[String]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(out, "{row}{sep}");
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-
-    if quick {
-        // CI PR smoke: every determinism/clock gate, no wall-clock
-        // measurement (debug builds and shared runners are too noisy).
-        deterministic_rows();
-        println!("quick gate passed");
-        return;
-    }
-
-    if check {
-        let committed =
-            std::fs::read_to_string(bench_path()).expect("BENCH_telemetry.json not committed");
-        for row in deterministic_rows() {
-            assert!(
-                committed.contains(&row),
-                "row drifted from committed BENCH_telemetry.json:\n{row}"
-            );
-        }
-        // The committed overhead figure must be inside the budget. It was
-        // measured by the full sweep; re-measuring here would flake.
-        let tag = "{\"case\":\"overhead\"";
-        let line = committed
-            .lines()
-            .find(|l| l.starts_with(tag))
-            .expect("overhead row missing from BENCH_telemetry.json");
-        let key = "\"overhead_pct\":\"";
-        let at = line.find(key).expect("overhead_pct present") + key.len();
-        let end = at + line[at..].find('"').expect("terminated");
-        let pct: f64 = line[at..end].parse().expect("overhead percentage");
-        assert!(
-            pct <= OVERHEAD_BUDGET_PCT,
-            "committed overhead {pct}% over the {OVERHEAD_BUDGET_PCT}% budget"
-        );
-        println!("check gate passed (committed overhead {pct}%)");
-        return;
-    }
-
-    // Full sweep: deterministic rows plus the measured overhead.
-    let mut rows = deterministic_rows();
-    rows.push(overhead_case());
-    std::fs::write(bench_path(), render(&rows)).expect("write BENCH_telemetry.json");
-    println!("wrote {} rows to BENCH_telemetry.json", rows.len());
+fn main() -> std::process::ExitCode {
+    gate::run(&Suite {
+        file: "BENCH_telemetry.json",
+        flags: &[],
+        quick: deterministic,
+        cheap: deterministic,
+        full: |args, out| {
+            deterministic(args, out)?;
+            out.push(overhead_case());
+            Ok(())
+        },
+        gate,
+    })
 }

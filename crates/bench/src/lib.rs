@@ -10,6 +10,10 @@
 //! | `fig6_opcounts` | Fig. 6 — CPU vs GPU BLAS/LAPACK call distribution |
 //! | `scaling` | Figs. 7–12 — strong scaling of factorization & solve, symPACK vs the right-looking baseline |
 //! | `ablation` | §5.3/§6 design-choice studies: 2D vs 1D mapping, RTQ policies, offload thresholds, memory kinds |
+//!
+//! The binaries that gate a committed `BENCH_*.json` run on [`gate`].
+
+pub mod gate;
 
 use sympack_sparse::gen;
 use sympack_sparse::SparseSym;

@@ -1,0 +1,55 @@
+//! A mistyped flag must not fall through to the full sweep: every binary on
+//! the shared argument parser prints its usage, exits 2, runs no case and
+//! leaves the committed file alone.
+
+use std::path::Path;
+use std::process::Command;
+
+fn run(exe: &str, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(exe).args(args).output().expect("spawn");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn unknown_flag_exits_2_before_any_work_or_write() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let bins = [
+        (env!("CARGO_BIN_EXE_scaling_bench"), "BENCH_scaling.json"),
+        (env!("CARGO_BIN_EXE_blr_bench"), "BENCH_blr.json"),
+        (env!("CARGO_BIN_EXE_fleet_bench"), "BENCH_fleet.json"),
+        (
+            env!("CARGO_BIN_EXE_telemetry_bench"),
+            "BENCH_telemetry.json",
+        ),
+        (env!("CARGO_BIN_EXE_kernel_roofline"), "BENCH_kernels.json"),
+    ];
+    for (exe, file) in bins {
+        let mtime = || {
+            std::fs::metadata(root.join(file))
+                .unwrap()
+                .modified()
+                .unwrap()
+        };
+        let before = mtime();
+        for args in [&["--chek"][..], &["--check", "--bogus"], &["quick"]] {
+            let (code, stdout, stderr) = run(exe, args);
+            assert_eq!(code, Some(2), "{exe} {args:?}: {stderr}");
+            assert!(stderr.contains("unknown argument"), "{exe}: {stderr}");
+            assert!(stderr.contains("usage:"), "{exe}: {stderr}");
+            assert_eq!(stdout, "", "{exe} {args:?} did some work");
+        }
+        assert_eq!(mtime(), before, "{exe} touched {file}");
+    }
+}
+
+#[test]
+fn a_value_flag_without_its_value_is_a_usage_error() {
+    let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_fleet_bench"), &["--metrics-json"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--metrics-json needs a value"), "{stderr}");
+    assert_eq!(stdout, "");
+}

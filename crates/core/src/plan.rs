@@ -126,6 +126,11 @@ pub fn pattern_hash(a: &SparseSym) -> u64 {
 /// BLR compression is numeric-only too — it changes how factored panels are
 /// *stored*, not the symbolic structure — so an exact (`tol = 0`) and an
 /// approximate (`tol > 0`) tenant of the same pattern share one plan.
+///
+/// The grid enters as `pr` and `pc` only: [`ProcGrid::map`] is the paper's
+/// `(i mod pr)·pc + (j mod pc)` and nothing else, so `pr × pc` determines
+/// every block's owner. A placement policy that made two grids of the same
+/// shape own blocks differently would have to be folded in here.
 pub fn plan_cache_key(pattern: u64, opts: &SolverOptions) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_eat(&mut h, pattern);

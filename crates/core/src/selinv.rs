@@ -129,7 +129,7 @@ pub fn selected_inverse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sympack_dense::Mat;
+    use sympack_dense::{KernelConfig, Mat};
     use sympack_sparse::gen::{laplacian_2d, random_spd};
 
     /// Dense inverse oracle via Cholesky.
@@ -141,7 +141,7 @@ mod tests {
                 m[(r, c)] = a.get(r, c);
             }
         }
-        sympack_dense::potrf(&mut m).unwrap();
+        sympack_dense::potrf_cfg(&KernelConfig::default(), &mut m).unwrap();
         m.zero_upper();
         // Solve for each unit vector.
         let mut inv = Mat::zeros(n, n);

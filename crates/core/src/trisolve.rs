@@ -613,7 +613,7 @@ mod tests {
     fn forward_backward_substitution_invert_l() {
         let a = Mat::spd_from(7, |r, c| ((r * 3 + c) % 5) as f64 - 2.0);
         let mut l = a.clone();
-        sympack_dense::potrf(&mut l).unwrap();
+        sympack_dense::potrf_cfg(&sympack_dense::KernelConfig::default(), &mut l).unwrap();
         l.zero_upper();
         let x_true: Vec<f64> = (0..7).map(|i| i as f64 - 3.0).collect();
         // b = L·Lᵀ·x

@@ -3,7 +3,7 @@
 //! The paper's numeric factorization performs all of its arithmetic through
 //! four dense routines applied to supernode blocks:
 //!
-//! * [`potrf()`] — Cholesky factorization of a dense diagonal block
+//! * [`potrf_cfg`] — Cholesky factorization of a dense diagonal block
 //!   (LAPACK `POTRF`), used by *Diagonal Factorization* tasks `D(i)`.
 //! * [`trsm_right_lower_trans_cfg`] — triangular solve `X · Lᵀ = B`
 //!   (BLAS `TRSM`), used by *Factorization* tasks `F(i,j)`.
@@ -62,7 +62,7 @@ pub use gemm::gemm_nt_cfg;
 pub use lowrank::{compress, recompress, BlockRef, BlrConfig, LowRankMat};
 pub use mat::Mat;
 pub use panel::{gemm_nn_acc_cfg, gemm_tn_acc_cfg};
-pub use potrf::{potrf, potrf_cfg};
+pub use potrf::potrf_cfg;
 pub use syrk::syrk_lower_cfg;
 pub use trsm::trsm_right_lower_trans_cfg;
 

@@ -175,14 +175,6 @@ pub fn potrf_cfg(cfg: &KernelConfig, a: &mut Mat) -> Result<(), DenseError> {
     potrf_raw(cfg, a.as_mut_slice(), lda, n)
 }
 
-/// In-place blocked lower Cholesky of a [`Mat`] under the default config.
-///
-/// # Errors
-/// Same as [`potrf_cfg`].
-pub fn potrf(a: &mut Mat) -> Result<(), DenseError> {
-    potrf_cfg(&KernelConfig::default(), a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +219,7 @@ mod tests {
     fn detects_indefinite_matrix_at_correct_column() {
         let mut a = Mat::eye(100);
         a[(73, 73)] = -4.0;
-        match potrf(&mut a) {
+        match potrf_cfg(&KernelConfig::default(), &mut a) {
             Err(DenseError::NotPositiveDefinite { column }) => assert_eq!(column, 73),
             other => panic!("expected failure, got {other:?}"),
         }
@@ -237,7 +229,7 @@ mod tests {
     fn detects_semidefinite_matrix() {
         // Rank-1 matrix: ones everywhere — fails at column 1.
         let mut a = Mat::from_fn(5, 5, |_, _| 1.0);
-        match potrf(&mut a) {
+        match potrf_cfg(&KernelConfig::default(), &mut a) {
             Err(DenseError::NotPositiveDefinite { column }) => assert_eq!(column, 1),
             other => panic!("expected failure, got {other:?}"),
         }
@@ -253,7 +245,7 @@ mod tests {
             }
         }
         // Mirror lower values so the matrix used is the lower triangle.
-        potrf(&mut a).unwrap();
+        potrf_cfg(&KernelConfig::default(), &mut a).unwrap();
         for j in 1..10 {
             for i in 0..j {
                 assert_eq!(a[(i, j)], 777.0);

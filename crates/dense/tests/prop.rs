@@ -4,7 +4,7 @@
 
 use sympack_dense::naive::{gemm_ref, potrf_ref, syrk_ref, trsm_ref};
 use sympack_dense::{
-    gemm_nt_cfg, potrf, syrk_lower_cfg, trsm_right_lower_trans_cfg, KernelConfig, Mat,
+    gemm_nt_cfg, potrf_cfg, syrk_lower_cfg, trsm_right_lower_trans_cfg, KernelConfig, Mat,
 };
 
 struct Rng(u64);
@@ -44,7 +44,7 @@ fn potrf_reconstructs_random_spd() {
             a[(i, i)] += n as f64 * 10.0 + 1.0;
         }
         let a0 = a.clone();
-        potrf(&mut a).unwrap();
+        potrf_cfg(&KernelConfig::default(), &mut a).unwrap();
         a.zero_upper();
         let recon = a.matmul(&a.transpose());
         let scale = a0.fro_norm().max(1.0);
@@ -64,7 +64,7 @@ fn blocked_potrf_agrees_with_reference() {
             a[(i, i)] += n as f64 * 10.0 + 1.0;
         }
         let mut blocked = a.clone();
-        potrf(&mut blocked).unwrap();
+        potrf_cfg(&KernelConfig::default(), &mut blocked).unwrap();
         blocked.zero_upper();
         let reference = potrf_ref(&a).unwrap();
         assert!(blocked.max_abs_diff(&reference) < 1e-8);

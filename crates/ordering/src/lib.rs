@@ -18,13 +18,12 @@
 
 pub mod metrics;
 pub mod minimum_degree;
-pub mod multilevel;
 pub mod nd;
 pub mod perm;
 pub mod rcm;
 
 pub use minimum_degree::min_degree;
-pub use nd::{nested_dissection, NdOptions, SeparatorStrategy};
+pub use nd::{nested_dissection, NdOptions};
 pub use perm::Permutation;
 pub use rcm::rcm;
 

@@ -14,40 +14,17 @@ use crate::rcm::pseudo_peripheral;
 use sympack_sparse::graph::{BfsScratch, Graph};
 use sympack_sparse::SparseSym;
 
-/// How separators are computed inside the recursion.
-///
-/// Measured on this workspace's three evaluation problems (see the
-/// `ordering_quality` bench binary), the level-set separators win on the
-/// mesh-like matrices — BFS levels of a near-planar mesh are already
-/// near-optimal cuts — so they are the default. The multilevel scheme is
-/// the algorithmically faithful Scotch analogue and is kept selectable; its
-/// refinement is a single-move greedy FM, which does not yet recover
-/// level-set quality on regular meshes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeparatorStrategy {
-    /// Middle BFS level from a pseudo-peripheral vertex (default).
-    LevelSet,
-    /// Multilevel coarsening + FM refinement (the Scotch/METIS scheme; see
-    /// [`crate::multilevel`]).
-    Multilevel,
-}
-
 /// Tuning knobs for the dissection recursion.
 #[derive(Debug, Clone)]
 pub struct NdOptions {
     /// Subgraphs at or below this size are ordered with minimum degree
     /// instead of being dissected further.
     pub leaf_size: usize,
-    /// Separator algorithm.
-    pub strategy: SeparatorStrategy,
 }
 
 impl Default for NdOptions {
     fn default() -> Self {
-        NdOptions {
-            leaf_size: 64,
-            strategy: SeparatorStrategy::LevelSet,
-        }
+        NdOptions { leaf_size: 64 }
     }
 }
 
@@ -119,13 +96,7 @@ fn dissect(
         }
         return;
     }
-    let sep_result = match opts.strategy {
-        SeparatorStrategy::Multilevel => crate::multilevel::multilevel_separator(g, &vertices)
-            .or_else(|| level_set_separator(g, &vertices, &scratch.mask, &scratch.bfs)),
-        SeparatorStrategy::LevelSet => {
-            level_set_separator(g, &vertices, &scratch.mask, &scratch.bfs)
-        }
-    };
+    let sep_result = level_set_separator(g, &vertices, &scratch.mask, &scratch.bfs);
     scratch.set_mask(&vertices, false);
     let Some((sep, left, right)) = sep_result else {
         // No usable separator (e.g. clique-like subgraph): fall back to MD.
@@ -278,13 +249,7 @@ mod tests {
     #[test]
     fn beats_natural_ordering_on_2d_grid() {
         let a = laplacian_2d(24, 24);
-        let nd = nested_dissection(
-            &a,
-            &NdOptions {
-                leaf_size: 16,
-                ..Default::default()
-            },
-        );
+        let nd = nested_dissection(&a, &NdOptions { leaf_size: 16 });
         let nd_nnz = factor_nnz(&a, &nd);
         let nat_nnz = factor_nnz(&a, &Permutation::identity(a.n()));
         assert!(
@@ -296,13 +261,7 @@ mod tests {
     #[test]
     fn beats_natural_ordering_on_3d_grid() {
         let a = laplacian_3d(8, 8, 8);
-        let nd = nested_dissection(
-            &a,
-            &NdOptions {
-                leaf_size: 32,
-                ..Default::default()
-            },
-        );
+        let nd = nested_dissection(&a, &NdOptions { leaf_size: 32 });
         let nd_nnz = factor_nnz(&a, &nd);
         let nat_nnz = factor_nnz(&a, &Permutation::identity(a.n()));
         assert!(nd_nnz < nat_nnz, "nd {nd_nnz} vs natural {nat_nnz}");
@@ -311,13 +270,7 @@ mod tests {
     #[test]
     fn handles_irregular_graphs() {
         let a = thermal_like(15, 15, 0.4, 5);
-        let p = nested_dissection(
-            &a,
-            &NdOptions {
-                leaf_size: 10,
-                ..Default::default()
-            },
-        );
+        let p = nested_dissection(&a, &NdOptions { leaf_size: 10 });
         p.validate().unwrap();
     }
 

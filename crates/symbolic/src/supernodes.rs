@@ -68,11 +68,6 @@ impl SupernodePartition {
     pub fn cols(&self, s: usize) -> std::ops::Range<usize> {
         self.sn_start[s]..self.sn_start[s + 1]
     }
-
-    /// The start array (length `n_supernodes + 1`).
-    pub fn starts(&self) -> &[usize] {
-        &self.sn_start
-    }
 }
 
 /// Detect fundamental supernodes from the elimination tree and column

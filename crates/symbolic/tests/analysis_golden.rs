@@ -39,9 +39,11 @@ fn fingerprint(plan: &SymbolicPlan, opts: &SolverOptions) -> u64 {
     for &old in sf.perm.as_slice() {
         eat(&mut h, old as u64);
     }
-    for &s in sf.partition.starts() {
-        eat(&mut h, s as u64);
+    // The partition's start array: every first column, then `n`.
+    for s in 0..sf.n_supernodes() {
+        eat(&mut h, sf.partition.first_col(s) as u64);
     }
+    eat(&mut h, sf.partition.n() as u64);
     for s in 0..sf.n_supernodes() {
         let pat: &[usize] = &sf.patterns[s];
         eat(&mut h, pat.len() as u64);

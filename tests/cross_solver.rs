@@ -3,7 +3,7 @@
 
 use sympack::{SolverOptions, SymPack};
 use sympack_baseline::{baseline_factor_and_solve, BaselineOptions};
-use sympack_dense::Mat;
+use sympack_dense::{KernelConfig, Mat};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::{max_abs_diff, test_rhs};
 use sympack_sparse::SparseSym;
@@ -17,7 +17,7 @@ fn dense_solve(a: &SparseSym, b: &[f64]) -> Vec<f64> {
             m[(r, c)] = a.get(r, c);
         }
     }
-    sympack_dense::potrf(&mut m).expect("oracle requires SPD");
+    sympack_dense::potrf_cfg(&KernelConfig::default(), &mut m).expect("oracle requires SPD");
     m.zero_upper();
     let mut rhs = b.to_vec();
     sympack::trisolve::forward_subst(&m, &mut rhs);
