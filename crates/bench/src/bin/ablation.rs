@@ -14,6 +14,7 @@
 
 use sympack::{ProcGrid, RtqPolicy, SolverOptions, SymPack};
 use sympack_baseline::{baseline_factor_and_solve, fanboth_factor_and_solve, BaselineOptions};
+use sympack_bench::gate::Args;
 use sympack_bench::{fmt_secs, render_table, Problem};
 use sympack_gpu::OffloadThresholds;
 use sympack_pgas::MemKindsMode;
@@ -34,7 +35,7 @@ fn best_of<T>(mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).has("--quick");
     let problem = Problem::Flan;
     let a = if quick {
         problem.matrix_quick()

@@ -3,12 +3,13 @@
 //! offload thresholds, rank-0 data (as in the paper).
 
 use sympack::{SolverOptions, SymPack};
+use sympack_bench::gate::Args;
 use sympack_bench::{render_table, Problem};
 use sympack_gpu::Op;
 use sympack_sparse::vecops::test_rhs;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).has("--quick");
     let p = Problem::Flan;
     let a = if quick { p.matrix_quick() } else { p.matrix() };
     let b = test_rhs(a.n());

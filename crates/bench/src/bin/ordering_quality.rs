@@ -2,11 +2,12 @@
 //! on the three evaluation problems — the study motivating the paper's use
 //! of a nested-dissection ordering.
 
+use sympack_bench::gate::Args;
 use sympack_bench::{render_table, Problem};
 use sympack_ordering::{metrics, min_degree, nested_dissection, rcm, NdOptions, Permutation};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).has("--quick");
     for p in Problem::ALL {
         let a = if quick { p.matrix_quick() } else { p.matrix() };
         println!("\n=== {} (n={}) ===", p.name(), a.n());

@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 use sympack::{SolverOptions, SymPack};
+use sympack_bench::gate::Args;
 use sympack_bench::{fmt_secs, render_table, Problem};
 use sympack_service::{RhsPanel, Server, ServerConfig, Session};
 use sympack_sparse::gen::{laplacian_3d, XorShift64};
@@ -43,7 +44,7 @@ fn lower_values(a: &SparseSym) -> Vec<f64> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).has("--quick");
     let opts = SolverOptions {
         n_nodes: 2,
         ranks_per_node: 2,

@@ -6,6 +6,7 @@
 //! the solvers will see.
 
 use sympack::{SolverOptions, SymPack};
+use sympack_bench::gate::Args;
 use sympack_bench::{render_table, Problem};
 
 /// Original SuiteSparse values from the paper's Table 1.
@@ -19,7 +20,7 @@ fn paper_values(p: Problem) -> (u64, u64) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).has("--quick");
     let mut rows = vec![vec![
         "Name".to_string(),
         "Description".to_string(),

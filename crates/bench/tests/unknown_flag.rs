@@ -46,6 +46,29 @@ fn unknown_flag_exits_2_before_any_work_or_write() {
     }
 }
 
+/// The report binaries take `--quick` only; a mistyped one used to run the
+/// minutes-long full sweep.
+#[test]
+fn report_binaries_reject_a_mistyped_quick() {
+    let bins = [
+        env!("CARGO_BIN_EXE_analysis_stats"),
+        env!("CARGO_BIN_EXE_ordering_quality"),
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_fig6_opcounts"),
+        env!("CARGO_BIN_EXE_ablation"),
+        env!("CARGO_BIN_EXE_session_amortization"),
+    ];
+    for exe in bins {
+        for args in [&["--quik"][..], &["--quick", "--bogus"], &["quick"]] {
+            let (code, stdout, stderr) = run(exe, args);
+            assert_eq!(code, Some(2), "{exe} {args:?}: {stderr}");
+            assert!(stderr.contains("unknown argument"), "{exe}: {stderr}");
+            assert!(stderr.contains("usage: [--quick]"), "{exe}: {stderr}");
+            assert_eq!(stdout, "", "{exe} {args:?} did some work");
+        }
+    }
+}
+
 #[test]
 fn a_value_flag_without_its_value_is_a_usage_error() {
     let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_fleet_bench"), &["--metrics-json"]);

@@ -4,7 +4,8 @@
 //! (shared-heap hosting, delivery closures, relays) and the stall-aware
 //! loop; `sympack::update` owns the update product + scatter. The engine
 //! files — the fan-out, the solve and the three baselines — must not define
-//! or reach around any of them. This test scans their sources.
+//! or reach around any of them. This test scans their sources, and scans
+//! every shipping source for the places a thread is started.
 
 use std::path::{Path, PathBuf};
 
@@ -86,6 +87,56 @@ fn engines_contain_no_copy_of_the_shared_skeleton() {
             "`{needle}` must appear in {home} only, found in {found:?}"
         );
     }
+}
+
+/// One parallelism (DESIGN.md §9): a rank is a thread of
+/// `pgas::Runtime::run`, and the only other threads in shipping code are the
+/// analysis prologue's two forks — nested dissection's right half and the
+/// pattern hash beside the symbolic analysis. Test modules may start threads.
+#[test]
+fn threads_start_only_in_the_runtime_and_the_analysis_forks() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = rust_sources(&root.join("examples"));
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        files.extend(rust_sources(&krate.expect("dir entry").path().join("src")));
+    }
+    assert!(files.len() > 50, "scan looks wrong: {} files", files.len());
+    let mut starts = Vec::new();
+    for file in &files {
+        let text = read(file);
+        let shipping = text
+            .split("#[cfg(test)]\nmod ")
+            .next()
+            .expect("non-test part");
+        for needle in [
+            "thread::scope",
+            "thread::spawn",
+            "thread::Builder",
+            "use std::thread",
+        ] {
+            for (at, _) in shipping.match_indices(needle) {
+                // The function the thread is started from.
+                let head = &shipping[..at];
+                let name = head.rfind("fn ").map_or("?", |f| {
+                    let rest = &head[f + 3..];
+                    let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+                    &rest[..end.unwrap_or(rest.len())]
+                });
+                let path = file.strip_prefix(&root).expect("walked from the root");
+                starts.push(format!("{} {name}", path.display()));
+            }
+        }
+    }
+    starts.sort();
+    assert_eq!(
+        starts,
+        [
+            "crates/core/src/plan.rs build",
+            "crates/ordering/src/nd.rs dissect",
+            "crates/pgas/src/runtime.rs run",
+        ],
+        "a thread is started outside the runtime and the two analysis forks"
+    );
 }
 
 /// The solve runs over the plan's compiled `SolveTasks` and nothing else:

@@ -23,7 +23,7 @@ pub mod perm;
 pub mod rcm;
 
 pub use minimum_degree::min_degree;
-pub use nd::{nested_dissection, NdOptions};
+pub use nd::{nested_dissection, NdOptions, FORK_MIN};
 pub use perm::Permutation;
 pub use rcm::rcm;
 
@@ -45,11 +45,21 @@ pub enum OrderingKind {
 
 /// Compute the requested ordering for a symmetric matrix.
 pub fn compute_ordering(a: &SparseSym, kind: OrderingKind) -> Permutation {
+    compute_ordering_on(a, kind, 1)
+}
+
+/// [`compute_ordering`] on up to `workers` threads, the calling thread
+/// included. Only nested dissection forks (its two halves below a separator
+/// are independent, see [`mod@nd`]); the permutation is the same for every
+/// worker count, and at one worker nothing is spawned.
+pub fn compute_ordering_on(a: &SparseSym, kind: OrderingKind, workers: usize) -> Permutation {
     match kind {
         OrderingKind::Natural => Permutation::identity(a.n()),
         OrderingKind::Rcm => rcm(a),
         OrderingKind::MinDegree => min_degree(a),
-        OrderingKind::NestedDissection => nested_dissection(a, &NdOptions::default()),
+        OrderingKind::NestedDissection => {
+            nd::nested_dissection_on(a, &NdOptions::default(), workers)
+        }
     }
 }
 

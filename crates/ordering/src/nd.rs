@@ -7,6 +7,13 @@
 //! from the middle BFS level of a pseudo-peripheral traversal and thinned to
 //! the vertices actually adjacent to the far side — a level-set separator,
 //! the classical construction.
+//!
+//! The two halves below a separator are independent, so with more than one
+//! worker ([`crate::compute_ordering_on`]) the recursion orders the right half
+//! of a subgraph larger than [`FORK_MIN`] on a scoped thread while the calling
+//! thread orders the left. Each half writes its own output and the pieces are
+//! concatenated in the serial order — left, right, separator — so the
+//! permutation is the same for every worker count.
 
 use crate::minimum_degree::min_degree_graph;
 use crate::perm::Permutation;
@@ -28,13 +35,26 @@ impl Default for NdOptions {
     }
 }
 
+/// Subgraphs of at most this many vertices are never split across threads:
+/// ordering one costs a few milliseconds at most, so a thread spawn and an
+/// O(n) scratch would be a visible share of it.
+pub const FORK_MIN: usize = 1024;
+
 /// Compute a nested-dissection permutation (`perm[new] = old`).
 pub fn nested_dissection(a: &SparseSym, opts: &NdOptions) -> Permutation {
+    nested_dissection_on(a, opts, 1)
+}
+
+/// [`nested_dissection`] on up to `workers` threads (the calling thread
+/// included). The result does not depend on `workers`; at one worker nothing
+/// is spawned.
+pub(crate) fn nested_dissection_on(a: &SparseSym, opts: &NdOptions, workers: usize) -> Permutation {
     let g = Graph::from_sym(a);
     let n = g.n();
     let mut order = Vec::with_capacity(n);
     let vertices: Vec<usize> = (0..n).collect();
-    dissect(&g, vertices, opts, &mut Scratch::new(n), &mut order);
+    let mut scratch = Scratch::new(n);
+    dissect(&g, vertices, opts, workers, &mut scratch, &mut order);
     debug_assert_eq!(order.len(), n);
     Permutation::from_vec(order)
 }
@@ -70,11 +90,12 @@ impl Scratch {
 }
 
 /// Recursively order `vertices` (a subset of `g`'s vertex set), appending the
-/// resulting order (old indices) to `out`.
+/// resulting order (old indices) to `out`, on up to `workers` threads.
 fn dissect(
     g: &Graph,
     vertices: Vec<usize>,
     opts: &NdOptions,
+    workers: usize,
     scratch: &mut Scratch,
     out: &mut Vec<usize>,
 ) {
@@ -92,7 +113,7 @@ fn dissect(
         let comps = masked_components(g, &vertices, &scratch.mask, &mut scratch.seen);
         scratch.set_mask(&vertices, false);
         for comp in comps {
-            dissect(g, comp, opts, scratch, out);
+            dissect(g, comp, opts, workers, scratch, out);
         }
         return;
     }
@@ -103,8 +124,25 @@ fn dissect(
         order_leaf(g, &vertices, &mut scratch.local, out);
         return;
     };
-    dissect(g, left, opts, scratch, out);
-    dissect(g, right, opts, scratch, out);
+    if workers > 1 && vertices.len() > FORK_MIN {
+        // The right half gets its own scratch and output and half the
+        // budget; the caller keeps the rest for the left half.
+        let right_workers = workers / 2;
+        let right_order = std::thread::scope(|s| {
+            let forked = s.spawn(|| {
+                let mut own = Vec::with_capacity(right.len());
+                let mut scratch = Scratch::new(g.n());
+                dissect(g, right, opts, right_workers, &mut scratch, &mut own);
+                own
+            });
+            dissect(g, left, opts, workers - right_workers, scratch, out);
+            forked.join().expect("the right half's ordering panicked")
+        });
+        out.extend_from_slice(&right_order);
+    } else {
+        dissect(g, left, opts, workers, scratch, out);
+        dissect(g, right, opts, workers, scratch, out);
+    }
     out.extend_from_slice(&sep);
 }
 
