@@ -426,12 +426,26 @@ impl LocalTasks {
             .collect();
         seeds.sort_by_key(|&t| keys[t as usize].seed_key());
 
-        // Fan-out destinations of every owned block.
+        // Fan-out destinations of every owned block, appended straight to
+        // `dests`: `listed` flags the ranks already in the current block's
+        // run and is cleared after it, so no block allocates.
         let mut dest_ptr = vec![0u32; n_owned + 1];
         let mut dests = Vec::new();
         if grid.n_procs() > 1 {
+            let mut listed = vec![false; grid.n_procs()];
+            listed[rank] = true;
             for (l, &(i, j)) in blocks[..n_owned].iter().enumerate() {
-                dests.extend(fanout_dests(sf, grid, rank, i, j));
+                let start = dests.len();
+                for_each_consumer_owner(sf, grid, i, j, |r| {
+                    if !listed[r] {
+                        listed[r] = true;
+                        dests.push(r);
+                    }
+                });
+                dests[start..].sort_unstable();
+                for &r in &dests[start..] {
+                    listed[r] = false;
+                }
                 dest_ptr[l + 1] = dests.len() as u32;
             }
         }
@@ -497,7 +511,8 @@ impl LocalTasks {
 }
 
 /// The destination ranks a factored block must be fanned out to
-/// (the paper's `P_F(i,j)` and `P_D(i)` sets, §3.3).
+/// (the paper's `P_F(i,j)` and `P_D(i)` sets, §3.3), ascending.
+/// [`LocalTasks::dests_of`] holds the same list for every owned block.
 pub fn fanout_dests(
     sf: &SymbolicFactor,
     grid: &ProcGrid,
@@ -505,11 +520,26 @@ pub fn fanout_dests(
     i: usize,
     j: usize,
 ) -> Vec<usize> {
-    let mut dests = Vec::new();
+    let mut owners = Vec::new();
+    for_each_consumer_owner(sf, grid, i, j, |r| owners.push(r));
+    let mut dests = distinct_owners(owners);
+    dests.retain(|&d| d != rank);
+    dests
+}
+
+/// Calls `visit` with the owner of every task consuming factored block
+/// `L(i,j)`, repeats included.
+fn for_each_consumer_owner(
+    sf: &SymbolicFactor,
+    grid: &ProcGrid,
+    i: usize,
+    j: usize,
+    mut visit: impl FnMut(usize),
+) {
     if i == j {
         // Diagonal factor L(j,j): needed by panel tasks F(t,j).
         for b in sf.layout.blocks_of(j) {
-            dests.push(grid.map(b.target, j));
+            visit(grid.map(b.target, j));
         }
     } else {
         // Panel factor L(i,j): needed by updates U(i,j,b) for targets b ≤ i
@@ -517,16 +547,13 @@ pub fn fanout_dests(
         for b in sf.layout.blocks_of(j) {
             let t = b.target;
             if t <= i {
-                dests.push(grid.map(i, t));
+                visit(grid.map(i, t));
             }
             if t >= i {
-                dests.push(grid.map(t, i));
+                visit(grid.map(t, i));
             }
         }
     }
-    let mut dests = distinct_owners(dests);
-    dests.retain(|&d| d != rank);
-    dests
 }
 
 #[cfg(test)]

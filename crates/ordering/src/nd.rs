@@ -15,7 +15,7 @@
 //! concatenated in the serial order — left, right, separator — so the
 //! permutation is the same for every worker count.
 
-use crate::minimum_degree::min_degree_graph;
+use crate::minimum_degree::{min_degree_graph, min_degree_masks, MASK_MAX};
 use crate::perm::Permutation;
 use crate::rcm::pseudo_peripheral;
 use sympack_sparse::graph::{BfsScratch, Graph};
@@ -146,32 +146,42 @@ fn dissect(
     out.extend_from_slice(&sep);
 }
 
-/// Order a leaf subgraph with minimum degree on the induced subgraph.
+/// Order a leaf subgraph with minimum degree on the induced subgraph: on
+/// `u64` adjacency masks filled straight from `g` up to [`MASK_MAX`]
+/// vertices, on a quotient graph above (the no-separator fallback).
 /// `local` is all `usize::MAX` on entry and on return.
 fn order_leaf(g: &Graph, vertices: &[usize], local: &mut [usize], out: &mut Vec<usize>) {
-    if vertices.len() <= 2 {
-        out.extend_from_slice(vertices);
-        return;
-    }
-    // Build the induced subgraph with local indices.
     for (li, &v) in vertices.iter().enumerate() {
         local[v] = li;
     }
-    let mut edges = Vec::new();
-    for (li, &v) in vertices.iter().enumerate() {
-        for &w in g.neighbors(v) {
-            let lw = local[w];
-            if lw != usize::MAX && lw < li {
-                edges.push((li, lw));
-            }
+    let index: &[usize] = local;
+    // The leaf-local neighbours of leaf vertex `li`.
+    let induced = move |li: usize| {
+        g.neighbors(vertices[li])
+            .iter()
+            .map(move |&w| index[w])
+            .filter(|&lw| lw != usize::MAX)
+    };
+    if vertices.len() <= MASK_MAX {
+        let mut adj = [0u64; MASK_MAX];
+        for (li, mask) in adj[..vertices.len()].iter_mut().enumerate() {
+            *mask = induced(li).fold(0, |m, lw| m | 1 << lw);
         }
+        min_degree_masks(&mut adj[..vertices.len()], |li| out.push(vertices[li]));
+    } else {
+        let edges: Vec<(usize, usize)> = (0..vertices.len())
+            .flat_map(|li| {
+                induced(li)
+                    .filter(move |&lw| lw < li)
+                    .map(move |lw| (li, lw))
+            })
+            .collect();
+        let p = min_degree_graph(&Graph::from_edges(vertices.len(), &edges));
+        out.extend(p.as_slice().iter().map(|&li| vertices[li]));
     }
     for &v in vertices {
         local[v] = usize::MAX;
     }
-    let sub = Graph::from_edges(vertices.len(), &edges);
-    let p = min_degree_graph(&sub);
-    out.extend(p.as_slice().iter().map(|&li| vertices[li]));
 }
 
 /// Connected components of the masked subgraph. `seen` is all-false on entry
