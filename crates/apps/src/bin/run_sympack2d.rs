@@ -14,8 +14,8 @@
 //! nested-dissection implementation (the algorithm Scotch provides).
 
 use std::process::ExitCode;
-use sympack::{SolverOptions, SymPack};
-use sympack_baseline::{baseline_factor_and_solve, BaselineOptions};
+use sympack::{MultiSolveReport, SolverError, SolverOptions, SymPack};
+use sympack_baseline::try_baseline_factor_and_solve_multi;
 use sympack_ordering::OrderingKind;
 use sympack_sparse::{gen, SparseSym};
 
@@ -151,21 +151,6 @@ fn main() -> ExitCode {
                 .collect()
         })
         .collect();
-    if args.baseline {
-        let opts = BaselineOptions {
-            ordering: args.ordering,
-            n_nodes: args.nodes,
-            ranks_per_node: args.ppn,
-            gpu: args.gpu,
-            ..Default::default()
-        };
-        let r = baseline_factor_and_solve(&a, &bs[0], &opts);
-        println!("solver: right-looking baseline (PaStiX-like), 1D mapping");
-        println!("factorization time: {:.6} s (modeled)", r.factor_time);
-        println!("solve time:         {:.6} s (modeled)", r.solve_time);
-        println!("relative residual:  {:.3e}", r.relative_residual);
-        return ExitCode::SUCCESS;
-    }
     let opts = SolverOptions {
         ordering: args.ordering,
         n_nodes: args.nodes,
@@ -173,9 +158,17 @@ fn main() -> ExitCode {
         gpu: args.gpu,
         ..Default::default()
     };
-    match SymPack::try_factor_and_solve_multi(&a, &bs, &opts) {
+    type Run = fn(&SparseSym, &[Vec<f64>], &SolverOptions) -> Result<MultiSolveReport, SolverError>;
+    let (solver, run): (&str, Run) = if args.baseline {
+        let name = "right-looking baseline (PaStiX-like), 1D mapping";
+        (name, try_baseline_factor_and_solve_multi)
+    } else {
+        let name = "symPACK-rs (fan-out, 2D block-cyclic)";
+        (name, SymPack::try_factor_and_solve_multi)
+    };
+    match run(&a, &bs, &opts) {
         Ok(r) => {
-            println!("solver: symPACK-rs (fan-out, 2D block-cyclic)");
+            println!("solver: {solver}");
             println!(
                 "supernodes: {}, nnz(L) = {}, flops = {:.3e}",
                 r.n_supernodes, r.l_nnz, r.flops as f64

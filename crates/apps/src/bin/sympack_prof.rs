@@ -1,8 +1,8 @@
 //! `sympack-prof` — offline analyzer for solver flight-recorder profiles.
 //!
-//! Consumes the Profile JSON documents the solvers emit when run with
-//! tracing on (`SolverOptions::trace` / `BaselineOptions::trace`, or the
-//! `timeline` bench's `--profile-json` flag):
+//! Consumes the Profile JSON documents every engine — the fan-out and the
+//! three baselines alike — emits when run with `SolverOptions::trace` on (or
+//! the `timeline` bench's `--profile-json` flag):
 //!
 //! ```text
 //! sympack-prof report profile.json [--top N]       text report to stdout

@@ -23,15 +23,17 @@
 //! bench isolates the communication family.
 
 use crate::column::add_block;
-use crate::rightlooking::{core_for, run, BaselineOptions, BaselineReport};
+use crate::rightlooking::core_for;
+use crate::run;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
+use sympack::plan::{EngineFamily, SolvePlan};
 use sympack::sched::{self, Core, Engine, FetchMode, TaskEngine};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
-use sympack::{SolverError, TaskKey};
+use sympack::{SolveReport, SolverError, SolverOptions, TaskKey};
 use sympack_dense::{BlockRef, Mat};
 use sympack_gpu::KernelEngine;
 use sympack_pgas::{Payload, Rank};
@@ -103,15 +105,13 @@ fn factored<'a>(
 
 impl FbEngine {
     fn new(
-        sf: &Arc<SymbolicFactor>,
+        plan: &SolvePlan,
         ap: &SparseSym,
-        grid: ProcGrid,
         rank: usize,
         kernels: KernelEngine,
-        opts: &BaselineOptions,
-        abort: &Arc<AtomicBool>,
+        abort: Arc<AtomicBool>,
     ) -> Self {
-        let (sf, abort) = (Arc::clone(sf), Arc::clone(abort));
+        let (sf, grid, opts) = (Arc::clone(plan.sf()), plan.grid(), &plan.opts);
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
         let mut rt = TaskEngine::new(opts.rtq_policy, abort);
@@ -323,38 +323,30 @@ impl Engine for FbEngine {
     }
 }
 
+/// The fan-both family on the solver's run path: 2D map, one-sided
+/// transport like the fan-out, so no rendezvous in the solve.
+const FAN_BOTH: EngineFamily<FbEngine> = EngineFamily {
+    label: "fanboth",
+    msg_overhead: 0.0,
+    engine: FbEngine::new,
+};
+
 /// Factor and solve with the fan-both algorithm on a 2D grid; panics on
 /// failure (see [`try_fanboth_factor_and_solve`] for the fallible form).
-pub fn fanboth_factor_and_solve(
-    a: &SparseSym,
-    b: &[f64],
-    opts: &BaselineOptions,
-) -> BaselineReport {
+pub fn fanboth_factor_and_solve(a: &SparseSym, b: &[f64], opts: &SolverOptions) -> SolveReport {
     try_fanboth_factor_and_solve(a, b, opts).expect("fan-both factorization failed")
 }
 
 /// Factor and solve with the fan-both algorithm on a 2D grid.
 ///
 /// # Errors
-/// [`SolverError::NotPositiveDefinite`] when a pivot fails;
-/// [`SolverError::DeviceOom`] under the Abort OOM policy;
-/// [`SolverError::FetchTimeout`] / [`SolverError::Stalled`] under fault
-/// injection when the retry budget or the quiescence detector gives up.
+/// As [`crate::try_baseline_factor_and_solve_multi`].
 pub fn try_fanboth_factor_and_solve(
     a: &SparseSym,
     b: &[f64],
-    opts: &BaselineOptions,
-) -> Result<BaselineReport, SolverError> {
-    // One-sided transport, like the fan-out: no rendezvous in the solve.
-    run(
-        "fanboth",
-        ProcGrid::squarest,
-        0.0,
-        a,
-        b,
-        opts,
-        FbEngine::new,
-    )
+    opts: &SolverOptions,
+) -> Result<SolveReport, SolverError> {
+    run(&FAN_BOTH, ProcGrid::squarest, a, &[b.to_vec()], opts).map(SolveReport::from)
 }
 
 #[cfg(test)]
@@ -367,7 +359,7 @@ mod tests {
     fn fanboth_is_numerically_correct() {
         let a = laplacian_2d(9, 8);
         let b = test_rhs(a.n());
-        let r = fanboth_factor_and_solve(&a, &b, &BaselineOptions::default());
+        let r = fanboth_factor_and_solve(&a, &b, &SolverOptions::default());
         assert!(
             r.relative_residual < 1e-10,
             "residual {}",
@@ -385,7 +377,7 @@ mod tests {
             let r = fanboth_factor_and_solve(
                 &a,
                 &b,
-                &BaselineOptions {
+                &SolverOptions {
                     n_nodes: nodes,
                     ranks_per_node: ppn,
                     ..Default::default()
@@ -403,7 +395,7 @@ mod tests {
         // multi-rank grid it must not exceed the fan-out's message count.
         let a = laplacian_2d(14, 14);
         let b = test_rhs(a.n());
-        let bo = BaselineOptions {
+        let bo = SolverOptions {
             n_nodes: 4,
             ranks_per_node: 1,
             ..Default::default()

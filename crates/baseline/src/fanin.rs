@@ -17,17 +17,17 @@
 //! charge.
 
 use crate::column::{factor_column, ColumnBuf};
-use crate::rightlooking::{
-    core_for, owner_of, run, BaselineOptions, BaselineReport, RENDEZVOUS_OVERHEAD,
-};
+use crate::rightlooking::{core_for, owner_of, RENDEZVOUS_OVERHEAD};
+use crate::run;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
+use sympack::plan::{EngineFamily, SolvePlan};
 use sympack::sched::{self, Core, Engine, FetchMode, TaskEngine, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
-use sympack::SolverError;
+use sympack::{SolveReport, SolverError, SolverOptions};
 use sympack_gpu::KernelEngine;
 use sympack_pgas::{Payload, Rank};
 use sympack_sparse::SparseSym;
@@ -90,15 +90,13 @@ struct FiEngine {
 
 impl FiEngine {
     fn new(
-        sf: &Arc<SymbolicFactor>,
+        plan: &SolvePlan,
         ap: &SparseSym,
-        grid: ProcGrid,
         rank: usize,
         kernels: KernelEngine,
-        opts: &BaselineOptions,
-        abort: &Arc<AtomicBool>,
+        abort: Arc<AtomicBool>,
     ) -> Self {
-        let (sf, abort) = (Arc::clone(sf), Arc::clone(abort));
+        let (sf, grid, opts) = (Arc::clone(plan.sf()), plan.grid(), &plan.opts);
         let p = grid.n_procs();
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
@@ -260,33 +258,30 @@ impl Engine for FiEngine {
     }
 }
 
+/// The fan-in family on the solver's run path: 1D map, a rendezvous per
+/// solve message.
+const FAN_IN: EngineFamily<FiEngine> = EngineFamily {
+    label: "fanin",
+    msg_overhead: RENDEZVOUS_OVERHEAD,
+    engine: FiEngine::new,
+};
+
 /// Factor and solve with the fan-in algorithm; panics on failure (see
 /// [`try_fanin_factor_and_solve`] for the fallible form).
-pub fn fanin_factor_and_solve(a: &SparseSym, b: &[f64], opts: &BaselineOptions) -> BaselineReport {
+pub fn fanin_factor_and_solve(a: &SparseSym, b: &[f64], opts: &SolverOptions) -> SolveReport {
     try_fanin_factor_and_solve(a, b, opts).expect("fan-in factorization failed")
 }
 
 /// Factor and solve with the fan-in algorithm.
 ///
 /// # Errors
-/// [`SolverError::NotPositiveDefinite`] when a pivot fails;
-/// [`SolverError::DeviceOom`] under the Abort OOM policy;
-/// [`SolverError::FetchTimeout`] / [`SolverError::Stalled`] under fault
-/// injection when the retry budget or the quiescence detector gives up.
+/// As [`crate::try_baseline_factor_and_solve_multi`].
 pub fn try_fanin_factor_and_solve(
     a: &SparseSym,
     b: &[f64],
-    opts: &BaselineOptions,
-) -> Result<BaselineReport, SolverError> {
-    run(
-        "fanin",
-        ProcGrid::one_dimensional,
-        RENDEZVOUS_OVERHEAD,
-        a,
-        b,
-        opts,
-        FiEngine::new,
-    )
+    opts: &SolverOptions,
+) -> Result<SolveReport, SolverError> {
+    run(&FAN_IN, ProcGrid::one_dimensional, a, &[b.to_vec()], opts).map(SolveReport::from)
 }
 
 #[cfg(test)]
@@ -299,7 +294,7 @@ mod tests {
     fn fanin_is_numerically_correct() {
         let a = laplacian_2d(9, 8);
         let b = test_rhs(a.n());
-        let r = fanin_factor_and_solve(&a, &b, &BaselineOptions::default());
+        let r = fanin_factor_and_solve(&a, &b, &SolverOptions::default());
         assert!(
             r.relative_residual < 1e-10,
             "residual {}",
@@ -317,7 +312,7 @@ mod tests {
             let r = fanin_factor_and_solve(
                 &a,
                 &b,
-                &BaselineOptions {
+                &SolverOptions {
                     n_nodes: nodes,
                     ranks_per_node: ppn,
                     ..Default::default()
@@ -336,7 +331,7 @@ mod tests {
         // many supernodes.
         let a = laplacian_2d(16, 16);
         let b = test_rhs(a.n());
-        let opts = BaselineOptions {
+        let opts = SolverOptions {
             n_nodes: 4,
             ranks_per_node: 1,
             ..Default::default()

@@ -7,26 +7,23 @@
 //! ([`FetchMode::Blocking`]).
 
 use crate::column::{factor_column, ColumnBuf};
+use crate::run;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
-use sympack::plan::{self, RankOut};
+use sympack::plan::{EngineFamily, SolvePlan};
 use sympack::sched::{self, CommLayer, Core, Engine, FetchConfig, FetchMode, TaskEngine, TaskKind};
-use sympack::solve_tasks::SolveTasks;
 use sympack::storage::BlockStore;
-use sympack::trisolve::{self, SolveParams};
 use sympack::update::{apply_update, UpdateScratch};
-use sympack::{RtqPolicy, SolverError};
+use sympack::{MultiSolveReport, SolveReport, SolverError, SolverOptions};
 use sympack_dense::BlockRef;
-use sympack_gpu::{KernelEngine, OffloadThresholds, OomPolicy, OpCounts};
-use sympack_ordering::{compute_ordering, OrderingKind};
-use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
-use sympack_pgas::{FaultPlan, NetModel, Payload, PgasConfig, Rank, Runtime, StatsSnapshot};
+use sympack_gpu::KernelEngine;
+use sympack_pgas::coalesce::BcastTopology;
+use sympack_pgas::{Payload, Rank};
 use sympack_sparse::SparseSym;
-use sympack_symbolic::{analyze, AnalyzeOptions, SymbolicFactor};
-use sympack_trace::profile::Profile;
-use sympack_trace::{TraceCat, TraceEvent};
+use sympack_symbolic::SymbolicFactor;
+use sympack_trace::TraceCat;
 
 /// Per-receive rendezvous overhead of the two-sided protocol (seconds),
 /// shared by the two 1D-mapped families.
@@ -38,196 +35,13 @@ pub(crate) const RENDEZVOUS_OVERHEAD: f64 = 5.0e-6;
 /// StarPU measurements put this at several microseconds per task.
 const RUNTIME_TASK_OVERHEAD: f64 = 6.0e-6;
 
-/// Baseline run configuration (mirrors [`sympack::SolverOptions`] minus the
-/// choices the baseline doesn't have: mapping is 1D).
-#[derive(Debug, Clone)]
-pub struct BaselineOptions {
-    /// Fill-reducing ordering — the paper uses the same Scotch ordering for
-    /// both solvers, so default to nested dissection here too.
-    pub ordering: OrderingKind,
-    /// Supernode/amalgamation options (same defaults as symPACK-rs).
-    pub analyze: AnalyzeOptions,
-    /// Virtual nodes.
-    pub n_nodes: usize,
-    /// Ranks per node.
-    pub ranks_per_node: usize,
-    /// Communication cost model.
-    pub net: NetModel,
-    /// GPU offload on/off (PaStiX 6.2.2 is GPU-capable via StarPU/cuBLAS).
-    pub gpu: bool,
-    /// Optional threshold override.
-    pub thresholds: Option<OffloadThresholds>,
-    /// Ready-task-queue ordering policy of the shared runtime.
-    pub rtq_policy: RtqPolicy,
-    /// Collect a task timeline (factorization + solve).
-    pub trace: bool,
-    /// Device-OOM fallback policy on the fetch path (§4.2 semantics, shared
-    /// with the fan-out solver).
-    pub oom_policy: OomPolicy,
-    /// Per-rank device-memory quota in bytes.
-    pub device_quota: usize,
-    /// Seeded network fault injection; `None` = reliable network.
-    pub faults: Option<FaultPlan>,
-    /// Run ranks in deterministic lockstep (reproducible schedules).
-    pub deterministic: bool,
-    /// Per-destination signal coalescing (shared comm layer); `None`
-    /// keeps the historical one-RPC-per-signal wire pattern.
-    pub coalesce: Option<CoalesceConfig>,
-    /// A pre-computed symbolic factor to reuse (the plan-cache hit path):
-    /// skips ordering + analysis entirely. Must have been analyzed for the
-    /// same matrix pattern under the same `ordering`/`analyze` options —
-    /// callers obtain it from a previous run's analysis or a fleet plan
-    /// cache; with a mismatched factor the numeric phase produces garbage.
-    pub symbolic: Option<Arc<SymbolicFactor>>,
-}
-
-impl Default for BaselineOptions {
-    fn default() -> Self {
-        BaselineOptions {
-            ordering: OrderingKind::NestedDissection,
-            analyze: AnalyzeOptions::default(),
-            n_nodes: 1,
-            ranks_per_node: 2,
-            net: NetModel::default(),
-            gpu: true,
-            thresholds: None,
-            rtq_policy: RtqPolicy::Lifo,
-            trace: false,
-            oom_policy: OomPolicy::CpuFallback,
-            device_quota: usize::MAX,
-            faults: None,
-            deterministic: false,
-            coalesce: None,
-            symbolic: None,
-        }
-    }
-}
-
-/// Result of a baseline run (same shape as the symPACK report, minus
-/// solver-specific fields).
-#[derive(Debug)]
-pub struct BaselineReport {
-    /// Solution in the original ordering.
-    pub x: Vec<f64>,
-    /// `‖A·x − b‖₂ / ‖b‖₂` against the original matrix.
-    pub relative_residual: f64,
-    /// Virtual factorization makespan (seconds).
-    pub factor_time: f64,
-    /// Virtual solve makespan (seconds).
-    pub solve_time: f64,
-    /// Per-rank kernel counts.
-    pub op_counts: Vec<OpCounts>,
-    /// Communication counters.
-    pub stats: StatsSnapshot,
-    /// Task timeline across ranks (empty unless [`BaselineOptions::trace`]).
-    pub trace: Vec<TraceEvent>,
-    /// Executed tasks per kind, summed over ranks (factorization + solve).
-    pub task_counts: Vec<(String, u64)>,
-    /// Assembled flight-recorder profile (None unless
-    /// [`BaselineOptions::trace`]).
-    pub profile: Option<Profile>,
-}
-
-/// A family's engine constructor: `(sf, ap, grid, rank, kernels, opts, abort)`.
-type EngineCtor<E> = fn(
-    &Arc<SymbolicFactor>,
-    &SparseSym,
-    ProcGrid,
-    usize,
-    KernelEngine,
-    &BaselineOptions,
-    &Arc<AtomicBool>,
-) -> E;
-
-/// Factor and solve with one baseline family — the runner all three share.
-/// A family is its engine (`build`, called once per rank), the process
-/// `grid` it maps blocks with (built over the run's rank count once the
-/// options are known to be valid), the per-message rendezvous overhead
-/// (`msg_overhead`) its triangular solve pays, and the `label` of its
-/// profile. Everything after the engine's construction is the solver's one
-/// run path: [`RankOut::factor`] over the shared factor loop, the shared
-/// distributed solve, [`plan::assemble`].
-pub(crate) fn run<E: Engine>(
-    label: &'static str,
-    grid: fn(usize) -> ProcGrid,
-    msg_overhead: f64,
-    a: &SparseSym,
-    b: &[f64],
-    opts: &BaselineOptions,
-    build: EngineCtor<E>,
-) -> Result<BaselineReport, SolverError> {
-    SolverError::check_shape("rhs length", a.n(), b.len())?;
-    let p = opts.n_nodes * opts.ranks_per_node;
-    if p == 0 {
-        return Err(SolverError::InvalidOptions {
-            field: "n_nodes × ranks_per_node",
-            detail: "no ranks".into(),
-        });
-    }
-    let grid = grid(p);
-    let sf = match &opts.symbolic {
-        Some(sf) => {
-            SolverError::check_shape("symbolic factor dimension", a.n(), sf.n())?;
-            Arc::clone(sf)
-        }
-        None => Arc::new(analyze(
-            a,
-            &compute_ordering(a, opts.ordering),
-            &opts.analyze,
-        )),
-    };
-    let ap = a.permute(sf.perm.as_slice());
-    let bp = sf.perm.apply_vec(b);
-    let mut config = PgasConfig::multi_node(opts.n_nodes, opts.ranks_per_node);
-    config.net = opts.net.clone();
-    config.device_quota = opts.device_quota;
-    config.faults = opts.faults;
-    config.deterministic = opts.deterministic;
-    let mut kernels = if opts.gpu {
-        KernelEngine::new_gpu()
-    } else {
-        KernelEngine::new_cpu()
-    };
-    if let Some(t) = &opts.thresholds {
-        kernels.thresholds = t.clone();
-    }
-    let abort = Arc::new(AtomicBool::new(false));
-    // The shared solve runs over its compiled task slices, built here for
-    // this family's own grid.
-    let solve_tasks = SolveTasks::build_all(&sf, &grid);
-    let report = Runtime::run(config, |rank| {
-        plan::observe(rank, opts.trace, false);
-        let engine = build(&sf, &ap, grid, rank.id(), kernels.clone(), opts, &abort);
-        let mut out = RankOut::factor(rank, engine, opts.trace, false);
-        if !out.aborted(rank) {
-            let params = SolveParams {
-                policy: opts.rtq_policy,
-                msg_overhead,
-                trace: opts.trace,
-            };
-            let (sf, tasks) = (Arc::clone(&sf), Arc::clone(&solve_tasks[rank.id()]));
-            let k = kernels.clone();
-            let solve = trisolve::solve_panel(rank, sf, tasks, &out.store, &bp, 1, k, &params);
-            out.push_solve(solve);
-        }
-        out.finish(rank, opts.trace)
-    });
-    let mut asm = plan::assemble(&sf, report, 1, false).0?;
-    let profile = opts.trace.then(|| asm.profile(label));
-    let (xp, solve_time) = asm.solves.pop().expect("the region ran one solve");
-    let x = sf.perm.unapply_vec(&xp);
-    Ok(BaselineReport {
-        relative_residual: a.relative_residual(&x, b),
-        x,
-        factor_time: asm.factor.factor_time,
-        solve_time,
-        op_counts: asm.factor.op_counts,
-        stats: asm.factor.stats,
-        trace: asm.factor.trace,
-        task_counts: asm.task_counts,
-        profile,
-    })
-}
+/// The right-looking family on the solver's run path: a rendezvous per
+/// solve message, like every two-sided receive of the factorization.
+const RIGHT_LOOKING: EngineFamily<RlEngine> = EngineFamily {
+    label: "rightlooking",
+    msg_overhead: RENDEZVOUS_OVERHEAD,
+    engine: RlEngine::new,
+};
 
 /// The two task species of the panel-granular right-looking algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -295,7 +109,7 @@ pub(crate) fn owner_of(j: usize, p: usize) -> usize {
 pub(crate) fn core_for<K: TaskKind, M: sched::Meta>(
     rt: TaskEngine<K, sched::Signal<M>>,
     kernels: &KernelEngine,
-    opts: &BaselineOptions,
+    opts: &SolverOptions,
     mode: FetchMode,
 ) -> Core<K, M> {
     Core {
@@ -320,15 +134,13 @@ struct RlEngine {
 
 impl RlEngine {
     fn new(
-        sf: &Arc<SymbolicFactor>,
+        plan: &SolvePlan,
         ap: &SparseSym,
-        grid: ProcGrid,
         rank: usize,
         kernels: KernelEngine,
-        opts: &BaselineOptions,
-        abort: &Arc<AtomicBool>,
+        abort: Arc<AtomicBool>,
     ) -> Self {
-        let (sf, abort) = (Arc::clone(sf), Arc::clone(abort));
+        let (sf, grid, opts) = (Arc::clone(plan.sf()), plan.grid(), &plan.opts);
         let p = grid.n_procs();
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
@@ -469,36 +281,40 @@ impl Engine for RlEngine {
 
 /// Factor and solve with the right-looking baseline; panics on failure
 /// (see [`try_baseline_factor_and_solve`] for the fallible form).
-pub fn baseline_factor_and_solve(
-    a: &SparseSym,
-    b: &[f64],
-    opts: &BaselineOptions,
-) -> BaselineReport {
+pub fn baseline_factor_and_solve(a: &SparseSym, b: &[f64], opts: &SolverOptions) -> SolveReport {
     try_baseline_factor_and_solve(a, b, opts).expect("baseline factorization failed")
 }
 
 /// Factor and solve with the right-looking baseline.
 ///
 /// # Errors
+/// As [`try_baseline_factor_and_solve_multi`].
+pub fn try_baseline_factor_and_solve(
+    a: &SparseSym,
+    b: &[f64],
+    opts: &SolverOptions,
+) -> Result<SolveReport, SolverError> {
+    try_baseline_factor_and_solve_multi(a, &[b.to_vec()], opts).map(SolveReport::from)
+}
+
+/// Factor once with the right-looking baseline and solve every right-hand
+/// side of `bs` — the fan-out's multi-RHS driver with this family's engine
+/// on a 1D grid.
+///
+/// # Errors
+/// [`SolverError::InvalidOptions`] for options the solver rejects and for a
+/// `grid`, a non-flat `bcast` or an enabled `blr` (see [`crate`]);
+/// [`SolverError::ShapeMismatch`] for a mis-sized right-hand side;
 /// [`SolverError::NotPositiveDefinite`] when a pivot fails;
 /// [`SolverError::DeviceOom`] under the Abort OOM policy;
 /// [`SolverError::FetchTimeout`] / [`SolverError::Stalled`] under fault
 /// injection when the retry budget or the quiescence detector gives up.
-pub fn try_baseline_factor_and_solve(
+pub fn try_baseline_factor_and_solve_multi(
     a: &SparseSym,
-    b: &[f64],
-    opts: &BaselineOptions,
-) -> Result<BaselineReport, SolverError> {
-    // 1D grid + a rendezvous per solve message.
-    run(
-        "rightlooking",
-        ProcGrid::one_dimensional,
-        RENDEZVOUS_OVERHEAD,
-        a,
-        b,
-        opts,
-        RlEngine::new,
-    )
+    bs: &[Vec<f64>],
+    opts: &SolverOptions,
+) -> Result<MultiSolveReport, SolverError> {
+    run(&RIGHT_LOOKING, ProcGrid::one_dimensional, a, bs, opts)
 }
 
 #[cfg(test)]
@@ -514,7 +330,7 @@ mod tests {
         let one = baseline_factor_and_solve(
             &a,
             &b,
-            &BaselineOptions {
+            &SolverOptions {
                 n_nodes: 1,
                 ranks_per_node: 1,
                 ..Default::default()
@@ -523,7 +339,7 @@ mod tests {
         let four = baseline_factor_and_solve(
             &a,
             &b,
-            &BaselineOptions {
+            &SolverOptions {
                 n_nodes: 2,
                 ranks_per_node: 2,
                 ..Default::default()
@@ -539,7 +355,7 @@ mod tests {
     fn baseline_agrees_with_sympack() {
         let a = laplacian_2d(8, 7);
         let b = test_rhs(a.n());
-        let base = baseline_factor_and_solve(&a, &b, &BaselineOptions::default());
+        let base = baseline_factor_and_solve(&a, &b, &SolverOptions::default());
         let sp = sympack::SymPack::factor_and_solve(&a, &b, &sympack::SolverOptions::default());
         let diff = sympack_sparse::vecops::max_abs_diff(&base.x, &sp.x);
         assert!(diff < 1e-8, "solvers disagree: {diff}");
@@ -564,7 +380,7 @@ mod tests {
         let r = baseline_factor_and_solve(
             &a,
             &b,
-            &BaselineOptions {
+            &SolverOptions {
                 trace: true,
                 ..Default::default()
             },

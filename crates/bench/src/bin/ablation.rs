@@ -13,7 +13,7 @@
 //! engine, not just symPACK's.
 
 use sympack::{ProcGrid, RtqPolicy, SolverOptions, SymPack};
-use sympack_baseline::{baseline_factor_and_solve, fanboth_factor_and_solve, BaselineOptions};
+use sympack_baseline::{baseline_factor_and_solve, fanboth_factor_and_solve};
 use sympack_bench::gate::Args;
 use sympack_bench::{fmt_secs, render_table, Problem};
 use sympack_gpu::OffloadThresholds;
@@ -112,11 +112,6 @@ fn main() {
     println!("{}", render_table(&rows));
 
     // 2b. RTQ policy on the baselines (same runtime, different engines).
-    let bbase = BaselineOptions {
-        n_nodes: nodes,
-        ranks_per_node: base.ranks_per_node,
-        ..Default::default()
-    };
     let mut rows = vec![vec![
         "RTQ policy (baselines)".into(),
         "right-looking facto".into(),
@@ -127,9 +122,9 @@ fn main() {
         ("FIFO", RtqPolicy::Fifo),
         ("critical-path", RtqPolicy::CriticalPath),
     ] {
-        let opts = BaselineOptions {
+        let opts = SolverOptions {
             rtq_policy: policy,
-            ..bbase.clone()
+            ..base.clone()
         };
         let (rl_time, _) = best_of(|| {
             let r = baseline_factor_and_solve(&a, &b, &opts);

@@ -11,24 +11,24 @@
 //! ranks-per-node configurations and reports the best time per solver.
 
 use sympack::{SolverOptions, SymPack};
-use sympack_baseline::{baseline_factor_and_solve, BaselineOptions};
+use sympack_baseline::baseline_factor_and_solve;
+use sympack_bench::gate::Args;
 use sympack_bench::{fmt_secs, render_table, Problem};
 use sympack_sparse::vecops::test_rhs;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let matrix = args
-        .iter()
-        .position(|a| a == "--matrix")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| Problem::from_name(s).expect("unknown matrix"));
-    let phase = args
-        .iter()
-        .position(|a| a == "--phase")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "both".to_string());
+    let args = Args::from_env(&["--quick"], &["--matrix", "--phase"]);
+    let quick = args.has("--quick");
+    let matrix = args.parsed("--matrix", Problem::from_name);
+    // The table's columns a phase keeps: nodes, then time, time, speedup.
+    let columns: &[usize] = args
+        .parsed("--phase", |p| match p {
+            "facto" => Some(&[0, 1, 2, 3][..]),
+            "solve" => Some(&[0, 4, 5, 6]),
+            "both" => Some(&[0, 1, 2, 3, 4, 5, 6]),
+            _ => None,
+        })
+        .unwrap_or(&[0, 1, 2, 3, 4, 5, 6]);
     let problems: Vec<Problem> = match matrix {
         Some(p) => vec![p],
         None => Problem::ALL.to_vec(),
@@ -70,29 +70,18 @@ fn main() {
                 if n_nodes * ppn > 96 {
                     continue;
                 }
-                let sp = SymPack::factor_and_solve(
-                    &a,
-                    &b,
-                    &SolverOptions {
-                        n_nodes,
-                        ranks_per_node: ppn,
-                        ..Default::default()
-                    },
-                );
+                let opts = SolverOptions {
+                    n_nodes,
+                    ranks_per_node: ppn,
+                    ..Default::default()
+                };
+                let sp = SymPack::factor_and_solve(&a, &b, &opts);
                 assert!(sp.relative_residual < 1e-8, "symPACK residual blew up");
                 let cand = (sp.factor_time, sp.solve_time);
                 if best_sp.is_none_or(|(f, _)| cand.0 < f) {
                     best_sp = Some(cand);
                 }
-                let bl = baseline_factor_and_solve(
-                    &a,
-                    &b,
-                    &BaselineOptions {
-                        n_nodes,
-                        ranks_per_node: ppn,
-                        ..Default::default()
-                    },
-                );
+                let bl = baseline_factor_and_solve(&a, &b, &opts);
                 assert!(bl.relative_residual < 1e-8, "baseline residual blew up");
                 let cand = (bl.factor_time, bl.solve_time);
                 if best_bl.is_none_or(|(f, _)| cand.0 < f) {
@@ -111,7 +100,10 @@ fn main() {
                 format!("{:.2}x", bls / sps),
             ]);
         }
-        let _ = &phase;
+        let rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| columns.iter().map(|&c| row[c].clone()).collect())
+            .collect();
         println!("{}", render_table(&rows));
     }
     println!("(times are modeled makespans from the calibrated cost model; see EXPERIMENTS.md)");

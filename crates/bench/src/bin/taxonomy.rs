@@ -10,20 +10,17 @@
 
 use sympack::{SolverOptions, SymPack};
 use sympack_baseline::{
-    baseline_factor_and_solve, fanboth_factor_and_solve, fanin_factor_and_solve, BaselineOptions,
+    baseline_factor_and_solve, fanboth_factor_and_solve, fanin_factor_and_solve,
 };
+use sympack_bench::gate::Args;
 use sympack_bench::{fmt_secs, render_table, Problem};
 use sympack_sparse::vecops::test_rhs;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let problem = args
-        .iter()
-        .position(|a| a == "--matrix")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| Problem::from_name(s).expect("unknown matrix"))
-        .unwrap_or(Problem::Flan);
+    let args = Args::from_env(&["--quick"], &["--matrix"]);
+    let quick = args.has("--quick");
+    let problem = args.parsed("--matrix", Problem::from_name);
+    let problem = problem.unwrap_or(Problem::Flan);
     let a = if quick {
         problem.matrix_quick()
     } else {
@@ -50,20 +47,15 @@ fn main() {
     ]];
     for &nodes in nodes_list {
         let ppn = 2;
-        let so = SolverOptions {
+        let opts = SolverOptions {
             n_nodes: nodes,
             ranks_per_node: ppn,
             ..Default::default()
         };
-        let bo = BaselineOptions {
-            n_nodes: nodes,
-            ranks_per_node: ppn,
-            ..Default::default()
-        };
-        let fo = SymPack::factor_and_solve(&a, &b, &so);
-        let fb = fanboth_factor_and_solve(&a, &b, &bo);
-        let rl = baseline_factor_and_solve(&a, &b, &bo);
-        let fi = fanin_factor_and_solve(&a, &b, &bo);
+        let fo = SymPack::factor_and_solve(&a, &b, &opts);
+        let fb = fanboth_factor_and_solve(&a, &b, &opts);
+        let rl = baseline_factor_and_solve(&a, &b, &opts);
+        let fi = fanin_factor_and_solve(&a, &b, &opts);
         for r in [
             fo.relative_residual,
             fb.relative_residual,

@@ -27,7 +27,8 @@ use std::sync::Arc;
 use sympack::plan::{factor_numeric, SolvePlan};
 use sympack::sched::{LoopWall, Wall};
 use sympack::{SolverOptions, SymPack};
-use sympack_baseline::{baseline_factor_and_solve, BaselineOptions};
+use sympack_baseline::baseline_factor_and_solve;
+use sympack_bench::gate::Args;
 use sympack_bench::{render_table, Problem};
 use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::{gen, SparseSym};
@@ -152,21 +153,18 @@ fn wall_report(quick: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--wall") {
+    let args = Args::from_env(
+        &["--quick", "--wall", "--deterministic"],
+        &["--out", "--profile-json"],
+    );
+    let quick = args.has("--quick");
+    if args.has("--wall") {
         wall_report(quick);
         return;
     }
-    let deterministic = args.iter().any(|a| a == "--deterministic");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out = flag("--out").unwrap_or_else(|| "results/timeline.json".to_string());
-    let profile_json = flag("--profile-json");
+    let deterministic = args.has("--deterministic");
+    let out = args.value("--out").unwrap_or("results/timeline.json");
+    let profile_json = args.value("--profile-json");
     let p = Problem::Bone;
     let a = if quick { p.matrix_quick() } else { p.matrix() };
     let b = test_rhs(a.n());
@@ -188,26 +186,19 @@ fn main() {
     );
     summarize(&r.trace, r.factor_time, n_ranks);
     write_file(
-        &out,
+        out,
         &sympack_trace::to_chrome_json(&r.trace),
         "Chrome trace (open in chrome://tracing or ui.perfetto.dev)",
     );
     let profile = r.profile.expect("trace: true assembles the profile");
     sympack_trace::profile::check_invariants(&profile).expect("profile invariants");
     println!("\n{}", profile.render_report(10));
-    if let Some(path) = &profile_json {
+    if let Some(path) = profile_json {
         write_file(path, &profile.to_json(), "Profile JSON (for sympack-prof)");
     }
 
     // The right-looking baseline through the same traced runtime.
-    let bopts = BaselineOptions {
-        n_nodes: opts.n_nodes,
-        ranks_per_node: opts.ranks_per_node,
-        trace: true,
-        deterministic,
-        ..Default::default()
-    };
-    let br = baseline_factor_and_solve(&a, &b, &bopts);
+    let br = baseline_factor_and_solve(&a, &b, &opts);
     assert!(br.relative_residual < 1e-8);
     println!(
         "\nright-looking baseline: traced {} tasks over {} ranks, factorization makespan {:.3} ms\n",

@@ -132,6 +132,16 @@ impl Args {
         let hit = self.0.iter().find(|(a, _)| a == flag);
         hit.and_then(|(_, v)| v.as_deref())
     }
+
+    /// The value of `flag` as `parse` reads it, if given. A value `parse`
+    /// refuses exits 2 like an unknown flag, so call this before any work.
+    pub fn parsed<T>(&self, flag: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+        let value = self.value(flag)?;
+        Some(parse(value).unwrap_or_else(|| {
+            eprintln!("unknown value {value:?} for {flag}");
+            std::process::exit(2)
+        }))
+    }
 }
 
 /// A row producer: runs its cases, pushes their rows, and fails with a

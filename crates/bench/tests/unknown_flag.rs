@@ -76,3 +76,32 @@ fn a_value_flag_without_its_value_is_a_usage_error() {
     assert!(stderr.contains("--metrics-json needs a value"), "{stderr}");
     assert_eq!(stdout, "");
 }
+
+/// The report binaries that run the baselines take more than `--quick`; a
+/// mistyped flag used to run the full sweep, and an unknown matrix panicked.
+#[test]
+fn baseline_report_binaries_reject_bad_flags_and_values() {
+    let taxonomy = env!("CARGO_BIN_EXE_taxonomy");
+    let scaling = env!("CARGO_BIN_EXE_scaling");
+    let timeline = env!("CARGO_BIN_EXE_timeline");
+    for exe in [taxonomy, scaling, timeline] {
+        for args in [&["--quik"][..], &["--quick", "--bogus"], &["quick"]] {
+            let (code, stdout, stderr) = run(exe, args);
+            assert_eq!(code, Some(2), "{exe} {args:?}: {stderr}");
+            assert!(stderr.contains("unknown argument"), "{exe}: {stderr}");
+            assert!(stderr.contains("usage: [--quick"), "{exe}: {stderr}");
+            assert_eq!(stdout, "", "{exe} {args:?} did some work");
+        }
+    }
+    for (exe, args) in [
+        (taxonomy, &["--quick", "--matrix", "nope"][..]),
+        (scaling, &["--quick", "--matrix", "nope"]),
+        (scaling, &["--quick", "--phase", "factor"]),
+    ] {
+        let (code, stdout, stderr) = run(exe, args);
+        assert_eq!(code, Some(2), "{exe} {args:?}: {stderr}");
+        assert!(stderr.contains("unknown value"), "{exe}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{exe}: {stderr}");
+        assert_eq!(stdout, "", "{exe} {args:?} did some work");
+    }
+}

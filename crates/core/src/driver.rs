@@ -1,7 +1,8 @@
 //! High-level driver: analysis → distributed factorization → solve.
 
 use crate::map2d::ProcGrid;
-use crate::plan::{factor_numeric, launch, SolvePlan};
+use crate::plan::{factor_numeric, launch, EngineFamily, SolvePlan, FAN_OUT};
+use crate::sched::Engine;
 use crate::taskgraph::RtqPolicy;
 use crate::trisolve;
 use crate::SolverError;
@@ -12,6 +13,7 @@ use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
 use sympack_pgas::{NetModel, StatsSnapshot};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::{analyze, AnalyzeOptions, SymbolicFactor};
+use sympack_trace::telemetry::TelemetryReport;
 
 /// Everything configurable about a solve, mirroring the paper's run setup
 /// (ordering via Scotch → nested dissection; nodes × ranks-per-node; GPU
@@ -228,6 +230,30 @@ pub struct MultiSolveReport {
     pub profile: Option<sympack_trace::profile::Profile>,
 }
 
+impl From<MultiSolveReport> for SolveReport {
+    /// The report of a one-right-hand-side run (of a wider run, its first
+    /// right-hand side's).
+    fn from(m: MultiSolveReport) -> SolveReport {
+        SolveReport {
+            x: m.xs.into_iter().next().expect("at least one rhs"),
+            relative_residual: m.relative_residuals[0],
+            factor_time: m.factor_time,
+            solve_time: m.solve_times[0],
+            op_counts: m.op_counts,
+            publish: m.publish,
+            blr_counts: m.blr_counts,
+            factor_bytes: m.factor_bytes,
+            stats: m.stats,
+            l_nnz: m.l_nnz,
+            flops: m.flops,
+            n_supernodes: m.n_supernodes,
+            trace: m.trace,
+            task_counts: m.task_counts,
+            profile: m.profile,
+        }
+    }
+}
+
 /// A factor gathered to the driver: the composite permutation and the
 /// permuted Cholesky factor as a sparse matrix. Input to post-factorization
 /// computations such as [`crate::selinv`].
@@ -264,24 +290,7 @@ impl SymPack {
         b: &[f64],
         opts: &SolverOptions,
     ) -> Result<SolveReport, SolverError> {
-        let mut m = Self::try_factor_and_solve_multi(a, std::slice::from_ref(&b.to_vec()), opts)?;
-        Ok(SolveReport {
-            x: m.xs.pop().expect("one rhs"),
-            relative_residual: m.relative_residuals.pop().expect("one rhs"),
-            factor_time: m.factor_time,
-            solve_time: m.solve_times.pop().expect("one rhs"),
-            op_counts: m.op_counts,
-            publish: m.publish,
-            blr_counts: m.blr_counts,
-            factor_bytes: m.factor_bytes,
-            stats: m.stats,
-            l_nnz: m.l_nnz,
-            flops: m.flops,
-            n_supernodes: m.n_supernodes,
-            trace: m.trace,
-            task_counts: m.task_counts,
-            profile: m.profile,
-        })
+        Self::try_factor_and_solve_multi(a, &[b.to_vec()], opts).map(SolveReport::from)
     }
 
     /// Factor once and solve against several right-hand sides in the same
@@ -317,109 +326,9 @@ impl SymPack {
         opts: &SolverOptions,
     ) -> (
         Result<MultiSolveReport, SolverError>,
-        Option<sympack_trace::telemetry::TelemetryReport>,
+        Option<TelemetryReport>,
     ) {
-        fn check(a: &SparseSym, bs: &[Vec<f64>], opts: &SolverOptions) -> Result<(), SolverError> {
-            opts.validate()?;
-            SolverError::check_shape("right-hand sides (at least)", 1, bs.len().min(1))?;
-            bs.iter()
-                .try_for_each(|b| SolverError::check_shape("rhs length", a.n(), b.len()))
-        }
-        if let Err(e) = check(a, bs, opts) {
-            return (Err(e), None);
-        }
-        let plan = SolvePlan::new(a, opts);
-        let sf = plan.sf();
-        let ap = plan.permute(a);
-        let bps: Vec<Vec<f64>> = bs.iter().map(|b| sf.perm.apply_vec(b)).collect();
-        let (run, telemetry) = launch(&plan, 1, |rank, ctx| {
-            let mut out = ctx.factor_rank(rank, &ap);
-            for bp in &bps {
-                // A failure anywhere (factorization, an earlier solve) ends
-                // the region on every rank together: the solves are
-                // collective, so the exits stay aligned.
-                if out.aborted(rank) {
-                    break;
-                }
-                // Only the first solve's tasks are traced.
-                let trace = opts.trace && out.solves.is_empty();
-                let mut s = ctx.solve_rank(rank, &out.store, bp, 1, trace);
-                for _ in 0..opts.refine_steps {
-                    if s.error.is_some() || rank.job_aborted() {
-                        break;
-                    }
-                    // Gather the permuted iterate, form r = b - A·x, solve
-                    // the correction and add it in — classical iterative
-                    // refinement using the same distributed solve.
-                    let t0 = rank.now();
-                    let xp = trisolve::allgather_solution(rank, sf, &s.x);
-                    let ax = ap.spmv(&xp);
-                    let rp: Vec<f64> = bp.iter().zip(&ax).map(|(b, a)| b - a).collect();
-                    // Charge the residual SpMV (2 flops per stored entry,
-                    // both triangles) to the local clock.
-                    rank.advance(2.0 * ap.nnz_full() as f64 / 4.0e9);
-                    let d = ctx.solve_rank(rank, &out.store, &rp, 1, false);
-                    // Same rank, same plan: the pieces line up one to one.
-                    for ((_, x), (_, dx)) in s.x.iter_mut().zip(d.x) {
-                        for (xi, di) in x.iter_mut().zip(dx) {
-                            *xi += di;
-                        }
-                    }
-                    s.elapsed += d.elapsed + (rank.now() - t0 - d.elapsed).max(0.0);
-                    s.error = d.error;
-                }
-                out.push_solve(s);
-            }
-            out
-        });
-        let report = run.map(|asm| {
-            let mut profile = opts.trace.then(|| asm.profile("fanout"));
-            let (f, solves, task_counts) = (asm.factor, asm.solves, asm.task_counts);
-            // Attach per-rank publication accounting only for compressed
-            // runs, so dense-mode profile documents keep their pre-BLR byte
-            // layout.
-            if let Some(p) = profile.as_mut().filter(|_| opts.blr.enabled()) {
-                p.blr = f
-                    .publish
-                    .iter()
-                    .enumerate()
-                    .map(|(rank, o)| sympack_trace::profile::BlrRank {
-                        rank,
-                        dense_bytes: o.dense_bytes,
-                        lr_bytes: o.lr_bytes,
-                        lr_dense_equiv_bytes: o.lr_dense_equiv_bytes,
-                        dense_blocks: o.dense_blocks,
-                        lr_blocks: o.lr_blocks,
-                    })
-                    .collect();
-            }
-            let xs: Vec<Vec<f64>> = solves
-                .iter()
-                .map(|(xp, _)| sf.perm.unapply_vec(xp))
-                .collect();
-            MultiSolveReport {
-                relative_residuals: xs
-                    .iter()
-                    .zip(bs)
-                    .map(|(x, b)| a.relative_residual(x, b))
-                    .collect(),
-                xs,
-                factor_bytes: f.factor_bytes(),
-                factor_time: f.factor_time,
-                solve_times: solves.iter().map(|&(_, t)| t).collect(),
-                op_counts: f.op_counts,
-                publish: f.publish,
-                blr_counts: f.blr_counts,
-                stats: f.stats,
-                l_nnz: sf.l_nnz,
-                flops: sf.flops,
-                n_supernodes: sf.n_supernodes(),
-                trace: f.trace,
-                task_counts,
-                profile,
-            }
-        });
-        (report, telemetry)
+        try_factor_and_solve_with(&FAN_OUT, a, bs, opts)
     }
 
     /// Factor `A` and gather the distributed factor into one sparse matrix.
@@ -484,6 +393,126 @@ impl SymPack {
         let ordering = compute_ordering(a, opts.ordering);
         analyze(a, &ordering, &opts.analyze)
     }
+}
+
+/// The one-shot body of [`SymPack::try_factor_and_solve_observed`] for any
+/// engine family: analyze, then factor with `family`'s engine and solve every
+/// right-hand side in one SPMD region. The fan-out runs through it, and so do
+/// the baselines (`sympack-baseline`), each with the grid of its own map set
+/// in `opts`.
+///
+/// # Errors
+/// Same failure modes as [`SymPack::try_factor_and_solve`].
+pub fn try_factor_and_solve_with<E: Engine>(
+    family: &EngineFamily<E>,
+    a: &SparseSym,
+    bs: &[Vec<f64>],
+    opts: &SolverOptions,
+) -> (
+    Result<MultiSolveReport, SolverError>,
+    Option<TelemetryReport>,
+) {
+    fn check(a: &SparseSym, bs: &[Vec<f64>], opts: &SolverOptions) -> Result<(), SolverError> {
+        opts.validate()?;
+        SolverError::check_shape("right-hand sides (at least)", 1, bs.len().min(1))?;
+        bs.iter()
+            .try_for_each(|b| SolverError::check_shape("rhs length", a.n(), b.len()))
+    }
+    if let Err(e) = check(a, bs, opts) {
+        return (Err(e), None);
+    }
+    let plan = SolvePlan::new(a, opts);
+    let sf = plan.sf();
+    let ap = plan.permute(a);
+    let bps: Vec<Vec<f64>> = bs.iter().map(|b| sf.perm.apply_vec(b)).collect();
+    let (run, telemetry) = launch(&plan, family, 1, |rank, ctx| {
+        let mut out = ctx.factor_rank(rank, &ap);
+        for bp in &bps {
+            // A failure anywhere (factorization, an earlier solve) ends
+            // the region on every rank together: the solves are
+            // collective, so the exits stay aligned.
+            if out.aborted(rank) {
+                break;
+            }
+            // Only the first solve's tasks are traced.
+            let trace = opts.trace && out.solves.is_empty();
+            let mut s = ctx.solve_rank(rank, &out.store, bp, 1, trace);
+            for _ in 0..opts.refine_steps {
+                if s.error.is_some() || rank.job_aborted() {
+                    break;
+                }
+                // Gather the permuted iterate, form r = b - A·x, solve
+                // the correction and add it in — classical iterative
+                // refinement using the same distributed solve.
+                let t0 = rank.now();
+                let xp = trisolve::allgather_solution(rank, sf, &s.x);
+                let ax = ap.spmv(&xp);
+                let rp: Vec<f64> = bp.iter().zip(&ax).map(|(b, a)| b - a).collect();
+                // Charge the residual SpMV (2 flops per stored entry,
+                // both triangles) to the local clock.
+                rank.advance(2.0 * ap.nnz_full() as f64 / 4.0e9);
+                let d = ctx.solve_rank(rank, &out.store, &rp, 1, false);
+                // Same rank, same plan: the pieces line up one to one.
+                for ((_, x), (_, dx)) in s.x.iter_mut().zip(d.x) {
+                    for (xi, di) in x.iter_mut().zip(dx) {
+                        *xi += di;
+                    }
+                }
+                s.elapsed += d.elapsed + (rank.now() - t0 - d.elapsed).max(0.0);
+                s.error = d.error;
+            }
+            out.push_solve(s);
+        }
+        out
+    });
+    let report = run.map(|asm| {
+        let mut profile = opts.trace.then(|| asm.profile(family.label));
+        let (f, solves, task_counts) = (asm.factor, asm.solves, asm.task_counts);
+        // Attach per-rank publication accounting only for compressed
+        // runs, so dense-mode profile documents keep their pre-BLR byte
+        // layout.
+        if let Some(p) = profile.as_mut().filter(|_| opts.blr.enabled()) {
+            p.blr = f
+                .publish
+                .iter()
+                .enumerate()
+                .map(|(rank, o)| sympack_trace::profile::BlrRank {
+                    rank,
+                    dense_bytes: o.dense_bytes,
+                    lr_bytes: o.lr_bytes,
+                    lr_dense_equiv_bytes: o.lr_dense_equiv_bytes,
+                    dense_blocks: o.dense_blocks,
+                    lr_blocks: o.lr_blocks,
+                })
+                .collect();
+        }
+        let xs: Vec<Vec<f64>> = solves
+            .iter()
+            .map(|(xp, _)| sf.perm.unapply_vec(xp))
+            .collect();
+        MultiSolveReport {
+            relative_residuals: xs
+                .iter()
+                .zip(bs)
+                .map(|(x, b)| a.relative_residual(x, b))
+                .collect(),
+            xs,
+            factor_bytes: f.factor_bytes(),
+            factor_time: f.factor_time,
+            solve_times: solves.iter().map(|&(_, t)| t).collect(),
+            op_counts: f.op_counts,
+            publish: f.publish,
+            blr_counts: f.blr_counts,
+            stats: f.stats,
+            l_nnz: sf.l_nnz,
+            flops: sf.flops,
+            n_supernodes: sf.n_supernodes(),
+            trace: f.trace,
+            task_counts,
+            profile,
+        }
+    });
+    (report, telemetry)
 }
 
 #[cfg(test)]

@@ -14,30 +14,31 @@
 //! * [`SolvePlan`] — an `Arc<SymbolicPlan>` plus the per-job
 //!   [`SolverOptions`]; the handle the numeric phases run against.
 //!
-//! The run path has one implementation of each per-rank phase:
+//! The run path has one implementation of each per-rank phase, for every
+//! engine family ([`EngineFamily`]: the fan-out and the three baselines):
 //!
 //! * `launch` — the only place an SPMD region under a plan is started.
 //!   Validates the plan *before* any rank thread exists
 //!   ([`SolverOptions::validate`]), attaches the rank-level observers
-//!   ([`observe`]), builds the rank's kernel executor ([`make_kernels`]),
+//!   (`observe`), builds the rank's kernel executor ([`make_kernels`]),
 //!   runs the region's body and assembles the ranks' results.
-//! * `RankCtx::factor_rank` — the fan-out factorization of one rank:
-//!   builds the [`FactoEngine`] and hands it to [`RankOut::factor`], which
-//!   attaches the engine-level observers and drives the one factor loop
-//!   ([`sched::run_to_completion`]) — the same call the baselines make with
-//!   their engines.
+//! * `RankCtx::factor_rank` — the factorization of one rank: builds the
+//!   family's engine ([`FactoEngine`] for the fan-out) and hands it to
+//!   `RankOut::factor`, which attaches the engine-level observers and
+//!   drives the one factor loop ([`sched::run_to_completion`]).
 //! * `RankCtx::solve_rank` — the distributed triangular solve of one rank
 //!   ([`trisolve::solve_panel`]).
-//! * [`RankOut`] / [`assemble`] — the one per-rank result and the one
+//! * `RankOut` / `assemble` — the one per-rank result and the one
 //!   cross-rank assembler (pieces → permuted panels, first error in rank
 //!   order, task-count sums, timeline merge, telemetry report).
 //!
 //! [`factor_numeric`] is `launch(factor_rank)`; [`solve_panel_distributed`]
-//! is `launch(solve_rank)`; the one-shot [`crate::driver::SymPack`] is one
-//! `launch` whose body is `factor_rank` followed by a `solve_rank` per
-//! right-hand side (plus refinement) — it keeps a *single* region so the
-//! ranks' virtual clocks run on from factorization into the solves — and
-//! `sympack-service` sessions sit on the first two.
+//! is `launch(solve_rank)`, both fan-out only; the one-shot
+//! [`crate::driver::try_factor_and_solve_with`] is one `launch` whose body is
+//! `factor_rank` followed by a `solve_rank` per right-hand side (plus
+//! refinement) — it keeps a *single* region so the ranks' virtual clocks run
+//! on from factorization into the solves — and `sympack-service` sessions
+//! sit on the first two.
 
 use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
@@ -461,11 +462,11 @@ impl SolvePlan {
 pub type XPieces = Vec<(usize, Vec<f64>)>;
 
 /// What one rank hands back from a distributed phase — the single per-rank
-/// result of every entry point (one-shot driver, plan layer, baselines). A
+/// result of every entry point (one-shot driver of every family, plan layer). A
 /// phase fills in the half it ran: a factorization the factor fields, a
 /// solve one `solves` entry per panel.
 #[derive(Debug, Default)]
-pub struct RankOut {
+pub(crate) struct RankOut {
     /// The error this rank diagnosed. Ranks that merely observed the
     /// job-wide abort carry none; [`assemble`] reports the first in rank
     /// order.
@@ -500,7 +501,7 @@ pub struct RankOut {
 /// drain spans for the profile) under `trace`, the health watchdog under
 /// `telemetry` — it rides the rank, so it sees the idle polls of every
 /// phase of the region. [`RankOut::finish`] collects both.
-pub fn observe(rank: &mut Rank, trace: bool, telemetry: bool) {
+pub(crate) fn observe(rank: &mut Rank, trace: bool, telemetry: bool) {
     if trace {
         rank.set_tracer(Tracer::new());
     }
@@ -514,7 +515,12 @@ impl RankOut {
     /// instruments, sampled on the virtual clock after every charged
     /// task), drive `engine` through the one factor loop and collect the
     /// factorization half of the result.
-    pub fn factor<E: Engine>(rank: &mut Rank, mut engine: E, trace: bool, telemetry: bool) -> Self {
+    pub(crate) fn factor<E: Engine>(
+        rank: &mut Rank,
+        mut engine: E,
+        trace: bool,
+        telemetry: bool,
+    ) -> Self {
         let rt = &mut engine.core().rt;
         if trace {
             rt.tracer = Some(Tracer::new());
@@ -549,12 +555,12 @@ impl RankOut {
     /// True when the region must skip its remaining collective phases: this
     /// rank failed, or another did. The abort is sticky and job-wide, so
     /// every rank takes the same exit and the barriers stay aligned.
-    pub fn aborted(&self, rank: &Rank) -> bool {
+    pub(crate) fn aborted(&self, rank: &Rank) -> bool {
         self.error.is_some() || rank.job_aborted()
     }
 
     /// Fold one triangular solve into the result.
-    pub fn push_solve(&mut self, mut solve: trisolve::SolveOutcome) {
+    pub(crate) fn push_solve(&mut self, mut solve: trisolve::SolveOutcome) {
         self.trace.append(&mut solve.trace);
         if self.solves.is_empty() {
             self.tasks.extend(solve.task_counts);
@@ -567,7 +573,7 @@ impl RankOut {
 
     /// Collect what [`observe`] attached: the comm spans, and the
     /// watchdog's health events (mirrored into the timeline under `trace`).
-    pub fn finish(mut self, rank: &mut Rank, trace: bool) -> Self {
+    pub(crate) fn finish(mut self, rank: &mut Rank, trace: bool) -> Self {
         if let Some(tracer) = rank.take_tracer() {
             self.trace.extend(tracer.into_events());
         }
@@ -585,7 +591,7 @@ impl RankOut {
 
 /// A distributed phase assembled across ranks.
 #[derive(Debug)]
-pub struct Assembled {
+pub(crate) struct Assembled {
     /// The factorization half: per-rank stores and counters, the region's
     /// communication counters and merged timeline.
     pub factor: NumericFactor,
@@ -600,7 +606,7 @@ pub struct Assembled {
 impl Assembled {
     /// The flight-recorder profile of the region (critical path, per-rank
     /// wait attribution, comm matrix) over its merged timeline.
-    pub fn profile(&self, engine: &str) -> Profile {
+    pub(crate) fn profile(&self, engine: &str) -> Profile {
         let n_ranks = self.factor.stores.len();
         let comm = self.comm.clone();
         Profile::build(engine, &self.factor.trace, self.makespan, n_ranks, comm)
@@ -613,7 +619,7 @@ impl Assembled {
 /// summed and timelines merged. The telemetry report (under `telemetry`) is
 /// built before the error check, so a stalled or aborted run still surfaces
 /// its snapshots and health events.
-pub fn assemble(
+pub(crate) fn assemble(
     sf: &SymbolicFactor,
     run: RunReport<RankOut>,
     nrhs: usize,
@@ -677,33 +683,51 @@ pub fn assemble(
     (Ok(assembled), report)
 }
 
+/// What the one run path needs to know about an engine family (DESIGN.md
+/// §5.3): the label of its profile, the per-message overhead its triangular
+/// solve pays, and its engine, built once per rank from the plan. The plan,
+/// the kernels, the launch, the factor loop, the solve and the assembly are
+/// the same for every family.
+pub struct EngineFamily<E> {
+    /// Engine name of the family's profile.
+    pub label: &'static str,
+    /// Per-message overhead (seconds) of the family's triangular solve.
+    pub msg_overhead: f64,
+    /// The family's engine for one rank: `(plan, permuted matrix, rank,
+    /// kernels, job-wide abort flag)`.
+    pub engine: fn(&SolvePlan, &SparseSym, usize, KernelEngine, Arc<AtomicBool>) -> E,
+}
+
+/// The fan-out family: symPACK's own engine and a one-sided solve.
+pub(crate) const FAN_OUT: EngineFamily<FactoEngine> = EngineFamily {
+    label: "fanout",
+    msg_overhead: 0.0,
+    engine: FactoEngine::new,
+};
+
 /// One rank's handle on a distributed phase under a plan: what [`launch`]
 /// gives the per-rank body.
-pub(crate) struct RankCtx<'a> {
+pub(crate) struct RankCtx<'a, E> {
     plan: &'a SolvePlan,
+    family: &'a EngineFamily<E>,
     /// Pristine kernel executor; every factorization and solve runs on its
     /// own copy (fresh call counters).
     kernels: KernelEngine,
     abort: &'a Arc<AtomicBool>,
 }
 
-impl RankCtx<'_> {
-    /// Factor this rank's slice of the permuted matrix `ap` — the one
-    /// fan-out factorization body, observed as the plan's options ask.
+impl<E: Engine> RankCtx<'_, E> {
+    /// Factor this rank's slice of the permuted matrix `ap` with the
+    /// family's engine, observed as the plan's options ask.
     pub(crate) fn factor_rank(&self, rank: &mut Rank, ap: &SparseSym) -> RankOut {
         let (plan, opts) = (self.plan, &self.plan.opts);
-        let engine = FactoEngine::new(
-            plan,
-            ap,
-            rank.id(),
-            self.kernels.clone(),
-            Arc::clone(self.abort),
-        );
+        let kernels = self.kernels.clone();
+        let engine = (self.family.engine)(plan, ap, rank.id(), kernels, Arc::clone(self.abort));
         RankOut::factor(rank, engine, opts.trace, opts.telemetry)
     }
 
     /// Solve one permuted `n × nrhs` panel `bp` against this rank's factor
-    /// blocks — the one fan-out solve body.
+    /// blocks — the one solve body, paying the family's message overhead.
     pub(crate) fn solve_rank(
         &self,
         rank: &mut Rank,
@@ -714,7 +738,7 @@ impl RankCtx<'_> {
     ) -> trisolve::SolveOutcome {
         let params = trisolve::SolveParams {
             policy: self.plan.opts.rtq_policy,
-            msg_overhead: 0.0,
+            msg_overhead: self.family.msg_overhead,
             trace,
         };
         let symbolic = &self.plan.symbolic;
@@ -731,16 +755,17 @@ impl RankCtx<'_> {
     }
 }
 
-/// Run one SPMD region under `plan` and assemble it — the launch every
-/// fan-out entry point goes through. The plan is validated *before* any
-/// rank thread exists (a rank that panics strands its peers: under
-/// lockstep it never hands the turn on). Each rank is observed as the
-/// plan's options ask, runs `body`, and hands its [`RankOut`] to
-/// [`assemble`]; `nrhs` is the panel width of the region's solves.
-pub(crate) fn launch(
+/// Run one SPMD region of `family` under `plan` and assemble it — the launch
+/// every entry point goes through. The plan is validated *before* any rank
+/// thread exists (a rank that panics strands its peers: under lockstep it
+/// never hands the turn on). Each rank is observed as the plan's options
+/// ask, runs `body`, and hands its [`RankOut`] to [`assemble`]; `nrhs` is
+/// the panel width of the region's solves.
+pub(crate) fn launch<E: Engine>(
     plan: &SolvePlan,
+    family: &EngineFamily<E>,
     nrhs: usize,
-    body: impl Fn(&mut Rank, &RankCtx<'_>) -> RankOut + Sync,
+    body: impl Fn(&mut Rank, &RankCtx<'_, E>) -> RankOut + Sync,
 ) -> (Result<Assembled, SolverError>, Option<TelemetryReport>) {
     if let Err(e) = plan.validate() {
         return (Err(e), None);
@@ -751,6 +776,7 @@ pub(crate) fn launch(
         observe(rank, opts.trace, opts.telemetry);
         let ctx = RankCtx {
             plan,
+            family,
             kernels: make_kernels(opts),
             abort: &abort,
         };
@@ -819,7 +845,7 @@ pub fn factor_numeric_observed(
     plan: &SolvePlan,
     ap: &Arc<SparseSym>,
 ) -> (Result<NumericFactor, SolverError>, Option<TelemetryReport>) {
-    let (run, telemetry) = launch(plan, 0, |rank, ctx| ctx.factor_rank(rank, ap));
+    let (run, telemetry) = launch(plan, &FAN_OUT, 0, |rank, ctx| ctx.factor_rank(rank, ap));
     (run.map(|a| a.factor), telemetry)
 }
 
@@ -856,7 +882,7 @@ pub fn solve_panel_distributed(
     SolverError::check_shape("right-hand sides (at least)", 1, nrhs.min(1))?;
     SolverError::check_shape("factor stores", p, stores.len())?;
     SolverError::check_shape("rhs panel entries", n * nrhs, bp.len())?;
-    let (run, _telemetry) = launch(plan, nrhs, |rank, ctx| {
+    let (run, _telemetry) = launch(plan, &FAN_OUT, nrhs, |rank, ctx| {
         let mut out = RankOut::default();
         out.push_solve(ctx.solve_rank(rank, &stores[rank.id()], bp, nrhs, plan.opts.trace));
         out
@@ -1020,10 +1046,10 @@ mod tests {
 
     #[test]
     fn mis_shaped_solve_inputs_are_errors_on_every_rank() {
-        // `trisolve::solve_panel` is public (the baselines call it inside
-        // their own regions): a bad panel must come back as an error from
-        // every rank, under lockstep too, never as a panic that strands
-        // the peers.
+        // `trisolve::solve_panel` is public (the compiled-solve tests drive
+        // it directly): a bad panel must come back as an error from every
+        // rank, under lockstep too, never as a panic that strands the
+        // peers.
         let a = laplacian_2d(6, 6);
         let opts = SolverOptions {
             n_nodes: 1,
@@ -1043,6 +1069,7 @@ mod tests {
             let run = Runtime::run(plan.pgas_config(), |rank| {
                 let ctx = RankCtx {
                     plan: &plan,
+                    family: &FAN_OUT,
                     kernels: make_kernels(&opts),
                     abort: &Arc::new(AtomicBool::new(false)),
                 };

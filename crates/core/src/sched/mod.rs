@@ -259,7 +259,7 @@ pub struct Core<K: TaskKind, M: Meta> {
 /// What a factorization engine is, to the runtime: task kinds, message
 /// metas and the two bodies below — the algorithm. Everything else ([`step`],
 /// [`run_to_completion`], publication, the per-rank result collection of
-/// [`crate::plan::RankOut::factor`]) is written once over this contract.
+/// `plan::RankOut::factor`) is written once over this contract.
 pub trait Engine: Sized + Send + 'static {
     /// The engine's task species.
     type Key: TaskKind;

@@ -13,7 +13,7 @@
 //! ```
 
 use sympack::{SolverOptions, SymPack};
-use sympack_baseline::{baseline_factor_and_solve, BaselineOptions};
+use sympack_baseline::baseline_factor_and_solve;
 use sympack_sparse::gen::bone_like;
 use sympack_sparse::{Coo, SparseSym};
 
@@ -46,17 +46,12 @@ fn main() {
         ranks_per_node: 2,
         ..Default::default()
     };
-    let bopts = BaselineOptions {
-        n_nodes: 2,
-        ranks_per_node: 2,
-        ..Default::default()
-    };
     let mut total_sp = 0.0;
     let mut total_bl = 0.0;
     for &sigma in &shifts {
         let shifted_a = shifted(&a, sigma);
         let sp = SymPack::factor_and_solve(&shifted_a, &b, &opts);
-        let bl = baseline_factor_and_solve(&shifted_a, &b, &bopts);
+        let bl = baseline_factor_and_solve(&shifted_a, &b, &opts);
         assert!(sp.relative_residual < 1e-10);
         assert!(bl.relative_residual < 1e-10);
         println!(

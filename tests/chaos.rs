@@ -37,7 +37,6 @@
 use sympack::{BcastTopology, CoalesceConfig, SolverError, SolverOptions, SymPack};
 use sympack_baseline::{
     try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
-    BaselineOptions,
 };
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_pgas::FaultPlan;
@@ -112,26 +111,7 @@ fn run_one(
         BcastTopology::Flat
     };
     let coalesce = tree.then(CoalesceConfig::default);
-    if engine == "fanout" {
-        let opts = SolverOptions {
-            n_nodes,
-            ranks_per_node,
-            faults,
-            deterministic: true,
-            refine_steps: 0,
-            bcast,
-            coalesce,
-            ..Default::default()
-        };
-        let r = SymPack::try_factor_and_solve(&a, &b, &opts)?;
-        return Ok(RunOutcome {
-            factor_time: r.factor_time,
-            solve_time: r.solve_time,
-            task_counts: r.task_counts,
-            residual: r.relative_residual,
-        });
-    }
-    let opts = BaselineOptions {
+    let opts = SolverOptions {
         n_nodes,
         ranks_per_node,
         faults,
@@ -139,13 +119,13 @@ fn run_one(
         coalesce,
         ..Default::default()
     };
-    let run = match engine {
-        "rightlooking" => try_baseline_factor_and_solve,
-        "fanin" => try_fanin_factor_and_solve,
-        "fanboth" => try_fanboth_factor_and_solve,
+    let r = match engine {
+        "fanout" => SymPack::try_factor_and_solve(&a, &b, &SolverOptions { bcast, ..opts })?,
+        "rightlooking" => try_baseline_factor_and_solve(&a, &b, &opts)?,
+        "fanin" => try_fanin_factor_and_solve(&a, &b, &opts)?,
+        "fanboth" => try_fanboth_factor_and_solve(&a, &b, &opts)?,
         other => panic!("unknown engine {other:?}"),
     };
-    let r = run(&a, &b, &opts)?;
     Ok(RunOutcome {
         factor_time: r.factor_time,
         solve_time: r.solve_time,

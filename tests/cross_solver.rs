@@ -2,7 +2,7 @@
 //! and a dense oracle must agree on identical inputs.
 
 use sympack::{SolverOptions, SymPack};
-use sympack_baseline::{baseline_factor_and_solve, BaselineOptions};
+use sympack_baseline::baseline_factor_and_solve;
 use sympack_dense::{KernelConfig, Mat};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::{max_abs_diff, test_rhs};
@@ -32,7 +32,7 @@ fn three_way_agreement_on_random_spd() {
         let b = test_rhs(90);
         let oracle = dense_solve(&a, &b);
         let sp = SymPack::factor_and_solve(&a, &b, &SolverOptions::default());
-        let bl = baseline_factor_and_solve(&a, &b, &BaselineOptions::default());
+        let bl = baseline_factor_and_solve(&a, &b, &SolverOptions::default());
         let scale = oracle.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         assert!(
             max_abs_diff(&sp.x, &oracle) / scale < 1e-9,
@@ -55,7 +55,7 @@ fn three_way_agreement_on_structured_problems() {
         let b = test_rhs(a.n());
         let oracle = dense_solve(&a, &b);
         let sp = SymPack::factor_and_solve(&a, &b, &SolverOptions::default());
-        let bl = baseline_factor_and_solve(&a, &b, &BaselineOptions::default());
+        let bl = baseline_factor_and_solve(&a, &b, &SolverOptions::default());
         let scale = oracle.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         assert!(max_abs_diff(&sp.x, &oracle) / scale < 1e-9);
         assert!(max_abs_diff(&bl.x, &oracle) / scale < 1e-9);
@@ -68,24 +68,13 @@ fn solver_reports_same_structure_counts() {
     // counts must match exactly (same supernodes, same blocks, same tasks).
     let a = gen::laplacian_2d(10, 10);
     let b = test_rhs(a.n());
-    let sp = SymPack::factor_and_solve(
-        &a,
-        &b,
-        &SolverOptions {
-            n_nodes: 2,
-            ranks_per_node: 2,
-            ..Default::default()
-        },
-    );
-    let bl = baseline_factor_and_solve(
-        &a,
-        &b,
-        &BaselineOptions {
-            n_nodes: 2,
-            ranks_per_node: 2,
-            ..Default::default()
-        },
-    );
+    let opts = SolverOptions {
+        n_nodes: 2,
+        ranks_per_node: 2,
+        ..Default::default()
+    };
+    let sp = SymPack::factor_and_solve(&a, &b, &opts);
+    let bl = baseline_factor_and_solve(&a, &b, &opts);
     let total = |counts: &[sympack_gpu::OpCounts]| {
         let mut t = sympack_gpu::OpCounts::default();
         for c in counts {
@@ -109,24 +98,13 @@ fn symPACK_beats_baseline_on_modeled_time_at_scale() {
     // right-looking 1D baseline by a clear margin.
     let a = gen::flan_like(8, 8, 8);
     let b = test_rhs(a.n());
-    let sp = SymPack::factor_and_solve(
-        &a,
-        &b,
-        &SolverOptions {
-            n_nodes: 4,
-            ranks_per_node: 2,
-            ..Default::default()
-        },
-    );
-    let bl = baseline_factor_and_solve(
-        &a,
-        &b,
-        &BaselineOptions {
-            n_nodes: 4,
-            ranks_per_node: 2,
-            ..Default::default()
-        },
-    );
+    let opts = SolverOptions {
+        n_nodes: 4,
+        ranks_per_node: 2,
+        ..Default::default()
+    };
+    let sp = SymPack::factor_and_solve(&a, &b, &opts);
+    let bl = baseline_factor_and_solve(&a, &b, &opts);
     assert!(
         sp.factor_time < bl.factor_time,
         "symPACK {} vs baseline {}",
@@ -156,25 +134,16 @@ fn all_engines_agree_across_ranks_and_rtq_policies() {
     for (n_nodes, ranks_per_node) in [(1, 1), (1, 2), (2, 2)] {
         let p = n_nodes * ranks_per_node;
         for policy in [RtqPolicy::Lifo, RtqPolicy::Fifo, RtqPolicy::CriticalPath] {
-            let sp = SymPack::factor_and_solve(
-                &a,
-                &b,
-                &SolverOptions {
-                    n_nodes,
-                    ranks_per_node,
-                    rtq_policy: policy,
-                    ..Default::default()
-                },
-            );
-            let bopts = BaselineOptions {
+            let opts = SolverOptions {
                 n_nodes,
                 ranks_per_node,
                 rtq_policy: policy,
                 ..Default::default()
             };
-            let rl = baseline_factor_and_solve(&a, &b, &bopts);
-            let fi = sympack_baseline::fanin_factor_and_solve(&a, &b, &bopts);
-            let fb = sympack_baseline::fanboth_factor_and_solve(&a, &b, &bopts);
+            let sp = SymPack::factor_and_solve(&a, &b, &opts);
+            let rl = baseline_factor_and_solve(&a, &b, &opts);
+            let fi = sympack_baseline::fanin_factor_and_solve(&a, &b, &opts);
+            let fb = sympack_baseline::fanboth_factor_and_solve(&a, &b, &opts);
             let runs: [(&str, f64, Counts); 4] = [
                 ("fan-out", sp.relative_residual, to_map(&sp.task_counts)),
                 (
@@ -228,7 +197,7 @@ fn all_engines_agree_across_ranks_and_rtq_policies() {
 /// FNV-1a over everything a baseline run reports that a schedule change
 /// would move: solution bits, both virtual makespans, the per-kind task
 /// totals and the message counts.
-fn baseline_fingerprint(r: &sympack_baseline::BaselineReport) -> u64 {
+fn baseline_fingerprint(r: &sympack::SolveReport) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -279,7 +248,7 @@ const BASELINE_PARENT_FINGERPRINTS: [u64; 18] = [
 fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
     let a = gen::thermal_like(12, 12, 0.3, 5);
     let b = test_rhs(a.n());
-    let engines: [fn(&SparseSym, &[f64], &BaselineOptions) -> _; 3] = [
+    let engines: [fn(&SparseSym, &[f64], &SolverOptions) -> _; 3] = [
         sympack_baseline::try_baseline_factor_and_solve,
         sympack_baseline::try_fanin_factor_and_solve,
         sympack_baseline::try_fanboth_factor_and_solve,
@@ -288,7 +257,7 @@ fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
     for run in engines {
         for p in [1usize, 2, 4] {
             for trace in [false, true] {
-                let opts = BaselineOptions {
+                let opts = SolverOptions {
                     n_nodes: 1,
                     ranks_per_node: p,
                     deterministic: true,
@@ -401,7 +370,7 @@ fn tree_coalesced_and_blr_schedules_are_identical_to_the_per_engine_copies() {
             min_block: 8,
             max_rank: usize::MAX,
         },
-        ..base
+        ..base.clone()
     };
     let mut got = Vec::new();
     let r = SymPack::try_factor_and_solve(&a, &b, &tree).expect("tree + coalesce");
@@ -411,12 +380,10 @@ fn tree_coalesced_and_blr_schedules_are_identical_to_the_per_engine_copies() {
     let lr_blocks: u64 = r.publish.iter().map(|p| p.lr_blocks).sum();
     assert!(lr_blocks > 0, "BLR row published nothing compressed");
     got.push(fanout_wire_fingerprint(&r));
-    let bopts = BaselineOptions {
-        n_nodes: 2,
-        ranks_per_node: 2,
-        deterministic: true,
+    let bopts = SolverOptions {
+        trace: false,
         coalesce: Some(CoalesceConfig::default()),
-        ..Default::default()
+        ..base
     };
     for run in [
         sympack_baseline::try_baseline_factor_and_solve,

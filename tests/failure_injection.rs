@@ -8,10 +8,11 @@
 
 use std::sync::Arc;
 use sympack::plan::{factor_numeric, solve_panel_distributed};
-use sympack::{ProcGrid, SolvePlan, SolverError, SolverOptions, SymPack};
+use sympack::{
+    BcastTopology, ProcGrid, SolvePlan, SolveReport, SolverError, SolverOptions, SymPack,
+};
 use sympack_baseline::{
     try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
-    BaselineOptions, BaselineReport,
 };
 use sympack_gpu::OomPolicy;
 use sympack_service::{RhsPanel, Session};
@@ -20,7 +21,7 @@ use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::{Coo, SparseSym};
 
 /// All three baseline engines behind one fallible signature.
-type BaselineFn = fn(&SparseSym, &[f64], &BaselineOptions) -> Result<BaselineReport, SolverError>;
+type BaselineFn = fn(&SparseSym, &[f64], &SolverOptions) -> Result<SolveReport, SolverError>;
 
 const BASELINES: [(&str, BaselineFn); 3] = [
     ("right-looking", try_baseline_factor_and_solve),
@@ -63,7 +64,7 @@ fn indefinite_matrix_fails_cleanly_on_every_rank_count() {
     for (name, run) in BASELINES {
         for p in [1, 2, 4] {
             for deterministic in [false, true] {
-                let opts = BaselineOptions {
+                let opts = SolverOptions {
                     n_nodes: 1,
                     ranks_per_node: p,
                     deterministic,
@@ -138,20 +139,34 @@ fn invalid_options_are_typed_errors_before_any_rank_runs() {
         rejected("factor_numeric", factor_numeric(&stale, &ap).map(drop));
     }
     // The baselines reject a rank-less layout the same way (their runner
-    // used to panic in `Runtime::run` or while sizing the grid).
+    // used to panic in `Runtime::run` or while sizing the grid), and the
+    // options their family fixes otherwise: its own map, flat and dense
+    // publication — even where the options are valid for the fan-out.
+    let with = |edit: fn(&mut SolverOptions)| {
+        let mut opts = base.clone();
+        edit(&mut opts);
+        opts
+    };
+    let fixed = [
+        ("n_nodes × ranks_per_node", with(|o| o.ranks_per_node = 0)),
+        ("n_nodes × ranks_per_node", with(|o| o.n_nodes = 0)),
+        (
+            "grid",
+            with(|o| o.grid = Some(ProcGrid::one_dimensional(2))),
+        ),
+        (
+            "bcast",
+            with(|o| o.bcast = BcastTopology::Tree { arity: 2 }),
+        ),
+        ("blr", with(|o| o.blr.tol = 1e-8)),
+    ];
     for (name, run) in BASELINES {
-        for (n_nodes, ranks_per_node) in [(1, 0), (0, 2)] {
-            let bopts = BaselineOptions {
-                n_nodes,
-                ranks_per_node,
-                deterministic: true,
-                ..Default::default()
-            };
-            match run(&a, &b, &bopts) {
+        for (want, opts) in &fixed {
+            match run(&a, &b, opts) {
                 Err(SolverError::InvalidOptions { field, .. }) => {
-                    assert_eq!(field, "n_nodes × ranks_per_node", "{name}");
+                    assert_eq!(field, *want, "{name}")
                 }
-                other => panic!("{name}: expected InvalidOptions, got {other:?}"),
+                other => panic!("{name}, {want}: expected InvalidOptions, got {other:?}"),
             }
         }
     }
@@ -194,18 +209,9 @@ fn mis_shaped_inputs_are_typed_errors() {
         SymPack::try_factor_and_solve_multi(&a, &[], &opts).map(drop),
         (1, 0),
     );
-    // Baselines: a short right-hand side, and a reused symbolic factor that
-    // was analyzed for a matrix of another dimension.
-    let other = gen::laplacian_2d(5, 5);
-    let stale = BaselineOptions {
-        symbolic: Some(Arc::clone(SolvePlan::new(&other, &opts).sf())),
-        ..Default::default()
-    };
+    // Baselines: a short right-hand side.
     for (name, run) in BASELINES {
-        let bopts = BaselineOptions::default();
-        shape(name, run(&a, &short, &bopts).map(drop), (n, n - 1));
-        let b = vec![1.0; n];
-        shape(name, run(&a, &b, &stale).map(drop), (n, other.n()));
+        shape(name, run(&a, &short, &opts).map(drop), (n, n - 1));
     }
     // Plan layer: panel size, panel width, store count.
     let plan = SolvePlan::new(&a, &opts);
@@ -303,7 +309,7 @@ fn device_oom_abort_policy_raises() {
 fn device_oom_cpu_fallback_covers_baseline_engines() {
     let a = gen::flan_like(6, 6, 6);
     let b = test_rhs(a.n());
-    let mut opts = BaselineOptions {
+    let mut opts = SolverOptions {
         n_nodes: 2,
         ranks_per_node: 2,
         ..Default::default()
@@ -323,7 +329,7 @@ fn device_oom_abort_names_the_failing_fetch_in_baselines() {
     // threshold (64x64 elements) and overflows the tiny quota.
     let a = gen::flan_like(12, 12, 12);
     let b = test_rhs(a.n());
-    let mut opts = BaselineOptions {
+    let mut opts = SolverOptions {
         n_nodes: 2,
         ranks_per_node: 2,
         ..Default::default()

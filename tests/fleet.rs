@@ -1,13 +1,13 @@
 //! Fleet integration tests: plan-cache reuse must be invisible to the
-//! numerics, across every engine.
+//! numerics.
 //!
 //! * [`cached_plan_is_bit_identical_across_engines`] pins the tentpole
 //!   contract of the pattern-keyed plan cache: a factorization built from a
 //!   cached `SymbolicPlan` produces byte-identical factor blocks and solve
-//!   results vs. a fresh analyze, for all five engines on the shared
-//!   runtime — fan-out + panel triangular solve (through `Session`), and
-//!   the right-looking / fan-in / fan-both baselines (through
-//!   `BaselineOptions::symbolic`) — at P ∈ {1, 2, 4}.
+//!   results vs. a fresh analyze — fan-out + panel triangular solve,
+//!   through `Session` — at P ∈ {1, 2, 4}. (The baselines have no
+//!   plan-cache path: they analyze on every call, as the fan-out's
+//!   one-shot does.)
 //! * [`fleet_amortizes_analysis_across_tenants`] drives a small multi-tenant
 //!   mix end to end: repeated-pattern tenants admit as plan-cache hits
 //!   (analyze wall time exactly 0), every tenant's solutions stay correct,
@@ -16,16 +16,9 @@
 use std::sync::Arc;
 
 use sympack::{SolverOptions, SymbolicPlan};
-use sympack_baseline::{
-    try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
-    BaselineOptions, BaselineReport,
-};
 use sympack_fleet::{Fleet, FleetConfig};
-use sympack_ordering::compute_ordering;
 use sympack_service::Session;
 use sympack_sparse::gen;
-use sympack_sparse::SparseSym;
-use sympack_symbolic::analyze;
 
 fn rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i + 1) as f64 * 0.23).sin()).collect()
@@ -60,20 +53,6 @@ fn assert_factors_bit_identical(label: &str, fresh: &Session, cached: &Session) 
     }
 }
 
-fn assert_baseline_bits_eq(label: &str, fresh: &BaselineReport, shared: &BaselineReport) {
-    assert_bits_eq(&format!("{label}: x"), &fresh.x, &shared.x);
-    assert_eq!(
-        fresh.factor_time.to_bits(),
-        shared.factor_time.to_bits(),
-        "{label}: factor_time"
-    );
-    assert_eq!(
-        fresh.solve_time.to_bits(),
-        shared.solve_time.to_bits(),
-        "{label}: solve_time"
-    );
-}
-
 #[test]
 fn cached_plan_is_bit_identical_across_engines() {
     let a = gen::laplacian_2d(7, 6);
@@ -102,36 +81,6 @@ fn cached_plan_is_bit_identical_across_engines() {
         let xc = cached.solve(&b).unwrap();
         assert_bits_eq(&format!("P={p} trisolve"), &xf, &xc);
         assert!(a.relative_residual(&xc, &b) < 1e-8, "P={p}: residual");
-
-        // The three baselines: a shared symbolic factor handed through
-        // BaselineOptions::symbolic must change nothing vs. re-analyzing.
-        let bl = BaselineOptions {
-            n_nodes: 1,
-            ranks_per_node: p,
-            deterministic: true,
-            ..Default::default()
-        };
-        let ordering = compute_ordering(&a, bl.ordering);
-        let sf = Arc::new(analyze(&a, &ordering, &bl.analyze));
-        let shared_opts = BaselineOptions {
-            symbolic: Some(Arc::clone(&sf)),
-            ..bl.clone()
-        };
-        for (name, run) in [
-            (
-                "right-looking",
-                &try_baseline_factor_and_solve
-                    as &dyn Fn(&SparseSym, &[f64], &BaselineOptions) -> _,
-            ),
-            ("fan-in", &try_fanin_factor_and_solve),
-            ("fan-both", &try_fanboth_factor_and_solve),
-        ] {
-            let fresh = run(&a, &b, &bl).unwrap_or_else(|e| panic!("P={p} {name} fresh: {e}"));
-            let shared =
-                run(&a, &b, &shared_opts).unwrap_or_else(|e| panic!("P={p} {name} shared: {e}"));
-            assert_baseline_bits_eq(&format!("P={p} {name}"), &fresh, &shared);
-            assert!(shared.relative_residual < 1e-8, "P={p} {name}: residual");
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 
 use sympack::{SolverOptions, SymPack};
 use sympack_baseline::{
-    baseline_factor_and_solve, fanboth_factor_and_solve, fanin_factor_and_solve, BaselineOptions,
+    baseline_factor_and_solve, fanboth_factor_and_solve, fanin_factor_and_solve,
 };
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
@@ -17,18 +17,9 @@ fn matrix() -> sympack_sparse::SparseSym {
     gen::random_spd(120, 5, 42)
 }
 
-fn fanout_opts() -> SolverOptions {
+/// Every engine's options: P = 4, traced, in lockstep.
+fn traced_opts() -> SolverOptions {
     SolverOptions {
-        n_nodes: 2,
-        ranks_per_node: 2,
-        trace: true,
-        deterministic: true,
-        ..Default::default()
-    }
-}
-
-fn baseline_opts() -> BaselineOptions {
-    BaselineOptions {
         n_nodes: 2,
         ranks_per_node: 2,
         trace: true,
@@ -41,16 +32,16 @@ fn baseline_opts() -> BaselineOptions {
 fn all_profiles() -> Vec<Profile> {
     let a = matrix();
     let b = test_rhs(a.n());
-    let fanout = SymPack::factor_and_solve(&a, &b, &fanout_opts())
+    let fanout = SymPack::factor_and_solve(&a, &b, &traced_opts())
         .profile
         .expect("fanout profile");
-    let rl = baseline_factor_and_solve(&a, &b, &baseline_opts())
+    let rl = baseline_factor_and_solve(&a, &b, &traced_opts())
         .profile
         .expect("rightlooking profile");
-    let fi = fanin_factor_and_solve(&a, &b, &baseline_opts())
+    let fi = fanin_factor_and_solve(&a, &b, &traced_opts())
         .profile
         .expect("fanin profile");
-    let fb = fanboth_factor_and_solve(&a, &b, &baseline_opts())
+    let fb = fanboth_factor_and_solve(&a, &b, &traced_opts())
         .profile
         .expect("fanboth profile");
     vec![fanout, rl, fi, fb]
@@ -142,7 +133,7 @@ fn engine_profiles_roundtrip_through_json() {
 fn diff_gate_flags_regressions_past_threshold() {
     let a = matrix();
     let b = test_rhs(a.n());
-    let base = SymPack::factor_and_solve(&a, &b, &fanout_opts())
+    let base = SymPack::factor_and_solve(&a, &b, &traced_opts())
         .profile
         .expect("profile");
     // Identical profiles: within thresholds.
@@ -174,7 +165,7 @@ fn tracing_does_not_perturb_deterministic_clocks() {
     let run = |trace: bool| {
         let opts = SolverOptions {
             trace,
-            ..fanout_opts()
+            ..traced_opts()
         };
         SymPack::factor_and_solve(&a, &b, &opts)
     };
@@ -195,9 +186,9 @@ fn tracing_does_not_perturb_deterministic_clocks() {
 
     // Baselines inherit the same guarantee through the shared runtime.
     let brun = |trace: bool| {
-        let opts = BaselineOptions {
+        let opts = SolverOptions {
             trace,
-            ..baseline_opts()
+            ..traced_opts()
         };
         baseline_factor_and_solve(&a, &b, &opts)
     };
@@ -215,7 +206,7 @@ fn blr_runs_carry_publication_accounting_in_the_profile() {
     // document stays byte-identical to the pre-BLR schema (no `blr` key).
     let a = gen::bone_like(6, 6, 5);
     let b = test_rhs(a.n());
-    let dense = SymPack::factor_and_solve(&a, &b, &fanout_opts())
+    let dense = SymPack::factor_and_solve(&a, &b, &traced_opts())
         .profile
         .expect("dense profile");
     assert!(dense.blr.is_empty());
@@ -227,7 +218,7 @@ fn blr_runs_carry_publication_accounting_in_the_profile() {
             max_rank: usize::MAX,
         },
         refine_steps: 2,
-        ..fanout_opts()
+        ..traced_opts()
     };
     let r = SymPack::factor_and_solve(&a, &b, &opts);
     let p = r.profile.expect("blr profile");

@@ -27,7 +27,6 @@ use sympack::storage::BlockStore;
 use sympack::{SolvePlan, SolverError, SolverOptions, SymPack};
 use sympack_baseline::{
     try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
-    BaselineOptions,
 };
 use sympack_pgas::FaultPlan;
 use sympack_service::{RhsPanel, Session};
@@ -83,11 +82,6 @@ fn session_batch_matches_every_engine_per_rhs() {
             .solve_batch(&[RhsPanel::from_columns(&bs)])
             .unwrap_or_else(|e| panic!("P={p}: solve_batch: {e}"));
         assert_eq!(batch.nrhs, bs.len());
-        let bl_opts = BaselineOptions {
-            n_nodes: 1,
-            ranks_per_node: p,
-            ..Default::default()
-        };
         for (k, b) in bs.iter().enumerate() {
             let x = batch.panels[0].column(k);
             let res = a.relative_residual(x, b);
@@ -110,8 +104,7 @@ fn session_batch_matches_every_engine_per_rhs() {
                 ("fanin", try_fanin_factor_and_solve),
                 ("fanboth", try_fanboth_factor_and_solve),
             ] {
-                let bl =
-                    run(&a, b, &bl_opts).unwrap_or_else(|e| panic!("P={p} rhs {k}: {name}: {e}"));
+                let bl = run(&a, b, &opts).unwrap_or_else(|e| panic!("P={p} rhs {k}: {name}: {e}"));
                 assert!(bl.relative_residual < RESIDUAL_TOL);
                 assert!(
                     max_abs_diff(x, &bl.x) / scale < 1e-9,

@@ -6,17 +6,26 @@
 //! The plan layer (`factor_numeric_observed`, the path sessions and the
 //! fleet serve from) is observed by the same per-rank body as the one-shot
 //! driver, so its instruments and health events must equal the one-shot's.
+//! The baselines run that one-shot driver too: `telemetry` reaches them, and
+//! it must not move their clocks either.
 
 use std::sync::Arc;
 use sympack::plan::factor_numeric_observed;
-use sympack::{SolvePlan, SolverError, SolverOptions, SymPack};
+use sympack::{SolvePlan, SolveReport, SolverError, SolverOptions, SymPack};
+use sympack_baseline::{
+    try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
+};
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_pgas::FaultPlan;
 use sympack_service::{Server, ServerConfig, Session};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
+use sympack_sparse::SparseSym;
 use sympack_trace::health::HealthKind;
 use sympack_trace::telemetry::SloPolicy;
+
+/// The three baseline engines behind one signature.
+type BaselineFn = fn(&SparseSym, &[f64], &SolverOptions) -> Result<SolveReport, SolverError>;
 
 fn opts(p: usize, telemetry: bool) -> SolverOptions {
     SolverOptions {
@@ -85,6 +94,22 @@ fn solver_snapshots_are_byte_identical_across_reruns() {
             r1.factor_time.to_bits(),
             "P={p}: telemetry changed the factor makespan"
         );
+        for (name, run) in [
+            ("right-looking", try_baseline_factor_and_solve as BaselineFn),
+            ("fan-in", try_fanin_factor_and_solve),
+            ("fan-both", try_fanboth_factor_and_solve),
+        ] {
+            let (on, off) = (opts(p, true), opts(p, false));
+            let on = run(&a, &b[0], &on).expect("SPD input");
+            let off = run(&a, &b[0], &off).expect("SPD input");
+            let clocks = |r: &SolveReport| (r.factor_time.to_bits(), r.solve_time.to_bits());
+            assert_eq!(
+                clocks(&on),
+                clocks(&off),
+                "P={p} {name}: telemetry moved a clock"
+            );
+            assert_eq!(on.x, off.x, "P={p} {name}");
+        }
         assert!(doc1.contains("\"kind\":\"solver\""), "P={p}");
         assert!(doc1.contains("sympack_sched_tasks_total"), "P={p}");
         assert!(doc1.contains("sympack_pgas_bytes_sent_total"), "P={p}");

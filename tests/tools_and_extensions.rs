@@ -116,15 +116,10 @@ fn all_five_solver_families_agree() {
         ranks_per_node: 2,
         ..Default::default()
     };
-    let bopts = sympack_baseline::BaselineOptions {
-        n_nodes: 2,
-        ranks_per_node: 2,
-        ..Default::default()
-    };
     let fan_out = SymPack::factor_and_solve(&a, &b, &opts).x;
-    let right_looking = sympack_baseline::baseline_factor_and_solve(&a, &b, &bopts).x;
-    let fan_in = sympack_baseline::fanin_factor_and_solve(&a, &b, &bopts).x;
-    let fan_both = sympack_baseline::fanboth_factor_and_solve(&a, &b, &bopts).x;
+    let right_looking = sympack_baseline::baseline_factor_and_solve(&a, &b, &opts).x;
+    let fan_in = sympack_baseline::fanin_factor_and_solve(&a, &b, &opts).x;
+    let fan_both = sympack_baseline::fanboth_factor_and_solve(&a, &b, &opts).x;
     let multifrontal = sympack_multifrontal::multifrontal_solve(
         &a,
         &b,
