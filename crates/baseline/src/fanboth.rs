@@ -30,7 +30,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
 use sympack::plan::{EngineFamily, SolvePlan};
-use sympack::sched::{self, Core, Engine, FetchMode, TaskEngine};
+use sympack::sched::{self, Core, Engine, FetchMode, Graph, TaskEngine, TaskId};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{SolveReport, SolverError, SolverOptions, TaskKey};
@@ -81,11 +81,17 @@ struct FbEngine {
     inputs: HashMap<(usize, usize), Mat>,
     /// Aggregation buffers per target block.
     aggs: HashMap<(usize, usize), Mat>,
-    /// For each input factor block `(i,j)`, the owned tasks consuming it
-    /// (updates computing here, and — for diagonal factors — owned panels).
-    consumers: HashMap<(usize, usize), Vec<TaskKey>>,
+    /// Dense block numbering of the tables below (see [`block_index`]).
+    start: Vec<usize>,
+    /// Per block: its `D`/`F` task here (`TaskId::MAX` if not owned).
+    factor_id: Vec<TaskId>,
+    /// CSR over blocks: the owned tasks consuming each factored block
+    /// (updates computing here, and — for diagonal factors — owned panels),
+    /// in release order.
+    consumer_ptr: Vec<u32>,
+    consumers: Vec<TaskId>,
     /// Outstanding local update contributions per target block.
-    my_contribs: HashMap<(usize, usize), usize>,
+    my_contribs: Vec<u32>,
     scratch: UpdateScratch,
     me: usize,
 }
@@ -103,6 +109,18 @@ fn factored<'a>(
     }
 }
 
+/// Index of block `(i, j)` in the dense numbering `start` (supernode `j`'s
+/// diagonal block at `start[j]`, its `k`-th off-diagonal block at
+/// `start[j] + 1 + k`): a binary search of column `j`.
+fn block_index(sf: &SymbolicFactor, start: &[usize], i: usize, j: usize) -> usize {
+    if i == j {
+        return start[j];
+    }
+    let col = sf.layout.blocks_of(j);
+    let k = col.binary_search_by_key(&i, |b| b.target);
+    start[j] + 1 + k.expect("block exists")
+}
+
 impl FbEngine {
     fn new(
         plan: &SolvePlan,
@@ -113,60 +131,68 @@ impl FbEngine {
     ) -> Self {
         let (sf, grid, opts) = (Arc::clone(plan.sf()), plan.grid(), &plan.opts);
         let store = BlockStore::init(&sf, ap, &grid, rank);
-        let ns = sf.n_supernodes();
-        let mut rt = TaskEngine::new(opts.rtq_policy, abort);
-        // Static task analysis. For each pair (a >= b) of targets of
-        // supernode j, the update computes on cmap = map(a, j) and lands on
-        // map(a, b). contrib_ranks[(a,b)] collects the distinct compute
-        // ranks, which become the target-side dependency counts.
-        let mut contrib_ranks: HashMap<(usize, usize), std::collections::HashSet<usize>> =
-            HashMap::new();
-        let mut consumers: HashMap<(usize, usize), Vec<TaskKey>> = HashMap::new();
-        let mut my_contribs: HashMap<(usize, usize), usize> = HashMap::new();
+        let (ns, p) = (sf.n_supernodes(), grid.n_procs());
+        let mut start = vec![0];
+        for j in 0..ns {
+            start.push(start[j] + 1 + sf.layout.blocks_of(j).len());
+        }
+        let n_blocks = start[ns];
+        // Factor tasks of the owned blocks: D(j) waits for its incoming
+        // aggregates, F(i,j) also for its diagonal factor.
+        let (mut keys, mut deps) = (Vec::new(), Vec::new());
+        let mut factor_id = vec![TaskId::MAX; n_blocks];
+        // (consumed block, consuming task), in release order.
+        let mut edges: Vec<(usize, TaskId)> = Vec::new();
+        for j in 0..ns {
+            let rows = std::iter::once(j).chain(sf.layout.blocks_of(j).iter().map(|b| b.target));
+            for (k, i) in rows.enumerate().filter(|&(_, i)| grid.map(i, j) == rank) {
+                let id = keys.len() as TaskId;
+                factor_id[start[j] + k] = id;
+                if i == j {
+                    keys.push(TaskKey::Diag { j });
+                } else {
+                    keys.push(TaskKey::Panel { i, j });
+                    edges.push((start[j], id));
+                }
+                deps.push(u32::from(i != j));
+            }
+        }
+        // Updates: for each pair (a >= b) of targets of supernode j, the
+        // update computes on cmap = map(a, j) and lands on map(a, b). An
+        // owned target waits for one aggregate per distinct compute rank.
+        let n_factor = keys.len();
+        let mut counted = vec![false; n_factor * p];
+        let mut my_contribs = vec![0; n_blocks];
         for j in 0..ns {
             let blocks = sf.layout.blocks_of(j);
             for (bi, bb) in blocks.iter().enumerate() {
-                for ba in &blocks[bi..] {
+                for (ai, ba) in blocks.iter().enumerate().skip(bi) {
                     let (a, b) = (ba.target, bb.target);
-                    let cmap = grid.map(a, j);
-                    contrib_ranks.entry((a, b)).or_default().insert(cmap);
+                    let (cmap, target) = (grid.map(a, j), block_index(&sf, &start, a, b));
+                    let t = factor_id[target] as usize; // MAX: not owned
+                    if t < n_factor && !std::mem::replace(&mut counted[t * p + cmap], true) {
+                        deps[t] += 1;
+                    }
                     if cmap == rank {
-                        let key = TaskKey::Update { j, a, b };
-                        rt.insert_task(key, if a == b { 1 } else { 2 });
-                        consumers.entry((a, j)).or_default().push(key);
+                        let id = keys.len() as TaskId;
+                        keys.push(TaskKey::Update { j, a, b });
+                        deps.push(if a == b { 1 } else { 2 });
+                        edges.push((start[j] + 1 + ai, id));
                         if a != b {
-                            consumers.entry((b, j)).or_default().push(key);
+                            edges.push((start[j] + 1 + bi, id));
                         }
-                        *my_contribs.entry((a, b)).or_default() += 1;
+                        my_contribs[target] += 1;
                     }
                 }
             }
         }
-        // D/F tasks owned by me: a diagonal task waits for its incoming
-        // aggregates; a panel task additionally waits for its diagonal
-        // factor.
-        for j in 0..ns {
-            if grid.map(j, j) == rank {
-                rt.insert_task(
-                    TaskKey::Diag { j },
-                    contrib_ranks.get(&(j, j)).map_or(0, |s| s.len()),
-                );
-            }
-            for bb in sf.layout.blocks_of(j) {
-                let i = bb.target;
-                if grid.map(i, j) == rank {
-                    rt.insert_task(
-                        TaskKey::Panel { i, j },
-                        1 + contrib_ranks.get(&(i, j)).map_or(0, |s| s.len()),
-                    );
-                    consumers
-                        .entry((j, j))
-                        .or_default()
-                        .push(TaskKey::Panel { i, j });
-                }
-            }
-        }
-        rt.seed_ready();
+        // The consumer lists as a CSR; the sort is stable, so each block's
+        // list keeps its release order.
+        edges.sort_by_key(|&(blk, _)| blk);
+        let row_start = |b| edges.partition_point(|&(blk, _)| blk < b) as u32;
+        let consumer_ptr = (0..=n_blocks).map(row_start).collect();
+        let consumers = edges.iter().map(|&(_, id)| id).collect();
+        let rt = TaskEngine::new(&Graph::new(keys, deps), opts.rtq_policy, abort);
         FbEngine {
             core: core_for(rt, &kernels, opts, FetchMode::NonBlocking),
             sf,
@@ -175,6 +201,9 @@ impl FbEngine {
             kernels,
             inputs: HashMap::new(),
             aggs: HashMap::new(),
+            start,
+            factor_id,
+            consumer_ptr,
             consumers,
             my_contribs,
             scratch: UpdateScratch::default(),
@@ -185,8 +214,10 @@ impl FbEngine {
     /// Factored block `(i,j)` became available here at `now`: release the
     /// owned tasks consuming it.
     fn release_consumers(&mut self, i: usize, j: usize, now: f64) {
-        for &k in self.consumers.get(&(i, j)).into_iter().flatten() {
-            self.core.rt.dec(k, now);
+        let blk = block_index(&self.sf, &self.start, i, j);
+        let range = self.consumer_ptr[blk] as usize..self.consumer_ptr[blk + 1] as usize;
+        for &t in &self.consumers[range] {
+            self.core.rt.dec_id(t, now);
         }
     }
 
@@ -195,12 +226,8 @@ impl FbEngine {
     fn absorb(&mut self, a: usize, b: usize, buf: &Mat, now: f64) {
         let target = self.store.get_mut((a, b)).expect("target owned");
         add_block(target.dense_mut(), buf, a == b);
-        let key = if a == b {
-            TaskKey::Diag { j: b }
-        } else {
-            TaskKey::Panel { i: a, j: b }
-        };
-        self.core.rt.dec(key, now);
+        let t = self.factor_id[block_index(&self.sf, &self.start, a, b)];
+        self.core.rt.dec_id(t, now);
     }
 
     /// Store freshly factored `L(i,j)`, send it to the owners of the blocks
@@ -264,7 +291,7 @@ impl FbEngine {
         );
         self.core.rt.charge(rank, TaskKey::Update { j, a, b }, secs);
         // Last contribution to (a,b) from this rank? Ship or absorb.
-        let c = self.my_contribs.get_mut(&(a, b)).expect("contrib counted");
+        let c = &mut self.my_contribs[block_index(sf, &self.start, a, b)];
         *c -= 1;
         if *c > 0 {
             return;

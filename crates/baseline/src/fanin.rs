@@ -17,14 +17,14 @@
 //! charge.
 
 use crate::column::{factor_column, ColumnBuf};
-use crate::rightlooking::{core_for, owner_of, RENDEZVOUS_OVERHEAD};
+use crate::rightlooking::{core_for, owned_id, owner_of, RENDEZVOUS_OVERHEAD};
 use crate::run;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
 use sympack::plan::{EngineFamily, SolvePlan};
-use sympack::sched::{self, Core, Engine, FetchMode, TaskEngine, TaskKind};
+use sympack::sched::{self, Core, Engine, FetchMode, Graph, TaskEngine, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{SolveReport, SolverError, SolverOptions};
@@ -81,8 +81,8 @@ struct FiEngine {
     core: Core<FiKey, AggMeta>,
     /// Aggregation buffers for remote targets, keyed by target supernode.
     aggs: HashMap<usize, ColumnBuf>,
-    /// Outstanding local contributions per remote target.
-    my_contribs: HashMap<usize, usize>,
+    /// Outstanding local contributions per remote target supernode.
+    my_contribs: Vec<u32>,
     scratch: UpdateScratch,
     p: usize,
     me: usize,
@@ -100,42 +100,31 @@ impl FiEngine {
         let p = grid.n_procs();
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
-        let mut rt = TaskEngine::new(opts.rtq_policy, abort);
-        // Dependency accounting.
-        // deps[j] (owned j) = #own earlier supernodes contributing to j
-        //                   + #remote ranks contributing to j (one aggregate
-        //                     message each).
+        // Dependency accounting, one task per owned supernode `j`:
+        // deps = #own earlier supernodes contributing to j
+        //      + #remote ranks contributing to j (one aggregate message each);
         // my_contribs[b] (remote b) = #own supernodes contributing to b.
-        let mut remaining: HashMap<usize, usize> = HashMap::new();
-        let mut my_contribs: HashMap<usize, usize> = HashMap::new();
-        for j in (0..ns).filter(|&j| owner_of(j, p) == rank) {
-            remaining.insert(j, 0);
-        }
-        let mut contributing_ranks: HashMap<usize, std::collections::HashSet<usize>> =
-            HashMap::new();
+        let keys: Vec<_> = (rank..ns).step_by(p).map(|j| FiKey { j }).collect();
+        let mut deps = vec![0; keys.len()];
+        let mut my_contribs = vec![0; ns];
+        // `counted[t * p + r]`: remote rank `r` is already in task `t`'s count.
+        let mut counted = vec![false; keys.len() * p];
         for j in 0..ns {
             let src_owner = owner_of(j, p);
             for bb in sf.layout.blocks_of(j) {
                 let b = bb.target;
-                let dst_owner = owner_of(b, p);
-                if dst_owner == rank {
-                    if src_owner == rank {
-                        *remaining.get_mut(&b).expect("owned") += 1;
-                    } else {
-                        contributing_ranks.entry(b).or_default().insert(src_owner);
+                if owner_of(b, p) == rank {
+                    let t = owned_id(b, p) as usize;
+                    let seen = std::mem::replace(&mut counted[t * p + src_owner], true);
+                    if src_owner == rank || !seen {
+                        deps[t] += 1;
                     }
                 } else if src_owner == rank {
-                    *my_contribs.entry(b).or_default() += 1;
+                    my_contribs[b] += 1;
                 }
             }
         }
-        for (b, ranks) in &contributing_ranks {
-            *remaining.get_mut(b).expect("owned") += ranks.len();
-        }
-        for (&j, &deps) in &remaining {
-            rt.insert_task(FiKey { j }, deps);
-        }
-        rt.seed_ready();
+        let rt = TaskEngine::new(&Graph::new(keys, deps), opts.rtq_policy, abort);
         let mode = FetchMode::Blocking {
             overhead: RENDEZVOUS_OVERHEAD,
         };
@@ -228,10 +217,10 @@ impl Engine for FiEngine {
         for b in self.sf.layout.blocks_of(j).iter().map(|bb| bb.target) {
             let owner = owner_of(b, self.p);
             if owner == self.me {
-                self.core.rt.dec(FiKey { j: b }, now);
+                self.core.rt.dec_id(owned_id(b, self.p), now);
                 continue;
             }
-            let c = self.my_contribs.get_mut(&b).expect("contrib counted");
+            let c = &mut self.my_contribs[b];
             *c -= 1;
             if *c == 0 {
                 // Last local contribution folded in: ship the aggregate
@@ -250,7 +239,7 @@ impl Engine for FiEngine {
     fn on_data(&mut self, _rank: &mut Rank, meta: AggMeta, data: Payload, ready_at: f64) {
         let b = meta.target;
         ColumnBuf::unpack(&self.sf, b, &data).add_into(&self.sf, &mut self.store, b);
-        self.core.rt.dec(FiKey { j: b }, ready_at);
+        self.core.rt.dec_id(owned_id(b, self.p), ready_at);
     }
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {

@@ -13,7 +13,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
 use sympack::plan::{EngineFamily, SolvePlan};
-use sympack::sched::{self, CommLayer, Core, Engine, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use sympack::sched::{
+    self, CommLayer, Core, Engine, FetchConfig, FetchMode, Graph, TaskEngine, TaskId, TaskKind,
+};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{MultiSolveReport, SolveReport, SolverError, SolverOptions};
@@ -103,6 +105,13 @@ pub(crate) fn owner_of(j: usize, p: usize) -> usize {
     j % p
 }
 
+/// Id of the task on owned supernode `j` when a 1D-mapped family compiles
+/// those tasks first, by ascending `j`: `j`'s rank among its owner's
+/// supernodes.
+pub(crate) fn owned_id(j: usize, p: usize) -> TaskId {
+    (j / p) as TaskId
+}
+
 /// The shared core of a baseline engine over `rt`: flat publication (the
 /// families message a handful of ranks per payload), coalescing and the
 /// fetch path as the options ask.
@@ -127,6 +136,9 @@ struct RlEngine {
     core: Core<RlKey, PanelMeta>,
     /// Received (or self-broadcast) panels awaiting application.
     inputs: HashMap<usize, ColumnBuf>,
+    /// Id of `Apply { j }` per supernode (`TaskId::MAX` where this rank
+    /// owns no target of `j`); `Factor { j }` is [`owned_id`].
+    apply_id: Vec<TaskId>,
     scratch: UpdateScratch,
     p: usize,
     me: usize,
@@ -144,30 +156,26 @@ impl RlEngine {
         let p = grid.n_procs();
         let store = BlockStore::init(&sf, ap, &grid, rank);
         let ns = sf.n_supernodes();
-        let mut rt = TaskEngine::new(opts.rtq_policy, abort);
-        rt.set_task_overhead(RUNTIME_TASK_OVERHEAD);
-        // Incoming panel counts per owned supernode, and one apply task per
-        // panel this rank must process.
-        let mut incoming: HashMap<usize, usize> = HashMap::new();
-        for j in (0..ns).filter(|&j| owner_of(j, p) == rank) {
-            incoming.insert(j, 0);
-        }
+        // One factor task per owned supernode, waiting for every panel
+        // that updates it; one apply task per panel this rank must process.
+        let mut keys: Vec<_> = (rank..ns).step_by(p).map(|j| RlKey::Factor { j }).collect();
+        let mut deps = vec![0; keys.len()];
+        let mut apply_id = vec![TaskId::MAX; ns];
         for j in 0..ns {
+            let targets = sf.layout.blocks_of(j).iter().map(|bb| bb.target);
             let mut relevant = false;
-            for bb in sf.layout.blocks_of(j) {
-                if owner_of(bb.target, p) == rank {
-                    relevant = true;
-                    *incoming.get_mut(&bb.target).expect("owned") += 1;
-                }
+            for b in targets.filter(|&b| owner_of(b, p) == rank) {
+                deps[owned_id(b, p) as usize] += 1;
+                relevant = true;
             }
             if relevant {
-                rt.insert_task(RlKey::Apply { j }, 1);
+                apply_id[j] = keys.len() as TaskId;
+                keys.push(RlKey::Apply { j });
+                deps.push(1);
             }
         }
-        for (&j, &deps) in &incoming {
-            rt.insert_task(RlKey::Factor { j }, deps);
-        }
-        rt.seed_ready();
+        let mut rt = TaskEngine::new(&Graph::new(keys, deps), opts.rtq_policy, abort);
+        rt.set_task_overhead(RUNTIME_TASK_OVERHEAD);
         let mode = FetchMode::Blocking {
             overhead: RENDEZVOUS_OVERHEAD,
         };
@@ -177,6 +185,7 @@ impl RlEngine {
             store,
             kernels,
             inputs: HashMap::new(),
+            apply_id,
             scratch: UpdateScratch::default(),
             p,
             me: rank,
@@ -243,7 +252,7 @@ impl RlEngine {
         }
         let now = rank.now();
         for bb in col.iter().filter(|bb| mine(bb.target)) {
-            self.core.rt.dec(RlKey::Factor { j: bb.target }, now);
+            self.core.rt.dec_id(owned_id(bb.target, self.p), now);
         }
     }
 }
@@ -271,7 +280,7 @@ impl Engine for RlEngine {
     fn on_data(&mut self, _rank: &mut Rank, meta: PanelMeta, data: Payload, ready_at: f64) {
         let j = meta.j;
         self.inputs.insert(j, ColumnBuf::unpack(&self.sf, j, &data));
-        self.core.rt.dec(RlKey::Apply { j }, ready_at);
+        self.core.rt.dec_id(self.apply_id[j], ready_at);
     }
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {

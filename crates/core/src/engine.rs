@@ -114,7 +114,7 @@ impl FactoEngine {
             &graph.blocks[..graph.n_owned],
             "task graph was compiled for another rank or grid"
         );
-        let mut rt = TaskEngine::from_compiled(Arc::clone(&graph.keys), &graph.deps, policy, abort);
+        let mut rt = TaskEngine::new(&graph.graph, policy, abort);
         if policy == RtqPolicy::CommAware {
             // Overlap-driven urgency: a factor task's output unblocks this
             // many *remote* ranks, so producing it early feeds the network
@@ -127,7 +127,6 @@ impl FactoEngine {
                 }
             }
         }
-        rt.seed_from(&graph.seeds);
         let fetch =
             FetchConfig::for_engine(kernels.gpu_enabled, oom_policy, FetchMode::NonBlocking);
         let n_inputs = graph.blocks.len() - graph.n_owned;

@@ -1,5 +1,6 @@
 //! The generic per-rank task engine: dependency counters, RTQ, signal
-//! inbox, abort broadcast, virtual-clock accounting and tracer hooks.
+//! inbox, abort broadcast, virtual-clock accounting and tracer hooks — and
+//! [`Graph`], the compiled task table every engine is built from.
 
 use super::queue::{ReadyQueue, RtqPolicy};
 use super::{Signal, TaskKind};
@@ -13,18 +14,52 @@ use sympack_trace::{SpanKind, TraceEvent, Tracer};
 /// Dense, rank-local index of a task in its engine's LTQ arrays.
 pub type TaskId = u32;
 
+/// A compiled task graph: every task's key and initial dependency counter,
+/// addressed by dense [`TaskId`], and the tasks ready at the start. Built
+/// once per rank (per plan, for the fan-out and the solve; per engine, for
+/// the baselines) and shared by every engine run over it.
+#[derive(Debug)]
+pub struct Graph<K> {
+    /// `id → key`; shared with every engine over this graph.
+    pub keys: Arc<Vec<K>>,
+    /// Initial dependency counter of every task.
+    pub deps: Vec<u32>,
+    /// The zero-dependency tasks in [`TaskKind::seed_key`] order — what an
+    /// engine over this graph seeds its RTQ with, so neither id assignment
+    /// nor hash iteration can leak into the schedule.
+    pub seeds: Vec<TaskId>,
+}
+
+impl<K: TaskKind> Graph<K> {
+    /// Compile `(keys, deps)`, one counter per task; the only place seeds
+    /// are computed.
+    pub fn new(keys: Vec<K>, deps: Vec<u32>) -> Self {
+        assert_eq!(keys.len(), deps.len(), "one counter per task");
+        assert!(keys.len() < u32::MAX as usize, "task ids fit u32");
+        let mut seeds: Vec<TaskId> = (0..keys.len() as TaskId)
+            .filter(|&t| deps[t as usize] == 0)
+            .collect();
+        seeds.sort_by_key(|&t| keys[t as usize].seed_key());
+        let keys = Arc::new(keys);
+        Graph { keys, deps, seeds }
+    }
+}
+
+impl<K> Default for Graph<K> {
+    fn default() -> Self {
+        let (keys, deps, seeds) = Default::default();
+        Graph { keys, deps, seeds }
+    }
+}
+
 /// The scheduling core shared by every engine: the LTQ (per-task dependency
 /// counters), the RTQ, the signal inbox and the bookkeeping around them.
 ///
 /// `K` is the engine's task species, `S` its signal (notification) type.
 /// Engines embed one `TaskEngine` and route *all* scheduling through it;
-/// this is the only definition of `dec`/`pick`/inbox draining in the tree.
-///
-/// Scheduling state lives in flat arrays indexed by [`TaskId`]. An engine
-/// built [`from_compiled`](Self::from_compiled) is id-addressed throughout;
-/// one built by [`insert_task`](Self::insert_task) also carries a
-/// `K → TaskId` index, and its key-addressed [`dec`](Self::dec) pays one
-/// lookup there before running the same code.
+/// this is the only definition of `dec_id`/`pick`/inbox draining in the
+/// tree. It is built over a [`Graph`] and addressed by [`TaskId`]
+/// throughout: scheduling state lives in flat arrays indexed by it.
 pub struct TaskEngine<K: TaskKind, S = ()> {
     /// `id → key`; shared with the compiled graph the engine came from.
     keys: Arc<Vec<K>>,
@@ -37,8 +72,6 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     /// and the "not yet completed" set of
     /// [`estimated_remaining`](Self::estimated_remaining).
     executed: Vec<bool>,
-    /// `K → TaskId` for key-addressed callers; empty when compiled.
-    index: HashMap<K, TaskId>,
     rtq: ReadyQueue<TaskId>,
     /// Per-task urgency consulted by [`RtqPolicy::CommAware`]; empty until
     /// [`set_urgency`](Self::set_urgency) records one (absent ⇒ 0).
@@ -87,30 +120,22 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
 }
 
 impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
-    /// An empty engine; add tasks with [`insert_task`](Self::insert_task)
-    /// and seed the RTQ with [`seed_ready`](Self::seed_ready).
-    pub fn new(policy: RtqPolicy, abort: Arc<AtomicBool>) -> Self {
-        Self::from_compiled(Arc::default(), &[], policy, abort)
-    }
-
-    /// An engine over a compiled task table (the fan-out path, where
-    /// `LocalTasks::build` computed ids and counters once per plan): the
-    /// key table is shared, the initial counters are copied.
-    pub fn from_compiled(
-        keys: Arc<Vec<K>>,
-        deps: &[u32],
-        policy: RtqPolicy,
-        abort: Arc<AtomicBool>,
-    ) -> Self {
-        assert_eq!(keys.len(), deps.len(), "one counter per task");
-        let total = keys.len();
+    /// An engine over compiled `graph`: the key table is shared, the
+    /// initial counters are copied and the RTQ starts with the graph's
+    /// seeds.
+    pub fn new(graph: &Graph<K>, policy: RtqPolicy, abort: Arc<AtomicBool>) -> Self {
+        let total = graph.keys.len();
+        let mut rtq = ReadyQueue::new(policy);
+        for &id in &graph.seeds {
+            debug_assert_eq!(graph.deps[id as usize], 0, "seed has dependencies");
+            rtq.push(id);
+        }
         TaskEngine {
-            keys,
-            deps: deps.to_vec(),
+            keys: Arc::clone(&graph.keys),
+            deps: graph.deps.clone(),
             ready_at: vec![0.0; total],
             executed: vec![false; total],
-            index: HashMap::new(),
-            rtq: ReadyQueue::new(policy),
+            rtq,
             urgency: Vec::new(),
             inbox: Vec::new(),
             spare_inbox: Vec::new(),
@@ -159,59 +184,6 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         self.urgency[id as usize] = urgency;
     }
 
-    /// Register an owned task with `deps` outstanding dependencies; its id
-    /// is the number of tasks registered before it.
-    ///
-    /// # Panics
-    /// Panics if `key` is already registered.
-    pub fn insert_task(&mut self, key: K, deps: usize) -> TaskId {
-        let id = TaskId::try_from(self.keys.len()).expect("task count fits u32");
-        let previous = self.index.insert(key, id);
-        assert!(previous.is_none(), "task {key:?} inserted twice");
-        Arc::make_mut(&mut self.keys).push(key);
-        self.deps
-            .push(u32::try_from(deps).expect("dependency count fits u32"));
-        self.ready_at.push(0.0);
-        self.executed.push(false);
-        id
-    }
-
-    /// Resolve a key through the `K → TaskId` index.
-    ///
-    /// # Panics
-    /// Panics if `key` was never [`insert_task`](Self::insert_task)ed —
-    /// engines built from a compiled graph are id-addressed only.
-    pub fn id_of(&self, key: K) -> TaskId {
-        *self
-            .index
-            .get(&key)
-            .unwrap_or_else(|| panic!("task {key:?} is not in the key index"))
-    }
-
-    /// Move every zero-dependency task onto the RTQ, in the deterministic
-    /// [`TaskKind::seed_key`] order (neither id assignment nor hash
-    /// iteration may leak into the schedule).
-    pub fn seed_ready(&mut self) {
-        let mut v: Vec<TaskId> = (0..self.keys.len())
-            .filter(|&i| self.deps[i] == 0)
-            .map(|i| i as TaskId)
-            .collect();
-        v.sort_by_key(|&id| self.keys[id as usize].seed_key());
-        for id in v {
-            self.rtq.push(id);
-        }
-    }
-
-    /// Push `ids` onto the RTQ in the given order: a compiled graph's
-    /// precomputed [`seed_ready`](Self::seed_ready) result, so an engine
-    /// over it neither scans nor sorts its tasks per run.
-    pub(crate) fn seed_from(&mut self, ids: &[TaskId]) {
-        for &id in ids {
-            debug_assert_eq!(self.deps[id as usize], 0, "seed has dependencies");
-            self.rtq.push(id);
-        }
-    }
-
     /// Decrement one dependency of task `id`; move it to the RTQ at zero.
     pub fn dec_id(&mut self, id: TaskId, ready_at: f64) {
         let i = id as usize;
@@ -228,11 +200,6 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         if self.deps[i] == 0 {
             self.rtq.push(id);
         }
-    }
-
-    /// Key-addressed [`dec_id`](Self::dec_id).
-    pub fn dec(&mut self, key: K, ready_at: f64) {
-        self.dec_id(self.id_of(key), ready_at);
     }
 
     /// [`dec_id`](Self::dec_id) that also names the producer whose arrival
@@ -332,8 +299,8 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         }
     }
 
-    /// Invariant check at a clean finish (debug builds): every inserted
-    /// task executed exactly once and no dependency counter is dangling.
+    /// Invariant check at a clean finish (debug builds): every task
+    /// executed exactly once and no dependency counter is dangling.
     /// Call only when the engine finished *without* aborting.
     pub fn debug_assert_completed(&self) {
         if !cfg!(debug_assertions) {
@@ -482,31 +449,37 @@ mod tests {
         }
     }
 
-    fn engine() -> TaskEngine<T> {
-        TaskEngine::new(RtqPolicy::Lifo, Arc::new(AtomicBool::new(false)))
+    /// An engine over tasks `T(v)` with `deps` outstanding, ids in order.
+    fn engine<S: Send + 'static>(
+        tasks: &[(usize, u32)],
+        abort: &Arc<AtomicBool>,
+    ) -> TaskEngine<T, S> {
+        let (keys, deps) = tasks.iter().map(|&(v, d)| (T(v), d)).unzip();
+        TaskEngine::new(&Graph::new(keys, deps), RtqPolicy::Lifo, Arc::clone(abort))
+    }
+
+    fn no_abort() -> Arc<AtomicBool> {
+        Arc::new(AtomicBool::new(false))
     }
 
     #[test]
     fn dec_releases_at_zero_with_max_ready_time() {
-        let mut e = engine();
-        e.insert_task(T(0), 2);
+        let mut e: TaskEngine<T> = engine(&[(0, 2)], &no_abort());
         assert!(e.pick().is_none());
-        e.dec(T(0), 3.0);
+        e.dec_id(0, 3.0);
         assert!(e.pick().is_none(), "one dependency still outstanding");
-        e.dec(T(0), 1.5);
+        e.dec_id(0, 1.5);
         let (_, k, ready_at) = e.pick().expect("released");
         assert_eq!(k, T(0));
         assert_eq!(ready_at, 3.0, "ready time is the max over inputs");
     }
 
     #[test]
-    fn seed_ready_orders_deterministically() {
-        let mut e = engine();
-        for v in [5, 1, 3] {
-            e.insert_task(T(v), 0);
-        }
-        e.insert_task(T(2), 1);
-        e.seed_ready();
+    fn seeds_are_the_ready_tasks_in_seed_key_order() {
+        let tasks = [(5, 0), (1, 0), (3, 0), (2, 1)];
+        let (keys, deps) = tasks.iter().map(|&(v, d)| (T(v), d)).unzip();
+        assert_eq!(Graph::new(keys, deps).seeds, [1, 2, 0]);
+        let mut e: TaskEngine<T> = engine(&tasks, &no_abort());
         // LIFO pops the highest seed key first.
         assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(5)));
         assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(3)));
@@ -515,28 +488,28 @@ mod tests {
     }
 
     #[test]
-    fn seed_from_pushes_the_given_order() {
-        let keys = Arc::new(vec![T(0), T(1), T(2), T(3)]);
-        let abort = Arc::new(AtomicBool::new(false));
-        let mut e: TaskEngine<T> =
-            TaskEngine::from_compiled(keys, &[0, 1, 0, 0], RtqPolicy::Fifo, abort);
-        e.seed_from(&[3, 0, 2]);
+    fn new_pushes_the_seeds_in_their_order() {
+        let keys = vec![T(0), T(1), T(2), T(3)];
+        let graph = Graph {
+            keys: Arc::new(keys),
+            deps: vec![0, 1, 0, 0],
+            seeds: vec![3, 0, 2],
+        };
+        let mut e: TaskEngine<T> = TaskEngine::new(&graph, RtqPolicy::Fifo, no_abort());
         let popped: Vec<T> = std::iter::from_fn(|| e.pick().map(|(_, k, _)| k)).collect();
         assert_eq!(popped, [T(3), T(0), T(2)], "neither sorted nor rescanned");
     }
 
     #[test]
     fn finished_tracks_done_and_abort() {
-        let abort = Arc::new(AtomicBool::new(false));
-        let mut e: TaskEngine<T> = TaskEngine::new(RtqPolicy::Lifo, Arc::clone(&abort));
-        let t0 = e.insert_task(T(0), 0);
+        let abort = no_abort();
+        let mut e: TaskEngine<T> = engine(&[(0, 0)], &abort);
         assert!(!e.finished());
-        e.complete(t0);
+        e.complete(0);
         assert!(e.finished());
         assert_eq!(e.task_counts(), vec![("t", 1)]);
 
-        let mut e2: TaskEngine<T> = TaskEngine::new(RtqPolicy::Lifo, Arc::clone(&abort));
-        e2.insert_task(T(1), 1);
+        let e2: TaskEngine<T> = engine(&[(1, 1)], &abort);
         assert!(!e2.finished());
         abort.store(true, Ordering::SeqCst);
         assert!(e2.finished(), "abort short-circuits completion");
@@ -544,8 +517,7 @@ mod tests {
 
     #[test]
     fn inbox_roundtrip() {
-        let mut e: TaskEngine<T, usize> =
-            TaskEngine::new(RtqPolicy::Lifo, Arc::new(AtomicBool::new(false)));
+        let mut e: TaskEngine<T, usize> = engine(&[], &no_abort());
         e.post(7);
         e.post(9);
         assert_eq!(e.take_signals(), vec![7, 9]);
@@ -565,8 +537,7 @@ mod tests {
 
     #[test]
     fn post_unique_absorbs_duplicate_deliveries() {
-        let mut e: TaskEngine<T, Signal<()>> =
-            TaskEngine::new(RtqPolicy::Lifo, Arc::new(AtomicBool::new(false)));
+        let mut e: TaskEngine<T, Signal<()>> = engine(&[], &no_abort());
         assert!(e.post_unique(sig_at(0)));
         assert!(!e.post_unique(sig_at(0)), "duplicate must be dropped");
         assert!(e.post_unique(sig_at(8)), "distinct pointer accepted");
@@ -580,32 +551,27 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "executed more than once")]
     fn invariant_checker_catches_double_execution() {
-        let mut e = engine();
-        let t0 = e.insert_task(T(0), 0);
-        e.complete(t0);
-        e.complete(t0);
+        let mut e: TaskEngine<T> = engine(&[(0, 0)], &no_abort());
+        e.complete(0);
+        e.complete(0);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "decrement of already-executed")]
     fn invariant_checker_catches_dec_after_execute() {
-        let mut e = engine();
-        let t0 = e.insert_task(T(0), 1);
-        e.dec(T(0), 0.0);
-        e.complete(t0);
-        e.dec(T(0), 0.0);
+        let mut e: TaskEngine<T> = engine(&[(0, 1)], &no_abort());
+        e.dec_id(0, 0.0);
+        e.complete(0);
+        e.dec_id(0, 0.0);
     }
 
     #[test]
     fn debug_assert_completed_passes_on_clean_finish() {
-        let mut e = engine();
-        let t0 = e.insert_task(T(0), 0);
-        let t1 = e.insert_task(T(1), 1);
-        e.seed_ready();
-        e.complete(t0);
-        e.dec(T(1), 1.0);
-        e.complete(t1);
+        let mut e: TaskEngine<T> = engine(&[(0, 0), (1, 1)], &no_abort());
+        e.complete(0);
+        e.dec_id(1, 1.0);
+        e.complete(1);
         e.debug_assert_completed();
     }
 }

@@ -26,7 +26,8 @@
 //!   aborts the job with the signal's [`Meta::describe`]), discharge a relay
 //!   duty, hand the payload to the engine, flush expired frames, pick, run,
 //!   complete;
-//! * **the scheduling core** — [`TaskEngine`]: LTQ counters, RTQ, the
+//! * **the scheduling core** — [`TaskEngine`], built over a compiled
+//!   [`Graph`] and addressed by [`TaskId`]: LTQ counters, RTQ, the
 //!   deduplicating inbox, abort broadcast, virtual-clock accounting, tracer
 //!   and telemetry hooks;
 //! * **the publication layer** — [`CommLayer`]: shared-heap allocation,
@@ -36,7 +37,7 @@
 //! # The engine contract
 //!
 //! A factorization engine *writes* ([`Engine`]): its task species
-//! ([`TaskKind`]), its message metadata ([`Meta`]), [`Engine::exec`] (its
+//! ([`TaskKind`]) compiled into a [`Graph`], its message metadata ([`Meta`]), [`Engine::exec`] (its
 //! `match key`), [`Engine::on_data`] (what an arrived payload means), one
 //! accessor to its [`Core`], a stall diagnosis and `into_factor`. It
 //! *inherits* signal dedup, fetch retry and device-memory fetches, stall
@@ -65,7 +66,7 @@ mod queue;
 mod wall;
 
 pub use comm::{CommLayer, PublishStats};
-pub use engine::{TaskEngine, TaskId};
+pub use engine::{Graph, TaskEngine, TaskId};
 pub use fetch::{FetchConfig, FetchMode};
 pub use queue::{ReadyQueue, RtqPolicy};
 pub use wall::{LoopWall, Wall, WallClock};

@@ -10,7 +10,7 @@
 //! (`Lᵀ·x = y`).
 
 use crate::map2d::{distinct_owners, ProcGrid};
-use crate::sched::TaskId;
+use crate::sched::Graph;
 use crate::trisolve::SolveKey;
 use std::sync::Arc;
 use sympack_symbolic::SymbolicFactor;
@@ -90,14 +90,10 @@ impl<T> Csr<T> {
 /// diagonal block, `FwdGemv`/`BwdGemv` otherwise.
 #[derive(Debug, Default)]
 pub struct SolveTasks {
-    /// `task id → key`; shared with every engine over this slice.
-    pub keys: Arc<Vec<SolveKey>>,
-    /// Initial dependency counters (a `BwdDiag`'s includes one guard, released
-    /// at the sweep switch, so a root supernode cannot start early).
-    pub deps: Vec<u32>,
-    /// The forward sweep's initially ready tasks (leaf `FwdDiag`s) in
-    /// [`TaskKind::seed_key`](crate::sched::TaskKind::seed_key) order.
-    pub seeds: Vec<TaskId>,
+    /// Keys, initial counters (a `BwdDiag`'s includes one guard, released
+    /// at the sweep switch, so a root supernode cannot start early) and
+    /// seeds (the leaf `FwdDiag`s) of both sweeps' tasks.
+    pub graph: Graph<SolveKey>,
     /// The panels this rank holds, ascending supernode.
     pub panels: Vec<Panel>,
     /// Operands of every owned block, by slot.
@@ -132,9 +128,10 @@ impl SolveTasks {
         let mut fill = rptr.clone();
         let mut row_blocks = vec![(0usize, 0u32); rptr[ns]];
         // Sized up front: a plan keeps these tables, growth slack included.
+        let tasks = |&n: &usize| (Vec::with_capacity(2 * n), Vec::with_capacity(2 * n));
+        type Tasks = (Vec<SolveKey>, Vec<u32>);
+        let mut graphs: Vec<Tasks> = owned.iter().map(tasks).collect();
         let sized = |n: usize| SolveTasks {
-            keys: Arc::new(Vec::with_capacity(2 * n)),
-            deps: Vec::with_capacity(2 * n),
             ops: Vec::with_capacity(n),
             ..Default::default()
         };
@@ -142,14 +139,15 @@ impl SolveTasks {
         // Panel index of the current supernode at each rank holding it.
         let mut panel_at = vec![0u32; p];
         // A block's slot and its two tasks.
-        let push = |t: &mut SolveTasks, keys: [SolveKey; 2], deps: [usize; 2], op| {
-            Arc::make_mut(&mut t.keys).extend(keys);
-            t.deps.extend(deps.map(|d| d as u32));
-            t.dests.iter_mut().for_each(Csr::open);
-            t.ops.push(op);
-            assert!(t.ops.len() < (u32::MAX / 2) as usize, "task ids fit u32");
-            t.ops.len() as u32 - 1
-        };
+        let push =
+            |t: &mut SolveTasks, g: &mut Tasks, keys: [SolveKey; 2], deps: [usize; 2], op| {
+                g.0.extend(keys);
+                g.1.extend(deps.map(|d| d as u32));
+                t.dests.iter_mut().for_each(Csr::open);
+                t.ops.push(op);
+                assert!(t.ops.len() < (u32::MAX / 2) as usize, "task ids fit u32");
+                t.ops.len() as u32 - 1
+            };
         for j in 0..ns {
             let (w, col) = (sf.partition.width(j), sf.layout.blocks_of(j));
             let row = row_blocks[rptr[j]..rptr[j + 1]].to_vec();
@@ -173,11 +171,9 @@ impl SolveTasks {
             };
             let keys = [SolveKey::FwdDiag { j }, SolveKey::BwdDiag { j }];
             // This diagonal, as the destination of its blocks' contributions.
-            let me = dest(owner, push(t, keys, [row.len(), col.len() + 1], diag));
+            let deps = [row.len(), col.len() + 1];
+            let me = dest(owner, push(t, &mut graphs[owner], keys, deps, diag));
             t.diags.push(me.idx);
-            if row.is_empty() {
-                t.seeds.push(2 * me.idx);
-            }
             for (dests, ranks) in t.dests.iter_mut().zip(&fan) {
                 dests
                     .data
@@ -199,13 +195,17 @@ impl SolveTasks {
                     to: [me, me], // and the first, when it reaches i
                 };
                 let keys = [SolveKey::FwdGemv { i, j }, SolveKey::BwdGemv { i, j }];
-                let slot = push(&mut out[r], keys, [1, 1], op);
+                let slot = push(&mut out[r], &mut graphs[r], keys, [1, 1], op);
                 out[r].released[0].data.push(slot);
                 row_blocks[fill[i]] = (j, slot);
                 fill[i] += 1;
             }
         }
-        out.into_iter().map(Arc::new).collect()
+        let compile = |(mut t, (keys, deps)): (SolveTasks, Tasks)| {
+            t.graph = Graph::new(keys, deps);
+            Arc::new(t)
+        };
+        out.into_iter().zip(graphs).map(compile).collect()
     }
 
     /// The panel of the owned diagonal block in `slot`.

@@ -6,9 +6,8 @@
 //! travel between ranks (the fan-out).
 
 use crate::map2d::{distinct_owners, ProcGrid};
-use crate::sched::{TaskId, TaskKind};
+use crate::sched::{Graph, TaskId, TaskKind};
 use crate::storage::{col_major, BlockKey};
-use std::sync::Arc;
 use sympack_dense::{flops, KernelConfig};
 use sympack_gpu::{CostModel, Op};
 use sympack_symbolic::SymbolicFactor;
@@ -247,21 +246,14 @@ pub struct TaskOps {
 /// global graph.
 #[derive(Debug, Default)]
 pub struct LocalTasks {
-    /// `task id → key`; shared with every engine over this slice.
-    pub keys: Arc<Vec<TaskKey>>,
-    /// Initial dependency counter of every task.
-    pub deps: Vec<u32>,
-    /// The initially ready tasks (`deps == 0`) in [`TaskKind::seed_key`]
-    /// order — what an engine over this slice seeds its RTQ with.
-    pub seeds: Vec<TaskId>,
+    /// Keys, initial counters and seeds of every owned task.
+    pub graph: Graph<TaskKey>,
     /// Operand/target blocks of every task.
     pub ops: Vec<TaskOps>,
     /// `block id → (target, owner)`.
     pub blocks: Vec<BlockKey>,
     /// Number of owned blocks; block ids below it are store slots.
     pub n_owned: usize,
-    /// Total owned tasks.
-    pub total: usize,
     /// `(row_offset, n_rows)` of each block inside its owner supernode's
     /// below-diagonal row pattern; `(0, 0)` for diagonal blocks.
     block_rows: Vec<(u32, u32)>,
@@ -421,11 +413,6 @@ impl LocalTasks {
             });
         }
 
-        let mut seeds: Vec<TaskId> = (0..total as TaskId)
-            .filter(|&t| deps[t as usize] == 0)
-            .collect();
-        seeds.sort_by_key(|&t| keys[t as usize].seed_key());
-
         // Fan-out destinations of every owned block, appended straight to
         // `dests`: `listed` flags the ranks already in the current block's
         // run and is cleared after it, so no block allocates.
@@ -450,13 +437,10 @@ impl LocalTasks {
             }
         }
         LocalTasks {
-            keys: Arc::new(keys),
-            deps,
-            seeds,
+            graph: Graph::new(keys, deps),
             ops,
             blocks,
             n_owned,
-            total,
             block_rows,
             consumer_ptr,
             consumers,
@@ -503,7 +487,8 @@ impl LocalTasks {
     /// per-task roofline estimates (see [`TaskKey::estimate_secs`]) in task
     /// id order; the rank-balance numerator for mapping diagnostics.
     pub fn estimated_secs(&self, sf: &SymbolicFactor, cost: &CostModel, cfg: &KernelConfig) -> f64 {
-        self.keys
+        self.graph
+            .keys
             .iter()
             .map(|k| k.estimate_secs(sf, cost, cfg))
             .sum()
@@ -573,7 +558,7 @@ mod tests {
     fn single_rank_initial_ready_tasks_are_leaf_diagonals() {
         let sf = sf();
         let lt = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
-        let ready: Vec<&TaskKey> = (lt.keys.iter().zip(&lt.deps))
+        let ready: Vec<&TaskKey> = (lt.graph.keys.iter().zip(&lt.graph.deps))
             .filter(|(_, &d)| d == 0)
             .map(|(k, _)| k)
             .collect();
@@ -604,7 +589,7 @@ mod tests {
             let m = sf.layout.blocks_of(j).len();
             expect += m * m + m + m * (m + 1) / 2;
         }
-        let total: usize = lt.deps.iter().map(|&d| d as usize).sum();
+        let total: usize = lt.graph.deps.iter().map(|&d| d as usize).sum();
         assert_eq!(total, expect);
     }
 
@@ -616,7 +601,7 @@ mod tests {
         let single = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
         let total1 = single.estimated_secs(&sf, &cost, &cfg);
         assert!(total1 > 0.0);
-        for k in single.keys.iter() {
+        for k in single.graph.keys.iter() {
             assert!(k.estimate_secs(&sf, &cost, &cfg) > 0.0, "{k:?}");
             assert!(k.flops(&sf) > 0, "{k:?}");
         }
@@ -650,6 +635,7 @@ mod tests {
         };
         let lt = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
         let gemm = lt
+            .graph
             .keys
             .iter()
             .find(|k| k.op() == sympack_gpu::Op::Gemm)

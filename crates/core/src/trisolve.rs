@@ -292,10 +292,8 @@ impl SolveEngine {
         params: &SolveParams,
     ) -> Self {
         let abort = Arc::new(AtomicBool::new(false));
-        let mut rt =
-            TaskEngine::from_compiled(Arc::clone(&tasks.keys), &tasks.deps, params.policy, abort);
+        let mut rt = TaskEngine::new(&tasks.graph, params.policy, abort);
         rt.tracer = params.trace.then(Tracer::new);
-        rt.seed_from(&tasks.seeds);
         let mut y = vec![0.0; tasks.arena_rows() * nrhs];
         for &slot in &tasks.diags {
             let p = tasks.diag_panel(slot);

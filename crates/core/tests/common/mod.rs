@@ -1,6 +1,7 @@
 //! Helpers shared by the compiled-graph property tests
-//! (`taskgraph_compiled_prop`, `solve_compiled_prop`): the adversarial
-//! pattern zoo and the FNV-1a the schedule fingerprints are folded with.
+//! (`taskgraph_compiled_prop`, `solve_compiled_prop`, `queue_prop`): the
+//! adversarial pattern zoo, the chaos job's case budget and the FNV-1a the
+//! schedule fingerprints are folded with.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -67,13 +68,19 @@ pub fn patterns() -> Vec<(String, SparseSym)> {
     edges.extend((7..15).map(|r| (r, r - 1)));
     v.push(("disconnected components", from_edges(16, &edges)));
     let mut v: Vec<(String, SparseSym)> = v.into_iter().map(|(k, a)| (k.into(), a)).collect();
-    let budget = std::env::var("CHAOS_SEED_BUDGET").ok();
-    for seed in 0..budget.and_then(|s| s.parse().ok()).unwrap_or(0u64) {
+    for seed in 0..chaos_seed_budget() {
         let (n, deg) = (30 + 7 * (seed as usize % 5), 3 + seed as usize % 4);
         let name = format!("random_spd({n},{deg},{})", 1000 + seed);
         v.push((name, random_spd(n, deg, 1000 + seed)));
     }
     v
+}
+
+/// `CHAOS_SEED_BUDGET`: how many cases the chaos job adds to a randomized
+/// sweep (unset = 0 here).
+pub fn chaos_seed_budget() -> u64 {
+    let budget = std::env::var("CHAOS_SEED_BUDGET").ok();
+    budget.and_then(|s| s.parse().ok()).unwrap_or(0)
 }
 
 /// Fold `bytes` into the FNV-1a state `h`.

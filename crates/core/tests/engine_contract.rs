@@ -10,7 +10,7 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::sched::{self, CommLayer, Core, Engine, FetchConfig, FetchMode, Meta, TaskEngine};
-use sympack::sched::{PublishStats, RtqPolicy, TaskId, TaskKind};
+use sympack::sched::{Graph, PublishStats, RtqPolicy, TaskId, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::{BcastTopology, CoalesceConfig, SolverError};
 use sympack_gpu::{KernelEngine, OomPolicy};
@@ -82,8 +82,9 @@ impl Engine for ToyEngine {
 
     fn on_data(&mut self, rank: &mut Rank, _from: From, data: Payload, ready_at: f64) {
         self.got.extend(data.iter());
-        let next = if rank.id() == 0 { Toy::Done } else { Toy::Pong };
-        self.core.rt.dec(next, ready_at);
+        // Rank 0's `Done` is its task 1, every other rank's `Pong` task 0.
+        let next = TaskId::from(rank.id() == 0);
+        self.core.rt.dec_id(next, ready_at);
     }
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {
@@ -111,14 +112,13 @@ fn run_toy(
     config.faults = faults;
     let abort = Arc::new(AtomicBool::new(false));
     Runtime::run(config, |rank| {
-        let mut rt = TaskEngine::new(RtqPolicy::Fifo, Arc::clone(&abort));
-        if rank.id() == 0 {
-            rt.insert_task(Toy::Ping, 0);
-            rt.insert_task(Toy::Done, rank.n_ranks() - 1);
+        let graph = if rank.id() == 0 {
+            let waits = rank.n_ranks() as u32 - 1;
+            Graph::new(vec![Toy::Ping, Toy::Done], vec![0, waits])
         } else {
-            rt.insert_task(Toy::Pong, 1);
-        }
-        rt.seed_ready();
+            Graph::new(vec![Toy::Pong], vec![1])
+        };
+        let mut rt = TaskEngine::new(&graph, RtqPolicy::Fifo, Arc::clone(&abort));
         rt.tracer = Some(Tracer::new());
         let engine = ToyEngine {
             core: Core {

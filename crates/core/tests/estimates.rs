@@ -87,7 +87,7 @@ fn estimated_remaining_follows_stored_ranks_after_a_compressed_arrival() {
                         .consumers_of(blk)
                         .iter()
                         .map(|&t| {
-                            let (k, ops) = (graph.keys[t as usize], graph.ops[t as usize]);
+                            let (k, ops) = (graph.graph.keys[t as usize], graph.ops[t as usize]);
                             let ra = if ops.a == blk { r } else { None };
                             let rb = if ops.b == blk { r } else { None };
                             k.estimate_secs(sf, &cost, &cfg)

@@ -140,20 +140,43 @@ fn threads_start_only_in_the_runtime_and_the_analysis_forks() {
 }
 
 /// The solve runs over the plan's compiled `SolveTasks` and nothing else:
-/// no hash map, no per-call task registration, no key-addressed decrement.
+/// no hash map, no key-addressed decrement, no layout search.
 #[test]
 fn the_solve_engine_is_id_addressed_only() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/trisolve.rs");
     let text = read(&root);
     let engine = text.split("#[cfg(test)]").next().expect("non-test part");
-    for needle in [
-        "HashMap",
-        "insert_task",
-        ".dec(",
-        ".dec_from(",
-        "seed_ready",
-        "layout.find",
-    ] {
+    for needle in ["HashMap", ".dec_from(", "layout.find"] {
         assert!(!engine.contains(needle), "trisolve.rs re-grew `{needle}`");
+    }
+}
+
+/// Every engine is built over a compiled `sched::Graph` and addresses its
+/// tasks by id: no key registration, no key index, no key-addressed
+/// decrement, no per-run seed scan — in the runtime or in any engine. The
+/// baselines count distinct ranks in arrays, not in hash sets.
+#[test]
+fn every_engine_is_id_addressed_only() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let core = root.join("crates/core/src");
+    let baselines = rust_sources(&root.join("crates/baseline/src"));
+    let mut files = vec![
+        core.join("engine.rs"),
+        core.join("sched/engine.rs"),
+        core.join("trisolve.rs"),
+    ];
+    files.extend(baselines.iter().cloned());
+    assert!(files.len() >= 8, "scan looks wrong: {files:?}");
+    for file in &files {
+        let text = read(file);
+        let code = text.split("#[cfg(test)]").next().expect("non-test part");
+        let mut needles = vec!["insert_task", "seed_ready", "id_of(", ".dec(", "seed_from"];
+        if baselines.contains(file) {
+            needles.push("HashSet");
+        }
+        for needle in needles {
+            let name = file.strip_prefix(&root).unwrap_or(file).display();
+            assert!(!code.contains(needle), "{name} re-grew `{needle}`");
+        }
     }
 }

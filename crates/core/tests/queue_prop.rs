@@ -6,12 +6,15 @@
 //! policy must pop a permutation of what was pushed, `CriticalPath` must
 //! pop in non-decreasing `priority_key` order, and the popped *multiset*
 //! must be identical across policies — the policy chooses an order, never
-//! the set of work that runs. And an engine over a compiled task table must
-//! schedule exactly like one built by key insertion.
+//! the set of work that runs. And the ids a [`sympack::sched::Graph`] gives
+//! its tasks must not leak into the schedule: the same tasks compiled in two
+//! id orders pick the same keys.
+
+mod common;
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use sympack::sched::{ReadyQueue, RtqPolicy, TaskEngine, TaskId, TaskKind};
+use sympack::sched::{Graph, ReadyQueue, RtqPolicy, TaskEngine, TaskId, TaskKind};
 use sympack_trace::TraceCat;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,58 +166,76 @@ fn interleaved_push_pop_never_changes_the_popped_set() {
 }
 
 #[test]
-fn compiled_and_inserted_engines_schedule_alike() {
-    // The same random DAG slice (distinct keys, random counters, a random
-    // decrement script) through both constructors: identical pick sequence
-    // under every policy, and the on-demand estimate — summed in id order
-    // over the unexecuted tasks — agrees bit for bit along the way.
-    let est = |_: TaskId, k: &T| 0.1 * k.0 as f64;
-    for case in 0..40u64 {
+fn ids_cannot_leak_into_the_schedule() {
+    // The same random tasks (distinct keys, random counters) compiled in two
+    // id orders — identity and a seeded shuffle — and driven by the same
+    // decrement script, issued by key through each side's id table: the
+    // seeds are the zero-dependency tasks in seed-key order, both engines
+    // pick the same keys under every policy, and both finish.
+    // `estimated_remaining` sums in id order, so it is not compared.
+    let cases = 40 + common::chaos_seed_budget();
+    for case in 0..cases {
         let mut rng = Rng::new(0x5EED ^ case);
         let n = 1 + rng.below(24);
         let keys: Vec<T> = (0..n).map(|i| T(100 * rng.below(5) + i)).collect();
         let deps: Vec<u32> = (0..n).map(|_| rng.below(3) as u32).collect();
-        for policy in POLICIES {
+        let mut order: Vec<usize> = (0..n).collect();
+        for k in (1..n).rev() {
+            order.swap(k, rng.below(k + 1));
+        }
+        let mut ready: Vec<T> = (0..n).filter(|&t| deps[t] == 0).map(|t| keys[t]).collect();
+        ready.sort_by_key(T::seed_key);
+        // Per side: the graph, and the id of task `t` (index into `keys`).
+        let sides: Vec<(Graph<T>, Vec<TaskId>)> = [(0..n).collect(), order]
+            .into_iter()
+            .map(|order: Vec<usize>| {
+                let mut id_of = vec![0; n];
+                for (id, &t) in order.iter().enumerate() {
+                    id_of[t] = id as TaskId;
+                }
+                let (k, d) = order.iter().map(|&t| (keys[t], deps[t])).unzip();
+                (Graph::new(k, d), id_of)
+            })
+            .collect();
+        for (graph, _) in &sides {
+            let seeds: Vec<T> = graph
+                .seeds
+                .iter()
+                .map(|&id| graph.keys[id as usize])
+                .collect();
+            assert_eq!(seeds, ready, "case {case}: seeds");
+        }
+        for policy in POLICIES.into_iter().chain([RtqPolicy::CommAware]) {
             let abort = Arc::new(AtomicBool::new(false));
-            let mut c: TaskEngine<T> = TaskEngine::from_compiled(
-                Arc::new(keys.clone()),
-                &deps,
-                policy,
-                Arc::clone(&abort),
-            );
-            let mut i: TaskEngine<T> = TaskEngine::new(policy, abort);
-            for (k, &d) in keys.iter().zip(&deps) {
-                i.insert_task(*k, d as usize);
-            }
-            c.seed_ready();
-            i.seed_ready();
+            let mut engines: Vec<TaskEngine<T>> = sides
+                .iter()
+                .map(|(graph, _)| TaskEngine::new(graph, policy, Arc::clone(&abort)))
+                .collect();
+            let mut picked = [Vec::new(), Vec::new()];
             let mut left = deps.clone();
             let mut executed = 0;
             while executed < n {
-                // Release one pending dependency (id- vs key-addressed),
-                // then run whatever is ready.
-                if let Some(t) = (0..n).find(|&t| left[t] > 0) {
+                // Release one pending dependency, then run whatever is ready.
+                let next = (0..n).find(|&t| left[t] > 0);
+                if let Some(t) = next {
                     left[t] -= 1;
-                    c.dec_id(t as TaskId, executed as f64);
-                    i.dec(keys[t], executed as f64);
                 }
-                loop {
-                    let (pc, pi) = (c.pick(), i.pick());
-                    assert_eq!(pc, pi, "case {case} {policy:?}");
-                    let Some((id, ..)) = pc else { break };
-                    c.complete(id);
-                    i.complete(id);
-                    executed += 1;
-                    assert_eq!(
-                        c.estimated_remaining(est).to_bits(),
-                        i.estimated_remaining(est).to_bits()
-                    );
+                for ((e, (_, id_of)), seen) in engines.iter_mut().zip(&sides).zip(&mut picked) {
+                    if let Some(t) = next {
+                        e.dec_id(id_of[t], executed as f64);
+                    }
+                    while let Some((id, key, _)) = e.pick() {
+                        e.complete(id);
+                        seen.push(key);
+                    }
                 }
+                assert_eq!(picked[0], picked[1], "case {case} {policy:?}");
+                executed = picked[0].len();
             }
-            assert!(c.finished() && i.finished());
-            assert_eq!(c.estimated_remaining(est), 0.0);
-            c.debug_assert_completed();
-            i.debug_assert_completed();
+            for e in &engines {
+                assert!(e.finished(), "case {case} {policy:?}");
+                e.debug_assert_completed();
+            }
         }
     }
 }

@@ -271,25 +271,25 @@ fn check_solve_rank(
 ) {
     let ctx = format!("{name}, P={}, rank {rank}", grid.n_procs());
     let (t, want) = (&all[rank], reference(sf, grid, rank));
-    let keys = &t.keys;
+    let keys = &t.graph.keys;
     let key_of = |slot: u32, sweep: usize| keys[2 * slot as usize + sweep];
 
     // Dense ids, each owned task exactly once, with the rules' counters.
     assert_eq!(keys.len(), want.deps.len(), "{ctx}: task count");
-    assert_eq!(t.deps.len(), keys.len(), "{ctx}");
+    assert_eq!(t.graph.deps.len(), keys.len(), "{ctx}");
     let distinct: HashSet<&SolveKey> = keys.iter().collect();
     assert_eq!(distinct.len(), keys.len(), "{ctx}: duplicate task key");
     for (id, key) in keys.iter().enumerate() {
-        let got = Some(&t.deps[id]);
+        let got = Some(&t.graph.deps[id]);
         assert_eq!(got, want.deps.get(key), "{ctx}: counter of {key:?}");
     }
 
-    // The seeds are what `seed_ready` would compute.
+    // The seeds are the zero-dependency tasks in seed-key order.
     let mut seeds: Vec<u32> = (0..keys.len() as u32)
-        .filter(|&id| t.deps[id as usize] == 0)
+        .filter(|&id| t.graph.deps[id as usize] == 0)
         .collect();
     seeds.sort_by_key(|&id| keys[id as usize].seed_key());
-    assert_eq!(t.seeds, seeds, "{ctx}: seed order");
+    assert_eq!(t.graph.seeds, seeds, "{ctx}: seed order");
 
     // Panels: ascending, back to back in the arena, each one needed here.
     let (mut off, mut holds) = (0, HashSet::new());

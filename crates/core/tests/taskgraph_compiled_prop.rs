@@ -80,22 +80,21 @@ fn check_rank(name: &str, sf: &SymbolicFactor, ap: &SparseSym, grid: &ProcGrid, 
     let ctx = format!("{name}, P={}, rank {rank}", grid.n_procs());
     let lt = LocalTasks::build(sf, grid, rank);
     let want = reference(sf, grid, rank);
-    let keys = &lt.keys;
+    let keys = &lt.graph.keys;
 
     // Task ids are dense, rank-local and name each owned task exactly once;
     // the factor task of owned block `l` is task `l`.
-    assert_eq!(lt.total, want.deps.len(), "{ctx}: task count");
-    assert_eq!(keys.len(), lt.total, "{ctx}");
-    assert_eq!(lt.deps.len(), lt.total, "{ctx}");
+    assert_eq!(keys.len(), want.deps.len(), "{ctx}: task count");
+    assert_eq!(lt.graph.deps.len(), keys.len(), "{ctx}");
     let id_of: HashMap<TaskKey, u32> = keys
         .iter()
         .enumerate()
         .map(|(id, k)| (*k, id as u32))
         .collect();
-    assert_eq!(id_of.len(), lt.total, "{ctx}: duplicate task key");
+    assert_eq!(id_of.len(), keys.len(), "{ctx}: duplicate task key");
     for (id, key) in keys.iter().enumerate() {
         assert_eq!(
-            Some(&lt.deps[id]),
+            Some(&lt.graph.deps[id]),
             want.deps.get(key),
             "{ctx}: counter of {key:?}"
         );
@@ -206,11 +205,14 @@ fn compiled_graph_matches_the_naive_enumeration() {
                 let mut total = 0;
                 for rank in 0..p {
                     check_rank(&name, &sf, &ap, &grid, rank);
-                    total += LocalTasks::build(&sf, &grid, rank).total;
+                    total += LocalTasks::build(&sf, &grid, rank).graph.keys.len();
                 }
                 // Every task of the global graph is owned exactly once
                 // (keys are rank-disjoint because owners are).
-                let global = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0).total;
+                let global = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0)
+                    .graph
+                    .keys
+                    .len();
                 assert_eq!(total, global, "{name}, P={p}: tasks partition");
             }
         }

@@ -372,11 +372,11 @@ impl Fleet {
     /// `arrival`. Returns a per-tenant job ticket matched by
     /// [`FleetCompleted::id`].
     ///
-    /// # Panics
-    /// Panics when `rhs` length differs from the tenant's matrix order.
-    ///
     /// # Errors
-    /// [`FleetError::UnknownTenant`] / [`FleetError::QueueFull`].
+    /// [`FleetError::UnknownTenant`]; [`FleetError::Solver`] with
+    /// [`SolverError::ShapeMismatch`] when `rhs` length differs from the
+    /// tenant's matrix order (the job is not counted, queued or ticketed);
+    /// [`FleetError::QueueFull`].
     pub fn submit_at(
         &mut self,
         tenant: TenantId,
@@ -389,11 +389,7 @@ impl Fleet {
             .ok_or_else(|| FleetError::UnknownTenant {
                 tenant: format!("#{}", tenant.0),
             })?;
-        assert_eq!(
-            rhs.len(),
-            t.session.n(),
-            "rhs length must match the tenant matrix"
-        );
+        SolverError::check_shape("rhs length", t.session.n(), rhs.len())?;
         if t.pending.len() >= self.config.max_pending_per_tenant {
             t.metrics.jobs_rejected += 1;
             return Err(FleetError::QueueFull {

@@ -578,18 +578,13 @@ impl Server {
     /// Submit one right-hand side arriving at virtual time `arrival`.
     /// Returns a job ticket matched by [`CompletedJob::id`].
     ///
-    /// # Panics
-    /// Panics when `rhs` length differs from the session matrix order.
-    ///
     /// # Errors
-    /// [`ServiceError::QueueFull`] when the queue is at
-    /// [`ServerConfig::max_pending`].
+    /// [`ServiceError::Solver`] with [`SolverError::ShapeMismatch`] when
+    /// `rhs` length differs from the session matrix order (the job is not
+    /// counted, queued or ticketed); [`ServiceError::QueueFull`] when the
+    /// queue is at [`ServerConfig::max_pending`].
     pub fn submit_at(&mut self, rhs: Vec<f64>, arrival: f64) -> Result<u64, ServiceError> {
-        assert_eq!(
-            rhs.len(),
-            self.session.n(),
-            "rhs length must match the session matrix"
-        );
+        SolverError::check_shape("rhs length", self.session.n(), rhs.len())?;
         if self.pending.len() >= self.config.max_pending {
             self.metrics.jobs_rejected += 1;
             self.telemetry

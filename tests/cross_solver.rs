@@ -276,6 +276,69 @@ fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
     );
 }
 
+/// `baseline_fingerprint` of {right-looking, fan-in, fan-both} × (Fifo and
+/// CriticalPath at P ∈ {2, 3}, then Lifo at P = 3) on
+/// `thermal_like(12,12,0.3,5)` under lockstep, in that nesting order, as
+/// printed by this test at commit b65dca4 — the last one where the baselines
+/// built their task graphs by key through `TaskEngine::insert_task`, with
+/// ids in hash-map iteration order. These are the orders a task id could
+/// leak into if the ready queue ever consulted it. CommAware is left out:
+/// the baselines record no urgency, so it pops exactly like CriticalPath.
+const BASELINE_POLICY_FINGERPRINTS: [u64; 15] = [
+    0xeb5b2d3b04c1522d,
+    0x50eca645310be60d,
+    0x6a5b6738b6467e5d,
+    0xd562b4e1bf774b29,
+    0x8e45779f39ba5e65,
+    0xa5d15cd084781233,
+    0x3e3750a1ede6884c,
+    0xb8d4c8032a059272,
+    0x61abc0bbebf47dfd,
+    0xac4bfefa06f20010,
+    0x924dba2a7ccf304d,
+    0x0d3a093cfaae887e,
+    0x6fd78e2baca6d16a,
+    0xeb6a4aafad33190f,
+    0x61116651bf73b3cf,
+];
+
+#[test]
+fn baseline_schedules_are_identical_under_every_pop_order() {
+    use sympack::RtqPolicy;
+    let a = gen::thermal_like(12, 12, 0.3, 5);
+    let b = test_rhs(a.n());
+    let engines: [fn(&SparseSym, &[f64], &SolverOptions) -> _; 3] = [
+        sympack_baseline::try_baseline_factor_and_solve,
+        sympack_baseline::try_fanin_factor_and_solve,
+        sympack_baseline::try_fanboth_factor_and_solve,
+    ];
+    let runs = [
+        (RtqPolicy::Fifo, 2),
+        (RtqPolicy::Fifo, 3),
+        (RtqPolicy::CriticalPath, 2),
+        (RtqPolicy::CriticalPath, 3),
+        (RtqPolicy::Lifo, 3),
+    ];
+    let mut got = Vec::new();
+    for run in engines {
+        for (rtq_policy, p) in runs {
+            let opts = SolverOptions {
+                n_nodes: 1,
+                ranks_per_node: p,
+                deterministic: true,
+                rtq_policy,
+                ..Default::default()
+            };
+            let r = run(&a, &b, &opts).expect("SPD input");
+            got.push(baseline_fingerprint(&r));
+        }
+    }
+    assert_eq!(
+        got, BASELINE_POLICY_FINGERPRINTS,
+        "baseline schedule or solution bits changed; got {got:#018x?}"
+    );
+}
+
 /// FNV-1a over a traced fan-out run on the wire paths no other fingerprint
 /// reaches: per rank, every factorization task in execution order (label,
 /// ready time, producer edge, memory gauge, RTQ depth), then both

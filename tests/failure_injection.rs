@@ -14,8 +14,9 @@ use sympack::{
 use sympack_baseline::{
     try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
 };
+use sympack_fleet::{Fleet, FleetConfig, FleetError};
 use sympack_gpu::OomPolicy;
-use sympack_service::{RhsPanel, Session};
+use sympack_service::{RhsPanel, Server, ServerConfig, ServiceError, Session};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::{Coo, SparseSym};
@@ -241,6 +242,35 @@ fn mis_shaped_inputs_are_typed_errors() {
             .map(drop),
         (n, n - 1),
     );
+    // Server and Fleet: a short job is refused with nothing queued, ticketed
+    // or counted, and the next, correctly sized job is served as ticket 0.
+    let mut server = Server::new(session, ServerConfig::default());
+    let seen = |s: &Server| (s.metrics().to_json(), s.telemetry().snapshot().to_json());
+    let before = seen(&server);
+    let refused = server.submit_at(short.clone(), 0.0).map(drop);
+    let refused = refused.map_err(|e| match e {
+        ServiceError::Solver(e) => e,
+        other => panic!("server: expected a solver error, got {other}"),
+    });
+    shape("server rhs length", refused, (n, n - 1));
+    assert_eq!((server.pending(), seen(&server)), (0, before));
+    assert_eq!(server.submit_at(test_rhs(n), 0.0).ok(), Some(0));
+    let served = server.drain().expect("served");
+    assert_eq!(served.iter().map(|j| j.id).collect::<Vec<_>>(), [0]);
+
+    let mut fleet = Fleet::new(&opts, FleetConfig::default());
+    let tenant = fleet.admit("t", &a, 1.0).expect("SPD");
+    let before = (fleet.metrics_json(), fleet.telemetry_json());
+    let refused = fleet.submit_at(tenant, short, 0.0).map(drop);
+    let refused = refused.map_err(|e| match e {
+        FleetError::Solver(e) => e,
+        other => panic!("fleet: expected a solver error, got {other}"),
+    });
+    shape("fleet rhs length", refused, (n, n - 1));
+    assert_eq!((fleet.metrics_json(), fleet.telemetry_json()), before);
+    assert_eq!(fleet.submit_at(tenant, test_rhs(n), 0.0).ok(), Some(0));
+    let served = fleet.drain().expect("served");
+    assert_eq!(served.iter().map(|j| j.id).collect::<Vec<_>>(), [0]);
 }
 
 #[test]
