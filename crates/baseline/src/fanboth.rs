@@ -23,14 +23,12 @@
 //! bench isolates the communication family.
 
 use crate::column::add_block;
-use crate::rightlooking::core_for;
 use crate::run;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
-use sympack::plan::{EngineFamily, SolvePlan};
-use sympack::sched::{self, Core, Engine, FetchMode, Graph, TaskEngine, TaskId};
+use sympack::plan::{EngineFamily, EngineParts, FactorGraph};
+use sympack::sched::{self, Core, Engine, Graph, TaskId};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{SolveReport, SolverError, SolverOptions, TaskKey};
@@ -69,18 +67,10 @@ impl sched::Meta for Msg {
     }
 }
 
-/// Per-rank fan-both engine, installed as the rank's user state.
-struct FbEngine {
-    sf: Arc<SymbolicFactor>,
-    grid: ProcGrid,
-    /// Owned blocks; a factored one lives here and nowhere else.
-    store: BlockStore,
-    kernels: KernelEngine,
-    core: Core<TaskKey, Msg>,
-    /// Fetched factored blocks of other ranks.
-    inputs: HashMap<(usize, usize), Mat>,
-    /// Aggregation buffers per target block.
-    aggs: HashMap<(usize, usize), Mat>,
+/// The fan-both graph of one rank, compiled by its plan.
+#[derive(Debug)]
+struct FbGraph {
+    graph: Graph<TaskKey>,
     /// Dense block numbering of the tables below (see [`block_index`]).
     start: Vec<usize>,
     /// Per block: its `D`/`F` task here (`TaskId::MAX` if not owned).
@@ -90,47 +80,21 @@ struct FbEngine {
     /// in release order.
     consumer_ptr: Vec<u32>,
     consumers: Vec<TaskId>,
-    /// Outstanding local update contributions per target block.
+    /// Local update contributions per target block, all outstanding.
     my_contribs: Vec<u32>,
-    scratch: UpdateScratch,
-    me: usize,
 }
 
-/// Factored block `L(i,j)` as this rank holds it: in its store when it owns
-/// the block, among the fetched inputs otherwise.
-fn factored<'a>(
-    store: &'a BlockStore,
-    inputs: &'a HashMap<(usize, usize), Mat>,
-    key: (usize, usize),
-) -> &'a Mat {
-    match store.get(key) {
-        Some(block) => block.dense(),
-        None => inputs.get(&key).expect("factor block present"),
+impl FbGraph {
+    /// The owned tasks consuming factored block `blk`, in release order.
+    fn consumers_of(&self, blk: usize) -> &[TaskId] {
+        &self.consumers[self.consumer_ptr[blk] as usize..self.consumer_ptr[blk + 1] as usize]
     }
 }
 
-/// Index of block `(i, j)` in the dense numbering `start` (supernode `j`'s
-/// diagonal block at `start[j]`, its `k`-th off-diagonal block at
-/// `start[j] + 1 + k`): a binary search of column `j`.
-fn block_index(sf: &SymbolicFactor, start: &[usize], i: usize, j: usize) -> usize {
-    if i == j {
-        return start[j];
-    }
-    let col = sf.layout.blocks_of(j);
-    let k = col.binary_search_by_key(&i, |b| b.target);
-    start[j] + 1 + k.expect("block exists")
-}
+impl FactorGraph for FbGraph {
+    type Key = TaskKey;
 
-impl FbEngine {
-    fn new(
-        plan: &SolvePlan,
-        ap: &SparseSym,
-        rank: usize,
-        kernels: KernelEngine,
-        abort: Arc<AtomicBool>,
-    ) -> Self {
-        let (sf, grid, opts) = (Arc::clone(plan.sf()), plan.grid(), &plan.opts);
-        let store = BlockStore::init(&sf, ap, &grid, rank);
+    fn compile(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Self {
         let (ns, p) = (sf.n_supernodes(), grid.n_procs());
         let mut start = vec![0];
         for j in 0..ns {
@@ -168,7 +132,7 @@ impl FbEngine {
             for (bi, bb) in blocks.iter().enumerate() {
                 for (ai, ba) in blocks.iter().enumerate().skip(bi) {
                     let (a, b) = (ba.target, bb.target);
-                    let (cmap, target) = (grid.map(a, j), block_index(&sf, &start, a, b));
+                    let (cmap, target) = (grid.map(a, j), block_index(sf, &start, a, b));
                     let t = factor_id[target] as usize; // MAX: not owned
                     if t < n_factor && !std::mem::replace(&mut counted[t * p + cmap], true) {
                         deps[t] += 1;
@@ -190,33 +154,88 @@ impl FbEngine {
         // list keeps its release order.
         edges.sort_by_key(|&(blk, _)| blk);
         let row_start = |b| edges.partition_point(|&(blk, _)| blk < b) as u32;
-        let consumer_ptr = (0..=n_blocks).map(row_start).collect();
-        let consumers = edges.iter().map(|&(_, id)| id).collect();
-        let rt = TaskEngine::new(&Graph::new(keys, deps), opts.rtq_policy, abort);
-        FbEngine {
-            core: core_for(rt, &kernels, opts, FetchMode::NonBlocking),
-            sf,
-            grid,
-            store,
-            kernels,
-            inputs: HashMap::new(),
-            aggs: HashMap::new(),
+        FbGraph {
+            graph: Graph::new(keys, deps),
             start,
             factor_id,
-            consumer_ptr,
-            consumers,
+            consumer_ptr: (0..=n_blocks).map(row_start).collect(),
+            consumers: edges.iter().map(|&(_, id)| id).collect(),
             my_contribs,
+        }
+    }
+
+    fn graph(&self) -> &Graph<TaskKey> {
+        &self.graph
+    }
+}
+
+/// Per-rank fan-both engine, installed as the rank's user state.
+struct FbEngine {
+    sf: Arc<SymbolicFactor>,
+    grid: ProcGrid,
+    graph: Arc<FbGraph>,
+    /// Owned blocks; a factored one lives here and nowhere else.
+    store: BlockStore,
+    kernels: KernelEngine,
+    core: Core<TaskKey, Msg>,
+    /// Fetched factored blocks of other ranks.
+    inputs: HashMap<(usize, usize), Mat>,
+    /// Aggregation buffers per target block.
+    aggs: HashMap<(usize, usize), Mat>,
+    /// Outstanding local update contributions per target block (a copy of
+    /// the graph's).
+    my_contribs: Vec<u32>,
+    scratch: UpdateScratch,
+    me: usize,
+}
+
+/// Factored block `L(i,j)` as this rank holds it: in its store when it owns
+/// the block, among the fetched inputs otherwise.
+fn factored<'a>(
+    store: &'a BlockStore,
+    inputs: &'a HashMap<(usize, usize), Mat>,
+    key: (usize, usize),
+) -> &'a Mat {
+    match store.get(key) {
+        Some(block) => block.dense(),
+        None => inputs.get(&key).expect("factor block present"),
+    }
+}
+
+/// Index of block `(i, j)` in the dense numbering `start` (supernode `j`'s
+/// diagonal block at `start[j]`, its `k`-th off-diagonal block at
+/// `start[j] + 1 + k`): a binary search of column `j`.
+fn block_index(sf: &SymbolicFactor, start: &[usize], i: usize, j: usize) -> usize {
+    if i == j {
+        return start[j];
+    }
+    let col = sf.layout.blocks_of(j);
+    let k = col.binary_search_by_key(&i, |b| b.target);
+    start[j] + 1 + k.expect("block exists")
+}
+
+impl FbEngine {
+    fn new(parts: EngineParts<'_, Self, FbGraph>) -> Self {
+        FbEngine {
+            sf: Arc::clone(parts.plan.sf()),
+            grid: parts.plan.grid(),
+            my_contribs: parts.graph.my_contribs.clone(),
+            graph: parts.graph,
+            store: parts.store,
+            kernels: parts.kernels,
+            core: parts.core,
+            inputs: HashMap::new(),
+            aggs: HashMap::new(),
             scratch: UpdateScratch::default(),
-            me: rank,
+            me: parts.rank,
         }
     }
 
     /// Factored block `(i,j)` became available here at `now`: release the
     /// owned tasks consuming it.
     fn release_consumers(&mut self, i: usize, j: usize, now: f64) {
-        let blk = block_index(&self.sf, &self.start, i, j);
-        let range = self.consumer_ptr[blk] as usize..self.consumer_ptr[blk + 1] as usize;
-        for &t in &self.consumers[range] {
+        let blk = block_index(&self.sf, &self.graph.start, i, j);
+        for &t in self.graph.consumers_of(blk) {
             self.core.rt.dec_id(t, now);
         }
     }
@@ -226,7 +245,7 @@ impl FbEngine {
     fn absorb(&mut self, a: usize, b: usize, buf: &Mat, now: f64) {
         let target = self.store.get_mut((a, b)).expect("target owned");
         add_block(target.dense_mut(), buf, a == b);
-        let t = self.factor_id[block_index(&self.sf, &self.start, a, b)];
+        let t = self.graph.factor_id[block_index(&self.sf, &self.graph.start, a, b)];
         self.core.rt.dec_id(t, now);
     }
 
@@ -291,7 +310,7 @@ impl FbEngine {
         );
         self.core.rt.charge(rank, TaskKey::Update { j, a, b }, secs);
         // Last contribution to (a,b) from this rank? Ship or absorb.
-        let c = &mut self.my_contribs[block_index(sf, &self.start, a, b)];
+        let c = &mut self.my_contribs[block_index(sf, &self.graph.start, a, b)];
         *c -= 1;
         if *c > 0 {
             return;
@@ -352,9 +371,9 @@ impl Engine for FbEngine {
 
 /// The fan-both family on the solver's run path: 2D map, one-sided
 /// transport like the fan-out, so no rendezvous in the solve.
-const FAN_BOTH: EngineFamily<FbEngine> = EngineFamily {
+const FAN_BOTH: EngineFamily<FbEngine, FbGraph> = EngineFamily {
     label: "fanboth",
-    msg_overhead: 0.0,
+    rendezvous: 0.0,
     engine: FbEngine::new,
 };
 

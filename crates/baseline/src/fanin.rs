@@ -17,14 +17,13 @@
 //! charge.
 
 use crate::column::{factor_column, ColumnBuf};
-use crate::rightlooking::{core_for, owned_id, owner_of, RENDEZVOUS_OVERHEAD};
+use crate::rightlooking::{owned_id, owner_of, RENDEZVOUS_OVERHEAD};
 use crate::run;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
-use sympack::plan::{EngineFamily, SolvePlan};
-use sympack::sched::{self, Core, Engine, FetchMode, Graph, TaskEngine, TaskKind};
+use sympack::plan::{EngineFamily, EngineParts, FactorGraph};
+use sympack::sched::{self, Core, Engine, Graph, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{SolveReport, SolverError, SolverOptions};
@@ -37,7 +36,7 @@ use sympack_trace::TraceCat;
 /// The single task species of the fan-in algorithm: factor owned supernode
 /// `j` (POTRF + TRSMs) and immediately compute every update it sources,
 /// folding them into local targets or aggregation buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FiKey {
     j: usize,
 }
@@ -73,37 +72,23 @@ impl sched::Meta for AggMeta {
     }
 }
 
-/// Per-rank fan-in engine, installed as the rank's user state.
-struct FiEngine {
-    sf: Arc<SymbolicFactor>,
-    store: BlockStore,
-    kernels: KernelEngine,
-    core: Core<FiKey, AggMeta>,
-    /// Aggregation buffers for remote targets, keyed by target supernode.
-    aggs: HashMap<usize, ColumnBuf>,
-    /// Outstanding local contributions per remote target supernode.
+/// The fan-in graph of one rank, compiled by its plan.
+#[derive(Debug)]
+struct FiGraph {
+    graph: Graph<FiKey>,
+    /// Local contributions per remote target supernode, all outstanding.
     my_contribs: Vec<u32>,
-    scratch: UpdateScratch,
-    p: usize,
-    me: usize,
 }
 
-impl FiEngine {
-    fn new(
-        plan: &SolvePlan,
-        ap: &SparseSym,
-        rank: usize,
-        kernels: KernelEngine,
-        abort: Arc<AtomicBool>,
-    ) -> Self {
-        let (sf, grid, opts) = (Arc::clone(plan.sf()), plan.grid(), &plan.opts);
-        let p = grid.n_procs();
-        let store = BlockStore::init(&sf, ap, &grid, rank);
-        let ns = sf.n_supernodes();
-        // Dependency accounting, one task per owned supernode `j`:
-        // deps = #own earlier supernodes contributing to j
-        //      + #remote ranks contributing to j (one aggregate message each);
-        // my_contribs[b] (remote b) = #own supernodes contributing to b.
+impl FactorGraph for FiGraph {
+    type Key = FiKey;
+
+    /// Dependency accounting, one task per owned supernode `j`:
+    /// deps = #own earlier supernodes contributing to j
+    ///      + #remote ranks contributing to j (one aggregate message each);
+    /// my_contribs[b] (remote b) = #own supernodes contributing to b.
+    fn compile(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Self {
+        let (p, ns) = (grid.n_procs(), sf.n_supernodes());
         let keys: Vec<_> = (rank..ns).step_by(p).map(|j| FiKey { j }).collect();
         let mut deps = vec![0; keys.len()];
         let mut my_contribs = vec![0; ns];
@@ -124,20 +109,45 @@ impl FiEngine {
                 }
             }
         }
-        let rt = TaskEngine::new(&Graph::new(keys, deps), opts.rtq_policy, abort);
-        let mode = FetchMode::Blocking {
-            overhead: RENDEZVOUS_OVERHEAD,
-        };
-        FiEngine {
-            core: core_for(rt, &kernels, opts, mode),
-            sf,
-            store,
-            kernels,
-            aggs: HashMap::new(),
+        FiGraph {
+            graph: Graph::new(keys, deps),
             my_contribs,
+        }
+    }
+
+    fn graph(&self) -> &Graph<FiKey> {
+        &self.graph
+    }
+}
+
+/// Per-rank fan-in engine, installed as the rank's user state.
+struct FiEngine {
+    sf: Arc<SymbolicFactor>,
+    store: BlockStore,
+    kernels: KernelEngine,
+    core: Core<FiKey, AggMeta>,
+    /// Aggregation buffers for remote targets, keyed by target supernode.
+    aggs: HashMap<usize, ColumnBuf>,
+    /// Outstanding local contributions per remote target supernode (a copy
+    /// of the graph's).
+    my_contribs: Vec<u32>,
+    scratch: UpdateScratch,
+    p: usize,
+    me: usize,
+}
+
+impl FiEngine {
+    fn new(parts: EngineParts<'_, Self, FiGraph>) -> Self {
+        FiEngine {
+            sf: Arc::clone(parts.plan.sf()),
+            store: parts.store,
+            kernels: parts.kernels,
+            core: parts.core,
+            aggs: HashMap::new(),
+            my_contribs: parts.graph.my_contribs.clone(),
             scratch: UpdateScratch::default(),
-            p,
-            me: rank,
+            p: parts.plan.grid().n_procs(),
+            me: parts.rank,
         }
     }
 
@@ -247,11 +257,11 @@ impl Engine for FiEngine {
     }
 }
 
-/// The fan-in family on the solver's run path: 1D map, a rendezvous per
-/// solve message.
-const FAN_IN: EngineFamily<FiEngine> = EngineFamily {
+/// The fan-in family on the solver's run path: 1D map, two-sided (a
+/// rendezvous per receive of the factorization and per solve message).
+const FAN_IN: EngineFamily<FiEngine, FiGraph> = EngineFamily {
     label: "fanin",
-    msg_overhead: RENDEZVOUS_OVERHEAD,
+    rendezvous: RENDEZVOUS_OVERHEAD,
     engine: FiEngine::new,
 };
 

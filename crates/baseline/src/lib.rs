@@ -44,7 +44,7 @@ pub use rightlooking::{
 };
 
 use sympack::driver::try_factor_and_solve_with;
-use sympack::plan::EngineFamily;
+use sympack::plan::{EngineFamily, FactorGraph};
 use sympack::sched::Engine;
 use sympack::{BcastTopology, MultiSolveReport, ProcGrid, SolverError, SolverOptions};
 use sympack_sparse::SparseSym;
@@ -57,8 +57,8 @@ pub type BaselineOptions = SolverOptions;
 /// the options, refuse those the family fixes otherwise, set the family's
 /// `grid` over the run's ranks and hand over to the solver's one-shot
 /// driver.
-fn run<E: Engine>(
-    family: &EngineFamily<E>,
+fn run<E: Engine, G: FactorGraph<Key = E::Key>>(
+    family: &EngineFamily<E, G>,
     grid: fn(usize) -> ProcGrid,
     a: &SparseSym,
     bs: &[Vec<f64>],

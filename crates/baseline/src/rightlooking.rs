@@ -3,25 +3,21 @@
 //! Scheduling runs through the shared [`sympack::sched::TaskEngine`]; the
 //! baseline's character survives as *parameters* of that runtime: a
 //! per-kernel submission overhead (`RUNTIME_TASK_OVERHEAD`) and a
-//! two-sided blocking fetch with a rendezvous charge per receive
-//! ([`FetchMode::Blocking`]).
+//! two-sided blocking fetch with a rendezvous charge per receive (the
+//! family's `rendezvous`, [`sympack::sched::FetchMode::Blocking`]).
 
 use crate::column::{factor_column, ColumnBuf};
 use crate::run;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
-use sympack::plan::{EngineFamily, SolvePlan};
-use sympack::sched::{
-    self, CommLayer, Core, Engine, FetchConfig, FetchMode, Graph, TaskEngine, TaskId, TaskKind,
-};
+use sympack::plan::{EngineFamily, EngineParts, FactorGraph};
+use sympack::sched::{self, Core, Engine, Graph, TaskId, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{MultiSolveReport, SolveReport, SolverError, SolverOptions};
 use sympack_dense::BlockRef;
 use sympack_gpu::KernelEngine;
-use sympack_pgas::coalesce::BcastTopology;
 use sympack_pgas::{Payload, Rank};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
@@ -37,16 +33,16 @@ pub(crate) const RENDEZVOUS_OVERHEAD: f64 = 5.0e-6;
 /// StarPU measurements put this at several microseconds per task.
 const RUNTIME_TASK_OVERHEAD: f64 = 6.0e-6;
 
-/// The right-looking family on the solver's run path: a rendezvous per
-/// solve message, like every two-sided receive of the factorization.
-const RIGHT_LOOKING: EngineFamily<RlEngine> = EngineFamily {
+/// The right-looking family on the solver's run path: two-sided, so a
+/// rendezvous per receive of the factorization and per solve message.
+const RIGHT_LOOKING: EngineFamily<RlEngine, RlGraph> = EngineFamily {
     label: "rightlooking",
-    msg_overhead: RENDEZVOUS_OVERHEAD,
+    rendezvous: RENDEZVOUS_OVERHEAD,
     engine: RlEngine::new,
 };
 
 /// The two task species of the panel-granular right-looking algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RlKey {
     /// POTRF + all TRSMs of owned supernode `j`, then the panel broadcast.
     Factor { j: usize },
@@ -112,52 +108,22 @@ pub(crate) fn owned_id(j: usize, p: usize) -> TaskId {
     (j / p) as TaskId
 }
 
-/// The shared core of a baseline engine over `rt`: flat publication (the
-/// families message a handful of ranks per payload), coalescing and the
-/// fetch path as the options ask.
-pub(crate) fn core_for<K: TaskKind, M: sched::Meta>(
-    rt: TaskEngine<K, sched::Signal<M>>,
-    kernels: &KernelEngine,
-    opts: &SolverOptions,
-    mode: FetchMode,
-) -> Core<K, M> {
-    Core {
-        rt,
-        comm: CommLayer::new(opts.coalesce, BcastTopology::Flat),
-        fetch: FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, mode),
-    }
-}
-
-/// Per-rank right-looking engine, installed as the rank's user state.
-struct RlEngine {
-    sf: Arc<SymbolicFactor>,
-    store: BlockStore,
-    kernels: KernelEngine,
-    core: Core<RlKey, PanelMeta>,
-    /// Received (or self-broadcast) panels awaiting application.
-    inputs: HashMap<usize, ColumnBuf>,
+/// The right-looking graph of one rank, compiled by its plan.
+#[derive(Debug)]
+struct RlGraph {
+    graph: Graph<RlKey>,
     /// Id of `Apply { j }` per supernode (`TaskId::MAX` where this rank
     /// owns no target of `j`); `Factor { j }` is [`owned_id`].
     apply_id: Vec<TaskId>,
-    scratch: UpdateScratch,
-    p: usize,
-    me: usize,
 }
 
-impl RlEngine {
-    fn new(
-        plan: &SolvePlan,
-        ap: &SparseSym,
-        rank: usize,
-        kernels: KernelEngine,
-        abort: Arc<AtomicBool>,
-    ) -> Self {
-        let (sf, grid, opts) = (Arc::clone(plan.sf()), plan.grid(), &plan.opts);
-        let p = grid.n_procs();
-        let store = BlockStore::init(&sf, ap, &grid, rank);
-        let ns = sf.n_supernodes();
-        // One factor task per owned supernode, waiting for every panel
-        // that updates it; one apply task per panel this rank must process.
+impl FactorGraph for RlGraph {
+    type Key = RlKey;
+
+    /// One factor task per owned supernode, waiting for every panel that
+    /// updates it; one apply task per panel this rank must process.
+    fn compile(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Self {
+        let (p, ns) = (grid.n_procs(), sf.n_supernodes());
         let mut keys: Vec<_> = (rank..ns).step_by(p).map(|j| RlKey::Factor { j }).collect();
         let mut deps = vec![0; keys.len()];
         let mut apply_id = vec![TaskId::MAX; ns];
@@ -174,21 +140,46 @@ impl RlEngine {
                 deps.push(1);
             }
         }
-        let mut rt = TaskEngine::new(&Graph::new(keys, deps), opts.rtq_policy, abort);
-        rt.set_task_overhead(RUNTIME_TASK_OVERHEAD);
-        let mode = FetchMode::Blocking {
-            overhead: RENDEZVOUS_OVERHEAD,
-        };
-        RlEngine {
-            core: core_for(rt, &kernels, opts, mode),
-            sf,
-            store,
-            kernels,
-            inputs: HashMap::new(),
+        RlGraph {
+            graph: Graph::new(keys, deps),
             apply_id,
+        }
+    }
+
+    fn graph(&self) -> &Graph<RlKey> {
+        &self.graph
+    }
+}
+
+/// Per-rank right-looking engine, installed as the rank's user state.
+struct RlEngine {
+    sf: Arc<SymbolicFactor>,
+    graph: Arc<RlGraph>,
+    store: BlockStore,
+    kernels: KernelEngine,
+    core: Core<RlKey, PanelMeta>,
+    /// Received (or self-broadcast) panels awaiting application.
+    inputs: HashMap<usize, ColumnBuf>,
+    scratch: UpdateScratch,
+    p: usize,
+    me: usize,
+}
+
+impl RlEngine {
+    /// The engine over its parts, paying the runtime's per-task overhead.
+    fn new(parts: EngineParts<'_, Self, RlGraph>) -> Self {
+        let mut core = parts.core;
+        core.rt.set_task_overhead(RUNTIME_TASK_OVERHEAD);
+        RlEngine {
+            sf: Arc::clone(parts.plan.sf()),
+            graph: parts.graph,
+            store: parts.store,
+            kernels: parts.kernels,
+            core,
+            inputs: HashMap::new(),
             scratch: UpdateScratch::default(),
-            p,
-            me: rank,
+            p: parts.plan.grid().n_procs(),
+            me: parts.rank,
         }
     }
 
@@ -280,7 +271,7 @@ impl Engine for RlEngine {
     fn on_data(&mut self, _rank: &mut Rank, meta: PanelMeta, data: Payload, ready_at: f64) {
         let j = meta.j;
         self.inputs.insert(j, ColumnBuf::unpack(&self.sf, j, &data));
-        self.core.rt.dec_id(self.apply_id[j], ready_at);
+        self.core.rt.dec_id(self.graph.apply_id[j], ready_at);
     }
 
     fn into_factor(self) -> (BlockStore, KernelEngine) {

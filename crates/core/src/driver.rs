@@ -1,7 +1,8 @@
 //! High-level driver: analysis → distributed factorization → solve.
 
 use crate::map2d::ProcGrid;
-use crate::plan::{factor_numeric, launch, EngineFamily, SolvePlan, FAN_OUT};
+use crate::plan::FAN_OUT;
+use crate::plan::{factor_numeric, launch, EngineFamily, FactorGraph, SolvePlan, SymbolicPlan};
 use crate::sched::Engine;
 use crate::taskgraph::RtqPolicy;
 use crate::trisolve;
@@ -396,15 +397,15 @@ impl SymPack {
 }
 
 /// The one-shot body of [`SymPack::try_factor_and_solve_observed`] for any
-/// engine family: analyze, then factor with `family`'s engine and solve every
-/// right-hand side in one SPMD region. The fan-out runs through it, and so do
-/// the baselines (`sympack-baseline`), each with the grid of its own map set
-/// in `opts`.
+/// engine family: analyze (compiling the family's graph `G`), then factor
+/// with `family`'s engine and solve every right-hand side in one SPMD
+/// region. The fan-out runs through it, and so do the baselines
+/// (`sympack-baseline`), each with the grid of its own map set in `opts`.
 ///
 /// # Errors
 /// Same failure modes as [`SymPack::try_factor_and_solve`].
-pub fn try_factor_and_solve_with<E: Engine>(
-    family: &EngineFamily<E>,
+pub fn try_factor_and_solve_with<E: Engine, G: FactorGraph<Key = E::Key>>(
+    family: &EngineFamily<E, G>,
     a: &SparseSym,
     bs: &[Vec<f64>],
     opts: &SolverOptions,
@@ -421,7 +422,7 @@ pub fn try_factor_and_solve_with<E: Engine>(
     if let Err(e) = check(a, bs, opts) {
         return (Err(e), None);
     }
-    let plan = SolvePlan::new(a, opts);
+    let plan = SolvePlan::from_symbolic(Arc::new(SymbolicPlan::<G>::analyze(a, opts)), opts);
     let sf = plan.sf();
     let ap = plan.permute(a);
     let bps: Vec<Vec<f64>> = bs.iter().map(|b| sf.perm.apply_vec(b)).collect();

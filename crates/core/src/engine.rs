@@ -3,14 +3,11 @@
 //! RTQ, signal inbox, dependency counters, abort) runs through the shared
 //! [`crate::sched::TaskEngine`].
 
-use crate::plan::SolvePlan;
-use crate::sched::{
-    self, CommLayer, Core, FetchConfig, FetchMode, TaskEngine, TaskId, TaskKind, Wall,
-};
+use crate::plan::EngineParts;
+use crate::sched::{self, Core, TaskId, TaskKind, Wall};
 use crate::storage::{Block, BlockStore};
 use crate::taskgraph::{BlockId, LocalTasks, RtqPolicy, TaskKey, TaskOps};
 use crate::update::{apply_update, UpdateScratch};
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack_dense::{LowRankMat, Mat};
 use sympack_gpu::KernelEngine;
@@ -87,35 +84,31 @@ fn block<'a>(store: &'a BlockStore, inputs: &'a [Option<Block>], b: BlockId) -> 
 }
 
 impl FactoEngine {
-    /// Build the engine for `rank` under `plan`, over the rank's compiled
-    /// task-graph slice (built once per [`crate::plan::SymbolicPlan`]):
-    /// allocate the owned blocks, scatter the permuted matrix `ap` into
-    /// them and copy the initial dependency counters.
-    pub fn new(
-        plan: &SolvePlan,
-        ap: &sympack_sparse::SparseSym,
-        rank: usize,
-        kernels: KernelEngine,
-        abort: Arc<AtomicBool>,
-    ) -> Self {
-        let (sf, grid) = (Arc::clone(plan.sf()), plan.grid());
-        let graph = Arc::clone(&plan.symbolic.tasks[rank]);
-        let (policy, oom_policy) = (plan.opts.rtq_policy, plan.opts.oom_policy);
-        let mut kernels = kernels;
+    /// The fan-out engine from the parts [`crate::plan::EngineFamily::build`]
+    /// made for one rank: fix the BLR truncation scale, check that the store
+    /// and the plan's graph agree, and record the CommAware urgencies.
+    pub fn new(parts: EngineParts<'_, Self, LocalTasks>) -> Self {
+        let EngineParts {
+            plan,
+            ap,
+            graph,
+            store,
+            mut core,
+            mut kernels,
+            ..
+        } = parts;
         if kernels.blr.enabled() {
             // Global truncation scale: ‖A‖_F is permutation-invariant, so
             // every rank computes the identical value from its copy of the
             // permuted matrix (the absolute-threshold BLR criterion).
             kernels.blr_scale = ap.frobenius_norm();
         }
-        let store = BlockStore::init(&sf, ap, &grid, rank);
         assert_eq!(
             store.keys(),
             &graph.blocks[..graph.n_owned],
             "task graph was compiled for another rank or grid"
         );
-        let mut rt = TaskEngine::new(&graph.graph, policy, abort);
-        if policy == RtqPolicy::CommAware {
+        if plan.opts.rtq_policy == RtqPolicy::CommAware {
             // Overlap-driven urgency: a factor task's output unblocks this
             // many *remote* ranks, so producing it early feeds the network
             // while local update work hides behind the transfers. (Factor
@@ -123,21 +116,15 @@ impl FactoEngine {
             for l in 0..graph.n_owned as BlockId {
                 let urg = graph.dests_of(l).len();
                 if urg > 0 {
-                    rt.set_urgency(l, urg as u64);
+                    core.rt.set_urgency(l, urg as u64);
                 }
             }
         }
-        let fetch =
-            FetchConfig::for_engine(kernels.gpu_enabled, oom_policy, FetchMode::NonBlocking);
         let n_inputs = graph.blocks.len() - graph.n_owned;
         FactoEngine {
-            sf,
+            sf: Arc::clone(plan.sf()),
             store,
-            core: Core {
-                rt,
-                comm: CommLayer::new(plan.opts.coalesce, plan.opts.bcast),
-                fetch,
-            },
+            core,
             inputs: (0..n_inputs).map(|_| None).collect(),
             graph,
             scratch: UpdateScratch::default(),
@@ -347,9 +334,10 @@ impl sched::Engine for FactoEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{factor_numeric, make_kernels};
+    use crate::plan::{factor_numeric, make_kernels, SolvePlan, FAN_OUT};
     use crate::SolverOptions;
     use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
     use sympack_dense::BlrConfig;
     use sympack_pgas::coalesce::BcastTopology;
     use sympack_pgas::Runtime;
@@ -403,7 +391,7 @@ mod tests {
                 let abort = Arc::new(AtomicBool::new(false));
                 let run = Runtime::run(plan.pgas_config(), |rank| {
                     let (me, abort) = (rank.id(), Arc::clone(&abort));
-                    let engine = FactoEngine::new(&plan, &ap, me, make_kernels(&opts), abort);
+                    let engine = FAN_OUT.build(&plan, &ap, me, make_kernels(&opts), abort);
                     let (engine, _) = sched::run_to_completion(rank, engine);
                     assert!(engine.core.rt.error.is_none());
                     let fetched = engine.graph.blocks[engine.graph.n_owned..].iter();

@@ -58,7 +58,25 @@ impl ProcGrid {
     /// Owner of block `B(i,j)`.
     #[inline]
     pub fn map(&self, i: usize, j: usize) -> usize {
-        (i % self.pr) * self.pc + (j % self.pc)
+        self.row_of(i) * self.pc + self.col_of(j)
+    }
+
+    /// Grid position `(row, col)` of rank `r`: it owns block `B(i,j)`
+    /// exactly when `row_of(i) == row` and `col_of(j) == col`.
+    pub fn position(&self, r: usize) -> (usize, usize) {
+        (r / self.pc, r % self.pc)
+    }
+
+    /// Grid row holding block row `i`.
+    #[inline]
+    pub fn row_of(&self, i: usize) -> usize {
+        i % self.pr
+    }
+
+    /// Grid column holding block column `j`.
+    #[inline]
+    pub fn col_of(&self, j: usize) -> usize {
+        j % self.pc
     }
 }
 
@@ -91,6 +109,22 @@ mod tests {
                 let p = g.map(i, j);
                 assert!(p < 6);
                 assert_eq!(p, g.map(i + 2, j + 3), "cyclic in both dims");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_owns_its_grid_row_times_its_grid_column() {
+        for g in [
+            ProcGrid::new(2, 3),
+            ProcGrid::new(3, 2),
+            ProcGrid::new(1, 4),
+        ] {
+            for (i, j) in (0..9).flat_map(|i| (0..9).map(move |j| (i, j))) {
+                for r in 0..g.n_procs() {
+                    let owns = (g.row_of(i), g.col_of(j)) == g.position(r);
+                    assert_eq!(owns, g.map(i, j) == r, "{g:?}: B({i},{j}), rank {r}");
+                }
             }
         }
     }

@@ -2,15 +2,17 @@
 //! factorization, and the **one run path** from matrix to solution that
 //! every entry point is a composition of.
 //!
-//! Two types carry the state:
+//! Two types carry the state, both typed by the [`FactorGraph`] their
+//! engine family runs (the fan-out's [`LocalTasks`] by default):
 //!
 //! * [`SymbolicPlan`] — everything derived from the sparsity *pattern*
-//!   alone: composite ordering, symbolic factor, 2D process grid, per-rank
-//!   task-graph slices (factorization and solve), and the retained pattern
+//!   alone: composite ordering, symbolic factor, 2D process grid, every
+//!   rank's compiled factorization graph and solve, and the retained pattern
 //!   arrays. It carries no numeric state, so one `Arc<SymbolicPlan>` can
 //!   back any number of concurrent tenants whose matrices share a
 //!   [`pattern_hash`] — the analyze-once/solve-many design a fleet-wide
-//!   plan cache keys on.
+//!   plan cache keys on. A baseline's plan is another type, so it can
+//!   neither enter that cache nor hold a fan-out graph.
 //! * [`SolvePlan`] — an `Arc<SymbolicPlan>` plus the per-job
 //!   [`SolverOptions`]; the handle the numeric phases run against.
 //!
@@ -23,9 +25,10 @@
 //!   (`observe`), builds the rank's kernel executor ([`make_kernels`]),
 //!   runs the region's body and assembles the ranks' results.
 //! * `RankCtx::factor_rank` — the factorization of one rank: builds the
-//!   family's engine ([`FactoEngine`] for the fan-out) and hands it to
-//!   `RankOut::factor`, which attaches the engine-level observers and
-//!   drives the one factor loop ([`sched::run_to_completion`]).
+//!   family's engine on the one construction path ([`EngineFamily::build`]:
+//!   block store, scheduling core over the plan's graph, publication layer,
+//!   fetch path), attaches the engine-level observers and drives the one
+//!   factor loop ([`sched::run_to_completion`]).
 //! * `RankCtx::solve_rank` — the distributed triangular solve of one rank
 //!   ([`trisolve::solve_panel`]).
 //! * `RankOut` / `assemble` — the one per-rank result and the one
@@ -42,7 +45,10 @@
 
 use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
-use crate::sched::{self, Engine, LoopWall, PublishStats};
+use crate::sched::{
+    self, CommLayer, Core, Engine, FetchConfig, FetchMode, Graph, LoopWall, PublishStats,
+    TaskEngine, TaskKind,
+};
 use crate::solve_tasks::SolveTasks;
 use crate::storage::BlockStore;
 use crate::taskgraph::LocalTasks;
@@ -159,14 +165,43 @@ fn effective_grid(opts: &SolverOptions) -> ProcGrid {
     grid
 }
 
+/// One rank's compiled factorization graph, as an engine family defines it
+/// (DESIGN.md §5.3): a pure function of the symbolic factor, the grid and
+/// the rank, compiled once per rank per plan ([`SymbolicPlan::analyze`]).
+/// Every factorization under the plan shares it behind an `Arc` and copies
+/// only the counters it decrements.
+pub trait FactorGraph: Send + Sync + 'static {
+    /// The task species the graph schedules.
+    type Key: TaskKind;
+
+    /// Compile `rank`'s slice of the factorization under `grid`.
+    fn compile(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Self;
+
+    /// The tasks the rank's scheduling core is built over.
+    fn graph(&self) -> &Graph<Self::Key>;
+}
+
+impl FactorGraph for LocalTasks {
+    type Key = crate::TaskKey;
+
+    fn compile(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Self {
+        LocalTasks::build(sf, grid, rank)
+    }
+
+    fn graph(&self) -> &Graph<crate::TaskKey> {
+        &self.graph
+    }
+}
+
 /// Everything derived from a sparsity pattern under fixed analysis/layout
 /// options, and nothing derived from numeric values: composite ordering,
-/// symbolic factor, 2D block-cyclic grid, per-rank task-graph slices, and
-/// the original (unpermuted) pattern arrays needed to rebuild a matrix from
-/// fresh values. Immutable once built; shared via `Arc` between every
-/// session whose matrix hashes to the same pattern.
+/// symbolic factor, 2D block-cyclic grid, every rank's compiled
+/// factorization graph `G` and solve, and the original (unpermuted) pattern
+/// arrays needed to rebuild a matrix from fresh values. Immutable once
+/// built; shared via `Arc` between every session whose matrix hashes to the
+/// same pattern.
 #[derive(Debug)]
-pub struct SymbolicPlan {
+pub struct SymbolicPlan<G = LocalTasks> {
     /// The symbolic factor (ordering, supernode partition, block layout).
     pub sf: Arc<SymbolicFactor>,
     /// 2D block-cyclic process grid the task graphs were sliced for.
@@ -176,9 +211,9 @@ pub struct SymbolicPlan {
     /// Plan-cache key: `pattern` folded with the analysis/layout options
     /// (see [`plan_cache_key`]).
     pub key: u64,
-    /// Every rank's compiled slice of the factorization task graph, shared
-    /// (not copied) by every numeric factorization under this plan.
-    pub tasks: Vec<Arc<LocalTasks>>,
+    /// Every rank's compiled factorization graph, shared (not copied) by
+    /// every numeric factorization under this plan.
+    pub tasks: Vec<Arc<G>>,
     /// Every rank's compiled slice of the triangular solve (both sweeps),
     /// shared by every solve under this plan.
     pub solve_tasks: Vec<Arc<SolveTasks>>,
@@ -194,12 +229,13 @@ pub struct SymbolicPlan {
     pub phases: PlanPhases,
 }
 
-/// Wall-clock milliseconds of every phase of [`SymbolicPlan::build`], in the
-/// order they run. On one worker they partition the build. With more (see
-/// [`SymbolicPlan::build`]) the [`pattern_hash`] runs on its own thread beside
-/// the symbolic analysis and is timed there; [`PlanPhases::total_ms`] leaves
-/// that part out, so it always sums the calling thread's critical path and
-/// equals [`SymbolicPlan::analyze_wall_ms`] up to timer reads.
+/// Wall-clock milliseconds of every phase of [`SymbolicPlan::analyze`], in
+/// the order they run. On one worker they partition the build. With more
+/// (see [`SymbolicPlan::analyze`]) the [`pattern_hash`] runs on its own
+/// thread beside the symbolic analysis and is timed there;
+/// [`PlanPhases::total_ms`] leaves that part out, so it always sums the
+/// calling thread's critical path and equals
+/// [`SymbolicPlan::analyze_wall_ms`] up to timer reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlanPhases {
     /// [`pattern_hash`], [`plan_cache_key`] and the retained pattern copy
@@ -209,7 +245,7 @@ pub struct PlanPhases {
     pub ordering_ms: f64,
     /// The symbolic analysis, phase by phase.
     pub symbolic: AnalyzePhases,
-    /// Every rank's factorization task graph.
+    /// Every rank's factorization graph, compiled by the plan's family.
     pub task_graphs_ms: f64,
     /// Every rank's compiled triangular solve.
     pub solve_tasks_ms: f64,
@@ -257,20 +293,33 @@ fn analysis_workers(a: &SparseSym, n_ranks: usize) -> usize {
 }
 
 impl SymbolicPlan {
-    /// Run ordering + symbolic analysis, fix the process grid and slice the
-    /// task graph for every rank. This is the expensive front-loaded phase
-    /// the plan cache amortizes.
-    ///
-    /// On a matrix of more than [`FORK_MIN`] vertices and a plan of more than
-    /// one rank, the prologue uses as many threads as the plan has ranks (at
-    /// most the machine's cores): the nested dissection forks its halves and
-    /// the [`pattern_hash`] runs beside the symbolic analysis. The plan is
-    /// the same bit for bit on any number of threads.
+    /// [`SymbolicPlan::analyze`] for the fan-out, whose plan is the default
+    /// type — the constructor the plan cache, sessions and tools call.
     ///
     /// # Panics
     /// Panics if an explicit [`SolverOptions::grid`] disagrees with
     /// `n_nodes × ranks_per_node`.
     pub fn build(a: &SparseSym, opts: &SolverOptions) -> SymbolicPlan {
+        Self::analyze(a, opts)
+    }
+}
+
+impl<G: FactorGraph> SymbolicPlan<G> {
+    /// Run ordering + symbolic analysis, fix the process grid and compile
+    /// every rank's factorization graph `G` and solve. This is the expensive
+    /// front-loaded phase the plan cache amortizes.
+    ///
+    /// On a matrix of more than [`FORK_MIN`] vertices and a plan of more than
+    /// one rank, the prologue uses as many threads as the plan has ranks (at
+    /// most the machine's cores): the nested dissection forks its halves and
+    /// the [`pattern_hash`] runs beside the symbolic analysis. The plan is
+    /// the same bit for bit on any number of threads. The graphs are
+    /// compiled on this thread, rank after rank.
+    ///
+    /// # Panics
+    /// Panics if an explicit [`SolverOptions::grid`] disagrees with
+    /// `n_nodes × ranks_per_node`.
+    pub fn analyze(a: &SparseSym, opts: &SolverOptions) -> Self {
         let t0 = std::time::Instant::now();
         let mut lap = Lap::start();
         let grid = effective_grid(opts);
@@ -311,8 +360,8 @@ impl SymbolicPlan {
             hash_beside_ms = 0.0;
         }
         let sf = Arc::new(sf);
-        let tasks: Vec<Arc<LocalTasks>> = (0..n_ranks)
-            .map(|r| Arc::new(LocalTasks::build(&sf, &grid, r)))
+        let tasks = (0..n_ranks)
+            .map(|r| Arc::new(G::compile(&sf, &grid, r)))
             .collect();
         let task_graphs_ms = lap.ms();
         let solve_tasks = SolveTasks::build_all(&sf, &grid);
@@ -336,7 +385,9 @@ impl SymbolicPlan {
             },
         }
     }
+}
 
+impl<G> SymbolicPlan<G> {
     /// Total ranks the task graphs were sliced for.
     pub fn n_ranks(&self) -> usize {
         self.grid.n_procs()
@@ -367,36 +418,45 @@ impl SymbolicPlan {
 /// the distributed numeric phases run against. Cheap to clone (the symbolic
 /// half is behind an `Arc`); many plans can share one [`SymbolicPlan`]
 /// while differing in numeric-only options (net model, faults, tracing…).
-#[derive(Debug, Clone)]
-pub struct SolvePlan {
+#[derive(Debug)]
+pub struct SolvePlan<G = LocalTasks> {
     /// The shared pattern-derived artifacts.
-    pub symbolic: Arc<SymbolicPlan>,
+    pub symbolic: Arc<SymbolicPlan<G>>,
     /// Options the numeric phases run under (rank layout must agree with
     /// the symbolic plan's grid).
     pub opts: SolverOptions,
 }
 
+impl<G> Clone for SolvePlan<G> {
+    fn clone(&self) -> Self {
+        SolvePlan {
+            symbolic: Arc::clone(&self.symbolic),
+            opts: self.opts.clone(),
+        }
+    }
+}
+
 impl SolvePlan {
-    /// Run ordering + symbolic analysis and fix the process grid — the
-    /// fresh-analysis path (cache miss).
+    /// Run ordering + symbolic analysis, fix the process grid and compile
+    /// the fan-out's graphs ([`SymbolicPlan::build`]) — the fresh-analysis
+    /// path (cache miss).
     ///
     /// # Panics
     /// Panics if an explicit [`SolverOptions::grid`] disagrees with
     /// `n_nodes × ranks_per_node`.
     pub fn new(a: &SparseSym, opts: &SolverOptions) -> SolvePlan {
-        SolvePlan {
-            symbolic: Arc::new(SymbolicPlan::build(a, opts)),
-            opts: opts.clone(),
-        }
+        Self::from_symbolic(Arc::new(SymbolicPlan::build(a, opts)), opts)
     }
+}
 
+impl<G> SolvePlan<G> {
     /// Reuse a cached symbolic plan — the cache-hit path: no ordering, no
     /// analysis, no task-graph construction, numeric-only factorization.
     ///
     /// `opts`' rank layout must be the one `symbolic` was sliced for (the
     /// plan cache keys on it, see [`plan_cache_key`]); the numeric phases
     /// reject a disagreeing pair with [`SolverError::InvalidOptions`].
-    pub fn from_symbolic(symbolic: Arc<SymbolicPlan>, opts: &SolverOptions) -> SolvePlan {
+    pub fn from_symbolic(symbolic: Arc<SymbolicPlan<G>>, opts: &SolverOptions) -> Self {
         SolvePlan {
             symbolic,
             opts: opts.clone(),
@@ -511,47 +571,6 @@ pub(crate) fn observe(rank: &mut Rank, trace: bool, telemetry: bool) {
 }
 
 impl RankOut {
-    /// Attach the engine-level observers (task tracer; scheduler
-    /// instruments, sampled on the virtual clock after every charged
-    /// task), drive `engine` through the one factor loop and collect the
-    /// factorization half of the result.
-    pub(crate) fn factor<E: Engine>(
-        rank: &mut Rank,
-        mut engine: E,
-        trace: bool,
-        telemetry: bool,
-    ) -> Self {
-        let rt = &mut engine.core().rt;
-        if trace {
-            rt.tracer = Some(Tracer::new());
-        }
-        if telemetry {
-            rt.telemetry = Some(Box::new(SchedTelemetry::new(rank.id())));
-            rt.wall.start();
-        }
-        let (mut engine, factor_time) = sched::run_to_completion(rank, engine);
-        let core = engine.core();
-        let (publish, rt) = (core.comm.stats(), &mut core.rt);
-        let wall = rt.wall.finish();
-        let (error, tasks) = (rt.error.take(), rt.task_counts());
-        let trace = rt.tracer.take().map_or_else(Vec::new, Tracer::into_events);
-        let telemetry = rt.telemetry.take().map(|t| t.snapshot());
-        let (store, kernels) = engine.into_factor();
-        RankOut {
-            error,
-            factor_time,
-            store,
-            counts: kernels.counts,
-            publish,
-            blr: kernels.blr_counts,
-            trace,
-            tasks,
-            telemetry,
-            wall,
-            ..Default::default()
-        }
-    }
-
     /// True when the region must skip its remaining collective phases: this
     /// rank failed, or another did. The abort is sticky and job-wide, so
     /// every rank takes the same exit and the barriers stay aligned.
@@ -684,46 +703,135 @@ pub(crate) fn assemble(
 }
 
 /// What the one run path needs to know about an engine family (DESIGN.md
-/// §5.3): the label of its profile, the per-message overhead its triangular
-/// solve pays, and its engine, built once per rank from the plan. The plan,
-/// the kernels, the launch, the factor loop, the solve and the assembly are
-/// the same for every family.
-pub struct EngineFamily<E> {
+/// §5.3): the label of its profile, whether its transport is two-sided, and
+/// its engine's constructor. The family's graph `G` is compiled by its plan
+/// ([`SymbolicPlan::analyze`]); the kernels, the launch, the engine's shared
+/// parts ([`EngineFamily::build`]), the factor loop, the solve and the
+/// assembly are the same for every family.
+pub struct EngineFamily<E: Engine, G> {
     /// Engine name of the family's profile.
     pub label: &'static str,
-    /// Per-message overhead (seconds) of the family's triangular solve.
-    pub msg_overhead: f64,
-    /// The family's engine for one rank: `(plan, permuted matrix, rank,
-    /// kernels, job-wide abort flag)`.
-    pub engine: fn(&SolvePlan, &SparseSym, usize, KernelEngine, Arc<AtomicBool>) -> E,
+    /// Rendezvous charge (seconds) of the family's two-sided receives, paid
+    /// by every fetch of its factorization ([`FetchMode::Blocking`]) and by
+    /// every message of its triangular solve. Zero means one-sided
+    /// ([`FetchMode::NonBlocking`]).
+    pub rendezvous: f64,
+    /// The family's engine from the parts [`EngineFamily::build`] made.
+    pub engine: fn(EngineParts<'_, E, G>) -> E,
+}
+
+/// What [`EngineFamily::build`] makes for one rank, the same way for every
+/// family, and hands to the family's engine.
+pub struct EngineParts<'a, E: Engine, G> {
+    /// The plan the rank factors under.
+    pub plan: &'a SolvePlan<G>,
+    /// The permuted matrix `store` was scattered from.
+    pub ap: &'a SparseSym,
+    /// This rank's id.
+    pub rank: usize,
+    /// This rank's compiled graph, shared with the plan.
+    pub graph: Arc<G>,
+    /// This rank's blocks of `ap`.
+    pub store: BlockStore,
+    /// The scheduling core over `graph`, publication and fetch path.
+    pub core: Core<E::Key, E::Meta>,
+    /// The rank's kernel executor.
+    pub kernels: KernelEngine,
+}
+
+impl<E: Engine, G: FactorGraph<Key = E::Key>> EngineFamily<E, G> {
+    /// The one construction path of a factorization engine: rank `rank`'s
+    /// block store of the permuted matrix `ap`, a scheduling core over its
+    /// compiled graph in `plan`, the publication layer and the fetch path,
+    /// handed with `kernels` to the family's engine.
+    pub fn build(
+        &self,
+        plan: &SolvePlan<G>,
+        ap: &SparseSym,
+        rank: usize,
+        kernels: KernelEngine,
+        abort: Arc<AtomicBool>,
+    ) -> E {
+        let (opts, grid) = (&plan.opts, plan.grid());
+        let graph = Arc::clone(&plan.symbolic.tasks[rank]);
+        let store = BlockStore::init(plan.sf(), ap, &grid, rank);
+        let mode = match self.rendezvous {
+            0.0 => FetchMode::NonBlocking,
+            overhead => FetchMode::Blocking { overhead },
+        };
+        let core = Core {
+            rt: TaskEngine::new(graph.graph(), opts.rtq_policy, abort),
+            comm: CommLayer::new(opts.coalesce, opts.bcast),
+            fetch: FetchConfig::for_engine(kernels.gpu_enabled, opts.oom_policy, mode),
+        };
+        (self.engine)(EngineParts {
+            plan,
+            ap,
+            rank,
+            graph,
+            store,
+            core,
+            kernels,
+        })
+    }
 }
 
 /// The fan-out family: symPACK's own engine and a one-sided solve.
-pub(crate) const FAN_OUT: EngineFamily<FactoEngine> = EngineFamily {
+pub const FAN_OUT: EngineFamily<FactoEngine, LocalTasks> = EngineFamily {
     label: "fanout",
-    msg_overhead: 0.0,
+    rendezvous: 0.0,
     engine: FactoEngine::new,
 };
 
 /// One rank's handle on a distributed phase under a plan: what [`launch`]
 /// gives the per-rank body.
-pub(crate) struct RankCtx<'a, E> {
-    plan: &'a SolvePlan,
-    family: &'a EngineFamily<E>,
+pub(crate) struct RankCtx<'a, E: Engine, G> {
+    plan: &'a SolvePlan<G>,
+    family: &'a EngineFamily<E, G>,
     /// Pristine kernel executor; every factorization and solve runs on its
     /// own copy (fresh call counters).
     kernels: KernelEngine,
     abort: &'a Arc<AtomicBool>,
 }
 
-impl<E: Engine> RankCtx<'_, E> {
-    /// Factor this rank's slice of the permuted matrix `ap` with the
-    /// family's engine, observed as the plan's options ask.
+impl<E: Engine, G: FactorGraph<Key = E::Key>> RankCtx<'_, E, G> {
+    /// Factor this rank's slice of the permuted matrix `ap`: build the
+    /// family's engine, attach the engine-level observers the plan's options
+    /// ask for (task tracer; scheduler instruments, sampled on the virtual
+    /// clock after every charged task), drive it through the one factor loop
+    /// and collect the factorization half of the result.
     pub(crate) fn factor_rank(&self, rank: &mut Rank, ap: &SparseSym) -> RankOut {
-        let (plan, opts) = (self.plan, &self.plan.opts);
-        let kernels = self.kernels.clone();
-        let engine = (self.family.engine)(plan, ap, rank.id(), kernels, Arc::clone(self.abort));
-        RankOut::factor(rank, engine, opts.trace, opts.telemetry)
+        let (kernels, abort) = (self.kernels.clone(), Arc::clone(self.abort));
+        let mut engine = self.family.build(self.plan, ap, rank.id(), kernels, abort);
+        let rt = &mut engine.core().rt;
+        if self.plan.opts.trace {
+            rt.tracer = Some(Tracer::new());
+        }
+        if self.plan.opts.telemetry {
+            rt.telemetry = Some(Box::new(SchedTelemetry::new(rank.id())));
+            rt.wall.start();
+        }
+        let (mut engine, factor_time) = sched::run_to_completion(rank, engine);
+        let core = engine.core();
+        let (publish, rt) = (core.comm.stats(), &mut core.rt);
+        let wall = rt.wall.finish();
+        let (error, tasks) = (rt.error.take(), rt.task_counts());
+        let trace = rt.tracer.take().map_or_else(Vec::new, Tracer::into_events);
+        let telemetry = rt.telemetry.take().map(|t| t.snapshot());
+        let (store, kernels) = engine.into_factor();
+        RankOut {
+            error,
+            factor_time,
+            store,
+            counts: kernels.counts,
+            publish,
+            blr: kernels.blr_counts,
+            trace,
+            tasks,
+            telemetry,
+            wall,
+            ..Default::default()
+        }
     }
 
     /// Solve one permuted `n × nrhs` panel `bp` against this rank's factor
@@ -738,7 +846,7 @@ impl<E: Engine> RankCtx<'_, E> {
     ) -> trisolve::SolveOutcome {
         let params = trisolve::SolveParams {
             policy: self.plan.opts.rtq_policy,
-            msg_overhead: self.family.msg_overhead,
+            msg_overhead: self.family.rendezvous,
             trace,
         };
         let symbolic = &self.plan.symbolic;
@@ -761,11 +869,11 @@ impl<E: Engine> RankCtx<'_, E> {
 /// never hands the turn on). Each rank is observed as the plan's options
 /// ask, runs `body`, and hands its [`RankOut`] to [`assemble`]; `nrhs` is
 /// the panel width of the region's solves.
-pub(crate) fn launch<E: Engine>(
-    plan: &SolvePlan,
-    family: &EngineFamily<E>,
+pub(crate) fn launch<E: Engine, G: FactorGraph>(
+    plan: &SolvePlan<G>,
+    family: &EngineFamily<E, G>,
     nrhs: usize,
-    body: impl Fn(&mut Rank, &RankCtx<'_, E>) -> RankOut + Sync,
+    body: impl Fn(&mut Rank, &RankCtx<'_, E, G>) -> RankOut + Sync,
 ) -> (Result<Assembled, SolverError>, Option<TelemetryReport>) {
     if let Err(e) = plan.validate() {
         return (Err(e), None);

@@ -5,7 +5,7 @@
 use super::queue::{ReadyQueue, RtqPolicy};
 use super::{Signal, TaskKind};
 use crate::SolverError;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use sympack_pgas::{GlobalPtr, Rank};
@@ -16,8 +16,8 @@ pub type TaskId = u32;
 
 /// A compiled task graph: every task's key and initial dependency counter,
 /// addressed by dense [`TaskId`], and the tasks ready at the start. Built
-/// once per rank (per plan, for the fan-out and the solve; per engine, for
-/// the baselines) and shared by every engine run over it.
+/// once per rank per plan (inside a family's factorization graph, and the
+/// solve's) and shared by every engine run over it.
 #[derive(Debug)]
 pub struct Graph<K> {
     /// `id → key`; shared with every engine over this graph.
@@ -105,13 +105,16 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     /// duplicated `signal(ptr, meta)` delivery (network retry, fault
     /// injection) is absorbed instead of double-decrementing dependants.
     seen_signals: HashSet<GlobalPtr>,
-    /// Ready time of the task most recently returned by `pick`, stamped
-    /// onto the span `charge` records (profiler dep-wait attribution).
+    /// Id and ready time of the task most recently returned by `pick`: the
+    /// task `charge` records (its producer edge, and the profiler's
+    /// dep-wait attribution).
+    picked: TaskId,
     picked_ready: f64,
-    /// Producer label of each task's latest-arriving dependency, recorded
-    /// by [`dec_from_id`](Self::dec_from_id) only while tracing (the profiler's
-    /// dependency edges; empty and untouched otherwise).
-    pred: HashMap<K, String>,
+    /// Producer label of each task's latest-arriving dependency, by id,
+    /// recorded by [`dec_from_id`](Self::dec_from_id) only while tracing
+    /// (the profiler's dependency edges; allocated by the first traced
+    /// decrement, empty otherwise).
+    pred: Vec<Option<String>>,
     /// Resident input-buffer gauge (bytes), sampled onto exec spans.
     mem_bytes: u64,
     /// Wall-clock attribution of the factor loop; off unless started (see
@@ -147,8 +150,9 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
             tracer: None,
             telemetry: None,
             seen_signals: HashSet::new(),
+            picked: 0,
             picked_ready: 0.0,
-            pred: HashMap::new(),
+            pred: Vec::new(),
             mem_bytes: 0,
             wall: super::WallClock::default(),
         }
@@ -209,8 +213,12 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// only invoked when a tracer is installed, so the disabled path costs
     /// nothing beyond the plain decrement.
     pub fn dec_from_id(&mut self, id: TaskId, ready_at: f64, producer: impl FnOnce() -> String) {
-        if self.tracer.is_some() && ready_at >= self.ready_at[id as usize] {
-            self.pred.insert(self.keys[id as usize], producer());
+        let i = id as usize;
+        if self.tracer.is_some() && ready_at >= self.ready_at[i] {
+            if self.pred.is_empty() {
+                self.pred.resize(self.keys.len(), None);
+            }
+            self.pred[i] = Some(producer());
         }
         self.dec_id(id, ready_at);
     }
@@ -231,22 +239,22 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
             |&id| urgency.get(id as usize).copied().unwrap_or(0),
         )?;
         let ready_at = self.ready_at[id as usize];
-        self.picked_ready = ready_at;
+        (self.picked, self.picked_ready) = (id, ready_at);
         Some((id, self.keys[id as usize], ready_at))
-    }
-
-    /// Advance the rank's clock to a picked task's ready time (dependencies
-    /// must have arrived before work can start).
-    pub fn begin(&self, rank: &mut Rank, ready_at: f64) {
-        rank.advance_to(ready_at);
     }
 
     /// Charge an executed task's kernel time (plus the engine's per-task
     /// overhead) to the virtual clock and record it on the timeline as a
     /// typed exec span: kernel/overhead sub-spans, the ready time from the
     /// enclosing `pick`, the producer edge, and the queue-depth / resident-
-    /// bytes gauges sampled at this task boundary.
+    /// bytes gauges sampled at this task boundary. `key` is the picked
+    /// task's.
     pub fn charge(&mut self, rank: &mut Rank, key: K, secs: f64) {
+        let picked = self.picked as usize;
+        debug_assert_eq!(
+            self.keys[picked], key,
+            "charged a task other than the picked one"
+        );
         let total = secs + self.task_overhead;
         rank.advance(total);
         if let Some(tel) = &mut self.telemetry {
@@ -274,7 +282,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
                 kernel: secs,
                 overhead: self.task_overhead,
                 ready_at: self.picked_ready,
-                pred: self.pred.get(&key).cloned(),
+                pred: self.pred.get(picked).cloned().flatten(),
                 peer: None,
                 bytes: self.mem_bytes,
                 rtq_depth: self.rtq.len() as u32,

@@ -36,22 +36,25 @@
 //!
 //! # The engine contract
 //!
-//! A factorization engine *writes* ([`Engine`]): its task species
-//! ([`TaskKind`]) compiled into a [`Graph`], its message metadata ([`Meta`]), [`Engine::exec`] (its
-//! `match key`), [`Engine::on_data`] (what an arrived payload means), one
-//! accessor to its [`Core`], a stall diagnosis and `into_factor`. It
-//! *inherits* signal dedup, fetch retry and device-memory fetches, stall
-//! detection, abort broadcast, coalescing, the broadcast tree, publication
-//! byte accounting, tracing and telemetry — a feature added to this module
-//! reaches every engine without touching one (`crates/core/tests/engine_contract.rs`
-//! shows it from the consumer side with a 30-line toy engine).
+//! A factorization engine *writes* its task species ([`TaskKind`]), its
+//! compiled graph (a `plan::FactorGraph`, whose `compile` the plan runs once
+//! per rank), its message metadata ([`Meta`]), [`Engine::exec`] (its `match
+//! key`), [`Engine::on_data`] (what an arrived payload means), one accessor
+//! to its [`Core`], a stall diagnosis and `into_factor`. It *builds* nothing:
+//! `plan::EngineFamily::build` hands it its store, its [`Core`] over the
+//! plan's graph and its kernels. It *inherits* signal dedup, fetch retry and
+//! device-memory fetches, stall detection, abort broadcast, coalescing, the
+//! broadcast tree, publication byte accounting, tracing and telemetry — a
+//! feature added to this module reaches every engine without touching one
+//! (`crates/core/tests/engine_contract.rs` shows it from the consumer side
+//! with a 30-line toy engine).
 //!
 //! The runtime owns `ptr`, the engine owns `meta`: an engine never sees a
 //! global pointer, a relay or a wire closure. Baseline-specific costs (the
 //! per-task runtime overhead a classical solver pays, the rendezvous charge
 //! of two-sided receives) are runtime *parameters*
-//! ([`TaskEngine::set_task_overhead`], [`FetchMode::Blocking`]), not
-//! per-engine code.
+//! ([`TaskEngine::set_task_overhead`], [`FetchMode::Blocking`] from the
+//! family's `rendezvous`), not per-engine code.
 //!
 //! The solve engine shares the loop, the scheduling core and the stall
 //! failure, but not the fetch/publish contract: its messages are RPCs that
@@ -83,7 +86,7 @@ use sympack_trace::TraceCat;
 /// Implementations are cheap value types (the fan-out `TaskKey`, the solve
 /// sweep keys, the baselines' panel/aggregate tasks) that tell the runtime
 /// how to order, count and trace them.
-pub trait TaskKind: Copy + Eq + std::hash::Hash + std::fmt::Debug + Send + 'static {
+pub trait TaskKind: Copy + Eq + std::fmt::Debug + Send + 'static {
     /// Urgency under [`RtqPolicy::CriticalPath`]: lower keys pop first.
     fn priority_key(&self) -> (usize, usize);
 
@@ -260,7 +263,7 @@ pub struct Core<K: TaskKind, M: Meta> {
 /// What a factorization engine is, to the runtime: task kinds, message
 /// metas and the two bodies below — the algorithm. Everything else ([`step`],
 /// [`run_to_completion`], publication, the per-rank result collection of
-/// `plan::RankOut::factor`) is written once over this contract.
+/// `plan::RankCtx::factor_rank`) is written once over this contract.
 pub trait Engine: Sized + Send + 'static {
     /// The engine's task species.
     type Key: TaskKind;
@@ -330,7 +333,7 @@ pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
         return false;
     };
     core.rt.wall.lap(Wall::Pick);
-    core.rt.begin(rank, ready_at);
+    rank.advance_to(ready_at); // a task starts once its last input is here
     engine.exec(rank, id, key);
     let rt = &mut engine.core().rt;
     rt.complete(id);

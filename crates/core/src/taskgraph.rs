@@ -293,18 +293,25 @@ impl LocalTasks {
 
         // The update pairs in the canonical enumeration (`j`, then `b`,
         // then `a ≥ b`): keep the owned ones with their target block, count
-        // consumers per operand block and updates per target block.
+        // consumers per operand block and updates per target block. Only
+        // the pairs this rank owns are visited: `b` in its grid column, `a`
+        // in its grid row.
+        let (my_row, my_col) = grid.position(rank);
         let mut n_consumers = vec![0u32; n_global];
         let mut upd_into = vec![0u32; n_global];
         let mut owned_upd: Vec<(usize, usize, usize, usize)> = Vec::new();
         for j in 0..ns {
             let col = sf.layout.blocks_of(j);
             for (bi, bb) in col.iter().enumerate() {
+                if grid.col_of(bb.target) != my_col {
+                    continue;
+                }
                 for (ai, ba) in col.iter().enumerate().skip(bi) {
                     let (a, b) = (ba.target, bb.target);
-                    if grid.map(a, b) != rank {
+                    if grid.row_of(a) != my_row {
                         continue;
                     }
+                    debug_assert_eq!(grid.map(a, b), rank);
                     let in_col_b = if a == b {
                         0
                     } else {

@@ -429,7 +429,7 @@ impl SolveEngine {
     /// Run every ready task to exhaustion.
     fn pump(&mut self, rank: &mut Rank, store: &BlockStore) {
         while let Some((id, key, ready_at)) = self.rt.pick() {
-            self.rt.begin(rank, ready_at);
+            rank.advance_to(ready_at);
             self.exec(rank, store, id, key);
             self.rt.complete(id);
             self.done[key.sweep()] += 1;

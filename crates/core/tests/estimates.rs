@@ -6,15 +6,16 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::engine::FactoEngine;
-use sympack::plan::{make_kernels, SolvePlan};
+use sympack::plan::{make_kernels, SolvePlan, FAN_OUT};
 use sympack::sched;
 use sympack::{Block, SolverOptions};
 use sympack_sparse::gen::{bone_like, random_spd};
 use sympack_sparse::SparseSym;
 
+/// Rank `rank`'s engine, built the way every factorization builds it.
 fn engine_for(plan: &SolvePlan, ap: &SparseSym, rank: usize) -> FactoEngine {
     let abort = Arc::new(AtomicBool::new(false));
-    FactoEngine::new(plan, ap, rank, make_kernels(&plan.opts), abort)
+    FAN_OUT.build(plan, ap, rank, make_kernels(&plan.opts), abort)
 }
 
 #[test]

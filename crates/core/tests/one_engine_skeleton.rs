@@ -26,6 +26,16 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).expect("readable source")
 }
 
+/// The name of the last function opened in `head`: the one a match at the
+/// end of `head` sits in.
+fn enclosing_fn(head: &str) -> &str {
+    head.rfind("fn ").map_or("?", |f| {
+        let rest = &head[f + 3..];
+        let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+        &rest[..end.unwrap_or(rest.len())]
+    })
+}
+
 #[test]
 fn engines_contain_no_copy_of_the_shared_skeleton() {
     // crates/core -> workspace root is two levels up.
@@ -116,12 +126,7 @@ fn threads_start_only_in_the_runtime_and_the_analysis_forks() {
         ] {
             for (at, _) in shipping.match_indices(needle) {
                 // The function the thread is started from.
-                let head = &shipping[..at];
-                let name = head.rfind("fn ").map_or("?", |f| {
-                    let rest = &head[f + 3..];
-                    let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'));
-                    &rest[..end.unwrap_or(rest.len())]
-                });
+                let name = enclosing_fn(&shipping[..at]);
                 let path = file.strip_prefix(&root).expect("walked from the root");
                 starts.push(format!("{} {name}", path.display()));
             }
@@ -131,7 +136,7 @@ fn threads_start_only_in_the_runtime_and_the_analysis_forks() {
     assert_eq!(
         starts,
         [
-            "crates/core/src/plan.rs build",
+            "crates/core/src/plan.rs analyze",
             "crates/ordering/src/nd.rs dissect",
             "crates/pgas/src/runtime.rs run",
         ],
@@ -179,4 +184,36 @@ fn every_engine_is_id_addressed_only() {
             assert!(!code.contains(needle), "{name} re-grew `{needle}`");
         }
     }
+}
+
+/// One construction path (`plan::EngineFamily::build`): an engine is put
+/// together from a store, a scheduling core, its plan's compiled graph and
+/// the kernels, and builds none of them. In the fan-out's engine and the
+/// baselines, a graph, a `TaskEngine` or a store is built inside a family's
+/// `FactorGraph::compile` or not at all.
+#[test]
+fn engines_build_nothing_outside_their_graph_compile() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = vec![root.join("crates/core/src/engine.rs")];
+    files.extend(rust_sources(&root.join("crates/baseline/src")));
+    assert!(files.len() >= 5, "scan looks wrong: {files:?}");
+    let mut offenders = Vec::new();
+    for file in &files {
+        let text = read(file);
+        let code = text.split("#[cfg(test)]").next().expect("non-test part");
+        for needle in ["TaskEngine::new(", "BlockStore::init(", "Graph::new("] {
+            for (at, _) in code.match_indices(needle) {
+                let name = enclosing_fn(&code[..at]);
+                if name != "compile" {
+                    let path = file.strip_prefix(&root).unwrap_or(file).display();
+                    offenders.push(format!("{path}: `{needle}` in fn {name}"));
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "an engine builds what plan::EngineFamily::build or its graph's compile builds:\n{}",
+        offenders.join("\n")
+    );
 }

@@ -7,7 +7,7 @@
 //! shape, where symPACK's front-loaded cost (ordering + symbolic analysis +
 //! mapping dominate the first factorization) is amortized *across* tenants:
 //!
-//! * **Plan cache** (`PlanCache`) — symbolic plans keyed by
+//! * **Plan cache** (`Fleet::plans`) — symbolic plans keyed by
 //!   [`sympack::pattern_hash`] folded with the analysis/layout options
 //!   ([`sympack::plan_cache_key`]). A tenant whose sparsity pattern was
 //!   seen before skips ordering, analysis and task-graph construction
@@ -96,32 +96,6 @@ impl std::error::Error for FleetError {}
 impl From<SolverError> for FleetError {
     fn from(e: SolverError) -> FleetError {
         FleetError::Solver(e)
-    }
-}
-
-/// A symbolic plan cache keyed by [`sympack::plan_cache_key`] (pattern hash
-/// × analysis/layout options). Hits hand out another `Arc` to the shared
-/// plan; misses run the full ordering + analysis + mapping pipeline once.
-#[derive(Debug, Default)]
-struct PlanCache {
-    plans: HashMap<u64, Arc<SymbolicPlan>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl PlanCache {
-    /// The cached plan for `a` under `opts`, building (and caching) it on a
-    /// miss. Returns the plan and whether it was a hit.
-    fn get_or_build(&mut self, a: &SparseSym, opts: &SolverOptions) -> (Arc<SymbolicPlan>, bool) {
-        let key = plan_cache_key(pattern_hash(a), opts);
-        if let Some(plan) = self.plans.get(&key) {
-            self.hits += 1;
-            return (Arc::clone(plan), true);
-        }
-        self.misses += 1;
-        let plan = Arc::new(SymbolicPlan::build(a, opts));
-        self.plans.insert(key, Arc::clone(&plan));
-        (plan, false)
     }
 }
 
@@ -228,7 +202,9 @@ struct TenantInstruments {
 pub struct Fleet {
     opts: SolverOptions,
     config: FleetConfig,
-    plans: PlanCache,
+    /// The plan cache, by [`sympack::plan_cache_key`]: a hit hands out
+    /// another `Arc` to the shared plan, a miss builds it once.
+    plans: HashMap<u64, Arc<SymbolicPlan>>,
     tenants: Vec<Tenant>,
     by_name: HashMap<String, usize>,
     /// One virtual clock per shard.
@@ -272,7 +248,7 @@ impl Fleet {
         Fleet {
             opts: opts.clone(),
             config,
-            plans: PlanCache::default(),
+            plans: HashMap::new(),
             tenants: Vec::new(),
             by_name: HashMap::new(),
             clocks: vec![0.0; config.shards],
@@ -307,8 +283,11 @@ impl Fleet {
     /// Panics when `weight <= 0`.
     ///
     /// # Errors
-    /// [`FleetError::DuplicateTenant`] on a name collision, otherwise the
-    /// factorization failure modes wrapped in [`FleetError::Solver`].
+    /// [`SolverError::InvalidOptions`] (wrapped in [`FleetError::Solver`])
+    /// for fleet options [`SolverOptions::validate`] rejects, before any plan
+    /// is looked up or built; [`FleetError::DuplicateTenant`] on a name
+    /// collision; otherwise the factorization failure modes wrapped in
+    /// [`FleetError::Solver`].
     pub fn admit(
         &mut self,
         name: &str,
@@ -316,12 +295,17 @@ impl Fleet {
         weight: f64,
     ) -> Result<TenantId, FleetError> {
         assert!(weight > 0.0, "tenant weight must be positive");
+        self.opts.validate()?;
         if self.by_name.contains_key(name) {
             return Err(FleetError::DuplicateTenant {
                 tenant: name.to_string(),
             });
         }
-        let (plan, hit) = self.plans.get_or_build(a, &self.opts);
+        let key = plan_cache_key(pattern_hash(a), &self.opts);
+        let hit = self.plans.contains_key(&key);
+        let plan = self.plans.entry(key);
+        let plan = plan.or_insert_with(|| Arc::new(SymbolicPlan::build(a, &self.opts)));
+        let plan = Arc::clone(plan);
         if hit {
             self.cache.plan_hits += 1;
         } else {
@@ -796,7 +780,7 @@ mod tests {
         let c = fleet.cache_metrics();
         assert_eq!(c.plan_hits, 1);
         assert_eq!(c.plan_misses, 2);
-        assert_eq!(fleet.plans.plans.len(), 2);
+        assert_eq!(fleet.plans.len(), 2);
         // First sight pays analysis; the repeat does not.
         assert!(fleet.tenant_analyze_wall_ms(t0) > 0.0);
         assert_eq!(fleet.tenant_analyze_wall_ms(t1), 0.0);

@@ -274,6 +274,47 @@ fn mis_shaped_inputs_are_typed_errors() {
 }
 
 #[test]
+fn fleet_admission_under_invalid_options_is_a_typed_error() {
+    // `Fleet::new` takes any options; `admit` used to reach the plan cache
+    // key's grid assert with them and panic. It validates first: no plan
+    // is built, no plan-cache miss is counted and no tenant is admitted.
+    let a = gen::laplacian_2d(6, 6);
+    for (field, opts) in [
+        (
+            "grid",
+            SolverOptions {
+                n_nodes: 1,
+                ranks_per_node: 1,
+                grid: Some(ProcGrid::new(2, 2)),
+                ..Default::default()
+            },
+        ),
+        (
+            "n_nodes × ranks_per_node",
+            SolverOptions {
+                ranks_per_node: 0,
+                ..Default::default()
+            },
+        ),
+    ] {
+        let mut fleet = Fleet::new(&opts, FleetConfig::default());
+        let before = (fleet.metrics_json(), fleet.telemetry_json());
+        match fleet.admit("t", &a, 1.0) {
+            Err(FleetError::Solver(SolverError::InvalidOptions { field: f, .. })) if f == field => {
+            }
+            other => panic!("{field}: expected InvalidOptions, got {other:?}"),
+        }
+        let cache = fleet.cache_metrics();
+        assert_eq!((cache.plan_hits, cache.plan_misses), (0, 0), "{field}");
+        assert_eq!(
+            (fleet.metrics_json(), fleet.telemetry_json()),
+            before,
+            "{field}"
+        );
+    }
+}
+
+#[test]
 fn indefinite_failure_position_is_plausible() {
     // A semidefinite matrix (rank-deficient) must also fail; the reported
     // column is in the permuted ordering so we only check the range.
