@@ -7,21 +7,22 @@
 //!             [--seed S] [--metrics-json <path>]
 //! ```
 //!
-//! Builds a 2D Laplacian, creates one [`Session`], fronts it with a
-//! [`Server`], and replays a bursty arrival pattern: jobs arrive in bursts
-//! (so the server has something to coalesce) separated by idle gaps, with a
-//! numeric re-factorization every `--refactor-every` jobs. Every completed
-//! job's residual is checked against the right-hand side it was submitted
-//! with.
+//! Builds a 2D Laplacian, admits it as the one tenant of a single-shard
+//! [`Fleet`] (a single-session server: no factor budget, each round's
+//! credit equal to `--max-batch`), and replays a bursty arrival pattern:
+//! jobs arrive in bursts (so the fleet has something to coalesce)
+//! separated by idle gaps, with a numeric re-factorization every
+//! `--refactor-every` jobs. Every completed job's residual is checked
+//! against the right-hand side it was submitted with.
 //!
 //! Exit status is non-zero when the run is unhealthy: any residual above
 //! `1e-8`, or zero coalesced jobs (batching never combined two requests —
 //! the serving layer's reason to exist). `--metrics-json` writes the
-//! session's [`sympack_trace::metrics::ServiceMetrics`] JSON for CI artifact upload.
+//! tenant's [`sympack_trace::metrics::ServiceMetrics`] JSON for CI artifact upload.
 
 use std::process::ExitCode;
 use sympack::SolverOptions;
-use sympack_service::{Server, ServerConfig, ServiceError, Session};
+use sympack_fleet::{Fleet, FleetConfig, FleetError};
 use sympack_sparse::gen::{laplacian_2d, XorShift64};
 
 struct Args {
@@ -105,17 +106,28 @@ fn main() -> ExitCode {
         ranks_per_node: args.ppn,
         ..Default::default()
     };
-    let session = match Session::new(&a, &opts) {
-        Ok(s) => s,
+    let mut fleet = Fleet::new(
+        &opts,
+        FleetConfig {
+            shards: 1,
+            factor_budget_bytes: 0,
+            max_pending_per_tenant: args.max_pending,
+            max_batch: args.max_batch,
+            quantum: args.max_batch as f64,
+        },
+    );
+    let tenant = match fleet.admit("serve", &a, 1.0) {
+        Ok(t) => t,
         Err(e) => {
             eprintln!("session creation failed: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let session = fleet.session(tenant);
     println!(
         "session: {} ranks, analyze {:.1} ms (wall), first factor {:.6} s (virtual)",
         args.nodes * args.ppn,
-        session.analyze_wall_ms(),
+        fleet.tenant_analyze_wall_ms(tenant),
         session.first_factor_time()
     );
     let phases: Vec<String> = session
@@ -125,16 +137,9 @@ fn main() -> ExitCode {
         .map(|(name, ms)| format!("{name} {ms:.2}"))
         .collect();
     println!("analyze phases (wall ms): {}", phases.join(" · "));
-    let mut server = Server::new(
-        session,
-        ServerConfig {
-            max_pending: args.max_pending,
-            max_batch: args.max_batch,
-        },
-    );
 
     // Fixed request mix: bursts of up to max_batch jobs in a tight window,
-    // then an idle gap long enough that the server drains between bursts.
+    // then an idle gap long enough that the fleet drains between bursts.
     let mut rng = XorShift64::new(args.seed);
     let mut clock = 0.0f64;
     let mut submitted = 0usize;
@@ -146,12 +151,12 @@ fn main() -> ExitCode {
         for _ in 0..burst.min(args.jobs - submitted) {
             let rhs: Vec<f64> = (0..n).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
             clock += rng.next_f64() * 1e-5;
-            match server.submit_at(rhs.clone(), clock) {
+            match fleet.submit_at(tenant, rhs.clone(), clock) {
                 Ok(id) => outstanding.push((id, rhs)),
-                Err(ServiceError::QueueFull { .. }) => {
+                Err(FleetError::QueueFull { .. }) => {
                     // Admission pushed back; serve a batch, then retry once.
                     if drain_and_check(
-                        &mut server,
+                        &mut fleet,
                         &a,
                         &mut outstanding,
                         &mut worst_residual,
@@ -161,7 +166,7 @@ fn main() -> ExitCode {
                     {
                         return ExitCode::FAILURE;
                     }
-                    match server.submit_at(rhs.clone(), clock) {
+                    match fleet.submit_at(tenant, rhs.clone(), clock) {
                         Ok(id) => outstanding.push((id, rhs)),
                         Err(e) => {
                             eprintln!("resubmission failed: {e}");
@@ -186,7 +191,7 @@ fn main() -> ExitCode {
                 // Serve what is queued against the current factor first —
                 // refactorize changes the operator under pending solves.
                 if drain_and_check(
-                    &mut server,
+                    &mut fleet,
                     &a,
                     &mut outstanding,
                     &mut worst_residual,
@@ -196,7 +201,7 @@ fn main() -> ExitCode {
                 {
                     return ExitCode::FAILURE;
                 }
-                if let Err(e) = server.refactorize(&values) {
+                if let Err(e) = fleet.refactorize(tenant, &values) {
                     eprintln!("refactorize failed: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -209,16 +214,16 @@ fn main() -> ExitCode {
                 for c in 0..a.n() {
                     orig.extend_from_slice(a.col_values(c));
                 }
-                if let Err(e) = server.refactorize(&orig) {
+                if let Err(e) = fleet.refactorize(tenant, &orig) {
                     eprintln!("refactorize (restore) failed: {e}");
                     return ExitCode::FAILURE;
                 }
             }
         }
-        // Idle gap after the burst: the server catches up.
+        // Idle gap after the burst: the fleet catches up.
         clock += 1.0;
         if drain_and_check(
-            &mut server,
+            &mut fleet,
             &a,
             &mut outstanding,
             &mut worst_residual,
@@ -230,7 +235,7 @@ fn main() -> ExitCode {
         }
     }
     if drain_and_check(
-        &mut server,
+        &mut fleet,
         &a,
         &mut outstanding,
         &mut worst_residual,
@@ -241,7 +246,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let m = server.metrics();
+    let m = fleet.tenant_metrics(tenant);
     println!(
         "jobs: submitted {}, served {served}, rejected-then-retried {}",
         m.jobs_submitted, m.jobs_rejected
@@ -286,16 +291,16 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Drain the server and verify every completed job against its recorded
+/// Drain the fleet and verify every completed job against its recorded
 /// right-hand side. Returns `Err(())` after printing the failure.
 fn drain_and_check(
-    server: &mut Server,
+    fleet: &mut Fleet,
     a: &sympack_sparse::SparseSym,
     outstanding: &mut Vec<(u64, Vec<f64>)>,
     worst: &mut f64,
     served: &mut usize,
 ) -> Result<(), ()> {
-    let done = match server.drain() {
+    let done = match fleet.drain() {
         Ok(d) => d,
         Err(e) => {
             eprintln!("solve failed: {e}");

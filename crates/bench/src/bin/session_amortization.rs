@@ -18,13 +18,15 @@
 //!    pattern (which re-runs ordering, analysis, mapping and task-graph
 //!    construction every time).
 //! 3. **Amortization curve** — amortized virtual cost per served job as a
-//!    [`Server`] batches a growing job count, against the one-shot cost.
+//!    one-tenant [`Fleet`] (a single-session server) batches a growing job
+//!    count, against the one-shot cost.
 
 use std::time::Instant;
 use sympack::{SolverOptions, SymPack};
 use sympack_bench::gate::Args;
 use sympack_bench::{fmt_secs, render_table, Problem};
-use sympack_service::{RhsPanel, Server, ServerConfig, Session};
+use sympack_fleet::{Fleet, FleetConfig};
+use sympack_service::{RhsPanel, Session};
 use sympack_sparse::gen::{laplacian_3d, XorShift64};
 use sympack_sparse::SparseSym;
 
@@ -142,15 +144,21 @@ fn main() {
     println!("\n-- numeric refactorization vs fresh solve (wall-clock) --");
     println!("{}", render_table(&rows));
 
-    // Table 3: amortized cost per job as the server batches more jobs.
-    let session = Session::new(&a, &opts).expect("SPD model problem factors");
-    let mut server = Server::new(
-        session,
-        ServerConfig {
-            max_pending: 1 << 14,
+    // Table 3: amortized cost per job as a one-tenant fleet batches more
+    // jobs.
+    let mut fleet = Fleet::new(
+        &opts,
+        FleetConfig {
+            shards: 1,
+            factor_budget_bytes: 0,
+            max_pending_per_tenant: 1 << 14,
             max_batch: 16,
+            quantum: 16.0,
         },
     );
+    let tenant = fleet
+        .admit("amortization", &a, 1.0)
+        .expect("SPD model problem factors");
     let mut rows = vec![vec![
         "jobs served".to_string(),
         "amortized cost/job".to_string(),
@@ -163,13 +171,13 @@ fn main() {
     for &target in checkpoints {
         while submitted < target {
             let rhs: Vec<f64> = (0..a.n()).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
-            server
-                .submit_at(rhs, submitted as f64 * 1e-4)
+            fleet
+                .submit_at(tenant, rhs, submitted as f64 * 1e-4)
                 .expect("queue sized for the workload");
             submitted += 1;
         }
-        server.drain().expect("batch solve");
-        let m = server.metrics();
+        fleet.drain().expect("batch solve");
+        let m = fleet.tenant_metrics(tenant);
         rows.push(vec![
             format!("{}", m.jobs_served),
             fmt_secs(m.amortized_cost_per_job()),

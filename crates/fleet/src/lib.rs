@@ -2,10 +2,13 @@
 //! pattern-keyed symbolic plan cache, an LRU factor cache under a memory
 //! budget, and fair per-tenant admission.
 //!
-//! The serving layer (`sympack-service`) amortizes analysis for *one*
-//! matrix. A [`Fleet`] hosts many tenants at once — the "millions of users"
-//! shape, where symPACK's front-loaded cost (ordering + symbolic analysis +
-//! mapping dominate the first factorization) is amortized *across* tenants:
+//! A [`sympack_service::Session`] amortizes analysis for *one* matrix. A
+//! [`Fleet`] is the serving front-end over sessions: a job queue per
+//! tenant, bounded admission, batching that coalesces pending right-hand
+//! sides into one panel solve, and latency/amortization metrics. It hosts
+//! many tenants at once — the "millions of users" shape, where symPACK's
+//! front-loaded cost (ordering + symbolic analysis + mapping dominate the
+//! first factorization) is amortized *across* tenants:
 //!
 //! * **Plan cache** (`Fleet::plans`) — symbolic plans keyed by
 //!   [`sympack::pattern_hash`] folded with the analysis/layout options
@@ -26,6 +29,12 @@
 //!   round a tenant earns `weight × quantum` service credit and may serve
 //!   at most its accumulated credit (capped by the batch bound), so one hot
 //!   tenant cannot starve the queue; idle tenants forfeit their credit.
+//!
+//! A single-session server is a one-tenant fleet: with `shards: 1`,
+//! `factor_budget_bytes: 0` and `quantum = max_batch`, every
+//! [`Fleet::step`] serves up to `max_batch` queued jobs as one panel solve,
+//! and [`Fleet::refactorize`] pauses the shard for a numeric
+//! re-factorization.
 //!
 //! All queueing/latency accounting runs in the solver's virtual clocks, so
 //! a seeded workload replays exactly; per-tenant [`ServiceMetrics`] and
@@ -67,6 +76,12 @@ pub enum FleetError {
         /// The configured per-tenant queue bound.
         capacity: usize,
     },
+    /// A [`FleetConfig`] field (`shards`, `max_batch`, `quantum`) or a
+    /// tenant's `weight` is not positive; [`Fleet::admit`] checks them.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+    },
     /// A distributed phase failed underneath the fleet.
     Solver(SolverError),
 }
@@ -85,6 +100,9 @@ impl std::fmt::Display for FleetError {
                     f,
                     "job rejected: tenant {tenant:?} queue is full ({capacity} jobs)"
                 )
+            }
+            FleetError::InvalidConfig { field } => {
+                write!(f, "invalid fleet configuration: {field} must be positive")
             }
             FleetError::Solver(e) => write!(f, "solver error: {e}"),
         }
@@ -233,15 +251,9 @@ impl Fleet {
     /// New empty fleet. `opts` is the per-shard solver configuration every
     /// tenant session runs under (rank layout, net model, kernels…); the
     /// fleet's total rank pool is `config.shards ×
-    /// (opts.n_nodes × opts.ranks_per_node)`.
-    ///
-    /// # Panics
-    /// Panics when `config.shards == 0`, `config.max_batch == 0` or
-    /// `config.quantum <= 0`.
+    /// (opts.n_nodes × opts.ranks_per_node)`. [`Fleet::admit`]
+    /// checks `config` and `opts`.
     pub fn new(opts: &SolverOptions, config: FleetConfig) -> Fleet {
-        assert!(config.shards > 0, "a fleet has at least one shard");
-        assert!(config.max_batch > 0, "max_batch must be positive");
-        assert!(config.quantum > 0.0, "quantum must be positive");
         let mut tel = Telemetry::new();
         let resident_gauge = tel.gauge("sympack_fleet_resident_bytes", &[]);
         let backlog_gauge = tel.gauge("sympack_fleet_backlog_jobs", &[]);
@@ -279,14 +291,13 @@ impl Fleet {
     /// enforcement. Weight 1.0 is the baseline share; 2.0 earns double
     /// service credit per round.
     ///
-    /// # Panics
-    /// Panics when `weight <= 0`.
-    ///
     /// # Errors
+    /// [`FleetError::InvalidConfig`] for a zero `shards` or `max_batch`, a
+    /// `quantum` or `weight` that is not positive (NaN included), and
     /// [`SolverError::InvalidOptions`] (wrapped in [`FleetError::Solver`])
-    /// for fleet options [`SolverOptions::validate`] rejects, before any plan
-    /// is looked up or built; [`FleetError::DuplicateTenant`] on a name
-    /// collision; otherwise the factorization failure modes wrapped in
+    /// for fleet options [`SolverOptions::validate`] rejects — all before
+    /// any plan is looked up or built; [`FleetError::DuplicateTenant`] on a
+    /// name collision; otherwise the factorization failure modes wrapped in
     /// [`FleetError::Solver`].
     pub fn admit(
         &mut self,
@@ -294,7 +305,17 @@ impl Fleet {
         a: &SparseSym,
         weight: f64,
     ) -> Result<TenantId, FleetError> {
-        assert!(weight > 0.0, "tenant weight must be positive");
+        let c = &self.config;
+        for (field, positive) in [
+            ("shards", c.shards > 0),
+            ("max_batch", c.max_batch > 0),
+            ("quantum", c.quantum > 0.0),
+            ("weight", weight > 0.0),
+        ] {
+            if !positive {
+                return Err(FleetError::InvalidConfig { field });
+            }
+        }
         self.opts.validate()?;
         if self.by_name.contains_key(name) {
             return Err(FleetError::DuplicateTenant {
@@ -367,12 +388,8 @@ impl Fleet {
         rhs: Vec<f64>,
         arrival: f64,
     ) -> Result<u64, FleetError> {
-        let t = self
-            .tenants
-            .get_mut(tenant.0)
-            .ok_or_else(|| FleetError::UnknownTenant {
-                tenant: format!("#{}", tenant.0),
-            })?;
+        let i = self.index(tenant)?;
+        let t = &mut self.tenants[i];
         SolverError::check_shape("rhs length", t.session.n(), rhs.len())?;
         if t.pending.len() >= self.config.max_pending_per_tenant {
             t.metrics.jobs_rejected += 1;
@@ -443,17 +460,9 @@ impl Fleet {
         // size so the steady-state resident total never exceeds the budget.
         let mut service_time = 0.0;
         if !self.tenants[i].session.is_resident() {
-            self.make_room_for(i);
-            let ft = self.tenants[i]
-                .session
-                .ensure_resident()?
-                .expect("factor was evicted");
-            service_time += ft;
+            service_time +=
+                self.factor_tenant(i, |s| Ok(s.ensure_resident()?.expect("factor was evicted")))?;
             self.cache.rematerializations += 1;
-            self.tenants[i].metrics.refactorizations += 1;
-            self.tenants[i].metrics.factor_virtual_total += ft;
-            self.tenants[i].factor_bytes = self.tenants[i].session.factor_bytes();
-            self.enforce_budget(Some(i));
         }
         let shard = self.tenants[i].shard;
         let jobs: Vec<FleetJob> = self.tenants[i].pending.drain(..take).collect();
@@ -512,6 +521,59 @@ impl Fleet {
         self.sample_residency();
         self.tick(clock);
         Ok(done)
+    }
+
+    /// Numeric re-factorization of a tenant's session from a new value
+    /// array laid out like its matrix's lower-triangle storage (see
+    /// [`Session::refactorize`]). The tenant's shard clock advances by the
+    /// factorization makespan, modelling the service pause; the tenant's
+    /// metrics count it, and its factor size is recorded and the budget
+    /// enforced again, as after a re-materialization. Queued jobs are
+    /// served against the new factor.
+    ///
+    /// # Errors
+    /// [`FleetError::UnknownTenant`]; [`FleetError::Solver`] wrapping the
+    /// session's rejection ([`SolverError::PatternMismatch`]) or
+    /// factorization failure; the session keeps its previous values.
+    pub fn refactorize(&mut self, tenant: TenantId, values: &[f64]) -> Result<(), FleetError> {
+        let i = self.index(tenant)?;
+        let ft = self.factor_tenant(i, |s| s.refactorize(values))?;
+        self.clocks[self.tenants[i].shard] += ft;
+        self.sample_residency();
+        Ok(())
+    }
+
+    /// Run `factor` (a re-materialization or a re-factorization) on tenant
+    /// `i`'s session, pre-budgeting its known factor size when it is
+    /// evicted; then count the factorization in the tenant's metrics,
+    /// record the new factor size and enforce the budget again. Returns the
+    /// factorization makespan.
+    fn factor_tenant(
+        &mut self,
+        i: usize,
+        factor: impl FnOnce(&mut Session) -> Result<f64, SolverError>,
+    ) -> Result<f64, FleetError> {
+        if !self.tenants[i].session.is_resident() {
+            self.make_room_for(i);
+        }
+        let t = &mut self.tenants[i];
+        let ft = factor(&mut t.session)?;
+        t.metrics.refactorizations += 1;
+        t.metrics.factor_virtual_total += ft;
+        t.factor_bytes = t.session.factor_bytes();
+        self.enforce_budget(Some(i));
+        Ok(ft)
+    }
+
+    /// The index of a hosted tenant.
+    fn index(&self, tenant: TenantId) -> Result<usize, FleetError> {
+        if tenant.0 < self.tenants.len() {
+            Ok(tenant.0)
+        } else {
+            Err(FleetError::UnknownTenant {
+                tenant: format!("#{}", tenant.0),
+            })
+        }
     }
 
     /// Evict least-recently-served tenants (never `keep`) until the
@@ -1011,5 +1073,132 @@ mod tests {
             assert!(span.kernel <= span.dur + 1e-15, "service ≤ latency");
             assert!(span.kernel > 0.0);
         }
+    }
+
+    /// The single-session server shape: one shard, no factor budget, and
+    /// every round's credit equal to the batch bound.
+    fn one_tenant(max_pending: usize, max_batch: usize) -> FleetConfig {
+        FleetConfig {
+            shards: 1,
+            factor_budget_bytes: 0,
+            max_pending_per_tenant: max_pending,
+            max_batch,
+            quantum: max_batch as f64,
+        }
+    }
+
+    fn lower_values(a: &SparseSym) -> Vec<f64> {
+        (0..a.n()).flat_map(|c| a.col_values(c).to_vec()).collect()
+    }
+
+    #[test]
+    fn server_coalesces_and_bounds_the_queue() {
+        let a = laplacian_2d(6, 6);
+        let n = a.n();
+        let mut fleet = Fleet::new(&opts(2), one_tenant(4, 3));
+        let solo = fleet.admit("solo", &a, 1.0).unwrap();
+        for i in 0..4 {
+            fleet.submit_at(solo, test_rhs(n), i as f64 * 0.5).unwrap();
+        }
+        match fleet.submit_at(solo, test_rhs(n), 2.5) {
+            Err(FleetError::QueueFull { capacity: 4, .. }) => {}
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        let done = fleet.drain().unwrap();
+        assert_eq!(done.len(), 4);
+        let m = fleet.tenant_metrics(solo);
+        assert_eq!(m.jobs_submitted, 4);
+        assert_eq!(m.jobs_rejected, 1);
+        assert_eq!(m.jobs_served, 4);
+        assert_eq!(m.batches, 2); // 3 + 1 under max_batch = 3
+        assert_eq!(m.coalesced_jobs, 2);
+        assert!(m.latency.count() == 4);
+        for j in &done {
+            assert!(a.relative_residual(&j.x, &test_rhs(n)) < 1e-10);
+            assert!(j.completion >= j.arrival);
+        }
+        // Clock advanced past the last arrival plus solve work.
+        assert!(fleet.makespan() > 1.5);
+    }
+
+    #[test]
+    fn server_records_one_request_span_per_job() {
+        let a = laplacian_2d(6, 6);
+        let n = a.n();
+        let mut fleet = Fleet::new(&opts(2), one_tenant(64, 16));
+        let solo = fleet.admit("solo", &a, 1.0).unwrap();
+        for i in 0..3 {
+            fleet.submit_at(solo, test_rhs(n), i as f64 * 0.25).unwrap();
+        }
+        let done = fleet.drain().unwrap();
+        let spans = fleet.request_spans();
+        assert_eq!(spans.len(), done.len());
+        for (span, job) in spans.iter().zip(&done) {
+            assert_eq!(span.kind, SpanKind::Request);
+            assert_eq!(span.name, format!("solo/job-{}", job.id));
+            assert_eq!(span.start, job.arrival);
+            assert!((span.end() - job.completion).abs() < 1e-15);
+            assert_eq!(span.bytes, (n * 8) as u64);
+        }
+        // Request spans round-trip through the Chrome exporter.
+        let json = sympack_trace::to_chrome_json(spans);
+        assert!(json.contains("solo/job-0"));
+    }
+
+    #[test]
+    fn server_refactorize_advances_clock_and_metrics() {
+        let a = laplacian_2d(6, 6);
+        let mut fleet = Fleet::new(&opts(2), one_tenant(64, 16));
+        let solo = fleet.admit("solo", &a, 1.0).unwrap();
+        let before = fleet.makespan();
+        let values: Vec<f64> = lower_values(&a).iter().map(|v| v * 2.0).collect();
+        fleet.refactorize(solo, &values).unwrap();
+        let ft = fleet.session(solo).factor_time();
+        assert_eq!(fleet.makespan(), before + ft);
+        let m = fleet.tenant_metrics(solo);
+        assert_eq!(m.refactorizations, 1);
+        assert_eq!(m.factor_virtual_total, m.one_shot_factor_cost + ft);
+        // Queued work is served against the new factor: A·2 halves x.
+        fleet.submit_at(solo, test_rhs(a.n()), 0.0).unwrap();
+        let x2: Vec<f64> = fleet.drain().unwrap()[0]
+            .x
+            .iter()
+            .map(|v| 2.0 * v)
+            .collect();
+        assert!(a.relative_residual(&x2, &test_rhs(a.n())) < 1e-10);
+        // A rejected value array changes nothing.
+        match fleet.refactorize(solo, &values[1..]) {
+            Err(FleetError::Solver(SolverError::PatternMismatch { .. })) => {}
+            other => panic!("expected PatternMismatch, got {other:?}"),
+        }
+        assert_eq!(fleet.tenant_metrics(solo).refactorizations, 1);
+        match fleet.refactorize(TenantId(1), &values) {
+            Err(FleetError::UnknownTenant { .. }) => {}
+            other => panic!("expected UnknownTenant, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn refactorizing_an_evicted_tenant_stays_under_the_budget() {
+        let a = laplacian_2d(8, 8);
+        let one = Session::new(&a, &opts(2)).unwrap().factor_bytes();
+        let mut cfg = config();
+        cfg.shards = 1;
+        cfg.factor_budget_bytes = one + one / 2;
+        let mut fleet = Fleet::new(&opts(2), cfg);
+        let alice = fleet.admit("alice", &a, 1.0).unwrap();
+        let bob = fleet.admit("bob", &a, 1.0).unwrap();
+        assert!(!fleet.session(alice).is_resident());
+        // Refactorizing alice makes room for its factor first (bob goes)
+        // and counts in the tenant's metrics, not in the cache's
+        // re-materializations.
+        fleet.refactorize(alice, &lower_values(&a)).unwrap();
+        assert!(fleet.session(alice).is_resident());
+        assert!(!fleet.session(bob).is_resident());
+        let c = fleet.cache_metrics();
+        assert_eq!((c.factor_evictions, c.rematerializations), (2, 0));
+        assert_eq!(c.resident_bytes, one);
+        assert!(c.resident_high_water_bytes <= cfg.factor_budget_bytes);
+        assert_eq!(fleet.tenant_metrics(alice).refactorizations, 1);
     }
 }

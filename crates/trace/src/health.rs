@@ -1,6 +1,6 @@
 //! Rule-based health watchdog over the telemetry plane.
 //!
-//! A [`Watchdog`] consumes periodic [`WatchSample`]s (fleet/service
+//! A [`Watchdog`] consumes periodic [`WatchSample`]s (the fleet's
 //! sampling ticks) and idle-poll notifications (the task engines' event
 //! loop), evaluates a small set of [`WatchRules`], and emits typed
 //! [`HealthEvent`]s — *observations*, never interventions: the watchdog

@@ -4,8 +4,8 @@
 //! overlapped, where ranks idled, how communication hid behind compute.
 //!
 //! The [`metrics`] module adds serving-layer observability: counters,
-//! latency distributions and amortization figures for `sympack-service`
-//! sessions, exported as JSON in the same zero-dependency style.
+//! latency distributions and amortization figures for the sessions a
+//! `sympack-fleet` serves, exported as JSON in the same zero-dependency style.
 //!
 //! The [`profile`] module turns a span timeline into an analyzable
 //! [`profile::Profile`]: critical path over the executed task DAG, per-rank

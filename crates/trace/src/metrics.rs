@@ -2,7 +2,7 @@
 //! amortization figures for a solver session, exportable as JSON (same
 //! hand-rolled, zero-dependency style as the Chrome-trace exporter).
 //!
-//! The `sympack-service` server records one [`ServiceMetrics`] per session:
+//! A `sympack-fleet` fleet records one [`ServiceMetrics`] per tenant session:
 //! jobs admitted/rejected/served, how many jobs each panel solve coalesced,
 //! per-job virtual-time latency (p50/p99), and the amortized cost per job —
 //! the session's one factorization plus all panel solves divided by jobs

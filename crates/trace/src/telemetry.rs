@@ -3,14 +3,14 @@
 //!
 //! Where [`crate::profile`] reconstructs a run *after* it completes, this
 //! module is the *during*: counters, gauges and log-bucketed histograms
-//! that the pgas layer, the task engines, the server and the fleet update
+//! that the pgas layer, the task engines and the fleet update
 //! inline, plus periodic ring samples so `sympack-top` can show queue
 //! depth, bytes in flight and SLO burn as time series.
 //!
 //! Design rules:
 //!
 //! - **Lock-cheap.** A [`Telemetry`] registry is owned by exactly one
-//!   component (a rank's engine, a server, a fleet) — the same single-owner
+//!   component (a rank's engine, a fleet) — the same single-owner
 //!   discipline as [`crate::Tracer`] — so every update is a plain
 //!   `Vec`-indexed add with zero synchronization. Cross-owner aggregation
 //!   happens on immutable [`TelemetrySnapshot`]s, which merge.
@@ -870,78 +870,6 @@ impl SchedTelemetry {
         self.tel.set(self.inflight_msgs, comm.inflight_msgs as f64);
         self.tel
             .set(self.inflight_bytes, comm.inflight_bytes as f64);
-        self.tel.sample(now);
-    }
-
-    /// The registry (read access for exposition).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
-    /// Snapshot the current state.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.tel.snapshot()
-    }
-}
-
-/// The serving-side instrument bundle a `Server` owns: admission counters,
-/// queue depth, batch sizes and solve latency, sampled on the server's
-/// virtual clock.
-#[derive(Debug, Clone)]
-pub struct ServiceTelemetry {
-    tel: Telemetry,
-    submitted: CounterId,
-    rejected: CounterId,
-    served: CounterId,
-    queue: GaugeId,
-    batch: HistId,
-    latency: HistId,
-}
-
-impl Default for ServiceTelemetry {
-    fn default() -> Self {
-        ServiceTelemetry::new()
-    }
-}
-
-impl ServiceTelemetry {
-    /// New bundle.
-    pub fn new() -> Self {
-        let mut tel = Telemetry::new();
-        ServiceTelemetry {
-            submitted: tel.counter("sympack_service_jobs_submitted_total", &[]),
-            rejected: tel.counter("sympack_service_jobs_rejected_total", &[]),
-            served: tel.counter("sympack_service_jobs_served_total", &[]),
-            queue: tel.gauge("sympack_service_queue_depth", &[]),
-            batch: tel.histogram("sympack_service_batch_size", &[]),
-            latency: tel.histogram("sympack_service_latency_seconds", &[]),
-            tel,
-        }
-    }
-
-    /// A job was admitted; `depth` is the queue depth after.
-    pub fn on_submit(&mut self, now: f64, depth: usize) {
-        self.tel.inc(self.submitted, 1);
-        self.tel.set(self.queue, depth as f64);
-        self.tel.sample(now);
-    }
-
-    /// A job was rejected by admission control.
-    pub fn on_reject(&mut self, now: f64, depth: usize) {
-        self.tel.inc(self.rejected, 1);
-        self.tel.set(self.queue, depth as f64);
-        self.tel.sample(now);
-    }
-
-    /// A batch of `size` jobs completed; `latencies` are per-job virtual
-    /// latencies; `depth` is the queue depth after.
-    pub fn on_batch(&mut self, now: f64, size: usize, latencies: &[f64], depth: usize) {
-        self.tel.inc(self.served, size as u64);
-        self.tel.observe(self.batch, size as f64);
-        for &l in latencies {
-            self.tel.observe(self.latency, l);
-        }
-        self.tel.set(self.queue, depth as f64);
         self.tel.sample(now);
     }
 

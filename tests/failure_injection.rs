@@ -16,7 +16,7 @@ use sympack_baseline::{
 };
 use sympack_fleet::{Fleet, FleetConfig, FleetError};
 use sympack_gpu::OomPolicy;
-use sympack_service::{RhsPanel, Server, ServerConfig, ServiceError, Session};
+use sympack_service::{RhsPanel, Session};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::{Coo, SparseSym};
@@ -242,22 +242,9 @@ fn mis_shaped_inputs_are_typed_errors() {
             .map(drop),
         (n, n - 1),
     );
-    // Server and Fleet: a short job is refused with nothing queued, ticketed
-    // or counted, and the next, correctly sized job is served as ticket 0.
-    let mut server = Server::new(session, ServerConfig::default());
-    let seen = |s: &Server| (s.metrics().to_json(), s.telemetry().snapshot().to_json());
-    let before = seen(&server);
-    let refused = server.submit_at(short.clone(), 0.0).map(drop);
-    let refused = refused.map_err(|e| match e {
-        ServiceError::Solver(e) => e,
-        other => panic!("server: expected a solver error, got {other}"),
-    });
-    shape("server rhs length", refused, (n, n - 1));
-    assert_eq!((server.pending(), seen(&server)), (0, before));
-    assert_eq!(server.submit_at(test_rhs(n), 0.0).ok(), Some(0));
-    let served = server.drain().expect("served");
-    assert_eq!(served.iter().map(|j| j.id).collect::<Vec<_>>(), [0]);
-
+    // Fleet (the one serving front-end): a short job is refused with
+    // nothing queued, ticketed or counted, and the next, correctly sized job
+    // is served as ticket 0.
     let mut fleet = Fleet::new(&opts, FleetConfig::default());
     let tenant = fleet.admit("t", &a, 1.0).expect("SPD");
     let before = (fleet.metrics_json(), fleet.telemetry_json());
@@ -310,6 +297,42 @@ fn fleet_admission_under_invalid_options_is_a_typed_error() {
             (fleet.metrics_json(), fleet.telemetry_json()),
             before,
             "{field}"
+        );
+    }
+}
+
+#[test]
+fn fleet_configuration_is_checked_at_admission() {
+    // `Fleet::new` used to assert `shards`, `max_batch` and `quantum`, and
+    // `admit` the weight (a NaN weight included). `admit` checks all four
+    // where it validates the options: a typed error naming the field, no
+    // plan built, no plan-cache hit or miss counted, no tenant admitted.
+    let a = gen::laplacian_2d(6, 6);
+    let ok = FleetConfig::default();
+    let quantum = |quantum| FleetConfig { quantum, ..ok };
+    for (field, config, weight) in [
+        ("shards", FleetConfig { shards: 0, ..ok }, 1.0),
+        ("max_batch", FleetConfig { max_batch: 0, ..ok }, 1.0),
+        ("quantum", quantum(0.0), 1.0),
+        ("quantum", quantum(-2.0), 1.0),
+        ("quantum", quantum(f64::NAN), 1.0),
+        ("weight", ok, 0.0),
+        ("weight", ok, -1.0),
+        ("weight", ok, f64::NAN),
+    ] {
+        let label = format!("{field} ({config:?}, weight {weight})");
+        let mut fleet = Fleet::new(&SolverOptions::default(), config);
+        let before = (fleet.metrics_json(), fleet.telemetry_json());
+        match fleet.admit("t", &a, weight) {
+            Err(FleetError::InvalidConfig { field: f }) if f == field => {}
+            other => panic!("{label}: expected InvalidConfig, got {other:?}"),
+        }
+        let cache = fleet.cache_metrics();
+        assert_eq!((cache.plan_hits, cache.plan_misses), (0, 0), "{label}");
+        assert_eq!(
+            (fleet.metrics_json(), fleet.telemetry_json()),
+            before,
+            "{label}"
         );
     }
 }

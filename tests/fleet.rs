@@ -12,6 +12,10 @@
 //!   mix end to end: repeated-pattern tenants admit as plan-cache hits
 //!   (analyze wall time exactly 0), every tenant's solutions stay correct,
 //!   and the LRU keeps residency under the configured byte budget.
+//! * [`one_tenant_fleet_serves_like_the_single_session_server`] pins the
+//!   one-tenant fleet (`shards: 1`, no factor budget, `quantum =
+//!   max_batch`) — the shape that replaced the single-session server —
+//!   to constants the server produced on the same workload.
 
 use std::sync::Arc;
 
@@ -19,6 +23,7 @@ use sympack::{SolverOptions, SymbolicPlan};
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_service::Session;
 use sympack_sparse::gen;
+use sympack_sparse::SparseSym;
 
 fn rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i + 1) as f64 * 0.23).sin()).collect()
@@ -165,4 +170,108 @@ fn fleet_amortizes_analysis_across_tenants() {
             .iter()
             .all(|s| s.name.contains("/job-")));
     }
+}
+
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn lower_values(a: &SparseSym) -> Vec<f64> {
+    (0..a.n()).flat_map(|c| a.col_values(c).to_vec()).collect()
+}
+
+/// `ServiceMetrics` JSON (`analyze_wall_ms` zeroed: wall clock) of the
+/// workload below, as the single-session server `sympack-service` had at
+/// bd45142 served it.
+const SERVER_METRICS: &str = concat!(
+    r#"{"jobs_submitted":20,"jobs_rejected":0,"jobs_served":20,"batches":6,"#,
+    r#""coalesced_jobs":14,"refactorizations":2,"#,
+    r#""batch_sizes":{"count":6,"mean":3.3333333333333335,"p50":4,"p99":4,"max":4},"#,
+    r#""latency_virtual_secs":{"count":20,"mean":0.00026206800157139163,"#,
+    r#""p50":0.0002242463999999611,"p99":0.0004242464000001611,"max":0.0004242464000001611},"#,
+    r#""solve_virtual_total":0.0007448327199999991,"factor_virtual_total":0.000463845887142859,"#,
+    r#""amortized_cost_per_job":0.000060433930357142904,"#,
+    r#""one_shot_cost_per_job":0.00027875408238095284,"analyze_wall_ms":0}"#
+);
+/// FNV-1a over each completed job's (id, arrival, completion, x) bits,
+/// in completion order, captured from the same server.
+const SERVER_JOBS: u64 = 0xcb84_68a6_0969_bab5;
+/// FNV-1a over each request span's (start, dur, kernel, bytes) bits.
+const SERVER_SPANS: u64 = 0x80f3_8789_e7b5_248a;
+/// The server's final virtual clock.
+const SERVER_CLOCK: f64 = 1.00202392356;
+
+#[test]
+fn one_tenant_fleet_serves_like_the_single_session_server() {
+    // Deterministic lockstep at P = 2; 20 jobs arriving from t = 1.0, after
+    // the admission factorization the fleet charges to the shard clock
+    // (the server's clock started at 0 after it); batches of at most 4;
+    // one refactorize-then-restore between the 2nd and 3rd batch.
+    let a = gen::laplacian_2d(8, 8);
+    let n = a.n();
+    let opts = SolverOptions {
+        n_nodes: 1,
+        ranks_per_node: 2,
+        deterministic: true,
+        ..Default::default()
+    };
+    let config = FleetConfig {
+        shards: 1,
+        factor_budget_bytes: 0,
+        max_pending_per_tenant: 64,
+        max_batch: 4,
+        quantum: 4.0,
+    };
+    let values = lower_values(&a);
+    let scaled: Vec<f64> = values.iter().map(|v| v * 2.0).collect();
+    let job = |k: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 7 + k * 13) as f64 * 0.17).sin())
+            .collect()
+    };
+    let arrival = |k: usize| 1.0 + k as f64 * 1e-4;
+    let mut fleet = Fleet::new(&opts, config);
+    let solo = fleet.admit("solo", &a, 1.0).unwrap();
+    assert!(fleet.makespan() < arrival(0), "arrivals follow admission");
+    let mut done = Vec::new();
+    for k in 0..10 {
+        fleet.submit_at(solo, job(k), arrival(k)).unwrap();
+    }
+    done.extend(fleet.step().unwrap());
+    done.extend(fleet.step().unwrap());
+    fleet.refactorize(solo, &scaled).unwrap();
+    done.extend(fleet.step().unwrap());
+    fleet.refactorize(solo, &values).unwrap();
+    for k in 10..20 {
+        fleet.submit_at(solo, job(k), arrival(k)).unwrap();
+    }
+    done.extend(fleet.drain().unwrap());
+
+    let mut m = fleet.tenant_metrics(solo).clone();
+    m.analyze_wall_ms = 0.0;
+    assert_eq!(m.to_json(), SERVER_METRICS);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for j in &done {
+        fnv(&mut h, j.id);
+        fnv(&mut h, j.arrival.to_bits());
+        fnv(&mut h, j.completion.to_bits());
+        for v in &j.x {
+            fnv(&mut h, v.to_bits());
+        }
+    }
+    assert_eq!((done.len(), h), (20, SERVER_JOBS), "jobs: {h:#018x}");
+    let spans = fleet.request_spans();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (k, s) in spans.iter().enumerate() {
+        assert_eq!(s.name, format!("solo/job-{k}"));
+        fnv(&mut h, s.start.to_bits());
+        fnv(&mut h, s.dur.to_bits());
+        fnv(&mut h, s.kernel.to_bits());
+        fnv(&mut h, s.bytes);
+    }
+    assert_eq!((spans.len(), h), (20, SERVER_SPANS), "spans: {h:#018x}");
+    assert_eq!(fleet.makespan().to_bits(), SERVER_CLOCK.to_bits());
 }

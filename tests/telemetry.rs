@@ -17,7 +17,6 @@ use sympack_baseline::{
 };
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_pgas::FaultPlan;
-use sympack_service::{Server, ServerConfig, Session};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::SparseSym;
@@ -227,25 +226,4 @@ fn fleet_watchdog_raises_slo_burn_for_impossible_objective() {
     );
     let doc = fleet.telemetry_json();
     assert!(doc.contains("\"slo_burn\""), "event missing from document");
-}
-
-#[test]
-fn session_solves_feed_service_telemetry() {
-    // The serving-layer instruments accumulate across session solves and
-    // render in the Prometheus exposition (spot checks only — the byte
-    // gates live in the snapshot tests above).
-    let a = gen::laplacian_2d(8, 8);
-    let session = Session::new(&a, &opts(2, false)).expect("session");
-    let mut server = Server::new(session, ServerConfig::default());
-    for k in 0..5 {
-        server
-            .submit_at(rhs(a.n()), k as f64 * 0.001)
-            .expect("submit");
-    }
-    server.drain().expect("drain");
-    let text = server.telemetry().telemetry().render_text();
-    assert!(text.contains("sympack_service_jobs_submitted_total 5"));
-    assert!(text.contains("sympack_service_jobs_served_total 5"));
-    assert!(text.contains("sympack_service_batch_size"));
-    assert!(text.contains("sympack_service_latency_seconds"));
 }
