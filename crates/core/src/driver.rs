@@ -69,10 +69,10 @@ pub struct SolverOptions {
     pub deterministic: bool,
     /// Dense-kernel configuration — the packed core's cache blocking
     /// (`mc`/`kc`/`nc`), its dispatch threshold (`pack_min_flops`) and the
-    /// ISA selection — threaded into every kernel call made by every rank
-    /// (and into the scheduler's per-task cost estimates). The default is
-    /// what every pinned fingerprint was captured under; load a calibrated
-    /// config from `sympack-tune` to adapt blocking to the host machine.
+    /// ISA selection — threaded into every kernel call made by every rank.
+    /// The default is what every pinned fingerprint was captured under;
+    /// load a calibrated config from `sympack-tune` to adapt blocking to
+    /// the host machine.
     /// Checked by [`SolverOptions::validate`]: an invalid config is a
     /// [`SolverError::InvalidOptions`] from every solver entry point,
     /// before any rank thread or numeric work exists.

@@ -132,26 +132,6 @@ impl FactoEngine {
         }
     }
 
-    /// Estimated seconds of kernel work this rank has not yet completed:
-    /// the roofline estimate of every unexecuted task, summed on demand in
-    /// task-id order. Update tasks whose operands have already arrived
-    /// compressed are estimated from the *stored* ranks, so the figure
-    /// sharpens as BLR panels land. Advisory only — the RTQ never sees it.
-    pub fn estimated_remaining(&self) -> f64 {
-        let (sf, k) = (&self.sf, &self.kernels);
-        let stored_rank = |b| block(&self.store, &self.inputs, b).and_then(Block::lr_rank);
-        self.core.rt.estimated_remaining(|id, key| {
-            let ops = self.graph.ops[id as usize];
-            key.estimate_secs_stored(
-                sf,
-                &k.cost,
-                &k.config,
-                stored_rank(ops.a),
-                stored_rank(ops.b),
-            )
-        })
-    }
-
     /// Factored block `blk` became available at `ready_at` (factored here,
     /// or fetched): decrement its consumers, naming the producing task as
     /// the dependency edge for the profiler.

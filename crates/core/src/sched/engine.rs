@@ -68,9 +68,7 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     deps: Vec<u32>,
     /// Virtual time at which each task's latest input became available.
     ready_at: Vec<f64>,
-    /// Per-task exactly-once flags: the invariant checker of debug builds,
-    /// and the "not yet completed" set of
-    /// [`estimated_remaining`](Self::estimated_remaining).
+    /// Per-task exactly-once flags: the invariant checker of debug builds.
     executed: Vec<bool>,
     rtq: ReadyQueue<TaskId>,
     /// Per-task urgency consulted by [`RtqPolicy::CommAware`]; empty until
@@ -156,21 +154,6 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
             mem_bytes: 0,
             wall: super::WallClock::default(),
         }
-    }
-
-    /// Estimated seconds of kernel work not yet completed: `est` summed
-    /// over the tasks that have not executed, in `TaskId` order — so two
-    /// engines over the same graph in the same state agree bit for bit.
-    /// Purely advisory (progress prediction): nothing here is consulted by
-    /// `pick`, and nothing is paid for it unless it is called.
-    pub fn estimated_remaining(&self, mut est: impl FnMut(TaskId, &K) -> f64) -> f64 {
-        let mut sum = 0.0;
-        for (id, key) in self.keys.iter().enumerate() {
-            if !self.executed[id] {
-                sum += est(id as TaskId, key).max(0.0);
-            }
-        }
-        sum
     }
 
     /// Set the per-task virtual-clock overhead (baseline runtime tax).

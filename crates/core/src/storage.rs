@@ -59,14 +59,6 @@ impl Block {
         matches!(self, Block::LowRank(_))
     }
 
-    /// Stored rank (`None` for dense blocks).
-    pub fn lr_rank(&self) -> Option<usize> {
-        match self {
-            Block::Dense(_) => None,
-            Block::LowRank(lr) => Some(lr.rank()),
-        }
-    }
-
     /// Borrow as a dense matrix. Panics on a low-rank block: callers on the
     /// dense-only paths (diagonal blocks, update targets) use this to state
     /// the invariant rather than silently densify.

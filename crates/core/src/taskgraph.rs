@@ -8,8 +8,6 @@
 use crate::map2d::{distinct_owners, ProcGrid};
 use crate::sched::{Graph, TaskId, TaskKind};
 use crate::storage::{col_major, BlockKey};
-use sympack_dense::{flops, KernelConfig};
-use sympack_gpu::{CostModel, Op};
 use sympack_symbolic::SymbolicFactor;
 use sympack_trace::TraceCat;
 
@@ -74,140 +72,6 @@ impl TaskKind for TaskKey {
                 }
             }
         }
-    }
-}
-
-impl TaskKey {
-    /// The dense operation this task executes.
-    pub fn op(&self) -> Op {
-        match *self {
-            TaskKey::Diag { .. } => Op::Potrf,
-            TaskKey::Panel { .. } => Op::Trsm,
-            TaskKey::Update { a, b, .. } => {
-                if a == b {
-                    Op::Syrk
-                } else {
-                    Op::Gemm
-                }
-            }
-        }
-    }
-
-    /// Kernel shape `(m, n, k)` from the symbolic block layout, in the
-    /// convention of [`sympack_dense::flops`]: POTRF `(n, 0, 0)`,
-    /// TRSM `(m, n, 0)`, SYRK `(n, k, 0)`, GEMM `(m, n, k)`.
-    ///
-    /// # Panics
-    /// Panics if the task references blocks absent from `sf`'s layout —
-    /// a key/layout mismatch that is always a caller bug.
-    fn shape(&self, sf: &SymbolicFactor) -> (usize, usize, usize) {
-        let rows = |i: usize, j: usize| sf.layout.find(i, j).expect("block exists").n_rows;
-        match *self {
-            TaskKey::Diag { j } => (sf.partition.width(j), 0, 0),
-            TaskKey::Panel { i, j } => (rows(i, j), sf.partition.width(j), 0),
-            TaskKey::Update { j, a, b } => {
-                let k = sf.partition.width(j);
-                if a == b {
-                    (rows(a, j), k, 0)
-                } else {
-                    (rows(a, j), rows(b, j), k)
-                }
-            }
-        }
-    }
-
-    /// Flop count of this task from the symbolic layout.
-    pub fn flops(&self, sf: &SymbolicFactor) -> u64 {
-        let (m, n, k) = self.shape(sf);
-        match self.op() {
-            Op::Potrf => flops::potrf(m),
-            Op::Trsm => flops::trsm(m, n),
-            Op::Syrk => flops::syrk(m, n),
-            Op::Gemm => flops::gemm(m, n, k),
-        }
-    }
-
-    /// Estimated operand/result memory traffic in bytes: each operand read
-    /// once, the destination read and written. When the shape clears the
-    /// packed-dispatch threshold of `cfg`, the operands are additionally
-    /// streamed once more through the pack buffers — which is why the
-    /// scheduler's estimate depends on the kernel configuration, not just
-    /// the shape.
-    pub fn bytes(&self, sf: &SymbolicFactor, cfg: &KernelConfig) -> u64 {
-        let (m, n, k) = self.shape(sf);
-        let (operands, dest) = match self.op() {
-            Op::Potrf => (0, m * m),
-            Op::Trsm => (n * n / 2, m * n),
-            Op::Syrk => (m * n, m * m),
-            Op::Gemm => (m * k + n * k, m * n),
-        };
-        let packs = self.op() != Op::Potrf && self.flops(sf) >= cfg.pack_min_flops;
-        let elems = operands * if packs { 2 } else { 1 } + 2 * dest;
-        8 * elems as u64
-    }
-
-    /// Roofline CPU-time estimate for this task: flops and traffic from
-    /// the symbolic layout through [`CostModel::cpu_task_time`]. This is
-    /// the scheduler's *planning* estimate (progress, predicted makespan);
-    /// the executed virtual clock keeps the legacy per-call accounting.
-    pub fn estimate_secs(&self, sf: &SymbolicFactor, cost: &CostModel, cfg: &KernelConfig) -> f64 {
-        cost.cpu_task_time(self.op(), self.flops(sf), self.bytes(sf, cfg))
-    }
-
-    /// Like [`TaskKey::estimate_secs`], but for update tasks whose operands
-    /// are known to be *stored* low-rank (`ra`/`rb` = stored rank of
-    /// `L(a,j)`/`L(b,j)`, `None` = dense): flops follow the factored-form
-    /// kernels in `sympack_gpu` and bytes charge the actual `(rows+cols)·r`
-    /// payloads instead of the symbolic dense extents. Non-update tasks and
-    /// all-dense operands reduce to the symbolic estimate exactly.
-    pub fn estimate_secs_stored(
-        &self,
-        sf: &SymbolicFactor,
-        cost: &CostModel,
-        cfg: &KernelConfig,
-        ra: Option<usize>,
-        rb: Option<usize>,
-    ) -> f64 {
-        let TaskKey::Update { a, b, .. } = *self else {
-            return self.estimate_secs(sf, cost, cfg);
-        };
-        if ra.is_none() && rb.is_none() {
-            return self.estimate_secs(sf, cost, cfg);
-        }
-        let (m, n, k) = self.shape(sf);
-        let (fl, operands, dest) = if a == b {
-            // SYRK with a rank-r operand: G = Vᵀ·V, W = U·G, C −= W·Uᵀ.
-            let (n_, k_) = (m as u64, n as u64);
-            let r = rb.or(ra).expect("checked above") as u64;
-            (
-                2 * k_ * r * r + 2 * n_ * r * r + 2 * n_ * n_ * r,
-                ((n_ + k_) * r) as usize,
-                m * m,
-            )
-        } else {
-            let (m_, n_, k_) = (m as u64, n as u64, k as u64);
-            let bytes_a = ra.map_or(m * k, |r| (m + k) * r);
-            let bytes_b = rb.map_or(n * k, |r| (n + k) * r);
-            let fl = match (ra, rb) {
-                (Some(ra), Some(rb)) => {
-                    let (ra, rb) = (ra as u64, rb as u64);
-                    2 * k_ * ra * rb + 2 * m_ * ra * rb + 2 * m_ * n_ * rb
-                }
-                (Some(ra), None) => {
-                    let ra = ra as u64;
-                    2 * n_ * k_ * ra + 2 * m_ * n_ * ra
-                }
-                (None, Some(rb)) => {
-                    let rb = rb as u64;
-                    2 * m_ * k_ * rb + 2 * m_ * n_ * rb
-                }
-                (None, None) => unreachable!("checked above"),
-            };
-            (fl, bytes_a + bytes_b, m * n)
-        };
-        let packs = fl >= cfg.pack_min_flops;
-        let elems = operands * if packs { 2 } else { 1 } + 2 * dest;
-        cost.cpu_task_time(self.op(), fl, 8 * elems as u64)
     }
 }
 
@@ -489,17 +353,6 @@ impl LocalTasks {
         let i = id as usize;
         &self.dests[self.dest_ptr[i] as usize..self.dest_ptr[i + 1] as usize]
     }
-
-    /// Estimated total kernel seconds of this rank's slice — the sum of
-    /// per-task roofline estimates (see [`TaskKey::estimate_secs`]) in task
-    /// id order; the rank-balance numerator for mapping diagnostics.
-    pub fn estimated_secs(&self, sf: &SymbolicFactor, cost: &CostModel, cfg: &KernelConfig) -> f64 {
-        self.graph
-            .keys
-            .iter()
-            .map(|k| k.estimate_secs(sf, cost, cfg))
-            .sum()
-    }
 }
 
 /// The destination ranks a factored block must be fanned out to
@@ -598,58 +451,6 @@ mod tests {
         }
         let total: usize = lt.graph.deps.iter().map(|&d| d as usize).sum();
         assert_eq!(total, expect);
-    }
-
-    #[test]
-    fn estimates_are_positive_and_partition_across_ranks() {
-        let sf = sf();
-        let cost = CostModel::default();
-        let cfg = KernelConfig::default();
-        let single = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
-        let total1 = single.estimated_secs(&sf, &cost, &cfg);
-        assert!(total1 > 0.0);
-        for k in single.graph.keys.iter() {
-            assert!(k.estimate_secs(&sf, &cost, &cfg) > 0.0, "{k:?}");
-            assert!(k.flops(&sf) > 0, "{k:?}");
-        }
-        // The per-rank estimates sum to the single-rank total exactly:
-        // every task is owned by exactly one rank and the estimate only
-        // depends on the task, not the owner.
-        let grid = ProcGrid::squarest(4);
-        let split: f64 = (0..4)
-            .map(|r| LocalTasks::build(&sf, &grid, r).estimated_secs(&sf, &cost, &cfg))
-            .sum();
-        assert!((split - total1).abs() <= 1e-9 * total1);
-    }
-
-    #[test]
-    fn estimate_depends_on_kernel_config_via_pack_traffic() {
-        // A config that never packs predicts less memory traffic than one
-        // that always packs; with a bandwidth-starved cost model the
-        // difference must show up in the time estimate.
-        let sf = sf();
-        let cost = CostModel {
-            mem_bandwidth: 1.0, // absurdly slow: all tasks bandwidth-bound
-            ..Default::default()
-        };
-        let no_pack = KernelConfig {
-            pack_min_flops: u64::MAX,
-            ..Default::default()
-        };
-        let always_pack = KernelConfig {
-            pack_min_flops: 0,
-            ..Default::default()
-        };
-        let lt = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
-        let gemm = lt
-            .graph
-            .keys
-            .iter()
-            .find(|k| k.op() == sympack_gpu::Op::Gemm)
-            .expect("graph has a gemm task");
-        let t_no = gemm.estimate_secs(&sf, &cost, &no_pack);
-        let t_yes = gemm.estimate_secs(&sf, &cost, &always_pack);
-        assert!(t_yes > t_no, "packed traffic must raise the estimate");
     }
 
     #[test]

@@ -196,14 +196,6 @@ pub struct SolveEngine {
     msg_overhead: f64,
 }
 
-/// Cost-model seconds for a solve kernel (placement included).
-fn kernel_secs(kernels: &KernelEngine, op: Op, elements: usize, flops: usize) -> f64 {
-    match kernels.place(op, elements) {
-        sympack_gpu::Loc::Cpu => kernels.cost.cpu_time(op, flops as u64),
-        sympack_gpu::Loc::Gpu => kernels.cost.gpu_time(op, flops as u64),
-    }
-}
-
 /// `op(B)·X` for a stored block `B` and an `nrhs`-column panel `X`
 /// (`op` = transpose when `trans`), in factored form when the block is
 /// stored compressed: `op(U·Vᵀ)·X = left·(rightᵀ·X)`. Returns the
@@ -242,7 +234,8 @@ fn block_times(
             ((m + w) * r, 2 * r * (m + w) * nrhs)
         }
     };
-    (v, kernel_secs(k, Op::Gemm, elements, flops))
+    let loc = k.place(Op::Gemm, elements);
+    (v, k.modeled_secs(Op::Gemm, loc, flops as u64))
 }
 
 /// Route a message: local push or RPC with payload cost.
@@ -385,7 +378,10 @@ impl SolveEngine {
                 let solved = &mut self.arena[s][source.elems(nrhs)];
                 let trsm = [trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw][s];
                 trsm(cfg, solved, w, w, nrhs, l.as_slice(), l.ld());
-                let secs = kernel_secs(&self.kernels, Op::Trsm, w * w, w * w * nrhs);
+                let loc = self.kernels.place(Op::Trsm, w * w);
+                let secs = self
+                    .kernels
+                    .modeled_secs(Op::Trsm, loc, (w * w * nrhs) as u64);
                 rt.charge(rank, key, secs);
                 let mut payload: Option<Arc<[f64]>> = None;
                 for dest in t.dests(s, slot) {

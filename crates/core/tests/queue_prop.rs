@@ -172,7 +172,6 @@ fn ids_cannot_leak_into_the_schedule() {
     // decrement script, issued by key through each side's id table: the
     // seeds are the zero-dependency tasks in seed-key order, both engines
     // pick the same keys under every policy, and both finish.
-    // `estimated_remaining` sums in id order, so it is not compared.
     let cases = 40 + common::chaos_seed_budget();
     for case in 0..cases {
         let mut rng = Rng::new(0x5EED ^ case);

@@ -186,9 +186,9 @@ struct Tenant {
     deficit: f64,
     pending: VecDeque<FleetJob>,
     next_id: u64,
+    /// Serving metrics; `analyze_wall_ms` is the analysis paid at admission
+    /// (0 on a plan-cache hit).
     metrics: ServiceMetrics,
-    /// Wall-clock ms of analysis paid at admission (0 on a plan-cache hit).
-    analyze_wall_ms: f64,
     /// Bytes of this tenant's factor when resident (recorded at install,
     /// kept across eviction so the LRU can pre-budget re-materialization).
     factor_bytes: u64,
@@ -360,7 +360,6 @@ impl Fleet {
             pending: VecDeque::new(),
             next_id: 0,
             metrics,
-            analyze_wall_ms,
             factor_bytes,
             last_served: self.use_counter,
             evictions: 0,
@@ -705,7 +704,7 @@ impl Fleet {
     /// # Panics
     /// Panics on an out-of-range id.
     pub fn tenant_analyze_wall_ms(&self, tenant: TenantId) -> f64 {
-        self.tenants[tenant.0].analyze_wall_ms
+        self.tenants[tenant.0].metrics.analyze_wall_ms
     }
 
     /// Per-request spans (`{tenant}/job-{id}`, arrival → completion, rank =
@@ -793,7 +792,7 @@ impl Fleet {
                     .u64("shard", t.shard as u64)
                     .f64("weight", t.weight)
                     .u64("evictions", t.evictions)
-                    .f64("analyze_wall_ms", t.analyze_wall_ms)
+                    .f64("analyze_wall_ms", t.metrics.analyze_wall_ms)
                     .raw("metrics", &t.metrics.to_json())
                     .finish(),
             );

@@ -1,4 +1,9 @@
-//! Kernel execution-time model.
+//! Kernel execution-time model — the solver's one cost model.
+//!
+//! [`crate::KernelEngine`] charges each kernel call's modeled seconds to
+//! the virtual clock, and the §4.2 offload thresholds are the crossovers of
+//! the CPU and GPU curves. Nothing else prices a task: the scheduler pops
+//! ready tasks by policy, not by cost.
 //!
 //! Times follow `T = overhead + flops / rate`, with per-operation rates:
 //! GEMM runs closest to peak on both architectures; TRSM and POTRF have
@@ -25,11 +30,6 @@ pub struct CostModel {
     pub kernel_launch: f64,
     /// Fixed per-call CPU (BLAS dispatch) overhead.
     pub cpu_call: f64,
-    /// Sustained per-rank memory bandwidth (bytes/second). Feeds the
-    /// roofline term of [`CostModel::cpu_task_time`]: low-intensity tasks
-    /// (small blocks streamed from DRAM) are bandwidth-bound, not
-    /// flop-bound, and a pure `flops / rate` estimate undercosts them.
-    pub mem_bandwidth: f64,
 }
 
 impl Default for CostModel {
@@ -45,7 +45,6 @@ impl Default for CostModel {
             gpu_potrf: 0.6e12,
             kernel_launch: 10.0e-6,
             cpu_call: 0.3e-6,
-            mem_bandwidth: 2.0e10,
         }
     }
 }
@@ -83,27 +82,6 @@ impl CostModel {
         let f = flops as f64;
         let eff = (f / (f + 5.0e7)).max(0.02);
         self.kernel_launch * launches + f / (rate * eff)
-    }
-
-    /// Roofline CPU estimate for a whole task: `flops` of operation `op`
-    /// touching `bytes` of operand/result memory. The task takes at least
-    /// as long as its compute (`flops / rate`) and at least as long as its
-    /// memory traffic (`bytes / mem_bandwidth`) — the max of the two, plus
-    /// the fixed dispatch cost. For compute-bound shapes this reduces
-    /// exactly to [`CostModel::cpu_time`]; for thin blocks the bandwidth
-    /// term dominates and raises the estimate. Used by the scheduler's
-    /// per-task cost estimates, not by the execution-time accounting (which
-    /// keeps the legacy model so modeled makespans stay comparable).
-    pub fn cpu_task_time(&self, op: Op, flops: u64, bytes: u64) -> f64 {
-        let rate = match op {
-            Op::Gemm => self.cpu_gemm,
-            Op::Syrk => self.cpu_syrk,
-            Op::Trsm => self.cpu_trsm,
-            Op::Potrf => self.cpu_potrf,
-        };
-        let compute = flops as f64 / rate;
-        let traffic = bytes as f64 / self.mem_bandwidth;
-        self.cpu_call + compute.max(traffic)
     }
 
     /// Flop count at which the GPU starts beating the CPU for `op`
@@ -164,31 +142,6 @@ mod tests {
                 assert!(m.gpu_time(op, x - 1) > m.cpu_time(op, x - 1));
             }
         }
-    }
-
-    #[test]
-    fn task_time_reduces_to_cpu_time_when_compute_bound() {
-        let m = CostModel::default();
-        // 1 Gflop over 1 KB: compute term dominates by orders of magnitude.
-        let flops = 1_000_000_000;
-        assert_eq!(
-            m.cpu_task_time(Op::Gemm, flops, 1024),
-            m.cpu_time(Op::Gemm, flops)
-        );
-    }
-
-    #[test]
-    fn task_time_is_bandwidth_bound_for_thin_blocks() {
-        let m = CostModel::default();
-        // 1 Kflop over 100 MB: the traffic term must dominate.
-        let est = m.cpu_task_time(Op::Gemm, 1_000, 100_000_000);
-        let flop_only = m.cpu_time(Op::Gemm, 1_000);
-        assert!(
-            est > 10.0 * flop_only,
-            "est {est:e} vs flop-only {flop_only:e}"
-        );
-        let traffic = 100_000_000f64 / m.mem_bandwidth;
-        assert!((est - (m.cpu_call + traffic)).abs() < 1e-12);
     }
 
     #[test]

@@ -170,12 +170,19 @@ impl KernelEngine {
         self.thresholds.place(op, elements)
     }
 
-    fn time_for(&mut self, op: Op, loc: Loc, fl: u64) -> f64 {
-        self.counts.bump(op, loc);
+    /// Modeled seconds of `fl` flops of `op` run at `loc`. Counts nothing:
+    /// the kernel methods below bump the op counts, the solve's kernels
+    /// price their calls through this alone.
+    pub fn modeled_secs(&self, op: Op, loc: Loc, fl: u64) -> f64 {
         match loc {
             Loc::Cpu => self.cost.cpu_time(op, fl),
             Loc::Gpu => self.cost.gpu_time(op, fl),
         }
+    }
+
+    fn time_for(&mut self, op: Op, loc: Loc, fl: u64) -> f64 {
+        self.counts.bump(op, loc);
+        self.modeled_secs(op, loc, fl)
     }
 
     /// Factor a diagonal block in place (lower Cholesky). Returns

@@ -393,6 +393,25 @@ impl Session {
     /// # Errors
     /// [`SolverError::PatternMismatch`] when `values` has the wrong length;
     /// otherwise the factorization failure modes.
+    ///
+    /// # Examples
+    ///
+    /// Re-factor twice the analyzed matrix:
+    ///
+    /// ```
+    /// use sympack::SolverOptions;
+    /// use sympack_service::Session;
+    /// use sympack_sparse::gen::laplacian_2d;
+    ///
+    /// let a = laplacian_2d(6, 6);
+    /// let mut session = Session::new(&a, &SolverOptions::default()).unwrap();
+    /// let mut values = vec![0.0; session.pattern_nnz()];
+    /// let stored = (0..a.n()).flat_map(|c| a.col_values(c));
+    /// for (v, a_v) in values.iter_mut().zip(stored) {
+    ///     *v = 2.0 * a_v;
+    /// }
+    /// session.refactorize(&values).unwrap();
+    /// ```
     pub fn refactorize(&mut self, values: &[f64]) -> Result<f64, SolverError> {
         let expected = self.pattern_nnz();
         if values.len() != expected {

@@ -1,7 +1,7 @@
 //! One-shot kernel calibration: measure this machine, fit a
 //! [`KernelProfile`], persist it, and turn it into the runtime knobs the
 //! solver consumes — a [`sympack_dense::KernelConfig`] for the kernels and
-//! a [`sympack_gpu::CostModel`] for the scheduler's task-cost estimates.
+//! a [`sympack_gpu::CostModel`] carrying the measured CPU rates.
 //!
 //! The sweep ([`calibrate`]) times the packed GEMM engine over a grid of
 //! supernode-shaped problems under a set of candidate cache blockings and
@@ -21,8 +21,8 @@
 //! fn tuned() -> Result<(), TuneError> {
 //!     let cache = std::path::Path::new("kernel-profile.json");
 //!     let profile = KernelProfile::load_or_calibrate(cache, &TuneBudget::full())?;
-//!     // `SolverOptions::kernel_config` takes the first, the scheduler's
-//!     // planning estimates the second.
+//!     // `SolverOptions::kernel_config` takes the first; the second is the
+//!     // kernel cost model with this machine's CPU rates.
 //!     let (_config, _cost) = (profile.config.clone(), profile.cost_model());
 //!     Ok(())
 //! }
@@ -105,7 +105,7 @@ impl From<std::io::Error> for TuneError {
 }
 
 /// A fitted per-machine kernel profile: the chosen configuration plus the
-/// measured machine constants the scheduler's cost model consumes.
+/// measured machine constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// Resolved microkernel ISA the measurements were taken with.
@@ -125,16 +125,15 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// The scheduler cost model implied by this profile: per-op CPU rates
-    /// and memory bandwidth from the measurements, GPU constants left at
-    /// their defaults (the sweep is CPU-side).
+    /// The kernel cost model implied by this profile: per-op CPU rates from
+    /// the measurements, GPU constants left at their defaults (the sweep is
+    /// CPU-side). The measured bandwidth is reported, not modeled.
     pub fn cost_model(&self) -> CostModel {
         CostModel {
             cpu_gemm: self.gemm_rate,
             cpu_syrk: self.syrk_rate,
             cpu_trsm: self.trsm_rate,
             cpu_potrf: self.potrf_rate,
-            mem_bandwidth: self.mem_bandwidth,
             ..CostModel::default()
         }
     }
@@ -556,7 +555,6 @@ mod tests {
         let m = p.cost_model();
         assert_eq!(m.cpu_gemm, p.gemm_rate);
         assert_eq!(m.cpu_potrf, p.potrf_rate);
-        assert_eq!(m.mem_bandwidth, p.mem_bandwidth);
         // GPU side untouched.
         assert_eq!(m.gpu_gemm, CostModel::default().gpu_gemm);
     }

@@ -5,11 +5,14 @@
 //! lists its `pub fn / struct / enum / trait / const / type / static` items
 //! and fails unless each one is **live** — its name occurs in the non-test
 //! code of another library file, a `src/bin` program, an `examples/` program
-//! or `perf/src` — or is named in `tests/pub_surface.allow`. A type is also
+//! or `perf/src` — or is named in `tests/pub_surface.allow`. A file other
+//! than the item's own must name it: a call in the defining file does not
+//! count, nor does a same-named `fn` defined elsewhere. A type is also
 //! live when its own file names it in another item's signature or field:
 //! callers reach it through that item without writing its name. Comments,
-//! string literals, `pub use` re-exports and `#[cfg(test)]` items are not
-//! references; `tests/` and `crates/*/tests` are test code and are never read.
+//! string literals, `pub use` re-exports, `#[cfg(test)]` items and the name
+//! after `fn` are not references; `tests/` and `crates/*/tests` are test
+//! code and are never read.
 //! The match is by identifier, so a common name (`len`) is live whenever
 //! anything of that name is called: the audit under-reports, it never
 //! reports a called item.
@@ -387,7 +390,7 @@ fn bare(name: &str) -> &str {
     name.rsplit("::").next().expect("rsplit yields one piece")
 }
 
-/// Identifiers inside the fenced blocks of doc comments — what rustdoc
+/// Identifiers the fenced blocks of doc comments refer to — what rustdoc
 /// compiles and runs as examples.
 fn doc_example_idents(src: &str) -> HashSet<String> {
     // rustdoc compiles a block unless its info string names another language.
@@ -414,16 +417,21 @@ fn doc_example_idents(src: &str) -> HashSet<String> {
             code.push('\n');
         }
     }
-    idents(&lex(&strip_comments_and_literals(&code)))
+    references(&lex(&strip_comments_and_literals(&code)))
 }
 
-fn idents(toks: &[(Tok, usize)]) -> HashSet<String> {
-    toks.iter()
-        .filter_map(|(t, _)| match t {
-            Tok::Ident(s) => Some(s.clone()),
-            Tok::Punct(_) => None,
-        })
-        .collect()
+/// The identifiers of `toks` that refer to an item: every one except a name
+/// right after `fn`, which defines a function rather than calling one.
+fn references(toks: &[(Tok, usize)]) -> HashSet<String> {
+    let mut out = HashSet::new();
+    for (i, (t, _)) in toks.iter().enumerate() {
+        if let Tok::Ident(s) = t {
+            if i == 0 || ident(toks, i - 1) != Some("fn") {
+                out.insert(s.clone());
+            }
+        }
+    }
+    out
 }
 
 // ----- the audit -----
@@ -431,24 +439,29 @@ fn idents(toks: &[(Tok, usize)]) -> HashSet<String> {
 /// Every violation, one line each; empty means the surface is honest.
 fn audit(sources: &[Source], allow: &str) -> Vec<String> {
     let tokens: Vec<_> = sources.iter().map(|s| shipping_tokens(&s.text)).collect();
-    // identifier → number of files whose shipping code contains it
-    let mut files_naming: HashMap<String, usize> = HashMap::new();
-    for toks in &tokens {
-        for id in idents(toks) {
-            *files_naming.entry(id).or_default() += 1;
+    // identifier → the files whose shipping code refers to it
+    let mut files_naming: HashMap<String, Vec<usize>> = HashMap::new();
+    for (f, toks) in tokens.iter().enumerate() {
+        for id in references(toks) {
+            files_naming.entry(id).or_default().push(f);
         }
     }
     let mut doc_examples = HashSet::new();
     for s in sources.iter().filter(|s| s.library) {
         doc_examples.extend(doc_example_idents(&s.text));
     }
-    // (path, qualified name) → (line, live). The defining file always names
-    // the item, so "another file does" is a count of two or more.
+    // (path, qualified name) → (line, live): live when a file other than
+    // the defining one refers to the item.
     let mut items: BTreeMap<(String, String), (usize, bool)> = BTreeMap::new();
-    for (s, toks) in sources.iter().zip(&tokens).filter(|(s, _)| s.library) {
+    for (f, (s, toks)) in sources.iter().zip(&tokens).enumerate() {
+        if !s.library {
+            continue;
+        }
         for item in pub_items(toks) {
-            let live =
-                item.in_signature || files_naming.get(bare(&item.name)).is_some_and(|&n| n >= 2);
+            let live = item.in_signature
+                || files_naming
+                    .get(bare(&item.name))
+                    .is_some_and(|files| files.iter().any(|&g| g != f));
             items
                 .entry((s.path.clone(), item.name))
                 .or_insert((item.line, live));
@@ -591,6 +604,22 @@ fn a_planted_pub_fn_with_no_caller_is_reported_with_its_path_and_name() {
     let problems = audit(&[source("crates/a/src/rank.rs", PLANTED), user], "");
     assert_eq!(problems.len(), 1, "{problems:?}");
     assert!(problems[0].starts_with("crates/a/src/rank.rs:3: `Rank::rput`"));
+}
+
+#[test]
+fn two_same_named_definitions_do_not_call_each_other() {
+    let sources = [
+        source("crates/a/src/rank.rs", PLANTED),
+        source(
+            "crates/b/src/team.rs",
+            "pub fn rput() {}
+fn f(r: Rank) {}",
+        ),
+    ];
+    let problems = audit(&sources, "");
+    assert_eq!(problems.len(), 2, "{problems:?}");
+    assert!(problems[0].starts_with("crates/a/src/rank.rs:3: `Rank::rput`"));
+    assert!(problems[1].starts_with("crates/b/src/team.rs:1: `rput`"));
 }
 
 #[test]
