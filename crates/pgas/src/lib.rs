@@ -36,7 +36,7 @@ pub mod ptr;
 pub mod rank;
 pub mod runtime;
 pub mod segment;
-pub mod stats;
+mod stats;
 mod sync;
 
 pub use coalesce::{BcastPlan, BcastTopology, CoalesceConfig, Coalescer};

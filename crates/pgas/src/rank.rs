@@ -1,9 +1,11 @@
 //! The per-thread rank handle: one-sided RMA, RPC, progress, virtual time.
 
+use crate::faults::FaultPlan;
 use crate::netmodel::NetModel;
 use crate::ptr::{GlobalPtr, MemKind};
 use crate::runtime::Shared;
 use crate::segment::{DeviceOom, Payload};
+use crate::stats::Ledger;
 use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -76,14 +78,23 @@ impl RgetHandle {
     }
 }
 
+/// An RPC handler: runs once on the target rank.
+type Handler = Box<dyn FnOnce(&mut Rank) + Send>;
+
 /// An RPC message queued at a target rank.
 pub(crate) struct RpcMsg {
     pub ready_at: f64,
     /// Wire footprint of the message (envelope + payload), carried so the
-    /// receiver's drain can account bytes-in-flight without touching the
-    /// global atomic stats (which other ranks race on).
+    /// receiver's drain can account bytes in flight in its own ledger.
     pub wire: usize,
-    pub func: Box<dyn FnOnce(&mut Rank) + Send>,
+    pub func: Handler,
+}
+
+/// What the fault plan lets through of one outgoing message.
+enum Fate {
+    Dropped,
+    /// The handler and, when duplicated, a ghost copy with its extra lag.
+    Sent(Handler, Option<(Handler, f64)>),
 }
 
 /// A rank: the UPC++-process analogue. Owned by exactly one thread; all
@@ -100,11 +111,11 @@ pub struct Rank {
     /// nothing; recording never touches the virtual clock either way, so
     /// enabling it cannot perturb the schedule.
     tracer: Option<Tracer>,
-    /// Per-rank comm counters for the live telemetry plane. Written only
-    /// by this rank's thread (unlike the global atomic [`crate::Stats`]),
-    /// so in lockstep mode they are a pure function of the schedule —
-    /// bit-deterministic. Always maintained; reading is the opt-in part.
-    comm: sympack_trace::telemetry::CommSample,
+    /// This rank's traffic ledger: every rget, copy and RPC it issues,
+    /// counted once. Written only by this rank's thread, so in lockstep
+    /// mode it is a pure function of the schedule — bit-deterministic.
+    /// `Runtime::run` takes it when the closure returns.
+    pub(crate) ledger: Ledger,
     /// Health watchdog for the live telemetry plane. `None` (the default)
     /// observes nothing; like the tracer, observing never touches the
     /// virtual clock.
@@ -121,7 +132,7 @@ impl Rank {
             fault_ctr: 0,
             user_state: None,
             tracer: None,
-            comm: sympack_trace::telemetry::CommSample::default(),
+            ledger: Ledger::default(),
             watchdog: None,
         }
     }
@@ -156,8 +167,7 @@ impl Rank {
     /// virtual time; `idle_polls == 0` resets the stall episode.
     pub fn watchdog_idle(&mut self, idle_polls: u64) {
         if let Some(w) = &mut self.watchdog {
-            let subject = format!("rank{}", self.id);
-            w.observe_idle(self.clock, idle_polls, &subject);
+            w.observe_idle(self.clock, idle_polls, format_args!("rank{}", self.id));
         }
     }
 
@@ -165,14 +175,7 @@ impl Rank {
     /// cumulative sends/deliveries/drops/retries plus the in-flight
     /// queue depth and bytes observed at the most recent inbox drain.
     pub fn comm_sample(&self) -> sympack_trace::telemetry::CommSample {
-        self.comm
-    }
-
-    /// Per-rank ledger of one outgoing message of `wire` bytes (telemetry
-    /// plane; the global atomic stats are recorded separately).
-    fn note_send(&mut self, wire: usize) {
-        self.comm.msgs_sent += 1;
-        self.comm.bytes_sent += wire as u64;
+        self.ledger.comm
     }
 
     /// Record one comm span `[start, end]` against `peer` (no clock cost).
@@ -186,21 +189,14 @@ impl Rank {
         end: f64,
     ) {
         if let Some(tr) = &mut self.tracer {
-            tr.push(TraceEvent {
-                rank: self.id,
-                name: name.to_string(),
-                cat: TraceCat::Comm,
-                kind,
-                start,
-                dur: end - start,
-                kernel: 0.0,
-                overhead: ISSUE_OVERHEAD.min(end - start),
-                ready_at: start,
-                pred: None,
-                peer: Some(peer),
-                bytes: bytes as u64,
-                rtq_depth: 0,
-            });
+            let dur = end - start;
+            let mut ev = TraceEvent::basic(self.id, name.to_string(), TraceCat::Comm, start, dur);
+            ev.kind = kind;
+            ev.kernel = 0.0;
+            ev.overhead = ISSUE_OVERHEAD.min(dur);
+            ev.peer = Some(peer);
+            ev.bytes = bytes as u64;
+            tr.push(ev);
         }
     }
 
@@ -304,12 +300,14 @@ impl Rank {
         c
     }
 
-    /// Injected delay for the next message op (0.0 without faults).
-    fn fault_delay(&mut self, ctr: u64) -> f64 {
-        match &self.shared.config.faults {
-            Some(plan) => plan.delay(self.id, ctr),
-            None => 0.0,
-        }
+    /// Injected delay for a reliable message (an rpc or a payload rpc),
+    /// which draws a fault-op counter with or without a plan.
+    fn reliable_delay(&mut self) -> f64 {
+        let ctr = self.next_fault_op();
+        self.shared
+            .config
+            .faults
+            .map_or(0.0, |p| p.delay(self.id, ctr))
     }
 
     // ----- NIC injection serialization -----
@@ -367,22 +365,13 @@ impl Rank {
         self.shared.tables[self.id].free(ptr);
     }
 
-    /// Count bytes a segment operation really copied (see
-    /// [`crate::stats::Stats::copied_bytes`]).
-    fn note_copied(&self, bytes: usize) {
-        if bytes > 0 {
-            let ledger = &self.shared.stats.copied_bytes;
-            ledger.fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Write into any segment this process can see *without* charging
     /// communication (used by owners to initialize their own data, and by
     /// tests). For a modeled transfer use [`Rank::copy`].
     pub fn write_local(&self, ptr: &GlobalPtr, data: &[f64]) {
         assert!(data.len() <= ptr.len, "payload exceeds allocation");
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
-        self.note_copied(seg.write(ptr.offset, data));
+        self.ledger.copied(seg.write(ptr.offset, data));
     }
 
     /// Read a segment's contents without charging communication (owner-side
@@ -390,7 +379,7 @@ impl Rank {
     pub fn read_local(&self, ptr: &GlobalPtr) -> Payload {
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
         let (data, copied) = seg.read(ptr.offset, ptr.len);
-        self.note_copied(copied);
+        self.ledger.copied(copied);
         data
     }
 
@@ -398,7 +387,7 @@ impl Rank {
     pub fn with_local_mut<T>(&self, ptr: &GlobalPtr, f: impl FnOnce(&mut [f64]) -> T) -> T {
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
         let (out, copied) = seg.with_mut(|all| f(&mut all[ptr.offset..ptr.offset + ptr.len]));
-        self.note_copied(copied);
+        self.ledger.copied(copied);
         out
     }
 
@@ -426,16 +415,11 @@ impl Rank {
         let inj = self.nic_queue_delay(ptr.rank, ptr.bytes(), same_node);
         let seg = self.shared.tables[ptr.rank].get(ptr.seg);
         let (data, copied) = seg.read(ptr.offset, ptr.len);
-        self.note_copied(copied);
-        let stats = &self.shared.stats;
-        stats.rgets.fetch_add(1, Ordering::Relaxed);
-        stats.record_transfer(
-            ptr.rank,
-            self.id,
-            ptr.bytes(),
-            same_node,
-            ptr.kind == MemKind::Device,
-        );
+        self.ledger.copied(copied);
+        let device = ptr.kind == MemKind::Device;
+        self.ledger.totals.rgets += 1;
+        self.ledger
+            .transfer(ptr.rank, self.id, ptr.bytes(), same_node, device);
         let ready_at = self.clock + t + inj;
         self.record_comm(SpanKind::Rget, "rget", ptr.rank, ptr.bytes(), t0, ready_at);
         RgetHandle { data, ready_at }
@@ -457,13 +441,8 @@ impl Rank {
             // it spent waiting before giving up on this attempt.
             let t0 = self.clock;
             self.advance(ISSUE_OVERHEAD + plan.delay_secs.max(10.0e-6));
-            self.shared
-                .stats
-                .rget_timeouts
-                .fetch_add(1, Ordering::Relaxed);
-            self.comm.rget_retries += 1;
-            let end = self.clock;
-            self.record_comm(SpanKind::Rget, "rget_timeout", ptr.rank, 0, t0, end);
+            self.ledger.comm.rget_retries += 1;
+            self.record_comm(SpanKind::Rget, "rget_timeout", ptr.rank, 0, t0, self.clock);
             return None;
         }
         let spike = plan.delay(self.id, ctr);
@@ -489,16 +468,11 @@ impl Rank {
         let stored = self.shared.tables[dst.rank]
             .get(dst.seg)
             .store(dst.offset, data);
-        self.note_copied(read + stored);
-        let stats = &self.shared.stats;
-        stats.copies.fetch_add(1, Ordering::Relaxed);
-        stats.record_transfer(
-            src.rank,
-            dst.rank,
-            src.bytes(),
-            same_node,
-            src.kind == MemKind::Device || dst.kind == MemKind::Device,
-        );
+        self.ledger.copied(read + stored);
+        let device = src.kind == MemKind::Device || dst.kind == MemKind::Device;
+        self.ledger.totals.copies += 1;
+        self.ledger
+            .transfer(src.rank, dst.rank, src.bytes(), same_node, device);
         let done = self.clock + t;
         // Blame the remote endpoint (the local one is free by definition).
         let peer = if src.rank == self.id {
@@ -520,20 +494,11 @@ impl Rank {
     /// control messages that cannot be made idempotent — abort broadcasts,
     /// solve-phase payload handoffs — use this path.
     pub fn rpc(&mut self, target: usize, func: impl FnOnce(&mut Rank) + Send + 'static) {
-        self.clock += ISSUE_OVERHEAD;
-        let ctr = self.next_fault_op();
-        let ready_at =
-            self.clock + self.net().rpc_time(self.same_node(target)) + self.fault_delay(ctr);
+        let ready_at = self.arrival(target, None) + self.reliable_delay();
         let wire = self.net().rpc_envelope_bytes;
-        self.shared.stats.rpcs.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.record_msg(self.id, target);
-        self.note_send(wire);
-        self.bump_activity();
-        self.shared.rpc_queues[target].push(RpcMsg {
-            ready_at,
-            wire,
-            func: Box::new(func),
-        });
+        // A bare rpc counts one message and no bytes.
+        let fate = Fate::Sent(Box::new(func), None);
+        self.send(target, ready_at, wire, 0, None, fate);
     }
 
     /// Send a *signal* RPC — the paper's `signal(ptr, meta)` notification.
@@ -543,62 +508,15 @@ impl Rank {
     /// stall detector must diagnose a dropped one. Without a fault plan
     /// this behaves exactly like [`Rank::rpc`].
     pub fn rpc_signal(&mut self, target: usize, func: impl Fn(&mut Rank) + Send + Clone + 'static) {
-        self.clock += ISSUE_OVERHEAD;
-        let same_node = self.same_node(target);
-        let base = self.clock + self.net().rpc_time(same_node);
+        let at = self.arrival(target, None);
         // A bare signal occupies real wire: one envelope plus the
         // `signal(ptr, meta)` payload. Timing stays latency-only (the
         // historical model) but the byte ledger sees the full footprint —
         // this is the per-message cost coalesced frames amortize.
         let wire = self.net().rpc_envelope_bytes + crate::coalesce::SIGNAL_WIRE_BYTES;
-        let Some(plan) = self.shared.config.faults else {
-            self.shared.stats.rpcs.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .stats
-                .record_transfer(self.id, target, wire, same_node, false);
-            self.note_send(wire);
-            self.bump_activity();
-            self.shared.rpc_queues[target].push(RpcMsg {
-                ready_at: base,
-                wire,
-                func: Box::new(func),
-            });
-            return;
-        };
-        let ctr = self.next_fault_op();
-        if plan.drops_signal(self.id, ctr) {
-            self.shared
-                .stats
-                .rpcs_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            self.comm.sends_dropped += 1;
-            return;
-        }
-        let ready_at = base + plan.delay(self.id, ctr);
-        self.shared.stats.rpcs.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .stats
-            .record_transfer(self.id, target, wire, same_node, false);
-        self.note_send(wire);
-        self.bump_activity();
-        if plan.duplicates_signal(self.id, ctr) {
-            self.shared
-                .stats
-                .rpcs_duplicated
-                .fetch_add(1, Ordering::Relaxed);
-            let dup = func.clone();
-            // The ghost copy arrives strictly later, as a straggler would.
-            self.shared.rpc_queues[target].push(RpcMsg {
-                ready_at: ready_at + plan.delay_secs.max(1.0e-6),
-                wire,
-                func: Box::new(dup),
-            });
-        }
-        self.shared.rpc_queues[target].push(RpcMsg {
-            ready_at,
-            wire,
-            func: Box::new(func),
-        });
+        let (delay, fate) =
+            self.droppable(func, FaultPlan::drops_signal, FaultPlan::duplicates_signal);
+        self.send(target, at + delay, wire, wire, None, fate);
     }
 
     /// Like [`Rank::rpc`] but the closure carries `payload_bytes` of bulk
@@ -610,30 +528,10 @@ impl Rank {
         payload_bytes: usize,
         func: impl FnOnce(&mut Rank) + Send + 'static,
     ) {
-        let t0 = self.clock;
-        self.clock += ISSUE_OVERHEAD;
-        let same_node = self.same_node(target);
-        let ctr = self.next_fault_op();
-        let inj = self.nic_queue_delay(self.id, payload_bytes, same_node);
-        let ready_at = self.clock
-            + self.net().rpc_time(same_node)
-            + self
-                .net()
-                .transfer_time(payload_bytes, same_node, MemKind::Host, MemKind::Host)
-            + inj
-            + self.fault_delay(ctr);
-        self.shared.stats.rpcs.fetch_add(1, Ordering::Relaxed);
-        self.bump_activity();
-        self.shared
-            .stats
-            .record_transfer(self.id, target, payload_bytes, same_node, false);
-        self.note_send(payload_bytes);
-        self.record_comm(SpanKind::Rpc, "rpc", target, payload_bytes, t0, ready_at);
-        self.shared.rpc_queues[target].push(RpcMsg {
-            ready_at,
-            wire: payload_bytes,
-            func: Box::new(func),
-        });
+        let span = Some(("rpc", self.clock));
+        let ready_at = self.arrival(target, Some(payload_bytes)) + self.reliable_delay();
+        let fate = Fate::Sent(Box::new(func), None);
+        self.send(target, ready_at, payload_bytes, payload_bytes, span, fate);
     }
 
     /// Send a coalesced *frame*: one wire message of `wire_bytes` carrying
@@ -654,64 +552,103 @@ impl Rank {
         n_subs: usize,
         func: impl Fn(&mut Rank) + Send + Clone + 'static,
     ) {
-        let t0 = self.clock;
-        self.clock += ISSUE_OVERHEAD;
-        let same_node = self.same_node(target);
+        let span = Some(("frame", self.clock));
         // The frame pays one envelope for the whole batch — in time and
         // in the byte ledger — where flat signals pay one per sub.
         let wire = self.net().rpc_envelope_bytes + wire_bytes;
-        let inj = self.nic_queue_delay(self.id, wire, same_node);
-        let base = self.clock
-            + self.net().rpc_time(same_node)
-            + self
-                .net()
-                .transfer_time(wire, same_node, MemKind::Host, MemKind::Host)
-            + inj;
-        let plan = self.shared.config.faults;
-        let ctr = plan.is_some().then(|| self.next_fault_op());
-        if let (Some(plan), Some(ctr)) = (&plan, ctr) {
-            if plan.drops_frame(self.id, ctr) {
-                self.shared
-                    .stats
-                    .rpcs_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-                self.comm.sends_dropped += 1;
-                return;
-            }
+        let at = self.arrival(target, Some(wire));
+        let (delay, fate) =
+            self.droppable(func, FaultPlan::drops_frame, FaultPlan::duplicates_frame);
+        if self.send(target, at + delay, wire, wire, span, fate) {
+            self.ledger.totals.frames += 1;
+            self.ledger.totals.frame_subs += n_subs as u64;
         }
-        let ready_at = base + ctr.map_or(0.0, |c| self.fault_delay(c));
-        self.shared.stats.rpcs.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.frames.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .stats
-            .frame_subs
-            .fetch_add(n_subs as u64, Ordering::Relaxed);
-        self.shared
-            .stats
-            .record_transfer(self.id, target, wire, same_node, false);
-        self.note_send(wire);
+    }
+
+    /// Charge the issue overhead and return when a message reaches
+    /// `target`, before any injected delay: the RPC latency, plus for
+    /// `bulk` bytes their transfer time and the wait for this rank's NIC.
+    fn arrival(&mut self, target: usize, bulk: Option<usize>) -> f64 {
+        self.clock += ISSUE_OVERHEAD;
+        let same_node = self.same_node(target);
+        let at = self.clock + self.net().rpc_time(same_node);
+        let Some(bytes) = bulk else {
+            return at;
+        };
+        let inj = self.nic_queue_delay(self.id, bytes, same_node);
+        at + self
+            .net()
+            .transfer_time(bytes, same_node, MemKind::Host, MemKind::Host)
+            + inj
+    }
+
+    /// The fault plan's injected delay and verdict for a droppable message
+    /// (a signal or a frame). Only under a plan does this draw a fault-op
+    /// counter, so a fault-free run spends none on droppable messages.
+    fn droppable<F: Fn(&mut Rank) + Send + Clone + 'static>(
+        &mut self,
+        func: F,
+        drop_if: fn(&FaultPlan, usize, u64) -> bool,
+        dup_if: fn(&FaultPlan, usize, u64) -> bool,
+    ) -> (f64, Fate) {
+        let Some(plan) = self.shared.config.faults else {
+            return (0.0, Fate::Sent(Box::new(func), None));
+        };
+        let ctr = self.next_fault_op();
+        let fate = if drop_if(&plan, self.id, ctr) {
+            Fate::Dropped
+        } else {
+            // The ghost copy arrives strictly later, as a straggler would.
+            let lag = plan.delay_secs.max(1.0e-6);
+            let ghost = dup_if(&plan, self.id, ctr).then(|| (Box::new(func.clone()) as _, lag));
+            Fate::Sent(Box::new(func), ghost)
+        };
+        (plan.delay(self.id, ctr), fate)
+    }
+
+    /// The one tail every RPC flavour reaches `target`'s queue through:
+    /// the drop or duplicate, the ledger, the activity bump, the comm span
+    /// and the push. `wire` is what the sender's `bytes_sent` and the
+    /// receiver's drain count, `routed` what the byte totals and the peer
+    /// cell count (`wire`, but 0 for a bare rpc); `span` is `(name, start)`
+    /// for the flavours that record one. `false`: the message was dropped.
+    fn send(
+        &mut self,
+        target: usize,
+        ready_at: f64,
+        wire: usize,
+        routed: usize,
+        span: Option<(&'static str, f64)>,
+        fate: Fate,
+    ) -> bool {
+        let Fate::Sent(func, ghost) = fate else {
+            self.ledger.comm.sends_dropped += 1;
+            return false;
+        };
+        let intra = self.same_node(target);
+        self.ledger.transfer(self.id, target, routed, intra, false);
+        self.ledger.comm.msgs_sent += 1;
+        self.ledger.comm.bytes_sent += wire as u64;
         self.bump_activity();
-        self.record_comm(SpanKind::Rpc, "frame", target, wire, t0, ready_at);
-        if let (Some(plan), Some(ctr)) = (&plan, ctr) {
-            if plan.duplicates_frame(self.id, ctr) {
-                self.shared
-                    .stats
-                    .rpcs_duplicated
-                    .fetch_add(1, Ordering::Relaxed);
-                let dup = func.clone();
-                // The ghost frame arrives strictly later, as a straggler.
-                self.shared.rpc_queues[target].push(RpcMsg {
-                    ready_at: ready_at + plan.delay_secs.max(1.0e-6),
-                    wire,
-                    func: Box::new(dup),
-                });
-            }
+        if let Some((name, t0)) = span {
+            self.record_comm(SpanKind::Rpc, name, target, wire, t0, ready_at);
         }
-        self.shared.rpc_queues[target].push(RpcMsg {
+        let queue = &self.shared.rpc_queues[target];
+        if let Some((ghost, lag)) = ghost {
+            self.ledger.totals.rpcs_duplicated += 1;
+            let ready_at = ready_at + lag;
+            queue.push(RpcMsg {
+                ready_at,
+                wire,
+                func: ghost,
+            });
+        }
+        queue.push(RpcMsg {
             ready_at,
             wire,
-            func: Box::new(func),
+            func,
         });
+        true
     }
 
     /// Execute every queued incoming RPC (in virtual-arrival order) and
@@ -739,10 +676,11 @@ impl Rank {
         // Deterministic in lockstep mode (the turnstile makes queue
         // contents a pure function of the schedule).
         let wire: u64 = msgs.iter().map(|m| m.wire as u64).sum();
-        self.comm.inflight_msgs = n as u64;
-        self.comm.inflight_bytes = wire;
-        self.comm.delivered_msgs += n as u64;
-        self.comm.delivered_bytes += wire;
+        let comm = &mut self.ledger.comm;
+        comm.inflight_msgs = n as u64;
+        comm.inflight_bytes = wire;
+        comm.delivered_msgs += n as u64;
+        comm.delivered_bytes += wire;
         self.bump_activity();
         let t0 = self.clock;
         for m in msgs {

@@ -4,7 +4,7 @@ use crate::faults::FaultPlan;
 use crate::netmodel::NetModel;
 use crate::rank::{Rank, RpcMsg};
 use crate::segment::SegmentTable;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::{Ledger, StatsSnapshot};
 use crate::sync::SegQueue;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
@@ -167,7 +167,6 @@ pub(crate) struct Shared {
     pub config: PgasConfig,
     pub tables: Vec<SegmentTable>,
     pub rpc_queues: Vec<SegQueue<RpcMsg>>,
-    pub stats: Stats,
     pub barrier: Barrier,
     /// Double-buffered max-clock cells for the barrier's virtual-time
     /// agreement (f64 bits; non-negative floats order correctly as u64).
@@ -227,7 +226,6 @@ impl Runtime {
                 .map(|_| SegmentTable::new(config.device_quota))
                 .collect(),
             rpc_queues: (0..n).map(|_| SegQueue::new()).collect(),
-            stats: Stats::for_ranks(n),
             barrier: Barrier::new(n),
             clock_max: [AtomicU64::new(0), AtomicU64::new(0)],
             activity: AtomicU64::new(0),
@@ -236,8 +234,7 @@ impl Runtime {
             nic_busy: (0..n).map(|_| AtomicU64::new(0)).collect(),
             config,
         });
-        let mut slots: Vec<Option<(R, f64)>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
+        let (outs, ledgers): (Vec<(R, f64)>, Vec<Ledger>) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|id| {
                     let shared = Arc::clone(&shared);
@@ -249,32 +246,29 @@ impl Runtime {
                         let mut rank = Rank::new(id, Arc::clone(&shared));
                         let r = f(&mut rank);
                         let clock = rank.now();
+                        let ledger = std::mem::take(&mut rank.ledger);
                         drop(rank);
                         if let Some(ts) = &shared.turnstile {
                             ts.retire(id);
                         }
-                        (r, clock)
+                        ((r, clock), ledger)
                     })
                 })
                 .collect();
-            for (id, h) in handles.into_iter().enumerate() {
-                slots[id] = Some(h.join().expect("rank panicked"));
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank panicked"))
+                .unzip()
         });
-        let mut results = Vec::with_capacity(n);
-        let mut final_clocks = Vec::with_capacity(n);
-        for s in slots {
-            let (r, c) = s.expect("all ranks joined");
-            results.push(r);
-            final_clocks.push(c);
-        }
+        let (results, final_clocks): (_, Vec<f64>) = outs.into_iter().unzip();
         let makespan = final_clocks.iter().copied().fold(0.0, f64::max);
+        let (stats, comm) = Ledger::sum(&ledgers, n);
         RunReport {
             results,
             makespan,
             final_clocks,
-            stats: shared.stats.snapshot(),
-            comm: shared.stats.snapshot_matrix(),
+            stats,
+            comm,
         }
     }
 }

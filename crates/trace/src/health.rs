@@ -288,7 +288,8 @@ impl Watchdog {
     /// count. Raises one `Stalled` event per idle episode once the count
     /// reaches `stall_idle_polls` — strictly below the engine's own
     /// quiescence-abort threshold, so the diagnosis precedes the abort.
-    pub fn observe_idle(&mut self, now: f64, idle_polls: u64, subject: &str) {
+    /// `subject` is rendered only when that event is pushed.
+    pub fn observe_idle(&mut self, now: f64, idle_polls: u64, subject: impl std::fmt::Display) {
         if idle_polls == 0 {
             self.idle_stalled = false;
             return;

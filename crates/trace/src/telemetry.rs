@@ -778,11 +778,9 @@ impl SloTracker {
 
 // ----- typed instrument bundles -----
 
-/// A deterministic per-rank view of the comm layer, maintained by the pgas
-/// `Rank` itself (single-threaded writes, so lockstep runs reproduce it
-/// bit-for-bit — unlike the global atomic `Stats`, which other ranks race
-/// on). `inflight_*` are the queue depth/bytes observed at the most recent
-/// inbox drain.
+/// A deterministic per-rank view of the comm layer: the pgas rank's own
+/// ledger (single-threaded writes, so lockstep runs reproduce it bit for
+/// bit). `inflight_*` are the queue depth/bytes at the last inbox drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommSample {
     /// RPC messages this rank sent (all flavors).
