@@ -453,12 +453,8 @@ pub fn try_factor_and_solve_with<E: Engine, G: FactorGraph<Key = E::Key>>(
                 // both triangles) to the local clock.
                 rank.advance(2.0 * ap.nnz_full() as f64 / 4.0e9);
                 let d = ctx.solve_rank(rank, &out.store, &rp, 1, false);
-                // Same rank, same plan: the pieces line up one to one.
-                for ((_, x), (_, dx)) in s.x.iter_mut().zip(d.x) {
-                    for (xi, di) in x.iter_mut().zip(dx) {
-                        *xi += di;
-                    }
-                }
+                // Same rank, same plan: the arenas line up one to one.
+                s.x.add(&d.x);
                 s.elapsed += d.elapsed + (rank.now() - t0 - d.elapsed).max(0.0);
                 s.error = d.error;
             }

@@ -517,10 +517,6 @@ impl<G> SolvePlan<G> {
     }
 }
 
-/// The `(supernode, w × nrhs column-major panel)` pieces of a solution one
-/// rank owns after a triangular solve, ascending supernode.
-pub type XPieces = Vec<(usize, Vec<f64>)>;
-
 /// What one rank hands back from a distributed phase — the single per-rank
 /// result of every entry point (one-shot driver of every family, plan layer). A
 /// phase fills in the half it ran: a factorization the factor fields, a
@@ -542,7 +538,7 @@ pub(crate) struct RankOut {
     /// BLR kernel counters of the factorization.
     pub blr: BlrCounters,
     /// One `(virtual solve time, owned pieces)` entry per solved panel.
-    pub solves: Vec<(f64, XPieces)>,
+    pub solves: Vec<(f64, trisolve::XArena)>,
     /// Task timeline: engine spans, then solve spans, then — appended by
     /// [`RankOut::finish`] — comm spans and health markers.
     pub trace: Vec<TraceEvent>,
@@ -658,10 +654,10 @@ pub(crate) fn assemble(
         .map(|k| {
             let mut xp = vec![0.0; n * nrhs];
             let mut solve_time = 0.0f64;
-            for (elapsed, pieces) in outs.iter().map(|o| &o.solves[k]) {
+            for (elapsed, x) in outs.iter().map(|o| &o.solves[k]) {
                 solve_time = solve_time.max(*elapsed);
-                for (sn, panel) in pieces {
-                    let first = sf.partition.first_col(*sn);
+                for (sn, panel) in x.pieces() {
+                    let first = sf.partition.first_col(sn);
                     let w = panel.len() / nrhs;
                     for c in 0..nrhs {
                         xp[c * n + first..][..w].copy_from_slice(&panel[c * w..][..w]);
@@ -1182,7 +1178,7 @@ mod tests {
                     abort: &Arc::new(AtomicBool::new(false)),
                 };
                 let solve = ctx.solve_rank(rank, &stores[rank.id()], &bp, nrhs, false);
-                (solve.error, solve.x.len())
+                (solve.error, solve.x.pieces().count())
             });
             for (rank, result) in run.results.into_iter().enumerate() {
                 match result {

@@ -30,9 +30,8 @@
 //! factorization uses — over a task graph compiled once per plan
 //! ([`SolveTasks`]).
 
-use crate::plan::XPieces;
 use crate::sched::{self, RtqPolicy, TaskEngine, TaskId, TaskKind};
-use crate::solve_tasks::SolveTasks;
+use crate::solve_tasks::{BlockOp, SolveTasks};
 use crate::storage::{Block, BlockStore};
 use crate::SolverError;
 use std::sync::atomic::AtomicBool;
@@ -40,7 +39,7 @@ use std::sync::Arc;
 use sympack_dense::panel::{
     gemm_nn_acc_raw, gemm_tn_acc_raw, trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw,
 };
-use sympack_dense::Mat;
+use sympack_dense::{KernelConfig, Mat};
 use sympack_gpu::{KernelEngine, Op};
 use sympack_pgas::Rank;
 use sympack_symbolic::SymbolicFactor;
@@ -152,6 +151,9 @@ impl TaskKind for SolveKey {
 /// panels of `nrhs` columns. `by` is the producing task (its sweep is the
 /// message's, its label the profiler's dependency edge); `panel`/`diag` are
 /// the receiver's own indices ([`Dest::idx`](crate::solve_tasks::Dest)).
+/// A block's contribution carries its product only when it crosses ranks:
+/// a local one carries the block's slot, and the receiver forms the product
+/// where it folds it in.
 pub enum SolveMsg {
     /// `Y_j` / `X_j` (`w × nrhs`) is solved and fans out to the owners of
     /// the blocks that multiply it. `data` carries it from a remote owner —
@@ -172,6 +174,10 @@ pub enum SolveMsg {
         rows: (u32, u32),
         vals: Vec<f64>,
     },
+    /// The contribution of this rank's block in slot `slot` to a diagonal
+    /// this rank owns: `handle` forms the product from the arena into the
+    /// engine's reusable buffer and folds it in, nothing travels.
+    Fold { by: SolveKey, slot: u32 },
 }
 
 /// Per-rank solve engine; installed as rank user state during the solve.
@@ -189,6 +195,10 @@ pub struct SolveEngine {
     arena: [Vec<f64>; 2],
     /// The gathered `X_i` rows of the running backward GEMV.
     xsub: Vec<f64>,
+    /// The product of a local contribution, formed where it is folded.
+    prod: Vec<f64>,
+    /// `rightᵀ·X` of a compressed block's factored product.
+    lr_tmp: Vec<f64>,
     /// Executed tasks per sweep; a sweep is done at one per owned block.
     done: [usize; 2],
     kernels: KernelEngine,
@@ -196,26 +206,40 @@ pub struct SolveEngine {
     msg_overhead: f64,
 }
 
-/// `op(B)·X` for a stored block `B` and an `nrhs`-column panel `X`
-/// (`op` = transpose when `trans`), in factored form when the block is
-/// stored compressed: `op(U·Vᵀ)·X = left·(rightᵀ·X)`. Returns the
-/// product panel and the kernel's modeled seconds.
+/// Modeled seconds of `op(B)·X` for a stored block `B` and an
+/// `nrhs`-column panel `X`: two flops per stored element per column, the
+/// elements of a compressed block being its factors' ([`block_times`]).
+fn block_secs(k: &KernelEngine, nrhs: usize, b: &Block) -> f64 {
+    let elements = match b {
+        Block::Dense(_) => b.rows() * b.cols(),
+        Block::LowRank(lr) => (b.rows() + b.cols()) * lr.rank(),
+    };
+    let loc = k.place(Op::Gemm, elements);
+    k.modeled_secs(Op::Gemm, loc, (2 * elements * nrhs) as u64)
+}
+
+/// `op(B)·X` for a stored block `B` and an `nrhs`-column panel `X` (`op` =
+/// transpose when `trans`) into `out`, zeroed to the product's shape first,
+/// in factored form when the block is stored compressed: `op(U·Vᵀ)·X =
+/// left·(rightᵀ·X)`, `rightᵀ·X` in `tmp`.
 fn block_times(
-    k: &KernelEngine,
+    cfg: &KernelConfig,
     nrhs: usize,
     b: &Block,
     trans: bool,
     x: &[f64],
-) -> (Vec<f64>, f64) {
-    let (m, w, cfg) = (b.rows(), b.cols(), &k.config);
-    let (out, inner) = if trans { (w, m) } else { (m, w) };
-    let mut v = vec![0.0; out * nrhs];
-    let (elements, flops) = match b {
+    out: &mut Vec<f64>,
+    tmp: &mut Vec<f64>,
+) {
+    let (m, w) = (b.rows(), b.cols());
+    let (len, inner) = if trans { (w, m) } else { (m, w) };
+    out.clear();
+    out.resize(len * nrhs, 0.0);
+    match b {
         Block::Dense(d) => {
             let gemm = [gemm_nn_acc_raw, gemm_tn_acc_raw][trans as usize];
             let (d, ld) = (d.as_slice(), d.ld());
-            gemm(cfg, &mut v, out, out, nrhs, d, ld, x, inner, inner);
-            (m * w, 2 * m * w * nrhs)
+            gemm(cfg, out, len, len, nrhs, d, ld, x, inner, inner);
         }
         Block::LowRank(lr) => {
             let r = lr.rank();
@@ -225,17 +249,15 @@ fn block_times(
                 (lr.u(), lr.v())
             };
             if r > 0 {
-                let mut t = vec![0.0; r * nrhs];
+                tmp.clear();
+                tmp.resize(r * nrhs, 0.0);
                 let (rs, rld) = (right.as_slice(), right.ld());
-                gemm_tn_acc_raw(cfg, &mut t, r, r, nrhs, rs, rld, x, inner, inner);
+                gemm_tn_acc_raw(cfg, tmp, r, r, nrhs, rs, rld, x, inner, inner);
                 let (ls, lld) = (left.as_slice(), left.ld());
-                gemm_nn_acc_raw(cfg, &mut v, out, out, nrhs, ls, lld, &t, r, r);
+                gemm_nn_acc_raw(cfg, out, len, len, nrhs, ls, lld, tmp, r, r);
             }
-            ((m + w) * r, 2 * r * (m + w) * nrhs)
         }
-    };
-    let loc = k.place(Op::Gemm, elements);
-    (v, k.modeled_secs(Op::Gemm, loc, flops as u64))
+    }
 }
 
 /// Route a message: local push or RPC with payload cost.
@@ -253,6 +275,7 @@ fn send(
     let bytes = match &msg {
         SolveMsg::Ready { data, .. } => data.as_ref().map_or(0, |d| d.len() * 8),
         SolveMsg::Contrib { rows, vals, .. } => (rows.1 as usize + vals.len()) * 8,
+        SolveMsg::Fold { .. } => unreachable!("a local contribution never crosses ranks"),
     };
     // Synchronization cost of the two-sided baseline's rendezvous
     // protocol: both sides block until the match completes, so the full
@@ -302,6 +325,8 @@ impl SolveEngine {
             nrhs,
             rt,
             xsub: Vec::new(),
+            prod: Vec::new(),
+            lr_tmp: Vec::new(),
             done: [0; 2],
             kernels,
             msg_overhead: params.msg_overhead,
@@ -320,9 +345,9 @@ impl SolveEngine {
     }
 
     /// Fold an incoming message into state and release dependent tasks.
-    fn handle(&mut self, rank: &mut Rank, msg: SolveMsg) {
+    fn handle(&mut self, rank: &mut Rank, store: &BlockStore, msg: SolveMsg) {
         let now = rank.now();
-        let (t, rt, nrhs) = (&*self.tasks, &mut self.rt, self.nrhs);
+        let (t, nrhs) = (&*self.tasks, self.nrhs);
         match msg {
             SolveMsg::Ready { by, panel, data } => {
                 let (s, p) = (by.sweep(), t.panels[panel as usize]);
@@ -330,7 +355,8 @@ impl SolveEngine {
                     self.arena[s][p.elems(nrhs)].copy_from_slice(&data);
                 }
                 for &slot in t.released_by(s, panel as usize) {
-                    rt.dec_from_id(2 * slot + s as TaskId, now, || by.trace_label());
+                    let id = 2 * slot + s as TaskId;
+                    self.rt.dec_from_id(id, now, || by.trace_label());
                 }
             }
             SolveMsg::Contrib {
@@ -338,42 +364,87 @@ impl SolveEngine {
                 diag,
                 rows,
                 vals,
-            } => {
-                let (s, p) = (by.sweep(), t.diag_panel(diag));
-                let acc = &mut self.arena[s][p.elems(nrhs)];
-                if let SolveKey::FwdGemv { j, .. } = by {
-                    let (first, m) = (self.sf.partition.first_col(p.sn), rows.1 as usize);
-                    let rows = &self.sf.patterns[j][rows.0 as usize..][..m];
-                    for (acc, vals) in acc.chunks_exact_mut(p.w).zip(vals.chunks_exact(m)) {
-                        for (&r, v) in rows.iter().zip(vals) {
-                            acc[r - first] -= v;
-                        }
-                    }
-                } else {
-                    for (a, v) in acc.iter_mut().zip(&vals) {
-                        *a -= v;
-                    }
-                }
-                rt.dec_from_id(2 * diag + s as TaskId, now, || by.trace_label());
+            } => self.fold(now, by, diag, rows, &vals),
+            SolveMsg::Fold { by, slot } => {
+                let op = t.ops[slot as usize];
+                let b = store.slot(slot as usize).expect("owned block stored");
+                let mut prod = std::mem::take(&mut self.prod);
+                let rows = self.product(b, op, by, &mut prod);
+                self.fold(now, by, op.to[by.sweep()].idx, rows, &prod);
+                self.prod = prod;
             }
         }
+    }
+
+    /// Subtract the product `vals` of task `by` from the accumulator of the
+    /// owned diagonal in slot `diag` — forward scattered through the block's
+    /// `rows` of `patterns[j]` — and release that diagonal's task.
+    fn fold(&mut self, now: f64, by: SolveKey, diag: u32, rows: (u32, u32), vals: &[f64]) {
+        let (s, p) = (by.sweep(), self.tasks.diag_panel(diag));
+        let acc = &mut self.arena[s][p.elems(self.nrhs)];
+        if let SolveKey::FwdGemv { j, .. } = by {
+            let (first, m) = (self.sf.partition.first_col(p.sn), rows.1 as usize);
+            let rows = &self.sf.patterns[j][rows.0 as usize..][..m];
+            for (acc, vals) in acc.chunks_exact_mut(p.w).zip(vals.chunks_exact(m)) {
+                for (&r, v) in rows.iter().zip(vals) {
+                    acc[r - first] -= v;
+                }
+            }
+        } else {
+            for (a, v) in acc.iter_mut().zip(vals) {
+                *a -= v;
+            }
+        }
+        self.rt
+            .dec_from_id(2 * diag + s as TaskId, now, || by.trace_label());
+    }
+
+    /// The product of the off-diagonal block `b` (operands `op`) that GEMV
+    /// `key` multiplies, into `out`: `B(i,j)·Y_j` forward, `B(i,j)ᵀ·X_i`
+    /// backward over the block's rows of `X_i`, gathered first. Returns the
+    /// `rows` its message carries: the block's `(row_offset, n_rows)` in
+    /// `patterns[j]` forward, none backward.
+    fn product(&mut self, b: &Block, op: BlockOp, key: SolveKey, out: &mut Vec<f64>) -> (u32, u32) {
+        let (SolveKey::FwdGemv { j, .. } | SolveKey::BwdGemv { j, .. }) = key else {
+            unreachable!("only a GEMV contributes");
+        };
+        let (s, nrhs) = (key.sweep(), self.nrhs);
+        let source = self.tasks.panels[op.panel[s] as usize];
+        let operand = &self.arena[s][source.elems(nrhs)];
+        let (operand, rows) = if s == 0 {
+            (operand, op.rows)
+        } else {
+            // Gather the block's rows of X_i into a dense m × nrhs
+            // sub-panel, then V = B(i,j)ᵀ · X_i[rows].
+            let first = self.sf.partition.first_col(source.sn);
+            let rows = &self.sf.patterns[j][op.rows.0 as usize..][..op.rows.1 as usize];
+            self.xsub.clear();
+            for xi in operand.chunks_exact(source.w) {
+                self.xsub.extend(rows.iter().map(|&r| xi[r - first]));
+            }
+            (&self.xsub[..], (0, 0))
+        };
+        let cfg = &self.kernels.config;
+        block_times(cfg, nrhs, b, s == 1, operand, out, &mut self.lr_tmp);
+        rows
     }
 
     /// Execute one picked task: the forward (even id) or backward (odd id)
     /// task of the owned block in slot `id / 2`.
     fn exec(&mut self, rank: &mut Rank, store: &BlockStore, id: TaskId, key: SolveKey) {
-        let (t, rt, nrhs) = (&*self.tasks, &mut self.rt, self.nrhs);
         let (slot, s) = (id as usize / 2, id as usize % 2);
-        let (op, b) = (t.ops[slot], store.slot(slot).expect("owned block stored"));
-        // The panel the task reads: Y_j forward, X_i backward — its own
-        // supernode's for a diagonal block.
-        let source = t.panels[op.panel[s] as usize];
+        let (op, b) = (
+            self.tasks.ops[slot],
+            store.slot(slot).expect("owned block stored"),
+        );
         match key {
             // Substitute supernode j in place (forward with L, backward with
             // Lᵀ) and fan the solved panel out to the owners of the blocks
             // that multiply it: B(i,j) forward, B(j,k) — every block whose
             // rows live in supernode j — backward.
             SolveKey::FwdDiag { .. } | SolveKey::BwdDiag { .. } => {
+                let (t, rt, nrhs) = (&*self.tasks, &mut self.rt, self.nrhs);
+                let source = t.panels[op.panel[s] as usize];
                 let (l, w, cfg) = (b.dense(), source.w, &self.kernels.config);
                 let solved = &mut self.arena[s][source.elems(nrhs)];
                 let trsm = [trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw][s];
@@ -393,31 +464,27 @@ impl SolveEngine {
                     send(rt, self.msg_overhead, rank, dest.rank as usize, msg);
                 }
             }
-            SolveKey::FwdGemv { j, .. } | SolveKey::BwdGemv { j, .. } => {
-                let operand = &self.arena[s][source.elems(nrhs)];
-                let (operand, rows) = if s == 0 {
-                    (operand, op.rows)
+            // Charge B(i,j)·Y_j / B(i,j)ᵀ·X_i here; form it here only when it
+            // crosses ranks — a local one is formed where it is folded.
+            SolveKey::FwdGemv { .. } | SolveKey::BwdGemv { .. } => {
+                let secs = block_secs(&self.kernels, self.nrhs, b);
+                self.rt.charge(rank, key, secs);
+                let to = op.to[s];
+                let msg = if to.rank as usize == rank.id() {
+                    let slot = slot as u32;
+                    SolveMsg::Fold { by: key, slot }
                 } else {
-                    // Gather the block's rows of X_i into a dense m × nrhs
-                    // sub-panel, then V = B(i,j)ᵀ · X_i[rows].
-                    let first = self.sf.partition.first_col(source.sn);
-                    let rows = &self.sf.patterns[j][op.rows.0 as usize..][..op.rows.1 as usize];
-                    self.xsub.clear();
-                    for xi in operand.chunks_exact(source.w) {
-                        self.xsub.extend(rows.iter().map(|&r| xi[r - first]));
+                    let mut vals = Vec::new();
+                    let rows = self.product(b, op, key, &mut vals);
+                    let (by, diag) = (key, to.idx);
+                    SolveMsg::Contrib {
+                        by,
+                        diag,
+                        rows,
+                        vals,
                     }
-                    (&self.xsub[..], (0, 0))
                 };
-                let (vals, secs) = block_times(&self.kernels, nrhs, b, s == 1, operand);
-                rt.charge(rank, key, secs);
-                let (by, diag) = (key, op.to[s].idx);
-                let msg = SolveMsg::Contrib {
-                    by,
-                    diag,
-                    rows,
-                    vals,
-                };
-                send(rt, self.msg_overhead, rank, op.to[s].rank as usize, msg);
+                send(&mut self.rt, self.msg_overhead, rank, to.rank as usize, msg);
             }
         }
     }
@@ -433,12 +500,43 @@ impl SolveEngine {
     }
 }
 
+/// The solution one rank owns after a triangular solve, read in place: its
+/// backward arena and the compiled tables that place each owned diagonal's
+/// `w × nrhs` panel in it.
+#[derive(Debug, Default)]
+pub struct XArena {
+    tasks: Arc<SolveTasks>,
+    arena: Vec<f64>,
+    nrhs: usize,
+}
+
+impl XArena {
+    /// `(supernode, w × nrhs column-major panel)` per owned diagonal,
+    /// ascending supernode; none when the solve never ran.
+    pub fn pieces(&self) -> impl Iterator<Item = (usize, &[f64])> + '_ {
+        self.tasks.diags.iter().map(|&slot| {
+            let p = self.tasks.diag_panel(slot);
+            (p.sn, &self.arena[p.elems(self.nrhs)])
+        })
+    }
+
+    /// Add the pieces of `dx`, a solve of the same rank under the same plan
+    /// (iterative refinement's correction), into these.
+    pub(crate) fn add(&mut self, dx: &XArena) {
+        for &slot in &self.tasks.diags {
+            let at = self.tasks.diag_panel(slot).elems(self.nrhs);
+            for (xi, di) in self.arena[at.clone()].iter_mut().zip(&dx.arena[at]) {
+                *xi += di;
+            }
+        }
+    }
+}
+
 /// What one rank gets back from a distributed solve.
 #[derive(Default)]
 pub struct SolveOutcome {
-    /// The solution pieces owned by this rank, straight from the arena: a
-    /// `w × nrhs` column-major panel per diagonal supernode.
-    pub x: XPieces,
+    /// The solution pieces owned by this rank, in the backward arena.
+    pub x: XArena,
     /// Virtual time spent in the solve.
     pub elapsed: f64,
     /// Solve-task timeline (empty unless [`SolveParams::trace`]).
@@ -499,16 +597,22 @@ pub fn solve_panel(
     if st.rt.error.is_none() && !st.rt.aborted() && !rank.job_aborted() {
         st.rt.debug_assert_completed();
     }
-    let piece = |&slot: &u32| {
-        let p = st.tasks.diag_panel(slot);
-        (p.sn, st.arena[1][p.elems(nrhs)].to_vec())
-    };
+    let SolveEngine {
+        tasks,
+        arena: [_, x],
+        mut rt,
+        ..
+    } = st;
     SolveOutcome {
-        x: st.tasks.diags.iter().map(piece).collect(),
+        x: XArena {
+            tasks,
+            arena: x,
+            nrhs,
+        },
         elapsed: rank.now() - start,
         trace: trace.unwrap_or_default(),
-        task_counts: st.rt.task_counts(),
-        error: st.rt.error.take(),
+        task_counts: rt.task_counts(),
+        error: rt.error.take(),
     }
 }
 
@@ -517,7 +621,7 @@ pub fn solve_panel(
 /// iterative refinement to form the residual). Messages are RPCs with
 /// payload cost, sent in supernode × destination order, one shared payload
 /// per piece; the result is identical on every rank.
-pub fn allgather_solution(rank: &mut Rank, sf: &SymbolicFactor, pieces: &XPieces) -> Vec<f64> {
+pub fn allgather_solution(rank: &mut Rank, sf: &SymbolicFactor, x: &XArena) -> Vec<f64> {
     struct Gather {
         xp: Vec<f64>,
         got: usize,
@@ -529,12 +633,12 @@ pub fn allgather_solution(rank: &mut Rank, sf: &SymbolicFactor, pieces: &XPieces
     let (me, n_ranks, ns) = (rank.id(), rank.n_ranks(), sf.n_supernodes());
     let (xp, got) = (vec![0.0; sf.n()], 0);
     let mut g = Gather { xp, got };
-    for (sn, piece) in pieces {
-        put(&mut g, sf.partition.first_col(*sn), piece);
+    for (sn, piece) in x.pieces() {
+        put(&mut g, sf.partition.first_col(sn), piece);
     }
     rank.set_state(g);
-    for (sn, piece) in pieces {
-        let (first, payload) = (sf.partition.first_col(*sn), Arc::<[f64]>::from(&piece[..]));
+    for (sn, piece) in x.pieces() {
+        let (first, payload) = (sf.partition.first_col(sn), Arc::<[f64]>::from(piece));
         for dest in (0..n_ranks).filter(|&d| d != me) {
             let payload = Arc::clone(&payload);
             rank.rpc_payload(dest, piece.len() * 8, move |r| {
@@ -556,8 +660,12 @@ fn run_sweep(rank: &mut Rank, st: SolveEngine, store: &BlockStore, s: usize) -> 
         st,
         |rank, st: &mut SolveEngine| {
             st.pump(rank, store);
-            for msg in st.rt.take_signals() {
-                st.handle(rank, msg);
+            let mut signals = st.rt.take_signals();
+            if !signals.is_empty() {
+                for msg in signals.drain(..) {
+                    st.handle(rank, store, msg);
+                }
+                st.rt.recycle_signals(signals);
             }
             st.pump(rank, store);
             st.done[s] == st.tasks.ops.len() || st.rt.aborted() || rank.job_aborted()

@@ -36,6 +36,10 @@
 //! correctly rounded `fma` where it does not — slow there, never different).
 //! Check what a build issues with
 //! `objdump -d --no-show-raw-insn <binary> | grep -A80 '<.*tile_avx512.*>:' | grep -E 'vfmadd|vmulpd|vaddpd'`.
+//!
+//! A product with a single column does not pack: `gemv` computes the same
+//! chain straight from the operands (the one-RHS solve's GEMVs), so it is
+//! bit for bit what this core would return for the call.
 
 use crate::config::KernelConfig;
 use crate::pack::{self, ApackFull, Operand};
@@ -251,6 +255,140 @@ simd_tile!(
     _mm512_fmadd_pd,
     _mm512_storeu_pd
 );
+
+/// Rows `rows` of one `kc` block of a one-column product, `C[i] ∓= Σ_p
+/// A(i, p0 + p)·b[p]`, eight independent chains at a time: each row's
+/// accumulator starts at `+0.0` and takes `fma(a, b, acc)` for `p`
+/// ascending, then one `C ∓=` — [`tile_portable`]'s chain for a tile with
+/// one valid column. `inline(always)` so each ISA's vector path compiles it
+/// with its own `fma`: the scalar instruction where the ISA has one, libm's
+/// on [`Isa::Portable`].
+#[inline(always)]
+fn gemv_rows(d: &mut Dest<'_>, rows: std::ops::Range<usize>, a: Operand<'_>, p0: usize, b: &[f64]) {
+    const G: usize = 8;
+    let kb = b.len();
+    let mut i0 = rows.start;
+    while i0 < rows.end {
+        let g = G.min(rows.end - i0);
+        let mut acc = [0.0; G];
+        match a {
+            Operand::Xk(a, lda) => {
+                for (p, &bp) in b.iter().enumerate() {
+                    let col = &a[(p0 + p) * lda + i0..][..g];
+                    for (acc, &ai) in acc.iter_mut().zip(col) {
+                        *acc = ai.mul_add(bp, *acc);
+                    }
+                }
+            }
+            Operand::Kx(a, lda) => {
+                // Rows past `g` repeat the last one and are never read.
+                let row = |r: usize| &a[(i0 + r.min(g - 1)) * lda + p0..][..kb];
+                let rows: [&[f64]; G] = std::array::from_fn(row);
+                for (p, &bp) in b.iter().enumerate() {
+                    for (acc, row) in acc.iter_mut().zip(&rows).take(g) {
+                        *acc = row[p].mul_add(bp, *acc);
+                    }
+                }
+            }
+        }
+        writeback(&acc, G, d, (i0, 0), (g, 1));
+        i0 += g;
+    }
+}
+
+/// Stamp out one SIMD instantiation of the vector path: a stored-as-is `A`
+/// ([`Operand::Xk`]) runs `4·lanes` rows per step as four vector chains
+/// (one `A` column slice per `p`, `b[p]` broadcast); the remaining rows, and
+/// a transposed `A` ([`Operand::Kx`]: a row's chain reads one stored column,
+/// so lanes across rows would be gathers), run through [`gemv_rows`]. Same
+/// chain per element as [`simd_tile!`]'s tiles.
+#[cfg(target_arch = "x86_64")]
+macro_rules! simd_gemv {
+    ($name:ident, $features:literal, $lanes:literal, $zero:ident,
+     $load:ident, $splat:ident, $fma:ident, $store:ident) => {
+        #[target_feature(enable = $features)]
+        fn $name(d: &mut Dest<'_>, m: usize, a: Operand<'_>, p0: usize, b: &[f64]) {
+            const R: usize = 4 * $lanes;
+            let Operand::Xk(a_xk, lda) = a else {
+                return gemv_rows(d, 0..m, a, p0, b);
+            };
+            let mut i0 = 0;
+            while i0 + R <= m {
+                let mut v = [$zero(); 4];
+                for (p, &bp) in b.iter().enumerate() {
+                    let col = &a_xk[(p0 + p) * lda + i0..][..R];
+                    let bp = $splat(bp);
+                    for (q, vq) in v.iter_mut().enumerate() {
+                        // SAFETY: `col` holds R = 4·lanes elements.
+                        let aq = unsafe { $load(col.as_ptr().add(q * $lanes)) };
+                        *vq = $fma(aq, bp, *vq);
+                    }
+                }
+                let mut acc = [0.0; R];
+                for (q, vq) in v.iter().enumerate() {
+                    // SAFETY: `acc` holds R = 4·lanes elements.
+                    unsafe { $store(acc.as_mut_ptr().add(q * $lanes), *vq) };
+                }
+                writeback(&acc, R, d, (i0, 0), (R, 1));
+                i0 += R;
+            }
+            gemv_rows(d, i0..m, a, p0, b);
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+simd_gemv!(
+    gemv_avx2,
+    "avx2,fma",
+    4,
+    _mm256_setzero_pd,
+    _mm256_loadu_pd,
+    _mm256_set1_pd,
+    _mm256_fmadd_pd,
+    _mm256_storeu_pd
+);
+#[cfg(target_arch = "x86_64")]
+simd_gemv!(
+    gemv_avx512,
+    "avx512f",
+    8,
+    _mm512_setzero_pd,
+    _mm512_loadu_pd,
+    _mm512_set1_pd,
+    _mm512_fmadd_pd,
+    _mm512_storeu_pd
+);
+
+/// The vector path: `C ∓= A·b` for one column `b` (`k` entries) and an
+/// `m × k` operand `a`, bit for bit what [`gemm_packed`] computes for the
+/// same call with `n = 1` — per `kc` block one chain from zero, `p`
+/// ascending, then one `C ∓= acc` — without packing `A` into strips that a
+/// register tile then sweeps with one valid column.
+pub(crate) fn gemv(
+    cfg: &KernelConfig,
+    mut d: Dest<'_>,
+    (m, k): (usize, usize),
+    a: Operand<'_>,
+    b: &[f64],
+) {
+    if m == 0 || k == 0 {
+        return;
+    }
+    let isa = cfg.isa();
+    for p0 in (0..k).step_by(cfg.kc) {
+        let b = &b[p0..p0 + cfg.kc.min(k - p0)];
+        match isa {
+            Isa::Portable => gemv_rows(&mut d, 0..m, a, p0, b),
+            // SAFETY (both arms): as in `macro_kernel`, `isa` only resolves
+            // to an ISA whose `available()` held.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => unsafe { gemv_avx2(&mut d, m, a, p0, b) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { gemv_avx512(&mut d, m, a, p0, b) },
+        }
+    }
+}
 
 /// Macro-kernel: sweep register tiles over one packed `(mb × kb)` A block ×
 /// `(kb × nb)` B block, updating `C` at offset `(i0, j0)`.

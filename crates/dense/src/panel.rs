@@ -18,12 +18,16 @@
 //! sweep for column sweep, so the single-vector solve path is unchanged.
 //!
 //! The blocked left TRSMs solve [`SB`]-column diagonal blocks; their
-//! off-diagonal updates run under the caller's [`KernelConfig`].
+//! off-diagonal updates run under the caller's [`KernelConfig`]. Past
+//! `pack_min_flops`, a product with one column (`nrhs = 1`) takes the
+//! vector path, which computes the packed core's chain without packing;
+//! wider ones take the packed core.
 
 use crate::config::KernelConfig;
 use crate::mat::Mat;
-use crate::microkernel::{gemm_packed, Dest};
+use crate::microkernel::{gemm_packed, gemv, Dest};
 use crate::pack::Operand;
+use std::cell::Cell;
 
 /// Solve-block width of the blocked left TRSMs. Problems with `n <= SB` run
 /// the original unblocked substitution sweep unchanged — the `nrhs = 1` case
@@ -32,6 +36,32 @@ use crate::pack::Operand;
 /// from blocking. Above it, 64 gives the rank-`SB` updates an inner dimension
 /// the packed core runs well at (the same width as [`crate::trsm::JB`]).
 pub const SB: usize = 64;
+
+thread_local! {
+    /// The blocked TRSMs' copy of already-solved rows, reused across calls
+    /// like the pack buffers (taken out for the call, put back after it).
+    static SOLVED_ROWS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// The engine of a product past `cfg.pack_min_flops`, in
+/// [`gemm_packed`]'s signature: [`by_shape`] in every kernel, the packed
+/// core alone where a test holds the vector path against it.
+type Core = fn(&KernelConfig, Dest<'_>, (usize, usize, usize), Operand<'_>, Operand<'_>);
+
+/// A one-column product takes the vector path ([`gemv`]), whose arithmetic
+/// is the packed core's; two or more columns are packed.
+fn by_shape(
+    cfg: &KernelConfig,
+    d: Dest<'_>,
+    (m, n, k): (usize, usize, usize),
+    a: Operand<'_>,
+    b: Operand<'_>,
+) {
+    match b {
+        Operand::Kx(b, _) if n == 1 => gemv(cfg, d, (m, k), a, &b[..k]),
+        _ => gemm_packed(cfg, d, (m, n, k), a, b),
+    }
+}
 
 /// Unblocked forward substitution sweep over rows `0..n` (the pre-blocking
 /// kernel, kept verbatim as the within-panel solve).
@@ -98,6 +128,22 @@ pub fn trsm_left_lower_notrans_raw(
     l: &[f64],
     ldl: usize,
 ) {
+    trsm_notrans(cfg, by_shape, b, ldb, n, nrhs, l, ldl);
+}
+
+/// [`trsm_left_lower_notrans_raw`] with its updates past the packing
+/// threshold on `core`.
+#[allow(clippy::too_many_arguments)] // the raw TRSM interface plus the core
+fn trsm_notrans(
+    cfg: &KernelConfig,
+    core: Core,
+    b: &mut [f64],
+    ldb: usize,
+    n: usize,
+    nrhs: usize,
+    l: &[f64],
+    ldl: usize,
+) {
     if n == 0 || nrhs == 0 {
         return;
     }
@@ -109,7 +155,7 @@ pub fn trsm_left_lower_notrans_raw(
     // interleaves solved (read) and trailing (written) rows, so the GEMM
     // operands cannot be split borrows of `b` itself. The copy is
     // O(SB · nrhs) per block — SB× below the update's flop count.
-    let mut ysolved: Vec<f64> = Vec::new();
+    let mut ysolved = SOLVED_ROWS.take();
     let mut c0 = 0;
     while c0 < n {
         let cb = SB.min(n - c0);
@@ -128,6 +174,7 @@ pub fn trsm_left_lower_notrans_raw(
             // B[c0+cb.., :] -= L[c0+cb.., c0..c0+cb] · Y[c0..c0+cb, :].
             gemm_nn_raw_impl(
                 cfg,
+                core,
                 &mut b[c0 + cb..],
                 ldb,
                 rows_below,
@@ -142,6 +189,7 @@ pub fn trsm_left_lower_notrans_raw(
         }
         c0 += cb;
     }
+    SOLVED_ROWS.set(ysolved);
 }
 
 /// Solve `Lᵀ · X = B` in place on raw column-major buffers under `cfg`.
@@ -160,6 +208,22 @@ pub fn trsm_left_lower_trans_raw(
     l: &[f64],
     ldl: usize,
 ) {
+    trsm_trans(cfg, by_shape, b, ldb, n, nrhs, l, ldl);
+}
+
+/// [`trsm_left_lower_trans_raw`] with its updates past the packing
+/// threshold on `core`.
+#[allow(clippy::too_many_arguments)] // the raw TRSM interface plus the core
+fn trsm_trans(
+    cfg: &KernelConfig,
+    core: Core,
+    b: &mut [f64],
+    ldb: usize,
+    n: usize,
+    nrhs: usize,
+    l: &[f64],
+    ldl: usize,
+) {
     if n == 0 || nrhs == 0 {
         return;
     }
@@ -169,7 +233,7 @@ pub fn trsm_left_lower_trans_raw(
     }
     // Scratch copy of the already-solved rows below the current block (same
     // borrow-splitting constraint as the notrans case).
-    let mut xsolved: Vec<f64> = Vec::new();
+    let mut xsolved = SOLVED_ROWS.take();
     let nblocks = n.div_ceil(SB);
     for blk in (0..nblocks).rev() {
         let c0 = blk * SB;
@@ -185,6 +249,7 @@ pub fn trsm_left_lower_trans_raw(
             // B[c0..c0+cb, :] -= L[c0+cb.., c0..c0+cb]ᵀ · X[c0+cb.., :].
             gemm_tn_raw_impl(
                 cfg,
+                core,
                 &mut b[c0..],
                 ldb,
                 cb,
@@ -200,15 +265,17 @@ pub fn trsm_left_lower_trans_raw(
         let lblock = &l[c0 * ldl + c0..];
         trsm_left_trans_unblocked(&mut b[c0..], ldb, cb, nrhs, lblock, ldl);
     }
+    SOLVED_ROWS.set(xsolved);
 }
 
-/// Shared `C ← C ± A · B` body: packed register-blocked core when the
-/// problem amortizes packing (per `cfg.pack_min_flops`), the direct loop
-/// nest otherwise. `sub` selects subtraction (used by the blocked forward
-/// solve's trailing update).
+/// Shared `C ← C ± A · B` body: `core` when the problem amortizes packing
+/// (per `cfg.pack_min_flops`), the direct loop nest otherwise. `sub`
+/// selects subtraction (used by the blocked forward solve's trailing
+/// update).
 #[allow(clippy::too_many_arguments)] // BLAS-style raw interface: (buffer, ld) per operand
 fn gemm_nn_raw_impl(
     cfg: &KernelConfig,
+    core: Core,
     c: &mut [f64],
     ldc: usize,
     m: usize,
@@ -231,7 +298,7 @@ fn gemm_nn_raw_impl(
             sub,
             lower: false,
         };
-        gemm_packed(cfg, d, (m, n, k), Operand::Xk(a, lda), Operand::Kx(b, ldb));
+        core(cfg, d, (m, n, k), Operand::Xk(a, lda), Operand::Kx(b, ldb));
         return;
     }
     // Small path. Negating `b` instead of branching on `sub` in the inner
@@ -257,6 +324,7 @@ fn gemm_nn_raw_impl(
 #[allow(clippy::too_many_arguments)] // BLAS-style raw interface: (buffer, ld) per operand
 fn gemm_tn_raw_impl(
     cfg: &KernelConfig,
+    core: Core,
     c: &mut [f64],
     ldc: usize,
     m: usize,
@@ -279,7 +347,7 @@ fn gemm_tn_raw_impl(
             sub,
             lower: false,
         };
-        gemm_packed(cfg, d, (m, n, k), Operand::Kx(a, lda), Operand::Kx(b, ldb));
+        core(cfg, d, (m, n, k), Operand::Kx(a, lda), Operand::Kx(b, ldb));
         return;
     }
     for j in 0..n {
@@ -318,7 +386,7 @@ pub fn gemm_nn_acc_raw(
     ldb: usize,
     k: usize,
 ) {
-    gemm_nn_raw_impl(cfg, c, ldc, m, n, a, lda, b, ldb, k, false);
+    gemm_nn_raw_impl(cfg, by_shape, c, ldc, m, n, a, lda, b, ldb, k, false);
 }
 
 /// Compute `C ← C + Aᵀ · B` on raw column-major buffers under `cfg`.
@@ -339,7 +407,7 @@ pub fn gemm_tn_acc_raw(
     ldb: usize,
     k: usize,
 ) {
-    gemm_tn_raw_impl(cfg, c, ldc, m, n, a, lda, b, ldb, k, false);
+    gemm_tn_raw_impl(cfg, by_shape, c, ldc, m, n, a, lda, b, ldb, k, false);
 }
 
 /// Matrix-level wrapper with an explicit config: `C ← C + A·B`.
@@ -393,7 +461,7 @@ pub fn gemm_tn_acc_cfg(cfg: &KernelConfig, c: &mut Mat, a: &Mat, b: &Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::tests::{edges, tiny_blocks};
+    use crate::config::tests::{edges, forced_isas, tiny_blocks};
     use crate::naive::potrf_ref;
 
     /// `L·Y = B` in place, through the raw kernel the solve phase calls.
@@ -580,6 +648,93 @@ mod tests {
                 *e += base;
             }
             assert!(c1.max_abs_diff(&expect) < 1e-9, "tn m={m} n={n} k={k}");
+        }
+    }
+
+    /// Every config the vector path must match the packed core under: each
+    /// ISA this machine has with the default blocking and with every call
+    /// past the packing threshold, plus cache blocks a few tiles wide.
+    fn identity_configs() -> Vec<KernelConfig> {
+        let forced = forced_isas().into_iter().map(|(cfg, _)| cfg);
+        let eager = |cfg: KernelConfig| {
+            let eager = KernelConfig {
+                pack_min_flops: 0,
+                ..cfg.clone()
+            };
+            [cfg, eager]
+        };
+        forced.flat_map(eager).chain([tiny_blocks()]).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_column_vector_path_is_bit_identical_to_the_packed_core() {
+        // C ± A·b and C ± Aᵀ·b through the dispatch every kernel uses, and
+        // through the packed core alone: rows across the SIMD row groups and
+        // the eight-row chains, k across the kc edges.
+        for cfg in identity_configs() {
+            let ks = edges(cfg.kc).into_iter().chain([1, 3]);
+            for (m, k) in [1, 5, 8, 17, 31, 33, 70, 131]
+                .into_iter()
+                .flat_map(|m| ks.clone().map(move |k| (m, k)))
+            {
+                let (lda_n, lda_t) = (m + 3, k + 2);
+                let a_n: Vec<f64> = (0..lda_n * k)
+                    .map(|v| ((v * 7 % 23) as f64 - 11.0) / 7.0)
+                    .collect();
+                let a_t: Vec<f64> = (0..lda_t * m)
+                    .map(|v| ((v * 5 % 19) as f64 - 9.0) / 3.0)
+                    .collect();
+                let b: Vec<f64> = (0..k).map(|p| ((p * 11 % 17) as f64 - 8.0) / 9.0).collect();
+                let c0: Vec<f64> = (0..m).map(|i| (i % 13) as f64 * 0.37 - 2.0).collect();
+                for sub in [false, true] {
+                    let run = |core: Core, trans: bool| {
+                        let mut c = c0.clone();
+                        if trans {
+                            gemm_tn_raw_impl(
+                                &cfg, core, &mut c, m, m, 1, &a_t, lda_t, &b, k, k, sub,
+                            );
+                        } else {
+                            gemm_nn_raw_impl(
+                                &cfg, core, &mut c, m, m, 1, &a_n, lda_n, &b, k, k, sub,
+                            );
+                        }
+                        bits(&c)
+                    };
+                    for trans in [false, true] {
+                        let what = format!(
+                            "{:?} kc {} m {m} k {k} sub {sub} trans {trans}",
+                            cfg.isa, cfg.kc
+                        );
+                        assert_eq!(run(by_shape, trans), run(gemm_packed, trans), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_column_blocked_trsms_are_bit_identical_to_the_packed_core() {
+        // The blocked solves' updates of a single right-hand side take the
+        // vector path; across the SB edges they must not move a bit.
+        for cfg in identity_configs() {
+            for n in edges(SB).into_iter().chain([200]) {
+                let l = spd_factor(n);
+                let b0 = panel(n, 1);
+                let run = |core: Core, trans: bool| {
+                    let mut x = b0.as_slice().to_vec();
+                    let trsm = if trans { trsm_trans } else { trsm_notrans };
+                    trsm(&cfg, core, &mut x, n, n, 1, l.as_slice(), l.ld());
+                    bits(&x)
+                };
+                for trans in [false, true] {
+                    let what = format!("{:?} n {n} trans {trans}", cfg.isa);
+                    assert_eq!(run(by_shape, trans), run(gemm_packed, trans), "{what}");
+                }
+            }
         }
     }
 
