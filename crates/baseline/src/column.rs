@@ -2,7 +2,7 @@
 //! their schedules: factoring one supernode column, and the supernode-shaped
 //! buffer both ship — a factored panel, or an aggregate of updates.
 
-use sympack::sched::{self, TaskEngine, TaskKind};
+use sympack::sched::{self, Meta, Msg, TaskEngine, TaskKind};
 use sympack::storage::BlockStore;
 use sympack_dense::Mat;
 use sympack_gpu::KernelEngine;
@@ -12,12 +12,12 @@ use sympack_symbolic::SymbolicFactor;
 /// POTRF + all TRSMs of owned supernode `j`, each kernel charged to task
 /// `key`. Returns `false` on a failed pivot — the error is recorded, the
 /// job is aborting and the store is whole again.
-pub(crate) fn factor_column<K: TaskKind, S: Send + 'static>(
+pub(crate) fn factor_column<K: TaskKind, S: Send + 'static, Mt: Meta>(
     rt: &mut TaskEngine<K, S>,
     kernels: &mut KernelEngine,
     store: &mut BlockStore,
     sf: &SymbolicFactor,
-    rank: &mut Rank,
+    rank: &mut Rank<Msg<Mt>>,
     key: K,
     j: usize,
 ) -> bool {

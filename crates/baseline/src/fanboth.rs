@@ -28,20 +28,20 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
 use sympack::plan::{EngineFamily, EngineParts, FactorGraph};
-use sympack::sched::{self, Core, Engine, Graph, TaskId};
+use sympack::sched::{self, Core, Engine, Graph, RankOf, TaskId};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{SolveReport, SolverError, SolverOptions, TaskKey};
 use sympack_dense::{BlockRef, Mat};
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{Payload, Rank};
+use sympack_pgas::Payload;
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 
 /// The `meta` of a fan-both message: which block the payload is, and
 /// whether it is a factor or an aggregate of updates to it.
 #[derive(Debug, Clone, Copy)]
-enum Msg {
+enum FbMeta {
     /// The factored block `L(i,j)` (`rows × cols`, dense).
     Factor {
         i: usize,
@@ -58,11 +58,11 @@ enum Msg {
     },
 }
 
-impl sched::Meta for Msg {
+impl sched::Meta for FbMeta {
     fn describe(&self) -> String {
         match self {
-            Msg::Factor { i, j, .. } => format!("factored block L({i},{j})"),
-            Msg::Aggregate { a, b, .. } => format!("aggregate update for block ({a},{b})"),
+            FbMeta::Factor { i, j, .. } => format!("factored block L({i},{j})"),
+            FbMeta::Aggregate { a, b, .. } => format!("aggregate update for block ({a},{b})"),
         }
     }
 }
@@ -169,7 +169,7 @@ impl FactorGraph for FbGraph {
     }
 }
 
-/// Per-rank fan-both engine, installed as the rank's user state.
+/// Per-rank fan-both engine; the factor loop delivers its signals.
 struct FbEngine {
     sf: Arc<SymbolicFactor>,
     grid: ProcGrid,
@@ -177,7 +177,7 @@ struct FbEngine {
     /// Owned blocks; a factored one lives here and nowhere else.
     store: BlockStore,
     kernels: KernelEngine,
-    core: Core<TaskKey, Msg>,
+    core: Core<TaskKey, FbMeta>,
     /// Fetched factored blocks of other ranks.
     inputs: HashMap<(usize, usize), Mat>,
     /// Aggregation buffers per target block.
@@ -253,20 +253,20 @@ impl FbEngine {
     /// `(t,j)`, `t ≥ i`, down its grid column — the compute ranks of the
     /// updates (or, for a diagonal factor, the panel solves) that use it —
     /// and release this rank's own consumers.
-    fn publish_factor(&mut self, rank: &mut Rank, mut blk: Mat, i: usize, j: usize) {
+    fn publish_factor(&mut self, rank: &mut RankOf<Self>, mut blk: Mat, i: usize, j: usize) {
         let below = self.sf.layout.blocks_of(j).iter();
         let below = below.filter(|bb| bb.target >= i);
         let dests = distinct_owners(below.map(|bb| self.grid.map(bb.target, j)));
         let (rows, cols) = (blk.rows(), blk.cols());
-        let meta = Msg::Factor { i, j, rows, cols };
+        let meta = FbMeta::Factor { i, j, rows, cols };
         self.core
             .comm
-            .publish::<Self>(rank, blk.share(), None, &dests, meta);
+            .publish(rank, blk.share(), None, &dests, meta);
         self.store.put((i, j), blk);
         self.release_consumers(i, j, rank.now());
     }
 
-    fn exec_diag(&mut self, rank: &mut Rank, j: usize) {
+    fn exec_diag(&mut self, rank: &mut RankOf<Self>, j: usize) {
         let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
         let first = self.sf.partition.first_col(j);
         let rt = &mut self.core.rt;
@@ -278,7 +278,7 @@ impl FbEngine {
         self.publish_factor(rank, diag, j, j);
     }
 
-    fn exec_panel(&mut self, rank: &mut Rank, i: usize, j: usize) {
+    fn exec_panel(&mut self, rank: &mut RankOf<Self>, i: usize, j: usize) {
         let mut blk = self.store.take((i, j)).expect("panel owned").into_dense();
         let ldiag = factored(&self.store, &self.inputs, (j, j));
         let (_, secs) = self.kernels.trsm(&mut blk, ldiag);
@@ -288,7 +288,7 @@ impl FbEngine {
 
     /// Run one update product into the aggregation buffer for `(a, b)`; ship
     /// or absorb the buffer once this rank's last contribution lands.
-    fn exec_update(&mut self, rank: &mut Rank, j: usize, a: usize, b: usize) {
+    fn exec_update(&mut self, rank: &mut RankOf<Self>, j: usize, a: usize, b: usize) {
         let sf = &self.sf;
         let find = |i, j| sf.layout.find(i, j).expect("block exists");
         let w = sf.partition.width(b);
@@ -321,26 +321,26 @@ impl FbEngine {
             self.absorb(a, b, &buf, rank.now());
         } else {
             let (rows, cols) = (buf.rows(), buf.cols());
-            let meta = Msg::Aggregate { a, b, rows, cols };
+            let meta = FbMeta::Aggregate { a, b, rows, cols };
             self.core
                 .comm
-                .publish::<Self>(rank, buf.into_vec(), None, &[owner], meta);
+                .publish(rank, buf.into_vec(), None, &[owner], meta);
         }
     }
 }
 
 impl Engine for FbEngine {
     type Key = TaskKey;
-    type Meta = Msg;
+    type Meta = FbMeta;
 
     const STALL_DETAIL: &'static str = "fan-both factorization quiesced with unfinished tasks \
                                         (dropped factor or aggregate suspected)";
 
-    fn core(&mut self) -> &mut Core<TaskKey, Msg> {
+    fn core(&mut self) -> &mut Core<TaskKey, FbMeta> {
         &mut self.core
     }
 
-    fn exec(&mut self, rank: &mut Rank, _id: sched::TaskId, key: TaskKey) {
+    fn exec(&mut self, rank: &mut RankOf<Self>, _id: sched::TaskId, key: TaskKey) {
         match key {
             TaskKey::Diag { j } => self.exec_diag(rank, j),
             TaskKey::Panel { i, j } => self.exec_panel(rank, i, j),
@@ -350,15 +350,15 @@ impl Engine for FbEngine {
 
     /// Fan-both does not track transfer completion times (its tasks start
     /// whenever picked), so the fetch `ready_at` is ignored.
-    fn on_data(&mut self, rank: &mut Rank, meta: Msg, data: Payload, _ready_at: f64) {
+    fn on_data(&mut self, rank: &mut RankOf<Self>, meta: FbMeta, data: Payload, _ready_at: f64) {
         let now = rank.now();
         match meta {
-            Msg::Factor { i, j, rows, cols } => {
+            FbMeta::Factor { i, j, rows, cols } => {
                 self.inputs
                     .insert((i, j), Mat::from_shared(rows, cols, data));
                 self.release_consumers(i, j, now);
             }
-            Msg::Aggregate { a, b, rows, cols } => {
+            FbMeta::Aggregate { a, b, rows, cols } => {
                 self.absorb(a, b, &Mat::from_shared(rows, cols, data), now);
             }
         }

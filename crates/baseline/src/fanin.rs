@@ -23,12 +23,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
 use sympack::plan::{EngineFamily, EngineParts, FactorGraph};
-use sympack::sched::{self, Core, Engine, Graph, TaskKind};
+use sympack::sched::{self, Core, Engine, Graph, RankOf, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{SolveReport, SolverError, SolverOptions};
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{Payload, Rank};
+use sympack_pgas::Payload;
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 use sympack_trace::TraceCat;
@@ -120,7 +120,7 @@ impl FactorGraph for FiGraph {
     }
 }
 
-/// Per-rank fan-in engine, installed as the rank's user state.
+/// Per-rank fan-in engine; the factor loop delivers its signals.
 struct FiEngine {
     sf: Arc<SymbolicFactor>,
     store: BlockStore,
@@ -154,7 +154,7 @@ impl FiEngine {
     /// Apply the update pairs of factored supernode `j` into either the
     /// local store (owned targets) or the aggregation buffers (remote
     /// targets).
-    fn scatter_updates(&mut self, rank: &mut Rank, key: FiKey) {
+    fn scatter_updates(&mut self, rank: &mut RankOf<Self>, key: FiKey) {
         let (j, sf) = (key.j, &self.sf);
         let col = sf.layout.blocks_of(j);
         for (bi, bb) in col.iter().enumerate() {
@@ -215,7 +215,7 @@ impl Engine for FiEngine {
     /// Factor supernode `j` and fan its updates in: owned targets are
     /// updated in place, remote targets accumulate into aggregation buffers
     /// shipped once the last local contribution lands.
-    fn exec(&mut self, rank: &mut Rank, _id: sched::TaskId, key: FiKey) {
+    fn exec(&mut self, rank: &mut RankOf<Self>, _id: sched::TaskId, key: FiKey) {
         let (j, sf) = (key.j, &self.sf);
         let rt = &mut self.core.rt;
         if !factor_column(rt, &mut self.kernels, &mut self.store, sf, rank, key, j) {
@@ -237,16 +237,14 @@ impl Engine for FiEngine {
                 // once.
                 let packed = self.aggs.remove(&b).expect("aggregate exists").pack();
                 let meta = AggMeta { target: b };
-                self.core
-                    .comm
-                    .publish::<Self>(rank, packed, None, &[owner], meta);
+                self.core.comm.publish(rank, packed, None, &[owner], meta);
             }
         }
     }
 
     /// An aggregate arrived (a blocking two-sided receive): fold it into the
     /// owned target and release its factor task.
-    fn on_data(&mut self, _rank: &mut Rank, meta: AggMeta, data: Payload, ready_at: f64) {
+    fn on_data(&mut self, _rank: &mut RankOf<Self>, meta: AggMeta, data: Payload, ready_at: f64) {
         let b = meta.target;
         ColumnBuf::unpack(&self.sf, b, &data).add_into(&self.sf, &mut self.store, b);
         self.core.rt.dec_id(owned_id(b, self.p), ready_at);

@@ -12,13 +12,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use sympack::map2d::{distinct_owners, ProcGrid};
 use sympack::plan::{EngineFamily, EngineParts, FactorGraph};
-use sympack::sched::{self, Core, Engine, Graph, TaskId, TaskKind};
+use sympack::sched::{self, Core, Engine, Graph, RankOf, TaskId, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::update::{apply_update, UpdateScratch};
 use sympack::{MultiSolveReport, SolveReport, SolverError, SolverOptions};
 use sympack_dense::BlockRef;
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{Payload, Rank};
+use sympack_pgas::Payload;
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 use sympack_trace::TraceCat;
@@ -151,7 +151,7 @@ impl FactorGraph for RlGraph {
     }
 }
 
-/// Per-rank right-looking engine, installed as the rank's user state.
+/// Per-rank right-looking engine; the factor loop delivers its signals.
 struct RlEngine {
     sf: Arc<SymbolicFactor>,
     graph: Arc<RlGraph>,
@@ -185,7 +185,7 @@ impl RlEngine {
 
     /// POTRF + TRSMs of supernode `j`, then broadcast the whole panel to
     /// every rank owning a target (self included, without communication).
-    fn exec_factor(&mut self, rank: &mut Rank, j: usize) {
+    fn exec_factor(&mut self, rank: &mut RankOf<Self>, j: usize) {
         let (key, sf) = (RlKey::Factor { j }, &self.sf);
         let rt = &mut self.core.rt;
         if !factor_column(rt, &mut self.kernels, &mut self.store, sf, rank, key, j) {
@@ -200,7 +200,7 @@ impl RlEngine {
         let meta = PanelMeta { j };
         self.core
             .comm
-            .publish::<Self>(rank, Payload::clone(&packed), None, &dests, meta);
+            .publish(rank, Payload::clone(&packed), None, &dests, meta);
         if dests.contains(&self.me) {
             // Self-application without communication.
             let now = rank.now();
@@ -210,7 +210,7 @@ impl RlEngine {
 
     /// Apply every update from panel `j` into this rank's supernodes and
     /// release the owned factor tasks whose last input this was.
-    fn exec_apply(&mut self, rank: &mut Rank, j: usize) {
+    fn exec_apply(&mut self, rank: &mut RankOf<Self>, j: usize) {
         let (key, sf) = (RlKey::Apply { j }, &self.sf);
         let panel = self.inputs.remove(&j).expect("panel present");
         let col = sf.layout.blocks_of(j);
@@ -259,7 +259,7 @@ impl Engine for RlEngine {
         &mut self.core
     }
 
-    fn exec(&mut self, rank: &mut Rank, _id: sched::TaskId, key: RlKey) {
+    fn exec(&mut self, rank: &mut RankOf<Self>, _id: sched::TaskId, key: RlKey) {
         match key {
             RlKey::Factor { j } => self.exec_factor(rank, j),
             RlKey::Apply { j } => self.exec_apply(rank, j),
@@ -268,7 +268,7 @@ impl Engine for RlEngine {
 
     /// A panel arrived (a blocking two-sided receive): keep it for its
     /// apply task.
-    fn on_data(&mut self, _rank: &mut Rank, meta: PanelMeta, data: Payload, ready_at: f64) {
+    fn on_data(&mut self, _rank: &mut RankOf<Self>, meta: PanelMeta, data: Payload, ready_at: f64) {
         let j = meta.j;
         self.inputs.insert(j, ColumnBuf::unpack(&self.sf, j, &data));
         self.core.rt.dec_id(self.graph.apply_id[j], ready_at);

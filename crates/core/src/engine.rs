@@ -4,14 +4,14 @@
 //! [`crate::sched::TaskEngine`].
 
 use crate::plan::EngineParts;
-use crate::sched::{self, Core, TaskId, TaskKind, Wall};
+use crate::sched::{self, Core, RankOf, TaskId, TaskKind, Wall};
 use crate::storage::{Block, BlockStore};
 use crate::taskgraph::{BlockId, LocalTasks, RtqPolicy, TaskKey, TaskOps};
 use crate::update::{apply_update, UpdateScratch};
 use std::sync::Arc;
 use sympack_dense::{LowRankMat, Mat};
 use sympack_gpu::KernelEngine;
-use sympack_pgas::{Payload, Rank};
+use sympack_pgas::Payload;
 use sympack_symbolic::SymbolicFactor;
 
 /// Sentinel rank meaning "dense payload" on the signal wire.
@@ -45,8 +45,7 @@ impl sched::Meta for BlockMeta {
     }
 }
 
-/// Per-rank factorization engine. Installed as the rank's user state so the
-/// RPC `signal` closures can reach it.
+/// Per-rank factorization engine; the factor loop delivers its signals.
 pub struct FactoEngine {
     sf: Arc<SymbolicFactor>,
     /// This rank's compiled task-graph slice, shared with the plan: task
@@ -156,7 +155,7 @@ impl FactoEngine {
     /// rows·cols), store it and release its local consumers. A dense block
     /// is frozen, not copied: the store, the shared-heap segment and every
     /// consumer's input are the one buffer.
-    fn publish_factored(&mut self, rank: &mut Rank, blk: BlockId, mut data: Block) {
+    fn publish_factored(&mut self, rank: &mut RankOf<Self>, blk: BlockId, mut data: Block) {
         let dests = self.graph.dests_of(blk);
         if !dests.is_empty() {
             let (i, j) = self.graph.blocks[blk as usize];
@@ -175,7 +174,7 @@ impl FactoEngine {
             self.core.rt.wall.lap(Wall::Bookkeeping);
             self.core
                 .comm
-                .publish::<Self>(rank, payload, lr_dense_equiv, dests, meta);
+                .publish(rank, payload, lr_dense_equiv, dests, meta);
             self.core.rt.wall.lap(Wall::Publish);
         }
         let now = rank.now();
@@ -184,7 +183,7 @@ impl FactoEngine {
         self.release_consumers(blk, bytes, now);
     }
 
-    fn exec_diag(&mut self, rank: &mut Rank, key: TaskKey, j: usize, ops: TaskOps) {
+    fn exec_diag(&mut self, rank: &mut RankOf<Self>, key: TaskKey, j: usize, ops: TaskOps) {
         let mut m = self
             .store
             .take_slot(ops.target as usize)
@@ -203,7 +202,7 @@ impl FactoEngine {
         self.publish_factored(rank, ops.target, Block::Dense(m));
     }
 
-    fn exec_panel(&mut self, rank: &mut Rank, key: TaskKey, ops: TaskOps) {
+    fn exec_panel(&mut self, rank: &mut RankOf<Self>, key: TaskKey, ops: TaskOps) {
         let mut b = self
             .store
             .take_slot(ops.target as usize)
@@ -235,7 +234,7 @@ impl FactoEngine {
 
     /// `U(a,j,b)` into the owned target block, which is taken out of the
     /// store for the duration (the operands are borrowed from it).
-    fn exec_update(&mut self, rank: &mut Rank, key: TaskKey, ops: TaskOps) {
+    fn exec_update(&mut self, rank: &mut RankOf<Self>, key: TaskKey, ops: TaskOps) {
         let (graph, sf) = (&self.graph, &self.sf);
         let mut target = self
             .store
@@ -279,7 +278,7 @@ impl sched::Engine for FactoEngine {
         &mut self.core
     }
 
-    fn exec(&mut self, rank: &mut Rank, id: TaskId, key: TaskKey) {
+    fn exec(&mut self, rank: &mut RankOf<Self>, id: TaskId, key: TaskKey) {
         let ops = self.graph.ops[id as usize];
         match key {
             TaskKey::Diag { j } => self.exec_diag(rank, key, j, ops),
@@ -291,7 +290,7 @@ impl sched::Engine for FactoEngine {
     /// A fanned-out block arrived: a dense one is its owner's buffer, wrapped
     /// (compressed panels stay compressed: the update kernels consume them
     /// in factored form).
-    fn on_data(&mut self, _rank: &mut Rank, s: BlockMeta, data: Payload, ready_at: f64) {
+    fn on_data(&mut self, _rank: &mut RankOf<Self>, s: BlockMeta, data: Payload, ready_at: f64) {
         let blk = if s.lr_rank == DENSE_WIRE {
             Block::Dense(Mat::from_shared(s.rows, s.cols, data))
         } else {
@@ -369,7 +368,7 @@ mod tests {
                 let plan = SolvePlan::new(a, &opts);
                 let ap = plan.permute(a);
                 let abort = Arc::new(AtomicBool::new(false));
-                let run = Runtime::run(plan.pgas_config(), |rank| {
+                let run = Runtime::spmd(plan.pgas_config(), |rank| {
                     let (me, abort) = (rank.id(), Arc::clone(&abort));
                     let engine = FAN_OUT.build(&plan, &ap, me, make_kernels(&opts), abort);
                     let (engine, _) = sched::run_to_completion(rank, engine);

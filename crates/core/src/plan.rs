@@ -46,7 +46,7 @@
 use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
 use crate::sched::{
-    self, CommLayer, Core, Engine, FetchConfig, FetchMode, Graph, LoopWall, PublishStats,
+    self, CommLayer, Core, Engine, FetchConfig, FetchMode, Graph, LoopWall, PublishStats, RankOf,
     TaskEngine, TaskKind,
 };
 use crate::solve_tasks::SolveTasks;
@@ -501,7 +501,7 @@ impl<G> SolvePlan<G> {
     }
 
     /// PGAS runtime configuration for one distributed phase under this plan
-    /// (fresh per phase: `Runtime::run` consumes it).
+    /// (fresh per phase: `Runtime::spmd` consumes it).
     pub fn pgas_config(&self) -> PgasConfig {
         let mut config = PgasConfig::multi_node(self.opts.n_nodes, self.opts.ranks_per_node);
         config.net = self.opts.net.clone();
@@ -557,7 +557,7 @@ pub(crate) struct RankOut {
 /// drain spans for the profile) under `trace`, the health watchdog under
 /// `telemetry` — it rides the rank, so it sees the idle polls of every
 /// phase of the region. [`RankOut::finish`] collects both.
-pub(crate) fn observe(rank: &mut Rank, trace: bool, telemetry: bool) {
+pub(crate) fn observe<M>(rank: &mut Rank<M>, trace: bool, telemetry: bool) {
     if trace {
         rank.set_tracer(Tracer::new());
     }
@@ -570,7 +570,7 @@ impl RankOut {
     /// True when the region must skip its remaining collective phases: this
     /// rank failed, or another did. The abort is sticky and job-wide, so
     /// every rank takes the same exit and the barriers stay aligned.
-    pub(crate) fn aborted(&self, rank: &Rank) -> bool {
+    pub(crate) fn aborted<M>(&self, rank: &Rank<M>) -> bool {
         self.error.is_some() || rank.job_aborted()
     }
 
@@ -588,7 +588,7 @@ impl RankOut {
 
     /// Collect what [`observe`] attached: the comm spans, and the
     /// watchdog's health events (mirrored into the timeline under `trace`).
-    pub(crate) fn finish(mut self, rank: &mut Rank, trace: bool) -> Self {
+    pub(crate) fn finish<M>(mut self, rank: &mut Rank<M>, trace: bool) -> Self {
         if let Some(tracer) = rank.take_tracer() {
             self.trace.extend(tracer.into_events());
         }
@@ -796,7 +796,7 @@ impl<E: Engine, G: FactorGraph<Key = E::Key>> RankCtx<'_, E, G> {
     /// ask for (task tracer; scheduler instruments, sampled on the virtual
     /// clock after every charged task), drive it through the one factor loop
     /// and collect the factorization half of the result.
-    pub(crate) fn factor_rank(&self, rank: &mut Rank, ap: &SparseSym) -> RankOut {
+    pub(crate) fn factor_rank(&self, rank: &mut RankOf<E>, ap: &SparseSym) -> RankOut {
         let (kernels, abort) = (self.kernels.clone(), Arc::clone(self.abort));
         let mut engine = self.family.build(self.plan, ap, rank.id(), kernels, abort);
         let rt = &mut engine.core().rt;
@@ -834,7 +834,7 @@ impl<E: Engine, G: FactorGraph<Key = E::Key>> RankCtx<'_, E, G> {
     /// blocks — the one solve body, paying the family's message overhead.
     pub(crate) fn solve_rank(
         &self,
-        rank: &mut Rank,
+        rank: &mut RankOf<E>,
         store: &BlockStore,
         bp: &[f64],
         nrhs: usize,
@@ -869,14 +869,14 @@ pub(crate) fn launch<E: Engine, G: FactorGraph>(
     plan: &SolvePlan<G>,
     family: &EngineFamily<E, G>,
     nrhs: usize,
-    body: impl Fn(&mut Rank, &RankCtx<'_, E, G>) -> RankOut + Sync,
+    body: impl Fn(&mut RankOf<E>, &RankCtx<'_, E, G>) -> RankOut + Sync,
 ) -> (Result<Assembled, SolverError>, Option<TelemetryReport>) {
     if let Err(e) = plan.validate() {
         return (Err(e), None);
     }
     let opts = &plan.opts;
     let abort = Arc::new(AtomicBool::new(false));
-    let run = Runtime::run(plan.pgas_config(), |rank| {
+    let run = Runtime::spmd(plan.pgas_config(), |rank| {
         observe(rank, opts.trace, opts.telemetry);
         let ctx = RankCtx {
             plan,
@@ -1134,7 +1134,7 @@ mod tests {
     fn a_clean_solve_pushed_after_a_failed_phase_keeps_the_error() {
         let a = laplacian_2d(4, 4);
         let plan = SolvePlan::new(&a, &SolverOptions::default());
-        let run = Runtime::run(plan.pgas_config(), |_| {
+        let run = Runtime::spmd(plan.pgas_config(), |_: &mut Rank<()>| {
             let mut out = RankOut {
                 error: Some(SolverError::NotPositiveDefinite { column: 3 }),
                 ..Default::default()
@@ -1170,7 +1170,7 @@ mod tests {
             (&nf.stores[..], vec![1.0; n + 1], 1, "rhs panel entries"),
             (&no_blocks[..], vec![1.0; n], 1, "factor store blocks"),
         ] {
-            let run = Runtime::run(plan.pgas_config(), |rank| {
+            let run = Runtime::spmd(plan.pgas_config(), |rank| {
                 let ctx = RankCtx {
                     plan: &plan,
                     family: &FAN_OUT,

@@ -8,18 +8,19 @@
 //! staged (the runtime owns `ptr`; the engine only names its `meta`) — counts the
 //! bytes ([`PublishStats`]), and signals the remote destinations — flat, or
 //! through a k-ary tree over node groups whose leaders re-host the block and
-//! relay it onward ([`BcastTopology::Tree`]). The delivery closure, the
-//! relay duty it may install and the re-host-and-forward that discharges
-//! the duty exist once, generic over the receiving [`Engine`]; no engine
-//! contains wire, relay or accounting code.
+//! relay it onward ([`BcastTopology::Tree`]). A signal is a value,
+//! [`Msg::Signal`]; the one delivery function ([`deliver`]) that puts it in
+//! the receiving engine's inbox, the relay duty it may carry and the
+//! re-host-and-forward that discharges the duty exist once, for every
+//! [`super::Engine`]; no engine contains wire, relay or accounting code.
 //!
 //! With coalescing on, signals bound for the same rank within a scheduling
-//! quantum are buffered and shipped as one framed message
-//! ([`Rank::rpc_frame`]) whose delivery runs every sub-signal's closure —
+//! quantum are buffered and shipped as one [`Msg::Frame`] over
+//! [`Wire::Frame`], each of whose signals is delivered like a flat one —
 //! inbox semantics are unchanged, only the wire pattern differs (one
 //! latency and one header per batch instead of per signal). Off (the
-//! default), every signal is its own [`Rank::rpc_signal`]. Flush triggers,
-//! in order of authority:
+//! default), every signal is its own [`Wire::Signal`] message. Flush
+//! triggers, in order of authority:
 //!
 //! * **size threshold** — pushing a sub that would overflow
 //!   [`CoalesceConfig::max_bytes`] (or reach `max_subs`) flushes immediately;
@@ -30,23 +31,18 @@
 //!   runs out of ready work, drains everything so a buffered signal can
 //!   never cause a false stall while the job waits on it.
 
-use super::{Engine, Signal};
-use std::collections::HashMap;
+use super::{Meta, Msg, Signal, TaskEngine, TaskKind};
 use std::sync::Arc;
 use sympack_pgas::coalesce::{
     plan_tree, Batch, BcastPlan, BcastTopology, CoalesceConfig, Coalescer, SIGNAL_WIRE_BYTES,
 };
-use sympack_pgas::{GlobalPtr, MemKind, Payload, Rank};
-
-/// A buffered sub-signal: the delivery closure that would have been the
-/// body of a flat `rpc_signal`.
-type SubSend = Box<dyn Fn(&mut Rank) + Send + Sync>;
+use sympack_pgas::{GlobalPtr, MemKind, Payload, Rank, Wire};
 
 /// A relay obligation: the rank holding it is the leader at tree position
 /// `pos` of `plan` and must forward the block (re-hosted locally) to its
 /// node members and child leaders once the data arrives.
-#[derive(Clone)]
-struct RelayDuty {
+#[derive(Debug, Clone)]
+pub struct RelayDuty {
     plan: Arc<BcastPlan>,
     pos: usize,
 }
@@ -86,27 +82,24 @@ impl PublishStats {
     }
 }
 
-/// The per-rank publication front-end an engine's [`super::Core`] carries.
-pub struct CommLayer {
-    /// Per-destination signal coalescing; `None` = one RPC per signal.
-    co: Option<Coalescer<SubSend>>,
+/// The per-rank publication front-end an engine's [`super::Core`] carries; `Mt` is
+/// the engine's [`Meta`].
+pub struct CommLayer<Mt> {
+    /// Per-destination signal coalescing; `None` = one message per signal.
+    co: Option<Coalescer<Signal<Mt>>>,
     /// Wire pattern of a publication: flat owner→targets, or a k-ary tree
     /// over node groups with leader relays.
     topology: BcastTopology,
-    /// Relay obligations keyed by the incoming signal's pointer, installed
-    /// at signal acceptance and discharged when the data arrives.
-    relays: HashMap<GlobalPtr, RelayDuty>,
     stats: PublishStats,
 }
 
-impl CommLayer {
+impl<Mt: Meta> CommLayer<Mt> {
     /// A layer publishing over `topology`, with coalescing on
     /// (`Some(config)`) or pass-through (`None`).
     pub fn new(coalesce: Option<CoalesceConfig>, topology: BcastTopology) -> Self {
         CommLayer {
             co: coalesce.map(Coalescer::new),
             topology,
-            relays: HashMap::new(),
             stats: PublishStats::default(),
         }
     }
@@ -120,8 +113,8 @@ impl CommLayer {
     /// listed, is skipped — its consumers read the data in place): expose
     /// the buffer in the shared heap as it is — a frozen block
     /// (`Mat::share`) or a `Vec` moved in, never a copy — and
-    /// `signal(ptr, meta)` every remote destination's engine `E`; what their
-    /// fetch hands to [`Engine::on_data`] is this same buffer.
+    /// `signal(ptr, meta)` every remote destination's engine; what their
+    /// fetch hands to [`super::Engine::on_data`] is this same buffer.
     /// `lr_dense_equiv` is `None` for a dense
     /// payload; for a compressed one it is the element count the same block
     /// would have had dense (every hop downstream moves, and is charged
@@ -131,13 +124,13 @@ impl CommLayer {
     /// node's consumers plus the first `arity` remote-node leaders; the
     /// leaders re-host and relay onward, so the publisher's NIC serves
     /// O(arity) remote pulls instead of O(targets).
-    pub fn publish<E: Engine>(
+    pub fn publish(
         &mut self,
-        rank: &mut Rank,
+        rank: &mut Rank<Msg<Mt>>,
         payload: impl Into<Payload>,
         lr_dense_equiv: Option<usize>,
         dests: &[usize],
-        meta: E::Meta,
+        meta: Mt,
     ) {
         let me = rank.id();
         if dests.iter().all(|&d| d == me) {
@@ -156,23 +149,20 @@ impl CommLayer {
                 self.stats.lr_dense_equiv_bytes += (elements * 8) as u64;
             }
         }
-        let sig = Signal {
-            ptr: host(rank, payload),
-            meta,
-        };
+        let ptr = host(rank, payload);
         match self.topology {
             BcastTopology::Flat => {
                 for &dest in dests.iter().filter(|&&d| d != me) {
-                    self.signal::<E>(rank, dest, sig, None);
+                    self.signal(rank, dest, ptr, meta, None);
                 }
             }
             BcastTopology::Tree { arity } => {
                 let plan = Arc::new(plan_tree(me, dests, arity, rank.ranks_per_node()));
                 for &dest in &plan.direct {
-                    self.signal::<E>(rank, dest, sig, None);
+                    self.signal(rank, dest, ptr, meta, None);
                 }
                 for pos in plan.root_children() {
-                    self.signal::<E>(rank, plan.leaders[pos], sig, Some((&plan, pos)));
+                    self.signal(rank, plan.leaders[pos], ptr, meta, Some((&plan, pos)));
                 }
             }
         }
@@ -185,64 +175,50 @@ impl CommLayer {
     /// plus its child leaders (who inherit relay duties of their own).
     /// Virtual-time honesty: the payload cannot leave this rank before it
     /// arrived, so the leader's clock first advances to `ready_at`.
-    pub(super) fn relay<E: Engine>(
+    pub(super) fn relay(
         &mut self,
-        rank: &mut Rank,
-        arrived: &Signal<E::Meta>,
+        rank: &mut Rank<Msg<Mt>>,
+        arrived: &Signal<Mt>,
         data: &Payload,
         ready_at: f64,
     ) {
-        let Some(RelayDuty { plan, pos }) = self.relays.remove(&arrived.ptr) else {
+        let Some(RelayDuty { plan, pos }) = &arrived.relay else {
             return;
         };
         rank.advance_to(ready_at);
-        let sig = Signal {
-            ptr: host(rank, Payload::clone(data)),
-            meta: arrived.meta,
-        };
-        for &dest in &plan.members[pos] {
-            self.signal::<E>(rank, dest, sig, None);
+        let (ptr, meta) = (host(rank, Payload::clone(data)), arrived.meta);
+        for &dest in &plan.members[*pos] {
+            self.signal(rank, dest, ptr, meta, None);
         }
-        for child in plan.children_of(pos) {
-            self.signal::<E>(rank, plan.leaders[child], sig, Some((&plan, child)));
+        for child in plan.children_of(*pos) {
+            self.signal(rank, plan.leaders[child], ptr, meta, Some((plan, child)));
         }
     }
 
     /// Ship one `signal(ptr, meta)` toward `dest`'s engine, through the
-    /// coalescer when it is on. Signals ride the droppable/duplicable RPC
-    /// path: the receiving inbox deduplicates by pointer, the stall detector
-    /// diagnoses drops, and delivery uses `try_with_state` because a
-    /// straggling duplicate may land after the engine is torn down. With
-    /// `leader_of = Some((plan, pos))`, `dest` is the leader at tree position
-    /// `pos` and is also assigned the duty to relay onward — installed only
-    /// on first acceptance, so fault-injected duplicates never relay twice.
-    fn signal<E: Engine>(
+    /// coalescer when it is on. Signals ride the droppable/duplicable wire:
+    /// the receiving inbox deduplicates by pointer ([`deliver`]) and the
+    /// stall detector diagnoses drops. With `leader_of = Some((plan, pos))`,
+    /// `dest` is the leader at tree position `pos` and is also assigned the
+    /// duty to relay onward.
+    fn signal(
         &mut self,
-        rank: &mut Rank,
+        rank: &mut Rank<Msg<Mt>>,
         dest: usize,
-        sig: Signal<E::Meta>,
+        ptr: GlobalPtr,
+        meta: Mt,
         leader_of: Option<(&Arc<BcastPlan>, usize)>,
     ) {
-        let duty = leader_of.map(|(plan, pos)| RelayDuty {
+        let relay = leader_of.map(|(plan, pos)| RelayDuty {
             plan: Arc::clone(plan),
             pos,
         });
-        let deliver = move |target: &mut Rank| {
-            target.try_with_state::<E, _>(|_, engine| {
-                let core = engine.core();
-                if core.rt.post_unique(sig) {
-                    if let Some(duty) = &duty {
-                        core.comm.relays.insert(sig.ptr, duty.clone());
-                    }
-                }
-            });
-        };
+        let sig = Signal { ptr, meta, relay };
         match &mut self.co {
-            None => rank.rpc_signal(dest, deliver),
+            None => rank.send(dest, Msg::Signal(sig), Wire::Signal),
             Some(co) => {
                 let now = rank.now();
-                let sub = Box::new(deliver) as SubSend;
-                if let Some(batch) = co.push(dest, SIGNAL_WIRE_BYTES, sub, now) {
+                if let Some(batch) = co.push(dest, SIGNAL_WIRE_BYTES, sig, now) {
                     dispatch(rank, batch);
                 }
             }
@@ -251,7 +227,7 @@ impl CommLayer {
 
     /// Flush destinations whose quantum has expired at the rank's current
     /// virtual time. Called once per engine step.
-    pub(super) fn tick(&mut self, rank: &mut Rank) {
+    pub(super) fn tick(&mut self, rank: &mut Rank<Msg<Mt>>) {
         if let Some(co) = &mut self.co {
             let now = rank.now();
             for batch in co.take_expired(now) {
@@ -261,7 +237,7 @@ impl CommLayer {
     }
 
     /// Flush everything (engine idle / out of ready work).
-    pub(super) fn flush_all(&mut self, rank: &mut Rank) {
+    pub(super) fn flush_all(&mut self, rank: &mut Rank<Msg<Mt>>) {
         if let Some(co) = &mut self.co {
             for batch in co.take_all() {
                 dispatch(rank, batch);
@@ -270,24 +246,34 @@ impl CommLayer {
     }
 }
 
+/// Deliver one message to the factorization's inbox, the one way a signal
+/// reaches it: each signal is accepted on first delivery only, with its
+/// relay duty, so a duplicate never relays twice. Nothing else is this
+/// phase's (the abort changes nothing here).
+pub(super) fn deliver<K: TaskKind, Mt: Meta>(rt: &mut TaskEngine<K, Signal<Mt>>, msg: Msg<Mt>) {
+    match msg {
+        Msg::Signal(sig) => {
+            rt.post_unique(sig);
+        }
+        Msg::Frame(sigs) => {
+            for sig in sigs {
+                rt.post_unique(sig);
+            }
+        }
+        Msg::Solve(..) | Msg::Piece(..) | Msg::Abort => {}
+    }
+}
+
 /// Expose `payload` in this rank's shared heap for consumers to fetch.
-fn host(rank: &mut Rank, payload: Payload) -> GlobalPtr {
+fn host<M>(rank: &mut Rank<M>, payload: Payload) -> GlobalPtr {
     rank.alloc_from(MemKind::Host, payload)
         .expect("host allocation cannot fail")
 }
 
-/// Ship one flushed batch as a single framed message. The frame closure
-/// holds the sub-closures behind an `Arc` so fault-injected duplication
-/// (which clones the closure) replays the whole batch — each sub must be
-/// idempotent, which the signal inbox's pointer dedup guarantees.
-fn dispatch(rank: &mut Rank, batch: Batch<SubSend>) {
-    let dest = batch.dest;
-    let wire = batch.wire_bytes;
-    let subs: Arc<Vec<SubSend>> = Arc::new(batch.subs.into_iter().map(|(_, f)| f).collect());
-    let n = subs.len();
-    rank.rpc_frame(dest, wire, n, move |r| {
-        for f in subs.iter() {
-            f(r);
-        }
-    });
+/// Ship one flushed batch as a single frame. A fault-injected duplicate
+/// replays every signal in it, which the inbox's pointer dedup absorbs.
+fn dispatch<Mt: Meta>(rank: &mut Rank<Msg<Mt>>, batch: Batch<Signal<Mt>>) {
+    let (bytes, subs) = (batch.wire_bytes, batch.subs.len());
+    let sigs = batch.subs.into_iter().map(|(_, sig)| sig).collect();
+    rank.send(batch.dest, Msg::Frame(sigs), Wire::Frame { bytes, subs });
 }

@@ -3,12 +3,12 @@
 //! [`Graph`], the compiled task table every engine is built from.
 
 use super::queue::{ReadyQueue, RtqPolicy};
-use super::{Signal, TaskKind};
+use super::{Meta, Msg, Signal, TaskKind};
 use crate::SolverError;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use sympack_pgas::{GlobalPtr, Rank};
+use sympack_pgas::{GlobalPtr, Rank, Wire};
 use sympack_trace::{SpanKind, TraceEvent, Tracer};
 
 /// Dense, rank-local index of a task in its engine's LTQ arrays.
@@ -74,7 +74,7 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     /// Per-task urgency consulted by [`RtqPolicy::CommAware`]; empty until
     /// [`set_urgency`](Self::set_urgency) records one (absent ⇒ 0).
     urgency: Vec<u64>,
-    /// Notifications delivered by RPC but not yet turned into gets.
+    /// Notifications delivered by message but not yet turned into gets.
     inbox: Vec<S>,
     /// The emptied buffer of the previous [`take_signals`](Self::take_signals),
     /// swapped back in by the next: the inbox ping-pongs between two
@@ -232,7 +232,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// enclosing `pick`, the producer edge, and the queue-depth / resident-
     /// bytes gauges sampled at this task boundary. `key` is the picked
     /// task's.
-    pub fn charge(&mut self, rank: &mut Rank, key: K, secs: f64) {
+    pub fn charge<M>(&mut self, rank: &mut Rank<M>, key: K, secs: f64) {
         let picked = self.picked as usize;
         debug_assert_eq!(
             self.keys[picked], key,
@@ -336,23 +336,23 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         self.abort.load(Ordering::Relaxed)
     }
 
-    /// Record an error and broadcast the abort to every rank. The RPC
-    /// closures capture the shared abort flag directly, so the broadcast is
-    /// independent of the concrete engine type installed at the target.
-    pub fn fail(&mut self, rank: &mut Rank, err: SolverError) {
+    /// Record an error and abort the job: set this engine's abort flag and
+    /// the job-wide one ([`Rank::signal_abort`]), which every rank's loop
+    /// observes — also where engines hold per-rank flags (the solve's) —
+    /// and which fault injection cannot drop. Then broadcast
+    /// [`Msg::Abort`] on the reliable wire: it changes nothing at its
+    /// receivers and is sent for the latency, fault draws and ledger counts
+    /// of an abort broadcast.
+    pub fn fail<Mt: Meta>(&mut self, rank: &mut Rank<Msg<Mt>>, err: SolverError) {
         if self.error.is_none() {
             self.error = Some(err);
         }
         self.abort.store(true, Ordering::SeqCst);
-        // Job-level abort: reaches every rank even when engines hold
-        // per-rank abort flags, and cannot itself be dropped by fault
-        // injection (it is not a signal).
         rank.signal_abort();
         let n = rank.n_ranks();
         let me = rank.id();
         for r in (0..n).filter(|&r| r != me) {
-            let flag = Arc::clone(&self.abort);
-            rank.rpc(r, move |_| flag.store(true, Ordering::SeqCst));
+            rank.send(r, Msg::Abort, Wire::Bare);
         }
     }
 
@@ -360,7 +360,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// [`SolverError::Stalled`] with the progress so far and `detail` (what
     /// was most likely dropped), and abort the job — the one stall failure
     /// of every event loop.
-    pub(crate) fn fail_stalled(&mut self, rank: &mut Rank, detail: &str) {
+    pub(crate) fn fail_stalled<Mt: Meta>(&mut self, rank: &mut Rank<Msg<Mt>>, detail: &str) {
         let stalled = SolverError::Stalled {
             rank: rank.id(),
             done: self.done,
@@ -370,7 +370,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         self.fail(rank, stalled);
     }
 
-    /// Queue an incoming signal (called from RPC closures).
+    /// Queue an incoming signal (called by the loop's message router).
     pub fn post(&mut self, signal: S) {
         self.inbox.push(signal);
     }
@@ -523,7 +523,11 @@ mod tests {
             len: 4,
             kind: sympack_pgas::MemKind::Host,
         };
-        Signal { ptr, meta: () }
+        Signal {
+            ptr,
+            meta: (),
+            relay: None,
+        }
     }
 
     #[test]

@@ -69,8 +69,8 @@ const FETCH_BACKOFF_BASE: f64 = 10.0e-6;
 /// fetch retries with bounded exponential backoff (charged to the virtual
 /// clock) and surfaces [`SolverError::FetchTimeout`] when the budget runs
 /// out — the caller routes that into the abort broadcast.
-pub fn fetch(
-    rank: &mut Rank,
+pub fn fetch<M>(
+    rank: &mut Rank<M>,
     ptr: &GlobalPtr,
     cfg: &FetchConfig,
 ) -> Result<(Payload, f64), SolverError> {

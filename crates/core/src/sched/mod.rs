@@ -6,7 +6,7 @@
 //! (right-looking, fan-in, fan-both) — are event-driven loops with the same
 //! skeleton (paper Figs. 3–4):
 //!
-//! 1. poll the runtime for incoming RPCs,
+//! 1. poll the runtime for incoming messages ([`Msg`]),
 //! 2. resolve queued `signal(ptr, meta)` notifications into data movement
 //!    (one-sided `rget`, or a direct device copy for GPU-bound blocks),
 //! 3. decrement dependency counters and move tasks whose counter reaches
@@ -19,8 +19,9 @@
 //! This module owns everything in that skeleton that is not the algorithm,
 //! once:
 //!
-//! * **the loop** — `run_event_loop` polls, detects quiescence and calls
-//!   the one stall failure (`TaskEngine::fail_stalled`); the factorization
+//! * **the loop** — `run_event_loop` drains the rank's messages ([`Msg`])
+//!   into the caller's router, detects quiescence and calls the one stall
+//!   failure (`TaskEngine::fail_stalled`); the factorization
 //!   ([`run_to_completion`]) and both solve sweeps run on it;
 //! * **the step** — [`step`]: take the queued signals, fetch each (a failure
 //!   aborts the job with the signal's [`Meta::describe`]), discharge a relay
@@ -32,7 +33,7 @@
 //!   and telemetry hooks;
 //! * **the publication layer** — [`CommLayer`]: shared-heap allocation,
 //!   byte accounting ([`PublishStats`]), flat or tree topology with leader
-//!   relays, per-destination coalescing, the delivery closure.
+//!   relays, per-destination coalescing, signal delivery.
 //!
 //! # The engine contract
 //!
@@ -50,17 +51,17 @@
 //! with a 30-line toy engine).
 //!
 //! The runtime owns `ptr`, the engine owns `meta`: an engine never sees a
-//! global pointer, a relay or a wire closure. Baseline-specific costs (the
+//! global pointer, a relay or a wire. Baseline-specific costs (the
 //! per-task runtime overhead a classical solver pays, the rendezvous charge
 //! of two-sided receives) are runtime *parameters*
 //! ([`TaskEngine::set_task_overhead`], [`FetchMode::Blocking`] from the
 //! family's `rendezvous`), not per-engine code.
 //!
 //! The solve engine shares the loop, the scheduling core and the stall
-//! failure, but not the fetch/publish contract: its messages are RPCs that
-//! carry their payloads eagerly, so there is nothing to fetch and nothing
-//! to host — bending [`Engine`] to cover them would make the shared step
-//! branch on its caller.
+//! failure, but not the fetch/publish contract: its messages
+//! ([`Msg::Solve`]) carry their payloads eagerly, so there is nothing to
+//! fetch and nothing to host — bending [`Engine`] to cover them would make
+//! the shared step branch on its caller.
 
 mod comm;
 mod engine;
@@ -68,14 +69,16 @@ mod fetch;
 mod queue;
 mod wall;
 
-pub use comm::{CommLayer, PublishStats};
+pub use comm::{CommLayer, PublishStats, RelayDuty};
 pub use engine::{Graph, TaskEngine, TaskId};
 pub use fetch::{FetchConfig, FetchMode};
 pub use queue::{ReadyQueue, RtqPolicy};
 pub use wall::{LoopWall, Wall, WallClock};
 
 use crate::storage::BlockStore;
+use crate::trisolve::SolveMsg;
 use crate::SolverError;
+use std::sync::Arc;
 use sympack_dense::{DenseError, Mat};
 use sympack_gpu::KernelEngine;
 use sympack_pgas::{GlobalPtr, Payload, Rank};
@@ -113,16 +116,39 @@ pub trait Meta: Copy + Send + Sync + 'static {
     fn describe(&self) -> String;
 }
 
-/// A `signal(ptr, meta)` notification queued by an incoming RPC (paper
-/// Fig. 4, steps 3–4): the runtime's pointer to the published payload plus
-/// the engine's metadata.
-#[derive(Debug, Clone, Copy)]
+/// A `signal(ptr, meta)` notification (paper Fig. 4, steps 3–4): the
+/// runtime's pointer to the published payload plus the engine's metadata.
+#[derive(Debug, Clone)]
 pub struct Signal<M> {
     /// Shared-heap location of the advertised payload.
     pub ptr: GlobalPtr,
     /// What the payload is, in the publishing engine's terms.
     pub meta: M,
+    /// A broadcast-tree leader's duty to forward the payload once it is here.
+    pub relay: Option<RelayDuty>,
 }
+
+/// Everything a solver region (factorization, solves, all-gather) sends, as
+/// values; `Mt` is the factorization engine's [`Meta`]. Each loop routes its
+/// phase's variants and drops the rest (a duplicate signal, in the solve).
+#[derive(Clone)]
+pub enum Msg<Mt> {
+    /// A `signal(ptr, meta)`, with its relay duty.
+    Signal(Signal<Mt>),
+    /// Signals coalesced into one wire message.
+    Frame(Vec<Signal<Mt>>),
+    /// A solve message, and the rendezvous its receiver pays on delivery.
+    Solve(SolveMsg, f64),
+    /// An all-gather piece: its first (permuted) row and its values.
+    Piece(usize, Arc<[f64]>),
+    /// The abort broadcast: it changes nothing at its receiver — the
+    /// job-wide flag ([`Rank::signal_abort`]) ends every loop — and is sent
+    /// for its latency, its fault draw and its ledger count.
+    Abort,
+}
+
+/// The rank handle of the region factorization engine `E` runs in.
+pub type RankOf<E> = Rank<Msg<<E as Engine>::Meta>>;
 
 /// Why a polling loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +166,7 @@ enum LoopExit {
 /// declares a stall. In deterministic lockstep mode every idle poll hands
 /// the turn around the whole rotation, so a short window is conclusive; in
 /// free-running mode the window must out-wait OS scheduling noise.
-fn stall_threshold(rank: &Rank) -> Option<u64> {
+fn stall_threshold<M>(rank: &Rank<M>) -> Option<u64> {
     if rank.deterministic() {
         Some(64)
     } else if rank.faults_active() {
@@ -153,36 +179,24 @@ fn stall_threshold(rank: &Rank) -> Option<u64> {
     }
 }
 
-/// The event loop every engine runs: poll the runtime, let the engine work,
-/// stop when it reports completion. `body` returns `true` when the engine
-/// is finished (all owned tasks done, or the job aborted).
-///
-/// The engine must already be installed as the rank's user state (so RPC
-/// closures can reach it).
-pub(crate) fn poll_until<E, F>(rank: &mut Rank, body: F)
-where
-    E: Send + 'static,
-    F: FnMut(&mut Rank, &mut E) -> bool,
-{
-    let exit = poll_until_or_stall::<E, F>(rank, body);
-    debug_assert_eq!(exit, LoopExit::Finished, "unhandled stall");
-}
-
-/// Stall-aware [`poll_until`]: returns [`LoopExit::Stalled`] instead of
-/// spinning forever when the whole job has quiesced with unfinished work.
-fn poll_until_or_stall<E, F>(rank: &mut Rank, mut body: F) -> LoopExit
-where
-    E: Send + 'static,
-    F: FnMut(&mut Rank, &mut E) -> bool,
-{
+/// The event loop every engine runs: drain the rank's messages into
+/// `route`, let `body` work, stop when it reports completion (all owned
+/// tasks done, or the job aborted) — or return [`LoopExit::Stalled`]
+/// instead of spinning forever when the whole job has quiesced with
+/// unfinished work.
+fn poll_until_or_stall<M: Clone, S>(
+    rank: &mut Rank<M>,
+    state: &mut S,
+    route: &mut impl FnMut(&mut Rank<M>, &mut S, M),
+    body: &mut impl FnMut(&mut Rank<M>, &mut S) -> bool,
+) -> LoopExit {
     let threshold = stall_threshold(rank);
     let mut idle: u64 = 0;
     let mut last_activity = rank.global_activity();
     loop {
-        let executed = rank.progress();
+        let executed = rank.progress(|rank, msg| route(rank, state, msg));
         let clock_before = rank.now();
-        let finished = rank.with_state::<E, _>(|rank, st| body(rank, st));
-        if finished {
+        if body(rank, state) {
             return LoopExit::Finished;
         }
         let activity = rank.global_activity();
@@ -211,50 +225,44 @@ where
     }
 }
 
-/// Install `engine` as the rank's user state, poll with `body` until it
-/// reports completion, synchronize on a barrier, and hand the engine back —
-/// the one stall-aware event loop of the solver (the factorization and each
-/// solve sweep are one call).
+/// Poll with `route` and `body` until the engine reports completion, then
+/// synchronize on a barrier — the one stall-aware event loop of the solver
+/// (the factorization and each solve sweep are one call). The caller owns
+/// the engine; the loop lends it to the router and the body.
 ///
 /// When the quiescence detector diagnoses a stall, `on_stall` runs once per
 /// detection with the rank and engine; it is expected to record a
 /// [`crate::SolverError::Stalled`] and abort the job
 /// (`TaskEngine::fail_stalled`), which makes `body` report completion.
 /// The loop never hangs and never silently succeeds.
-pub(crate) fn run_event_loop<E, F, G>(rank: &mut Rank, engine: E, mut body: F, mut on_stall: G) -> E
-where
-    E: Send + 'static,
-    F: FnMut(&mut Rank, &mut E) -> bool,
-    G: FnMut(&mut Rank, &mut E),
-{
-    rank.set_state(engine);
+pub(crate) fn run_event_loop<M: Clone, E>(
+    rank: &mut Rank<M>,
+    engine: &mut E,
+    mut route: impl FnMut(&mut Rank<M>, &mut E, M),
+    mut body: impl FnMut(&mut Rank<M>, &mut E) -> bool,
+    mut on_stall: impl FnMut(&mut Rank<M>, &mut E),
+) {
     let mut stall_rounds = 0;
-    loop {
-        match poll_until_or_stall::<E, _>(rank, &mut body) {
-            LoopExit::Finished => break,
-            LoopExit::Stalled => {
-                stall_rounds += 1;
-                assert!(
-                    stall_rounds < 16,
-                    "stall handler failed to terminate the event loop"
-                );
-                rank.with_state::<E, _>(|rank, st| on_stall(rank, st));
-            }
-        }
+    while poll_until_or_stall(rank, engine, &mut route, &mut body) == LoopExit::Stalled {
+        stall_rounds += 1;
+        assert!(
+            stall_rounds < 16,
+            "stall handler failed to terminate the event loop"
+        );
+        on_stall(rank, engine);
     }
     rank.barrier();
-    rank.take_state::<E>()
 }
 
 /// The shared half of a factorization engine: its scheduling core, its
 /// publication layer and its fetch path. An engine embeds one and hands it
-/// out through [`Engine::core`]; [`step`] and the delivery closures of
+/// out through [`Engine::core`]; [`step`] and the signal delivery of
 /// [`CommLayer`] work on nothing else.
 pub struct Core<K: TaskKind, M: Meta> {
     /// LTQ, RTQ, signal inbox, abort, clock accounting, tracer, telemetry.
     pub rt: TaskEngine<K, Signal<M>>,
     /// Publication: shared-heap hosting, topology, coalescing, accounting.
-    pub comm: CommLayer,
+    pub comm: CommLayer<M>,
     /// Signal-resolution data path: host `rget`s, or direct device copies
     /// for blocks of at least `device_threshold` elements (§4.2).
     pub fetch: FetchConfig,
@@ -281,13 +289,13 @@ pub trait Engine: Sized + Send + 'static {
     /// ([`TaskEngine::charge`]), dependency decrements, publication. A
     /// numerical failure goes through [`TaskEngine::fail`], never a panic:
     /// the job-wide abort is what ends the loop on every other rank.
-    fn exec(&mut self, rank: &mut Rank, id: TaskId, key: Self::Key);
+    fn exec(&mut self, rank: &mut RankOf<Self>, id: TaskId, key: Self::Key);
 
     /// A payload this rank was signalled about has arrived: `data` — the
     /// very buffer the publisher handed to [`CommLayer::publish`], shared,
     /// not a copy — is valid from virtual time `ready_at`. Keep it (wrapping
     /// it costs no memory: `Mat::from_shared`) and release its consumers.
-    fn on_data(&mut self, rank: &mut Rank, meta: Self::Meta, data: Payload, ready_at: f64);
+    fn on_data(&mut self, rank: &mut RankOf<Self>, meta: Self::Meta, data: Payload, ready_at: f64);
 
     /// Hand back the factor blocks and the kernel executor (call counters).
     fn into_factor(self) -> (BlockStore, KernelEngine);
@@ -303,7 +311,7 @@ pub trait Engine: Sized + Send + 'static {
 /// frames flush as virtual time advances; when the rank has no ready work
 /// at all, everything buffered goes out, so a held-back signal can never
 /// starve the job into a false stall.
-pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
+pub fn step<E: Engine>(engine: &mut E, rank: &mut RankOf<E>) -> bool {
     let core = engine.core();
     let cfg = core.fetch;
     let mut signals = core.rt.take_signals();
@@ -312,7 +320,7 @@ pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
             match fetch::fetch(rank, &sig.ptr, &cfg) {
                 Ok((data, ready_at)) => {
                     let comm = &mut engine.core().comm;
-                    comm.relay::<E>(rank, &sig, &data, ready_at);
+                    comm.relay(rank, &sig, &data, ready_at);
                     engine.on_data(rank, sig.meta, data, ready_at);
                 }
                 Err(err) => {
@@ -347,10 +355,10 @@ pub fn step<E: Engine>(engine: &mut E, rank: &mut Rank) -> bool {
 /// [`SolverError::NotPositiveDefinite`] and raising the job-wide abort
 /// through [`TaskEngine::fail`]. The block is left as POTRF left it; the
 /// caller puts it back so the store stays whole.
-pub fn potrf_or_fail<K: TaskKind, S: Send + 'static>(
+pub fn potrf_or_fail<K: TaskKind, S: Send + 'static, Mt: Meta>(
     rt: &mut TaskEngine<K, S>,
     kernels: &mut KernelEngine,
-    rank: &mut Rank,
+    rank: &mut Rank<Msg<Mt>>,
     diag: &mut Mat,
     first_col: usize,
 ) -> Option<f64> {
@@ -369,12 +377,13 @@ pub fn potrf_or_fail<K: TaskKind, S: Send + 'static>(
 /// the solver. Returns the engine and the virtual time the phase took; an
 /// error, if any, is left in the engine's [`TaskEngine::error`] (on the
 /// rank that hit it) and every rank observes [`Rank::job_aborted`].
-pub fn run_to_completion<E: Engine>(rank: &mut Rank, engine: E) -> (E, f64) {
+pub fn run_to_completion<E: Engine>(rank: &mut RankOf<E>, mut engine: E) -> (E, f64) {
     let start = rank.now();
-    let mut engine = run_event_loop(
+    run_event_loop(
         rank,
-        engine,
-        |rank, st: &mut E| {
+        &mut engine,
+        |_, st, msg| comm::deliver(&mut st.core().rt, msg),
+        |rank, st| {
             // The poll that led here is progress if it brought or found
             // work, idle otherwise — known only after the steps below.
             let rt = &mut st.core().rt;

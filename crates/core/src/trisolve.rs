@@ -19,7 +19,7 @@
 //! per-message latency and per-task overhead across the panel width — the
 //! messages per sweep stay constant while their payloads grow.
 //!
-//! Messages are RPCs carrying their panel payloads, charged full
+//! Messages ([`Msg::Solve`]) carry their panel payloads, charged full
 //! latency+bandwidth cost. Like the factorization, all arithmetic is real
 //! and all timing is virtual.
 //!
@@ -30,7 +30,7 @@
 //! factorization uses — over a task graph compiled once per plan
 //! ([`SolveTasks`]).
 
-use crate::sched::{self, RtqPolicy, TaskEngine, TaskId, TaskKind};
+use crate::sched::{self, Meta, Msg, RtqPolicy, TaskEngine, TaskId, TaskKind};
 use crate::solve_tasks::{BlockOp, SolveTasks};
 use crate::storage::{Block, BlockStore};
 use crate::SolverError;
@@ -41,7 +41,7 @@ use sympack_dense::panel::{
 };
 use sympack_dense::{KernelConfig, Mat};
 use sympack_gpu::{KernelEngine, Op};
-use sympack_pgas::Rank;
+use sympack_pgas::{Rank, Wire};
 use sympack_symbolic::SymbolicFactor;
 use sympack_trace::{TraceCat, TraceEvent, Tracer};
 
@@ -154,6 +154,7 @@ impl TaskKind for SolveKey {
 /// A block's contribution carries its product only when it crosses ranks:
 /// a local one carries the block's slot, and the receiver forms the product
 /// where it folds it in.
+#[derive(Clone)]
 pub enum SolveMsg {
     /// `Y_j` / `X_j` (`w × nrhs`) is solved and fans out to the owners of
     /// the blocks that multiply it. `data` carries it from a remote owner —
@@ -180,7 +181,7 @@ pub enum SolveMsg {
     Fold { by: SolveKey, slot: u32 },
 }
 
-/// Per-rank solve engine; installed as rank user state during the solve.
+/// Per-rank solve engine, owned by the solve for both sweeps.
 pub struct SolveEngine {
     sf: Arc<SymbolicFactor>,
     tasks: Arc<SolveTasks>,
@@ -260,11 +261,11 @@ fn block_times(
     }
 }
 
-/// Route a message: local push or RPC with payload cost.
-fn send(
+/// Route a message: local push, or a payload message to `dest`.
+fn send<M: Meta>(
     rt: &mut TaskEngine<SolveKey, SolveMsg>,
     msg_overhead: f64,
-    rank: &mut Rank,
+    rank: &mut Rank<Msg<M>>,
     dest: usize,
     msg: SolveMsg,
 ) {
@@ -287,10 +288,7 @@ fn send(
         msg_overhead
     };
     rank.advance(overhead);
-    rank.rpc_payload(dest, bytes, move |r| {
-        r.advance(overhead);
-        r.with_state::<SolveEngine, _>(|_, st| st.rt.post(msg));
-    });
+    rank.send(dest, Msg::Solve(msg, overhead), Wire::Payload(bytes));
 }
 
 impl SolveEngine {
@@ -335,7 +333,7 @@ impl SolveEngine {
 
     /// Switch to the backward sweep: accumulators = y rows; release the
     /// guard dependency on every owned backward diagonal solve.
-    fn bwd_init(&mut self, rank: &mut Rank) {
+    fn bwd_init<M>(&mut self, rank: &mut Rank<M>) {
         let now = rank.now();
         let [y, x] = &mut self.arena;
         x.copy_from_slice(y);
@@ -345,8 +343,7 @@ impl SolveEngine {
     }
 
     /// Fold an incoming message into state and release dependent tasks.
-    fn handle(&mut self, rank: &mut Rank, store: &BlockStore, msg: SolveMsg) {
-        let now = rank.now();
+    fn handle(&mut self, now: f64, store: &BlockStore, msg: SolveMsg) {
         let (t, nrhs) = (&*self.tasks, self.nrhs);
         match msg {
             SolveMsg::Ready { by, panel, data } => {
@@ -431,7 +428,13 @@ impl SolveEngine {
 
     /// Execute one picked task: the forward (even id) or backward (odd id)
     /// task of the owned block in slot `id / 2`.
-    fn exec(&mut self, rank: &mut Rank, store: &BlockStore, id: TaskId, key: SolveKey) {
+    fn exec<M: Meta>(
+        &mut self,
+        rank: &mut Rank<Msg<M>>,
+        store: &BlockStore,
+        id: TaskId,
+        key: SolveKey,
+    ) {
         let (slot, s) = (id as usize / 2, id as usize % 2);
         let (op, b) = (
             self.tasks.ops[slot],
@@ -490,7 +493,7 @@ impl SolveEngine {
     }
 
     /// Run every ready task to exhaustion.
-    fn pump(&mut self, rank: &mut Rank, store: &BlockStore) {
+    fn pump<M: Meta>(&mut self, rank: &mut Rank<Msg<M>>, store: &BlockStore) {
         while let Some((id, key, ready_at)) = self.rt.pick() {
             rank.advance_to(ready_at);
             self.exec(rank, store, id, key);
@@ -562,8 +565,8 @@ pub struct SolveOutcome {
 /// before anything is sent: every rank runs the same check on the same
 /// replicated input, so the collective exits stay aligned.
 #[allow(clippy::too_many_arguments)] // one rank's view of the whole solve
-pub fn solve_panel(
-    rank: &mut Rank,
+pub fn solve_panel<M: Meta>(
+    rank: &mut Rank<Msg<M>>,
     sf: Arc<SymbolicFactor>,
     tasks: Arc<SolveTasks>,
     store: &BlockStore,
@@ -584,15 +587,15 @@ pub fn solve_panel(
             ..Default::default()
         };
     }
-    let st = SolveEngine::new(sf, tasks, bp, nrhs, kernels, params);
-    let mut st = run_sweep(rank, st, store, 0);
+    let mut st = SolveEngine::new(sf, tasks, bp, nrhs, kernels, params);
+    run_sweep(rank, &mut st, store, 0);
     // Backward sweep. When the forward sweep aborted (anywhere in the job),
     // this rank may be missing y pieces — skip the seed; the sweep's loop
     // exits immediately on the sticky abort.
     if !st.rt.aborted() && !rank.job_aborted() {
         st.bwd_init(rank);
     }
-    let mut st = run_sweep(rank, st, store, 1);
+    run_sweep(rank, &mut st, store, 1);
     let trace = st.rt.tracer.take().map(Tracer::into_events);
     if st.rt.error.is_none() && !st.rt.aborted() && !rank.job_aborted() {
         st.rt.debug_assert_completed();
@@ -618,52 +621,66 @@ pub fn solve_panel(
 
 /// All-gather the distributed per-supernode solution pieces (single
 /// right-hand side) so every rank holds the full permuted vector (used by
-/// iterative refinement to form the residual). Messages are RPCs with
-/// payload cost, sent in supernode × destination order, one shared payload
-/// per piece; the result is identical on every rank.
-pub fn allgather_solution(rank: &mut Rank, sf: &SymbolicFactor, x: &XArena) -> Vec<f64> {
-    struct Gather {
-        xp: Vec<f64>,
-        got: usize,
-    }
-    fn put(g: &mut Gather, first: usize, piece: &[f64]) {
-        g.xp[first..first + piece.len()].copy_from_slice(piece);
-        g.got += 1;
-    }
+/// iterative refinement to form the residual). Messages ([`Msg::Piece`])
+/// carry their payloads, sent in supernode × destination order, one shared
+/// payload per piece; the result is identical on every rank.
+pub fn allgather_solution<M: Meta>(
+    rank: &mut Rank<Msg<M>>,
+    sf: &SymbolicFactor,
+    x: &XArena,
+) -> Vec<f64> {
+    // The permuted solution, and how many of its pieces are in.
+    let mut gathered = (vec![0.0; sf.n()], 0);
+    let put = |(xp, got): &mut (Vec<f64>, usize), first: usize, piece: &[f64]| {
+        xp[first..first + piece.len()].copy_from_slice(piece);
+        *got += 1;
+    };
     let (me, n_ranks, ns) = (rank.id(), rank.n_ranks(), sf.n_supernodes());
-    let (xp, got) = (vec![0.0; sf.n()], 0);
-    let mut g = Gather { xp, got };
     for (sn, piece) in x.pieces() {
-        put(&mut g, sf.partition.first_col(sn), piece);
+        put(&mut gathered, sf.partition.first_col(sn), piece);
     }
-    rank.set_state(g);
     for (sn, piece) in x.pieces() {
         let (first, payload) = (sf.partition.first_col(sn), Arc::<[f64]>::from(piece));
         for dest in (0..n_ranks).filter(|&d| d != me) {
-            let payload = Arc::clone(&payload);
-            rank.rpc_payload(dest, piece.len() * 8, move |r| {
-                r.with_state::<Gather, _>(|_, g| put(g, first, &payload));
-            });
+            let msg = Msg::Piece(first, Arc::clone(&payload));
+            rank.send(dest, msg, Wire::Payload(piece.len() * 8));
         }
     }
-    sched::poll_until::<Gather, _>(rank, |_, g| g.got == ns);
-    let g = rank.take_state::<Gather>();
-    rank.barrier();
-    g.xp
+    sched::run_event_loop(
+        rank,
+        &mut gathered,
+        |_, g, msg| {
+            if let Msg::Piece(first, piece) = msg {
+                put(g, first, &piece);
+            }
+        },
+        |_, g| g.1 == ns,
+        |_, _| unreachable!("all-gather pieces travel on the reliable wire"),
+    );
+    gathered.0
 }
 
-/// Sweep `s` on the solver's one event loop: run ready tasks, fold the
-/// messages that arrived, run what they released; then the sweep barrier.
-fn run_sweep(rank: &mut Rank, st: SolveEngine, store: &BlockStore, s: usize) -> SolveEngine {
+/// Sweep `s` on the solver's one event loop: fold the messages that
+/// arrived (each pays its rendezvous charge on delivery), run ready tasks,
+/// fold, run what they released; then the sweep barrier.
+fn run_sweep<M: Meta>(rank: &mut Rank<Msg<M>>, st: &mut SolveEngine, store: &BlockStore, s: usize) {
     sched::run_event_loop(
         rank,
         st,
-        |rank, st: &mut SolveEngine| {
+        |rank, st, msg| {
+            // Anything else is another phase's (a duplicate factor signal).
+            if let Msg::Solve(msg, overhead) = msg {
+                rank.advance(overhead);
+                st.rt.post(msg);
+            }
+        },
+        |rank, st| {
             st.pump(rank, store);
             let mut signals = st.rt.take_signals();
             if !signals.is_empty() {
+                let now = rank.now();
                 for msg in signals.drain(..) {
-                    st.handle(rank, store, msg);
+                    st.handle(now, store, msg);
                 }
                 st.rt.recycle_signals(signals);
             }
@@ -675,7 +692,7 @@ fn run_sweep(rank: &mut Rank, st: SolveEngine, store: &BlockStore, s: usize) -> 
             let detail = format!("{sweep} solve sweep quiesced with unfinished tasks");
             st.rt.fail_stalled(rank, &detail);
         },
-    )
+    );
 }
 
 #[cfg(test)]

@@ -9,12 +9,20 @@
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use sympack::sched::{self, CommLayer, Core, Engine, FetchConfig, FetchMode, Meta, TaskEngine};
+use sympack::plan::{factor_numeric, make_kernels};
+use sympack::sched::{
+    self, CommLayer, Core, Engine, FetchConfig, FetchMode, Meta, RankOf, TaskEngine,
+};
 use sympack::sched::{Graph, PublishStats, RtqPolicy, TaskId, TaskKind};
 use sympack::storage::BlockStore;
-use sympack::{BcastTopology, CoalesceConfig, SolverError};
+use sympack::trisolve::{self, SolveParams};
+use sympack::{BcastTopology, CoalesceConfig, SolvePlan, SolverError, SolverOptions};
+use sympack_dense::{KernelConfig, Mat};
 use sympack_gpu::{KernelEngine, OomPolicy};
-use sympack_pgas::{FaultPlan, Payload, PgasConfig, Rank, RunReport, Runtime};
+use sympack_pgas::{FaultPlan, Payload, PgasConfig, RunReport, Runtime};
+use sympack_sparse::gen::laplacian_2d;
+use sympack_sparse::vecops::{max_abs_diff, test_rhs};
+use sympack_sparse::SparseSym;
 use sympack_trace::{SpanKind, TraceCat, Tracer};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,19 +76,19 @@ impl Engine for ToyEngine {
         &mut self.core
     }
 
-    fn exec(&mut self, rank: &mut Rank, _id: TaskId, key: Toy) {
+    fn exec(&mut self, rank: &mut RankOf<Self>, _id: TaskId, key: Toy) {
         let me = From(rank.id());
         let others: Vec<usize> = (1..rank.n_ranks()).collect();
         let comm = &mut self.core.comm;
         match key {
-            Toy::Ping => comm.publish::<Self>(rank, vec![1.0, 2.0, 3.0], None, &others, me),
-            Toy::Pong => comm.publish::<Self>(rank, self.got.clone(), None, &[0], me),
+            Toy::Ping => comm.publish(rank, vec![1.0, 2.0, 3.0], None, &others, me),
+            Toy::Pong => comm.publish(rank, self.got.clone(), None, &[0], me),
             Toy::Done => {}
         }
         self.core.rt.charge(rank, key, 1.0e-6);
     }
 
-    fn on_data(&mut self, rank: &mut Rank, _from: From, data: Payload, ready_at: f64) {
+    fn on_data(&mut self, rank: &mut RankOf<Self>, _from: From, data: Payload, ready_at: f64) {
         self.got.extend(data.iter());
         // Rank 0's `Done` is its task 1, every other rank's `Pong` task 0.
         let next = TaskId::from(rank.id() == 0);
@@ -101,6 +109,32 @@ struct Outcome {
     exec_spans: Vec<String>,
 }
 
+/// Rank `rank`'s toy engine: rank 0 pings every other rank and waits for
+/// their echoes.
+fn toy_engine(
+    rank: &RankOf<ToyEngine>,
+    topology: BcastTopology,
+    coalesce: Option<CoalesceConfig>,
+    abort: &Arc<AtomicBool>,
+) -> ToyEngine {
+    let graph = if rank.id() == 0 {
+        let waits = rank.n_ranks() as u32 - 1;
+        Graph::new(vec![Toy::Ping, Toy::Done], vec![0, waits])
+    } else {
+        Graph::new(vec![Toy::Pong], vec![1])
+    };
+    let mut rt = TaskEngine::new(&graph, RtqPolicy::Fifo, Arc::clone(abort));
+    rt.tracer = Some(Tracer::new());
+    ToyEngine {
+        core: Core {
+            rt,
+            comm: CommLayer::new(coalesce, topology),
+            fetch: FetchConfig::for_engine(false, OomPolicy::CpuFallback, FetchMode::NonBlocking),
+        },
+        got: Vec::new(),
+    }
+}
+
 /// Run the toy on 2 nodes × 2 ranks under lockstep.
 fn run_toy(
     topology: BcastTopology,
@@ -111,27 +145,8 @@ fn run_toy(
     config.deterministic = true;
     config.faults = faults;
     let abort = Arc::new(AtomicBool::new(false));
-    Runtime::run(config, |rank| {
-        let graph = if rank.id() == 0 {
-            let waits = rank.n_ranks() as u32 - 1;
-            Graph::new(vec![Toy::Ping, Toy::Done], vec![0, waits])
-        } else {
-            Graph::new(vec![Toy::Pong], vec![1])
-        };
-        let mut rt = TaskEngine::new(&graph, RtqPolicy::Fifo, Arc::clone(&abort));
-        rt.tracer = Some(Tracer::new());
-        let engine = ToyEngine {
-            core: Core {
-                rt,
-                comm: CommLayer::new(coalesce, topology),
-                fetch: FetchConfig::for_engine(
-                    false,
-                    OomPolicy::CpuFallback,
-                    FetchMode::NonBlocking,
-                ),
-            },
-            got: Vec::new(),
-        };
+    Runtime::spmd(config, |rank| {
+        let engine = toy_engine(rank, topology, coalesce, &abort);
         let (mut engine, _elapsed) = sched::run_to_completion(rank, engine);
         let events = engine
             .core
@@ -230,4 +245,88 @@ fn a_toy_engine_inherits_the_broadcast_tree() {
         run.comm.bytes_between(2, 3) >= 24,
         "rank 3 pulls from the leader"
     );
+}
+
+/// A duplicated signal that outlives the factor loop is the next phase's
+/// to drop. Under a plan that duplicates every signal, each rank runs the
+/// toy's factor loop, then rank 0 publishes once more to rank 3: both
+/// copies of that signal drain in the triangular solve that follows on a
+/// real factor, which ignores them and still matches a dense oracle.
+#[test]
+fn a_duplicate_signal_drained_by_the_solve_is_ignored() {
+    let a = laplacian_2d(6, 6);
+    let opts = SolverOptions {
+        n_nodes: 2,
+        ranks_per_node: 2,
+        deterministic: true,
+        faults: Some(FaultPlan {
+            dup_prob: 1.0,
+            ..FaultPlan::duplication(7)
+        }),
+        ..Default::default()
+    };
+    let plan = SolvePlan::new(&a, &opts);
+    let ap = plan.permute(&a);
+    let nf = factor_numeric(&plan, &Arc::new(ap.clone())).expect("factor");
+    let bp = test_rhs(ap.n());
+    let abort = Arc::new(AtomicBool::new(false));
+    let params = SolveParams {
+        policy: RtqPolicy::Lifo,
+        msg_overhead: 0.0,
+        trace: false,
+    };
+    let run = Runtime::spmd(plan.pgas_config(), |rank| {
+        let engine = toy_engine(rank, BcastTopology::Flat, None, &abort);
+        let (mut engine, _) = sched::run_to_completion(rank, engine);
+        if rank.id() == 0 {
+            let comm = &mut engine.core.comm;
+            comm.publish(rank, vec![9.0], None, &[3], From(0));
+        }
+        let me = rank.id();
+        let (sf, tasks) = (&plan.symbolic.sf, &plan.symbolic.solve_tasks[me]);
+        let (sf, tasks) = (Arc::clone(sf), Arc::clone(tasks));
+        let kernels = make_kernels(&opts);
+        let solve =
+            trisolve::solve_panel(rank, sf, tasks, &nf.stores[me], &bp, 1, kernels, &params);
+        let pieces: Vec<(usize, Vec<f64>)> =
+            solve.x.pieces().map(|(sn, x)| (sn, x.to_vec())).collect();
+        (engine.got, pieces, solve.error)
+    });
+    // Asserted out here: a rank that panics under lockstep strands its peers.
+    for (r, (_, _, error)) in run.results.iter().enumerate() {
+        assert!(error.is_none(), "rank {r}: {error:?}");
+    }
+    // Ping, pong and the straggler, each delivered twice.
+    assert_eq!(run.stats.rpcs_duplicated, 3 + 3 + 1);
+    assert_eq!(
+        run.results[3].0,
+        [1.0, 2.0, 3.0],
+        "no engine saw the straggler"
+    );
+    let mut xp = vec![0.0; ap.n()];
+    for (sn, piece) in run.results.iter().flat_map(|(_, pieces, _)| pieces) {
+        let first = plan.symbolic.sf.partition.first_col(*sn);
+        xp[first..first + piece.len()].copy_from_slice(piece);
+    }
+    let oracle = dense_solve(&ap, &bp);
+    let scale = oracle.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+    let err = max_abs_diff(&xp, &oracle) / scale;
+    assert!(err < 1e-13, "solve vs dense oracle: {err:e}");
+}
+
+/// Dense Cholesky oracle: solve `a·x = b` via `sympack-dense`.
+fn dense_solve(a: &SparseSym, b: &[f64]) -> Vec<f64> {
+    let n = a.n();
+    let mut m = Mat::zeros(n, n);
+    for c in 0..n {
+        for r in 0..n {
+            m[(r, c)] = a.get(r, c);
+        }
+    }
+    sympack_dense::potrf_cfg(&KernelConfig::default(), &mut m).expect("oracle requires SPD");
+    m.zero_upper();
+    let mut x = b.to_vec();
+    trisolve::forward_subst(&m, &mut x);
+    trisolve::backward_subst(&m, &mut x);
+    x
 }

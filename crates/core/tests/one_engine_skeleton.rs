@@ -1,11 +1,12 @@
 //! Guard against the engine skeleton re-growing per-engine copies.
 //!
 //! `sympack::sched` owns the step, the signal drain, the publication layer
-//! (shared-heap hosting, delivery closures, relays) and the stall-aware
+//! (shared-heap hosting, signal delivery, relays) and the stall-aware
 //! loop; `sympack::update` owns the update product + scatter. The engine
 //! files — the fan-out, the solve and the three baselines — must not define
-//! or reach around any of them. This test scans their sources, and scans
-//! every shipping source for the places a thread is started.
+//! or reach around any of them. This test scans their sources, scans every
+//! shipping source for the places a thread is started, and scans the
+//! runtime and the scheduler for messages that are code.
 
 use std::path::{Path, PathBuf};
 
@@ -48,7 +49,9 @@ fn engines_contain_no_copy_of_the_shared_skeleton() {
     let forbidden = [
         "fn drain_pending",
         "fn step(",
-        "try_with_state::<",
+        "Msg::Signal",
+        "Msg::Frame",
+        "post_unique(",
         "alloc_from(MemKind::Host",
         "poll_until_or_stall",
         "fn run_phase",
@@ -86,9 +89,9 @@ fn engines_contain_no_copy_of_the_shared_skeleton() {
     };
     for (needle, home) in [
         ("fn step<", "sched/mod.rs"),
-        ("try_with_state::<", "sched/comm.rs"),
+        ("fn deliver<", "sched/comm.rs"),
         ("alloc_from(MemKind::Host", "sched/comm.rs"),
-        ("poll_until_or_stall::<", "sched/mod.rs"),
+        ("fn poll_until_or_stall<", "sched/mod.rs"),
         ("gemm_any(", "update.rs"),
     ] {
         let found = definitions(needle);
@@ -100,7 +103,7 @@ fn engines_contain_no_copy_of_the_shared_skeleton() {
 }
 
 /// One parallelism (DESIGN.md §9): a rank is a thread of
-/// `pgas::Runtime::run`, and the only other threads in shipping code are the
+/// `pgas::Runtime::spmd`, and the only other threads in shipping code are the
 /// analysis prologue's two forks — nested dissection's right half and the
 /// pattern hash beside the symbolic analysis. Test modules may start threads.
 #[test]
@@ -138,9 +141,64 @@ fn threads_start_only_in_the_runtime_and_the_analysis_forks() {
         [
             "crates/core/src/plan.rs analyze",
             "crates/ordering/src/nd.rs dissect",
-            "crates/pgas/src/runtime.rs run",
+            "crates/pgas/src/runtime.rs spmd",
         ],
         "a thread is started outside the runtime and the two analysis forks"
+    );
+}
+
+/// Messages are values (DESIGN.md §5.3): the runtime and the scheduler ship
+/// no code and keep no type-erased state. The one exception is
+/// `crates/pgas/src/thunk.rs`, the closure-message region the wall-clock
+/// benchmark's `rget_flood` probe (`perf/src/probes.rs`) is written
+/// against; nothing in the workspace but its own tests speaks it.
+#[test]
+fn messages_are_values_not_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let thunk = Path::new("crates/pgas/src/thunk.rs");
+    let mut offenders = Vec::new();
+    let mut scoped = rust_sources(&root.join("crates/pgas/src"));
+    scoped.extend(rust_sources(&root.join("crates/core/src/sched")));
+    assert!(scoped.len() >= 15, "scan looks wrong: {scoped:?}");
+    for file in scoped.iter().filter(|f| !f.ends_with(thunk)) {
+        let text = read(file);
+        let code = text.split("#[cfg(test)]").next().expect("non-test part");
+        for needle in ["Box<dyn", "dyn Any"] {
+            if code.contains(needle) {
+                offenders.push(format!("{}: {needle}", file.display()));
+            }
+        }
+    }
+    let mut files = rust_sources(&root.join("crates"));
+    files.extend(rust_sources(&root.join("tests")));
+    files.extend(rust_sources(&root.join("examples")));
+    let this = Path::new("crates/core/tests/one_engine_skeleton.rs");
+    for file in files
+        .iter()
+        .filter(|f| !f.ends_with(thunk) && !f.ends_with(this))
+    {
+        let text = read(file);
+        for needle in [
+            "Thunk",
+            "Runtime::run(",
+            ".rpc(",
+            "rpc_signal(",
+            "rpc_payload(",
+            "rpc_frame(",
+            "set_state(",
+            "with_state(",
+            "with_state::<",
+            "take_state",
+        ] {
+            if text.contains(needle) {
+                offenders.push(format!("{}: {needle}", file.display()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a message is code again, or rank state is type-erased:\n{}",
+        offenders.join("\n")
     );
 }
 

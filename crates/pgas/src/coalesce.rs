@@ -160,7 +160,7 @@ impl<T> PendingDest<T> {
 
 /// Per-destination buffer of pending sub-messages. Generic over the item
 /// type so the codec tests use raw bytes while the engines buffer signal
-/// closures. Destinations are kept in a `BTreeMap` so every drain is in
+/// values. Destinations are kept in a `BTreeMap` so every drain is in
 /// deterministic (ascending-rank) order.
 pub struct Coalescer<T> {
     cfg: CoalesceConfig,

@@ -12,9 +12,10 @@
 //!
 //! * **ranks are OS threads** inside one process; every rank owns a shared
 //!   segment table that other ranks can read/write one-sidedly,
-//! * **RPCs are `FnOnce` closures** pushed to the target rank's injection
-//!   queue and executed when that rank calls [`Rank::progress`] — exactly
-//!   UPC++'s semantics,
+//! * **messages are values** of the region's one type `M`
+//!   ([`Runtime::spmd`]): [`Rank::send`] queues one at the target over a
+//!   [`Wire`], whose [`Rank::progress`] hands it to the draining loop's
+//!   handler — UPC++'s RPC semantics, the procedure named, not shipped,
 //! * **data really arrives** (the factorization is numerically real) — by
 //!   reference where the whole of a segment is moved, since all ranks share
 //!   one address space ([`Payload`]), by copy otherwise — while
@@ -38,12 +39,13 @@ pub mod runtime;
 pub mod segment;
 mod stats;
 mod sync;
+mod thunk;
 
 pub use coalesce::{BcastPlan, BcastTopology, CoalesceConfig, Coalescer};
 pub use faults::FaultPlan;
 pub use netmodel::{MemKindsMode, NetModel};
 pub use ptr::{GlobalPtr, MemKind};
-pub use rank::{PgasError, Rank, RgetHandle};
+pub use rank::{PgasError, Rank, RgetHandle, Wire};
 pub use runtime::{PgasConfig, RunReport, Runtime};
 pub use segment::Payload;
 pub use stats::StatsSnapshot;

@@ -1,4 +1,5 @@
-//! The per-thread rank handle: one-sided RMA, RPC, progress, virtual time.
+//! The per-thread rank handle: one-sided RMA, typed messages, progress,
+//! virtual time.
 
 use crate::faults::FaultPlan;
 use crate::netmodel::NetModel;
@@ -6,7 +7,6 @@ use crate::ptr::{GlobalPtr, MemKind};
 use crate::runtime::Shared;
 use crate::segment::{DeviceOom, Payload};
 use crate::stats::Ledger;
-use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use sympack_trace::{SpanKind, TraceCat, TraceEvent, Tracer};
@@ -65,7 +65,7 @@ pub struct RgetHandle {
 impl RgetHandle {
     /// Block (in virtual time) until the transfer completes and take the
     /// payload: advances the rank clock to at least `ready_at`.
-    pub fn wait(self, rank: &mut Rank) -> Payload {
+    pub fn wait<M>(self, rank: &mut Rank<M>) -> Payload {
         rank.advance_to(self.ready_at);
         self.data
     }
@@ -78,43 +78,57 @@ impl RgetHandle {
     }
 }
 
-/// An RPC handler: runs once on the target rank.
-type Handler = Box<dyn FnOnce(&mut Rank) + Send>;
-
-/// An RPC message queued at a target rank.
-pub(crate) struct RpcMsg {
-    pub ready_at: f64,
-    /// Wire footprint of the message (envelope + payload), carried so the
-    /// receiver's drain can account bytes in flight in its own ledger.
-    pub wire: usize,
-    pub func: Handler,
+/// How a message travels: its timing path, its fault-plan draw and its
+/// ledger entry. The value itself is the region's message type `M`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wire {
+    /// Control: the envelope's latency, reliable (a delay spike at most),
+    /// one message and no bytes in the ledger.
+    Bare,
+    /// The paper's `signal(ptr, meta)`: latency only, the envelope plus
+    /// [`crate::coalesce::SIGNAL_WIRE_BYTES`] in the ledger; droppable and
+    /// duplicable, so the receiver must deduplicate.
+    Signal,
+    /// This many bytes of bulk data: latency plus transfer time, reliable.
+    Payload(usize),
+    /// A frame of `subs` signals, `bytes` framed: one envelope and one
+    /// latency for the batch; dropped or duplicated as a unit.
+    Frame { bytes: usize, subs: usize },
 }
 
+/// A message queued at its target rank, `(ready_at, wire, message)`: when
+/// it is there, what it weighs on the wire (for the receiver's in-flight
+/// accounting) and the value.
+pub(crate) type Queued<M> = (f64, usize, M);
+
 /// What the fault plan lets through of one outgoing message.
-enum Fate {
+enum Fate<M> {
     Dropped,
-    /// The handler and, when duplicated, a ghost copy with its extra lag.
-    Sent(Handler, Option<(Handler, f64)>),
+    /// The message and, when duplicated, a ghost copy with its extra lag.
+    Sent(M, Option<(M, f64)>),
 }
 
 /// A rank: the UPC++-process analogue. Owned by exactly one thread; all
-/// cross-rank interaction goes through the shared tables and queues.
-pub struct Rank {
+/// cross-rank interaction goes through the shared tables and queues. `M` is
+/// the one message type of the SPMD region ([`crate::Runtime::spmd`]).
+pub struct Rank<M> {
     id: usize,
-    shared: Arc<Shared>,
+    shared: Arc<Shared<M>>,
     clock: f64,
     barrier_count: usize,
     /// Monotone counter feeding the fault plan's per-op decisions.
     fault_ctr: u64,
-    user_state: Option<Box<dyn Any + Send>>,
+    /// The buffer each drain of [`Rank::progress`] sorts its arrivals in,
+    /// kept between drains so that a busy loop allocates it once.
+    drained: Vec<Queued<M>>,
     /// Comm-span recorder for the profiler. `None` (the default) records
     /// nothing; recording never touches the virtual clock either way, so
     /// enabling it cannot perturb the schedule.
     tracer: Option<Tracer>,
-    /// This rank's traffic ledger: every rget, copy and RPC it issues,
+    /// This rank's traffic ledger: every rget, copy and message it issues,
     /// counted once. Written only by this rank's thread, so in lockstep
     /// mode it is a pure function of the schedule — bit-deterministic.
-    /// `Runtime::run` takes it when the closure returns.
+    /// `Runtime::spmd` takes it when the closure returns.
     pub(crate) ledger: Ledger,
     /// Health watchdog for the live telemetry plane. `None` (the default)
     /// observes nothing; like the tracer, observing never touches the
@@ -122,15 +136,15 @@ pub struct Rank {
     watchdog: Option<sympack_trace::health::Watchdog>,
 }
 
-impl Rank {
-    pub(crate) fn new(id: usize, shared: Arc<Shared>) -> Self {
+impl<M> Rank<M> {
+    pub(crate) fn new(id: usize, shared: Arc<Shared<M>>) -> Self {
         Rank {
             id,
             shared,
             clock: 0.0,
             barrier_count: 0,
             fault_ctr: 0,
-            user_state: None,
+            drained: Vec::new(),
             tracer: None,
             ledger: Ledger::default(),
             watchdog: None,
@@ -138,7 +152,7 @@ impl Rank {
     }
 
     /// Install a comm-span tracer: every subsequent rget/copy/payload
-    /// RPC (and non-empty signal drain) records a [`SpanKind`]-typed event
+    /// message or frame (and non-empty drain) records a [`SpanKind`]-typed event
     /// with peer rank and byte count. Retrieve with [`Rank::take_tracer`].
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
@@ -300,7 +314,8 @@ impl Rank {
         c
     }
 
-    /// Injected delay for a reliable message (an rpc or a payload rpc),
+    /// Injected delay for a reliable message ([`Wire::Bare`] or
+    /// [`Wire::Payload`]),
     /// which draws a fault-op counter with or without a plan.
     fn reliable_delay(&mut self) -> f64 {
         let ctr = self.next_fault_op();
@@ -484,89 +499,10 @@ impl Rank {
         done
     }
 
-    // ----- RPC + progress -----
-
-    /// Send an RPC: `func` runs on rank `target` the next time it calls
-    /// [`Rank::progress`], no earlier (in virtual time) than the network
-    /// delivery time.
-    ///
-    /// Reliable even under fault injection (only delay spikes apply):
-    /// control messages that cannot be made idempotent — abort broadcasts,
-    /// solve-phase payload handoffs — use this path.
-    pub fn rpc(&mut self, target: usize, func: impl FnOnce(&mut Rank) + Send + 'static) {
-        let ready_at = self.arrival(target, None) + self.reliable_delay();
-        let wire = self.net().rpc_envelope_bytes;
-        // A bare rpc counts one message and no bytes.
-        let fate = Fate::Sent(Box::new(func), None);
-        self.send(target, ready_at, wire, 0, None, fate);
-    }
-
-    /// Send a *signal* RPC — the paper's `signal(ptr, meta)` notification.
-    /// Signals are the drop/duplicate-eligible path under fault injection:
-    /// the receiver's inbox must deduplicate (the closure is `Fn + Clone`
-    /// so a duplicate really is delivered twice), and the task runtime's
-    /// stall detector must diagnose a dropped one. Without a fault plan
-    /// this behaves exactly like [`Rank::rpc`].
-    pub fn rpc_signal(&mut self, target: usize, func: impl Fn(&mut Rank) + Send + Clone + 'static) {
-        let at = self.arrival(target, None);
-        // A bare signal occupies real wire: one envelope plus the
-        // `signal(ptr, meta)` payload. Timing stays latency-only (the
-        // historical model) but the byte ledger sees the full footprint —
-        // this is the per-message cost coalesced frames amortize.
-        let wire = self.net().rpc_envelope_bytes + crate::coalesce::SIGNAL_WIRE_BYTES;
-        let (delay, fate) =
-            self.droppable(func, FaultPlan::drops_signal, FaultPlan::duplicates_signal);
-        self.send(target, at + delay, wire, wire, None, fate);
-    }
-
-    /// Like [`Rank::rpc`] but the closure carries `payload_bytes` of bulk
-    /// data (e.g. a solve-phase vector), so delivery is charged the full
-    /// latency + bandwidth transfer cost instead of the bare RPC latency.
-    pub fn rpc_payload(
-        &mut self,
-        target: usize,
-        payload_bytes: usize,
-        func: impl FnOnce(&mut Rank) + Send + 'static,
-    ) {
-        let span = Some(("rpc", self.clock));
-        let ready_at = self.arrival(target, Some(payload_bytes)) + self.reliable_delay();
-        let fate = Fate::Sent(Box::new(func), None);
-        self.send(target, ready_at, payload_bytes, payload_bytes, span, fate);
-    }
-
-    /// Send a coalesced *frame*: one wire message of `wire_bytes` carrying
-    /// `n_subs` sub-messages, whose delivery runs `func` (which unpacks
-    /// and dispatches every sub). Charged like a payload RPC of the framed
-    /// size — latency is paid once for the whole batch, which is the point
-    /// of coalescing.
-    ///
-    /// Fault injection applies to the frame as a unit, on an independent
-    /// decision stream from flat signals: a dropped frame loses *all* its
-    /// subs (the stall detector must diagnose it), a duplicated frame
-    /// replays all of them (every sub must be idempotent, which the
-    /// signal inbox's pointer dedup guarantees).
-    pub fn rpc_frame(
-        &mut self,
-        target: usize,
-        wire_bytes: usize,
-        n_subs: usize,
-        func: impl Fn(&mut Rank) + Send + Clone + 'static,
-    ) {
-        let span = Some(("frame", self.clock));
-        // The frame pays one envelope for the whole batch — in time and
-        // in the byte ledger — where flat signals pay one per sub.
-        let wire = self.net().rpc_envelope_bytes + wire_bytes;
-        let at = self.arrival(target, Some(wire));
-        let (delay, fate) =
-            self.droppable(func, FaultPlan::drops_frame, FaultPlan::duplicates_frame);
-        if self.send(target, at + delay, wire, wire, span, fate) {
-            self.ledger.totals.frames += 1;
-            self.ledger.totals.frame_subs += n_subs as u64;
-        }
-    }
+    // ----- messages + progress -----
 
     /// Charge the issue overhead and return when a message reaches
-    /// `target`, before any injected delay: the RPC latency, plus for
+    /// `target`, before any injected delay: the message latency, plus for
     /// `bulk` bytes their transfer time and the wait for this rank's NIC.
     fn arrival(&mut self, target: usize, bulk: Option<usize>) -> f64 {
         self.clock += ISSUE_OVERHEAD;
@@ -582,46 +518,32 @@ impl Rank {
             + inj
     }
 
-    /// The fault plan's injected delay and verdict for a droppable message
-    /// (a signal or a frame). Only under a plan does this draw a fault-op
-    /// counter, so a fault-free run spends none on droppable messages.
-    fn droppable<F: Fn(&mut Rank) + Send + Clone + 'static>(
-        &mut self,
-        func: F,
-        drop_if: fn(&FaultPlan, usize, u64) -> bool,
-        dup_if: fn(&FaultPlan, usize, u64) -> bool,
-    ) -> (f64, Fate) {
-        let Some(plan) = self.shared.config.faults else {
-            return (0.0, Fate::Sent(Box::new(func), None));
-        };
-        let ctr = self.next_fault_op();
-        let fate = if drop_if(&plan, self.id, ctr) {
-            Fate::Dropped
-        } else {
-            // The ghost copy arrives strictly later, as a straggler would.
-            let lag = plan.delay_secs.max(1.0e-6);
-            let ghost = dup_if(&plan, self.id, ctr).then(|| (Box::new(func.clone()) as _, lag));
-            Fate::Sent(Box::new(func), ghost)
-        };
-        (plan.delay(self.id, ctr), fate)
+    /// Send a reliable message: [`Wire::Bare`] without `bulk`,
+    /// [`Wire::Payload`] with it (which records an `rpc` comm span).
+    pub(crate) fn send_reliable(&mut self, target: usize, msg: M, bulk: Option<usize>) {
+        let span = bulk.map(|_| ("rpc", self.clock));
+        let ready_at = self.arrival(target, bulk) + self.reliable_delay();
+        // A bare message weighs its envelope and routes no bytes.
+        let (wire, routed) = bulk.map_or((self.net().rpc_envelope_bytes, 0), |b| (b, b));
+        self.post(target, ready_at, wire, routed, span, Fate::Sent(msg, None));
     }
 
-    /// The one tail every RPC flavour reaches `target`'s queue through:
-    /// the drop or duplicate, the ledger, the activity bump, the comm span
-    /// and the push. `wire` is what the sender's `bytes_sent` and the
-    /// receiver's drain count, `routed` what the byte totals and the peer
-    /// cell count (`wire`, but 0 for a bare rpc); `span` is `(name, start)`
-    /// for the flavours that record one. `false`: the message was dropped.
-    fn send(
+    /// The one tail every message reaches `target`'s queue through: the
+    /// drop or duplicate, the ledger, the activity bump, the comm span and
+    /// the push. `wire` is what `bytes_sent` and the receiver's drain count,
+    /// `routed` what the byte totals and the peer cell count (0 for a bare
+    /// message); `span` is `(name, start)` if the wire records one. `false`:
+    /// the message was dropped.
+    fn post(
         &mut self,
         target: usize,
         ready_at: f64,
         wire: usize,
         routed: usize,
         span: Option<(&'static str, f64)>,
-        fate: Fate,
+        fate: Fate<M>,
     ) -> bool {
-        let Fate::Sent(func, ghost) = fate else {
+        let Fate::Sent(msg, ghost) = fate else {
             self.ledger.comm.sends_dropped += 1;
             return false;
         };
@@ -633,28 +555,18 @@ impl Rank {
         if let Some((name, t0)) = span {
             self.record_comm(SpanKind::Rpc, name, target, wire, t0, ready_at);
         }
-        let queue = &self.shared.rpc_queues[target];
+        let queue = &self.shared.queues[target];
         if let Some((ghost, lag)) = ghost {
             self.ledger.totals.rpcs_duplicated += 1;
-            let ready_at = ready_at + lag;
-            queue.push(RpcMsg {
-                ready_at,
-                wire,
-                func: ghost,
-            });
+            queue.push((ready_at + lag, wire, ghost));
         }
-        queue.push(RpcMsg {
-            ready_at,
-            wire,
-            func,
-        });
+        queue.push((ready_at, wire, msg));
         true
     }
 
-    /// Execute every queued incoming RPC (in virtual-arrival order) and
-    /// return how many ran. The UPC++ `progress()` analogue; the paper's
-    /// poll function dispatches to this.
-    pub fn progress(&mut self) -> usize {
+    /// The body of [`Rank::progress`]: each message advances the clock to
+    /// its arrival before `handle` runs on it.
+    pub(crate) fn drain(&mut self, mut handle: impl FnMut(&mut Self, M)) -> usize {
         // In lockstep mode every progress call is a scheduling point: hand
         // the turn around the rotation *before* draining, so whatever the
         // other ranks send this round is in our queue when we drain it —
@@ -662,20 +574,21 @@ impl Rank {
         if let Some(ts) = &self.shared.turnstile {
             ts.pass(self.id);
         }
-        let mut msgs = Vec::new();
-        while let Some(m) = self.shared.rpc_queues[self.id].pop() {
+        let mut msgs = std::mem::take(&mut self.drained);
+        while let Some(m) = self.shared.queues[self.id].pop() {
             msgs.push(m);
         }
         if msgs.is_empty() {
+            self.drained = msgs;
             return 0;
         }
-        msgs.sort_by(|a, b| a.ready_at.total_cmp(&b.ready_at));
+        msgs.sort_by(|a, b| a.0.total_cmp(&b.0));
         let n = msgs.len();
         // In-flight accounting for the telemetry plane: whatever was
         // queued at this drain is what was "in flight" toward this rank.
         // Deterministic in lockstep mode (the turnstile makes queue
         // contents a pure function of the schedule).
-        let wire: u64 = msgs.iter().map(|m| m.wire as u64).sum();
+        let wire: u64 = msgs.iter().map(|m| m.1 as u64).sum();
         let comm = &mut self.ledger.comm;
         comm.inflight_msgs = n as u64;
         comm.inflight_bytes = wire;
@@ -683,12 +596,13 @@ impl Rank {
         comm.delivered_bytes += wire;
         self.bump_activity();
         let t0 = self.clock;
-        for m in msgs {
-            self.advance_to(m.ready_at);
-            (m.func)(self);
+        for (ready_at, _, msg) in msgs.drain(..) {
+            self.advance_to(ready_at);
+            handle(self, msg);
         }
-        // Signal-drain span: the clock motion spent consuming the inbox
-        // (message arrival waits; handler work is charged by the handlers).
+        self.drained = msgs;
+        // Drain span: the clock motion spent consuming the inbox (message
+        // arrival waits; handler work is charged by the handlers).
         if self.tracer.is_some() && self.clock > t0 {
             let end = self.clock;
             if let Some(tr) = &mut self.tracer {
@@ -702,68 +616,10 @@ impl Rank {
         n
     }
 
-    /// True when no incoming RPCs are queued (racy; for idle detection use
-    /// the solver's own completion counting).
+    /// True when no incoming messages are queued (racy; for idle detection
+    /// use the solver's own completion counting).
     pub fn rpc_queue_empty(&self) -> bool {
-        self.shared.rpc_queues[self.id].is_empty()
-    }
-
-    // ----- user state for RPC closures -----
-
-    /// Install this rank's application state; RPC closures retrieve it with
-    /// [`Rank::with_state`].
-    pub fn set_state<T: Send + 'static>(&mut self, state: T) {
-        self.user_state = Some(Box::new(state));
-    }
-
-    /// Temporarily take the application state and run `f` with both the
-    /// state and the rank borrowed mutably (communication from inside RPC
-    /// handlers, as the paper's `signal(ptr, meta)` does).
-    ///
-    /// # Panics
-    /// Panics when no state of type `T` is installed.
-    pub fn with_state<T: Send + 'static, R>(
-        &mut self,
-        f: impl FnOnce(&mut Rank, &mut T) -> R,
-    ) -> R {
-        let mut boxed = self.user_state.take().expect("no user state installed");
-        let state = boxed
-            .downcast_mut::<T>()
-            .expect("user state has a different type");
-        let r = f(self, state);
-        self.user_state = Some(boxed);
-        r
-    }
-
-    /// Like [`Rank::with_state`], but a no-op returning `None` when no
-    /// state — or state of a different type — is installed. Signal-delivery
-    /// closures use this: under fault injection a duplicated (or abandoned,
-    /// after a job abort) signal may be drained only after its phase's
-    /// engine state was torn down, and such stragglers are ignorable by
-    /// construction — the idempotent inbox would absorb them anyway.
-    pub fn try_with_state<T: Send + 'static, R>(
-        &mut self,
-        f: impl FnOnce(&mut Rank, &mut T) -> R,
-    ) -> Option<R> {
-        let mut boxed = self.user_state.take()?;
-        if boxed.downcast_mut::<T>().is_none() {
-            self.user_state = Some(boxed);
-            return None;
-        }
-        let state = boxed.downcast_mut::<T>().expect("checked above");
-        let r = f(self, state);
-        self.user_state = Some(boxed);
-        Some(r)
-    }
-
-    /// Remove and return the application state.
-    pub fn take_state<T: Send + 'static>(&mut self) -> T {
-        *self
-            .user_state
-            .take()
-            .expect("no user state installed")
-            .downcast::<T>()
-            .expect("user state has a different type")
+        self.shared.queues[self.id].is_empty()
     }
 
     /// Barrier across all ranks: physical synchronization plus virtual-clock
@@ -788,5 +644,71 @@ impl Rank {
         if let Some(ts) = &self.shared.turnstile {
             ts.wait_turn(self.id);
         }
+    }
+}
+
+/// Sending and delivering need a message that can be copied: the fault
+/// plan may duplicate a signal or a frame in flight.
+impl<M: Clone> Rank<M> {
+    /// Send `msg` to rank `target`, whose next [`Rank::progress`] hands it
+    /// to its handler, no earlier (in virtual time) than `wire` delivers it.
+    pub fn send(&mut self, target: usize, msg: M, wire: Wire) {
+        match wire {
+            Wire::Bare => self.send_reliable(target, msg, None),
+            Wire::Payload(bytes) => self.send_reliable(target, msg, Some(bytes)),
+            Wire::Signal => {
+                let at = self.arrival(target, None);
+                // Latency-only in time, but the ledger sees the envelope and
+                // the `signal(ptr, meta)` record: what frames amortize.
+                let wire = self.net().rpc_envelope_bytes + crate::coalesce::SIGNAL_WIRE_BYTES;
+                let (delay, fate) =
+                    self.droppable(msg, FaultPlan::drops_signal, FaultPlan::duplicates_signal);
+                self.post(target, at + delay, wire, wire, None, fate);
+            }
+            Wire::Frame { bytes, subs } => {
+                let span = Some(("frame", self.clock));
+                // The frame pays one envelope for the whole batch — in time
+                // and in the byte ledger — where flat signals pay one each.
+                let wire = self.net().rpc_envelope_bytes + bytes;
+                let at = self.arrival(target, Some(wire));
+                let (delay, fate) =
+                    self.droppable(msg, FaultPlan::drops_frame, FaultPlan::duplicates_frame);
+                if self.post(target, at + delay, wire, wire, span, fate) {
+                    self.ledger.totals.frames += 1;
+                    self.ledger.totals.frame_subs += subs as u64;
+                }
+            }
+        }
+    }
+
+    /// The fault plan's injected delay and verdict for a droppable message
+    /// (a signal or a frame). Only under a plan does this draw a fault-op
+    /// counter, so a fault-free run spends none on droppable messages.
+    fn droppable(
+        &mut self,
+        msg: M,
+        drop_if: fn(&FaultPlan, usize, u64) -> bool,
+        dup_if: fn(&FaultPlan, usize, u64) -> bool,
+    ) -> (f64, Fate<M>) {
+        let Some(plan) = self.shared.config.faults else {
+            return (0.0, Fate::Sent(msg, None));
+        };
+        let ctr = self.next_fault_op();
+        let fate = if drop_if(&plan, self.id, ctr) {
+            Fate::Dropped
+        } else {
+            // The ghost copy arrives strictly later, as a straggler would.
+            let lag = plan.delay_secs.max(1.0e-6);
+            let ghost = dup_if(&plan, self.id, ctr).then(|| (msg.clone(), lag));
+            Fate::Sent(msg, ghost)
+        };
+        (plan.delay(self.id, ctr), fate)
+    }
+
+    /// Hand every queued incoming message to `handle`, in virtual-arrival
+    /// order, and return how many there were — UPC++'s `progress()`, which
+    /// the paper's poll function calls.
+    pub fn progress(&mut self, handle: impl FnMut(&mut Self, M)) -> usize {
+        self.drain(handle)
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::faults::FaultPlan;
 use crate::netmodel::NetModel;
-use crate::rank::{Rank, RpcMsg};
+use crate::rank::{Queued, Rank};
 use crate::segment::SegmentTable;
 use crate::stats::{Ledger, StatsSnapshot};
 use crate::sync::SegQueue;
@@ -59,7 +59,7 @@ impl PgasConfig {
 
 /// Round-robin turnstile for deterministic lockstep execution: exactly one
 /// rank runs at a time, and the turn rotates in rank order at explicit
-/// yield points ([`Rank::progress`] and [`Rank::barrier`]). With a fixed
+/// yield points (`Rank::progress` and `Rank::barrier`). With a fixed
 /// rotation the interleaving of sends and drains is a pure function of the
 /// program, which makes virtual clocks — and therefore the makespan —
 /// bit-reproducible.
@@ -162,11 +162,11 @@ impl Turnstile {
     }
 }
 
-/// Shared cross-rank structures.
-pub(crate) struct Shared {
+/// Shared cross-rank structures of a region whose message type is `M`.
+pub(crate) struct Shared<M> {
     pub config: PgasConfig,
     pub tables: Vec<SegmentTable>,
-    pub rpc_queues: Vec<SegQueue<RpcMsg>>,
+    pub queues: Vec<SegQueue<Queued<M>>>,
     pub barrier: Barrier,
     /// Double-buffered max-clock cells for the barrier's virtual-time
     /// agreement (f64 bits; non-negative floats order correctly as u64).
@@ -208,14 +208,15 @@ pub struct Runtime;
 
 impl Runtime {
     /// Run `f` on `config.n_ranks` ranks (one OS thread each) and collect
-    /// the results.
+    /// the results; `M` is the type of every message the region sends.
     ///
     /// # Panics
     /// Propagates panics from rank closures.
-    pub fn run<R, F>(config: PgasConfig, f: F) -> RunReport<R>
+    pub fn spmd<M, R, F>(config: PgasConfig, f: F) -> RunReport<R>
     where
+        M: Send,
         R: Send,
-        F: Fn(&mut Rank) -> R + Sync,
+        F: Fn(&mut Rank<M>) -> R + Sync,
     {
         let n = config.n_ranks;
         assert!(n >= 1, "need at least one rank");
@@ -225,7 +226,7 @@ impl Runtime {
             tables: (0..n)
                 .map(|_| SegmentTable::new(config.device_quota))
                 .collect(),
-            rpc_queues: (0..n).map(|_| SegQueue::new()).collect(),
+            queues: (0..n).map(|_| SegQueue::new()).collect(),
             barrier: Barrier::new(n),
             clock_max: [AtomicU64::new(0), AtomicU64::new(0)],
             activity: AtomicU64::new(0),
@@ -276,11 +277,12 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ptr::MemKind;
+    use crate::ptr::{GlobalPtr, MemKind};
+    use crate::rank::Wire;
 
     #[test]
     fn ranks_see_their_ids_and_topology() {
-        let report = Runtime::run(PgasConfig::multi_node(2, 3), |rank| {
+        let report = Runtime::spmd(PgasConfig::multi_node(2, 3), |rank: &mut Rank<()>| {
             (rank.id(), rank.n_ranks(), rank.node_of(rank.id()))
         });
         assert_eq!(report.results.len(), 6);
@@ -293,28 +295,31 @@ mod tests {
 
     #[test]
     fn rget_moves_real_data_and_charges_time() {
-        let report = Runtime::run(PgasConfig::multi_node(2, 1), |rank| {
-            // Rank 0 allocates and fills; rank 1 fetches one-sidedly.
-            if rank.id() == 0 {
-                let ptr = rank.alloc(MemKind::Host, 4).unwrap();
-                rank.write_local(&ptr, &[1.0, 2.0, 3.0, 4.0]);
-                // Hand the pointer over via RPC.
-                rank.rpc(1, move |r| {
-                    let h = r.rget(&ptr);
-                    let data = h.wait(r);
-                    assert_eq!(*data, vec![1.0, 2.0, 3.0, 4.0]);
-                });
-                rank.barrier();
-                0.0
-            } else {
-                rank.barrier(); // rank 0 must have enqueued before we drain…
-                let before = rank.now();
-                while rank.progress() == 0 {
-                    std::thread::yield_now();
+        let report = Runtime::spmd(
+            PgasConfig::multi_node(2, 1),
+            |rank: &mut Rank<GlobalPtr>| {
+                // Rank 0 allocates and fills; rank 1 fetches one-sidedly.
+                if rank.id() == 0 {
+                    let ptr = rank.alloc(MemKind::Host, 4).unwrap();
+                    rank.write_local(&ptr, &[1.0, 2.0, 3.0, 4.0]);
+                    // Hand the pointer over in a message.
+                    rank.send(1, ptr, Wire::Bare);
+                    rank.barrier();
+                    0.0
+                } else {
+                    rank.barrier(); // rank 0 must have enqueued before we drain…
+                    let before = rank.now();
+                    let fetch = |r: &mut Rank<GlobalPtr>, ptr: GlobalPtr| {
+                        let data = r.rget(&ptr).wait(r);
+                        assert_eq!(*data, vec![1.0, 2.0, 3.0, 4.0]);
+                    };
+                    while rank.progress(fetch) == 0 {
+                        std::thread::yield_now();
+                    }
+                    rank.now() - before
                 }
-                rank.now() - before
-            }
-        });
+            },
+        );
         // Rank 1 paid network latency + transfer time for 32 bytes.
         assert!(report.results[1] > 2.0e-6, "charged {}", report.results[1]);
         assert_eq!(report.stats.rgets, 1);
@@ -324,7 +329,7 @@ mod tests {
 
     #[test]
     fn barrier_synchronizes_virtual_clocks() {
-        let report = Runtime::run(PgasConfig::single_node(4), |rank| {
+        let report = Runtime::spmd(PgasConfig::single_node(4), |rank: &mut Rank<()>| {
             rank.advance(rank.id() as f64); // ranks at times 0,1,2,3
             rank.barrier();
             let t1 = rank.now();
@@ -340,7 +345,7 @@ mod tests {
 
     #[test]
     fn repeated_barriers_reset_correctly() {
-        let report = Runtime::run(PgasConfig::single_node(3), |rank| {
+        let report = Runtime::spmd(PgasConfig::single_node(3), |rank: &mut Rank<()>| {
             let mut clocks = Vec::new();
             for round in 0..5 {
                 rank.advance(if rank.id() == round % 3 { 1.0 } else { 0.1 });
@@ -365,20 +370,21 @@ mod tests {
     fn copy_between_device_and_remote_host() {
         let mut config = PgasConfig::multi_node(2, 1);
         config.device_quota = 1 << 20;
-        let report = Runtime::run(config, |rank| {
+        let report = Runtime::spmd(config, |rank: &mut Rank<GlobalPtr>| {
             if rank.id() == 0 {
                 let host = rank.alloc(MemKind::Host, 8).unwrap();
                 rank.write_local(&host, &[7.0; 8]);
-                rank.rpc(1, move |r| {
+                rank.send(1, host, Wire::Bare);
+                rank.barrier();
+            } else {
+                rank.barrier();
+                let pull = |r: &mut Rank<GlobalPtr>, host: GlobalPtr| {
                     let dev = r.alloc(MemKind::Device, 8).unwrap();
                     let done = r.copy(&host, &dev);
                     r.advance_to(done);
                     assert_eq!(*r.read_local(&dev), vec![7.0; 8]);
-                });
-                rank.barrier();
-            } else {
-                rank.barrier();
-                while rank.progress() == 0 {
+                };
+                while rank.progress(pull) == 0 {
                     std::thread::yield_now();
                 }
             }
@@ -392,7 +398,7 @@ mod tests {
     fn device_quota_produces_oom() {
         let mut config = PgasConfig::single_node(1);
         config.device_quota = 64; // 8 elements
-        let report = Runtime::run(config, |rank| {
+        let report = Runtime::spmd(config, |rank: &mut Rank<()>| {
             let ok = rank.alloc(MemKind::Device, 8);
             let oom = rank.alloc(MemKind::Device, 1);
             (ok.is_ok(), oom.is_err())
@@ -401,62 +407,62 @@ mod tests {
     }
 
     #[test]
-    fn user_state_reachable_from_rpc() {
-        #[derive(Default)]
-        struct Inbox {
-            got: Vec<u64>,
-        }
-        let report = Runtime::run(PgasConfig::single_node(2), |rank| {
-            rank.set_state(Inbox::default());
-            rank.barrier();
+    fn typed_messages_arrive_in_order_and_handlers_send() {
+        let report = Runtime::spmd(PgasConfig::multi_node(3, 1), |rank: &mut Rank<u64>| {
+            let mut got = Vec::new();
             if rank.id() == 0 {
-                for v in [10u64, 20, 30] {
-                    rank.rpc(1, move |r| {
-                        r.with_state::<Inbox, _>(|_, inbox| inbox.got.push(v));
-                    });
+                // A megabyte payload first: it lands after the bare
+                // messages sent behind it, and one drain sorts them so.
+                rank.send(1, 99, Wire::Payload(1 << 20));
+                for v in [10, 20, 30] {
+                    rank.send(1, v, Wire::Bare);
                 }
+            }
+            rank.barrier(); // everything rank 0 sent is queued at rank 1
+            if rank.id() == 1 {
+                // The handler sends: each value goes on to rank 2, plus one.
+                let n = rank.progress(|r, v| {
+                    got.push(v);
+                    r.send(2, v + 1, Wire::Bare);
+                });
+                assert_eq!(n, 4, "one drain takes everything queued");
             }
             rank.barrier();
-            if rank.id() == 1 {
-                let mut executed = 0;
-                while executed < 3 {
-                    executed += rank.progress();
-                    std::thread::yield_now();
-                }
+            if rank.id() == 2 {
+                rank.progress(|_, v| got.push(v));
             }
-            let inbox = rank.take_state::<Inbox>();
-            inbox.got
+            got
         });
-        assert_eq!(report.results[1], vec![10, 20, 30]);
+        assert_eq!(report.results[0], []);
+        assert_eq!(report.results[1], [10, 20, 30, 99]);
+        assert_eq!(report.results[2], [11, 21, 31, 100]);
+        assert_eq!(report.stats.rpcs, 8);
     }
 
     #[test]
     fn deterministic_mode_reproduces_clocks_bit_exactly() {
-        // A racy ping-pong workload: every rank RPCs every other rank, and
-        // handlers trigger further traffic. In free-running mode the drain
+        // A racy ping-pong workload: every rank messages every other rank,
+        // and handlers charge work. In free-running mode the drain
         // interleaving (hence per-rank clocks) may vary; in lockstep mode
         // two runs must agree to the bit.
         let run_once = || {
             let mut config = PgasConfig::multi_node(2, 2);
             config.deterministic = true;
-            let report = Runtime::run(config, |rank| {
-                rank.set_state(0u64);
+            let report = Runtime::spmd(config, |rank: &mut Rank<usize>| {
                 rank.barrier();
                 let me = rank.id();
                 for t in 0..rank.n_ranks() {
                     if t != me {
-                        rank.rpc(t, move |r| {
-                            r.advance(1.0e-6 * (me as f64 + 1.0));
-                            r.with_state::<u64, _>(|_, got| *got += 1);
-                        });
+                        rank.send(t, me, Wire::Bare);
                     }
                 }
                 let expect = (rank.n_ranks() - 1) as u64;
-                loop {
-                    rank.progress();
-                    if rank.with_state::<u64, _>(|_, got| *got >= expect) {
-                        break;
-                    }
+                let mut got = 0u64;
+                while got < expect {
+                    rank.progress(|r, from| {
+                        r.advance(1.0e-6 * (from as f64 + 1.0));
+                        got += 1;
+                    });
                 }
                 rank.barrier();
                 rank.now()
@@ -471,7 +477,7 @@ mod tests {
 
     #[test]
     fn job_abort_flag_reaches_every_rank() {
-        let report = Runtime::run(PgasConfig::single_node(3), |rank| {
+        let report = Runtime::spmd(PgasConfig::single_node(3), |rank: &mut Rank<()>| {
             rank.barrier();
             if rank.id() == 1 {
                 rank.signal_abort();
@@ -488,88 +494,73 @@ mod tests {
 #[cfg(test)]
 mod payload_tests {
     use super::*;
-    use crate::ptr::MemKind;
+    use crate::ptr::{GlobalPtr, MemKind};
+    use crate::rank::Wire;
 
-    #[test]
-    fn rpc_payload_charges_transfer_cost() {
-        let report = Runtime::run(PgasConfig::multi_node(2, 1), |rank| {
+    /// The virtual time at which rank 1 takes delivery of a `bytes` payload
+    /// rank 0 sent it at time 0.
+    fn payload_delivered_at(config: PgasConfig, bytes: usize) -> f64 {
+        let report = Runtime::spmd(config, |rank: &mut Rank<()>| {
             if rank.id() == 0 {
-                // 1 MiB payload across the network.
-                rank.rpc_payload(1, 1 << 20, |r| {
-                    r.with_state::<f64, _>(|rank, seen_at| *seen_at = rank.now());
-                });
+                rank.send(1, (), Wire::Payload(bytes));
                 rank.barrier();
                 0.0
             } else {
-                rank.set_state(0.0f64);
                 rank.barrier();
-                while rank.progress() == 0 {
+                let mut seen_at = 0.0;
+                while rank.progress(|r, ()| seen_at = r.now()) == 0 {
                     std::thread::yield_now();
                 }
-                rank.take_state::<f64>()
+                seen_at
             }
         });
+        report.results[1]
+    }
+
+    #[test]
+    fn rpc_payload_charges_transfer_cost() {
+        // 1 MiB payload across the network.
+        let seen_at = payload_delivered_at(PgasConfig::multi_node(2, 1), 1 << 20);
         // Delivery time must include ~ 1MiB / 23 GB/s ≈ 45 µs of wire time.
-        assert!(
-            report.results[1] > 40.0e-6,
-            "payload undercharged: {}",
-            report.results[1]
-        );
+        assert!(seen_at > 40.0e-6, "payload undercharged: {seen_at}");
     }
 
     #[test]
     fn rpc_payload_intra_node_is_cheaper() {
-        let run = |same_node: bool| {
-            let config = if same_node {
-                PgasConfig::single_node(2)
-            } else {
-                PgasConfig::multi_node(2, 1)
-            };
-            Runtime::run(config, |rank| {
-                if rank.id() == 0 {
-                    rank.rpc_payload(1, 256 << 10, |r| {
-                        r.with_state::<f64, _>(|rank, t| *t = rank.now());
-                    });
-                    rank.barrier();
-                    0.0
-                } else {
-                    rank.set_state(0.0f64);
-                    rank.barrier();
-                    while rank.progress() == 0 {
-                        std::thread::yield_now();
-                    }
-                    rank.take_state::<f64>()
-                }
-            })
-            .results[1]
-        };
-        assert!(run(true) < run(false));
+        let bytes = 256 << 10;
+        let intra = payload_delivered_at(PgasConfig::single_node(2), bytes);
+        let net = payload_delivered_at(PgasConfig::multi_node(2, 1), bytes);
+        assert!(intra < net);
     }
 
     #[test]
     fn stats_capture_flood_traffic() {
-        let report = Runtime::run(PgasConfig::multi_node(2, 1), |rank| {
-            if rank.id() == 0 {
-                let ptr = rank.alloc(MemKind::Host, 128).unwrap();
-                rank.rpc(1, move |r| {
-                    for _ in 0..10 {
-                        let h = r.rget(&ptr);
-                        let _ = h.wait(r);
-                    }
-                });
-            }
-            rank.barrier();
-            if rank.id() == 1 {
-                while rank.progress() == 0 {
-                    std::thread::yield_now();
+        let report = Runtime::spmd(
+            PgasConfig::multi_node(2, 1),
+            |rank: &mut Rank<GlobalPtr>| {
+                if rank.id() == 0 {
+                    let ptr = rank.alloc(MemKind::Host, 128).unwrap();
+                    rank.send(1, ptr, Wire::Bare);
                 }
-            }
-            rank.barrier();
-        });
+                rank.barrier();
+                if rank.id() == 1 {
+                    let flood = |r: &mut Rank<GlobalPtr>, ptr: GlobalPtr| {
+                        for _ in 0..10 {
+                            let h = r.rget(&ptr);
+                            let _ = h.wait(r);
+                        }
+                    };
+                    while rank.progress(flood) == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                rank.barrier();
+            },
+        );
         assert_eq!(report.stats.rgets, 10);
         assert_eq!(report.stats.net_bytes, 10 * 128 * 8);
         // Per-peer attribution: rank 1 pulled everything from rank 0's
-        // segment, and rank 0 sent one RPC to rank 1.
+        // segment, and rank 0 sent one message to rank 1.
         assert_eq!(report.comm.n, 2);
         assert_eq!(report.comm.bytes_between(0, 1), 10 * 128 * 8);
         assert_eq!(report.comm.bytes_between(1, 0), 0);
@@ -580,7 +571,7 @@ mod payload_tests {
     fn rank_tracer_records_comm_spans_without_clock_cost() {
         use sympack_trace::SpanKind;
         let run = |traced: bool| {
-            Runtime::run(PgasConfig::multi_node(2, 1), move |rank| {
+            Runtime::spmd(PgasConfig::multi_node(2, 1), move |rank: &mut Rank<()>| {
                 if traced {
                     rank.set_tracer(sympack_trace::Tracer::new());
                 }
@@ -589,9 +580,9 @@ mod payload_tests {
                 let peer = 1 - rank.id();
                 let h = rank.rget(&ptr);
                 let _ = h.wait(rank);
-                rank.rpc_payload(peer, 64 * 8, |_r| {});
+                rank.send(peer, (), Wire::Payload(64 * 8));
                 rank.barrier();
-                while rank.progress() == 0 {
+                while rank.progress(|_, ()| {}) == 0 {
                     std::thread::yield_now();
                 }
                 rank.barrier();

@@ -8,7 +8,7 @@ use sympack_trace::telemetry::CommSample;
 
 /// One rank's traffic ledger. Every `rget`, `copy` and RPC is counted here
 /// once, by the rank that issues it, with plain single-owner writes, so a
-/// lockstep run reproduces it bit for bit. `Runtime::run` sums the ledgers
+/// lockstep run reproduces it bit for bit. `Runtime::spmd` sums the ledgers
 /// into `RunReport::{stats, comm}`; `Rank::comm_sample` reads `comm`.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {

@@ -10,7 +10,7 @@ use sympack_pgas::coalesce::{
     frame_wire_bytes, pack_frame, unpack_frame, Batch, CoalesceConfig, Coalescer,
     FRAME_HEADER_BYTES, SIGNAL_WIRE_BYTES, SUB_HEADER_BYTES,
 };
-use sympack_pgas::{NetModel, PgasConfig, Runtime};
+use sympack_pgas::{NetModel, PgasConfig, Rank, Runtime, Wire};
 
 /// Deterministic xorshift64* stream.
 struct Xor(u64);
@@ -225,19 +225,19 @@ fn runtime_ledger_conserves_coalesced_bytes() {
         let mut config = PgasConfig::multi_node(2, 2);
         config.deterministic = true;
         let frame_subs_run = frame_subs.clone();
-        let report = Runtime::run(config, move |rank| {
+        let report = Runtime::spmd(config, move |rank: &mut Rank<()>| {
             if rank.id() == 0 {
                 for i in 0..n_signals {
                     let target = 1 + i % 3; // mix of intra (1) and net (2, 3)
-                    rank.rpc_signal(target, |_r| {});
+                    rank.send(target, (), Wire::Signal);
                 }
                 for &subs in &frame_subs_run {
-                    let wire = frame_wire_bytes(std::iter::repeat_n(SIGNAL_WIRE_BYTES, subs));
-                    rank.rpc_frame(3, wire, subs, |_r| {});
+                    let bytes = frame_wire_bytes(std::iter::repeat_n(SIGNAL_WIRE_BYTES, subs));
+                    rank.send(3, (), Wire::Frame { bytes, subs });
                 }
             }
             rank.barrier();
-            while rank.progress() > 0 {}
+            while rank.progress(|_, ()| {}) > 0 {}
             rank.barrier();
         });
         let env = NetModel::default().rpc_envelope_bytes;

@@ -2,22 +2,47 @@
 //! cell, the final clocks and each rank's `comm_sample()` of one lockstep
 //! run that issues every kind of traffic the runtime counts — `rget`,
 //! `try_rget` (with timeouts), a host → device `copy`, a `copy` between two
-//! segments remote to the issuing rank, and all four RPC flavours under a
-//! fault plan that drops, duplicates and delays. The constants were
+//! segments remote to the issuing rank, and a message over each of the four
+//! wires under a fault plan that drops, duplicates and delays. The constants were
 //! captured before the counters moved into per-rank ledgers; a sum of the
 //! same increments is the same sum, so none of them may move.
 
-use sympack_pgas::{FaultPlan, GlobalPtr, MemKind, PgasConfig, RunReport, Runtime, StatsSnapshot};
+use sympack_pgas::{
+    FaultPlan, GlobalPtr, MemKind, PgasConfig, Rank, RunReport, Runtime, StatsSnapshot, Wire,
+};
 use sympack_trace::telemetry::CommSample;
 
 const P: usize = 4;
 const LEN: usize = 24;
 
+/// What the run's messages say.
+#[derive(Clone)]
+enum Note {
+    /// Rank `.0`'s host segment.
+    Ptr(usize, GlobalPtr),
+    /// A flat signal: one delivery.
+    Signal,
+    /// A frame: ten deliveries.
+    Frame,
+    /// A payload: its handler charges 0.1 µs of work.
+    Payload,
+}
+
 /// Per-rank state: the peers' host segments and the signal deliveries seen.
-#[derive(Default)]
 struct Seen {
     ptrs: Vec<Option<GlobalPtr>>,
     signals: u64,
+}
+
+impl Seen {
+    fn handle(&mut self, rank: &mut Rank<Note>, note: Note) {
+        match note {
+            Note::Ptr(from, ptr) => self.ptrs[from] = Some(ptr),
+            Note::Signal => self.signals += 1,
+            Note::Frame => self.signals += 10,
+            Note::Payload => rank.advance(1.0e-7),
+        }
+    }
 }
 
 /// Per-rank result: the comm sample, the signal deliveries seen and the
@@ -36,31 +61,28 @@ fn run() -> RunReport<Out> {
         delay_secs: 20.0e-6,
         rget_fail_prob: 0.3,
     });
-    Runtime::run(config, |rank| {
+    Runtime::spmd(config, |rank: &mut Rank<Note>| {
         let me = rank.id();
-        rank.set_state(Seen {
+        let mut seen = Seen {
             ptrs: vec![None; P],
             signals: 0,
-        });
+        };
         let host = rank.alloc(MemKind::Host, LEN + me).unwrap();
         let fill: Vec<f64> = (0..LEN + me).map(|i| (me * 100 + i) as f64).collect();
         rank.write_local(&host, &fill);
         let dev = rank.alloc(MemKind::Device, LEN + me).unwrap();
-        rank.with_state::<Seen, _>(|_, s| s.ptrs[me] = Some(host));
+        seen.ptrs[me] = Some(host);
         rank.barrier();
 
-        // Bare rpcs hand every peer this rank's host segment.
+        // Bare messages hand every peer this rank's host segment.
         for t in (0..P).filter(|&t| t != me) {
-            rank.rpc(t, move |r| {
-                r.with_state::<Seen, _>(|_, s| s.ptrs[me] = Some(host))
-            });
+            rank.send(t, Note::Ptr(me, host), Wire::Bare);
         }
-        while rank.with_state::<Seen, _>(|_, s| s.ptrs.iter().any(Option::is_none)) {
-            rank.progress();
+        while seen.ptrs.iter().any(Option::is_none) {
+            rank.progress(|r, note| seen.handle(r, note));
         }
         rank.barrier();
-        let ptrs: Vec<GlobalPtr> =
-            rank.with_state::<Seen, _>(|_, s| s.ptrs.iter().map(|p| p.unwrap()).collect());
+        let ptrs: Vec<GlobalPtr> = seen.ptrs.iter().map(|p| p.unwrap()).collect();
 
         // One-sided gets: a whole segment, then a fault-aware partial one
         // retried until it lands.
@@ -87,27 +109,24 @@ fn run() -> RunReport<Out> {
         rank.advance_to(done);
         let _ = rank.read_local(&host.slice(1, 3));
 
-        // Signals (drop / duplicate eligible), a payload rpc and frames.
+        // Signals (drop / duplicate eligible), a payload and frames.
         for round in 0..4 {
             for t in (0..P).filter(|&t| t != me) {
-                rank.rpc_signal(t, |r| {
-                    r.try_with_state::<Seen, _>(|_, s| s.signals += 1);
-                });
+                rank.send(t, Note::Signal, Wire::Signal);
             }
             let next = (me + 1 + round) % P;
             if next != me {
-                rank.rpc_frame(next, 96 + 8 * round, 2 + round, |r| {
-                    r.try_with_state::<Seen, _>(|_, s| s.signals += 10);
-                });
+                let (bytes, subs) = (96 + 8 * round, 2 + round);
+                rank.send(next, Note::Frame, Wire::Frame { bytes, subs });
             }
         }
-        rank.rpc_payload((me + 3) % P, 64 * (me + 1), |r| r.advance(1.0e-7));
+        let bytes = 64 * (me + 1);
+        rank.send((me + 3) % P, Note::Payload, Wire::Payload(bytes));
         let sent_at = rank.now().to_bits();
         for _ in 0..3 {
             rank.barrier();
-            rank.progress();
+            rank.progress(|r, note| seen.handle(r, note));
         }
-        let seen = rank.take_state::<Seen>();
         (rank.comm_sample(), seen.signals, sent_at)
     })
 }

@@ -5,18 +5,18 @@
 //! that shows the hand-over happened.
 
 use std::sync::Arc;
-use sympack_pgas::{GlobalPtr, MemKind, Payload, PgasConfig, PgasError, Rank, Runtime};
+use sympack_pgas::{GlobalPtr, MemKind, Payload, PgasConfig, PgasError, Rank, Runtime, Wire};
 
-fn one_rank<T: Send>(quota: usize, body: impl Fn(&mut Rank) -> T + Sync) -> (T, u64) {
+fn one_rank<T: Send>(quota: usize, body: impl Fn(&mut Rank<()>) -> T + Sync) -> (T, u64) {
     let mut config = PgasConfig::single_node(1);
     config.device_quota = quota;
-    let mut report = Runtime::run(config, body);
+    let mut report = Runtime::spmd(config, body);
     (report.results.remove(0), report.stats.copied_bytes)
 }
 
 #[test]
 fn an_rget_issued_before_a_write_still_sees_the_old_bytes() {
-    type Writer = fn(&mut Rank, &GlobalPtr);
+    type Writer = fn(&mut Rank<()>, &GlobalPtr);
     let writers: [(&str, Writer); 2] = [
         ("write_local", |r, p| r.write_local(p, &[9.0, 9.0])),
         ("with_local_mut", |r, p| {
@@ -67,7 +67,7 @@ fn device_quota_accounting_is_unchanged_by_sharing() {
     let quota = 100 * 8;
     let mut config = PgasConfig::single_node(1);
     config.device_quota = quota;
-    let report = Runtime::run(config, |rank| {
+    let report = Runtime::spmd(config, |rank: &mut Rank<()>| {
         let host = rank
             .alloc_from(MemKind::Host, Arc::new(vec![7.0; 60]))
             .unwrap();
@@ -100,41 +100,40 @@ fn device_quota_accounting_is_unchanged_by_sharing() {
 #[test]
 fn a_fetched_payload_outlives_its_segment_and_a_straggling_signal_is_inert() {
     // Rank 0 publishes a buffer and signals rank 1 twice — the second copy
-    // of the signal is a straggler that arrives after rank 1's state for
-    // the phase is gone and after rank 0 freed the segment.
-    let report = Runtime::run(PgasConfig::multi_node(2, 1), |rank| {
-        if rank.id() == 0 {
-            let ptr = rank
-                .alloc_from(MemKind::Host, Arc::new(vec![3.5; 256]))
-                .unwrap();
-            let signal = move |r: &mut Rank| {
-                r.try_with_state::<Vec<Payload>, _>(|r, got| {
-                    let h = r.rget(&ptr);
-                    got.push(h.wait(r));
-                });
-            };
-            rank.rpc_signal(1, signal);
-            rank.barrier(); // rank 1 resolves the first delivery
-            rank.barrier();
-            rank.free(&ptr);
-            rank.rpc_signal(1, signal);
-            rank.barrier(); // rank 1 drains the straggler
-            Vec::new()
-        } else {
-            rank.set_state(Vec::<Payload>::new());
-            rank.barrier();
-            while rank.progress() == 0 {
-                std::thread::yield_now();
+    // of the signal is a straggler that arrives after rank 1's phase is
+    // over and after rank 0 freed the segment.
+    let report = Runtime::spmd(
+        PgasConfig::multi_node(2, 1),
+        |rank: &mut Rank<GlobalPtr>| {
+            if rank.id() == 0 {
+                let ptr = rank
+                    .alloc_from(MemKind::Host, Arc::new(vec![3.5; 256]))
+                    .unwrap();
+                rank.send(1, ptr, Wire::Signal);
+                rank.barrier(); // rank 1 resolves the first delivery
+                rank.barrier();
+                rank.free(&ptr);
+                rank.send(1, ptr, Wire::Signal);
+                rank.barrier(); // rank 1 drains the straggler
+                Vec::new()
+            } else {
+                let mut got = Vec::new();
+                rank.barrier();
+                let mut fetch =
+                    |r: &mut Rank<GlobalPtr>, ptr: GlobalPtr| got.push(r.rget(&ptr).wait(r));
+                while rank.progress(&mut fetch) == 0 {
+                    std::thread::yield_now();
+                }
+                rank.barrier();
+                rank.barrier();
+                // The phase that fetched is over: its successor drops the signal.
+                while rank.progress(|_, _| {}) == 0 {
+                    std::thread::yield_now();
+                }
+                got
             }
-            let got = rank.take_state::<Vec<Payload>>();
-            rank.barrier();
-            rank.barrier();
-            while rank.progress() == 0 {
-                std::thread::yield_now();
-            }
-            got
-        }
-    });
+        },
+    );
     // Read after the region (and with it every segment table) is gone.
     let got = &report.results[1];
     assert_eq!(got.len(), 1, "the straggler fetched nothing");

@@ -78,17 +78,17 @@ const PHASES: [&str; 5] = [
 /// capture, which costs every spawned rank thread two allocations (run with
 /// `--nocapture`, a phase reads two fewer per rank thread it spawned).
 const CEILINGS: [(&str, usize, [u64; 5]); 4] = [
-    ("flan_like(16³)", 1, [8935, 91, 91, 133, 5040]),
-    ("flan_like(16³)", 2, [20442, 5822, 5822, 5877, 16342]),
+    ("flan_like(16³)", 1, [8934, 89, 89, 131, 5039]),
+    ("flan_like(16³)", 2, [16710, 2899, 2899, 2954, 12610]),
     (
         "thermal_like(60, 60, 0.35, 1)",
         1,
-        [14499, 94, 94, 134, 7832],
+        [14498, 92, 92, 132, 7831],
     ),
     (
         "thermal_like(60, 60, 0.35, 1)",
         2,
-        [29913, 8506, 8506, 8560, 23028],
+        [24879, 4242, 4242, 4296, 17994],
     ),
 ];
 
