@@ -14,45 +14,22 @@
 //! document instead (schema header, known kind, nondecreasing series
 //! timestamps, writer round-trip) and exits nonzero on any violation —
 //! with `--against` it additionally requires the two files to be
-//! byte-identical, CI's snapshot-determinism gate. `--live` runs a small
-//! seeded in-process fleet and renders its telemetry (optionally dumping
+//! byte-identical, CI's snapshot-determinism gate. `--live` replays a small
+//! seeded in-process fleet (through `sympack_bench::replay`, which checks
+//! every job's residual) and renders its telemetry (optionally dumping
 //! the snapshot JSON for a later `--replay`).
 
 use std::process::ExitCode;
 use sympack::SolverOptions;
-use sympack_fleet::{Fleet, FleetConfig};
+use sympack_bench::gate::Args;
+use sympack_bench::replay::{replay, Event, Mix, Tenant};
+use sympack_fleet::FleetConfig;
 use sympack_trace::json::{self, JsonValue};
-use sympack_trace::telemetry::SNAPSHOT_SCHEMA;
+use sympack_trace::telemetry::{SloPolicy, SNAPSHOT_SCHEMA};
 
 const USAGE: &str = "usage:
   sympack-top --replay <snapshot.json> [--check] [--against <other.json>]
   sympack-top --live [--tenants N] [--rounds N] [--json <out.json>]";
-
-/// Parse `--flag value` from `argv`, removing both tokens when present.
-fn take_flag(argv: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match argv.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            if i + 1 >= argv.len() {
-                return Err(format!("{flag} needs a value"));
-            }
-            let v = argv.remove(i + 1);
-            argv.remove(i);
-            Ok(Some(v))
-        }
-    }
-}
-
-/// Remove a boolean `--flag`, reporting whether it was present.
-fn take_switch(argv: &mut Vec<String>, flag: &str) -> bool {
-    match argv.iter().position(|a| a == flag) {
-        Some(i) => {
-            argv.remove(i);
-            true
-        }
-        None => false,
-    }
-}
 
 fn num(v: &JsonValue, key: &str) -> f64 {
     v.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0)
@@ -264,8 +241,33 @@ fn render(doc: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// `--live`: run a deterministic in-process fleet and render its telemetry.
-fn live(tenants: usize, rounds: usize, json_out: Option<String>) -> Result<ExitCode, String> {
+/// `--live`: replay a deterministic in-process fleet and render its
+/// telemetry after every round.
+fn live(tenants: usize, rounds: usize, json_out: Option<&str>) -> Result<ExitCode, String> {
+    let a = sympack_sparse::gen::laplacian_2d(10, 10);
+    let b = sympack_sparse::vecops::test_rhs(a.n());
+    let tenants: Vec<Tenant> = (0..tenants.max(1))
+        .map(|i| Tenant {
+            name: format!("tenant{i}"),
+            matrix: &a,
+            weight: 1.0 + (i % 3) as f64,
+            slo: Some(SloPolicy::new(5e-3 * (1 + i % 4) as f64, 0.99)),
+        })
+        .collect();
+    let mut events = Vec::new();
+    for round in 0..rounds.max(1) {
+        // A fixed, seedless workload: tenant i submits (i mod 3) + 1 jobs
+        // per round at staggered virtual arrivals.
+        for i in 0..tenants.len() {
+            for k in 0..(i % 3) + 1 {
+                let at = round as f64 * 0.01 + k as f64 * 0.001;
+                let rhs = b.clone();
+                events.push(Event::Submit { tenant: i, at, rhs });
+            }
+        }
+        events.push(Event::Step);
+    }
+    events.push(Event::Drain);
     let opts = SolverOptions {
         n_nodes: 1,
         ranks_per_node: 2,
@@ -277,77 +279,53 @@ fn live(tenants: usize, rounds: usize, json_out: Option<String>) -> Result<ExitC
         max_batch: 4,
         ..Default::default()
     };
-    let mut fleet = Fleet::new(&opts, config);
-    let a = sympack_sparse::gen::laplacian_2d(10, 10);
-    let mut ids = Vec::new();
-    for i in 0..tenants.max(1) {
-        let id = fleet
-            .admit(&format!("tenant{i}"), &a, 1.0 + (i % 3) as f64)
-            .map_err(|e| e.to_string())?;
-        fleet.set_slo(
-            id,
-            sympack_trace::telemetry::SloPolicy::new(5e-3 * (1 + i % 4) as f64, 0.99),
-        );
-        ids.push(id);
-    }
-    let b = sympack_sparse::vecops::test_rhs(a.n());
-    for round in 0..rounds.max(1) {
-        for (i, &id) in ids.iter().enumerate() {
-            // A fixed, seedless workload: tenant i submits (i mod 3) + 1
-            // jobs per round at staggered virtual arrivals.
-            for k in 0..(i % 3) + 1 {
-                let at = round as f64 * 0.01 + k as f64 * 0.001;
-                fleet
-                    .submit_at(id, b.clone(), at)
-                    .map_err(|e| e.to_string())?;
-            }
+    let mut docs = Vec::new();
+    let fleet = replay(&opts, config, &Mix { tenants, events }, |fleet, event| {
+        if matches!(event, Event::Step) {
+            docs.push(fleet.telemetry_json());
         }
-        fleet.step().map_err(|e| e.to_string())?;
-        print!(
-            "\n=== round {round} ===\n{}",
-            render(&fleet.telemetry_json())?
-        );
+    })?;
+    for (round, doc) in docs.iter().enumerate() {
+        print!("\n=== round {round} ===\n{}", render(doc)?);
     }
-    fleet.drain().map_err(|e| e.to_string())?;
     let doc = fleet.telemetry_json();
     print!("\n=== final ===\n{}", render(&doc)?);
     if let Some(path) = json_out {
-        std::fs::write(&path, &doc).map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("wrote snapshot to {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
 
 fn run() -> Result<ExitCode, String> {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    if take_switch(&mut argv, "--live") {
-        let tenants = match take_flag(&mut argv, "--tenants")? {
-            Some(v) => v.parse().map_err(|_| "bad --tenants".to_string())?,
-            None => 4,
-        };
-        let rounds = match take_flag(&mut argv, "--rounds")? {
-            Some(v) => v.parse().map_err(|_| "bad --rounds".to_string())?,
-            None => 3,
-        };
-        let json_out = take_flag(&mut argv, "--json")?;
-        if !argv.is_empty() {
-            return Err(USAGE.into());
+    let args = Args::from_env(
+        &["--live", "--check"],
+        &["--tenants", "--rounds", "--json", "--replay", "--against"],
+    );
+    let count = |flag| args.parsed(flag, |v| v.parse().ok());
+    // A flag of the other mode is a usage error, not silently ignored.
+    let live_flags = ["--tenants", "--rounds", "--json"].map(|f| args.value(f).is_some());
+    let replay_flags = [args.has("--check"), args.value("--against").is_some()];
+    match (args.has("--live"), args.value("--replay")) {
+        (true, None) if !replay_flags.contains(&true) => live(
+            count("--tenants").unwrap_or(4),
+            count("--rounds").unwrap_or(3),
+            args.value("--json"),
+        ),
+        (false, Some(path)) if !live_flags.contains(&true) => {
+            replay_doc(path, args.has("--check"), args.value("--against"))
         }
-        return live(tenants, rounds, json_out);
+        _ => Err(USAGE.into()),
     }
-    let Some(path) = take_flag(&mut argv, "--replay")? else {
-        return Err(USAGE.into());
-    };
-    let check = take_switch(&mut argv, "--check");
-    let against = take_flag(&mut argv, "--against")?;
-    if !argv.is_empty() {
-        return Err(USAGE.into());
-    }
-    let doc = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
+}
+
+/// `--replay`: render a saved snapshot, or validate it (`--check`).
+fn replay_doc(path: &str, check: bool, against: Option<&str>) -> Result<ExitCode, String> {
+    let doc = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     if check {
         let mut errs = check_doc(&doc);
         if let Some(other) = against {
-            let doc2 = std::fs::read_to_string(&other).map_err(|e| format!("read {other}: {e}"))?;
+            let doc2 = std::fs::read_to_string(other).map_err(|e| format!("read {other}: {e}"))?;
             errs.extend(check_doc(&doc2));
             if doc != doc2 {
                 errs.push(format!(

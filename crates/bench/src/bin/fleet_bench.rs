@@ -27,9 +27,14 @@
 //! * repeated-pattern tenants admit as plan-cache hits (zero analysis);
 //! * the LRU keeps the steady-state resident factor bytes under budget
 //!   while evictions and re-materializations both actually happen.
+//!
+//! Every mix also requires each tenant's batching to coalesce jobs into one
+//! panel solve, and the shared replay (`sympack_bench::replay`) checks every
+//! job's residual against the right-hand side it was submitted with.
 
 use sympack::SolverOptions;
 use sympack_bench::gate::{self, sci, Args, Row, Rows, Suite};
+use sympack_bench::replay::{replay, Event, Mix, Tenant};
 use sympack_bench::Problem;
 use sympack_fleet::{Fleet, FleetConfig, TenantId};
 use sympack_service::Session;
@@ -93,18 +98,10 @@ fn zipf(rng: &mut XorShift64, k: usize) -> usize {
     k - 1
 }
 
-/// Deterministic per-job right-hand side (recomputable for the residual
-/// check without retaining every submitted vector).
-fn rhs_for(tenant: usize, job: u64, n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| ((i + 1) as f64 * 0.13 + tenant as f64 * 0.71 + job as f64 * 0.37).sin())
-        .collect()
-}
-
 /// Replay one mix. Returns its rows of `BENCH_fleet.json` — the fleet-wide
 /// summary, then one row per tenant — and the finished fleet (for the
 /// metrics/profile artifacts).
-fn run_mix(spec: &MixSpec) -> (Row, Vec<Row>, Fleet) {
+fn run_mix(spec: &MixSpec) -> Result<(Row, Vec<Row>, Fleet), String> {
     let mut rng = XorShift64::new(spec.seed);
     let zoo: Vec<SparseSym> = Problem::ALL.iter().map(|p| p.matrix_quick()).collect();
 
@@ -142,6 +139,28 @@ fn run_mix(spec: &MixSpec) -> (Row, Vec<Row>, Fleet) {
     let demand: u64 = assign.iter().map(|&k| pattern_bytes[k]).sum();
     let budget = demand * spec.budget_pct / 100;
 
+    // Every tenant's burst with seeded arrival jitter and a per-job
+    // right-hand side, then a drain under the fair scheduler.
+    let mut events = Vec::new();
+    for (t, &burst) in bursts.iter().enumerate() {
+        for j in 0..burst {
+            let at = j as f64 * 0.02 + rng.next_f64() * 0.01;
+            let phase = t as f64 * 0.71 + j as f64 * 0.37;
+            let rhs = (0..zoo[assign[t]].n())
+                .map(|i| ((i + 1) as f64 * 0.13 + phase).sin())
+                .collect();
+            events.push(Event::Submit { tenant: t, at, rhs });
+        }
+    }
+    events.push(Event::Drain);
+    let tenants = (0..spec.tenants)
+        .map(|t| Tenant {
+            name: format!("t{t:02}"),
+            matrix: &zoo[assign[t]],
+            weight: weights[t],
+            slo: None,
+        })
+        .collect();
     let config = FleetConfig {
         shards: spec.shards,
         factor_budget_bytes: budget,
@@ -149,93 +168,41 @@ fn run_mix(spec: &MixSpec) -> (Row, Vec<Row>, Fleet) {
         max_batch: spec.max_batch,
         quantum: spec.quantum,
     };
-    let mut fleet = Fleet::new(&opts, config);
+    let mix = Mix { tenants, events };
+    let name = spec.name;
+    let fleet = replay(&opts, config, &mix, |_, _| {}).map_err(|e| format!("{name}: {e}"))?;
 
-    // Admission: plan-cache hits are exactly the repeated patterns, and a
-    // hit tenant pays zero analysis — the acceptance signal.
+    // Plan-cache hits are exactly the repeated patterns, and a hit tenant
+    // pays zero analysis — the acceptance signal. Every tenant's batching
+    // coalesced at least two jobs into one panel solve.
     let mut seen = vec![false; zoo.len()];
-    let mut hits = vec![false; spec.tenants];
-    let ids: Vec<TenantId> = (0..spec.tenants)
-        .map(|t| {
-            let k = assign[t];
-            hits[t] = seen[k];
-            seen[k] = true;
-            fleet
-                .admit(&format!("t{t:02}"), &zoo[k], weights[t])
-                .unwrap_or_else(|e| panic!("{}: admit t{t:02}: {e}", spec.name))
-        })
+    let hits: Vec<bool> = assign
+        .iter()
+        .map(|&k| std::mem::replace(&mut seen[k], true))
         .collect();
-    let distinct = seen.iter().filter(|&&s| s).count();
+    let distinct = seen.iter().filter(|&&s| s).count() as u64;
     let cache = fleet.cache_metrics();
-    assert_eq!(
-        cache.plan_misses as usize, distinct,
-        "{}: misses",
-        spec.name
-    );
-    assert_eq!(
-        cache.plan_hits as usize,
-        spec.tenants - distinct,
-        "{}: hits",
-        spec.name
-    );
-    for (t, &id) in ids.iter().enumerate() {
-        if hits[t] {
-            assert_eq!(
-                fleet.tenant_analyze_wall_ms(id),
-                0.0,
-                "{}: t{t:02} hit must skip analysis",
-                spec.name
-            );
+    if (cache.plan_misses, cache.plan_hits) != (distinct, spec.tenants as u64 - distinct) {
+        return Err(format!("{name}: {distinct} patterns, {cache:?}"));
+    }
+    for t in 0..spec.tenants {
+        if hits[t] && fleet.tenant_analyze_wall_ms(TenantId(t)) != 0.0 {
+            return Err(format!("{name}: t{t:02} hit must skip analysis"));
+        }
+        if fleet.tenant_metrics(TenantId(t)).coalesced_jobs == 0 {
+            return Err(format!("{name}: t{t:02} never coalesced two jobs"));
         }
     }
-
-    // Submit every tenant's burst with seeded arrival jitter, then drain
-    // under the fair scheduler.
-    for (t, &id) in ids.iter().enumerate() {
-        let n = zoo[assign[t]].n();
-        for j in 0..bursts[t] {
-            let arrival = j as f64 * 0.02 + rng.next_f64() * 0.01;
-            fleet
-                .submit_at(id, rhs_for(t, j as u64, n), arrival)
-                .unwrap_or_else(|e| panic!("{}: submit t{t:02}/{j}: {e}", spec.name));
-        }
-    }
-    let done = fleet
-        .drain()
-        .unwrap_or_else(|e| panic!("{}: drain: {e}", spec.name));
     let total_jobs: u64 = bursts.iter().map(|&b| b as u64).sum();
-    assert_eq!(
-        done.len() as u64,
-        total_jobs,
-        "{}: all jobs complete",
-        spec.name
-    );
-    for c in &done {
-        let a = &zoo[assign[c.tenant.0]];
-        let b = rhs_for(c.tenant.0, c.id, a.n());
-        let res = a.relative_residual(&c.x, &b);
-        assert!(
-            res < 1e-8,
-            "{}: t{:02}/job-{} residual {res}",
-            spec.name,
-            c.tenant.0,
-            c.id
-        );
+    if fleet.request_spans().len() as u64 != total_jobs {
+        return Err(format!("{name}: one request span per job"));
     }
-
-    let cache = fleet.cache_metrics();
-    assert_eq!(
-        fleet.request_spans().len() as u64,
-        total_jobs,
-        "{}: spans",
-        spec.name
-    );
 
     let scenario = Row::from(
         Obj::new()
             .str("mix", spec.name)
             .u64("tenants", spec.tenants as u64)
-            .u64("patterns", distinct as u64)
+            .u64("patterns", distinct)
             .u64("shards", spec.shards as u64)
             .u64("ranks_per_shard", spec.ranks_per_shard as u64)
             .u64("jobs", total_jobs)
@@ -248,10 +215,9 @@ fn run_mix(spec: &MixSpec) -> (Row, Vec<Row>, Fleet) {
             .u64("resident_bytes", cache.resident_bytes)
             .str("makespan", &sci(fleet.makespan())),
     );
-    let tenant_rows: Vec<Row> = ids
-        .iter()
-        .enumerate()
-        .map(|(t, &id)| {
+    let tenant_rows: Vec<Row> = (0..spec.tenants)
+        .map(|t| {
+            let id = TenantId(t);
             let m = fleet.tenant_metrics(id);
             Row::from(
                 Obj::new()
@@ -269,7 +235,7 @@ fn run_mix(spec: &MixSpec) -> (Row, Vec<Row>, Fleet) {
             )
         })
         .collect();
-    (scenario, tenant_rows, fleet)
+    Ok((scenario, tenant_rows, fleet))
 }
 
 /// The serving invariants on one mix's summary row: the plan cache was
@@ -324,7 +290,7 @@ fn write_artifacts(args: &Args, fleet: &Fleet, spec: &MixSpec) {
 /// The quick mix with its invariants: the CI PR smoke, and the rows
 /// `--check` re-derives.
 fn quick(args: &Args, out: &mut Rows) -> Result<(), String> {
-    let (scenario, tenant_rows, fleet) = run_mix(&QUICK);
+    let (scenario, tenant_rows, fleet) = run_mix(&QUICK)?;
     let verdict = serving_invariants(&scenario);
     out.push(scenario);
     tenant_rows.into_iter().for_each(|row| out.push(row));
@@ -335,9 +301,9 @@ fn quick(args: &Args, out: &mut Rows) -> Result<(), String> {
 /// Both mixes; the file lists the two summaries before the tenants. The
 /// artifacts come from the full mix.
 fn full(args: &Args, out: &mut Rows) -> Result<(), String> {
-    let (quick_scenario, quick_tenants, _) = run_mix(&QUICK);
+    let (quick_scenario, quick_tenants, _) = run_mix(&QUICK)?;
     out.push(quick_scenario);
-    let (full_scenario, full_tenants, fleet) = run_mix(&FULL);
+    let (full_scenario, full_tenants, fleet) = run_mix(&FULL)?;
     out.push(full_scenario);
     for row in quick_tenants.into_iter().chain(full_tenants) {
         out.push(row);

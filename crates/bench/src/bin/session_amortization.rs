@@ -18,14 +18,19 @@
 //!    pattern (which re-runs ordering, analysis, mapping and task-graph
 //!    construction every time).
 //! 3. **Amortization curve** — amortized virtual cost per served job as a
-//!    one-tenant [`Fleet`] (a single-session server) batches a growing job
-//!    count, against the one-shot cost.
+//!    one-tenant fleet (a single-session server) batches a growing job
+//!    count, against the one-shot cost. The jobs are a mix replayed by
+//!    `sympack_bench::replay`, which checks every residual.
+//!
+//! Tables 1 and 3 run under deterministic lockstep, so two runs print them
+//! identically; table 2 is wall-clock and moves run to run.
 
 use std::time::Instant;
 use sympack::{SolverOptions, SymPack};
 use sympack_bench::gate::Args;
+use sympack_bench::replay::{replay, Event, Mix, Tenant};
 use sympack_bench::{fmt_secs, render_table, Problem};
-use sympack_fleet::{Fleet, FleetConfig};
+use sympack_fleet::{FleetConfig, TenantId};
 use sympack_service::{RhsPanel, Session};
 use sympack_sparse::gen::{laplacian_3d, XorShift64};
 use sympack_sparse::SparseSym;
@@ -52,6 +57,12 @@ fn main() {
         ranks_per_node: 2,
         ..Default::default()
     };
+    // The virtual-time tables run in lockstep, so they reproduce exactly;
+    // the wall-clock table runs free.
+    let lockstep = SolverOptions {
+        deterministic: true,
+        ..opts.clone()
+    };
 
     let (name, a) = if quick {
         ("laplacian_3d 8^3", laplacian_3d(8, 8, 8))
@@ -64,7 +75,7 @@ fn main() {
         a.n(),
         a.nnz_full()
     );
-    let session = Session::new(&a, &opts).expect("SPD model problem factors");
+    let session = Session::new(&a, &lockstep).expect("SPD model problem factors");
 
     // Table 1: one panel solve vs nrhs single-vector solves.
     let mut rows = vec![vec![
@@ -145,39 +156,41 @@ fn main() {
     println!("{}", render_table(&rows));
 
     // Table 3: amortized cost per job as a one-tenant fleet batches more
-    // jobs.
-    let mut fleet = Fleet::new(
-        &opts,
-        FleetConfig {
-            shards: 1,
-            factor_budget_bytes: 0,
-            max_pending_per_tenant: 1 << 14,
-            max_batch: 16,
-            quantum: 16.0,
-        },
-    );
-    let tenant = fleet
-        .admit("amortization", &a, 1.0)
-        .expect("SPD model problem factors");
+    // jobs, read after each checkpoint's drain.
+    let checkpoints: &[usize] = if quick { &[1, 8, 64] } else { &[1, 8, 64, 256] };
+    let jobs = rhs_columns(a.n(), checkpoints[checkpoints.len() - 1], 4242);
+    let mut events = Vec::new();
+    for (j, rhs) in jobs.into_iter().enumerate() {
+        events.push(Event::Submit {
+            tenant: 0,
+            at: j as f64 * 1e-4,
+            rhs,
+        });
+        if checkpoints.contains(&(j + 1)) {
+            events.push(Event::Drain);
+        }
+    }
+    let config = FleetConfig {
+        shards: 1,
+        factor_budget_bytes: 0,
+        max_pending_per_tenant: 1 << 14,
+        max_batch: 16,
+        quantum: 16.0,
+    };
+    let tenants = vec![Tenant {
+        name: "amortization".to_string(),
+        matrix: &a,
+        weight: 1.0,
+        slo: None,
+    }];
     let mut rows = vec![vec![
         "jobs served".to_string(),
         "amortized cost/job".to_string(),
         "one-shot cost/job".to_string(),
         "advantage".to_string(),
     ]];
-    let checkpoints: &[usize] = if quick { &[1, 8, 64] } else { &[1, 8, 64, 256] };
-    let mut submitted = 0usize;
-    let mut rng = XorShift64::new(4242);
-    for &target in checkpoints {
-        while submitted < target {
-            let rhs: Vec<f64> = (0..a.n()).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
-            fleet
-                .submit_at(tenant, rhs, submitted as f64 * 1e-4)
-                .expect("queue sized for the workload");
-            submitted += 1;
-        }
-        fleet.drain().expect("batch solve");
-        let m = fleet.tenant_metrics(tenant);
+    replay(&lockstep, config, &Mix { tenants, events }, |fleet, _| {
+        let m = fleet.tenant_metrics(TenantId(0));
         rows.push(vec![
             format!("{}", m.jobs_served),
             fmt_secs(m.amortized_cost_per_job()),
@@ -187,7 +200,8 @@ fn main() {
                 m.one_shot_cost_per_job() / m.amortized_cost_per_job()
             ),
         ]);
-    }
+    })
+    .expect("replayed jobs solve");
     println!("\n-- amortization: session cost per job vs one-shot (virtual time) --");
     println!("{}", render_table(&rows));
     println!("(virtual times are modeled makespans; wall-clock rows are measured on this machine)");

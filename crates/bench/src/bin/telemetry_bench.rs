@@ -16,8 +16,9 @@
 //!   snapshots are byte-identical, and the factor/solve makespans are
 //!   bit-equal to the untelemetered run (instruments never touch a virtual
 //!   clock). The row pins the snapshot length and FNV-1a fingerprint.
-//! * `fleet` — a seeded tenant mix through `Fleet::telemetry_json`, run
-//!   twice; same byte-identity gate, plus the watchdog/SLO document
+//! * `fleet` — a seeded tenant mix replayed through the shared fleet
+//!   replay (every job's residual checked) and `Fleet::telemetry_json`,
+//!   run twice; same byte-identity gate, plus the watchdog/SLO document
 //!   structure.
 //! * `overhead` — wall-clock cost of the telemetry plane: repeated
 //!   factor+solve with and without instruments, best-of-N each. The
@@ -30,7 +31,8 @@
 
 use sympack::{SolverOptions, SymPack};
 use sympack_bench::gate::{self, sci, Args, Row, Rows, Suite};
-use sympack_fleet::{Fleet, FleetConfig};
+use sympack_bench::replay::{replay, Event, Mix, Tenant};
+use sympack_fleet::FleetConfig;
 use sympack_sparse::gen::laplacian_2d;
 use sympack_trace::json::Obj;
 use sympack_trace::telemetry::SloPolicy;
@@ -113,9 +115,37 @@ fn fanout_case(p: usize) -> Row {
     )
 }
 
-/// One seeded fleet mix; returns its telemetry document.
-fn fleet_mix() -> String {
-    let opts = solver_opts(2, false);
+/// One seeded fleet mix, replayed; returns its telemetry document.
+fn fleet_mix() -> Result<String, String> {
+    let a = laplacian_2d(8, 8);
+    let small = laplacian_2d(6, 6);
+    let mats = [&a, &small, &a, &small];
+    let tenants = (0..mats.len())
+        .map(|i| Tenant {
+            name: format!("t{i}"),
+            matrix: mats[i],
+            weight: 1.0 + (i % 2) as f64,
+            // A tight-but-feasible objective on even tenants, an impossible
+            // one on tenant 3 so the SLO/health machinery shows up in the
+            // document.
+            slo: Some(SloPolicy::new(if i == 3 { 1e-9 } else { 1.0 }, 0.99)),
+        })
+        .collect();
+    let mut events = Vec::new();
+    for round in 0..3 {
+        for (t, m) in mats.iter().enumerate() {
+            for k in 0..(t % 2) + 1 {
+                let at = round as f64 * 0.05 + k as f64 * 0.001 + t as f64 * 0.0001;
+                events.push(Event::Submit {
+                    tenant: t,
+                    at,
+                    rhs: rhs(m.n()),
+                });
+            }
+        }
+        events.push(Event::Step);
+    }
+    events.push(Event::Drain);
     let config = FleetConfig {
         shards: 2,
         factor_budget_bytes: 0,
@@ -123,38 +153,14 @@ fn fleet_mix() -> String {
         max_batch: 4,
         quantum: 2.0,
     };
-    let mut fleet = Fleet::new(&opts, config);
-    let a = laplacian_2d(8, 8);
-    let small = laplacian_2d(6, 6);
-    let mats = [&a, &small, &a, &small];
-    let mut ids = Vec::new();
-    for (i, m) in mats.iter().enumerate() {
-        let id = fleet
-            .admit(&format!("t{i}"), m, 1.0 + (i % 2) as f64)
-            .expect("admit");
-        // A tight-but-feasible objective on even tenants, an impossible one
-        // on tenant 3 so the SLO/health machinery shows up in the document.
-        let objective = if i == 3 { 1e-9 } else { 1.0 };
-        fleet.set_slo(id, SloPolicy::new(objective, 0.99));
-        ids.push((id, m.n()));
-    }
-    for round in 0..3 {
-        for (t, &(id, n)) in ids.iter().enumerate() {
-            for k in 0..(t % 2) + 1 {
-                let at = round as f64 * 0.05 + k as f64 * 0.001 + t as f64 * 0.0001;
-                fleet.submit_at(id, rhs(n), at).expect("submit");
-            }
-        }
-        fleet.step().expect("step");
-    }
-    fleet.drain().expect("drain");
-    fleet.telemetry_json()
+    let mix = Mix { tenants, events };
+    Ok(replay(&solver_opts(2, false), config, &mix, |_, _| {})?.telemetry_json())
 }
 
 /// The fleet determinism gate and its row.
-fn fleet_case() -> Row {
-    let doc1 = fleet_mix();
-    let doc2 = fleet_mix();
+fn fleet_case() -> Result<Row, String> {
+    let doc1 = fleet_mix()?;
+    let doc2 = fleet_mix()?;
     assert_eq!(doc1, doc2, "fleet: telemetry document not deterministic");
     assert!(
         doc1.contains("\"kind\":\"fleet\""),
@@ -165,14 +171,14 @@ fn fleet_case() -> Row {
         "fleet: impossible objective must raise an SloBurn health event"
     );
     let health_events = doc1.matches("\"kind\":\"slo_burn\"").count();
-    Row::from(
+    Ok(Row::from(
         Obj::new()
             .str("case", "fleet")
             .u64("tenants", 4)
             .u64("slo_burn_events", health_events as u64)
             .u64("snapshot_bytes", doc1.len() as u64)
             .str("snapshot_fnv", &format!("{:016x}", fnv64(&doc1))),
-    )
+    ))
 }
 
 /// Wall-clock overhead of the telemetry plane (full mode only; the value
@@ -218,7 +224,7 @@ fn deterministic(_: &Args, out: &mut Rows) -> Result<(), String> {
     for p in [1, 2, 4] {
         out.push(fanout_case(p));
     }
-    out.push(fleet_case());
+    out.push(fleet_case()?);
     Ok(())
 }
 

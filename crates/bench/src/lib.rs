@@ -11,9 +11,11 @@
 //! | `scaling` | Figs. 7–12 — strong scaling of factorization & solve, symPACK vs the right-looking baseline |
 //! | `ablation` | §5.3/§6 design-choice studies: 2D vs 1D mapping, RTQ policies, offload thresholds, memory kinds |
 //!
-//! The binaries that gate a committed `BENCH_*.json` run on [`gate`].
+//! The binaries that gate a committed `BENCH_*.json` run on [`gate`]; every
+//! binary that drives fleet traffic replays it through [`replay`].
 
 pub mod gate;
+pub mod replay;
 
 use sympack_sparse::gen;
 use sympack_sparse::SparseSym;

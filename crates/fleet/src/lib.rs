@@ -295,7 +295,7 @@ impl Fleet {
     /// [`FleetError::InvalidConfig`] for a zero `shards` or `max_batch`, a
     /// `quantum` or `weight` that is not positive (NaN included), and
     /// [`SolverError::InvalidOptions`] (wrapped in [`FleetError::Solver`])
-    /// for fleet options [`SolverOptions::validate`] rejects — all before
+    /// for fleet options [`Session::validate_options`] rejects — all before
     /// any plan is looked up or built; [`FleetError::DuplicateTenant`] on a
     /// name collision; otherwise the factorization failure modes wrapped in
     /// [`FleetError::Solver`].
@@ -316,7 +316,7 @@ impl Fleet {
                 return Err(FleetError::InvalidConfig { field });
             }
         }
-        self.opts.validate()?;
+        Session::validate_options(&self.opts)?;
         if self.by_name.contains_key(name) {
             return Err(FleetError::DuplicateTenant {
                 tenant: name.to_string(),

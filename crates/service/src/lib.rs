@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use sympack::plan::{factor_numeric, solve_panel_distributed};
 use sympack::storage::BlockStore;
-use sympack::{PlanPhases, SolvePlan, SolverError, SolverOptions, SymbolicPlan};
+use sympack::{SolvePlan, SolverError, SolverOptions, SymbolicPlan};
 use sympack_sparse::SparseSym;
 
 /// A dense column panel of right-hand sides (or solutions): `n × nrhs`,
@@ -130,16 +130,33 @@ fn collect_values(a: &SparseSym) -> Vec<f64> {
 }
 
 impl Session {
+    /// Check the options a session is built under: what
+    /// [`SolverOptions::validate`] checks, and `refine_steps == 0`, because
+    /// a session's solves do not refine.
+    ///
+    /// # Errors
+    /// [`SolverError::InvalidOptions`] naming the offending field.
+    pub fn validate_options(opts: &SolverOptions) -> Result<(), SolverError> {
+        opts.validate()?;
+        if opts.refine_steps > 0 {
+            return Err(SolverError::InvalidOptions {
+                field: "refine_steps",
+                detail: format!("{} requested; a session does not refine", opts.refine_steps),
+            });
+        }
+        Ok(())
+    }
+
     /// Analyze `a`, build per-rank task graphs and run the first numeric
     /// factorization — the fresh-analysis (plan-cache miss) path.
     ///
     /// # Errors
     /// [`SolverError::InvalidOptions`] for options
-    /// [`SolverOptions::validate`] rejects; any factorization failure
+    /// [`Session::validate_options`] rejects; any factorization failure
     /// ([`SolverError::NotPositiveDefinite`], device OOM under the Abort
     /// policy, fault-injection diagnoses).
     pub fn new(a: &SparseSym, opts: &SolverOptions) -> Result<Session, SolverError> {
-        opts.validate()?;
+        Session::validate_options(opts)?;
         let t0 = Instant::now();
         let plan = SolvePlan::new(a, opts);
         let analyze_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -155,14 +172,16 @@ impl Session {
     /// # Errors
     /// [`SolverError::PatternMismatch`] when `a`'s structure differs from
     /// the pattern `symbolic` was analyzed for;
-    /// [`SolverError::InvalidOptions`] for invalid options or a rank layout
-    /// other than the one `symbolic` was built for; otherwise the
+    /// [`SolverError::InvalidOptions`] for options
+    /// [`Session::validate_options`] rejects (checked first) or a rank
+    /// layout other than the one `symbolic` was built for; otherwise the
     /// factorization failure modes.
     pub fn with_plan(
         a: &SparseSym,
         symbolic: Arc<SymbolicPlan>,
         opts: &SolverOptions,
     ) -> Result<Session, SolverError> {
+        Session::validate_options(opts)?;
         if !symbolic.matches(a) {
             return Err(SolverError::PatternMismatch {
                 expected_nnz: symbolic.pattern_nnz(),
@@ -294,14 +313,6 @@ impl Session {
     /// construction (paid once at session creation).
     pub fn analyze_wall_ms(&self) -> f64 {
         self.analyze_wall_ms
-    }
-
-    /// Where the plan's analysis time went, phase by phase (wall-clock ms):
-    /// the cost of *building* the plan this session runs under. A session
-    /// served from a cached plan reports what the plan's first tenant paid;
-    /// its own [`Session::analyze_wall_ms`] stays 0.
-    pub fn analyze_phases(&self) -> &PlanPhases {
-        &self.plan.symbolic.phases
     }
 
     /// Numeric re-factorizations performed so far.
@@ -547,8 +558,8 @@ mod tests {
         assert!(fresh.analyze_wall_ms() > 0.0);
         // The phase breakdown belongs to the shared plan: what its builder
         // paid, inside the builder's analysis wall time.
-        assert_eq!(cached.analyze_phases(), fresh.analyze_phases());
-        let phases = fresh.analyze_phases().total_ms();
+        assert_eq!(cached.symbolic_plan().phases, fresh.symbolic_plan().phases);
+        let phases = fresh.symbolic_plan().phases.total_ms();
         assert!(phases > 0.0 && phases <= fresh.analyze_wall_ms());
         assert_eq!(cached.pattern(), fresh.pattern());
         assert_eq!(

@@ -302,6 +302,51 @@ fn fleet_admission_under_invalid_options_is_a_typed_error() {
 }
 
 #[test]
+fn sessions_and_fleets_reject_refinement_they_would_not_run() {
+    // A session's solves never refine, so `refine_steps > 0` used to be
+    // accepted and silently ignored. All three constructors reject it
+    // before a plan is built.
+    let a = gen::laplacian_2d(6, 6);
+    let opts = SolverOptions {
+        refine_steps: 2,
+        ..Default::default()
+    };
+    let refine = |e: &_| {
+        matches!(
+            e,
+            SolverError::InvalidOptions {
+                field: "refine_steps",
+                ..
+            }
+        )
+    };
+    match Session::new(&a, &opts) {
+        Err(e) if refine(&e) => {}
+        other => panic!(
+            "Session::new: expected InvalidOptions, got {:?}",
+            other.map(drop)
+        ),
+    }
+    let plan = Session::new(&a, &SolverOptions::default())
+        .expect("default options serve")
+        .symbolic_plan();
+    match Session::with_plan(&a, plan, &opts) {
+        Err(e) if refine(&e) => {}
+        other => panic!(
+            "Session::with_plan: expected InvalidOptions, got {:?}",
+            other.map(drop)
+        ),
+    }
+    let mut fleet = Fleet::new(&opts, FleetConfig::default());
+    match fleet.admit("t", &a, 1.0) {
+        Err(FleetError::Solver(e)) if refine(&e) => {}
+        other => panic!("Fleet::admit: expected InvalidOptions, got {other:?}"),
+    }
+    let cache = fleet.cache_metrics();
+    assert_eq!((cache.plan_hits, cache.plan_misses), (0, 0));
+}
+
+#[test]
 fn fleet_configuration_is_checked_at_admission() {
     // `Fleet::new` used to assert `shards`, `max_batch` and `quantum`, and
     // `admit` the weight (a NaN weight included). `admit` checks all four
