@@ -19,6 +19,7 @@
 //! (percent growth, default 5) — CI's regression gate.
 
 use std::process::ExitCode;
+use sympack_apps::take_flag;
 use sympack_trace::profile::{check_invariants, diff, DiffThresholds, Profile};
 
 const USAGE: &str = "usage:
@@ -29,21 +30,6 @@ const USAGE: &str = "usage:
 fn load(path: &str) -> Result<Profile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     Profile::from_json(&text).map_err(|e| format!("parse {path}: {e}"))
-}
-
-/// Parse `--flag value` from `argv`, removing both tokens when present.
-fn take_flag(argv: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match argv.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            if i + 1 >= argv.len() {
-                return Err(format!("{flag} needs a value"));
-            }
-            let v = argv.remove(i + 1);
-            argv.remove(i);
-            Ok(Some(v))
-        }
-    }
 }
 
 fn run() -> Result<ExitCode, String> {

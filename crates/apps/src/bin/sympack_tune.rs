@@ -4,7 +4,6 @@
 //! sympack-tune calibrate [--quick] [--out profile.json]   sweep, print, save
 //! sympack-tune show <profile.json>                        print a saved profile
 //! sympack-tune diff <old.json> <new.json> [--rate-pct X]  exit 1 on regression
-//! sympack-tune check <BENCH_tuning.json> [--min-speedup X]
 //! ```
 //!
 //! `calibrate` runs the `sympack_tune::calibrate` sweep (full budget, or
@@ -18,36 +17,16 @@
 //! when any measured per-op rate or the memory bandwidth regressed by more
 //! than `--rate-pct` percent (default 10) — the guard against committing a
 //! profile measured on a loaded host.
-//!
-//! `check` gates the `kernel_roofline --compare` report: exit nonzero when
-//! the candidate config is slower than the default by more than the margin
-//! (`--min-speedup`, default 0.9) on any shape.
 
 use std::path::Path;
 use std::process::ExitCode;
-use sympack_trace::json::{parse, JsonValue};
+use sympack_apps::take_flag;
 use sympack_tune::{calibrate, KernelProfile, TuneBudget};
 
 const USAGE: &str = "usage:
   sympack-tune calibrate [--quick] [--out <profile.json>]
   sympack-tune show <profile.json>
-  sympack-tune diff <old.json> <new.json> [--rate-pct X]
-  sympack-tune check <BENCH_tuning.json> [--min-speedup X]";
-
-/// Parse `--flag value` from `argv`, removing both tokens when present.
-fn take_flag(argv: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match argv.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            if i + 1 >= argv.len() {
-                return Err(format!("{flag} needs a value"));
-            }
-            let v = argv.remove(i + 1);
-            argv.remove(i);
-            Ok(Some(v))
-        }
-    }
-}
+  sympack-tune diff <old.json> <new.json> [--rate-pct X]";
 
 fn print_profile(p: &KernelProfile) {
     println!("machine:");
@@ -81,12 +60,8 @@ fn run() -> Result<ExitCode, String> {
     let cmd = argv.remove(0);
     match cmd.as_str() {
         "calibrate" => {
-            let quick = if let Some(i) = argv.iter().position(|a| a == "--quick") {
-                argv.remove(i);
-                true
-            } else {
-                false
-            };
+            let quick = argv.iter().any(|a| a == "--quick");
+            argv.retain(|a| a != "--quick");
             let out = take_flag(&mut argv, "--out")?.unwrap_or_else(|| "profile.json".into());
             if !argv.is_empty() {
                 return Err(USAGE.into());
@@ -138,45 +113,6 @@ fn run() -> Result<ExitCode, String> {
                 println!("{name:14} {:.3e} -> {:.3e}  ({delta:+.1}%){flag}", o, n);
             }
             Ok(if regressed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            })
-        }
-        "check" => {
-            let min: f64 = match take_flag(&mut argv, "--min-speedup")? {
-                Some(v) => v.parse().map_err(|_| "bad --min-speedup".to_string())?,
-                None => 0.9,
-            };
-            let [path] = argv.as_slice() else {
-                return Err(USAGE.into());
-            };
-            let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-            let doc = parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-            let schema = doc.get("schema").and_then(JsonValue::as_str).unwrap_or("");
-            if schema != "sympack-tuning-compare-v1" {
-                return Err(format!(
-                    "{path}: not a tuning comparison (schema `{schema}`)"
-                ));
-            }
-            let shapes = doc
-                .get("shapes")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("{path}: missing `shapes`"))?;
-            let mut failed = false;
-            for s in shapes {
-                let num = |k: &str| s.get(k).and_then(JsonValue::as_f64).unwrap_or(f64::NAN);
-                let (m, n, k) = (num("m") as usize, num("n") as usize, num("k") as usize);
-                let speedup = num("speedup");
-                let flag = if speedup.is_nan() || speedup < min {
-                    failed = true;
-                    "  <-- below threshold"
-                } else {
-                    ""
-                };
-                println!("m={m:5} n={n:5} k={k:5}  speedup {speedup:4.2} (min {min:4.2}){flag}");
-            }
-            Ok(if failed {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS

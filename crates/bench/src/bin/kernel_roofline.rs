@@ -22,23 +22,20 @@
 //!   strips for 8×8, 16×8, 24×8 and 32×4 tiles — the measurement behind
 //!   `Isa::tile`'s 16×8,
 //! * small-size scan: unpacked vs forced-packed GEMM around
-//!   `pack_min_flops`.
+//!   `pack_min_flops` — `sympack_tune::crossover_scan`, the scan
+//!   `calibrate` fits that threshold from.
 //!
-//! Config modes:
-//!
-//! * `--config k=v,...` — run the whole sweep under a non-default
-//!   [`KernelConfig`] (field overrides by name, e.g. `mc=96,kc=192`).
-//! * `--compare k=v,...` — benchmark the default config against the given
-//!   override on a fixed shape set and write a tuning-comparison report
-//!   (`BENCH_tuning.json`, or `--tuning-json <path>`) consumable by
-//!   `sympack-tune diff`.
+//! Every row is timed by `sympack_tune::median_secs`, the calibration
+//! sweep's timer. `--config k=v,...` runs the whole sweep under a
+//! non-default [`KernelConfig`] (field overrides by name, e.g.
+//! `mc=96,kc=192`).
 //!
 //! Output: `BENCH_kernels.json` (a `sympack_trace::metrics::RooflineReport`)
-//! and a human-readable table in `results/kernel_roofline.txt`. `--quick`
-//! shrinks sizes and repetitions for the CI smoke job.
+//! and a human-readable table in `results/kernel_roofline.txt`, or the
+//! paths `--json` / `--out` name. `--quick` shrinks sizes and repetitions
+//! for the CI smoke job and writes only the files `--json` / `--out` name.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use sympack_bench::gate::Args;
 use sympack_dense::config::{IsaSelect, KernelConfig};
@@ -49,47 +46,7 @@ use sympack_dense::potrf::potrf_raw;
 use sympack_dense::syrk::syrk_lower_raw;
 use sympack_dense::trsm::trsm_right_lower_trans_raw;
 use sympack_trace::metrics::{KernelSample, RooflineReport};
-
-/// Median wall-clock seconds per call: each sample loops `f` often enough to
-/// exceed a minimum window, and the median over `samples` windows rejects
-/// the scheduling outliers a shared host produces.
-fn median_secs<F: FnMut()>(mut f: F, flop: u64, samples: usize) -> f64 {
-    // Aim for ~8 ms windows assuming ≥ 2 Gflop/s; at least one call.
-    let reps = ((0.008 * 2e9) as u64 / flop.max(1)).clamp(1, 10_000) as usize;
-    f(); // warm caches, pack buffers and the ISA detector
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            t0.elapsed().as_secs_f64() / reps as f64
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn fill(n: usize, seed: usize) -> Vec<f64> {
-    (0..n)
-        .map(|v| (((v * 13 + seed * 7) % 19) as f64) * 0.25 - 2.0)
-        .collect()
-}
-
-/// SPD buffer for POTRF/TRSM inputs: diagonally dominant column-major n×n.
-fn spd(n: usize) -> Vec<f64> {
-    let mut a = fill(n * n, 3);
-    for i in 0..n {
-        a[i * n + i] = a[i * n + i].abs() + 4.0 * n as f64;
-    }
-    // Symmetrize.
-    for j in 0..n {
-        for i in 0..j {
-            a[j * n + i] = a[i * n + j];
-        }
-    }
-    a
-}
+use sympack_tune::{crossover_scan, fill, median_secs, spd, CROSSOVER_SIZES};
 
 /// Parse `k=v,...` field overrides on top of the default config; exits with
 /// a usage message on unknown fields, bad values, or invalid combinations.
@@ -208,19 +165,30 @@ struct Ctx {
 }
 
 impl Ctx {
-    #[allow(clippy::too_many_arguments)]
+    /// Time `f` and record it as one row; its Gflop/s.
     fn record<F: FnMut()>(
         &mut self,
         kernel: &str,
         variant: &str,
-        m: usize,
-        n: usize,
-        k: usize,
+        mnk: (usize, usize, usize),
         flop: u64,
         bytes: u64,
         f: F,
     ) -> f64 {
-        let secs = median_secs(f, flop, self.samples);
+        let secs = median_secs(f, self.samples);
+        self.push(kernel, variant, mnk, flop, bytes, secs)
+    }
+
+    /// Add a timed row to the report and the text table; its Gflop/s.
+    fn push(
+        &mut self,
+        kernel: &str,
+        variant: &str,
+        (m, n, k): (usize, usize, usize),
+        flops: u64,
+        bytes: u64,
+        secs: f64,
+    ) -> f64 {
         let s = KernelSample {
             kernel: kernel.into(),
             variant: variant.into(),
@@ -228,7 +196,7 @@ impl Ctx {
             n,
             k,
             secs,
-            flops: flop,
+            flops,
             bytes,
         };
         let gf = s.gflops();
@@ -242,84 +210,18 @@ impl Ctx {
     }
 }
 
-/// The `--compare` shape set: tall-panel, square, and separator-ish shapes
-/// spanning the regimes a calibrated config is meant to improve.
-const COMPARE_SHAPES: &[(usize, usize, usize)] = &[
-    (256, 256, 256),
-    (512, 512, 512),
-    (1024, 128, 128),
-    (2048, 64, 64),
-];
-
-/// Benchmark packed GEMM throughput per shape under `cfg`.
-fn compare_rates(cfg: &KernelConfig, shapes: &[(usize, usize, usize)], samples: usize) -> Vec<f64> {
-    shapes
-        .iter()
-        .map(|&(m, n, k)| {
-            let a = fill(m * k, 1);
-            let b = fill(n * k, 2);
-            let mut c = vec![0.0; m * n];
-            let flop = flops::gemm(m, n, k);
-            let secs = median_secs(
-                || gemm_nt_packed_raw(cfg, &mut c, m, m, n, &a, m, &b, n, k),
-                flop,
-                samples,
-            );
-            flop as f64 / secs / 1e9
-        })
-        .collect()
-}
-
-/// `--compare` mode: default vs override config on the fixed shape set,
-/// emitting the tuning-comparison JSON `sympack-tune diff` consumes.
-fn run_compare(spec: &str, json_path: &str, quick: bool) {
-    let candidate = parse_config(spec);
-    let default = KernelConfig::default();
-    let samples = if quick { 3 } else { 7 };
-    let shapes: &[(usize, usize, usize)] = if quick {
-        &COMPARE_SHAPES[..3]
-    } else {
-        COMPARE_SHAPES
-    };
-    let base = compare_rates(&default, shapes, samples);
-    let cand = compare_rates(&candidate, shapes, samples);
-
-    let mut json = String::from("{\n  \"schema\": \"sympack-tuning-compare-v1\",\n");
-    let _ = writeln!(json, "  \"isa\": \"{}\",", microkernel::isa_name());
-    let _ = writeln!(json, "  \"config\": \"{}\",", spec);
-    json.push_str("  \"shapes\": [\n");
-    println!("tuning comparison (packed gemm, candidate = {spec}):");
-    for (i, &(m, n, k)) in shapes.iter().enumerate() {
-        let speedup = cand[i] / base[i];
-        println!(
-            "  m={m:5} n={n:5} k={k:5}  default {b:7.2} GF/s  candidate {c:7.2} GF/s  {speedup:4.2}x",
-            b = base[i],
-            c = cand[i],
-        );
-        let _ = write!(
-            json,
-            "    {{\"m\": {m}, \"n\": {n}, \"k\": {k}, \"default_gflops\": {}, \"candidate_gflops\": {}, \"speedup\": {}}}",
-            base[i], cand[i], speedup
-        );
-        json.push_str(if i + 1 < shapes.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(json_path, json).expect("write tuning json");
-    println!("wrote {json_path}");
-}
-
 fn main() {
-    let valued = ["--compare", "--tuning-json", "--config", "--json", "--out"];
-    let args = Args::from_env(&["--quick"], &valued);
+    let args = Args::from_env(&["--quick"], &["--config", "--json", "--out"]);
     let quick = args.has("--quick");
-    if let Some(spec) = args.value("--compare") {
-        let tuning_path = args.value("--tuning-json").unwrap_or("BENCH_tuning.json");
-        run_compare(spec, tuning_path, quick);
-        return;
-    }
     let cfg = args.value("--config").map(parse_config).unwrap_or_default();
-    let json_path = args.value("--json").unwrap_or("BENCH_kernels.json");
-    let txt_path = args.value("--out").unwrap_or("results/kernel_roofline.txt");
+    // The full sweep refreshes the committed files; `--quick` writes only
+    // what it is told to.
+    let json_path = args
+        .value("--json")
+        .or((!quick).then_some("BENCH_kernels.json"));
+    let txt_path = args
+        .value("--out")
+        .or((!quick).then_some("results/kernel_roofline.txt"));
     let samples = if quick { 3 } else { 7 };
 
     let mut ctx = Ctx {
@@ -362,12 +264,12 @@ fn main() {
         let mut c = vec![0.0; m * n];
         let flop = flops::gemm(m, n, k);
         let bytes = 8 * (m * k + n * k + 2 * m * n) as u64;
-        ctx.record("gemm_nt", "unpacked", m, n, k, flop, bytes, || {
+        ctx.record("gemm_nt", "unpacked", (m, n, k), flop, bytes, || {
             gemm_nt_unpacked_raw(&mut c, m, m, n, &a, m, &b, n, k)
         });
         for (name, forced) in &isas {
             let variant = format!("packed@{name}");
-            let gf = ctx.record("gemm_nt", &variant, m, n, k, flop, bytes, || {
+            let gf = ctx.record("gemm_nt", &variant, (m, n, k), flop, bytes, || {
                 gemm_nt_packed_raw(forced, &mut c, m, m, n, &a, m, &b, n, k)
             });
             if *name == auto && (m, n, k) == (512, 512, 512) {
@@ -425,9 +327,7 @@ fn main() {
         ctx.record(
             "potrf",
             "blocked",
-            0,
-            n,
-            0,
+            (0, n, 0),
             flops::potrf(n),
             8 * 2 * (n * n) as u64,
             || {
@@ -450,9 +350,7 @@ fn main() {
             ctx.record(
                 "trsm",
                 &variant,
-                m,
-                n,
-                0,
+                (m, n, 0),
                 flops::trsm(m, n),
                 8 * (2 * m * n + n * n / 2) as u64,
                 || {
@@ -463,9 +361,7 @@ fn main() {
             ctx.record(
                 "syrk",
                 &variant,
-                0,
-                n,
-                k,
+                (0, n, k),
                 flops::syrk(n, k),
                 8 * (n * k + n * n) as u64,
                 || syrk_lower_raw(forced, &mut cs, n, n, &ap, n, k),
@@ -511,7 +407,7 @@ fn main() {
         for (name, sweep) in TILES {
             // SAFETY: avx512f was detected above; the buffers have the
             // lengths the sweep asserts.
-            ctx.record("tile", name, M, N, KB, flop, 0, || unsafe {
+            ctx.record("tile", name, (M, N, KB), flop, 0, || unsafe {
                 sweep(&pa, &pb, &mut c)
             });
         }
@@ -524,37 +420,35 @@ fn main() {
          pack_min_flops = {}):",
         cfg.pack_min_flops
     );
-    let scan: &[usize] = if quick {
-        &[16, 24, 32]
+    // Quick: every other size from 16 to 32.
+    let sizes: Vec<usize> = if quick {
+        CROSSOVER_SIZES[2..7].iter().step_by(2).copied().collect()
     } else {
-        &[8, 12, 16, 20, 24, 28, 32, 40, 48]
+        CROSSOVER_SIZES.to_vec()
     };
-    for &n in scan {
-        let a = fill(n * n, 1);
-        let b = fill(n * n, 2);
-        let mut c = vec![0.0; n * n];
-        let flop = flops::gemm(n, n, n);
-        let bytes = 8 * 4 * (n * n) as u64;
-        let gu = ctx.record("gemm_nt", "xover-unpacked", n, n, n, flop, bytes, || {
-            gemm_nt_unpacked_raw(&mut c, n, n, n, &a, n, &b, n, n)
-        });
-        let gp = ctx.record("gemm_nt", "xover-packed", n, n, n, flop, bytes, || {
-            gemm_nt_packed_raw(&cfg, &mut c, n, n, n, &a, n, &b, n, n)
-        });
+    for (n, tu, tp) in crossover_scan(&cfg, &sizes, samples) {
+        let (flop, bytes) = (flops::gemm(n, n, n), 8 * 4 * (n * n) as u64);
+        ctx.push("gemm_nt", "xover-unpacked", (n, n, n), flop, bytes, tu);
+        ctx.push("gemm_nt", "xover-packed", (n, n, n), flop, bytes, tp);
         let _ = writeln!(
             ctx.txt,
             "  n={n:3} ({flop:7} flop): packed/unpacked = {:4.2}x",
-            gp / gu
+            tu / tp
         );
     }
 
     print!("{}", ctx.txt);
-    if let Some(dir) = std::path::Path::new(txt_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
+    if let Some(path) = txt_path {
+        if let Some(dir) = std::path::Path::new(path).parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        std::fs::write(path, &ctx.txt).expect("write text report");
+        println!("wrote {path}");
     }
-    std::fs::write(txt_path, &ctx.txt).expect("write text report");
-    std::fs::write(json_path, ctx.report.to_json()).expect("write json report");
-    println!("\nwrote {txt_path} and {json_path}");
+    if let Some(path) = json_path {
+        std::fs::write(path, ctx.report.to_json()).expect("write json report");
+        println!("wrote {path}");
+    }
     if !isa_order_holds {
         eprintln!("a wider ISA is slower than a narrower one on packed gemm at n=256");
         std::process::exit(1);

@@ -16,7 +16,8 @@
 //!    cost of [`Session::refactorize`] (numeric phase only, symbolic state
 //!    reused) against a fresh `SymPack::factor_and_solve` on the same
 //!    pattern (which re-runs ordering, analysis, mapping and task-graph
-//!    construction every time).
+//!    construction every time). Each side is the median of several timing
+//!    windows (`sympack_tune::median_secs`, the kernel benchmarks' timer).
 //! 3. **Amortization curve** — amortized virtual cost per served job as a
 //!    one-tenant fleet (a single-session server) batches a growing job
 //!    count, against the one-shot cost. The jobs are a mix replayed by
@@ -25,7 +26,6 @@
 //! Tables 1 and 3 run under deterministic lockstep, so two runs print them
 //! identically; table 2 is wall-clock and moves run to run.
 
-use std::time::Instant;
 use sympack::{SolverOptions, SymPack};
 use sympack_bench::gate::Args;
 use sympack_bench::replay::{replay, Event, Mix, Tenant};
@@ -34,6 +34,7 @@ use sympack_fleet::{FleetConfig, TenantId};
 use sympack_service::{RhsPanel, Session};
 use sympack_sparse::gen::{laplacian_3d, XorShift64};
 use sympack_sparse::SparseSym;
+use sympack_tune::median_secs;
 
 fn rhs_columns(n: usize, nrhs: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = XorShift64::new(seed);
@@ -124,26 +125,26 @@ fn main() {
         .iter()
         .map(|p| (p.name().to_string(), p.matrix_quick()))
         .collect();
-    let reps = if quick { 2 } else { 3 };
+    let samples = if quick { 5 } else { 31 };
     for (pname, m) in &problems {
         let mut session = Session::new(m, &opts).expect("SPD model problem factors");
         let values = lower_values(m);
         let b: Vec<f64> = rhs_columns(m.n(), 1, 99).remove(0);
-        // Warm-up once each, then time `reps` repetitions of both paths.
-        session.refactorize(&values).expect("same pattern");
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            session.refactorize(&values).expect("same pattern");
-        }
-        let refactor_wall = t0.elapsed().as_secs_f64() / reps as f64;
+        let refactor_wall = median_secs(
+            || {
+                session.refactorize(&values).expect("same pattern");
+            },
+            samples,
+        );
         let x = session.solve(&b).expect("solve");
         let residual = m.relative_residual(&x, &b);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let r = SymPack::factor_and_solve(m, &b, &opts);
-            assert!(r.relative_residual < 1e-8);
-        }
-        let fresh_wall = t0.elapsed().as_secs_f64() / reps as f64;
+        let fresh_wall = median_secs(
+            || {
+                let r = SymPack::factor_and_solve(m, &b, &opts);
+                assert!(r.relative_residual < 1e-8);
+            },
+            samples,
+        );
         rows.push(vec![
             pname.clone(),
             fmt_secs(refactor_wall),

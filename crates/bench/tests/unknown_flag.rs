@@ -35,7 +35,14 @@ fn unknown_flag_exits_2_before_any_work_or_write() {
                 .unwrap()
         };
         let before = mtime();
-        for args in [&["--chek"][..], &["--check", "--bogus"], &["quick"]] {
+        // `--compare` was `kernel_roofline`'s deleted comparison mode.
+        let cases = [
+            &["--chek"][..],
+            &["--check", "--bogus"],
+            &["quick"],
+            &["--compare", "mc=64"],
+        ];
+        for args in cases {
             let (code, stdout, stderr) = run(exe, args);
             assert_eq!(code, Some(2), "{exe} {args:?}: {stderr}");
             assert!(stderr.contains("unknown argument"), "{exe}: {stderr}");

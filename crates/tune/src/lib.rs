@@ -12,6 +12,11 @@
 //! [`TuneBudget::quick`] is the CI smoke budget (a few hundred
 //! milliseconds), [`TuneBudget::full`] the real one.
 //!
+//! This crate is also the one place that times a dense kernel: the timer
+//! ([`median_secs`]), the operand builders ([`fill`], [`spd`]) and the
+//! crossover scan ([`crossover_scan`] over [`CROSSOVER_SIZES`]) are the
+//! ones `kernel_roofline` and `session_amortization`'s wall-clock table use.
+//!
 //! A solver that wants this machine's numbers measures once and reuses the
 //! file afterwards:
 //!
@@ -30,16 +35,11 @@
 //!
 //! # Profile file format
 //!
-//! [`KernelProfile::to_json`] writes a single JSON object:
+//! [`KernelProfile::to_json`] writes a single compact JSON object (one
+//! line, through `sympack_trace::json::Obj`):
 //!
 //! ```json
-//! {
-//!   "schema": "sympack-kernel-profile-v2",
-//!   "isa": "avx512",
-//!   "mem_bandwidth": 21474836480,
-//!   "rates": {"gemm": 9.1e9, "syrk": 8.2e9, "trsm": 5.5e9, "potrf": 3.9e9},
-//!   "config": {"mc": 128, "kc": 256, "nc": 512, "pack_min_flops": 28672}
-//! }
+//! {"schema":"sympack-kernel-profile-v2","isa":"avx512","mem_bandwidth":21474836480,"rates":{"gemm":9100000000,"syrk":8200000000,"trsm":5500000000,"potrf":3900000000},"config":{"mc":128,"kc":256,"nc":512,"pack_min_flops":28672}}
 //! ```
 //!
 //! `schema` is the versioned magic (a v1 file, which also carried a worker
@@ -56,7 +56,9 @@
 //!
 //! Writing uses Rust's shortest-round-trip `{}` float formatting and the
 //! loader parses with `str::parse::<f64>`, so a save → load → save cycle is
-//! byte-identical — the property CI's tune-smoke job checks.
+//! byte-identical — the property CI's tune-smoke job checks. The loader
+//! ignores whitespace, so a profile saved in the earlier indented layout
+//! loads unchanged.
 
 use std::fmt;
 use std::path::Path;
@@ -69,7 +71,7 @@ use sympack_dense::syrk::syrk_lower_raw;
 use sympack_dense::trsm::trsm_right_lower_trans_raw;
 use sympack_dense::{flops, microkernel};
 use sympack_gpu::CostModel;
-use sympack_trace::json::{parse, JsonValue};
+use sympack_trace::json::{parse, JsonValue, Obj};
 
 /// Versioned magic of the profile file format.
 pub const SCHEMA: &str = "sympack-kernel-profile-v2";
@@ -142,23 +144,23 @@ impl KernelProfile {
     /// the format). Byte-stable: `from_json(to_json()).to_json()` returns
     /// the same bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln_kv(&mut s, "schema", &JsonValue::Str(SCHEMA.into()), true);
-        let _ = writeln_kv(&mut s, "isa", &JsonValue::Str(self.isa.clone()), true);
-        s.push_str(&format!("  \"mem_bandwidth\": {},\n", self.mem_bandwidth));
-        s.push_str(&format!(
-            "  \"rates\": {{\"gemm\": {}, \"syrk\": {}, \"trsm\": {}, \"potrf\": {}}},\n",
-            self.gemm_rate, self.syrk_rate, self.trsm_rate, self.potrf_rate
-        ));
-        s.push_str("  \"config\": {");
-        for (i, (name, v)) in self.config.fields().iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{name}\": {v}"));
-        }
-        s.push_str("}\n}\n");
-        s
+        let rates = Obj::new()
+            .f64("gemm", self.gemm_rate)
+            .f64("syrk", self.syrk_rate)
+            .f64("trsm", self.trsm_rate)
+            .f64("potrf", self.potrf_rate);
+        let config = self
+            .config
+            .fields()
+            .into_iter()
+            .fold(Obj::new(), |o, (k, v)| o.u64(k, v));
+        let doc = Obj::new()
+            .str("schema", SCHEMA)
+            .str("isa", &self.isa)
+            .f64("mem_bandwidth", self.mem_bandwidth)
+            .raw("rates", &rates.finish())
+            .raw("config", &config.finish());
+        doc.finish() + "\n"
     }
 
     /// Parse a document produced by [`KernelProfile::to_json`].
@@ -253,19 +255,6 @@ impl KernelProfile {
     }
 }
 
-fn writeln_kv(s: &mut String, key: &str, v: &JsonValue, comma: bool) -> fmt::Result {
-    let val = match v {
-        JsonValue::Str(x) => format!("\"{x}\""),
-        JsonValue::Num(x) => format!("{x}"),
-        _ => unreachable!("scalar writer"),
-    };
-    s.push_str(&format!(
-        "  \"{key}\": {val}{}\n",
-        if comma { "," } else { "" }
-    ));
-    Ok(())
-}
-
 /// How much time the calibration sweep may spend.
 #[derive(Debug, Clone)]
 pub struct TuneBudget {
@@ -296,12 +285,7 @@ impl TuneBudget {
         TuneBudget {
             samples: 5,
             rate_size: 384,
-            shapes: vec![
-                (256, 256, 256),
-                (512, 512, 512),
-                (1024, 128, 128),
-                (2048, 64, 64),
-            ],
+            shapes: SHAPES.to_vec(),
             candidates: vec![
                 (64, 128, 256),
                 (64, 256, 512),
@@ -314,13 +298,42 @@ impl TuneBudget {
     }
 }
 
-fn fill(n: usize, seed: usize) -> Vec<f64> {
+/// The GEMM shapes [`TuneBudget::full`] races the candidate blockings on:
+/// square and tall-panel × small-separator supernode updates.
+const SHAPES: [(usize, usize, usize); 4] = [
+    (256, 256, 256),
+    (512, 512, 512),
+    (1024, 128, 128),
+    (2048, 64, 64),
+];
+
+/// The square GEMM sizes the pack/no-pack crossover scan times.
+pub const CROSSOVER_SIZES: [usize; 9] = [8, 12, 16, 20, 24, 28, 32, 40, 48];
+
+/// `n` deterministic operand values in [-2, 2.5]; `seed` shifts the pattern.
+pub fn fill(n: usize, seed: usize) -> Vec<f64> {
     (0..n)
         .map(|v| (((v * 13 + seed * 7) % 19) as f64) * 0.25 - 2.0)
         .collect()
 }
 
-fn median_secs<F: FnMut()>(mut f: F, samples: usize) -> f64 {
+/// Diagonally dominant symmetric `n × n` matrix, column-major: the POTRF
+/// input, and once factored the TRSM one.
+pub fn spd(n: usize) -> Vec<f64> {
+    let mut a = fill(n * n, 3);
+    for i in 0..n {
+        a[i * n + i] = a[i * n + i].abs() + 4.0 * n as f64;
+    }
+    for j in 0..n {
+        for i in 0..j {
+            a[j * n + i] = a[i * n + j];
+        }
+    }
+    a
+}
+
+/// Median wall-clock seconds per call of `f` over `samples` timing windows.
+pub fn median_secs<F: FnMut()>(mut f: F, samples: usize) -> f64 {
     // Warm-up, timed: sizes the repetition count so every sample window is
     // a few milliseconds long — single-call windows are pure scheduler
     // noise for the small shapes the threshold scans use.
@@ -339,6 +352,45 @@ fn median_secs<F: FnMut()>(mut f: F, samples: usize) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// Time the square GEMM of every size `n` in `sizes` through the unpacked
+/// loop nest and through the packed core under `cfg`: one `(n, unpacked
+/// seconds, packed seconds)` row per size, in order.
+pub fn crossover_scan(
+    cfg: &KernelConfig,
+    sizes: &[usize],
+    samples: usize,
+) -> Vec<(usize, f64, f64)> {
+    sizes
+        .iter()
+        .map(|&n| {
+            let a = fill(n * n, 1);
+            let b = fill(n * n, 2);
+            let mut c = vec![0.0; n * n];
+            let tu = median_secs(
+                || gemm_nt_unpacked_raw(&mut c, n, n, n, &a, n, &b, n, n),
+                samples,
+            );
+            let tp = median_secs(
+                || gemm_nt_packed_raw(cfg, &mut c, n, n, n, &a, n, &b, n, n),
+                samples,
+            );
+            (n, tu, tp)
+        })
+        .collect()
+}
+
+/// The calibrated `pack_min_flops`: the flop count of the first scanned size
+/// at which the packed core is no slower than the unpacked loop nest, or the
+/// default threshold when packing never wins in the scan (e.g. under
+/// emulation).
+fn pack_min_flops(scan: &[(usize, f64, f64)]) -> u64 {
+    scan.iter()
+        .find(|&&(_, unpacked, packed)| packed <= unpacked)
+        .map_or(KernelConfig::default().pack_min_flops, |&(n, ..)| {
+            flops::gemm(n, n, n)
+        })
 }
 
 /// Seconds the packed GEMM engine spends on `shapes` under `cfg`.
@@ -371,30 +423,6 @@ fn measure_bandwidth(samples: usize) -> f64 {
         samples,
     );
     (16 * n) as f64 / secs
-}
-
-/// Smallest square GEMM at which the packed engine beats the unpacked loop
-/// nest; returns the flop count of that crossover size (the calibrated
-/// `pack_min_flops`). Falls back to the default threshold when packing
-/// never wins in the scanned range (e.g. under emulation).
-fn measure_pack_crossover(cfg: &KernelConfig, samples: usize) -> u64 {
-    for n in [8usize, 12, 16, 20, 24, 28, 32, 40, 48] {
-        let a = fill(n * n, 1);
-        let b = fill(n * n, 2);
-        let mut c = vec![0.0; n * n];
-        let tu = median_secs(
-            || gemm_nt_unpacked_raw(&mut c, n, n, n, &a, n, &b, n, n),
-            samples,
-        );
-        let tp = median_secs(
-            || gemm_nt_packed_raw(cfg, &mut c, n, n, n, &a, n, &b, n, n),
-            samples,
-        );
-        if tp <= tu {
-            return flops::gemm(n, n, n);
-        }
-    }
-    KernelConfig::default().pack_min_flops
 }
 
 /// Run the calibration sweep and fit a [`KernelProfile`].
@@ -444,14 +472,7 @@ pub fn calibrate(budget: &TuneBudget) -> KernelProfile {
             || syrk_lower_raw(&config, &mut cs, n, n, &a, n, n),
             budget.samples,
         );
-    // SPD diagonal block for POTRF/TRSM.
-    let mut spd = fill(n * n, 3);
-    for i in 0..n {
-        spd[i * n + i] = spd[i * n + i].abs() + 4.0 * n as f64;
-        for j in 0..i {
-            spd[j * n + i] = spd[i * n + j];
-        }
-    }
+    let spd = spd(n);
     let mut buf = spd.clone();
     let potrf_rate = flops::potrf(n) as f64
         / median_secs(
@@ -476,7 +497,8 @@ pub fn calibrate(budget: &TuneBudget) -> KernelProfile {
         );
 
     // 3. Dispatch threshold from the measured machine.
-    config.pack_min_flops = measure_pack_crossover(&config, budget.samples);
+    config.pack_min_flops =
+        pack_min_flops(&crossover_scan(&config, &CROSSOVER_SIZES, budget.samples));
 
     KernelProfile {
         isa: microkernel::isa_name().to_string(),
@@ -520,6 +542,55 @@ mod tests {
     }
 
     #[test]
+    fn profile_saved_in_the_indented_layout_loads_and_resaves_compact() {
+        // `sample_profile()` as the indented writer of earlier versions
+        // saved it.
+        let pretty = r#"{
+  "schema": "sympack-kernel-profile-v2",
+  "isa": "avx2+fma",
+  "mem_bandwidth": 21474836480.5,
+  "rates": {"gemm": 9123456789.012, "syrk": 8000000000.1, "trsm": 5500000000, "potrf": 3900000000},
+  "config": {"mc": 64, "kc": 192, "nc": 512, "pack_min_flops": 13824}
+}
+"#;
+        let compact = concat!(
+            r#"{"schema":"sympack-kernel-profile-v2","isa":"avx2+fma","mem_bandwidth":21474836480.5,"#,
+            r#""rates":{"gemm":9123456789.012,"syrk":8000000000.1,"trsm":5500000000,"potrf":3900000000},"#,
+            r#""config":{"mc":64,"kc":192,"nc":512,"pack_min_flops":13824}}"#,
+            "\n"
+        );
+        let p = KernelProfile::from_json(pretty).unwrap();
+        assert_eq!(p, sample_profile());
+        assert_eq!(p.to_json(), compact);
+        assert_eq!(KernelProfile::from_json(compact).unwrap(), p);
+    }
+
+    #[test]
+    fn pack_min_flops_is_the_first_size_where_packing_is_no_slower() {
+        let at = |n| flops::gemm(n, n, n);
+        // Ties count as a win for the packed core.
+        assert_eq!(
+            pack_min_flops(&[(8, 1.0, 2.0), (12, 1.0, 1.0), (16, 1.0, 0.5)]),
+            at(12)
+        );
+        // The first win decides, even when a larger size loses again.
+        assert_eq!(
+            pack_min_flops(&[(8, 1.0, 0.9), (12, 1.0, 1.5), (16, 1.0, 0.5)]),
+            at(8)
+        );
+        let default = KernelConfig::default().pack_min_flops;
+        assert_eq!(pack_min_flops(&[(8, 1.0, 2.0), (48, 1.0, 1.1)]), default);
+        assert_eq!(pack_min_flops(&[]), default);
+    }
+
+    #[test]
+    fn crossover_scan_times_every_size_in_order() {
+        let scan = crossover_scan(&KernelConfig::default(), &[8, 16], 1);
+        assert_eq!(scan.iter().map(|r| r.0).collect::<Vec<_>>(), [8, 16]);
+        assert!(scan.iter().all(|&(_, tu, tp)| tu > 0.0 && tp > 0.0));
+    }
+
+    #[test]
     fn wrong_schema_and_missing_fields_are_typed_rejections() {
         let bad = sample_profile().to_json().replace(SCHEMA, "bogus-v0");
         assert!(matches!(
@@ -540,9 +611,7 @@ mod tests {
     #[test]
     fn invalid_config_in_profile_is_rejected() {
         // mc = 65 is a multiple of no register tile's strip height.
-        let j = sample_profile()
-            .to_json()
-            .replace("\"mc\": 64", "\"mc\": 65");
+        let j = sample_profile().to_json().replace("\"mc\":64", "\"mc\":65");
         assert!(matches!(
             KernelProfile::from_json(&j),
             Err(TuneError::Schema(_))
