@@ -1,7 +1,6 @@
 //! Helpers shared by the compiled-graph property tests
 //! (`taskgraph_compiled_prop`, `solve_compiled_prop`, `queue_prop`): the
-//! adversarial pattern zoo, the chaos job's case budget and the FNV-1a the
-//! schedule fingerprints are folded with.
+//! adversarial pattern zoo and the chaos job's case budget.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -82,14 +81,3 @@ pub fn chaos_seed_budget() -> u64 {
     let budget = std::env::var("CHAOS_SEED_BUDGET").ok();
     budget.and_then(|s| s.parse().ok()).unwrap_or(0)
 }
-
-/// Fold `bytes` into the FNV-1a state `h`.
-pub fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// The FNV-1a offset basis every fingerprint starts from.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -13,8 +13,11 @@
 //!   enumeration of the solve's dependency rules written here.
 
 mod common;
+#[path = "../../../tests/golden/mod.rs"]
+mod golden;
 
-use common::{fnv, patterns, FNV_OFFSET};
+use common::patterns;
+use golden::{Fingerprint, SOLVER};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use sympack::map2d::distinct_owners;
@@ -29,14 +32,18 @@ use sympack_sparse::gen::{bone_like, random_spd, thermal_like};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::SymbolicFactor;
 
-/// FNV-1a over one traced `n × nrhs` panel solve under lockstep.
+/// One traced `n × nrhs` panel solve under lockstep: per rank, every span
+/// in timeline order — task label, name, producer edge and RTQ depth in
+/// `schedule`; peer and charged bytes in `traffic`; virtual start, duration
+/// and ready time, then the solve makespan, in `virtual` — and the solution
+/// in `bits`.
 fn solve_fingerprint(
     a: &SparseSym,
     blr: BlrConfig,
     policy: RtqPolicy,
     p: usize,
     nrhs: usize,
-) -> u64 {
+) -> Fingerprint {
     let opts = SolverOptions {
         n_nodes: 1,
         ranks_per_node: p,
@@ -62,29 +69,24 @@ fn solve_fingerprint(
         col.copy_from_slice(&plan.sf().perm.apply_vec(&b));
     }
     let s = solve_panel_distributed(&plan, &nf.stores, &bp, nrhs).expect("solve");
-    let mut h = FNV_OFFSET;
+    let mut fp = Fingerprint::new(&SOLVER);
     for rank in 0..p {
         for ev in s.trace.iter().filter(|ev| ev.rank == rank) {
-            fnv(&mut h, &(rank as u64).to_le_bytes());
-            fnv(&mut h, ev.kind.label().as_bytes());
-            fnv(&mut h, ev.name.as_bytes());
-            fnv(&mut h, &ev.start.to_bits().to_le_bytes());
-            fnv(&mut h, &ev.dur.to_bits().to_le_bytes());
-            fnv(&mut h, &ev.ready_at.to_bits().to_le_bytes());
-            fnv(&mut h, ev.pred.as_deref().unwrap_or("-").as_bytes());
-            fnv(
-                &mut h,
-                &(ev.peer.map_or(u64::MAX, |r| r as u64)).to_le_bytes(),
-            );
-            fnv(&mut h, &ev.bytes.to_le_bytes());
-            fnv(&mut h, &(ev.rtq_depth as u64).to_le_bytes());
+            fp.fold("schedule", &(rank as u64));
+            fp.fold("schedule", ev.kind.label());
+            fp.fold("schedule", ev.name.as_str());
+            fp.fold("virtual", &ev.start);
+            fp.fold("virtual", &ev.dur);
+            fp.fold("virtual", &ev.ready_at);
+            fp.fold("schedule", ev.pred.as_deref().unwrap_or("-"));
+            fp.fold("traffic", &ev.peer.map_or(u64::MAX, |r| r as u64));
+            fp.fold("traffic", &ev.bytes);
+            fp.fold("schedule", &(ev.rtq_depth as u64));
         }
     }
-    fnv(&mut h, &s.solve_time.to_bits().to_le_bytes());
-    for v in &s.xp {
-        fnv(&mut h, &v.to_bits().to_le_bytes());
-    }
-    h
+    fp.fold("virtual", &s.solve_time);
+    fp.fold("bits", s.xp.as_slice());
+    fp
 }
 
 /// `solve_fingerprint` of {`random_spd(120,5,3)`, `thermal_like(12,12,0.3,
@@ -166,20 +168,30 @@ fn solve_schedule_is_identical_to_the_hashed_engine() {
         (bone_like(6, 6, 5), compress),
     ];
     let policies = [RtqPolicy::Lifo, RtqPolicy::Fifo, RtqPolicy::CriticalPath];
-    let mut got = Vec::new();
-    for (a, blr) in &mats {
+    let mut cases = Vec::new();
+    for (name, (a, blr)) in [
+        "random_spd(120,5,3)",
+        "thermal_like(12,12,0.3,5)",
+        "bone_like(6,6,5)+blr",
+    ]
+    .into_iter()
+    .zip(&mats)
+    {
         for policy in policies {
             for p in [1usize, 2, 4] {
                 for nrhs in [1usize, 16] {
-                    got.push(solve_fingerprint(a, *blr, policy, p, nrhs));
+                    let case = format!("solve {name} {policy:?} P={p} nrhs={nrhs}");
+                    cases.push((case, solve_fingerprint(a, *blr, policy, p, nrhs)));
                 }
             }
         }
     }
+    let got: Vec<u64> = cases.iter().map(|(_, f)| f.all()).collect();
     assert_eq!(
         got, PARENT_FINGERPRINTS,
         "solve schedule, clock or solution bits changed; got {got:#018x?}"
     );
+    golden::check("solve", cases);
 }
 
 /// Solve makespan and solution bits of the one-shot driver with two
@@ -192,7 +204,7 @@ const PARENT_REFINED: [u64; 3] = [0xc85be4c764e47a38, 0x71ccc4c8e19bfb8c, 0xe1db
 fn refined_solve_is_bit_identical() {
     let a = thermal_like(12, 12, 0.3, 5);
     let b = sympack_sparse::vecops::test_rhs(a.n());
-    let got: Vec<u64> = [1usize, 2, 4]
+    let cases: Vec<(String, Fingerprint)> = [1usize, 2, 4]
         .into_iter()
         .map(|p| {
             let opts = SolverOptions {
@@ -203,18 +215,18 @@ fn refined_solve_is_bit_identical() {
                 ..Default::default()
             };
             let r = SymPack::try_factor_and_solve(&a, &b, &opts).expect("refined solve");
-            let mut h = FNV_OFFSET;
-            fnv(&mut h, &r.solve_time.to_bits().to_le_bytes());
-            for v in &r.x {
-                fnv(&mut h, &v.to_bits().to_le_bytes());
-            }
-            h
+            let mut fp = Fingerprint::new(&["virtual", "bits"]);
+            fp.fold("virtual", &r.solve_time);
+            fp.fold("bits", r.x.as_slice());
+            (format!("refined thermal_like(12,12,0.3,5) P={p}"), fp)
         })
         .collect();
+    let got: Vec<u64> = cases.iter().map(|(_, f)| f.all()).collect();
     assert_eq!(
         got, PARENT_REFINED,
         "refinement clock or solution bits changed; got {got:#018x?}"
     );
+    golden::check("solve", cases);
 }
 
 /// One rank's slice of the solve by its dependency rules, in hash maps.

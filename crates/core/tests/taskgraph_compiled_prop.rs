@@ -15,8 +15,11 @@
 //!   compiled graph existed.
 
 mod common;
+#[path = "../../../tests/golden/mod.rs"]
+mod golden;
 
-use common::{fnv, patterns, FNV_OFFSET};
+use common::patterns;
+use golden::{Fingerprint, SOLVER};
 use std::collections::{HashMap, HashSet};
 use sympack::storage::{BlockKey, BlockStore};
 use sympack::taskgraph::{fanout_dests, LocalTasks, TaskKey};
@@ -219,11 +222,12 @@ fn compiled_graph_matches_the_naive_enumeration() {
     }
 }
 
-/// FNV-1a over one factorization's schedule and result: per rank, every
-/// executed factorization task in execution order (label, ready time,
-/// producer edge, memory gauge, RTQ depth), then the virtual makespan, then
-/// the bits of the gathered factor.
-fn schedule_fingerprint(a: &SparseSym, policy: RtqPolicy, p: usize) -> u64 {
+/// One factorization's schedule and result: per rank, every executed
+/// factorization task in execution order — label, producer edge and RTQ
+/// depth in `schedule`, the resident input-buffer bytes sampled at its
+/// boundary in `traffic`, its ready time in `virtual` — then the virtual
+/// makespan in `virtual` and the bits of the gathered factor in `bits`.
+fn schedule_fingerprint(a: &SparseSym, policy: RtqPolicy, p: usize) -> Fingerprint {
     let opts = SolverOptions {
         n_nodes: 1,
         ranks_per_node: p,
@@ -234,33 +238,31 @@ fn schedule_fingerprint(a: &SparseSym, policy: RtqPolicy, p: usize) -> u64 {
     };
     let b = test_rhs(a.n());
     let r = SymPack::try_factor_and_solve_multi(a, &[b], &opts).expect("factorization");
-    let mut h = FNV_OFFSET;
+    let mut fp = Fingerprint::new(&SOLVER);
     for rank in 0..p {
         for ev in r.trace.iter().filter(|ev| {
             ev.rank == rank
                 && ev.kind == SpanKind::Exec
                 && ["D(", "F(", "U("].iter().any(|s| ev.name.starts_with(s))
         }) {
-            fnv(&mut h, &(rank as u64).to_le_bytes());
-            fnv(&mut h, ev.name.as_bytes());
-            fnv(&mut h, &ev.ready_at.to_bits().to_le_bytes());
-            fnv(&mut h, ev.pred.as_deref().unwrap_or("-").as_bytes());
-            fnv(&mut h, &ev.bytes.to_le_bytes());
-            fnv(&mut h, &(ev.rtq_depth as u64).to_le_bytes());
+            fp.fold("schedule", &(rank as u64));
+            fp.fold("schedule", ev.name.as_str());
+            fp.fold("virtual", &ev.ready_at);
+            fp.fold("schedule", ev.pred.as_deref().unwrap_or("-"));
+            fp.fold("traffic", &ev.bytes);
+            fp.fold("schedule", &(ev.rtq_depth as u64));
         }
     }
-    fnv(&mut h, &r.factor_time.to_bits().to_le_bytes());
+    fp.fold("virtual", &r.factor_time);
     let untraced = SolverOptions {
         trace: false,
         ..opts
     };
     let g = SymPack::factor_gather(a, &untraced).expect("gather");
     for c in 0..g.l_permuted.n() {
-        for v in g.l_permuted.col_values(c) {
-            fnv(&mut h, &v.to_bits().to_le_bytes());
-        }
+        fp.fold("bits", g.l_permuted.col_values(c));
     }
-    h
+    fp
 }
 
 /// `schedule_fingerprint` of {`random_spd(120,5,3)`, `thermal_like(12,12,
@@ -303,16 +305,22 @@ fn schedule_is_identical_to_the_hashed_runtime() {
         RtqPolicy::CriticalPath,
         RtqPolicy::CommAware,
     ];
-    let mut got = Vec::new();
-    for a in &mats {
+    let mut cases = Vec::new();
+    for (name, a) in ["random_spd(120,5,3)", "thermal_like(12,12,0.3,5)"]
+        .into_iter()
+        .zip(&mats)
+    {
         for policy in policies {
             for p in [1usize, 2, 4] {
-                got.push(schedule_fingerprint(a, policy, p));
+                let case = format!("{name} {policy:?} P={p}");
+                cases.push((case, schedule_fingerprint(a, policy, p)));
             }
         }
     }
+    let got: Vec<u64> = cases.iter().map(|(_, f)| f.all()).collect();
     assert_eq!(
         got, PARENT_FINGERPRINTS,
         "schedule or factor bits changed; got {got:#018x?}"
     );
+    golden::check("schedule", cases);
 }

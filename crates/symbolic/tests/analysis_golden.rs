@@ -17,52 +17,52 @@
 //! runs with `--release -- --ignored`; the default run checks every other
 //! benchmark-scale row and all four orderings at the quick scale.
 
+#[path = "../../../tests/golden/mod.rs"]
+mod golden;
+
+use golden::Fingerprint;
 use sympack::{plan_cache_key, SolverOptions, SymbolicPlan};
 use sympack_ordering::OrderingKind;
 use sympack_sparse::gen::{bone_like, flan_like, thermal_like};
 use sympack_sparse::SparseSym;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The columns of an analysis case.
+const COLUMNS: [&str; 6] = ["perm", "partition", "patterns", "layout", "counts", "keys"];
 
-fn eat(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// The fold of one built plan.
-fn fingerprint(plan: &SymbolicPlan, opts: &SolverOptions) -> u64 {
+/// The fold of one built plan: the composite permutation in `perm`; the
+/// partition's start array (every first column, then `n`) and the
+/// supernodal tree in `partition`; the row patterns in `patterns`; the block
+/// layout in `layout`; `l_nnz` and `flops` in `counts`; `pattern_hash` and
+/// `plan_cache_key` in `keys`.
+fn fingerprint(plan: &SymbolicPlan, opts: &SolverOptions) -> Fingerprint {
     let sf = &plan.sf;
-    let mut h = FNV_OFFSET;
+    let mut fp = Fingerprint::new(&COLUMNS);
     for &old in sf.perm.as_slice() {
-        eat(&mut h, old as u64);
+        fp.fold("perm", &(old as u64));
     }
-    // The partition's start array: every first column, then `n`.
     for s in 0..sf.n_supernodes() {
-        eat(&mut h, sf.partition.first_col(s) as u64);
+        fp.fold("partition", &(sf.partition.first_col(s) as u64));
     }
-    eat(&mut h, sf.partition.n() as u64);
+    fp.fold("partition", &(sf.partition.n() as u64));
     for s in 0..sf.n_supernodes() {
         let pat: &[usize] = &sf.patterns[s];
-        eat(&mut h, pat.len() as u64);
+        fp.fold("patterns", &(pat.len() as u64));
         for &r in pat {
-            eat(&mut h, r as u64);
+            fp.fold("patterns", &(r as u64));
         }
-        eat(&mut h, sf.sn_parent[s] as u64);
+        fp.fold("partition", &(sf.sn_parent[s] as u64));
         for b in sf.layout.blocks_of(s) {
-            eat(&mut h, b.target as u64);
-            eat(&mut h, b.row_offset as u64);
-            eat(&mut h, b.n_rows as u64);
+            fp.fold("layout", &(b.target as u64));
+            fp.fold("layout", &(b.row_offset as u64));
+            fp.fold("layout", &(b.n_rows as u64));
         }
     }
-    eat(&mut h, sf.l_nnz as u64);
-    eat(&mut h, sf.flops);
-    eat(&mut h, plan.pattern);
-    eat(&mut h, plan.key);
+    fp.fold("counts", &(sf.l_nnz as u64));
+    fp.fold("counts", &sf.flops);
+    fp.fold("keys", &plan.pattern);
+    fp.fold("keys", &plan.key);
     assert_eq!(plan.key, plan_cache_key(plan.pattern, opts));
-    h
+    fp
 }
 
 const KINDS: [OrderingKind; 4] = [
@@ -106,6 +106,7 @@ fn slow(name: &str, kind: OrderingKind) -> bool {
 
 fn check(cases: &[Case], golden: &[Golden], run: impl Fn(&str, OrderingKind) -> bool) {
     let mut bad = Vec::new();
+    let mut computed = Vec::new();
     for ((name, gen), want) in cases.iter().zip(golden) {
         let a = gen();
         for k in (0..KINDS.len()).filter(|&k| run(name, KINDS[k])) {
@@ -115,17 +116,20 @@ fn check(cases: &[Case], golden: &[Golden], run: impl Fn(&str, OrderingKind) -> 
                     ranks_per_node: p,
                     ..Default::default()
                 };
-                let got = fingerprint(&SymbolicPlan::build(&a, &opts), &opts);
+                let fp = fingerprint(&SymbolicPlan::build(&a, &opts), &opts);
+                let got = fp.all();
                 if got != want[k][pi] {
                     bad.push(format!(
                         "{name} {:?} P={p}: got {got:#018x}, pinned {:#018x}",
                         KINDS[k], want[k][pi]
                     ));
                 }
+                computed.push((format!("{name} {:?} P={p}", KINDS[k]), fp));
             }
         }
     }
     assert!(bad.is_empty(), "analysis moved:\n{}", bad.join("\n"));
+    golden::check("analysis", computed);
 }
 
 const GOLDEN_LARGE: [Golden; 5] = [

@@ -1,12 +1,18 @@
 //! Cross-solver integration tests: symPACK-rs, the right-looking baseline
 //! and a dense oracle must agree on identical inputs.
 
+mod golden;
+
+use golden::{Fingerprint, SOLVER};
 use sympack::{SolverOptions, SymPack};
 use sympack_baseline::baseline_factor_and_solve;
 use sympack_dense::{KernelConfig, Mat};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::{max_abs_diff, test_rhs};
 use sympack_sparse::SparseSym;
+
+/// The three baseline families, in the order the pinned cases run them.
+const ENGINES: [&str; 3] = ["right-looking", "fan-in", "fan-both"];
 
 /// Dense Cholesky oracle: solve via `sympack-dense` on the full matrix.
 fn dense_solve(a: &SparseSym, b: &[f64]) -> Vec<f64> {
@@ -194,29 +200,21 @@ fn all_engines_agree_across_ranks_and_rtq_policies() {
     }
 }
 
-/// FNV-1a over everything a baseline run reports that a schedule change
-/// would move: solution bits, both virtual makespans, the per-kind task
-/// totals and the message counts.
-fn baseline_fingerprint(r: &sympack::SolveReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for v in &r.x {
-        eat(&v.to_bits().to_le_bytes());
-    }
-    eat(&r.factor_time.to_bits().to_le_bytes());
-    eat(&r.solve_time.to_bits().to_le_bytes());
+/// Everything a baseline run reports that a schedule change would move:
+/// the solution in `bits`, both virtual makespans in `virtual`, the per-kind
+/// task totals in `schedule` and the message counts in `traffic`.
+fn baseline_fingerprint(r: &sympack::SolveReport) -> Fingerprint {
+    let mut fp = Fingerprint::new(&SOLVER);
+    fp.fold("bits", r.x.as_slice());
+    fp.fold("virtual", &r.factor_time);
+    fp.fold("virtual", &r.solve_time);
     for (kind, n) in &r.task_counts {
-        eat(kind.as_bytes());
-        eat(&n.to_le_bytes());
+        fp.fold("schedule", kind.as_str());
+        fp.fold("schedule", n);
     }
-    eat(&r.stats.rgets.to_le_bytes());
-    eat(&r.stats.rpcs.to_le_bytes());
-    h
+    fp.fold("traffic", &r.stats.rgets);
+    fp.fold("traffic", &r.stats.rpcs);
+    fp
 }
 
 /// `baseline_fingerprint` of {right-looking, fan-in, fan-both} × P ∈ {1, 2,
@@ -253,8 +251,8 @@ fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
         sympack_baseline::try_fanin_factor_and_solve,
         sympack_baseline::try_fanboth_factor_and_solve,
     ];
-    let mut got = Vec::new();
-    for run in engines {
+    let mut cases = Vec::new();
+    for (name, run) in ENGINES.into_iter().zip(engines) {
         for p in [1usize, 2, 4] {
             for trace in [false, true] {
                 let opts = SolverOptions {
@@ -266,14 +264,17 @@ fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
                 };
                 let r = run(&a, &b, &opts).expect("SPD input");
                 assert_eq!(r.trace.is_empty(), !trace);
-                got.push(baseline_fingerprint(&r));
+                let case = format!("per-engine {name} P={p} trace={trace}");
+                cases.push((case, baseline_fingerprint(&r)));
             }
         }
     }
+    let got: Vec<u64> = cases.iter().map(|(_, f)| f.all()).collect();
     assert_eq!(
         got, BASELINE_PARENT_FINGERPRINTS,
         "baseline schedule or solution bits changed; got {got:#018x?}"
     );
+    golden::check("cross_solver", cases);
 }
 
 /// `baseline_fingerprint` of {right-looking, fan-in, fan-both} × (Fifo and
@@ -319,8 +320,8 @@ fn baseline_schedules_are_identical_under_every_pop_order() {
         (RtqPolicy::CriticalPath, 3),
         (RtqPolicy::Lifo, 3),
     ];
-    let mut got = Vec::new();
-    for run in engines {
+    let mut cases = Vec::new();
+    for (name, run) in ENGINES.into_iter().zip(engines) {
         for (rtq_policy, p) in runs {
             let opts = SolverOptions {
                 n_nodes: 1,
@@ -330,47 +331,43 @@ fn baseline_schedules_are_identical_under_every_pop_order() {
                 ..Default::default()
             };
             let r = run(&a, &b, &opts).expect("SPD input");
-            got.push(baseline_fingerprint(&r));
+            let case = format!("pop-order {name} {rtq_policy:?} P={p}");
+            cases.push((case, baseline_fingerprint(&r)));
         }
     }
+    let got: Vec<u64> = cases.iter().map(|(_, f)| f.all()).collect();
     assert_eq!(
         got, BASELINE_POLICY_FINGERPRINTS,
         "baseline schedule or solution bits changed; got {got:#018x?}"
     );
+    golden::check("cross_solver", cases);
 }
 
-/// FNV-1a over a traced fan-out run on the wire paths no other fingerprint
-/// reaches: per rank, every factorization task in execution order (label,
-/// ready time, producer edge, memory gauge, RTQ depth), then both
-/// makespans, the solution bits, the per-rank publication accounting and
-/// the message / byte counters.
-fn fanout_wire_fingerprint(r: &sympack::SolveReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+/// A traced fan-out run on the wire paths no other fingerprint reaches: per
+/// rank, every factorization task in execution order — label, producer edge
+/// and RTQ depth in `schedule`, the resident input-buffer bytes in
+/// `traffic`, its ready time in `virtual` — then both makespans in
+/// `virtual`, the solution in `bits`, and the per-rank publication
+/// accounting and the message / byte / frame counters in `traffic`.
+fn fanout_wire_fingerprint(r: &sympack::SolveReport) -> Fingerprint {
+    let mut fp = Fingerprint::new(&SOLVER);
     for rank in 0..r.publish.len() {
         for ev in r.trace.iter().filter(|ev| {
             ev.rank == rank
                 && ev.kind == sympack_trace::SpanKind::Exec
                 && ["D(", "F(", "U("].iter().any(|s| ev.name.starts_with(s))
         }) {
-            eat(&(rank as u64).to_le_bytes());
-            eat(ev.name.as_bytes());
-            eat(&ev.ready_at.to_bits().to_le_bytes());
-            eat(ev.pred.as_deref().unwrap_or("-").as_bytes());
-            eat(&ev.bytes.to_le_bytes());
-            eat(&(ev.rtq_depth as u64).to_le_bytes());
+            fp.fold("schedule", &(rank as u64));
+            fp.fold("schedule", ev.name.as_str());
+            fp.fold("virtual", &ev.ready_at);
+            fp.fold("schedule", ev.pred.as_deref().unwrap_or("-"));
+            fp.fold("traffic", &ev.bytes);
+            fp.fold("schedule", &(ev.rtq_depth as u64));
         }
     }
-    eat(&r.factor_time.to_bits().to_le_bytes());
-    eat(&r.solve_time.to_bits().to_le_bytes());
-    for v in &r.x {
-        eat(&v.to_bits().to_le_bytes());
-    }
+    fp.fold("virtual", &r.factor_time);
+    fp.fold("virtual", &r.solve_time);
+    fp.fold("bits", r.x.as_slice());
     for p in &r.publish {
         for n in [
             p.dense_bytes,
@@ -379,16 +376,16 @@ fn fanout_wire_fingerprint(r: &sympack::SolveReport) -> u64 {
             p.dense_blocks,
             p.lr_blocks,
         ] {
-            eat(&n.to_le_bytes());
+            fp.fold("traffic", &n);
         }
     }
     let s = &r.stats;
     for n in [s.rgets, s.rpcs, s.net_bytes, s.intra_bytes, s.device_bytes] {
-        eat(&n.to_le_bytes());
+        fp.fold("traffic", &n);
     }
-    eat(&s.frames.to_le_bytes());
-    eat(&s.frame_subs.to_le_bytes());
-    h
+    fp.fold("traffic", &s.frames);
+    fp.fold("traffic", &s.frame_subs);
+    fp
 }
 
 /// Fingerprints of the paths the 24 fan-out and 18 baseline rows do not run
@@ -435,30 +432,35 @@ fn tree_coalesced_and_blr_schedules_are_identical_to_the_per_engine_copies() {
         },
         ..base.clone()
     };
-    let mut got = Vec::new();
+    let mut cases = Vec::new();
     let r = SymPack::try_factor_and_solve(&a, &b, &tree).expect("tree + coalesce");
     assert!(r.stats.frames > 0, "coalescing never framed a signal");
-    got.push(fanout_wire_fingerprint(&r));
+    cases.push((
+        "wire fan-out tree+coalesce".to_string(),
+        fanout_wire_fingerprint(&r),
+    ));
     let r = SymPack::try_factor_and_solve(&a, &b, &blr).expect("blr");
     let lr_blocks: u64 = r.publish.iter().map(|p| p.lr_blocks).sum();
     assert!(lr_blocks > 0, "BLR row published nothing compressed");
-    got.push(fanout_wire_fingerprint(&r));
+    cases.push(("wire fan-out blr".to_string(), fanout_wire_fingerprint(&r)));
     let bopts = SolverOptions {
         trace: false,
         coalesce: Some(CoalesceConfig::default()),
         ..base
     };
-    for run in [
+    for (name, run) in ENGINES.into_iter().zip([
         sympack_baseline::try_baseline_factor_and_solve,
         sympack_baseline::try_fanin_factor_and_solve,
         sympack_baseline::try_fanboth_factor_and_solve,
-    ] {
+    ]) {
         let r = run(&a, &b, &bopts).expect("SPD input");
         assert!(r.stats.frames > 0, "coalescing never framed a signal");
-        got.push(baseline_fingerprint(&r));
+        cases.push((format!("wire {name} coalesce"), baseline_fingerprint(&r)));
     }
+    let got: Vec<u64> = cases.iter().map(|(_, f)| f.all()).collect();
     assert_eq!(
         got, WIRE_PATH_PARENT_FINGERPRINTS,
         "schedule, solution bits or wire accounting changed; got {got:#018x?}"
     );
+    golden::check("cross_solver", cases);
 }

@@ -17,8 +17,11 @@
 //!   max_batch`) — the shape that replaced the single-session server —
 //!   to constants the server produced on the same workload.
 
+mod golden;
+
 use std::sync::Arc;
 
+use golden::Fingerprint;
 use sympack::{SolverOptions, SymbolicPlan};
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_service::Session;
@@ -172,13 +175,6 @@ fn fleet_amortizes_analysis_across_tenants() {
     }
 }
 
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn lower_values(a: &SparseSym) -> Vec<f64> {
     (0..a.n()).flat_map(|c| a.col_values(c).to_vec()).collect()
 }
@@ -253,25 +249,37 @@ fn one_tenant_fleet_serves_like_the_single_session_server() {
     let mut m = fleet.tenant_metrics(solo).clone();
     m.analyze_wall_ms = 0.0;
     assert_eq!(m.to_json(), SERVER_METRICS);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    assert_eq!(done.len(), 20, "jobs");
+    let mut jobs = Fingerprint::new(&["schedule", "virtual", "bits"]);
     for j in &done {
-        fnv(&mut h, j.id);
-        fnv(&mut h, j.arrival.to_bits());
-        fnv(&mut h, j.completion.to_bits());
-        for v in &j.x {
-            fnv(&mut h, v.to_bits());
-        }
+        jobs.fold("schedule", &j.id);
+        jobs.fold("virtual", &j.arrival);
+        jobs.fold("virtual", &j.completion);
+        jobs.fold("bits", j.x.as_slice());
     }
-    assert_eq!((done.len(), h), (20, SERVER_JOBS), "jobs: {h:#018x}");
     let spans = fleet.request_spans();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    assert_eq!(spans.len(), 20, "spans");
+    let mut span_fp = Fingerprint::new(&["virtual", "traffic"]);
     for (k, s) in spans.iter().enumerate() {
         assert_eq!(s.name, format!("solo/job-{k}"));
-        fnv(&mut h, s.start.to_bits());
-        fnv(&mut h, s.dur.to_bits());
-        fnv(&mut h, s.kernel.to_bits());
-        fnv(&mut h, s.bytes);
+        span_fp.fold("virtual", &s.start);
+        span_fp.fold("virtual", &s.dur);
+        span_fp.fold("virtual", &s.kernel);
+        span_fp.fold("traffic", &s.bytes);
     }
-    assert_eq!((spans.len(), h), (20, SERVER_SPANS), "spans: {h:#018x}");
+    assert_eq!(jobs.all(), SERVER_JOBS, "jobs: {:#018x}", jobs.all());
+    assert_eq!(
+        span_fp.all(),
+        SERVER_SPANS,
+        "spans: {:#018x}",
+        span_fp.all()
+    );
+    golden::check(
+        "fleet",
+        vec![
+            ("one-tenant jobs".to_string(), jobs),
+            ("one-tenant spans".to_string(), span_fp),
+        ],
+    );
     assert_eq!(fleet.makespan().to_bits(), SERVER_CLOCK.to_bits());
 }
