@@ -15,7 +15,9 @@
 //! * [`one_tenant_fleet_serves_like_the_single_session_server`] pins the
 //!   one-tenant fleet (`shards: 1`, no factor budget, `quantum =
 //!   max_batch`) — the shape that replaced the single-session server —
-//!   to constants the server produced on the same workload.
+//!   to what the server produced on the same workload: its metrics JSON and
+//!   final clock, and its jobs and request spans in the `fleet` corpus
+//!   (`tests/golden/fleet.txt`).
 
 mod golden;
 
@@ -192,11 +194,6 @@ const SERVER_METRICS: &str = concat!(
     r#""amortized_cost_per_job":0.000060433930357142904,"#,
     r#""one_shot_cost_per_job":0.00027875408238095284,"analyze_wall_ms":0}"#
 );
-/// FNV-1a over each completed job's (id, arrival, completion, x) bits,
-/// in completion order, captured from the same server.
-const SERVER_JOBS: u64 = 0xcb84_68a6_0969_bab5;
-/// FNV-1a over each request span's (start, dur, kernel, bytes) bits.
-const SERVER_SPANS: u64 = 0x80f3_8789_e7b5_248a;
 /// The server's final virtual clock.
 const SERVER_CLOCK: f64 = 1.00202392356;
 
@@ -267,13 +264,6 @@ fn one_tenant_fleet_serves_like_the_single_session_server() {
         span_fp.fold("virtual", &s.kernel);
         span_fp.fold("traffic", &s.bytes);
     }
-    assert_eq!(jobs.all(), SERVER_JOBS, "jobs: {:#018x}", jobs.all());
-    assert_eq!(
-        span_fp.all(),
-        SERVER_SPANS,
-        "spans: {:#018x}",
-        span_fp.all()
-    );
     golden::check(
         "fleet",
         vec![

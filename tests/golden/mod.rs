@@ -82,8 +82,6 @@ impl Pin for [f64] {
 /// One case's columns, each an independent FNV-1a fold.
 pub struct Fingerprint {
     columns: Vec<(&'static str, u64)>,
-    /// Every value of every column, in fold order.
-    all: u64,
 }
 
 impl Fingerprint {
@@ -92,7 +90,6 @@ impl Fingerprint {
     pub fn new(columns: &[&'static str]) -> Fingerprint {
         Fingerprint {
             columns: columns.iter().map(|&c| (c, OFFSET)).collect(),
-            all: OFFSET,
         }
     }
 
@@ -105,17 +102,10 @@ impl Fingerprint {
             panic!("no column `{column}` in this fingerprint");
         };
         c.1 = value.fold(c.1);
-        self.all = value.fold(self.all);
-    }
-
-    /// The fold of every value of every column in fold order: the single
-    /// fingerprint the suites pinned before the corpus split it.
-    pub fn all(&self) -> u64 {
-        self.all
     }
 
     /// The right-hand side of the case's corpus line.
-    fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols: Vec<String> = self
             .columns
             .iter()
@@ -207,7 +197,7 @@ fn parse(corpus: &str) -> BTreeMap<&str, BTreeMap<&str, &str>> {
 
 /// One line per computed case that differs from `committed`: the case and
 /// the columns that moved, or that it is not in the corpus.
-fn diff(committed: &str, lines: &[(String, String)]) -> Vec<String> {
+pub(crate) fn diff(committed: &str, lines: &[(String, String)]) -> Vec<String> {
     let pinned = parse(committed);
     let mut seen = HashSet::new();
     let mut moved = Vec::new();
@@ -233,7 +223,7 @@ fn diff(committed: &str, lines: &[(String, String)]) -> Vec<String> {
 
 /// `committed` with each of `lines`' cases replaced in place, and the cases
 /// it does not hold appended in the order given.
-fn fresh(committed: &str, lines: &[(String, String)]) -> String {
+pub(crate) fn fresh(committed: &str, lines: &[(String, String)]) -> String {
     let by_case: BTreeMap<&str, &str> = lines
         .iter()
         .map(|(c, r)| (c.as_str(), r.as_str()))
