@@ -280,7 +280,7 @@ fn live(tenants: usize, rounds: usize, json_out: Option<&str>) -> Result<ExitCod
         ..Default::default()
     };
     let mut docs = Vec::new();
-    let fleet = replay(&opts, config, &Mix { tenants, events }, |fleet, event| {
+    let fleet = replay(&opts, config, Mix { tenants, events }, |fleet, event| {
         if matches!(event, Event::Step) {
             docs.push(fleet.telemetry_json());
         }

@@ -170,7 +170,7 @@ fn run_mix(spec: &MixSpec) -> Result<(Row, Vec<Row>, Fleet), String> {
     };
     let mix = Mix { tenants, events };
     let name = spec.name;
-    let fleet = replay(&opts, config, &mix, |_, _| {}).map_err(|e| format!("{name}: {e}"))?;
+    let fleet = replay(&opts, config, mix, |_, _| {}).map_err(|e| format!("{name}: {e}"))?;
 
     // Plan-cache hits are exactly the repeated patterns, and a hit tenant
     // pays zero analysis — the acceptance signal. Every tenant's batching

@@ -190,7 +190,7 @@ fn main() {
         "one-shot cost/job".to_string(),
         "advantage".to_string(),
     ]];
-    replay(&lockstep, config, &Mix { tenants, events }, |fleet, _| {
+    replay(&lockstep, config, Mix { tenants, events }, |fleet, _| {
         let m = fleet.tenant_metrics(TenantId(0));
         rows.push(vec![
             format!("{}", m.jobs_served),

@@ -154,7 +154,7 @@ fn fleet_mix() -> Result<String, String> {
         quantum: 2.0,
     };
     let mix = Mix { tenants, events };
-    Ok(replay(&solver_opts(2, false), config, &mix, |_, _| {})?.telemetry_json())
+    Ok(replay(&solver_opts(2, false), config, mix, |_, _| {})?.telemetry_json())
 }
 
 /// The fleet determinism gate and its row.

@@ -3,7 +3,7 @@
 //! [`Fleet`] through the events and checks every completed job's residual
 //! against the right-hand side it was submitted with.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use sympack::SolverOptions;
 use sympack_fleet::{Fleet, FleetConfig, TenantId};
 use sympack_sparse::SparseSym;
@@ -52,8 +52,10 @@ pub struct Mix<'a> {
 }
 
 /// Replay `mix` on a new fleet (`opts` per shard, `config` for sizing,
-/// budget and fairness) and return the fleet the last event left. `after`
-/// sees the fleet after every [`Event::Step`] and [`Event::Drain`].
+/// budget and fairness) and return the fleet the last event left. Each
+/// right-hand side moves into the fleet and comes back with its completed
+/// job. `after` sees the fleet after every [`Event::Step`] and
+/// [`Event::Drain`].
 ///
 /// # Errors
 /// A fleet error (admission, a rejected submission, a failed solve), a job
@@ -61,7 +63,7 @@ pub struct Mix<'a> {
 pub fn replay(
     opts: &SolverOptions,
     config: FleetConfig,
-    mix: &Mix,
+    mix: Mix,
     mut after: impl FnMut(&Fleet, &Event),
 ) -> Result<Fleet, String> {
     let mut fleet = Fleet::new(opts, config);
@@ -73,15 +75,15 @@ pub fn replay(
             fleet.set_slo(id, policy);
         }
     }
-    // The right-hand side of every job in flight, by (tenant, ticket).
-    let mut in_flight = HashMap::new();
-    for event in &mix.events {
+    // The (tenant, ticket) of every job in flight.
+    let mut in_flight = HashSet::new();
+    for event in mix.events {
         let done = match event {
             Event::Submit { tenant, at, rhs } => {
                 let ticket = fleet
-                    .submit_at(TenantId(*tenant), rhs.clone(), *at)
-                    .map_err(|e| format!("submit {}: {e}", mix.tenants[*tenant].name))?;
-                in_flight.insert((*tenant, ticket), rhs);
+                    .submit_at(TenantId(tenant), rhs, at)
+                    .map_err(|e| format!("submit {}: {e}", mix.tenants[tenant].name))?;
+                in_flight.insert((tenant, ticket));
                 continue;
             }
             Event::Step => fleet.step(),
@@ -90,14 +92,15 @@ pub fn replay(
         for job in done.map_err(|e| e.to_string())? {
             let tenant = &mix.tenants[job.tenant.0];
             let job_name = || format!("{}/job-{}", tenant.name, job.id);
-            let rhs = in_flight.remove(&(job.tenant.0, job.id));
-            let rhs = rhs.ok_or_else(|| format!("{} was never submitted", job_name()))?;
-            let residual = tenant.matrix.relative_residual(&job.x, rhs);
+            if !in_flight.remove(&(job.tenant.0, job.id)) {
+                return Err(format!("{} was never submitted", job_name()));
+            }
+            let residual = tenant.matrix.relative_residual(&job.x, &job.rhs);
             if residual.is_nan() || residual > RESIDUAL_TOL {
                 return Err(format!("{} residual {residual:e}", job_name()));
             }
         }
-        after(&fleet, event);
+        after(&fleet, &event);
     }
     match in_flight.len() {
         0 => Ok(fleet),

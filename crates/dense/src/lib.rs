@@ -59,7 +59,7 @@ pub mod trsm;
 pub use config::{ConfigError, IsaSelect, KernelConfig};
 pub use error::DenseError;
 pub use gemm::gemm_nt_cfg;
-pub use lowrank::{compress, recompress, BlockRef, BlrConfig, LowRankMat};
+pub use lowrank::{BlockRef, BlrConfig, LowRankMat};
 pub use mat::Mat;
 pub use panel::{gemm_nn_acc_cfg, gemm_tn_acc_cfg};
 pub use potrf::potrf_cfg;

@@ -2,9 +2,11 @@
 //! off-diagonal supernode blocks.
 //!
 //! A dense `m × n` block `A` is replaced by `U·Vᵀ` (`U: m × r`, `V: n × r`)
-//! whenever a rank-`r` approximation satisfies the relative Frobenius
-//! tolerance `‖A − U·Vᵀ‖_F ≤ tol·‖A‖_F` *and* the factored form is actually
-//! smaller (`r·(m+n) < m·n`, `r ≤ max_rank`). The truncation kernel is a
+//! whenever a rank-`r` approximation satisfies the absolute Frobenius
+//! threshold `‖A − U·Vᵀ‖_F ≤ τ` *and* the factored form is actually smaller
+//! (`r·(m+n) < m·n`, `r ≤ max_rank`). The solver sets `τ = tol·‖A_glob‖_F`
+//! from the norm of the whole input matrix (the global-threshold BLR
+//! criterion). The truncation kernel is a
 //! column-pivoted modified Gram–Schmidt QR on the residual matrix: each step
 //! picks the residual column of largest norm, orthogonalizes, and downdates
 //! every remaining column, so the maintained residual *is* the approximation
@@ -15,7 +17,7 @@
 //! Sums of low-rank products are re-truncated without an SVD:
 //! `U·Vᵀ = Qu·(Ru·Rvᵀ)·Qvᵀ` reduces the problem to the small `k × k` core
 //! `Ru·Rvᵀ`, which goes back through the same pivoted truncation
-//! ([`recompress`]).
+//! ([`recompress_abs`]).
 
 use crate::config::ConfigError;
 use crate::mat::Mat;
@@ -27,7 +29,8 @@ use crate::mat::Mat;
 /// default, so existing callers are untouched unless they opt in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlrConfig {
-    /// Relative Frobenius truncation tolerance; `0.0` = exact/dense mode.
+    /// Frobenius truncation tolerance relative to the norm of the whole
+    /// input matrix; `0.0` = exact/dense mode.
     pub tol: f64,
     /// Blocks with `min(rows, cols)` below this stay dense (compression
     /// overhead would not amortize on small blocks).
@@ -127,7 +130,7 @@ impl LowRankMat {
     }
 
     /// The left factor `U` (`rows × rank`, orthonormal columns as produced
-    /// by [`compress`]).
+    /// by [`compress_raw_abs`]).
     pub fn u(&self) -> &Mat {
         &self.u
     }
@@ -217,31 +220,19 @@ impl BlockRef<'_> {
 }
 
 /// Truncate a column-major `m × n` panel (leading dimension `ld ≥ m`) to
-/// the lowest rank meeting `‖A − U·Vᵀ‖_F ≤ tol·‖A‖_F`, by column-pivoted
-/// modified Gram–Schmidt on the residual. Returns `None` when no admissible
-/// rank is *profitable*: the tolerance-satisfying rank exceeds `max_rank`,
-/// or the factored form would not be smaller than the dense block — callers
-/// keep such blocks dense, so accuracy is never silently degraded.
+/// the lowest rank meeting the *absolute* Frobenius threshold `‖A − U·Vᵀ‖_F
+/// ≤ abs_tol`, by column-pivoted modified Gram–Schmidt on the residual,
+/// independent of the block's own norm. This is the global-threshold
+/// criterion of BLR solvers — a far off-diagonal block with a tiny norm
+/// truncates to a much lower rank than a block-relative rule allows, while
+/// the overall backward error stays bounded by the threshold times the block
+/// count. Returns `None` when no admissible rank is *profitable*: the
+/// threshold-satisfying rank exceeds `max_rank`, or the factored form would
+/// not be smaller than the dense block — callers keep such blocks dense, so
+/// accuracy is never silently degraded.
 ///
 /// # Panics
 /// Panics when `ld < m` or the slice is too short for the panel.
-pub fn compress_raw(
-    a: &[f64],
-    m: usize,
-    n: usize,
-    ld: usize,
-    tol: f64,
-    max_rank: usize,
-) -> Option<LowRankMat> {
-    compress_raw_thresh(a, m, n, ld, Thresh::Rel(tol), max_rank)
-}
-
-/// [`compress_raw`] with an *absolute* Frobenius threshold: truncation stops
-/// once the residual norm drops below `abs_tol`, independent of the block's
-/// own norm. This is the global-threshold criterion of BLR solvers — a far
-/// off-diagonal block with a tiny norm truncates to a much lower rank than
-/// the block-relative rule allows, while the overall backward error stays
-/// bounded by the threshold times the block count.
 pub fn compress_raw_abs(
     a: &[f64],
     m: usize,
@@ -250,24 +241,13 @@ pub fn compress_raw_abs(
     abs_tol: f64,
     max_rank: usize,
 ) -> Option<LowRankMat> {
-    compress_raw_thresh(a, m, n, ld, Thresh::Abs(abs_tol), max_rank)
-}
-
-fn compress_raw_thresh(
-    a: &[f64],
-    m: usize,
-    n: usize,
-    ld: usize,
-    thresh: Thresh,
-    max_rank: usize,
-) -> Option<LowRankMat> {
     // A rank at or past the storage break-even point `m·n / (m+n)` can never
     // be profitable, so the pivoted sweep is capped there: a block that will
     // be declined aborts after ~one GEMM-equivalent of work instead of
     // sweeping to full rank. Accepted blocks are unaffected — any admissible
     // rank lies strictly below the cap.
     let cap = max_rank.min((m * n) / (m + n).max(1));
-    let lr = truncate_raw(a, m, n, ld, thresh, cap)?;
+    let lr = truncate_raw(a, m, n, ld, abs_tol, cap)?;
     // Profitability: the factored form must actually shrink the block.
     if lr.rank() * (m + n) >= m * n {
         return None;
@@ -275,24 +255,16 @@ fn compress_raw_thresh(
     Some(lr)
 }
 
-/// Truncation threshold: relative to the block's own Frobenius norm, or an
-/// absolute residual-norm target (the global-threshold BLR criterion).
-#[derive(Debug, Clone, Copy)]
-enum Thresh {
-    Rel(f64),
-    Abs(f64),
-}
-
-/// The tolerance-only truncation behind [`compress_raw`]: returns the
-/// lowest-rank factorization meeting `tol` (or `None` past `max_rank`)
-/// without the storage-profitability policy — [`recompress`] applies it to
-/// small cores where the factored form is never smaller.
+/// The threshold-only truncation behind [`compress_raw_abs`]: returns the
+/// lowest-rank factorization meeting `abs_tol` (or `None` past `max_rank`)
+/// without the storage-profitability policy — [`recompress_abs`] applies it
+/// to small cores where the factored form is never smaller.
 fn truncate_raw(
     a: &[f64],
     m: usize,
     n: usize,
     ld: usize,
-    thresh: Thresh,
+    abs_tol: f64,
     max_rank: usize,
 ) -> Option<LowRankMat> {
     assert!(ld >= m.max(1), "leading dimension too small");
@@ -314,10 +286,7 @@ fn truncate_raw(
     let mut norm2: Vec<f64> = (0..n).map(|c| col_norm2(&work, c)).collect();
     let orig2 = norm2.clone();
     let total2: f64 = norm2.iter().sum();
-    let thresh2 = match thresh {
-        Thresh::Rel(tol) => tol * tol * total2,
-        Thresh::Abs(abs) => abs * abs,
-    };
+    let thresh2 = abs_tol * abs_tol;
     let cap = max_rank.min(m).min(n);
 
     let mut u = Vec::new(); // r columns of length m
@@ -383,12 +352,7 @@ fn truncate_raw(
     Some(LowRankMat { u, v })
 }
 
-/// [`compress_raw`] over a whole [`Mat`].
-pub fn compress(a: &Mat, tol: f64, max_rank: usize) -> Option<LowRankMat> {
-    compress_raw(a.as_slice(), a.rows(), a.cols(), a.ld(), tol, max_rank)
-}
-
-/// Modeled flop count of one [`compress`] call that stopped at rank `r`:
+/// Modeled flop count of one [`compress_raw_abs`] call that stopped at rank `r`:
 /// per accepted rank the kernel projects and downdates every residual
 /// column (`2·m·n`), with column norms maintained incrementally (O(n) per
 /// step); one extra `m·n` pass covers the initial norm computation.
@@ -430,21 +394,12 @@ fn mgs_qr(a: &Mat) -> (Mat, Mat) {
 
 /// Re-truncate an accumulated low-rank sum `U·Vᵀ` (rank `k`, typically the
 /// concatenation of several rank-`rᵢ` terms) back to the lowest rank meeting
-/// `tol`: thin-QR both factors, truncate the small `k × k` core `Ru·Rvᵀ`
-/// with the same pivoted kernel, and fold the core factors back in. Returns
-/// `None` when the truncated form would not be admissible ([`compress_raw`]'s
-/// rules applied to the full block shape).
-pub fn recompress(u: &Mat, v: &Mat, tol: f64, max_rank: usize) -> Option<LowRankMat> {
-    recompress_thresh(u, v, Thresh::Rel(tol), max_rank)
-}
-
-/// [`recompress`] with an absolute residual-norm threshold (the
-/// global-threshold criterion of [`compress_raw_abs`]).
+/// the absolute threshold `abs_tol` of [`compress_raw_abs`]: thin-QR both
+/// factors, truncate the small `k × k` core `Ru·Rvᵀ` with the same pivoted
+/// kernel, and fold the core factors back in. Returns `None` when the
+/// truncated form would not be admissible ([`compress_raw_abs`]'s rules
+/// applied to the full block shape).
 pub fn recompress_abs(u: &Mat, v: &Mat, abs_tol: f64, max_rank: usize) -> Option<LowRankMat> {
-    recompress_thresh(u, v, Thresh::Abs(abs_tol), max_rank)
-}
-
-fn recompress_thresh(u: &Mat, v: &Mat, thresh: Thresh, max_rank: usize) -> Option<LowRankMat> {
     assert_eq!(u.cols(), v.cols(), "factor ranks must agree");
     let (m, n, k) = (u.rows(), v.rows(), u.cols());
     if k == 0 {
@@ -455,10 +410,10 @@ fn recompress_thresh(u: &Mat, v: &Mat, thresh: Thresh, max_rank: usize) -> Optio
     }
     let (qu, ru) = mgs_qr(u);
     let (qv, rv) = mgs_qr(v);
-    // Core C = Ru · Rvᵀ (k × k); tolerance-only truncation — profitability
+    // Core C = Ru · Rvᵀ (k × k); threshold-only truncation — profitability
     // is judged against the full block shape below, not the tiny core.
     let core = ru.matmul(&rv.transpose());
-    let c = truncate_raw(core.as_slice(), k, k, k, thresh, max_rank.min(k))?;
+    let c = truncate_raw(core.as_slice(), k, k, k, abs_tol, max_rank.min(k))?;
     let r = c.rank();
     if r * (m + n) >= m * n || r > max_rank {
         return None;
@@ -469,7 +424,7 @@ fn recompress_thresh(u: &Mat, v: &Mat, thresh: Thresh, max_rank: usize) -> Optio
     })
 }
 
-/// Modeled flop count of one [`recompress`] call collapsing rank `k` to
+/// Modeled flop count of one [`recompress_abs`] call collapsing rank `k` to
 /// rank `r` on an `m × n` block: two thin QRs (`2(m+n)k²`), the `k³` core
 /// products, and the two fold-back GEMMs (`2(m+n)kr`).
 pub fn recompress_flops(m: usize, n: usize, k: usize, r: usize) -> u64 {
@@ -480,6 +435,18 @@ pub fn recompress_flops(m: usize, n: usize, k: usize, r: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Block-relative truncation, `‖A − U·Vᵀ‖_F ≤ tol·‖A‖_F`.
+    fn compress(a: &Mat, tol: f64, max_rank: usize) -> Option<LowRankMat> {
+        compress_raw_abs(
+            a.as_slice(),
+            a.rows(),
+            a.cols(),
+            a.ld(),
+            tol * a.fro_norm(),
+            max_rank,
+        )
+    }
 
     fn rank_k(m: usize, n: usize, k: usize, seed: u64) -> Mat {
         let f = |i: usize, j: usize, s: u64| {
@@ -544,7 +511,6 @@ mod tests {
         vs.extend_from_slice(lb.v().as_slice());
         let u = Mat::from_col_major(32, la.rank() + lb.rank(), us);
         let v = Mat::from_col_major(20, la.rank() + lb.rank(), vs);
-        let sum = recompress(&u, &v, 1e-10, usize::MAX).expect("sum stays low-rank");
         let dense_sum = {
             let mut s = a.clone();
             for (x, y) in s.as_mut_slice().iter_mut().zip(b.as_slice()) {
@@ -552,6 +518,8 @@ mod tests {
             }
             s
         };
+        let sum = recompress_abs(&u, &v, 1e-10 * dense_sum.fro_norm(), usize::MAX)
+            .expect("sum stays low-rank");
         assert!(sum.rank() <= la.rank() + lb.rank());
         let err = sum.to_dense().max_abs_diff(&dense_sum);
         assert!(err < 1e-8 * dense_sum.fro_norm().max(1.0), "err {err}");

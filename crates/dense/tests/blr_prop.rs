@@ -3,8 +3,10 @@
 //! (exact ranks 0/1/full, strided panels with `ld > m`), recompression of
 //! low-rank sums, the storage-profitability policy, the absolute
 //! (global-threshold) criterion, and bit determinism of the whole path.
+//! The kernels take an absolute threshold; the block-relative properties
+//! pass `tol·‖A‖_F`.
 
-use sympack_dense::lowrank::{compress, compress_raw, compress_raw_abs, recompress, LowRankMat};
+use sympack_dense::lowrank::{compress_raw_abs, recompress_abs, LowRankMat};
 use sympack_dense::Mat;
 
 struct Rng(u64);
@@ -48,6 +50,18 @@ const CASES: u64 = 48;
 
 fn fro(a: &Mat) -> f64 {
     a.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt()
+}
+
+/// Block-relative truncation, `‖A − U·Vᵀ‖_F ≤ tol·‖A‖_F`.
+fn compress(a: &Mat, tol: f64, max_rank: usize) -> Option<LowRankMat> {
+    compress_raw_abs(
+        a.as_slice(),
+        a.rows(),
+        a.cols(),
+        a.ld(),
+        tol * fro(a),
+        max_rank,
+    )
 }
 
 /// `‖A − U·Vᵀ‖_F` against the dense oracle.
@@ -121,7 +135,7 @@ fn adversarial_ranks_zero_one_full() {
     }
 }
 
-/// `compress_raw` on a strided panel (`ld > m`) must see exactly the
+/// `compress_raw_abs` on a strided panel (`ld > m`) must see exactly the
 /// `m × n` window: compressing the strided view and the compacted copy
 /// gives bit-identical factors.
 #[test]
@@ -139,8 +153,9 @@ fn strided_panels_match_compacted() {
         for c in 0..n {
             strided[c * ld..c * ld + m].copy_from_slice(&win.as_slice()[c * m..(c + 1) * m]);
         }
-        let a = compress_raw(&strided, m, n, ld, 1e-10, usize::MAX);
-        let b = compress(&win, 1e-10, usize::MAX);
+        let abs = 1e-10 * fro(&win);
+        let a = compress_raw_abs(&strided, m, n, ld, abs, usize::MAX);
+        let b = compress_raw_abs(win.as_slice(), m, n, m, abs, usize::MAX);
         match (a, b) {
             (Some(x), Some(y)) => {
                 assert_eq!(x.u().as_slice(), y.u().as_slice(), "case {case}");
@@ -212,15 +227,15 @@ fn recompression_of_sums_bounded() {
         vs.extend_from_slice(lb.v().as_slice());
         let u = Mat::from_col_major(m, k, us);
         let v = Mat::from_col_major(n, k, vs);
-        let Some(sum) = recompress(&u, &v, 1e-9, usize::MAX) else {
-            continue; // sum crossed the profitability bound — legal decline
-        };
         let dense_sum = {
             let mut s = a.clone();
             for (x, y) in s.as_mut_slice().iter_mut().zip(b.as_slice()) {
                 *x += y;
             }
             s
+        };
+        let Some(sum) = recompress_abs(&u, &v, 1e-9 * fro(&dense_sum), usize::MAX) else {
+            continue; // sum crossed the profitability bound — legal decline
         };
         assert!(sum.rank() <= k, "case {case}: recompression grew the rank");
         let err = resid_fro(&dense_sum, &sum);
@@ -251,8 +266,8 @@ fn compression_is_bit_deterministic() {
             let wire = LowRankMat::from_payload(m, n, again.rank(), &again.to_payload());
             assert_eq!(one.u().as_slice(), wire.u().as_slice());
             assert_eq!(one.v().as_slice(), wire.v().as_slice());
-            let re = recompress(wire.u(), wire.v(), 1e-9, usize::MAX);
-            let re2 = recompress(one.u(), one.v(), 1e-9, usize::MAX);
+            let re = recompress_abs(wire.u(), wire.v(), 1e-9 * fro(&a), usize::MAX);
+            let re2 = recompress_abs(one.u(), one.v(), 1e-9 * fro(&a), usize::MAX);
             match (re, re2) {
                 (Some(x), Some(y)) => {
                     assert_eq!(x.u().as_slice(), y.u().as_slice());

@@ -170,6 +170,8 @@ pub struct FleetCompleted {
     pub id: u64,
     /// The solution vector.
     pub x: Vec<f64>,
+    /// The right-hand side the job was submitted with, handed back.
+    pub rhs: Vec<f64>,
     /// Virtual arrival time the job was submitted with.
     pub arrival: f64,
     /// Virtual time (on the tenant's shard clock) the coalesced solve
@@ -464,12 +466,15 @@ impl Fleet {
             self.cache.rematerializations += 1;
         }
         let shard = self.tenants[i].shard;
-        let jobs: Vec<FleetJob> = self.tenants[i].pending.drain(..take).collect();
+        let mut jobs: Vec<FleetJob> = self.tenants[i].pending.drain(..take).collect();
         let mut clock = self.clocks[shard];
         for j in &jobs {
             clock = clock.max(j.arrival);
         }
-        let cols: Vec<Vec<f64>> = jobs.iter().map(|j| j.rhs.clone()).collect();
+        let cols: Vec<Vec<f64>> = jobs
+            .iter_mut()
+            .map(|j| std::mem::take(&mut j.rhs))
+            .collect();
         let batch = self.tenants[i]
             .session
             .solve_batch(&[RhsPanel::from_columns(&cols)])?;
@@ -483,7 +488,7 @@ impl Fleet {
         let n = self.tenants[i].session.n();
         let mut done = Vec::with_capacity(take);
         let instruments = self.tenants[i].instruments;
-        for (k, j) in jobs.into_iter().enumerate() {
+        for ((k, j), rhs) in jobs.into_iter().enumerate().zip(cols) {
             let latency = clock - j.arrival;
             self.tenants[i].metrics.latency.record(latency);
             self.tenants[i].slo.record(latency);
@@ -506,6 +511,7 @@ impl Fleet {
                 tenant: TenantId(i),
                 id: j.id,
                 x: panel.column(k).to_vec(),
+                rhs,
                 arrival: j.arrival,
                 completion: clock,
             });

@@ -120,9 +120,8 @@ pub struct KernelEngine {
     /// to the pre-BLR engine.
     pub blr: BlrConfig,
     /// Global Frobenius scale of the problem (`‖A‖_F`), set by the engine at
-    /// factorization start. When positive, truncation uses the absolute
-    /// threshold `blr.tol · blr_scale` (the global-threshold BLR criterion);
-    /// when zero, truncation is relative to each block's own norm.
+    /// factorization start whenever BLR is on: truncation uses the absolute
+    /// threshold `blr.tol · blr_scale` (the global-threshold BLR criterion).
     pub blr_scale: f64,
     /// Call counters of the block low-rank path.
     pub blr_counts: BlrCounters,
@@ -235,18 +234,14 @@ impl KernelEngine {
         if !self.blr.eligible(m, n) {
             return (None, 0.0);
         }
-        let lr = if self.blr_scale > 0.0 {
-            lowrank::compress_raw_abs(
-                a.as_slice(),
-                m,
-                n,
-                a.ld(),
-                self.blr.tol * self.blr_scale,
-                self.blr.max_rank,
-            )
-        } else {
-            lowrank::compress(a, self.blr.tol, self.blr.max_rank)
-        };
+        let lr = lowrank::compress_raw_abs(
+            a.as_slice(),
+            m,
+            n,
+            a.ld(),
+            self.blr.tol * self.blr_scale,
+            self.blr.max_rank,
+        );
         let sweep_rank = match &lr {
             Some(lr) => lr.rank(),
             // A declined panel paid for the sweep up to the profitability
@@ -343,16 +338,12 @@ impl KernelEngine {
                     let mut mat_rank = rb;
                     if 2 * rb >= ma.min(nb) && self.blr.enabled() {
                         fl += lowrank::recompress_flops(ma, nb, rb, rb);
-                        let t = if self.blr_scale > 0.0 {
-                            lowrank::recompress_abs(
-                                &w,
-                                lb.u(),
-                                self.blr.tol * self.blr_scale,
-                                self.blr.max_rank,
-                            )
-                        } else {
-                            lowrank::recompress(&w, lb.u(), self.blr.tol, self.blr.max_rank)
-                        };
+                        let t = lowrank::recompress_abs(
+                            &w,
+                            lb.u(),
+                            self.blr.tol * self.blr_scale,
+                            self.blr.max_rank,
+                        );
                         if let Some(t) = t {
                             if t.rank() < rb {
                                 self.blr_counts.recompressed += 1;

@@ -636,9 +636,20 @@ mod tests {
         assert!(p.trsm_rate > 0.0 && p.potrf_rate > 0.0);
         assert!(p.mem_bandwidth > 0.0);
         assert!(!p.isa.is_empty());
-        // And the fitted profile round-trips bit-stably.
-        let j = p.to_json();
-        assert_eq!(KernelProfile::from_json(&j).unwrap().to_json(), j);
+        // And the fitted profile round-trips bit-stably through its file:
+        // save → load → save writes the same bytes.
+        let dir = std::env::temp_dir().join(format!("sympack-tune-rt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (first, second) = (dir.join("first.json"), dir.join("second.json"));
+        p.save(&first).unwrap();
+        let loaded = KernelProfile::load(&first).unwrap();
+        assert_eq!(loaded, p);
+        loaded.save(&second).unwrap();
+        assert_eq!(
+            std::fs::read(&first).unwrap(),
+            std::fs::read(&second).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

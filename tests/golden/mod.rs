@@ -67,15 +67,22 @@ impl Pin for str {
 }
 
 impl Pin for [u8] {
-    fn fold(&self, h: u64) -> u64 {
-        self.iter()
-            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+    fn fold(&self, mut h: u64) -> u64 {
+        // A plain loop: the suites run unoptimized, where an iterator
+        // adaptor per byte costs several times as much.
+        for &b in self {
+            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+        h
     }
 }
 
 impl Pin for [f64] {
-    fn fold(&self, h: u64) -> u64 {
-        self.iter().fold(h, |h, v| v.fold(h))
+    fn fold(&self, mut h: u64) -> u64 {
+        for v in self {
+            h = v.fold(h);
+        }
+        h
     }
 }
 
@@ -136,14 +143,19 @@ pub fn check(suite: &'static str, cases: Vec<(String, Fingerprint)>) {
     if moved.is_empty() {
         return;
     }
-    let mut all = MOVED.lock().unwrap_or_else(PoisonError::into_inner);
-    let all = all.entry(suite).or_default();
-    all.extend(lines);
     let fresh_path = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join("golden")
         .join(format!("{suite}.txt"));
-    std::fs::create_dir_all(fresh_path.parent().expect("has a parent")).expect("tmp dir");
-    std::fs::write(&fresh_path, fresh(&committed, all)).expect("fresh corpus written");
+    {
+        // Held across the write, so two failing tests of one suite cannot
+        // interleave theirs; every update leaves the list whole, so a guard
+        // poisoned by a failed write is still good.
+        let mut moved_so_far = MOVED.lock().unwrap_or_else(PoisonError::into_inner);
+        let all = moved_so_far.entry(suite).or_default();
+        all.extend(lines);
+        std::fs::create_dir_all(fresh_path.parent().expect("has a parent")).expect("tmp dir");
+        std::fs::write(&fresh_path, fresh(&committed, all)).expect("fresh corpus written");
+    }
     panic!(
         "golden corpus `{suite}`: {} case(s) moved:\n  {}\n\
          The complete fresh corpus is {}. If the change was meant to move exactly \

@@ -2,9 +2,10 @@
 //! it the only way a test pins a fingerprint.
 //!
 //! * The helper's own behaviour: the fold is FNV-1a, a moved column is named
-//!   per case, a missing case is reported, and the fresh corpus replaces the
+//!   per case, a missing case is reported, the fresh corpus replaces the
 //!   computed cases in place while copying comments and cases this run did
-//!   not compute through.
+//!   not compute through, and a second failing test of a suite rewrites the
+//!   fresh file with the first one's cases still in it.
 //! * `no_test_source_folds_or_pins_a_fingerprint_outside_the_corpus`: under
 //!   `tests/` and `crates/*/tests/`, no file but the helper holds the FNV
 //!   prime (a private fold), and no `const` / `static` holds a list of hex
@@ -87,6 +88,31 @@ fn moved_columns_are_named_per_case_and_the_rest_is_copied_through() {
         diff(&committed, &[line("a", &only_bits)]),
         ["a: schedule, traffic, virtual"]
     );
+}
+
+#[test]
+fn a_failing_suite_writes_one_fresh_corpus_holding_every_moved_case() {
+    let suite = "selftest-not-committed";
+    let run = |case: &str| {
+        let mut fp = Fingerprint::new(&["bits"]);
+        fp.fold("bits", case);
+        let cases = vec![(case.to_string(), fp)];
+        let err = std::panic::catch_unwind(|| golden::check(suite, cases))
+            .expect_err("a case missing from the corpus fails");
+        *err.downcast::<String>().expect("a formatted panic message")
+    };
+    run("first");
+    let msg = run("second");
+    assert!(msg.contains("second: not in the corpus"), "{msg}");
+    let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden/{suite}.txt"));
+    assert!(msg.contains(&format!("cp {}", fresh.display())), "{msg}");
+    // The second failure's file still holds the first failure's case.
+    let text = fs::read_to_string(&fresh).expect("fresh corpus written");
+    let cases: Vec<&str> = text
+        .lines()
+        .map(|l| l.split(" | ").next().unwrap())
+        .collect();
+    assert_eq!(cases, ["first", "second"]);
 }
 
 #[test]
