@@ -103,20 +103,21 @@ fn solve_schedule_is_identical_to_the_hashed_engine() {
         max_rank: usize::MAX,
     };
     let mats = [
-        (random_spd(120, 5, 3), BlrConfig::default()),
-        (thermal_like(12, 12, 0.3, 5), BlrConfig::default()),
-        (bone_like(6, 6, 5), compress),
+        (
+            "random_spd(120,5,3)",
+            random_spd(120, 5, 3),
+            BlrConfig::default(),
+        ),
+        (
+            "thermal_like(12,12,0.3,5)",
+            thermal_like(12, 12, 0.3, 5),
+            BlrConfig::default(),
+        ),
+        ("bone_like(6,6,5)+blr", bone_like(6, 6, 5), compress),
     ];
     let policies = [RtqPolicy::Lifo, RtqPolicy::Fifo, RtqPolicy::CriticalPath];
     let mut cases = Vec::new();
-    for (name, (a, blr)) in [
-        "random_spd(120,5,3)",
-        "thermal_like(12,12,0.3,5)",
-        "bone_like(6,6,5)+blr",
-    ]
-    .into_iter()
-    .zip(&mats)
-    {
+    for (name, a, blr) in &mats {
         for policy in policies {
             for p in [1usize, 2, 4] {
                 for nrhs in [1usize, 16] {

@@ -271,7 +271,10 @@ fn schedule_fingerprint(a: &SparseSym, policy: RtqPolicy, p: usize) -> Fingerpri
 /// cases were captured).
 #[test]
 fn schedule_is_identical_to_the_hashed_runtime() {
-    let mats = [random_spd(120, 5, 3), thermal_like(12, 12, 0.3, 5)];
+    let mats = [
+        ("random_spd(120,5,3)", random_spd(120, 5, 3)),
+        ("thermal_like(12,12,0.3,5)", thermal_like(12, 12, 0.3, 5)),
+    ];
     let policies = [
         RtqPolicy::Lifo,
         RtqPolicy::Fifo,
@@ -279,10 +282,7 @@ fn schedule_is_identical_to_the_hashed_runtime() {
         RtqPolicy::CommAware,
     ];
     let mut cases = Vec::new();
-    for (name, a) in ["random_spd(120,5,3)", "thermal_like(12,12,0.3,5)"]
-        .into_iter()
-        .zip(&mats)
-    {
+    for (name, a) in &mats {
         for policy in policies {
             for p in [1usize, 2, 4] {
                 let case = format!("{name} {policy:?} P={p}");

@@ -4,15 +4,24 @@
 mod golden;
 
 use golden::{Fingerprint, SOLVER};
-use sympack::{SolverOptions, SymPack};
+use sympack::{SolveReport, SolverError, SolverOptions, SymPack};
 use sympack_baseline::baseline_factor_and_solve;
 use sympack_dense::{KernelConfig, Mat};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::{max_abs_diff, test_rhs};
 use sympack_sparse::SparseSym;
 
+type Baseline = fn(&SparseSym, &[f64], &SolverOptions) -> Result<SolveReport, SolverError>;
+
 /// The three baseline families, in the order the pinned cases run them.
-const ENGINES: [&str; 3] = ["right-looking", "fan-in", "fan-both"];
+const BASELINES: [(&str, Baseline); 3] = [
+    (
+        "right-looking",
+        sympack_baseline::try_baseline_factor_and_solve,
+    ),
+    ("fan-in", sympack_baseline::try_fanin_factor_and_solve),
+    ("fan-both", sympack_baseline::try_fanboth_factor_and_solve),
+];
 
 /// Dense Cholesky oracle: solve via `sympack-dense` on the full matrix.
 fn dense_solve(a: &SparseSym, b: &[f64]) -> Vec<f64> {
@@ -203,7 +212,7 @@ fn all_engines_agree_across_ranks_and_rtq_policies() {
 /// Everything a baseline run reports that a schedule change would move:
 /// the solution in `bits`, both virtual makespans in `virtual`, the per-kind
 /// task totals in `schedule` and the message counts in `traffic`.
-fn baseline_fingerprint(r: &sympack::SolveReport) -> Fingerprint {
+fn baseline_fingerprint(r: &SolveReport) -> Fingerprint {
     let mut fp = Fingerprint::new(&SOLVER);
     fp.fold("bits", r.x.as_slice());
     fp.fold("virtual", &r.factor_time);
@@ -225,13 +234,8 @@ fn baseline_fingerprint(r: &sympack::SolveReport) -> Fingerprint {
 fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
     let a = gen::thermal_like(12, 12, 0.3, 5);
     let b = test_rhs(a.n());
-    let engines: [fn(&SparseSym, &[f64], &SolverOptions) -> _; 3] = [
-        sympack_baseline::try_baseline_factor_and_solve,
-        sympack_baseline::try_fanin_factor_and_solve,
-        sympack_baseline::try_fanboth_factor_and_solve,
-    ];
     let mut cases = Vec::new();
-    for (name, run) in ENGINES.into_iter().zip(engines) {
+    for (name, run) in BASELINES {
         for p in [1usize, 2, 4] {
             for trace in [false, true] {
                 let opts = SolverOptions {
@@ -262,11 +266,6 @@ fn baseline_schedules_are_identical_under_every_pop_order() {
     use sympack::RtqPolicy;
     let a = gen::thermal_like(12, 12, 0.3, 5);
     let b = test_rhs(a.n());
-    let engines: [fn(&SparseSym, &[f64], &SolverOptions) -> _; 3] = [
-        sympack_baseline::try_baseline_factor_and_solve,
-        sympack_baseline::try_fanin_factor_and_solve,
-        sympack_baseline::try_fanboth_factor_and_solve,
-    ];
     let runs = [
         (RtqPolicy::Fifo, 2),
         (RtqPolicy::Fifo, 3),
@@ -275,7 +274,7 @@ fn baseline_schedules_are_identical_under_every_pop_order() {
         (RtqPolicy::Lifo, 3),
     ];
     let mut cases = Vec::new();
-    for (name, run) in ENGINES.into_iter().zip(engines) {
+    for (name, run) in BASELINES {
         for (rtq_policy, p) in runs {
             let opts = SolverOptions {
                 n_nodes: 1,
@@ -298,7 +297,7 @@ fn baseline_schedules_are_identical_under_every_pop_order() {
 /// `traffic`, its ready time in `virtual` — then both makespans in
 /// `virtual`, the solution in `bits`, and the per-rank publication
 /// accounting and the message / byte / frame counters in `traffic`.
-fn fanout_wire_fingerprint(r: &sympack::SolveReport) -> Fingerprint {
+fn fanout_wire_fingerprint(r: &SolveReport) -> Fingerprint {
     let mut fp = Fingerprint::new(&SOLVER);
     for rank in 0..r.publish.len() {
         for ev in r.trace.iter().filter(|ev| {
@@ -383,11 +382,7 @@ fn tree_coalesced_and_blr_schedules_are_identical_to_the_per_engine_copies() {
         coalesce: Some(CoalesceConfig::default()),
         ..base
     };
-    for (name, run) in ENGINES.into_iter().zip([
-        sympack_baseline::try_baseline_factor_and_solve,
-        sympack_baseline::try_fanin_factor_and_solve,
-        sympack_baseline::try_fanboth_factor_and_solve,
-    ]) {
+    for (name, run) in BASELINES {
         let r = run(&a, &b, &bopts).expect("SPD input");
         assert!(r.stats.frames > 0, "coalescing never framed a signal");
         cases.push((format!("wire {name} coalesce"), baseline_fingerprint(&r)));
