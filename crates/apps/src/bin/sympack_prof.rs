@@ -7,59 +7,60 @@
 //! ```text
 //! sympack-prof report profile.json [--top N]       text report to stdout
 //! sympack-prof chrome profile.json [-o out.json]   Chrome trace export
-//! sympack-prof diff old.json new.json \
-//!     [--makespan-pct X] [--crit-pct X] \
-//!     [--published-pct X]                          exit 1 on regression
 //! ```
 //!
 //! `report` prints the makespan, critical path (top-k tasks), per-rank wait
-//! attribution, imbalance and communication hotspots, and verifies the
-//! profile's structural invariants. `diff` compares two profiles and exits
-//! nonzero when the new makespan or critical path grew past the thresholds
-//! (percent growth, default 5) — CI's regression gate.
+//! attribution, imbalance and communication hotspots, then checks the
+//! profile's structural invariants and exits 1 when one is broken. A
+//! document that does not parse also exits 1; a command line it does not
+//! take prints the usage and exits 2.
 
 use std::process::ExitCode;
 use sympack_apps::take_flag;
-use sympack_trace::profile::{check_invariants, diff, DiffThresholds, Profile};
+use sympack_trace::profile::{check_invariants, Profile};
 
 const USAGE: &str = "usage:
   sympack-prof report <profile.json> [--top N]
-  sympack-prof chrome <profile.json> [-o <out.json>]
-  sympack-prof diff <old.json> <new.json> [--makespan-pct X] [--crit-pct X] [--published-pct X]";
+  sympack-prof chrome <profile.json> [-o <out.json>]";
+
+/// Print why the command line was refused, then the usage, and exit 2.
+fn usage(why: &str) -> ! {
+    eprintln!("error: {why}\n{USAGE}");
+    std::process::exit(2)
+}
 
 fn load(path: &str) -> Result<Profile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     Profile::from_json(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
-fn run() -> Result<ExitCode, String> {
+/// The one path argument left once the flags are taken.
+fn path(argv: &[String]) -> &str {
+    match argv {
+        [path] => path,
+        _ => usage("expected one profile path"),
+    }
+}
+
+fn run() -> Result<(), String> {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        return Err(USAGE.into());
+        usage("no command");
     }
     let cmd = argv.remove(0);
     match cmd.as_str() {
         "report" => {
-            let top: usize = match take_flag(&mut argv, "--top")? {
-                Some(v) => v.parse().map_err(|_| "bad --top".to_string())?,
+            let top: usize = match take_flag(&mut argv, "--top").unwrap_or_else(|e| usage(&e)) {
+                Some(v) => v.parse().unwrap_or_else(|_| usage("bad --top")),
                 None => 10,
             };
-            let [path] = argv.as_slice() else {
-                return Err(USAGE.into());
-            };
-            let p = load(path)?;
+            let p = load(path(&argv))?;
             print!("{}", p.render_report(top));
-            if let Err(e) = check_invariants(&p) {
-                eprintln!("warning: profile invariant violated: {e}");
-            }
-            Ok(ExitCode::SUCCESS)
+            check_invariants(&p).map_err(|e| format!("profile invariant violated: {e}"))
         }
         "chrome" => {
-            let out = take_flag(&mut argv, "-o")?;
-            let [path] = argv.as_slice() else {
-                return Err(USAGE.into());
-            };
-            let p = load(path)?;
+            let out = take_flag(&mut argv, "-o").unwrap_or_else(|e| usage(&e));
+            let p = load(path(&argv))?;
             let json = sympack_trace::to_chrome_json(&p.spans);
             match out {
                 Some(dest) => {
@@ -68,38 +69,15 @@ fn run() -> Result<ExitCode, String> {
                 }
                 None => print!("{json}"),
             }
-            Ok(ExitCode::SUCCESS)
+            Ok(())
         }
-        "diff" => {
-            let mut thr = DiffThresholds::default();
-            if let Some(v) = take_flag(&mut argv, "--makespan-pct")? {
-                thr.makespan_pct = v.parse().map_err(|_| "bad --makespan-pct".to_string())?;
-            }
-            if let Some(v) = take_flag(&mut argv, "--crit-pct")? {
-                thr.crit_pct = v.parse().map_err(|_| "bad --crit-pct".to_string())?;
-            }
-            if let Some(v) = take_flag(&mut argv, "--published-pct")? {
-                thr.published_pct = v.parse().map_err(|_| "bad --published-pct".to_string())?;
-            }
-            let [old_path, new_path] = argv.as_slice() else {
-                return Err(USAGE.into());
-            };
-            let (old, new) = (load(old_path)?, load(new_path)?);
-            let d = diff(&old, &new, &thr);
-            print!("{}", d.report);
-            Ok(if d.regressed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            })
-        }
-        other => Err(format!("unknown command {other}\n{USAGE}")),
+        other => usage(&format!("unknown command {other}")),
     }
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok(code) => code,
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -3,7 +3,6 @@
 //! ```text
 //! sympack-tune calibrate [--quick] [--out profile.json]   sweep, print, save
 //! sympack-tune show <profile.json>                        print a saved profile
-//! sympack-tune diff <old.json> <new.json> [--rate-pct X]  exit 1 on regression
 //! ```
 //!
 //! `calibrate` runs the `sympack_tune::calibrate` sweep (full budget, or
@@ -12,11 +11,6 @@
 //! (format documented in the `sympack-tune` crate). Load it back into a
 //! solver with `KernelProfile::load` → `SolverOptions::kernel_config` /
 //! `CostModel`.
-//!
-//! `diff` compares two profiles of the *same machine* and exits nonzero
-//! when any measured per-op rate or the memory bandwidth regressed by more
-//! than `--rate-pct` percent (default 10) — the guard against committing a
-//! profile measured on a loaded host.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -25,8 +19,7 @@ use sympack_tune::{calibrate, KernelProfile, TuneBudget};
 
 const USAGE: &str = "usage:
   sympack-tune calibrate [--quick] [--out <profile.json>]
-  sympack-tune show <profile.json>
-  sympack-tune diff <old.json> <new.json> [--rate-pct X]";
+  sympack-tune show <profile.json>";
 
 fn print_profile(p: &KernelProfile) {
     println!("machine:");
@@ -52,7 +45,7 @@ fn print_profile(p: &KernelProfile) {
     }
 }
 
-fn run() -> Result<ExitCode, String> {
+fn run() -> Result<(), String> {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
         return Err(USAGE.into());
@@ -75,7 +68,7 @@ fn run() -> Result<ExitCode, String> {
             print_profile(&p);
             p.save(Path::new(&out)).map_err(|e| e.to_string())?;
             println!("\nwrote {out}");
-            Ok(ExitCode::SUCCESS)
+            Ok(())
         }
         "show" => {
             let [path] = argv.as_slice() else {
@@ -83,40 +76,7 @@ fn run() -> Result<ExitCode, String> {
             };
             let p = KernelProfile::load(Path::new(path)).map_err(|e| e.to_string())?;
             print_profile(&p);
-            Ok(ExitCode::SUCCESS)
-        }
-        "diff" => {
-            let pct: f64 = match take_flag(&mut argv, "--rate-pct")? {
-                Some(v) => v.parse().map_err(|_| "bad --rate-pct".to_string())?,
-                None => 10.0,
-            };
-            let [old, new] = argv.as_slice() else {
-                return Err(USAGE.into());
-            };
-            let po = KernelProfile::load(Path::new(old)).map_err(|e| e.to_string())?;
-            let pn = KernelProfile::load(Path::new(new)).map_err(|e| e.to_string())?;
-            let mut regressed = false;
-            for (name, o, n) in [
-                ("gemm", po.gemm_rate, pn.gemm_rate),
-                ("syrk", po.syrk_rate, pn.syrk_rate),
-                ("trsm", po.trsm_rate, pn.trsm_rate),
-                ("potrf", po.potrf_rate, pn.potrf_rate),
-                ("mem_bandwidth", po.mem_bandwidth, pn.mem_bandwidth),
-            ] {
-                let delta = 100.0 * (n - o) / o;
-                let flag = if delta < -pct {
-                    regressed = true;
-                    "  <-- regression"
-                } else {
-                    ""
-                };
-                println!("{name:14} {:.3e} -> {:.3e}  ({delta:+.1}%){flag}", o, n);
-            }
-            Ok(if regressed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            })
+            Ok(())
         }
         _ => Err(USAGE.into()),
     }
@@ -124,7 +84,7 @@ fn run() -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     match run() {
-        Ok(code) => code,
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::from(2)

@@ -1,7 +1,11 @@
 //! `run_sympack2d` end to end: both solver branches run every right-hand
 //! side, and a matrix the solver rejects is an exit code, not a panic.
+//! `sympack-prof report` on the committed profile: a broken invariant exits
+//! 1, a command line it does not take exits 2.
 
+use std::path::Path;
 use std::process::Command;
+use sympack_trace::profile::Profile;
 
 fn run(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_run_sympack2d"))
@@ -58,4 +62,67 @@ fn an_indefinite_matrix_exits_1_without_a_panic() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn prof(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_sympack-prof"))
+        .args(args)
+        .output()
+        .expect("spawn sympack-prof");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn committed_profile() -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    root.join("BENCH_profile.json")
+        .to_str()
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn report_exits_1_on_a_broken_invariant() {
+    let committed = committed_profile();
+    let (code, stdout, stderr) = prof(&["report", &committed, "--top", "3"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("per-rank time attribution"), "{stdout}");
+
+    // Rank 0's busy tripled: its five time classes no longer sum to the
+    // makespan.
+    let text = std::fs::read_to_string(&committed).unwrap();
+    let mut p = Profile::from_json(&text).unwrap();
+    p.ranks[0].busy *= 3.0;
+    let broken = Path::new(env!("CARGO_TARGET_TMPDIR")).join("profile_busy_tripled.json");
+    std::fs::write(&broken, p.to_json()).unwrap();
+    let (code, stdout, stderr) = prof(&["report", broken.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.contains("per-rank time attribution"), "{stdout}");
+    assert!(stderr.contains("rank 0 time identity broken"), "{stderr}");
+}
+
+#[test]
+fn a_command_line_prof_does_not_take_exits_2() {
+    let committed = committed_profile();
+    for args in [
+        &[][..],
+        &["bogus"],
+        &["report"],
+        &["report", &committed, "--top"],
+        &["report", &committed, "--top", "many"],
+        &["report", &committed, &committed],
+        &["chrome", &committed, "-o"],
+        &["diff", &committed, &committed],
+    ] {
+        let (code, stdout, stderr) = prof(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    // A file that is not there is not a usage error.
+    let (code, _, stderr) = prof(&["report", "no/such/profile.json"]);
+    assert_eq!(code, Some(1), "{stderr}");
 }

@@ -12,8 +12,7 @@
 //! the recorded makespans and byte counts are bit-stable: the full sweep
 //! rewrites `BENCH_scaling.json` reproducibly, and `--check` re-derives
 //! the cheap rows and compares them byte-for-byte against the committed
-//! file (a `sympack-prof diff`-style gate) before validating the scaling
-//! invariants on the expensive rows:
+//! file before validating the scaling invariants on the expensive rows:
 //!
 //! * tree broadcast moves ≥ 2× fewer net bytes than flat at P = 256 on at
 //!   least two zoo matrices, with makespan no worse (≤ 1.02×);

@@ -15,7 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
-use sympack_trace::json::{self, JsonValue, Obj};
+use sympack_trace::json::{self, Arr, JsonValue, Obj};
 
 /// One row of a committed BENCH file: a flat JSON object, fields in order.
 ///
@@ -166,8 +166,8 @@ pub struct Suite {
 }
 
 fn render(rows: &[Row]) -> String {
-    let lines: Vec<String> = rows.iter().map(Row::to_json).collect();
-    format!("[\n{}\n]\n", lines.join(",\n"))
+    let rows: Arr = rows.iter().map(Row::to_json).collect();
+    rows.finish_lines() + "\n"
 }
 
 fn parse_rows(text: &str) -> Result<Vec<Row>, String> {

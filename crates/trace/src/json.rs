@@ -1,11 +1,11 @@
-//! A minimal hand-rolled JSON reader, in the same zero-dependency spirit as
-//! the writers in [`crate::metrics`] and [`crate::profile`].
+//! The workspace's one hand-rolled JSON reader and writer.
 //!
-//! It parses the full JSON grammar (objects, arrays, strings with escapes,
-//! numbers, booleans, null) into a [`JsonValue`] tree. It exists so the
-//! profiler can load `Profile` JSON back (for `sympack-prof report`/`diff`)
-//! and so the property tests can verify that our writers emit valid JSON
-//! without reaching for an external crate.
+//! [`parse`] reads the full JSON grammar (objects, arrays, strings with
+//! escapes, numbers, booleans, null) into a [`JsonValue`] tree, so the
+//! profiler can load `Profile` JSON back (for `sympack-prof report` and
+//! `chrome`) and the property tests can verify that the writers emit valid
+//! JSON without reaching for an external crate. [`Obj`] and [`Arr`] write
+//! every document.
 
 /// A parsed JSON value. Object keys keep insertion order (a `Vec`, not a
 /// map) — profiles are small and order-preserving output is nice for diffs.
@@ -60,13 +60,14 @@ impl JsonValue {
 
 // ----- writer -----
 //
-// The reverse direction: every metrics/telemetry document in the workspace
-// (`ServiceMetrics`, `FleetCacheMetrics`, roofline samples, telemetry
-// snapshots) is emitted through these two builders instead of hand-rolled
+// The reverse direction: every JSON document in the workspace (metrics and
+// telemetry snapshots, roofline samples, BENCH rows, profiles and Chrome
+// traces) is emitted through these two builders instead of hand-rolled
 // `format!` strings, so the formatting rules live in exactly one place:
 // numbers use Rust's shortest-roundtrip `Display` (bit-deterministic for a
-// given value), strings go through `json_escape`, and no whitespace is ever
-// emitted (committed artifacts are byte-compared in CI).
+// given value) and strings go through `json_escape`. `finish` emits no
+// whitespace; `finish_lines` puts one element per line, the layout of the
+// committed profile and BENCH files (byte-compared by their tests).
 
 /// Format an `f64` the way every writer in this crate does: `Display`
 /// (shortest roundtrip). Non-finite values have no JSON spelling; callers
@@ -77,68 +78,72 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     format!("{v}")
 }
 
+/// A JSON string literal: `s` escaped and in double quotes.
+fn quote(s: &str) -> String {
+    format!("\"{}\"", crate::json_escape(s))
+}
+
+/// `open`, the items separated by commas, `close`; with `lines`, each item
+/// on a line of its own.
+fn enclose(open: char, items: &[String], close: char, lines: bool) -> String {
+    if lines {
+        format!("{open}\n{}\n{close}", items.join(",\n"))
+    } else {
+        format!("{open}{}{close}", items.join(","))
+    }
+}
+
 /// Builder for a JSON object: `Obj::new().u64("a", 1).finish()` →
 /// `{"a":1}`. Field order is emission order; keys are escaped.
 #[derive(Debug, Default)]
 pub struct Obj {
-    out: String,
+    fields: Vec<String>,
 }
 
 impl Obj {
     /// Start an empty object.
     pub fn new() -> Self {
-        Obj { out: String::new() }
+        Obj::default()
     }
 
-    fn key(&mut self, k: &str) {
-        if !self.out.is_empty() {
-            self.out.push(',');
-        }
-        self.out.push('"');
-        self.out.push_str(&crate::json_escape(k));
-        self.out.push_str("\":");
+    fn field(mut self, k: &str, v: &str) -> Self {
+        self.fields.push(format!("{}:{v}", quote(k)));
+        self
     }
 
     /// Unsigned integer field.
-    pub fn u64(mut self, k: &str, v: u64) -> Self {
-        self.key(k);
-        self.out.push_str(&v.to_string());
-        self
+    pub fn u64(self, k: &str, v: u64) -> Self {
+        self.field(k, &v.to_string())
     }
 
     /// Float field (`Display` formatting, matching every writer here).
-    pub fn f64(mut self, k: &str, v: f64) -> Self {
-        self.key(k);
-        self.out.push_str(&fmt_f64(v));
-        self
+    pub fn f64(self, k: &str, v: f64) -> Self {
+        self.field(k, &fmt_f64(v))
     }
 
     /// Boolean field.
-    pub fn bool(mut self, k: &str, v: bool) -> Self {
-        self.key(k);
-        self.out.push_str(if v { "true" } else { "false" });
-        self
+    pub fn bool(self, k: &str, v: bool) -> Self {
+        self.field(k, if v { "true" } else { "false" })
     }
 
     /// Escaped string field.
-    pub fn str(mut self, k: &str, v: &str) -> Self {
-        self.key(k);
-        self.out.push('"');
-        self.out.push_str(&crate::json_escape(v));
-        self.out.push('"');
-        self
+    pub fn str(self, k: &str, v: &str) -> Self {
+        self.field(k, &quote(v))
     }
 
     /// Pre-rendered JSON field (a nested object/array built separately).
-    pub fn raw(mut self, k: &str, v: &str) -> Self {
-        self.key(k);
-        self.out.push_str(v);
-        self
+    pub fn raw(self, k: &str, v: &str) -> Self {
+        self.field(k, v)
     }
 
     /// Close the object.
     pub fn finish(self) -> String {
-        format!("{{{}}}", self.out)
+        enclose('{', &self.fields, '}', false)
+    }
+
+    /// Close the object with one field per line.
+    pub fn finish_lines(self) -> String {
+        enclose('{', &self.fields, '}', true)
     }
 }
 
@@ -166,14 +171,37 @@ impl Arr {
     }
 
     /// Append one float element.
-    pub fn f64(mut self, v: f64) -> Self {
-        self.items.push(fmt_f64(v));
-        self
+    pub fn f64(self, v: f64) -> Self {
+        self.raw(fmt_f64(v))
+    }
+
+    /// Append one unsigned integer element.
+    pub fn u64(self, v: u64) -> Self {
+        self.raw(v.to_string())
+    }
+
+    /// Append one escaped string element.
+    pub fn str(self, v: &str) -> Self {
+        self.raw(quote(v))
     }
 
     /// Close the array.
     pub fn finish(self) -> String {
-        format!("[{}]", self.items.join(","))
+        enclose('[', &self.items, ']', false)
+    }
+
+    /// Close the array with one element per line.
+    pub fn finish_lines(self) -> String {
+        enclose('[', &self.items, ']', true)
+    }
+}
+
+/// Collect pre-rendered elements: `rows.map(Row::to_json).collect::<Arr>()`.
+impl FromIterator<String> for Arr {
+    fn from_iter<I: IntoIterator<Item = String>>(iter: I) -> Self {
+        Arr {
+            items: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -185,21 +213,12 @@ pub fn write(v: &JsonValue) -> String {
         JsonValue::Null => "null".to_string(),
         JsonValue::Bool(b) => b.to_string(),
         JsonValue::Num(x) => fmt_f64(*x),
-        JsonValue::Str(s) => format!("\"{}\"", crate::json_escape(s)),
-        JsonValue::Arr(items) => {
-            let mut a = Arr::new();
-            for it in items {
-                a.push(write(it));
-            }
-            a.finish()
-        }
-        JsonValue::Obj(fields) => {
-            let mut o = Obj::new();
-            for (k, val) in fields {
-                o = o.raw(k, &write(val));
-            }
-            o.finish()
-        }
+        JsonValue::Str(s) => quote(s),
+        JsonValue::Arr(items) => items.iter().map(write).collect::<Arr>().finish(),
+        JsonValue::Obj(fields) => fields
+            .iter()
+            .fold(Obj::new(), |o, (k, val)| o.raw(k, &write(val)))
+            .finish(),
     }
 }
 
@@ -515,6 +534,15 @@ mod tests {
         assert_eq!(v.get("list").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(Obj::new().finish(), "{}");
         assert_eq!(Arr::new().finish(), "[]");
+    }
+
+    #[test]
+    fn finish_lines_puts_one_element_per_line() {
+        let obj = Obj::new().u64("a", 1).raw("b", &Arr::new().u64(2).finish());
+        assert_eq!(obj.finish_lines(), "{\n\"a\":1,\n\"b\":[2]\n}");
+        let arr: Arr = ["{}".to_string(), "[]".to_string()].into_iter().collect();
+        assert_eq!(arr.str("c\"").finish_lines(), "[\n{},\n[],\n\"c\\\"\"\n]");
+        assert_eq!(Arr::new().finish_lines(), "[\n\n]");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! [`profile::Profile`]: critical path over the executed task DAG, per-rank
 //! wait attribution, P×P communication matrix and queue/memory series —
 //! the input format of the `sympack-prof` CLI. [`json`] is the minimal
-//! hand-rolled JSON reader (and, since the telemetry plane, the single
-//! shared writer) those profiles (and tests) parse with.
+//! hand-rolled JSON reader and the single writer: every document here, the
+//! profiles and Chrome traces included, is written by its `Obj` and `Arr`.
 //!
 //! The [`telemetry`] module is the *live* counterpart to the post-hoc
 //! profile: a lock-cheap instrument registry (counters / gauges /
@@ -26,6 +26,8 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod telemetry;
+
+use json::{Arr, Obj};
 
 /// Category of a traced interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,37 +262,35 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// with task executions on thread 0, comm spans on thread 1 and serving
 /// requests on thread 2 so the lanes do not overlap in the viewer).
 pub fn to_chrome_json(events: &[TraceEvent]) -> String {
-    let rows: Vec<String> = events
-        .iter()
-        .map(|e| {
-            let tid = match e.kind {
-                SpanKind::Exec => 0,
-                SpanKind::Request => 2,
-                _ => 1,
-            };
-            let mut args = format!("\"kind\":\"{}\"", e.kind.label());
-            if e.bytes > 0 {
-                args.push_str(&format!(",\"bytes\":{}", e.bytes));
-            }
-            if let Some(p) = e.peer {
-                args.push_str(&format!(",\"peer\":{p}"));
-            }
-            if e.kind == SpanKind::Exec && e.kernel != e.dur {
-                args.push_str(&format!(",\"kernel_us\":{}", e.kernel * 1e6));
-            }
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
-                json_escape(&e.name),
-                e.cat.label(),
-                e.start * 1e6,
-                e.dur * 1e6,
-                e.rank,
-                tid,
-                args,
-            )
-        })
-        .collect();
-    format!("{{\"traceEvents\":[\n{}\n]}}", rows.join(",\n"))
+    let rows = events.iter().map(|e| {
+        let tid = match e.kind {
+            SpanKind::Exec => 0,
+            SpanKind::Request => 2,
+            _ => 1,
+        };
+        let mut args = Obj::new().str("kind", e.kind.label());
+        if e.bytes > 0 {
+            args = args.u64("bytes", e.bytes);
+        }
+        if let Some(p) = e.peer {
+            args = args.u64("peer", p as u64);
+        }
+        if e.kind == SpanKind::Exec && e.kernel != e.dur {
+            args = args.f64("kernel_us", e.kernel * 1e6);
+        }
+        Obj::new()
+            .str("name", &e.name)
+            .str("cat", e.cat.label())
+            .str("ph", "X")
+            .f64("ts", e.start * 1e6)
+            .f64("dur", e.dur * 1e6)
+            .u64("pid", e.rank as u64)
+            .u64("tid", tid)
+            .raw("args", &args.finish())
+            .finish()
+    });
+    let events = rows.collect::<Arr>().finish_lines();
+    Obj::new().raw("traceEvents", &events).finish()
 }
 
 /// Per-rank busy-time summary from a timeline.

@@ -19,15 +19,17 @@
 //!   series sampled at task boundaries.
 //!
 //! Profiles serialize to a self-contained JSON document (schema
-//! `sympack-profile-v1`, hand-rolled writer, parsed back by
-//! [`crate::json`]) consumed by the `sympack-prof` CLI: `report` renders
-//! the text summary, `chrome` exports the span lanes, `diff` compares two
-//! profiles with thresholds for CI regression gating.
+//! `sympack-profile-v1`, written and parsed back by [`crate::json`])
+//! consumed by the `sympack-prof` CLI: `report` renders the text summary
+//! and checks the invariants, `chrome` exports the span lanes. The
+//! committed `BENCH_profile.json` is one such document, and
+//! `tests/profile.rs` requires the timeline's deterministic run to
+//! reproduce it byte for byte.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::json::{self, JsonValue};
-use crate::{json_escape, SpanKind, TraceCat, TraceEvent};
+use crate::json::{self, Arr, JsonValue, Obj};
+use crate::{SpanKind, TraceCat, TraceEvent};
 
 /// Schema tag written into every profile document.
 pub const SCHEMA: &str = "sympack-profile-v1";
@@ -425,289 +427,267 @@ fn rank_breakdown(rank: usize, spans: &[TraceEvent], makespan: f64) -> RankBreak
 // JSON serialization
 // ---------------------------------------------------------------------------
 
-/// Shortest-roundtrip f64 formatting (Rust's `Display` is exact).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
-}
-
-fn u64_list(xs: &[u64]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
 impl Profile {
     /// Serialize as a self-contained JSON document (schema
     /// [`SCHEMA`]), parseable by [`Profile::from_json`].
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096 + 160 * self.spans.len());
-        s.push_str(&format!(
-            "{{\n\"schema\":\"{}\",\n\"engine\":\"{}\",\n\"n_ranks\":{},\n\"makespan\":{},\n",
-            SCHEMA,
-            json_escape(&self.engine),
-            self.n_ranks,
-            num(self.makespan)
-        ));
-        // Critical path.
-        let tasks: Vec<String> = self
-            .crit
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"name\":\"{}\",\"rank\":{},\"cat\":\"{}\",\"start\":{},\"dur\":{},\"edge\":\"{}\"}}",
-                    json_escape(&t.name),
-                    t.rank,
-                    t.cat.label(),
-                    num(t.start),
-                    num(t.dur),
-                    t.edge.label()
-                )
-            })
-            .collect();
-        let by_cat: Vec<String> = self
-            .crit_by_cat
-            .iter()
-            .map(|(c, secs)| format!("[\"{}\",{}]", c.label(), num(*secs)))
-            .collect();
-        s.push_str(&format!(
-            "\"critical_path\":{{\"length\":{},\"by_cat\":[{}],\"tasks\":[\n{}\n]}},\n",
-            num(self.crit_len),
-            by_cat.join(","),
-            tasks.join(",\n")
-        ));
-        // Per-rank attribution.
-        let ranks: Vec<String> = self
-            .ranks
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"rank\":{},\"busy\":{},\"overhead\":{},\"dep_wait\":{},\"fetch_wait\":{},\"idle\":{},\"tasks\":{},\"peak_rtq\":{},\"peak_bytes\":{}}}",
-                    r.rank,
-                    num(r.busy),
-                    num(r.overhead),
-                    num(r.dep_wait),
-                    num(r.fetch_wait),
-                    num(r.idle),
-                    r.tasks,
-                    r.peak_rtq,
-                    r.peak_bytes
-                )
-            })
-            .collect();
-        s.push_str(&format!("\"ranks\":[\n{}\n],\n", ranks.join(",\n")));
-        // Comm matrix.
-        s.push_str(&format!(
-            "\"comm\":{{\"n\":{},\"bytes\":{},\"msgs\":{}}},\n",
-            self.comm.n,
-            u64_list(&self.comm.bytes),
-            u64_list(&self.comm.msgs)
-        ));
+        let by_cat = self.crit_by_cat.iter().map(|(c, secs)| {
+            let pair = Arr::new().str(c.label()).f64(*secs);
+            pair.finish()
+        });
+        let tasks = self.crit.iter().map(|t| {
+            Obj::new()
+                .str("name", &t.name)
+                .u64("rank", t.rank as u64)
+                .str("cat", t.cat.label())
+                .f64("start", t.start)
+                .f64("dur", t.dur)
+                .str("edge", t.edge.label())
+                .finish()
+        });
+        let critical_path = Obj::new()
+            .f64("length", self.crit_len)
+            .raw("by_cat", &by_cat.collect::<Arr>().finish())
+            .raw("tasks", &tasks.collect::<Arr>().finish_lines());
+        let ranks = self.ranks.iter().map(|r| {
+            Obj::new()
+                .u64("rank", r.rank as u64)
+                .f64("busy", r.busy)
+                .f64("overhead", r.overhead)
+                .f64("dep_wait", r.dep_wait)
+                .f64("fetch_wait", r.fetch_wait)
+                .f64("idle", r.idle)
+                .u64("tasks", r.tasks as u64)
+                .u64("peak_rtq", r.peak_rtq.into())
+                .u64("peak_bytes", r.peak_bytes)
+                .finish()
+        });
+        let counts = |xs: &[u64]| xs.iter().fold(Arr::new(), |a, &x| a.u64(x)).finish();
+        let comm = Obj::new()
+            .u64("n", self.comm.n as u64)
+            .raw("bytes", &counts(&self.comm.bytes))
+            .raw("msgs", &counts(&self.comm.msgs));
+        let mut doc = Obj::new()
+            .str("schema", SCHEMA)
+            .str("engine", &self.engine)
+            .u64("n_ranks", self.n_ranks as u64)
+            .f64("makespan", self.makespan)
+            .raw("critical_path", &critical_path.finish())
+            .raw("ranks", &ranks.collect::<Arr>().finish_lines())
+            .raw("comm", &comm.finish());
         // BLR publication accounting — only present for compressed runs,
         // keeping dense-mode documents byte-identical to the old schema.
         if !self.blr.is_empty() {
-            let rows: Vec<String> = self
-                .blr
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{\"rank\":{},\"dense_bytes\":{},\"lr_bytes\":{},\"lr_dense_equiv_bytes\":{},\"dense_blocks\":{},\"lr_blocks\":{}}}",
-                        b.rank,
-                        b.dense_bytes,
-                        b.lr_bytes,
-                        b.lr_dense_equiv_bytes,
-                        b.dense_blocks,
-                        b.lr_blocks
-                    )
-                })
-                .collect();
-            s.push_str(&format!("\"blr\":[\n{}\n],\n", rows.join(",\n")));
+            let rows = self.blr.iter().map(|b| {
+                Obj::new()
+                    .u64("rank", b.rank as u64)
+                    .u64("dense_bytes", b.dense_bytes)
+                    .u64("lr_bytes", b.lr_bytes)
+                    .u64("lr_dense_equiv_bytes", b.lr_dense_equiv_bytes)
+                    .u64("dense_blocks", b.dense_blocks)
+                    .u64("lr_blocks", b.lr_blocks)
+                    .finish()
+            });
+            doc = doc.raw("blr", &rows.collect::<Arr>().finish_lines());
         }
-        // Spans.
-        let spans: Vec<String> = self.spans.iter().map(span_to_json).collect();
-        s.push_str(&format!("\"spans\":[\n{}\n]\n}}\n", spans.join(",\n")));
-        s
+        let spans = self.spans.iter().map(span_to_json).collect::<Arr>();
+        doc.raw("spans", &spans.finish_lines()).finish_lines() + "\n"
     }
 
-    /// Parse a document produced by [`Profile::to_json`].
+    /// Parse a document produced by [`Profile::to_json`]. A section or a
+    /// field the writer always emits that is missing or malformed is an
+    /// error naming it; only the `blr` section and a span's `pred`, `peer`,
+    /// `bytes` and `rtq` may be absent.
     pub fn from_json(text: &str) -> Result<Profile, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = doc
-            .get("schema")
-            .and_then(|v| v.as_str())
-            .ok_or("missing schema")?;
+        let doc = Fields {
+            v: &doc,
+            at: "profile".to_string(),
+        };
+        let schema = doc.str("schema")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema '{schema}' (want {SCHEMA})"));
         }
-        let engine = doc
-            .get("engine")
-            .and_then(|v| v.as_str())
-            .unwrap_or("unknown")
-            .to_string();
-        let n_ranks = doc
-            .get("n_ranks")
-            .and_then(|v| v.as_u64())
-            .ok_or("missing n_ranks")? as usize;
-        let makespan = doc
-            .get("makespan")
-            .and_then(|v| v.as_f64())
-            .ok_or("missing makespan")?;
-        let cp = doc.get("critical_path").ok_or("missing critical_path")?;
-        let crit_len = cp
-            .get("length")
-            .and_then(|v| v.as_f64())
-            .ok_or("missing critical_path.length")?;
-        let crit_by_cat = cp
-            .get("by_cat")
-            .and_then(|v| v.as_array())
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|pair| {
-                let items = pair.as_array()?;
-                let cat = TraceCat::parse(items.first()?.as_str()?)?;
-                Some((cat, items.get(1)?.as_f64()?))
+        let cp = doc.obj("critical_path")?;
+        let crit_by_cat = cp.read("by_cat", |v| {
+            let pair = |p: &JsonValue| match p.as_array()? {
+                [cat, secs] => Some((TraceCat::parse(cat.as_str()?)?, secs.as_f64()?)),
+                _ => None,
+            };
+            v.as_array()?.iter().map(pair).collect()
+        })?;
+        let crit = cp.items("tasks")?.into_iter().map(|t| {
+            Ok(CritTask {
+                name: t.str("name")?.to_string(),
+                rank: t.u64("rank")? as usize,
+                cat: t.label("cat", TraceCat::parse)?,
+                start: t.f64("start")?,
+                dur: t.f64("dur")?,
+                edge: t.label("edge", CritEdge::parse)?,
             })
-            .collect();
-        let crit = cp
-            .get("tasks")
-            .and_then(|v| v.as_array())
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|t| {
-                Some(CritTask {
-                    name: t.get("name")?.as_str()?.to_string(),
-                    rank: t.get("rank")?.as_u64()? as usize,
-                    cat: TraceCat::parse(t.get("cat")?.as_str()?)?,
-                    start: t.get("start")?.as_f64()?,
-                    dur: t.get("dur")?.as_f64()?,
-                    edge: CritEdge::parse(t.get("edge")?.as_str()?)?,
-                })
+        });
+        let ranks = doc.items("ranks")?.into_iter().map(|r| {
+            Ok(RankBreakdown {
+                rank: r.u64("rank")? as usize,
+                busy: r.f64("busy")?,
+                overhead: r.f64("overhead")?,
+                dep_wait: r.f64("dep_wait")?,
+                fetch_wait: r.f64("fetch_wait")?,
+                idle: r.f64("idle")?,
+                tasks: r.u64("tasks")? as usize,
+                peak_rtq: r.u64("peak_rtq")? as u32,
+                peak_bytes: r.u64("peak_bytes")?,
             })
-            .collect();
-        let ranks = doc
-            .get("ranks")
-            .and_then(|v| v.as_array())
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|r| {
-                Some(RankBreakdown {
-                    rank: r.get("rank")?.as_u64()? as usize,
-                    busy: r.get("busy")?.as_f64()?,
-                    overhead: r.get("overhead")?.as_f64()?,
-                    dep_wait: r.get("dep_wait")?.as_f64()?,
-                    fetch_wait: r.get("fetch_wait")?.as_f64()?,
-                    idle: r.get("idle")?.as_f64()?,
-                    tasks: r.get("tasks")?.as_u64()? as usize,
-                    peak_rtq: r.get("peak_rtq")?.as_u64()? as u32,
-                    peak_bytes: r.get("peak_bytes")?.as_u64()?,
-                })
-            })
-            .collect();
-        let comm = match doc.get("comm") {
-            Some(c) => CommMatrix {
-                n: c.get("n").and_then(|v| v.as_u64()).unwrap_or(0) as usize,
-                bytes: u64s(c.get("bytes")),
-                msgs: u64s(c.get("msgs")),
-            },
-            None => CommMatrix::default(),
+        });
+        let comm = doc.obj("comm")?;
+        let counts = |key| comm.read(key, |v| v.as_array()?.iter().map(count).collect());
+        let blr = match doc.v.get("blr") {
+            Some(_) => doc.items("blr")?,
+            None => Vec::new(),
         };
-        let blr = doc
-            .get("blr")
-            .and_then(|v| v.as_array())
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|b| {
-                Some(BlrRank {
-                    rank: b.get("rank")?.as_u64()? as usize,
-                    dense_bytes: b.get("dense_bytes")?.as_u64()?,
-                    lr_bytes: b.get("lr_bytes")?.as_u64()?,
-                    lr_dense_equiv_bytes: b.get("lr_dense_equiv_bytes")?.as_u64()?,
-                    dense_blocks: b.get("dense_blocks")?.as_u64()?,
-                    lr_blocks: b.get("lr_blocks")?.as_u64()?,
-                })
+        let blr = blr.into_iter().map(|b| {
+            Ok(BlrRank {
+                rank: b.u64("rank")? as usize,
+                dense_bytes: b.u64("dense_bytes")?,
+                lr_bytes: b.u64("lr_bytes")?,
+                lr_dense_equiv_bytes: b.u64("lr_dense_equiv_bytes")?,
+                dense_blocks: b.u64("dense_blocks")?,
+                lr_blocks: b.u64("lr_blocks")?,
             })
-            .collect();
-        let spans = doc
-            .get("spans")
-            .and_then(|v| v.as_array())
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(span_from_json)
-            .collect();
+        });
         Ok(Profile {
-            engine,
-            n_ranks,
-            makespan,
-            crit,
-            crit_len,
+            engine: doc.str("engine")?.to_string(),
+            n_ranks: doc.u64("n_ranks")? as usize,
+            makespan: doc.f64("makespan")?,
+            crit: crit.collect::<Result<_, String>>()?,
+            crit_len: cp.f64("length")?,
             crit_by_cat,
-            ranks,
-            comm,
-            blr,
-            spans,
+            ranks: ranks.collect::<Result<_, String>>()?,
+            comm: CommMatrix {
+                n: comm.u64("n")? as usize,
+                bytes: counts("bytes")?,
+                msgs: counts("msgs")?,
+            },
+            blr: blr.collect::<Result<_, String>>()?,
+            spans: doc
+                .items("spans")?
+                .iter()
+                .map(span_from_json)
+                .collect::<Result<_, String>>()?,
         })
     }
 }
 
-fn u64s(v: Option<&JsonValue>) -> Vec<u64> {
-    v.and_then(|v| v.as_array())
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|x| x.as_u64())
-        .collect()
+/// A count: a non-negative whole number (`as_u64` would truncate -3.5 to 0).
+fn count(v: &JsonValue) -> Option<u64> {
+    let x = v.as_f64().filter(|x| x.fract() == 0.0 && *x >= 0.0)?;
+    Some(x as u64)
+}
+
+/// A JSON object being read, named by its path in the document
+/// (`profile.spans[3]`) so every error says which element it is about.
+struct Fields<'a> {
+    v: &'a JsonValue,
+    at: String,
+}
+
+impl<'a> Fields<'a> {
+    /// The field `key` as `read` takes it, or an error naming the field.
+    fn read<T>(&self, key: &str, read: impl Fn(&'a JsonValue) -> Option<T>) -> Result<T, String> {
+        let at = &self.at;
+        let v = self
+            .v
+            .get(key)
+            .ok_or_else(|| format!("{at}: missing \"{key}\""))?;
+        read(v).ok_or_else(|| format!("{at}.{key} is malformed"))
+    }
+
+    /// A field the writer emits only where it has a value.
+    fn optional<T>(
+        &self,
+        key: &str,
+        read: impl Fn(&'a JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.v.get(key).map(|_| self.read(key, read)).transpose()
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.read(key, JsonValue::as_f64)
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.read(key, count)
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.read(key, JsonValue::as_str)
+    }
+
+    /// A string field naming one of a fixed set of labels.
+    fn label<T>(&self, key: &str, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+        self.read(key, |v| v.as_str().and_then(parse))
+    }
+
+    fn obj(&self, key: &str) -> Result<Fields<'a>, String> {
+        let v = self.read(key, Some)?;
+        let at = format!("{}.{key}", self.at);
+        Ok(Fields { v, at })
+    }
+
+    /// The elements of an array field, each named `key[i]`.
+    fn items(&self, key: &str) -> Result<Vec<Fields<'a>>, String> {
+        let items = self.read(key, JsonValue::as_array)?.iter().enumerate();
+        let at = |i| format!("{}.{key}[{i}]", self.at);
+        Ok(items.map(|(i, v)| Fields { v, at: at(i) }).collect())
+    }
 }
 
 fn span_to_json(e: &TraceEvent) -> String {
-    let mut s = format!(
-        "{{\"rank\":{},\"name\":\"{}\",\"cat\":\"{}\",\"kind\":\"{}\",\"start\":{},\"dur\":{},\"kernel\":{},\"overhead\":{},\"ready\":{}",
-        e.rank,
-        json_escape(&e.name),
-        e.cat.label(),
-        e.kind.label(),
-        num(e.start),
-        num(e.dur),
-        num(e.kernel),
-        num(e.overhead),
-        num(e.ready_at)
-    );
+    let mut s = Obj::new()
+        .u64("rank", e.rank as u64)
+        .str("name", &e.name)
+        .str("cat", e.cat.label())
+        .str("kind", e.kind.label())
+        .f64("start", e.start)
+        .f64("dur", e.dur)
+        .f64("kernel", e.kernel)
+        .f64("overhead", e.overhead)
+        .f64("ready", e.ready_at);
     if let Some(p) = &e.pred {
-        s.push_str(&format!(",\"pred\":\"{}\"", json_escape(p)));
+        s = s.str("pred", p);
     }
     if let Some(p) = e.peer {
-        s.push_str(&format!(",\"peer\":{p}"));
+        s = s.u64("peer", p as u64);
     }
     if e.bytes > 0 {
-        s.push_str(&format!(",\"bytes\":{}", e.bytes));
+        s = s.u64("bytes", e.bytes);
     }
     if e.rtq_depth > 0 {
-        s.push_str(&format!(",\"rtq\":{}", e.rtq_depth));
+        s = s.u64("rtq", e.rtq_depth.into());
     }
-    s.push('}');
-    s
+    s.finish()
 }
 
-fn span_from_json(v: &JsonValue) -> Option<TraceEvent> {
-    Some(TraceEvent {
-        rank: v.get("rank")?.as_u64()? as usize,
-        name: v.get("name")?.as_str()?.to_string(),
-        cat: TraceCat::parse(v.get("cat")?.as_str()?)?,
-        kind: SpanKind::parse(v.get("kind")?.as_str()?)?,
-        start: v.get("start")?.as_f64()?,
-        dur: v.get("dur")?.as_f64()?,
-        kernel: v.get("kernel")?.as_f64()?,
-        overhead: v.get("overhead")?.as_f64()?,
-        ready_at: v.get("ready")?.as_f64()?,
-        pred: v.get("pred").and_then(|p| p.as_str()).map(str::to_string),
-        peer: v.get("peer").and_then(|p| p.as_u64()).map(|p| p as usize),
-        bytes: v.get("bytes").and_then(|b| b.as_u64()).unwrap_or(0),
-        rtq_depth: v.get("rtq").and_then(|b| b.as_u64()).unwrap_or(0) as u32,
+fn span_from_json(v: &Fields) -> Result<TraceEvent, String> {
+    Ok(TraceEvent {
+        rank: v.u64("rank")? as usize,
+        name: v.str("name")?.to_string(),
+        cat: v.label("cat", TraceCat::parse)?,
+        kind: v.label("kind", SpanKind::parse)?,
+        start: v.f64("start")?,
+        dur: v.f64("dur")?,
+        kernel: v.f64("kernel")?,
+        overhead: v.f64("overhead")?,
+        ready_at: v.f64("ready")?,
+        pred: v.optional("pred", |p| p.as_str().map(str::to_string))?,
+        peer: v.optional("peer", count)?.map(|p| p as usize),
+        bytes: v.optional("bytes", count)?.unwrap_or(0),
+        rtq_depth: v.optional("rtq", count)?.unwrap_or(0) as u32,
     })
 }
 
 // ---------------------------------------------------------------------------
-// Text report + diff
+// Text report
 // ---------------------------------------------------------------------------
 
 /// Human-scale time formatting.
@@ -933,139 +913,6 @@ impl Profile {
     }
 }
 
-/// Regression thresholds for [`diff`], in percent growth.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffThresholds {
-    /// Allowed makespan growth (%) before the diff counts as a regression.
-    pub makespan_pct: f64,
-    /// Allowed critical-path growth (%).
-    pub crit_pct: f64,
-    /// Allowed published-byte growth (%) — gated only when both profiles
-    /// carry BLR publication accounting, so dense-vs-dense diffs are
-    /// unaffected.
-    pub published_pct: f64,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            makespan_pct: 5.0,
-            crit_pct: 5.0,
-            published_pct: 10.0,
-        }
-    }
-}
-
-/// Result of comparing two profiles.
-#[derive(Debug, Clone)]
-pub struct ProfileDiff {
-    /// Rendered comparison table.
-    pub report: String,
-    /// True when makespan or critical-path growth exceeded its threshold.
-    pub regressed: bool,
-}
-
-fn growth_pct(old: f64, new: f64) -> f64 {
-    if old > 0.0 {
-        100.0 * (new - old) / old
-    } else {
-        0.0
-    }
-}
-
-/// Compare two profiles; `new` regresses when its makespan or critical
-/// path grew beyond the thresholds relative to `old`.
-pub fn diff(old: &Profile, new: &Profile, thr: &DiffThresholds) -> ProfileDiff {
-    let mut s = String::new();
-    let mut regressed = false;
-    s.push_str(&format!(
-        "profile diff: {} ({} ranks) → {} ({} ranks)\n",
-        old.engine, old.n_ranks, new.engine, new.n_ranks
-    ));
-    let mut line = |label: &str, o: f64, n: f64, thr_pct: Option<f64>| {
-        let g = growth_pct(o, n);
-        let mut row = format!(
-            "  {:<14} {:>12} → {:<12} ({:+.2}%)",
-            label,
-            fmt_time(o),
-            fmt_time(n),
-            g
-        );
-        if let Some(t) = thr_pct {
-            if g > t {
-                row.push_str(&format!("  REGRESSED (> {t:.1}%)"));
-                regressed = true;
-            }
-        }
-        row.push('\n');
-        s.push_str(&row);
-    };
-    line(
-        "makespan",
-        old.makespan,
-        new.makespan,
-        Some(thr.makespan_pct),
-    );
-    line(
-        "critical path",
-        old.crit_len,
-        new.crit_len,
-        Some(thr.crit_pct),
-    );
-    let mean_busy = |p: &Profile| {
-        if p.ranks.is_empty() {
-            0.0
-        } else {
-            p.ranks.iter().map(|r| r.busy).sum::<f64>() / p.ranks.len() as f64
-        }
-    };
-    line("mean busy", mean_busy(old), mean_busy(new), None);
-    s.push_str(&format!(
-        "  {:<14} {:>12} → {:<12} ({:+.2}%)\n",
-        "comm bytes",
-        fmt_bytes(old.comm.total_bytes()),
-        fmt_bytes(new.comm.total_bytes()),
-        growth_pct(old.comm.total_bytes() as f64, new.comm.total_bytes() as f64)
-    ));
-    // Published-byte gate: compare BLR publication accounting when both
-    // runs recorded it (compressed runs). A compression regression shows
-    // up as published-byte growth even when the makespan holds steady.
-    if !old.blr.is_empty() && !new.blr.is_empty() {
-        let pub_of = |p: &Profile| p.blr.iter().map(|b| b.published()).sum::<u64>() as f64;
-        let ratio_of = |p: &Profile| {
-            let de: u64 = p.blr.iter().map(|b| b.dense_equiv()).sum();
-            let pb: u64 = p.blr.iter().map(|b| b.published()).sum();
-            de as f64 / pb.max(1) as f64
-        };
-        let (po, pn) = (pub_of(old), pub_of(new));
-        let g = growth_pct(po, pn);
-        let mut row = format!(
-            "  {:<14} {:>12} → {:<12} ({:+.2}%)  compression {:.2}x → {:.2}x",
-            "published",
-            fmt_bytes(po as u64),
-            fmt_bytes(pn as u64),
-            g,
-            ratio_of(old),
-            ratio_of(new)
-        );
-        if g > thr.published_pct {
-            row.push_str(&format!("  REGRESSED (> {:.1}%)", thr.published_pct));
-            regressed = true;
-        }
-        row.push('\n');
-        s.push_str(&row);
-    }
-    s.push_str(if regressed {
-        "verdict: REGRESSION past threshold\n"
-    } else {
-        "verdict: within thresholds\n"
-    });
-    ProfileDiff {
-        report: s,
-        regressed,
-    }
-}
-
 /// Assert the profile's structural invariants; returns an error string
 /// naming the first violation. Used by tests and by `sympack-prof report`.
 pub fn check_invariants(p: &Profile) -> Result<(), String> {
@@ -1203,18 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_flags_makespan_regression() {
-        let events = vec![ev(0, "a", 0.0, 1.0, 0.0, None)];
-        let old = Profile::build("t", &events, 1.0, 1, CommMatrix::empty(1));
-        let mut new = old.clone();
-        new.makespan *= 1.2;
-        let d = diff(&old, &new, &DiffThresholds::default());
-        assert!(d.regressed, "{}", d.report);
-        let d2 = diff(&old, &old, &DiffThresholds::default());
-        assert!(!d2.regressed, "{}", d2.report);
-    }
-
-    #[test]
     fn report_contains_sections() {
         let events = vec![
             ev(0, "a", 0.0, 1.0, 0.0, None),
@@ -1307,30 +1142,70 @@ mod tests {
         assert!(rep.contains("1.73x compression"), "{rep}");
     }
 
+    /// A small profile's document, as `to_json` lays it out.
+    fn document() -> String {
+        let mut e = ev(1, "b", 1.0, 0.5, 1.0, Some("a"));
+        e.rtq_depth = 2;
+        let events = vec![ev(0, "a", 0.0, 1.0, 0.0, None), e];
+        Profile::build("fanout", &events, 1.5, 2, CommMatrix::empty(2)).to_json()
+    }
+
     #[test]
-    fn diff_gates_published_bytes() {
-        let events = vec![ev(0, "a", 0.0, 1.0, 0.0, None)];
-        let mut old = Profile::build("t", &events, 1.0, 1, CommMatrix::empty(1));
-        old.blr = vec![BlrRank {
-            rank: 0,
-            dense_bytes: 1_000,
-            lr_bytes: 1_000,
-            lr_dense_equiv_bytes: 5_000,
-            dense_blocks: 1,
-            lr_blocks: 1,
-        }];
-        let mut new = old.clone();
-        // Compression got worse: same makespan, 50% more published bytes.
-        new.blr[0].lr_bytes = 2_000;
-        let d = diff(&old, &new, &DiffThresholds::default());
-        assert!(d.regressed, "{}", d.report);
-        assert!(d.report.contains("published"), "{}", d.report);
-        let same = diff(&old, &old, &DiffThresholds::default());
-        assert!(!same.regressed, "{}", same.report);
-        // Profiles without the section (dense runs) are never gated on it.
-        let plain = Profile::build("t", &events, 1.0, 1, CommMatrix::empty(1));
-        let d2 = diff(&plain, &plain, &DiffThresholds::default());
-        assert!(!d2.report.contains("published"), "{}", d2.report);
+    fn a_missing_section_is_an_error_that_names_it() {
+        let doc = document();
+        Profile::from_json(&doc).unwrap();
+        for section in ["critical_path", "ranks", "comm", "spans"] {
+            let renamed = doc.replace(&format!("\n\"{section}\":"), "\n\"renamed\":");
+            assert_ne!(renamed, doc, "{section}");
+            let err = Profile::from_json(&renamed).unwrap_err();
+            assert!(
+                err.contains(&format!("missing \"{section}\"")),
+                "{section}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_element_it_cannot_parse_is_an_error_that_names_it() {
+        let doc = document();
+        for (from, to, named) in [
+            (
+                ",\"dur\":0.5,\"kernel\"",
+                ",\"kernel\"",
+                "profile.spans[1]: missing \"dur\"",
+            ),
+            (
+                "\"kind\":\"exec\"",
+                "\"kind\":\"nap\"",
+                "profile.spans[0].kind",
+            ),
+            ("\"rtq\":2", "\"rtq\":\"deep\"", "profile.spans[1].rtq"),
+            (
+                "\"peak_rtq\":0",
+                "\"peak_rtq\":-1.5",
+                "profile.ranks[0].peak_rtq",
+            ),
+            (
+                "{\"rank\":1,\"busy\"",
+                "{\"busy\"",
+                "profile.ranks[1]: missing \"rank\"",
+            ),
+            (
+                "\"edge\":\"seed\"",
+                "\"edge\":7",
+                "profile.critical_path.tasks[0].edge",
+            ),
+            (
+                "[\"gemm\",",
+                "[\"gem\",",
+                "profile.critical_path.by_cat is malformed",
+            ),
+        ] {
+            let broken = doc.replacen(from, to, 1);
+            assert_ne!(broken, doc, "{from}");
+            let err = Profile::from_json(&broken).unwrap_err();
+            assert!(err.contains(named), "{from} → {to}: {err}");
+        }
     }
 
     #[test]

@@ -209,9 +209,22 @@ fn all_engines_agree_across_ranks_and_rtq_policies() {
     }
 }
 
+/// Each rank's executed tasks in order, as its trace recorded them (the
+/// merged trace is sorted by start, and one rank's tasks do not overlap).
+fn executed(r: &SolveReport) -> impl Iterator<Item = &sympack_trace::TraceEvent> {
+    let ranks = r.trace.iter().map(|ev| ev.rank + 1).max().unwrap_or(0);
+    (0..ranks).flat_map(move |rank| {
+        r.trace
+            .iter()
+            .filter(move |ev| ev.rank == rank && ev.kind == sympack_trace::SpanKind::Exec)
+    })
+}
+
 /// Everything a baseline run reports that a schedule change would move:
 /// the solution in `bits`, both virtual makespans in `virtual`, the per-kind
-/// task totals in `schedule` and the message counts in `traffic`.
+/// task totals in `schedule` and the message counts in `traffic`. A traced
+/// run also folds into `schedule` each rank's executed tasks in order:
+/// rank, label, producer and RTQ depth.
 fn baseline_fingerprint(r: &SolveReport) -> Fingerprint {
     let mut fp = Fingerprint::new(&SOLVER);
     fp.fold("bits", r.x.as_slice());
@@ -220,6 +233,12 @@ fn baseline_fingerprint(r: &SolveReport) -> Fingerprint {
     for (kind, n) in &r.task_counts {
         fp.fold("schedule", kind.as_str());
         fp.fold("schedule", n);
+    }
+    for ev in executed(r) {
+        fp.fold("schedule", &(ev.rank as u64));
+        fp.fold("schedule", ev.name.as_str());
+        fp.fold("schedule", ev.pred.as_deref().unwrap_or("-"));
+        fp.fold("schedule", &(ev.rtq_depth as u64));
     }
     fp.fold("traffic", &r.stats.rgets);
     fp.fold("traffic", &r.stats.rpcs);
@@ -257,9 +276,9 @@ fn baseline_schedules_are_identical_to_the_per_engine_run_ranks() {
 
 /// `baseline_fingerprint` of {right-looking, fan-in, fan-both} × (Fifo and
 /// CriticalPath at P ∈ {2, 3}, then Lifo at P = 3) on
-/// `thermal_like(12,12,0.3,5)` under lockstep, against the `cross_solver`
-/// corpus: the orders a task id could leak into if the ready queue ever
-/// consulted it. CommAware is left out: the baselines record no urgency, so
+/// `thermal_like(12,12,0.3,5)`, traced under lockstep, against the
+/// `cross_solver` corpus: the orders a task id could leak into if the ready
+/// queue ever consulted it. CommAware is left out: the baselines record no urgency, so
 /// it pops exactly like CriticalPath.
 #[test]
 fn baseline_schedules_are_identical_under_every_pop_order() {
@@ -280,10 +299,12 @@ fn baseline_schedules_are_identical_under_every_pop_order() {
                 n_nodes: 1,
                 ranks_per_node: p,
                 deterministic: true,
+                trace: true,
                 rtq_policy,
                 ..Default::default()
             };
             let r = run(&a, &b, &opts).expect("SPD input");
+            assert!(!r.trace.is_empty());
             let case = format!("pop-order {name} {rtq_policy:?} P={p}");
             cases.push((case, baseline_fingerprint(&r)));
         }
@@ -299,19 +320,15 @@ fn baseline_schedules_are_identical_under_every_pop_order() {
 /// accounting and the message / byte / frame counters in `traffic`.
 fn fanout_wire_fingerprint(r: &SolveReport) -> Fingerprint {
     let mut fp = Fingerprint::new(&SOLVER);
-    for rank in 0..r.publish.len() {
-        for ev in r.trace.iter().filter(|ev| {
-            ev.rank == rank
-                && ev.kind == sympack_trace::SpanKind::Exec
-                && ["D(", "F(", "U("].iter().any(|s| ev.name.starts_with(s))
-        }) {
-            fp.fold("schedule", &(rank as u64));
-            fp.fold("schedule", ev.name.as_str());
-            fp.fold("virtual", &ev.ready_at);
-            fp.fold("schedule", ev.pred.as_deref().unwrap_or("-"));
-            fp.fold("traffic", &ev.bytes);
-            fp.fold("schedule", &(ev.rtq_depth as u64));
-        }
+    let factor_task =
+        |ev: &&sympack_trace::TraceEvent| ["D(", "F(", "U("].iter().any(|s| ev.name.starts_with(s));
+    for ev in executed(r).filter(factor_task) {
+        fp.fold("schedule", &(ev.rank as u64));
+        fp.fold("schedule", ev.name.as_str());
+        fp.fold("virtual", &ev.ready_at);
+        fp.fold("schedule", ev.pred.as_deref().unwrap_or("-"));
+        fp.fold("traffic", &ev.bytes);
+        fp.fold("schedule", &(ev.rtq_depth as u64));
     }
     fp.fold("virtual", &r.factor_time);
     fp.fold("virtual", &r.solve_time);
@@ -337,10 +354,10 @@ fn fanout_wire_fingerprint(r: &SolveReport) -> Fingerprint {
 }
 
 /// The paths the fan-out and baseline cases above do not run (they are
-/// `Flat`, uncoalesced, dense), on `bone_like(6,6,5)` at 2 nodes × 2 ranks
-/// under lockstep, against the `cross_solver` corpus: fan-out under `Tree {
-/// arity: 2 }` + default coalescing, fan-out under BLR at `tol = 1e-8`, then
-/// right-looking / fan-in / fan-both under default coalescing.
+/// `Flat`, uncoalesced, dense), on `bone_like(6,6,5)` at 2 nodes × 2 ranks,
+/// traced under lockstep, against the `cross_solver` corpus: fan-out under
+/// `Tree { arity: 2 }` + default coalescing, fan-out under BLR at `tol =
+/// 1e-8`, then right-looking / fan-in / fan-both under default coalescing.
 #[test]
 fn tree_coalesced_and_blr_schedules_are_identical_to_the_per_engine_copies() {
     use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
@@ -378,13 +395,13 @@ fn tree_coalesced_and_blr_schedules_are_identical_to_the_per_engine_copies() {
     assert!(lr_blocks > 0, "BLR row published nothing compressed");
     cases.push(("wire fan-out blr".to_string(), fanout_wire_fingerprint(&r)));
     let bopts = SolverOptions {
-        trace: false,
         coalesce: Some(CoalesceConfig::default()),
         ..base
     };
     for (name, run) in BASELINES {
         let r = run(&a, &b, &bopts).expect("SPD input");
         assert!(r.stats.frames > 0, "coalescing never framed a signal");
+        assert!(!r.trace.is_empty());
         cases.push((format!("wire {name} coalesce"), baseline_fingerprint(&r)));
     }
     golden::check("cross_solver", cases);
