@@ -16,18 +16,12 @@
 //! take prints the usage and exits 2.
 
 use std::process::ExitCode;
-use sympack_apps::take_flag;
+use sympack_apps::{refuse, take_flag};
 use sympack_trace::profile::{check_invariants, Profile};
 
 const USAGE: &str = "usage:
   sympack-prof report <profile.json> [--top N]
   sympack-prof chrome <profile.json> [-o <out.json>]";
-
-/// Print why the command line was refused, then the usage, and exit 2.
-fn usage(why: &str) -> ! {
-    eprintln!("error: {why}\n{USAGE}");
-    std::process::exit(2)
-}
 
 fn load(path: &str) -> Result<Profile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -38,20 +32,20 @@ fn load(path: &str) -> Result<Profile, String> {
 fn path(argv: &[String]) -> &str {
     match argv {
         [path] => path,
-        _ => usage("expected one profile path"),
+        _ => refuse(USAGE, "expected one profile path"),
     }
 }
 
 fn run() -> Result<(), String> {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        usage("no command");
+        refuse(USAGE, "no command");
     }
     let cmd = argv.remove(0);
     match cmd.as_str() {
         "report" => {
-            let top: usize = match take_flag(&mut argv, "--top").unwrap_or_else(|e| usage(&e)) {
-                Some(v) => v.parse().unwrap_or_else(|_| usage("bad --top")),
+            let top: usize = match take_flag(&mut argv, "--top", USAGE) {
+                Some(v) => v.parse().unwrap_or_else(|_| refuse(USAGE, "bad --top")),
                 None => 10,
             };
             let p = load(path(&argv))?;
@@ -59,7 +53,7 @@ fn run() -> Result<(), String> {
             check_invariants(&p).map_err(|e| format!("profile invariant violated: {e}"))
         }
         "chrome" => {
-            let out = take_flag(&mut argv, "-o").unwrap_or_else(|e| usage(&e));
+            let out = take_flag(&mut argv, "-o", USAGE);
             let p = load(path(&argv))?;
             let json = sympack_trace::to_chrome_json(&p.spans);
             match out {
@@ -71,7 +65,7 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        other => usage(&format!("unknown command {other}")),
+        other => refuse(USAGE, &format!("unknown command {other}")),
     }
 }
 

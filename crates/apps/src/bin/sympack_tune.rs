@@ -11,10 +11,13 @@
 //! (format documented in the `sympack-tune` crate). Load it back into a
 //! solver with `KernelProfile::load` → `SolverOptions::kernel_config` /
 //! `CostModel`.
+//!
+//! A missing or corrupt profile, or a profile it cannot write, exits 1; a
+//! command line it does not take prints the usage and exits 2.
 
 use std::path::Path;
 use std::process::ExitCode;
-use sympack_apps::take_flag;
+use sympack_apps::{refuse, take_flag};
 use sympack_tune::{calibrate, KernelProfile, TuneBudget};
 
 const USAGE: &str = "usage:
@@ -48,16 +51,16 @@ fn print_profile(p: &KernelProfile) {
 fn run() -> Result<(), String> {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        return Err(USAGE.into());
+        refuse(USAGE, "no command");
     }
     let cmd = argv.remove(0);
     match cmd.as_str() {
         "calibrate" => {
             let quick = argv.iter().any(|a| a == "--quick");
             argv.retain(|a| a != "--quick");
-            let out = take_flag(&mut argv, "--out")?.unwrap_or_else(|| "profile.json".into());
+            let out = take_flag(&mut argv, "--out", USAGE).unwrap_or("profile.json".into());
             if !argv.is_empty() {
-                return Err(USAGE.into());
+                refuse(USAGE, "unexpected arguments");
             }
             let budget = if quick {
                 TuneBudget::quick()
@@ -72,22 +75,22 @@ fn run() -> Result<(), String> {
         }
         "show" => {
             let [path] = argv.as_slice() else {
-                return Err(USAGE.into());
+                refuse(USAGE, "expected one profile path");
             };
             let p = KernelProfile::load(Path::new(path)).map_err(|e| e.to_string())?;
             print_profile(&p);
             Ok(())
         }
-        _ => Err(USAGE.into()),
+        other => refuse(USAGE, &format!("unknown command {other}")),
     }
 }
 
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::from(2)
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
 }

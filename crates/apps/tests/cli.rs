@@ -1,22 +1,28 @@
 //! `run_sympack2d` end to end: both solver branches run every right-hand
 //! side, and a matrix the solver rejects is an exit code, not a panic.
 //! `sympack-prof report` on the committed profile: a broken invariant exits
-//! 1, a command line it does not take exits 2.
+//! 1, a command line it does not take exits 2. `sympack-tune` keeps the same
+//! two codes: 1 for a profile it cannot read, 2 for a command line.
 
 use std::path::Path;
 use std::process::Command;
 use sympack_trace::profile::Profile;
 
-fn run(args: &[&str]) -> (Option<i32>, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_run_sympack2d"))
+/// Run the binary `exe` on `args`: its exit code, stdout and stderr.
+fn exec(exe: &str, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(exe)
         .args(args)
         .output()
-        .expect("spawn run_sympack2d");
+        .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+fn run(args: &[&str]) -> (Option<i32>, String, String) {
+    exec(env!("CARGO_BIN_EXE_run_sympack2d"), args)
 }
 
 #[test]
@@ -65,15 +71,7 @@ fn an_indefinite_matrix_exits_1_without_a_panic() {
 }
 
 fn prof(args: &[&str]) -> (Option<i32>, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_sympack-prof"))
-        .args(args)
-        .output()
-        .expect("spawn sympack-prof");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    exec(env!("CARGO_BIN_EXE_sympack-prof"), args)
 }
 
 fn committed_profile() -> String {
@@ -125,4 +123,30 @@ fn a_command_line_prof_does_not_take_exits_2() {
     // A file that is not there is not a usage error.
     let (code, _, stderr) = prof(&["report", "no/such/profile.json"]);
     assert_eq!(code, Some(1), "{stderr}");
+}
+
+#[test]
+fn tune_exits_2_on_a_command_line_and_1_on_a_profile_it_cannot_read() {
+    let tune = |args: &[&str]| exec(env!("CARGO_BIN_EXE_sympack-tune"), args);
+    for args in [
+        &[][..],
+        &["bogus"],
+        &["show"],
+        &["show", "a.json", "b.json"],
+        &["calibrate", "--quick", "--out"],
+        &["calibrate", "--quik"],
+    ] {
+        let (code, stdout, stderr) = tune(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    let corrupt = Path::new(env!("CARGO_TARGET_TMPDIR")).join("tune_corrupt_profile.json");
+    std::fs::write(&corrupt, "{\"schema\":").unwrap();
+    for path in ["no/such/profile.json", corrupt.to_str().unwrap()] {
+        let (code, stdout, stderr) = tune(&["show", path]);
+        assert_eq!(code, Some(1), "{path}: {stderr}");
+        assert!(stdout.is_empty(), "{path}: {stdout}");
+        assert!(!stderr.contains("usage:"), "{path}: {stderr}");
+    }
 }

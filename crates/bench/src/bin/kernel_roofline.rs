@@ -30,7 +30,7 @@
 //! non-default [`KernelConfig`] (field overrides by name, e.g.
 //! `mc=96,kc=192`).
 //!
-//! Output: `BENCH_kernels.json` (a `sympack_trace::metrics::RooflineReport`)
+//! Output: `BENCH_kernels.json` (a [`RooflineReport`])
 //! and a human-readable table in `results/kernel_roofline.txt`, or the
 //! paths `--json` / `--out` name. `--quick` shrinks sizes and repetitions
 //! for the CI smoke job and writes only the files `--json` / `--out` name.
@@ -45,7 +45,7 @@ use sympack_dense::microkernel;
 use sympack_dense::potrf::potrf_raw;
 use sympack_dense::syrk::syrk_lower_raw;
 use sympack_dense::trsm::trsm_right_lower_trans_raw;
-use sympack_trace::metrics::{KernelSample, RooflineReport};
+use sympack_trace::json::{Arr, Obj};
 use sympack_tune::{crossover_scan, fill, median_secs, spd, CROSSOVER_SIZES};
 
 /// Parse `k=v,...` field overrides on top of the default config; exits with
@@ -158,6 +158,98 @@ mod tile_scan {
     ];
 }
 
+/// One wall-clock measurement of a dense kernel at one problem shape.
+#[derive(Debug)]
+struct KernelSample {
+    /// Kernel name (`gemm_nt`, `potrf`, `trsm`, `syrk`, ...).
+    kernel: String,
+    /// Code-path variant (`unpacked`, `packed`, `par`, ...).
+    variant: String,
+    /// Problem shape; unused dimensions are 0.
+    m: usize,
+    n: usize,
+    k: usize,
+    /// Median wall-clock seconds per call.
+    secs: f64,
+    /// Exact flop count of one call.
+    flops: u64,
+    /// Bytes of matrix data touched at least once (operand + result
+    /// footprints, not cache-aware traffic).
+    bytes: u64,
+}
+
+impl KernelSample {
+    /// Achieved rate in Gflop/s.
+    fn gflops(&self) -> f64 {
+        if self.secs > 0.0 {
+            self.flops as f64 / self.secs / 1e9
+        } else {
+            0.0
+        }
+    }
+
+    /// Arithmetic intensity in flops per byte of footprint — the x-axis of a
+    /// roofline plot.
+    fn arithmetic_intensity(&self) -> f64 {
+        if self.bytes > 0 {
+            self.flops as f64 / self.bytes as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// Serialize as a JSON object.
+    fn to_json(&self) -> String {
+        Obj::new()
+            .str("kernel", &self.kernel)
+            .str("variant", &self.variant)
+            .u64("m", self.m as u64)
+            .u64("n", self.n as u64)
+            .u64("k", self.k as u64)
+            .f64("secs", self.secs)
+            .u64("flops", self.flops)
+            .u64("bytes", self.bytes)
+            .f64("gflops", self.gflops())
+            .f64("ai", self.arithmetic_intensity())
+            .finish()
+    }
+}
+
+/// A full roofline run: machine context plus every sample, serialized to
+/// `BENCH_kernels.json`.
+#[derive(Debug)]
+struct RooflineReport {
+    /// Instruction set the microkernel dispatched to (`avx2+fma`, ...).
+    isa: String,
+    /// All recorded samples, in measurement order.
+    samples: Vec<KernelSample>,
+}
+
+impl RooflineReport {
+    /// The sample for `(kernel, variant)` at shape `(m, n, k)`, if recorded.
+    fn find(
+        &self,
+        kernel: &str,
+        variant: &str,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> Option<&KernelSample> {
+        self.samples.iter().find(|s| {
+            s.kernel == kernel && s.variant == variant && s.m == m && s.n == n && s.k == k
+        })
+    }
+
+    /// Serialize as a JSON object.
+    fn to_json(&self) -> String {
+        let samples: Arr = self.samples.iter().map(KernelSample::to_json).collect();
+        Obj::new()
+            .str("isa", &self.isa)
+            .raw("samples", &samples.finish())
+            .finish()
+    }
+}
+
 struct Ctx {
     report: RooflineReport,
     txt: String,
@@ -205,7 +297,7 @@ impl Ctx {
             "{kernel:8} {variant:16} m={m:5} n={n:5} k={k:5}  {gf:7.2} GF/s  ai={ai:6.1}",
             ai = s.arithmetic_intensity()
         );
-        self.report.push(s);
+        self.report.samples.push(s);
         gf
     }
 }
@@ -225,7 +317,10 @@ fn main() {
     let samples = if quick { 3 } else { 7 };
 
     let mut ctx = Ctx {
-        report: RooflineReport::new(microkernel::isa_name()),
+        report: RooflineReport {
+            isa: microkernel::isa_name().to_string(),
+            samples: Vec::new(),
+        },
         txt: String::new(),
         samples,
     };
@@ -452,5 +547,90 @@ fn main() {
     if !isa_order_holds {
         eprintln!("a wider ISA is slower than a narrower one on packed gemm at n=256");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample(kernel: &str, variant: &str, (m, n, k): (usize, usize, usize)) -> KernelSample {
+        KernelSample {
+            kernel: kernel.into(),
+            variant: variant.into(),
+            m,
+            n,
+            k,
+            secs: 0.0,
+            flops: 0,
+            bytes: 0,
+        }
+    }
+
+    #[test]
+    fn kernel_sample_rates_and_json() {
+        let s = KernelSample {
+            secs: 0.001,
+            flops: 2 * 256 * 256 * 256,
+            bytes: 8 * 3 * 256 * 256 + 8 * 256 * 256,
+            ..sample("gemm_nt", "packed", (256, 256, 256))
+        };
+        assert!((s.gflops() - 33.554432).abs() < 1e-9);
+        assert!(s.arithmetic_intensity() > 10.0);
+        let json = s.to_json();
+        assert!(json.contains("\"kernel\":\"gemm_nt\""));
+        assert!(json.contains("\"variant\":\"packed\""));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn roofline_report_find_and_json_balance() {
+        // The document layout of BENCH_kernels.json, byte for byte.
+        let samples = vec![
+            KernelSample {
+                secs: 0.5,
+                flops: 1000,
+                bytes: 800,
+                ..sample("potrf", "blocked", (0, 128, 0))
+            },
+            KernelSample {
+                secs: 1.7e-4,
+                flops: 2 * 256 * 256 * 96,
+                bytes: 8 * (256 * 96 * 2 + 256 * 256),
+                ..sample("gemm_nt", "packed@avx2+fma", (256, 256, 96))
+            },
+            KernelSample {
+                flops: 10,
+                ..sample("x", "y\"z", (0, 0, 0))
+            },
+        ];
+        let r = RooflineReport {
+            isa: "avx2+fma".into(),
+            samples,
+        };
+        assert!(r.find("potrf", "blocked", 0, 128, 0).is_some());
+        assert!(r.find("potrf", "naive", 0, 128, 0).is_none());
+        assert_eq!(
+            r.to_json(),
+            concat!(
+                r#"{"isa":"avx2+fma","samples":[{"kernel":"potrf","variant":"blocked","#,
+                r#""m":0,"n":128,"k":0,"secs":0.5,"flops":1000,"bytes":800,"#,
+                r#""gflops":0.000002,"ai":1.25},{"kernel":"gemm_nt","#,
+                r#""variant":"packed@avx2+fma","m":256,"n":256,"k":96,"secs":0.00017,"#,
+                r#""flops":12582912,"bytes":917504,"gflops":74.0171294117647,"#,
+                r#""ai":13.714285714285714},{"kernel":"x","variant":"y\"z","m":0,"n":0,"#,
+                r#""k":0,"secs":0,"flops":10,"bytes":0,"gflops":0,"ai":0}]}"#
+            )
+        );
+    }
+
+    #[test]
+    fn zero_time_and_zero_bytes_are_guarded() {
+        let s = KernelSample {
+            flops: 10,
+            ..sample("x", "y", (0, 0, 0))
+        };
+        assert_eq!(s.gflops(), 0.0);
+        assert_eq!(s.arithmetic_intensity(), 0.0);
     }
 }

@@ -315,6 +315,9 @@ mod tests {
         );
         assert_eq!(row.f64("tiny"), Ok(f64::MIN_POSITIVE / 8.0));
         assert!(row.u64("matrix").unwrap_err().contains("\"matrix\""));
+        let rows = parse_rows(r#"[{"jobs":-4,"share":1.5}]"#).unwrap();
+        assert!(rows[0].u64("jobs").unwrap_err().contains("\"jobs\""));
+        assert!(rows[0].u64("share").is_err());
         assert!(row.f64("matrix").unwrap_err().contains("not a number"));
         assert!(row.text("absent").is_err());
     }

@@ -62,7 +62,7 @@ use sympack_ordering::{compute_ordering, compute_ordering_on, OrderingKind, FORK
 use sympack_pgas::{PgasConfig, Rank, RunReport, Runtime, StatsSnapshot};
 use sympack_sparse::{SparseSym, SymPattern};
 use sympack_symbolic::{analyze_timed, AnalyzePhases, Lap, SymbolicFactor};
-use sympack_trace::health::{HealthEvent, WatchRules, Watchdog};
+use sympack_trace::health::{HealthEvent, Watchdog};
 use sympack_trace::profile::{CommMatrix, Profile};
 use sympack_trace::telemetry::{SchedTelemetry, TelemetryReport, TelemetrySnapshot};
 use sympack_trace::{TraceEvent, Tracer};
@@ -562,7 +562,7 @@ pub(crate) fn observe<M>(rank: &mut Rank<M>, trace: bool, telemetry: bool) {
         rank.set_tracer(Tracer::new());
     }
     if telemetry {
-        rank.set_watchdog(Watchdog::new(WatchRules::default()));
+        rank.set_watchdog(Watchdog::new());
     }
 }
 

@@ -38,8 +38,13 @@
 //!
 //! All queueing/latency accounting runs in the solver's virtual clocks, so
 //! a seeded workload replays exactly; per-tenant [`ServiceMetrics`] and
-//! fleet-wide [`FleetCacheMetrics`] export the counters, and per-request
-//! `{tenant}/job-{id}` spans feed the flight-recorder profile.
+//! fleet-wide [`FleetCacheMetrics`] report the counters (views built on
+//! demand from where each count is kept), and per-request `{tenant}/job-{id}`
+//! spans feed the flight-recorder profile.
+
+mod metrics;
+
+pub use metrics::{FleetCacheMetrics, ServiceMetrics};
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -47,11 +52,10 @@ use std::sync::Arc;
 use sympack::{pattern_hash, plan_cache_key, SolverError, SolverOptions, SymbolicPlan};
 use sympack_service::{RhsPanel, Session};
 use sympack_sparse::SparseSym;
-use sympack_trace::health::{HealthEvent, WatchRules, WatchSample, Watchdog};
+use sympack_trace::health::{HealthEvent, WatchSample, Watchdog};
 use sympack_trace::json::{Arr, Obj};
-use sympack_trace::metrics::{FleetCacheMetrics, ServiceMetrics};
 use sympack_trace::telemetry::{
-    CounterId, GaugeId, HistId, SloPolicy, SloTracker, Telemetry, SNAPSHOT_SCHEMA,
+    CounterId, GaugeId, HistId, Histogram, SloPolicy, SloTracker, Telemetry, SNAPSHOT_SCHEMA,
 };
 use sympack_trace::{SpanKind, TraceCat, TraceEvent};
 
@@ -187,10 +191,16 @@ struct Tenant {
     weight: f64,
     deficit: f64,
     pending: VecDeque<FleetJob>,
+    /// The next job ticket: also the count of jobs accepted.
     next_id: u64,
-    /// Serving metrics; `analyze_wall_ms` is the analysis paid at admission
-    /// (0 on a plan-cache hit).
-    metrics: ServiceMetrics,
+    jobs_rejected: u64,
+    /// One sample per batch and one per served job: their counts too.
+    batch_sizes: Histogram,
+    latency: Histogram,
+    solve_virtual_total: f64,
+    factor_virtual_total: f64,
+    /// The analysis paid at admission (0 on a plan-cache hit).
+    analyze_wall_ms: f64,
     /// Bytes of this tenant's factor when resident (recorded at install,
     /// kept across eviction so the LRU can pre-budget re-materialization).
     factor_bytes: u64,
@@ -203,6 +213,30 @@ struct Tenant {
     slo: SloTracker,
     /// Handles into the fleet registry, all labeled `tenant="name"`.
     instruments: TenantInstruments,
+}
+
+impl Tenant {
+    /// The tenant's serving metrics, gathered from where each number is
+    /// kept: its ticket counter, histograms and session.
+    fn metrics(&self) -> ServiceMetrics {
+        let jobs_served = self.latency.count() as u64;
+        let batches = self.batch_sizes.count() as u64;
+        ServiceMetrics {
+            jobs_submitted: self.next_id,
+            jobs_rejected: self.jobs_rejected,
+            jobs_served,
+            batches,
+            // Every batch holds at least one job.
+            coalesced_jobs: jobs_served - batches,
+            refactorizations: self.session.refactorizations() + self.session.rematerializations(),
+            batch_sizes: self.batch_sizes.clone(),
+            latency: self.latency.clone(),
+            solve_virtual_total: self.solve_virtual_total,
+            factor_virtual_total: self.factor_virtual_total,
+            one_shot_factor_cost: self.session.first_factor_time(),
+            analyze_wall_ms: self.analyze_wall_ms,
+        }
+    }
 }
 
 /// Per-tenant instrument handles into the fleet-level registry.
@@ -226,12 +260,15 @@ pub struct Fleet {
     /// another `Arc` to the shared plan, a miss builds it once.
     plans: HashMap<u64, Arc<SymbolicPlan>>,
     tenants: Vec<Tenant>,
-    by_name: HashMap<String, usize>,
     /// One virtual clock per shard.
     clocks: Vec<f64>,
     /// Monotone counter backing the LRU stamps.
     use_counter: u64,
-    cache: FleetCacheMetrics,
+    /// Admissions that found their plan cached (each miss adds an entry).
+    plan_hits: u64,
+    /// Resident factor bytes at the latest sample, and the largest sample.
+    resident_bytes: u64,
+    resident_high_water_bytes: u64,
     request_spans: Vec<TraceEvent>,
     /// The live registry: per-tenant latency/served/eviction instruments
     /// plus fleet-wide residency gauges, sampled on the (monotone) fleet
@@ -264,18 +301,16 @@ impl Fleet {
             config,
             plans: HashMap::new(),
             tenants: Vec::new(),
-            by_name: HashMap::new(),
             clocks: vec![0.0; config.shards],
             use_counter: 0,
-            cache: FleetCacheMetrics {
-                factor_budget_bytes: config.factor_budget_bytes,
-                ..FleetCacheMetrics::default()
-            },
+            plan_hits: 0,
+            resident_bytes: 0,
+            resident_high_water_bytes: 0,
             request_spans: Vec::new(),
             tel,
             resident_gauge,
             backlog_gauge,
-            watchdog: Watchdog::new(WatchRules::default()),
+            watchdog: Watchdog::new(),
             sample_clock: 0.0,
         }
     }
@@ -319,7 +354,7 @@ impl Fleet {
             }
         }
         Session::validate_options(&self.opts)?;
-        if self.by_name.contains_key(name) {
+        if self.tenants.iter().any(|t| t.name == name) {
             return Err(FleetError::DuplicateTenant {
                 tenant: name.to_string(),
             });
@@ -329,20 +364,13 @@ impl Fleet {
         let plan = self.plans.entry(key);
         let plan = plan.or_insert_with(|| Arc::new(SymbolicPlan::build(a, &self.opts)));
         let plan = Arc::clone(plan);
-        if hit {
-            self.cache.plan_hits += 1;
-        } else {
-            self.cache.plan_misses += 1;
-        }
+        self.plan_hits += hit as u64;
         let analyze_wall_ms = if hit { 0.0 } else { plan.analyze_wall_ms };
         let session = Session::with_plan(a, plan, &self.opts)?;
         let idx = self.tenants.len();
         let shard = idx % self.config.shards;
         self.clocks[shard] += session.first_factor_time();
-        let mut metrics = ServiceMetrics::new();
-        metrics.one_shot_factor_cost = session.first_factor_time();
-        metrics.factor_virtual_total = session.first_factor_time();
-        metrics.analyze_wall_ms = analyze_wall_ms;
+        let factor_virtual_total = session.first_factor_time();
         let factor_bytes = session.factor_bytes();
         self.use_counter += 1;
         let labels: &[(&str, &str)] = &[("tenant", name)];
@@ -361,14 +389,18 @@ impl Fleet {
             deficit: 0.0,
             pending: VecDeque::new(),
             next_id: 0,
-            metrics,
+            jobs_rejected: 0,
+            batch_sizes: Histogram::new(),
+            latency: Histogram::new(),
+            solve_virtual_total: 0.0,
+            factor_virtual_total,
+            analyze_wall_ms,
             factor_bytes,
             last_served: self.use_counter,
             evictions: 0,
             slo: SloTracker::new(SloPolicy::default()),
             instruments,
         });
-        self.by_name.insert(name.to_string(), idx);
         self.enforce_budget(Some(idx));
         self.sample_residency();
         Ok(TenantId(idx))
@@ -393,7 +425,7 @@ impl Fleet {
         let t = &mut self.tenants[i];
         SolverError::check_shape("rhs length", t.session.n(), rhs.len())?;
         if t.pending.len() >= self.config.max_pending_per_tenant {
-            t.metrics.jobs_rejected += 1;
+            t.jobs_rejected += 1;
             return Err(FleetError::QueueFull {
                 tenant: t.name.clone(),
                 capacity: self.config.max_pending_per_tenant,
@@ -401,7 +433,6 @@ impl Fleet {
         }
         let id = t.next_id;
         t.next_id += 1;
-        t.metrics.jobs_submitted += 1;
         t.pending.push_back(FleetJob { id, rhs, arrival });
         let (instruments, depth) = (t.instruments, t.pending.len());
         self.tel.set(instruments.pending, depth as f64);
@@ -463,7 +494,6 @@ impl Fleet {
         if !self.tenants[i].session.is_resident() {
             service_time +=
                 self.factor_tenant(i, |s| Ok(s.ensure_resident()?.expect("factor was evicted")))?;
-            self.cache.rematerializations += 1;
         }
         let shard = self.tenants[i].shard;
         let mut jobs: Vec<FleetJob> = self.tenants[i].pending.drain(..take).collect();
@@ -483,14 +513,15 @@ impl Fleet {
         self.clocks[shard] = clock;
         self.use_counter += 1;
         self.tenants[i].last_served = self.use_counter;
-        self.tenants[i].metrics.record_batch(take, batch.solve_time);
+        self.tenants[i].batch_sizes.record(take as f64);
+        self.tenants[i].solve_virtual_total += batch.solve_time;
         let panel = &batch.panels[0];
         let n = self.tenants[i].session.n();
         let mut done = Vec::with_capacity(take);
         let instruments = self.tenants[i].instruments;
         for ((k, j), rhs) in jobs.into_iter().enumerate().zip(cols) {
             let latency = clock - j.arrival;
-            self.tenants[i].metrics.latency.record(latency);
+            self.tenants[i].latency.record(latency);
             self.tenants[i].slo.record(latency);
             self.tel.observe(instruments.latency, latency);
             let mut span = TraceEvent::basic(
@@ -520,8 +551,6 @@ impl Fleet {
         self.tel
             .inc(instruments.served_bytes, (take * n * 8) as u64);
         self.tel
-            .set_counter_total(instruments.evictions, self.tenants[i].evictions);
-        self.tel
             .set(instruments.pending, self.tenants[i].pending.len() as f64);
         self.sample_residency();
         self.tick(clock);
@@ -532,7 +561,7 @@ impl Fleet {
     /// array laid out like its matrix's lower-triangle storage (see
     /// [`Session::refactorize`]). The tenant's shard clock advances by the
     /// factorization makespan, modelling the service pause; the tenant's
-    /// metrics count it, and its factor size is recorded and the budget
+    /// session counts it, and its factor size is recorded and the budget
     /// enforced again, as after a re-materialization. Queued jobs are
     /// served against the new factor.
     ///
@@ -550,8 +579,8 @@ impl Fleet {
 
     /// Run `factor` (a re-materialization or a re-factorization) on tenant
     /// `i`'s session, pre-budgeting its known factor size when it is
-    /// evicted; then count the factorization in the tenant's metrics,
-    /// record the new factor size and enforce the budget again. Returns the
+    /// evicted; then add its makespan to the tenant's factor time, record
+    /// the new factor size and enforce the budget again. Returns the
     /// factorization makespan.
     fn factor_tenant(
         &mut self,
@@ -563,8 +592,7 @@ impl Fleet {
         }
         let t = &mut self.tenants[i];
         let ft = factor(&mut t.session)?;
-        t.metrics.refactorizations += 1;
-        t.metrics.factor_virtual_total += ft;
+        t.factor_virtual_total += ft;
         t.factor_bytes = t.session.factor_bytes();
         self.enforce_budget(Some(i));
         Ok(ft)
@@ -623,20 +651,15 @@ impl Fleet {
             };
             self.tenants[v].session.evict_factor();
             self.tenants[v].evictions += 1;
-            self.cache.factor_evictions += 1;
-            let ins = self.tenants[v].instruments;
-            self.tel
-                .set_counter_total(ins.evictions, self.tenants[v].evictions);
+            self.tel.inc(self.tenants[v].instruments.evictions, 1);
         }
     }
 
     /// Record the current resident total into the cache gauges.
     fn sample_residency(&mut self) {
         let resident: u64 = self.tenants.iter().map(|t| t.session.factor_bytes()).sum();
-        self.cache.resident_bytes = resident;
-        if resident > self.cache.resident_high_water_bytes {
-            self.cache.resident_high_water_bytes = resident;
-        }
+        self.resident_bytes = resident;
+        self.resident_high_water_bytes = self.resident_high_water_bytes.max(resident);
         self.tel.set(self.resident_gauge, resident as f64);
         let backlog: u64 = self.tenants.iter().map(|t| t.pending.len() as u64).sum();
         self.tel.set(self.backlog_gauge, backlog as f64);
@@ -646,7 +669,7 @@ impl Fleet {
     /// served jobs vs backlog (stall), fullest queue fraction (saturation),
     /// cumulative evictions (thrash) and per-tenant SLO burn rates.
     fn observe_health(&mut self) {
-        let progress: u64 = self.tenants.iter().map(|t| t.metrics.jobs_served).sum();
+        let progress: u64 = self.tenants.iter().map(|t| t.latency.count() as u64).sum();
         let backlog: u64 = self.tenants.iter().map(|t| t.pending.len() as u64).sum();
         let cap = self.config.max_pending_per_tenant.max(1) as f64;
         let queue_frac = self
@@ -665,7 +688,7 @@ impl Fleet {
             progress,
             backlog,
             queue_frac,
-            evictions: self.cache.factor_evictions,
+            evictions: self.cache_metrics().factor_evictions,
             burn: &burn,
         });
     }
@@ -675,17 +698,30 @@ impl Fleet {
         self.clocks.iter().fold(0.0, |a, &b| a.max(b))
     }
 
-    /// Fleet-wide cache counters and residency gauges.
-    pub fn cache_metrics(&self) -> &FleetCacheMetrics {
-        &self.cache
+    /// Fleet-wide cache counters and residency gauges, gathered from the
+    /// plan cache, the tenants and their sessions.
+    pub fn cache_metrics(&self) -> FleetCacheMetrics {
+        FleetCacheMetrics {
+            plan_hits: self.plan_hits,
+            plan_misses: self.plans.len() as u64,
+            factor_evictions: self.tenants.iter().map(|t| t.evictions).sum(),
+            rematerializations: self
+                .tenants
+                .iter()
+                .map(|t| t.session.rematerializations())
+                .sum(),
+            factor_budget_bytes: self.config.factor_budget_bytes,
+            resident_bytes: self.resident_bytes,
+            resident_high_water_bytes: self.resident_high_water_bytes,
+        }
     }
 
     /// Per-tenant serving metrics.
     ///
     /// # Panics
     /// Panics on an out-of-range id.
-    pub fn tenant_metrics(&self, tenant: TenantId) -> &ServiceMetrics {
-        &self.tenants[tenant.0].metrics
+    pub fn tenant_metrics(&self, tenant: TenantId) -> ServiceMetrics {
+        self.tenants[tenant.0].metrics()
     }
 
     /// A tenant's session (matrix order, pattern, residency…).
@@ -710,7 +746,7 @@ impl Fleet {
     /// # Panics
     /// Panics on an out-of-range id.
     pub fn tenant_analyze_wall_ms(&self, tenant: TenantId) -> f64 {
-        self.tenants[tenant.0].metrics.analyze_wall_ms
+        self.tenants[tenant.0].analyze_wall_ms
     }
 
     /// Per-request spans (`{tenant}/job-{id}`, arrival → completion, rank =
@@ -754,6 +790,7 @@ impl Fleet {
     pub fn telemetry_json(&self) -> String {
         let mut tenants = Arr::new();
         for t in &self.tenants {
+            let m = t.metrics();
             tenants.push(
                 Obj::new()
                     .str("tenant", &t.name)
@@ -762,12 +799,12 @@ impl Fleet {
                     .u64("evictions", t.evictions)
                     .u64("pending", t.pending.len() as u64)
                     .bool("resident", t.session.is_resident())
-                    .u64("jobs_submitted", t.metrics.jobs_submitted)
-                    .u64("jobs_rejected", t.metrics.jobs_rejected)
-                    .u64("jobs_served", t.metrics.jobs_served)
-                    .u64("batches", t.metrics.batches)
-                    .u64("refactorizations", t.metrics.refactorizations)
-                    .raw("latency", &t.metrics.latency.to_json())
+                    .u64("jobs_submitted", m.jobs_submitted)
+                    .u64("jobs_rejected", m.jobs_rejected)
+                    .u64("jobs_served", m.jobs_served)
+                    .u64("batches", m.batches)
+                    .u64("refactorizations", m.refactorizations)
+                    .raw("latency", &m.latency.to_json())
                     .raw("slo", &t.slo.to_json())
                     .finish(),
             );
@@ -776,7 +813,7 @@ impl Fleet {
             .str("schema", SNAPSHOT_SCHEMA)
             .str("kind", "fleet")
             .f64("makespan", self.makespan())
-            .raw("cache", &self.cache.to_json())
+            .raw("cache", &self.cache_metrics().to_json())
             .raw("tenants", &tenants.finish())
             .raw("telemetry", &self.tel.snapshot().to_json())
             .raw(
@@ -798,13 +835,13 @@ impl Fleet {
                     .u64("shard", t.shard as u64)
                     .f64("weight", t.weight)
                     .u64("evictions", t.evictions)
-                    .f64("analyze_wall_ms", t.metrics.analyze_wall_ms)
-                    .raw("metrics", &t.metrics.to_json())
+                    .f64("analyze_wall_ms", t.analyze_wall_ms)
+                    .raw("metrics", &t.metrics().to_json())
                     .finish(),
             );
         }
         Obj::new()
-            .raw("cache", &self.cache.to_json())
+            .raw("cache", &self.cache_metrics().to_json())
             .f64("makespan", self.makespan())
             .raw("tenants", &tenants.finish())
             .finish()
@@ -872,8 +909,7 @@ mod tests {
             Err(FleetError::UnknownTenant { .. }) => {}
             other => panic!("expected UnknownTenant, got {other:?}"),
         }
-        assert_eq!(fleet.by_name.get("alice"), Some(&0));
-        assert_eq!(fleet.by_name.get("bob"), None);
+        assert_eq!(fleet.tenants.len(), 1);
     }
 
     #[test]

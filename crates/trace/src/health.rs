@@ -2,7 +2,7 @@
 //!
 //! A [`Watchdog`] consumes periodic [`WatchSample`]s (the fleet's
 //! sampling ticks) and idle-poll notifications (the task engines' event
-//! loop), evaluates a small set of [`WatchRules`], and emits typed
+//! loop), evaluates a small set of fixed thresholds, and emits typed
 //! [`HealthEvent`]s — *observations*, never interventions: the watchdog
 //! raises `Stalled` strictly before the engine's own quiescence abort
 //! threshold so an operator (or `sympack-top`) sees the condition while the
@@ -112,40 +112,22 @@ pub fn health_events_json(events: &[HealthEvent]) -> String {
     arr.finish()
 }
 
-/// Thresholds the watchdog evaluates. Defaults are deliberately ahead of
-/// the runtime's own limits: `stall_idle_polls = 16` fires a quarter of the
-/// way to the deterministic engine's quiescence abort (64 idle polls), so
-/// the health stream always names a stall before the run dies of it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchRules {
-    /// Idle event-loop polls (no progress, queue empty) before `Stalled`
-    /// is raised from the engine path.
-    pub stall_idle_polls: u64,
-    /// Consecutive sampling ticks with backlog but zero progress before
-    /// `Stalled` is raised from the sampling path.
-    pub stall_ticks: u64,
-    /// Queue fill fraction (depth / capacity) at which `QueueSaturated`
-    /// is raised.
-    pub queue_saturation: f64,
-    /// Evictions within one sampling tick at which `EvictionThrash` is
-    /// raised.
-    pub eviction_thrash: u64,
-    /// SLO burn rate (observed bad fraction / allowed bad fraction) at
-    /// which `SloBurn` is raised; 1.0 = burning exactly the error budget.
-    pub slo_burn_limit: f64,
-}
-
-impl Default for WatchRules {
-    fn default() -> Self {
-        WatchRules {
-            stall_idle_polls: 16,
-            stall_ticks: 3,
-            queue_saturation: 0.9,
-            eviction_thrash: 4,
-            slo_burn_limit: 1.0,
-        }
-    }
-}
+/// Idle event-loop polls (no progress, queue empty) before `Stalled` is
+/// raised from the engine path: a quarter of the way to the deterministic
+/// engine's quiescence abort (64 idle polls), so the health stream always
+/// names a stall before the run dies of it.
+const STALL_IDLE_POLLS: u64 = 16;
+/// Consecutive sampling ticks with backlog but zero progress before
+/// `Stalled` is raised from the sampling path.
+const STALL_TICKS: u64 = 3;
+/// Queue fill fraction (depth / capacity) at which `QueueSaturated` is
+/// raised.
+const QUEUE_SATURATION: f64 = 0.9;
+/// Evictions within one sampling tick at which `EvictionThrash` is raised.
+const EVICTION_THRASH: u64 = 4;
+/// SLO burn rate (observed bad fraction / allowed bad fraction) at which
+/// `SloBurn` is raised; 1.0 = burning exactly the error budget.
+const SLO_BURN_LIMIT: f64 = 1.0;
 
 /// One sampling-tick observation handed to [`Watchdog::observe`].
 /// Counters (`progress`, `evictions`) are cumulative; the watchdog
@@ -166,11 +148,10 @@ pub struct WatchSample<'a> {
     pub burn: &'a [(&'a str, f64)],
 }
 
-/// The watchdog itself: owns the rules, the per-condition episode state,
-/// and the emitted events.
-#[derive(Debug, Clone)]
+/// The watchdog itself: owns the per-condition episode state and the
+/// emitted events.
+#[derive(Debug, Clone, Default)]
 pub struct Watchdog {
-    rules: WatchRules,
     events: Vec<HealthEvent>,
     // Episode state (edge triggering).
     last_progress: u64,
@@ -183,27 +164,10 @@ pub struct Watchdog {
     burning: Vec<String>,
 }
 
-impl Default for Watchdog {
-    fn default() -> Self {
-        Watchdog::new(WatchRules::default())
-    }
-}
-
 impl Watchdog {
-    /// New watchdog with the given rules.
-    pub fn new(rules: WatchRules) -> Self {
-        Watchdog {
-            rules,
-            events: Vec::new(),
-            last_progress: 0,
-            stall_ticks: 0,
-            tick_stalled: false,
-            idle_stalled: false,
-            saturated: false,
-            last_evictions: 0,
-            thrashing: false,
-            burning: Vec::new(),
-        }
+    /// New watchdog with no events and no episode open.
+    pub fn new() -> Self {
+        Watchdog::default()
     }
 
     /// Evaluate every tick-based rule against one sample.
@@ -211,7 +175,7 @@ impl Watchdog {
         // Stalled progress: backlog exists but the progress counter froze.
         if s.backlog > 0 && s.progress == self.last_progress {
             self.stall_ticks += 1;
-            if !self.tick_stalled && self.stall_ticks >= self.rules.stall_ticks {
+            if !self.tick_stalled && self.stall_ticks >= STALL_TICKS {
                 self.tick_stalled = true;
                 self.push(
                     HealthKind::Stalled,
@@ -231,7 +195,7 @@ impl Watchdog {
         self.last_progress = s.progress;
 
         // Queue saturation.
-        if s.queue_frac >= self.rules.queue_saturation {
+        if s.queue_frac >= QUEUE_SATURATION {
             if !self.saturated {
                 self.saturated = true;
                 self.push(
@@ -249,7 +213,7 @@ impl Watchdog {
         // Eviction thrash (per-tick delta of a cumulative counter).
         let delta = s.evictions.saturating_sub(self.last_evictions);
         self.last_evictions = s.evictions;
-        if delta >= self.rules.eviction_thrash {
+        if delta >= EVICTION_THRASH {
             if !self.thrashing {
                 self.thrashing = true;
                 self.push(
@@ -267,7 +231,7 @@ impl Watchdog {
         // SLO burn, per subject.
         for &(subject, burn) in s.burn {
             let pos = self.burning.iter().position(|b| b == subject);
-            if burn >= self.rules.slo_burn_limit {
+            if burn >= SLO_BURN_LIMIT {
                 if pos.is_none() {
                     self.burning.push(subject.to_string());
                     self.push(
@@ -286,7 +250,7 @@ impl Watchdog {
 
     /// Engine-loop path: called with the event loop's consecutive idle-poll
     /// count. Raises one `Stalled` event per idle episode once the count
-    /// reaches `stall_idle_polls` — strictly below the engine's own
+    /// reaches `STALL_IDLE_POLLS` (16) — strictly below the engine's own
     /// quiescence-abort threshold, so the diagnosis precedes the abort.
     /// `subject` is rendered only when that event is pushed.
     pub fn observe_idle(&mut self, now: f64, idle_polls: u64, subject: impl std::fmt::Display) {
@@ -294,7 +258,7 @@ impl Watchdog {
             self.idle_stalled = false;
             return;
         }
-        if !self.idle_stalled && idle_polls >= self.rules.stall_idle_polls {
+        if !self.idle_stalled && idle_polls >= STALL_IDLE_POLLS {
             self.idle_stalled = true;
             self.push(
                 HealthKind::Stalled,
@@ -406,8 +370,8 @@ mod tests {
         assert_eq!(stalls.len(), 1);
         // Raised at the rule threshold — well before the deterministic
         // engine's quiescence abort at 64 idle polls.
-        assert_eq!(stalls[0].at, WatchRules::default().stall_idle_polls as f64);
-        assert!(WatchRules::default().stall_idle_polls < 64);
+        assert_eq!(stalls[0].at, STALL_IDLE_POLLS as f64);
+        const { assert!(STALL_IDLE_POLLS < 64) };
         assert_eq!(stalls[0].subject, "rank2");
     }
 

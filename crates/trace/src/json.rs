@@ -36,9 +36,11 @@ impl JsonValue {
         }
     }
 
-    /// Numeric value truncated to u64 (counters, byte counts).
+    /// A count: a whole number in `0..=2^53` (each exact in an `f64`);
+    /// anything else — `-1`, `1.5`, `1e300` — is `None`, never truncated.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().map(|x| x as u64)
+        let x = self.as_f64()?;
+        (x >= 0.0 && x.fract() == 0.0 && x <= (1u64 << 53) as f64).then_some(x as u64)
     }
 
     /// String value, if this is a string.
@@ -534,6 +536,17 @@ mod tests {
         assert_eq!(v.get("list").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(Obj::new().finish(), "{}");
         assert_eq!(Arr::new().finish(), "[]");
+    }
+
+    #[test]
+    fn as_u64_takes_only_exact_counts() {
+        let count = |doc: &str| parse(doc).unwrap().as_u64();
+        assert_eq!(count("0"), Some(0));
+        assert_eq!(count("42"), Some(42));
+        assert_eq!(count("9007199254740992"), Some(1 << 53));
+        for doc in ["-1", "1.5", "-235.7", "9007199254740994", "1e300", "\"7\""] {
+            assert_eq!(count(doc), None, "{doc}");
+        }
     }
 
     #[test]

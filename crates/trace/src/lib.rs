@@ -3,10 +3,6 @@
 //! `ui.perfetto.dev`) for visualizing the fan-out schedule — which tasks
 //! overlapped, where ranks idled, how communication hid behind compute.
 //!
-//! The [`metrics`] module adds serving-layer observability: counters,
-//! latency distributions and amortization figures for the sessions a
-//! `sympack-fleet` serves, exported as JSON in the same zero-dependency style.
-//!
 //! The [`profile`] module turns a span timeline into an analyzable
 //! [`profile::Profile`]: critical path over the executed task DAG, per-rank
 //! wait attribution, P×P communication matrix and queue/memory series —
@@ -17,13 +13,13 @@
 //! The [`telemetry`] module is the *live* counterpart to the post-hoc
 //! profile: a lock-cheap instrument registry (counters / gauges /
 //! log-bucketed histograms) sampled into time-series rings on the virtual
-//! clock, and [`health`] is the rule-based watchdog that turns those
+//! clock, beside the exact-quantile `Histogram` the fleet's serving
+//! documents keep, and [`health`] is the rule-based watchdog that turns those
 //! signals into typed `HealthEvent`s (stalls, queue saturation, eviction
 //! thrash, SLO burn) — the data plane behind `sympack-top`.
 
 pub mod health;
 pub mod json;
-pub mod metrics;
 pub mod profile;
 pub mod telemetry;
 

@@ -540,7 +540,11 @@ impl Profile {
             })
         });
         let comm = doc.obj("comm")?;
-        let counts = |key| comm.read(key, |v| v.as_array()?.iter().map(count).collect());
+        let counts = |key| {
+            comm.read(key, |v| {
+                v.as_array()?.iter().map(JsonValue::as_u64).collect()
+            })
+        };
         let blr = match doc.v.get("blr") {
             Some(_) => doc.items("blr")?,
             None => Vec::new(),
@@ -578,12 +582,6 @@ impl Profile {
     }
 }
 
-/// A count: a non-negative whole number (`as_u64` would truncate -3.5 to 0).
-fn count(v: &JsonValue) -> Option<u64> {
-    let x = v.as_f64().filter(|x| x.fract() == 0.0 && *x >= 0.0)?;
-    Some(x as u64)
-}
-
 /// A JSON object being read, named by its path in the document
 /// (`profile.spans[3]`) so every error says which element it is about.
 struct Fields<'a> {
@@ -616,7 +614,7 @@ impl<'a> Fields<'a> {
     }
 
     fn u64(&self, key: &str) -> Result<u64, String> {
-        self.read(key, count)
+        self.read(key, JsonValue::as_u64)
     }
 
     fn str(&self, key: &str) -> Result<&'a str, String> {
@@ -680,9 +678,9 @@ fn span_from_json(v: &Fields) -> Result<TraceEvent, String> {
         overhead: v.f64("overhead")?,
         ready_at: v.f64("ready")?,
         pred: v.optional("pred", |p| p.as_str().map(str::to_string))?,
-        peer: v.optional("peer", count)?.map(|p| p as usize),
-        bytes: v.optional("bytes", count)?.unwrap_or(0),
-        rtq_depth: v.optional("rtq", count)?.unwrap_or(0) as u32,
+        peer: v.optional("peer", JsonValue::as_u64)?.map(|p| p as usize),
+        bytes: v.optional("bytes", JsonValue::as_u64)?.unwrap_or(0),
+        rtq_depth: v.optional("rtq", JsonValue::as_u64)?.unwrap_or(0) as u32,
     })
 }
 

@@ -29,13 +29,89 @@ use crate::json::{Arr, Obj};
 /// Schema tag stamped on every snapshot document.
 pub const SNAPSHOT_SCHEMA: &str = "sympack-telemetry-v1";
 
+// ----- exact histogram -----
+
+/// A sample distribution with exact quantiles: every sample is kept (a
+/// fleet tenant records thousands of jobs, not millions). The fleet's
+/// serving documents need a p50/p99 that is an observed value, pinned to
+/// the bit by BENCH_fleet.json, which a [`LogHistogram`] bucket cannot
+/// give; it is also the oracle of the log histogram's property tests.
+#[derive(Debug, Default, Clone)]
+pub struct Histogram {
+    samples: Vec<f64>,
+}
+
+impl Histogram {
+    /// New empty distribution.
+    pub fn new() -> Self {
+        Histogram::default()
+    }
+
+    /// Record one sample.
+    pub fn record(&mut self, v: f64) {
+        self.samples.push(v);
+    }
+
+    /// Number of samples.
+    pub fn count(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Mean of the samples (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.samples.is_empty() {
+            0.0
+        } else {
+            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        }
+    }
+
+    /// Largest sample (0 when empty).
+    pub fn max(&self) -> f64 {
+        self.samples.iter().fold(0.0, |a, &b| a.max(b))
+    }
+
+    /// Exact quantile `q ∈ [0, 1]` by nearest-rank on the sorted samples
+    /// (0 when empty).
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.samples.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        let idx = ((q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round()) as usize;
+        sorted[idx]
+    }
+
+    /// Median.
+    pub fn p50(&self) -> f64 {
+        self.quantile(0.50)
+    }
+
+    /// 99th percentile.
+    pub fn p99(&self) -> f64 {
+        self.quantile(0.99)
+    }
+
+    /// JSON object with count/mean/p50/p99/max.
+    pub fn to_json(&self) -> String {
+        Obj::new()
+            .u64("count", self.count() as u64)
+            .f64("mean", self.mean())
+            .f64("p50", self.p50())
+            .f64("p99", self.p99())
+            .f64("max", self.max())
+            .finish()
+    }
+}
+
 // ----- log-bucketed histogram -----
 
 /// A log-bucketed histogram: ~19% relative bucket width (4 sub-buckets per
 /// power of two), sparse storage, mergeable, with exact min/max/sum/count.
 ///
-/// Unlike [`crate::metrics::Histogram`] (which keeps every sample for exact
-/// quantiles in serving-metrics documents), this is the live-plane
+/// Unlike [`Histogram`] (which keeps every sample for exact quantiles in
+/// the fleet's serving documents), this is the live-plane
 /// distribution: constant memory no matter how many samples, and quantiles
 /// by linear interpolation *within* a bucket, clamped to the exact observed
 /// min/max so interpolation can never escape the data range at the bucket
@@ -428,7 +504,7 @@ impl Telemetry {
 
     /// Ingest an externally maintained cumulative total (monotone: the
     /// stored value never decreases).
-    pub fn set_counter_total(&mut self, id: CounterId, total: u64) {
+    fn set_counter_total(&mut self, id: CounterId, total: u64) {
         let slot = &mut self.counters[id.0];
         slot.value = slot.value.max(total);
     }
@@ -928,6 +1004,31 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn histogram_quantiles_on_known_samples() {
+        let mut h = Histogram::new();
+        for v in 1..=100 {
+            h.record(v as f64);
+        }
+        assert_eq!(h.count(), 100);
+        assert_eq!(h.mean(), 50.5);
+        assert_eq!(h.max(), 100.0);
+        assert_eq!(h.p50(), 51.0); // nearest rank on 0-based index 49.5 → 50
+        assert_eq!(h.p99(), 99.0);
+        assert_eq!(h.quantile(0.0), 1.0);
+        assert_eq!(h.quantile(1.0), 100.0);
+    }
+
+    #[test]
+    fn empty_histogram_is_all_zeros() {
+        let h = Histogram::new();
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.p50(), 0.0);
+        assert_eq!(h.p99(), 0.0);
+        assert_eq!(h.max(), 0.0);
+        assert_eq!(h.count(), 0);
+    }
 
     #[test]
     fn log_buckets_contain_their_samples() {

@@ -5,9 +5,8 @@
 //! per-rank time classes summing to the makespan) and round-trip through
 //! the profile JSON codec bit-identically.
 
-use sympack_trace::metrics::Histogram;
 use sympack_trace::profile::{check_invariants, CommMatrix, Profile};
-use sympack_trace::telemetry::{LogHistogram, Telemetry};
+use sympack_trace::telemetry::{Histogram, LogHistogram, Telemetry};
 use sympack_trace::{json, merge, to_chrome_json, SpanKind, TraceCat, TraceEvent};
 
 /// xorshift64* — deterministic, no external crates.

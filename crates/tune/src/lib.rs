@@ -196,7 +196,7 @@ impl KernelProfile {
             let v = cfg_obj
                 .get(name)
                 .and_then(JsonValue::as_u64)
-                .ok_or_else(|| TuneError::Schema(format!("missing config field `{name}`")))?;
+                .ok_or_else(|| TuneError::Schema(format!("config field `{name}`: no count")))?;
             config.set_field(name, v).map_err(TuneError::Schema)?;
         }
         config
@@ -616,6 +616,21 @@ mod tests {
             KernelProfile::from_json(&j),
             Err(TuneError::Schema(_))
         ));
+    }
+
+    #[test]
+    fn a_fractional_config_field_is_not_truncated() {
+        let mc = |v: &str| {
+            let j = sample_profile()
+                .to_json()
+                .replace("\"mc\":64", &format!("\"mc\":{v}"));
+            KernelProfile::from_json(&j).map(|p| p.config.mc)
+        };
+        assert_eq!(mc("96").unwrap(), 96);
+        match mc("96.5") {
+            Err(TuneError::Schema(e)) => assert!(e.contains("`mc`"), "{e}"),
+            other => panic!("expected a schema error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!   to what the server produced on the same workload: its metrics JSON and
 //!   final clock, and its jobs and request spans in the `fleet` corpus
 //!   (`tests/golden/fleet.txt`).
+//! * [`serving_views_agree_with_the_registry`] ties the fleet's report
+//!   views (`tenant_metrics`, `cache_metrics`, the tenants of
+//!   `telemetry_json`) to the registry snapshot inside that document, on a
+//!   mix that evicts, re-materializes, refactorizes and rejects jobs.
 
 mod golden;
 
@@ -29,6 +33,7 @@ use sympack_fleet::{Fleet, FleetConfig};
 use sympack_service::Session;
 use sympack_sparse::gen;
 use sympack_sparse::SparseSym;
+use sympack_trace::json::{self, JsonValue};
 
 fn rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i + 1) as f64 * 0.23).sin()).collect()
@@ -272,4 +277,89 @@ fn one_tenant_fleet_serves_like_the_single_session_server() {
         ],
     );
     assert_eq!(fleet.makespan().to_bits(), SERVER_CLOCK.to_bits());
+}
+
+/// The field `key` of a JSON object.
+fn at<'a>(v: &'a JsonValue, key: &str) -> &'a JsonValue {
+    v.get(key).unwrap_or_else(|| panic!("no field {key}"))
+}
+
+#[test]
+fn serving_views_agree_with_the_registry() {
+    // Two shards, three tenants on one pattern, a byte budget for two
+    // factors: admissions and serves evict and re-materialize. Bursts of
+    // 5 against a queue bound of 4 are partly rejected, and one tenant
+    // refactorizes between rounds.
+    let a = gen::laplacian_2d(8, 8);
+    let n = a.n();
+    let opts = SolverOptions {
+        n_nodes: 1,
+        ranks_per_node: 1,
+        deterministic: true,
+        ..Default::default()
+    };
+    let one = Session::new(&a, &opts).unwrap().factor_bytes();
+    let config = FleetConfig {
+        shards: 2,
+        factor_budget_bytes: 2 * one,
+        max_pending_per_tenant: 4,
+        max_batch: 2,
+        quantum: 2.0,
+    };
+    let names = ["alice", "bob", "carol"];
+    let mut fleet = Fleet::new(&opts, config);
+    let ids: Vec<_> = names
+        .iter()
+        .map(|name| fleet.admit(name, &a, 1.0).unwrap())
+        .collect();
+    let mut rejected = 0;
+    for round in 0..3 {
+        for (i, &id) in ids.iter().enumerate() {
+            for k in 0..(2 + round + i) {
+                let arrival = (round * 10 + k) as f64 * 1e-3;
+                rejected += fleet.submit_at(id, rhs(n), arrival).is_err() as u64;
+            }
+        }
+        if round == 1 {
+            fleet.refactorize(ids[0], &lower_values(&a)).unwrap();
+        }
+        fleet.drain().unwrap();
+    }
+
+    let doc = json::parse(&fleet.telemetry_json()).unwrap();
+    let counters = at(at(&doc, "telemetry"), "counters").as_array().unwrap();
+    let counter = |name: &str, tenant: &str| -> u64 {
+        let labeled = |c: &&JsonValue| {
+            at(c, "name").as_str() == Some(name)
+                && at(at(c, "labels"), "tenant").as_str() == Some(tenant)
+        };
+        let c = counters.iter().find(labeled);
+        c.and_then(|c| at(c, "value").as_u64())
+            .unwrap_or_else(|| panic!("no counter {name}{{tenant={tenant:?}}}"))
+    };
+    let entries = at(&doc, "tenants").as_array().unwrap();
+    let mut evictions = 0;
+    for ((&id, name), entry) in ids.iter().zip(names).zip(entries) {
+        let m = fleet.tenant_metrics(id);
+        let served = counter("sympack_fleet_jobs_served_total", name);
+        let evicted = counter("sympack_fleet_evictions_total", name);
+        assert_eq!(m.jobs_served, served, "{name}: jobs served");
+        assert_eq!(at(entry, "jobs_served").as_u64(), Some(served), "{name}");
+        assert_eq!(fleet.tenant_evictions(id), evicted, "{name}: evictions");
+        assert_eq!(at(entry, "evictions").as_u64(), Some(evicted), "{name}");
+        assert_eq!(m.jobs_submitted, m.jobs_served, "{name}: all drained");
+        evictions += evicted;
+    }
+    let cache = fleet.cache_metrics();
+    assert_eq!(cache.factor_evictions, evictions);
+    let cached = at(at(&doc, "cache"), "factor_evictions").as_u64();
+    assert_eq!(cached, Some(evictions));
+    // The mix took every path the books count.
+    let total = |f: fn(&sympack_fleet::ServiceMetrics) -> u64| -> u64 {
+        ids.iter().map(|&id| f(&fleet.tenant_metrics(id))).sum()
+    };
+    assert!(evictions > 0 && cache.rematerializations > 0, "{cache:?}");
+    assert_eq!(total(|m| m.jobs_rejected), rejected);
+    assert!(rejected > 0);
+    assert!(total(|m| m.refactorizations) > cache.rematerializations);
 }
