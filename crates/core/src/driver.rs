@@ -5,7 +5,6 @@ use crate::plan::FAN_OUT;
 use crate::plan::{factor_numeric, launch, EngineFamily, FactorGraph, SolvePlan, SymbolicPlan};
 use crate::sched::Engine;
 use crate::taskgraph::RtqPolicy;
-use crate::trisolve;
 use crate::SolverError;
 use std::sync::Arc;
 use sympack_gpu::{OffloadThresholds, OomPolicy, OpCounts};
@@ -48,8 +47,10 @@ pub struct SolverOptions {
     pub grid: Option<ProcGrid>,
     /// Iterative-refinement steps after each solve (0 = off, as in the
     /// paper's runs — its PaStiX driver had refinement explicitly disabled).
-    /// Each step gathers the iterate, forms the residual against the
-    /// permuted matrix, and re-runs the distributed triangular solve.
+    /// Each step gathers the iterate, forms every column's residual against
+    /// the permuted matrix, and re-runs the distributed triangular solve —
+    /// in the one-shot driver, a `Session` and a `Fleet` alike; only
+    /// [`crate::plan::solve_panel_distributed`], with no matrix, refuses it.
     pub refine_steps: usize,
     /// Collect a per-task execution timeline (see `sympack-trace`); events
     /// are returned in the report for Chrome-trace export.
@@ -437,28 +438,7 @@ pub fn try_factor_and_solve_with<E: Engine, G: FactorGraph<Key = E::Key>>(
             }
             // Only the first solve's tasks are traced.
             let trace = opts.trace && out.solves.is_empty();
-            let mut s = ctx.solve_rank(rank, &out.store, bp, 1, trace);
-            for _ in 0..opts.refine_steps {
-                if s.error.is_some() || rank.job_aborted() {
-                    break;
-                }
-                // Gather the permuted iterate, form r = b - A·x, solve
-                // the correction and add it in — classical iterative
-                // refinement using the same distributed solve.
-                let t0 = rank.now();
-                let xp = trisolve::allgather_solution(rank, sf, &s.x);
-                let ax = ap.spmv(&xp);
-                let rp: Vec<f64> = bp.iter().zip(&ax).map(|(b, a)| b - a).collect();
-                // Charge the residual SpMV (2 flops per stored entry,
-                // both triangles) to the local clock.
-                rank.advance(2.0 * ap.nnz_full() as f64 / 4.0e9);
-                let d = ctx.solve_rank(rank, &out.store, &rp, 1, false);
-                // Same rank, same plan: the arenas line up one to one.
-                s.x.add(&d.x);
-                s.elapsed += d.elapsed + (rank.now() - t0 - d.elapsed).max(0.0);
-                s.error = d.error;
-            }
-            out.push_solve(s);
+            out.push_solve(ctx.solve_rank(rank, &out.store, Some(&ap), bp, 1, trace));
         }
         out
     });

@@ -30,18 +30,17 @@
 //!   fetch path), attaches the engine-level observers and drives the one
 //!   factor loop ([`sched::run_to_completion`]).
 //! * `RankCtx::solve_rank` — the distributed triangular solve of one rank
-//!   ([`trisolve::solve_panel`]).
+//!   ([`trisolve::solve_panel`]) and the one iterative-refinement loop.
 //! * `RankOut` / `assemble` — the one per-rank result and the one
 //!   cross-rank assembler (pieces → permuted panels, first error in rank
 //!   order, task-count sums, timeline merge, telemetry report).
 //!
-//! [`factor_numeric`] is `launch(factor_rank)`; [`solve_panel_distributed`]
-//! is `launch(solve_rank)`, both fan-out only; the one-shot
+//! [`factor_numeric`] is `launch(factor_rank)`; [`solve_panel_with`] is
+//! `launch(solve_rank)`, both fan-out only; the one-shot
 //! [`crate::driver::try_factor_and_solve_with`] is one `launch` whose body is
-//! `factor_rank` followed by a `solve_rank` per right-hand side (plus
-//! refinement) — it keeps a *single* region so the ranks' virtual clocks run
-//! on from factorization into the solves — and `sympack-service` sessions
-//! sit on the first two.
+//! `factor_rank` followed by a `solve_rank` per right-hand side — it keeps a
+//! *single* region so the ranks' virtual clocks run on from factorization
+//! into the solves — and `sympack-service` sessions sit on the first two.
 
 use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
@@ -58,7 +57,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack_gpu::{BlrCounters, KernelEngine, OpCounts};
-use sympack_ordering::{compute_ordering, compute_ordering_on, OrderingKind, FORK_MIN};
+use sympack_ordering::{compute_ordering_on, OrderingKind, FORK_MIN};
 use sympack_pgas::{PgasConfig, Rank, RunReport, Runtime, StatsSnapshot};
 use sympack_sparse::{SparseSym, SymPattern};
 use sympack_symbolic::{analyze_timed, AnalyzePhases, Lap, SymbolicFactor};
@@ -325,18 +324,17 @@ impl<G: FactorGraph> SymbolicPlan<G> {
         let grid = effective_grid(opts);
         let n_ranks = grid.n_procs();
         let workers = analysis_workers(a, n_ranks);
-        let (pattern, key, a_pattern, sf, symbolic);
-        let (pattern_hash_ms, ordering_ms, hash_beside_ms);
-        if workers > 1 {
-            a_pattern = a.pattern().clone();
-            // This thread's share of the hash row: the copy, the spawn, the
-            // join and the key.
-            let mut own_ms = lap.ms();
-            let ordering = compute_ordering_on(a, opts.ordering, workers);
-            ordering_ms = lap.ms();
-            // The hash runs beside the symbolic analysis, timed on its own
-            // thread; what the plan keeps is still allocated on this one.
-            ((pattern, hash_beside_ms), (sf, symbolic)) = std::thread::scope(|s| {
+        let a_pattern = a.pattern().clone();
+        // This thread's share of the hash row: the copy, the hash or its
+        // thread's spawn and join, and the key.
+        let mut own_ms = lap.ms();
+        let ordering = compute_ordering_on(a, opts.ordering, workers);
+        let ordering_ms = lap.ms();
+        // With a second worker the hash runs beside the symbolic analysis,
+        // timed on its own thread; what the plan keeps is still allocated
+        // on this one. On one worker it runs here, and nothing is spawned.
+        let ((pattern, hash_beside_ms), (sf, symbolic)) = if workers > 1 {
+            std::thread::scope(|s| {
                 let hash = s.spawn(|| {
                     let mut lap = Lap::start();
                     (pattern_hash(a), lap.ms())
@@ -345,20 +343,16 @@ impl<G: FactorGraph> SymbolicPlan<G> {
                 let analyzed = analyze_timed(a, &ordering, &opts.analyze);
                 lap.ms();
                 (hash.join().expect("pattern_hash panicked"), analyzed)
-            });
-            key = plan_cache_key(pattern, opts);
-            pattern_hash_ms = hash_beside_ms + own_ms + lap.ms();
+            })
         } else {
-            pattern = pattern_hash(a);
-            key = plan_cache_key(pattern, opts);
-            a_pattern = a.pattern().clone();
-            pattern_hash_ms = lap.ms();
-            let ordering = compute_ordering(a, opts.ordering);
-            ordering_ms = lap.ms();
-            (sf, symbolic) = analyze_timed(a, &ordering, &opts.analyze);
+            let hash = (pattern_hash(a), 0.0);
+            own_ms += lap.ms();
+            let analyzed = analyze_timed(a, &ordering, &opts.analyze);
             lap.ms();
-            hash_beside_ms = 0.0;
-        }
+            (hash, analyzed)
+        };
+        let key = plan_cache_key(pattern, opts);
+        let pattern_hash_ms = hash_beside_ms + own_ms + lap.ms();
         let sf = Arc::new(sf);
         let tasks = (0..n_ranks)
             .map(|r| Arc::new(G::compile(&sf, &grid, r)))
@@ -484,18 +478,20 @@ impl<G> SolvePlan<G> {
     }
 
     /// [`SolverOptions::validate`], plus: the options' rank count is the one
-    /// the symbolic plan sliced its task graphs for.
+    /// the symbolic plan sliced its task graphs for, and their analysis and
+    /// layout (ordering, amalgamation, rank layout, grid shape) the ones it
+    /// was built under — its [`plan_cache_key`].
     fn validate(&self) -> Result<(), SolverError> {
         self.opts.validate()?;
-        if self.n_ranks() != self.symbolic.n_ranks() {
-            return Err(SolverError::InvalidOptions {
-                field: "ranks_per_node",
-                detail: format!(
-                    "{} ranks requested, but the symbolic plan was built for {}",
-                    self.n_ranks(),
-                    self.symbolic.n_ranks()
-                ),
-            });
+        let invalid = |field, detail| Err(SolverError::InvalidOptions { field, detail });
+        let (want, built) = (self.n_ranks(), self.symbolic.n_ranks());
+        if want != built {
+            let detail = format!("{want} ranks requested, the symbolic plan was built for {built}");
+            return invalid("ranks_per_node", detail);
+        }
+        if plan_cache_key(self.pattern(), &self.opts) != self.symbolic.key {
+            let detail = "the symbolic plan was built under other analysis or layout options";
+            return invalid("ordering, analyze or grid", detail.to_string());
         }
         Ok(())
     }
@@ -831,31 +827,53 @@ impl<E: Engine, G: FactorGraph<Key = E::Key>> RankCtx<'_, E, G> {
     }
 
     /// Solve one permuted `n × nrhs` panel `bp` against this rank's factor
-    /// blocks — the one solve body, paying the family's message overhead.
+    /// blocks — the one solve body, paying the family's message overhead —
+    /// then, given the permuted matrix `ap`, run the one refinement loop:
+    /// [`SolverOptions::refine_steps`] times gather the iterate, form every
+    /// column's residual `b − A·x`, solve the correction and add it in.
     pub(crate) fn solve_rank(
         &self,
         rank: &mut RankOf<E>,
         store: &BlockStore,
+        ap: Option<&SparseSym>,
         bp: &[f64],
         nrhs: usize,
         trace: bool,
     ) -> trisolve::SolveOutcome {
-        let params = trisolve::SolveParams {
-            policy: self.plan.opts.rtq_policy,
-            msg_overhead: self.family.rendezvous,
-            trace,
+        let (symbolic, kernels) = (&self.plan.symbolic, &self.kernels);
+        let solve = |rank: &mut RankOf<E>, bp: &[f64], trace| {
+            let params = trisolve::SolveParams {
+                policy: self.plan.opts.rtq_policy,
+                msg_overhead: self.family.rendezvous,
+                trace,
+            };
+            let (sf, tasks) = (&symbolic.sf, &symbolic.solve_tasks[rank.id()]);
+            let (sf, tasks) = (Arc::clone(sf), Arc::clone(tasks));
+            trisolve::solve_panel(rank, sf, tasks, store, bp, nrhs, kernels.clone(), &params)
         };
-        let symbolic = &self.plan.symbolic;
-        trisolve::solve_panel(
-            rank,
-            Arc::clone(&symbolic.sf),
-            Arc::clone(&symbolic.solve_tasks[rank.id()]),
-            store,
-            bp,
-            nrhs,
-            self.kernels.clone(),
-            &params,
-        )
+        let mut s = solve(rank, bp, trace);
+        let Some(ap) = ap else { return s };
+        for _ in 0..self.plan.opts.refine_steps {
+            if s.error.is_some() || rank.job_aborted() {
+                break;
+            }
+            let t0 = rank.now();
+            let xp = trisolve::allgather_solution(rank, &symbolic.sf, &s.x);
+            let (n, mut rp) = (ap.n(), Vec::with_capacity(bp.len()));
+            for c in 0..nrhs {
+                let ax = ap.spmv(&xp[c * n..][..n]);
+                rp.extend(bp[c * n..][..n].iter().zip(ax).map(|(b, a)| b - a));
+            }
+            // Charge the residual SpMVs (2 flops per stored entry, both
+            // triangles, per column) to the local clock.
+            rank.advance(2.0 * ap.nnz_full() as f64 * nrhs as f64 / 4.0e9);
+            let d = solve(rank, &rp, false);
+            // Same rank, same plan: the arenas line up one to one.
+            s.x.add(&d.x);
+            s.elapsed += d.elapsed + (rank.now() - t0 - d.elapsed).max(0.0);
+            s.error = d.error;
+        }
+        s
     }
 }
 
@@ -968,27 +986,38 @@ pub struct PanelSolve {
 /// Run one distributed triangular panel solve against retained factor
 /// stores. `bp` is the full permuted `n × nrhs` right-hand-side panel,
 /// column-major; `stores[r]` is rank `r`'s slice of the factor (from
-/// [`factor_numeric`]).
+/// [`factor_numeric`]). Given `ap`, the permuted matrix the stores factor,
+/// every column is refined [`SolverOptions::refine_steps`] times against it.
 ///
 /// # Errors
 /// [`SolverError::ShapeMismatch`] when `nrhs` is zero, `bp` is not
 /// `n × nrhs` or `stores` does not hold one store per rank;
-/// [`SolverError::InvalidOptions`] as for [`factor_numeric`]; the solve's
-/// diagnosed failure modes under fault injection ([`SolverError::Stalled`],
+/// [`SolverError::InvalidOptions`] as for [`factor_numeric`], and for
+/// `refine_steps > 0` without `ap`; the solve's diagnosed failure modes
+/// under fault injection ([`SolverError::Stalled`],
 /// [`SolverError::FetchTimeout`]).
-pub fn solve_panel_distributed(
+pub fn solve_panel_with(
     plan: &SolvePlan,
     stores: &[BlockStore],
+    ap: Option<&SparseSym>,
     bp: &[f64],
     nrhs: usize,
 ) -> Result<PanelSolve, SolverError> {
+    if ap.is_none() && plan.opts.refine_steps > 0 {
+        let detail = "no matrix to refine against".to_string();
+        return Err(SolverError::InvalidOptions {
+            field: "refine_steps",
+            detail,
+        });
+    }
     let (n, p) = (plan.sf().n(), plan.n_ranks());
     SolverError::check_shape("right-hand sides (at least)", 1, nrhs.min(1))?;
     SolverError::check_shape("factor stores", p, stores.len())?;
     SolverError::check_shape("rhs panel entries", n * nrhs, bp.len())?;
     let (run, _telemetry) = launch(plan, &FAN_OUT, nrhs, |rank, ctx| {
         let mut out = RankOut::default();
-        out.push_solve(ctx.solve_rank(rank, &stores[rank.id()], bp, nrhs, plan.opts.trace));
+        let store = &stores[rank.id()];
+        out.push_solve(ctx.solve_rank(rank, store, ap, bp, nrhs, plan.opts.trace));
         out
     });
     run.map(|mut a| {
@@ -1000,6 +1029,19 @@ pub fn solve_panel_distributed(
             trace,
         }
     })
+}
+
+/// [`solve_panel_with`] without a matrix, so it refuses `refine_steps > 0`.
+///
+/// # Errors
+/// As [`solve_panel_with`].
+pub fn solve_panel_distributed(
+    plan: &SolvePlan,
+    stores: &[BlockStore],
+    bp: &[f64],
+    nrhs: usize,
+) -> Result<PanelSolve, SolverError> {
+    solve_panel_with(plan, stores, None, bp, nrhs)
 }
 
 #[cfg(test)]
@@ -1177,7 +1219,7 @@ mod tests {
                     kernels: make_kernels(&opts),
                     abort: &Arc::new(AtomicBool::new(false)),
                 };
-                let solve = ctx.solve_rank(rank, &stores[rank.id()], &bp, nrhs, false);
+                let solve = ctx.solve_rank(rank, &stores[rank.id()], None, &bp, nrhs, false);
                 (solve.error, solve.x.pieces().count())
             });
             for (rank, result) in run.results.into_iter().enumerate() {

@@ -139,7 +139,7 @@ pub enum Msg<Mt> {
     Frame(Vec<Signal<Mt>>),
     /// A solve message, and the rendezvous its receiver pays on delivery.
     Solve(SolveMsg, f64),
-    /// An all-gather piece: its first (permuted) row and its values.
+    /// An all-gather piece: its first (permuted) row and its `w × nrhs` values.
     Piece(usize, Arc<[f64]>),
     /// The abort broadcast: it changes nothing at its receiver — the
     /// job-wide flag ([`Rank::signal_abort`]) ends every loop — and is sent

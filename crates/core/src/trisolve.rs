@@ -619,20 +619,23 @@ pub fn solve_panel<M: Meta>(
     }
 }
 
-/// All-gather the distributed per-supernode solution pieces (single
-/// right-hand side) so every rank holds the full permuted vector (used by
-/// iterative refinement to form the residual). Messages ([`Msg::Piece`])
+/// All-gather the distributed per-supernode solution pieces so every rank
+/// holds the full permuted `n × nrhs` panel, column-major (used by
+/// iterative refinement to form the residuals). Messages ([`Msg::Piece`])
 /// carry their payloads, sent in supernode × destination order, one shared
-/// payload per piece; the result is identical on every rank.
+/// `w × nrhs` payload per piece; the result is identical on every rank.
 pub fn allgather_solution<M: Meta>(
     rank: &mut Rank<Msg<M>>,
     sf: &SymbolicFactor,
     x: &XArena,
 ) -> Vec<f64> {
     // The permuted solution, and how many of its pieces are in.
-    let mut gathered = (vec![0.0; sf.n()], 0);
+    let (n, nrhs) = (sf.n(), x.nrhs);
+    let mut gathered = (vec![0.0; n * nrhs], 0);
     let put = |(xp, got): &mut (Vec<f64>, usize), first: usize, piece: &[f64]| {
-        xp[first..first + piece.len()].copy_from_slice(piece);
+        for (c, col) in piece.chunks_exact(piece.len() / nrhs).enumerate() {
+            xp[c * n + first..][..col.len()].copy_from_slice(col);
+        }
         *got += 1;
     };
     let (me, n_ranks, ns) = (rank.id(), rank.n_ranks(), sf.n_supernodes());

@@ -332,7 +332,7 @@ impl Fleet {
     /// [`FleetError::InvalidConfig`] for a zero `shards` or `max_batch`, a
     /// `quantum` or `weight` that is not positive (NaN included), and
     /// [`SolverError::InvalidOptions`] (wrapped in [`FleetError::Solver`])
-    /// for fleet options [`Session::validate_options`] rejects — all before
+    /// for fleet options [`SolverOptions::validate`] rejects — all before
     /// any plan is looked up or built; [`FleetError::DuplicateTenant`] on a
     /// name collision; otherwise the factorization failure modes wrapped in
     /// [`FleetError::Solver`].
@@ -353,7 +353,7 @@ impl Fleet {
                 return Err(FleetError::InvalidConfig { field });
             }
         }
-        Session::validate_options(&self.opts)?;
+        self.opts.validate()?;
         if self.tenants.iter().any(|t| t.name == name) {
             return Err(FleetError::DuplicateTenant {
                 tenant: name.to_string(),

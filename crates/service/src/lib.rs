@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sympack::plan::{factor_numeric, solve_panel_distributed};
+use sympack::plan::{factor_numeric, solve_panel_with};
 use sympack::storage::BlockStore;
 use sympack::{SolvePlan, SolverError, SolverOptions, SymbolicPlan};
 use sympack_sparse::SparseSym;
@@ -130,33 +130,16 @@ fn collect_values(a: &SparseSym) -> Vec<f64> {
 }
 
 impl Session {
-    /// Check the options a session is built under: what
-    /// [`SolverOptions::validate`] checks, and `refine_steps == 0`, because
-    /// a session's solves do not refine.
-    ///
-    /// # Errors
-    /// [`SolverError::InvalidOptions`] naming the offending field.
-    pub fn validate_options(opts: &SolverOptions) -> Result<(), SolverError> {
-        opts.validate()?;
-        if opts.refine_steps > 0 {
-            return Err(SolverError::InvalidOptions {
-                field: "refine_steps",
-                detail: format!("{} requested; a session does not refine", opts.refine_steps),
-            });
-        }
-        Ok(())
-    }
-
     /// Analyze `a`, build per-rank task graphs and run the first numeric
     /// factorization — the fresh-analysis (plan-cache miss) path.
     ///
     /// # Errors
     /// [`SolverError::InvalidOptions`] for options
-    /// [`Session::validate_options`] rejects; any factorization failure
+    /// [`SolverOptions::validate`] rejects; any factorization failure
     /// ([`SolverError::NotPositiveDefinite`], device OOM under the Abort
     /// policy, fault-injection diagnoses).
     pub fn new(a: &SparseSym, opts: &SolverOptions) -> Result<Session, SolverError> {
-        Session::validate_options(opts)?;
+        opts.validate()?;
         let t0 = Instant::now();
         let plan = SolvePlan::new(a, opts);
         let analyze_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -173,15 +156,15 @@ impl Session {
     /// [`SolverError::PatternMismatch`] when `a`'s structure differs from
     /// the pattern `symbolic` was analyzed for;
     /// [`SolverError::InvalidOptions`] for options
-    /// [`Session::validate_options`] rejects (checked first) or a rank
-    /// layout other than the one `symbolic` was built for; otherwise the
-    /// factorization failure modes.
+    /// [`SolverOptions::validate`] rejects (checked first) or analysis and
+    /// layout options other than the ones `symbolic` was built under;
+    /// otherwise the factorization failure modes.
     pub fn with_plan(
         a: &SparseSym,
         symbolic: Arc<SymbolicPlan>,
         opts: &SolverOptions,
     ) -> Result<Session, SolverError> {
-        Session::validate_options(opts)?;
+        opts.validate()?;
         if !symbolic.matches(a) {
             return Err(SolverError::PatternMismatch {
                 expected_nnz: symbolic.pattern_nnz(),
@@ -335,8 +318,9 @@ impl Session {
 
     /// Solve every right-hand side in `panels` with one distributed panel
     /// triangular solve and return the solution panels in the same shapes.
-    /// Returns the coalesced solve's virtual makespan; an empty batch is a
-    /// no-op with zero cost.
+    /// Under [`SolverOptions::refine_steps`] every column is refined against
+    /// the matrix rebuilt from the retained values. Returns the coalesced
+    /// solve's virtual makespan; an empty batch is a no-op with zero cost.
     ///
     /// # Errors
     /// [`SolverError::ShapeMismatch`] when a panel's row count differs from
@@ -367,7 +351,9 @@ impl Session {
                 k += 1;
             }
         }
-        let ps = solve_panel_distributed(&self.plan, stores, &bp, total)?;
+        let values = (self.plan.opts.refine_steps > 0).then_some(&self.values);
+        let ap = values.map(|v| self.plan.permute(&self.plan.symbolic.matrix_from_values(v)));
+        let ps = solve_panel_with(&self.plan, stores, ap.as_ref(), &bp, total)?;
         let mut out = Vec::with_capacity(panels.len());
         let mut k = 0;
         for p in panels {
@@ -432,8 +418,10 @@ impl Session {
                 detail: "value array length does not match the analyzed pattern".to_string(),
             });
         }
-        let a = self.plan.symbolic.matrix_from_values(values);
-        self.refactor_with(&a)
+        let factor_time = self.factor(&self.plan.symbolic.matrix_from_values(values))?;
+        self.values.copy_from_slice(values);
+        self.refactorizations += 1;
+        Ok(factor_time)
     }
 
     /// Numeric re-factorization from a full matrix, which must have exactly
@@ -451,10 +439,6 @@ impl Session {
                 detail: "matrix structure differs from the analyzed pattern".to_string(),
             });
         }
-        self.refactor_with(a)
-    }
-
-    fn refactor_with(&mut self, a: &SparseSym) -> Result<f64, SolverError> {
         let factor_time = self.factor(a)?;
         self.values = collect_values(a);
         self.refactorizations += 1;

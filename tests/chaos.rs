@@ -25,6 +25,9 @@
 //! subtree, both of which must surface as a diagnosed stall, never a hang
 //! or a wrong answer.
 //!
+//! A refining session (block-low-rank factor, two refinement steps) runs
+//! the same plans through `Session::new` and `solve_batch`.
+//!
 //! A failing case panics with a one-line repro command of the form
 //! `CHAOS_SEED=<n> CHAOS_PLAN=<p> CHAOS_ENGINE=<e> CHAOS_RANKS=<r>
 //! CHAOS_TOPO=<t> cargo test -p sympack-integration --test chaos -- repro
@@ -40,7 +43,7 @@ use sympack_baseline::{
 };
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_pgas::FaultPlan;
-use sympack_service::Session;
+use sympack_service::{RhsPanel, Session};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
 
@@ -526,6 +529,52 @@ fn blr_mode_under_faults_stays_accurate_and_never_hangs() {
                         &format!("{plan} plan must complete or diagnose, got {e}"),
                     ),
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn refining_sessions_under_faults_complete_or_diagnose() {
+    // A session's refinement all-gathers its iterate and re-runs the panel
+    // solve, all under the fault plan: lossless plans must serve the
+    // refined answer, drop plans that or a diagnosed failure — no hang, no
+    // panic, no silently wrong answer.
+    let budget = seed_budget();
+    let a = gen::bone_like(6, 6, 5);
+    let bs: Vec<Vec<f64>> = (0..2)
+        .map(|k| test_rhs(a.n()).iter().map(|v| v * (k + 1) as f64).collect())
+        .collect();
+    let panel = [RhsPanel::from_columns(&bs)];
+    for plan in ["delays", "dup", "drops"] {
+        for seed in 0..budget {
+            let opts = SolverOptions {
+                n_nodes: 1,
+                ranks_per_node: 2,
+                faults: plan_of(plan, seed),
+                deterministic: true,
+                refine_steps: 2,
+                blr: sympack::BlrConfig {
+                    tol: 1e-6,
+                    min_block: 8,
+                    max_rank: usize::MAX,
+                },
+                ..Default::default()
+            };
+            let served = Session::new(&a, &opts).and_then(|s| s.solve_batch(&panel));
+            match served {
+                Ok(out) => {
+                    for (k, b) in bs.iter().enumerate() {
+                        let res = a.relative_residual(out.panels[0].column(k), b);
+                        assert!(
+                            res < RESIDUAL_TOL,
+                            "{plan}/seed={seed} rhs {k}: refined session residual {res}"
+                        );
+                    }
+                }
+                Err(SolverError::Stalled { .. } | SolverError::FetchTimeout { .. })
+                    if plan == "drops" => {}
+                Err(e) => panic!("{plan}/seed={seed}: must complete or diagnose, got {e}"),
             }
         }
     }

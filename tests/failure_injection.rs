@@ -302,48 +302,70 @@ fn fleet_admission_under_invalid_options_is_a_typed_error() {
 }
 
 #[test]
-fn sessions_and_fleets_reject_refinement_they_would_not_run() {
-    // A session's solves never refine, so `refine_steps > 0` used to be
-    // accepted and silently ignored. All three constructors reject it
-    // before a plan is built.
+fn a_panel_solve_without_the_matrix_refuses_refinement() {
+    // Sessions and fleets refine against the matrix they retain; the bare
+    // plan-layer panel solve has none, so it refuses the option rather
+    // than ignore it.
     let a = gen::laplacian_2d(6, 6);
     let opts = SolverOptions {
-        refine_steps: 2,
+        n_nodes: 1,
+        ranks_per_node: 2,
+        deterministic: true,
         ..Default::default()
     };
-    let refine = |e: &_| {
-        matches!(
-            e,
-            SolverError::InvalidOptions {
-                field: "refine_steps",
-                ..
-            }
-        )
+    let plan = SolvePlan::new(&a, &opts);
+    let nf = factor_numeric(&plan, &Arc::new(plan.permute(&a))).expect("factor");
+    let refining = SolvePlan {
+        opts: SolverOptions {
+            refine_steps: 2,
+            ..opts
+        },
+        ..plan
     };
-    match Session::new(&a, &opts) {
-        Err(e) if refine(&e) => {}
-        other => panic!(
-            "Session::new: expected InvalidOptions, got {:?}",
-            other.map(drop)
-        ),
+    let bp = refining.sf().perm.apply_vec(&test_rhs(a.n()));
+    match solve_panel_distributed(&refining, &nf.stores, &bp, 1) {
+        Err(SolverError::InvalidOptions {
+            field: "refine_steps",
+            ..
+        }) => {}
+        other => panic!("expected InvalidOptions, got {:?}", other.map(drop)),
     }
-    let plan = Session::new(&a, &SolverOptions::default())
-        .expect("default options serve")
-        .symbolic_plan();
-    match Session::with_plan(&a, plan, &opts) {
-        Err(e) if refine(&e) => {}
-        other => panic!(
-            "Session::with_plan: expected InvalidOptions, got {:?}",
-            other.map(drop)
-        ),
+}
+
+#[test]
+fn a_plan_refuses_options_it_was_not_built_under() {
+    // Same rank count, other analysis or grid: the plan's ordering and
+    // block map would run while the options claim another.
+    let a = gen::laplacian_2d(8, 8);
+    let base = SolverOptions {
+        n_nodes: 1,
+        ranks_per_node: 4,
+        deterministic: true,
+        ..Default::default()
+    };
+    let symbolic = SolvePlan::new(&a, &base).symbolic;
+    let ap = Arc::new(SolvePlan::from_symbolic(Arc::clone(&symbolic), &base).permute(&a));
+    let rcm = SolverOptions {
+        ordering: sympack_ordering::OrderingKind::Rcm,
+        ..base.clone()
+    };
+    let one_row = SolverOptions {
+        grid: Some(ProcGrid::one_dimensional(4)),
+        ..base.clone()
+    };
+    for (what, opts) in [("ordering", rcm), ("grid", one_row)] {
+        let rejected = |entry: &str, r: Result<(), SolverError>| match r {
+            Err(SolverError::InvalidOptions {
+                field: "ordering, analyze or grid",
+                ..
+            }) => {}
+            other => panic!("{what} through {entry}: expected InvalidOptions, got {other:?}"),
+        };
+        let plan = SolvePlan::from_symbolic(Arc::clone(&symbolic), &opts);
+        rejected("factor_numeric", factor_numeric(&plan, &ap).map(drop));
+        let session = Session::with_plan(&a, Arc::clone(&symbolic), &opts);
+        rejected("Session::with_plan", session.map(drop));
     }
-    let mut fleet = Fleet::new(&opts, FleetConfig::default());
-    match fleet.admit("t", &a, 1.0) {
-        Err(FleetError::Solver(e)) if refine(&e) => {}
-        other => panic!("Fleet::admit: expected InvalidOptions, got {other:?}"),
-    }
-    let cache = fleet.cache_metrics();
-    assert_eq!((cache.plan_hits, cache.plan_misses), (0, 0));
 }
 
 #[test]

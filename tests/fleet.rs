@@ -22,6 +22,9 @@
 //!   views (`tenant_metrics`, `cache_metrics`, the tenants of
 //!   `telemetry_json`) to the registry snapshot inside that document, on a
 //!   mix that evicts, re-materializes, refactorizes and rejects jobs.
+//! * [`a_refining_blr_tenant_serves_full_accuracy`] serves a block-low-rank
+//!   tenant whose options ask for refinement: its jobs come back to full
+//!   accuracy, which the same tenant without refinement does not reach.
 
 mod golden;
 
@@ -362,4 +365,42 @@ fn serving_views_agree_with_the_registry() {
     assert_eq!(total(|m| m.jobs_rejected), rejected);
     assert!(rejected > 0);
     assert!(total(|m| m.refactorizations) > cache.rematerializations);
+}
+
+#[test]
+fn a_refining_blr_tenant_serves_full_accuracy() {
+    let a = gen::bone_like(6, 6, 5);
+    let n = a.n();
+    let worst_residual = |refine_steps| {
+        let opts = SolverOptions {
+            n_nodes: 1,
+            ranks_per_node: 2,
+            deterministic: true,
+            refine_steps,
+            blr: sympack::BlrConfig {
+                tol: 1e-6,
+                min_block: 8,
+                max_rank: usize::MAX,
+            },
+            ..Default::default()
+        };
+        let mut fleet = Fleet::new(&opts, FleetConfig::default());
+        let t = fleet
+            .admit("blr", &a, 1.0)
+            .unwrap_or_else(|e| panic!("refine_steps = {refine_steps}: admit: {e}"));
+        let bs: Vec<Vec<f64>> = (0..3)
+            .map(|k| rhs(n).iter().map(|v| v + k as f64).collect())
+            .collect();
+        for (k, b) in bs.iter().enumerate() {
+            fleet.submit_at(t, b.clone(), k as f64 * 0.01).unwrap();
+        }
+        let done = fleet.drain().unwrap();
+        assert_eq!(done.len(), bs.len(), "refine_steps = {refine_steps}");
+        done.iter()
+            .map(|c| a.relative_residual(&c.x, &c.rhs))
+            .fold(0.0, f64::max)
+    };
+    let (plain, refined) = (worst_residual(0), worst_residual(2));
+    assert!(refined <= 1e-10, "refined tenant: residual {refined}");
+    assert!(plain > 1e-10, "unrefined tenant: residual {plain}");
 }

@@ -19,7 +19,10 @@
 //! * [`one_shot_plan_path_and_session_agree_bit_for_bit`] pins the three
 //!   entry points to one another: the one-shot driver, the plan layer
 //!   (`factor_numeric` + `solve_panel_distributed`) and `Session` produce
-//!   the same factor bits and the same virtual factor makespan.
+//!   the same factor bits and the same virtual factor makespan, and a
+//!   refining session the one-shot's refined solution.
+//! * [`refinement_improves_every_column_of_a_panel`] refines a 16-column
+//!   `solve_batch` over a block-low-rank factor column by column.
 
 use std::sync::Arc;
 use sympack::plan::{factor_numeric, solve_panel_distributed};
@@ -315,7 +318,58 @@ fn one_shot_plan_path_and_session_agree_bit_for_bit() {
         } else {
             assert!(max_abs_diff(&x_plan, &one.x) < 1e-12, "P={p}");
         }
+
+        // Refinement runs the same step on both paths: the session against
+        // the matrix rebuilt from its retained values.
+        let refined = SolverOptions {
+            refine_steps: 2,
+            ..opts
+        };
+        let one = SymPack::try_factor_and_solve(&a, &b, &refined).expect("refined one-shot");
+        let session = Session::new(&a, &refined).expect("refining session");
+        let x_session = session.solve(&b).expect("refined session solve");
+        if p == 1 {
+            assert_eq!(x_session, one.x, "P=1: refined Session vs one-shot");
+        } else {
+            let diff = max_abs_diff(&x_session, &one.x);
+            assert!(diff < 1e-12, "P={p}: refined Session vs one-shot: {diff}");
+        }
     }
+}
+
+#[test]
+fn refinement_improves_every_column_of_a_panel() {
+    // A block-low-rank factor solves to O(tol); two refinement steps take
+    // every column of one 16-column batch further, each on its own
+    // residual.
+    let a = gen::bone_like(6, 6, 5);
+    let bs = rhs_columns(a.n(), 16);
+    let panel = [RhsPanel::from_columns(&bs)];
+    let residuals = |refine_steps| {
+        let opts = SolverOptions {
+            n_nodes: 1,
+            ranks_per_node: 2,
+            deterministic: true,
+            refine_steps,
+            blr: sympack::BlrConfig {
+                tol: 1e-6,
+                min_block: 8,
+                max_rank: usize::MAX,
+            },
+            ..Default::default()
+        };
+        let session = Session::new(&a, &opts).expect("BLR session");
+        let out = session.solve_batch(&panel).expect("16-column batch");
+        let x = &out.panels[0];
+        let column = |k: usize| a.relative_residual(x.column(k), &bs[k]);
+        (0..16).map(column).collect::<Vec<f64>>()
+    };
+    let (plain, refined) = (residuals(0), residuals(2));
+    for (k, (r0, r2)) in plain.iter().zip(&refined).enumerate() {
+        assert!(r2 <= r0, "column {k}: refined {r2} > unrefined {r0}");
+    }
+    assert!(plain.iter().all(|&r| r > 1e-10), "unrefined: {plain:?}");
+    assert!(refined.iter().all(|&r| r <= 1e-10), "refined: {refined:?}");
 }
 
 /// At P = 2 every block that crossed ranks is stored *shared* (frozen at
