@@ -81,9 +81,6 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     /// allocations instead of growing and dropping one per step.
     spare_inbox: Vec<S>,
     done: usize,
-    /// Executed tasks per kind (schedule-invariant; checked by tests). An
-    /// engine has a handful of kinds, so a scanned array beats a map.
-    counts: Vec<(&'static str, u64)>,
     /// Fixed overhead charged to the virtual clock per executed task — the
     /// classical-runtime tax the right-looking baseline models (zero for
     /// the fan-out engine).
@@ -141,7 +138,6 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
             inbox: Vec::new(),
             spare_inbox: Vec::new(),
             done: 0,
-            counts: Vec::new(),
             task_overhead: 0.0,
             error: None,
             abort,
@@ -233,13 +229,33 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// bytes gauges sampled at this task boundary. `key` is the picked
     /// task's.
     pub fn charge<M>(&mut self, rank: &mut Rank<M>, key: K, secs: f64) {
+        let total = secs + self.task_overhead;
+        rank.advance(total);
+        self.record(rank, key, total, (secs, self.task_overhead));
+    }
+
+    /// Close the picked task `key`, which charged its `kernel` seconds to
+    /// the clock itself, in parts, since `start` (the solve's block groups,
+    /// whose blocks each charge where their messages leave): charge the
+    /// per-task overhead and record one span from `start` to now, as
+    /// [`charge`](Self::charge) does. What the span holds beyond its
+    /// kernels — the sends between the parts, the per-task overhead — is
+    /// its overhead.
+    pub fn charge_since<M>(&mut self, rank: &mut Rank<M>, key: K, start: f64, kernel: f64) {
+        rank.advance(self.task_overhead);
+        let total = rank.now() - start;
+        self.record(rank, key, total, (kernel, (total - kernel).max(0.0)));
+    }
+
+    /// The telemetry sample and the exec span of the picked task `key`,
+    /// which ran the last `total` seconds: `kernel` of them in kernels,
+    /// `overhead` in the runtime.
+    fn record<M>(&mut self, rank: &Rank<M>, key: K, total: f64, (kernel, overhead): (f64, f64)) {
         let picked = self.picked as usize;
         debug_assert_eq!(
             self.keys[picked], key,
             "charged a task other than the picked one"
         );
-        let total = secs + self.task_overhead;
-        rank.advance(total);
         if let Some(tel) = &mut self.telemetry {
             let end = rank.now();
             // Dep-wait: how long this task sat ready before starting.
@@ -262,8 +278,8 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
                 kind: SpanKind::Exec,
                 start: end - total,
                 dur: total,
-                kernel: secs,
-                overhead: self.task_overhead,
+                kernel,
+                overhead,
                 ready_at: self.picked_ready,
                 pred: self.pred.get(picked).cloned().flatten(),
                 peer: None,
@@ -273,7 +289,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         }
     }
 
-    /// Mark a task executed (progress + per-kind accounting).
+    /// Mark a task executed.
     pub fn complete(&mut self, id: TaskId) {
         let i = id as usize;
         debug_assert!(
@@ -283,11 +299,6 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         );
         self.executed[i] = true;
         self.done += 1;
-        let kind = self.keys[i].kind_name();
-        match self.counts.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, n)) => *n += 1,
-            None => self.counts.push((kind, 1)),
-        }
     }
 
     /// Invariant check at a clean finish (debug builds): every task
@@ -314,9 +325,18 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         }
     }
 
-    /// Executed-task totals per kind, in stable (sorted) order.
+    /// Executed-task totals per kind, in stable (sorted) order, derived
+    /// from the executed flags (schedule-invariant; checked by tests). An
+    /// engine has a handful of kinds, so a scanned array beats a map.
     pub fn task_counts(&self) -> Vec<(&'static str, u64)> {
-        let mut v = self.counts.clone();
+        let mut v: Vec<(&'static str, u64)> = Vec::new();
+        for (key, _) in self.keys.iter().zip(&self.executed).filter(|(_, &ran)| ran) {
+            let kind = key.kind_name();
+            match v.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => v.push((kind, 1)),
+            }
+        }
         v.sort_unstable();
         v
     }

@@ -1,7 +1,7 @@
 //! The triangular solve's task graph, *compiled* once per plan — the solve
 //! counterpart of [`crate::taskgraph::LocalTasks`] (DESIGN.md §5.2).
 //!
-//! Both sweeps' tasks, counters, release lists and fan-out destinations are
+//! Both sweeps' tasks, counters, block groups and fan-out destinations are
 //! a pure function of the sparsity pattern and the grid, so a plan builds
 //! every rank's [`SolveTasks`] in one pass over the block layout and every
 //! solve shares them behind an `Arc`; the per-solve state is a copy of
@@ -10,7 +10,7 @@
 //! (`Lᵀ·x = y`).
 
 use crate::map2d::{distinct_owners, ProcGrid};
-use crate::sched::Graph;
+use crate::sched::{Graph, TaskId};
 use crate::trisolve::SolveKey;
 use std::sync::Arc;
 use sympack_symbolic::SymbolicFactor;
@@ -38,26 +38,35 @@ impl Panel {
 }
 
 /// Where a message goes: the rank, and the index *at that rank* of what it
-/// is for — the panel of a `Y`/`X` fan-out, the diagonal block's slot of a
-/// contribution — so the receiver resolves nothing.
+/// is for — the block group a `Y`/`X` fan-out releases, the diagonal a
+/// contribution folds into — so the receiver resolves nothing.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Dest {
     /// Destination rank.
     pub rank: u32,
-    /// Panel index or block slot in the destination's [`SolveTasks`].
+    /// Group or diagonal index in the destination's [`SolveTasks`].
     pub idx: u32,
 }
 
-/// What the two tasks of an owned block operate on.
+/// An owned diagonal block `L(j,j)`: its forward task is id `2k`, its
+/// backward task `2k + 1`, `k` its index in [`SolveTasks::diags`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Diag {
+    /// Its [`BlockStore`](crate::storage::BlockStore) slot.
+    pub slot: u32,
+    /// The panel of `j`: the accumulator, then `Y_j` / `X_j`.
+    pub panel: u32,
+}
+
+/// What the two products of an owned off-diagonal block `B(i,j)` need.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BlockOp {
-    /// Off-diagonal `B(i,j)`: the panels its GEMVs read, of `j` (`Y_j`) and
-    /// of `i` (`X_i`). Diagonal `L(j,j)`: panel `j`, twice.
-    pub panel: [u32; 2],
+    /// The block's column supernode `j`.
+    pub j: u32,
     /// `(row_offset, n_rows)` of `B(i,j)` in `SymbolicFactor::patterns[j]`.
     pub rows: (u32, u32),
     /// Where `B(i,j)`'s contributions go: the owner of `L(i,i)` (forward)
-    /// and of `L(j,j)` (backward), with that diagonal's slot there.
+    /// and of `L(j,j)` (backward), with that diagonal's index there.
     pub to: [Dest; 2],
 }
 
@@ -84,10 +93,11 @@ impl<T> Csr<T> {
     }
 }
 
-/// One rank's compiled slice of both solve sweeps. An owned block's
-/// [`BlockStore`](crate::storage::BlockStore) slot `l` names its two tasks,
-/// ids `2l` (forward) and `2l + 1` (backward): `FwdDiag`/`BwdDiag` of a
-/// diagonal block, `FwdGemv`/`BwdGemv` otherwise.
+/// One rank's compiled slice of both solve sweeps: two tasks per owned
+/// diagonal ([`Diag`]), then one per block group — the owned blocks one
+/// arriving panel releases, `B(·,j)` of column `j` on `Y_j` (`FwdCol`) and
+/// `B(i,·)` of row `i` on `X_i` (`BwdRow`). Group `g` is task id
+/// `2·diags.len() + g`.
 #[derive(Debug, Default)]
 pub struct SolveTasks {
     /// Keys, initial counters (a `BwdDiag`'s includes one guard, released
@@ -96,14 +106,59 @@ pub struct SolveTasks {
     pub graph: Graph<SolveKey>,
     /// The panels this rank holds, ascending supernode.
     pub panels: Vec<Panel>,
-    /// Operands of every owned block, by slot.
+    /// Operands of every owned off-diagonal block, by store slot (a
+    /// diagonal's entry is unused).
     pub ops: Vec<BlockOp>,
-    /// Slots of the owned diagonal blocks, ascending supernode.
-    pub diags: Vec<u32>,
-    /// Per panel: the slots of the owned blocks `Y_sn` / `X_sn` releases.
-    released: [Csr<u32>; 2],
-    /// Per slot, empty off the diagonal: where `Y_j` / `X_j` fans out.
+    /// The owned diagonal blocks, ascending supernode.
+    pub diags: Vec<Diag>,
+    /// Per group: the panel whose arrival releases it.
+    pub groups: Vec<u32>,
+    /// Per group: the slots of its blocks, in release order — column `j`
+    /// ascending target, row `i` ascending column.
+    blocks: Csr<u32>,
+    /// Per diagonal: where `Y_j` / `X_j` fans out.
     dests: [Csr<Dest>; 2],
+    /// Tasks per sweep: every diagonal's, and that sweep's groups.
+    sweep_len: [usize; 2],
+}
+
+/// One rank's slice while [`SolveTasks::build_all`] fills it: the diagonal
+/// tasks and the group keys grow apart and are joined at the end.
+#[derive(Default)]
+struct Slice {
+    t: SolveTasks,
+    diag_keys: Vec<SolveKey>,
+    diag_deps: Vec<u32>,
+    group_keys: Vec<SolveKey>,
+}
+
+impl Slice {
+    /// Open a group reading panel `panel` under `key`; returns its index.
+    fn open_group(&mut self, key: SolveKey, panel: u32) -> u32 {
+        let t = &mut self.t;
+        t.groups.push(panel);
+        t.blocks.open();
+        t.sweep_len[key.sweep()] += 1;
+        self.group_keys.push(key);
+        t.groups.len() as u32 - 1
+    }
+
+    fn compile(mut self) -> Arc<SolveTasks> {
+        let groups = self.group_keys.len();
+        let mut keys = Vec::with_capacity(self.diag_keys.len() + groups);
+        keys.extend(self.diag_keys);
+        keys.extend(self.group_keys);
+        let mut deps = self.diag_deps;
+        deps.resize(keys.len(), 1);
+        let t = &mut self.t;
+        assert!(keys.len() < u32::MAX as usize, "task ids fit u32");
+        t.graph = Graph::new(keys, deps);
+        t.groups.shrink_to_fit();
+        t.blocks.ptr.shrink_to_fit();
+        let diags = t.diags.len();
+        t.sweep_len = t.sweep_len.map(|g| g + diags);
+        Arc::new(self.t)
+    }
 }
 
 impl SolveTasks {
@@ -114,12 +169,12 @@ impl SolveTasks {
         // Row structure of the layout, CSR over targets: the blocks (i, k)
         // by ascending k, each with its slot at its owner. Filled as the
         // sweep passes column k, so complete for i when it gets there.
-        let (mut rptr, mut owned) = (vec![0usize; ns + 1], vec![0usize; p]);
+        let (mut rptr, mut owned) = (vec![0usize; ns + 1], vec![(0usize, 0usize); p]);
         for j in 0..ns {
-            owned[grid.map(j, j)] += 1;
+            owned[grid.map(j, j)].0 += 1;
             for b in sf.layout.blocks_of(j) {
                 rptr[b.target + 1] += 1;
-                owned[grid.map(b.target, j)] += 1;
+                owned[grid.map(b.target, j)].1 += 1;
             }
         }
         for i in 0..ns {
@@ -128,29 +183,35 @@ impl SolveTasks {
         let mut fill = rptr.clone();
         let mut row_blocks = vec![(0usize, 0u32); rptr[ns]];
         // Sized up front: a plan keeps these tables, growth slack included.
-        let tasks = |&n: &usize| (Vec::with_capacity(2 * n), Vec::with_capacity(2 * n));
-        type Tasks = (Vec<SolveKey>, Vec<u32>);
-        let mut graphs: Vec<Tasks> = owned.iter().map(tasks).collect();
-        let sized = |n: usize| SolveTasks {
-            ops: Vec::with_capacity(n),
+        // Every off-diagonal block sits in two groups, one per sweep.
+        let sized = |&(diags, blocks): &(usize, usize)| Slice {
+            t: SolveTasks {
+                ops: Vec::with_capacity(diags + blocks),
+                diags: Vec::with_capacity(diags),
+                blocks: Csr {
+                    data: Vec::with_capacity(2 * blocks),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            diag_keys: Vec::with_capacity(2 * diags),
+            diag_deps: Vec::with_capacity(2 * diags),
             ..Default::default()
         };
-        let mut out: Vec<SolveTasks> = owned.into_iter().map(sized).collect();
+        let mut out: Vec<Slice> = owned.iter().map(sized).collect();
         // Panel index of the current supernode at each rank holding it.
         let mut panel_at = vec![0u32; p];
-        // A block's slot and its two tasks.
-        let push =
-            |t: &mut SolveTasks, g: &mut Tasks, keys: [SolveKey; 2], deps: [usize; 2], op| {
-                g.0.extend(keys);
-                g.1.extend(deps.map(|d| d as u32));
-                t.dests.iter_mut().for_each(Csr::open);
-                t.ops.push(op);
-                assert!(t.ops.len() < (u32::MAX / 2) as usize, "task ids fit u32");
-                t.ops.len() as u32 - 1
-            };
+        // A block's store slot.
+        let push = |t: &mut SolveTasks, op: BlockOp| {
+            t.ops.push(op);
+            t.ops.len() as u32 - 1
+        };
         for j in 0..ns {
             let (w, col) = (sf.partition.width(j), sf.layout.blocks_of(j));
-            let row = row_blocks[rptr[j]..rptr[j + 1]].to_vec();
+            // The blocks targeting j (complete: their columns are all < j),
+            // apart from the rows still being filled for later targets.
+            let (done, later) = row_blocks.split_at_mut(rptr[j + 1]);
+            let row = &done[rptr[j]..];
             let owner = grid.map(j, j);
             let fan = [
                 distinct_owners(col.iter().map(|b| grid.map(b.target, j))),
@@ -158,59 +219,71 @@ impl SolveTasks {
             ];
             let holders = fan.iter().flatten().copied().chain([owner]);
             for r in distinct_owners(holders) {
-                let t = &mut out[r];
+                let t = &mut out[r].t;
                 let off = t.arena_rows();
                 panel_at[r] = t.panels.len() as u32;
                 t.panels.push(Panel { sn: j, off, w });
-                t.released.iter_mut().for_each(Csr::open);
             }
-            let (t, pa) = (&mut out[owner], panel_at[owner]);
-            let diag = BlockOp {
-                panel: [pa, pa],
-                ..Default::default()
-            };
-            let keys = [SolveKey::FwdDiag { j }, SolveKey::BwdDiag { j }];
+            let o = &mut out[owner];
+            let slot = push(&mut o.t, BlockOp::default());
+            let panel = panel_at[owner];
+            let me = dest(owner, o.t.diags.len() as u32);
+            o.t.diags.push(Diag { slot, panel });
+            o.diag_keys
+                .extend([SolveKey::FwdDiag { j }, SolveKey::BwdDiag { j }]);
             // This diagonal, as the destination of its blocks' contributions.
-            let deps = [row.len(), col.len() + 1];
-            let me = dest(owner, push(t, &mut graphs[owner], keys, deps, diag));
-            t.diags.push(me.idx);
-            for (dests, ranks) in t.dests.iter_mut().zip(&fan) {
-                dests
-                    .data
-                    .extend(ranks.iter().map(|&r| dest(r, panel_at[r])));
+            o.diag_deps.extend([row.len() as u32, col.len() as u32 + 1]);
+            o.t.dests.iter_mut().for_each(Csr::open);
+            // One group per sweep at each rank owning blocks this panel
+            // releases; the diagonal fans out to exactly those groups. Only
+            // a rank's last group grows, so each sweep's groups open just
+            // before their blocks are placed.
+            let open = |out: &mut Vec<Slice>, s: usize| {
+                for &r in &fan[s] {
+                    let rank = r as u32;
+                    let key = [
+                        SolveKey::FwdCol { j, rank },
+                        SolveKey::BwdRow { i: j, rank },
+                    ][s];
+                    let g = out[r].open_group(key, panel_at[r]);
+                    out[owner].t.dests[s].data.push(dest(r, g));
+                }
+            };
+            // Row j, which X_j releases; their forward contributions come
+            // here.
+            open(&mut out, 1);
+            for &(k, slot) in row {
+                let t = &mut out[grid.map(j, k)].t;
+                t.blocks.data.push(slot);
+                t.ops[slot as usize].to[0] = me;
             }
-            // The blocks targeting j: X_j releases them, and their forward
-            // contributions come here.
-            for &(k, slot) in &row {
-                let r = grid.map(j, k);
-                out[r].released[1].data.push(slot);
-                let op = &mut out[r].ops[slot as usize];
-                (op.panel[1], op.to[0]) = (panel_at[r], me);
-            }
+            // Column j, which Y_j releases.
+            open(&mut out, 0);
             for b in col {
                 let (i, r) = (b.target, grid.map(b.target, j));
                 let op = BlockOp {
-                    panel: [panel_at[r], u32::MAX], // the sweep sets the second
+                    j: j as u32,
                     rows: (b.row_offset as u32, b.n_rows as u32),
-                    to: [me, me], // and the first, when it reaches i
+                    to: [me, me], // the first is set when the sweep reaches i
                 };
-                let keys = [SolveKey::FwdGemv { i, j }, SolveKey::BwdGemv { i, j }];
-                let slot = push(&mut out[r], &mut graphs[r], keys, [1, 1], op);
-                out[r].released[0].data.push(slot);
-                row_blocks[fill[i]] = (j, slot);
+                let t = &mut out[r].t;
+                let slot = push(t, op);
+                t.blocks.data.push(slot);
+                later[fill[i] - rptr[j + 1]] = (j, slot);
                 fill[i] += 1;
             }
         }
-        let compile = |(mut t, (keys, deps)): (SolveTasks, Tasks)| {
-            t.graph = Graph::new(keys, deps);
-            Arc::new(t)
-        };
-        out.into_iter().zip(graphs).map(compile).collect()
+        out.into_iter().map(Slice::compile).collect()
     }
 
-    /// The panel of the owned diagonal block in `slot`.
-    pub(crate) fn diag_panel(&self, slot: u32) -> Panel {
-        self.panels[self.ops[slot as usize].panel[0] as usize]
+    /// The panel of owned diagonal `k`.
+    pub(crate) fn diag_panel(&self, k: usize) -> Panel {
+        self.panels[self.diags[k].panel as usize]
+    }
+
+    /// Task id of group `g`.
+    pub fn group_id(&self, g: usize) -> TaskId {
+        (2 * self.diags.len() + g) as TaskId
     }
 
     /// Rows of this rank's value arenas (× `nrhs` elements each).
@@ -218,17 +291,21 @@ impl SolveTasks {
         self.panels.last().map_or(0, |p| p.off + p.w)
     }
 
-    /// The slots of the owned blocks `Y_sn` (column `sn`, ascending target)
-    /// / `X_sn` (row `sn`, ascending column) releases on arrival, in release
-    /// order — RTQ push order, so schedule-visible.
-    pub fn released_by(&self, sweep: usize, panel: usize) -> &[u32] {
-        self.released[sweep].row(panel)
+    /// The slots of group `g`'s blocks, in release order.
+    pub fn blocks(&self, g: usize) -> &[u32] {
+        self.blocks.row(g)
     }
 
-    /// Where diagonal `slot`'s solved panel fans out in `sweep`: the distinct
-    /// owners, ascending, of `B(·,j)` / `B(j,·)`, each with its panel index of
-    /// `j`. This rank included: a local delivery goes through the inbox too.
-    pub fn dests(&self, sweep: usize, slot: usize) -> &[Dest] {
-        self.dests[sweep].row(slot)
+    /// Where diagonal `k`'s solved panel fans out in `sweep`: the distinct
+    /// owners, ascending, of `B(·,j)` / `B(j,·)`, each with its group that
+    /// the panel releases. This rank included: a local delivery goes
+    /// through the inbox too.
+    pub fn dests(&self, sweep: usize, k: usize) -> &[Dest] {
+        self.dests[sweep].row(k)
+    }
+
+    /// The tasks of `sweep` on this rank: a sweep is done when they ran.
+    pub(crate) fn sweep_len(&self, sweep: usize) -> usize {
+        self.sweep_len[sweep]
     }
 }

@@ -25,19 +25,23 @@
 //!
 //! Scheduling (dependency counters, the policy-driven RTQ, tracing) runs
 //! through the shared [`crate::sched::TaskEngine`]: each sweep's supernode
-//! solves and block GEMVs are tasks, released by incoming messages and
-//! picked under the session's [`RtqPolicy`] — the same queue the
+//! solves are tasks, and so is each group of a rank's blocks that one
+//! arriving panel releases (every block still charging its own time and
+//! sending its own contribution); they are released by incoming messages
+//! and picked under the session's [`RtqPolicy`] — the same queue the
 //! factorization uses — over a task graph compiled once per plan
 //! ([`SolveTasks`]).
 
 use crate::sched::{self, Meta, Msg, RtqPolicy, TaskEngine, TaskId, TaskKind};
-use crate::solve_tasks::{BlockOp, SolveTasks};
+use crate::solve_tasks::{BlockOp, Panel, SolveTasks};
 use crate::storage::{Block, BlockStore};
 use crate::SolverError;
+use std::ops::Range;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack_dense::panel::{
-    gemm_nn_acc_raw, gemm_tn_acc_raw, trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw,
+    gemm_nn_acc_raw, gemm_tn_acc_raw, is_small, trsm_left_lower_notrans_raw,
+    trsm_left_lower_trans_raw,
 };
 use sympack_dense::{KernelConfig, Mat};
 use sympack_gpu::{KernelEngine, Op};
@@ -88,18 +92,20 @@ pub struct SolveParams {
 pub enum SolveKey {
     /// Forward-substitute supernode `j` once its contributions arrived.
     FwdDiag { j: usize },
-    /// `B(i,j)·y_j`, released by the arrival of `y_j`.
-    FwdGemv { i: usize, j: usize },
+    /// `B(i,j)·Y_j` for every block of column `j` owned by `rank`,
+    /// released by the arrival of `Y_j`.
+    FwdCol { j: usize, rank: u32 },
     /// Backward-substitute supernode `j`.
     BwdDiag { j: usize },
-    /// `B(i,j)ᵀ·x_i`, released by the arrival of `x_i`.
-    BwdGemv { i: usize, j: usize },
+    /// `B(i,j)ᵀ·X_i` for every block of row `i` owned by `rank`, released
+    /// by the arrival of `X_i`.
+    BwdRow { i: usize, rank: u32 },
 }
 
 impl SolveKey {
     /// The sweep the task belongs to: `0` forward, `1` backward.
-    fn sweep(&self) -> usize {
-        matches!(self, SolveKey::BwdDiag { .. } | SolveKey::BwdGemv { .. }) as usize
+    pub(crate) fn sweep(&self) -> usize {
+        matches!(self, SolveKey::BwdDiag { .. } | SolveKey::BwdRow { .. }) as usize
     }
 }
 
@@ -108,37 +114,37 @@ impl TaskKind for SolveKey {
         match *self {
             // Forward critical path runs left-to-right…
             SolveKey::FwdDiag { j } => (j, 0),
-            SolveKey::FwdGemv { i, j } => (j, i),
+            SolveKey::FwdCol { j, .. } => (j, 1),
             // …the backward sweep mirrors it right-to-left.
             SolveKey::BwdDiag { j } => (usize::MAX - j, 0),
-            SolveKey::BwdGemv { i, j } => (usize::MAX - i, j),
+            SolveKey::BwdRow { i, .. } => (usize::MAX - i, 1),
         }
     }
 
     fn seed_key(&self) -> (usize, usize, usize, usize) {
         match *self {
             SolveKey::FwdDiag { j } => (0, j, 0, 0),
-            SolveKey::FwdGemv { i, j } => (1, j, i, 0),
+            SolveKey::FwdCol { j, rank } => (1, j, rank as usize, 0),
             SolveKey::BwdDiag { j } => (2, usize::MAX - j, 0, 0),
-            SolveKey::BwdGemv { i, j } => (3, usize::MAX - i, j, 0),
+            SolveKey::BwdRow { i, rank } => (3, usize::MAX - i, rank as usize, 0),
         }
     }
 
     fn kind_name(&self) -> &'static str {
         match self {
             SolveKey::FwdDiag { .. } => "fwd_diag",
-            SolveKey::FwdGemv { .. } => "fwd_gemv",
+            SolveKey::FwdCol { .. } => "fwd_col",
             SolveKey::BwdDiag { .. } => "bwd_diag",
-            SolveKey::BwdGemv { .. } => "bwd_gemv",
+            SolveKey::BwdRow { .. } => "bwd_row",
         }
     }
 
     fn trace_label(&self) -> String {
         match *self {
             SolveKey::FwdDiag { j } => format!("Ly({j})"),
-            SolveKey::FwdGemv { i, j } => format!("Gv({i},{j})"),
+            SolveKey::FwdCol { j, rank } => format!("Gv(*,{j})@{rank}"),
             SolveKey::BwdDiag { j } => format!("Ltx({j})"),
-            SolveKey::BwdGemv { i, j } => format!("Gv'({i},{j})"),
+            SolveKey::BwdRow { i, rank } => format!("Gv'({i},*)@{rank}"),
         }
     }
 
@@ -149,58 +155,63 @@ impl TaskKind for SolveKey {
 
 /// Messages exchanged during the solve. All payloads are column-major
 /// panels of `nrhs` columns. `by` is the producing task (its sweep is the
-/// message's, its label the profiler's dependency edge); `panel`/`diag` are
+/// message's, its label the profiler's dependency edge); `group`/`diag` are
 /// the receiver's own indices ([`Dest::idx`](crate::solve_tasks::Dest)).
 /// A block's contribution carries its product only when it crosses ranks:
-/// a local one carries the block's slot, and the receiver forms the product
-/// where it folds it in.
+/// the local ones of a group travel as one message naming the group, and
+/// the receiver forms each product where it folds it in.
 #[derive(Clone)]
 pub enum SolveMsg {
-    /// `Y_j` / `X_j` (`w × nrhs`) is solved and fans out to the owners of
-    /// the blocks that multiply it. `data` carries it from a remote owner —
+    /// `Y_j` / `X_j` (`w × nrhs`) is solved and fans out to the block
+    /// groups that multiply it. `data` carries it from a remote owner —
     /// one allocation shared by every destination; `None` from this rank,
     /// whose arena holds it.
     Ready {
         by: SolveKey,
-        panel: u32,
+        group: u32,
         data: Option<Arc<[f64]>>,
     },
-    /// A GEMV's product for the owned diagonal block in slot `diag`:
-    /// `B(i,j)ᵀ·X_i` (`w × nrhs`) backward; `B(i,j)·Y_j` (`m × nrhs`)
-    /// forward, scattered through the block's `rows` slice of `patterns[j]`
-    /// — read from the receiver's symbolic factor, charged to the message.
+    /// A block's product for the owned diagonal `diag`: `B(i,j)ᵀ·X_i`
+    /// (`w × nrhs`) backward; `B(i,j)·Y_j` (`m × nrhs`) forward, scattered
+    /// through the block's `rows` slice of `patterns[j]` — read from the
+    /// receiver's symbolic factor, charged to the message.
     Contrib {
         by: SolveKey,
         diag: u32,
         rows: (u32, u32),
         vals: Vec<f64>,
     },
-    /// The contribution of this rank's block in slot `slot` to a diagonal
-    /// this rank owns: `handle` forms the product from the arena into the
-    /// engine's reusable buffer and folds it in, nothing travels.
-    Fold { by: SolveKey, slot: u32 },
+    /// The contributions of group `group`'s blocks to diagonals this rank
+    /// owns: `handle` forms each product from the arena and folds it in, in
+    /// the group's block order; nothing travels.
+    Fold { by: SolveKey, group: u32 },
 }
 
 /// Per-rank solve engine, owned by the solve for both sweeps.
 pub struct SolveEngine {
     sf: Arc<SymbolicFactor>,
     tasks: Arc<SolveTasks>,
+    /// This rank.
+    me: u32,
     /// Right-hand sides carried through this solve (panel width).
     nrhs: usize,
+    /// The RTQ pops a stack: a group runs its blocks last-released first.
+    lifo: bool,
     /// The shared scheduling core: dependency counters, RTQ, inbox, tracer.
     pub rt: TaskEngine<SolveKey, SolveMsg>,
     /// The forward and the backward arena, one `w × nrhs` panel per
-    /// [`Panel`](crate::solve_tasks::Panel) each: an owned supernode's accumulator (`b` rows forward,
+    /// [`Panel`] each: an owned supernode's accumulator (`b` rows forward,
     /// `Y_j` backward, minus the contributions so far) until its diagonal
     /// task turns it into `Y_j` / `X_j` in place; a received one otherwise.
     arena: [Vec<f64>; 2],
-    /// The gathered `X_i` rows of the running backward GEMV.
+    /// The gathered `X_i` rows of a backward product.
     xsub: Vec<f64>,
     /// The product of a local contribution, formed where it is folded.
     prod: Vec<f64>,
     /// `rightᵀ·X` of a compressed block's factored product.
     lr_tmp: Vec<f64>,
-    /// Executed tasks per sweep; a sweep is done at one per owned block.
+    /// Executed tasks per sweep; a sweep is done at
+    /// [`SolveTasks::sweep_len`].
     done: [usize; 2],
     kernels: KernelEngine,
     /// Extra per-message receive overhead (seconds).
@@ -291,6 +302,25 @@ fn send<M: Meta>(
     rank.send(dest, Msg::Solve(msg, overhead), Wire::Payload(bytes));
 }
 
+/// Largest block, in stored entries, whose local product is folded in as
+/// it is formed. Below it the buffered product's fixed cost (sizing and
+/// zeroing `prod`, a second pass to fold) outweighs the direct fold's
+/// strided one-chain-at-a-time loops; from 32 entries on, the buffered
+/// product's vectorized loop wins (EXPERIMENTS.md "PR 45").
+const DIRECT_FOLD: usize = 8;
+
+/// Panel `src` to read and panel `dst` to update, of one arena (distinct
+/// panels, so the two ranges are disjoint).
+fn two_panels(arena: &mut [f64], src: Range<usize>, dst: Range<usize>) -> (&[f64], &mut [f64]) {
+    if src.start < dst.start {
+        let (head, tail) = arena.split_at_mut(dst.start);
+        (&head[src], &mut tail[..dst.len()])
+    } else {
+        let (head, tail) = arena.split_at_mut(src.start);
+        (&tail[..src.len()], &mut head[dst])
+    }
+}
+
 impl SolveEngine {
     /// Per-solve set-up, nothing enumerated: a copy of the compiled
     /// counters, two zeroed arenas, and the forward seed — accumulator
@@ -298,6 +328,7 @@ impl SolveEngine {
     /// permuted `n × nrhs` panel); the ready queue starts with the leaf
     /// supernode solves.
     fn new(
+        me: usize,
         sf: Arc<SymbolicFactor>,
         tasks: Arc<SolveTasks>,
         bp: &[f64],
@@ -309,18 +340,20 @@ impl SolveEngine {
         let mut rt = TaskEngine::new(&tasks.graph, params.policy, abort);
         rt.tracer = params.trace.then(Tracer::new);
         let mut y = vec![0.0; tasks.arena_rows() * nrhs];
-        for &slot in &tasks.diags {
-            let p = tasks.diag_panel(slot);
+        for k in 0..tasks.diags.len() {
+            let p = tasks.diag_panel(k);
             let first = sf.partition.first_col(p.sn);
-            for (k, col) in y[p.elems(nrhs)].chunks_exact_mut(p.w).enumerate() {
-                col.copy_from_slice(&bp[k * sf.n() + first..][..p.w]);
+            for (c, col) in y[p.elems(nrhs)].chunks_exact_mut(p.w).enumerate() {
+                col.copy_from_slice(&bp[c * sf.n() + first..][..p.w]);
             }
         }
         SolveEngine {
             arena: [y, vec![0.0; tasks.arena_rows() * nrhs]],
             sf,
             tasks,
+            me: me as u32,
             nrhs,
+            lifo: params.policy == RtqPolicy::Lifo,
             rt,
             xsub: Vec::new(),
             prod: Vec::new(),
@@ -337,24 +370,33 @@ impl SolveEngine {
         let now = rank.now();
         let [y, x] = &mut self.arena;
         x.copy_from_slice(y);
-        for &slot in &self.tasks.diags {
-            self.rt.dec_id(2 * slot + 1, now);
+        for k in 0..self.tasks.diags.len() {
+            self.rt.dec_id(2 * k as TaskId + 1, now);
         }
+    }
+
+    /// The slot of the `k`-th block group `g` runs: the order in which the
+    /// RTQ popped one task per block, all pushed at once by the panel's
+    /// arrival — the last one first from a stack (Lifo), the first one
+    /// under every other policy (Fifo pops in push order; CriticalPath and
+    /// CommAware by `priority_key`, ascending within a group, the solve
+    /// setting no urgency).
+    fn run_order(&self, g: usize, k: usize) -> usize {
+        let blocks = self.tasks.blocks(g);
+        blocks[if self.lifo { blocks.len() - 1 - k } else { k }] as usize
     }
 
     /// Fold an incoming message into state and release dependent tasks.
     fn handle(&mut self, now: f64, store: &BlockStore, msg: SolveMsg) {
         let (t, nrhs) = (&*self.tasks, self.nrhs);
         match msg {
-            SolveMsg::Ready { by, panel, data } => {
-                let (s, p) = (by.sweep(), t.panels[panel as usize]);
+            SolveMsg::Ready { by, group, data } => {
+                let g = group as usize;
                 if let Some(data) = data {
-                    self.arena[s][p.elems(nrhs)].copy_from_slice(&data);
+                    let p = t.panels[t.groups[g] as usize];
+                    self.arena[by.sweep()][p.elems(nrhs)].copy_from_slice(&data);
                 }
-                for &slot in t.released_by(s, panel as usize) {
-                    let id = 2 * slot + s as TaskId;
-                    self.rt.dec_from_id(id, now, || by.trace_label());
-                }
+                self.rt.dec_from_id(t.group_id(g), now, || by.trace_label());
             }
             SolveMsg::Contrib {
                 by,
@@ -362,24 +404,26 @@ impl SolveEngine {
                 rows,
                 vals,
             } => self.fold(now, by, diag, rows, &vals),
-            SolveMsg::Fold { by, slot } => {
-                let op = t.ops[slot as usize];
-                let b = store.slot(slot as usize).expect("owned block stored");
-                let mut prod = std::mem::take(&mut self.prod);
-                let rows = self.product(b, op, by, &mut prod);
-                self.fold(now, by, op.to[by.sweep()].idx, rows, &prod);
-                self.prod = prod;
+            SolveMsg::Fold { by, group } => {
+                let (s, g) = (by.sweep(), group as usize);
+                let src = t.panels[t.groups[g] as usize];
+                for k in 0..t.blocks(g).len() {
+                    let slot = self.run_order(g, k);
+                    if self.tasks.ops[slot].to[s].rank == self.me {
+                        self.fold_local(now, store, by, slot, src);
+                    }
+                }
             }
         }
     }
 
-    /// Subtract the product `vals` of task `by` from the accumulator of the
-    /// owned diagonal in slot `diag` — forward scattered through the block's
-    /// `rows` of `patterns[j]` — and release that diagonal's task.
+    /// Subtract the product `vals` of task `by` from the accumulator of
+    /// owned diagonal `diag` — forward scattered through the block's `rows`
+    /// of `patterns[j]` — and release that diagonal's task.
     fn fold(&mut self, now: f64, by: SolveKey, diag: u32, rows: (u32, u32), vals: &[f64]) {
-        let (s, p) = (by.sweep(), self.tasks.diag_panel(diag));
+        let (s, p) = (by.sweep(), self.tasks.diag_panel(diag as usize));
         let acc = &mut self.arena[s][p.elems(self.nrhs)];
-        if let SolveKey::FwdGemv { j, .. } = by {
+        if let SolveKey::FwdCol { j, .. } = by {
             let (first, m) = (self.sf.partition.first_col(p.sn), rows.1 as usize);
             let rows = &self.sf.patterns[j][rows.0 as usize..][..m];
             for (acc, vals) in acc.chunks_exact_mut(p.w).zip(vals.chunks_exact(m)) {
@@ -392,31 +436,93 @@ impl SolveEngine {
                 *a -= v;
             }
         }
-        self.rt
-            .dec_from_id(2 * diag + s as TaskId, now, || by.trace_label());
+        self.release(now, by, diag);
     }
 
-    /// The product of the off-diagonal block `b` (operands `op`) that GEMV
-    /// `key` multiplies, into `out`: `B(i,j)·Y_j` forward, `B(i,j)ᵀ·X_i`
-    /// backward over the block's rows of `X_i`, gathered first. Returns the
-    /// `rows` its message carries: the block's `(row_offset, n_rows)` in
-    /// `patterns[j]` forward, none backward.
-    fn product(&mut self, b: &Block, op: BlockOp, key: SolveKey, out: &mut Vec<f64>) -> (u32, u32) {
-        let (SolveKey::FwdGemv { j, .. } | SolveKey::BwdGemv { j, .. }) = key else {
-            unreachable!("only a GEMV contributes");
+    /// One contribution of task `by` reached owned diagonal `diag`.
+    fn release(&mut self, now: f64, by: SolveKey, diag: u32) {
+        let id = 2 * diag + by.sweep() as TaskId;
+        self.rt.dec_from_id(id, now, || by.trace_label());
+    }
+
+    /// Fold the contribution of this rank's block in `slot` (operand panel
+    /// `src`) into the diagonal it targets here. A dense block of at most
+    /// [`DIRECT_FOLD`] entries on the small path subtracts each product
+    /// entry as it is formed — the chain of `gemm_nn_acc_raw` /
+    /// `gemm_tn_acc_raw` from a zeroed output, so the bits are those of
+    /// forming the product first; any other block forms it in `prod`
+    /// ([`block_times`]).
+    fn fold_local(&mut self, now: f64, store: &BlockStore, by: SolveKey, slot: usize, src: Panel) {
+        let (s, nrhs, op) = (by.sweep(), self.nrhs, self.tasks.ops[slot]);
+        let b = store.slot(slot).expect("owned block stored");
+        let (m, w, cfg) = (b.rows(), b.cols(), &self.kernels.config);
+        let dense = match b {
+            Block::Dense(d) if m * w <= DIRECT_FOLD && is_small(cfg, m, nrhs, w) => d,
+            _ => {
+                let mut prod = std::mem::take(&mut self.prod);
+                let rows = self.product(b, op, s, src, &mut prod);
+                self.fold(now, by, op.to[s].idx, rows, &prod);
+                self.prod = prod;
+                return;
+            }
         };
-        let (s, nrhs) = (key.sweep(), self.nrhs);
-        let source = self.tasks.panels[op.panel[s] as usize];
-        let operand = &self.arena[s][source.elems(nrhs)];
+        let (d, ld) = (dense.as_slice(), dense.ld());
+        let dst = self.tasks.diag_panel(op.to[s].idx as usize);
+        let rows = &self.sf.patterns[op.j as usize][op.rows.0 as usize..][..m];
+        let (x, acc) = two_panels(&mut self.arena[s], src.elems(nrhs), dst.elems(nrhs));
+        let cols = x.chunks_exact(src.w).zip(acc.chunks_exact_mut(dst.w));
+        if s == 0 {
+            // acc[rows] -= B(i,j)·Y_j, one row's chain at a time.
+            let first = self.sf.partition.first_col(dst.sn);
+            for (y, acc) in cols {
+                for (i, &r) in rows.iter().enumerate() {
+                    let mut v = 0.0;
+                    for (p, &yp) in y.iter().enumerate() {
+                        v += d[p * ld + i] * yp;
+                    }
+                    acc[r - first] -= v;
+                }
+            }
+        } else {
+            // acc -= B(i,j)ᵀ·X_i[rows], reading X_i's rows in place.
+            let first = self.sf.partition.first_col(src.sn);
+            for (xi, acc) in cols {
+                for (a, col) in acc.iter_mut().zip(d.chunks(ld)) {
+                    let mut v = 0.0;
+                    for (&bp, &r) in col.iter().zip(rows) {
+                        v += bp * xi[r - first];
+                    }
+                    *a -= 0.0 + v;
+                }
+            }
+        }
+        self.release(now, by, op.to[s].idx);
+    }
+
+    /// The product of the off-diagonal block `b` (operands `op`) in sweep
+    /// `s` against panel `src` into `out`: `B(i,j)·Y_j` forward,
+    /// `B(i,j)ᵀ·X_i` backward over the block's rows of `X_i`, gathered
+    /// first. Returns the `rows` its message carries: the block's
+    /// `(row_offset, n_rows)` in `patterns[j]` forward, none backward.
+    fn product(
+        &mut self,
+        b: &Block,
+        op: BlockOp,
+        s: usize,
+        src: Panel,
+        out: &mut Vec<f64>,
+    ) -> (u32, u32) {
+        let nrhs = self.nrhs;
+        let operand = &self.arena[s][src.elems(nrhs)];
         let (operand, rows) = if s == 0 {
             (operand, op.rows)
         } else {
             // Gather the block's rows of X_i into a dense m × nrhs
             // sub-panel, then V = B(i,j)ᵀ · X_i[rows].
-            let first = self.sf.partition.first_col(source.sn);
-            let rows = &self.sf.patterns[j][op.rows.0 as usize..][..op.rows.1 as usize];
+            let first = self.sf.partition.first_col(src.sn);
+            let rows = &self.sf.patterns[op.j as usize][op.rows.0 as usize..][..op.rows.1 as usize];
             self.xsub.clear();
-            for xi in operand.chunks_exact(source.w) {
+            for xi in operand.chunks_exact(src.w) {
                 self.xsub.extend(rows.iter().map(|&r| xi[r - first]));
             }
             (&self.xsub[..], (0, 0))
@@ -426,77 +532,104 @@ impl SolveEngine {
         rows
     }
 
-    /// Execute one picked task: the forward (even id) or backward (odd id)
-    /// task of the owned block in slot `id / 2`.
-    fn exec<M: Meta>(
+    /// Substitute owned diagonal `k` in place (forward with `L`, backward
+    /// with `Lᵀ`) and fan the solved panel out to the groups that multiply
+    /// it: `B(·,j)` forward, `B(j,·)` — every block whose rows live in
+    /// supernode `j` — backward.
+    fn substitute<M: Meta>(
         &mut self,
         rank: &mut Rank<Msg<M>>,
         store: &BlockStore,
-        id: TaskId,
+        k: usize,
         key: SolveKey,
     ) {
-        let (slot, s) = (id as usize / 2, id as usize % 2);
-        let (op, b) = (
-            self.tasks.ops[slot],
-            store.slot(slot).expect("owned block stored"),
-        );
-        match key {
-            // Substitute supernode j in place (forward with L, backward with
-            // Lᵀ) and fan the solved panel out to the owners of the blocks
-            // that multiply it: B(i,j) forward, B(j,k) — every block whose
-            // rows live in supernode j — backward.
-            SolveKey::FwdDiag { .. } | SolveKey::BwdDiag { .. } => {
-                let (t, rt, nrhs) = (&*self.tasks, &mut self.rt, self.nrhs);
-                let source = t.panels[op.panel[s] as usize];
-                let (l, w, cfg) = (b.dense(), source.w, &self.kernels.config);
-                let solved = &mut self.arena[s][source.elems(nrhs)];
-                let trsm = [trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw][s];
-                trsm(cfg, solved, w, w, nrhs, l.as_slice(), l.ld());
-                let loc = self.kernels.place(Op::Trsm, w * w);
-                let secs = self
-                    .kernels
-                    .modeled_secs(Op::Trsm, loc, (w * w * nrhs) as u64);
-                rt.charge(rank, key, secs);
-                let mut payload: Option<Arc<[f64]>> = None;
-                for dest in t.dests(s, slot) {
-                    let remote = dest.rank as usize != rank.id();
-                    let data = remote
-                        .then(|| Arc::clone(payload.get_or_insert_with(|| Arc::from(&*solved))));
-                    let (by, panel) = (key, dest.idx);
-                    let msg = SolveMsg::Ready { by, panel, data };
-                    send(rt, self.msg_overhead, rank, dest.rank as usize, msg);
-                }
-            }
-            // Charge B(i,j)·Y_j / B(i,j)ᵀ·X_i here; form it here only when it
-            // crosses ranks — a local one is formed where it is folded.
-            SolveKey::FwdGemv { .. } | SolveKey::BwdGemv { .. } => {
-                let secs = block_secs(&self.kernels, self.nrhs, b);
-                self.rt.charge(rank, key, secs);
-                let to = op.to[s];
-                let msg = if to.rank as usize == rank.id() {
-                    let slot = slot as u32;
-                    SolveMsg::Fold { by: key, slot }
-                } else {
-                    let mut vals = Vec::new();
-                    let rows = self.product(b, op, key, &mut vals);
-                    let (by, diag) = (key, to.idx);
-                    SolveMsg::Contrib {
-                        by,
-                        diag,
-                        rows,
-                        vals,
-                    }
-                };
-                send(&mut self.rt, self.msg_overhead, rank, to.rank as usize, msg);
-            }
+        let (t, rt, nrhs, s) = (&*self.tasks, &mut self.rt, self.nrhs, key.sweep());
+        let (slot, source) = (t.diags[k].slot as usize, t.diag_panel(k));
+        let l = store.slot(slot).expect("owned block stored").dense();
+        let (w, cfg) = (source.w, &self.kernels.config);
+        let solved = &mut self.arena[s][source.elems(nrhs)];
+        let trsm = [trsm_left_lower_notrans_raw, trsm_left_lower_trans_raw][s];
+        trsm(cfg, solved, w, w, nrhs, l.as_slice(), l.ld());
+        let loc = self.kernels.place(Op::Trsm, w * w);
+        let secs = self
+            .kernels
+            .modeled_secs(Op::Trsm, loc, (w * w * nrhs) as u64);
+        rt.charge(rank, key, secs);
+        let mut payload: Option<Arc<[f64]>> = None;
+        for dest in t.dests(s, k) {
+            let remote = dest.rank as usize != rank.id();
+            let data =
+                remote.then(|| Arc::clone(payload.get_or_insert_with(|| Arc::from(&*solved))));
+            let msg = SolveMsg::Ready {
+                by: key,
+                group: dest.idx,
+                data,
+            };
+            send(rt, self.msg_overhead, rank, dest.rank as usize, msg);
         }
     }
 
-    /// Run every ready task to exhaustion.
+    /// Run block group `g` in [`run_order`](Self::run_order): each block
+    /// charges its modeled seconds in turn and a remote block's product is
+    /// formed and sent at once — the clock and the messages of one task per
+    /// block. The local products leave after the last block in one `Fold`,
+    /// where the per-block messages sat in the inbox.
+    fn multiply<M: Meta>(
+        &mut self,
+        rank: &mut Rank<Msg<M>>,
+        store: &BlockStore,
+        g: usize,
+        key: SolveKey,
+    ) {
+        let (s, start, src) = (
+            key.sweep(),
+            rank.now(),
+            self.tasks.panels[self.tasks.groups[g] as usize],
+        );
+        let (mut kernel, mut local) = (0.0, false);
+        for k in 0..self.tasks.blocks(g).len() {
+            let slot = self.run_order(g, k);
+            let (op, b) = (
+                self.tasks.ops[slot],
+                store.slot(slot).expect("owned block stored"),
+            );
+            let secs = block_secs(&self.kernels, self.nrhs, b);
+            rank.advance(secs);
+            kernel += secs;
+            let to = op.to[s];
+            if to.rank == self.me {
+                local = true;
+                continue;
+            }
+            let mut vals = Vec::new();
+            let rows = self.product(b, op, s, src, &mut vals);
+            let msg = SolveMsg::Contrib {
+                by: key,
+                diag: to.idx,
+                rows,
+                vals,
+            };
+            send(&mut self.rt, self.msg_overhead, rank, to.rank as usize, msg);
+        }
+        self.rt.charge_since(rank, key, start, kernel);
+        if local {
+            let group = g as u32;
+            self.rt.post(SolveMsg::Fold { by: key, group });
+        }
+    }
+
+    /// Run every ready task to exhaustion: a diagonal's substitution (ids
+    /// `2k`, `2k + 1`) or a block group.
     fn pump<M: Meta>(&mut self, rank: &mut Rank<Msg<M>>, store: &BlockStore) {
         while let Some((id, key, ready_at)) = self.rt.pick() {
             rank.advance_to(ready_at);
-            self.exec(rank, store, id, key);
+            let at = id as usize;
+            match key {
+                SolveKey::FwdDiag { .. } | SolveKey::BwdDiag { .. } => {
+                    self.substitute(rank, store, at / 2, key)
+                }
+                _ => self.multiply(rank, store, at - 2 * self.tasks.diags.len(), key),
+            }
             self.rt.complete(id);
             self.done[key.sweep()] += 1;
         }
@@ -517,8 +650,8 @@ impl XArena {
     /// `(supernode, w × nrhs column-major panel)` per owned diagonal,
     /// ascending supernode; none when the solve never ran.
     pub fn pieces(&self) -> impl Iterator<Item = (usize, &[f64])> + '_ {
-        self.tasks.diags.iter().map(|&slot| {
-            let p = self.tasks.diag_panel(slot);
+        (0..self.tasks.diags.len()).map(|k| {
+            let p = self.tasks.diag_panel(k);
             (p.sn, &self.arena[p.elems(self.nrhs)])
         })
     }
@@ -526,8 +659,8 @@ impl XArena {
     /// Add the pieces of `dx`, a solve of the same rank under the same plan
     /// (iterative refinement's correction), into these.
     pub(crate) fn add(&mut self, dx: &XArena) {
-        for &slot in &self.tasks.diags {
-            let at = self.tasks.diag_panel(slot).elems(self.nrhs);
+        for k in 0..self.tasks.diags.len() {
+            let at = self.tasks.diag_panel(k).elems(self.nrhs);
             for (xi, di) in self.arena[at.clone()].iter_mut().zip(&dx.arena[at]) {
                 *xi += di;
             }
@@ -587,7 +720,7 @@ pub fn solve_panel<M: Meta>(
             ..Default::default()
         };
     }
-    let mut st = SolveEngine::new(sf, tasks, bp, nrhs, kernels, params);
+    let mut st = SolveEngine::new(rank.id(), sf, tasks, bp, nrhs, kernels, params);
     run_sweep(rank, &mut st, store, 0);
     // Backward sweep. When the forward sweep aborted (anywhere in the job),
     // this rank may be missing y pieces — skip the seed; the sweep's loop
@@ -688,7 +821,7 @@ fn run_sweep<M: Meta>(rank: &mut Rank<Msg<M>>, st: &mut SolveEngine, store: &Blo
                 st.rt.recycle_signals(signals);
             }
             st.pump(rank, store);
-            st.done[s] == st.tasks.ops.len() || st.rt.aborted() || rank.job_aborted()
+            st.done[s] == st.tasks.sweep_len(s) || st.rt.aborted() || rank.job_aborted()
         },
         |rank, st| {
             let sweep = ["forward", "backward"][s];

@@ -162,10 +162,10 @@ fn refined_solve_is_bit_identical() {
 #[derive(Default)]
 struct Reference {
     deps: HashMap<SolveKey, u32>,
-    /// `j → FwdGemv`s released by `Y_j`, in decrement order.
-    by_y: HashMap<usize, Vec<SolveKey>>,
-    /// `i → BwdGemv`s released by `X_i`, in decrement order.
-    by_x: HashMap<usize, Vec<SolveKey>>,
+    /// `j → (i, j)`: the blocks `Y_j` releases here, in release order.
+    by_y: HashMap<usize, Vec<(usize, usize)>>,
+    /// `i → (i, j)`: the blocks `X_i` releases here, in release order.
+    by_x: HashMap<usize, Vec<(usize, usize)>>,
 }
 
 fn reference(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Reference {
@@ -177,21 +177,21 @@ fn reference(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Reference {
             // B(i,j) sends one contribution to supernode i going forward.
             *incoming.entry(i).or_default() += 1;
             if grid.map(i, j) == rank {
-                // Each GEMV waits for the one panel it multiplies.
-                r.deps.insert(SolveKey::FwdGemv { i, j }, 1);
-                r.deps.insert(SolveKey::BwdGemv { i, j }, 1);
-                r.by_y
-                    .entry(j)
-                    .or_default()
-                    .push(SolveKey::FwdGemv { i, j });
-                r.by_x
-                    .entry(i)
-                    .or_default()
-                    .push(SolveKey::BwdGemv { i, j });
+                r.by_y.entry(j).or_default().push((i, j));
+                r.by_x.entry(i).or_default().push((i, j));
             }
         }
     }
-    for j in (0..sf.n_supernodes()).filter(|&j| grid.map(j, j) == rank) {
+    // One task per (sweep, panel) with blocks to release here; each waits
+    // for the one panel its blocks multiply.
+    let rank = rank as u32;
+    for &j in r.by_y.keys() {
+        r.deps.insert(SolveKey::FwdCol { j, rank }, 1);
+    }
+    for &i in r.by_x.keys() {
+        r.deps.insert(SolveKey::BwdRow { i, rank }, 1);
+    }
+    for j in (0..sf.n_supernodes()).filter(|&j| grid.map(j, j) == rank as usize) {
         // Forward: one contribution per block targeting j. Backward: one per
         // block of column j, plus the guard released at the sweep switch.
         let fwd = incoming.get(&j).copied().unwrap_or(0);
@@ -213,7 +213,6 @@ fn check_solve_rank(
     let ctx = format!("{name}, P={}, rank {rank}", grid.n_procs());
     let (t, want) = (&all[rank], reference(sf, grid, rank));
     let keys = &t.graph.keys;
-    let key_of = |slot: u32, sweep: usize| keys[2 * slot as usize + sweep];
 
     // Dense ids, each owned task exactly once, with the rules' counters.
     assert_eq!(keys.len(), want.deps.len(), "{ctx}: task count");
@@ -240,13 +239,6 @@ fn check_solve_rank(
         assert_eq!((p.off, p.w), (off, w), "{ctx}: panel {l}");
         off += p.w;
         holds.insert(p.sn);
-        // Release lists, order included.
-        for (sweep, rule) in [&want.by_y, &want.by_x].into_iter().enumerate() {
-            let released = t.released_by(sweep, l).iter();
-            let got: Vec<SolveKey> = released.map(|&slot| key_of(slot, sweep)).collect();
-            let want = rule.get(&p.sn).cloned().unwrap_or_default();
-            assert_eq!(got, want, "{ctx}: sweep {sweep} releases of {}", p.sn);
-        }
     }
     assert_eq!(t.arena_rows(), off, "{ctx}");
     let needed: HashSet<usize> = (want.by_y.keys().chain(want.by_x.keys()).copied())
@@ -254,24 +246,65 @@ fn check_solve_rank(
         .collect();
     assert_eq!(holds, needed, "{ctx}: panel set");
 
-    // One op per store slot; its tasks carry the block's key; destinations
-    // name the receiver's own panel / diagonal slot of the right supernode.
+    // Diagonals first, two ids each; then one id per group, whose panel and
+    // blocks (release order included) are the rule's.
     let store = BlockStore::init(sf, ap, grid, rank);
-    assert_eq!(t.ops.len(), store.len(), "{ctx}: one op per owned block");
+    let block = |slot: u32| store.keys()[slot as usize];
     let sn_at = |r: u32, panel: u32| all[r as usize].panels[panel as usize].sn;
+    for (k, d) in t.diags.iter().enumerate() {
+        let j = sn_at(rank as u32, d.panel);
+        let keys = [SolveKey::FwdDiag { j }, SolveKey::BwdDiag { j }];
+        assert_eq!([keys_at(t, 2 * k), keys_at(t, 2 * k + 1)], keys, "{ctx}");
+        assert_eq!(block(d.slot), (j, j), "{ctx}: slot of L({j},{j})");
+    }
+    assert_eq!(
+        t.group_id(0) as usize,
+        2 * t.diags.len(),
+        "{ctx}: group ids follow"
+    );
+    for (g, &panel) in t.groups.iter().enumerate() {
+        let sn = t.panels[panel as usize].sn;
+        let blocks: Vec<(usize, usize)> = t.blocks(g).iter().map(|&s| block(s)).collect();
+        let (rule, want_key) = match keys_at(t, t.group_id(g) as usize) {
+            SolveKey::FwdCol { j, rank: r } => (&want.by_y, (j, r, 0)),
+            SolveKey::BwdRow { i, rank: r } => (&want.by_x, (i, r, 1)),
+            key => panic!("{ctx}: group {g} is {key:?}"),
+        };
+        assert_eq!(
+            (want_key.0, want_key.1),
+            (sn, rank as u32),
+            "{ctx}: group {g}"
+        );
+        assert_eq!(
+            Some(&blocks),
+            rule.get(&sn),
+            "{ctx}: sweep {} blocks of {sn}",
+            want_key.2
+        );
+    }
+
+    // One op per store slot; destinations name the receiver's own group /
+    // diagonal of the right supernode.
+    assert_eq!(t.ops.len(), store.len(), "{ctx}: one op per owned block");
     let diag_at = |to: Dest| {
         let there = &all[to.rank as usize];
-        assert!(there.diags.contains(&to.idx), "{ctx}: {to:?} is a diagonal");
-        sn_at(to.rank, there.ops[to.idx as usize].panel[0])
+        sn_at(to.rank, there.diags[to.idx as usize].panel)
+    };
+    let group_at = |to: Dest| {
+        keys_at(
+            &all[to.rank as usize],
+            all[to.rank as usize].group_id(to.idx as usize) as usize,
+        )
     };
     let mut diags = Vec::new();
     for (slot, (op, &(i, j))) in t.ops.iter().zip(store.keys()).enumerate() {
-        let panels = op.panel.map(|l| t.panels[l as usize].sn);
         if i == j {
             diags.push(slot as u32);
-            let keys = [SolveKey::FwdDiag { j }, SolveKey::BwdDiag { j }];
-            assert_eq!([0, 1].map(|s| key_of(slot as u32, s)), keys, "{ctx}");
-            assert_eq!(panels, [j, j], "{ctx}: panel of L({j},{j})");
+            let k = t
+                .diags
+                .iter()
+                .position(|d| d.slot == slot as u32)
+                .expect("diagonal");
             let col = sf.layout.blocks_of(j).iter().map(|b| grid.map(b.target, j));
             let row = (0..j).filter(|&k| sf.layout.find(j, k).is_some());
             let fan = [
@@ -279,32 +312,35 @@ fn check_solve_rank(
                 distinct_owners(row.map(|k| grid.map(j, k))),
             ];
             for (sweep, want) in fan.iter().enumerate() {
-                let got = t.dests(sweep, slot);
+                let got = t.dests(sweep, k);
                 let ranks: Vec<usize> = got.iter().map(|d| d.rank as usize).collect();
                 assert_eq!(&ranks, want, "{ctx}: sweep {sweep} fan-out of {j}");
-                for d in got {
-                    assert_eq!(sn_at(d.rank, d.idx), j, "{ctx}: {d:?} is panel {j}");
+                for &d in got {
+                    let rank = d.rank;
+                    let key = [
+                        SolveKey::FwdCol { j, rank },
+                        SolveKey::BwdRow { i: j, rank },
+                    ];
+                    assert_eq!(group_at(d), key[sweep], "{ctx}: {d:?} is {:?}", key[sweep]);
                 }
             }
         } else {
-            let keys = [SolveKey::FwdGemv { i, j }, SolveKey::BwdGemv { i, j }];
-            assert_eq!([0, 1].map(|s| key_of(slot as u32, s)), keys, "{ctx}");
-            assert_eq!(panels, [j, i], "{ctx}: Y/X sources of B({i},{j})");
+            assert_eq!(op.j as usize, j, "{ctx}: column of B({i},{j})");
             let b = sf.layout.find(i, j).expect("block in layout");
             let rows = (b.row_offset as u32, b.n_rows as u32);
             assert_eq!(op.rows, rows, "{ctx}: rows of B({i},{j})");
             let owners = [grid.map(i, i), grid.map(j, j)];
             assert_eq!(op.to.map(|d| d.rank as usize), owners, "{ctx}");
             assert_eq!(op.to.map(diag_at), [i, j], "{ctx}: targets of B({i},{j})");
-            for sweep in 0..2 {
-                assert!(
-                    t.dests(sweep, slot).is_empty(),
-                    "{ctx}: B({i},{j}) fans out"
-                );
-            }
         }
     }
-    assert_eq!(t.diags, diags, "{ctx}: diagonal slots");
+    let slots: Vec<u32> = t.diags.iter().map(|d| d.slot).collect();
+    assert_eq!(slots, diags, "{ctx}: diagonal slots");
+}
+
+/// The key of task `id` in `t`.
+fn keys_at(t: &SolveTasks, id: usize) -> SolveKey {
+    t.graph.keys[id]
 }
 
 #[test]
@@ -325,12 +361,74 @@ fn compiled_solve_matches_the_naive_enumeration() {
                     check_solve_rank(&name, &sf, &ap, &grid, &all, rank);
                 }
                 // Every supernode is substituted, every block multiplied, on
-                // exactly one rank.
+                // exactly one rank, once per sweep.
                 let diags: usize = all.iter().map(|t| t.diags.len()).sum();
                 let ops: usize = all.iter().map(|t| t.ops.len()).sum();
                 let blocks = sf.n_supernodes() + sf.layout.n_off_diagonal();
                 assert_eq!((diags, ops), (sf.n_supernodes(), blocks), "{name}, P={p}");
+                let grouped: usize = all
+                    .iter()
+                    .flat_map(|t| (0..t.groups.len()).map(move |g| t.blocks(g).len()))
+                    .sum();
+                let n_off = sf.layout.n_off_diagonal();
+                assert_eq!(grouped, 2 * n_off, "{name}, P={p}");
             }
         }
+    }
+}
+
+/// The solve runs one task per owned diagonal and sweep, and one per
+/// (sweep, panel, rank) that owns blocks the panel releases: on
+/// `thermal_like(60, 60, 0.35, 1)` at P ∈ {1, 2}, the executed solve tasks
+/// of a one-shot run, per kind, are `ns` substitutions per sweep and, per
+/// sweep, the distinct owners of each column's / row's blocks summed over
+/// the supernodes — counted here from the layout alone.
+#[test]
+fn one_solve_task_per_diagonal_and_per_released_group() {
+    let a = thermal_like(60, 60, 0.35, 1);
+    let b = sympack_sparse::vecops::test_rhs(a.n());
+    for p in [1usize, 2] {
+        let opts = SolverOptions {
+            n_nodes: 1,
+            ranks_per_node: p,
+            deterministic: true,
+            ..Default::default()
+        };
+        let r = SymPack::try_factor_and_solve(&a, &b, &opts).expect("solve");
+        let plan = SolvePlan::new(&a, &opts);
+        let (sf, grid) = (plan.sf(), ProcGrid::squarest(p));
+        let ns = sf.n_supernodes();
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); ns];
+        let mut cols = 0;
+        for j in 0..ns {
+            let owners = sf.layout.blocks_of(j).iter().map(|b| grid.map(b.target, j));
+            cols += distinct_owners(owners).len();
+            for blk in sf.layout.blocks_of(j) {
+                rows[blk.target].push(grid.map(blk.target, j));
+            }
+        }
+        let rows: usize = rows.into_iter().map(|o| distinct_owners(o).len()).sum();
+        let count = |kind: &str| {
+            let found = r.task_counts.iter().find(|(k, _)| k == kind);
+            found.map_or(0, |&(_, n)| n as usize)
+        };
+        let got = ["fwd_diag", "bwd_diag", "fwd_col", "bwd_row"].map(count);
+        assert_eq!(
+            got,
+            [ns, ns, cols, rows],
+            "P={p}: executed solve tasks per kind"
+        );
+        let total: usize = plan
+            .symbolic
+            .solve_tasks
+            .iter()
+            .map(|t| t.graph.keys.len())
+            .sum();
+        assert_eq!(
+            got.iter().sum::<usize>(),
+            total,
+            "P={p}: every compiled task ran"
+        );
+        assert!(cols < sf.layout.n_off_diagonal(), "P={p}: nothing grouped");
     }
 }

@@ -268,6 +268,14 @@ fn trsm_trans(
     SOLVED_ROWS.set(xsolved);
 }
 
+/// True when an `m × n × k` product under `cfg` runs the direct loop nest
+/// of [`gemm_nn_acc_raw`] / [`gemm_tn_acc_raw`]; false when it amortizes
+/// packing (per `cfg.pack_min_flops`) and takes the packed core or the
+/// vector path.
+pub fn is_small(cfg: &KernelConfig, m: usize, n: usize, k: usize) -> bool {
+    crate::flops::gemm(m, n, k) < cfg.pack_min_flops
+}
+
 /// Shared `C ← C ± A · B` body: `core` when the problem amortizes packing
 /// (per `cfg.pack_min_flops`), the direct loop nest otherwise. `sub`
 /// selects subtraction (used by the blocked forward solve's trailing
@@ -291,7 +299,7 @@ fn gemm_nn_raw_impl(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if crate::flops::gemm(m, n, k) >= cfg.pack_min_flops {
+    if !is_small(cfg, m, n, k) {
         let d = Dest {
             c,
             ldc,
@@ -340,7 +348,7 @@ fn gemm_tn_raw_impl(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if crate::flops::gemm(m, n, k) >= cfg.pack_min_flops {
+    if !is_small(cfg, m, n, k) {
         let d = Dest {
             c,
             ldc,

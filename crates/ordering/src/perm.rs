@@ -84,18 +84,34 @@ impl Permutation {
 
     /// Permute a dense vector from old ordering to new: `out[new] = x[perm[new]]`.
     pub fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; x.len()];
+        self.apply_into(x, &mut out);
+        out
+    }
+
+    /// [`Permutation::apply_vec`] into `out`, which it overwrites.
+    pub fn apply_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.perm.len());
-        self.perm.iter().map(|&old| x[old]).collect()
+        assert_eq!(out.len(), self.perm.len());
+        for (o, &old) in out.iter_mut().zip(&self.perm) {
+            *o = x[old];
+        }
     }
 
     /// Undo [`Permutation::apply_vec`]: `out[perm[new]] = x[new]`.
     pub fn unapply_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.perm.len());
         let mut out = vec![0.0; x.len()];
-        for (new, &old) in self.perm.iter().enumerate() {
-            out[old] = x[new];
-        }
+        self.unapply_into(x, &mut out);
         out
+    }
+
+    /// [`Permutation::unapply_vec`] into `out`, which it overwrites.
+    pub fn unapply_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.perm.len());
+        assert_eq!(out.len(), self.perm.len());
+        for (&xi, &old) in x.iter().zip(&self.perm) {
+            out[old] = xi;
+        }
     }
 }
 

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sympack::plan::{factor_numeric, solve_panel_with};
+use sympack::plan::{factor_numeric, solve_panel_with, PanelSolve};
 use sympack::storage::BlockStore;
 use sympack::{SolvePlan, SolverError, SolverOptions, SymbolicPlan};
 use sympack_sparse::SparseSym;
@@ -337,30 +337,17 @@ impl Session {
                 nrhs: 0,
             });
         }
-        let stores = self.stores.as_ref().ok_or(SolverError::FactorEvicted {
-            pattern: self.plan.pattern(),
-        })?;
-        let n = self.n();
-        let mut bp = vec![0.0; n * total];
-        let mut k = 0;
-        for p in panels {
-            SolverError::check_shape("rhs panel rows", n, p.n())?;
-            for c in 0..p.nrhs() {
-                let col = self.plan.sf().perm.apply_vec(p.column(c));
-                bp[k * n..(k + 1) * n].copy_from_slice(&col);
-                k += 1;
-            }
-        }
-        let values = (self.plan.opts.refine_steps > 0).then_some(&self.values);
-        let ap = values.map(|v| self.plan.permute(&self.plan.symbolic.matrix_from_values(v)));
-        let ps = solve_panel_with(&self.plan, stores, ap.as_ref(), &bp, total)?;
+        let columns = panels
+            .iter()
+            .flat_map(|p| (0..p.nrhs()).map(|c| p.column(c)));
+        let ps = self.solve_columns(columns, total)?;
+        let (n, perm) = (self.n(), &self.plan.sf().perm);
+        let mut solved = ps.xp.chunks_exact(n);
         let mut out = Vec::with_capacity(panels.len());
-        let mut k = 0;
         for p in panels {
-            let mut data = Vec::with_capacity(n * p.nrhs());
-            for _ in 0..p.nrhs() {
-                data.extend(self.plan.sf().perm.unapply_vec(&ps.xp[k * n..(k + 1) * n]));
-                k += 1;
+            let mut data = vec![0.0; n * p.nrhs()];
+            for (x, xp) in data.chunks_exact_mut(n).zip(solved.by_ref()) {
+                perm.unapply_into(xp, x);
             }
             out.push(RhsPanel::new(n, p.nrhs(), data));
         }
@@ -376,8 +363,33 @@ impl Session {
     /// # Errors
     /// Same as [`Session::solve_batch`].
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolverError> {
-        let out = self.solve_batch(&[RhsPanel::from_vector(b)])?;
-        Ok(out.panels[0].column(0).to_vec())
+        let ps = self.solve_columns(std::iter::once(b), 1)?;
+        let mut x = vec![0.0; b.len()];
+        self.plan.sf().perm.unapply_into(&ps.xp, &mut x);
+        Ok(x)
+    }
+
+    /// The one panel solve behind [`Session::solve_batch`] and
+    /// [`Session::solve`]: `nrhs` right-hand-side columns, each permuted
+    /// straight into its column of the solve's panel; the solution comes
+    /// back permuted.
+    fn solve_columns<'a>(
+        &self,
+        columns: impl Iterator<Item = &'a [f64]>,
+        nrhs: usize,
+    ) -> Result<PanelSolve, SolverError> {
+        let stores = self.stores.as_ref().ok_or(SolverError::FactorEvicted {
+            pattern: self.plan.pattern(),
+        })?;
+        let (n, perm) = (self.n(), &self.plan.sf().perm);
+        let mut bp = vec![0.0; n * nrhs];
+        for (b, col) in columns.zip(bp.chunks_exact_mut(n)) {
+            SolverError::check_shape("rhs panel rows", n, b.len())?;
+            perm.apply_into(b, col);
+        }
+        let values = (self.plan.opts.refine_steps > 0).then_some(&self.values);
+        let ap = values.map(|v| self.plan.permute(&self.plan.symbolic.matrix_from_values(v)));
+        solve_panel_with(&self.plan, stores, ap.as_ref(), &bp, nrhs)
     }
 
     /// Numeric re-factorization from a new value array laid out exactly like

@@ -78,17 +78,17 @@ const PHASES: [&str; 5] = [
 /// capture, which costs every spawned rank thread two allocations (run with
 /// `--nocapture`, a phase reads two fewer per rank thread it spawned).
 const CEILINGS: [(&str, usize, [u64; 5]); 4] = [
-    ("flan_like(16³)", 1, [8934, 89, 89, 131, 5038]),
-    ("flan_like(16³)", 2, [16710, 2899, 2899, 2954, 12609]),
+    ("flan_like(16³)", 1, [8383, 78, 78, 93, 5038]),
+    ("flan_like(16³)", 2, [16140, 2885, 2885, 2913, 12609]),
     (
         "thermal_like(60, 60, 0.35, 1)",
         1,
-        [14498, 92, 92, 132, 7830],
+        [13672, 81, 81, 93, 7830],
     ),
     (
         "thermal_like(60, 60, 0.35, 1)",
         2,
-        [24879, 4242, 4242, 4296, 17993],
+        [24034, 4232, 4232, 4257, 17993],
     ),
 ];
 
