@@ -306,7 +306,9 @@ fn send<M: Meta>(
 /// it is formed. Below it the buffered product's fixed cost (sizing and
 /// zeroing `prod`, a second pass to fold) outweighs the direct fold's
 /// strided one-chain-at-a-time loops; from 32 entries on, the buffered
-/// product's vectorized loop wins (EXPERIMENTS.md "PR 45").
+/// product's vectorized loop wins. Most local blocks of
+/// `thermal_like(110²)` are this small, few of `bone_like(16³)`'s
+/// (EXPERIMENTS.md "PR 45" has the shares and the wall-clock pairs).
 const DIRECT_FOLD: usize = 8;
 
 /// Panel `src` to read and panel `dst` to update, of one arena (distinct

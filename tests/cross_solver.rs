@@ -4,7 +4,8 @@
 mod golden;
 
 use golden::{Fingerprint, SOLVER};
-use sympack::{SolveReport, SolverError, SolverOptions, SymPack};
+use sympack::map2d::distinct_owners;
+use sympack::{ProcGrid, SolvePlan, SolveReport, SolverError, SolverOptions, SymPack};
 use sympack_baseline::baseline_factor_and_solve;
 use sympack_dense::{KernelConfig, Mat};
 use sympack_sparse::gen;
@@ -189,26 +190,30 @@ fn all_engines_agree_across_ranks_and_rtq_policies() {
     // Task totals are also rank-count-invariant for the engines whose task
     // graph is owner-partitioned (fan-out, fan-in, fan-both), except the
     // triangular solve's block groups: one per rank that owns blocks an
-    // arriving panel releases, so a column or row split over more ranks
-    // makes more of them, never fewer than the one group at P = 1. The
-    // right-looking baseline replicates panel applications per rank, so
-    // only its factor-task count is P-invariant.
+    // arriving panel releases, so their totals are those the family's grid
+    // makes of the layout. The right-looking baseline replicates panel
+    // applications per rank, so only its factor-task count is P-invariant.
     let grouped = |kind: &str| kind == "fwd_col" || kind == "bwd_row";
-    for name in ["fan-out", "fan-in", "fan-both"] {
+    type Grid = fn(usize) -> ProcGrid;
+    let grids: [(&str, Grid); 3] = [
+        ("fan-out", ProcGrid::squarest),
+        ("fan-in", ProcGrid::one_dimensional),
+        ("fan-both", ProcGrid::squarest),
+    ];
+    for (name, grid) in grids {
         let one = &reference[&(name, 1)];
-        for p in [2, 4] {
+        for p in [1, 2, 4] {
             let at_p = &reference[&(name, p)];
             assert_eq!(
                 one.iter().filter(|(k, _)| !grouped(k)).collect::<Vec<_>>(),
                 at_p.iter().filter(|(k, _)| !grouped(k)).collect::<Vec<_>>(),
                 "{name}: task totals changed between P=1 and P={p}"
             );
-            for kind in ["fwd_col", "bwd_row"] {
-                assert!(
-                    at_p[kind] >= one[kind],
-                    "{name}: fewer {kind} groups at P={p} than at P=1"
-                );
-            }
+            assert_eq!(
+                [at_p["fwd_col"], at_p["bwd_row"]],
+                solve_groups(&a, grid(p)),
+                "{name} P={p}: executed block groups (fwd_col, bwd_row)"
+            );
         }
     }
     for p in [2, 4] {
@@ -218,6 +223,30 @@ fn all_engines_agree_across_ranks_and_rtq_policies() {
             "right-looking: factor task count changed with P"
         );
     }
+}
+
+/// The triangular solve's block groups over `grid`, summed over its ranks:
+/// forward one per column and distinct owner of the column's off-diagonal
+/// blocks, backward one per row and distinct owner of the row's.
+fn solve_groups(a: &SparseSym, grid: ProcGrid) -> [u64; 2] {
+    let opts = SolverOptions {
+        ranks_per_node: grid.n_procs(),
+        grid: Some(grid),
+        ..Default::default()
+    };
+    let plan = SolvePlan::new(a, &opts);
+    let sf = plan.sf();
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); sf.n_supernodes()];
+    let mut cols = 0;
+    for j in 0..sf.n_supernodes() {
+        let owners = sf.layout.blocks_of(j).iter().map(|b| grid.map(b.target, j));
+        cols += distinct_owners(owners).len();
+        for b in sf.layout.blocks_of(j) {
+            rows[b.target].push(grid.map(b.target, j));
+        }
+    }
+    let rows: usize = rows.into_iter().map(|o| distinct_owners(o).len()).sum();
+    [cols as u64, rows as u64]
 }
 
 /// Each rank's executed tasks in order, as its trace recorded them (the
