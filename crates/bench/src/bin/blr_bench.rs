@@ -190,13 +190,7 @@ fn gate(rows: &[Row]) -> Result<String, String> {
     let mut passes = 0;
     for problem in Problem::BLR_ZOO {
         let name = problem.name();
-        let find = |tol: f64| {
-            let tol = tol_text(tol);
-            let hit = rows
-                .iter()
-                .find(|r| r.text("matrix") == Ok(name) && r.text("tol") == Ok(tol.as_str()));
-            hit.ok_or(format!("{name} tol={tol}: row missing"))
-        };
+        let find = |tol| gate::find(rows, &[("matrix", name), ("tol", &tol_text(tol))]);
         let (dense, blr) = (find(0.0)?, find(GATE_TOL)?);
         let speedup = dense.f64("factor_time")? / blr.f64("factor_time")?;
         let (db, bb) = (dense.u64("published_bytes")?, blr.u64("published_bytes")?);

@@ -169,13 +169,11 @@ fn gate(rows: &[Row]) -> Result<String, String> {
     let mut passes = 0;
     for problem in Problem::ALL {
         let name = problem.name();
-        let find = |topology: &str| {
-            let hit = rows.iter().find(|r| {
-                r.text("matrix") == Ok(name)
-                    && r.u64("p") == Ok(256)
-                    && r.text("topology") == Ok(topology)
-            });
-            hit.ok_or(format!("{name}: P=256 {topology} row missing"))
+        let find = |topology| {
+            gate::find(
+                rows,
+                &[("matrix", name), ("p", "256"), ("topology", topology)],
+            )
         };
         let (flat, tree) = (find("flat")?, find("tree")?);
         let (fb, tb) = (flat.u64("net_bytes")?, tree.u64("net_bytes")?);

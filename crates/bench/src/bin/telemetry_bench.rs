@@ -232,8 +232,7 @@ fn deterministic(_: &Args, out: &mut Rows) -> Result<(), String> {
 /// reads the committed one: it was measured by the full sweep, and
 /// re-measuring there would flake.
 fn gate(rows: &[Row]) -> Result<String, String> {
-    let row = rows.iter().find(|r| r.text("case") == Ok("overhead"));
-    let pct = row.ok_or("overhead row missing")?.f64("overhead_pct")?;
+    let pct = gate::find(rows, &[("case", "overhead")])?.f64("overhead_pct")?;
     if pct > OVERHEAD_BUDGET_PCT {
         return Err(format!(
             "telemetry overhead {pct}% over the {OVERHEAD_BUDGET_PCT}% budget"

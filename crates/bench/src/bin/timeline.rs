@@ -9,19 +9,21 @@
 //!
 //! ```text
 //! cargo run --release -p sympack-bench --bin timeline -- \
-//!     [--quick] [--deterministic] [--out PATH] [--profile-json PATH]
+//!     [--quick] [--out PATH] [--profile-json PATH]
 //! cargo run --release -p sympack-bench --bin timeline -- --wall [--quick]
 //! ```
 //!
-//! `--profile-json PATH` writes the fan-out run's Profile JSON (schema
-//! `sympack-profile-v1`) for `sympack-prof`; with `--deterministic` the
-//! run uses the lockstep scheduler, so the document is bit-stable across
-//! machines — how the committed `BENCH_profile.json` baseline was made.
+//! Both traced runs are lockstep, so their virtual times and the documents
+//! are bit-stable across runs and machines. `--profile-json PATH` writes
+//! the fan-out run's Profile JSON (schema `sympack-profile-v1`) for
+//! `sympack-prof` — how the committed `BENCH_profile.json` baseline is made.
 //!
 //! `--wall` instead prints where the *real* time of the factor loop goes:
 //! each rank's wall-clock attribution (`NumericFactor::loop_wall`, read
 //! under `telemetry`) beside its virtual busy / overhead / wait split, for
 //! the two P = 2 matrices of `perf/` at P ∈ {1, 2} under `perf/`'s options.
+//! The timed loops run free; the traced factorization that supplies the
+//! virtual columns runs in lockstep.
 
 use std::sync::Arc;
 use sympack::plan::{factor_numeric, SolvePlan};
@@ -29,7 +31,7 @@ use sympack::sched::{LoopWall, Wall};
 use sympack::{SolverOptions, SymPack};
 use sympack_baseline::baseline_factor_and_solve;
 use sympack_bench::gate::Args;
-use sympack_bench::{render_table, Problem};
+use sympack_bench::{lockstep, render_table, Problem, Solver};
 use sympack_sparse::vecops::test_rhs;
 use sympack_sparse::{gen, SparseSym};
 use sympack_trace::profile::{CommMatrix, Profile};
@@ -114,6 +116,7 @@ fn wall_report(quick: bool) {
                 &SolverOptions {
                     trace: true,
                     telemetry: false,
+                    deterministic: true,
                     ..opts.clone()
                 },
             );
@@ -153,71 +156,48 @@ fn wall_report(quick: bool) {
 }
 
 fn main() {
-    let args = Args::from_env(
-        &["--quick", "--wall", "--deterministic"],
-        &["--out", "--profile-json"],
-    );
+    let args = Args::from_env(&["--quick", "--wall"], &["--out", "--profile-json"]);
     let quick = args.has("--quick");
     if args.has("--wall") {
         wall_report(quick);
         return;
     }
-    let deterministic = args.has("--deterministic");
     let out = args.value("--out").unwrap_or("results/timeline.json");
-    let profile_json = args.value("--profile-json");
-    let p = Problem::Bone;
-    let a = if quick { p.matrix_quick() } else { p.matrix() };
+    let bout = match out.strip_suffix(".json") {
+        Some(stem) => format!("{stem}_baseline.json"),
+        None => format!("{out}_baseline"),
+    };
+    let (_, a) = Problem::Bone.figure_matrix(quick);
     let b = test_rhs(a.n());
-    let opts = SolverOptions {
-        n_nodes: 4,
-        ranks_per_node: 2,
-        trace: true,
-        deterministic,
-        ..Default::default()
-    };
-    let r = SymPack::factor_and_solve(&a, &b, &opts);
-    assert!(r.relative_residual < 1e-8);
+    let mut opts = lockstep(4, 2);
+    opts.trace = true;
     let n_ranks = opts.n_nodes * opts.ranks_per_node;
-    println!(
-        "fan-out: traced {} tasks over {} ranks, factorization makespan {:.3} ms\n",
-        r.trace.len(),
-        n_ranks,
-        r.factor_time * 1e3
-    );
-    summarize(&r.trace, r.factor_time, n_ranks);
-    write_file(
-        out,
-        &sympack_trace::to_chrome_json(&r.trace),
-        "Chrome trace (open in chrome://tracing or ui.perfetto.dev)",
-    );
-    let profile = r.profile.expect("trace: true assembles the profile");
-    sympack_trace::profile::check_invariants(&profile).expect("profile invariants");
-    println!("\n{}", profile.render_report(10));
-    if let Some(path) = profile_json {
-        write_file(path, &profile.to_json(), "Profile JSON (for sympack-prof)");
+    // The right-looking baseline runs through the same traced runtime.
+    let runs: [(&str, Solver, &str); 2] = [
+        ("fan-out", SymPack::factor_and_solve, out),
+        ("right-looking baseline", baseline_factor_and_solve, &bout),
+    ];
+    for (i, (name, run, path)) in runs.into_iter().enumerate() {
+        let r = run(&a, &b, &opts);
+        assert!(r.relative_residual < 1e-8, "{name}");
+        println!(
+            "{}{name}: traced {} tasks over {n_ranks} ranks, factorization makespan {:.3} ms\n",
+            if i > 0 { "\n" } else { "" },
+            r.trace.len(),
+            r.factor_time * 1e3
+        );
+        summarize(&r.trace, r.factor_time, n_ranks);
+        let chrome = sympack_trace::to_chrome_json(&r.trace);
+        write_file(
+            path,
+            &chrome,
+            "Chrome trace (open in chrome://tracing or ui.perfetto.dev)",
+        );
+        let profile = r.profile.expect("trace: true assembles the profile");
+        sympack_trace::profile::check_invariants(&profile).expect("profile invariants");
+        println!("\n{}", profile.render_report(10));
+        if let (0, Some(json)) = (i, args.value("--profile-json")) {
+            write_file(json, &profile.to_json(), "Profile JSON (for sympack-prof)");
+        }
     }
-
-    // The right-looking baseline through the same traced runtime.
-    let br = baseline_factor_and_solve(&a, &b, &opts);
-    assert!(br.relative_residual < 1e-8);
-    println!(
-        "\nright-looking baseline: traced {} tasks over {} ranks, factorization makespan {:.3} ms\n",
-        br.trace.len(),
-        n_ranks,
-        br.factor_time * 1e3
-    );
-    summarize(&br.trace, br.factor_time, n_ranks);
-    let bout = if out.ends_with(".json") {
-        format!("{}_baseline.json", out.trim_end_matches(".json"))
-    } else {
-        format!("{out}_baseline")
-    };
-    write_file(
-        &bout,
-        &sympack_trace::to_chrome_json(&br.trace),
-        "Chrome trace (open in chrome://tracing or ui.perfetto.dev)",
-    );
-    let bprofile = br.profile.expect("trace: true assembles the profile");
-    sympack_trace::profile::check_invariants(&bprofile).expect("baseline profile invariants");
-    println!("\n{}", bprofile.render_report(10));
 }

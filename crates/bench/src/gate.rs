@@ -1,16 +1,22 @@
 //! The one bench-and-gate harness behind `scaling_bench`, `blr_bench`,
-//! `fleet_bench` and `telemetry_bench` (and the argument parser of
-//! `kernel_roofline`).
+//! `fleet_bench` and `telemetry_bench`, the paper-figure suites `scaling`,
+//! `taxonomy` and `ablation` (and the argument parser of the report
+//! binaries).
 //!
-//! A [`Suite`] names its committed `BENCH_*.json` and supplies three row
-//! producers and one gate. `--quick` runs `quick` and touches no file.
-//! `--check` runs `cheap`, requires each row it produced to equal a
-//! committed row, then runs `gate` over the committed rows. No flag runs
-//! `full`, runs the same `gate` over its rows and only then rewrites the
-//! file. A [`Row`] is always what [`sympack_trace::json::parse`] made of its
-//! text, measured a moment ago or committed a year ago, so a gate is one
-//! function over one kind of input. Any argument the suite did not declare
-//! prints the usage and exits 2 before a case runs or a file is touched.
+//! A [`Suite`] names its committed `BENCH_*.json` or `results/*.json` and
+//! supplies three row producers and one gate. `--quick` runs `quick` and
+//! touches no file. `--check` runs `cheap`, requires each row it produced
+//! to equal a committed row, then runs `gate` over the committed rows. No
+//! flag runs `full`, runs the same `gate` over its rows and only then
+//! rewrites the file. A [`Row`] is always what [`sympack_trace::json::parse`]
+//! made of its text, measured a moment ago or committed a year ago, so a
+//! gate is one function over one kind of input. Any argument the suite did
+//! not declare prints the usage and exits 2 before a case runs or a file is
+//! touched.
+//!
+//! A figure suite runs every case in lockstep, so its rows reproduce bit
+//! for bit; its `--quick` and `--check` run the cheap rows, and its gate
+//! prints a [`Scorecard`] of the paper's claims over the full rows.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -142,6 +148,50 @@ impl Args {
             std::process::exit(2)
         }))
     }
+}
+
+/// What a figure suite's gate prints: one verdict per paper claim,
+/// computed from the rows. A claim that fails is printed as failing; it
+/// does not fail the gate.
+#[derive(Debug, Default)]
+pub struct Scorecard {
+    held: usize,
+    claims: usize,
+}
+
+impl Scorecard {
+    /// Print one claim's verdict and the rows' evidence for it.
+    pub fn claim(&mut self, claim: &str, holds: bool, evidence: &str) {
+        self.claims += 1;
+        self.held += usize::from(holds);
+        let verdict = if holds { "holds" } else { "FAILS" };
+        println!("  {verdict}: {claim} — {evidence}");
+    }
+
+    /// A claim that holds at every labelled point `holds` accepts: the
+    /// evidence counts them and names the others.
+    pub fn every<P>(&mut self, claim: &str, points: &[(String, P)], holds: impl Fn(&P) -> bool) {
+        let misses = points.iter().filter(|(_, p)| !holds(p)).map(|(at, _)| at);
+        let misses: Vec<&String> = misses.collect();
+        let held = points.len() - misses.len();
+        let evidence = format!("{held}/{} points; not at: {misses:?}", points.len());
+        self.claim(claim, misses.is_empty(), &evidence);
+    }
+
+    /// The gate's summary: how many claims hold.
+    pub fn summary(&self) -> String {
+        format!("{}/{} paper claims hold", self.held, self.claims)
+    }
+}
+
+/// The row whose fields hold `key`'s values (an integer field spelled in
+/// decimal), or why there is none.
+pub fn find<'a>(rows: &'a [Row], key: &[(&str, &str)]) -> Result<&'a Row, String> {
+    let is = |r: &Row, (f, v): (&str, &str)| {
+        r.text(f) == Ok(v) || r.u64(f).is_ok_and(|n| n.to_string() == v)
+    };
+    let hit = rows.iter().find(|r| key.iter().all(|&kv| is(r, kv)));
+    hit.ok_or_else(|| format!("no row with {key:?}"))
 }
 
 /// A row producer: runs its cases, pushes their rows, and fails with a
@@ -283,6 +333,9 @@ mod tests {
             "BENCH_blr.json",
             "BENCH_fleet.json",
             "BENCH_telemetry.json",
+            "results/scaling.json",
+            "results/taxonomy.json",
+            "results/ablation.json",
         ] {
             let text = committed(file);
             let rows = parse_rows(&text).unwrap_or_else(|e| panic!("{file}: {e}"));

@@ -9,14 +9,17 @@
 //! | `fig5_bandwidth` | Fig. 5 — RMA get flood bandwidth, native vs reference memory kinds vs MPI |
 //! | `fig6_opcounts` | Fig. 6 — CPU vs GPU BLAS/LAPACK call distribution |
 //! | `scaling` | Figs. 7–12 — strong scaling of factorization & solve, symPACK vs the right-looking baseline |
+//! | `taxonomy` | §2.3 — fan-out vs fan-both vs fan-in vs right-looking |
 //! | `ablation` | §5.3/§6 design-choice studies: 2D vs 1D mapping, RTQ policies, offload thresholds, memory kinds |
 //!
-//! The binaries that gate a committed `BENCH_*.json` run on [`gate`]; every
-//! binary that drives fleet traffic replays it through [`replay`].
+//! The binaries that gate a committed `BENCH_*.json` or `results/*.json` run
+//! on [`gate`]; every binary that drives fleet traffic replays it through
+//! [`replay`].
 
 pub mod gate;
 pub mod replay;
 
+use sympack::{SolveReport, SolverOptions};
 use sympack_sparse::gen;
 use sympack_sparse::SparseSym;
 
@@ -52,17 +55,6 @@ impl Problem {
         Problem::Flan,
         Problem::Thermal,
     ];
-
-    /// Parse a CLI name.
-    pub fn from_name(s: &str) -> Option<Problem> {
-        match s.to_ascii_lowercase().as_str() {
-            "flan" | "flan_1565" => Some(Problem::Flan),
-            "bone" | "bones10" => Some(Problem::Bone),
-            "thermal" | "thermal2" => Some(Problem::Thermal),
-            "audikw" | "audikw_1" => Some(Problem::Audikw),
-            _ => None,
-        }
-    }
 
     /// Display name matching the paper.
     pub fn name(&self) -> &'static str {
@@ -104,6 +96,16 @@ impl Problem {
         }
     }
 
+    /// The matrix of a figure suite's rows and the name they carry: the
+    /// reduced one of `--quick`, named `"<name> quick"`, or the full one.
+    pub fn figure_matrix(&self, quick: bool) -> (String, SparseSym) {
+        if quick {
+            (format!("{} quick", self.name()), self.matrix_quick())
+        } else {
+            (self.name().to_string(), self.matrix())
+        }
+    }
+
     /// Generate at the strong-scaling benchmark scale: large enough that
     /// supernode blocks carry real bandwidth (so communication structure,
     /// not just latency, decides the outcome at P ≥ 256), small enough
@@ -130,6 +132,28 @@ impl Problem {
     }
 }
 
+/// A factor-and-solve entry point: the fan-out solver's or a baseline's.
+pub type Solver = fn(&SparseSym, &[f64], &SolverOptions) -> SolveReport;
+
+/// The options of a figure run: lockstep, so its virtual times reproduce.
+pub fn lockstep(n_nodes: usize, ranks_per_node: usize) -> SolverOptions {
+    SolverOptions {
+        n_nodes,
+        ranks_per_node,
+        deterministic: true,
+        ..Default::default()
+    }
+}
+
+/// `r` when it solved its system, else why not: a figure row is only
+/// recorded for a correct solve.
+pub fn solved(r: SolveReport, what: &str) -> Result<SolveReport, String> {
+    match r.relative_residual {
+        res if res < 1e-8 => Ok(r),
+        res => Err(format!("{what}: relative residual {res:e}")),
+    }
+}
+
 /// Format virtual seconds for the report tables.
 pub fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
@@ -143,33 +167,25 @@ pub fn fmt_secs(s: f64) -> String {
 
 /// Render an aligned text table (first row = header).
 pub fn render_table(rows: &[Vec<String>]) -> String {
-    if rows.is_empty() {
+    let Some(header) = rows.first() else {
         return String::new();
-    }
-    let cols = rows[0].len();
-    let mut widths = vec![0usize; cols];
-    for r in rows {
-        for (c, cell) in r.iter().enumerate() {
-            widths[c] = widths[c].max(cell.len());
+    };
+    let mut widths = vec![0; header.len()];
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = cell.len().max(*w);
         }
     }
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        for (c, cell) in r.iter().enumerate() {
-            out.push_str(&format!("{:<w$}  ", cell, w = widths[c]));
-        }
-        out.push('\n');
-        if i == 0 {
-            for (c, w) in widths.iter().enumerate() {
-                out.push_str(&"-".repeat(*w));
-                if c + 1 < cols {
-                    out.push_str("  ");
-                }
-            }
-            out.push('\n');
-        }
-    }
-    out
+    let cells = |row: &Vec<String>| {
+        let cells = row
+            .iter()
+            .zip(&widths)
+            .map(|(cell, w)| format!("{cell:<w$}  "));
+        cells.collect::<String>() + "\n"
+    };
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    let body: String = rows[1..].iter().map(cells).collect();
+    cells(header) + &rule.join("  ") + "\n" + &body
 }
 
 #[cfg(test)]
@@ -177,13 +193,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn problems_parse_and_generate() {
-        assert_eq!(Problem::from_name("FLAN"), Some(Problem::Flan));
-        assert_eq!(Problem::from_name("thermal2"), Some(Problem::Thermal));
-        assert_eq!(Problem::from_name("nope"), None);
+    fn problems_generate_at_both_figure_scales() {
         for p in Problem::ALL {
-            let m = p.matrix_quick();
-            assert!(m.n() > 100, "{p:?}");
+            let (quick, small) = p.figure_matrix(true);
+            let (full, big) = p.figure_matrix(false);
+            assert_eq!(quick, format!("{full} quick"));
+            assert!(small.n() > 100 && big.n() > small.n(), "{p:?}");
         }
     }
 

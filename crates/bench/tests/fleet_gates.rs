@@ -1,6 +1,8 @@
-//! The fleet-traffic suites hold their committed files: `--check` re-derives
-//! the quick fleet mix and the telemetry rows (the seeded fleet mix among
-//! them), requires each to equal a committed row, and runs the gate.
+//! The fleet-traffic and paper-figure suites hold their committed files:
+//! `--check` re-derives the cheap rows (the quick fleet mix, the telemetry
+//! rows with the seeded fleet mix among them, the quick figure tables),
+//! requires each to equal a committed row, and runs the gate — for a
+//! figure suite, the scorecard of the paper's claims.
 
 use std::process::Command;
 
@@ -20,4 +22,19 @@ fn fleet_bench_check_passes() {
 #[test]
 fn telemetry_bench_check_passes() {
     check(env!("CARGO_BIN_EXE_telemetry_bench"));
+}
+
+#[test]
+fn scaling_check_passes() {
+    check(env!("CARGO_BIN_EXE_scaling"));
+}
+
+#[test]
+fn taxonomy_check_passes() {
+    check(env!("CARGO_BIN_EXE_taxonomy"));
+}
+
+#[test]
+fn ablation_check_passes() {
+    check(env!("CARGO_BIN_EXE_ablation"));
 }

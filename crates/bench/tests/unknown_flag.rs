@@ -26,6 +26,9 @@ fn unknown_flag_exits_2_before_any_work_or_write() {
             "BENCH_telemetry.json",
         ),
         (env!("CARGO_BIN_EXE_kernel_roofline"), "BENCH_kernels.json"),
+        (env!("CARGO_BIN_EXE_scaling"), "results/scaling.json"),
+        (env!("CARGO_BIN_EXE_taxonomy"), "results/taxonomy.json"),
+        (env!("CARGO_BIN_EXE_ablation"), "results/ablation.json"),
     ];
     for (exe, file) in bins {
         let mtime = || {
@@ -35,12 +38,16 @@ fn unknown_flag_exits_2_before_any_work_or_write() {
                 .unwrap()
         };
         let before = mtime();
-        // `--compare` was `kernel_roofline`'s deleted comparison mode.
+        // `--compare` was `kernel_roofline`'s deleted comparison mode;
+        // `--matrix` and `--phase` picked the rows of the free-running
+        // `scaling` and `taxonomy` tables.
         let cases = [
             &["--chek"][..],
             &["--check", "--bogus"],
             &["quick"],
             &["--compare", "mc=64"],
+            &["--quick", "--matrix", "bone"],
+            &["--phase", "facto"],
         ];
         for args in cases {
             let (code, stdout, stderr) = run(exe, args);
@@ -62,7 +69,6 @@ fn report_binaries_reject_a_mistyped_quick() {
         env!("CARGO_BIN_EXE_ordering_quality"),
         env!("CARGO_BIN_EXE_table1"),
         env!("CARGO_BIN_EXE_fig6_opcounts"),
-        env!("CARGO_BIN_EXE_ablation"),
         env!("CARGO_BIN_EXE_session_amortization"),
     ];
     for exe in bins {
@@ -84,31 +90,28 @@ fn a_value_flag_without_its_value_is_a_usage_error() {
     assert_eq!(stdout, "");
 }
 
-/// The report binaries that run the baselines take more than `--quick`; a
-/// mistyped flag used to run the full sweep, and an unknown matrix panicked.
+/// The binaries that run the baselines take more than `--quick`; a
+/// mistyped flag used to run the full sweep. `timeline` always runs in
+/// lockstep now, so its `--deterministic` is an unknown argument too.
 #[test]
 fn baseline_report_binaries_reject_bad_flags_and_values() {
-    let taxonomy = env!("CARGO_BIN_EXE_taxonomy");
-    let scaling = env!("CARGO_BIN_EXE_scaling");
-    let timeline = env!("CARGO_BIN_EXE_timeline");
-    for exe in [taxonomy, scaling, timeline] {
-        for args in [&["--quik"][..], &["--quick", "--bogus"], &["quick"]] {
+    let bins = [
+        env!("CARGO_BIN_EXE_taxonomy"),
+        env!("CARGO_BIN_EXE_scaling"),
+        env!("CARGO_BIN_EXE_timeline"),
+    ];
+    for exe in bins {
+        for args in [
+            &["--quik"][..],
+            &["--quick", "--bogus"],
+            &["quick"],
+            &["--quick", "--deterministic"],
+        ] {
             let (code, stdout, stderr) = run(exe, args);
             assert_eq!(code, Some(2), "{exe} {args:?}: {stderr}");
             assert!(stderr.contains("unknown argument"), "{exe}: {stderr}");
             assert!(stderr.contains("usage: [--quick"), "{exe}: {stderr}");
             assert_eq!(stdout, "", "{exe} {args:?} did some work");
         }
-    }
-    for (exe, args) in [
-        (taxonomy, &["--quick", "--matrix", "nope"][..]),
-        (scaling, &["--quick", "--matrix", "nope"]),
-        (scaling, &["--quick", "--phase", "factor"]),
-    ] {
-        let (code, stdout, stderr) = run(exe, args);
-        assert_eq!(code, Some(2), "{exe} {args:?}: {stderr}");
-        assert!(stderr.contains("unknown value"), "{exe}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{exe}: {stderr}");
-        assert_eq!(stdout, "", "{exe} {args:?} did some work");
     }
 }

@@ -67,6 +67,10 @@ pub struct SolverOptions {
     pub faults: Option<sympack_pgas::FaultPlan>,
     /// Run ranks in deterministic lockstep (round-robin turnstile) so a
     /// given seed reproduces the exact same schedule and virtual clocks.
+    /// A free run (`false`) lets the OS schedule the rank threads, and its
+    /// virtual times follow that thread timing: the same run reads
+    /// different makespans from one run to the next, so a free run's
+    /// virtual times are not evidence.
     pub deterministic: bool,
     /// Dense-kernel configuration — the packed core's cache blocking
     /// (`mc`/`kc`/`nc`), its dispatch threshold (`pack_min_flops`) and the
@@ -436,9 +440,13 @@ pub fn try_factor_and_solve_with<E: Engine, G: FactorGraph<Key = E::Key>>(
             if out.aborted(rank) {
                 break;
             }
-            // Only the first solve's tasks are traced.
-            let trace = opts.trace && out.solves.is_empty();
-            out.push_solve(ctx.solve_rank(rank, &out.store, Some(&ap), bp, 1, trace));
+            // Only the first solve's tasks are traced and counted.
+            let first = out.solves.is_empty();
+            let solve = ctx.solve_rank(rank, &out.store, Some(&ap), bp, 1, opts.trace && first);
+            if first {
+                out.tasks.extend(solve.task_counts());
+            }
+            out.push_solve(solve);
         }
         out
     });

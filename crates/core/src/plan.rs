@@ -538,7 +538,8 @@ pub(crate) struct RankOut {
     /// Task timeline: engine spans, then solve spans, then — appended by
     /// [`RankOut::finish`] — comm spans and health markers.
     pub trace: Vec<TraceEvent>,
-    /// Executed scheduler tasks per kind (factorization + first solve).
+    /// Executed scheduler tasks per kind: the factorization, plus the
+    /// one-shot driver's first solve.
     pub tasks: Vec<(&'static str, u64)>,
     /// Scheduler instruments of the factorization.
     pub telemetry: Option<TelemetrySnapshot>,
@@ -573,9 +574,6 @@ impl RankOut {
     /// Fold one triangular solve into the result.
     pub(crate) fn push_solve(&mut self, mut solve: trisolve::SolveOutcome) {
         self.trace.append(&mut solve.trace);
-        if self.solves.is_empty() {
-            self.tasks.extend(solve.task_counts);
-        }
         // The first error stands: a clean solve pushed after a failed phase
         // must not clear it.
         self.error = self.error.take().or(solve.error);

@@ -117,6 +117,22 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     pub wall: super::WallClock,
 }
 
+/// Executed-task totals per kind, in stable (sorted) order, derived from
+/// the executed flags by id (schedule-invariant; checked by tests). An
+/// engine has a handful of kinds, so a scanned array beats a map.
+pub(crate) fn count_kinds<K: TaskKind>(keys: &[K], executed: &[bool]) -> Vec<(&'static str, u64)> {
+    let mut v: Vec<(&'static str, u64)> = Vec::new();
+    for (key, _) in keys.iter().zip(executed).filter(|(_, &ran)| ran) {
+        let kind = key.kind_name();
+        match v.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, n)) => *n += 1,
+            None => v.push((kind, 1)),
+        }
+    }
+    v.sort_unstable();
+    v
+}
+
 impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// An engine over compiled `graph`: the key table is shared, the
     /// initial counters are copied and the RTQ starts with the graph's
@@ -325,20 +341,16 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         }
     }
 
-    /// Executed-task totals per kind, in stable (sorted) order, derived
-    /// from the executed flags (schedule-invariant; checked by tests). An
-    /// engine has a handful of kinds, so a scanned array beats a map.
+    /// Executed-task totals per kind, in stable (sorted) order
+    /// (schedule-invariant; checked by tests).
     pub fn task_counts(&self) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<(&'static str, u64)> = Vec::new();
-        for (key, _) in self.keys.iter().zip(&self.executed).filter(|(_, &ran)| ran) {
-            let kind = key.kind_name();
-            match v.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => v.push((kind, 1)),
-            }
-        }
-        v.sort_unstable();
-        v
+        count_kinds(&self.keys, &self.executed)
+    }
+
+    /// The per-task executed flags, by id, for [`count_kinds`] once the
+    /// engine is gone.
+    pub(crate) fn into_executed(self) -> Vec<bool> {
+        self.executed
     }
 
     /// Total owned tasks.

@@ -70,6 +70,7 @@ mod queue;
 mod wall;
 
 pub use comm::{CommLayer, PublishStats, RelayDuty};
+pub(crate) use engine::count_kinds;
 pub use engine::{Graph, TaskEngine, TaskId};
 pub use fetch::{FetchConfig, FetchMode};
 pub use queue::{ReadyQueue, RtqPolicy};

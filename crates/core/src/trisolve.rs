@@ -679,11 +679,19 @@ pub struct SolveOutcome {
     pub elapsed: f64,
     /// Solve-task timeline (empty unless [`SolveParams::trace`]).
     pub trace: Vec<TraceEvent>,
-    /// Executed solve tasks per kind on this rank.
-    pub task_counts: Vec<(&'static str, u64)>,
     /// Error observed during the solve (mis-shaped input, diagnosed stall,
     /// abort).
     pub error: Option<SolverError>,
+    /// Which of this rank's solve tasks ran, by id: [`Self::task_counts`]
+    /// is derived from it only for the solve whose counts are read.
+    executed: Vec<bool>,
+}
+
+impl SolveOutcome {
+    /// Executed solve tasks per kind on this rank.
+    pub(crate) fn task_counts(&self) -> Vec<(&'static str, u64)> {
+        sched::count_kinds(&self.x.tasks.graph.keys, &self.executed)
+    }
 }
 
 /// Run the distributed solve for a dense panel of `nrhs` right-hand sides.
@@ -749,8 +757,8 @@ pub fn solve_panel<M: Meta>(
         },
         elapsed: rank.now() - start,
         trace: trace.unwrap_or_default(),
-        task_counts: rt.task_counts(),
         error: rt.error.take(),
+        executed: rt.into_executed(),
     }
 }
 

@@ -78,17 +78,17 @@ const PHASES: [&str; 5] = [
 /// capture, which costs every spawned rank thread two allocations (run with
 /// `--nocapture`, a phase reads two fewer per rank thread it spawned).
 const CEILINGS: [(&str, usize, [u64; 5]); 4] = [
-    ("flan_like(16³)", 1, [8383, 78, 78, 93, 5038]),
-    ("flan_like(16³)", 2, [16140, 2885, 2885, 2913, 12609]),
+    ("flan_like(16³)", 1, [8383, 70, 70, 85, 5038]),
+    ("flan_like(16³)", 2, [16140, 2875, 2875, 2903, 12609]),
     (
         "thermal_like(60, 60, 0.35, 1)",
         1,
-        [13672, 81, 81, 93, 7830],
+        [13672, 73, 73, 85, 7830],
     ),
     (
         "thermal_like(60, 60, 0.35, 1)",
         2,
-        [24034, 4232, 4232, 4257, 17993],
+        [24034, 4222, 4222, 4247, 17993],
     ),
 ];
 

@@ -134,9 +134,9 @@ fn engine_profiles_roundtrip_through_json() {
 /// root; `committed_profile_is_reproduced_byte_for_byte` repeats its
 /// settings.
 const REGENERATE: &str = "cargo run --release -p sympack-bench --bin timeline -- \
-                          --quick --deterministic --profile-json BENCH_profile.json";
+                          --quick --profile-json BENCH_profile.json";
 
-/// The timeline's `--quick --deterministic` run — `bone_like(6,6,5)` at 4
+/// The timeline's `--quick` run — `bone_like(6,6,5)` at 4
 /// nodes × 2 ranks, traced, in lockstep, default options, `test_rhs` — must
 /// write exactly the committed `BENCH_profile.json`. The document holds
 /// every span's virtual start, duration and producer, so any change to the
