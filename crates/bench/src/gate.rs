@@ -75,7 +75,8 @@ impl Row {
 }
 
 /// Where a suite's cases put their rows. Each [`push`](Rows::push) prints
-/// the progress line: the row and the wall time since the previous one.
+/// the progress line: the row on stdout, which a lockstep suite repeats
+/// byte for byte, and the wall time since the previous row on stderr.
 #[derive(Debug)]
 pub struct Rows {
     rows: Vec<Row>,
@@ -86,7 +87,8 @@ impl Rows {
     /// Record one finished row.
     pub fn push(&mut self, row: Row) {
         let wall = self.last.elapsed().as_secs_f64();
-        println!("{} ({wall:.1}s wall)", row.to_json());
+        println!("{}", row.to_json());
+        eprintln!("({wall:.1}s wall)");
         self.last = Instant::now();
         self.rows.push(row);
     }

@@ -136,10 +136,10 @@ pub(crate) fn count_kinds<K: TaskKind>(keys: &[K], executed: &[bool]) -> Vec<(&'
 impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// An engine over compiled `graph`: the key table is shared, the
     /// initial counters are copied and the RTQ starts with the graph's
-    /// seeds.
+    /// seeds, sized once to the graph's task count.
     pub fn new(graph: &Graph<K>, policy: RtqPolicy, abort: Arc<AtomicBool>) -> Self {
         let total = graph.keys.len();
-        let mut rtq = ReadyQueue::new(policy);
+        let mut rtq = ReadyQueue::new(policy, total);
         for &id in &graph.seeds {
             debug_assert_eq!(graph.deps[id as usize], 0, "seed has dependencies");
             rtq.push(id);

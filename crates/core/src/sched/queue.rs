@@ -49,10 +49,11 @@ pub struct ReadyQueue<T> {
 }
 
 impl<T> ReadyQueue<T> {
-    /// An empty queue popping under `policy`.
-    pub fn new(policy: RtqPolicy) -> Self {
+    /// An empty queue popping under `policy`, with room for `capacity`
+    /// tasks so that a queue sized to its graph never regrows.
+    pub fn new(policy: RtqPolicy, capacity: usize) -> Self {
         ReadyQueue {
-            q: VecDeque::new(),
+            q: VecDeque::with_capacity(capacity),
             policy,
         }
     }
@@ -153,7 +154,7 @@ mod tests {
 
     #[test]
     fn lifo_pops_stack_order() {
-        let mut q = ReadyQueue::new(RtqPolicy::Lifo);
+        let mut q = ReadyQueue::new(RtqPolicy::Lifo, 0);
         for v in [3, 1, 4, 1, 5] {
             q.push(T(v));
         }
@@ -162,7 +163,7 @@ mod tests {
 
     #[test]
     fn fifo_pops_queue_order() {
-        let mut q = ReadyQueue::new(RtqPolicy::Fifo);
+        let mut q = ReadyQueue::new(RtqPolicy::Fifo, 0);
         for v in [3, 1, 4, 1, 5] {
             q.push(T(v));
         }
@@ -171,7 +172,7 @@ mod tests {
 
     #[test]
     fn critical_path_pops_minimum_priority() {
-        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath);
+        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath, 0);
         for v in [3, 1, 4, 2, 5] {
             q.push(T(v));
         }
@@ -180,7 +181,7 @@ mod tests {
 
     #[test]
     fn comm_aware_prefers_urgent_tasks_then_priority() {
-        let mut q = ReadyQueue::new(RtqPolicy::CommAware);
+        let mut q = ReadyQueue::new(RtqPolicy::CommAware, 0);
         for v in [3, 1, 4, 2, 5] {
             q.push(T(v));
         }
@@ -192,7 +193,7 @@ mod tests {
 
     #[test]
     fn comm_aware_without_urgencies_degrades_to_priority_order() {
-        let mut q = ReadyQueue::new(RtqPolicy::CommAware);
+        let mut q = ReadyQueue::new(RtqPolicy::CommAware, 0);
         for v in [3, 1, 4, 2, 5] {
             q.push(T(v));
         }
@@ -203,7 +204,7 @@ mod tests {
     fn critical_path_swap_remove_matches_vec_semantics() {
         // Ties: min_by_key returns the first minimal element, and removal
         // swaps the back element into the hole — exactly Vec::swap_remove.
-        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath);
+        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath, 0);
         let mut v: Vec<T> = Vec::new();
         for x in [7, 2, 9, 2, 8, 1, 1] {
             q.push(T(x));

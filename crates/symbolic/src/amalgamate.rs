@@ -9,15 +9,46 @@
 //! the supernodal elimination tree) is the second can merge, so supernode
 //! columns stay consecutive and the factorization stays correct (the merged
 //! pattern is the union, a superset of every member column's true pattern).
+//!
+//! The tolerated fraction is graded by the merged width, after the
+//! relaxed-supernode table of Ashcraft and Grimes as CHOLMOD ships it
+//! (`nrelax` 4 / 16, `zrelax` 0.8): a merge up to 4 columns wide is
+//! always taken, one up to 16 columns wide may hold up to 80 % explicit
+//! zeros, and a wider one is held to the caller's ratio. Each block is one
+//! task and one message in the fan-out, so the narrow merges are where the
+//! per-block runtime cost outweighs the flops.
 
 use crate::structure::RowPatterns;
 use crate::supernodes::SupernodePartition;
+
+/// Merged widths up to this many columns are always taken.
+pub(crate) const FREE_WIDTH: usize = 4;
+/// Merged widths up to this many columns tolerate [`LOOSE_ZEROS`].
+pub(crate) const LOOSE_WIDTH: usize = 16;
+/// Explicit-zero fraction tolerated by a merge of at most [`LOOSE_WIDTH`].
+pub(crate) const LOOSE_ZEROS: f64 = 0.8;
+
+/// The explicit-zero fraction a merged supernode `width` columns wide may
+/// hold under the caller's `ratio`. A ratio of 0 keeps every merge to the
+/// free ones (no explicit zero at all), whatever the width.
+fn allowance(width: usize, ratio: f64) -> f64 {
+    if ratio <= 0.0 {
+        0.0
+    } else if width <= FREE_WIDTH {
+        1.0
+    } else if width <= LOOSE_WIDTH {
+        LOOSE_ZEROS
+    } else {
+        ratio
+    }
+}
 
 /// Greedily merge chains of supernodes left-to-right.
 ///
 /// Returns the new partition and the matching merged patterns. `ratio` is
 /// the maximum tolerated fraction of explicit-zero entries in a merged
-/// supernode; `max_width` caps merged supernode width.
+/// supernode wider than [`LOOSE_WIDTH`] (narrower merges are graded by
+/// [`allowance`]); `max_width` caps merged supernode width.
 pub(crate) fn amalgamate(
     partition: &SupernodePartition,
     patterns: &RowPatterns,
@@ -82,7 +113,7 @@ pub(crate) fn amalgamate(
             let new_nnz = new_width * (new_width + 1) / 2 + new_width * merged.len();
             let old_nnz = nnz_members + wt * (wt + 1) / 2 + wt * pt.len();
             let zeros = new_nnz.saturating_sub(old_nnz);
-            if (zeros as f64) > ratio * (new_nnz as f64) {
+            if (zeros as f64) > allowance(new_width, ratio) * (new_nnz as f64) {
                 break;
             }
             // Accept the merge.
@@ -156,6 +187,69 @@ mod tests {
         // Tridiagonal merges are never free (each merge wastes one zero per
         // extra column), so nothing merges at ratio 0.
         assert_eq!(merged.n_supernodes(), part.n_supernodes());
+    }
+
+    /// Fundamental partition and patterns of `a` under its etree postorder.
+    fn fundamental(a: &SparseSym) -> (SupernodePartition, RowPatterns) {
+        let post = postorder(&etree(a.pattern()));
+        let ap = a.pattern().permute(post.as_slice());
+        let parent = etree(&ap);
+        let counts = col_counts(&ap, &parent);
+        let part = supernodes(&parent, &counts, 128);
+        let pats = sn_patterns(&ap, &part);
+        (part, pats)
+    }
+
+    #[test]
+    fn any_positive_ratio_merges_a_singleton_chain_at_least_free_width_wide() {
+        let (part, pats) = fundamental(&tridiag(50));
+        for ratio in [1e-9, 0.01, 0.1, 0.5, 0.9] {
+            let (merged, _) = amalgamate(&part, &pats, ratio, 128);
+            let ns = merged.n_supernodes();
+            assert!(ns < part.n_supernodes(), "ratio {ratio}: nothing merged");
+            for s in 0..ns - 1 {
+                assert!(
+                    merged.width(s) >= FREE_WIDTH,
+                    "ratio {ratio}: supernode {s} of {ns} is {} wide",
+                    merged.width(s)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_zeros_stay_within_the_graded_allowance() {
+        for seed in 0..12u64 {
+            let a = sympack_sparse::gen::random_spd(60 + 10 * seed as usize, 3, seed);
+            let (part, pats) = fundamental(&a);
+            for ratio in [0.05, 0.1, 0.3, 0.6] {
+                let (merged, mpats) = amalgamate(&part, &pats, ratio, 128);
+                // Real entries of each merged supernode, summed over its
+                // fundamental members the way `amalgamate` counts them.
+                let mut real = vec![0usize; merged.n_supernodes()];
+                for s0 in 0..part.n_supernodes() {
+                    let w = part.width(s0);
+                    real[merged.supno(part.first_col(s0))] += w * (w + 1) / 2 + w * pats[s0].len();
+                }
+                for ms in 0..merged.n_supernodes() {
+                    let w = merged.width(ms);
+                    let stored = w * (w + 1) / 2 + w * mpats[ms].len();
+                    let zeros = (stored - real[ms]) as f64;
+                    let bound = if w <= FREE_WIDTH {
+                        1.0
+                    } else if w <= LOOSE_WIDTH {
+                        LOOSE_ZEROS
+                    } else {
+                        ratio
+                    };
+                    assert!(
+                        zeros <= bound * stored as f64,
+                        "seed {seed} ratio {ratio}: supernode {ms} ({w} wide) holds \
+                         {zeros} zeros of {stored}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

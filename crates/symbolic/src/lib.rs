@@ -43,7 +43,10 @@ pub struct AnalyzeOptions {
     pub max_sn_width: usize,
     /// Relaxed amalgamation: merge a child supernode into its parent when
     /// the merged supernode wastes at most this fraction of explicit zeros.
-    /// `0.0` disables amalgamation (fundamental supernodes only).
+    /// The fraction bounds merges wider than 16 columns; narrower ones are
+    /// graded by width (always up to 4 columns, up to 80 % explicit zeros up
+    /// to 16; see [`amalgamate`]). `0.0` disables amalgamation (fundamental
+    /// supernodes only).
     pub amalgamation_ratio: f64,
 }
 

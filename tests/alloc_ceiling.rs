@@ -78,17 +78,13 @@ const PHASES: [&str; 5] = [
 /// capture, which costs every spawned rank thread two allocations (run with
 /// `--nocapture`, a phase reads two fewer per rank thread it spawned).
 const CEILINGS: [(&str, usize, [u64; 5]); 4] = [
-    ("flan_like(16³)", 1, [8383, 70, 70, 85, 5038]),
-    ("flan_like(16³)", 2, [16140, 2875, 2875, 2903, 12609]),
-    (
-        "thermal_like(60, 60, 0.35, 1)",
-        1,
-        [13672, 73, 73, 85, 7830],
-    ),
+    ("flan_like(16³)", 1, [4609, 61, 61, 76, 2462]),
+    ("flan_like(16³)", 2, [8352, 1366, 1366, 1392, 6036]),
+    ("thermal_like(60, 60, 0.35, 1)", 1, [8017, 66, 66, 79, 4302]),
     (
         "thermal_like(60, 60, 0.35, 1)",
         2,
-        [24034, 4222, 4222, 4247, 17993],
+        [13344, 2035, 2035, 2060, 9445],
     ),
 ];
 
