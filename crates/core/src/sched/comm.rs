@@ -91,6 +91,18 @@ pub struct CommLayer<Mt> {
     /// over node groups with leader relays.
     topology: BcastTopology,
     stats: PublishStats,
+    /// Relay duties whose payload this rank has fetched but not yet
+    /// forwarded, in the order their signals arrived.
+    held: Vec<Held<Mt>>,
+}
+
+/// A relay duty waiting for its leader's next progress point at or after
+/// `ready_at`, when the fetched payload is here.
+struct Held<Mt> {
+    ready_at: f64,
+    meta: Mt,
+    data: Payload,
+    duty: RelayDuty,
 }
 
 impl<Mt: Meta> CommLayer<Mt> {
@@ -101,6 +113,7 @@ impl<Mt: Meta> CommLayer<Mt> {
             co: coalesce.map(Coalescer::new),
             topology,
             stats: PublishStats::default(),
+            held: Vec::new(),
         }
     }
 
@@ -168,31 +181,53 @@ impl<Mt: Meta> CommLayer<Mt> {
         }
     }
 
-    /// The payload behind `arrived` is here, valid from `ready_at`: if its
-    /// signal carried a relay duty, discharge it — re-host the payload (the
-    /// same buffer again) in this rank's shared heap and signal the leader's
-    /// node members (flat)
-    /// plus its child leaders (who inherit relay duties of their own).
-    /// Virtual-time honesty: the payload cannot leave this rank before it
-    /// arrived, so the leader's clock first advances to `ready_at`.
-    pub(super) fn relay(
-        &mut self,
-        rank: &mut Rank<Msg<Mt>>,
-        arrived: &Signal<Mt>,
-        data: &Payload,
-        ready_at: f64,
-    ) {
-        let Some(RelayDuty { plan, pos }) = &arrived.relay else {
+    /// The payload behind `arrived` is fetched, valid from `ready_at`: if
+    /// its signal carried a relay duty, hold the duty for
+    /// [`CommLayer::relay_due`]. The leader's clock does not move here: its
+    /// own ready work runs meanwhile, and the forward leaves at its first
+    /// progress point after the payload arrived.
+    pub(super) fn hold(&mut self, arrived: &Signal<Mt>, data: &Payload, ready_at: f64) {
+        if let Some(duty) = &arrived.relay {
+            self.held.push(Held {
+                ready_at,
+                meta: arrived.meta,
+                data: Payload::clone(data),
+                duty: duty.clone(),
+            });
+        }
+    }
+
+    /// Discharge every held relay duty whose payload is here by `until`,
+    /// earliest arrival first: advance the clock to the arrival (the
+    /// payload cannot leave this rank before it came), re-host the payload
+    /// (the same buffer again) in this rank's shared heap and signal the
+    /// leader's node members (flat) plus its child leaders (who inherit
+    /// relay duties of their own). A rank about to start a task passes the
+    /// task's start time, an idle rank `f64::INFINITY`.
+    pub(super) fn relay_due(&mut self, rank: &mut Rank<Msg<Mt>>, until: f64) {
+        if self.held.is_empty() {
             return;
-        };
-        rank.advance_to(ready_at);
-        let (ptr, meta) = (host(rank, Payload::clone(data)), arrived.meta);
-        for &dest in &plan.members[*pos] {
-            self.signal(rank, dest, ptr, meta, None);
         }
-        for child in plan.children_of(*pos) {
-            self.signal(rank, plan.leaders[child], ptr, meta, Some((plan, child)));
+        let mut held = std::mem::take(&mut self.held);
+        held.sort_by(|a, b| a.ready_at.total_cmp(&b.ready_at));
+        let due = held.partition_point(|h| h.ready_at <= until);
+        for Held {
+            ready_at,
+            meta,
+            data,
+            duty: RelayDuty { plan, pos },
+        } in held.drain(..due)
+        {
+            rank.advance_to(ready_at);
+            let ptr = host(rank, data);
+            for &dest in &plan.members[pos] {
+                self.signal(rank, dest, ptr, meta, None);
+            }
+            for child in plan.children_of(pos) {
+                self.signal(rank, plan.leaders[child], ptr, meta, Some((&plan, child)));
+            }
         }
+        self.held = held;
     }
 
     /// Ship one `signal(ptr, meta)` toward `dest`'s engine, through the

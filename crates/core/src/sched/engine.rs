@@ -139,7 +139,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// seeds, sized once to the graph's task count.
     pub fn new(graph: &Graph<K>, policy: RtqPolicy, abort: Arc<AtomicBool>) -> Self {
         let total = graph.keys.len();
-        let mut rtq = ReadyQueue::new(policy, total);
+        let mut rtq = ReadyQueue::with_capacity(policy, total);
         for &id in &graph.seeds {
             debug_assert_eq!(graph.deps[id as usize], 0, "seed has dependencies");
             rtq.push(id);

@@ -24,9 +24,9 @@
 //!   failure (`TaskEngine::fail_stalled`); the factorization
 //!   ([`run_to_completion`]) and both solve sweeps run on it;
 //! * **the step** — [`step`]: take the queued signals, fetch each (a failure
-//!   aborts the job with the signal's [`Meta::describe`]), discharge a relay
-//!   duty, hand the payload to the engine, flush expired frames, pick, run,
-//!   complete;
+//!   aborts the job with the signal's [`Meta::describe`]), hold a relay
+//!   duty, hand the payload to the engine, flush expired frames, pick,
+//!   forward the held relays due by the task's start, run, complete;
 //! * **the scheduling core** — [`TaskEngine`], built over a compiled
 //!   [`Graph`] and addressed by [`TaskId`]: LTQ counters, RTQ, the
 //!   deduplicating inbox, abort broadcast, virtual-clock accounting, tracer
@@ -303,9 +303,11 @@ pub trait Engine: Sized + Send + 'static {
 }
 
 /// One turn of an engine (paper Fig. 4): resolve the queued notifications
-/// into data movement through the shared fetch path — a signal that carried
-/// a relay duty discharges it once its data has actually arrived — then run
-/// one ready task. Returns `true` if a task executed.
+/// into data movement through the shared fetch path, then run one ready
+/// task. A signal that carried a relay duty is forwarded at the first
+/// progress point after its data has actually arrived: before the picked
+/// task if the data is here by the task's start, at once if the rank has
+/// nothing to run. Returns `true` if a task executed.
 ///
 /// A failed fetch aborts the job (the remaining signals are dropped) with
 /// the failing signal's [`Meta::describe`] as context. Quantum-expired
@@ -320,8 +322,7 @@ pub fn step<E: Engine>(engine: &mut E, rank: &mut RankOf<E>) -> bool {
         for sig in signals.drain(..) {
             match fetch::fetch(rank, &sig.ptr, &cfg) {
                 Ok((data, ready_at)) => {
-                    let comm = &mut engine.core().comm;
-                    comm.relay(rank, &sig, &data, ready_at);
+                    engine.core().comm.hold(&sig, &data, ready_at);
                     engine.on_data(rank, sig.meta, data, ready_at);
                 }
                 Err(err) => {
@@ -338,9 +339,12 @@ pub fn step<E: Engine>(engine: &mut E, rank: &mut RankOf<E>) -> bool {
     let core = engine.core();
     core.comm.tick(rank);
     let Some((id, key, ready_at)) = core.rt.pick() else {
+        core.comm.relay_due(rank, f64::INFINITY);
         core.comm.flush_all(rank);
         return false;
     };
+    // Relays whose payload is here before the task can start go out first.
+    core.comm.relay_due(rank, ready_at.max(rank.now()));
     core.rt.wall.lap(Wall::Pick);
     rank.advance_to(ready_at); // a task starts once its last input is here
     engine.exec(rank, id, key);

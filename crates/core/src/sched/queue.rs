@@ -49,9 +49,14 @@ pub struct ReadyQueue<T> {
 }
 
 impl<T> ReadyQueue<T> {
+    /// An empty queue popping under `policy`.
+    pub fn new(policy: RtqPolicy) -> Self {
+        Self::with_capacity(policy, 0)
+    }
+
     /// An empty queue popping under `policy`, with room for `capacity`
-    /// tasks so that a queue sized to its graph never regrows.
-    pub fn new(policy: RtqPolicy, capacity: usize) -> Self {
+    /// tasks: a queue sized to its graph never regrows.
+    pub(crate) fn with_capacity(policy: RtqPolicy, capacity: usize) -> Self {
         ReadyQueue {
             q: VecDeque::with_capacity(capacity),
             policy,
@@ -154,7 +159,7 @@ mod tests {
 
     #[test]
     fn lifo_pops_stack_order() {
-        let mut q = ReadyQueue::new(RtqPolicy::Lifo, 0);
+        let mut q = ReadyQueue::new(RtqPolicy::Lifo);
         for v in [3, 1, 4, 1, 5] {
             q.push(T(v));
         }
@@ -163,7 +168,7 @@ mod tests {
 
     #[test]
     fn fifo_pops_queue_order() {
-        let mut q = ReadyQueue::new(RtqPolicy::Fifo, 0);
+        let mut q = ReadyQueue::new(RtqPolicy::Fifo);
         for v in [3, 1, 4, 1, 5] {
             q.push(T(v));
         }
@@ -172,7 +177,7 @@ mod tests {
 
     #[test]
     fn critical_path_pops_minimum_priority() {
-        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath, 0);
+        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath);
         for v in [3, 1, 4, 2, 5] {
             q.push(T(v));
         }
@@ -181,7 +186,7 @@ mod tests {
 
     #[test]
     fn comm_aware_prefers_urgent_tasks_then_priority() {
-        let mut q = ReadyQueue::new(RtqPolicy::CommAware, 0);
+        let mut q = ReadyQueue::new(RtqPolicy::CommAware);
         for v in [3, 1, 4, 2, 5] {
             q.push(T(v));
         }
@@ -193,7 +198,7 @@ mod tests {
 
     #[test]
     fn comm_aware_without_urgencies_degrades_to_priority_order() {
-        let mut q = ReadyQueue::new(RtqPolicy::CommAware, 0);
+        let mut q = ReadyQueue::new(RtqPolicy::CommAware);
         for v in [3, 1, 4, 2, 5] {
             q.push(T(v));
         }
@@ -204,7 +209,7 @@ mod tests {
     fn critical_path_swap_remove_matches_vec_semantics() {
         // Ties: min_by_key returns the first minimal element, and removal
         // swaps the back element into the hole — exactly Vec::swap_remove.
-        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath, 0);
+        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath);
         let mut v: Vec<T> = Vec::new();
         for x in [7, 2, 9, 2, 8, 1, 1] {
             q.push(T(x));

@@ -17,9 +17,11 @@ pub enum Wall {
     /// `Rank::progress` (and the yield before it) on a poll that delivered
     /// or found work.
     Progress,
-    /// Resolving queued signals: fetch, relay, [`super::Engine::on_data`].
+    /// Resolving queued signals: fetch, hold a relay duty,
+    /// [`super::Engine::on_data`].
     Signals,
-    /// Flushing expired frames and picking from the RTQ.
+    /// Flushing expired frames, picking from the RTQ and forwarding the
+    /// relays due by the picked task's start.
     Pick,
     /// Inside the dense kernels (the update product's temporary included).
     Kernel,

@@ -79,7 +79,7 @@ fn every_policy_pops_a_permutation_of_the_pushes() {
         let mut rng = Rng::new(case);
         let pushes = random_pushes(&mut rng);
         for policy in POLICIES {
-            let mut q = ReadyQueue::new(policy, 0);
+            let mut q = ReadyQueue::new(policy);
             for &t in &pushes {
                 q.push(t);
             }
@@ -102,7 +102,7 @@ fn critical_path_pops_in_priority_order() {
     for case in 0..40u64 {
         let mut rng = Rng::new(0xC0FFEE ^ case);
         let pushes = random_pushes(&mut rng);
-        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath, 0);
+        let mut q = ReadyQueue::new(RtqPolicy::CriticalPath);
         for &t in &pushes {
             q.push(t);
         }
@@ -136,7 +136,7 @@ fn interleaved_push_pop_never_changes_the_popped_set() {
             .collect();
         let mut outcomes: Vec<Vec<T>> = Vec::new();
         for policy in POLICIES {
-            let mut q = ReadyQueue::new(policy, 0);
+            let mut q = ReadyQueue::new(policy);
             let mut seen = Vec::new();
             for step in &script {
                 match step {

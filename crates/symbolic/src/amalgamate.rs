@@ -29,15 +29,16 @@ pub(crate) const LOOSE_WIDTH: usize = 16;
 pub(crate) const LOOSE_ZEROS: f64 = 0.8;
 
 /// The explicit-zero fraction a merged supernode `width` columns wide may
-/// hold under the caller's `ratio`. A ratio of 0 keeps every merge to the
-/// free ones (no explicit zero at all), whatever the width.
+/// hold under the caller's `ratio`; it never shrinks as the width falls. A
+/// ratio of 0 keeps every merge to the free ones (no explicit zero at
+/// all), whatever the width.
 fn allowance(width: usize, ratio: f64) -> f64 {
     if ratio <= 0.0 {
         0.0
     } else if width <= FREE_WIDTH {
         1.0
     } else if width <= LOOSE_WIDTH {
-        LOOSE_ZEROS
+        LOOSE_ZEROS.max(ratio)
     } else {
         ratio
     }
@@ -222,7 +223,7 @@ mod tests {
         for seed in 0..12u64 {
             let a = sympack_sparse::gen::random_spd(60 + 10 * seed as usize, 3, seed);
             let (part, pats) = fundamental(&a);
-            for ratio in [0.05, 0.1, 0.3, 0.6] {
+            for ratio in [0.05, 0.1, 0.3, 0.6, 0.9] {
                 let (merged, mpats) = amalgamate(&part, &pats, ratio, 128);
                 // Real entries of each merged supernode, summed over its
                 // fundamental members the way `amalgamate` counts them.
@@ -238,7 +239,7 @@ mod tests {
                     let bound = if w <= FREE_WIDTH {
                         1.0
                     } else if w <= LOOSE_WIDTH {
-                        LOOSE_ZEROS
+                        LOOSE_ZEROS.max(ratio)
                     } else {
                         ratio
                     };

@@ -44,9 +44,9 @@ pub struct AnalyzeOptions {
     /// Relaxed amalgamation: merge a child supernode into its parent when
     /// the merged supernode wastes at most this fraction of explicit zeros.
     /// The fraction bounds merges wider than 16 columns; narrower ones are
-    /// graded by width (always up to 4 columns, up to 80 % explicit zeros up
-    /// to 16; see [`amalgamate`]). `0.0` disables amalgamation (fundamental
-    /// supernodes only).
+    /// graded by width (always up to 4 columns, up to 80 % explicit zeros or
+    /// this fraction, whichever is larger, up to 16; see [`amalgamate`]).
+    /// `0.0` disables amalgamation (fundamental supernodes only).
     pub amalgamation_ratio: f64,
 }
 
